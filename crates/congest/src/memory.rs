@@ -176,17 +176,19 @@ impl MemoryMeter {
         }
     }
 
-    /// Fold another meter's usage into this one as if the two phases ran
-    /// *concurrently*: currents and peaks add.
+    /// Fold a construction confined to `members` into this meter as if the
+    /// two ran *concurrently*: currents and peaks add. Slot `r` of `other`
+    /// holds the usage of `members[r]`; vertices outside `members` took no
+    /// part and are left alone.
     ///
     /// # Panics
     ///
-    /// Panics if the meters track different vertex counts.
-    pub fn merge_concurrent(&mut self, other: &MemoryMeter) {
-        assert_eq!(self.len(), other.len(), "meter size mismatch");
-        for i in 0..self.peak.len() {
-            self.peak[i] += other.peak[i];
-            self.current[i] += other.current[i];
+    /// Panics if `other` does not have exactly one slot per member.
+    pub fn merge_concurrent(&mut self, members: &[VertexId], other: &MemoryMeter) {
+        assert_eq!(members.len(), other.len(), "one meter slot per member");
+        for (r, v) in members.iter().enumerate() {
+            self.peak[v.index()] += other.peak[r];
+            self.current[v.index()] += other.current[r];
         }
     }
 }
@@ -335,12 +337,14 @@ mod tests {
 
     #[test]
     fn merge_concurrent_adds() {
-        let mut a = MemoryMeter::new(2);
-        a.add(VertexId(0), 5);
-        let mut b = MemoryMeter::new(2);
+        let mut a = MemoryMeter::new(3);
+        a.add(VertexId(2), 5);
+        // A one-member construction at vertex 2: its only slot is slot 0.
+        let mut b = MemoryMeter::new(1);
         b.add(VertexId(0), 3);
-        a.merge_concurrent(&b);
-        assert_eq!(a.peak(VertexId(0)), 8);
-        assert_eq!(a.current(VertexId(0)), 8);
+        a.merge_concurrent(&[VertexId(2)], &b);
+        assert_eq!(a.peak(VertexId(2)), 8);
+        assert_eq!(a.current(VertexId(2)), 8);
+        assert_eq!(a.peak(VertexId(0)), 0);
     }
 }

@@ -207,8 +207,11 @@ pub struct PacketFlight {
 
 /// Per-vertex protocol state: the vertex's own routing table, nothing else.
 #[derive(Clone, Debug)]
-struct PacketVertex {
-    table: RoutingTable,
+struct PacketVertex<'s> {
+    table: &'s RoutingTable,
+    /// `table.words()`, counted once: the engine meters every vertex every
+    /// round and the table never changes.
+    table_words: usize,
     /// Set when this vertex delivered the packet (round number).
     delivered: Option<(u64, Weight)>,
     /// The packet to inject at init (source only).
@@ -218,7 +221,7 @@ struct PacketVertex {
     trace_out: Option<PacketTrace>,
 }
 
-impl PacketVertex {
+impl PacketVertex<'_> {
     fn fail(&mut self, me: VertexId, packet: &mut Packet) {
         self.failed = Some(me);
         self.trace_out = packet.trace.take().map(|t| *t);
@@ -269,7 +272,7 @@ impl PacketVertex {
     }
 }
 
-impl VertexProtocol for PacketVertex {
+impl VertexProtocol for PacketVertex<'_> {
     type Msg = Packet;
 
     fn init(&mut self, ctx: &mut Ctx<'_, Packet>) {
@@ -291,7 +294,7 @@ impl VertexProtocol for PacketVertex {
     }
 
     fn memory_words(&self) -> usize {
-        self.table.words()
+        self.table_words
     }
 }
 
@@ -392,11 +395,12 @@ fn send_inner(
     };
     let packet_words = packet.words();
 
-    let protos: Vec<PacketVertex> = network
+    let protos: Vec<PacketVertex<'_>> = network
         .graph()
         .vertices()
         .map(|v| PacketVertex {
-            table: scheme.tables[v.index()].clone(),
+            table: &scheme.tables[v.index()],
+            table_words: scheme.tables[v.index()].words(),
             delivered: None,
             inject: (v == src).then(|| packet.clone()),
             failed: None,
@@ -458,8 +462,10 @@ impl WordSized for LoadedPacket {
 /// Queue entries remember their enqueue round, so a traced run prices each
 /// hop's queueing delay exactly.
 #[derive(Clone, Debug)]
-struct LoadedVertex {
-    table: RoutingTable,
+struct LoadedVertex<'s> {
+    table: &'s RoutingTable,
+    /// `table.words()`, counted once (as in [`PacketVertex`]).
+    table_words: usize,
     queues: std::collections::HashMap<VertexId, std::collections::VecDeque<(LoadedPacket, u64)>>,
     delivered: Vec<(u32, u64, Weight)>,
     inject: Vec<LoadedPacket>,
@@ -469,7 +475,7 @@ struct LoadedVertex {
     traces_out: Vec<PacketTrace>,
 }
 
-impl LoadedVertex {
+impl LoadedVertex<'_> {
     fn drop_packet(&mut self, packet: &mut LoadedPacket) {
         self.dropped.push(packet.id);
         if let Some(trace) = packet.trace.take() {
@@ -554,7 +560,7 @@ impl LoadedVertex {
     }
 }
 
-impl VertexProtocol for LoadedVertex {
+impl VertexProtocol for LoadedVertex<'_> {
     type Msg = LoadedPacket;
 
     fn init(&mut self, ctx: &mut Ctx<'_, LoadedPacket>) {
@@ -580,7 +586,7 @@ impl VertexProtocol for LoadedVertex {
     }
 
     fn memory_words(&self) -> usize {
-        self.table.words() + self.queue_words()
+        self.table_words + self.queue_words()
     }
 
     fn queued_words(&self) -> usize {
@@ -807,11 +813,12 @@ fn send_many_inner(
         };
     };
 
-    let protos: Vec<LoadedVertex> = network
+    let protos: Vec<LoadedVertex<'_>> = network
         .graph()
         .vertices()
         .map(|v| LoadedVertex {
-            table: scheme.tables[v.index()].clone(),
+            table: &scheme.tables[v.index()],
+            table_words: scheme.tables[v.index()].words(),
             queues: std::collections::HashMap::new(),
             delivered: Vec::new(),
             inject: std::mem::take(&mut inject[v.index()]),

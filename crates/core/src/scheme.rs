@@ -22,10 +22,8 @@
 //!   and trees use the prior two-level scheme (`O(log n)` tables,
 //!   `O(log² n)` labels).
 
-use std::collections::HashMap;
-
 use congest::{bfs, CostLedger, MemoryMeter, Network, WordSized};
-use graphs::{Graph, VertexId, Weight, INFINITY};
+use graphs::{tree::rank_in, Graph, VertexId, Weight, INFINITY};
 use hopset::construction::{build_observed as build_hopset_observed, HopsetParams};
 use hopset::virtual_graph::default_b;
 use hopset::VirtualGraph;
@@ -38,7 +36,7 @@ use tree_routing::tz;
 use crate::clusters::{self, LevelStats};
 use crate::hierarchy::Hierarchy;
 use crate::pivots::{self, LevelPivots};
-use crate::sparse::{SparseBaselineScheme, SparseTree, SparseTreeScheme};
+use crate::sparse::SparseTree;
 
 /// Construction mode (see module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -350,6 +348,28 @@ pub struct Built {
     pub report: BuildReport,
 }
 
+/// One cluster tree's finished tree-routing scheme in either family: the
+/// members ascending by id, with their tables and labels by rank.
+struct TreeRows {
+    members: Vec<VertexId>,
+    tables: Vec<TreeTableKind>,
+    labels: Vec<TreeLabelKind>,
+}
+
+impl TreeRows {
+    fn new<T, L>(
+        (members, tables, labels): (Vec<VertexId>, Vec<T>, Vec<L>),
+        table_kind: fn(T) -> TreeTableKind,
+        label_kind: fn(L) -> TreeLabelKind,
+    ) -> Self {
+        TreeRows {
+            members,
+            tables: tables.into_iter().map(table_kind).collect(),
+            labels: labels.into_iter().map(label_kind).collect(),
+        }
+    }
+}
+
 /// Build a routing scheme for `g`.
 ///
 /// # Panics
@@ -563,6 +583,11 @@ pub fn build_observed<R: Rng>(
     rec.charge(&ledger.counters().delta_since(&clusters_entry));
     rec.end_with_memory(clusters_span, memory.peaks());
 
+    // Tree-routing stage: one exact tree scheme per cluster tree. In the
+    // distributed modes all trees run in parallel with random start offsets
+    // (Theorem 2's second assertion): q = 1/√(sn), window = √(sn)·log n.
+    let tree_span = rec.begin("scheme/tree-routing");
+    let tree_entry = ledger.counters();
     // Overlap s: memberships per vertex.
     let mut overlap = vec![0usize; n];
     for t in &trees {
@@ -572,91 +597,67 @@ pub fn build_observed<R: Rng>(
     }
     let max_membership = overlap.iter().copied().max().unwrap_or(0);
     let total_membership: usize = trees.iter().map(SparseTree::len).sum();
-
-    // Tree-routing stage: one exact tree scheme per cluster tree. In the
-    // distributed modes all trees run in parallel with random start offsets
-    // (Theorem 2's second assertion): q = 1/√(sn), window = √(sn)·log n.
-    let tree_span = rec.begin("scheme/tree-routing");
-    let tree_entry = ledger.counters();
     let s = max_membership.max(1);
-    let q_tree = 1.0 / ((s * n) as f64).sqrt();
+    let q_tree = (1.0 / ((s * n) as f64).sqrt()).clamp(0.0, 1.0);
     let window = (((s * n) as f64).sqrt() as u64 + 1)
         * (tree_distributed::log2_ceil(n.max(2)) as u64).max(1);
-    let mut tree_tables: Vec<HashMap<VertexId, TreeTableKind>> =
-        trees.iter().map(|_| HashMap::new()).collect();
-    let mut tree_labels: Vec<HashMap<VertexId, TreeLabelKind>> =
-        trees.iter().map(|_| HashMap::new()).collect();
+    let mut tree_rows: Vec<TreeRows> = Vec::with_capacity(trees.len());
     let mut tree_stage_rounds = 0u64;
     let mut max_finish = 0u64;
-    for (idx, t) in trees.iter().enumerate() {
-        let dense = t.to_rooted(n);
-        match params.mode {
+    for t in &trees {
+        let rooted = t.to_rooted(n);
+        // Each distributed arm also returns what the tree's run cost.
+        let (rows, cost) = match params.mode {
             Mode::Centralized => {
-                let scheme = tz::build(&dense);
-                let sparse = SparseTreeScheme::from_dense(&scheme);
-                tree_tables[idx] = sparse
-                    .tables
-                    .into_iter()
-                    .map(|(v, t)| (v, TreeTableKind::Ours(t)))
-                    .collect();
-                tree_labels[idx] = sparse
-                    .labels
-                    .into_iter()
-                    .map(|(v, l)| (v, TreeLabelKind::Ours(l)))
-                    .collect();
+                let scheme = tz::build(&rooted);
+                let rows = TreeRows::new(
+                    scheme.into_parts(),
+                    TreeTableKind::Ours,
+                    TreeLabelKind::Ours,
+                );
+                (rows, None)
             }
             Mode::DistributedLowMemory => {
                 let out = tree_distributed::build(
                     &network,
-                    &dense,
+                    &rooted,
                     &tree_distributed::Config {
-                        q: Some(q_tree.clamp(0.0, 1.0)),
+                        q: Some(q_tree),
                         backbone_depth: Some(d),
                         threads: params.threads,
                     },
                     rng,
                 );
-                let offset = rng.gen_range(0..=window);
-                max_finish = max_finish.max(offset + out.ledger.rounds());
-                ledger.charge_messages(out.ledger.messages());
-                memory.merge_concurrent(&out.memory);
-                let sparse = SparseTreeScheme::from_dense(&out.scheme);
-                tree_tables[idx] = sparse
-                    .tables
-                    .into_iter()
-                    .map(|(v, t)| (v, TreeTableKind::Ours(t)))
-                    .collect();
-                tree_labels[idx] = sparse
-                    .labels
-                    .into_iter()
-                    .map(|(v, l)| (v, TreeLabelKind::Ours(l)))
-                    .collect();
+                let rows = TreeRows::new(
+                    out.scheme.into_parts(),
+                    TreeTableKind::Ours,
+                    TreeLabelKind::Ours,
+                );
+                (rows, Some((out.ledger, out.memory)))
             }
             Mode::DistributedPrior => {
                 let out = tree_routing::baseline::build_with_backbone(
                     &network,
-                    &dense,
-                    Some(q_tree.clamp(0.0, 1.0)),
+                    &rooted,
+                    Some(q_tree),
                     Some(d),
                     rng,
                 );
-                let offset = rng.gen_range(0..=window);
-                max_finish = max_finish.max(offset + out.ledger.rounds());
-                ledger.charge_messages(out.ledger.messages());
-                memory.merge_concurrent(&out.memory);
-                let sparse = SparseBaselineScheme::from_dense(&out.scheme);
-                tree_tables[idx] = sparse
-                    .tables
-                    .into_iter()
-                    .map(|(v, t)| (v, TreeTableKind::Prior(t)))
-                    .collect();
-                tree_labels[idx] = sparse
-                    .labels
-                    .into_iter()
-                    .map(|(v, l)| (v, TreeLabelKind::Prior(l)))
-                    .collect();
+                let rows = TreeRows::new(
+                    out.scheme.into_parts(),
+                    TreeTableKind::Prior,
+                    TreeLabelKind::Prior,
+                );
+                (rows, Some((out.ledger, out.memory)))
             }
+        };
+        if let Some((tree_ledger, tree_memory)) = cost {
+            let offset = rng.gen_range(0..=window);
+            max_finish = max_finish.max(offset + tree_ledger.rounds());
+            ledger.charge_messages(tree_ledger.messages());
+            memory.merge_concurrent(&rows.members, &tree_memory);
         }
+        tree_rows.push(rows);
     }
     if distributed {
         tree_stage_rounds = window + max_finish;
@@ -665,30 +666,34 @@ pub fn build_observed<R: Rng>(
     rec.charge(&ledger.counters().delta_since(&tree_entry));
     rec.end_with_memory(tree_span, memory.peaks());
 
-    // Assemble per-vertex tables.
+    // Assemble per-vertex tables: every tree hands each member its row.
+    // Visiting the trees by ascending root leaves every table sorted.
     let assembly_span = rec.begin("scheme/assembly");
-    let tree_index: HashMap<VertexId, usize> =
-        trees.iter().enumerate().map(|(i, t)| (t.root, i)).collect();
-    let mut tables: Vec<RoutingTable> = (0..n).map(|_| RoutingTable::default()).collect();
-    for (idx, t) in trees.iter().enumerate() {
-        for (&u, info) in &t.members {
-            let kind = tree_tables[idx]
-                .get(&u)
-                .expect("member has a tree table")
-                .clone();
+    let mut tables: Vec<RoutingTable> = overlap
+        .iter()
+        .map(|&rows| RoutingTable {
+            entries: Vec::with_capacity(rows),
+        })
+        .collect();
+    let mut by_root: Vec<usize> = (0..trees.len()).collect();
+    by_root.sort_by_key(|&idx| trees[idx].root);
+    for idx in by_root {
+        let (t, rows) = (&trees[idx], &mut tree_rows[idx]);
+        for (u, table) in rows.members.iter().zip(std::mem::take(&mut rows.tables)) {
             tables[u.index()].entries.push(TableEntry {
                 root: t.root,
                 level: t.level,
-                dist: info.dist,
-                table: kind,
+                dist: t.members[u].dist,
+                table,
             });
         }
     }
-    for table in &mut tables {
-        table.entries.sort_by_key(|e| e.root);
-    }
 
     // Assemble per-vertex labels.
+    let mut tree_of_root = vec![usize::MAX; n];
+    for (idx, t) in trees.iter().enumerate() {
+        tree_of_root[t.root.index()] = idx;
+    }
     let mut labels: Vec<RoutingLabel> = (0..n).map(|_| RoutingLabel::default()).collect();
     for v in g.vertices() {
         for (i, lvl) in pivot_levels.iter().enumerate().take(realized) {
@@ -696,23 +701,22 @@ pub fn build_observed<R: Rng>(
                 (Some(p), pd) if pd != INFINITY => (p, pd),
                 _ => continue,
             };
-            let Some(&idx) = tree_index.get(&pivot) else {
+            let idx = tree_of_root[pivot.index()];
+            if idx == usize::MAX {
                 continue;
-            };
-            let Some(info) = trees[idx].members.get(&v) else {
+            }
+            let Some(rank) = rank_in(&tree_rows[idx].members, v) else {
                 continue; // v outside the pivot's tree: skip this level
-            };
-            let Some(tl) = tree_labels[idx].get(&v) else {
-                continue;
             };
             labels[v.index()].entries.push(LabelEntry {
                 level: i,
                 pivot,
-                dist: info.dist,
-                tree_label: tl.clone(),
+                dist: trees[idx].members[&v].dist,
+                tree_label: tree_rows[idx].labels[rank].clone(),
             });
         }
     }
+    drop(tree_rows);
 
     // Pivot info retained per vertex (O(k) words; powers the oracle).
     let pivot_info: Vec<Vec<(VertexId, Weight)>> = g
@@ -745,6 +749,8 @@ pub fn build_observed<R: Rng>(
     for v in g.vertices() {
         memory.add(v, scheme.resident_words(v));
     }
+    let max_table_words = scheme.max_table_words();
+    let max_label_words = scheme.max_label_words();
     rec.end_with_memory(assembly_span, memory.peaks());
     rec.set_run_memory(memory.peaks());
     let report = BuildReport {
@@ -760,8 +766,8 @@ pub fn build_observed<R: Rng>(
         total_membership,
         max_membership,
         level_stats,
-        max_table_words: scheme.max_table_words(),
-        max_label_words: scheme.max_label_words(),
+        max_table_words,
+        max_label_words,
         tree_stage_rounds,
     };
     Built {

@@ -1,16 +1,18 @@
 //! Sparse per-tree storage.
 //!
 //! The scheme builds one cluster tree per vertex — thousands of trees whose
-//! total membership is `Õ(n^{1+1/k})`. Dense per-tree arrays would need
-//! `Θ(n · #trees)` space in the *simulator*, so trees and their routing
-//! schemes are stored sparsely, keyed by member vertex; they convert to the
-//! dense [`RootedTree`]/[`TreeScheme`] forms one at a time when a tree is
-//! processed.
+//! total membership is `Õ(n^{1+1/k})`, a few percent of `n · #trees`. Nothing
+//! about a tree is ever sized by the host network: a [`SparseTree`] is keyed
+//! by member vertex as the cluster growth produces it, and
+//! [`SparseTree::to_rooted`] turns it into a [`RootedTree`], which stores the
+//! members sorted by id and everything else by *rank* in that order. The
+//! tree-routing stage runs on ranks and returns member-sorted
+//! [`tree_routing::TreeScheme`]s, so the whole stage — and the assembly that
+//! reads its output by rank — costs `O(|T| log |T|)` per tree.
 
 use std::collections::HashMap;
 
 use graphs::{RootedTree, VertexId, Weight};
-use tree_routing::types::{TreeLabel, TreeScheme, TreeTable};
 
 /// A cluster tree of `G`: root, members, and per-member parent pointers.
 #[derive(Clone, Debug)]
@@ -51,76 +53,20 @@ impl SparseTree {
         self.members.contains_key(&v)
     }
 
-    /// Convert to a dense [`RootedTree`] over a host universe of `host_n`.
+    /// Convert to a [`RootedTree`] inside a host universe of `host_n`, in
+    /// `O(|T| log |T|)` whatever `host_n` is.
     ///
     /// # Panics
     ///
     /// Panics if a member's parent chain is inconsistent (caught by
-    /// [`RootedTree::from_parents`]'s cycle check).
+    /// [`RootedTree::from_edges`]'s checks).
     pub fn to_rooted(&self, host_n: usize) -> RootedTree {
-        let mut parent = vec![None; host_n];
-        let mut weight = vec![0; host_n];
-        for (&v, info) in &self.members {
-            if v != self.root {
-                parent[v.index()] = Some(info.parent);
-                weight[v.index()] = info.parent_weight;
-            }
-        }
-        RootedTree::from_parents(self.root, parent, weight)
-    }
-}
-
-/// The tree-routing scheme of one cluster tree, stored sparsely.
-#[derive(Clone, Debug, Default)]
-pub struct SparseTreeScheme {
-    /// Per-member routing table.
-    pub tables: HashMap<VertexId, TreeTable>,
-    /// Per-member label.
-    pub labels: HashMap<VertexId, TreeLabel>,
-}
-
-impl SparseTreeScheme {
-    /// Extract the member entries of a dense scheme.
-    pub fn from_dense(scheme: &TreeScheme) -> Self {
-        let mut out = SparseTreeScheme::default();
-        for (i, t) in scheme.tables.iter().enumerate() {
-            if let Some(t) = t {
-                out.tables.insert(VertexId(i as u32), t.clone());
-            }
-        }
-        for (i, l) in scheme.labels.iter().enumerate() {
-            if let Some(l) = l {
-                out.labels.insert(VertexId(i as u32), l.clone());
-            }
-        }
-        out
-    }
-}
-
-/// The prior (baseline) tree scheme of one cluster tree, stored sparsely.
-#[derive(Clone, Debug, Default)]
-pub struct SparseBaselineScheme {
-    /// Per-member two-level table.
-    pub tables: HashMap<VertexId, tree_routing::baseline::BaselineTable>,
-    /// Per-member two-level label.
-    pub labels: HashMap<VertexId, tree_routing::baseline::BaselineLabel>,
-}
-
-impl SparseBaselineScheme {
-    /// Extract the member entries of a dense baseline scheme.
-    pub fn from_dense(scheme: &tree_routing::baseline::BaselineScheme) -> Self {
-        let mut out = SparseBaselineScheme::default();
-        for (i, t) in scheme.tables.iter().enumerate() {
-            if let Some(t) = t {
-                out.tables.insert(VertexId(i as u32), t.clone());
-            }
-        }
-        for (i, l) in scheme.labels.iter().enumerate() {
-            if let Some(l) = l {
-                out.labels.insert(VertexId(i as u32), l.clone());
-            }
-        }
-        out
+        let edges = self
+            .members
+            .iter()
+            .filter(|(&v, _)| v != self.root)
+            .map(|(&v, info)| (v, info.parent, info.parent_weight));
+        RootedTree::from_edges(host_n, self.root, edges)
     }
 }
 
@@ -183,12 +129,17 @@ mod tests {
 
     #[test]
     fn sparse_scheme_round_trips_members() {
+        // The tree scheme of a 3-member tree in a host of 5 has 3 entries,
+        // keyed by exactly the tree's members.
         let st = path_sparse();
-        let dense_tree = st.to_rooted(5);
-        let dense = tree_routing::tz::build(&dense_tree);
-        let sparse = SparseTreeScheme::from_dense(&dense);
-        assert_eq!(sparse.tables.len(), 3);
-        assert_eq!(sparse.labels.len(), 3);
-        assert_eq!(sparse.tables.get(&VertexId(0)), dense.table(VertexId(0)));
+        let scheme = tree_routing::tz::build(&st.to_rooted(5));
+        assert_eq!(
+            scheme.members(),
+            [VertexId(0), VertexId(2), VertexId(3)].as_slice()
+        );
+        for v in (0..5).map(VertexId) {
+            assert_eq!(scheme.table(v).is_some(), st.contains(v));
+            assert_eq!(scheme.label(v).is_some(), st.contains(v));
+        }
     }
 }

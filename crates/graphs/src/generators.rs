@@ -60,7 +60,9 @@ pub fn erdos_renyi_connected<R: Rng>(
     assert!((0.0..=1.0).contains(&p), "p must be a probability");
     assert!(*weights.start() > 0, "weights must be positive");
     let mut b = GraphBuilder::new(n);
-    let mut present: HashSet<(u32, u32)> = HashSet::new();
+    // `tree_parent[v] < v` is v's neighbor in the spanning tree, so the pair
+    // `u < v` is already an edge exactly when `tree_parent[v] == u`.
+    let mut tree_parent = vec![0usize]; // vertex 0 has none; pairs have v ≥ 1
     for v in 1..n {
         let u = rng.gen_range(0..v);
         b.add_edge(
@@ -68,11 +70,11 @@ pub fn erdos_renyi_connected<R: Rng>(
             VertexId(v as u32),
             random_weight(&weights, rng),
         );
-        present.insert((u as u32, v as u32));
+        tree_parent.push(u);
     }
     for u in 0..n {
-        for v in (u + 1)..n {
-            if !present.contains(&(u as u32, v as u32)) && rng.gen_bool(p) {
+        for (v, &parent) in tree_parent.iter().enumerate().skip(u + 1) {
+            if parent != u && rng.gen_bool(p) {
                 b.add_edge(
                     VertexId(u as u32),
                     VertexId(v as u32),

@@ -268,7 +268,9 @@ impl Recorder {
 
     /// Close `id`, snapshotting the per-vertex peak-memory distribution.
     pub fn end_with_memory(&mut self, id: SpanId, peaks: &[usize]) {
-        self.end_span(id, Some(MemoryDist::from_peaks(peaks)));
+        // A disabled recorder must not pay for the distribution (a sort).
+        let memory = self.enabled.then(|| MemoryDist::from_peaks(peaks));
+        self.end_span(id, memory);
     }
 
     fn end_span(&mut self, id: SpanId, memory: Option<MemoryDist>) {

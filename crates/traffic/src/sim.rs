@@ -232,11 +232,12 @@ pub fn simulate(
     for (round, src, packet) in injections {
         schedules[src.index()].push((*round, packet.clone()));
     }
-    let protos: Vec<TrafficVertex> = network
+    let protos: Vec<TrafficVertex<'_>> = network
         .graph()
         .vertices()
         .map(|v| TrafficVertex {
-            table: scheme.tables[v.index()].clone(),
+            table: &scheme.tables[v.index()],
+            table_words: scheme.tables[v.index()].words(),
             queues: vec![VecDeque::new(); network.graph().degree(v)],
             queue_cap: cfg.queue_cap.max(1),
             policy: cfg.policy,
@@ -301,8 +302,11 @@ pub fn simulate(
 /// Per-vertex protocol: finite FIFO queues per port, one packet per port per
 /// round, open-loop injection from a precomputed schedule.
 #[derive(Clone, Debug)]
-struct TrafficVertex {
-    table: RoutingTable,
+struct TrafficVertex<'s> {
+    table: &'s RoutingTable,
+    /// `table.words()`, counted once: the engine meters every vertex every
+    /// round and the table never changes.
+    table_words: usize,
     /// One FIFO per outgoing port (index into the neighbor list).
     queues: Vec<VecDeque<TrafficPacket>>,
     queue_cap: usize,
@@ -318,7 +322,7 @@ struct TrafficVertex {
     scratch: RoundLog,
 }
 
-impl TrafficVertex {
+impl TrafficVertex<'_> {
     /// Classify one packet: deliver here, enqueue toward its next hop
     /// (applying the drop policy at a full queue), or drop it as stuck.
     fn classify(&mut self, ctx: &Ctx<'_, TrafficPacket>, mut packet: TrafficPacket, round: u64) {
@@ -423,7 +427,7 @@ impl TrafficVertex {
     }
 }
 
-impl VertexProtocol for TrafficVertex {
+impl VertexProtocol for TrafficVertex<'_> {
     type Msg = TrafficPacket;
 
     fn init(&mut self, ctx: &mut Ctx<'_, TrafficPacket>) {
@@ -453,7 +457,7 @@ impl VertexProtocol for TrafficVertex {
     }
 
     fn memory_words(&self) -> usize {
-        self.table.words() + self.queue_words()
+        self.table_words + self.queue_words()
     }
 
     fn queued_words(&self) -> usize {

@@ -17,10 +17,10 @@
 //! `c`, then cross).
 
 use congest::{bfs, CostLedger, MemoryMeter, Network, WordSized};
-use graphs::{RootedTree, VertexId, Weight};
+use graphs::{tree::rank_in, RootedTree, VertexId, Weight};
 use rand::Rng;
 
-use crate::distributed::log2_ceil;
+use crate::distributed::{log2_ceil, slot, wave_order};
 use crate::router::RouteError;
 use crate::types::{route_step, RouteAction, TreeLabel, TreeTable};
 use crate::tz;
@@ -101,34 +101,45 @@ impl WordSized for BaselineLabel {
     }
 }
 
-/// A complete baseline scheme.
+/// A complete baseline scheme: one table and one label per tree member, in
+/// ascending member-id order (as [`crate::TreeScheme`]).
 #[derive(Clone, Debug, Default)]
 pub struct BaselineScheme {
-    /// Per host vertex, the two-level table.
-    pub tables: Vec<Option<BaselineTable>>,
-    /// Per host vertex, the two-level label.
-    pub labels: Vec<Option<BaselineLabel>>,
+    members: Vec<VertexId>,
+    tables: Vec<BaselineTable>,
+    labels: Vec<BaselineLabel>,
 }
 
 impl BaselineScheme {
+    /// Take the scheme apart: members (ascending) with their per-rank
+    /// tables and labels.
+    pub fn into_parts(self) -> (Vec<VertexId>, Vec<BaselineTable>, Vec<BaselineLabel>) {
+        (self.members, self.tables, self.labels)
+    }
+
+    /// The tree's members, ascending by id.
+    pub fn members(&self) -> &[VertexId] {
+        &self.members
+    }
+
+    /// The table of `v`, if `v` is in the tree.
+    pub fn table(&self, v: VertexId) -> Option<&BaselineTable> {
+        rank_in(&self.members, v).map(|r| &self.tables[r])
+    }
+
+    /// The label of `v`, if `v` is in the tree.
+    pub fn label(&self, v: VertexId) -> Option<&BaselineLabel> {
+        rank_in(&self.members, v).map(|r| &self.labels[r])
+    }
+
     /// Largest table, in words.
     pub fn max_table_words(&self) -> usize {
-        self.tables
-            .iter()
-            .flatten()
-            .map(WordSized::words)
-            .max()
-            .unwrap_or(0)
+        self.tables.iter().map(WordSized::words).max().unwrap_or(0)
     }
 
     /// Largest label, in words.
     pub fn max_label_words(&self) -> usize {
-        self.labels
-            .iter()
-            .flatten()
-            .map(WordSized::words)
-            .max()
-            .unwrap_or(0)
+        self.labels.iter().map(WordSized::words).max().unwrap_or(0)
     }
 }
 
@@ -139,7 +150,9 @@ pub struct BaselineOutput {
     pub scheme: BaselineScheme,
     /// Round accounting.
     pub ledger: CostLedger,
-    /// Per-vertex memory peaks — Ω̃(√n) at virtual vertices by design.
+    /// Per-member memory peaks — Ω̃(√n) at virtual vertices by design. One
+    /// slot per tree member in ascending id order, as in
+    /// [`crate::distributed::DistributedOutput::memory`].
     pub memory: MemoryMeter,
     /// `|U(T)|`.
     pub virtual_count: usize,
@@ -176,104 +189,79 @@ pub fn build_with_backbone<R: Rng>(
     backbone_depth: Option<usize>,
     rng: &mut R,
 ) -> BaselineOutput {
-    let host_n = tree.host_len();
-    assert_eq!(host_n, network.len(), "tree host must match network");
+    assert_eq!(
+        tree.host_len(),
+        network.len(),
+        "tree host must match network"
+    );
+    // All working state is indexed by member rank (see `crate::distributed`).
     let n = tree.num_vertices();
-    assert!(n > 0, "tree must be non-empty");
-    let root = tree.root();
+    let members = tree.members();
+    let root = tree.root_rank();
     let q = q.unwrap_or(1.0 / (n as f64).sqrt()).clamp(0.0, 1.0);
 
     let mut ledger = CostLedger::new();
-    let mut memory = MemoryMeter::new(host_n);
+    let mut memory = MemoryMeter::new(n);
 
     // BFS backbone for broadcasts (shared if the caller already has one).
     let d = match backbone_depth {
         Some(depth) => depth as u64,
         None => {
-            let bfs_out = bfs::build_bfs_tree(network, root);
+            let bfs_out = bfs::build_bfs_tree(network, tree.root());
             ledger.charge_rounds(bfs_out.stats.rounds);
-            for v in network.graph().vertices() {
-                memory.add(v, 3);
+            for r in 0..n {
+                memory.add(slot(r), 3);
             }
             bfs_out.depth as u64
         }
     };
 
     // Sample U(T) and partition into local trees (as in the main scheme).
-    let mut sampled_flag = vec![false; host_n];
-    for v in tree.vertices() {
-        sampled_flag[v.index()] = v == root || rng.gen_bool(q);
-    }
-    let mut by_depth: Vec<VertexId> = tree.vertices().collect();
-    by_depth.sort_by_key(|&v| (tree.depth_of(v).expect("member"), v));
-    let mut local_root: Vec<Option<VertexId>> = vec![None; host_n];
-    let mut local_depth = vec![0usize; host_n];
-    let mut virt_parent: Vec<Option<VertexId>> = vec![None; host_n];
+    let sampled_flag: Vec<bool> = (0..n).map(|r| r == root || rng.gen_bool(q)).collect();
+    let by_depth = wave_order(tree);
+    let mut local_root = vec![0usize; n];
+    let mut local_depth = vec![0usize; n];
     for &v in &by_depth {
-        let i = v.index();
-        if sampled_flag[i] {
-            local_root[i] = Some(v);
-            if let Some(p) = tree.parent(v) {
-                virt_parent[i] = local_root[p.index()];
-            }
+        if sampled_flag[v] {
+            local_root[v] = v;
         } else {
-            let p = tree.parent(v).expect("non-root member");
-            local_root[i] = local_root[p.index()];
-            local_depth[i] = local_depth[p.index()] + 1;
+            let p = tree.parent_rank(v).expect("non-root member");
+            local_root[v] = local_root[p];
+            local_depth[v] = local_depth[p] + 1;
         }
     }
-    let b = by_depth
-        .iter()
-        .map(|&v| local_depth[v.index()])
-        .max()
-        .unwrap_or(0) as u64;
+    let b = local_depth.iter().copied().max().unwrap_or(0) as u64;
     ledger.charge_rounds(b + 1);
-    let sampled: Vec<VertexId> = by_depth
-        .iter()
-        .copied()
-        .filter(|&v| sampled_flag[v.index()])
-        .collect();
+    let sampled: Vec<usize> = (0..n).filter(|&r| sampled_flag[r]).collect();
     let iters = log2_ceil(n.max(2)) as u64;
 
     // ---- Local schemes: a TZ scheme per local tree -------------------------
     // (Local waves, as in the main scheme: O(b + log n) rounds per stage.)
-    let mut local_parent: Vec<Option<VertexId>> = vec![None; host_n];
-    let mut local_weight: Vec<Weight> = vec![0; host_n];
-    for &v in &by_depth {
-        let i = v.index();
-        if !sampled_flag[i] {
-            local_parent[i] = tree.parent(v);
-            local_weight[i] = tree.parent_weight(v);
-        }
+    // The members of each local tree, ascending — the rank order of its own
+    // `RootedTree`, so per-rank outputs scatter back positionally.
+    let mut local_members: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for r in 0..n {
+        local_members[local_root[r]].push(r);
     }
-    // One forest: all local trees share the host universe, so build each
-    // local scheme from its own RootedTree.
-    let mut local_scheme = crate::types::TreeScheme::new(host_n);
+    let mut local_table: Vec<Option<TreeTable>> = vec![None; n];
+    let mut local_label: Vec<Option<TreeLabel>> = vec![None; n];
     for &w in &sampled {
-        let mut p = vec![None; host_n];
-        let mut pw = vec![0; host_n];
-        for &v in &by_depth {
-            let i = v.index();
-            if local_root[i] == Some(w) && v != w {
-                p[i] = local_parent[i];
-                pw[i] = local_weight[i];
-            }
-        }
-        let t_w = RootedTree::from_parents(w, p, pw);
-        let s_w = tz::build(&t_w);
-        for v in t_w.vertices() {
-            local_scheme.tables[v.index()] = s_w.tables[v.index()].clone();
-            local_scheme.labels[v.index()] = s_w.labels[v.index()].clone();
+        let edges = local_members[w].iter().filter(|&&v| v != w).map(|&v| {
+            let p = tree.parent_rank(v).expect("non-root member");
+            (members[v], members[p], tree.parent_weight(members[v]))
+        });
+        let t_w = RootedTree::from_edges(tree.host_len(), members[w], edges);
+        let (_, tables, labels) = tz::build(&t_w).into_parts();
+        for ((&v, table), label) in local_members[w].iter().zip(tables).zip(labels) {
+            local_table[v] = Some(table);
+            local_label[v] = Some(label);
         }
     }
+    let local_table: Vec<TreeTable> = local_table.into_iter().flatten().collect();
+    let local_label: Vec<TreeLabel> = local_label.into_iter().flatten().collect();
     ledger.charge_rounds(3 * (b + iters + 1));
-    for v in tree.vertices() {
-        let i = v.index();
-        let mut words = 8;
-        if let Some(l) = local_scheme.labels[i].as_ref() {
-            words += l.words() + 4;
-        }
-        memory.add(v, words);
+    for (r, l) in local_label.iter().enumerate() {
+        memory.add(slot(r), 8 + l.words() + 4);
     }
 
     // ---- Materialize the virtual tree at every virtual vertex --------------
@@ -281,56 +269,51 @@ pub fn build_with_backbone<R: Rng>(
     // vertex stores the whole of T' — the Ω̃(√n) memory step.
     ledger.charge_broadcast(sampled.len() as u64, d);
     for &x in &sampled {
-        memory.add(x, 3 * sampled.len());
+        memory.add(slot(x), 3 * sampled.len());
     }
 
-    // The virtual tree T' as a RootedTree over the host universe.
-    let virt_tree = {
-        let mut p = vec![None; host_n];
-        let mut pw = vec![0; host_n];
-        for &x in &sampled {
-            if let Some(vp) = virt_parent[x.index()] {
-                p[x.index()] = Some(vp);
-                pw[x.index()] = 1;
-            }
-        }
-        RootedTree::from_parents(root, p, pw)
-    };
-    // Each virtual vertex computes the T' scheme locally — zero rounds.
-    let virt_scheme = tz::build(&virt_tree);
+    // The virtual tree T' (a sampled vertex hangs off its tree parent's
+    // local root); each virtual vertex computes its scheme locally — zero
+    // rounds. `sampled` ascends, so it is T''s rank order.
+    let virt_tree = RootedTree::from_edges(
+        tree.host_len(),
+        tree.root(),
+        sampled.iter().filter(|&&x| x != root).map(|&x| {
+            let p = tree.parent_rank(x).expect("non-root member");
+            (members[x], members[local_root[p]], 1)
+        }),
+    );
+    let (_, virt_tables, virt_labels) = tz::build(&virt_tree).into_parts();
 
     // ---- Gates: local labels of virtual children's tree-parents ------------
     // Each virtual child y sends its gate (local label of p(y) within
     // T_{p'(y)}) alongside the virtual-label broadcast.
     let gate_of = |y: VertexId| -> TreeLabel {
-        match tree.parent(y) {
-            Some(p) => local_scheme.labels[p.index()]
-                .clone()
-                .expect("gate parent has a local label"),
+        let y = tree.rank_of(y).expect("virtual vertices are members");
+        match tree.parent_rank(y) {
+            Some(p) => local_label[p].clone(),
             None => TreeLabel {
                 enter: 0,
                 light: Vec::new(),
             },
         }
     };
-    let gate_words: u64 = sampled.iter().map(|&y| gate_of(y).words() as u64).sum();
+    let gate_words: u64 = sampled
+        .iter()
+        .map(|&y| gate_of(members[y]).words() as u64)
+        .sum();
     ledger.charge_broadcast(gate_words, d);
 
     // ---- Assemble per-vertex tables and labels -----------------------------
-    let mut scheme = BaselineScheme {
-        tables: vec![None; host_n],
-        labels: vec![None; host_n],
-    };
-    for &w in &sampled {
-        let vt = virt_scheme.table(w).expect("virtual member").clone();
-        let vl = virt_scheme.label(w).expect("virtual member").clone();
-        let heavy_gate = vt.heavy.map(gate_of);
+    let mut tables: Vec<Option<BaselineTable>> = vec![None; n];
+    let mut labels: Vec<Option<BaselineLabel>> = vec![None; n];
+    for ((&w, vt), vl) in sampled.iter().zip(virt_tables).zip(virt_labels) {
         let virt_entry = VirtualEntry {
             enter: vt.enter,
             exit: vt.exit,
-            parent: virt_tree.parent(w),
+            parent: vt.parent,
             heavy: vt.heavy,
-            heavy_gate,
+            heavy_gate: vt.heavy.map(gate_of),
         };
         let virt_light: Vec<VirtualLightEdge> = vl
             .light
@@ -342,32 +325,30 @@ pub fn build_with_backbone<R: Rng>(
             })
             .collect();
         // Distribute the entry and label material down T_w (pipelined wave).
-        for &v in &by_depth {
-            let i = v.index();
-            if local_root[i] != Some(w) {
-                continue;
-            }
-            let mut local = local_scheme.tables[i].clone().expect("local member");
-            local.parent = tree.parent(v); // ascend across boundaries
-            scheme.tables[i] = Some(BaselineTable {
+        for &v in &local_members[w] {
+            let mut local = local_table[v].clone();
+            local.parent = tree.parent_rank(v).map(|p| members[p]); // ascend across boundaries
+            tables[v] = Some(BaselineTable {
                 local,
-                local_root: w,
+                local_root: members[w],
                 virt: virt_entry.clone(),
             });
-            scheme.labels[i] = Some(BaselineLabel {
-                local: local_scheme.labels[i].clone().expect("local member"),
-                local_root: w,
+            labels[v] = Some(BaselineLabel {
+                local: local_label[v].clone(),
+                local_root: members[w],
                 virt_enter: vt.enter,
                 virt_light: virt_light.clone(),
             });
         }
     }
+    let scheme = BaselineScheme {
+        members: members.to_vec(),
+        tables: tables.into_iter().flatten().collect(),
+        labels: labels.into_iter().flatten().collect(),
+    };
     ledger.charge_rounds(b + (iters * iters).max(1));
-    for v in tree.vertices() {
-        let i = v.index();
-        let t = scheme.tables[i].as_ref().expect("member").words();
-        let l = scheme.labels[i].as_ref().expect("member").words();
-        memory.add(v, t + l);
+    for (r, (t, l)) in scheme.tables.iter().zip(&scheme.labels).enumerate() {
+        memory.add(slot(r), t.words() + l.words());
     }
 
     BaselineOutput {
@@ -391,12 +372,10 @@ pub fn route(
     src: VertexId,
     dst: VertexId,
 ) -> Result<crate::router::RouteTrace, RouteError> {
-    if scheme.tables[src.index()].is_none() {
+    if scheme.table(src).is_none() {
         return Err(RouteError::SourceNotInTree(src));
     }
-    let label = scheme.labels[dst.index()]
-        .as_ref()
-        .ok_or(RouteError::TargetNotInTree(dst))?;
+    let label = scheme.label(dst).ok_or(RouteError::TargetNotInTree(dst))?;
     let mut path = vec![src];
     let mut weight: Weight = 0;
     let mut cur = src;
@@ -405,13 +384,13 @@ pub fn route(
         if path.len() > cap {
             return Err(RouteError::Loop);
         }
-        let table = scheme.tables[cur.index()].as_ref().expect("has table");
+        let table = scheme.table(cur).expect("has table");
         let action = decide(cur, table, label).ok_or(RouteError::Stuck(cur))?;
         match action {
             RouteAction::Deliver => return Ok(crate::router::RouteTrace { path, weight }),
             RouteAction::Forward(next) => {
                 let is_edge = tree.parent(cur) == Some(next) || tree.parent(next) == Some(cur);
-                if !is_edge || scheme.tables[next.index()].is_none() {
+                if !is_edge || scheme.table(next).is_none() {
                     return Err(RouteError::BadForward {
                         from: cur,
                         to: next,

@@ -29,7 +29,7 @@ use graphs::{RootedTree, VertexId};
 use rand::Rng;
 
 use crate::types::{TreeLabel, TreeScheme, TreeTable};
-use crate::tz;
+use crate::tz::{self, concat};
 
 /// Ceiling of log₂, with `log2_ceil(0) = log2_ceil(1) = 0`.
 pub fn log2_ceil(n: usize) -> usize {
@@ -66,16 +66,17 @@ impl Default for Config {
     }
 }
 
-/// Per-vertex protocol state. One instance per host vertex; algorithms only
-/// ever read/write a vertex's own entry plus messages charged to the ledger.
+/// Per-vertex protocol state. One instance per tree *member*, indexed by the
+/// member's rank in [`RootedTree::members`]; vertex references inside are
+/// ranks too. Algorithms only ever read/write a vertex's own entry plus
+/// messages charged to the ledger.
 #[derive(Clone, Debug, Default)]
 struct VertexState {
-    in_tree: bool,
     sampled: bool,
     /// Root of the local tree containing this vertex.
-    local_root: Option<VertexId>,
+    local_root: usize,
     /// For sampled vertices: the parent in the virtual tree `T'`.
-    virt_parent: Option<VertexId>,
+    virt_parent: Option<usize>,
     /// Depth within the local tree.
     local_depth: usize,
     /// Subtree size within the local tree (Stage 1a).
@@ -83,13 +84,14 @@ struct VertexState {
     /// Subtree size within the global tree (Stage 1b/1c).
     s_global: u64,
     /// Heavy child in `T` (Stage 1d).
-    heavy: Option<VertexId>,
+    heavy: Option<usize>,
     /// Pointer-jumping ancestors `a_i` (sampled vertices only) — `O(log n)`.
-    ancestors: Vec<Option<VertexId>>,
+    ancestors: Vec<Option<usize>>,
     /// Accumulated subtree size `s_i` during Algorithm 1.
     s_jump: u64,
     /// Light edges from the local root (non-sampled) or from the virtual
-    /// parent (sampled) to this vertex — Algorithm 2's `L(u)`.
+    /// parent (sampled) to this vertex — Algorithm 2's `L(u)`. Light edges
+    /// name vertices by host id: they go into the labels verbatim.
     light_local: Vec<(VertexId, VertexId)>,
     /// Global light list (from the root of `T`) after Stages 2b/2c.
     light_global: Vec<(VertexId, VertexId)>,
@@ -111,6 +113,22 @@ impl VertexState {
     }
 }
 
+/// The meter slot of the member with rank `r` (see [`DistributedOutput::memory`]).
+#[inline]
+pub(crate) fn slot(r: usize) -> VertexId {
+    VertexId(r as u32)
+}
+
+/// Deterministic wave order: member ranks by increasing depth in `tree`,
+/// ties by id. (Scaffolding for the simulation loops only — no vertex
+/// stores this.)
+pub(crate) fn wave_order(tree: &RootedTree) -> Vec<usize> {
+    let depth = tree.rank_depths();
+    let mut order: Vec<usize> = (0..tree.num_vertices()).collect();
+    order.sort_unstable_by_key(|&r| (depth[r], r));
+    order
+}
+
 /// Output of the distributed construction.
 #[derive(Clone, Debug)]
 pub struct DistributedOutput {
@@ -119,7 +137,10 @@ pub struct DistributedOutput {
     pub scheme: TreeScheme,
     /// Round/message accounting for the whole construction.
     pub ledger: CostLedger,
-    /// Per-vertex memory high-water marks.
+    /// Per-member memory high-water marks, one slot per tree member in
+    /// ascending id order (slot `r` belongs to `scheme.members()[r]`; for a
+    /// spanning tree slots are vertex ids). Vertices outside the tree hold
+    /// no construction state and are not metered.
     pub memory: MemoryMeter,
     /// `|U(T)|` — number of sampled roots (including the tree root).
     pub virtual_count: usize,
@@ -136,7 +157,7 @@ pub struct DistributedOutput {
 ///
 /// # Panics
 ///
-/// Panics if the tree is empty or its root is outside the host universe.
+/// Panics if the tree's host universe is not the network.
 pub fn build<R: Rng>(
     network: &Network,
     tree: &RootedTree,
@@ -152,9 +173,12 @@ pub fn build<R: Rng>(
 /// when no shared BFS backbone is configured). Every ledger charge is
 /// mirrored into the recorder, so span deltas partition the ledger totals.
 ///
+/// All working state is indexed by member rank, so time and allocation are
+/// `O(|T| log |T|)` whatever the size of the host network.
+///
 /// # Panics
 ///
-/// Panics if the tree is empty or its root is outside the host universe.
+/// Panics if the tree's host universe is not the network.
 pub fn build_observed<R: Rng>(
     network: &Network,
     tree: &RootedTree,
@@ -162,14 +186,17 @@ pub fn build_observed<R: Rng>(
     rng: &mut R,
     rec: &mut obs::Recorder,
 ) -> DistributedOutput {
-    let host_n = tree.host_len();
-    assert_eq!(host_n, network.len(), "tree host must match network");
+    assert_eq!(
+        tree.host_len(),
+        network.len(),
+        "tree host must match network"
+    );
     let n = tree.num_vertices();
-    assert!(n > 0, "tree must be non-empty");
-    let root = tree.root();
+    let members = tree.members();
+    let root = tree.root_rank();
 
     let mut ledger = CostLedger::new();
-    let mut memory = MemoryMeter::new(host_n);
+    let mut memory = MemoryMeter::new(n);
 
     // The BFS broadcast backbone: built once by the real protocol (O(D)
     // rounds); its depth prices every Lemma-1 broadcast below. Callers that
@@ -178,11 +205,11 @@ pub fn build_observed<R: Rng>(
         Some(depth) => depth as u64,
         None => {
             let span = rec.begin("tree/backbone");
-            let bfs_out = bfs::build_bfs_tree_with(network, root, config.threads);
+            let bfs_out = bfs::build_bfs_tree_with(network, tree.root(), config.threads);
             ledger.charge_rounds_span(bfs_out.stats.rounds, rec);
             ledger.charge_messages_span(bfs_out.stats.messages, rec);
-            for v in network.graph().vertices() {
-                memory.add(v, 3); // BFS parent/depth/flag, kept for broadcasts
+            for r in 0..n {
+                memory.add(slot(r), 3); // BFS parent/depth/flag, kept for broadcasts
             }
             rec.end_with_memory(span, memory.peaks());
             bfs_out.depth as u64
@@ -191,59 +218,49 @@ pub fn build_observed<R: Rng>(
 
     // Sample U. Every vertex flips its own coin — zero rounds.
     let q = config.q.unwrap_or(1.0 / (n as f64).sqrt());
-    let mut st: Vec<VertexState> = vec![VertexState::default(); host_n];
-    for v in tree.vertices() {
-        st[v.index()].in_tree = true;
-        st[v.index()].sampled = v == root || rng.gen_bool(q.clamp(0.0, 1.0));
+    let mut st: Vec<VertexState> = vec![VertexState::default(); n];
+    for (r, s) in st.iter_mut().enumerate() {
+        s.sampled = r == root || rng.gen_bool(q.clamp(0.0, 1.0));
     }
 
-    // Deterministic wave order: tree vertices by increasing depth in T.
-    // (Scaffolding for the simulation loop only — no vertex stores this.)
-    let by_depth: Vec<VertexId> = {
-        let mut depth = vec![0usize; host_n];
-        let preorder = tree.preorder();
-        for &v in &preorder {
-            if let Some(p) = tree.parent(v) {
-                depth[v.index()] = depth[p.index()] + 1;
-            }
-        }
-        let mut order = preorder;
-        order.sort_by_key(|&v| (depth[v.index()], v));
-        order
-    };
+    let by_depth = wave_order(tree);
 
     // ---- Phase 0: partition into local trees -------------------------------
     // Each w ∈ U(T) floods "I am your local root" down, stopping at sampled
     // vertices; runs in max-local-depth rounds, all trees in parallel.
     let partition_span = rec.begin("tree/partition");
     for &v in &by_depth {
-        let i = v.index();
-        if st[i].sampled {
-            st[i].local_root = Some(v);
-            st[i].local_depth = 0;
-            if v != root {
-                let p = tree.parent(v).expect("non-root");
-                st[i].virt_parent = st[p.index()].local_root;
+        if st[v].sampled {
+            st[v].local_root = v;
+            st[v].local_depth = 0;
+            if let Some(p) = tree.parent_rank(v) {
+                st[v].virt_parent = Some(st[p].local_root);
             }
         } else {
-            let p = tree.parent(v).expect("non-root member");
-            st[i].local_root = st[p.index()].local_root;
-            st[i].local_depth = st[p.index()].local_depth + 1;
+            let p = tree.parent_rank(v).expect("non-root member");
+            st[v].local_root = st[p].local_root;
+            st[v].local_depth = st[p].local_depth + 1;
         }
     }
     let b = st.iter().map(|s| s.local_depth).max().unwrap_or(0) as u64;
     ledger.charge_rounds_span(b + 1, rec);
-    let virtual_count = st.iter().filter(|s| s.sampled).count();
+    // U(T) in ascending id order, and each sampled vertex's position in it
+    // (what a broadcast record is keyed by).
+    let sampled: Vec<usize> = (0..n).filter(|&r| st[r].sampled).collect();
+    let mut sampled_pos = vec![usize::MAX; n];
+    for (k, &x) in sampled.iter().enumerate() {
+        sampled_pos[x] = k;
+    }
+    let virtual_count = sampled.len();
     // Virtual-tree depth (simulation statistic only — no vertex stores it).
     let virtual_depth = {
-        let mut vd = vec![0usize; host_n];
+        let mut vd = vec![0usize; sampled.len()];
         let mut deepest = 0;
         for &v in &by_depth {
-            let i = v.index();
-            if st[i].sampled && v != root {
-                let vp = st[i].virt_parent.expect("sampled non-root has p'");
-                vd[i] = vd[vp.index()] + 1;
-                deepest = deepest.max(vd[i]);
+            if let (true, Some(vp)) = (st[v].sampled, st[v].virt_parent) {
+                let depth = vd[sampled_pos[vp]] + 1;
+                vd[sampled_pos[v]] = depth;
+                deepest = deepest.max(depth);
             }
         }
         deepest
@@ -254,100 +271,78 @@ pub fn build_observed<R: Rng>(
     // ---- Stage 1a: local subtree sizes (convergecast, b rounds) ------------
     let sizes_span = rec.begin("tree/subtree-sizes");
     for &v in by_depth.iter().rev() {
-        let i = v.index();
         let mut s = 1u64;
-        for &c in tree.children(v) {
-            if !st[c.index()].sampled {
-                s += st[c.index()].s_local;
+        for &c in tree.child_ranks(v) {
+            if !st[c as usize].sampled {
+                s += st[c as usize].s_local;
             }
         }
-        st[i].s_local = s;
+        st[v].s_local = s;
     }
     ledger.charge_rounds_span(b + 1, rec);
 
     // ---- Stage 1b: Algorithm 1 (global subtree sizes by pointer jumping) ---
-    let sampled: Vec<VertexId> = tree.vertices().filter(|&v| st[v.index()].sampled).collect();
     for &x in &sampled {
-        let i = x.index();
-        st[i].ancestors = vec![st[i].virt_parent];
-        st[i].s_jump = st[i].s_local;
+        st[x].ancestors = vec![st[x].virt_parent];
+        st[x].s_jump = st[x].s_local;
     }
     for it in 0..iters {
         // Broadcast (x, s_i(x), a_i(x)) for every sampled x: Lemma 1.
         ledger.charge_broadcast_span(sampled.len() as u64, d, rec);
         // Each x digests the stream message-by-message: O(1) transient words.
-        let snapshot_a: Vec<Option<VertexId>> = sampled
-            .iter()
-            .map(|&x| st[x.index()].ancestors[it])
-            .collect();
-        let snapshot_s: Vec<u64> = sampled.iter().map(|&x| st[x.index()].s_jump).collect();
+        let snapshot_a: Vec<Option<usize>> = sampled.iter().map(|&x| st[x].ancestors[it]).collect();
+        let snapshot_s: Vec<u64> = sampled.iter().map(|&x| st[x].s_jump).collect();
         for (k, &x) in sampled.iter().enumerate() {
-            memory.touch(x, 3);
+            memory.touch(slot(x), 3);
             // a_{i+1}(x) = a_i(a_i(x)).
-            let next = match snapshot_a[k] {
-                Some(a) => {
-                    let pos = sampled.iter().position(|&y| y == a).expect("sampled");
-                    snapshot_a[pos]
-                }
-                None => None,
-            };
-            st[x.index()].ancestors.push(next);
+            let next = snapshot_a[k].and_then(|a| snapshot_a[sampled_pos[a]]);
+            st[x].ancestors.push(next);
         }
         for (k, _) in sampled.iter().enumerate() {
             if let Some(a) = snapshot_a[k] {
-                st[a.index()].s_jump += snapshot_s[k];
+                st[a].s_jump += snapshot_s[k];
             }
         }
         for &x in &sampled {
-            memory.set(x, st[x.index()].words());
+            memory.set(slot(x), st[x].words());
         }
     }
     for &x in &sampled {
-        st[x.index()].s_global = st[x.index()].s_jump;
+        st[x].s_global = st[x].s_jump;
     }
 
     // ---- Stage 1c: redistribute global sizes into local trees --------------
     // Leaves of each T_w re-converge sizes, with sampled children now
     // contributing their exact global size.
     for &v in by_depth.iter().rev() {
-        let i = v.index();
-        if st[i].sampled {
+        if st[v].sampled {
             continue;
         }
         let mut s = 1u64;
-        for &c in tree.children(v) {
-            s += st[c.index()].s_global;
+        for &c in tree.child_ranks(v) {
+            s += st[c as usize].s_global;
         }
-        st[i].s_global = s;
+        st[v].s_global = s;
     }
-    // Sampled vertices already hold their global size; fix their value having
-    // been computed bottom-up *after* children (the loop above reads children
-    // first, so recompute sampled-rooted sums are already correct).
     ledger.charge_rounds_span(b + 1, rec);
 
     // ---- Stage 1d: heavy children (children report sizes; streaming max) ---
     for &v in &by_depth {
-        let i = v.index();
-        let mut best: Option<(u64, VertexId)> = None;
-        for &c in tree.children(v) {
-            memory.touch(v, 2);
-            let s = st[c.index()].s_global;
-            best = match best {
-                None => Some((s, c)),
-                Some((bs, bc)) => {
-                    if s > bs || (s == bs && c < bc) {
-                        Some((s, c))
-                    } else {
-                        Some((bs, bc))
-                    }
-                }
-            };
+        let mut best: Option<(u64, usize)> = None;
+        for &c in tree.child_ranks(v) {
+            let c = c as usize;
+            memory.touch(slot(v), 2);
+            let s = st[c].s_global;
+            // Larger subtree wins; ties go to the smaller id (= rank).
+            if best.is_none_or(|(bs, bc)| s > bs || (s == bs && c < bc)) {
+                best = Some((s, c));
+            }
         }
-        st[i].heavy = best.map(|(_, c)| c);
+        st[v].heavy = best.map(|(_, c)| c);
     }
     ledger.charge_rounds_span(1, rec);
-    for v in tree.vertices() {
-        memory.set(v, st[v.index()].words());
+    for (r, s) in st.iter().enumerate() {
+        memory.set(slot(r), s.words());
     }
     rec.end_with_memory(sizes_span, memory.peaks());
 
@@ -357,24 +352,17 @@ pub fn build_observed<R: Rng>(
     // list and appends its own edge if it is not the heavy child. The lists
     // are O(log n) words, so the pipelined wave costs b + O(log n) rounds.
     for &v in &by_depth {
-        let i = v.index();
-        if st[i].sampled && v == root {
+        let Some(p) = tree.parent_rank(v) else {
             continue;
-        }
-        let p = match tree.parent(v) {
-            Some(p) => p,
-            None => continue,
         };
-        let mut list = if st[p.index()].sampled {
-            Vec::new()
+        let inherited: &[(VertexId, VertexId)] = if st[p].sampled {
+            &[]
         } else {
-            st[p.index()].light_local.clone()
+            &st[p].light_local
         };
-        if st[p.index()].heavy != Some(v) {
-            list.push((p, v));
-        }
-        st[i].light_local = list;
-        memory.set(v, st[i].words());
+        let own = (st[p].heavy != Some(v)).then_some((members[p], members[v]));
+        st[v].light_local = concat(inherited, own.as_slice());
+        memory.set(slot(v), st[v].words());
     }
     ledger.charge_rounds_span(b + iters as u64 + 1, rec);
 
@@ -382,43 +370,37 @@ pub fn build_observed<R: Rng>(
     // L_0(x) is the just-computed local list (path from p'(x) to x); the root
     // has the empty list. L_{i+1}(x) = L_i(a_i(x)) ++ L_i(x).
     for &x in &sampled {
-        st[x.index()].light_global = st[x.index()].light_local.clone();
-        memory.set(x, st[x.index()].words());
+        st[x].light_global = st[x].light_local.clone();
+        memory.set(slot(x), st[x].words());
     }
     for it in 0..iters {
         let words: u64 = sampled
             .iter()
-            .map(|&x| 1 + 2 * st[x.index()].light_global.len() as u64)
+            .map(|&x| 1 + 2 * st[x].light_global.len() as u64)
             .sum();
         ledger.charge_broadcast_span(words, d, rec);
         let snapshot: Vec<Vec<(VertexId, VertexId)>> = sampled
             .iter()
-            .map(|&x| st[x.index()].light_global.clone())
+            .map(|&x| st[x].light_global.clone())
             .collect();
         for (k, &x) in sampled.iter().enumerate() {
-            if let Some(a) = st[x.index()].ancestors[it] {
-                let pos = sampled.iter().position(|&y| y == a).expect("sampled");
-                let mut merged = snapshot[pos].clone();
-                merged.extend_from_slice(&snapshot[k]);
-                memory.touch(x, 2 * merged.len());
-                st[x.index()].light_global = merged;
+            if let Some(a) = st[x].ancestors[it] {
+                let merged = concat(&snapshot[sampled_pos[a]], &snapshot[k]);
+                memory.touch(slot(x), 2 * merged.len());
+                st[x].light_global = merged;
             }
-            memory.set(x, st[x.index()].words());
+            memory.set(slot(x), st[x].words());
         }
     }
 
     // ---- Stage 2c: distribute full lists into local trees ------------------
     // y's global list = (local root's global list) ++ (y's local list).
     for &v in &by_depth {
-        let i = v.index();
-        if st[i].sampled {
+        if st[v].sampled {
             continue;
         }
-        let w = st[i].local_root.expect("partitioned");
-        let mut list = st[w.index()].light_global.clone();
-        list.extend_from_slice(&st[i].light_local);
-        st[i].light_global = list;
-        memory.set(v, st[i].words());
+        st[v].light_global = concat(&st[st[v].local_root].light_global, &st[v].light_local);
+        memory.set(slot(v), st[v].words());
     }
     ledger.charge_rounds_span(b + iters as u64 + 1, rec);
     rec.end_with_memory(light_span, memory.peaks());
@@ -431,34 +413,30 @@ pub fn build_observed<R: Rng>(
     let ranges_span = rec.begin("tree/dfs-ranges");
     ledger.charge_rounds_span(2 * iters as u64, rec);
     // prefix[c] = sum of s_global over elder siblings of c (exclusive).
-    let mut prefix = vec![0u64; host_n];
+    let mut prefix = vec![0u64; n];
     for &v in &by_depth {
         let mut acc = 0u64;
-        for &c in tree.children(v) {
-            memory.touch(c, 2);
-            prefix[c.index()] = acc;
-            acc += st[c.index()].s_global;
+        for &c in tree.child_ranks(v) {
+            memory.touch(slot(c as usize), 2);
+            prefix[c as usize] = acc;
+            acc += st[c as usize].s_global;
         }
     }
     // The DFS wave: local roots own [1, s_global]; children compute their
     // range from the parent's start, their prefix sum, and their own size.
     for &v in &by_depth {
-        let i = v.index();
-        if st[i].sampled {
-            st[i].range = (1, st[i].s_global);
-            if v == root {
-                st[i].q_shift = 0;
-            }
+        if st[v].sampled {
+            st[v].range = (1, st[v].s_global);
         }
-        let start = st[i].range.0;
-        for &c in tree.children(v) {
-            let ci = c.index();
-            let c_start = start + 1 + prefix[ci];
-            if st[ci].sampled {
+        let start = st[v].range.0;
+        for &c in tree.child_ranks(v) {
+            let c = c as usize;
+            let c_start = start + 1 + prefix[c];
+            if st[c].sampled {
                 // Virtual child: records its offset, does not forward.
-                st[ci].q_shift = c_start - 1;
+                st[c].q_shift = c_start - 1;
             } else {
-                st[ci].range = (c_start, c_start + st[ci].s_global - 1);
+                st[c].range = (c_start, c_start + st[c].s_global - 1);
             }
         }
     }
@@ -466,49 +444,49 @@ pub fn build_observed<R: Rng>(
 
     // ---- Stage 3b: Algorithm 6 (global shifts by pointer jumping) ----------
     for &x in &sampled {
-        st[x.index()].shift = st[x.index()].q_shift;
+        st[x].shift = st[x].q_shift;
     }
     for it in 0..iters {
         ledger.charge_broadcast_span(sampled.len() as u64, d, rec);
-        let snapshot: Vec<u64> = sampled.iter().map(|&x| st[x.index()].shift).collect();
+        let snapshot: Vec<u64> = sampled.iter().map(|&x| st[x].shift).collect();
         for (k, &x) in sampled.iter().enumerate() {
-            if let Some(a) = st[x.index()].ancestors[it] {
-                let pos = sampled.iter().position(|&y| y == a).expect("sampled");
-                memory.touch(x, 1);
-                st[x.index()].shift = snapshot[k] + snapshot[pos];
+            if let Some(a) = st[x].ancestors[it] {
+                memory.touch(slot(x), 1);
+                st[x].shift = snapshot[k] + snapshot[sampled_pos[a]];
             }
         }
     }
 
     // ---- Stage 3c: distribute shifts; finalize tables and labels -----------
     for &v in &by_depth {
-        let i = v.index();
-        if !st[i].sampled {
-            let w = st[i].local_root.expect("partitioned");
-            st[i].shift = st[w.index()].shift;
+        if !st[v].sampled {
+            st[v].shift = st[st[v].local_root].shift;
         }
-        memory.set(v, st[i].words());
+        memory.set(slot(v), st[v].words());
     }
     ledger.charge_rounds_span(b + 1, rec);
     rec.end_with_memory(ranges_span, memory.peaks());
 
     let finalize_span = rec.begin("tree/finalize");
-    let mut scheme = TreeScheme::new(host_n);
-    for v in tree.vertices() {
-        let i = v.index();
-        let enter = st[i].range.0 + st[i].shift;
-        let exit = st[i].range.1 + st[i].shift;
-        scheme.tables[i] = Some(TreeTable {
-            enter,
-            exit,
-            parent: tree.parent(v),
-            heavy: st[i].heavy,
-        });
-        scheme.labels[i] = Some(TreeLabel {
-            enter,
-            light: st[i].light_global.clone(),
-        });
-    }
+    let (tables, labels) = st
+        .into_iter()
+        .enumerate()
+        .map(|(r, s)| {
+            let enter = s.range.0 + s.shift;
+            let table = TreeTable {
+                enter,
+                exit: s.range.1 + s.shift,
+                parent: tree.parent_rank(r).map(|p| members[p]),
+                heavy: s.heavy.map(|h| members[h]),
+            };
+            let label = TreeLabel {
+                enter,
+                light: s.light_global,
+            };
+            (table, label)
+        })
+        .unzip();
+    let scheme = TreeScheme::from_parts(members.to_vec(), tables, labels);
     rec.end_with_memory(finalize_span, memory.peaks());
 
     DistributedOutput {

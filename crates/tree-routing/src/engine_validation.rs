@@ -302,7 +302,7 @@ pub fn validate_stage2<R: Rng>(
     }
     // Scaffolding (already engine-validated elsewhere): partition, heavy
     // children, and the local light lists L_0(x) for sampled x.
-    let sizes = tree.subtree_sizes();
+    let centralized = crate::tz::build(tree);
     let mut order = tree.preorder();
     order.sort_by_key(|&v| {
         let mut d = 0;
@@ -329,7 +329,7 @@ pub fn validate_stage2<R: Rng>(
             } else {
                 path_list[p.index()].clone()
             };
-            let heavy = crate::tz::heavy_child(tree, &sizes, p);
+            let heavy = centralized.table(p).expect("parent is a member").heavy;
             if heavy != Some(v) {
                 list.push((p, v));
             }

@@ -87,7 +87,7 @@ pub fn build_many<R: Rng>(
         let out = distributed::build(network, t, &config, rng);
         max_finish = max_finish.max(offset + out.ledger.rounds());
         ledger.charge_messages(out.ledger.messages());
-        memory.merge_concurrent(&out.memory);
+        memory.merge_concurrent(out.scheme.members(), &out.memory);
         schemes.push(out.scheme);
     }
     ledger.charge_rounds(max_finish);

@@ -5,7 +5,7 @@
 //! reports its footprint via [`congest::WordSized`].
 
 use congest::WordSized;
-use graphs::VertexId;
+use graphs::{tree::rank_in, VertexId};
 
 /// The routing table a tree vertex stores — `O(1)` words.
 ///
@@ -180,53 +180,81 @@ pub fn route_step(me: VertexId, table: &TreeTable, label: &TreeLabel) -> Option<
     route_decision(me, table, label).map(ForwardingDecision::action)
 }
 
-/// A complete tree routing scheme: one table and one label per host vertex
-/// (entries are `None` for vertices outside the tree).
+/// A complete tree routing scheme: one table and one label per tree member,
+/// stored in ascending member-id order (a member's position is its *rank*,
+/// as in [`graphs::RootedTree`]). Size is proportional to the tree, not to
+/// the host network.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct TreeScheme {
-    /// Per host vertex, the routing table (`None` outside the tree).
-    pub tables: Vec<Option<TreeTable>>,
-    /// Per host vertex, the label (`None` outside the tree).
-    pub labels: Vec<Option<TreeLabel>>,
+    members: Vec<VertexId>,
+    tables: Vec<TreeTable>,
+    labels: Vec<TreeLabel>,
 }
 
 impl TreeScheme {
-    /// An empty scheme over `n` host vertices.
-    pub fn new(n: usize) -> Self {
+    /// Assemble a scheme from per-rank tables and labels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three vectors disagree in length or `members` is not
+    /// strictly ascending.
+    pub fn from_parts(
+        members: Vec<VertexId>,
+        tables: Vec<TreeTable>,
+        labels: Vec<TreeLabel>,
+    ) -> Self {
+        assert_eq!(members.len(), tables.len(), "one table per member");
+        assert_eq!(members.len(), labels.len(), "one label per member");
+        assert!(
+            members.windows(2).all(|w| w[0] < w[1]),
+            "members must be strictly ascending"
+        );
         TreeScheme {
-            tables: vec![None; n],
-            labels: vec![None; n],
+            members,
+            tables,
+            labels,
         }
+    }
+
+    /// Take the scheme apart: members (ascending) with their per-rank
+    /// tables and labels.
+    pub fn into_parts(self) -> (Vec<VertexId>, Vec<TreeTable>, Vec<TreeLabel>) {
+        (self.members, self.tables, self.labels)
+    }
+
+    /// The tree's members, ascending by id.
+    pub fn members(&self) -> &[VertexId] {
+        &self.members
     }
 
     /// The table of `v`, if `v` is in the tree.
     pub fn table(&self, v: VertexId) -> Option<&TreeTable> {
-        self.tables[v.index()].as_ref()
+        rank_in(&self.members, v).map(|r| &self.tables[r])
     }
 
     /// The label of `v`, if `v` is in the tree.
     pub fn label(&self, v: VertexId) -> Option<&TreeLabel> {
-        self.labels[v.index()].as_ref()
+        rank_in(&self.members, v).map(|r| &self.labels[r])
+    }
+
+    /// Mutable access to the table of `v` (fault-injection tests corrupt it).
+    pub fn table_mut(&mut self, v: VertexId) -> Option<&mut TreeTable> {
+        rank_in(&self.members, v).map(|r| &mut self.tables[r])
+    }
+
+    /// Mutable access to the label of `v`.
+    pub fn label_mut(&mut self, v: VertexId) -> Option<&mut TreeLabel> {
+        rank_in(&self.members, v).map(|r| &mut self.labels[r])
     }
 
     /// Largest table size in words over tree vertices (0 if none).
     pub fn max_table_words(&self) -> usize {
-        self.tables
-            .iter()
-            .flatten()
-            .map(WordSized::words)
-            .max()
-            .unwrap_or(0)
+        self.tables.iter().map(WordSized::words).max().unwrap_or(0)
     }
 
     /// Largest label size in words over tree vertices (0 if none).
     pub fn max_label_words(&self) -> usize {
-        self.labels
-            .iter()
-            .flatten()
-            .map(WordSized::words)
-            .max()
-            .unwrap_or(0)
+        self.labels.iter().map(WordSized::words).max().unwrap_or(0)
     }
 }
 
@@ -381,12 +409,15 @@ mod tests {
 
     #[test]
     fn scheme_size_reports() {
-        let mut s = TreeScheme::new(2);
-        s.tables[0] = Some(table(0, 1, None, Some(1)));
-        s.labels[0] = Some(TreeLabel {
-            enter: 0,
-            light: vec![(VertexId(0), VertexId(1))],
-        });
+        // A one-member scheme inside a larger host.
+        let s = TreeScheme::from_parts(
+            vec![VertexId(0)],
+            vec![table(0, 1, None, Some(1))],
+            vec![TreeLabel {
+                enter: 0,
+                light: vec![(VertexId(0), VertexId(1))],
+            }],
+        );
         assert_eq!(s.max_table_words(), 4);
         assert_eq!(s.max_label_words(), 3);
         assert!(s.table(VertexId(1)).is_none());

@@ -9,16 +9,30 @@ use graphs::{RootedTree, VertexId};
 
 use crate::types::{TreeLabel, TreeScheme, TreeTable};
 
-/// Pick the heavy child of `v`: the child with the largest subtree, ties
-/// broken toward the smaller vertex id. Deterministic so the distributed
-/// construction can match it exactly.
-pub(crate) fn heavy_child(tree: &RootedTree, sizes: &[usize], v: VertexId) -> Option<VertexId> {
-    tree.children(v).iter().copied().max_by(|a, b| {
-        sizes[a.index()].cmp(&sizes[b.index()]).then(b.cmp(a)) // ties: prefer the smaller id
-    })
+/// `head ++ tail`, allocated at its final size (light-edge lists end up in
+/// labels, which outlive the construction).
+pub(crate) fn concat(
+    head: &[(VertexId, VertexId)],
+    tail: &[(VertexId, VertexId)],
+) -> Vec<(VertexId, VertexId)> {
+    let mut list = Vec::with_capacity(head.len() + tail.len());
+    list.extend_from_slice(head);
+    list.extend_from_slice(tail);
+    list
 }
 
-/// Build the Thorup–Zwick scheme for `tree` centrally.
+/// Pick the heavy child of the member with rank `r`: the child with the
+/// largest subtree, ties broken toward the smaller vertex id (= smaller
+/// rank). Deterministic so the distributed construction can match it exactly.
+fn heavy_child(tree: &RootedTree, sizes: &[usize], r: usize) -> Option<usize> {
+    tree.child_ranks(r)
+        .iter()
+        .map(|&c| c as usize)
+        .max_by(|&a, &b| sizes[a].cmp(&sizes[b]).then(b.cmp(&a))) // ties: prefer the smaller id
+}
+
+/// Build the Thorup–Zwick scheme for `tree` centrally, in time and space
+/// proportional to the tree (not its host).
 ///
 /// DFS entry times are assigned in child order (ascending vertex id, the
 /// order [`RootedTree::children`] stores), each child receiving a contiguous
@@ -35,56 +49,56 @@ pub(crate) fn heavy_child(tree: &RootedTree, sizes: &[usize], v: VertexId) -> Op
 /// assert_eq!(scheme.max_table_words(), 4);
 /// ```
 pub fn build(tree: &RootedTree) -> TreeScheme {
-    let n = tree.host_len();
-    let sizes = tree.subtree_sizes();
-    let mut scheme = TreeScheme::new(n);
+    let m = tree.num_vertices();
+    let members = tree.members();
+    let sizes = tree.rank_subtree_sizes();
+    let order = tree.preorder_ranks();
+    let heavy: Vec<Option<usize>> = (0..m).map(|r| heavy_child(tree, &sizes, r)).collect();
 
     // DFS ranges: the root owns [1, size]; children take consecutive
     // sub-blocks after their parent's entry.
-    let mut enter = vec![0u64; n];
-    let mut exit = vec![0u64; n];
-    let root = tree.root();
-    enter[root.index()] = 1;
-    exit[root.index()] = sizes[root.index()] as u64;
-    for v in tree.preorder() {
-        let mut next = enter[v.index()] + 1;
-        for &c in tree.children(v) {
-            enter[c.index()] = next;
-            exit[c.index()] = next + sizes[c.index()] as u64 - 1;
-            next += sizes[c.index()] as u64;
+    let mut enter = vec![0u64; m];
+    let root = tree.root_rank();
+    enter[root] = 1;
+    for &r in &order {
+        let mut next = enter[r] + 1;
+        for &c in tree.child_ranks(r) {
+            enter[c as usize] = next;
+            next += sizes[c as usize] as u64;
         }
     }
 
-    // Tables and labels, top-down: a child's light list extends its parent's.
-    for v in tree.preorder() {
-        let hv = heavy_child(tree, &sizes, v);
-        scheme.tables[v.index()] = Some(TreeTable {
-            enter: enter[v.index()],
-            exit: exit[v.index()],
-            parent: tree.parent(v),
-            heavy: hv,
-        });
-        let mut light = match tree.parent(v) {
+    // Labels, top-down: a child's light list extends its parent's.
+    let mut labels: Vec<TreeLabel> = vec![
+        TreeLabel {
+            enter: 0,
+            light: Vec::new(),
+        };
+        m
+    ];
+    for &r in &order {
+        let light = match tree.parent_rank(r) {
             Some(p) => {
-                let parent_label = scheme.labels[p.index()]
-                    .as_ref()
-                    .expect("preorder guarantees parent labeled first");
-                let mut l = parent_label.light.clone();
-                let parent_heavy = heavy_child(tree, &sizes, p).expect("parent of v has children");
-                if parent_heavy != v {
-                    l.push((p, v));
-                }
-                l
+                // Preorder guarantees the parent is labeled first.
+                let own = (heavy[p] != Some(r)).then_some((members[p], members[r]));
+                concat(&labels[p].light, own.as_slice())
             }
             None => Vec::new(),
         };
-        light.shrink_to_fit();
-        scheme.labels[v.index()] = Some(TreeLabel {
-            enter: enter[v.index()],
+        labels[r] = TreeLabel {
+            enter: enter[r],
             light,
-        });
+        };
     }
-    scheme
+    let tables = (0..m)
+        .map(|r| TreeTable {
+            enter: enter[r],
+            exit: enter[r] + sizes[r] as u64 - 1,
+            parent: tree.parent_rank(r).map(|p| members[p]),
+            heavy: heavy[r].map(|h| members[h]),
+        })
+        .collect();
+    TreeScheme::from_parts(members.to_vec(), tables, labels)
 }
 
 #[cfg(test)]
@@ -208,9 +222,9 @@ mod tests {
     fn heavy_chain_covers_majority() {
         // On a path, the single child is always heavy.
         let t = path_tree(8, &ids(8), 1);
-        let sizes = t.subtree_sizes();
+        let s = build(&t);
         for v in 0..7u32 {
-            assert_eq!(heavy_child(&t, &sizes, VertexId(v)), Some(VertexId(v + 1)));
+            assert_eq!(s.table(VertexId(v)).unwrap().heavy, Some(VertexId(v + 1)));
         }
     }
 

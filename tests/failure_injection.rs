@@ -27,7 +27,7 @@ fn tree_label_with_bogus_light_edge_errors() {
         light: vec![(VertexId(0), VertexId(0))], // self-edge nonsense
     };
     let mut s2 = s.clone();
-    s2.labels[victim.index()] = Some(forged);
+    *s2.label_mut(victim).unwrap() = forged;
     // Routing toward the forged label either errors or still delivers via
     // heavy edges (if the bogus edge is never consulted) — it must not panic
     // or deliver to the wrong vertex.
@@ -43,10 +43,10 @@ fn tree_label_with_foreign_enter_time_errors() {
     let (t, s) = tree_fixture();
     let mut s2 = s.clone();
     // Entry time far outside the DFS range of the tree.
-    s2.labels[20] = Some(TreeLabel {
+    *s2.label_mut(VertexId(20)).unwrap() = TreeLabel {
         enter: 10_000,
         light: vec![],
-    });
+    };
     match tree_router::route(&t, &s2, VertexId(5), VertexId(20)) {
         Err(RouteError::Stuck(_)) => {}
         other => panic!("expected Stuck at the root, got {other:?}"),
@@ -62,9 +62,7 @@ fn tree_table_with_wrong_heavy_child_cannot_misdeliver() {
         .vertices()
         .find(|&v| !t.children(v).is_empty() && t.parent(v).is_some())
         .unwrap();
-    let mut table = s2.tables[internal.index()].clone().unwrap();
-    table.heavy = Some(t.root());
-    s2.tables[internal.index()] = Some(table);
+    s2.table_mut(internal).unwrap().heavy = Some(t.root());
     for target in t.vertices().take(10) {
         match tree_router::route(&t, &s2, t.root(), target) {
             Ok(trace) => assert_eq!(*trace.path.last().unwrap(), target),
@@ -124,10 +122,8 @@ fn forged_forwarding_to_non_neighbor_is_caught() {
     let (t, s) = tree_fixture();
     let mut s2 = s.clone();
     let leafy = t.vertices().find(|&v| t.children(v).is_empty()).unwrap();
-    let mut table = s2.tables[leafy.index()].clone().unwrap();
-    table.parent = Some(leafy); // self-parent: never a valid hop
-    s2.tables[leafy.index()] = Some(table);
-    // Route from the corrupted leaf to somewhere above it.
+    s2.table_mut(leafy).unwrap().parent = Some(leafy); // self-parent: never a valid hop
+                                                       // Route from the corrupted leaf to somewhere above it.
     match tree_router::route(&t, &s2, leafy, t.root()) {
         Ok(trace) => assert_eq!(*trace.path.last().unwrap(), t.root()),
         Err(RouteError::BadForward { from, .. }) => assert_eq!(from, leafy),

@@ -40,6 +40,35 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = graphs::Graph> {
         })
 }
 
+/// A random recursive tree on a sparse member subset of a host of
+/// `SPARSE_HOST` vertices: distinct member ids in attachment order (the
+/// first is the root) with their parent edges `(child, parent, weight)`.
+const SPARSE_HOST: usize = 4096;
+
+fn arb_sparse_tree(
+    max_members: usize,
+) -> impl Strategy<Value = (VertexId, Vec<(VertexId, VertexId, u64)>)> {
+    (1..=max_members)
+        .prop_flat_map(|m| {
+            (
+                proptest::collection::vec(0..SPARSE_HOST as u32, m),
+                proptest::collection::vec((0..u32::MAX, 1u64..50), m),
+            )
+        })
+        .prop_map(|(mut ids, attach)| {
+            // Distinct ids, keeping first-seen (attachment) order.
+            let mut seen = std::collections::HashSet::new();
+            ids.retain(|&v| seen.insert(v));
+            let edges = (1..ids.len())
+                .map(|i| {
+                    let (sel, w) = attach[i];
+                    (VertexId(ids[i]), VertexId(ids[sel as usize % i]), w)
+                })
+                .collect();
+            (VertexId(ids[0]), edges)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -85,6 +114,74 @@ proptest! {
                 let trace = tree_routing::baseline::route(&t, &out.scheme, u, v).unwrap();
                 prop_assert_eq!(Some(trace.weight), t.tree_distance(u, v));
             }
+        }
+    }
+
+    #[test]
+    fn tree_stage_depends_on_the_tree_not_the_host(
+        sparse in arb_sparse_tree(64),
+        q_sel in 0usize..4,
+        seed in 0..u64::MAX,
+    ) {
+        use tree_routing::{baseline, distributed, multi, router};
+        let (root, edges) = sparse;
+        // The same tree twice: inside the sparse host, and relabelled by
+        // rank onto a host of exactly its own size. The shared backbone
+        // depth makes the two runs independent of the network around them.
+        let t = graphs::RootedTree::from_edges(SPARSE_HOST, root, edges.iter().copied());
+        let m = t.num_vertices();
+        let rank = |v: VertexId| VertexId(t.rank_of(v).unwrap() as u32);
+        let small = graphs::RootedTree::from_edges(
+            m,
+            rank(root),
+            edges.iter().map(|&(c, p, w)| (rank(c), rank(p), w)),
+        );
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let host = congest::Network::new(graphs::generators::star(SPARSE_HOST, 1..=1, &mut rng));
+        let tight = congest::Network::new(graphs::generators::path(m, 1..=1, &mut rng));
+        let q = [None, Some(0.0), Some(1.0), Some(0.3)][q_sel];
+        let config = distributed::Config { q, backbone_depth: Some(9), threads: 1 };
+
+        let big = distributed::build(&host, &t, &config, &mut ChaCha8Rng::seed_from_u64(seed));
+        let lil = distributed::build(&tight, &small, &config, &mut ChaCha8Rng::seed_from_u64(seed));
+        distributed::assert_matches_centralized(&t, &big);
+        router::verify_exactness(&t, &big.scheme);
+        prop_assert_eq!(big.ledger.counters(), lil.ledger.counters());
+        // One meter slot per member — nothing outside the tree is metered —
+        // and slot for slot the same peaks as on the tight host.
+        prop_assert_eq!(big.memory.len(), m);
+        prop_assert_eq!(big.memory.peaks(), lil.memory.peaks());
+        prop_assert_eq!(big.scheme.members(), t.members());
+        for v in t.vertices() {
+            let (a, b) = (big.scheme.table(v).unwrap(), lil.scheme.table(rank(v)).unwrap());
+            prop_assert_eq!((a.enter, a.exit), (b.enter, b.exit));
+            prop_assert_eq!(a.parent.map(rank), b.parent);
+            prop_assert_eq!(a.heavy.map(rank), b.heavy);
+            let (a, b) = (big.scheme.label(v).unwrap(), lil.scheme.label(rank(v)).unwrap());
+            let relabelled: Vec<_> = a.light.iter().map(|&(x, y)| (rank(x), rank(y))).collect();
+            prop_assert_eq!(&relabelled, &b.light);
+        }
+
+        // The prior two-level scheme obeys the same contract.
+        let big = baseline::build_with_backbone(
+            &host, &t, q, Some(9), &mut ChaCha8Rng::seed_from_u64(seed));
+        let lil = baseline::build_with_backbone(
+            &tight, &small, q, Some(9), &mut ChaCha8Rng::seed_from_u64(seed));
+        prop_assert_eq!(big.ledger.counters(), lil.ledger.counters());
+        prop_assert_eq!(big.memory.peaks(), lil.memory.peaks());
+        prop_assert_eq!(big.virtual_count, lil.virtual_count);
+        for &u in t.members() {
+            for &v in t.members() {
+                let trace = baseline::route(&t, &big.scheme, u, v).unwrap();
+                prop_assert_eq!(Some(trace.weight), t.tree_distance(u, v));
+            }
+        }
+
+        // Merged into a host-wide meter, a non-member holds the shared
+        // backbone's 3 words and nothing of the tree's.
+        let merged = multi::build_many(&host, std::slice::from_ref(&t), 1, &mut rng);
+        for v in host.graph().vertices() {
+            prop_assert_eq!(merged.memory.peak(v) > 3, t.contains(v));
         }
     }
 

@@ -159,3 +159,50 @@ fn weighted_trees_route_by_weight_not_hops() {
         }
     }
 }
+
+#[test]
+fn degenerate_trees_route_exactly_at_both_sampling_extremes() {
+    // Singleton, two-vertex, star and path trees — spanning a host of exactly
+    // their size (n ∈ {1, 2} included) and scattered inside a larger one —
+    // with nobody but the root sampled (q = 0) and with everybody (q = 1).
+    let scattered: Vec<VertexId> = [41u32, 3, 58, 17, 29, 8, 50].map(VertexId).to_vec();
+    let dense: Vec<VertexId> = (0..7).map(VertexId).collect();
+    let mut rng = ChaCha8Rng::seed_from_u64(2011);
+    for (host, ids) in [(64, &scattered), (7, &dense)] {
+        let mut trees = vec![
+            tree::star_tree(host, &ids[..1], 1),
+            tree::star_tree(host, &ids[..2], 4),
+            tree::star_tree(host, ids, 2),
+            tree::path_tree(host, ids, 3),
+        ];
+        if host == 7 {
+            trees.push(tree::star_tree(1, &ids[..1], 1));
+            trees.push(tree::path_tree(2, &ids[..2], 5));
+        }
+        for t in &trees {
+            let net = Network::new(generators::star(t.host_len(), 1..=1, &mut rng));
+            let want = tz::build(t);
+            assert_eq!(want.members(), t.members());
+            router::verify_exactness(t, &want);
+            for q in [0.0, 1.0] {
+                let config = distributed::Config {
+                    q: Some(q),
+                    ..distributed::Config::default()
+                };
+                let ours = distributed::build(&net, t, &config, &mut rng);
+                assert_eq!(ours.scheme, want);
+                let sampled = if q == 0.0 { 1 } else { t.num_vertices() };
+                assert_eq!(ours.virtual_count, sampled);
+                assert_eq!(ours.memory.len(), t.num_vertices());
+                let prior = baseline::build(&net, t, Some(q), &mut rng);
+                assert_eq!(prior.virtual_count, sampled);
+                for u in t.vertices() {
+                    for v in t.vertices() {
+                        let trace = baseline::route(t, &prior.scheme, u, v).unwrap();
+                        assert_eq!(Some(trace.weight), t.tree_distance(u, v));
+                    }
+                }
+            }
+        }
+    }
+}
