@@ -23,7 +23,10 @@ pub struct BfsVertex {
 }
 
 impl BfsVertex {
-    fn new(is_root: bool) -> Self {
+    /// The initial state of one vertex; exactly one vertex of the network
+    /// should be the root. [`build_bfs_tree`] is the usual entry point —
+    /// this is for driving the protocol on an [`Engine`] directly.
+    pub fn new(is_root: bool) -> Self {
         BfsVertex {
             is_root,
             depth: None,

@@ -9,6 +9,15 @@
 //! stable counting sort scatters them into flat per-range inbox arenas for
 //! the next round. No per-vertex `Vec`s are allocated on the hot path.
 //!
+//! A round executes only the vertices that can act in it: those with mail,
+//! and those whose last-reported [`Wake`] hint has come due. What a vertex
+//! reported after its last execution (`wake`, `is_done`, `queued_words`) is
+//! cached in flat per-chunk arrays and stays exact until it executes again,
+//! because a vertex's state changes only inside `init` / `round`. The
+//! termination test and the queue-occupancy sample read running totals over
+//! those arrays, so nothing in the loop touches a protocol that is not
+//! executing.
+//!
 //! # Parallelism and determinism
 //!
 //! With [`EngineConfig::threads`] > 1 the vertex set is partitioned into
@@ -38,7 +47,7 @@ use std::sync::mpsc;
 
 use graphs::graph::Arc;
 use graphs::VertexId;
-use obs::metrics::Stopwatch;
+use obs::metrics::{Clock, Stopwatch};
 use obs::profile::{EngineProfile, Phase};
 
 use crate::memory::{MemoryMeter, MeterChunk};
@@ -82,17 +91,35 @@ pub trait VertexProtocol {
         0
     }
 
-    /// Whether this vertex has scheduled future work that does not depend on
-    /// receiving a message (e.g. open-loop traffic sources with arrival
-    /// gaps). The engine's quiescence rule normally stops a run after a
-    /// silent round — once nothing was sent and nothing is in flight, a
-    /// purely message-driven protocol can never act again. A vertex that
-    /// returns `true` suspends that rule for the round, so time keeps
-    /// advancing through idle gaps. Message-driven protocols keep the
-    /// default `false`.
-    fn keep_alive(&self) -> bool {
-        false
+    /// When this vertex next needs to run without having received a message.
+    /// Polled right after each execution; the answer holds until the vertex
+    /// executes again. The default — run every round until done, then only
+    /// on a message — suits any protocol; store-and-forward protocols with
+    /// scheduled work override it so idle rounds cost them nothing.
+    fn wake(&self) -> Wake {
+        if self.is_done() {
+            Wake::OnMessage
+        } else {
+            Wake::NextRound
+        }
     }
+}
+
+/// A vertex's answer to "when must you run next, mail aside?". A message
+/// always runs its recipient in the round it is delivered, whatever the hint.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Wake {
+    /// Only when a message arrives.
+    OnMessage,
+    /// In the next round.
+    NextRound,
+    /// In round `r`, with nothing to do before it. The engine's quiescence
+    /// rule normally stops a run after a silent round — once nothing was
+    /// sent and nothing is in flight, a message-driven protocol can never
+    /// act again. A pending `At` suspends that rule, so time keeps advancing
+    /// through idle gaps (e.g. an open-loop traffic source between
+    /// arrivals). A round that is not in the future means [`Wake::NextRound`].
+    At(u64),
 }
 
 /// The view a protocol instance has of its environment during a round.
@@ -220,7 +247,10 @@ pub struct RunStats {
     pub congestion_violations: u64,
     /// Whether the run terminated before `max_rounds`.
     pub completed: bool,
-    /// Per-vertex peak memory, polled after each round.
+    /// Vertex executions: one per `init` call plus one per `round` call.
+    /// `executions / (rounds + 1)` against `n` says how sparse the run was.
+    pub executions: u64,
+    /// Per-vertex peak memory, polled after each execution.
     pub memory: MemoryMeter,
     /// Wall-clock nanoseconds the run took (monotonic; real time, not a
     /// simulated cost — the simulated currencies are the fields above).
@@ -242,11 +272,13 @@ impl RunStats {
             && self.max_edge_words == other.max_edge_words
             && self.congestion_violations == other.congestion_violations
             && self.completed == other.completed
+            && self.executions == other.executions
             && self.memory == other.memory
     }
 }
 
-/// Per-chunk round measurements, folded into [`RunStats`] in worker order.
+/// Per-chunk measurements of one phase, folded into [`RunStats`] in worker
+/// order.
 #[derive(Clone, Debug, Default)]
 struct ChunkStats {
     messages: u64,
@@ -255,28 +287,99 @@ struct ChunkStats {
     violations: u64,
     /// First violation in (source, send) order within the chunk.
     first_violation: Option<(VertexId, VertexId, usize)>,
+    /// Vertices executed this phase.
+    executions: u64,
     /// Whether every protocol in the chunk reports done after this phase.
     chunk_done: bool,
-    /// Whether any protocol in the chunk has scheduled non-message-driven
-    /// work pending (suspends the quiescence rule).
-    keep_alive: bool,
+    /// Whether any vertex in the chunk holds a pending [`Wake::At`]
+    /// (suspends the quiescence rule).
+    timed_wake: bool,
     queued_words: usize,
 }
 
-/// One worker's round-trip payload: its delivery arena, reusable outbox and
-/// scratch, and the phase result. Moved coordinator → worker → coordinator
-/// through channels each phase, so ownership is explicit and nothing is
-/// locked or copied.
+/// What each vertex of a chunk reported right after it last executed, in
+/// flat arrays indexed by position in the chunk, with running totals so the
+/// per-phase summary is O(1). Refreshed only for vertices that execute: a
+/// vertex that does not run cannot change state, so its entries stay exact.
+struct ChunkCache {
+    /// First round in which the vertex must run even with an empty inbox
+    /// (`u64::MAX`: only on a message).
+    wake: Vec<u64>,
+    /// Whether that round came from a [`Wake::At`].
+    timed: Vec<bool>,
+    done: Vec<bool>,
+    queued: Vec<usize>,
+    not_done: usize,
+    timed_count: usize,
+    queued_words: usize,
+}
+
+impl ChunkCache {
+    fn new(len: usize) -> ChunkCache {
+        ChunkCache {
+            wake: vec![u64::MAX; len],
+            timed: vec![false; len],
+            done: vec![true; len],
+            queued: vec![0; len],
+            not_done: 0,
+            timed_count: 0,
+            queued_words: 0,
+        }
+    }
+
+    /// Re-poll vertex `i` after it executed in round `round` (0 for init).
+    fn refresh<P: VertexProtocol>(&mut self, i: usize, p: &P, round: u64, sample_queued: bool) {
+        let (wake, timed) = match p.wake() {
+            Wake::OnMessage => (u64::MAX, false),
+            Wake::At(at) if at > round => (at, true),
+            Wake::NextRound | Wake::At(_) => (round + 1, false),
+        };
+        self.wake[i] = wake;
+        self.timed_count = self.timed_count + usize::from(timed) - usize::from(self.timed[i]);
+        self.timed[i] = timed;
+        let done = p.is_done();
+        self.not_done = self.not_done + usize::from(!done) - usize::from(!self.done[i]);
+        self.done[i] = done;
+        if sample_queued {
+            let queued = p.queued_words();
+            self.queued_words = self.queued_words + queued - self.queued[i];
+            self.queued[i] = queued;
+        }
+    }
+}
+
+/// One chunk's round-trip payload: its delivery arena, reusable outbox and
+/// scratch, the vertex cache, and the phase result. The serial driver keeps
+/// its single task in place; the parallel driver moves each one coordinator
+/// → worker → coordinator through channels every phase, so ownership is
+/// explicit and nothing is locked or copied.
 struct Task<M> {
     /// `None` drives the init phase; `Some(r)` drives round `r`.
     round: Option<u64>,
     delivery: ChunkArena<M>,
     outbox: Outbox<M>,
     per_edge: Vec<(VertexId, usize)>,
+    cache: ChunkCache,
     stats: ChunkStats,
     sample_queued: bool,
     /// The worker's phase timings for this phase, when profiling.
     prof: Option<TaskProf>,
+}
+
+impl<M> Task<M> {
+    /// The task for vertices `[lo, lo + len)`.
+    fn new(lo: usize, len: usize, sample_queued: bool) -> Task<M> {
+        Task {
+            round: None,
+            delivery: ChunkArena::new(lo, len),
+            outbox: Outbox::new(),
+            per_edge: Vec::new(),
+            cache: ChunkCache::new(len),
+            stats: ChunkStats::default(),
+            sample_queued,
+            prof: None,
+        }
+    }
 }
 
 /// A worker's raw clock marks for one phase, recorded on the worker and
@@ -295,16 +398,16 @@ struct TaskProf {
 }
 
 /// Coordinator-side profiling state: the accumulating [`EngineProfile`],
-/// the shared epoch stopwatch, and a running mark so successive
-/// [`Prof::lap`] calls tile the coordinator's track without gaps.
-struct Prof {
+/// the shared epoch clock, and a running mark so successive [`Prof::lap`]
+/// calls tile the coordinator's track without gaps.
+struct Prof<C> {
     prof: EngineProfile,
-    epoch: Stopwatch,
+    epoch: C,
     mark: u64,
 }
 
-impl Prof {
-    fn new(epoch: Stopwatch) -> Prof {
+impl<C: Clock> Prof<C> {
+    fn new(epoch: C) -> Prof<C> {
         let mark = epoch.elapsed_ns();
         Prof {
             prof: EngineProfile::new(1),
@@ -409,26 +512,46 @@ impl Engine {
     pub fn run_traced<P: VertexProtocol + Send>(
         &self,
         network: &Network,
+        protocols: Vec<P>,
+        recorder: &mut obs::Recorder,
+    ) -> (Vec<P>, RunStats) {
+        // The recorder's start when it is accumulating a profile (one
+        // timeline across runs), else this run's own start.
+        let clock = recorder.profile_epoch().unwrap_or_else(Stopwatch::start);
+        self.run_clocked(network, protocols, recorder, clock)
+    }
+
+    /// [`Engine::run_traced`] on a caller-supplied clock: the run's wall time
+    /// and every profile sample are differences of `clock` readings, so a
+    /// deterministic clock makes the profile a deterministic function of how
+    /// often the engine reads it. The clock is read only to time the whole
+    /// run, and around each phase when profiling is on.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`Engine::run`].
+    pub fn run_clocked<P: VertexProtocol + Send, C: Clock>(
+        &self,
+        network: &Network,
         mut protocols: Vec<P>,
         recorder: &mut obs::Recorder,
+        clock: C,
     ) -> (Vec<P>, RunStats) {
         let n = network.len();
         assert_eq!(protocols.len(), n, "one protocol instance per vertex");
-        let wall = Stopwatch::start();
-        // Profiling epoch: the recorder's start when it is accumulating a
-        // profile (one timeline across runs), else this run's own start.
+        let started = clock.elapsed_ns();
         // `None` keeps both drivers free of clock reads.
         let profiling = self.config.profile || recorder.profiling();
-        let epoch = profiling.then(|| recorder.profile_epoch().unwrap_or(wall));
+        let epoch = profiling.then_some(clock);
         let threads = self.config.resolved_threads().clamp(1, n.max(1));
         let mut stats = if threads <= 1 {
             self.drive_serial(network, &mut protocols, recorder, epoch)
         } else {
             self.drive_parallel(network, &mut protocols, recorder, threads, epoch)
         };
-        stats.wall_ns = wall.elapsed_ns();
+        stats.wall_ns = clock.elapsed_ns().saturating_sub(started);
         if let Some(p) = stats.profile.as_deref_mut() {
-            p.record_run(stats.wall_ns);
+            p.record_run(stats.wall_ns, stats.executions);
             recorder.absorb_profile(p);
         }
         if !self.config.profile {
@@ -440,12 +563,12 @@ impl Engine {
 
     /// The single-threaded driver: one chunk covering every vertex, executed
     /// inline. Same plane, same merge, no channels.
-    fn drive_serial<P: VertexProtocol>(
+    fn drive_serial<P: VertexProtocol, C: Clock>(
         &self,
         network: &Network,
         protocols: &mut [P],
         recorder: &mut obs::Recorder,
-        epoch: Option<Stopwatch>,
+        epoch: Option<C>,
     ) -> RunStats {
         let n = protocols.len();
         let cap = self.config.edge_words_per_round;
@@ -453,9 +576,7 @@ impl Engine {
         let mut prof = epoch.map(Prof::new);
         let mut stats = RunStats::default();
         let mut memory = MemoryMeter::new(n);
-        let mut arena = ChunkArena::new(0, n);
-        let mut outbox = Outbox::new();
-        let mut per_edge = Vec::new();
+        let mut task: Task<P::Msg> = Task::new(0, n, sample);
         {
             let mut meter = memory
                 .chunks_mut(n.max(1))
@@ -465,112 +586,33 @@ impl Engine {
                 p.lap(0, 0, Phase::Setup);
             }
 
-            // Init phase (round 0 sends).
-            let mut cs = execute_chunk(
-                protocols,
-                0,
-                network,
-                None,
-                &mut arena,
-                &mut outbox,
-                &mut meter,
-                &mut per_edge,
-                cap,
-                sample,
-            );
-            if let Some(p) = prof.as_mut() {
-                p.lap(0, 0, Phase::Compute);
-            }
-            fill_arenas(
-                &mut [&mut arena],
-                std::slice::from_mut(&mut outbox),
-                n.max(1),
-            );
-            if let Some(p) = prof.as_mut() {
-                p.lap(0, 0, Phase::Scatter);
-            }
-            absorb(&mut stats, &cs);
-            self.enforce_congestion(cs.first_violation);
-            if sample && stats.messages > 0 {
-                recorder.record_round(obs::RoundSample {
-                    round: 0,
-                    messages: stats.messages,
-                    words: stats.words,
-                    max_edge_words: stats.max_edge_words,
-                    congestion_violations: stats.congestion_violations,
-                    queued_words: cs.queued_words,
-                });
-            }
-            if let Some(p) = prof.as_mut() {
-                p.lap(0, 0, Phase::Merge);
-            }
-
-            let mut sent_last_round = stats.messages > 0;
-            let mut all_done = cs.chunk_done;
-            let mut keep_alive = cs.keep_alive;
-            loop {
-                let in_flight = arena.total() > 0;
-                if all_done && !in_flight {
-                    stats.completed = true;
-                    break;
-                }
-                // Quiescence: protocols are message-driven, so once a round
-                // passes with nothing sent and nothing in flight, no state
-                // can change — unless a vertex holds scheduled future work
-                // (`keep_alive`), in which case time must keep advancing.
-                if !in_flight && !sent_last_round && !keep_alive {
-                    stats.completed = all_done;
-                    break;
-                }
-                if stats.rounds >= self.config.max_rounds {
-                    break;
-                }
-                stats.rounds += 1;
-
-                let messages_before = stats.messages;
-                let words_before = stats.words;
-                let violations_before = stats.congestion_violations;
-                cs = execute_chunk(
-                    protocols,
-                    0,
-                    network,
-                    Some(stats.rounds),
-                    &mut arena,
-                    &mut outbox,
-                    &mut meter,
-                    &mut per_edge,
-                    cap,
-                    sample,
-                );
+            // One phase: execute, scatter, fold. `round` is `None` for init.
+            let mut phase = |round: Option<u64>, stats: &mut RunStats| {
+                let r = round.unwrap_or(0);
+                task.round = round;
+                execute_chunk(protocols, 0, network, &mut meter, cap, &mut task);
                 if let Some(p) = prof.as_mut() {
-                    p.lap(stats.rounds, 0, Phase::Compute);
+                    p.lap(r, 0, Phase::Compute);
                 }
                 fill_arenas(
-                    &mut [&mut arena],
-                    std::slice::from_mut(&mut outbox),
+                    &mut [&mut task.delivery],
+                    std::slice::from_mut(&mut task.outbox),
                     n.max(1),
                 );
                 if let Some(p) = prof.as_mut() {
-                    p.lap(stats.rounds, 0, Phase::Scatter);
+                    p.lap(r, 0, Phase::Scatter);
                 }
-                absorb(&mut stats, &cs);
-                self.enforce_congestion(cs.first_violation);
-                if sample {
-                    recorder.record_round(obs::RoundSample {
-                        round: stats.rounds,
-                        messages: stats.messages - messages_before,
-                        words: stats.words - words_before,
-                        max_edge_words: stats.max_edge_words,
-                        congestion_violations: stats.congestion_violations - violations_before,
-                        queued_words: cs.queued_words,
-                    });
-                }
+                let in_flight = task.delivery.total() > 0;
+                let more = self.finish_phase(round, &task.stats, in_flight, stats, recorder);
                 if let Some(p) = prof.as_mut() {
-                    p.lap(stats.rounds, 0, Phase::Merge);
+                    p.lap(r, 0, Phase::Merge);
                 }
-                sent_last_round = stats.messages > messages_before;
-                all_done = cs.chunk_done;
-                keep_alive = cs.keep_alive;
+                more
+            };
+
+            let mut round = None;
+            while phase(round, &mut stats) {
+                round = Some(stats.rounds);
             }
         }
         stats.memory = memory;
@@ -581,13 +623,13 @@ impl Engine {
     /// The multi-threaded driver: contiguous vertex chunks on persistent
     /// scoped workers, rendezvousing with this (coordinator) thread through
     /// channels each phase. Chunk 0 executes inline on the coordinator.
-    fn drive_parallel<P: VertexProtocol + Send>(
+    fn drive_parallel<P: VertexProtocol + Send, C: Clock>(
         &self,
         network: &Network,
         protocols: &mut [P],
         recorder: &mut obs::Recorder,
         threads: usize,
-        epoch: Option<Stopwatch>,
+        epoch: Option<C>,
     ) -> RunStats {
         let n = protocols.len();
         let chunk = n.div_ceil(threads);
@@ -597,21 +639,10 @@ impl Engine {
         let mut stats = RunStats::default();
         let mut memory = MemoryMeter::new(n);
 
-        let mut tasks: Vec<Option<Task<P::Msg>>> = Vec::new();
-        let mut lo = 0;
-        while lo < n {
-            let len = chunk.min(n - lo);
-            tasks.push(Some(Task {
-                round: None,
-                delivery: ChunkArena::new(lo, len),
-                outbox: Outbox::new(),
-                per_edge: Vec::new(),
-                stats: ChunkStats::default(),
-                sample_queued: sample,
-                prof: None,
-            }));
-            lo += len;
-        }
+        let mut tasks: Vec<Option<Task<P::Msg>>> = (0..n)
+            .step_by(chunk)
+            .map(|lo| Some(Task::new(lo, chunk.min(n - lo), sample)))
+            .collect();
         let t = tasks.len();
 
         let mut proto_chunks: Vec<&mut [P]> = protocols.chunks_mut(chunk).collect();
@@ -647,18 +678,7 @@ impl Engine {
                                 compute_ns: 0,
                             });
                         }
-                        task.stats = execute_chunk(
-                            protos,
-                            lo,
-                            network,
-                            task.round,
-                            &mut task.delivery,
-                            &mut task.outbox,
-                            &mut meter,
-                            &mut task.per_edge,
-                            cap,
-                            task.sample_queued,
-                        );
+                        execute_chunk(protos, lo, network, &mut meter, cap, &mut task);
                         if let Some(e) = epoch {
                             if let Some(tp) = task.prof.as_mut() {
                                 tp.compute_ns = e.elapsed_ns().saturating_sub(tp.compute_start);
@@ -679,18 +699,13 @@ impl Engine {
                 p.lap(0, 0, Phase::Setup);
             }
 
-            // Fan a phase out to every worker, run chunk 0 inline, then park
-            // the returned tasks back in worker-index order for the merge.
-            // `prof` is threaded as an argument (not captured) so the
-            // coordinator can also lap it between phases.
-            let mut exec_phase = |round: Option<u64>,
-                                  tasks: &mut [Option<Task<P::Msg>>],
-                                  prof: &mut Option<Prof>| {
+            // One phase: fan it out to every worker, run chunk 0 inline, park
+            // the returned tasks back in worker-index order, scatter, fold.
+            let mut phase = |round: Option<u64>, stats: &mut RunStats| {
                 let r = round.unwrap_or(0);
                 for (i, tx) in to_workers.iter().enumerate() {
                     let mut task = tasks[i + 1].take().expect("task parked");
                     task.round = round;
-                    task.sample_queued = sample;
                     tx.send(task).expect("worker alive");
                 }
                 if let Some(p) = prof.as_mut() {
@@ -698,18 +713,7 @@ impl Engine {
                 }
                 let mut t0 = tasks[0].take().expect("task parked");
                 t0.round = round;
-                t0.stats = execute_chunk(
-                    protos0,
-                    0,
-                    network,
-                    round,
-                    &mut t0.delivery,
-                    &mut t0.outbox,
-                    &mut meter0,
-                    &mut t0.per_edge,
-                    cap,
-                    sample,
-                );
+                execute_chunk(protos0, 0, network, &mut meter0, cap, &mut t0);
                 tasks[0] = Some(t0);
                 if let Some(p) = prof.as_mut() {
                     p.lap(r, 0, Phase::Compute);
@@ -728,72 +732,17 @@ impl Engine {
                 if let Some(p) = prof.as_mut() {
                     p.lap(r, 0, Phase::Idle);
                 }
+                let (cs, in_flight) = merge_round(&mut tasks, chunk, r, &mut prof);
+                let more = self.finish_phase(round, &cs, in_flight, stats, recorder);
+                if let Some(p) = prof.as_mut() {
+                    p.lap(r, 0, Phase::Merge);
+                }
+                more
             };
 
-            // Init phase (round 0 sends).
-            exec_phase(None, &mut tasks, &mut prof);
-            let cs = merge_round(&mut tasks, chunk, 0, &mut prof);
-            absorb(&mut stats, &cs);
-            self.enforce_congestion(cs.first_violation);
-            if sample && stats.messages > 0 {
-                recorder.record_round(obs::RoundSample {
-                    round: 0,
-                    messages: stats.messages,
-                    words: stats.words,
-                    max_edge_words: stats.max_edge_words,
-                    congestion_violations: stats.congestion_violations,
-                    queued_words: cs.queued_words,
-                });
-            }
-            if let Some(p) = prof.as_mut() {
-                p.lap(0, 0, Phase::Merge);
-            }
-
-            let mut sent_last_round = stats.messages > 0;
-            let mut all_done = cs.chunk_done;
-            let mut keep_alive = cs.keep_alive;
-            loop {
-                let in_flight = tasks
-                    .iter()
-                    .map(|t| t.as_ref().expect("task parked").delivery.total())
-                    .sum::<usize>()
-                    > 0;
-                if all_done && !in_flight {
-                    stats.completed = true;
-                    break;
-                }
-                if !in_flight && !sent_last_round && !keep_alive {
-                    stats.completed = all_done;
-                    break;
-                }
-                if stats.rounds >= self.config.max_rounds {
-                    break;
-                }
-                stats.rounds += 1;
-
-                let messages_before = stats.messages;
-                let words_before = stats.words;
-                let violations_before = stats.congestion_violations;
-                exec_phase(Some(stats.rounds), &mut tasks, &mut prof);
-                let cs = merge_round(&mut tasks, chunk, stats.rounds, &mut prof);
-                absorb(&mut stats, &cs);
-                self.enforce_congestion(cs.first_violation);
-                if sample {
-                    recorder.record_round(obs::RoundSample {
-                        round: stats.rounds,
-                        messages: stats.messages - messages_before,
-                        words: stats.words - words_before,
-                        max_edge_words: stats.max_edge_words,
-                        congestion_violations: stats.congestion_violations - violations_before,
-                        queued_words: cs.queued_words,
-                    });
-                }
-                if let Some(p) = prof.as_mut() {
-                    p.lap(stats.rounds, 0, Phase::Merge);
-                }
-                sent_last_round = stats.messages > messages_before;
-                all_done = cs.chunk_done;
-                keep_alive = cs.keep_alive;
+            let mut round = None;
+            while phase(round, &mut stats) {
+                round = Some(stats.rounds);
             }
             // Dropping `to_workers` (scope-local) ends every worker's recv
             // loop; the scope then joins them.
@@ -802,6 +751,55 @@ impl Engine {
         stats.memory = memory;
         stats.profile = prof.map(|p| Box::new(p.prof));
         stats
+    }
+
+    /// Fold one executed-and-scattered phase into the run — totals, deferred
+    /// congestion enforcement, the traced round sample — and apply the
+    /// termination test. Returns whether another round runs (it is then
+    /// already counted in `stats.rounds`); otherwise `stats.completed` is
+    /// settled.
+    fn finish_phase(
+        &self,
+        round: Option<u64>,
+        cs: &ChunkStats,
+        in_flight: bool,
+        stats: &mut RunStats,
+        recorder: &mut obs::Recorder,
+    ) -> bool {
+        stats.messages += cs.messages;
+        stats.words += cs.words;
+        stats.max_edge_words = stats.max_edge_words.max(cs.max_edge_words);
+        stats.congestion_violations += cs.violations;
+        stats.executions += cs.executions;
+        self.enforce_congestion(cs.first_violation);
+        // The init phase is sampled (as round 0) only if it sent anything.
+        if recorder.is_enabled() && (round.is_some() || cs.messages > 0) {
+            recorder.record_round(obs::RoundSample {
+                round: round.unwrap_or(0),
+                messages: cs.messages,
+                words: cs.words,
+                max_edge_words: stats.max_edge_words,
+                congestion_violations: cs.violations,
+                queued_words: cs.queued_words,
+            });
+        }
+
+        if cs.chunk_done && !in_flight {
+            stats.completed = true;
+            return false;
+        }
+        // Quiescence: once a phase passes with nothing sent and nothing in
+        // flight, no message-driven state can change — unless a vertex holds
+        // a pending `Wake::At`, in which case time must keep advancing.
+        if !in_flight && cs.messages == 0 && !cs.timed_wake {
+            stats.completed = cs.chunk_done;
+            return false;
+        }
+        if stats.rounds >= self.config.max_rounds {
+            return false;
+        }
+        stats.rounds += 1;
+        true
     }
 
     /// Deferred strict-congestion enforcement: both drivers collect the first
@@ -818,23 +816,16 @@ impl Engine {
     }
 }
 
-/// Fold a merged chunk's counters into the run totals.
-fn absorb(stats: &mut RunStats, cs: &ChunkStats) {
-    stats.messages += cs.messages;
-    stats.words += cs.words;
-    stats.max_edge_words = stats.max_edge_words.max(cs.max_edge_words);
-    stats.congestion_violations += cs.violations;
-}
-
 /// Drain every outbox into the delivery arenas (stable, worker order) and
-/// fold the per-chunk stats in worker order. When profiling, the scatter is
-/// lapped on the coordinator's track for round `round`.
-fn merge_round<M>(
+/// fold the per-chunk stats in worker order; also reports whether anything
+/// is now in flight. When profiling, the scatter is lapped on the
+/// coordinator's track for round `round`.
+fn merge_round<M, C: Clock>(
     tasks: &mut [Option<Task<M>>],
     chunk: usize,
     round: u64,
-    prof: &mut Option<Prof>,
-) -> ChunkStats {
+    prof: &mut Option<Prof<C>>,
+) -> (ChunkStats, bool) {
     let mut outboxes: Vec<Outbox<M>> = tasks
         .iter_mut()
         .map(|t| std::mem::take(&mut t.as_mut().expect("task parked").outbox))
@@ -856,8 +847,10 @@ fn merge_round<M>(
         chunk_done: true,
         ..ChunkStats::default()
     };
+    let mut in_flight = false;
     for t in tasks.iter() {
-        let cs = &t.as_ref().expect("task parked").stats;
+        let t = t.as_ref().expect("task parked");
+        let cs = &t.stats;
         merged.messages += cs.messages;
         merged.words += cs.words;
         merged.max_edge_words = merged.max_edge_words.max(cs.max_edge_words);
@@ -865,69 +858,70 @@ fn merge_round<M>(
         if merged.first_violation.is_none() {
             merged.first_violation = cs.first_violation;
         }
+        merged.executions += cs.executions;
         merged.chunk_done &= cs.chunk_done;
-        merged.keep_alive |= cs.keep_alive;
+        merged.timed_wake |= cs.timed_wake;
         merged.queued_words += cs.queued_words;
+        in_flight |= t.delivery.total() > 0;
     }
-    merged
+    (merged, in_flight)
 }
 
-/// Execute one phase (init or a numbered round) for a contiguous chunk of
-/// vertices `[lo, lo + protocols.len())`: run each protocol, meter its
-/// memory, and account its sends. Shared verbatim by the serial driver, the
-/// coordinator's inline chunk 0, and every worker — there is exactly one
-/// execution semantics.
-#[allow(clippy::too_many_arguments)]
+/// Execute one phase (init or the numbered round in `task.round`) for the
+/// contiguous chunk of vertices `[lo, lo + protocols.len())`: run each
+/// protocol that can act, meter its memory, re-poll its hints into the
+/// task's cache, and account its sends; the phase result lands in
+/// `task.stats`. Shared verbatim by the serial driver, the coordinator's
+/// inline chunk 0, and every worker — there is exactly one execution
+/// semantics, and one skip rule: a vertex sits a round out iff its inbox is
+/// empty and its cached wake round has not come.
 fn execute_chunk<P: VertexProtocol>(
     protocols: &mut [P],
     lo: usize,
     network: &Network,
-    round: Option<u64>,
-    delivery: &mut ChunkArena<P::Msg>,
-    outbox: &mut Outbox<P::Msg>,
     meter: &mut MeterChunk<'_>,
-    per_edge: &mut Vec<(VertexId, usize)>,
     cap: usize,
-    sample_queued: bool,
-) -> ChunkStats {
+    task: &mut Task<P::Msg>,
+) {
+    let Task {
+        round,
+        delivery,
+        outbox,
+        per_edge,
+        cache,
+        sample_queued,
+        ..
+    } = task;
+    let init = round.is_none();
+    let r = round.unwrap_or(0);
     let mut cs = ChunkStats::default();
     for (i, protocol) in protocols.iter_mut().enumerate() {
         let v = lo + i;
+        if !init && delivery.inbox_len(v) == 0 && cache.wake[i] > r {
+            continue;
+        }
         let vid = VertexId(v as u32);
         let start = outbox.msgs.len();
-        match round {
-            None => {
-                let mut ctx = Ctx {
-                    me: vid,
-                    arcs: network.ports(vid),
-                    round: 0,
-                    outbox: &mut outbox.msgs,
-                };
-                protocol.init(&mut ctx);
-            }
-            Some(r) => {
-                if delivery.inbox_len(v) == 0 && protocol.is_done() {
-                    continue;
-                }
-                let mut inbox = delivery.inbox(v);
-                let mut ctx = Ctx {
-                    me: vid,
-                    arcs: network.ports(vid),
-                    round: r,
-                    outbox: &mut outbox.msgs,
-                };
-                protocol.round(&mut ctx, &mut inbox);
-            }
+        let mut ctx = Ctx {
+            me: vid,
+            arcs: network.ports(vid),
+            round: r,
+            outbox: &mut outbox.msgs,
+        };
+        if init {
+            protocol.init(&mut ctx);
+        } else {
+            protocol.round(&mut ctx, &mut delivery.inbox(v));
         }
+        cs.executions += 1;
         meter.set(vid, protocol.memory_words());
+        cache.refresh(i, protocol, r, *sample_queued);
         account(&outbox.msgs[start..], vid, cap, per_edge, &mut cs);
     }
-    cs.chunk_done = protocols.iter().all(P::is_done);
-    cs.keep_alive = protocols.iter().any(P::keep_alive);
-    if sample_queued {
-        cs.queued_words = protocols.iter().map(P::queued_words).sum::<usize>();
-    }
-    cs
+    cs.chunk_done = cache.not_done == 0;
+    cs.timed_wake = cache.timed_count > 0;
+    cs.queued_words = cache.queued_words;
+    task.stats = cs;
 }
 
 /// Congestion/volume accounting for one vertex's sends this round.
@@ -1083,8 +1077,9 @@ mod tests {
 
     #[test]
     fn quiescence_stops_stalled_protocols() {
-        /// Never done, never sends — quiesces immediately.
-        struct Stubborn;
+        /// Never done, never sends — quiesces immediately, whatever it
+        /// hints short of naming a future round.
+        struct Stubborn(Wake);
         impl VertexProtocol for Stubborn {
             type Msg = u64;
             fn init(&mut self, _: &mut Ctx<'_, u64>) {}
@@ -1095,65 +1090,151 @@ mod tests {
             fn memory_words(&self) -> usize {
                 0
             }
+            fn wake(&self) -> Wake {
+                self.0
+            }
         }
         let net = path_network(2);
-        let (_, stats) = Engine::new().run(&net, vec![Stubborn, Stubborn]);
-        assert!(!stats.completed);
-        assert_eq!(stats.rounds, 0);
+        for hint in [Wake::NextRound, Wake::OnMessage, Wake::At(0)] {
+            let (_, stats) = Engine::new().run(&net, vec![Stubborn(hint), Stubborn(hint)]);
+            assert!(!stats.completed, "{hint:?}");
+            assert_eq!(stats.rounds, 0, "{hint:?}");
+            assert_eq!(stats.executions, 2, "{hint:?}: init only");
+        }
+    }
+
+    /// An open-loop source with arrival gaps: sends one token in round
+    /// `fire_at` and nothing before, and logs every round it was run in.
+    struct Sleeper {
+        fire_at: Option<u64>,
+        ran_in: Vec<u64>,
+        heard_in: Vec<u64>,
+    }
+
+    impl VertexProtocol for Sleeper {
+        type Msg = u64;
+        fn init(&mut self, _: &mut Ctx<'_, u64>) {}
+        fn round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &mut Inbox<'_, u64>) {
+            self.ran_in.push(ctx.round());
+            if !inbox.is_empty() {
+                self.heard_in.push(ctx.round());
+            }
+            if self.fire_at == Some(ctx.round()) {
+                ctx.send_all(7);
+                self.fire_at = None;
+            }
+        }
+        fn is_done(&self) -> bool {
+            self.fire_at.is_none()
+        }
+        fn memory_words(&self) -> usize {
+            1
+        }
+        fn wake(&self) -> Wake {
+            self.fire_at.map_or(Wake::OnMessage, Wake::At)
+        }
+    }
+
+    fn sleepers(fire_at: &[Option<u64>]) -> Vec<Sleeper> {
+        fire_at
+            .iter()
+            .map(|&fire_at| Sleeper {
+                fire_at,
+                ran_in: Vec::new(),
+                heard_in: Vec::new(),
+            })
+            .collect()
     }
 
     #[test]
-    fn keep_alive_spans_idle_gaps() {
-        /// Vertex 0 sends one token at round 5 and nothing before — an
-        /// open-loop source with an arrival gap. Without `keep_alive` the
-        /// engine would quiesce after the first silent round.
-        struct Sleeper {
-            fire_at: Option<u64>,
-            heard: bool,
-        }
-        impl VertexProtocol for Sleeper {
-            type Msg = u64;
-            fn init(&mut self, _: &mut Ctx<'_, u64>) {}
-            fn round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &mut Inbox<'_, u64>) {
-                if !inbox.is_empty() {
-                    self.heard = true;
-                }
-                if self.fire_at == Some(ctx.round()) {
-                    ctx.send_all(7);
-                    self.fire_at = None;
-                }
-            }
-            fn is_done(&self) -> bool {
-                self.fire_at.is_none()
-            }
-            fn memory_words(&self) -> usize {
-                1
-            }
-            fn keep_alive(&self) -> bool {
-                self.fire_at.is_some()
-            }
-        }
-        let make = || {
-            vec![
-                Sleeper {
-                    fire_at: Some(5),
-                    heard: false,
-                },
-                Sleeper {
-                    fire_at: None,
-                    heard: false,
-                },
-            ]
-        };
-        let net = path_network(2);
-        let (protos, stats) = Engine::new().run(&net, make());
+    fn timed_wake_spans_idle_gaps() {
+        // Vertex 0 fires in round 5, vertices 4 and 8 in round 12; between
+        // the first token landing (round 6) and round 12 nothing is sent and
+        // nothing is in flight. Without the pending `Wake::At`s the engine
+        // would quiesce after the first silent round.
+        let mut plan = [None; 9];
+        plan[0] = Some(5);
+        plan[4] = Some(12);
+        plan[8] = Some(12);
+        let net = path_network(9);
+        let (protos, stats) = Engine::new().run(&net, sleepers(&plan));
         assert!(stats.completed);
-        assert!(protos[1].heard, "token must arrive after the idle gap");
-        assert_eq!(stats.rounds, 6, "5 idle rounds + 1 delivery round");
+        assert_eq!(stats.rounds, 13, "12 rounds to the last shot + 1 delivery");
+        // Each source ran in exactly its round, each listener only when its
+        // token landed, and nobody else at all.
+        let ran: Vec<&[u64]> = protos.iter().map(|p| p.ran_in.as_slice()).collect();
+        let none: &[u64] = &[];
+        assert_eq!(
+            ran,
+            [
+                &[5][..],
+                &[6],
+                none,
+                &[13],
+                &[12],
+                &[13],
+                none,
+                &[13],
+                &[12]
+            ]
+        );
+        for (v, p) in protos.iter().enumerate() {
+            let heard: &[u64] = if plan[v].is_some() { &[] } else { &p.ran_in };
+            assert_eq!(p.heard_in, heard, "vertex {v}");
+        }
+        assert_eq!(stats.executions, 9 + 7, "init everywhere + the runs above");
         // Identical at higher thread counts.
-        let (protos_p, stats_p) = Engine::with_threads(2).run(&net, make());
-        assert!(stats_p.same_simulation(&stats));
-        assert!(protos_p[1].heard);
+        for threads in [2, 8] {
+            let (protos_p, stats_p) = Engine::with_threads(threads).run(&net, sleepers(&plan));
+            assert!(stats_p.same_simulation(&stats), "{threads} threads");
+            for (a, b) in protos_p.iter().zip(&protos) {
+                assert_eq!(a.ran_in, b.ran_in, "{threads} threads");
+            }
+        }
+    }
+
+    /// Sends a token a phase for `left` phases (init included), hinting
+    /// `hint` throughout.
+    struct Countdown {
+        left: u32,
+        hint: Wake,
+    }
+
+    impl VertexProtocol for Countdown {
+        type Msg = u64;
+        fn init(&mut self, ctx: &mut Ctx<'_, u64>) {
+            if self.left > 0 {
+                self.left -= 1;
+                ctx.send_all(1);
+            }
+        }
+        fn round(&mut self, ctx: &mut Ctx<'_, u64>, _: &mut Inbox<'_, u64>) {
+            self.init(ctx);
+        }
+        fn is_done(&self) -> bool {
+            self.left == 0
+        }
+        fn memory_words(&self) -> usize {
+            1
+        }
+        fn wake(&self) -> Wake {
+            self.hint
+        }
+    }
+
+    #[test]
+    fn a_wake_round_in_the_past_means_next_round() {
+        let net = path_network(5);
+        let run = |hint: Wake, threads: usize| {
+            let protos = (0..5).map(|v| Countdown { left: v, hint }).collect();
+            Engine::with_threads(threads).run(&net, protos).1
+        };
+        let next = run(Wake::NextRound, 1);
+        assert!(next.completed);
+        assert_eq!(next.messages, 2 * (1 + 2 + 3) + 4);
+        for threads in [1, 2, 8] {
+            assert!(run(Wake::At(0), threads).same_simulation(&next));
+        }
     }
 
     #[test]

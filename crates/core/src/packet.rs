@@ -21,6 +21,8 @@
 //! Only the paper's tree-scheme family is supported (the prior baseline's
 //! packets would carry its `O(log² n)` labels).
 
+use std::collections::VecDeque;
+
 use congest::engine::{Ctx, Engine, EngineConfig, Inbox, VertexProtocol};
 use congest::{Network, RunStats, WordSized};
 use graphs::{VertexId, Weight};
@@ -466,7 +468,13 @@ struct LoadedVertex<'s> {
     table: &'s RoutingTable,
     /// `table.words()`, counted once (as in [`PacketVertex`]).
     table_words: usize,
-    queues: std::collections::HashMap<VertexId, std::collections::VecDeque<(LoadedPacket, u64)>>,
+    /// One FIFO of `(packet, enqueue round)` per port (position in the
+    /// neighbor list), flushed in ascending port order.
+    queues: Vec<VecDeque<(LoadedPacket, u64)>>,
+    /// Packets and words across all queues, kept in step with every push
+    /// and pop.
+    queued_packets: usize,
+    queued_words: usize,
     delivered: Vec<(u32, u64, Weight)>,
     inject: Vec<LoadedPacket>,
     /// Ids of packets dropped here by a stuck rule or missing entry.
@@ -520,10 +528,9 @@ impl LoadedVertex<'_> {
                                 header_words,
                             });
                         }
-                        self.queues
-                            .entry(next)
-                            .or_default()
-                            .push_back((packet, round));
+                        self.queued_packets += 1;
+                        self.queued_words += packet.words();
+                        self.queues[port].push_back((packet, round));
                     }
                     None => self.drop_packet(&mut packet),
                 }
@@ -533,30 +540,22 @@ impl LoadedVertex<'_> {
     }
 
     fn flush(&mut self, ctx: &mut Ctx<'_, LoadedPacket>) {
+        if self.queued_packets == 0 {
+            return;
+        }
         let now = ctx.round();
-        let nexts: Vec<VertexId> = self.queues.keys().copied().collect();
-        for next in nexts {
-            if let Some(q) = self.queues.get_mut(&next) {
-                if let Some((mut p, enqueued)) = q.pop_front() {
-                    if let Some(trace) = p.trace.as_mut() {
-                        let hop = trace.hops.last_mut().expect("hop queued with a record");
-                        hop.round = now;
-                        hop.queue_delay = now - enqueued;
-                    }
-                    ctx.send(next, p);
+        for (q, arc) in self.queues.iter_mut().zip(ctx.neighbors()) {
+            if let Some((mut p, enqueued)) = q.pop_front() {
+                self.queued_packets -= 1;
+                self.queued_words -= p.words();
+                if let Some(trace) = p.trace.as_mut() {
+                    let hop = trace.hops.last_mut().expect("hop queued with a record");
+                    hop.round = now;
+                    hop.queue_delay = now - enqueued;
                 }
-                if q.is_empty() {
-                    self.queues.remove(&next);
-                }
+                ctx.send(arc.to, p);
             }
         }
-    }
-
-    fn queue_words(&self) -> usize {
-        self.queues
-            .values()
-            .flat_map(|q| q.iter().map(|(p, _)| p.words()))
-            .sum()
     }
 }
 
@@ -582,15 +581,15 @@ impl VertexProtocol for LoadedVertex<'_> {
     }
 
     fn is_done(&self) -> bool {
-        self.queues.is_empty()
+        self.queued_packets == 0
     }
 
     fn memory_words(&self) -> usize {
-        self.table_words + self.queue_words()
+        self.table_words + self.queued_words
     }
 
     fn queued_words(&self) -> usize {
-        self.queue_words()
+        self.queued_words
     }
 }
 
@@ -819,7 +818,9 @@ fn send_many_inner(
         .map(|v| LoadedVertex {
             table: &scheme.tables[v.index()],
             table_words: scheme.tables[v.index()].words(),
-            queues: std::collections::HashMap::new(),
+            queues: vec![VecDeque::new(); network.graph().degree(v)],
+            queued_packets: 0,
+            queued_words: 0,
             delivered: Vec::new(),
             inject: std::mem::take(&mut inject[v.index()]),
             dropped: Vec::new(),

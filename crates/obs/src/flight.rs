@@ -347,10 +347,14 @@ impl EdgeLoadMap {
 
     /// Record one packet of `words` words crossing `a — b`.
     pub fn record(&mut self, a: u32, b: u32, words: u64) {
-        let key = (a.min(b), a.max(b));
-        let load = self.loads.entry(key).or_default();
-        load.packets += 1;
-        load.words += words;
+        self.add(a, b, Load { packets: 1, words });
+    }
+
+    /// Add an already-aggregated `load` to the cell of `a — b`.
+    pub fn add(&mut self, a: u32, b: u32, load: Load) {
+        let cell = self.loads.entry((a.min(b), a.max(b))).or_default();
+        cell.packets += load.packets;
+        cell.words += load.words;
     }
 
     /// Fold every hop of `trace` into the map.
@@ -403,10 +407,8 @@ impl EdgeLoadMap {
 
     /// Fold every cell of `other` into this map.
     pub fn merge(&mut self, other: &EdgeLoadMap) {
-        for (&(u, v), load) in &other.loads {
-            let cell = self.loads.entry((u, v)).or_default();
-            cell.packets += load.packets;
-            cell.words += load.words;
+        for (&(u, v), &load) in &other.loads {
+            self.add(u, v, load);
         }
     }
 

@@ -58,6 +58,20 @@ impl Stopwatch {
     }
 }
 
+/// A monotonic nanosecond clock. [`Stopwatch`] is the production clock; code
+/// that is generic over `Clock` lets a test substitute a deterministic one
+/// and assert on timing structure without reading real time.
+pub trait Clock: Copy + Send {
+    /// Nanoseconds since this clock's origin; never decreases.
+    fn elapsed_ns(&self) -> u64;
+}
+
+impl Clock for Stopwatch {
+    fn elapsed_ns(&self) -> u64 {
+        Stopwatch::elapsed_ns(self)
+    }
+}
+
 /// The `q`-quantile (0.0 ≤ q ≤ 1.0) of a sample of durations, by the
 /// nearest-rank method. Returns 0 for an empty sample. The input need not be
 /// sorted.

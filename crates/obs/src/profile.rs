@@ -124,6 +124,9 @@ pub struct EngineProfile {
     pub runs: u64,
     /// Summed engine wall time across runs, nanoseconds.
     pub engine_wall_ns: u64,
+    /// Vertex executions (`init` and `round` calls) across runs — what the
+    /// compute phase's time was spent on. A simulated count, not a timing.
+    pub executions: u64,
     /// Exact per-phase wall totals over all workers, by `Phase::index`.
     pub totals_ns: [u64; PHASES],
     /// Exact per-phase totals on the coordinator track only. The
@@ -189,10 +192,12 @@ impl EngineProfile {
         }
     }
 
-    /// Close out one engine run of `wall_ns` nanoseconds.
-    pub fn record_run(&mut self, wall_ns: u64) {
+    /// Close out one engine run of `wall_ns` nanoseconds that executed
+    /// `executions` vertices.
+    pub fn record_run(&mut self, wall_ns: u64, executions: u64) {
         self.runs += 1;
         self.engine_wall_ns += wall_ns;
+        self.executions += executions;
     }
 
     /// Fold another profile (e.g. from a later run) into this one.
@@ -201,6 +206,7 @@ impl EngineProfile {
         self.rounds = self.rounds.max(other.rounds);
         self.runs += other.runs;
         self.engine_wall_ns += other.engine_wall_ns;
+        self.executions += other.executions;
         for i in 0..PHASES {
             self.totals_ns[i] += other.totals_ns[i];
             self.coord_ns[i] += other.coord_ns[i];
@@ -337,6 +343,7 @@ impl EngineProfile {
             runs: self.runs,
             rounds: self.rounds,
             engine_wall_ns: self.engine_wall_ns,
+            executions: self.executions,
             phases,
             worker_stats,
             imbalance,
@@ -386,6 +393,9 @@ pub struct ProfileSummary {
     pub rounds: u64,
     /// Summed engine wall time across runs, nanoseconds.
     pub engine_wall_ns: u64,
+    /// Vertex executions across runs (0 in records written before the
+    /// field existed).
+    pub executions: u64,
     /// Per-phase aggregates, in [`Phase::ALL`] order (present phases only).
     pub phases: Vec<PhaseStat>,
     /// Per-worker busy time and utilization.
@@ -433,6 +443,7 @@ impl ProfileSummary {
             ("runs", Value::Num(self.runs as f64)),
             ("rounds", Value::Num(self.rounds as f64)),
             ("engine_wall_ns", Value::Num(self.engine_wall_ns as f64)),
+            ("executions", Value::Num(self.executions as f64)),
             ("imbalance", Value::Num(self.imbalance)),
             ("coverage", Value::Num(self.coverage)),
             ("dropped_samples", Value::Num(self.dropped_samples as f64)),
@@ -510,6 +521,12 @@ impl ProfileSummary {
             runs: u64_field("runs")?,
             rounds: u64_field("rounds")?,
             engine_wall_ns: u64_field("engine_wall_ns")?,
+            executions: match v.get("executions") {
+                None => 0,
+                Some(e) => e
+                    .as_u64()
+                    .ok_or_else(|| wrap(ParseError::missing("executions")))?,
+            },
             phases,
             worker_stats,
             imbalance: f64_field("imbalance")?,
@@ -534,7 +551,7 @@ mod tests {
         p.record(1, 1, Phase::Idle, 2_000, 50);
         p.record(1, 0, Phase::Scatter, 2_000, 300);
         p.record(1, 0, Phase::Merge, 2_300, 200);
-        p.record_run(2_500);
+        p.record_run(2_500, 7);
         p
     }
 
@@ -592,6 +609,7 @@ mod tests {
         assert_eq!(a.engine_wall_ns, 5_000);
         assert_eq!(a.totals_ns[Phase::Compute.index()], 4_800);
         assert_eq!(a.busy_ns[1], 2_800);
+        assert_eq!(a.executions, 14);
         assert_eq!(a.sample_count(), 16);
     }
 
@@ -603,6 +621,24 @@ mod tests {
         let parsed = json::parse(&text).expect("record must be valid JSON");
         let back = ProfileSummary::from_value(&parsed).expect("round trip");
         assert_eq!(back, s);
+    }
+
+    #[test]
+    fn a_record_without_executions_parses_as_zero() {
+        let s = sample_profile().summary();
+        assert_eq!(s.executions, 7);
+        let Value::Object(fields) = s.to_value() else {
+            panic!("record is an object");
+        };
+        let older = Value::Object(
+            fields
+                .into_iter()
+                .filter(|(k, _)| k != "executions")
+                .collect(),
+        );
+        let back = ProfileSummary::from_value(&older).expect("older record parses");
+        assert_eq!(back.executions, 0);
+        assert_eq!(back.engine_wall_ns, s.engine_wall_ns);
     }
 
     #[test]

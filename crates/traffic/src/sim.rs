@@ -13,10 +13,10 @@
 
 use std::collections::VecDeque;
 
-use congest::engine::{Ctx, Engine, EngineConfig, Inbox, VertexProtocol};
+use congest::engine::{Ctx, Engine, EngineConfig, Inbox, VertexProtocol, Wake};
 use congest::{Network, RunStats, WordSized};
 use graphs::{VertexId, Weight};
-use obs::flight::EdgeLoadMap;
+use obs::flight::{EdgeLoadMap, Load};
 use routing::packet::PacketPlan;
 use routing::scheme::TreeTableKind;
 use routing::{RoutingScheme, RoutingTable};
@@ -228,25 +228,26 @@ pub fn simulate(
     };
 
     let n = network.graph().num_vertices();
-    let mut schedules: Vec<Vec<(u64, TrafficPacket)>> = vec![Vec::new(); n];
+    let mut schedules: Vec<VecDeque<(u64, TrafficPacket)>> = vec![VecDeque::new(); n];
     for (round, src, packet) in injections {
-        schedules[src.index()].push((*round, packet.clone()));
+        schedules[src.index()].push_back((*round, packet.clone()));
     }
     let protos: Vec<TrafficVertex<'_>> = network
         .graph()
         .vertices()
-        .map(|v| TrafficVertex {
+        .zip(schedules)
+        .map(|(v, schedule)| TrafficVertex {
             table: &scheme.tables[v.index()],
             table_words: scheme.tables[v.index()].words(),
-            queues: vec![VecDeque::new(); network.graph().degree(v)],
+            ports: vec![Port::default(); network.graph().degree(v)],
+            queued_packets: 0,
+            queued_words: 0,
             queue_cap: cfg.queue_cap.max(1),
             policy: cfg.policy,
-            schedule: std::mem::take(&mut schedules[v.index()]),
-            cursor: 0,
+            schedule,
             deliveries: Vec::new(),
             dropped_capacity: Vec::new(),
             dropped_stuck: Vec::new(),
-            edge_load: EdgeLoadMap::new(),
             logs: Vec::new(),
             scratch: RoundLog::default(),
         })
@@ -270,7 +271,7 @@ pub fn simulate(
     let mut dropped_capacity = Vec::new();
     let mut dropped_stuck = Vec::new();
     let mut edge_load = EdgeLoadMap::new();
-    for p in protos {
+    for (v, p) in network.graph().vertices().zip(protos) {
         for log in &p.logs {
             let t = &mut series[log.round as usize];
             t.injected += u64::from(log.injected);
@@ -284,7 +285,11 @@ pub fn simulate(
         deliveries.extend(p.deliveries);
         dropped_capacity.extend(p.dropped_capacity);
         dropped_stuck.extend(p.dropped_stuck);
-        edge_load.merge(&p.edge_load);
+        for (arc, port) in network.ports(v).iter().zip(&p.ports) {
+            if port.sent.packets > 0 {
+                edge_load.add(v.0, arc.to.0, port.sent);
+            }
+        }
     }
     // No occupancy carry-over is needed: a vertex with a non-empty queue
     // always sends (flush pops every non-empty port), so every occupied
@@ -299,25 +304,33 @@ pub fn simulate(
     }
 }
 
+/// One outgoing port: its FIFO and what it has transmitted so far.
+#[derive(Clone, Debug, Default)]
+struct Port {
+    queue: VecDeque<TrafficPacket>,
+    sent: Load,
+}
+
 /// Per-vertex protocol: finite FIFO queues per port, one packet per port per
 /// round, open-loop injection from a precomputed schedule.
 #[derive(Clone, Debug)]
 struct TrafficVertex<'s> {
     table: &'s RoutingTable,
-    /// `table.words()`, counted once: the engine meters every vertex every
-    /// round and the table never changes.
+    /// `table.words()`, counted once: the table never changes.
     table_words: usize,
-    /// One FIFO per outgoing port (index into the neighbor list).
-    queues: Vec<VecDeque<TrafficPacket>>,
+    /// Indexed by port (position in the neighbor list).
+    ports: Vec<Port>,
+    /// Packets and words across all queues, kept in step with every push
+    /// and pop so no poll has to walk them.
+    queued_packets: u32,
+    queued_words: usize,
     queue_cap: usize,
     policy: DropPolicy,
-    /// This vertex's injections, sorted by round.
-    schedule: Vec<(u64, TrafficPacket)>,
-    cursor: usize,
+    /// This vertex's pending injections, sorted by round.
+    schedule: VecDeque<(u64, TrafficPacket)>,
     deliveries: Vec<Delivery>,
     dropped_capacity: Vec<u32>,
     dropped_stuck: Vec<u32>,
-    edge_load: EdgeLoadMap,
     logs: Vec<RoundLog>,
     scratch: RoundLog,
 }
@@ -353,12 +366,13 @@ impl TrafficVertex<'_> {
                 };
                 packet.weight += ctx.neighbors()[port].weight;
                 packet.hops += 1;
-                let q = &mut self.queues[port];
+                let q = &mut self.ports[port].queue;
                 if q.len() >= self.queue_cap {
                     let dropped = match self.policy {
                         DropPolicy::TailDrop => packet.id,
                         DropPolicy::OldestDrop => {
                             let oldest = q.pop_front().expect("full queue is non-empty");
+                            self.queued_words = self.queued_words + packet.words() - oldest.words();
                             q.push_back(packet);
                             oldest.id
                         }
@@ -366,6 +380,8 @@ impl TrafficVertex<'_> {
                     self.scratch.dropped_capacity += 1;
                     self.dropped_capacity.push(dropped);
                 } else {
+                    self.queued_packets += 1;
+                    self.queued_words += packet.words();
                     q.push_back(packet);
                 }
             }
@@ -378,9 +394,8 @@ impl TrafficVertex<'_> {
 
     /// Inject every packet scheduled for `round`.
     fn inject(&mut self, ctx: &Ctx<'_, TrafficPacket>, round: u64) {
-        while self.cursor < self.schedule.len() && self.schedule[self.cursor].0 == round {
-            let packet = self.schedule[self.cursor].1.clone();
-            self.cursor += 1;
+        while self.schedule.front().is_some_and(|(due, _)| *due == round) {
+            let (_, packet) = self.schedule.pop_front().expect("front was just seen");
             self.scratch.injected += 1;
             self.classify(ctx, packet, round);
         }
@@ -388,13 +403,21 @@ impl TrafficVertex<'_> {
 
     /// Send the head of every non-empty queue: one packet per port per round.
     fn flush(&mut self, ctx: &mut Ctx<'_, TrafficPacket>) {
-        let me = ctx.me().0;
-        for port in 0..self.queues.len() {
-            if let Some(p) = self.queues[port].pop_front() {
-                let next = ctx.neighbors()[port].to;
-                self.edge_load.record(me, next.0, p.words() as u64);
+        if self.queued_packets == 0 {
+            return;
+        }
+        for (port, arc) in self.ports.iter_mut().zip(ctx.neighbors()) {
+            if let Some(p) = port.queue.pop_front() {
+                let words = p.words();
+                self.queued_packets -= 1;
+                self.queued_words -= words;
+                port.sent.packets += 1;
+                port.sent.words += words as u64;
                 self.scratch.sent += 1;
-                ctx.send(next, p);
+                ctx.send(arc.to, p);
+                if self.queued_packets == 0 {
+                    break;
+                }
             }
         }
     }
@@ -403,12 +426,8 @@ impl TrafficVertex<'_> {
     /// if this round did anything.
     fn close_round(&mut self, round: u64) {
         self.scratch.round = round;
-        self.scratch.queued_packets = self.queues.iter().map(|q| q.len() as u32).sum();
-        self.scratch.queued_words = self
-            .queues
-            .iter()
-            .flat_map(|q| q.iter().map(|p| p.words() as u64))
-            .sum();
+        self.scratch.queued_packets = self.queued_packets;
+        self.scratch.queued_words = self.queued_words as u64;
         let idle = RoundLog {
             round,
             ..RoundLog::default()
@@ -417,13 +436,6 @@ impl TrafficVertex<'_> {
             self.logs.push(self.scratch);
         }
         self.scratch = RoundLog::default();
-    }
-
-    fn queue_words(&self) -> usize {
-        self.queues
-            .iter()
-            .flat_map(|q| q.iter().map(WordSized::words))
-            .sum()
     }
 }
 
@@ -447,20 +459,26 @@ impl VertexProtocol for TrafficVertex<'_> {
     }
 
     fn is_done(&self) -> bool {
-        self.cursor == self.schedule.len() && self.queues.iter().all(VecDeque::is_empty)
+        self.schedule.is_empty() && self.queued_packets == 0
     }
 
-    fn keep_alive(&self) -> bool {
-        // Scheduled future injections must keep the clock ticking even when
-        // no messages are in flight.
-        self.cursor < self.schedule.len()
+    fn wake(&self) -> Wake {
+        if self.queued_packets > 0 {
+            Wake::NextRound
+        } else {
+            // A scheduled injection must keep the clock ticking even when no
+            // messages are in flight.
+            self.schedule
+                .front()
+                .map_or(Wake::OnMessage, |&(due, _)| Wake::At(due))
+        }
     }
 
     fn memory_words(&self) -> usize {
-        self.table_words + self.queue_words()
+        self.table_words + self.queued_words
     }
 
     fn queued_words(&self) -> usize {
-        self.queue_words()
+        self.queued_words
     }
 }

@@ -1056,6 +1056,17 @@ fn print_profile(label: &str, s: &obs::profile::ProfileSummary) {
         "  coverage {:.1}% (coordinator phase tiling over engine wall)",
         s.coverage * 100.0
     );
+    // `s.rounds` is the highest round index of any run folded in, so the
+    // per-round average is only meaningful for a single run.
+    if s.runs == 1 {
+        println!(
+            "  executed {} vertices, {:.1} per round (a round costs what it executes; compare with n)",
+            s.executions,
+            s.executions as f64 / (s.rounds + 1) as f64
+        );
+    } else {
+        println!("  executed {} vertices over {} runs", s.executions, s.runs);
+    }
     if s.worker_stats.len() > 1 {
         for w in &s.worker_stats {
             println!(
