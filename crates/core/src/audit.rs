@@ -130,20 +130,20 @@ impl Attribution {
 /// deliberately *not* through the same `words()` sums `resident_words`
 /// uses — so `exact` is a genuine reconciliation, not a tautology.
 pub fn attribution(scheme: &RoutingScheme) -> Attribution {
-    let n = scheme.tables.len();
+    let n = scheme.num_vertices();
     let mut per_vertex = Vec::with_capacity(n);
     let mut resident = Vec::with_capacity(n);
     let mut exact = true;
-    for v in 0..n {
-        let table = &scheme.tables[v];
-        let label = &scheme.labels[v];
-        let membership = 3 * table.entries.len();
-        let tree_tables: usize = table.entries.iter().map(|e| e.table.words()).sum();
-        let tz_labels = 3 * label.entries.len();
-        let tree_labels: usize = label.entries.iter().map(|e| e.tree_label.words()).sum();
-        let pivots = 2 * scheme.pivot_info[v].len();
+    for v in scheme.vertices() {
+        let table = scheme.table(v).rows();
+        let label = scheme.label(v).rows();
+        let membership = 3 * table.len();
+        let tree_tables: usize = table.iter().map(|e| e.table.words()).sum();
+        let tz_labels = 3 * label.len();
+        let tree_labels: usize = label.iter().map(|e| e.tree_label.words()).sum();
+        let pivots = 2 * scheme.pivots(v).len();
         let split = [membership, tree_tables, tz_labels, tree_labels, pivots];
-        let total = scheme.resident_words(VertexId(v as u32));
+        let total = scheme.resident_words(v);
         exact &= split.iter().sum::<usize>() == total;
         per_vertex.push(split);
         resident.push(total);
@@ -420,18 +420,7 @@ pub fn audit(g: &Graph, scheme: &RoutingScheme, cfg: &AuditConfig) -> AuditOutco
 /// [`audit`] checks, plus the meter cross-check, tree/table consistency,
 /// and hopset path spot checks.
 pub fn audit_built(g: &Graph, built: &Built, cfg: &AuditConfig) -> AuditOutcome {
-    audit_inner(g, built.scheme(), cfg, Some(built))
-}
-
-// A tiny accessor so `audit_built` reads naturally above without borrowing
-// field-by-field at the call site.
-trait BuiltExt {
-    fn scheme(&self) -> &RoutingScheme;
-}
-impl BuiltExt for Built {
-    fn scheme(&self) -> &RoutingScheme {
-        &self.scheme
-    }
+    audit_inner(g, &built.scheme, cfg, Some(built))
 }
 
 fn audit_inner(
@@ -468,18 +457,12 @@ fn audit_inner(
     let mut coverage = InvariantCheck::new("label_coverage");
     let mut self_dist = InvariantCheck::new("self_distance");
     for v in g.vertices() {
-        let label = &scheme.labels[v.index()];
-        let ascending = label.entries.windows(2).all(|w| w[0].level < w[1].level);
-        coverage.note(
-            !label.entries.is_empty() && ascending && label.entries.len() <= k,
-            || {
-                format!(
-                    "{v}: {} label rows, ascending = {ascending}",
-                    label.entries.len()
-                )
-            },
-        );
-        let own = scheme.tables[v.index()].entry(v);
+        let label = scheme.label(v).rows();
+        let ascending = label.windows(2).all(|w| w[0].level < w[1].level);
+        coverage.note(!label.is_empty() && ascending && label.len() <= k, || {
+            format!("{v}: {} label rows, ascending = {ascending}", label.len())
+        });
+        let own = scheme.entry(v, v);
         self_dist.note(own.is_some_and(|e| e.dist == 0), || {
             format!("{v}: own cluster row missing or at nonzero distance")
         });
@@ -492,7 +475,7 @@ fn audit_inner(
     let mut membership = InvariantCheck::new("membership_bound");
     let bound = (4.0 * (n as f64).powf(1.0 / k as f64) * (n as f64).ln().max(1.0)).ceil() as usize;
     for v in g.vertices() {
-        let s = scheme.tables[v.index()].entries.len();
+        let s = scheme.table(v).rows().len();
         membership.note(s <= bound, || {
             format!("{v}: {s} memberships > bound {bound}")
         });
@@ -508,7 +491,7 @@ fn audit_inner(
         // root -> member -> (enter, exit)
         let mut trees: HashMap<VertexId, HashMap<VertexId, (u64, u64)>> = HashMap::new();
         for v in g.vertices() {
-            for e in &scheme.tables[v.index()].entries {
+            for e in scheme.table(v).rows() {
                 if let TreeTableKind::Ours(t) = &e.table {
                     trees
                         .entry(e.root)
@@ -518,7 +501,7 @@ fn audit_inner(
             }
         }
         for v in g.vertices() {
-            for e in &scheme.tables[v.index()].entries {
+            for e in scheme.table(v).rows() {
                 let TreeTableKind::Ours(t) = &e.table else {
                     continue;
                 };
@@ -555,7 +538,7 @@ fn audit_inner(
                 t.members.iter().map(|(&u, info)| (u, info.dist)).collect();
             members.sort_by_key(|&(u, _)| u);
             for (u, dist) in members {
-                let row = scheme.tables[u.index()].entry(t.root);
+                let row = scheme.entry(u, t.root);
                 cross.note(
                     row.is_some_and(|e| e.level == t.level && e.dist == dist),
                     || {
@@ -626,14 +609,13 @@ fn audit_inner(
     // per-source Dijkstra sweeps, so sampled sources price one shortest-path
     // tree each, shared by both audits.
     let mut soundness = InvariantCheck::new("distance_soundness");
-    let oracle = DistanceOracle::new(scheme);
     let probe = routing_probe(g, scheme, cfg, None, |s, exact| {
         for v in g.vertices() {
             let d = exact[v.index()];
             if d == INFINITY {
                 continue;
             }
-            if let Some(e) = scheme.tables[v.index()].entry(s) {
+            if let Some(e) = scheme.entry(v, s) {
                 soundness.note(e.dist >= d, || {
                     format!(
                         "{v}: table row for tree {s} estimates {} < distance {d}",
@@ -641,7 +623,7 @@ fn audit_inner(
                     )
                 });
             }
-            for e in &scheme.labels[v.index()].entries {
+            for e in scheme.label(v).rows() {
                 if e.pivot == s {
                     soundness.note(e.dist >= d, || {
                         format!(
@@ -651,7 +633,7 @@ fn audit_inner(
                     });
                 }
             }
-            for &(p, pd) in &scheme.pivot_info[v.index()] {
+            for &(p, pd) in scheme.pivots(v) {
                 if p == s {
                     soundness.note(pd >= d, || {
                         format!("{v}: pivot estimate {pd} < distance {d} to {s}")
@@ -659,7 +641,6 @@ fn audit_inner(
                 }
             }
         }
-        let _ = &oracle;
     });
     invariants.push(soundness);
 
@@ -884,18 +865,15 @@ pub fn blast_radius(g: &Graph, scheme: &RoutingScheme, overlay: &Overlay) -> u64
             }
             None => false,
         };
-        let tables = scheme.tables[v.index()].entries.iter().any(|e| {
+        let tables = scheme.table(v).rows().iter().any(|e| {
             dead(e.root)
                 || parent_broken(match &e.table {
                     TreeTableKind::Ours(t) => t.parent,
                     TreeTableKind::Prior(b) => b.local.parent,
                 })
         });
-        let labels = scheme.labels[v.index()]
-            .entries
-            .iter()
-            .any(|e| dead(e.pivot));
-        let pivots = scheme.pivot_info[v.index()].iter().any(|&(p, _)| dead(p));
+        let labels = scheme.label(v).rows().iter().any(|e| dead(e.pivot));
+        let pivots = scheme.pivots(v).iter().any(|&(p, _)| dead(p));
         if tables || labels || pivots {
             blasted += 1;
         }
@@ -961,14 +939,9 @@ mod tests {
         // Undershoot one table row's distance estimate drastically.
         let v = g
             .vertices()
-            .find(|&v| {
-                b.scheme.tables[v.index()]
-                    .entries
-                    .iter()
-                    .any(|e| e.dist > 1)
-            })
+            .find(|&v| b.scheme.table(v).rows().iter().any(|e| e.dist > 1))
             .expect("some multi-hop membership");
-        for e in &mut b.scheme.tables[v.index()].entries {
+        for e in b.scheme.table_mut(v).rows_mut() {
             if e.dist > 1 {
                 e.dist = 0;
                 break;
@@ -993,7 +966,7 @@ mod tests {
         let (g, mut b) = built(60, 7005);
         // Give some non-root vertex an interval outside its parent's.
         'outer: for v in g.vertices() {
-            for e in &mut b.scheme.tables[v.index()].entries {
+            for e in b.scheme.table_mut(v).rows_mut() {
                 if let TreeTableKind::Ours(t) = &mut e.table {
                     if t.parent.is_some() {
                         t.enter = u64::MAX - 1;
@@ -1099,7 +1072,7 @@ mod tests {
 
         // Kill the top-level pivot of vertex 0: every vertex whose pivot set,
         // labels, or tables mention it becomes blasted, and v0 certainly does.
-        let top = *b.scheme.pivot_info[0].last().unwrap();
+        let top = *b.scheme.pivots(VertexId(0)).last().unwrap();
         let mut o = Overlay::new(&g);
         o.kill_vertex(top.0);
         let blasted = blast_radius(&g, &b.scheme, &o);
@@ -1110,7 +1083,7 @@ mod tests {
         // Killing a vertex's physical parent edge in some tree blasts that
         // vertex even though every referenced vertex is still alive.
         'outer: for v in g.vertices() {
-            for e in &b.scheme.tables[v.index()].entries {
+            for e in b.scheme.table(v).rows() {
                 let parent = match &e.table {
                     TreeTableKind::Ours(t) => t.parent,
                     TreeTableKind::Prior(bt) => bt.local.parent,

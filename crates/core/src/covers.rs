@@ -21,9 +21,10 @@ use std::collections::HashMap;
 
 use congest::WordSized;
 use graphs::{dist_add, Graph, VertexId, Weight, INFINITY};
-use tree_routing::types::{route_step, RouteAction, TreeLabel, TreeTable};
+use tree_routing::types::{TreeLabel, TreeTable};
 use tree_routing::tz;
 
+use crate::forward::{self, GraphRouteError};
 use crate::sparse::{MemberInfo, SparseTree};
 
 /// One scale's cover.
@@ -283,42 +284,27 @@ pub fn route_cover(
         });
     }
     for entry in &scheme.labels[dst.index()] {
-        // The source must be inside the target's home cluster at this scale.
-        if !scheme.tables[src.index()]
-            .iter()
-            .any(|t| t.scale_idx == entry.scale_idx && t.root == entry.root)
-        {
-            continue;
-        }
-        // Forward hop by hop inside the tree.
-        let mut path = vec![src];
-        let mut weight = 0;
-        let mut cur = src;
-        let cap = 4 * g.num_vertices() + 4;
-        let ok = loop {
-            if path.len() > cap {
-                break false;
-            }
-            let Some(row) = scheme.tables[cur.index()]
+        // The source must be inside the target's home cluster at this scale;
+        // if it is, forward hop by hop inside that cluster's tree.
+        let row_of = |v: VertexId| {
+            scheme.tables[v.index()]
                 .iter()
                 .find(|t| t.scale_idx == entry.scale_idx && t.root == entry.root)
-            else {
-                break false;
-            };
-            match route_step(cur, &row.table, &entry.label) {
-                Some(RouteAction::Deliver) => break true,
-                Some(RouteAction::Forward(next)) => {
-                    let Some(w) = g.edge_weight(cur, next) else {
-                        break false;
-                    };
-                    weight += w;
-                    path.push(next);
-                    cur = next;
-                }
-                None => break false,
-            }
         };
-        if ok {
+        if row_of(src).is_none() {
+            continue;
+        }
+        let mut path = Vec::new();
+        let walked = forward::drive(
+            g,
+            src,
+            |at, ports| {
+                let row = row_of(at).ok_or(GraphRouteError::Stuck(at))?;
+                forward::tree_step(at, &row.table, &entry.label, ports)
+            },
+            |v| path.push(v),
+        );
+        if let Ok((weight, _)) = walked {
             return Some(CoverTrace {
                 path,
                 weight,

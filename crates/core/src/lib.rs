@@ -6,7 +6,8 @@
 //!
 //! * routing **tables** of `Õ(n^{1/k})` words,
 //! * **labels** of `O(k log n)` words,
-//! * **stretch** at most `4k − 5 + o(1)`,
+//! * **stretch** at most `4k − 3 + o(1)` (the paper's final refinement to
+//!   `4k − 5 + o(1)` is not implemented),
 //!
 //! constructible in a distributed manner in `(n^{1/2+1/k} + D) · poly(log n)`
 //! rounds with only `Õ(n^{1/k})` words of memory per vertex — versus the
@@ -25,8 +26,9 @@
 //! 4. [`scheme`] — per-tree exact routing (the Theorem-2 tree scheme from
 //!    the [`tree_routing`] crate, or the prior baseline for comparison),
 //!    assembled into per-vertex [`RoutingTable`]s and [`RoutingLabel`]s.
-//! 5. [`router`] — the routing phase: pick a tree from the target's label,
-//!    forward hop-by-hop, measure stretch.
+//! 5. [`forward`] — the routing phase's one rule: pick a tree from the
+//!    target's label, then step hop by hop; [`router`] runs it in a loop
+//!    and measures stretch.
 //!
 //! # Examples
 //!
@@ -46,6 +48,7 @@
 pub mod audit;
 pub mod clusters;
 pub mod covers;
+pub mod forward;
 pub mod hierarchy;
 pub mod oracle;
 pub mod packet;

@@ -4,7 +4,7 @@
 //! The scheme already stores everything the oracle needs: each vertex's
 //! *bunch with distances* (the table: every tree containing it, with the
 //! estimate to the root) and its per-level pivots
-//! ([`RoutingScheme::pivot_info`]). The classical alternating query then
+//! ([`RoutingScheme::pivots`]). The classical alternating query then
 //! returns a distance estimate with stretch at most `2k − 1` (+`o(1)` from
 //! the approximate clusters/pivots) — without touching the graph.
 //!
@@ -56,12 +56,12 @@ impl<'a> DistanceOracle<'a> {
         let mut d_xw: Weight = 0;
         let mut i = 0usize;
         loop {
-            if let Some(e) = self.scheme.tables[y.index()].entry(w) {
+            if let Some(e) = self.scheme.entry(y, w) {
                 return d_xw.saturating_add(e.dist);
             }
             i += 1;
             std::mem::swap(&mut x, &mut y);
-            match self.scheme.pivot_info[x.index()].get(i) {
+            match self.scheme.pivots(x).get(i) {
                 Some(&(p, d)) => {
                     w = p;
                     d_xw = d;
@@ -74,7 +74,7 @@ impl<'a> DistanceOracle<'a> {
     /// Words of oracle-specific state at `v` beyond the routing table
     /// (the pivot list).
     pub fn extra_words(&self, v: VertexId) -> usize {
-        2 * self.scheme.pivot_info[v.index()].len()
+        2 * self.scheme.pivots(v).len()
     }
 }
 

@@ -1,8 +1,9 @@
 //! The routing phase as a *real* CONGEST protocol.
 //!
 //! [`crate::router`] walks the forwarding rule centrally (fast, used for
-//! stretch measurement). This module runs the same rule as a genuine
-//! message-passing protocol on the [`congest::Engine`]: each vertex's state
+//! stretch measurement). This module runs the same rule — the same
+//! [`crate::forward`] kernel — as a genuine message-passing protocol on the
+//! [`congest::Engine`]: each vertex's state
 //! is exactly its routing table, and the packet on the wire carries exactly
 //! `Header(M) = (tree root, accumulated weight)` plus the target's tree
 //! label — `O(log n)` words, checked against the engine's congestion meter.
@@ -26,49 +27,11 @@ use std::collections::VecDeque;
 use congest::engine::{Ctx, Engine, EngineConfig, Inbox, VertexProtocol};
 use congest::{Network, RunStats, WordSized};
 use graphs::{VertexId, Weight};
-use obs::flight::{EdgeLoadMap, HopKind, HopRecord, PacketTrace, VertexLoadMap};
-use tree_routing::types::{route_decision, ForwardingDecision, TreeLabel};
+use obs::flight::{EdgeLoadMap, HopRecord, PacketTrace, VertexLoadMap};
+use tree_routing::types::TreeLabel;
 
-use crate::scheme::{LabelEntry, RoutingScheme, RoutingTable, TreeLabelKind, TreeTableKind};
-
-/// The flight-recorder view of a [`ForwardingDecision`]'s kind.
-fn hop_kind(decision: &ForwardingDecision) -> Option<HopKind> {
-    match decision {
-        ForwardingDecision::Deliver => None,
-        ForwardingDecision::Ascend(_) => Some(HopKind::Ascent),
-        ForwardingDecision::DescendLight(_) => Some(HopKind::DescentLight),
-        ForwardingDecision::DescendHeavy(_) => Some(HopKind::DescentHeavy),
-    }
-}
-
-/// The source decision, shared by every send variant: the valid label entry
-/// of `dst` minimizing the estimated round trip from `src`.
-fn choose_entry(scheme: &RoutingScheme, src: VertexId, dst: VertexId) -> Option<&LabelEntry> {
-    let label = &scheme.labels[dst.index()];
-    let src_table = &scheme.tables[src.index()];
-    let mut chosen: Option<(&LabelEntry, Weight)> = None;
-    for e in &label.entries {
-        if let Some(te) = src_table.entry(e.pivot) {
-            let cost = te.dist.saturating_add(e.dist);
-            if chosen.is_none_or(|(_, c)| cost < c) {
-                chosen = Some((e, cost));
-            }
-        }
-    }
-    chosen.map(|(e, _)| e)
-}
-
-/// The paper's tree label out of a [`LabelEntry`].
-///
-/// # Panics
-///
-/// Panics if the scheme was built in prior-baseline mode.
-fn ours_label(entry: &LabelEntry) -> &TreeLabel {
-    let TreeLabelKind::Ours(tree_label) = &entry.tree_label else {
-        panic!("packet simulation supports the paper's tree scheme only");
-    };
-    tree_label
-}
+use crate::forward::{self, GraphRouteError, Selection, Step, TreeAddress};
+use crate::scheme::{RoutingScheme, RoutingTable, TreeLabelKind};
 
 /// The source-side routing decision for one packet, fixed at injection
 /// time: the tree the source commits to and the destination's label in it.
@@ -97,8 +60,9 @@ impl PacketPlan {
     }
 }
 
-/// Plan a packet from `src` to `dst`: the source-optimal tree choice shared
-/// by every send variant, exposed for incremental per-round injection.
+/// Plan a packet from `src` to `dst`: the source-optimal tree choice every
+/// send variant makes through this function, exposed for incremental
+/// per-round injection.
 /// Returns `None` when no label entry of `dst` names a tree containing
 /// `src` (the pair is undeliverable).
 ///
@@ -106,16 +70,25 @@ impl PacketPlan {
 ///
 /// Panics if the scheme was built in prior-baseline mode.
 pub fn plan(scheme: &RoutingScheme, src: VertexId, dst: VertexId) -> Option<PacketPlan> {
-    let entry = choose_entry(scheme, src, dst)?;
-    let src_table = &scheme.tables[src.index()];
-    let est_cost = src_table
-        .entry(entry.pivot)
-        .map(|te| te.dist.saturating_add(entry.dist))
-        .expect("chosen entry's pivot is in the source table");
+    let header = forward::select(scheme, src, dst, Selection::SourceOptimal)?;
+    let TreeLabelKind::Ours(label) = &header.entry.tree_label else {
+        panic!("packet simulation supports the paper's tree scheme only");
+    };
     Some(PacketPlan {
-        tree_root: entry.pivot,
-        label: ours_label(entry).clone(),
-        est_cost,
+        tree_root: header.entry.pivot,
+        label: label.clone(),
+        est_cost: header.cost,
+    })
+}
+
+/// An empty flight record for a packet about to be sent under `plan`.
+fn new_trace(src: VertexId, dst: VertexId, plan: &PacketPlan) -> Box<PacketTrace> {
+    Box::new(PacketTrace {
+        src: src.0,
+        dst: dst.0,
+        tree_root: plan.tree_root.0,
+        delivered_round: None,
+        hops: Vec::new(),
     })
 }
 
@@ -156,12 +129,10 @@ pub enum PacketOutcome {
         /// Weight the header accumulated (equals the routed path weight).
         weight: Weight,
     },
-    /// No label entry of the target names a tree containing the source
-    /// (disconnected pair); nothing was injected.
-    NoCommonTree,
-    /// The forwarding rule got stuck mid-route at this vertex (missing
-    /// table row or port — a construction bug, not a traffic condition).
-    Stuck(VertexId),
+    /// The walk failed exactly as the central router's would:
+    /// [`GraphRouteError::NoCommonTree`] means nothing was injected, the
+    /// other errors name a construction bug, not a traffic condition.
+    Failed(GraphRouteError),
 }
 
 impl PacketOutcome {
@@ -202,8 +173,9 @@ impl PacketReport {
 pub struct PacketFlight {
     /// The simulation result, identical to the untraced [`send`]'s.
     pub report: PacketReport,
-    /// The hop-by-hop journey. Present whenever the packet was injected
-    /// (delivered *or* stuck); `None` only for [`PacketOutcome::NoCommonTree`].
+    /// The hop-by-hop journey. Present whenever the packet came to rest
+    /// (delivered *or* stuck); `None` when nothing was injected or the packet
+    /// was still circling at the hop cap.
     pub trace: Option<PacketTrace>,
 }
 
@@ -218,58 +190,45 @@ struct PacketVertex<'s> {
     delivered: Option<(u64, Weight)>,
     /// The packet to inject at init (source only).
     inject: Option<Packet>,
-    failed: Option<VertexId>,
+    failed: Option<GraphRouteError>,
     /// The journey extracted at delivery or failure (traced runs only).
     trace_out: Option<PacketTrace>,
 }
 
 impl PacketVertex<'_> {
-    fn fail(&mut self, me: VertexId, packet: &mut Packet) {
-        self.failed = Some(me);
-        self.trace_out = packet.trace.take().map(|t| *t);
-    }
-
     fn handle(&mut self, ctx: &mut Ctx<'_, Packet>, mut packet: Packet) {
         let me = ctx.me();
-        let Some(entry) = self.table.entry(packet.tree_root) else {
-            self.fail(me, &mut packet);
-            return;
-        };
-        let TreeTableKind::Ours(table) = &entry.table else {
-            self.fail(me, &mut packet);
-            return;
-        };
-        match route_decision(me, table, &packet.label) {
-            Some(ForwardingDecision::Deliver) => {
+        let label = TreeAddress::Ours(&packet.label);
+        match forward::step(self.table, me, packet.tree_root, label, ctx.neighbors()) {
+            Ok(Step::Deliver) => {
                 self.delivered = Some((ctx.round(), packet.weight));
                 if let Some(mut trace) = packet.trace.take() {
                     trace.delivered_round = Some(ctx.round());
                     self.trace_out = Some(*trace);
                 }
             }
-            Some(decision) => {
-                let next = decision.next_hop().expect("forwarding decision");
-                let Some(port) = ctx.neighbors().iter().position(|a| a.to == next) else {
-                    self.fail(me, &mut packet);
-                    return;
-                };
+            Ok(Step::Forward { port, kind }) => {
+                let arc = ctx.neighbors()[port];
                 let header_words = packet.words();
-                packet.weight += ctx.neighbors()[port].weight;
+                packet.weight += arc.weight;
                 if let Some(trace) = packet.trace.as_mut() {
                     trace.hops.push(HopRecord {
                         round: ctx.round(),
                         vertex: me.0,
                         port,
-                        next: next.0,
-                        kind: hop_kind(&decision).expect("forwarding hop"),
+                        next: arc.to.0,
+                        kind: kind.expect("the paper's rule names its branch"),
                         queue_delay: 0,
                         weight: packet.weight,
                         header_words,
                     });
                 }
-                ctx.send(next, packet);
+                ctx.send(arc.to, packet);
             }
-            None => self.fail(me, &mut packet),
+            Err(err) => {
+                self.failed = Some(err);
+                self.trace_out = packet.trace.take().map(|t| *t);
+            }
         }
     }
 }
@@ -371,10 +330,10 @@ fn send_inner(
     traced: bool,
     threads: usize,
 ) -> PacketFlight {
-    let Some(entry) = choose_entry(scheme, src, dst) else {
+    let Some(plan) = plan(scheme, src, dst) else {
         return PacketFlight {
             report: PacketReport {
-                outcome: PacketOutcome::NoCommonTree,
+                outcome: PacketOutcome::Failed(GraphRouteError::NoCommonTree),
                 packet_words: 0,
                 stats: RunStats::default(),
             },
@@ -382,18 +341,10 @@ fn send_inner(
         };
     };
     let packet = Packet {
-        tree_root: entry.pivot,
+        tree_root: plan.tree_root,
         weight: 0,
-        label: ours_label(entry).clone(),
-        trace: traced.then(|| {
-            Box::new(PacketTrace {
-                src: src.0,
-                dst: dst.0,
-                tree_root: entry.pivot.0,
-                delivered_round: None,
-                hops: Vec::new(),
-            })
-        }),
+        trace: traced.then(|| new_trace(src, dst, &plan)),
+        label: plan.label,
     };
     let packet_words = packet.words();
 
@@ -401,8 +352,8 @@ fn send_inner(
         .graph()
         .vertices()
         .map(|v| PacketVertex {
-            table: &scheme.tables[v.index()],
-            table_words: scheme.tables[v.index()].words(),
+            table: scheme.table(v),
+            table_words: scheme.table(v).words(),
             delivered: None,
             inject: (v == src).then(|| packet.clone()),
             failed: None,
@@ -412,17 +363,21 @@ fn send_inner(
     let engine = Engine::with_config(EngineConfig {
         // The packet is the message; its size is the legal per-edge budget.
         edge_words_per_round: packet_words,
+        // One packet moves one hop per round, so the hop cap is a round cap.
+        max_rounds: forward::hop_cap(network.len()) as u64,
         threads,
         ..EngineConfig::default()
     });
     let (mut protos, stats) = engine.run(network, protos);
-    let delivered = protos.iter().find_map(|p| p.delivered);
-    let outcome = match delivered {
+    let outcome = match protos.iter().find_map(|p| p.delivered) {
         Some((rounds, weight)) => PacketOutcome::Delivered { rounds, weight },
-        None => {
-            let stuck_at = protos.iter().find_map(|p| p.failed).unwrap_or(src);
-            PacketOutcome::Stuck(stuck_at)
-        }
+        // Neither delivered nor failed: still circling when the cap hit.
+        None => PacketOutcome::Failed(
+            protos
+                .iter()
+                .find_map(|p| p.failed)
+                .unwrap_or(GraphRouteError::Loop),
+        ),
     };
     let trace = protos.iter_mut().find_map(|p| p.trace_out.take());
     PacketFlight {
@@ -479,63 +434,53 @@ struct LoadedVertex<'s> {
     inject: Vec<LoadedPacket>,
     /// Ids of packets dropped here by a stuck rule or missing entry.
     dropped: Vec<u32>,
-    /// Completed journeys (delivered or dropped here; traced runs only).
-    traces_out: Vec<PacketTrace>,
+    /// Completed journeys by packet id (delivered or dropped here; traced
+    /// runs only).
+    traces_out: Vec<(u32, PacketTrace)>,
 }
 
 impl LoadedVertex<'_> {
     fn drop_packet(&mut self, packet: &mut LoadedPacket) {
         self.dropped.push(packet.id);
         if let Some(trace) = packet.trace.take() {
-            self.traces_out.push(*trace);
+            self.traces_out.push((packet.id, *trace));
         }
     }
 
     fn classify(&mut self, ctx: &Ctx<'_, LoadedPacket>, mut packet: LoadedPacket, round: u64) {
         let me = ctx.me();
-        let decision = self
-            .table
-            .entry(packet.tree_root)
-            .and_then(|entry| match &entry.table {
-                TreeTableKind::Ours(t) => route_decision(me, t, &packet.label),
-                TreeTableKind::Prior(_) => None,
-            });
-        match decision {
-            Some(ForwardingDecision::Deliver) => {
+        let label = TreeAddress::Ours(&packet.label);
+        match forward::step(self.table, me, packet.tree_root, label, ctx.neighbors()) {
+            Ok(Step::Deliver) => {
                 self.delivered.push((packet.id, round, packet.weight));
                 if let Some(mut trace) = packet.trace.take() {
                     trace.delivered_round = Some(round);
-                    self.traces_out.push(*trace);
+                    self.traces_out.push((packet.id, *trace));
                 }
             }
-            Some(decision) => {
-                let next = decision.next_hop().expect("forwarding decision");
-                match ctx.neighbors().iter().position(|a| a.to == next) {
-                    Some(port) => {
-                        let header_words = packet.words();
-                        packet.weight += ctx.neighbors()[port].weight;
-                        if let Some(trace) = packet.trace.as_mut() {
-                            // Round and queue delay are finalized at flush,
-                            // once the send round is known.
-                            trace.hops.push(HopRecord {
-                                round,
-                                vertex: me.0,
-                                port,
-                                next: next.0,
-                                kind: hop_kind(&decision).expect("forwarding hop"),
-                                queue_delay: 0,
-                                weight: packet.weight,
-                                header_words,
-                            });
-                        }
-                        self.queued_packets += 1;
-                        self.queued_words += packet.words();
-                        self.queues[port].push_back((packet, round));
-                    }
-                    None => self.drop_packet(&mut packet),
+            Ok(Step::Forward { port, kind }) => {
+                let arc = ctx.neighbors()[port];
+                let header_words = packet.words();
+                packet.weight += arc.weight;
+                if let Some(trace) = packet.trace.as_mut() {
+                    // Round and queue delay are finalized at flush, once
+                    // the send round is known.
+                    trace.hops.push(HopRecord {
+                        round,
+                        vertex: me.0,
+                        port,
+                        next: arc.to.0,
+                        kind: kind.expect("the paper's rule names its branch"),
+                        queue_delay: 0,
+                        weight: packet.weight,
+                        header_words,
+                    });
                 }
+                self.queued_packets += 1;
+                self.queued_words += packet.words();
+                self.queues[port].push_back((packet, round));
             }
-            None => self.drop_packet(&mut packet),
+            Err(_) => self.drop_packet(&mut packet),
         }
     }
 
@@ -762,7 +707,7 @@ fn send_many_inner(
     let mut outcomes = vec![DeliveryStatus::Undeliverable; pairs.len()];
     let mut max_words: Option<usize> = None;
     for (id, &(src, dst)) in pairs.iter().enumerate() {
-        let Some(entry) = choose_entry(scheme, src, dst) else {
+        let Some(plan) = plan(scheme, src, dst) else {
             continue; // stays Undeliverable
         };
         // Injected packets default to Dropped until a delivery proves
@@ -770,18 +715,10 @@ fn send_many_inner(
         outcomes[id] = DeliveryStatus::Dropped;
         let packet = LoadedPacket {
             id: id as u32,
-            tree_root: entry.pivot,
+            tree_root: plan.tree_root,
             weight: 0,
-            label: ours_label(entry).clone(),
-            trace: traced.then(|| {
-                Box::new(PacketTrace {
-                    src: src.0,
-                    dst: dst.0,
-                    tree_root: entry.pivot.0,
-                    delivered_round: None,
-                    hops: Vec::new(),
-                })
-            }),
+            trace: traced.then(|| new_trace(src, dst, &plan)),
+            label: plan.label,
         };
         max_words = Some(max_words.unwrap_or(0).max(packet.words()));
         inject[src.index()].push(packet);
@@ -816,8 +753,8 @@ fn send_many_inner(
         .graph()
         .vertices()
         .map(|v| LoadedVertex {
-            table: &scheme.tables[v.index()],
-            table_words: scheme.tables[v.index()].words(),
+            table: scheme.table(v),
+            table_words: scheme.table(v).words(),
             queues: vec![VecDeque::new(); network.graph().degree(v)],
             queued_packets: 0,
             queued_words: 0,
@@ -844,11 +781,10 @@ fn send_many_inner(
         for &(id, round, weight) in &p.delivered {
             outcomes[id as usize] = DeliveryStatus::Delivered { round, weight };
         }
-        for trace in p.traces_out {
+        for (id, trace) in p.traces_out {
             edge_load.record_trace(&trace);
             vertex_load.record_trace(&trace);
-            let id = find_trace_id(&trace, pairs, &traces);
-            traces[id] = Some(trace);
+            traces[id as usize] = Some(trace);
         }
     }
     LoadFlight {
@@ -862,23 +798,6 @@ fn send_many_inner(
         edge_load,
         vertex_load,
     }
-}
-
-/// Match a completed trace back to its submission index. Traces do not
-/// carry the batch id (it lives in the packet header, which is consumed at
-/// delivery), so match on `(src, dst)` among still-unassigned slots —
-/// duplicates of the same pair take identical journeys, making any
-/// assignment among them equivalent.
-fn find_trace_id(
-    trace: &PacketTrace,
-    pairs: &[(VertexId, VertexId)],
-    assigned: &[Option<PacketTrace>],
-) -> usize {
-    pairs
-        .iter()
-        .enumerate()
-        .position(|(i, &(s, d))| s.0 == trace.src && d.0 == trace.dst && assigned[i].is_none())
-        .expect("every trace stems from a submitted pair")
 }
 
 #[cfg(test)]
@@ -976,7 +895,10 @@ mod tests {
         let built = build(&g, &BuildParams::new(2), &mut rng);
         let net = Network::new(g);
         let report = send(&net, &built.scheme, VertexId(0), VertexId(3));
-        assert_eq!(report.outcome, PacketOutcome::NoCommonTree);
+        assert_eq!(
+            report.outcome,
+            PacketOutcome::Failed(GraphRouteError::NoCommonTree)
+        );
         assert_eq!(report.packet_words, 0);
         let flight = send_traced(&net, &built.scheme, VertexId(0), VertexId(3));
         assert!(flight.trace.is_none(), "nothing was injected");
@@ -1213,12 +1135,6 @@ mod tests {
     fn vertex_memory_equals_its_table() {
         let (net, scheme) = setup(50, 605);
         let report = send(&net, &scheme, VertexId(1), VertexId(40));
-        let max_table = scheme
-            .tables
-            .iter()
-            .map(congest::WordSized::words)
-            .max()
-            .unwrap();
-        assert_eq!(report.stats.memory.max_peak(), max_table);
+        assert_eq!(report.stats.memory.max_peak(), scheme.max_table_words());
     }
 }

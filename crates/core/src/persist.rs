@@ -278,10 +278,11 @@ pub fn encode_scheme(s: &RoutingScheme) -> Result<Vec<u8>, PersistError> {
             Mode::DistributedPrior => unreachable!("rejected above"),
         },
     );
-    write_varint(&mut buf, s.tables.len() as u64);
-    for table in &s.tables {
-        write_varint(&mut buf, table.entries.len() as u64);
-        for e in &table.entries {
+    write_varint(&mut buf, s.num_vertices() as u64);
+    for v in s.vertices() {
+        let rows = s.table(v).rows();
+        write_varint(&mut buf, rows.len() as u64);
+        for e in rows {
             let TreeTableKind::Ours(t) = &e.table else {
                 return Err(PersistError::UnsupportedMode);
             };
@@ -291,9 +292,10 @@ pub fn encode_scheme(s: &RoutingScheme) -> Result<Vec<u8>, PersistError> {
             write_tree_table(&mut buf, t);
         }
     }
-    for label in &s.labels {
-        write_varint(&mut buf, label.entries.len() as u64);
-        for e in &label.entries {
+    for v in s.vertices() {
+        let rows = s.label(v).rows();
+        write_varint(&mut buf, rows.len() as u64);
+        for e in rows {
             let TreeLabelKind::Ours(l) = &e.tree_label else {
                 return Err(PersistError::UnsupportedMode);
             };
@@ -303,7 +305,8 @@ pub fn encode_scheme(s: &RoutingScheme) -> Result<Vec<u8>, PersistError> {
             write_tree_label(&mut buf, l);
         }
     }
-    for pivots in &s.pivot_info {
+    for v in s.vertices() {
+        let pivots = s.pivots(v);
         write_varint(&mut buf, pivots.len() as u64);
         for &(p, d) in pivots {
             write_varint(&mut buf, u64::from(p.0));
@@ -352,7 +355,7 @@ pub fn decode_scheme(buf: &[u8]) -> Result<RoutingScheme, PersistError> {
                 table: TreeTableKind::Ours(t),
             });
         }
-        tables.push(RoutingTable { entries });
+        tables.push(RoutingTable::from_rows(entries));
     }
     let mut labels = Vec::with_capacity(n);
     for _ in 0..n {
@@ -373,7 +376,7 @@ pub fn decode_scheme(buf: &[u8]) -> Result<RoutingScheme, PersistError> {
                 tree_label: TreeLabelKind::Ours(l),
             });
         }
-        labels.push(RoutingLabel { entries });
+        labels.push(RoutingLabel::from_rows(entries));
     }
     let mut pivot_info = Vec::with_capacity(n);
     for _ in 0..n {
@@ -392,13 +395,9 @@ pub fn decode_scheme(buf: &[u8]) -> Result<RoutingScheme, PersistError> {
     if pos != buf.len() {
         return Err(PersistError::Malformed);
     }
-    Ok(RoutingScheme {
-        k,
-        mode,
-        tables,
-        labels,
-        pivot_info,
-    })
+    Ok(RoutingScheme::from_parts(
+        k, mode, tables, labels, pivot_info,
+    ))
 }
 
 #[cfg(test)]
@@ -425,8 +424,8 @@ mod tests {
         assert_eq!(back.k, s.k);
         assert_eq!(back.mode, s.mode);
         for v in g.vertices() {
-            assert_eq!(back.tables[v.index()].entries, s.tables[v.index()].entries);
-            assert_eq!(back.pivot_info[v.index()], s.pivot_info[v.index()]);
+            assert_eq!(back.table(v).rows(), s.table(v).rows());
+            assert_eq!(back.pivots(v), s.pivots(v));
         }
         // Routing through the reloaded scheme gives identical traces.
         for (a, b) in [(0u32, 59u32), (17, 33)] {
@@ -495,9 +494,9 @@ mod tests {
         assert_eq!(back.k, s.k);
         assert_eq!(back.mode, s.mode);
         for v in g.vertices() {
-            assert_eq!(back.tables[v.index()].entries, s.tables[v.index()].entries);
-            assert_eq!(back.labels[v.index()].entries, s.labels[v.index()].entries);
-            assert_eq!(back.pivot_info[v.index()], s.pivot_info[v.index()]);
+            assert_eq!(back.table(v).rows(), s.table(v).rows());
+            assert_eq!(back.label(v).rows(), s.label(v).rows());
+            assert_eq!(back.pivots(v), s.pivots(v));
         }
     }
 
@@ -508,7 +507,7 @@ mod tests {
         std::fs::write(&path, encode_scheme(&s).unwrap()).unwrap();
         let back = load_scheme_from(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        assert_eq!(back.tables.len(), s.tables.len());
+        assert_eq!(back.num_vertices(), s.num_vertices());
     }
 
     #[test]
@@ -558,15 +557,7 @@ mod tests {
     fn encoding_is_compact() {
         let (_, s) = scheme(100, 1105);
         let bytes = encode_scheme(&s).unwrap();
-        let words: usize = s
-            .tables
-            .iter()
-            .map(congest::WordSized::words)
-            .sum::<usize>()
-            + s.labels
-                .iter()
-                .map(congest::WordSized::words)
-                .sum::<usize>();
+        let words: usize = s.vertices().map(|v| s.resident_words(v)).sum();
         assert!(
             bytes.len() < 8 * words,
             "varint encoding ({} bytes) should beat raw words ({} bytes)",

@@ -4,32 +4,17 @@
 //! The sender inspects the target's label, keeps the entries whose pivot
 //! tree it belongs to itself, and commits to one tree (the header). Every
 //! subsequent vertex applies its stored tree-routing rule for that tree.
+//! Both halves live in [`crate::forward`]; this module is that kernel in a
+//! loop, collecting the path, plus the stretch measurement built on it.
 //! [`Selection::SourceOptimal`] picks the valid entry minimizing the
-//! estimated round trip `d̂(u, w) + d̂(w, v)` — the paper's `4k−5` refinement
-//! of the first-valid `4k−3` rule.
+//! estimated round trip `d̂(u, w) + d̂(w, v)`: never a worse estimate than
+//! the first-valid rule, under the same `4k − 3` guarantee.
 
 use graphs::{Graph, VertexId, Weight, INFINITY};
-use std::fmt;
-use tree_routing::baseline;
-use tree_routing::types::{route_step, RouteAction};
 
-use crate::scheme::{RoutingScheme, TreeLabelKind, TreeTableKind};
-
-/// How the source picks among valid label entries.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Selection {
-    /// Lowest valid level (the classical `4k − 3` argument).
-    FirstValid,
-    /// Minimize `d̂(u, w) + d̂(w, v)` over valid entries (`4k − 5`-style).
-    SourceOptimal,
-    /// Handshake: the endpoints probe every tree shared through the target's
-    /// label and commit to the one whose *realized* route is shortest. This
-    /// is a measured upper-bound improvement over [`Selection::SourceOptimal`]
-    /// (never worse, typically slightly better); Thorup–Zwick's full
-    /// handshaking variant (stretch `2k − 1`) additionally meets at
-    /// source-side pivots and is not implemented.
-    Handshake,
-}
+use crate::forward::{self, Header};
+pub use crate::forward::{GraphRouteError, Selection};
+use crate::scheme::RoutingScheme;
 
 /// A completed route.
 #[derive(Clone, Debug)]
@@ -50,40 +35,6 @@ impl GraphRouteTrace {
         self.path.len() - 1
     }
 }
-
-/// Why routing failed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum GraphRouteError {
-    /// No label entry's tree contains the source (disconnected pair, or a
-    /// construction bug — tests treat it as such).
-    NoCommonTree,
-    /// The per-tree rule got stuck at this vertex.
-    Stuck(VertexId),
-    /// A vertex forwarded to a non-neighbor or a vertex without a table row.
-    BadForward {
-        /// Forwarding vertex.
-        from: VertexId,
-        /// Claimed next hop.
-        to: VertexId,
-    },
-    /// Exceeded the hop cap — a forwarding loop.
-    Loop,
-}
-
-impl fmt::Display for GraphRouteError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GraphRouteError::NoCommonTree => write!(f, "no tree contains both endpoints"),
-            GraphRouteError::Stuck(v) => write!(f, "routing rule stuck at {v}"),
-            GraphRouteError::BadForward { from, to } => {
-                write!(f, "{from} forwarded to invalid hop {to}")
-            }
-            GraphRouteError::Loop => write!(f, "forwarding loop"),
-        }
-    }
-}
-
-impl std::error::Error for GraphRouteError {}
 
 /// Route with [`Selection::SourceOptimal`].
 ///
@@ -119,94 +70,28 @@ pub fn route_with(
             level: 0,
         });
     }
-    // The sender's decision: valid entries are those whose pivot tree it
-    // belongs to.
-    let label = &scheme.labels[dst.index()];
-    let src_table = &scheme.tables[src.index()];
+    let in_tree = |header: Header<'_>| {
+        let mut path = Vec::new();
+        let (weight, _) = forward::walk(g, scheme, src, &header, |v| path.push(v))?;
+        Ok(GraphRouteTrace {
+            path,
+            weight,
+            tree_root: header.entry.pivot,
+            level: header.entry.level,
+        })
+    };
     if selection == Selection::Handshake {
         // Probe every shared tree and keep the best realized route.
         let mut best: Option<GraphRouteTrace> = None;
-        for e in &label.entries {
-            if src_table.entry(e.pivot).is_none() {
-                continue;
-            }
-            let trace = route_in_tree(g, scheme, src, e)?;
+        for header in forward::candidates(scheme, src, dst) {
+            let trace = in_tree(header)?;
             if best.as_ref().is_none_or(|b| trace.weight < b.weight) {
                 best = Some(trace);
             }
         }
         return best.ok_or(GraphRouteError::NoCommonTree);
     }
-    let mut chosen: Option<(&crate::scheme::LabelEntry, Weight)> = None;
-    for e in &label.entries {
-        let Some(te) = src_table.entry(e.pivot) else {
-            continue;
-        };
-        let cost = te.dist.saturating_add(e.dist);
-        match selection {
-            Selection::FirstValid => {
-                chosen = Some((e, cost));
-                break;
-            }
-            Selection::SourceOptimal => {
-                if chosen.is_none_or(|(_, c)| cost < c) {
-                    chosen = Some((e, cost));
-                }
-            }
-            Selection::Handshake => unreachable!("handled above"),
-        }
-    }
-    let (entry, _) = chosen.ok_or(GraphRouteError::NoCommonTree)?;
-    route_in_tree(g, scheme, src, entry)
-}
-
-/// Hop-by-hop forwarding inside the tree the label `entry` names.
-fn route_in_tree(
-    g: &Graph,
-    scheme: &RoutingScheme,
-    src: VertexId,
-    entry: &crate::scheme::LabelEntry,
-) -> Result<GraphRouteTrace, GraphRouteError> {
-    let w = entry.pivot;
-    let mut path = vec![src];
-    let mut weight: Weight = 0;
-    let mut cur = src;
-    let cap = 4 * g.num_vertices() + 4;
-    loop {
-        if path.len() > cap {
-            return Err(GraphRouteError::Loop);
-        }
-        let te = scheme.tables[cur.index()]
-            .entry(w)
-            .ok_or(GraphRouteError::Stuck(cur))?;
-        let action = match (&te.table, &entry.tree_label) {
-            (TreeTableKind::Ours(t), TreeLabelKind::Ours(l)) => route_step(cur, t, l),
-            (TreeTableKind::Prior(t), TreeLabelKind::Prior(l)) => baseline::decide(cur, t, l),
-            _ => None, // mixed kinds cannot arise from one build
-        }
-        .ok_or(GraphRouteError::Stuck(cur))?;
-        match action {
-            RouteAction::Deliver => {
-                return Ok(GraphRouteTrace {
-                    path,
-                    weight,
-                    tree_root: w,
-                    level: entry.level,
-                });
-            }
-            RouteAction::Forward(next) => {
-                let Some(ew) = g.edge_weight(cur, next) else {
-                    return Err(GraphRouteError::BadForward {
-                        from: cur,
-                        to: next,
-                    });
-                };
-                weight += ew;
-                path.push(next);
-                cur = next;
-            }
-        }
-    }
+    in_tree(forward::select(scheme, src, dst, selection).ok_or(GraphRouteError::NoCommonTree)?)
 }
 
 /// Stretch statistics over sampled pairs.
@@ -477,8 +362,8 @@ mod tests {
         let built = build(&g, &BuildParams::new(2), &mut rng);
         let trace = route(&g, &built.scheme, VertexId(1), VertexId(40)).unwrap();
         // The committed tree root must appear in both endpoints' views.
-        assert!(built.scheme.tables[1].entry(trace.tree_root).is_some());
-        let label = &built.scheme.labels[40];
-        assert!(label.entries.iter().any(|e| e.pivot == trace.tree_root));
+        assert!(built.scheme.entry(VertexId(1), trace.tree_root).is_some());
+        let label = built.scheme.label(VertexId(40));
+        assert!(label.rows().iter().any(|e| e.pivot == trace.tree_root));
     }
 }

@@ -168,16 +168,33 @@ impl WordSized for TableEntry {
 #[derive(Clone, Debug, Default)]
 pub struct RoutingTable {
     /// Rows, sorted by `root`.
-    pub entries: Vec<TableEntry>,
+    entries: Vec<TableEntry>,
 }
 
 impl RoutingTable {
+    /// A table holding `rows`, which lookups expect sorted by `root`.
+    pub fn from_rows(rows: Vec<TableEntry>) -> Self {
+        RoutingTable { entries: rows }
+    }
+
+    /// Every row, ascending by root.
+    pub fn rows(&self) -> &[TableEntry] {
+        &self.entries
+    }
+
     /// The row for tree `root`, if this vertex is in that tree.
+    #[inline]
     pub fn entry(&self, root: VertexId) -> Option<&TableEntry> {
         self.entries
             .binary_search_by_key(&root, |e| e.root)
             .ok()
             .map(|i| &self.entries[i])
+    }
+
+    /// The rows, open to in-place corruption (fault injection only; to
+    /// drop rows, replace the table with [`Self::from_rows`]).
+    pub fn rows_mut(&mut self) -> &mut [TableEntry] {
+        &mut self.entries
     }
 }
 
@@ -210,7 +227,25 @@ impl WordSized for LabelEntry {
 #[derive(Clone, Debug, Default)]
 pub struct RoutingLabel {
     /// Rows, ascending by `level`.
-    pub entries: Vec<LabelEntry>,
+    entries: Vec<LabelEntry>,
+}
+
+impl RoutingLabel {
+    /// A label holding `rows`, ascending by level.
+    pub fn from_rows(rows: Vec<LabelEntry>) -> Self {
+        RoutingLabel { entries: rows }
+    }
+
+    /// Every row, ascending by level.
+    pub fn rows(&self) -> &[LabelEntry] {
+        &self.entries
+    }
+
+    /// The rows, open to in-place corruption (fault injection only; to
+    /// drop rows, replace the label with [`Self::from_rows`]).
+    pub fn rows_mut(&mut self) -> &mut [LabelEntry] {
+        &mut self.entries
+    }
 }
 
 impl WordSized for RoutingLabel {
@@ -220,6 +255,11 @@ impl WordSized for RoutingLabel {
 }
 
 /// The assembled scheme.
+///
+/// How tables, labels and pivots are laid out in memory is this module's
+/// business alone (plus [`crate::persist`], through [`Self::from_parts`] and
+/// the read accessors): every other reader goes through the borrowed views
+/// below, so the representation can change without touching them.
 #[derive(Clone, Debug)]
 pub struct RoutingScheme {
     /// The parameter `k`.
@@ -227,16 +267,84 @@ pub struct RoutingScheme {
     /// The construction mode that produced this scheme.
     pub mode: Mode,
     /// Per-vertex tables.
-    pub tables: Vec<RoutingTable>,
+    tables: Vec<RoutingTable>,
     /// Per-vertex labels.
-    pub labels: Vec<RoutingLabel>,
+    labels: Vec<RoutingLabel>,
     /// Per vertex, per level `i`: the (approximate) pivot `p̂_i(v)` and the
     /// estimate `d̂(v, A_i)` — `O(k)` words each, the extra state the
     /// Thorup–Zwick *distance oracle* ([`crate::oracle`]) queries against.
-    pub pivot_info: Vec<Vec<(VertexId, Weight)>>,
+    pivot_info: Vec<Vec<(VertexId, Weight)>>,
 }
 
 impl RoutingScheme {
+    /// Assemble a scheme from per-vertex tables, labels and pivot lists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three vectors do not cover the same vertex set.
+    pub fn from_parts(
+        k: usize,
+        mode: Mode,
+        tables: Vec<RoutingTable>,
+        labels: Vec<RoutingLabel>,
+        pivot_info: Vec<Vec<(VertexId, Weight)>>,
+    ) -> Self {
+        assert_eq!(tables.len(), labels.len(), "one label per table");
+        assert_eq!(tables.len(), pivot_info.len(), "one pivot list per table");
+        RoutingScheme {
+            k,
+            mode,
+            tables,
+            labels,
+            pivot_info,
+        }
+    }
+
+    /// Number of vertices the scheme covers.
+    pub fn num_vertices(&self) -> usize {
+        self.tables.len()
+    }
+
+    /// The covered vertices, ascending.
+    pub fn vertices(&self) -> impl Iterator<Item = VertexId> {
+        (0..self.tables.len() as u32).map(VertexId)
+    }
+
+    /// The routing table of `v`.
+    #[inline]
+    pub fn table(&self, v: VertexId) -> &RoutingTable {
+        &self.tables[v.index()]
+    }
+
+    /// `v`'s row for the tree rooted at `root`, if `v` is in that tree.
+    #[inline]
+    pub fn entry(&self, v: VertexId, root: VertexId) -> Option<&TableEntry> {
+        self.table(v).entry(root)
+    }
+
+    /// The routing label of `v`.
+    #[inline]
+    pub fn label(&self, v: VertexId) -> &RoutingLabel {
+        &self.labels[v.index()]
+    }
+
+    /// Per level `i`, `v`'s (approximate) pivot `p̂_i(v)` and the estimate
+    /// `d̂(v, A_i)`.
+    #[inline]
+    pub fn pivots(&self, v: VertexId) -> &[(VertexId, Weight)] {
+        &self.pivot_info[v.index()]
+    }
+
+    /// The table of `v`, open to corruption (fault injection only).
+    pub fn table_mut(&mut self, v: VertexId) -> &mut RoutingTable {
+        &mut self.tables[v.index()]
+    }
+
+    /// The label of `v`, open to corruption (fault injection only).
+    pub fn label_mut(&mut self, v: VertexId) -> &mut RoutingLabel {
+        &mut self.labels[v.index()]
+    }
+
     /// Largest table, in words.
     pub fn max_table_words(&self) -> usize {
         self.tables.iter().map(WordSized::words).max().unwrap_or(0)
@@ -245,14 +353,6 @@ impl RoutingScheme {
     /// Largest label, in words.
     pub fn max_label_words(&self) -> usize {
         self.labels.iter().map(WordSized::words).max().unwrap_or(0)
-    }
-
-    /// Mean table size in words.
-    pub fn mean_table_words(&self) -> f64 {
-        if self.tables.is_empty() {
-            return 0.0;
-        }
-        self.tables.iter().map(WordSized::words).sum::<usize>() as f64 / self.tables.len() as f64
     }
 
     /// Words of routing state vertex `v` holds once construction scratch is
@@ -736,13 +836,7 @@ pub fn build_observed<R: Rng>(
         })
         .collect();
 
-    let scheme = RoutingScheme {
-        k,
-        mode: params.mode,
-        tables,
-        labels,
-        pivot_info,
-    };
+    let scheme = RoutingScheme::from_parts(k, params.mode, tables, labels, pivot_info);
     // Final outputs are part of the memory bound; charging through
     // `resident_words` keeps the meter and the audit attribution on the
     // same definition of "what a vertex holds".

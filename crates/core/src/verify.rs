@@ -74,9 +74,9 @@ impl std::fmt::Display for Violation {
 pub fn verify(g: &Graph, scheme: &RoutingScheme) -> Vec<Violation> {
     let mut out = Vec::new();
     let n = g.num_vertices();
-    if scheme.tables.len() != n || scheme.labels.len() != n {
+    if scheme.num_vertices() != n {
         out.push(Violation::SizeMismatch {
-            scheme: scheme.tables.len(),
+            scheme: scheme.num_vertices(),
             graph: n,
         });
         return out;
@@ -84,15 +84,15 @@ pub fn verify(g: &Graph, scheme: &RoutingScheme) -> Vec<Violation> {
     // Per-tree DFS enter times for duplicate detection.
     let mut enters: HashMap<VertexId, HashMap<u64, VertexId>> = HashMap::new();
     for v in g.vertices() {
-        let table = &scheme.tables[v.index()];
-        for w in table.entries.windows(2) {
+        let table = scheme.table(v);
+        for w in table.rows().windows(2) {
             if w[0].root >= w[1].root {
                 out.push(Violation::UnsortedTable(v));
                 break;
             }
         }
         let mut has_self = false;
-        for e in &table.entries {
+        for e in table.rows() {
             if e.root == v {
                 has_self = true;
             }
@@ -120,8 +120,8 @@ pub fn verify(g: &Graph, scheme: &RoutingScheme) -> Vec<Violation> {
         if !has_self {
             out.push(Violation::MissingOwnCluster(v));
         }
-        for e in &scheme.labels[v.index()].entries {
-            if scheme.tables[v.index()].entry(e.pivot).is_none() {
+        for e in scheme.label(v).rows() {
+            if table.entry(e.pivot).is_none() {
                 out.push(Violation::DanglingLabel {
                     vertex: v,
                     pivot: e.pivot,
@@ -178,8 +178,8 @@ mod tests {
     fn detects_unsorted_tables() {
         let (g, mut s) = built(60, 1203);
         let v = VertexId(5);
-        s.tables[v.index()].entries.reverse();
-        if s.tables[v.index()].entries.len() >= 2 {
+        s.table_mut(v).rows_mut().reverse();
+        if s.table(v).rows().len() >= 2 {
             assert!(verify(&g, &s)
                 .iter()
                 .any(|x| matches!(x, Violation::UnsortedTable(u) if *u == v)));
@@ -190,7 +190,9 @@ mod tests {
     fn detects_missing_own_cluster() {
         let (g, mut s) = built(60, 1204);
         let v = VertexId(9);
-        s.tables[v.index()].entries.retain(|e| e.root != v);
+        let mut rows = s.table(v).rows().to_vec();
+        rows.retain(|e| e.root != v);
+        *s.table_mut(v) = crate::RoutingTable::from_rows(rows);
         assert!(verify(&g, &s)
             .iter()
             .any(|x| matches!(x, Violation::MissingOwnCluster(u) if *u == v)));
@@ -201,11 +203,11 @@ mod tests {
         let (g, mut s) = built(60, 1205);
         let v = VertexId(11);
         // Point a label entry at a tree v is not in.
-        if let Some(e) = s.labels[v.index()].entries.first_mut() {
-            let foreign = (0..60u32)
-                .map(VertexId)
-                .find(|&w| s.tables[v.index()].entry(w).is_none())
-                .unwrap();
+        let foreign = (0..60u32)
+            .map(VertexId)
+            .find(|&w| s.entry(v, w).is_none())
+            .unwrap();
+        if let Some(e) = s.label_mut(v).rows_mut().first_mut() {
             e.pivot = foreign;
         }
         assert!(verify(&g, &s)
@@ -215,8 +217,9 @@ mod tests {
 
     #[test]
     fn detects_size_mismatch() {
-        let (g, mut s) = built(60, 1206);
-        s.tables.pop();
+        // A scheme built for 60 vertices, checked against a 61-vertex graph.
+        let (_, s) = built(60, 1206);
+        let (g, _) = built(61, 1206);
         assert!(matches!(
             verify(&g, &s).first(),
             Some(Violation::SizeMismatch { .. })
@@ -235,7 +238,7 @@ mod tests {
             let Some(&far) = candidates.first() else {
                 continue;
             };
-            for e in &mut s.tables[v.index()].entries {
+            for e in s.table_mut(v).rows_mut() {
                 if let TreeTableKind::Ours(t) = &mut e.table {
                     if t.parent.is_some() {
                         t.parent = Some(far);

@@ -22,10 +22,12 @@
 //! machine truth, reported but never gated.
 //!
 //! Correctness is not assumed: a rate-configurable sample of served answers
-//! is re-derived through the central [`routing::router`] /
-//! [`routing::oracle::DistanceOracle`] and compared byte for byte
-//! ([`query::check_answer`]); any disagreement is a counted `mismatch`
-//! (expected 0, gated by tests and the CLI exit code).
+//! is held to the ground truth ([`query::check_answer`]) — routes and traces
+//! to facts read directly off the graph and the tables (the path is a walk
+//! in `G` of the answered weight and length, inside the committed tree,
+//! which is the cheapest one the endpoints share), estimates to the central
+//! [`routing::oracle::DistanceOracle`]; any disagreement is a counted
+//! `mismatch` (expected 0, gated by tests and the CLI exit code).
 //!
 //! [`scenario`] supplies the seeded load generators: a *closed loop*
 //! (back-to-back batches — the maximum-throughput measurement) and an *open

@@ -1,19 +1,21 @@
-//! Queries, answers, the lean serving path, and the central cross-check.
+//! Queries, answers, the lean serving path, and the ground-truth check.
 //!
-//! The serving path re-implements the forwarding walk of
-//! [`routing::router`] without its per-route `Vec` allocation: route
-//! queries count hops and sum weight in registers, trace queries write the
-//! path into a caller-owned arena. That independence is what makes the
-//! sampled cross-check meaningful — the served answer and the central
-//! answer come from two different code paths over the same tables, and
-//! [`check_answer`] demands they agree byte for byte.
+//! The serving path is the [`routing::forward`] kernel with a visitor chosen
+//! per query kind: route queries count hops and sum weight in registers,
+//! trace queries write the path into a caller-owned arena. The central
+//! router runs the same kernel, so agreeing with it would prove nothing;
+//! [`check_answer`] instead holds every sampled answer to facts read
+//! straight off the graph and the tables. The path (served, or replayed for
+//! a route summary) must start at the source, end at the target, and be a
+//! walk in `G` whose edges sum to the answered weight and whose length is
+//! the answered hop count plus one; every vertex on it must hold a row for
+//! the committed tree; that tree must be the cheapest (first on ties) of
+//! the target's label entries the source shares, found by a direct scan —
+//! and "unreachable" must mean the scan found none.
 
 use graphs::{VertexId, Weight, INFINITY};
+use routing::forward::{self, GraphRouteError, Selection};
 use routing::oracle::DistanceOracle;
-use routing::router::{self, GraphRouteError, Selection};
-use routing::scheme::{LabelEntry, TreeLabelKind, TreeTableKind};
-use tree_routing::baseline;
-use tree_routing::types::{route_step, RouteAction};
 
 use crate::snapshot::Snapshot;
 
@@ -83,59 +85,34 @@ pub enum Answer {
     Error,
 }
 
-/// Source-optimal label-entry selection — the same `d̂(u,w) + d̂(w,v)`
-/// minimization as [`Selection::SourceOptimal`], re-derived locally.
-fn select_entry(snap: &Snapshot, src: VertexId, dst: VertexId) -> Option<&LabelEntry> {
-    let src_table = &snap.scheme.tables[src.index()];
-    let mut chosen: Option<(&LabelEntry, Weight)> = None;
-    for e in &snap.scheme.labels[dst.index()].entries {
-        let Some(te) = src_table.entry(e.pivot) else {
-            continue;
-        };
-        let cost = te.dist.saturating_add(e.dist);
-        if chosen.is_none_or(|(_, c)| cost < c) {
-            chosen = Some((e, cost));
+impl From<GraphRouteError> for Answer {
+    fn from(err: GraphRouteError) -> Answer {
+        match err {
+            GraphRouteError::NoCommonTree => Answer::Unreachable,
+            _ => Answer::Error,
         }
     }
-    chosen.map(|(e, _)| e)
 }
 
-/// Hop-by-hop walk in the tree `entry` names, feeding every visited vertex
-/// (source included) to `visit`. Returns `(weight, hops)`.
-fn walk(
+/// `(weight, hops, tree_root, level)` of a completed route.
+type Routed = (Weight, u32, VertexId, u32);
+
+/// Route `src → dst` through the kernel, feeding every visited vertex
+/// (source included) to `visit`.
+fn routed(
     snap: &Snapshot,
-    entry: &LabelEntry,
     src: VertexId,
+    dst: VertexId,
     mut visit: impl FnMut(VertexId),
-) -> Result<(Weight, u32), ()> {
-    let w = entry.pivot;
-    let cap = 4 * snap.graph.num_vertices() + 4;
-    let mut cur = src;
-    let mut weight: Weight = 0;
-    let mut hops: u32 = 0;
-    visit(cur);
-    loop {
-        if hops as usize > cap {
-            return Err(()); // forwarding loop
-        }
-        let te = snap.scheme.tables[cur.index()].entry(w).ok_or(())?;
-        let action = match (&te.table, &entry.tree_label) {
-            (TreeTableKind::Ours(t), TreeLabelKind::Ours(l)) => route_step(cur, t, l),
-            (TreeTableKind::Prior(t), TreeLabelKind::Prior(l)) => baseline::decide(cur, t, l),
-            _ => None,
-        }
-        .ok_or(())?;
-        match action {
-            RouteAction::Deliver => return Ok((weight, hops)),
-            RouteAction::Forward(next) => {
-                let ew = snap.graph.edge_weight(cur, next).ok_or(())?;
-                weight += ew;
-                hops += 1;
-                cur = next;
-                visit(cur);
-            }
-        }
+) -> Result<Routed, GraphRouteError> {
+    if src == dst {
+        visit(src);
+        return Ok((0, 0, src, 0));
     }
+    let header = forward::select(&snap.scheme, src, dst, Selection::SourceOptimal)
+        .ok_or(GraphRouteError::NoCommonTree)?;
+    let (weight, hops) = forward::walk(&snap.graph, &snap.scheme, src, &header, visit)?;
+    Ok((weight, hops, header.entry.pivot, header.entry.level as u32))
 }
 
 /// Answer one query against the snapshot. Trace paths are appended to
@@ -148,28 +125,15 @@ pub fn answer_query(
     paths: &mut Vec<VertexId>,
 ) -> Answer {
     match q.kind {
-        QueryKind::Route => {
-            if q.src == q.dst {
-                return Answer::Route {
-                    weight: 0,
-                    hops: 0,
-                    tree_root: q.src,
-                    level: 0,
-                };
-            }
-            let Some(entry) = select_entry(snap, q.src, q.dst) else {
-                return Answer::Unreachable;
-            };
-            match walk(snap, entry, q.src, |_| {}) {
-                Ok((weight, hops)) => Answer::Route {
-                    weight,
-                    hops,
-                    tree_root: entry.pivot,
-                    level: entry.level as u32,
-                },
-                Err(()) => Answer::Error,
-            }
-        }
+        QueryKind::Route => match routed(snap, q.src, q.dst, |_| {}) {
+            Ok((weight, hops, tree_root, level)) => Answer::Route {
+                weight,
+                hops,
+                tree_root,
+                level,
+            },
+            Err(err) => err.into(),
+        },
         QueryKind::Distance => {
             let estimate = oracle.query(q.src, q.dst);
             if estimate == INFINITY {
@@ -180,41 +144,68 @@ pub fn answer_query(
         }
         QueryKind::Trace => {
             let path_start = paths.len() as u32;
-            if q.src == q.dst {
-                paths.push(q.src);
-                return Answer::Trace {
-                    weight: 0,
-                    hops: 0,
-                    tree_root: q.src,
-                    level: 0,
-                    path_start,
-                    path_len: 1,
-                };
-            }
-            let Some(entry) = select_entry(snap, q.src, q.dst) else {
-                return Answer::Unreachable;
-            };
-            match walk(snap, entry, q.src, |v| paths.push(v)) {
-                Ok((weight, hops)) => Answer::Trace {
+            match routed(snap, q.src, q.dst, |v| paths.push(v)) {
+                Ok((weight, hops, tree_root, level)) => Answer::Trace {
                     weight,
                     hops,
-                    tree_root: entry.pivot,
-                    level: entry.level as u32,
+                    tree_root,
+                    level,
                     path_start,
                     path_len: hops + 1,
                 },
-                Err(()) => {
+                Err(err) => {
                     paths.truncate(path_start as usize); // discard the partial path
-                    Answer::Error
+                    err.into()
                 }
             }
         }
     }
 }
 
-/// Re-derive `answer` through the central [`routing::router`] /
-/// [`DistanceOracle`] and compare byte for byte. Returns `true` when the
-/// served answer is exactly what the central path produces.
+/// The sender's options by direct scan: `(pivot, level, estimate)` of every
+/// entry of `dst`'s label whose tree `src` holds a row for, in label order.
+fn shared_trees(
+    snap: &Snapshot,
+    src: VertexId,
+    dst: VertexId,
+) -> impl Iterator<Item = (VertexId, u32, Weight)> + '_ {
+    snap.scheme.label(dst).rows().iter().filter_map(move |e| {
+        let row = snap.scheme.entry(src, e.pivot)?;
+        Some((e.pivot, e.level as u32, row.dist.saturating_add(e.dist)))
+    })
+}
+
+/// Whether `path` with summary `routed` is a sound answer to `src → dst`
+/// (see the module docs for the facts checked).
+fn sound_route(
+    snap: &Snapshot,
+    src: VertexId,
+    dst: VertexId,
+    routed: Routed,
+    path: &[VertexId],
+) -> bool {
+    let (weight, hops, tree_root, level) = routed;
+    if src == dst {
+        return routed == (0, 0, src, 0) && path == [src];
+    }
+    let edges: Option<Weight> = path
+        .windows(2)
+        .map(|e| snap.graph.edge_weight(e[0], e[1]))
+        .sum();
+    let committed = shared_trees(snap, src, dst).min_by_key(|&(_, _, cost)| cost);
+    path.first() == Some(&src)
+        && path.last() == Some(&dst)
+        && path.len() == hops as usize + 1
+        && edges == Some(weight)
+        && path
+            .iter()
+            .all(|&v| snap.scheme.entry(v, tree_root).is_some())
+        && committed.is_some_and(|(pivot, lvl, _)| (pivot, lvl) == (tree_root, level))
+}
+
+/// Hold `answer` to the ground truth of the graph and the tables (routes and
+/// traces; see the module docs) or of the central [`DistanceOracle`]
+/// (estimates). Returns `true` when the served answer stands.
 pub fn check_answer(
     snap: &Snapshot,
     oracle: &DistanceOracle<'_>,
@@ -222,61 +213,49 @@ pub fn check_answer(
     answer: Answer,
     paths: &[VertexId],
 ) -> bool {
-    match q.kind {
-        QueryKind::Route | QueryKind::Trace => {
-            let central = router::route_with(
-                &snap.graph,
-                &snap.scheme,
-                q.src,
-                q.dst,
-                Selection::SourceOptimal,
-            );
-            match (central, answer) {
-                (
-                    Ok(t),
-                    Answer::Route {
-                        weight,
-                        hops,
-                        tree_root,
-                        level,
-                    },
-                ) => {
-                    t.weight == weight
-                        && t.hops() == hops as usize
-                        && t.tree_root == tree_root
-                        && t.level == level as usize
-                }
-                (
-                    Ok(t),
-                    Answer::Trace {
-                        weight,
-                        hops,
-                        tree_root,
-                        level,
-                        path_start,
-                        path_len,
-                    },
-                ) => {
-                    let served = &paths[path_start as usize..(path_start + path_len) as usize];
-                    t.weight == weight
-                        && t.hops() == hops as usize
-                        && t.tree_root == tree_root
-                        && t.level == level as usize
-                        && t.path == served
-                }
-                (Err(GraphRouteError::NoCommonTree), Answer::Unreachable) => true,
-                (Err(_), Answer::Error) => true,
-                _ => false,
-            }
+    let shares_a_tree = || q.src == q.dst || shared_trees(snap, q.src, q.dst).next().is_some();
+    match (q.kind, answer) {
+        (
+            QueryKind::Route,
+            Answer::Route {
+                weight,
+                hops,
+                tree_root,
+                level,
+            },
+        ) => {
+            // A summary carries no path: replay it, hold the replay to the
+            // summary, and judge the replayed path.
+            let served = (weight, hops, tree_root, level);
+            let mut replay = Vec::with_capacity(hops as usize + 1);
+            routed(snap, q.src, q.dst, |v| replay.push(v)) == Ok(served)
+                && sound_route(snap, q.src, q.dst, served, &replay)
         }
-        QueryKind::Distance => {
-            let central = oracle.query(q.src, q.dst);
-            match answer {
-                Answer::Distance { estimate } => estimate == central,
-                Answer::Unreachable => central == INFINITY,
-                _ => false,
-            }
+        (
+            QueryKind::Trace,
+            Answer::Trace {
+                weight,
+                hops,
+                tree_root,
+                level,
+                path_start,
+                path_len,
+            },
+        ) => {
+            let served = &paths[path_start as usize..(path_start + path_len) as usize];
+            sound_route(snap, q.src, q.dst, (weight, hops, tree_root, level), served)
         }
+        (QueryKind::Route | QueryKind::Trace, Answer::Unreachable) => !shares_a_tree(),
+        // A failed walk has no path to judge; it stands if a tree was there
+        // to commit to and the failure reproduces.
+        (QueryKind::Route | QueryKind::Trace, Answer::Error) => {
+            shares_a_tree() && routed(snap, q.src, q.dst, |_| {}).is_err()
+        }
+        (QueryKind::Distance, Answer::Distance { estimate }) => {
+            estimate == oracle.query(q.src, q.dst)
+        }
+        (QueryKind::Distance, Answer::Unreachable) => oracle.query(q.src, q.dst) == INFINITY,
+        _ => false,
     }
 }
 
@@ -310,6 +289,16 @@ mod tests {
             };
             let ans = answer_query(&s, &oracle, q, &mut paths);
             assert!(check_answer(&s, &oracle, q, ans, &paths), "pair {a}->{b}");
+            let central = routing::router::route(&s.graph, &s.scheme, q.src, q.dst).unwrap();
+            assert_eq!(
+                ans,
+                Answer::Route {
+                    weight: central.weight,
+                    hops: central.hops() as u32,
+                    tree_root: central.tree_root,
+                    level: central.level as u32,
+                }
+            );
         }
     }
 

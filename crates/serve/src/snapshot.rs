@@ -27,22 +27,15 @@ impl Snapshot {
     ///
     /// # Panics
     ///
-    /// Panics if the scheme's table/label vectors do not cover the graph's
-    /// vertex set — serving such a pair would index out of bounds on the
-    /// first query.
+    /// Panics if the scheme does not cover the graph's vertex set — serving
+    /// such a pair would index out of bounds on the first query.
     pub fn share(graph: Graph, scheme: RoutingScheme) -> SharedSnapshot {
         let n = graph.num_vertices();
         assert_eq!(
-            scheme.tables.len(),
+            scheme.num_vertices(),
             n,
-            "scheme tables cover {} vertices but the graph has {n}",
-            scheme.tables.len()
-        );
-        assert_eq!(
-            scheme.labels.len(),
-            n,
-            "scheme labels cover {} vertices but the graph has {n}",
-            scheme.labels.len()
+            "scheme covers {} vertices but the graph has {n}",
+            scheme.num_vertices()
         );
         Arc::new(Snapshot { graph, scheme })
     }

@@ -17,10 +17,10 @@ use congest::engine::{Ctx, Engine, EngineConfig, Inbox, VertexProtocol, Wake};
 use congest::{Network, RunStats, WordSized};
 use graphs::{VertexId, Weight};
 use obs::flight::{EdgeLoadMap, Load};
+use routing::forward::{self, Step, TreeAddress};
 use routing::packet::PacketPlan;
-use routing::scheme::TreeTableKind;
 use routing::{RoutingScheme, RoutingTable};
-use tree_routing::types::{route_decision, ForwardingDecision, TreeLabel};
+use tree_routing::types::TreeLabel;
 
 /// What a vertex does with an arrival destined for a full queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -237,8 +237,8 @@ pub fn simulate(
         .vertices()
         .zip(schedules)
         .map(|(v, schedule)| TrafficVertex {
-            table: &scheme.tables[v.index()],
-            table_words: scheme.tables[v.index()].words(),
+            table: scheme.table(v),
+            table_words: scheme.table(v).words(),
             ports: vec![Port::default(); network.graph().degree(v)],
             queued_packets: 0,
             queued_words: 0,
@@ -339,16 +339,15 @@ impl TrafficVertex<'_> {
     /// Classify one packet: deliver here, enqueue toward its next hop
     /// (applying the drop policy at a full queue), or drop it as stuck.
     fn classify(&mut self, ctx: &Ctx<'_, TrafficPacket>, mut packet: TrafficPacket, round: u64) {
-        let me = ctx.me();
-        let decision = self
-            .table
-            .entry(packet.tree_root)
-            .and_then(|entry| match &entry.table {
-                TreeTableKind::Ours(t) => route_decision(me, t, &packet.label),
-                TreeTableKind::Prior(_) => None,
-            });
-        match decision {
-            Some(ForwardingDecision::Deliver) => {
+        let label = TreeAddress::Ours(&packet.label);
+        match forward::step(
+            self.table,
+            ctx.me(),
+            packet.tree_root,
+            label,
+            ctx.neighbors(),
+        ) {
+            Ok(Step::Deliver) => {
                 self.scratch.delivered += 1;
                 self.deliveries.push(Delivery {
                     id: packet.id,
@@ -357,13 +356,7 @@ impl TrafficVertex<'_> {
                     hops: packet.hops,
                 });
             }
-            Some(decision) => {
-                let next = decision.next_hop().expect("forwarding decision");
-                let Some(port) = ctx.neighbors().iter().position(|a| a.to == next) else {
-                    self.scratch.dropped_stuck += 1;
-                    self.dropped_stuck.push(packet.id);
-                    return;
-                };
+            Ok(Step::Forward { port, .. }) => {
                 packet.weight += ctx.neighbors()[port].weight;
                 packet.hops += 1;
                 let q = &mut self.ports[port].queue;
@@ -385,7 +378,8 @@ impl TrafficVertex<'_> {
                     q.push_back(packet);
                 }
             }
-            None => {
+            // Any walk error — stuck rule, missing row, missing port.
+            Err(_) => {
                 self.scratch.dropped_stuck += 1;
                 self.dropped_stuck.push(packet.id);
             }

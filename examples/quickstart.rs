@@ -56,10 +56,10 @@ fn main() {
     let srcs: Vec<VertexId> = (0..n as u32).step_by(40).map(VertexId).collect();
     let stats = router::measure_stretch(&g, &built.scheme, &srcs, router::Selection::SourceOptimal);
     println!(
-        "\nstretch over {} pairs: mean {:.3}, max {:.3} (bound 4k-5 = {})",
+        "\nstretch over {} pairs: mean {:.3}, max {:.3} (bound 4k-3 = {})",
         stats.pairs,
         stats.mean,
         stats.max,
-        4 * k - 5
+        4 * k - 3
     );
 }

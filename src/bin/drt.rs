@@ -330,10 +330,10 @@ fn resolve_scheme(
 ) -> Result<routing::RoutingScheme, String> {
     if let Some(path) = flag.or(positional) {
         let scheme = load_scheme(path)?;
-        if scheme.tables.len() != g.num_vertices() {
+        if scheme.num_vertices() != g.num_vertices() {
             return Err(format!(
                 "scheme covers {} vertices but the graph has {}",
-                scheme.tables.len(),
+                scheme.num_vertices(),
                 g.num_vertices()
             ));
         }
@@ -486,14 +486,14 @@ fn cmd_trace(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), Stri
     let net = congest::Network::new(g);
     let flight = packet::send_traced(&net, &scheme, s, t);
     match flight.report.outcome {
-        packet::PacketOutcome::NoCommonTree => {
+        packet::PacketOutcome::Failed(router::GraphRouteError::NoCommonTree) => {
             return Err(format!(
                 "{s} -> {t}: no common tree (disconnected pair); nothing to trace"
             ));
         }
-        packet::PacketOutcome::Stuck(v) => {
+        packet::PacketOutcome::Failed(err) => {
             return Err(format!(
-                "{s} -> {t}: packet got stuck at {v} — scheme/graph mismatch?"
+                "{s} -> {t}: packet lost mid-route ({err}) — scheme/graph mismatch?"
             ));
         }
         packet::PacketOutcome::Delivered { .. } => {}

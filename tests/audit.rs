@@ -101,16 +101,12 @@ fn component_split_matches_scheme_records() {
     assert!(att.exact);
     // Spot-check the split against the raw structures at a few vertices.
     for v in [0usize, 50, 149] {
-        let table = &b.scheme.tables[v];
-        let label = &b.scheme.labels[v];
         let split = att.per_vertex[v];
-        assert_eq!(split[0], 3 * table.entries.len());
-        assert_eq!(split[2], 3 * label.entries.len());
-        assert_eq!(split[4], 2 * b.scheme.pivot_info[v].len());
-        assert_eq!(
-            split.iter().sum::<usize>(),
-            b.scheme.resident_words(VertexId(v as u32))
-        );
+        let v = VertexId(v as u32);
+        assert_eq!(split[0], 3 * b.scheme.table(v).rows().len());
+        assert_eq!(split[2], 3 * b.scheme.label(v).rows().len());
+        assert_eq!(split[4], 2 * b.scheme.pivots(v).len());
+        assert_eq!(split.iter().sum::<usize>(), b.scheme.resident_words(v));
     }
     let _ = g;
 }

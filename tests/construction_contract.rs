@@ -36,8 +36,12 @@ fn pin(g: &Graph, k: usize, mode: Mode) -> Pin {
         .flat_map(|&p| (p as u64).to_le_bytes())
         .collect();
     let s = &built.scheme;
-    let scheme_bytes = persist::encode_scheme(s)
-        .unwrap_or_else(|_| format!("{:?}{:?}{:?}", s.tables, s.labels, s.pivot_info).into_bytes());
+    let scheme_bytes = persist::encode_scheme(s).unwrap_or_else(|_| {
+        let tables: Vec<_> = s.vertices().map(|v| s.table(v)).collect();
+        let labels: Vec<_> = s.vertices().map(|v| s.label(v)).collect();
+        let pivots: Vec<_> = s.vertices().map(|v| s.pivots(v)).collect();
+        format!("{tables:?}{labels:?}{pivots:?}").into_bytes()
+    });
     Pin {
         rounds: built.report.rounds,
         messages: built.report.messages,

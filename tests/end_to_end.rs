@@ -248,8 +248,8 @@ fn full_pipeline_is_deterministic_given_seed() {
     assert_eq!(a.report.max_table_words, b.report.max_table_words);
     assert_eq!(a.report.total_membership, b.report.total_membership);
     for v in g.vertices() {
-        let ta = &a.scheme.tables[v.index()].entries;
-        let tb = &b.scheme.tables[v.index()].entries;
+        let ta = a.scheme.table(v).rows();
+        let tb = b.scheme.table(v).rows();
         assert_eq!(ta.len(), tb.len());
     }
 }

@@ -4,7 +4,9 @@
 use graphs::{generators, tree, VertexId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use routing::{build, router, BuildParams};
+use routing::forward::{self, GraphRouteError, Step, TreeAddress};
+use routing::scheme::{TableEntry, TreeTableKind};
+use routing::{build, packet, router, BuildParams, RoutingTable};
 use tree_routing::types::{RouteAction, TreeLabel};
 use tree_routing::{router as tree_router, tz, RouteError};
 
@@ -83,9 +85,9 @@ fn graph_scheme_with_deleted_table_entry_gets_stuck_not_lost() {
     let trace = router::route(&g, &scheme, VertexId(0), VertexId(55)).unwrap();
     if trace.hops() >= 2 {
         let mid = trace.path[1];
-        scheme.tables[mid.index()]
-            .entries
-            .retain(|e| e.root != trace.tree_root);
+        let mut rows = scheme.table(mid).rows().to_vec();
+        rows.retain(|e| e.root != trace.tree_root);
+        *scheme.table_mut(mid) = RoutingTable::from_rows(rows);
         match router::route_with(
             &g,
             &scheme,
@@ -108,10 +110,74 @@ fn graph_scheme_with_empty_label_reports_no_common_tree() {
     let g = generators::erdos_renyi_connected(40, 0.1, 1..=9, &mut rng);
     let built = build(&g, &BuildParams::new(2), &mut rng);
     let mut scheme = built.scheme.clone();
-    scheme.labels[25].entries.clear();
+    *scheme.label_mut(VertexId(25)) = routing::RoutingLabel::default();
     match router::route(&g, &scheme, VertexId(0), VertexId(25)) {
         Err(router::GraphRouteError::NoCommonTree) => {}
         other => panic!("expected NoCommonTree, got {other:?}"),
+    }
+}
+
+#[test]
+fn forged_forwarding_cycle_is_reported_as_a_loop_on_every_plane() {
+    let mut rng = ChaCha8Rng::seed_from_u64(3005);
+    let g = generators::erdos_renyi_connected(60, 0.08, 1..=9, &mut rng);
+    let built = build(&g, &BuildParams::new(2), &mut rng);
+    let mut scheme = built.scheme.clone();
+    // A route whose first two hops both climb the committed tree: point the
+    // second vertex's parent back at the first, so the two tree neighbours
+    // name each other as the way up and the message bounces between them.
+    let parent_in = |scheme: &routing::RoutingScheme, v, root| match &scheme.entry(v, root)?.table {
+        TreeTableKind::Ours(row) => row.parent,
+        TreeTableKind::Prior(_) => None,
+    };
+    let (src, dst, trace) = g
+        .vertices()
+        .flat_map(|s| g.vertices().map(move |t| (s, t)))
+        .find_map(|(s, t)| {
+            let trace = router::route(&g, &scheme, s, t).ok()?;
+            let climbs = |i: usize| {
+                parent_in(&scheme, trace.path[i], trace.tree_root) == Some(trace.path[i + 1])
+            };
+            (trace.hops() >= 2 && climbs(0) && climbs(1)).then_some((s, t, trace))
+        })
+        .expect("some route starts with two ascents");
+    for e in scheme.table_mut(trace.path[1]).rows_mut() {
+        if let (true, TreeTableKind::Ours(row)) = (e.root == trace.tree_root, &mut e.table) {
+            row.parent = Some(src);
+        }
+    }
+
+    assert_eq!(
+        router::route(&g, &scheme, src, dst).unwrap_err(),
+        GraphRouteError::Loop
+    );
+
+    let snap = serve::Snapshot::share(g.clone(), scheme.clone());
+    let oracle = routing::oracle::DistanceOracle::new(&snap.scheme);
+    let mut paths = Vec::new();
+    for kind in [serve::QueryKind::Route, serve::QueryKind::Trace] {
+        let q = serve::Query { kind, src, dst };
+        let answer = serve::query::answer_query(&snap, &oracle, q, &mut paths);
+        assert_eq!(answer, serve::Answer::Error, "{kind:?}");
+        assert!(paths.is_empty(), "the partial path is discarded");
+    }
+
+    let net = congest::Network::new(g);
+    let cap = forward::hop_cap(net.len()) as u64;
+    for flight in [
+        packet::send_traced(&net, &scheme, src, dst),
+        packet::PacketFlight {
+            report: packet::send(&net, &scheme, src, dst),
+            trace: None,
+        },
+    ] {
+        assert_eq!(
+            flight.report.outcome,
+            packet::PacketOutcome::Failed(GraphRouteError::Loop)
+        );
+        assert_eq!(flight.report.stats.rounds, cap, "stopped at the hop cap");
+        assert!(!flight.report.stats.completed);
+        assert!(flight.trace.is_none(), "the packet never came to rest");
     }
 }
 
@@ -150,7 +216,9 @@ fn decode_rejects_random_bytes() {
 
 #[test]
 fn route_step_never_panics_on_arbitrary_inputs() {
-    // Exhaustive small-space sweep of the forwarding rule.
+    // Exhaustive small-space sweep of the forwarding rule. Vertex 0 of a
+    // path has exactly one port, to vertex 1.
+    let g = generators::path(4, 1..=1, &mut ChaCha8Rng::seed_from_u64(3006));
     for enter in 0..6u64 {
         for exit in 0..6u64 {
             for target in 0..6u64 {
@@ -165,6 +233,29 @@ fn route_step_never_panics_on_arbitrary_inputs() {
                     light: vec![(VertexId(0), VertexId(3))],
                 };
                 let _ = tree_routing::types::route_step(VertexId(0), &table, &label);
+                // The kernel on the same inputs, as the one row of a table
+                // and again with that row missing: every arm answers with a
+                // step or a typed error.
+                let row = TableEntry {
+                    root: VertexId(4),
+                    level: 0,
+                    dist: 0,
+                    table: TreeTableKind::Ours(table),
+                };
+                let table = RoutingTable::from_rows(vec![row]);
+                let ports = g.neighbors(VertexId(0));
+                for root in [VertexId(4), VertexId(5)] {
+                    match forward::step(&table, VertexId(0), root, TreeAddress::Ours(&label), ports)
+                    {
+                        Ok(Step::Deliver) => assert_eq!(target, enter),
+                        Ok(Step::Forward { port, .. }) => assert!(port < ports.len()),
+                        Err(GraphRouteError::Stuck(v)) => assert_eq!(v, VertexId(0)),
+                        Err(GraphRouteError::BadForward { from, .. }) => {
+                            assert_eq!(from, VertexId(0));
+                        }
+                        Err(e) => panic!("a single step cannot report {e}"),
+                    }
+                }
             }
         }
     }

@@ -83,6 +83,45 @@ fn batch_heatmaps_account_for_every_engine_word() {
 }
 
 #[test]
+fn repeated_pairs_keep_their_own_traces() {
+    // Three copies of one pair among other traffic: they share every edge,
+    // so each queues behind the previous one and no two journeys are alike.
+    // Every trace must sit at the submission index of the packet it follows.
+    let (net, scheme) = setup(90, 43);
+    let hot = (VertexId(4), VertexId(77));
+    let pairs = [
+        hot,
+        (VertexId(9), VertexId(30)),
+        hot,
+        (VertexId(61), VertexId(4)),
+        hot,
+    ];
+    let flight = packet::send_many_traced(&net, &scheme, &pairs);
+    assert_eq!(
+        flight.report.outcomes,
+        packet::send_many(&net, &scheme, &pairs).outcomes
+    );
+    let mut hot_rounds = Vec::new();
+    for (id, &(src, dst)) in pairs.iter().enumerate() {
+        let trace = flight.traces[id].as_ref().expect("injected");
+        assert_eq!((trace.src, trace.dst), (src.0, dst.0), "packet {id}");
+        let (round, weight) = flight.report.delivery(id).expect("connected");
+        assert_eq!(trace.delivered_round, Some(round), "packet {id}");
+        assert_eq!(trace.total_weight(), weight, "packet {id}");
+        assert_eq!(
+            round,
+            trace.hop_count() as u64 + trace.queueing_delay(),
+            "packet {id}"
+        );
+        if (src, dst) == hot {
+            hot_rounds.push(round);
+        }
+    }
+    // Same path, one packet per edge per round: strictly staggered arrivals.
+    assert!(hot_rounds.windows(2).all(|w| w[0] < w[1]), "{hot_rounds:?}");
+}
+
+#[test]
 fn flight_records_survive_a_report_round_trip() {
     let (net, scheme) = setup(60, 43);
     let pairs: Vec<(VertexId, VertexId)> = (1..30u32).map(|i| (VertexId(i), VertexId(0))).collect();

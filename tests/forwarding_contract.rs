@@ -363,6 +363,80 @@ fn batch(net: &Network, scheme: &RoutingScheme) -> (packet::LoadReport, u32) {
     (report, crc)
 }
 
+/// What one single-packet `send` / `send_traced` is pinned on: delivery
+/// round, routed weight, wire size, the engine pin, and the CRC of the
+/// flight recording (zero for the untraced twin).
+fn single_send_pin(
+    net: &Network,
+    scheme: &RoutingScheme,
+    src: u32,
+    dst: u32,
+    traced: bool,
+) -> (u64, u64, usize, EnginePin, u32) {
+    let (src, dst) = (VertexId(src), VertexId(dst));
+    let (report, trace_crc) = if traced {
+        let flight = packet::send_traced(net, scheme, src, dst);
+        let trace = flight.trace.expect("delivered packets are traced");
+        let head = [
+            u64::from(trace.src),
+            u64::from(trace.dst),
+            u64::from(trace.tree_root),
+            trace.delivered_round.map_or(0, |r| r + 1),
+        ];
+        let hops = trace.hops.iter().flat_map(|h| {
+            [
+                h.round,
+                u64::from(h.vertex),
+                h.port as u64,
+                u64::from(h.next),
+                h.kind as u64,
+                h.queue_delay,
+                h.weight,
+                h.header_words as u64,
+            ]
+        });
+        (flight.report, crc_of(head.into_iter().chain(hops)))
+    } else {
+        (packet::send(net, scheme, src, dst), 0)
+    };
+    let (rounds, weight) = report.outcome.delivery().expect("delivered");
+    (
+        rounds,
+        weight,
+        report.packet_words,
+        engine_pin(&report.stats),
+        trace_crc,
+    )
+}
+
+#[test]
+fn single_send_and_its_traced_twin_are_pinned() {
+    // Recorded on the commit before the planes shared one forwarding kernel.
+    let (net, scheme) = er256();
+    let want = engine((4, 4, 36, 9, true, 2811166352));
+    assert_eq!(
+        single_send_pin(&net, &scheme, 3, 200, false),
+        (4, 126, 9, want.clone(), 0)
+    );
+    assert_eq!(
+        single_send_pin(&net, &scheme, 3, 200, true),
+        (4, 126, 9, want, 2572313288)
+    );
+
+    // The farthest pair of a 16 x 16 torus: a long ascent and descent.
+    let mut rng = ChaCha8Rng::seed_from_u64(7102);
+    let (net, scheme) = network(generators::torus(16, 16, 1..=100, &mut rng), 3);
+    let want = engine((22, 22, 110, 5, true, 510063165));
+    assert_eq!(
+        single_send_pin(&net, &scheme, 0, 136, false),
+        (22, 461, 5, want.clone(), 0)
+    );
+    assert_eq!(
+        single_send_pin(&net, &scheme, 0, 136, true),
+        (22, 461, 5, want, 278275867)
+    );
+}
+
 /// A path of `n` vertices with unit-ish weights.
 fn path(n: usize) -> Graph {
     let mut rng = ChaCha8Rng::seed_from_u64(7104);

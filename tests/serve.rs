@@ -1,9 +1,10 @@
 //! End-to-end contracts of the query-serving plane (`crates/serve`).
 //!
 //! The serving pool's answers are never trusted on their own: with the
-//! cross-check rate pinned to 1.0 every served answer is re-derived through
-//! the central `routing::router` / `DistanceOracle` and must match byte for
-//! byte, on random graphs, at 1, 2, and 8 worker threads. The simulated
+//! cross-check rate pinned to 1.0 every served answer is held to the ground
+//! truth of the graph and the tables (`serve::check_answer`), on random
+//! graphs, at 1, 2, and 8 worker threads, and one sampled pair per case is
+//! sent through all four planes, which must agree hop for hop. The simulated
 //! summary columns must be invariant across thread counts and loop
 //! disciplines; a snapshot loaded back from the checksummed persistence
 //! container must serve the exact answer stream of the in-memory build; and
@@ -18,10 +19,15 @@ use obs::serve::ServeSummary;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use routing::{build, persist, BuildParams};
+use routing::oracle::DistanceOracle;
+use routing::{build, packet, persist, router, BuildParams};
+use serve::query::answer_query;
 use serve::{
-    generate_stream, run_closed, run_open, ServeConfig, ServePool, ServeWorkload, Snapshot,
+    generate_stream, run_closed, run_open, Answer, Query, QueryKind, ServeConfig, ServePool,
+    ServeWorkload, Snapshot,
 };
+use traffic::sim::{simulate, DropPolicy, SimConfig};
+use traffic::TrafficPacket;
 
 /// Thread counts checked against the serial run.
 const THREADS: [usize; 2] = [2, 8];
@@ -85,21 +91,108 @@ fn sim_columns(s: &ServeSummary) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64
     )
 }
 
+/// One pair through all four planes — the central router, the serve plane
+/// (route and trace), a single `packet::send`, and a one-injection traffic
+/// simulation — which must agree on tree, hops, weight and path, on a path
+/// that is a walk in `G` no lighter than the true distance.
+fn four_planes_agree(
+    snap: &Snapshot,
+    src: VertexId,
+    dst: VertexId,
+) -> Result<(), proptest::TestCaseError> {
+    let (g, scheme) = (&snap.graph, &snap.scheme);
+    let central = router::route(g, scheme, src, dst).expect("connected graph");
+    prop_assert_eq!(central.path.first(), Some(&src));
+    prop_assert_eq!(central.path.last(), Some(&dst));
+    let edge_sum: Option<u64> = central
+        .path
+        .windows(2)
+        .map(|e| g.edge_weight(e[0], e[1]))
+        .sum();
+    prop_assert_eq!(edge_sum, Some(central.weight));
+    let exact = graphs::shortest_paths::dijkstra(g, src)[dst.index()];
+    prop_assert!(central.weight >= exact, "{} < {exact}", central.weight);
+    let (hops, level) = (central.hops() as u32, central.level as u32);
+
+    let oracle = DistanceOracle::new(scheme);
+    let mut paths = Vec::new();
+    let ask = |kind, paths: &mut Vec<VertexId>| {
+        answer_query(snap, &oracle, Query { kind, src, dst }, paths)
+    };
+    prop_assert_eq!(
+        ask(QueryKind::Route, &mut paths),
+        Answer::Route {
+            weight: central.weight,
+            hops,
+            tree_root: central.tree_root,
+            level,
+        }
+    );
+    prop_assert_eq!(
+        ask(QueryKind::Trace, &mut paths),
+        Answer::Trace {
+            weight: central.weight,
+            hops,
+            tree_root: central.tree_root,
+            level,
+            path_start: 0,
+            path_len: hops + 1,
+        }
+    );
+    prop_assert_eq!(&paths, &central.path);
+
+    let net = congest::Network::new(g.clone());
+    let sent = packet::send(&net, scheme, src, dst);
+    prop_assert_eq!(
+        sent.outcome.delivery(),
+        Some((u64::from(hops), central.weight))
+    );
+
+    let plan = packet::plan(scheme, src, dst).expect("connected graph");
+    if src != dst {
+        // (The central router answers a self-route without choosing a tree.)
+        prop_assert_eq!(plan.tree_root, central.tree_root);
+    }
+    let sim = simulate(
+        &net,
+        scheme,
+        &[(0, src, TrafficPacket::from_plan(0, plan))],
+        &SimConfig {
+            queue_cap: 1,
+            policy: DropPolicy::TailDrop,
+            max_rounds: 1024,
+            threads: 1,
+            profile: false,
+        },
+    );
+    prop_assert_eq!(sim.deliveries.len(), 1);
+    let arrived = sim.deliveries[0];
+    prop_assert_eq!(
+        (arrived.hops, arrived.weight, arrived.round),
+        (hops, central.weight, u64::from(hops))
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// With every answer cross-checked, the pool never disagrees with the
-    /// central router/oracle — on random graphs, workloads, seeds, and at
-    /// every thread count.
+    /// With every answer cross-checked, the pool never serves an answer the
+    /// graph and the tables do not bear out — on random graphs, workloads,
+    /// seeds, and at every thread count — and the four planes agree.
     #[test]
     fn served_answers_match_the_central_plane(
         g in arb_graph(28),
         seed in 0..u64::MAX,
         workload_sel in 0..3u8,
+        k in 2..=3usize,
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let built = build(&g, &BuildParams::new(2), &mut rng);
+        let built = build(&g, &BuildParams::new(k), &mut rng);
         let snap = Snapshot::share(g, built.scheme);
+        let n = snap.graph.num_vertices() as u64;
+        let pick = |salt: u64| VertexId((seed.rotate_left(17).wrapping_mul(salt) % n) as u32);
+        four_planes_agree(&snap, pick(3), pick(5))?;
         let config = ServeConfig {
             workload: workload_from(workload_sel),
             queries: 192,
