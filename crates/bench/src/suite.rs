@@ -39,6 +39,8 @@ use congest::Network;
 use graphs::{tree, VertexId};
 use obs::json::Value;
 use obs::metrics::{quantile_ns, Stopwatch};
+use obs::record;
+use obs::record::Field;
 use obs::scaling::{fit_power_law, ExponentRange, ScalingCheck};
 use routing::{build_observed, packet, BuildParams};
 use serve::{generate_stream, run_closed, ServeConfig, ServePool, ServeWorkload, Snapshot};
@@ -183,19 +185,21 @@ impl Tier {
     }
 }
 
-/// Wall-clock summary over a case's repeats, in nanoseconds.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WallStats {
-    /// Median repeat.
-    pub p50_ns: u64,
-    /// 95th-percentile repeat.
-    pub p95_ns: u64,
-    /// Fastest repeat.
-    pub min_ns: u64,
-    /// Slowest repeat.
-    pub max_ns: u64,
-    /// Number of repeats summarized.
-    pub repeats: u64,
+record! {
+    /// Wall-clock summary over a case's repeats, in nanoseconds.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct WallStats {
+        /// Median repeat.
+        pub p50_ns: u64 => "p50",
+        /// 95th-percentile repeat.
+        pub p95_ns: u64 => "p95",
+        /// Fastest repeat.
+        pub min_ns: u64 => "min",
+        /// Slowest repeat.
+        pub max_ns: u64 => "max",
+        /// Number of repeats summarized.
+        pub repeats: u64,
+    }
 }
 
 impl WallStats {
@@ -209,47 +213,24 @@ impl WallStats {
             repeats: samples.len() as u64,
         }
     }
-
-    fn to_value(self) -> Value {
-        Value::object(vec![
-            ("p50", Value::from(self.p50_ns)),
-            ("p95", Value::from(self.p95_ns)),
-            ("min", Value::from(self.min_ns)),
-            ("max", Value::from(self.max_ns)),
-            ("repeats", Value::from(self.repeats)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<WallStats, String> {
-        let field = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("wall_ns missing numeric field '{key}'"))
-        };
-        Ok(WallStats {
-            p50_ns: field("p50")?,
-            p95_ns: field("p95")?,
-            min_ns: field("min")?,
-            max_ns: field("max")?,
-            repeats: field("repeats")?,
-        })
-    }
 }
 
-/// One benchmark case: a sweep point with its simulated columns and
-/// wall-clock summary.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CaseResult {
-    /// Stable case identifier, e.g. `tree_build/er/n1024`.
-    pub id: String,
-    /// The sweep group (`tree_build`, `scheme_build`, `route_batch`).
-    pub group: String,
-    /// The sweep coordinate: `n` for builds, packets for batches.
-    pub x: u64,
-    /// Simulated-cost columns in schema order; deterministic at fixed seed.
-    pub sim: Vec<(String, u64)>,
-    /// Wall-clock summary over the repeats.
-    pub wall: WallStats,
+record! {
+    /// One benchmark case: a sweep point with its simulated columns and
+    /// wall-clock summary.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct CaseResult {
+        /// Stable case identifier, e.g. `tree_build/er/n1024`.
+        pub id: String,
+        /// The sweep group (`tree_build`, `scheme_build`, `route_batch`).
+        pub group: String,
+        /// The sweep coordinate: `n` for builds, packets for batches.
+        pub x: u64,
+        /// Simulated-cost columns in schema order; deterministic at fixed seed.
+        pub sim: Vec<(String, u64)>,
+        /// Wall-clock summary over the repeats.
+        pub wall: WallStats => "wall_ns",
+    }
 }
 
 impl CaseResult {
@@ -257,81 +238,28 @@ impl CaseResult {
     pub fn sim(&self, key: &str) -> Option<u64> {
         self.sim.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
     }
-
-    /// Serialize the case.
-    pub fn to_value(&self) -> Value {
-        Value::object(vec![
-            ("id", Value::from(self.id.as_str())),
-            ("group", Value::from(self.group.as_str())),
-            ("x", Value::from(self.x)),
-            (
-                "sim",
-                Value::Object(
-                    self.sim
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Value::from(*v)))
-                        .collect(),
-                ),
-            ),
-            ("wall_ns", self.wall.to_value()),
-        ])
-    }
-
-    /// Parse a case back.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first missing or ill-typed field.
-    pub fn from_value(v: &Value) -> Result<CaseResult, String> {
-        let text = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("case missing string field '{key}'"))
-                .map(str::to_string)
-        };
-        let id = text("id")?;
-        let sim = v
-            .get("sim")
-            .and_then(Value::as_object)
-            .ok_or_else(|| format!("case '{id}' missing 'sim' object"))?
-            .iter()
-            .map(|(k, val)| {
-                val.as_u64()
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| format!("case '{id}' sim column '{k}' is not an integer"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(CaseResult {
-            group: text("group")?,
-            x: v.get("x")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("case '{id}' missing numeric 'x'"))?,
-            sim,
-            wall: WallStats::from_value(
-                v.get("wall_ns")
-                    .ok_or_else(|| format!("case '{id}' missing 'wall_ns'"))?,
-            )?,
-            id,
-        })
-    }
 }
 
-/// Where a BENCH document was produced.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EnvStamp {
-    /// `std::env::consts::OS`.
-    pub os: String,
-    /// `std::env::consts::ARCH`.
-    pub arch: String,
-    /// `debug` or `release` — wall-clock numbers are incomparable across
-    /// profiles; simulated columns are identical.
-    pub profile: String,
-    /// The workspace version the suite was built from.
-    pub version: String,
-    /// Engine worker threads the suite ran with. Simulated columns are
-    /// thread-count independent (the parallel engine is deterministic), so
-    /// documents produced at different thread counts still diff exactly.
-    pub threads: u64,
+record! {
+    /// Where a BENCH document was produced.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct EnvStamp {
+        /// `std::env::consts::OS`.
+        pub os: String,
+        /// `std::env::consts::ARCH`.
+        pub arch: String,
+        /// `debug` or `release` — wall-clock numbers are incomparable across
+        /// profiles; simulated columns are identical.
+        pub profile: String,
+        /// The workspace version the suite was built from.
+        pub version: String,
+        /// Engine worker threads the suite ran with. Simulated columns are
+        /// thread-count independent (the parallel engine is deterministic), so
+        /// documents produced at different thread counts still diff exactly.
+        /// Absent in documents written before the parallel engine: those
+        /// suites were serial.
+        pub threads: u64 = 1,
+    }
 }
 
 impl EnvStamp {
@@ -349,51 +277,25 @@ impl EnvStamp {
             threads: 1,
         }
     }
-
-    fn to_value(&self) -> Value {
-        Value::object(vec![
-            ("os", Value::from(self.os.as_str())),
-            ("arch", Value::from(self.arch.as_str())),
-            ("profile", Value::from(self.profile.as_str())),
-            ("version", Value::from(self.version.as_str())),
-            ("threads", Value::from(self.threads)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<EnvStamp, String> {
-        let text = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("env stamp missing '{key}'"))
-                .map(str::to_string)
-        };
-        Ok(EnvStamp {
-            os: text("os")?,
-            arch: text("arch")?,
-            profile: text("profile")?,
-            version: text("version")?,
-            // Absent in documents written before the parallel engine: those
-            // suites were serial.
-            threads: v.get("threads").and_then(Value::as_u64).unwrap_or(1),
-        })
-    }
 }
 
-/// Serial-vs-parallel wall-clock comparison for one suite group, measured by
-/// running every case twice per repeat — once on the serial engine, once with
-/// `threads` workers — and cross-checking that the simulated columns agree
-/// exactly. The metric is real time only; it is always advisory in
-/// [`compare`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GroupSpeedup {
-    /// The suite group (`tree_build`, `scheme_build`, `route_batch`).
-    pub group: String,
-    /// Worker threads the parallel twin ran with.
-    pub threads: u64,
-    /// p50 over the group's serial wall samples (all cases, all repeats).
-    pub serial_p50_ns: u64,
-    /// p50 over the group's parallel wall samples.
-    pub parallel_p50_ns: u64,
+record! {
+    /// Serial-vs-parallel wall-clock comparison for one suite group, measured by
+    /// running every case twice per repeat — once on the serial engine, once with
+    /// `threads` workers — and cross-checking that the simulated columns agree
+    /// exactly. The metric is real time only; it is always advisory in
+    /// [`compare`].
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct GroupSpeedup {
+        /// The suite group (`tree_build`, `scheme_build`, `route_batch`).
+        pub group: String,
+        /// Worker threads the parallel twin ran with.
+        pub threads: u64,
+        /// p50 over the group's serial wall samples (all cases, all repeats).
+        pub serial_p50_ns: u64,
+        /// p50 over the group's parallel wall samples.
+        pub parallel_p50_ns: u64,
+    }
 }
 
 impl GroupSpeedup {
@@ -402,83 +304,28 @@ impl GroupSpeedup {
     pub fn speedup(&self) -> f64 {
         self.serial_p50_ns as f64 / self.parallel_p50_ns.max(1) as f64
     }
-
-    fn to_value(&self) -> Value {
-        Value::object(vec![
-            ("group", Value::from(self.group.as_str())),
-            ("threads", Value::from(self.threads)),
-            ("serial_p50_ns", Value::from(self.serial_p50_ns)),
-            ("parallel_p50_ns", Value::from(self.parallel_p50_ns)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<GroupSpeedup, String> {
-        let field = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("speedup entry missing numeric field '{key}'"))
-        };
-        Ok(GroupSpeedup {
-            group: v
-                .get("group")
-                .and_then(Value::as_str)
-                .ok_or("speedup entry missing 'group'")?
-                .to_string(),
-            threads: field("threads")?,
-            serial_p50_ns: field("serial_p50_ns")?,
-            parallel_p50_ns: field("parallel_p50_ns")?,
-        })
-    }
 }
 
-/// Parallel-efficiency figures for one suite group, measured by one extra
-/// profiled parallel run of the group's largest case (the profiler is never
-/// on during the timed repeats, so the wall columns stay comparable).
-/// Real-time derived, so always advisory in [`compare`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct GroupEfficiency {
-    /// The suite group.
-    pub group: String,
-    /// Worker threads the profiled run used.
-    pub threads: u64,
-    /// Mean worker busy-fraction over the engine wall (1.0 = every worker
-    /// busy the whole run).
-    pub utilization: f64,
-    /// Max/mean worker busy time (1.0 = perfectly balanced).
-    pub imbalance: f64,
+record! {
+    /// Parallel-efficiency figures for one suite group, measured by one extra
+    /// profiled parallel run of the group's largest case (the profiler is never
+    /// on during the timed repeats, so the wall columns stay comparable).
+    /// Real-time derived, so always advisory in [`compare`].
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct GroupEfficiency {
+        /// The suite group.
+        pub group: String,
+        /// Worker threads the profiled run used.
+        pub threads: u64,
+        /// Mean worker busy-fraction over the engine wall (1.0 = every worker
+        /// busy the whole run).
+        pub utilization: f64,
+        /// Max/mean worker busy time (1.0 = perfectly balanced).
+        pub imbalance: f64,
+    }
 }
 
 impl GroupEfficiency {
-    fn to_value(&self) -> Value {
-        Value::object(vec![
-            ("group", Value::from(self.group.as_str())),
-            ("threads", Value::from(self.threads)),
-            ("utilization", Value::from(self.utilization)),
-            ("imbalance", Value::from(self.imbalance)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<GroupEfficiency, String> {
-        let float = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("efficiency entry missing numeric field '{key}'"))
-        };
-        Ok(GroupEfficiency {
-            group: v
-                .get("group")
-                .and_then(Value::as_str)
-                .ok_or("efficiency entry missing 'group'")?
-                .to_string(),
-            threads: v
-                .get("threads")
-                .and_then(Value::as_u64)
-                .ok_or("efficiency entry missing 'threads'")?,
-            utilization: float("utilization")?,
-            imbalance: float("imbalance")?,
-        })
-    }
-
     /// Extract the group figures from an engine profile.
     fn from_profile(
         group: &str,
@@ -538,30 +385,13 @@ impl BenchDoc {
     pub fn to_value(&self) -> Value {
         Value::object(vec![
             ("schema", Value::from(SCHEMA)),
-            ("label", Value::from(self.label.as_str())),
-            ("tier", Value::from(self.tier.as_str())),
-            ("env", self.env.to_value()),
-            (
-                "cases",
-                Value::Array(self.cases.iter().map(CaseResult::to_value).collect()),
-            ),
-            (
-                "scaling",
-                Value::Array(self.checks.iter().map(ScalingCheck::to_value).collect()),
-            ),
-            (
-                "speedup",
-                Value::Array(self.speedup.iter().map(GroupSpeedup::to_value).collect()),
-            ),
-            (
-                "efficiency",
-                Value::Array(
-                    self.efficiency
-                        .iter()
-                        .map(GroupEfficiency::to_value)
-                        .collect(),
-                ),
-            ),
+            ("label", self.label.to_json()),
+            ("tier", self.tier.to_json()),
+            ("env", self.env.to_json()),
+            ("cases", self.cases.to_json()),
+            ("scaling", self.checks.to_json()),
+            ("speedup", self.speedup.to_json()),
+            ("efficiency", self.efficiency.to_json()),
         ])
     }
 
@@ -571,53 +401,21 @@ impl BenchDoc {
     ///
     /// Returns a description of the first missing or ill-typed field.
     pub fn from_value(v: &Value) -> Result<BenchDoc, String> {
-        match v.get("schema").and_then(Value::as_str) {
-            Some(s) if s == SCHEMA => {}
+        match record::field::<Option<String>>(v, "schema")?.as_deref() {
+            Some(SCHEMA) => {}
             Some(s) => return Err(format!("unsupported schema '{s}' (expected '{SCHEMA}')")),
             None => return Err("missing 'schema' field".to_string()),
         }
-        let text = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("document missing string field '{key}'"))
-                .map(str::to_string)
-        };
-        let cases = v
-            .get("cases")
-            .and_then(Value::as_array)
-            .ok_or("document missing 'cases' array")?
-            .iter()
-            .map(CaseResult::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        let checks = v
-            .get("scaling")
-            .and_then(Value::as_array)
-            .ok_or("document missing 'scaling' array")?
-            .iter()
-            .map(ScalingCheck::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        // Absent in documents written before the parallel engine.
-        let speedup = v
-            .get("speedup")
-            .and_then(Value::as_array)
-            .map(|entries| entries.iter().map(GroupSpeedup::from_value).collect())
-            .transpose()?
-            .unwrap_or_default();
-        // Absent in documents written before the engine profiler.
-        let efficiency = v
-            .get("efficiency")
-            .and_then(Value::as_array)
-            .map(|entries| entries.iter().map(GroupEfficiency::from_value).collect())
-            .transpose()?
-            .unwrap_or_default();
         Ok(BenchDoc {
-            label: text("label")?,
-            tier: text("tier")?,
-            env: EnvStamp::from_value(v.get("env").ok_or("document missing 'env'")?)?,
-            cases,
-            checks,
-            speedup,
-            efficiency,
+            label: record::field(v, "label")?,
+            tier: record::field(v, "tier")?,
+            env: record::field(v, "env")?,
+            cases: record::field(v, "cases")?,
+            checks: record::field(v, "scaling")?,
+            // Absent in documents written before the parallel engine.
+            speedup: record::field_or(v, "speedup", Vec::new())?,
+            // Absent in documents written before the engine profiler.
+            efficiency: record::field_or(v, "efficiency", Vec::new())?,
         })
     }
 
@@ -1664,6 +1462,47 @@ mod tests {
             speedup: Vec::new(),
             efficiency: Vec::new(),
         }
+    }
+
+    #[test]
+    fn bytes_are_pinned() {
+        // A document with one entry of every kind and a literal environment
+        // stamp, so the bytes do not depend on the machine or the profile.
+        let mut doc = tiny_doc(1);
+        doc.env = EnvStamp {
+            os: "linux".to_string(),
+            arch: "x86_64".to_string(),
+            profile: "release".to_string(),
+            version: "0.1.0".to_string(),
+            threads: 4,
+        };
+        doc.checks.push(ScalingCheck {
+            metric: "tree_build/rounds".to_string(),
+            fit: obs::scaling::PowerLawFit {
+                exponent: 0.62,
+                intercept_ln: -1.25,
+                r2: 0.998,
+                points: 5,
+            },
+            predicted: ExponentRange::new(0.35, 0.95),
+            claim: "Õ(√n + D)".to_string(),
+        });
+        doc.speedup.push(GroupSpeedup {
+            group: "route_batch".to_string(),
+            threads: 4,
+            serial_p50_ns: 2_000_000,
+            parallel_p50_ns: 1_000_000,
+        });
+        doc.efficiency.push(GroupEfficiency {
+            group: "route_batch".to_string(),
+            threads: 4,
+            utilization: 0.62,
+            imbalance: 1.31,
+        });
+        let pinned = r#"{"schema":"drt-bench/v1","label":"doc1","tier":"smoke","env":{"os":"linux","arch":"x86_64","profile":"release","version":"0.1.0","threads":4},"cases":[{"id":"tree_build/er/n64","group":"tree_build","x":64,"sim":{"rounds":100,"words":300},"wall_ns":{"p50":1000,"p95":1500,"min":900,"max":1600,"repeats":3}},{"id":"tree_build/er/n128","group":"tree_build","x":128,"sim":{"rounds":160,"words":480},"wall_ns":{"p50":1000,"p95":1500,"min":900,"max":1600,"repeats":3}}],"scaling":[{"type":"scaling_check","metric":"tree_build/rounds","exponent":0.62,"intercept_ln":-1.25,"r2":0.998,"points":5,"predicted_lo":0.35,"predicted_hi":0.95,"claim":"Õ(√n + D)","ok":true}],"speedup":[{"group":"route_batch","threads":4,"serial_p50_ns":2000000,"parallel_p50_ns":1000000}],"efficiency":[{"group":"route_batch","threads":4,"utilization":0.62,"imbalance":1.31}]}"#;
+        assert_eq!(doc.to_value().to_string(), pinned);
+        let parsed = BenchDoc::from_value(&obs::json::parse(pinned).unwrap()).unwrap();
+        assert_eq!(parsed, doc);
     }
 
     #[test]

@@ -12,33 +12,35 @@
 //! do the words live" and "does the scheme actually hold together".
 //!
 //! The producing walker lives in the `routing` crate (`routing::audit`);
-//! this module owns the serialized shape and its `to_value`/`from_value`
-//! round-trip contract, like the other report records.
+//! this module owns the serialized shape — declared once per record through
+//! [`record!`](crate::record!) — like the other report records.
 
 use crate::error::ParseError;
-use crate::json::Value;
+use crate::record;
 
-/// Distribution summary of one memory component over all vertices.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ComponentStat {
-    /// Component name (e.g. `cluster_membership`, `tree_labels`).
-    pub name: String,
-    /// Whether the component is part of the post-build resident words (the
-    /// sum the meter cross-check reconciles). Construction-only state such
-    /// as hopset out-edges is reported with `resident: false`.
-    pub resident: bool,
-    /// Total words across all vertices.
-    pub total: u64,
-    /// Largest per-vertex value.
-    pub max: u64,
-    /// Mean per-vertex value.
-    pub mean: f64,
-    /// Median per-vertex value.
-    pub p50: u64,
-    /// 95th-percentile per-vertex value.
-    pub p95: u64,
-    /// 99th-percentile per-vertex value.
-    pub p99: u64,
+record! {
+    /// Distribution summary of one memory component over all vertices.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct ComponentStat {
+        /// Component name (e.g. `cluster_membership`, `tree_labels`).
+        pub name: String,
+        /// Whether the component is part of the post-build resident words (the
+        /// sum the meter cross-check reconciles). Construction-only state such
+        /// as hopset out-edges is reported with `resident: false`.
+        pub resident: bool,
+        /// Total words across all vertices.
+        pub total: u64,
+        /// Largest per-vertex value.
+        pub max: u64,
+        /// Mean per-vertex value.
+        pub mean: f64,
+        /// Median per-vertex value.
+        pub p50: u64,
+        /// 95th-percentile per-vertex value.
+        pub p95: u64,
+        /// 99th-percentile per-vertex value.
+        pub p99: u64,
+    }
 }
 
 fn quantile(sorted: &[u64], q: f64) -> u64 {
@@ -70,96 +72,58 @@ impl ComponentStat {
             p99: quantile(&sorted, 0.99),
         }
     }
+}
 
-    fn to_value(&self) -> Value {
-        Value::object(vec![
-            ("name", Value::from(self.name.as_str())),
-            ("resident", Value::from(self.resident)),
-            ("total", Value::from(self.total)),
-            ("max", Value::from(self.max)),
-            ("mean", Value::from(self.mean)),
-            ("p50", Value::from(self.p50)),
-            ("p95", Value::from(self.p95)),
-            ("p99", Value::from(self.p99)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<ComponentStat, ParseError> {
-        Ok(ComponentStat {
-            name: text(v, "name")?,
-            resident: boolean(v, "resident")?,
-            total: uint(v, "total")?,
-            max: uint(v, "max")?,
-            mean: float(v, "mean")?,
-            p50: uint(v, "p50")?,
-            p95: uint(v, "p95")?,
-            p99: uint(v, "p99")?,
-        })
+record! {
+    /// One structural invariant's verdict.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct InvariantStat {
+        /// Invariant name (e.g. `dfs_nesting`, `label_coverage`).
+        pub name: String,
+        /// How many facts the invariant examined.
+        pub checked: u64,
+        /// How many failed.
+        pub violations: u64,
     }
 }
 
-/// One structural invariant's verdict.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct InvariantStat {
-    /// Invariant name (e.g. `dfs_nesting`, `label_coverage`).
-    pub name: String,
-    /// How many facts the invariant examined.
-    pub checked: u64,
-    /// How many failed.
-    pub violations: u64,
-}
-
-impl InvariantStat {
-    fn to_value(&self) -> Value {
-        Value::object(vec![
-            ("name", Value::from(self.name.as_str())),
-            ("checked", Value::from(self.checked)),
-            ("violations", Value::from(self.violations)),
-        ])
+record! {
+    /// Sampled routing-consistency results against the central oracle and exact
+    /// Dijkstra distances, on the intact or a perturbed graph.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct ProbeStat {
+        /// Source–target pairs examined.
+        pub pairs: u64,
+        /// Pairs connected in the probed graph (the reachability denominator).
+        pub connected: u64,
+        /// Connected pairs the forwarding rule delivered.
+        pub delivered: u64,
+        /// Failures: endpoints share no routing tree.
+        pub no_common_tree: u64,
+        /// Failures: rule stuck mid-route.
+        pub stuck: u64,
+        /// Failures: forwarded over a missing edge or to a tableless vertex.
+        pub bad_forward: u64,
+        /// Failures: hop cap exceeded (forwarding loop).
+        pub looped: u64,
+        /// Delivered routes whose weight undershot the exact distance
+        /// (impossible for a correct scheme — always a violation).
+        pub undershoots: u64,
+        /// Delivered routes whose stretch exceeded the `4k − 3 (+slack)` bound.
+        pub over_bound: u64,
+        /// Oracle estimates below the exact distance.
+        pub oracle_undershoots: u64,
+        /// Oracle estimates above the `2k − 1 (+slack)` bound.
+        pub oracle_over_bound: u64,
+        /// Mean stretch over delivered pairs.
+        pub mean_stretch: f64,
+        /// Worst stretch over delivered pairs.
+        pub max_stretch: f64,
+        /// Whether every pair was swept (small n) rather than sampled.
+        pub full_sweep: bool,
+        + "reachability" = |p| p.reachability(),
     }
-
-    fn from_value(v: &Value) -> Result<InvariantStat, ParseError> {
-        Ok(InvariantStat {
-            name: text(v, "name")?,
-            checked: uint(v, "checked")?,
-            violations: uint(v, "violations")?,
-        })
-    }
-}
-
-/// Sampled routing-consistency results against the central oracle and exact
-/// Dijkstra distances, on the intact or a perturbed graph.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ProbeStat {
-    /// Source–target pairs examined.
-    pub pairs: u64,
-    /// Pairs connected in the probed graph (the reachability denominator).
-    pub connected: u64,
-    /// Connected pairs the forwarding rule delivered.
-    pub delivered: u64,
-    /// Failures: endpoints share no routing tree.
-    pub no_common_tree: u64,
-    /// Failures: rule stuck mid-route.
-    pub stuck: u64,
-    /// Failures: forwarded over a missing edge or to a tableless vertex.
-    pub bad_forward: u64,
-    /// Failures: hop cap exceeded (forwarding loop).
-    pub looped: u64,
-    /// Delivered routes whose weight undershot the exact distance
-    /// (impossible for a correct scheme — always a violation).
-    pub undershoots: u64,
-    /// Delivered routes whose stretch exceeded the `4k − 3 (+slack)` bound.
-    pub over_bound: u64,
-    /// Oracle estimates below the exact distance.
-    pub oracle_undershoots: u64,
-    /// Oracle estimates above the `2k − 1 (+slack)` bound.
-    pub oracle_over_bound: u64,
-    /// Mean stretch over delivered pairs.
-    pub mean_stretch: f64,
-    /// Worst stretch over delivered pairs.
-    pub max_stretch: f64,
-    /// Whether every pair was swept (small n) rather than sampled.
-    pub full_sweep: bool,
+    validate
 }
 
 impl ProbeStat {
@@ -173,142 +137,86 @@ impl ProbeStat {
         }
     }
 
-    fn to_value(&self) -> Value {
-        Value::object(vec![
-            ("pairs", Value::from(self.pairs)),
-            ("connected", Value::from(self.connected)),
-            ("delivered", Value::from(self.delivered)),
-            ("no_common_tree", Value::from(self.no_common_tree)),
-            ("stuck", Value::from(self.stuck)),
-            ("bad_forward", Value::from(self.bad_forward)),
-            ("looped", Value::from(self.looped)),
-            ("undershoots", Value::from(self.undershoots)),
-            ("over_bound", Value::from(self.over_bound)),
-            ("oracle_undershoots", Value::from(self.oracle_undershoots)),
-            ("oracle_over_bound", Value::from(self.oracle_over_bound)),
-            ("mean_stretch", Value::from(self.mean_stretch)),
-            ("max_stretch", Value::from(self.max_stretch)),
-            ("full_sweep", Value::from(self.full_sweep)),
-            ("reachability", Value::from(self.reachability())),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<ProbeStat, ParseError> {
-        let probe = ProbeStat {
-            pairs: uint(v, "pairs")?,
-            connected: uint(v, "connected")?,
-            delivered: uint(v, "delivered")?,
-            no_common_tree: uint(v, "no_common_tree")?,
-            stuck: uint(v, "stuck")?,
-            bad_forward: uint(v, "bad_forward")?,
-            looped: uint(v, "looped")?,
-            undershoots: uint(v, "undershoots")?,
-            over_bound: uint(v, "over_bound")?,
-            oracle_undershoots: uint(v, "oracle_undershoots")?,
-            oracle_over_bound: uint(v, "oracle_over_bound")?,
-            mean_stretch: float(v, "mean_stretch")?,
-            max_stretch: float(v, "max_stretch")?,
-            full_sweep: boolean(v, "full_sweep")?,
-        };
-        // Re-check the probe's counting identities on parse, like the
-        // traffic summary's conservation law: outcomes partition the
-        // connected pairs, and connected pairs are a subset of sampled.
-        if probe.connected > probe.pairs {
+    /// The probe's counting identities, like the traffic summary's
+    /// conservation law: outcomes partition the connected pairs, and
+    /// connected pairs are a subset of sampled.
+    fn validate(&self) -> Result<(), ParseError> {
+        if self.connected > self.pairs {
             return Err(ParseError::bad("connected", "exceeds sampled pairs"));
         }
         let resolved =
-            probe.delivered + probe.no_common_tree + probe.stuck + probe.bad_forward + probe.looped;
-        if resolved != probe.connected {
+            self.delivered + self.no_common_tree + self.stuck + self.bad_forward + self.looped;
+        if resolved != self.connected {
             return Err(ParseError::bad(
                 "delivered",
                 format!(
                     "outcomes sum to {resolved} but {} pairs are connected",
-                    probe.connected
+                    self.connected
                 ),
             ));
         }
-        Ok(probe)
+        Ok(())
     }
 }
 
-/// Results of re-probing the stale scheme against a perturbed graph.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PerturbedStat {
-    /// Requested edge-kill probability.
-    pub kill_edges: f64,
-    /// Requested vertex-kill probability.
-    pub kill_vertices: f64,
-    /// Edges actually removed (including those incident to killed vertices).
-    pub killed_edges: u64,
-    /// Vertices actually killed.
-    pub killed_vertices: u64,
-    /// The probe against the perturbed graph with the stale tables.
-    pub probe: ProbeStat,
-    /// Perturbed mean stretch over the intact mean stretch (1.0 when either
-    /// probe delivered nothing).
-    pub stretch_inflation: f64,
-}
-
-impl PerturbedStat {
-    fn to_value(&self) -> Value {
-        Value::object(vec![
-            ("kill_edges", Value::from(self.kill_edges)),
-            ("kill_vertices", Value::from(self.kill_vertices)),
-            ("killed_edges", Value::from(self.killed_edges)),
-            ("killed_vertices", Value::from(self.killed_vertices)),
-            ("probe", self.probe.to_value()),
-            ("stretch_inflation", Value::from(self.stretch_inflation)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<PerturbedStat, ParseError> {
-        Ok(PerturbedStat {
-            kill_edges: float(v, "kill_edges")?,
-            kill_vertices: float(v, "kill_vertices")?,
-            killed_edges: uint(v, "killed_edges")?,
-            killed_vertices: uint(v, "killed_vertices")?,
-            probe: ProbeStat::from_value(
-                v.get("probe").ok_or_else(|| ParseError::missing("probe"))?,
-            )
-            .map_err(|e| e.for_type("scheme_audit"))?,
-            stretch_inflation: float(v, "stretch_inflation")?,
-        })
+record! {
+    /// Results of re-probing the stale scheme against a perturbed graph.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct PerturbedStat {
+        /// Requested edge-kill probability.
+        pub kill_edges: f64,
+        /// Requested vertex-kill probability.
+        pub kill_vertices: f64,
+        /// Edges actually removed (including those incident to killed vertices).
+        pub killed_edges: u64,
+        /// Vertices actually killed.
+        pub killed_vertices: u64,
+        /// The probe against the perturbed graph with the stale tables.
+        pub probe: ProbeStat,
+        /// Perturbed mean stretch over the intact mean stretch (1.0 when either
+        /// probe delivered nothing).
+        pub stretch_inflation: f64,
     }
 }
 
-/// One full scheme audit: attribution + invariants + probes.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SchemeAudit {
-    /// Vertices in the audited scheme.
-    pub n: u64,
-    /// The scheme's `k`.
-    pub k: u64,
-    /// Construction mode name.
-    pub mode: String,
-    /// Per-component memory attribution.
-    pub components: Vec<ComponentStat>,
-    /// Whether every vertex's resident components summed exactly to its
-    /// independently computed resident word count.
-    pub attribution_exact: bool,
-    /// Total resident words across all vertices.
-    pub resident_total: u64,
-    /// Largest per-vertex resident word count.
-    pub resident_max: u64,
-    /// Whether a build-time `MemoryMeter` was available to cross-check.
-    pub meter_checked: bool,
-    /// Whether the metered peaks dominated the resident attribution at
-    /// every vertex (vacuously true when `meter_checked` is false).
-    pub meter_ok: bool,
-    /// Structural invariant verdicts.
-    pub invariants: Vec<InvariantStat>,
-    /// The intact-graph consistency probe.
-    pub probe: ProbeStat,
-    /// The perturbed-graph health probe, when one was requested.
-    pub perturbed: Option<PerturbedStat>,
-    /// Total violations across attribution, meter, invariants, and the
-    /// intact probe (perturbed-probe failures are measurements, not
-    /// violations).
-    pub violations: u64,
+record! {
+    /// One full scheme audit: attribution + invariants + probes.
+    ///
+    /// `from_value` rejects an internally inconsistent probe (outcome counts
+    /// that do not partition the connected pairs).
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct SchemeAudit: "scheme_audit" {
+        /// Vertices in the audited scheme.
+        pub n: u64,
+        /// The scheme's `k`.
+        pub k: u64,
+        /// Construction mode name.
+        pub mode: String,
+        /// Per-component memory attribution.
+        pub components: Vec<ComponentStat>,
+        /// Whether every vertex's resident components summed exactly to its
+        /// independently computed resident word count.
+        pub attribution_exact: bool,
+        /// Total resident words across all vertices.
+        pub resident_total: u64,
+        /// Largest per-vertex resident word count.
+        pub resident_max: u64,
+        /// Whether a build-time `MemoryMeter` was available to cross-check.
+        pub meter_checked: bool,
+        /// Whether the metered peaks dominated the resident attribution at
+        /// every vertex (vacuously true when `meter_checked` is false).
+        pub meter_ok: bool,
+        /// Structural invariant verdicts.
+        pub invariants: Vec<InvariantStat>,
+        /// The intact-graph consistency probe.
+        pub probe: ProbeStat,
+        /// The perturbed-graph health probe, when one was requested.
+        pub perturbed: Option<PerturbedStat>,
+        /// Total violations across attribution, meter, invariants, and the
+        /// intact probe (perturbed-probe failures are measurements, not
+        /// violations).
+        pub violations: u64,
+    }
 }
 
 impl SchemeAudit {
@@ -316,131 +224,12 @@ impl SchemeAudit {
     pub fn ok(&self) -> bool {
         self.violations == 0
     }
-
-    /// Serialize as a `scheme_audit` record.
-    pub fn to_value(&self) -> Value {
-        Value::object(vec![
-            ("type", Value::from("scheme_audit")),
-            ("n", Value::from(self.n)),
-            ("k", Value::from(self.k)),
-            ("mode", Value::from(self.mode.as_str())),
-            (
-                "components",
-                Value::Array(
-                    self.components
-                        .iter()
-                        .map(ComponentStat::to_value)
-                        .collect(),
-                ),
-            ),
-            ("attribution_exact", Value::from(self.attribution_exact)),
-            ("resident_total", Value::from(self.resident_total)),
-            ("resident_max", Value::from(self.resident_max)),
-            ("meter_checked", Value::from(self.meter_checked)),
-            ("meter_ok", Value::from(self.meter_ok)),
-            (
-                "invariants",
-                Value::Array(
-                    self.invariants
-                        .iter()
-                        .map(InvariantStat::to_value)
-                        .collect(),
-                ),
-            ),
-            ("probe", self.probe.to_value()),
-            (
-                "perturbed",
-                self.perturbed
-                    .as_ref()
-                    .map_or(Value::Null, PerturbedStat::to_value),
-            ),
-            ("violations", Value::from(self.violations)),
-        ])
-    }
-
-    /// Parse a `scheme_audit` record back.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseError`] naming the first missing or ill-typed field,
-    /// or an internally inconsistent probe (outcome counts that do not
-    /// partition the connected pairs).
-    pub fn from_value(v: &Value) -> Result<SchemeAudit, ParseError> {
-        if v.get("type").and_then(Value::as_str) != Some("scheme_audit") {
-            return Err(ParseError::not_record("scheme_audit"));
-        }
-        let tag = |e: ParseError| e.for_type("scheme_audit");
-        let components = v
-            .get("components")
-            .and_then(Value::as_array)
-            .ok_or_else(|| tag(ParseError::missing("components")))?
-            .iter()
-            .map(ComponentStat::from_value)
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(tag)?;
-        let invariants = v
-            .get("invariants")
-            .and_then(Value::as_array)
-            .ok_or_else(|| tag(ParseError::missing("invariants")))?
-            .iter()
-            .map(InvariantStat::from_value)
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(tag)?;
-        let probe = ProbeStat::from_value(
-            v.get("probe")
-                .ok_or_else(|| tag(ParseError::missing("probe")))?,
-        )
-        .map_err(tag)?;
-        let perturbed = match v.get("perturbed") {
-            None | Some(Value::Null) => None,
-            Some(p) => Some(PerturbedStat::from_value(p).map_err(tag)?),
-        };
-        Ok(SchemeAudit {
-            n: uint(v, "n").map_err(tag)?,
-            k: uint(v, "k").map_err(tag)?,
-            mode: text(v, "mode").map_err(tag)?,
-            components,
-            attribution_exact: boolean(v, "attribution_exact").map_err(tag)?,
-            resident_total: uint(v, "resident_total").map_err(tag)?,
-            resident_max: uint(v, "resident_max").map_err(tag)?,
-            meter_checked: boolean(v, "meter_checked").map_err(tag)?,
-            meter_ok: boolean(v, "meter_ok").map_err(tag)?,
-            invariants,
-            probe,
-            perturbed,
-            violations: uint(v, "violations").map_err(tag)?,
-        })
-    }
-}
-
-fn uint(v: &Value, key: &str) -> Result<u64, ParseError> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| ParseError::missing(key))
-}
-
-fn float(v: &Value, key: &str) -> Result<f64, ParseError> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| ParseError::missing(key))
-}
-
-fn boolean(v: &Value, key: &str) -> Result<bool, ParseError> {
-    v.get(key)
-        .and_then(Value::as_bool)
-        .ok_or_else(|| ParseError::missing(key))
-}
-
-fn text(v: &Value, key: &str) -> Result<String, ParseError> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| ParseError::missing(key))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
 
     fn sample_probe() -> ProbeStat {
         ProbeStat {
@@ -503,6 +292,14 @@ mod tests {
         assert_eq!(s.p95, 95);
         assert_eq!(s.p99, 99);
         assert!((s.mean - 50.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn bytes_are_pinned() {
+        let pinned = r#"{"type":"scheme_audit","n":64,"k":2,"mode":"distributed-low-memory","components":[{"name":"cluster_membership","resident":true,"total":57,"max":30,"mean":14.25,"p50":9,"p95":12,"p99":12},{"name":"hopset_edges","resident":false,"total":6,"max":4,"mean":1.5,"p50":0,"p95":2,"p99":2}],"attribution_exact":true,"resident_total":4096,"resident_max":120,"meter_checked":true,"meter_ok":true,"invariants":[{"name":"dfs_nesting","checked":500,"violations":0}],"probe":{"pairs":120,"connected":100,"delivered":97,"no_common_tree":1,"stuck":1,"bad_forward":1,"looped":0,"undershoots":0,"over_bound":0,"oracle_undershoots":0,"oracle_over_bound":0,"mean_stretch":1.21,"max_stretch":3,"full_sweep":false,"reachability":0.97},"perturbed":{"kill_edges":0.1,"kill_vertices":0,"killed_edges":13,"killed_vertices":0,"probe":{"pairs":120,"connected":100,"delivered":97,"no_common_tree":1,"stuck":1,"bad_forward":1,"looped":0,"undershoots":0,"over_bound":0,"oracle_undershoots":0,"oracle_over_bound":0,"mean_stretch":1.21,"max_stretch":3,"full_sweep":false,"reachability":0.97},"stretch_inflation":1.08},"violations":3}"#;
+        assert_eq!(sample_audit().to_value().to_string(), pinned);
+        let parsed = SchemeAudit::from_value(&crate::json::parse(pinned).unwrap()).unwrap();
+        assert_eq!(parsed, sample_audit());
     }
 
     #[test]

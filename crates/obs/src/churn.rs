@@ -11,9 +11,9 @@
 //! it was first breached.
 //!
 //! The producing machinery lives in the `churn` crate; this module owns the
-//! serialized shape and its `to_value`/`from_value` round-trip contract. As
-//! with the other records, the counting identities are *re-checked on
-//! parse*: probe outcomes must partition the fixed pair sample, traffic
+//! serialized shape, declared once per record through
+//! [`record!`](crate::record!). As with the other records, the counting
+//! identities are *re-checked on parse* (each record's `validate`): probe outcomes must partition the fixed pair sample, traffic
 //! counts must conserve, and — when the process has no revival — the
 //! delivered series must be monotonically non-increasing, because a fixed
 //! pair sample routed by fixed stale tables can only lose pairs as failures
@@ -21,51 +21,57 @@
 
 use crate::error::ParseError;
 use crate::json::Value;
+use crate::record;
 
-/// One churn round's health sample.
-#[derive(Clone, Debug, PartialEq)]
-pub struct HealthRow {
-    /// Round index (0 = intact baseline, before any event fires).
-    pub round: u64,
-    /// Churn events applied in this round.
-    pub events: u64,
-    /// Cumulative dead vertices after this round.
-    pub dead_vertices: u64,
-    /// Cumulative unusable edges (own tombstone or dead endpoint).
-    pub dead_edges: u64,
-    /// Alive vertices whose resident routing state references something dead.
-    pub blast_radius: u64,
-    /// Fixed-sample pairs delivered by the stale tables this round.
-    pub delivered: u64,
-    /// Pairs with a dead endpoint (never routed).
-    pub endpoint_dead: u64,
-    /// Routed pairs that failed: endpoints share no routing tree.
-    pub no_common_tree: u64,
-    /// Routed pairs that failed: forwarding rule stuck mid-route.
-    pub stuck: u64,
-    /// Routed pairs that failed: forwarded over a now-missing edge.
-    pub bad_forward: u64,
-    /// Routed pairs that failed: hop cap exceeded.
-    pub looped: u64,
-    /// Mean delivered stretch vs the *current* perturbed graph's Dijkstra.
-    pub mean_stretch: f64,
-    /// `mean_stretch` over the round-0 mean stretch (1.0 when either side
-    /// delivered nothing).
-    pub stretch_inflation: f64,
-    /// Traffic-burst flows offered this round.
-    pub offered: u64,
-    /// Flows actually injected into the engine.
-    pub injected: u64,
-    /// Flows refused at injection (no plan, or dead endpoint).
-    pub undeliverable: u64,
-    /// Injected flows delivered by the burst.
-    pub flow_delivered: u64,
-    /// Injected flows dropped to finite queues.
-    pub dropped_capacity: u64,
-    /// Injected flows dropped because forwarding had no usable port.
-    pub dropped_stuck: u64,
-    /// Injected flows still queued when the burst window closed.
-    pub in_flight: u64,
+record! {
+    /// One churn round's health sample. The writer takes the timeline's
+    /// `baseline_connected`, the denominator of the derived `reachability`.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct HealthRow(baseline_connected: u64) {
+        /// Round index (0 = intact baseline, before any event fires).
+        pub round: u64,
+        /// Churn events applied in this round.
+        pub events: u64,
+        /// Cumulative dead vertices after this round.
+        pub dead_vertices: u64,
+        /// Cumulative unusable edges (own tombstone or dead endpoint).
+        pub dead_edges: u64,
+        /// Alive vertices whose resident routing state references something dead.
+        pub blast_radius: u64,
+        /// Fixed-sample pairs delivered by the stale tables this round.
+        pub delivered: u64,
+        /// Pairs with a dead endpoint (never routed).
+        pub endpoint_dead: u64,
+        /// Routed pairs that failed: endpoints share no routing tree.
+        pub no_common_tree: u64,
+        /// Routed pairs that failed: forwarding rule stuck mid-route.
+        pub stuck: u64,
+        /// Routed pairs that failed: forwarded over a now-missing edge.
+        pub bad_forward: u64,
+        /// Routed pairs that failed: hop cap exceeded.
+        pub looped: u64,
+        + "reachability" = |row| row.reachability(baseline_connected),
+        /// Mean delivered stretch vs the *current* perturbed graph's Dijkstra.
+        pub mean_stretch: f64,
+        /// `mean_stretch` over the round-0 mean stretch (1.0 when either side
+        /// delivered nothing).
+        pub stretch_inflation: f64,
+        /// Traffic-burst flows offered this round.
+        pub offered: u64,
+        /// Flows actually injected into the engine.
+        pub injected: u64,
+        /// Flows refused at injection (no plan, or dead endpoint).
+        pub undeliverable: u64,
+        /// Injected flows delivered by the burst.
+        pub flow_delivered: u64,
+        /// Injected flows dropped to finite queues.
+        pub dropped_capacity: u64,
+        /// Injected flows dropped because forwarding had no usable port.
+        pub dropped_stuck: u64,
+        /// Injected flows still queued when the burst window closed.
+        pub in_flight: u64,
+    }
+    validate
 }
 
 impl HealthRow {
@@ -78,132 +84,64 @@ impl HealthRow {
         }
     }
 
-    fn to_value(&self, baseline_connected: u64) -> Value {
-        Value::object(vec![
-            ("round", Value::from(self.round)),
-            ("events", Value::from(self.events)),
-            ("dead_vertices", Value::from(self.dead_vertices)),
-            ("dead_edges", Value::from(self.dead_edges)),
-            ("blast_radius", Value::from(self.blast_radius)),
-            ("delivered", Value::from(self.delivered)),
-            ("endpoint_dead", Value::from(self.endpoint_dead)),
-            ("no_common_tree", Value::from(self.no_common_tree)),
-            ("stuck", Value::from(self.stuck)),
-            ("bad_forward", Value::from(self.bad_forward)),
-            ("looped", Value::from(self.looped)),
-            (
-                "reachability",
-                Value::from(self.reachability(baseline_connected)),
-            ),
-            ("mean_stretch", Value::from(self.mean_stretch)),
-            ("stretch_inflation", Value::from(self.stretch_inflation)),
-            ("offered", Value::from(self.offered)),
-            ("injected", Value::from(self.injected)),
-            ("undeliverable", Value::from(self.undeliverable)),
-            ("flow_delivered", Value::from(self.flow_delivered)),
-            ("dropped_capacity", Value::from(self.dropped_capacity)),
-            ("dropped_stuck", Value::from(self.dropped_stuck)),
-            ("in_flight", Value::from(self.in_flight)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<HealthRow, ParseError> {
-        let row = HealthRow {
-            round: uint(v, "round")?,
-            events: uint(v, "events")?,
-            dead_vertices: uint(v, "dead_vertices")?,
-            dead_edges: uint(v, "dead_edges")?,
-            blast_radius: uint(v, "blast_radius")?,
-            delivered: uint(v, "delivered")?,
-            endpoint_dead: uint(v, "endpoint_dead")?,
-            no_common_tree: uint(v, "no_common_tree")?,
-            stuck: uint(v, "stuck")?,
-            bad_forward: uint(v, "bad_forward")?,
-            looped: uint(v, "looped")?,
-            mean_stretch: float(v, "mean_stretch")?,
-            stretch_inflation: float(v, "stretch_inflation")?,
-            offered: uint(v, "offered")?,
-            injected: uint(v, "injected")?,
-            undeliverable: uint(v, "undeliverable")?,
-            flow_delivered: uint(v, "flow_delivered")?,
-            dropped_capacity: uint(v, "dropped_capacity")?,
-            dropped_stuck: uint(v, "dropped_stuck")?,
-            in_flight: uint(v, "in_flight")?,
-        };
-        // Traffic conservation, same law as the traffic summary.
-        if row.offered != row.injected + row.undeliverable {
+    /// Traffic conservation, same law as the traffic summary.
+    fn validate(&self) -> Result<(), ParseError> {
+        if self.offered != self.injected + self.undeliverable {
             return Err(ParseError::bad(
                 "offered",
                 format!(
                     "offered {} != injected {} + undeliverable {}",
-                    row.offered, row.injected, row.undeliverable
+                    self.offered, self.injected, self.undeliverable
                 ),
             ));
         }
         let resolved =
-            row.flow_delivered + row.dropped_capacity + row.dropped_stuck + row.in_flight;
-        if row.injected != resolved {
+            self.flow_delivered + self.dropped_capacity + self.dropped_stuck + self.in_flight;
+        if self.injected != resolved {
             return Err(ParseError::bad(
                 "injected",
-                format!("injected {} but flow fates sum to {resolved}", row.injected),
+                format!(
+                    "injected {} but flow fates sum to {resolved}",
+                    self.injected
+                ),
             ));
         }
-        Ok(row)
+        Ok(())
     }
 }
 
-/// Knee/half-life summary of the reachability series.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DegradationStat {
-    /// Reachability at round 0 (intact graph, stale-table routing losses
-    /// only).
-    pub initial_reachability: f64,
-    /// Reachability at the final round.
-    pub final_reachability: f64,
-    /// Round of the steepest single-round reachability drop, if any round
-    /// dropped at all.
-    pub knee_round: Option<u64>,
-    /// Size of that steepest drop (absolute reachability lost).
-    pub knee_drop: f64,
-    /// First round with reachability ≤ half the initial value, if reached.
-    pub half_life_round: Option<u64>,
-}
-
-impl DegradationStat {
-    fn to_value(&self) -> Value {
-        Value::object(vec![
-            (
-                "initial_reachability",
-                Value::from(self.initial_reachability),
-            ),
-            ("final_reachability", Value::from(self.final_reachability)),
-            ("knee_round", opt_to_value(self.knee_round)),
-            ("knee_drop", Value::from(self.knee_drop)),
-            ("half_life_round", opt_to_value(self.half_life_round)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<DegradationStat, ParseError> {
-        Ok(DegradationStat {
-            initial_reachability: float(v, "initial_reachability")?,
-            final_reachability: float(v, "final_reachability")?,
-            knee_round: opt_uint(v, "knee_round")?,
-            knee_drop: float(v, "knee_drop")?,
-            half_life_round: opt_uint(v, "half_life_round")?,
-        })
+record! {
+    /// Knee/half-life summary of the reachability series.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct DegradationStat {
+        /// Reachability at round 0 (intact graph, stale-table routing losses
+        /// only).
+        pub initial_reachability: f64,
+        /// Reachability at the final round.
+        pub final_reachability: f64,
+        /// Round of the steepest single-round reachability drop, if any round
+        /// dropped at all.
+        pub knee_round: Option<u64>,
+        /// Size of that steepest drop (absolute reachability lost).
+        pub knee_drop: f64,
+        /// First round with reachability ≤ half the initial value, if reached.
+        pub half_life_round: Option<u64>,
     }
 }
 
-/// An operator-declared SLO ("reachability ≥ floor through round R") and
-/// its verdict.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SloStat {
-    /// The reachability floor.
-    pub floor: f64,
-    /// The last round the floor must hold through.
-    pub through_round: u64,
-    /// First round ≤ `through_round` that went below the floor, if any.
-    pub breach_round: Option<u64>,
+record! {
+    /// An operator-declared SLO ("reachability ≥ floor through round R") and
+    /// its verdict.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct SloStat {
+        /// The reachability floor.
+        pub floor: f64,
+        /// The last round the floor must hold through.
+        pub through_round: u64,
+        /// First round ≤ `through_round` that went below the floor, if any.
+        pub breach_round: Option<u64>,
+        + "ok" = |slo| slo.ok(),
+    }
 }
 
 impl SloStat {
@@ -211,60 +149,53 @@ impl SloStat {
     pub fn ok(&self) -> bool {
         self.breach_round.is_none()
     }
-
-    fn to_value(&self) -> Value {
-        Value::object(vec![
-            ("floor", Value::from(self.floor)),
-            ("through_round", Value::from(self.through_round)),
-            ("breach_round", opt_to_value(self.breach_round)),
-            ("ok", Value::from(self.ok())),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<SloStat, ParseError> {
-        Ok(SloStat {
-            floor: float(v, "floor")?,
-            through_round: uint(v, "through_round")?,
-            breach_round: opt_uint(v, "breach_round")?,
-        })
-    }
 }
 
-/// One full churn run: configuration echo, per-round health series, and the
-/// degradation summary.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ChurnTimeline {
-    /// Vertices in the base graph.
-    pub n: u64,
-    /// Edges in the base graph.
-    pub m: u64,
-    /// The scheme's `k`.
-    pub k: u64,
-    /// Churn process name (`random`, `random-edges`, `targeted`, `regional`).
-    pub process: String,
-    /// Per-round failure rate (fraction of the original element count).
-    pub rate: f64,
-    /// Per-round revival probability for dead vertices (0 = monotone decay).
-    pub revive: f64,
-    /// Master seed.
-    pub seed: u64,
-    /// Traffic workload name.
-    pub workload: String,
-    /// Traffic injection rate (flows per engine round during each burst).
-    pub traffic_rate: f64,
-    /// Size of the fixed probe pair sample.
-    pub probe_pairs: u64,
-    /// Pairs of the sample connected on the intact graph — the fixed
-    /// reachability denominator for every round.
-    pub baseline_connected: u64,
-    /// Round-0 mean delivered stretch (the inflation denominator).
-    pub baseline_mean_stretch: f64,
-    /// Per-round samples, ascending by round from 0.
-    pub rounds: Vec<HealthRow>,
-    /// Reachability-series summary.
-    pub degradation: DegradationStat,
-    /// SLO verdict, when one was declared.
-    pub slo: Option<SloStat>,
+record! {
+    /// One full churn run: configuration echo, per-round health series, and the
+    /// degradation summary.
+    ///
+    /// `from_value` rejects a row violating probe partition or traffic
+    /// conservation and — for revival-free processes — a delivered series
+    /// that is not monotonically non-increasing.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct ChurnTimeline: "churn_timeline" {
+        /// Vertices in the base graph.
+        pub n: u64,
+        /// Edges in the base graph.
+        pub m: u64,
+        /// The scheme's `k`.
+        pub k: u64,
+        /// Churn process name (`random`, `random-edges`, `targeted`, `regional`).
+        pub process: String,
+        /// Per-round failure rate (fraction of the original element count).
+        pub rate: f64,
+        /// Per-round revival probability for dead vertices (0 = monotone decay).
+        pub revive: f64,
+        /// Master seed.
+        pub seed: u64,
+        /// Traffic workload name.
+        pub workload: String,
+        /// Traffic injection rate (flows per engine round during each burst).
+        pub traffic_rate: f64,
+        /// Size of the fixed probe pair sample.
+        pub probe_pairs: u64,
+        /// Pairs of the sample connected on the intact graph — the fixed
+        /// reachability denominator for every round.
+        pub baseline_connected: u64,
+        /// Round-0 mean delivered stretch (the inflation denominator).
+        pub baseline_mean_stretch: f64,
+        /// Per-round samples, ascending by round from 0.
+        pub rounds: Vec<HealthRow> => [
+            |t: &ChurnTimeline| record::array(&t.rounds, |r| r.to_value(t.baseline_connected)),
+            |v: &Value| record::list(v, HealthRow::from_value)
+        ],
+        /// Reachability-series summary.
+        pub degradation: DegradationStat,
+        /// SLO verdict, when one was declared.
+        pub slo: Option<SloStat>,
+    }
+    validate
 }
 
 impl ChurnTimeline {
@@ -281,96 +212,13 @@ impl ChurnTimeline {
             .collect()
     }
 
-    /// Serialize as a `churn_timeline` record.
-    pub fn to_value(&self) -> Value {
-        Value::object(vec![
-            ("type", Value::from("churn_timeline")),
-            ("n", Value::from(self.n)),
-            ("m", Value::from(self.m)),
-            ("k", Value::from(self.k)),
-            ("process", Value::from(self.process.as_str())),
-            ("rate", Value::from(self.rate)),
-            ("revive", Value::from(self.revive)),
-            ("seed", Value::from(self.seed)),
-            ("workload", Value::from(self.workload.as_str())),
-            ("traffic_rate", Value::from(self.traffic_rate)),
-            ("probe_pairs", Value::from(self.probe_pairs)),
-            ("baseline_connected", Value::from(self.baseline_connected)),
-            (
-                "baseline_mean_stretch",
-                Value::from(self.baseline_mean_stretch),
-            ),
-            (
-                "rounds",
-                Value::Array(
-                    self.rounds
-                        .iter()
-                        .map(|r| r.to_value(self.baseline_connected))
-                        .collect(),
-                ),
-            ),
-            ("degradation", self.degradation.to_value()),
-            (
-                "slo",
-                self.slo.as_ref().map_or(Value::Null, SloStat::to_value),
-            ),
-        ])
-    }
-
-    /// Parse a `churn_timeline` record back.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseError`] naming the first missing or ill-typed field,
-    /// a row violating probe partition or traffic conservation, or — for
-    /// revival-free processes — a delivered series that is not monotonically
-    /// non-increasing.
-    pub fn from_value(v: &Value) -> Result<ChurnTimeline, ParseError> {
-        if v.get("type").and_then(Value::as_str) != Some("churn_timeline") {
-            return Err(ParseError::not_record("churn_timeline"));
+    fn validate(&self) -> Result<(), ParseError> {
+        if self.rounds.is_empty() {
+            return Err(ParseError::bad("rounds", "empty series"));
         }
-        let tag = |e: ParseError| e.for_type("churn_timeline");
-        let rounds = v
-            .get("rounds")
-            .and_then(Value::as_array)
-            .ok_or_else(|| tag(ParseError::missing("rounds")))?
-            .iter()
-            .map(HealthRow::from_value)
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(tag)?;
-        let degradation = DegradationStat::from_value(
-            v.get("degradation")
-                .ok_or_else(|| tag(ParseError::missing("degradation")))?,
-        )
-        .map_err(tag)?;
-        let slo = match v.get("slo") {
-            None | Some(Value::Null) => None,
-            Some(s) => Some(SloStat::from_value(s).map_err(tag)?),
-        };
-        let t = ChurnTimeline {
-            n: uint(v, "n").map_err(tag)?,
-            m: uint(v, "m").map_err(tag)?,
-            k: uint(v, "k").map_err(tag)?,
-            process: text(v, "process").map_err(tag)?,
-            rate: float(v, "rate").map_err(tag)?,
-            revive: float(v, "revive").map_err(tag)?,
-            seed: uint(v, "seed").map_err(tag)?,
-            workload: text(v, "workload").map_err(tag)?,
-            traffic_rate: float(v, "traffic_rate").map_err(tag)?,
-            probe_pairs: uint(v, "probe_pairs").map_err(tag)?,
-            baseline_connected: uint(v, "baseline_connected").map_err(tag)?,
-            baseline_mean_stretch: float(v, "baseline_mean_stretch").map_err(tag)?,
-            rounds,
-            degradation,
-            slo,
-        };
-        if t.rounds.is_empty() {
-            return Err(tag(ParseError::bad("rounds", "empty series")));
-        }
-        for (i, row) in t.rounds.iter().enumerate() {
-            let fail = |field: &str, why: String| tag(ParseError::bad(field, why));
+        for (i, row) in self.rounds.iter().enumerate() {
             if row.round != i as u64 {
-                return Err(fail(
+                return Err(ParseError::bad(
                     "round",
                     format!("row {i} carries round {}", row.round),
                 ));
@@ -382,83 +230,49 @@ impl ChurnTimeline {
                 + row.stuck
                 + row.bad_forward
                 + row.looped;
-            if resolved != t.probe_pairs {
-                return Err(fail(
+            if resolved != self.probe_pairs {
+                return Err(ParseError::bad(
                     "delivered",
                     format!(
                         "round {i} outcomes sum to {resolved} but the sample has {} pairs",
-                        t.probe_pairs
+                        self.probe_pairs
                     ),
                 ));
             }
             // Delivery can never exceed the intact graph's connectivity.
-            if row.delivered > t.baseline_connected {
-                return Err(fail(
+            if row.delivered > self.baseline_connected {
+                return Err(ParseError::bad(
                     "delivered",
                     format!(
                         "round {i} delivered {} of {} baseline-connected pairs",
-                        row.delivered, t.baseline_connected
+                        row.delivered, self.baseline_connected
                     ),
                 ));
             }
         }
-        if t.baseline_connected > t.probe_pairs {
-            return Err(tag(ParseError::bad(
+        if self.baseline_connected > self.probe_pairs {
+            return Err(ParseError::bad(
                 "baseline_connected",
                 "exceeds sampled pairs",
-            )));
+            ));
         }
         // Without revival the failure set only grows, the pair sample and
         // tables are fixed, so the delivered series must be monotone.
-        if t.revive == 0.0 {
-            for w in t.rounds.windows(2) {
+        if self.revive == 0.0 {
+            for w in self.rounds.windows(2) {
                 if w[1].delivered > w[0].delivered {
-                    return Err(tag(ParseError::bad(
+                    return Err(ParseError::bad(
                         "delivered",
                         format!(
                             "round {} delivers {} > {} of round {} with no revival",
                             w[1].round, w[1].delivered, w[0].delivered, w[0].round
                         ),
-                    )));
+                    ));
                 }
             }
         }
-        Ok(t)
+        Ok(())
     }
-}
-
-fn opt_to_value(v: Option<u64>) -> Value {
-    v.map_or(Value::Null, Value::from)
-}
-
-fn opt_uint(v: &Value, key: &str) -> Result<Option<u64>, ParseError> {
-    match v.get(key) {
-        None => Err(ParseError::missing(key)),
-        Some(Value::Null) => Ok(None),
-        Some(x) => x
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| ParseError::bad(key, "not a non-negative integer")),
-    }
-}
-
-fn uint(v: &Value, key: &str) -> Result<u64, ParseError> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| ParseError::missing(key))
-}
-
-fn float(v: &Value, key: &str) -> Result<f64, ParseError> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| ParseError::missing(key))
-}
-
-fn text(v: &Value, key: &str) -> Result<String, ParseError> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| ParseError::missing(key))
 }
 
 #[cfg(test)]
@@ -518,6 +332,14 @@ mod tests {
                 breach_round: Some(1),
             }),
         }
+    }
+
+    #[test]
+    fn bytes_are_pinned() {
+        let pinned = r#"{"type":"churn_timeline","n":128,"m":400,"k":2,"process":"targeted","rate":0.02,"revive":0,"seed":7,"workload":"uniform","traffic_rate":2,"probe_pairs":100,"baseline_connected":95,"baseline_mean_stretch":1.2,"rounds":[{"round":0,"events":0,"dead_vertices":0,"dead_edges":0,"blast_radius":0,"delivered":90,"endpoint_dead":0,"no_common_tree":4,"stuck":3,"bad_forward":2,"looped":1,"reachability":0.9473684210526315,"mean_stretch":1.2,"stretch_inflation":1,"offered":64,"injected":60,"undeliverable":4,"flow_delivered":50,"dropped_capacity":4,"dropped_stuck":5,"in_flight":1},{"round":1,"events":2,"dead_vertices":2,"dead_edges":5,"blast_radius":8,"delivered":80,"endpoint_dead":10,"no_common_tree":4,"stuck":3,"bad_forward":2,"looped":1,"reachability":0.8421052631578947,"mean_stretch":1.2,"stretch_inflation":1,"offered":64,"injected":60,"undeliverable":4,"flow_delivered":50,"dropped_capacity":4,"dropped_stuck":5,"in_flight":1},{"round":2,"events":2,"dead_vertices":4,"dead_edges":10,"blast_radius":16,"delivered":40,"endpoint_dead":50,"no_common_tree":4,"stuck":3,"bad_forward":2,"looped":1,"reachability":0.42105263157894735,"mean_stretch":1.2,"stretch_inflation":1,"offered":64,"injected":60,"undeliverable":4,"flow_delivered":50,"dropped_capacity":4,"dropped_stuck":5,"in_flight":1}],"degradation":{"initial_reachability":0.9473684210526315,"final_reachability":0.42105263157894735,"knee_round":2,"knee_drop":0.42105263157894735,"half_life_round":2},"slo":{"floor":0.9,"through_round":2,"breach_round":1,"ok":false}}"#;
+        assert_eq!(sample().to_value().to_string(), pinned);
+        let parsed = ChurnTimeline::from_value(&crate::json::parse(pinned).unwrap()).unwrap();
+        assert_eq!(parsed, sample());
     }
 
     #[test]

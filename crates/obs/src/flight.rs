@@ -18,7 +18,7 @@
 //! and [`Histogram`] buckets per-pair stretch for the figure reports.
 //!
 //! Everything serializes to (and parses back from) the crate's JSONL record
-//! schema: `packet_trace`, `edge_load`, `vertex_load`, and
+//! schema, each shape declared once through [`record!`](crate::record!): `packet_trace`, `edge_load`, `vertex_load`, and
 //! `stretch_histogram` records ride in the same run reports as the
 //! construction spans. Vertices are named by raw `u32` ids so this crate
 //! stays dependency-free.
@@ -27,6 +27,7 @@ use std::collections::HashMap;
 
 use crate::error::ParseError;
 use crate::json::Value;
+use crate::record;
 
 /// The kind of forwarding decision behind one hop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,64 +66,26 @@ impl HopKind {
     }
 }
 
-/// One edge traversal of a traced packet.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HopRecord {
-    /// Round in which the packet left `vertex` (after any queueing).
-    pub round: u64,
-    /// The forwarding vertex.
-    pub vertex: u32,
-    /// The port (index into the vertex's neighbor list) the packet took.
-    pub port: usize,
-    /// The neighbor behind that port.
-    pub next: u32,
-    /// What the forwarding rule decided.
-    pub kind: HopKind,
-    /// Rounds the packet waited in `vertex`'s outgoing queue before this hop.
-    pub queue_delay: u64,
-    /// Weight accumulated *after* traversing this edge.
-    pub weight: u64,
-    /// Words the packet occupies on the wire (header + label).
-    pub header_words: usize,
-}
-
-impl HopRecord {
-    fn to_value(self) -> Value {
-        Value::object(vec![
-            ("round", Value::from(self.round)),
-            ("vertex", Value::from(u64::from(self.vertex))),
-            ("port", Value::from(self.port)),
-            ("next", Value::from(u64::from(self.next))),
-            ("kind", Value::from(self.kind.name())),
-            ("queue_delay", Value::from(self.queue_delay)),
-            ("weight", Value::from(self.weight)),
-            ("header_words", Value::from(self.header_words)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<HopRecord, ParseError> {
-        let field = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| ParseError::missing(key).for_type("packet_trace"))
-        };
-        let kind = v
-            .get("kind")
-            .and_then(Value::as_str)
-            .and_then(HopKind::from_name)
-            .ok_or_else(|| {
-                ParseError::bad("kind", "missing or invalid hop kind").for_type("packet_trace")
-            })?;
-        Ok(HopRecord {
-            round: field("round")?,
-            vertex: field("vertex")? as u32,
-            port: field("port")? as usize,
-            next: field("next")? as u32,
-            kind,
-            queue_delay: field("queue_delay")?,
-            weight: field("weight")?,
-            header_words: field("header_words")? as usize,
-        })
+record! {
+    /// One edge traversal of a traced packet.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct HopRecord {
+        /// Round in which the packet left `vertex` (after any queueing).
+        pub round: u64,
+        /// The forwarding vertex.
+        pub vertex: u32,
+        /// The port (index into the vertex's neighbor list) the packet took.
+        pub port: usize,
+        /// The neighbor behind that port.
+        pub next: u32,
+        /// What the forwarding rule decided.
+        pub kind: HopKind,
+        /// Rounds the packet waited in `vertex`'s outgoing queue before this hop.
+        pub queue_delay: u64,
+        /// Weight accumulated *after* traversing this edge.
+        pub weight: u64,
+        /// Words the packet occupies on the wire (header + label).
+        pub header_words: usize,
     }
 }
 
@@ -145,19 +108,28 @@ pub struct FlightDecomposition {
     pub queue_rounds: u64,
 }
 
-/// The complete journey of one traced packet.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PacketTrace {
-    /// Source vertex.
-    pub src: u32,
-    /// Destination vertex.
-    pub dst: u32,
-    /// Root of the tree the source committed to.
-    pub tree_root: u32,
-    /// Round of delivery (`None` if the packet was dropped mid-route).
-    pub delivered_round: Option<u64>,
-    /// One record per edge traversal, in order.
-    pub hops: Vec<HopRecord>,
+record! {
+    /// The complete journey of one traced packet, serialized as a
+    /// `packet_trace` JSONL record.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct PacketTrace: "packet_trace" {
+        /// Source vertex.
+        pub src: u32,
+        /// Destination vertex.
+        pub dst: u32,
+        /// Root of the tree the source committed to.
+        pub tree_root: u32,
+        + "delivered" = |t| t.delivered_round.is_some(),
+        /// Round of delivery (`None` if the packet was dropped mid-route).
+        pub delivered_round: Option<u64>,
+        + "weight" = |t| t.total_weight(),
+        + "hops" = |t| t.hop_count(),
+        + "ascent_weight" = |t| t.decomposition().ascent_weight,
+        + "descent_weight" = |t| t.decomposition().descent_weight,
+        + "queue_rounds" = |t| t.decomposition().queue_rounds,
+        /// One record per edge traversal, in order.
+        pub hops: Vec<HopRecord> => "path",
+    }
 }
 
 impl PacketTrace {
@@ -194,78 +166,25 @@ impl PacketTrace {
         }
         d
     }
-
-    /// Serialize as a `packet_trace` JSONL record.
-    pub fn to_value(&self) -> Value {
-        let d = self.decomposition();
-        Value::object(vec![
-            ("type", Value::from("packet_trace")),
-            ("src", Value::from(u64::from(self.src))),
-            ("dst", Value::from(u64::from(self.dst))),
-            ("tree_root", Value::from(u64::from(self.tree_root))),
-            ("delivered", Value::from(self.delivered_round.is_some())),
-            (
-                "delivered_round",
-                self.delivered_round.map_or(Value::Null, Value::from),
-            ),
-            ("weight", Value::from(self.total_weight())),
-            ("hops", Value::from(self.hop_count())),
-            ("ascent_weight", Value::from(d.ascent_weight)),
-            ("descent_weight", Value::from(d.descent_weight)),
-            ("queue_rounds", Value::from(d.queue_rounds)),
-            (
-                "path",
-                Value::Array(self.hops.iter().map(|h| h.to_value()).collect()),
-            ),
-        ])
-    }
-
-    /// Parse a `packet_trace` record back.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseError`] naming the first missing or ill-typed field.
-    pub fn from_value(v: &Value) -> Result<PacketTrace, ParseError> {
-        if v.get("type").and_then(Value::as_str) != Some("packet_trace") {
-            return Err(ParseError::not_record("packet_trace"));
-        }
-        let field = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| ParseError::missing(key).for_type("packet_trace"))
-        };
-        let hops = v
-            .get("path")
-            .and_then(Value::as_array)
-            .ok_or_else(|| ParseError::missing("path").for_type("packet_trace"))?
-            .iter()
-            .map(HopRecord::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(PacketTrace {
-            src: field("src")? as u32,
-            dst: field("dst")? as u32,
-            tree_root: field("tree_root")? as u32,
-            delivered_round: v.get("delivered_round").and_then(Value::as_u64),
-            hops,
-        })
-    }
 }
 
-/// Distribution summary of a set of per-edge (or per-vertex) loads.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct LoadStats {
-    /// Smallest load.
-    pub min: u64,
-    /// Median load.
-    pub p50: u64,
-    /// 95th-percentile load.
-    pub p95: u64,
-    /// 99th-percentile load.
-    pub p99: u64,
-    /// Largest load — the saturation hotspot.
-    pub max: u64,
-    /// Mean load.
-    pub mean: f64,
+record! {
+    /// Distribution summary of a set of per-edge (or per-vertex) loads.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    pub struct LoadStats {
+        /// Smallest load.
+        pub min: u64,
+        /// Median load.
+        pub p50: u64,
+        /// 95th-percentile load.
+        pub p95: u64,
+        /// 99th-percentile load.
+        pub p99: u64,
+        /// Largest load — the saturation hotspot.
+        pub max: u64,
+        /// Mean load.
+        pub mean: f64,
+    }
 }
 
 impl LoadStats {
@@ -287,36 +206,6 @@ impl LoadStats {
             mean: sorted.iter().sum::<u64>() as f64 / n as f64,
         }
     }
-
-    pub(crate) fn to_value(self) -> Value {
-        Value::object(vec![
-            ("min", Value::from(self.min)),
-            ("p50", Value::from(self.p50)),
-            ("p95", Value::from(self.p95)),
-            ("p99", Value::from(self.p99)),
-            ("max", Value::from(self.max)),
-            ("mean", Value::from(self.mean)),
-        ])
-    }
-
-    pub(crate) fn from_value(v: &Value) -> Result<LoadStats, ParseError> {
-        let field = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| ParseError::bad(key, "load stats missing numeric field"))
-        };
-        Ok(LoadStats {
-            min: field("min")?,
-            p50: field("p50")?,
-            p95: field("p95")?,
-            p99: field("p99")?,
-            max: field("max")?,
-            mean: v
-                .get("mean")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| ParseError::bad("mean", "load stats missing numeric field"))?,
-        })
-    }
 }
 
 /// Traffic observed on one edge (or through one vertex).
@@ -326,6 +215,47 @@ pub struct Load {
     pub packets: u64,
     /// Words those packets carried.
     pub words: u64,
+}
+
+record! {
+    /// One `edge_load` heatmap cell.
+    struct EdgeCell {
+        u: u32,
+        v: u32,
+        packets: u64,
+        words: u64,
+    }
+}
+
+record! {
+    /// The `edge_load` line an [`EdgeLoadMap`] is written as.
+    struct EdgeLoadRecord(extra: &[(&str, Value)]): "edge_load" {
+        edges: usize,
+        total_packets: u64,
+        total_words: u64,
+        load: LoadStats,
+        heatmap: Vec<EdgeCell>,
+        ..extra
+    }
+    validate
+}
+
+impl EdgeLoadRecord {
+    fn validate(&self) -> Result<(), ParseError> {
+        let sum: u64 = self.heatmap.iter().map(|c| c.words).sum();
+        heatmap_total("edge_load", self.total_words, sum)
+    }
+}
+
+/// A heatmap's recorded word total must equal the sum over its cells.
+fn heatmap_total(ty: &str, total: u64, sum: u64) -> Result<(), ParseError> {
+    if total == sum {
+        return Ok(());
+    }
+    Err(ParseError::bad(
+        "total_words",
+        format!("{ty} total_words {total} != heatmap sum {sum}"),
+    ))
 }
 
 /// Per-edge traffic heatmap aggregated from hop records.
@@ -416,75 +346,72 @@ impl EdgeLoadMap {
     /// offered load level) are appended to the top-level object. Entries are
     /// sorted by endpoint ids so records are deterministic and diffable.
     pub fn to_value(&self, extra: &[(&str, Value)]) -> Value {
-        let mut entries: Vec<(&(u32, u32), &Load)> = self.loads.iter().collect();
-        entries.sort_by_key(|(k, _)| **k);
-        let edges: Vec<Value> = entries
-            .into_iter()
-            .map(|(&(u, v), load)| {
-                Value::object(vec![
-                    ("u", Value::from(u64::from(u))),
-                    ("v", Value::from(u64::from(v))),
-                    ("packets", Value::from(load.packets)),
-                    ("words", Value::from(load.words)),
-                ])
+        let mut heatmap: Vec<EdgeCell> = self
+            .loads
+            .iter()
+            .map(|(&(u, v), load)| EdgeCell {
+                u,
+                v,
+                packets: load.packets,
+                words: load.words,
             })
             .collect();
-        let mut fields = vec![
-            ("type", Value::from("edge_load")),
-            ("edges", Value::from(self.len())),
-            ("total_packets", Value::from(self.total_packets())),
-            ("total_words", Value::from(self.total_words())),
-            ("load", self.stats().to_value()),
-            ("heatmap", Value::Array(edges)),
-        ];
-        for (k, v) in extra {
-            fields.push((k, v.clone()));
-        }
-        Value::object(fields)
+        heatmap.sort_by_key(|c| (c.u, c.v));
+        let record = EdgeLoadRecord {
+            edges: self.len(),
+            total_packets: self.total_packets(),
+            total_words: self.total_words(),
+            load: self.stats(),
+            heatmap,
+        };
+        record.to_value(extra)
     }
 
     /// Parse an `edge_load` record back.
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseError`] naming the first missing or ill-typed
-    /// field, or a mismatch between the heatmap entries and the recorded
-    /// totals.
+    /// Returns a [`ParseError`] naming the first missing, ill-typed or
+    /// out-of-range field, or a mismatch between the heatmap entries and
+    /// the recorded totals.
     pub fn from_value(v: &Value) -> Result<EdgeLoadMap, ParseError> {
-        if v.get("type").and_then(Value::as_str) != Some("edge_load") {
-            return Err(ParseError::not_record("edge_load"));
-        }
         let mut map = EdgeLoadMap::new();
-        let entries = v
-            .get("heatmap")
-            .and_then(Value::as_array)
-            .ok_or_else(|| ParseError::missing("heatmap").for_type("edge_load"))?;
-        for e in entries {
-            let field = |key: &str| {
-                e.get(key).and_then(Value::as_u64).ok_or_else(|| {
-                    ParseError::bad(key, "heatmap entry missing field").for_type("edge_load")
-                })
+        for c in EdgeLoadRecord::from_value(v)?.heatmap {
+            let load = Load {
+                packets: c.packets,
+                words: c.words,
             };
-            let key = (field("u")? as u32, field("v")? as u32);
-            let load = map.loads.entry(key).or_default();
-            load.packets += field("packets")?;
-            load.words += field("words")?;
-        }
-        let total = v
-            .get("total_words")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ParseError::missing("total_words").for_type("edge_load"))?;
-        if total != map.total_words() {
-            return Err(ParseError::bad(
-                "total_words",
-                format!(
-                    "edge_load total_words {total} != heatmap sum {}",
-                    map.total_words()
-                ),
-            )
-            .for_type("edge_load"));
+            map.add(c.u, c.v, load);
         }
         Ok(map)
+    }
+}
+
+record! {
+    /// One `vertex_load` heatmap cell.
+    struct VertexCell {
+        v: u32,
+        packets: u64,
+        words: u64,
+    }
+}
+
+record! {
+    /// The `vertex_load` line a [`VertexLoadMap`] is written as.
+    struct VertexLoadRecord(extra: &[(&str, Value)]): "vertex_load" {
+        vertices: usize,
+        total_words: u64,
+        load: LoadStats,
+        heatmap: Vec<VertexCell>,
+        ..extra
+    }
+    validate
+}
+
+impl VertexLoadRecord {
+    fn validate(&self) -> Result<(), ParseError> {
+        let sum: u64 = self.heatmap.iter().map(|c| c.words).sum();
+        heatmap_total("vertex_load", self.total_words, sum)
     }
 }
 
@@ -542,72 +469,83 @@ impl VertexLoadMap {
 
     /// Serialize as a `vertex_load` JSONL record (entries sorted by id).
     pub fn to_value(&self, extra: &[(&str, Value)]) -> Value {
-        let mut entries: Vec<(&u32, &Load)> = self.loads.iter().collect();
-        entries.sort_by_key(|(k, _)| **k);
-        let vertices: Vec<Value> = entries
-            .into_iter()
-            .map(|(&v, load)| {
-                Value::object(vec![
-                    ("v", Value::from(u64::from(v))),
-                    ("packets", Value::from(load.packets)),
-                    ("words", Value::from(load.words)),
-                ])
+        let mut heatmap: Vec<VertexCell> = self
+            .loads
+            .iter()
+            .map(|(&v, load)| VertexCell {
+                v,
+                packets: load.packets,
+                words: load.words,
             })
             .collect();
-        let mut fields = vec![
-            ("type", Value::from("vertex_load")),
-            ("vertices", Value::from(self.len())),
-            ("total_words", Value::from(self.total_words())),
-            ("load", self.stats().to_value()),
-            ("heatmap", Value::Array(vertices)),
-        ];
-        for (k, v) in extra {
-            fields.push((k, v.clone()));
-        }
-        Value::object(fields)
+        heatmap.sort_by_key(|c| c.v);
+        let record = VertexLoadRecord {
+            vertices: self.len(),
+            total_words: self.total_words(),
+            load: self.stats(),
+            heatmap,
+        };
+        record.to_value(extra)
     }
 
     /// Parse a `vertex_load` record back.
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseError`] naming the first missing or ill-typed
-    /// field, or a mismatch between the heatmap entries and the recorded
-    /// totals.
+    /// Returns a [`ParseError`] naming the first missing, ill-typed or
+    /// out-of-range field, or a mismatch between the heatmap entries and
+    /// the recorded totals.
     pub fn from_value(v: &Value) -> Result<VertexLoadMap, ParseError> {
-        if v.get("type").and_then(Value::as_str) != Some("vertex_load") {
-            return Err(ParseError::not_record("vertex_load"));
-        }
         let mut map = VertexLoadMap::new();
-        let entries = v
-            .get("heatmap")
-            .and_then(Value::as_array)
-            .ok_or_else(|| ParseError::missing("heatmap").for_type("vertex_load"))?;
-        for e in entries {
-            let field = |key: &str| {
-                e.get(key).and_then(Value::as_u64).ok_or_else(|| {
-                    ParseError::bad(key, "heatmap entry missing field").for_type("vertex_load")
-                })
-            };
-            let load = map.loads.entry(field("v")? as u32).or_default();
-            load.packets += field("packets")?;
-            load.words += field("words")?;
-        }
-        let total = v
-            .get("total_words")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ParseError::missing("total_words").for_type("vertex_load"))?;
-        if total != map.total_words() {
-            return Err(ParseError::bad(
-                "total_words",
-                format!(
-                    "vertex_load total_words {total} != heatmap sum {}",
-                    map.total_words()
-                ),
-            )
-            .for_type("vertex_load"));
+        for c in VertexLoadRecord::from_value(v)?.heatmap {
+            let load = map.loads.entry(c.v).or_default();
+            load.packets += c.packets;
+            load.words += c.words;
         }
         Ok(map)
+    }
+}
+
+record! {
+    /// One `stretch_histogram` bucket, `[lo, hi)`.
+    struct Bucket {
+        lo: f64,
+        hi: f64,
+        count: u64,
+    }
+}
+
+record! {
+    /// The `stretch_histogram` line a [`Histogram`] is written as. `max` is
+    /// `null` for an empty histogram.
+    struct HistogramRecord(extra: &[(&str, Value)]): "stretch_histogram" {
+        total: u64,
+        max: Option<f64>,
+        buckets: Vec<Bucket>,
+        ..extra
+    }
+    validate
+}
+
+impl HistogramRecord {
+    fn validate(&self) -> Result<(), ParseError> {
+        let Some(first) = self.buckets.first() else {
+            return Err(ParseError::bad("buckets", "histogram has no buckets"));
+        };
+        if first.hi - first.lo <= 0.0 {
+            return Err(ParseError::bad(
+                "hi",
+                "histogram bucket width must be positive",
+            ));
+        }
+        let sum: u64 = self.buckets.iter().map(|b| b.count).sum();
+        if self.total != sum {
+            return Err(ParseError::bad(
+                "total",
+                format!("stretch_histogram total {} != bucket sum {sum}", self.total),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -676,35 +614,18 @@ impl Histogram {
 
     /// Serialize as a `stretch_histogram` JSONL record.
     pub fn to_value(&self, extra: &[(&str, Value)]) -> Value {
-        let buckets: Vec<Value> = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(i, &count)| {
-                Value::object(vec![
-                    ("lo", Value::from(self.lo + i as f64 * self.width)),
-                    ("hi", Value::from(self.lo + (i + 1) as f64 * self.width)),
-                    ("count", Value::from(count)),
-                ])
-            })
-            .collect();
-        let mut fields = vec![
-            ("type", Value::from("stretch_histogram")),
-            ("total", Value::from(self.total)),
-            (
-                "max",
-                if self.total == 0 {
-                    Value::Null
-                } else {
-                    Value::from(self.max)
-                },
-            ),
-            ("buckets", Value::Array(buckets)),
-        ];
-        for (k, v) in extra {
-            fields.push((k, v.clone()));
-        }
-        Value::object(fields)
+        let edge = |i: usize| self.lo + i as f64 * self.width;
+        let buckets = self.counts.iter().enumerate().map(|(i, &count)| Bucket {
+            lo: edge(i),
+            hi: edge(i + 1),
+            count,
+        });
+        let record = HistogramRecord {
+            total: self.total,
+            max: (self.total > 0).then_some(self.max),
+            buckets: buckets.collect(),
+        };
+        record.to_value(extra)
     }
 
     /// Parse a `stretch_histogram` record back.
@@ -714,63 +635,14 @@ impl Histogram {
     /// Returns a [`ParseError`] naming the first missing or ill-typed
     /// field, or a total that disagrees with the bucket counts.
     pub fn from_value(v: &Value) -> Result<Histogram, ParseError> {
-        if v.get("type").and_then(Value::as_str) != Some("stretch_histogram") {
-            return Err(ParseError::not_record("stretch_histogram"));
-        }
-        let buckets = v
-            .get("buckets")
-            .and_then(Value::as_array)
-            .ok_or_else(|| ParseError::missing("buckets").for_type("stretch_histogram"))?;
-        if buckets.is_empty() {
-            return Err(ParseError::bad("buckets", "histogram has no buckets")
-                .for_type("stretch_histogram"));
-        }
-        let edge = |b: &Value, key: &str| {
-            b.get(key).and_then(Value::as_f64).ok_or_else(|| {
-                ParseError::bad(key, "histogram bucket missing field").for_type("stretch_histogram")
-            })
-        };
-        let lo = edge(&buckets[0], "lo")?;
-        let width = edge(&buckets[0], "hi")? - lo;
-        if width <= 0.0 {
-            return Err(
-                ParseError::bad("hi", "histogram bucket width must be positive")
-                    .for_type("stretch_histogram"),
-            );
-        }
-        let counts = buckets
-            .iter()
-            .map(|b| {
-                b.get("count").and_then(Value::as_u64).ok_or_else(|| {
-                    ParseError::bad("count", "histogram bucket missing field")
-                        .for_type("stretch_histogram")
-                })
-            })
-            .collect::<Result<Vec<u64>, ParseError>>()?;
-        let total = v
-            .get("total")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ParseError::missing("total").for_type("stretch_histogram"))?;
-        if total != counts.iter().sum::<u64>() {
-            return Err(ParseError::bad(
-                "total",
-                format!(
-                    "stretch_histogram total {total} != bucket sum {}",
-                    counts.iter().sum::<u64>()
-                ),
-            )
-            .for_type("stretch_histogram"));
-        }
-        let max = v
-            .get("max")
-            .and_then(Value::as_f64)
-            .unwrap_or(f64::NEG_INFINITY);
+        let record = HistogramRecord::from_value(v)?;
+        let first = &record.buckets[0]; // `validate` rejected an empty list
         Ok(Histogram {
-            lo,
-            width,
-            counts,
-            total,
-            max,
+            lo: first.lo,
+            width: first.hi - first.lo,
+            counts: record.buckets.iter().map(|b| b.count).collect(),
+            total: record.total,
+            max: record.max.unwrap_or(f64::NEG_INFINITY),
         })
     }
 }
@@ -826,6 +698,103 @@ mod tests {
             trace.delivered_round.unwrap(),
             trace.hop_count() as u64 + d.queue_rounds
         );
+    }
+
+    fn sample_trace() -> PacketTrace {
+        PacketTrace {
+            src: 7,
+            dst: 8,
+            tree_root: 1,
+            delivered_round: Some(4),
+            hops: vec![
+                hop(0, 7, 1, HopKind::Ascent, 0, 2),
+                hop(2, 1, 9, HopKind::DescentLight, 1, 5),
+                hop(3, 9, 8, HopKind::DescentHeavy, 0, 6),
+            ],
+        }
+    }
+
+    #[test]
+    fn packet_trace_bytes_are_pinned() {
+        let pinned = r#"{"type":"packet_trace","src":7,"dst":8,"tree_root":1,"delivered":true,"delivered_round":4,"weight":6,"hops":3,"ascent_weight":2,"descent_weight":4,"queue_rounds":1,"path":[{"round":0,"vertex":7,"port":0,"next":1,"kind":"ascent","queue_delay":0,"weight":2,"header_words":5},{"round":2,"vertex":1,"port":0,"next":9,"kind":"descent-light","queue_delay":1,"weight":5,"header_words":5},{"round":3,"vertex":9,"port":0,"next":8,"kind":"descent-heavy","queue_delay":0,"weight":6,"header_words":5}]}"#;
+        assert_eq!(sample_trace().to_value().to_string(), pinned);
+        let parsed = PacketTrace::from_value(&json::parse(pinned).unwrap()).unwrap();
+        assert_eq!(parsed, sample_trace());
+    }
+
+    #[test]
+    fn load_map_bytes_are_pinned() {
+        // The maps carry no `PartialEq` (hash maps inside): a parse is
+        // checked by writing it again.
+        let extra = [("rate", Value::from(0.5))];
+        let mut edges = EdgeLoadMap::new();
+        edges.record_trace(&sample_trace());
+        edges.record(9, 1, 3);
+        let pinned = r#"{"type":"edge_load","edges":3,"total_packets":4,"total_words":18,"load":{"min":5,"p50":5,"p95":8,"p99":8,"max":8,"mean":6},"heatmap":[{"u":1,"v":7,"packets":1,"words":5},{"u":1,"v":9,"packets":2,"words":8},{"u":8,"v":9,"packets":1,"words":5}],"rate":0.5}"#;
+        assert_eq!(edges.to_value(&extra).to_string(), pinned);
+        let parsed = EdgeLoadMap::from_value(&json::parse(pinned).unwrap()).unwrap();
+        assert_eq!(parsed.to_value(&extra).to_string(), pinned);
+
+        let mut vertices = VertexLoadMap::new();
+        vertices.record_trace(&sample_trace());
+        let pinned = r#"{"type":"vertex_load","vertices":3,"total_words":15,"load":{"min":5,"p50":5,"p95":5,"p99":5,"max":5,"mean":5},"heatmap":[{"v":1,"packets":1,"words":5},{"v":7,"packets":1,"words":5},{"v":9,"packets":1,"words":5}],"rate":0.5}"#;
+        assert_eq!(vertices.to_value(&extra).to_string(), pinned);
+        let parsed = VertexLoadMap::from_value(&json::parse(pinned).unwrap()).unwrap();
+        assert_eq!(parsed.to_value(&extra).to_string(), pinned);
+    }
+
+    #[test]
+    fn histogram_bytes_are_pinned() {
+        let h = Histogram::of_stretch(&[1.0, 1.1, 1.3, 2.0, 9.5], 4);
+        let pinned = r#"{"type":"stretch_histogram","total":5,"max":9.5,"buckets":[{"lo":1,"hi":1.25,"count":2},{"lo":1.25,"hi":1.5,"count":1},{"lo":1.5,"hi":1.75,"count":0},{"lo":1.75,"hi":2,"count":2}],"k":3}"#;
+        let extra = [("k", Value::from(3u64))];
+        assert_eq!(h.to_value(&extra).to_string(), pinned);
+        let parsed = Histogram::from_value(&json::parse(pinned).unwrap()).unwrap();
+        assert_eq!(parsed, h);
+        // An empty histogram writes `max` as null and reads it back.
+        let empty = Histogram::uniform(1.0, 0.25, 2);
+        let pinned = r#"{"type":"stretch_histogram","total":0,"max":null,"buckets":[{"lo":1,"hi":1.25,"count":0},{"lo":1.25,"hi":1.5,"count":0}]}"#;
+        assert_eq!(empty.to_value(&[]).to_string(), pinned);
+        let parsed = Histogram::from_value(&json::parse(pinned).unwrap()).unwrap();
+        assert_eq!(parsed, empty);
+    }
+
+    /// `record` with the first `"key":<old>` replaced by `"key":<new>`.
+    fn tampered(record: &Value, old: &str, new: &str) -> Value {
+        let text = record.to_string();
+        assert!(text.contains(old), "{old} not in {text}");
+        json::parse(&text.replacen(old, new, 1)).unwrap()
+    }
+
+    #[test]
+    fn packet_trace_rejects_ids_that_do_not_fit() {
+        // 2^32 + 1 is not vertex 1.
+        let trace = sample_trace().to_value();
+        let err = PacketTrace::from_value(&tampered(&trace, r#""src":7"#, r#""src":4294967297"#))
+            .unwrap_err();
+        assert_eq!(err.field.as_deref(), Some("src"));
+        assert_eq!(err.record_type.as_deref(), Some("packet_trace"));
+        assert_eq!(err.message, "out of range");
+        let hop = tampered(&trace, r#""next":9"#, r#""next":4294967305"#);
+        let err = PacketTrace::from_value(&hop).unwrap_err();
+        assert_eq!(err.field.as_deref(), Some("next"));
+    }
+
+    #[test]
+    fn load_maps_reject_heatmap_keys_that_do_not_fit() {
+        let mut edges = EdgeLoadMap::new();
+        edges.record(1, 7, 5);
+        let bad = tampered(&edges.to_value(&[]), r#""v":7"#, r#""v":4294967303"#);
+        let err = EdgeLoadMap::from_value(&bad).unwrap_err();
+        assert_eq!(err.field.as_deref(), Some("v"));
+        assert_eq!(err.record_type.as_deref(), Some("edge_load"));
+
+        let mut vertices = VertexLoadMap::new();
+        vertices.record(7, 5);
+        let bad = tampered(&vertices.to_value(&[]), r#""v":7"#, r#""v":4294967303"#);
+        let err = VertexLoadMap::from_value(&bad).unwrap_err();
+        assert_eq!(err.field.as_deref(), Some("v"));
+        assert_eq!(err.record_type.as_deref(), Some("vertex_load"));
     }
 
     #[test]

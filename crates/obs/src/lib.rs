@@ -33,6 +33,10 @@
 //! * [`profile`] attributes engine wall time to round-loop phases per
 //!   worker (dispatch, compute, scatter, merge, idle), exported as an
 //!   `engine_profile` record and a Chrome trace-event file;
+//! * [`mod@record`] is the one record schema: every record type declares its
+//!   fields once through [`record!`], which generates the struct, the writer
+//!   and the parser, and [`REGISTRY`] lists every `type` tag with the parser
+//!   `drt report` validates it with (DESIGN.md §4d);
 //! * [`error::ParseError`] gives every report parser typed failures
 //!   carrying the record index and field name.
 //!
@@ -51,6 +55,7 @@ pub mod flight;
 pub mod json;
 pub mod metrics;
 pub mod profile;
+pub mod record;
 pub mod scaling;
 pub mod serve;
 pub mod traffic;
@@ -59,17 +64,19 @@ pub use error::ParseError;
 
 use json::Value;
 
-/// The additive cost counters every span attributes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counters {
-    /// Simulated CONGEST rounds.
-    pub rounds: u64,
-    /// Point-to-point messages.
-    pub messages: u64,
-    /// Words carried by those messages (where measured).
-    pub words: u64,
-    /// Lemma-1 broadcast phases.
-    pub broadcasts: u64,
+record! {
+    /// The additive cost counters every span attributes.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct Counters {
+        /// Simulated CONGEST rounds.
+        pub rounds: u64,
+        /// Point-to-point messages.
+        pub messages: u64,
+        /// Words carried by those messages (where measured).
+        pub words: u64,
+        /// Lemma-1 broadcast phases.
+        pub broadcasts: u64,
+    }
 }
 
 impl Counters {
@@ -100,19 +107,21 @@ impl Counters {
     }
 }
 
-/// Summary statistics of the per-vertex peak-memory distribution, in words.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct MemoryDist {
-    /// Smallest per-vertex peak.
-    pub min: usize,
-    /// Median per-vertex peak.
-    pub median: usize,
-    /// 99th-percentile per-vertex peak.
-    pub p99: usize,
-    /// Largest per-vertex peak — the paper's "memory per vertex".
-    pub max: usize,
-    /// Mean per-vertex peak.
-    pub mean: f64,
+record! {
+    /// Summary statistics of the per-vertex peak-memory distribution, in words.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    pub struct MemoryDist {
+        /// Smallest per-vertex peak.
+        pub min: usize,
+        /// Median per-vertex peak.
+        pub median: usize,
+        /// 99th-percentile per-vertex peak.
+        pub p99: usize,
+        /// Largest per-vertex peak — the paper's "memory per vertex".
+        pub max: usize,
+        /// Mean per-vertex peak.
+        pub mean: f64,
+    }
 }
 
 impl MemoryDist {
@@ -132,35 +141,91 @@ impl MemoryDist {
             mean: sorted.iter().sum::<usize>() as f64 / n as f64,
         }
     }
+}
 
-    fn to_value(self) -> Value {
-        Value::object(vec![
-            ("min", Value::from(self.min as u64)),
-            ("median", Value::from(self.median as u64)),
-            ("p99", Value::from(self.p99 as u64)),
-            ("max", Value::from(self.max as u64)),
-            ("mean", Value::from(self.mean)),
-        ])
+record! {
+    /// One sample of the engine's per-round time series.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct RoundSample {
+        /// The round number (1-based; `init` sends land in round 0).
+        pub round: u64,
+        /// Messages delivered this round.
+        pub messages: u64,
+        /// Words delivered this round.
+        pub words: u64,
+        /// Worst per-edge word count observed so far in the run.
+        pub max_edge_words: usize,
+        /// Congestion violations recorded this round.
+        pub congestion_violations: u64,
+        /// Words sitting in vertex-local forwarding queues at the end of the
+        /// round (store-and-forward protocols only; 0 elsewhere).
+        pub queued_words: usize,
     }
 }
 
-/// One sample of the engine's per-round time series.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RoundSample {
-    /// The round number (1-based; `init` sends land in round 0).
-    pub round: u64,
-    /// Messages delivered this round.
-    pub messages: u64,
-    /// Words delivered this round.
-    pub words: u64,
-    /// Worst per-edge word count observed so far in the run.
-    pub max_edge_words: usize,
-    /// Congestion violations recorded this round.
-    pub congestion_violations: u64,
-    /// Words sitting in vertex-local forwarding queues at the end of the
-    /// round (store-and-forward protocols only; 0 elsewhere).
-    pub queued_words: usize,
+record! {
+    /// The `span` line of a report: one closed [`SpanRecord`].
+    struct SpanLine: "span" {
+        seq: usize,
+        name: String,
+        depth: usize,
+        parent: Option<usize>,
+        delta: Counters => ..,
+        peak_memory_words: usize,
+        wall_ns: u64,
+        memory: Option<MemoryDist> => ?,
+    }
 }
+
+record! {
+    /// The `round_series` line of a report.
+    struct RoundSeries: "round_series" {
+        samples: Vec<RoundSample>,
+    }
+}
+
+record! {
+    /// The trailing `run_summary` line of a report.
+    struct RunSummary(extra: &[(&str, Value)]): "run_summary" {
+        name: String,
+        totals: Counters => ..,
+        peak_memory_words: usize,
+        spans: usize,
+        records: usize,
+        wall_ns: u64,
+        memory: Option<MemoryDist> => ?,
+        ..extra
+    }
+}
+
+/// A registered record type's check: parse the line, re-check its identities.
+pub type Validate = fn(&Value) -> Result<(), ParseError>;
+
+macro_rules! registry {
+    ($($tag:literal => $record:ty,)*) => {
+        &[$(($tag, |v| <$record>::from_value(v).map(drop)),)*]
+    };
+}
+
+/// Every record type this crate writes — its `type` tag and the parser that
+/// validates a line carrying it. `drt report` walks this table, and the
+/// DESIGN.md §4d inventory is tested against it.
+pub const REGISTRY: &[(&str, Validate)] = registry! {
+    "span" => SpanLine,
+    "run_summary" => RunSummary,
+    "round_series" => RoundSeries,
+    "packet_trace" => flight::PacketTrace,
+    "edge_load" => flight::EdgeLoadMap,
+    "vertex_load" => flight::VertexLoadMap,
+    "stretch_histogram" => flight::Histogram,
+    "metrics" => metrics::MetricSet,
+    "scaling_check" => scaling::ScalingCheck,
+    "traffic_summary" => traffic::TrafficSummary,
+    "engine_profile" => profile::ProfileSummary,
+    "scheme_audit" => audit::SchemeAudit,
+    "churn_timeline" => churn::ChurnTimeline,
+    "serve_summary" => serve::ServeSummary,
+};
 
 /// Identifies an open span; returned by [`Recorder::begin`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -420,54 +485,25 @@ impl Recorder {
         extra: &[(&str, Value)],
     ) -> io::Result<()> {
         let mut out = io::BufWriter::new(std::fs::File::create(path)?);
-        for span in self.spans.iter().filter(|s| s.closed) {
-            let mut fields = vec![
-                ("type", Value::from("span")),
-                ("seq", Value::from(span.seq as u64)),
-                ("name", Value::from(span.name.as_str())),
-                ("depth", Value::from(span.depth as u64)),
-                (
-                    "parent",
-                    span.parent.map_or(Value::Null, |p| Value::from(p as u64)),
-                ),
-                ("rounds", Value::from(span.delta.rounds)),
-                ("messages", Value::from(span.delta.messages)),
-                ("words", Value::from(span.delta.words)),
-                ("broadcasts", Value::from(span.delta.broadcasts)),
-                (
-                    "peak_memory_words",
-                    Value::from(span.peak_memory_words as u64),
-                ),
-                ("wall_ns", Value::from(span.wall_ns)),
-            ];
-            if let Some(m) = span.memory {
-                fields.push(("memory", m.to_value()));
-            }
-            writeln!(out, "{}", Value::object(fields))?;
+        let closed = || self.spans.iter().filter(|s| s.closed);
+        for span in closed() {
+            let line = SpanLine {
+                seq: span.seq,
+                name: span.name.clone(),
+                depth: span.depth,
+                parent: span.parent,
+                delta: span.delta,
+                peak_memory_words: span.peak_memory_words,
+                wall_ns: span.wall_ns,
+                memory: span.memory,
+            };
+            writeln!(out, "{}", line.to_value())?;
         }
         if !self.series.is_empty() {
-            let samples: Vec<Value> = self
-                .series
-                .iter()
-                .map(|s| {
-                    Value::object(vec![
-                        ("round", Value::from(s.round)),
-                        ("messages", Value::from(s.messages)),
-                        ("words", Value::from(s.words)),
-                        ("max_edge_words", Value::from(s.max_edge_words as u64)),
-                        (
-                            "congestion_violations",
-                            Value::from(s.congestion_violations),
-                        ),
-                        ("queued_words", Value::from(s.queued_words as u64)),
-                    ])
-                })
-                .collect();
-            let record = Value::object(vec![
-                ("type", Value::from("round_series")),
-                ("samples", Value::Array(samples)),
-            ]);
-            writeln!(out, "{record}")?;
+            let series = RoundSeries {
+                samples: self.series.clone(),
+            };
+            writeln!(out, "{}", series.to_value())?;
         }
         for record in &self.records {
             writeln!(out, "{record}")?;
@@ -480,31 +516,16 @@ impl Recorder {
             .map(|m| m.max)
             .or_else(|| self.spans.iter().map(|s| s.peak_memory_words).max())
             .unwrap_or(0);
-        let mut fields = vec![
-            ("type", Value::from("run_summary")),
-            ("name", Value::from(run_name)),
-            ("rounds", Value::from(self.totals.rounds)),
-            ("messages", Value::from(self.totals.messages)),
-            ("words", Value::from(self.totals.words)),
-            ("broadcasts", Value::from(self.totals.broadcasts)),
-            ("peak_memory_words", Value::from(peak as u64)),
-            (
-                "spans",
-                Value::from(self.spans.iter().filter(|s| s.closed).count() as u64),
-            ),
-            ("records", Value::from(self.records.len() as u64)),
-            (
-                "wall_ns",
-                Value::from(self.started.map_or(0, |sw| sw.elapsed_ns())),
-            ),
-        ];
-        if let Some(m) = self.run_memory {
-            fields.push(("memory", m.to_value()));
-        }
-        for (k, v) in extra {
-            fields.push((k, v.clone()));
-        }
-        writeln!(out, "{}", Value::object(fields))?;
+        let summary = RunSummary {
+            name: run_name.to_string(),
+            totals: self.totals,
+            peak_memory_words: peak,
+            spans: closed().count(),
+            records: self.records.len(),
+            wall_ns: self.started.map_or(0, |sw| sw.elapsed_ns()),
+            memory: self.run_memory,
+        };
+        writeln!(out, "{}", summary.to_value(extra))?;
         out.flush()
     }
 }
@@ -586,6 +607,88 @@ mod tests {
         assert_eq!(d.max, 100);
         assert!((d.mean - 50.5).abs() < 1e-9);
         assert_eq!(MemoryDist::from_peaks(&[]), MemoryDist::default());
+    }
+
+    /// `line` with every `"wall_ns":<digits>` value replaced by 0 — the one
+    /// field of a report that is a clock reading.
+    fn without_wall(line: &str) -> String {
+        let mut out = String::new();
+        let mut rest = line;
+        while let Some(at) = rest.find("\"wall_ns\":") {
+            let value = at + "\"wall_ns\":".len();
+            out.push_str(&rest[..value]);
+            out.push('0');
+            rest = rest[value..].trim_start_matches(|c: char| c.is_ascii_digit());
+        }
+        out + rest
+    }
+
+    #[test]
+    fn report_bytes_are_pinned() {
+        let mut rec = Recorder::new();
+        let outer = rec.begin("outer");
+        rec.charge_rounds(5);
+        let inner = rec.begin("outer/inner");
+        rec.charge_messages(3, 9);
+        rec.charge_broadcast();
+        rec.end_with_memory(inner, &[1, 2, 10]);
+        rec.end(outer);
+        rec.record_round(RoundSample {
+            round: 1,
+            messages: 3,
+            words: 9,
+            max_edge_words: 2,
+            congestion_violations: 0,
+            queued_words: 4,
+        });
+        rec.set_run_memory(&[4, 10, 6]);
+        rec.add_record(Value::object(vec![("type", Value::from("note"))]));
+        let path = std::env::temp_dir().join(format!("obs-pin-{}.jsonl", std::process::id()));
+        rec.write_report(&path, "pin", &[("k", Value::from(2u64))])
+            .unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let lines: Vec<String> = text.lines().map(without_wall).collect();
+        let pinned = [
+            r#"{"type":"span","seq":0,"name":"outer","depth":0,"parent":null,"rounds":5,"messages":3,"words":9,"broadcasts":1,"peak_memory_words":0,"wall_ns":0}"#,
+            r#"{"type":"span","seq":1,"name":"outer/inner","depth":1,"parent":0,"rounds":0,"messages":3,"words":9,"broadcasts":1,"peak_memory_words":10,"wall_ns":0,"memory":{"min":1,"median":2,"p99":10,"max":10,"mean":4.333333333333333}}"#,
+            r#"{"type":"round_series","samples":[{"round":1,"messages":3,"words":9,"max_edge_words":2,"congestion_violations":0,"queued_words":4}]}"#,
+            r#"{"type":"note"}"#,
+            r#"{"type":"run_summary","name":"pin","rounds":5,"messages":3,"words":9,"broadcasts":1,"peak_memory_words":10,"spans":2,"records":1,"wall_ns":0,"memory":{"min":4,"median":6,"p99":10,"max":10,"mean":6.666666666666667},"k":2}"#,
+        ];
+        assert_eq!(lines, pinned);
+    }
+
+    fn validate(line: &str) -> Result<(), ParseError> {
+        let v = json::parse(line).unwrap();
+        let ty = record::tag(&v).expect("tagged");
+        let (_, check) = REGISTRY.iter().find(|(t, _)| *t == ty).expect("registered");
+        check(&v)
+    }
+
+    #[test]
+    fn registry_parses_the_framing_lines_by_their_declared_fields() {
+        let span = r#"{"type":"span","seq":1,"name":"a","depth":1,"parent":0,"rounds":0,"messages":3,"words":9,"broadcasts":1,"peak_memory_words":10,"wall_ns":5,"memory":{"min":1,"median":2,"p99":10,"max":10,"mean":4.5}}"#;
+        assert_eq!(validate(span), Ok(()));
+        // `memory` is optional, `parent` may be null; a counter may not be absent.
+        let root = span.replace(r#""parent":0"#, r#""parent":null"#).replace(
+            r#","memory":{"min":1,"median":2,"p99":10,"max":10,"mean":4.5}"#,
+            "",
+        );
+        assert_eq!(validate(&root), Ok(()));
+        let err = validate(&span.replace(r#""words":9,"#, "")).unwrap_err();
+        assert_eq!(err.field.as_deref(), Some("words"));
+        assert_eq!(err.record_type.as_deref(), Some("span"));
+
+        let series = r#"{"type":"round_series","samples":[{"round":1,"messages":3,"words":9,"max_edge_words":2,"congestion_violations":0,"queued_words":4}]}"#;
+        assert_eq!(validate(series), Ok(()));
+        let err = validate(&series.replace(r#""queued_words":4"#, r#""queued_words":-4"#));
+        assert_eq!(err.unwrap_err().field.as_deref(), Some("queued_words"));
+
+        let summary = r#"{"type":"run_summary","name":"pin","rounds":5,"messages":3,"words":9,"broadcasts":1,"peak_memory_words":10,"spans":2,"records":1,"wall_ns":0,"k":2}"#;
+        assert_eq!(validate(summary), Ok(()));
+        let err = validate(&summary.replace(r#""spans":2,"#, "")).unwrap_err();
+        assert_eq!(err.field.as_deref(), Some("spans"));
     }
 
     #[test]

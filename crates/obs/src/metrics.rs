@@ -7,18 +7,17 @@
 //! allows" goal is priced in: real elapsed time. A [`Stopwatch`] wraps
 //! [`std::time::Instant`] (monotonic, immune to wall-clock adjustments); a
 //! [`MetricSet`] is an ordered bag of named counters (`u64`) and gauges
-//! (`f64`) that serializes as a `metrics` JSONL record with the same
-//! `to_value`/`from_value` round-trip contract as [`crate::flight`]'s
-//! records, so run reports can carry wall-clock observations next to the
-//! simulated spans.
+//! (`f64`) that serializes as a `metrics` JSONL record, declared through
+//! [`record!`](crate::record!) like [`crate::flight`]'s records, so run
+//! reports can carry wall-clock observations next to the simulated spans.
 //!
 //! Wall-clock numbers are inherently noisy, so everything downstream treats
 //! them statistically: [`quantile_ns`] summarizes repeated samples as the
 //! p50/p95 the bench suite records, and regression gates keep wall-clock
 //! advisory while gating exactly on the simulated columns.
 
-use crate::error::ParseError;
 use crate::json::Value;
+use crate::record;
 
 /// A monotonic wall-clock timer.
 ///
@@ -85,16 +84,19 @@ pub fn quantile_ns(samples: &[u64], q: f64) -> u64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-/// An ordered set of named counters and gauges, serializable as a `metrics`
-/// record.
-///
-/// Insertion order is preserved so records are diffable; re-recording a name
-/// overwrites (gauges) or accumulates (counters) in place.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricSet {
-    name: String,
-    counters: Vec<(String, u64)>,
-    gauges: Vec<(String, f64)>,
+record! {
+    /// An ordered set of named counters and gauges, serializable as a `metrics`
+    /// record (`to_value` appends the given extra fields).
+    ///
+    /// Insertion order is preserved so records are diffable; re-recording a name
+    /// overwrites (gauges) or accumulates (counters) in place.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct MetricSet(extra: &[(&str, Value)]): "metrics" {
+        name: String,
+        counters: Vec<(String, u64)>,
+        gauges: Vec<(String, f64)>,
+        ..extra
+    }
 }
 
 impl MetricSet {
@@ -150,79 +152,6 @@ impl MetricSet {
     pub fn gauges(&self) -> &[(String, f64)] {
         &self.gauges
     }
-
-    /// Serialize as a `metrics` record, appending the given extra fields.
-    pub fn to_value(&self, extra: &[(&str, Value)]) -> Value {
-        let mut fields = vec![
-            ("type".to_string(), Value::from("metrics")),
-            ("name".to_string(), Value::from(self.name.as_str())),
-            (
-                "counters".to_string(),
-                Value::Object(
-                    self.counters
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Value::from(*v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "gauges".to_string(),
-                Value::Object(
-                    self.gauges
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Value::from(*v)))
-                        .collect(),
-                ),
-            ),
-        ];
-        for (k, v) in extra {
-            fields.push((k.to_string(), v.clone()));
-        }
-        Value::Object(fields)
-    }
-
-    /// Parse a `metrics` record back.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseError`] naming the first missing or ill-typed field.
-    pub fn from_value(v: &Value) -> Result<MetricSet, ParseError> {
-        if v.get("type").and_then(Value::as_str) != Some("metrics") {
-            return Err(ParseError::not_record("metrics"));
-        }
-        let name = v
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| ParseError::missing("name").for_type("metrics"))?
-            .to_string();
-        let counters = v
-            .get("counters")
-            .and_then(Value::as_object)
-            .ok_or_else(|| ParseError::missing("counters").for_type("metrics"))?
-            .iter()
-            .map(|(k, val)| {
-                val.as_u64().map(|n| (k.clone(), n)).ok_or_else(|| {
-                    ParseError::bad(k, "counter is not a non-negative integer").for_type("metrics")
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let gauges = v
-            .get("gauges")
-            .and_then(Value::as_object)
-            .ok_or_else(|| ParseError::missing("gauges").for_type("metrics"))?
-            .iter()
-            .map(|(k, val)| {
-                val.as_f64()
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| ParseError::bad(k, "gauge is not a number").for_type("metrics"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(MetricSet {
-            name,
-            counters,
-            gauges,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -262,6 +191,19 @@ mod tests {
         assert_eq!(m.counter("hits"), Some(5));
         assert_eq!(m.gauge("ratio"), Some(0.75));
         assert_eq!(m.counter("absent"), None);
+    }
+
+    #[test]
+    fn bytes_are_pinned() {
+        let mut m = MetricSet::new("bench/tree/n256");
+        m.incr("wall_ns_p50", 1234);
+        m.incr("repeats", 3);
+        m.set_gauge("rounds_per_ms", 88.25);
+        let pinned = r#"{"type":"metrics","name":"bench/tree/n256","counters":{"wall_ns_p50":1234,"repeats":3},"gauges":{"rounds_per_ms":88.25},"tier":"quick"}"#;
+        let extra = [("tier", Value::from("quick"))];
+        assert_eq!(m.to_value(&extra).to_string(), pinned);
+        let parsed = MetricSet::from_value(&crate::json::parse(pinned).unwrap()).unwrap();
+        assert_eq!(parsed, m);
     }
 
     #[test]

@@ -12,13 +12,13 @@
 //!
 //! * [`EngineProfile::chrome_trace`] — a Chrome trace-event JSON array
 //!   (one track per worker) loadable in Perfetto / `chrome://tracing`.
-//! * [`EngineProfile::summary`] → [`ProfileSummary::to_value`] — the
+//! * [`EngineProfile::summary`] → `ProfileSummary::to_value` — the
 //!   `engine_profile` JSONL record with per-phase wall totals, p50/p95,
 //!   per-worker utilization, and the imbalance ratio.
 
-use crate::error::ParseError;
 use crate::json::Value;
 use crate::metrics::quantile_ns;
+use crate::record;
 
 /// One attributable slice of the round loop.
 ///
@@ -353,186 +353,64 @@ impl EngineProfile {
     }
 }
 
-/// Aggregate stats for one phase across all workers.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PhaseStat {
-    /// Which phase.
-    pub phase: Phase,
-    /// Exact wall total over all workers, nanoseconds.
-    pub total_ns: u64,
-    /// Exact wall total on the coordinator track, nanoseconds.
-    pub coord_ns: u64,
-    /// Median interval length over the retained sample window.
-    pub p50_ns: u64,
-    /// 95th-percentile interval length over the retained window.
-    pub p95_ns: u64,
-    /// Exact number of recorded intervals.
-    pub samples: u64,
-}
-
-/// One worker track's share of the run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WorkerStat {
-    /// Worker track (`0` = coordinator).
-    pub worker: usize,
-    /// Non-idle nanoseconds on this track.
-    pub busy_ns: u64,
-    /// `busy_ns / engine_wall_ns`.
-    pub utilization: f64,
-}
-
-/// The `engine_profile` JSONL record, round-trippable via
-/// [`ProfileSummary::to_value`] / [`ProfileSummary::from_value`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct ProfileSummary {
-    /// Worker tracks (coordinator included).
-    pub workers: usize,
-    /// Engine runs folded into the profile.
-    pub runs: u64,
-    /// Highest round index recorded.
-    pub rounds: u64,
-    /// Summed engine wall time across runs, nanoseconds.
-    pub engine_wall_ns: u64,
-    /// Vertex executions across runs (0 in records written before the
-    /// field existed).
-    pub executions: u64,
-    /// Per-phase aggregates, in [`Phase::ALL`] order (present phases only).
-    pub phases: Vec<PhaseStat>,
-    /// Per-worker busy time and utilization.
-    pub worker_stats: Vec<WorkerStat>,
-    /// Max worker busy time over mean worker busy time (`1.0` = balanced).
-    pub imbalance: f64,
-    /// Coordinator phase totals over engine wall (how much of the run
-    /// the phase tiling explains; ~1.0 when attribution is complete).
-    pub coverage: f64,
-    /// Samples evicted from the quantile window (totals stay exact).
-    pub dropped_samples: u64,
-}
-
-impl ProfileSummary {
-    /// Serialize as an `engine_profile` record.
-    pub fn to_value(&self) -> Value {
-        let phases: Vec<Value> = self
-            .phases
-            .iter()
-            .map(|p| {
-                Value::object(vec![
-                    ("phase", Value::Str(p.phase.name().to_string())),
-                    ("total_ns", Value::Num(p.total_ns as f64)),
-                    ("coord_ns", Value::Num(p.coord_ns as f64)),
-                    ("p50_ns", Value::Num(p.p50_ns as f64)),
-                    ("p95_ns", Value::Num(p.p95_ns as f64)),
-                    ("samples", Value::Num(p.samples as f64)),
-                ])
-            })
-            .collect();
-        let workers: Vec<Value> = self
-            .worker_stats
-            .iter()
-            .map(|w| {
-                Value::object(vec![
-                    ("worker", Value::Num(w.worker as f64)),
-                    ("busy_ns", Value::Num(w.busy_ns as f64)),
-                    ("utilization", Value::Num(w.utilization)),
-                ])
-            })
-            .collect();
-        Value::object(vec![
-            ("type", Value::Str("engine_profile".to_string())),
-            ("workers", Value::Num(self.workers as f64)),
-            ("runs", Value::Num(self.runs as f64)),
-            ("rounds", Value::Num(self.rounds as f64)),
-            ("engine_wall_ns", Value::Num(self.engine_wall_ns as f64)),
-            ("executions", Value::Num(self.executions as f64)),
-            ("imbalance", Value::Num(self.imbalance)),
-            ("coverage", Value::Num(self.coverage)),
-            ("dropped_samples", Value::Num(self.dropped_samples as f64)),
-            ("phases", Value::Array(phases)),
-            ("worker_stats", Value::Array(workers)),
-        ])
+record! {
+    /// Aggregate stats for one phase across all workers.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct PhaseStat {
+        /// Which phase.
+        pub phase: Phase,
+        /// Exact wall total over all workers, nanoseconds.
+        pub total_ns: u64,
+        /// Exact wall total on the coordinator track, nanoseconds.
+        pub coord_ns: u64,
+        /// Median interval length over the retained sample window.
+        pub p50_ns: u64,
+        /// 95th-percentile interval length over the retained window.
+        pub p95_ns: u64,
+        /// Exact number of recorded intervals.
+        pub samples: u64,
     }
+}
 
-    /// Parse an `engine_profile` record.
-    pub fn from_value(v: &Value) -> Result<ProfileSummary, ParseError> {
-        let wrap = |e: ParseError| e.for_type("engine_profile");
-        if v.get("type").and_then(Value::as_str) != Some("engine_profile") {
-            return Err(ParseError::not_record("engine_profile"));
-        }
-        let u64_field = |key: &str| -> Result<u64, ParseError> {
-            v.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| wrap(ParseError::missing(key)))
-        };
-        let f64_field = |key: &str| -> Result<f64, ParseError> {
-            v.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| wrap(ParseError::missing(key)))
-        };
-        let mut phases = Vec::new();
-        for p in v
-            .get("phases")
-            .and_then(Value::as_array)
-            .ok_or_else(|| wrap(ParseError::missing("phases")))?
-        {
-            let name = p
-                .get("phase")
-                .and_then(Value::as_str)
-                .ok_or_else(|| wrap(ParseError::missing("phase")))?;
-            let phase = Phase::from_name(name)
-                .ok_or_else(|| wrap(ParseError::bad("phase", format!("unknown phase '{name}'"))))?;
-            let field = |key: &str| -> Result<u64, ParseError> {
-                p.get(key)
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| wrap(ParseError::missing(key)))
-            };
-            phases.push(PhaseStat {
-                phase,
-                total_ns: field("total_ns")?,
-                coord_ns: field("coord_ns")?,
-                p50_ns: field("p50_ns")?,
-                p95_ns: field("p95_ns")?,
-                samples: field("samples")?,
-            });
-        }
-        let mut worker_stats = Vec::new();
-        for w in v
-            .get("worker_stats")
-            .and_then(Value::as_array)
-            .ok_or_else(|| wrap(ParseError::missing("worker_stats")))?
-        {
-            worker_stats.push(WorkerStat {
-                worker: w
-                    .get("worker")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| wrap(ParseError::missing("worker")))?
-                    as usize,
-                busy_ns: w
-                    .get("busy_ns")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| wrap(ParseError::missing("busy_ns")))?,
-                utilization: w
-                    .get("utilization")
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| wrap(ParseError::missing("utilization")))?,
-            });
-        }
-        Ok(ProfileSummary {
-            workers: u64_field("workers")? as usize,
-            runs: u64_field("runs")?,
-            rounds: u64_field("rounds")?,
-            engine_wall_ns: u64_field("engine_wall_ns")?,
-            executions: match v.get("executions") {
-                None => 0,
-                Some(e) => e
-                    .as_u64()
-                    .ok_or_else(|| wrap(ParseError::missing("executions")))?,
-            },
-            phases,
-            worker_stats,
-            imbalance: f64_field("imbalance")?,
-            coverage: f64_field("coverage")?,
-            dropped_samples: u64_field("dropped_samples")?,
-        })
+record! {
+    /// One worker track's share of the run.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct WorkerStat {
+        /// Worker track (`0` = coordinator).
+        pub worker: usize,
+        /// Non-idle nanoseconds on this track.
+        pub busy_ns: u64,
+        /// `busy_ns / engine_wall_ns`.
+        pub utilization: f64,
+    }
+}
+
+record! {
+    /// The `engine_profile` JSONL record.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct ProfileSummary: "engine_profile" {
+        /// Worker tracks (coordinator included).
+        pub workers: usize,
+        /// Engine runs folded into the profile.
+        pub runs: u64,
+        /// Highest round index recorded.
+        pub rounds: u64,
+        /// Summed engine wall time across runs, nanoseconds.
+        pub engine_wall_ns: u64,
+        /// Vertex executions across runs (0 in records written before the
+        /// field existed).
+        pub executions: u64 = 0,
+        /// Max worker busy time over mean worker busy time (`1.0` = balanced).
+        pub imbalance: f64,
+        /// Coordinator phase totals over engine wall (how much of the run
+        /// the phase tiling explains; ~1.0 when attribution is complete).
+        pub coverage: f64,
+        /// Samples evicted from the quantile window (totals stay exact).
+        pub dropped_samples: u64,
+        /// Per-phase aggregates, in [`Phase::ALL`] order (present phases only).
+        pub phases: Vec<PhaseStat>,
+        /// Per-worker busy time and utilization.
+        pub worker_stats: Vec<WorkerStat>,
     }
 }
 
@@ -614,6 +492,15 @@ mod tests {
     }
 
     #[test]
+    fn bytes_are_pinned() {
+        let pinned = r#"{"type":"engine_profile","workers":2,"runs":1,"rounds":1,"engine_wall_ns":2500,"executions":7,"imbalance":1.2,"coverage":1,"dropped_samples":0,"phases":[{"phase":"setup","total_ns":500,"coord_ns":500,"p50_ns":500,"p95_ns":500,"samples":1},{"phase":"dispatch","total_ns":100,"coord_ns":100,"p50_ns":100,"p95_ns":100,"samples":1},{"phase":"compute","total_ns":2400,"coord_ns":1000,"p50_ns":1400,"p95_ns":1400,"samples":2},{"phase":"scatter","total_ns":300,"coord_ns":300,"p50_ns":300,"p95_ns":300,"samples":1},{"phase":"merge","total_ns":200,"coord_ns":200,"p50_ns":200,"p95_ns":200,"samples":1},{"phase":"idle","total_ns":450,"coord_ns":400,"p50_ns":400,"p95_ns":400,"samples":2}],"worker_stats":[{"worker":0,"busy_ns":2100,"utilization":0.84},{"worker":1,"busy_ns":1400,"utilization":0.56}]}"#;
+        let s = sample_profile().summary();
+        assert_eq!(s.to_value().to_string(), pinned);
+        let parsed = ProfileSummary::from_value(&json::parse(pinned).unwrap()).unwrap();
+        assert_eq!(parsed, s);
+    }
+
+    #[test]
     fn engine_profile_record_round_trips() {
         let s = sample_profile().summary();
         let v = s.to_value();
@@ -639,6 +526,18 @@ mod tests {
         let back = ProfileSummary::from_value(&older).expect("older record parses");
         assert_eq!(back.executions, 0);
         assert_eq!(back.engine_wall_ns, s.engine_wall_ns);
+    }
+
+    #[test]
+    fn from_value_names_a_worker_index_that_is_not_an_index() {
+        // `worker` / `workers` are `usize`: every `u64` fits on a 64-bit
+        // host, so what the shared range-checked impl can reject here is a
+        // fraction — named by its innermost field, tagged with the record.
+        let text = sample_profile().summary().to_value().to_string();
+        let bad = text.replacen(r#""worker":1"#, r#""worker":1.5"#, 1);
+        let e = ProfileSummary::from_value(&json::parse(&bad).unwrap()).unwrap_err();
+        assert_eq!(e.field.as_deref(), Some("worker"));
+        assert_eq!(e.record_type.as_deref(), Some("engine_profile"));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! `(ln n, ln y)`, and assert the fitted `α` lands in the range the theorem
 //! predicts once polylog factors are absorbed. [`fit_power_law`] produces the
 //! fit, [`ExponentRange`] encodes a prediction, and [`ScalingCheck`] packages
-//! one asserted comparison with the same `to_value`/`from_value` round-trip
-//! contract as the other report records, so `BENCH_*.json` trajectories carry
-//! their own shape verdicts.
+//! one asserted comparison as a `scaling_check` record (declared through
+//! [`record!`](crate::record!) like the other report records), so
+//! `BENCH_*.json` trajectories carry their own shape verdicts.
 //!
 //! Log-like growth (`y ≈ c·log n`) has no exact power-law exponent; over any
 //! finite range its log-log slope is small and positive (`d ln ln n / d ln n
@@ -18,21 +18,23 @@
 //! alternative's 0.5.
 
 use crate::error::ParseError;
-use crate::json::Value;
+use crate::record;
 
-/// A least-squares fit of `ln y = exponent·ln x + intercept_ln`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PowerLawFit {
-    /// The growth exponent (log-log slope).
-    pub exponent: f64,
-    /// `ln c` for the fitted `y = c·x^exponent`.
-    pub intercept_ln: f64,
-    /// Coefficient of determination in log space (1.0 for an exact fit; by
-    /// convention also 1.0 for a constant series, which the line matches
-    /// exactly).
-    pub r2: f64,
-    /// Number of points fitted.
-    pub points: usize,
+record! {
+    /// A least-squares fit of `ln y = exponent·ln x + intercept_ln`.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct PowerLawFit {
+        /// The growth exponent (log-log slope).
+        pub exponent: f64,
+        /// `ln c` for the fitted `y = c·x^exponent`.
+        pub intercept_ln: f64,
+        /// Coefficient of determination in log space (1.0 for an exact fit; by
+        /// convention also 1.0 for a constant series, which the line matches
+        /// exactly).
+        pub r2: f64,
+        /// Number of points fitted.
+        pub points: usize,
+    }
 }
 
 /// Fit `y ≈ c·x^α` over `points` by least squares in log-log space.
@@ -75,13 +77,16 @@ pub fn fit_power_law(points: &[(f64, f64)]) -> Option<PowerLawFit> {
     })
 }
 
-/// An inclusive range of acceptable growth exponents.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ExponentRange {
-    /// Smallest acceptable exponent.
-    pub lo: f64,
-    /// Largest acceptable exponent.
-    pub hi: f64,
+record! {
+    /// An inclusive range of acceptable growth exponents.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct ExponentRange {
+        /// Smallest acceptable exponent.
+        pub lo: f64 => "predicted_lo",
+        /// Largest acceptable exponent.
+        pub hi: f64 => "predicted_hi",
+    }
+    validate
 }
 
 impl ExponentRange {
@@ -99,19 +104,31 @@ impl ExponentRange {
     pub fn contains(&self, exponent: f64) -> bool {
         self.lo <= exponent && exponent <= self.hi
     }
+
+    /// A parsed range must satisfy what [`ExponentRange::new`] asserts.
+    fn validate(&self) -> Result<(), ParseError> {
+        if self.lo <= self.hi {
+            return Ok(());
+        }
+        Err(ParseError::bad("predicted_lo", "empty exponent range"))
+    }
 }
 
-/// One fitted exponent compared against its paper-predicted range.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ScalingCheck {
-    /// What grows (e.g. `tree_build/rounds`).
-    pub metric: String,
-    /// The measured fit.
-    pub fit: PowerLawFit,
-    /// The predicted exponent range.
-    pub predicted: ExponentRange,
-    /// Human-readable statement of the prediction (e.g. `Õ(√n + D)`).
-    pub claim: String,
+record! {
+    /// One fitted exponent compared against its paper-predicted range, as a
+    /// `scaling_check` object/record.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct ScalingCheck: "scaling_check" {
+        /// What grows (e.g. `tree_build/rounds`).
+        pub metric: String,
+        /// The measured fit.
+        pub fit: PowerLawFit => ..,
+        /// The predicted exponent range.
+        pub predicted: ExponentRange => ..,
+        /// Human-readable statement of the prediction (e.g. `Õ(√n + D)`).
+        pub claim: String,
+        + "ok" = |c| c.ok(),
+    }
 }
 
 impl ScalingCheck {
@@ -119,60 +136,12 @@ impl ScalingCheck {
     pub fn ok(&self) -> bool {
         self.predicted.contains(self.fit.exponent)
     }
-
-    /// Serialize as a `scaling_check` object/record.
-    pub fn to_value(&self) -> Value {
-        Value::object(vec![
-            ("type", Value::from("scaling_check")),
-            ("metric", Value::from(self.metric.as_str())),
-            ("exponent", Value::from(self.fit.exponent)),
-            ("intercept_ln", Value::from(self.fit.intercept_ln)),
-            ("r2", Value::from(self.fit.r2)),
-            ("points", Value::from(self.fit.points)),
-            ("predicted_lo", Value::from(self.predicted.lo)),
-            ("predicted_hi", Value::from(self.predicted.hi)),
-            ("claim", Value::from(self.claim.as_str())),
-            ("ok", Value::from(self.ok())),
-        ])
-    }
-
-    /// Parse a `scaling_check` back.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseError`] naming the first missing or ill-typed field.
-    pub fn from_value(v: &Value) -> Result<ScalingCheck, ParseError> {
-        if v.get("type").and_then(Value::as_str) != Some("scaling_check") {
-            return Err(ParseError::not_record("scaling_check"));
-        }
-        let num = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| ParseError::missing(key).for_type("scaling_check"))
-        };
-        let text = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_str)
-                .ok_or_else(|| ParseError::missing(key).for_type("scaling_check"))
-                .map(str::to_string)
-        };
-        Ok(ScalingCheck {
-            metric: text("metric")?,
-            fit: PowerLawFit {
-                exponent: num("exponent")?,
-                intercept_ln: num("intercept_ln")?,
-                r2: num("r2")?,
-                points: num("points")? as usize,
-            },
-            predicted: ExponentRange::new(num("predicted_lo")?, num("predicted_hi")?),
-            claim: text("claim")?,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
 
     fn series(f: impl Fn(f64) -> f64) -> Vec<(f64, f64)> {
         [256.0, 512.0, 1024.0, 2048.0, 4096.0]
@@ -208,6 +177,49 @@ mod tests {
         assert!(fit_power_law(&[(2.0, 4.0), (2.0, 8.0)]).is_none());
         assert!(fit_power_law(&[(1.0, 0.0), (2.0, 1.0)]).is_none());
         assert!(fit_power_law(&[(-1.0, 1.0), (2.0, 1.0)]).is_none());
+    }
+
+    #[test]
+    fn bytes_are_pinned() {
+        // Literal fit values: `ln`/`powf` may differ in the last ulp between
+        // platforms, and the pin is about the codec, not the fitter.
+        let check = ScalingCheck {
+            metric: "tree_build/rounds".to_string(),
+            fit: PowerLawFit {
+                exponent: 0.62,
+                intercept_ln: -1.25,
+                r2: 0.998,
+                points: 5,
+            },
+            predicted: ExponentRange::new(0.35, 0.95),
+            claim: "Õ(√n + D)".to_string(),
+        };
+        let pinned = r#"{"type":"scaling_check","metric":"tree_build/rounds","exponent":0.62,"intercept_ln":-1.25,"r2":0.998,"points":5,"predicted_lo":0.35,"predicted_hi":0.95,"claim":"Õ(√n + D)","ok":true}"#;
+        assert_eq!(check.to_value().to_string(), pinned);
+        let parsed = ScalingCheck::from_value(&crate::json::parse(pinned).unwrap()).unwrap();
+        assert_eq!(parsed, check);
+    }
+
+    #[test]
+    fn rejects_a_point_count_that_is_not_an_index_and_an_empty_range() {
+        let check = ScalingCheck {
+            metric: "m".to_string(),
+            fit: fit_power_law(&series(|n| n)).unwrap(),
+            predicted: ExponentRange::new(0.5, 1.5),
+            claim: "O(n)".to_string(),
+        };
+        let text = check.to_value().to_string();
+        for bad in ["2.5", "-3"] {
+            let v =
+                crate::json::parse(&text.replace(r#""points":5"#, &format!(r#""points":{bad}"#)));
+            let err = ScalingCheck::from_value(&v.unwrap()).unwrap_err();
+            assert_eq!(err.field.as_deref(), Some("points"), "{bad}");
+        }
+        // A reversed range is an error, not the panic `ExponentRange::new` raises.
+        let v = crate::json::parse(&text.replace(r#""predicted_lo":0.5"#, r#""predicted_lo":2.5"#));
+        let err = ScalingCheck::from_value(&v.unwrap()).unwrap_err();
+        assert_eq!(err.field.as_deref(), Some("predicted_lo"));
+        assert_eq!(err.record_type.as_deref(), Some("scaling_check"));
     }
 
     #[test]

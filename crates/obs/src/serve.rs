@@ -7,68 +7,75 @@
 //! aggregate weight and hops, cross-check verdicts, an order-sensitive
 //! answer checksum) is seed-pinned and must be byte-identical at any thread
 //! count; the wall side (QPS, nearest-rank latency quantiles) is
-//! machine-dependent and advisory. [`ServeSummary::from_value`] re-validates
+//! machine-dependent and advisory. `ServeSummary::from_value` re-validates
 //! the partition identities (`queries = route + distance + trace`,
 //! `queries = answered + unreachable + errors`, `mismatches ≤ checks ≤
 //! queries`) on parse, so a tampered or truncated report fails loudly.
 
 use crate::error::ParseError;
 use crate::json::Value;
+use crate::record;
 
-/// Summary of one serving run: a fixed query stream answered by a pool.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ServeSummary {
-    /// Workload model name (`uniform`, `hotspot`, `adversarial`).
-    pub workload: String,
-    /// Loop discipline: `closed` (back-to-back batches) or `open`
-    /// (batches dispatched on a timed schedule at an offered rate).
-    pub mode: String,
-    /// Worker threads serving the stream.
-    pub threads: u64,
-    /// Queries per dispatched batch.
-    pub batch: u64,
-    /// Total queries served.
-    pub queries: u64,
-    /// Stream seed (workload pairs, query-kind mix, cross-check sampling).
-    pub seed: u64,
-    /// Configured fraction of answers cross-checked centrally.
-    pub check_rate: f64,
-    /// Queries asking for a route summary.
-    pub route_queries: u64,
-    /// Queries asking for a distance estimate.
-    pub distance_queries: u64,
-    /// Queries asking for a full path trace.
-    pub trace_queries: u64,
-    /// Queries answered with a finite route/estimate.
-    pub answered: u64,
-    /// Queries whose endpoints share no tree (infinite estimate).
-    pub unreachable: u64,
-    /// Queries the server failed internally (must be 0; counted, not thrown).
-    pub errors: u64,
-    /// Answers cross-checked against the central router/oracle.
-    pub checks: u64,
-    /// Cross-checks that disagreed with the central answer (must be 0).
-    pub mismatches: u64,
-    /// Sum of routed weights / finite distance estimates over answers.
-    pub total_weight: u64,
-    /// Sum of hop counts over route/trace answers.
-    pub total_hops: u64,
-    /// FNV-1a checksum over every answer in query order, xor-folded to 32
-    /// bits so the f64-backed JSON channel carries it exactly — the
-    /// strongest thread-invariance witness.
-    pub answer_checksum: u64,
-    /// Offered rate in queries/s for open-loop runs (0 for closed loop).
-    pub offered_qps: f64,
-    /// Serving wall time (advisory, machine-dependent).
-    pub wall_ns: u64,
-    /// Achieved queries per second (advisory).
-    pub qps: f64,
-    /// Nearest-rank median per-query latency in ns (advisory).
-    pub p50_ns: u64,
-    /// Nearest-rank 95th-percentile per-query latency in ns (advisory).
-    pub p95_ns: u64,
-    /// Nearest-rank 99th-percentile per-query latency in ns (advisory).
-    pub p99_ns: u64,
+record! {
+    /// Summary of one serving run: a fixed query stream answered by a pool,
+    /// serialized as a `serve_summary` JSONL record; `extra` fields (e.g. a
+    /// sweep index) are appended to the top-level object.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct ServeSummary(extra: &[(&str, Value)]): "serve_summary" {
+        /// Workload model name (`uniform`, `hotspot`, `adversarial`).
+        pub workload: String,
+        /// Loop discipline: `closed` (back-to-back batches) or `open`
+        /// (batches dispatched on a timed schedule at an offered rate).
+        pub mode: String,
+        /// Worker threads serving the stream.
+        pub threads: u64,
+        /// Queries per dispatched batch.
+        pub batch: u64,
+        /// Total queries served.
+        pub queries: u64,
+        /// Stream seed (workload pairs, query-kind mix, cross-check sampling).
+        pub seed: u64,
+        /// Configured fraction of answers cross-checked centrally.
+        pub check_rate: f64,
+        /// Queries asking for a route summary.
+        pub route_queries: u64,
+        /// Queries asking for a distance estimate.
+        pub distance_queries: u64,
+        /// Queries asking for a full path trace.
+        pub trace_queries: u64,
+        /// Queries answered with a finite route/estimate.
+        pub answered: u64,
+        /// Queries whose endpoints share no tree (infinite estimate).
+        pub unreachable: u64,
+        /// Queries the server failed internally (must be 0; counted, not thrown).
+        pub errors: u64,
+        /// Answers cross-checked against the central router/oracle.
+        pub checks: u64,
+        /// Cross-checks that disagreed with the central answer (must be 0).
+        pub mismatches: u64,
+        /// Sum of routed weights / finite distance estimates over answers.
+        pub total_weight: u64,
+        /// Sum of hop counts over route/trace answers.
+        pub total_hops: u64,
+        /// FNV-1a checksum over every answer in query order, xor-folded to 32
+        /// bits so the f64-backed JSON channel carries it exactly — the
+        /// strongest thread-invariance witness.
+        pub answer_checksum: u64,
+        /// Offered rate in queries/s for open-loop runs (0 for closed loop).
+        pub offered_qps: f64,
+        /// Serving wall time (advisory, machine-dependent).
+        pub wall_ns: u64,
+        /// Achieved queries per second (advisory).
+        pub qps: f64,
+        /// Nearest-rank median per-query latency in ns (advisory).
+        pub p50_ns: u64,
+        /// Nearest-rank 95th-percentile per-query latency in ns (advisory).
+        pub p95_ns: u64,
+        /// Nearest-rank 99th-percentile per-query latency in ns (advisory).
+        pub p99_ns: u64,
+        ..extra
+    }
+    validate
 }
 
 impl ServeSummary {
@@ -80,113 +87,24 @@ impl ServeSummary {
             && self.checks <= self.queries
     }
 
-    /// Serialize as a `serve_summary` JSONL record; `extra` fields (e.g. a
-    /// sweep index) are appended to the top-level object.
-    pub fn to_value(&self, extra: &[(&str, Value)]) -> Value {
-        let mut fields = vec![
-            ("type", Value::from("serve_summary")),
-            ("workload", Value::from(self.workload.as_str())),
-            ("mode", Value::from(self.mode.as_str())),
-            ("threads", Value::from(self.threads)),
-            ("batch", Value::from(self.batch)),
-            ("queries", Value::from(self.queries)),
-            ("seed", Value::from(self.seed)),
-            ("check_rate", Value::from(self.check_rate)),
-            ("route_queries", Value::from(self.route_queries)),
-            ("distance_queries", Value::from(self.distance_queries)),
-            ("trace_queries", Value::from(self.trace_queries)),
-            ("answered", Value::from(self.answered)),
-            ("unreachable", Value::from(self.unreachable)),
-            ("errors", Value::from(self.errors)),
-            ("checks", Value::from(self.checks)),
-            ("mismatches", Value::from(self.mismatches)),
-            ("total_weight", Value::from(self.total_weight)),
-            ("total_hops", Value::from(self.total_hops)),
-            ("answer_checksum", Value::from(self.answer_checksum)),
-            ("offered_qps", Value::from(self.offered_qps)),
-            ("wall_ns", Value::from(self.wall_ns)),
-            ("qps", Value::from(self.qps)),
-            ("p50_ns", Value::from(self.p50_ns)),
-            ("p95_ns", Value::from(self.p95_ns)),
-            ("p99_ns", Value::from(self.p99_ns)),
-        ];
-        for (k, v) in extra {
-            fields.push((k, v.clone()));
+    fn validate(&self) -> Result<(), ParseError> {
+        if self.consistent() {
+            return Ok(());
         }
-        Value::object(fields)
-    }
-
-    /// Parse a `serve_summary` record back, re-checking the partition
-    /// identities.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseError`] naming the first missing or ill-typed
-    /// field, or a violated identity.
-    pub fn from_value(v: &Value) -> Result<ServeSummary, ParseError> {
-        if v.get("type").and_then(Value::as_str) != Some("serve_summary") {
-            return Err(ParseError::not_record("serve_summary"));
-        }
-        let int = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| ParseError::missing(key).for_type("serve_summary"))
-        };
-        let float = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| ParseError::missing(key).for_type("serve_summary"))
-        };
-        let text = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| ParseError::missing(key).for_type("serve_summary"))
-        };
-        let summary = ServeSummary {
-            workload: text("workload")?,
-            mode: text("mode")?,
-            threads: int("threads")?,
-            batch: int("batch")?,
-            queries: int("queries")?,
-            seed: int("seed")?,
-            check_rate: float("check_rate")?,
-            route_queries: int("route_queries")?,
-            distance_queries: int("distance_queries")?,
-            trace_queries: int("trace_queries")?,
-            answered: int("answered")?,
-            unreachable: int("unreachable")?,
-            errors: int("errors")?,
-            checks: int("checks")?,
-            mismatches: int("mismatches")?,
-            total_weight: int("total_weight")?,
-            total_hops: int("total_hops")?,
-            answer_checksum: int("answer_checksum")?,
-            offered_qps: float("offered_qps")?,
-            wall_ns: int("wall_ns")?,
-            qps: float("qps")?,
-            p50_ns: int("p50_ns")?,
-            p95_ns: int("p95_ns")?,
-            p99_ns: int("p99_ns")?,
-        };
-        if !summary.consistent() {
-            return Err(ParseError::new(format!(
-                "violates partition identities: queries {} vs kinds {}+{}+{}, \
-                 outcomes {}+{}+{}, mismatches {} ≤ checks {} ≤ queries {}",
-                summary.queries,
-                summary.route_queries,
-                summary.distance_queries,
-                summary.trace_queries,
-                summary.answered,
-                summary.unreachable,
-                summary.errors,
-                summary.mismatches,
-                summary.checks,
-                summary.queries,
-            ))
-            .for_type("serve_summary"));
-        }
-        Ok(summary)
+        Err(ParseError::new(format!(
+            "violates partition identities: queries {} vs kinds {}+{}+{}, \
+             outcomes {}+{}+{}, mismatches {} ≤ checks {} ≤ queries {}",
+            self.queries,
+            self.route_queries,
+            self.distance_queries,
+            self.trace_queries,
+            self.answered,
+            self.unreachable,
+            self.errors,
+            self.mismatches,
+            self.checks,
+            self.queries,
+        )))
     }
 }
 
@@ -222,6 +140,15 @@ mod tests {
             p95_ns: 1_900,
             p99_ns: 4_200,
         }
+    }
+
+    #[test]
+    fn bytes_are_pinned() {
+        let pinned = r#"{"type":"serve_summary","workload":"hotspot","mode":"closed","threads":4,"batch":64,"queries":4096,"seed":385326,"check_rate":0.05,"route_queries":2458,"distance_queries":1024,"trace_queries":614,"answered":4090,"unreachable":6,"errors":0,"checks":201,"mismatches":0,"total_weight":123456,"total_hops":9876,"answer_checksum":244837814094590,"offered_qps":0,"wall_ns":5000000,"qps":819200,"p50_ns":700,"p95_ns":1900,"p99_ns":4200,"sweep":2}"#;
+        let extra = [("sweep", Value::from(2u64))];
+        assert_eq!(sample().to_value(&extra).to_string(), pinned);
+        let parsed = ServeSummary::from_value(&json::parse(pinned).unwrap()).unwrap();
+        assert_eq!(parsed, sample());
     }
 
     #[test]

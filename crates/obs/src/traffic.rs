@@ -6,64 +6,71 @@
 //! configured rate into finite per-vertex queues — by the quantities a
 //! traffic plane is judged on: delivered throughput, drop/loss split,
 //! end-to-end latency and pure queueing-delay distributions, peak queue
-//! occupancy, and stretch. [`TrafficSummary::from_value`] re-validates the
+//! occupancy, and stretch. `TrafficSummary::from_value` re-validates the
 //! packet-conservation identity (`injected = delivered + dropped +
 //! in_flight`) on parse, so a tampered or truncated report fails loudly.
 
 use crate::error::ParseError;
 use crate::flight::LoadStats;
 use crate::json::Value;
+use crate::record;
 
-/// Summary of one steady-state traffic run at one offered rate.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TrafficSummary {
-    /// Workload model name (e.g. `uniform`, `gravity`, `hotspot`, `worst`).
-    pub workload: String,
-    /// Arrival process name (e.g. `fixed`, `bernoulli`).
-    pub arrival: String,
-    /// Offered rate in packets per round (network-wide).
-    pub rate: f64,
-    /// Rounds during which the sources injected.
-    pub inject_rounds: u64,
-    /// Engine rounds actually executed (injection plus drain).
-    pub sim_rounds: u64,
-    /// Per-port queue capacity in packets.
-    pub queue_cap: u64,
-    /// Drop policy name (`tail-drop` or `oldest-drop`).
-    pub drop_policy: String,
-    /// Pairs the workload offered, including undeliverable ones.
-    pub offered: u64,
-    /// Packets actually injected (offered minus undeliverable).
-    pub injected: u64,
-    /// Offered pairs with no common tree; never injected.
-    pub undeliverable: u64,
-    /// Packets that reached their destination.
-    pub delivered: u64,
-    /// Packets dropped by a full queue.
-    pub dropped_capacity: u64,
-    /// Packets dropped by a stuck forwarding rule or missing port.
-    pub dropped_stuck: u64,
-    /// Packets still queued or on the wire when the run was cut off
-    /// (0 whenever the run drained).
-    pub in_flight: u64,
-    /// Whether the run drained before the round cap.
-    pub drained: bool,
-    /// Delivered packets per executed round.
-    pub throughput: f64,
-    /// Distribution of per-packet delivery latency in rounds
-    /// (injection to delivery: hops plus queueing).
-    pub latency: LoadStats,
-    /// Distribution of per-packet pure queueing delay in rounds
-    /// (latency minus hop count).
-    pub queue_delay: LoadStats,
-    /// Largest number of packets queued network-wide at any round end.
-    pub peak_queue_packets: u64,
-    /// Largest number of queued words network-wide at any round end.
-    pub peak_queue_words: u64,
-    /// Mean routed-weight / true-distance over delivered packets.
-    pub stretch_mean: f64,
-    /// Worst routed-weight / true-distance over delivered packets.
-    pub stretch_max: f64,
+record! {
+    /// Summary of one steady-state traffic run at one offered rate,
+    /// serialized as a `traffic_summary` JSONL record; `extra` fields (e.g.
+    /// a sweep index) are appended to the top-level object.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct TrafficSummary(extra: &[(&str, Value)]): "traffic_summary" {
+        /// Workload model name (e.g. `uniform`, `gravity`, `hotspot`, `worst`).
+        pub workload: String,
+        /// Arrival process name (e.g. `fixed`, `bernoulli`).
+        pub arrival: String,
+        /// Offered rate in packets per round (network-wide).
+        pub rate: f64,
+        /// Rounds during which the sources injected.
+        pub inject_rounds: u64,
+        /// Engine rounds actually executed (injection plus drain).
+        pub sim_rounds: u64,
+        /// Per-port queue capacity in packets.
+        pub queue_cap: u64,
+        /// Drop policy name (`tail-drop` or `oldest-drop`).
+        pub drop_policy: String,
+        /// Pairs the workload offered, including undeliverable ones.
+        pub offered: u64,
+        /// Packets actually injected (offered minus undeliverable).
+        pub injected: u64,
+        /// Offered pairs with no common tree; never injected.
+        pub undeliverable: u64,
+        /// Packets that reached their destination.
+        pub delivered: u64,
+        /// Packets dropped by a full queue.
+        pub dropped_capacity: u64,
+        /// Packets dropped by a stuck forwarding rule or missing port.
+        pub dropped_stuck: u64,
+        /// Packets still queued or on the wire when the run was cut off
+        /// (0 whenever the run drained).
+        pub in_flight: u64,
+        /// Whether the run drained before the round cap.
+        pub drained: bool,
+        /// Delivered packets per executed round.
+        pub throughput: f64,
+        /// Distribution of per-packet delivery latency in rounds
+        /// (injection to delivery: hops plus queueing).
+        pub latency: LoadStats,
+        /// Distribution of per-packet pure queueing delay in rounds
+        /// (latency minus hop count).
+        pub queue_delay: LoadStats,
+        /// Largest number of packets queued network-wide at any round end.
+        pub peak_queue_packets: u64,
+        /// Largest number of queued words network-wide at any round end.
+        pub peak_queue_words: u64,
+        /// Mean routed-weight / true-distance over delivered packets.
+        pub stretch_mean: f64,
+        /// Worst routed-weight / true-distance over delivered packets.
+        pub stretch_max: f64,
+        ..extra
+    }
+    validate
 }
 
 impl TrafficSummary {
@@ -78,112 +85,20 @@ impl TrafficSummary {
             && self.offered == self.injected + self.undeliverable
     }
 
-    /// Serialize as a `traffic_summary` JSONL record; `extra` fields (e.g.
-    /// a sweep index) are appended to the top-level object.
-    pub fn to_value(&self, extra: &[(&str, Value)]) -> Value {
-        let mut fields = vec![
-            ("type", Value::from("traffic_summary")),
-            ("workload", Value::from(self.workload.as_str())),
-            ("arrival", Value::from(self.arrival.as_str())),
-            ("rate", Value::from(self.rate)),
-            ("inject_rounds", Value::from(self.inject_rounds)),
-            ("sim_rounds", Value::from(self.sim_rounds)),
-            ("queue_cap", Value::from(self.queue_cap)),
-            ("drop_policy", Value::from(self.drop_policy.as_str())),
-            ("offered", Value::from(self.offered)),
-            ("injected", Value::from(self.injected)),
-            ("undeliverable", Value::from(self.undeliverable)),
-            ("delivered", Value::from(self.delivered)),
-            ("dropped_capacity", Value::from(self.dropped_capacity)),
-            ("dropped_stuck", Value::from(self.dropped_stuck)),
-            ("in_flight", Value::from(self.in_flight)),
-            ("drained", Value::from(self.drained)),
-            ("throughput", Value::from(self.throughput)),
-            ("latency", self.latency.to_value()),
-            ("queue_delay", self.queue_delay.to_value()),
-            ("peak_queue_packets", Value::from(self.peak_queue_packets)),
-            ("peak_queue_words", Value::from(self.peak_queue_words)),
-            ("stretch_mean", Value::from(self.stretch_mean)),
-            ("stretch_max", Value::from(self.stretch_max)),
-        ];
-        for (k, v) in extra {
-            fields.push((k, v.clone()));
+    fn validate(&self) -> Result<(), ParseError> {
+        if self.conserved() {
+            return Ok(());
         }
-        Value::object(fields)
-    }
-
-    /// Parse a `traffic_summary` record back, re-checking conservation.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseError`] naming the first missing or ill-typed
-    /// field, or a violation of the conservation identity.
-    pub fn from_value(v: &Value) -> Result<TrafficSummary, ParseError> {
-        if v.get("type").and_then(Value::as_str) != Some("traffic_summary") {
-            return Err(ParseError::not_record("traffic_summary"));
-        }
-        let int = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| ParseError::missing(key).for_type("traffic_summary"))
-        };
-        let float = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| ParseError::missing(key).for_type("traffic_summary"))
-        };
-        let text = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| ParseError::missing(key).for_type("traffic_summary"))
-        };
-        let dist = |key: &str| {
-            v.get(key)
-                .ok_or_else(|| ParseError::missing(key).for_type("traffic_summary"))
-                .and_then(|d| LoadStats::from_value(d).map_err(|e| e.for_type("traffic_summary")))
-        };
-        let summary = TrafficSummary {
-            workload: text("workload")?,
-            arrival: text("arrival")?,
-            rate: float("rate")?,
-            inject_rounds: int("inject_rounds")?,
-            sim_rounds: int("sim_rounds")?,
-            queue_cap: int("queue_cap")?,
-            drop_policy: text("drop_policy")?,
-            offered: int("offered")?,
-            injected: int("injected")?,
-            undeliverable: int("undeliverable")?,
-            delivered: int("delivered")?,
-            dropped_capacity: int("dropped_capacity")?,
-            dropped_stuck: int("dropped_stuck")?,
-            in_flight: int("in_flight")?,
-            drained: v
-                .get("drained")
-                .and_then(Value::as_bool)
-                .ok_or_else(|| ParseError::missing("drained").for_type("traffic_summary"))?,
-            throughput: float("throughput")?,
-            latency: dist("latency")?,
-            queue_delay: dist("queue_delay")?,
-            peak_queue_packets: int("peak_queue_packets")?,
-            peak_queue_words: int("peak_queue_words")?,
-            stretch_mean: float("stretch_mean")?,
-            stretch_max: float("stretch_max")?,
-        };
-        if !summary.conserved() {
-            return Err(ParseError::new(format!(
-                "violates conservation: injected {} != \
-                 delivered {} + dropped {} + in_flight {} (offered {}, undeliverable {})",
-                summary.injected,
-                summary.delivered,
-                summary.dropped(),
-                summary.in_flight,
-                summary.offered,
-                summary.undeliverable,
-            ))
-            .for_type("traffic_summary"));
-        }
-        Ok(summary)
+        Err(ParseError::new(format!(
+            "violates conservation: injected {} != \
+             delivered {} + dropped {} + in_flight {} (offered {}, undeliverable {})",
+            self.injected,
+            self.delivered,
+            self.dropped(),
+            self.in_flight,
+            self.offered,
+            self.undeliverable,
+        )))
     }
 }
 
@@ -217,6 +132,15 @@ mod tests {
             stretch_mean: 1.2,
             stretch_max: 2.8,
         }
+    }
+
+    #[test]
+    fn bytes_are_pinned() {
+        let pinned = r#"{"type":"traffic_summary","workload":"hotspot","arrival":"fixed","rate":2.5,"inject_rounds":64,"sim_rounds":80,"queue_cap":8,"drop_policy":"tail-drop","offered":160,"injected":158,"undeliverable":2,"delivered":150,"dropped_capacity":5,"dropped_stuck":3,"in_flight":0,"drained":true,"throughput":1.875,"latency":{"min":3,"p50":5,"p95":9,"p99":9,"max":9,"mean":5.25},"queue_delay":{"min":0,"p50":2,"p95":6,"p99":6,"max":6,"mean":2.25},"peak_queue_packets":12,"peak_queue_words":96,"stretch_mean":1.2,"stretch_max":2.8,"sweep":3}"#;
+        let extra = [("sweep", Value::from(3u64))];
+        assert_eq!(sample().to_value(&extra).to_string(), pinned);
+        let parsed = TrafficSummary::from_value(&json::parse(pinned).unwrap()).unwrap();
+        assert_eq!(parsed, sample());
     }
 
     #[test]

@@ -103,11 +103,10 @@
 //! `drt build` and `drt trace` additionally accept `--report <path>` (or the
 //! `DRT_REPORT` environment variable) to write a JSONL run report: phase
 //! spans for `build`, a `packet_trace` record for `trace`. `drt report`
-//! reads such a file back, validates every record it knows
-//! (`packet_trace`, `edge_load`, `vertex_load`, `stretch_histogram`,
-//! `metrics`, `scaling_check`, `traffic_summary` — the latter re-checked
-//! against the packet-conservation identity), and prints per-type counts
-//! plus the run's total wall-clock time.
+//! reads such a file back, validates every record whose type is in
+//! `obs::REGISTRY` (the table in DESIGN.md §4d says what each type's parser
+//! re-checks), and prints per-type counts plus the run's total wall-clock
+//! time.
 //!
 //! `drt profile` turns on the engine profiler (`obs::profile`) over a
 //! self-contained store-and-forward workload: it generates a seeded graph,
@@ -797,52 +796,15 @@ fn cmd_report(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), Str
     let records = obs::read_report(path).map_err(|e| format!("reading {path}: {e}"))?;
     let mut counts: Vec<(String, usize)> = Vec::new();
     for (i, record) in records.iter().enumerate() {
-        let ty = record
-            .get("type")
-            .and_then(Value::as_str)
+        let ty = obs::record::tag(record)
             .ok_or_else(|| format!("record {i}: missing 'type'"))?
             .to_string();
-        // Validate every record type the flight recorder knows; the
-        // others (span, round_series, run_summary) are structural and
-        // already survived `read_report`'s JSON parse. The typed parsers
-        // return `obs::ParseError`s that already carry the field name; tag
-        // on the record index so a bad line is findable.
-        let check = |r: Result<(), obs::ParseError>| r.map_err(|e| e.in_record(i).to_string());
-        match ty.as_str() {
-            "packet_trace" => check(obs::flight::PacketTrace::from_value(record).map(|_| ()))?,
-            "edge_load" => check(obs::flight::EdgeLoadMap::from_value(record).map(|_| ()))?,
-            "vertex_load" => check(obs::flight::VertexLoadMap::from_value(record).map(|_| ()))?,
-            "stretch_histogram" => {
-                check(obs::flight::Histogram::from_value(record).map(|_| ()))?;
-            }
-            "metrics" => check(obs::metrics::MetricSet::from_value(record).map(|_| ()))?,
-            "scaling_check" => check(obs::scaling::ScalingCheck::from_value(record).map(|_| ()))?,
-            "traffic_summary" => {
-                // `from_value` re-checks the packet-conservation identity,
-                // so a summary that parses here is conserved.
-                check(obs::traffic::TrafficSummary::from_value(record).map(|_| ()))?;
-            }
-            "engine_profile" => {
-                check(obs::profile::ProfileSummary::from_value(record).map(|_| ()))?
-            }
-            "scheme_audit" => {
-                // `from_value` re-checks the probe's outcome-partition
-                // identity, so a record that parses here is internally
-                // consistent.
-                check(obs::audit::SchemeAudit::from_value(record).map(|_| ()))?;
-            }
-            "serve_summary" => {
-                // `from_value` re-checks the query partition identities
-                // (kind mix, outcome split, checks vs mismatches).
-                check(obs::serve::ServeSummary::from_value(record).map(|_| ()))?;
-            }
-            "churn_timeline" => {
-                // `from_value` re-checks per-round probe partition, traffic
-                // conservation, and (for revival-free processes) monotone
-                // delivery.
-                check(obs::churn::ChurnTimeline::from_value(record).map(|_| ()))?;
-            }
-            _ => {}
+        // Every type in the registry is parsed by its declared schema and
+        // re-checked against its identities (DESIGN.md §4d); the error
+        // already names the field, the index makes the bad line findable.
+        // A type the registry does not know is counted, not validated.
+        if let Some((_, validate)) = obs::REGISTRY.iter().find(|(t, _)| *t == ty) {
+            validate(record).map_err(|e| e.in_record(i).to_string())?;
         }
         match counts.iter_mut().find(|(t, _)| *t == ty) {
             Some((_, c)) => *c += 1,
@@ -853,12 +815,12 @@ fn cmd_report(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), Str
     // line carries the recorder's total wall clock, each span its own.
     let total_wall = records
         .iter()
-        .find(|r| r.get("type").and_then(Value::as_str) == Some("run_summary"))
+        .find(|r| obs::record::tag(r) == Some("run_summary"))
         .and_then(|r| r.get("wall_ns"))
         .and_then(Value::as_u64);
     let mut spans: Vec<(&str, u64)> = records
         .iter()
-        .filter(|r| r.get("type").and_then(Value::as_str) == Some("span"))
+        .filter(|r| obs::record::tag(r) == Some("span"))
         .filter_map(|r| {
             Some((
                 r.get("name").and_then(Value::as_str)?,

@@ -231,6 +231,18 @@ fn drt_bench_binary_emits_schema_valid_doc_and_compare_gates() {
 }
 
 #[test]
+fn committed_bench_documents_round_trip_byte_for_byte() {
+    // `load` then `to_value` must reproduce each committed trajectory point
+    // exactly: same keys, same order, same number formatting.
+    for name in ["BENCH_baseline.json", "BENCH_pr14.json", "BENCH_pr17.json"] {
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(name);
+        let bytes = std::fs::read_to_string(&path).expect("committed document");
+        let doc = BenchDoc::load(&path).expect("committed document loads");
+        assert_eq!(format!("{}\n", doc.to_value()), bytes, "{name}");
+    }
+}
+
+#[test]
 fn drt_bench_thread_counts_diff_cleanly() {
     // The CI recipe in miniature: run the suite serial and parallel, then
     // `drt compare` the two documents under the default exact sim gate. The
@@ -307,4 +319,119 @@ fn bench_report_carries_wall_clock() {
         .find(|r| r.get("type").and_then(|v| v.as_str()) == Some("span"))
         .expect("span present");
     assert!(span.get("wall_ns").and_then(|v| v.as_u64()).is_some());
+}
+
+/// The key skeleton of one JSON value: every key path in writer order, no
+/// values. Array elements contribute each distinct element shape once, so a
+/// heatmap's length (data) never enters the golden file but a hop with a
+/// missing field would.
+fn key_paths(prefix: &str, v: &obs::json::Value, out: &mut Vec<String>) {
+    use obs::json::Value;
+    match v {
+        Value::Object(fields) => {
+            for (k, child) in fields {
+                let path = if prefix.is_empty() {
+                    k.clone()
+                } else {
+                    format!("{prefix}.{k}")
+                };
+                match child {
+                    Value::Object(_) | Value::Array(_) => key_paths(&path, child, out),
+                    _ => out.push(path),
+                }
+            }
+        }
+        Value::Array(items) => {
+            let mut shapes: Vec<Vec<String>> = Vec::new();
+            for item in items {
+                let mut shape = Vec::new();
+                key_paths(&format!("{prefix}[]"), item, &mut shape);
+                if shape.is_empty() {
+                    shape.push(format!("{prefix}[]"));
+                }
+                if !shapes.contains(&shape) {
+                    shapes.push(shape);
+                }
+            }
+            if shapes.is_empty() {
+                out.push(format!("{prefix}[]"));
+            }
+            out.extend(shapes.into_iter().flatten());
+        }
+        _ => out.push(prefix.to_string()),
+    }
+}
+
+#[test]
+fn drt_report_key_skeletons_match_the_golden_file() {
+    // Every report-writing subcommand, end to end through the binary: the
+    // `type` tag and the ordered key paths of each line must equal the
+    // recorded skeleton. Values — wall clocks above all — never enter the
+    // golden file; an `Option` written as `null` and one written as a number
+    // have the same path.
+    let drt = env!("CARGO_BIN_EXE_drt");
+    let graph = temp_path("skeleton-graph.txt");
+    let scheme = temp_path("skeleton-scheme.bin");
+    let run = |args: &[&str]| {
+        let out = Command::new(drt).args(args).output().expect("drt runs");
+        assert!(
+            out.status.success(),
+            "drt {args:?} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    std::fs::write(&graph, run(&["generate", "er", "64", "7"])).expect("graph written");
+    let (g, s) = (graph.to_str().unwrap(), scheme.to_str().unwrap());
+    let commands: [(&str, Vec<&str>); 7] = [
+        ("build", vec!["build", g, "2", s]),
+        ("trace", vec!["trace", g, s, "1", "60"]),
+        ("audit", vec!["audit", g, s, "--kill-edges", "0.15"]),
+        ("traffic", vec!["traffic", g, s, "--rounds", "64"]),
+        ("churn", vec!["churn", g, s, "--rounds", "5"]),
+        ("serve", vec!["serve", g, "--scheme", s, "--queries", "512"]),
+        ("profile", vec!["profile", "--n", "64", "--packets", "256"]),
+    ];
+    let mut skeleton = String::new();
+    for (name, mut args) in commands {
+        let report = temp_path(&format!("skeleton-{name}.jsonl"));
+        args.extend(["--report", report.to_str().unwrap()]);
+        run(&args);
+        // Every report the binary writes must also validate.
+        run(&["report", report.to_str().unwrap()]);
+        skeleton.push_str(&format!("# drt {name}\n"));
+        let mut last: Option<(String, usize)> = None;
+        let flush = |last: &mut Option<(String, usize)>, skeleton: &mut String| {
+            if let Some((line, times)) = last.take() {
+                skeleton.push_str(&format!("{times}x {line}\n"));
+            }
+        };
+        for record in obs::read_report(&report).expect("report parses") {
+            let mut paths = Vec::new();
+            key_paths("", &record, &mut paths);
+            let ty = record.get("type").and_then(|t| t.as_str()).expect("tagged");
+            let line = format!("{ty}: {}", paths.join(" "));
+            match &mut last {
+                Some((prev, times)) if *prev == line => *times += 1,
+                _ => {
+                    flush(&mut last, &mut skeleton);
+                    last = Some((line, 1));
+                }
+            }
+        }
+        flush(&mut last, &mut skeleton);
+    }
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/report_skeletons.txt"
+    );
+    let actual = temp_path("report_skeletons.actual.txt");
+    std::fs::write(&actual, &skeleton).expect("actual skeleton written");
+    let expected = std::fs::read_to_string(golden).expect("tests/golden/report_skeletons.txt");
+    assert_eq!(
+        skeleton,
+        expected,
+        "report key skeleton drifted; this run's is in {}",
+        actual.display()
+    );
 }

@@ -139,3 +139,25 @@ fn observed_build_matches_plain_build() {
         observed.report.max_label_words
     );
 }
+
+#[test]
+fn design_inventory_lists_exactly_the_registered_record_types() {
+    // DESIGN.md §4d is the human-readable face of `obs::REGISTRY`: a tag in
+    // one and not the other is either an undocumented record or a promise
+    // `drt report` does not keep.
+    let design = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/DESIGN.md"))
+        .expect("DESIGN.md");
+    let section = design
+        .split("## 4d. ")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .expect("DESIGN.md has a §4d");
+    let mut documented: Vec<&str> = section
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `")?.split('`').next())
+        .collect();
+    let mut registered: Vec<&str> = obs::REGISTRY.iter().map(|(tag, _)| *tag).collect();
+    documented.sort_unstable();
+    registered.sort_unstable();
+    assert_eq!(documented, registered);
+}
