@@ -31,7 +31,7 @@ use tree_routing::distributed;
 fn main() {
     let (opts, _rest) = obs::cli::ReportOptions::from_env();
     let mut rec = obs::Recorder::when(opts.reporting());
-    ablation_pointer_jumping(&mut rec, opts.threads);
+    ablation_pointer_jumping(&mut rec);
     ablation_materialization(&mut rec);
     ablation_range_partition();
     ablation_hopset_bf(&mut rec);
@@ -42,7 +42,7 @@ fn main() {
     }
 }
 
-fn ablation_pointer_jumping(rec: &mut obs::Recorder, threads: usize) {
+fn ablation_pointer_jumping(rec: &mut obs::Recorder) {
     println!("== Ablation 1: pointer jumping vs naive virtual-tree walk ==");
     println!("(path networks: the deep-tree, large-D worst case the paper targets)");
     let widths = [8, 8, 8, 8, 14, 16];
@@ -56,11 +56,8 @@ fn ablation_pointer_jumping(rec: &mut obs::Recorder, threads: usize) {
         let t = tree::shortest_path_tree(&g, VertexId(0));
         let net = Network::new(g);
         let span = rec.begin(&format!("ablations/pointer-jumping/n{n}"));
-        let config = distributed::Config {
-            threads,
-            ..distributed::Config::default()
-        };
-        let out = distributed::build_observed(&net, &t, &config, &mut rng, rec);
+        let out =
+            distributed::build_observed(&net, &t, &distributed::Config::default(), &mut rng, rec);
         rec.end_with_memory(span, out.memory.peaks());
         let d = out.bfs_depth as u64;
         let iters = (n as f64).log2().ceil() as u64;

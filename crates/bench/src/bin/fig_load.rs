@@ -24,19 +24,11 @@ use routing::{build_observed, packet, BuildParams};
 fn main() {
     let mut sweep = Sweep::from_env("fig_load");
     let reporting = sweep.reporting();
-    // Engine worker threads (`--threads`/`DRT_THREADS`; 0 = all cores).
-    // Output is identical at any thread count — the engine is deterministic.
-    let threads = sweep.opts.threads;
     let n = 400;
     let mut rng = Sweep::rng(0xC1, 0);
     let g = Family::ErdosRenyi.generate(n, &mut rng);
     let built = sweep.observed("fig_load/build", |rec| {
-        let built = build_observed(
-            &g,
-            &BuildParams::new(3).with_threads(threads),
-            &mut rng,
-            rec,
-        );
+        let built = build_observed(&g, &BuildParams::new(3), &mut rng, rec);
         let peaks = built.report.memory.peaks().to_vec();
         (built, peaks)
     });
@@ -71,7 +63,7 @@ fn main() {
             // stdout stays byte-for-byte the same, and the heatmaps become
             // `edge_load`/`vertex_load` records in the JSONL report.
             let report = if reporting {
-                let flight = packet::send_many_traced_with(&net, &built.scheme, &pairs, threads);
+                let flight = packet::send_many_traced(&net, &built.scheme, &pairs);
                 let extra = [
                     ("figure", obs::json::Value::from("fig_load")),
                     ("packets", obs::json::Value::from(load)),
@@ -80,7 +72,7 @@ fn main() {
                 rec.add_record(flight.vertex_load.to_value(&extra));
                 flight.report
             } else {
-                packet::send_many_with(&net, &built.scheme, &pairs, threads)
+                packet::send_many(&net, &built.scheme, &pairs)
             };
             rec.charge(&obs::Counters {
                 rounds: report.stats.rounds,

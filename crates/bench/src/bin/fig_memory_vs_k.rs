@@ -15,7 +15,6 @@ use routing::{build_observed, BuildParams, Mode};
 
 fn main() {
     let mut sweep = Sweep::from_env("fig_memory_vs_k");
-    let threads = sweep.opts.threads;
     let n = 1024;
     let widths = [4, 12, 12, 12, 10];
     println!("== Fig S2c: memory vs k (n = {n}) ==\n");
@@ -26,21 +25,14 @@ fn main() {
         let mut rng1 = Sweep::rng(0, k as u64);
         let mut rng2 = Sweep::rng(0, k as u64);
         let ours = sweep.observed(&format!("fig_memory_vs_k/k{k}/ours"), |rec| {
-            let ours = build_observed(
-                &g,
-                &BuildParams::new(k).with_threads(threads),
-                &mut rng1,
-                rec,
-            );
+            let ours = build_observed(&g, &BuildParams::new(k), &mut rng1, rec);
             let peaks = ours.report.memory.peaks().to_vec();
             (ours, peaks)
         });
         let prior = sweep.observed(&format!("fig_memory_vs_k/k{k}/prior"), |rec| {
             let prior = build_observed(
                 &g,
-                &BuildParams::new(k)
-                    .with_mode(Mode::DistributedPrior)
-                    .with_threads(threads),
+                &BuildParams::new(k).with_mode(Mode::DistributedPrior),
                 &mut rng2,
                 rec,
             );

@@ -19,7 +19,6 @@ use tree_routing::{baseline, distributed};
 
 fn main() {
     let mut sweep = Sweep::from_env("fig_memory_vs_n");
-    let threads = sweep.opts.threads;
     let widths = [8, 12, 12, 8];
 
     println!("== Fig S2a: tree-routing memory vs n (Theorem 2) ==");
@@ -35,10 +34,7 @@ fn main() {
             let ours = distributed::build_observed(
                 &net,
                 &t,
-                &distributed::Config {
-                    threads,
-                    ..distributed::Config::default()
-                },
+                &distributed::Config::default(),
                 &mut rng,
                 rec,
             );
@@ -75,20 +71,13 @@ fn main() {
         let mut rng1 = Sweep::rng(1, 0);
         let mut rng2 = Sweep::rng(1, 0);
         let ours = sweep.observed(&format!("fig_memory_vs_n/scheme/n{n}"), |rec| {
-            let ours = build_observed(
-                &g,
-                &BuildParams::new(2).with_threads(threads),
-                &mut rng1,
-                rec,
-            );
+            let ours = build_observed(&g, &BuildParams::new(2), &mut rng1, rec);
             let peaks = ours.report.memory.peaks().to_vec();
             (ours, peaks)
         });
         let prior = build(
             &g,
-            &BuildParams::new(2)
-                .with_mode(Mode::DistributedPrior)
-                .with_threads(threads),
+            &BuildParams::new(2).with_mode(Mode::DistributedPrior),
             &mut rng2,
         );
         let (a, b) = (

@@ -21,7 +21,6 @@ use tree_routing::distributed;
 
 fn main() {
     let mut sweep = Sweep::from_env("fig_rounds_vs_n");
-    let threads = sweep.opts.threads;
     let widths = [8, 10, 12];
 
     println!("== Fig S1a: tree-routing construction rounds vs n (Theorem 2) ==");
@@ -36,10 +35,7 @@ fn main() {
             let out = distributed::build_observed(
                 &net,
                 &t,
-                &distributed::Config {
-                    threads,
-                    ..distributed::Config::default()
-                },
+                &distributed::Config::default(),
                 &mut rng,
                 rec,
             );
@@ -68,12 +64,7 @@ fn main() {
         let mut rng = Sweep::rng(0x52, n as u64);
         let g = Family::ErdosRenyi.generate(n, &mut rng);
         let built = sweep.observed(&format!("fig_rounds_vs_n/scheme/n{n}"), |rec| {
-            let built = build_observed(
-                &g,
-                &BuildParams::new(2).with_threads(threads),
-                &mut rng,
-                rec,
-            );
+            let built = build_observed(&g, &BuildParams::new(2), &mut rng, rec);
             let peaks = built.report.memory.peaks().to_vec();
             (built, peaks)
         });

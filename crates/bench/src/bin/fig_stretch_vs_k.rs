@@ -19,7 +19,6 @@ use routing::{build_observed, router, BuildParams};
 
 fn main() {
     let mut sweep = Sweep::from_env("fig_stretch_vs_k");
-    let threads = sweep.opts.threads;
     let n = 512;
     let widths = [4, 10, 10, 8, 8, 9, 11, 10, 10];
     println!("== Fig S3: stretch vs k (n = {n}, this paper's scheme) ==\n");
@@ -44,12 +43,7 @@ fn main() {
             let g = family.generate(n, &mut rng);
             let built =
                 sweep.observed(&format!("fig_stretch_vs_k/{}/k{k}", family.name()), |rec| {
-                    let built = build_observed(
-                        &g,
-                        &BuildParams::new(k).with_threads(threads),
-                        &mut rng,
-                        rec,
-                    );
+                    let built = build_observed(&g, &BuildParams::new(k), &mut rng, rec);
                     let peaks = built.report.memory.peaks().to_vec();
                     (built, peaks)
                 });

@@ -19,7 +19,6 @@ use routing::{build_observed, router, BuildParams, Mode};
 
 fn main() {
     let (opts, _rest) = obs::cli::ReportOptions::from_env();
-    let threads = opts.threads;
     let mut rec = obs::Recorder::when(opts.reporting());
     let mut json_rows: Vec<Value> = Vec::new();
 
@@ -107,7 +106,7 @@ fn main() {
                 let span = rec.begin(&format!("table1/{}/n{n}/k{k}/{name}", family.name()));
                 let built = build_observed(
                     &g,
-                    &BuildParams::new(k).with_mode(mode).with_threads(threads),
+                    &BuildParams::new(k).with_mode(mode),
                     &mut mode_rng,
                     &mut rec,
                 );

@@ -104,10 +104,7 @@ fn main() {
             let ours = distributed::build_observed(
                 &net,
                 &t,
-                &distributed::Config {
-                    threads: opts.threads,
-                    ..distributed::Config::default()
-                },
+                &distributed::Config::default(),
                 &mut rng,
                 &mut rec,
             );

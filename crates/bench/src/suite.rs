@@ -253,17 +253,11 @@ record! {
         pub profile: String,
         /// The workspace version the suite was built from.
         pub version: String,
-        /// Engine worker threads the suite ran with. Simulated columns are
-        /// thread-count independent (the parallel engine is deterministic), so
-        /// documents produced at different thread counts still diff exactly.
-        /// Absent in documents written before the parallel engine: those
-        /// suites were serial.
-        pub threads: u64 = 1,
     }
 }
 
 impl EnvStamp {
-    /// Stamp for the running binary (serial engine).
+    /// Stamp for the running binary.
     pub fn current() -> EnvStamp {
         EnvStamp {
             os: std::env::consts::OS.to_string(),
@@ -274,75 +268,6 @@ impl EnvStamp {
                 "release".to_string()
             },
             version: env!("CARGO_PKG_VERSION").to_string(),
-            threads: 1,
-        }
-    }
-}
-
-record! {
-    /// Serial-vs-parallel wall-clock comparison for one suite group, measured by
-    /// running every case twice per repeat — once on the serial engine, once with
-    /// `threads` workers — and cross-checking that the simulated columns agree
-    /// exactly. The metric is real time only; it is always advisory in
-    /// [`compare`].
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub struct GroupSpeedup {
-        /// The suite group (`tree_build`, `scheme_build`, `route_batch`).
-        pub group: String,
-        /// Worker threads the parallel twin ran with.
-        pub threads: u64,
-        /// p50 over the group's serial wall samples (all cases, all repeats).
-        pub serial_p50_ns: u64,
-        /// p50 over the group's parallel wall samples.
-        pub parallel_p50_ns: u64,
-    }
-}
-
-impl GroupSpeedup {
-    /// `wall_serial_p50 / wall_parallel_p50`; values above 1 mean the
-    /// parallel engine was faster.
-    pub fn speedup(&self) -> f64 {
-        self.serial_p50_ns as f64 / self.parallel_p50_ns.max(1) as f64
-    }
-}
-
-record! {
-    /// Parallel-efficiency figures for one suite group, measured by one extra
-    /// profiled parallel run of the group's largest case (the profiler is never
-    /// on during the timed repeats, so the wall columns stay comparable).
-    /// Real-time derived, so always advisory in [`compare`].
-    #[derive(Clone, Debug, PartialEq)]
-    pub struct GroupEfficiency {
-        /// The suite group.
-        pub group: String,
-        /// Worker threads the profiled run used.
-        pub threads: u64,
-        /// Mean worker busy-fraction over the engine wall (1.0 = every worker
-        /// busy the whole run).
-        pub utilization: f64,
-        /// Max/mean worker busy time (1.0 = perfectly balanced).
-        pub imbalance: f64,
-    }
-}
-
-impl GroupEfficiency {
-    /// Extract the group figures from an engine profile.
-    fn from_profile(
-        group: &str,
-        threads: u64,
-        profile: &obs::profile::EngineProfile,
-    ) -> GroupEfficiency {
-        let s = profile.summary();
-        let utilization = if s.worker_stats.is_empty() {
-            0.0
-        } else {
-            s.worker_stats.iter().map(|w| w.utilization).sum::<f64>() / s.worker_stats.len() as f64
-        };
-        GroupEfficiency {
-            group: group.to_string(),
-            threads,
-            utilization,
-            imbalance: s.imbalance,
         }
     }
 }
@@ -361,13 +286,6 @@ pub struct BenchDoc {
     /// Scaling-law verdicts fitted over the sweeps (empty below 3 points
     /// per group).
     pub checks: Vec<ScalingCheck>,
-    /// Per-group serial-vs-parallel wall speedups (empty when the suite ran
-    /// with a single worker thread).
-    pub speedup: Vec<GroupSpeedup>,
-    /// Worker utilization and imbalance for the engine-driven groups, from
-    /// one profiled parallel run each (empty when the suite ran with a
-    /// single worker thread).
-    pub efficiency: Vec<GroupEfficiency>,
 }
 
 impl BenchDoc {
@@ -390,12 +308,12 @@ impl BenchDoc {
             ("env", self.env.to_json()),
             ("cases", self.cases.to_json()),
             ("scaling", self.checks.to_json()),
-            ("speedup", self.speedup.to_json()),
-            ("efficiency", self.efficiency.to_json()),
         ])
     }
 
-    /// Parse a BENCH document, rejecting unknown schemas.
+    /// Parse a BENCH document, rejecting unknown schemas. Fields this
+    /// version no longer writes (`env.threads`, `speedup`, `efficiency`) are
+    /// ignored, so older documents still load.
     ///
     /// # Errors
     ///
@@ -412,10 +330,6 @@ impl BenchDoc {
             env: record::field(v, "env")?,
             cases: record::field(v, "cases")?,
             checks: record::field(v, "scaling")?,
-            // Absent in documents written before the parallel engine.
-            speedup: record::field_or(v, "speedup", Vec::new())?,
-            // Absent in documents written before the engine profiler.
-            efficiency: record::field_or(v, "efficiency", Vec::new())?,
         })
     }
 
@@ -444,186 +358,55 @@ impl BenchDoc {
 }
 
 /// Run the standardized suite at `tier`, labeling the document `label`.
-/// `repeats` overrides the tier's wall-clock repeat count; `threads` is the
-/// engine worker-thread count (`0` = all available cores); `progress` is
+/// `repeats` overrides the tier's wall-clock repeat count; `progress` is
 /// called with each finished case id.
-///
-/// With `threads > 1` every case runs twice per repeat — once serial, once
-/// parallel — so the document carries a per-group [`GroupSpeedup`]
-/// (`wall_serial_p50 / wall_parallel_p50`). The recorded per-case wall
-/// summary is always the serial engine's, keeping it comparable across
-/// documents regardless of thread count; the simulated columns are
-/// cross-checked to be identical between the twins.
 ///
 /// # Errors
 ///
 /// Returns a message if a case's simulated columns differ across repeats —
-/// that would mean the fixed-seed pipeline went nondeterministic — or differ
-/// between the serial and parallel twin, which would invalidate the
-/// engine's determinism guarantee.
+/// that would mean the fixed-seed pipeline went nondeterministic.
 pub fn run_suite(
     tier: Tier,
     label: &str,
     repeats: Option<usize>,
-    threads: usize,
     mut progress: impl FnMut(&str),
 ) -> Result<BenchDoc, String> {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        threads
-    };
     let repeats = repeats.unwrap_or_else(|| tier.repeats()).max(1);
     let mut cases = Vec::new();
-    let mut tree_walls = WallPair::default();
-    let mut scheme_walls = WallPair::default();
-    let mut batch_walls = WallPair::default();
-    let mut traffic_walls = WallPair::default();
-    let mut churn_walls = WallPair::default();
-    let mut serve_walls = WallPair::default();
     for &n in tier.tree_sizes() {
-        cases.push(tree_case(n, repeats, threads, &mut tree_walls)?);
+        cases.push(tree_case(n, repeats)?);
         progress(&cases.last().unwrap().id);
     }
     for &n in tier.scheme_sizes() {
-        cases.push(scheme_case(n, repeats, threads, &mut scheme_walls)?);
+        cases.push(scheme_case(n, repeats)?);
         progress(&cases.last().unwrap().id);
     }
-    cases.extend(batch_cases(
-        tier.batch_loads(),
-        repeats,
-        threads,
-        &mut batch_walls,
-        &mut progress,
-    )?);
-    cases.extend(traffic_cases(
-        tier.traffic_rates(),
-        repeats,
-        threads,
-        &mut traffic_walls,
-        &mut progress,
-    )?);
-    cases.extend(churn_cases(
-        tier.churn_rounds(),
-        repeats,
-        threads,
-        &mut churn_walls,
-        &mut progress,
-    )?);
-    cases.extend(serve_cases(
-        tier.serve_queries(),
-        repeats,
-        threads,
-        &mut serve_walls,
-        &mut progress,
-    )?);
+    cases.extend(batch_cases(tier.batch_loads(), repeats, &mut progress)?);
+    cases.extend(traffic_cases(tier.traffic_rates(), repeats, &mut progress)?);
+    cases.extend(churn_cases(tier.churn_rounds(), repeats, &mut progress)?);
+    cases.extend(serve_cases(tier.serve_queries(), repeats, &mut progress)?);
     let checks = scaling_checks(&cases);
-    let mut speedup = Vec::new();
-    for (group, walls) in [
-        ("tree_build", &tree_walls),
-        ("scheme_build", &scheme_walls),
-        ("route_batch", &batch_walls),
-        ("traffic_steady", &traffic_walls),
-        ("churn_degrade", &churn_walls),
-        ("serve_qps", &serve_walls),
-    ] {
-        if !walls.parallel.is_empty() {
-            speedup.push(GroupSpeedup {
-                group: group.to_string(),
-                threads: threads as u64,
-                serial_p50_ns: quantile_ns(&walls.serial, 0.5),
-                parallel_p50_ns: quantile_ns(&walls.parallel, 0.5),
-            });
-        }
-    }
-    let efficiency = if threads > 1 {
-        efficiency_probes(tier, threads)
-    } else {
-        Vec::new()
-    };
-    let mut env = EnvStamp::current();
-    env.threads = threads as u64;
     Ok(BenchDoc {
         label: label.to_string(),
         tier: tier.name().to_string(),
-        env,
+        env: EnvStamp::current(),
         cases,
         checks,
-        speedup,
-        efficiency,
     })
 }
 
-/// One profiled parallel run per engine-driven group (`route_batch` and
-/// `traffic_steady`), at the group's largest sweep point, to stamp worker
-/// utilization and imbalance into the document. The build groups simulate
-/// their rounds through the cost ledger rather than the engine round loop,
-/// so they have no worker phases to attribute. Runs after the timed repeats,
-/// so the profiler never touches a gated wall sample.
-fn efficiency_probes(tier: Tier, threads: usize) -> Vec<GroupEfficiency> {
-    let t = threads as u64;
-    let mut out = Vec::new();
-
-    let load = *tier.batch_loads().last().unwrap();
-    let mut rng = Sweep::rng(BATCH_SEED, 0);
-    let g = Family::ErdosRenyi.generate(BATCH_N, &mut rng);
-    let built = routing::build(&g, &BuildParams::new(BATCH_K), &mut rng);
-    let net = Network::new(g);
-    let pairs = batch_pairs(load);
-    let report = packet::send_many_profiled(&net, &built.scheme, &pairs, threads);
-    if let Some(p) = report.stats.profile.as_deref() {
-        out.push(GroupEfficiency::from_profile("route_batch", t, p));
-    }
-
-    let rate = *tier.traffic_rates().last().unwrap();
-    let mut rng = Sweep::rng(TRAFFIC_SEED, 0);
-    let g = Family::ErdosRenyi.generate(TRAFFIC_N, &mut rng);
-    let built = routing::build(&g, &BuildParams::new(BATCH_K), &mut rng);
-    let net = Network::new(g);
-    let scenario = TrafficScenario {
-        network: &net,
-        scheme: &built.scheme,
-        workload: WorkloadKind::Uniform,
-        config: ScenarioConfig {
-            inject_rounds: TRAFFIC_INJECT_ROUNDS,
-            queue_cap: TRAFFIC_QUEUE_CAP,
-            threads,
-            profile: true,
-            seed: TRAFFIC_SEED,
-            ..ScenarioConfig::default()
-        },
-    };
-    let run = scenario.run(rate);
-    if let Some(p) = run.stats.profile.as_deref() {
-        out.push(GroupEfficiency::from_profile("traffic_steady", t, p));
-    }
-
-    out
-}
-
-/// Raw wall-clock samples for one suite group, split by engine.
-#[derive(Debug, Default)]
-struct WallPair {
-    serial: Vec<u64>,
-    parallel: Vec<u64>,
-}
-
-/// Run repeated measurements of `f` (which takes the engine thread count),
-/// checking the simulated columns agree across repeats and across thread
-/// counts. The returned [`WallStats`] summarizes the serial samples; raw
-/// samples from both engines land in `walls`.
+/// Run repeated measurements of `f`, checking the simulated columns agree
+/// across repeats, and summarize the wall samples.
 fn repeated(
     id: &str,
     repeats: usize,
-    threads: usize,
-    walls: &mut WallPair,
-    mut f: impl FnMut(usize) -> (Vec<(String, u64)>, u64),
+    mut f: impl FnMut() -> (Vec<(String, u64)>, u64),
 ) -> Result<(Vec<(String, u64)>, WallStats), String> {
     let mut sim: Option<Vec<(String, u64)>> = None;
-    let mut serial = Vec::with_capacity(repeats);
+    let mut walls = Vec::with_capacity(repeats);
     for _ in 0..repeats {
-        let (s, wall_ns) = f(1);
-        serial.push(wall_ns);
+        let (s, wall_ns) = f();
+        walls.push(wall_ns);
         match &sim {
             None => sim = Some(s),
             Some(prev) if *prev == s => {}
@@ -634,30 +417,13 @@ fn repeated(
                 ));
             }
         }
-        if threads > 1 {
-            let (s, wall_ns) = f(threads);
-            if sim.as_ref() != Some(&s) {
-                return Err(format!(
-                    "case {id}: simulated columns changed with {threads} worker threads \
-                     ({sim:?} vs {s:?}) — the parallel engine must match the serial engine"
-                ));
-            }
-            walls.parallel.push(wall_ns);
-        }
     }
-    let stats = WallStats::from_samples(&serial);
-    walls.serial.append(&mut serial);
-    Ok((sim.unwrap_or_default(), stats))
+    Ok((sim.unwrap_or_default(), WallStats::from_samples(&walls)))
 }
 
-fn tree_case(
-    n: usize,
-    repeats: usize,
-    threads: usize,
-    walls: &mut WallPair,
-) -> Result<CaseResult, String> {
+fn tree_case(n: usize, repeats: usize) -> Result<CaseResult, String> {
     let id = format!("tree_build/er/n{n}");
-    let (sim, wall) = repeated(&id, repeats, threads, walls, |threads| {
+    let (sim, wall) = repeated(&id, repeats, || {
         let mut rng = Sweep::rng(TREE_SEED, n as u64);
         let g = Family::ErdosRenyi.generate(n, &mut rng);
         let t = tree::shortest_path_tree(&g, VertexId(0));
@@ -666,10 +432,7 @@ fn tree_case(
         let out = distributed::build_observed(
             &net,
             &t,
-            &distributed::Config {
-                threads,
-                ..distributed::Config::default()
-            },
+            &distributed::Config::default(),
             &mut rng,
             &mut obs::Recorder::disabled(),
         );
@@ -702,26 +465,16 @@ fn tree_case(
     })
 }
 
-fn scheme_case(
-    n: usize,
-    repeats: usize,
-    threads: usize,
-    walls: &mut WallPair,
-) -> Result<CaseResult, String> {
+fn scheme_case(n: usize, repeats: usize) -> Result<CaseResult, String> {
     let id = format!("scheme_build/er/k{BATCH_K}/n{n}");
-    let (sim, wall) = repeated(&id, repeats, threads, walls, |threads| {
+    let (sim, wall) = repeated(&id, repeats, || {
         let mut rng = Sweep::rng(SCHEME_SEED, n as u64);
         let g = Family::ErdosRenyi.generate(n, &mut rng);
         // An enabled recorder because `BuildReport` has no words column; the
         // recorder totals mirror the construction's ledger exactly.
         let mut rec = obs::Recorder::new();
         let sw = Stopwatch::start();
-        let built = build_observed(
-            &g,
-            &BuildParams::new(BATCH_K).with_threads(threads),
-            &mut rng,
-            &mut rec,
-        );
+        let built = build_observed(&g, &BuildParams::new(BATCH_K), &mut rng, &mut rec);
         let wall_ns = sw.elapsed_ns();
         let sim = vec![
             ("rounds".to_string(), built.report.rounds),
@@ -800,8 +553,6 @@ fn batch_pairs(load: usize) -> Vec<(VertexId, VertexId)> {
 fn batch_cases(
     loads: &[usize],
     repeats: usize,
-    threads: usize,
-    walls: &mut WallPair,
     progress: &mut impl FnMut(&str),
 ) -> Result<Vec<CaseResult>, String> {
     // One fixed graph and scheme for the whole group: the sweep varies the
@@ -813,9 +564,9 @@ fn batch_cases(
     let mut cases = Vec::new();
     for &load in loads {
         let id = format!("route_batch/er/p{load}");
-        let (sim, wall) = repeated(&id, repeats, threads, walls, |threads| {
+        let (sim, wall) = repeated(&id, repeats, || {
             let pairs = batch_pairs(load);
-            let report = packet::send_many_with(&net, &built.scheme, &pairs, threads);
+            let report = packet::send_many(&net, &built.scheme, &pairs);
             let delivered = report.deliveries().flatten().count();
             let sim = vec![
                 ("rounds".to_string(), report.stats.rounds),
@@ -847,8 +598,6 @@ fn batch_cases(
 fn traffic_cases(
     rates: &[f64],
     repeats: usize,
-    threads: usize,
-    walls: &mut WallPair,
     progress: &mut impl FnMut(&str),
 ) -> Result<Vec<CaseResult>, String> {
     // One fixed graph and scheme for the whole group: the sweep varies the
@@ -863,7 +612,7 @@ fn traffic_cases(
         // (a power-law fit is scale-invariant in x).
         let centi = (rate * 100.0).round() as u64;
         let id = format!("traffic_steady/er/uniform/r{centi}");
-        let (sim, wall) = repeated(&id, repeats, threads, walls, |threads| {
+        let (sim, wall) = repeated(&id, repeats, || {
             let scenario = TrafficScenario {
                 network: &net,
                 scheme: &built.scheme,
@@ -871,7 +620,6 @@ fn traffic_cases(
                 config: ScenarioConfig {
                     inject_rounds: TRAFFIC_INJECT_ROUNDS,
                     queue_cap: TRAFFIC_QUEUE_CAP,
-                    threads,
                     seed: TRAFFIC_SEED,
                     ..ScenarioConfig::default()
                 },
@@ -910,8 +658,6 @@ fn traffic_cases(
 fn churn_cases(
     rounds_sweep: &[u64],
     repeats: usize,
-    threads: usize,
-    walls: &mut WallPair,
     progress: &mut impl FnMut(&str),
 ) -> Result<Vec<CaseResult>, String> {
     // One fixed scale-free graph and scheme for the whole group: the sweep
@@ -922,7 +668,7 @@ fn churn_cases(
     let mut cases = Vec::new();
     for &rounds in rounds_sweep {
         let id = format!("churn_degrade/sf/targeted/r{rounds}");
-        let (sim, wall) = repeated(&id, repeats, threads, walls, |threads| {
+        let (sim, wall) = repeated(&id, repeats, || {
             let scenario = ChurnScenario {
                 graph: &g,
                 scheme: &built.scheme,
@@ -931,7 +677,6 @@ fn churn_cases(
                     rate: CHURN_RATE,
                     rounds,
                     seed: CHURN_SEED,
-                    threads,
                     ..ChurnConfig::default()
                 },
             };
@@ -981,8 +726,6 @@ fn churn_cases(
 fn serve_cases(
     query_counts: &[usize],
     repeats: usize,
-    threads: usize,
-    walls: &mut WallPair,
     progress: &mut impl FnMut(&str),
 ) -> Result<Vec<CaseResult>, String> {
     // One fixed graph, scheme, and shared snapshot for the whole group: the
@@ -994,17 +737,17 @@ fn serve_cases(
     let mut cases = Vec::new();
     for &queries in query_counts {
         let id = format!("serve_qps/er/uniform/q{queries}");
-        let (sim, wall) = repeated(&id, repeats, threads, walls, |threads| {
+        let (sim, wall) = repeated(&id, repeats, || {
             let config = ServeConfig {
                 workload: ServeWorkload::Uniform,
                 queries,
                 batch: SERVE_BATCH,
-                threads,
+                threads: 1,
                 seed: SERVE_SEED,
                 check_rate: SERVE_CHECK_RATE,
             };
             let stream = generate_stream(&snap, &config);
-            let mut pool = ServePool::start(snap.clone(), threads);
+            let mut pool = ServePool::start(snap.clone(), 1);
             let summary = run_closed(&mut pool, &stream, &config);
             let sim = vec![
                 ("answered".to_string(), summary.answered),
@@ -1390,42 +1133,6 @@ pub fn compare(old: &BenchDoc, new: &BenchDoc, cfg: &CompareConfig) -> Compariso
             _ => {}
         }
     }
-    // Parallel speedup is real time on one specific machine, so it is never
-    // gated — like the wall columns, it only ever produces advisories.
-    for s in &new.speedup {
-        let prior = old
-            .speedup
-            .iter()
-            .find(|o| o.group == s.group)
-            .map(|o| format!(" (was {:.2}x at {} threads)", o.speedup(), o.threads))
-            .unwrap_or_default();
-        cmp.advisories.push(format!(
-            "{}: parallel speedup {:.2}x at {} threads — serial p50 {:.2}ms, \
-             parallel p50 {:.2}ms{prior}",
-            s.group,
-            s.speedup(),
-            s.threads,
-            s.serial_p50_ns as f64 / 1e6,
-            s.parallel_p50_ns as f64 / 1e6,
-        ));
-    }
-    // Likewise the profiled efficiency figures: real-time derived, so they
-    // only ever surface as advisories.
-    for e in &new.efficiency {
-        let prior = old
-            .efficiency
-            .iter()
-            .find(|o| o.group == e.group)
-            .map(|o| format!(" (was {:.0}% / {:.2}x)", o.utilization * 100.0, o.imbalance))
-            .unwrap_or_default();
-        cmp.advisories.push(format!(
-            "{}: worker utilization {:.0}% at {} threads, imbalance {:.2}x{prior}",
-            e.group,
-            e.utilization * 100.0,
-            e.threads,
-            e.imbalance,
-        ));
-    }
     cmp
 }
 
@@ -1459,8 +1166,6 @@ mod tests {
                 case("tree_build/er/n128", "tree_build", 128, 160 * scale),
             ],
             checks: Vec::new(),
-            speedup: Vec::new(),
-            efficiency: Vec::new(),
         }
     }
 
@@ -1474,7 +1179,6 @@ mod tests {
             arch: "x86_64".to_string(),
             profile: "release".to_string(),
             version: "0.1.0".to_string(),
-            threads: 4,
         };
         doc.checks.push(ScalingCheck {
             metric: "tree_build/rounds".to_string(),
@@ -1487,19 +1191,7 @@ mod tests {
             predicted: ExponentRange::new(0.35, 0.95),
             claim: "Õ(√n + D)".to_string(),
         });
-        doc.speedup.push(GroupSpeedup {
-            group: "route_batch".to_string(),
-            threads: 4,
-            serial_p50_ns: 2_000_000,
-            parallel_p50_ns: 1_000_000,
-        });
-        doc.efficiency.push(GroupEfficiency {
-            group: "route_batch".to_string(),
-            threads: 4,
-            utilization: 0.62,
-            imbalance: 1.31,
-        });
-        let pinned = r#"{"schema":"drt-bench/v1","label":"doc1","tier":"smoke","env":{"os":"linux","arch":"x86_64","profile":"release","version":"0.1.0","threads":4},"cases":[{"id":"tree_build/er/n64","group":"tree_build","x":64,"sim":{"rounds":100,"words":300},"wall_ns":{"p50":1000,"p95":1500,"min":900,"max":1600,"repeats":3}},{"id":"tree_build/er/n128","group":"tree_build","x":128,"sim":{"rounds":160,"words":480},"wall_ns":{"p50":1000,"p95":1500,"min":900,"max":1600,"repeats":3}}],"scaling":[{"type":"scaling_check","metric":"tree_build/rounds","exponent":0.62,"intercept_ln":-1.25,"r2":0.998,"points":5,"predicted_lo":0.35,"predicted_hi":0.95,"claim":"Õ(√n + D)","ok":true}],"speedup":[{"group":"route_batch","threads":4,"serial_p50_ns":2000000,"parallel_p50_ns":1000000}],"efficiency":[{"group":"route_batch","threads":4,"utilization":0.62,"imbalance":1.31}]}"#;
+        let pinned = r#"{"schema":"drt-bench/v1","label":"doc1","tier":"smoke","env":{"os":"linux","arch":"x86_64","profile":"release","version":"0.1.0"},"cases":[{"id":"tree_build/er/n64","group":"tree_build","x":64,"sim":{"rounds":100,"words":300},"wall_ns":{"p50":1000,"p95":1500,"min":900,"max":1600,"repeats":3}},{"id":"tree_build/er/n128","group":"tree_build","x":128,"sim":{"rounds":160,"words":480},"wall_ns":{"p50":1000,"p95":1500,"min":900,"max":1600,"repeats":3}}],"scaling":[{"type":"scaling_check","metric":"tree_build/rounds","exponent":0.62,"intercept_ln":-1.25,"r2":0.998,"points":5,"predicted_lo":0.35,"predicted_hi":0.95,"claim":"Õ(√n + D)","ok":true}]}"#;
         assert_eq!(doc.to_value().to_string(), pinned);
         let parsed = BenchDoc::from_value(&obs::json::parse(pinned).unwrap()).unwrap();
         assert_eq!(parsed, doc);
@@ -1590,114 +1282,30 @@ mod tests {
     }
 
     #[test]
-    fn speedup_entries_round_trip_and_stay_advisory() {
-        let mut doc = tiny_doc(1);
-        doc.env.threads = 4;
-        doc.speedup.push(GroupSpeedup {
-            group: "route_batch".to_string(),
-            threads: 4,
-            serial_p50_ns: 2_000_000,
-            parallel_p50_ns: 1_000_000,
-        });
-        let text = doc.to_value().to_string();
-        let back = BenchDoc::from_value(&obs::json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, doc);
-        assert!((back.speedup[0].speedup() - 2.0).abs() < 1e-9);
-        // Speedup never gates: it only adds an advisory line.
-        let cmp = compare(&tiny_doc(1), &doc, &CompareConfig::default());
-        assert!(cmp.passed());
-        assert!(cmp
-            .advisories
-            .iter()
-            .any(|a| a.contains("parallel speedup 2.00x at 4 threads")));
-    }
-
-    #[test]
-    fn efficiency_entries_round_trip_and_stay_advisory() {
-        let mut doc = tiny_doc(1);
-        doc.env.threads = 4;
-        doc.efficiency.push(GroupEfficiency {
-            group: "route_batch".to_string(),
-            threads: 4,
-            utilization: 0.62,
-            imbalance: 1.31,
-        });
-        let text = doc.to_value().to_string();
-        let back = BenchDoc::from_value(&obs::json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, doc);
-        // Efficiency never gates: it only adds an advisory line.
-        let cmp = compare(&tiny_doc(1), &doc, &CompareConfig::default());
-        assert!(cmp.passed());
-        assert!(cmp
-            .advisories
-            .iter()
-            .any(|a| a.contains("worker utilization 62% at 4 threads, imbalance 1.31x")));
-    }
-
-    #[test]
     fn docs_without_speedup_or_threads_still_parse() {
-        // Simulate a document written before the parallel engine existed:
-        // no env.threads, no speedup array.
-        let mut v = tiny_doc(1).to_value();
+        // Today's documents carry no `env.threads`, `speedup` or
+        // `efficiency`; documents written while the suite had a parallel
+        // engine carry all three, and load to the same value.
+        let doc = tiny_doc(1);
+        assert_eq!(BenchDoc::from_value(&doc.to_value()).unwrap(), doc);
+        let mut v = doc.to_value();
         if let Value::Object(fields) = &mut v {
-            fields.retain(|(k, _)| k != "speedup");
+            fields.push(("speedup".to_string(), Value::Array(Vec::new())));
+            fields.push(("efficiency".to_string(), Value::Array(Vec::new())));
             for (k, val) in fields.iter_mut() {
                 if k == "env" {
                     if let Value::Object(env_fields) = val {
-                        env_fields.retain(|(k, _)| k != "threads");
+                        env_fields.push(("threads".to_string(), Value::from(4u64)));
                     }
                 }
             }
         }
-        let doc = BenchDoc::from_value(&v).unwrap();
-        assert_eq!(doc.env.threads, 1);
-        assert!(doc.speedup.is_empty());
-    }
-
-    #[test]
-    fn threaded_smoke_suite_matches_serial_sims_and_records_speedup() {
-        let serial = run_suite(Tier::Smoke, "t1", Some(1), 1, |_| {}).unwrap();
-        let parallel = run_suite(Tier::Smoke, "t2", Some(1), 2, |_| {}).unwrap();
-        assert_eq!(serial.env.threads, 1);
-        assert_eq!(parallel.env.threads, 2);
-        assert!(serial.speedup.is_empty());
-        // One speedup entry per group, all measured at 2 threads.
-        let groups: Vec<&str> = parallel.speedup.iter().map(|s| s.group.as_str()).collect();
-        assert_eq!(
-            groups,
-            [
-                "tree_build",
-                "scheme_build",
-                "route_batch",
-                "traffic_steady",
-                "churn_degrade",
-                "serve_qps"
-            ]
-        );
-        assert!(parallel.speedup.iter().all(|s| s.threads == 2));
-        // One profiled efficiency entry per engine-driven group, with sane
-        // figures (the build groups never enter the engine round loop).
-        assert!(serial.efficiency.is_empty());
-        let eff_groups: Vec<&str> = parallel
-            .efficiency
-            .iter()
-            .map(|e| e.group.as_str())
-            .collect();
-        assert_eq!(eff_groups, ["route_batch", "traffic_steady"]);
-        for e in &parallel.efficiency {
-            assert_eq!(e.threads, 2);
-            assert!(e.utilization > 0.0 && e.utilization <= 1.0, "{e:?}");
-            assert!(e.imbalance >= 1.0, "{e:?}");
-        }
-        // The simulated columns are thread-count independent, so the two
-        // documents diff cleanly under the exact gate.
-        let cmp = compare(&serial, &parallel, &CompareConfig::default());
-        assert!(cmp.passed(), "regressions: {:?}", cmp.regressions);
+        assert_eq!(BenchDoc::from_value(&v).unwrap(), doc);
     }
 
     #[test]
     fn smoke_suite_runs_and_round_trips() {
-        let doc = run_suite(Tier::Smoke, "unit", Some(1), 1, |_| {}).unwrap();
+        let doc = run_suite(Tier::Smoke, "unit", Some(1), |_| {}).unwrap();
         assert_eq!(doc.tier, "smoke");
         assert_eq!(
             doc.cases.len(),

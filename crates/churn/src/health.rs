@@ -15,9 +15,9 @@
 //! revival-free processes. The `churn_timeline` parser re-checks exactly
 //! this invariant.
 //!
-//! Everything random is drawn coordinator-side from seeds derived from the
-//! master seed, and the engine's simulated results are thread-invariant, so
-//! the full series is byte-identical at any `threads` setting.
+//! Everything random is drawn from seeds derived from the master seed, and
+//! the engine is deterministic, so the full series is a pure function of the
+//! graph, the scheme and the config.
 
 use congest::Network;
 use graphs::{shortest_paths, Graph, Overlay, VertexId, INFINITY};
@@ -65,8 +65,6 @@ pub struct ChurnConfig {
     /// Requested probe sample size (realized as sources × targets, like the
     /// audit probe).
     pub probe_pairs: usize,
-    /// Engine worker threads for the bursts (never changes results).
-    pub threads: usize,
 }
 
 impl Default for ChurnConfig {
@@ -82,7 +80,6 @@ impl Default for ChurnConfig {
             burst_rounds: 16,
             queue_cap: 8,
             probe_pairs: 256,
-            threads: 1,
         }
     }
 }
@@ -451,7 +448,7 @@ impl ChurnScenario<'_> {
             queue_cap: cfg.queue_cap,
             policy: DropPolicy::TailDrop,
             max_rounds: cfg.burst_rounds + 4096,
-            threads: cfg.threads.max(1),
+            threads: 1,
             profile: false,
         };
         let result = sim::simulate(&net, self.scheme, &injections, &sim_cfg);
@@ -547,24 +544,21 @@ mod tests {
 
     #[test]
     fn thread_count_never_changes_the_series() {
+        // The engine is serial, so thread-count invariance is run-to-run
+        // invariance.
         let g = scale_free(64, 31);
         let scheme = built(&g, 32);
-        let mut config = scenario_config(ProcessKind::Random, 5);
-        let runs: Vec<String> = [1usize, 2, 8]
-            .iter()
-            .map(|&threads| {
-                config.threads = threads;
-                let run = ChurnScenario {
-                    graph: &g,
-                    scheme: &scheme,
-                    config,
-                }
-                .run();
-                run.to_record(&g, 2, None).to_value().to_string()
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[0], runs[2]);
+        let config = scenario_config(ProcessKind::Random, 5);
+        let run = || {
+            let run = ChurnScenario {
+                graph: &g,
+                scheme: &scheme,
+                config,
+            }
+            .run();
+            run.to_record(&g, 2, None).to_value().to_string()
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! per round, computed against an evolving [`Overlay`] scratch copy so that
 //! each round's choices (which vertex has the max alive degree, which
 //! vertices a BFS ball reaches) see the failures of every earlier round.
-//! Planning is entirely coordinator-side and consumes randomness in a fixed
+//! Planning happens before any simulation and consumes randomness in a fixed
 //! order, so the schedule — and everything sampled from it — is a pure
-//! function of the seed, independent of engine thread count.
+//! function of the seed.
 
 use graphs::{EdgeId, Graph, Overlay, VertexId};
 use rand::{Rng, SeedableRng};

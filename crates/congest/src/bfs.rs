@@ -105,20 +105,10 @@ pub struct BfsOutput {
 /// assert_eq!(out.depth, 2);
 /// ```
 pub fn build_bfs_tree(network: &Network, root: VertexId) -> BfsOutput {
-    build_bfs_tree_with(network, root, 1)
-}
-
-/// [`build_bfs_tree`] on an engine with `threads` workers (`0` = available
-/// parallelism). The tree and stats are identical for every thread count.
-///
-/// # Panics
-///
-/// Panics if `root` is out of range.
-pub fn build_bfs_tree_with(network: &Network, root: VertexId, threads: usize) -> BfsOutput {
     let n = network.len();
     assert!(root.index() < n, "root out of range");
     let protos: Vec<BfsVertex> = (0..n).map(|v| BfsVertex::new(v == root.index())).collect();
-    let (protos, stats) = Engine::with_threads(threads).run(network, protos);
+    let (protos, stats) = Engine::new().run(network, protos);
     let mut parent = vec![None; n];
     let mut weight = vec![0; n];
     let mut depth = 0usize;

@@ -99,28 +99,12 @@ pub struct BroadcastOutput {
 ///
 /// Panics if `items.len()` differs from the network size.
 pub fn broadcast_all(network: &Network, items: Vec<Vec<(u32, u64)>>) -> BroadcastOutput {
-    broadcast_all_with(network, items, 1)
-}
-
-/// [`broadcast_all`] on an engine with `threads` workers (`0` = available
-/// parallelism). Received items and stats are identical for every thread
-/// count.
-///
-/// # Panics
-///
-/// Panics if `items.len()` differs from the network size.
-pub fn broadcast_all_with(
-    network: &Network,
-    items: Vec<Vec<(u32, u64)>>,
-    threads: usize,
-) -> BroadcastOutput {
     assert_eq!(items.len(), network.len(), "one item list per vertex");
     let protos: Vec<GossipVertex> = items.into_iter().map(GossipVertex::new).collect();
     let engine = Engine::with_config(EngineConfig {
         // Items are 3 words; the gossip protocol sends one item per edge per
         // round, so 3 words is its natural cap.
         edge_words_per_round: 3,
-        threads,
         ..EngineConfig::default()
     });
     let (protos, stats) = engine.run(network, protos);

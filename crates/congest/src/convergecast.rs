@@ -105,22 +105,6 @@ pub fn converge(
     values: &[u64],
     op: Aggregate,
 ) -> ConvergecastOutput {
-    converge_with(network, tree, values, op, 1)
-}
-
-/// [`converge`] on an engine with `threads` workers (`0` = available
-/// parallelism). Result and stats are identical for every thread count.
-///
-/// # Panics
-///
-/// Panics if the tree's host universe differs from the network.
-pub fn converge_with(
-    network: &Network,
-    tree: &RootedTree,
-    values: &[u64],
-    op: Aggregate,
-    threads: usize,
-) -> ConvergecastOutput {
     let n = network.len();
     assert_eq!(tree.host_len(), n, "tree host must match network");
     assert_eq!(values.len(), n, "one value per vertex");
@@ -139,7 +123,7 @@ pub fn converge_with(
             }
         })
         .collect();
-    let (protos, stats) = Engine::with_threads(threads).run(network, protos);
+    let (protos, stats) = Engine::new().run(network, protos);
     ConvergecastOutput {
         result: protos[tree.root().index()].acc,
         stats,

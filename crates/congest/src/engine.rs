@@ -5,55 +5,33 @@
 //!
 //! The engine owns one protocol instance per vertex and drives them through
 //! synchronous rounds over the zero-allocation message plane in
-//! [`crate::plane`]: vertices append sends to flat outbox arenas, and a
-//! stable counting sort scatters them into flat per-range inbox arenas for
-//! the next round. No per-vertex `Vec`s are allocated on the hot path.
+//! [`crate::plane`]: vertices append sends to one flat outbox, and a stable
+//! counting sort scatters it into one flat inbox arena for the next round.
+//! No per-vertex `Vec`s are allocated on the hot path.
 //!
 //! A round executes only the vertices that can act in it: those with mail,
 //! and those whose last-reported [`Wake`] hint has come due. What a vertex
 //! reported after its last execution (`wake`, `is_done`, `queued_words`) is
-//! cached in flat per-chunk arrays and stays exact until it executes again,
-//! because a vertex's state changes only inside `init` / `round`. The
-//! termination test and the queue-occupancy sample read running totals over
-//! those arrays, so nothing in the loop touches a protocol that is not
-//! executing.
+//! cached in flat arrays and stays exact until it executes again, because a
+//! vertex's state changes only inside `init` / `round`. The termination test
+//! and the queue-occupancy sample read running totals over those arrays, so
+//! nothing in the loop touches a protocol that is not executing.
 //!
-//! # Parallelism and determinism
-//!
-//! With [`EngineConfig::threads`] > 1 the vertex set is partitioned into
-//! contiguous chunks, one per worker, executed under [`std::thread::scope`].
-//! Workers are persistent across rounds (spawned once per run) and
-//! rendezvous with the coordinator through channels; each owns its protocol
-//! chunk, its slice of the memory meter, and a reusable outbox arena.
-//!
-//! The simulated results are **bit-identical to the serial engine** for any
-//! thread count:
-//!
-//! * Chunks are contiguous and outboxes are merged in worker order, so the
-//!   global message stream is in (source ascending, send order) — exactly
-//!   the order the serial loop produces.
-//! * The inbox scatter is a stable counting sort by destination, so every
-//!   vertex's inbox preserves that order.
-//! * All statistics (messages, words, per-edge congestion, per-vertex
-//!   memory) are computed per source vertex and folded in vertex order.
-//! * Strict-congestion enforcement is deferred to the end-of-round merge in
-//!   *both* paths and reports the first violation in (source, send) order,
-//!   so the panic is thread-count independent too.
-//!
-//! Only [`RunStats::wall_ns`] — real time, not a simulated cost — may differ
-//! between runs.
-
-use std::sync::mpsc;
+//! Vertices execute in ascending id order and the scatter is stable, so every
+//! inbox holds its messages in (sender id, send order). Every measurement is
+//! a deterministic function of the network and the protocols; only
+//! [`RunStats::wall_ns`] and [`RunStats::profile`] — real time, not
+//! simulated costs — differ between runs.
 
 use graphs::graph::Arc;
 use graphs::VertexId;
 use obs::metrics::{Clock, Stopwatch};
 use obs::profile::{EngineProfile, Phase};
 
-use crate::memory::{MemoryMeter, MeterChunk};
+use crate::memory::MemoryMeter;
 use crate::message::WordSized;
 use crate::network::Network;
-use crate::plane::{fill_arenas, ChunkArena, OutMsg, Outbox};
+use crate::plane::{InboxArena, OutMsg};
 
 pub use crate::plane::Inbox;
 
@@ -62,10 +40,10 @@ pub use crate::plane::Inbox;
 /// One instance exists per vertex. A protocol may only read its own state,
 /// the identity/ports of its neighbors (via [`Ctx`]), and the messages
 /// delivered to it this round — this is what makes the simulation faithful to
-/// the model. `Send` bounds let the engine shard vertices across workers.
+/// the model.
 pub trait VertexProtocol {
     /// The message type exchanged by this protocol.
-    type Msg: Clone + WordSized + Send;
+    type Msg: Clone + WordSized;
 
     /// Called once before the first round; may send initial messages.
     fn init(&mut self, ctx: &mut Ctx<'_, Self::Msg>);
@@ -197,11 +175,7 @@ pub struct EngineConfig {
     pub edge_words_per_round: usize,
     /// Panic on congestion violations instead of recording them.
     pub strict_congestion: bool,
-    /// Worker threads for per-round vertex execution. `1` (the default) runs
-    /// the serial path; `0` resolves to the machine's available parallelism.
-    /// Simulated results are identical for every value — see the module docs.
-    pub threads: usize,
-    /// Profile the round loop: per-round, per-worker phase timings
+    /// Profile the round loop: per-round phase timings
     /// ([`obs::profile::EngineProfile`]) returned in
     /// [`RunStats::profile`]. Profiling also turns on when the recorder
     /// passed to [`Engine::run_traced`] has profiling enabled; either way
@@ -215,19 +189,7 @@ impl Default for EngineConfig {
             max_rounds: 1_000_000,
             edge_words_per_round: 4,
             strict_congestion: false,
-            threads: 1,
             profile: false,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// The configured thread count with `0` resolved to the machine's
-    /// available parallelism.
-    pub fn resolved_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism().map_or(1, usize::from),
-            t => t,
         }
     }
 }
@@ -255,7 +217,7 @@ pub struct RunStats {
     /// Wall-clock nanoseconds the run took (monotonic; real time, not a
     /// simulated cost — the simulated currencies are the fields above).
     pub wall_ns: u64,
-    /// Per-phase, per-worker wall-time attribution, present when
+    /// Per-phase wall-time attribution, present when
     /// [`EngineConfig::profile`] was set. Like `wall_ns`, real time —
     /// never part of the simulated-equality contract.
     pub profile: Option<Box<EngineProfile>>,
@@ -264,7 +226,7 @@ pub struct RunStats {
 impl RunStats {
     /// Whether two runs agree on every *simulated* measurement — everything
     /// except [`RunStats::wall_ns`] and [`RunStats::profile`]. This is the
-    /// equality the parallel engine guarantees against the serial one.
+    /// equality a profiled run guarantees against a plain one.
     pub fn same_simulation(&self, other: &RunStats) -> bool {
         self.rounds == other.rounds
             && self.messages == other.messages
@@ -277,31 +239,24 @@ impl RunStats {
     }
 }
 
-/// Per-chunk measurements of one phase, folded into [`RunStats`] in worker
-/// order.
+/// Measurements of one phase (init or a round), folded into [`RunStats`].
 #[derive(Clone, Debug, Default)]
-struct ChunkStats {
+struct PhaseStats {
     messages: u64,
     words: u64,
     max_edge_words: usize,
     violations: u64,
-    /// First violation in (source, send) order within the chunk.
+    /// First violation in (source, send) order.
     first_violation: Option<(VertexId, VertexId, usize)>,
     /// Vertices executed this phase.
     executions: u64,
-    /// Whether every protocol in the chunk reports done after this phase.
-    chunk_done: bool,
-    /// Whether any vertex in the chunk holds a pending [`Wake::At`]
-    /// (suspends the quiescence rule).
-    timed_wake: bool,
-    queued_words: usize,
 }
 
-/// What each vertex of a chunk reported right after it last executed, in
-/// flat arrays indexed by position in the chunk, with running totals so the
-/// per-phase summary is O(1). Refreshed only for vertices that execute: a
-/// vertex that does not run cannot change state, so its entries stay exact.
-struct ChunkCache {
+/// What each vertex reported right after it last executed, in flat arrays
+/// indexed by vertex id, with running totals so the per-phase summary is
+/// O(1). Refreshed only for vertices that execute: a vertex that does not
+/// run cannot change state, so its entries stay exact.
+struct Hints {
     /// First round in which the vertex must run even with an empty inbox
     /// (`u64::MAX`: only on a message).
     wake: Vec<u64>,
@@ -314,92 +269,42 @@ struct ChunkCache {
     queued_words: usize,
 }
 
-impl ChunkCache {
-    fn new(len: usize) -> ChunkCache {
-        ChunkCache {
-            wake: vec![u64::MAX; len],
-            timed: vec![false; len],
-            done: vec![true; len],
-            queued: vec![0; len],
+impl Hints {
+    fn new(n: usize) -> Hints {
+        Hints {
+            wake: vec![u64::MAX; n],
+            timed: vec![false; n],
+            done: vec![true; n],
+            queued: vec![0; n],
             not_done: 0,
             timed_count: 0,
             queued_words: 0,
         }
     }
 
-    /// Re-poll vertex `i` after it executed in round `round` (0 for init).
-    fn refresh<P: VertexProtocol>(&mut self, i: usize, p: &P, round: u64, sample_queued: bool) {
+    /// Re-poll vertex `v` after it executed in round `round` (0 for init).
+    fn refresh<P: VertexProtocol>(&mut self, v: usize, p: &P, round: u64, sample_queued: bool) {
         let (wake, timed) = match p.wake() {
             Wake::OnMessage => (u64::MAX, false),
             Wake::At(at) if at > round => (at, true),
             Wake::NextRound | Wake::At(_) => (round + 1, false),
         };
-        self.wake[i] = wake;
-        self.timed_count = self.timed_count + usize::from(timed) - usize::from(self.timed[i]);
-        self.timed[i] = timed;
+        self.wake[v] = wake;
+        self.timed_count = self.timed_count + usize::from(timed) - usize::from(self.timed[v]);
+        self.timed[v] = timed;
         let done = p.is_done();
-        self.not_done = self.not_done + usize::from(!done) - usize::from(!self.done[i]);
-        self.done[i] = done;
+        self.not_done = self.not_done + usize::from(!done) - usize::from(!self.done[v]);
+        self.done[v] = done;
         if sample_queued {
             let queued = p.queued_words();
-            self.queued_words = self.queued_words + queued - self.queued[i];
-            self.queued[i] = queued;
+            self.queued_words = self.queued_words + queued - self.queued[v];
+            self.queued[v] = queued;
         }
     }
 }
 
-/// One chunk's round-trip payload: its delivery arena, reusable outbox and
-/// scratch, the vertex cache, and the phase result. The serial driver keeps
-/// its single task in place; the parallel driver moves each one coordinator
-/// → worker → coordinator through channels every phase, so ownership is
-/// explicit and nothing is locked or copied.
-struct Task<M> {
-    /// `None` drives the init phase; `Some(r)` drives round `r`.
-    round: Option<u64>,
-    delivery: ChunkArena<M>,
-    outbox: Outbox<M>,
-    per_edge: Vec<(VertexId, usize)>,
-    cache: ChunkCache,
-    stats: ChunkStats,
-    sample_queued: bool,
-    /// The worker's phase timings for this phase, when profiling.
-    prof: Option<TaskProf>,
-}
-
-impl<M> Task<M> {
-    /// The task for vertices `[lo, lo + len)`.
-    fn new(lo: usize, len: usize, sample_queued: bool) -> Task<M> {
-        Task {
-            round: None,
-            delivery: ChunkArena::new(lo, len),
-            outbox: Outbox::new(),
-            per_edge: Vec::new(),
-            cache: ChunkCache::new(len),
-            stats: ChunkStats::default(),
-            sample_queued,
-            prof: None,
-        }
-    }
-}
-
-/// A worker's raw clock marks for one phase, recorded on the worker and
-/// folded into the coordinator's [`Prof`] at collection time so workers
-/// never share the profile itself.
-#[derive(Clone, Copy, Debug, Default)]
-struct TaskProf {
-    /// Start of the channel wait preceding this phase (epoch-relative ns).
-    idle_start: u64,
-    /// Length of that wait.
-    idle_ns: u64,
-    /// Start of the chunk execution.
-    compute_start: u64,
-    /// Length of the chunk execution.
-    compute_ns: u64,
-}
-
-/// Coordinator-side profiling state: the accumulating [`EngineProfile`],
-/// the shared epoch clock, and a running mark so successive [`Prof::lap`]
-/// calls tile the coordinator's track without gaps.
+/// Profiling state: the accumulating [`EngineProfile`], the clock, and a
+/// running mark so successive [`Prof::lap`] calls tile the run without gaps.
 struct Prof<C> {
     prof: EngineProfile,
     epoch: C,
@@ -416,32 +321,13 @@ impl<C: Clock> Prof<C> {
         }
     }
 
-    /// Close the interval since the previous lap as `phase` on `worker`'s
-    /// track and start the next one.
-    fn lap(&mut self, round: u64, worker: u32, phase: Phase) {
+    /// Close the interval since the previous lap as `phase` of `round` and
+    /// start the next one.
+    fn lap(&mut self, round: u64, phase: Phase) {
         let now = self.epoch.elapsed_ns();
-        self.prof.record(
-            round,
-            worker,
-            phase,
-            self.mark,
-            now.saturating_sub(self.mark),
-        );
-        self.mark = now;
-    }
-
-    /// Fold a worker's raw marks for round `round` into the profile
-    /// (independent samples; the coordinator's own mark is untouched).
-    fn absorb_task(&mut self, round: u64, worker: u32, tp: &TaskProf) {
         self.prof
-            .record(round, worker, Phase::Idle, tp.idle_start, tp.idle_ns);
-        self.prof.record(
-            round,
-            worker,
-            Phase::Compute,
-            tp.compute_start,
-            tp.compute_ns,
-        );
+            .record(round, 0, phase, self.mark, now.saturating_sub(self.mark));
+        self.mark = now;
     }
 }
 
@@ -468,15 +354,6 @@ impl Engine {
         Engine { config }
     }
 
-    /// An engine with default configuration except the worker thread count
-    /// (`0` = available parallelism).
-    pub fn with_threads(threads: usize) -> Self {
-        Engine::with_config(EngineConfig {
-            threads,
-            ..EngineConfig::default()
-        })
-    }
-
     /// This engine's configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
@@ -491,7 +368,7 @@ impl Engine {
     ///
     /// Panics if `protocols.len()` differs from the network size, or on a
     /// congestion violation when `strict_congestion` is set.
-    pub fn run<P: VertexProtocol + Send>(
+    pub fn run<P: VertexProtocol>(
         &self,
         network: &Network,
         protocols: Vec<P>,
@@ -509,7 +386,7 @@ impl Engine {
     /// # Panics
     ///
     /// Panics under the same conditions as [`Engine::run`].
-    pub fn run_traced<P: VertexProtocol + Send>(
+    pub fn run_traced<P: VertexProtocol>(
         &self,
         network: &Network,
         protocols: Vec<P>,
@@ -530,7 +407,7 @@ impl Engine {
     /// # Panics
     ///
     /// Panics under the same conditions as [`Engine::run`].
-    pub fn run_clocked<P: VertexProtocol + Send, C: Clock>(
+    pub fn run_clocked<P: VertexProtocol, C: Clock>(
         &self,
         network: &Network,
         mut protocols: Vec<P>,
@@ -540,259 +417,103 @@ impl Engine {
         let n = network.len();
         assert_eq!(protocols.len(), n, "one protocol instance per vertex");
         let started = clock.elapsed_ns();
-        // `None` keeps both drivers free of clock reads.
-        let profiling = self.config.profile || recorder.profiling();
-        let epoch = profiling.then_some(clock);
-        let threads = self.config.resolved_threads().clamp(1, n.max(1));
-        let mut stats = if threads <= 1 {
-            self.drive_serial(network, &mut protocols, recorder, epoch)
-        } else {
-            self.drive_parallel(network, &mut protocols, recorder, threads, epoch)
+        // `None` keeps the loop free of clock reads.
+        let mut prof = (self.config.profile || recorder.profiling()).then(|| Prof::new(clock));
+        let mut stats = RunStats {
+            memory: MemoryMeter::new(n),
+            ..RunStats::default()
         };
-        stats.wall_ns = clock.elapsed_ns().saturating_sub(started);
-        if let Some(p) = stats.profile.as_deref_mut() {
-            p.record_run(stats.wall_ns, stats.executions);
-            recorder.absorb_profile(p);
+        let mut rounds = Rounds::new(n, recorder.is_enabled());
+        if let Some(p) = prof.as_mut() {
+            p.lap(0, Phase::Setup);
         }
-        if !self.config.profile {
-            // Profiling was recorder-driven; the recorder keeps the copy.
-            stats.profile = None;
+        // One phase per iteration: execute, scatter, fold. `round` is `None`
+        // for init.
+        let mut round = None;
+        loop {
+            let r = round.unwrap_or(0);
+            let ps = rounds.execute(
+                &mut protocols,
+                round,
+                network,
+                &mut stats.memory,
+                self.config.edge_words_per_round,
+            );
+            if let Some(p) = prof.as_mut() {
+                p.lap(r, Phase::Compute);
+            }
+            rounds.delivery.fill(&mut rounds.outbox);
+            if let Some(p) = prof.as_mut() {
+                p.lap(r, Phase::Scatter);
+            }
+            let more = self.finish_phase(round, &ps, &rounds, &mut stats, recorder);
+            if let Some(p) = prof.as_mut() {
+                p.lap(r, Phase::Merge);
+            }
+            if !more {
+                break;
+            }
+            round = Some(stats.rounds);
+        }
+        stats.wall_ns = clock.elapsed_ns().saturating_sub(started);
+        if let Some(mut p) = prof {
+            p.prof.record_run(stats.wall_ns, stats.executions);
+            recorder.absorb_profile(&p.prof);
+            // A recorder-driven profile stays with the recorder only.
+            if self.config.profile {
+                stats.profile = Some(Box::new(p.prof));
+            }
         }
         (protocols, stats)
     }
 
-    /// The single-threaded driver: one chunk covering every vertex, executed
-    /// inline. Same plane, same merge, no channels.
-    fn drive_serial<P: VertexProtocol, C: Clock>(
-        &self,
-        network: &Network,
-        protocols: &mut [P],
-        recorder: &mut obs::Recorder,
-        epoch: Option<C>,
-    ) -> RunStats {
-        let n = protocols.len();
-        let cap = self.config.edge_words_per_round;
-        let sample = recorder.is_enabled();
-        let mut prof = epoch.map(Prof::new);
-        let mut stats = RunStats::default();
-        let mut memory = MemoryMeter::new(n);
-        let mut task: Task<P::Msg> = Task::new(0, n, sample);
-        {
-            let mut meter = memory
-                .chunks_mut(n.max(1))
-                .pop()
-                .expect("one chunk covers all vertices");
-            if let Some(p) = prof.as_mut() {
-                p.lap(0, 0, Phase::Setup);
-            }
-
-            // One phase: execute, scatter, fold. `round` is `None` for init.
-            let mut phase = |round: Option<u64>, stats: &mut RunStats| {
-                let r = round.unwrap_or(0);
-                task.round = round;
-                execute_chunk(protocols, 0, network, &mut meter, cap, &mut task);
-                if let Some(p) = prof.as_mut() {
-                    p.lap(r, 0, Phase::Compute);
-                }
-                fill_arenas(
-                    &mut [&mut task.delivery],
-                    std::slice::from_mut(&mut task.outbox),
-                    n.max(1),
-                );
-                if let Some(p) = prof.as_mut() {
-                    p.lap(r, 0, Phase::Scatter);
-                }
-                let in_flight = task.delivery.total() > 0;
-                let more = self.finish_phase(round, &task.stats, in_flight, stats, recorder);
-                if let Some(p) = prof.as_mut() {
-                    p.lap(r, 0, Phase::Merge);
-                }
-                more
-            };
-
-            let mut round = None;
-            while phase(round, &mut stats) {
-                round = Some(stats.rounds);
-            }
-        }
-        stats.memory = memory;
-        stats.profile = prof.map(|p| Box::new(p.prof));
-        stats
-    }
-
-    /// The multi-threaded driver: contiguous vertex chunks on persistent
-    /// scoped workers, rendezvousing with this (coordinator) thread through
-    /// channels each phase. Chunk 0 executes inline on the coordinator.
-    fn drive_parallel<P: VertexProtocol + Send, C: Clock>(
-        &self,
-        network: &Network,
-        protocols: &mut [P],
-        recorder: &mut obs::Recorder,
-        threads: usize,
-        epoch: Option<C>,
-    ) -> RunStats {
-        let n = protocols.len();
-        let chunk = n.div_ceil(threads);
-        let cap = self.config.edge_words_per_round;
-        let sample = recorder.is_enabled();
-        let mut prof = epoch.map(Prof::new);
-        let mut stats = RunStats::default();
-        let mut memory = MemoryMeter::new(n);
-
-        let mut tasks: Vec<Option<Task<P::Msg>>> = (0..n)
-            .step_by(chunk)
-            .map(|lo| Some(Task::new(lo, chunk.min(n - lo), sample)))
-            .collect();
-        let t = tasks.len();
-
-        let mut proto_chunks: Vec<&mut [P]> = protocols.chunks_mut(chunk).collect();
-        let mut meter_chunks = memory.chunks_mut(chunk);
-        debug_assert_eq!(proto_chunks.len(), t);
-        debug_assert_eq!(meter_chunks.len(), t);
-
-        std::thread::scope(|scope| {
-            let (done_tx, done_rx) = mpsc::channel::<(usize, Task<P::Msg>)>();
-            let mut to_workers: Vec<mpsc::Sender<Task<P::Msg>>> = Vec::with_capacity(t - 1);
-            let mut chunks = proto_chunks.drain(..).zip(meter_chunks.drain(..));
-            let (protos0, mut meter0) = chunks.next().expect("at least one chunk");
-            for (i, (protos, mut meter)) in chunks.enumerate() {
-                let w = i + 1;
-                let lo = w * chunk;
-                let (task_tx, task_rx) = mpsc::channel::<Task<P::Msg>>();
-                to_workers.push(task_tx);
-                let done = done_tx.clone();
-                scope.spawn(move || {
-                    // Persistent worker: one phase per received task; exits
-                    // when the coordinator drops its sender. When profiling,
-                    // the worker stamps raw clock marks into the task (the
-                    // recv wait is the worker's idle time) and the
-                    // coordinator folds them into the profile at collection.
-                    let mut idle_from = epoch.map_or(0, |e| e.elapsed_ns());
-                    while let Ok(mut task) = task_rx.recv() {
-                        if let Some(e) = epoch {
-                            let now = e.elapsed_ns();
-                            task.prof = Some(TaskProf {
-                                idle_start: idle_from,
-                                idle_ns: now.saturating_sub(idle_from),
-                                compute_start: now,
-                                compute_ns: 0,
-                            });
-                        }
-                        execute_chunk(protos, lo, network, &mut meter, cap, &mut task);
-                        if let Some(e) = epoch {
-                            if let Some(tp) = task.prof.as_mut() {
-                                tp.compute_ns = e.elapsed_ns().saturating_sub(tp.compute_start);
-                            }
-                        }
-                        if done.send((w, task)).is_err() {
-                            break;
-                        }
-                        if let Some(e) = epoch {
-                            idle_from = e.elapsed_ns();
-                        }
-                    }
-                });
-            }
-            drop(done_tx);
-
-            if let Some(p) = prof.as_mut() {
-                p.lap(0, 0, Phase::Setup);
-            }
-
-            // One phase: fan it out to every worker, run chunk 0 inline, park
-            // the returned tasks back in worker-index order, scatter, fold.
-            let mut phase = |round: Option<u64>, stats: &mut RunStats| {
-                let r = round.unwrap_or(0);
-                for (i, tx) in to_workers.iter().enumerate() {
-                    let mut task = tasks[i + 1].take().expect("task parked");
-                    task.round = round;
-                    tx.send(task).expect("worker alive");
-                }
-                if let Some(p) = prof.as_mut() {
-                    p.lap(r, 0, Phase::Dispatch);
-                }
-                let mut t0 = tasks[0].take().expect("task parked");
-                t0.round = round;
-                execute_chunk(protos0, 0, network, &mut meter0, cap, &mut t0);
-                tasks[0] = Some(t0);
-                if let Some(p) = prof.as_mut() {
-                    p.lap(r, 0, Phase::Compute);
-                }
-                for _ in 0..to_workers.len() {
-                    let (w, task) = done_rx.recv().expect("worker alive");
-                    if let Some(p) = prof.as_mut() {
-                        if let Some(tp) = &task.prof {
-                            p.absorb_task(r, w as u32, tp);
-                        }
-                    }
-                    tasks[w] = Some(task);
-                }
-                // Time since chunk 0 finished is the coordinator's barrier
-                // wait on the slowest worker.
-                if let Some(p) = prof.as_mut() {
-                    p.lap(r, 0, Phase::Idle);
-                }
-                let (cs, in_flight) = merge_round(&mut tasks, chunk, r, &mut prof);
-                let more = self.finish_phase(round, &cs, in_flight, stats, recorder);
-                if let Some(p) = prof.as_mut() {
-                    p.lap(r, 0, Phase::Merge);
-                }
-                more
-            };
-
-            let mut round = None;
-            while phase(round, &mut stats) {
-                round = Some(stats.rounds);
-            }
-            // Dropping `to_workers` (scope-local) ends every worker's recv
-            // loop; the scope then joins them.
-        });
-        drop(meter_chunks);
-        stats.memory = memory;
-        stats.profile = prof.map(|p| Box::new(p.prof));
-        stats
-    }
-
-    /// Fold one executed-and-scattered phase into the run — totals, deferred
+    /// Fold one executed-and-scattered phase into the run — totals, strict
     /// congestion enforcement, the traced round sample — and apply the
     /// termination test. Returns whether another round runs (it is then
     /// already counted in `stats.rounds`); otherwise `stats.completed` is
     /// settled.
-    fn finish_phase(
+    fn finish_phase<M>(
         &self,
         round: Option<u64>,
-        cs: &ChunkStats,
-        in_flight: bool,
+        ps: &PhaseStats,
+        rounds: &Rounds<M>,
         stats: &mut RunStats,
         recorder: &mut obs::Recorder,
     ) -> bool {
-        stats.messages += cs.messages;
-        stats.words += cs.words;
-        stats.max_edge_words = stats.max_edge_words.max(cs.max_edge_words);
-        stats.congestion_violations += cs.violations;
-        stats.executions += cs.executions;
-        self.enforce_congestion(cs.first_violation);
+        stats.messages += ps.messages;
+        stats.words += ps.words;
+        stats.max_edge_words = stats.max_edge_words.max(ps.max_edge_words);
+        stats.congestion_violations += ps.violations;
+        stats.executions += ps.executions;
+        if let Some((from, to, w)) = ps.first_violation {
+            assert!(
+                !self.config.strict_congestion,
+                "congestion violation: {from} sent {w} words to {to} in one round"
+            );
+        }
         // The init phase is sampled (as round 0) only if it sent anything.
-        if recorder.is_enabled() && (round.is_some() || cs.messages > 0) {
+        if recorder.is_enabled() && (round.is_some() || ps.messages > 0) {
             recorder.record_round(obs::RoundSample {
                 round: round.unwrap_or(0),
-                messages: cs.messages,
-                words: cs.words,
+                messages: ps.messages,
+                words: ps.words,
                 max_edge_words: stats.max_edge_words,
-                congestion_violations: cs.violations,
-                queued_words: cs.queued_words,
+                congestion_violations: ps.violations,
+                queued_words: rounds.hints.queued_words,
             });
         }
 
-        if cs.chunk_done && !in_flight {
+        let all_done = rounds.hints.not_done == 0;
+        let in_flight = rounds.delivery.total() > 0;
+        if all_done && !in_flight {
             stats.completed = true;
             return false;
         }
         // Quiescence: once a phase passes with nothing sent and nothing in
         // flight, no message-driven state can change — unless a vertex holds
         // a pending `Wake::At`, in which case time must keep advancing.
-        if !in_flight && cs.messages == 0 && !cs.timed_wake {
-            stats.completed = cs.chunk_done;
+        if !in_flight && ps.messages == 0 && rounds.hints.timed_count == 0 {
+            stats.completed = all_done;
             return false;
         }
         if stats.rounds >= self.config.max_rounds {
@@ -801,127 +522,68 @@ impl Engine {
         stats.rounds += 1;
         true
     }
-
-    /// Deferred strict-congestion enforcement: both drivers collect the first
-    /// violation in (source, send) order during the round and report it here
-    /// after the merge, so the panic site is identical for every thread
-    /// count (and workers never panic while the coordinator waits on them).
-    fn enforce_congestion(&self, first: Option<(VertexId, VertexId, usize)>) {
-        if let Some((from, to, w)) = first {
-            assert!(
-                !self.config.strict_congestion,
-                "congestion violation: {from} sent {w} words to {to} in one round"
-            );
-        }
-    }
 }
 
-/// Drain every outbox into the delivery arenas (stable, worker order) and
-/// fold the per-chunk stats in worker order; also reports whether anything
-/// is now in flight. When profiling, the scatter is lapped on the
-/// coordinator's track for round `round`.
-fn merge_round<M, C: Clock>(
-    tasks: &mut [Option<Task<M>>],
-    chunk: usize,
-    round: u64,
-    prof: &mut Option<Prof<C>>,
-) -> (ChunkStats, bool) {
-    let mut outboxes: Vec<Outbox<M>> = tasks
-        .iter_mut()
-        .map(|t| std::mem::take(&mut t.as_mut().expect("task parked").outbox))
-        .collect();
-    {
-        let mut arenas: Vec<&mut ChunkArena<M>> = tasks
-            .iter_mut()
-            .map(|t| &mut t.as_mut().expect("task parked").delivery)
-            .collect();
-        fill_arenas(&mut arenas, &mut outboxes, chunk);
-    }
-    for (t, outbox) in tasks.iter_mut().zip(outboxes) {
-        t.as_mut().expect("task parked").outbox = outbox;
-    }
-    if let Some(p) = prof.as_mut() {
-        p.lap(round, 0, Phase::Scatter);
-    }
-    let mut merged = ChunkStats {
-        chunk_done: true,
-        ..ChunkStats::default()
-    };
-    let mut in_flight = false;
-    for t in tasks.iter() {
-        let t = t.as_ref().expect("task parked");
-        let cs = &t.stats;
-        merged.messages += cs.messages;
-        merged.words += cs.words;
-        merged.max_edge_words = merged.max_edge_words.max(cs.max_edge_words);
-        merged.violations += cs.violations;
-        if merged.first_violation.is_none() {
-            merged.first_violation = cs.first_violation;
-        }
-        merged.executions += cs.executions;
-        merged.chunk_done &= cs.chunk_done;
-        merged.timed_wake |= cs.timed_wake;
-        merged.queued_words += cs.queued_words;
-        in_flight |= t.delivery.total() > 0;
-    }
-    (merged, in_flight)
+/// The round loop's reusable state: the delivery arena, the outbox, the
+/// per-edge scratch and the hint cache, all allocated once per run.
+struct Rounds<M> {
+    delivery: InboxArena<M>,
+    outbox: Vec<OutMsg<M>>,
+    per_edge: Vec<(VertexId, usize)>,
+    hints: Hints,
+    sample_queued: bool,
 }
 
-/// Execute one phase (init or the numbered round in `task.round`) for the
-/// contiguous chunk of vertices `[lo, lo + protocols.len())`: run each
-/// protocol that can act, meter its memory, re-poll its hints into the
-/// task's cache, and account its sends; the phase result lands in
-/// `task.stats`. Shared verbatim by the serial driver, the coordinator's
-/// inline chunk 0, and every worker — there is exactly one execution
-/// semantics, and one skip rule: a vertex sits a round out iff its inbox is
-/// empty and its cached wake round has not come.
-fn execute_chunk<P: VertexProtocol>(
-    protocols: &mut [P],
-    lo: usize,
-    network: &Network,
-    meter: &mut MeterChunk<'_>,
-    cap: usize,
-    task: &mut Task<P::Msg>,
-) {
-    let Task {
-        round,
-        delivery,
-        outbox,
-        per_edge,
-        cache,
-        sample_queued,
-        ..
-    } = task;
-    let init = round.is_none();
-    let r = round.unwrap_or(0);
-    let mut cs = ChunkStats::default();
-    for (i, protocol) in protocols.iter_mut().enumerate() {
-        let v = lo + i;
-        if !init && delivery.inbox_len(v) == 0 && cache.wake[i] > r {
-            continue;
+impl<M: WordSized> Rounds<M> {
+    fn new(n: usize, sample_queued: bool) -> Rounds<M> {
+        Rounds {
+            delivery: InboxArena::new(n),
+            outbox: Vec::new(),
+            per_edge: Vec::new(),
+            hints: Hints::new(n),
+            sample_queued,
         }
-        let vid = VertexId(v as u32);
-        let start = outbox.msgs.len();
-        let mut ctx = Ctx {
-            me: vid,
-            arcs: network.ports(vid),
-            round: r,
-            outbox: &mut outbox.msgs,
-        };
-        if init {
-            protocol.init(&mut ctx);
-        } else {
-            protocol.round(&mut ctx, &mut delivery.inbox(v));
-        }
-        cs.executions += 1;
-        meter.set(vid, protocol.memory_words());
-        cache.refresh(i, protocol, r, *sample_queued);
-        account(&outbox.msgs[start..], vid, cap, per_edge, &mut cs);
     }
-    cs.chunk_done = cache.not_done == 0;
-    cs.timed_wake = cache.timed_count > 0;
-    cs.queued_words = cache.queued_words;
-    task.stats = cs;
+
+    /// Execute one phase (init, or round `r` for `round = Some(r)`): run each
+    /// protocol that can act, meter its memory, re-poll its hints, and
+    /// account its sends. The one skip rule: a vertex sits a round out iff
+    /// its inbox is empty and its cached wake round has not come.
+    fn execute<P: VertexProtocol<Msg = M>>(
+        &mut self,
+        protocols: &mut [P],
+        round: Option<u64>,
+        network: &Network,
+        meter: &mut MemoryMeter,
+        cap: usize,
+    ) -> PhaseStats {
+        let init = round.is_none();
+        let r = round.unwrap_or(0);
+        let mut ps = PhaseStats::default();
+        for (v, protocol) in protocols.iter_mut().enumerate() {
+            if !init && self.delivery.inbox_len(v) == 0 && self.hints.wake[v] > r {
+                continue;
+            }
+            let vid = VertexId(v as u32);
+            let start = self.outbox.len();
+            let mut ctx = Ctx {
+                me: vid,
+                arcs: network.ports(vid),
+                round: r,
+                outbox: &mut self.outbox,
+            };
+            if init {
+                protocol.init(&mut ctx);
+            } else {
+                protocol.round(&mut ctx, &mut self.delivery.inbox(v));
+            }
+            ps.executions += 1;
+            meter.set(vid, protocol.memory_words());
+            self.hints.refresh(v, protocol, r, self.sample_queued);
+            account(&self.outbox[start..], vid, cap, &mut self.per_edge, &mut ps);
+        }
+        ps
+    }
 }
 
 /// Congestion/volume accounting for one vertex's sends this round.
@@ -930,7 +592,7 @@ fn account<M: WordSized>(
     from: VertexId,
     cap: usize,
     per_edge: &mut Vec<(VertexId, usize)>,
-    cs: &mut ChunkStats,
+    ps: &mut PhaseStats,
 ) {
     if sent.is_empty() {
         return;
@@ -938,19 +600,19 @@ fn account<M: WordSized>(
     per_edge.clear();
     for m in sent {
         let w = m.msg.words();
-        cs.messages += 1;
-        cs.words += w as u64;
+        ps.messages += 1;
+        ps.words += w as u64;
         match per_edge.iter_mut().find(|(t, _)| *t == m.to) {
             Some((_, acc)) => *acc += w,
             None => per_edge.push((m.to, w)),
         }
     }
     for &(to, w) in per_edge.iter() {
-        cs.max_edge_words = cs.max_edge_words.max(w);
+        ps.max_edge_words = ps.max_edge_words.max(w);
         if w > cap {
-            cs.violations += 1;
-            if cs.first_violation.is_none() {
-                cs.first_violation = Some((from, to, w));
+            ps.violations += 1;
+            if ps.first_violation.is_none() {
+                ps.first_violation = Some((from, to, w));
             }
         }
     }
@@ -1183,14 +845,6 @@ mod tests {
             assert_eq!(p.heard_in, heard, "vertex {v}");
         }
         assert_eq!(stats.executions, 9 + 7, "init everywhere + the runs above");
-        // Identical at higher thread counts.
-        for threads in [2, 8] {
-            let (protos_p, stats_p) = Engine::with_threads(threads).run(&net, sleepers(&plan));
-            assert!(stats_p.same_simulation(&stats), "{threads} threads");
-            for (a, b) in protos_p.iter().zip(&protos) {
-                assert_eq!(a.ran_in, b.ran_in, "{threads} threads");
-            }
-        }
     }
 
     /// Sends a token a phase for `left` phases (init included), hinting
@@ -1225,16 +879,14 @@ mod tests {
     #[test]
     fn a_wake_round_in_the_past_means_next_round() {
         let net = path_network(5);
-        let run = |hint: Wake, threads: usize| {
+        let run = |hint: Wake| {
             let protos = (0..5).map(|v| Countdown { left: v, hint }).collect();
-            Engine::with_threads(threads).run(&net, protos).1
+            Engine::new().run(&net, protos).1
         };
-        let next = run(Wake::NextRound, 1);
+        let next = run(Wake::NextRound);
         assert!(next.completed);
         assert_eq!(next.messages, 2 * (1 + 2 + 3) + 4);
-        for threads in [1, 2, 8] {
-            assert!(run(Wake::At(0), threads).same_simulation(&next));
-        }
+        assert!(run(Wake::At(0)).same_simulation(&next));
     }
 
     #[test]
@@ -1293,34 +945,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "congestion violation")]
-    fn strict_congestion_panics_in_parallel_too() {
-        struct Fat;
-        impl VertexProtocol for Fat {
-            type Msg = Vec<u64>;
-            fn init(&mut self, ctx: &mut Ctx<'_, Vec<u64>>) {
-                if ctx.me() == VertexId(3) {
-                    ctx.send(VertexId(2), vec![0; 100]);
-                }
-            }
-            fn round(&mut self, _: &mut Ctx<'_, Vec<u64>>, _: &mut Inbox<'_, Vec<u64>>) {}
-            fn is_done(&self) -> bool {
-                true
-            }
-            fn memory_words(&self) -> usize {
-                0
-            }
-        }
-        let net = path_network(4);
-        let engine = Engine::with_config(EngineConfig {
-            strict_congestion: true,
-            threads: 4,
-            ..EngineConfig::default()
-        });
-        engine.run(&net, vec![Fat, Fat, Fat, Fat]);
-    }
-
-    #[test]
     #[should_panic(expected = "one protocol instance per vertex")]
     fn protocol_count_must_match() {
         let net = path_network(3);
@@ -1358,41 +982,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_the_simulation() {
-        let net = path_network(13);
-        let (serial_protos, serial) = Engine::new().run(&net, flood(13));
-        for threads in [2usize, 3, 8, 64] {
-            let (protos, stats) = Engine::with_threads(threads).run(&net, flood(13));
-            assert!(
-                stats.same_simulation(&serial),
-                "threads={threads}: {stats:?} vs {serial:?}"
-            );
-            for (a, b) in protos.iter().zip(serial_protos.iter()) {
-                assert_eq!(a.heard_at, b.heard_at, "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_traced_series_matches_serial() {
-        let net = path_network(9);
-        let mut serial_rec = obs::Recorder::new();
-        let (_, serial) = Engine::new().run_traced(&net, flood(9), &mut serial_rec);
-        let mut par_rec = obs::Recorder::new();
-        let (_, par) = Engine::with_threads(4).run_traced(&net, flood(9), &mut par_rec);
-        assert!(par.same_simulation(&serial));
-        assert_eq!(par_rec.series().len(), serial_rec.series().len());
-        for (a, b) in par_rec.series().iter().zip(serial_rec.series()) {
-            assert_eq!(a.round, b.round);
-            assert_eq!(a.messages, b.messages);
-            assert_eq!(a.words, b.words);
-            assert_eq!(a.max_edge_words, b.max_edge_words);
-            assert_eq!(a.congestion_violations, b.congestion_violations);
-            assert_eq!(a.queued_words, b.queued_words);
-        }
-    }
-
-    #[test]
     fn profiled_serial_run_tiles_the_wall() {
         let net = path_network(8);
         let engine = Engine::with_config(EngineConfig {
@@ -1424,37 +1013,6 @@ mod tests {
     }
 
     #[test]
-    fn profiled_parallel_run_tracks_every_worker() {
-        let net = path_network(12);
-        let engine = Engine::with_config(EngineConfig {
-            profile: true,
-            threads: 3,
-            ..EngineConfig::default()
-        });
-        let (_, stats) = engine.run(&net, flood(12));
-        let (_, serial) = Engine::new().run(&net, flood(12));
-        assert!(stats.same_simulation(&serial));
-        let p = stats.profile.as_deref().expect("profile requested");
-        assert_eq!(p.workers, 3, "coordinator + 2 pool workers");
-        // Every worker track saw compute and idle; the coordinator also
-        // dispatched, scattered, and merged.
-        for phase in [
-            Phase::Setup,
-            Phase::Dispatch,
-            Phase::Compute,
-            Phase::Scatter,
-            Phase::Merge,
-            Phase::Idle,
-        ] {
-            assert!(p.counts[phase.index()] > 0, "no {} samples", phase.name());
-        }
-        let busy_workers = p.busy_ns.len();
-        assert_eq!(busy_workers, 3);
-        let s = p.summary();
-        assert!(s.imbalance >= 1.0);
-    }
-
-    #[test]
     fn recorder_driven_profiling_accumulates_on_the_recorder() {
         let net = path_network(6);
         let mut rec = obs::Recorder::new();
@@ -1469,22 +1027,5 @@ mod tests {
         // A second run folds in.
         let (_, _) = Engine::new().run_traced(&net, flood(6), &mut rec);
         assert_eq!(rec.profile().unwrap().runs, 2);
-    }
-
-    #[test]
-    fn more_threads_than_vertices_is_fine() {
-        let net = path_network(2);
-        let (_, stats) = Engine::with_threads(16).run(&net, flood(2));
-        let (_, serial) = Engine::new().run(&net, flood(2));
-        assert!(stats.same_simulation(&serial));
-    }
-
-    #[test]
-    fn zero_threads_resolves_to_available_parallelism() {
-        assert!(Engine::with_threads(0).config().resolved_threads() >= 1);
-        let net = path_network(5);
-        let (_, stats) = Engine::with_threads(0).run(&net, flood(5));
-        let (_, serial) = Engine::new().run(&net, flood(5));
-        assert!(stats.same_simulation(&serial));
     }
 }

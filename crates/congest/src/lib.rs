@@ -56,6 +56,6 @@ mod plane;
 
 pub use engine::{Engine, EngineConfig, Inbox, RunStats, VertexProtocol};
 pub use ledger::CostLedger;
-pub use memory::{MemoryMeter, MeterChunk};
+pub use memory::MemoryMeter;
 pub use message::WordSized;
 pub use network::Network;

@@ -140,28 +140,6 @@ impl MemoryMeter {
             .map(|i| VertexId(i as u32))
     }
 
-    /// Split the meter into disjoint mutable views over contiguous vertex
-    /// ranges of `chunk` vertices each (the last may be shorter). The engine
-    /// hands one chunk to each worker so per-vertex metering needs no locks —
-    /// and the result is exactly what serial metering would have produced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is zero.
-    pub fn chunks_mut(&mut self, chunk: usize) -> Vec<MeterChunk<'_>> {
-        assert!(chunk > 0, "chunk size must be positive");
-        self.current
-            .chunks_mut(chunk)
-            .zip(self.peak.chunks_mut(chunk))
-            .enumerate()
-            .map(|(i, (current, peak))| MeterChunk {
-                lo: i * chunk,
-                current,
-                peak,
-            })
-            .collect()
-    }
-
     /// Fold another meter's peaks into this one, vertex-wise, as if the two
     /// phases ran one after the other with state released in between.
     ///
@@ -189,47 +167,6 @@ impl MemoryMeter {
         for (r, v) in members.iter().enumerate() {
             self.peak[v.index()] += other.peak[r];
             self.current[v.index()] += other.current[r];
-        }
-    }
-}
-
-/// A disjoint mutable view over a contiguous vertex range of a
-/// [`MemoryMeter`], produced by [`MemoryMeter::chunks_mut`]. Indexed by
-/// *global* vertex id.
-#[derive(Debug)]
-pub struct MeterChunk<'a> {
-    lo: usize,
-    current: &'a mut [usize],
-    peak: &'a mut [usize],
-}
-
-impl MeterChunk<'_> {
-    /// First global vertex id covered by this chunk.
-    pub fn lo(&self) -> usize {
-        self.lo
-    }
-
-    /// Number of vertices covered by this chunk.
-    pub fn len(&self) -> usize {
-        self.current.len()
-    }
-
-    /// Whether the chunk covers no vertices.
-    pub fn is_empty(&self) -> bool {
-        self.current.is_empty()
-    }
-
-    /// Set `v`'s current usage to exactly `words`, updating the peak.
-    /// Mirrors [`MemoryMeter::set`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is outside this chunk's range.
-    pub fn set(&mut self, v: VertexId, words: usize) {
-        let i = v.index() - self.lo;
-        self.current[i] = words;
-        if words > self.peak[i] {
-            self.peak[i] = words;
         }
     }
 }
@@ -303,36 +240,6 @@ mod tests {
         assert_eq!(a.peak(VertexId(0)), 5);
         assert_eq!(a.peak(VertexId(1)), 8);
         assert_eq!(a.current(VertexId(0)), 3);
-    }
-
-    #[test]
-    fn chunks_cover_all_vertices_disjointly() {
-        let mut m = MemoryMeter::new(5);
-        {
-            let mut chunks = m.chunks_mut(2);
-            assert_eq!(chunks.len(), 3);
-            assert_eq!(
-                chunks.iter().map(MeterChunk::len).collect::<Vec<_>>(),
-                vec![2, 2, 1]
-            );
-            assert_eq!(chunks[1].lo(), 2);
-            chunks[0].set(VertexId(1), 4);
-            chunks[1].set(VertexId(2), 9);
-            chunks[2].set(VertexId(4), 1);
-            chunks[1].set(VertexId(2), 3); // lower current, peak sticks
-            assert!(!chunks[2].is_empty());
-        }
-        assert_eq!(m.peak(VertexId(1)), 4);
-        assert_eq!(m.peak(VertexId(2)), 9);
-        assert_eq!(m.current(VertexId(2)), 3);
-        assert_eq!(m.peak(VertexId(4)), 1);
-        assert_eq!(m.max_peak(), 9);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size must be positive")]
-    fn zero_chunk_size_rejected() {
-        MemoryMeter::new(3).chunks_mut(0);
     }
 
     #[test]

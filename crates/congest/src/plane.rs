@@ -1,22 +1,19 @@
-//! The zero-allocation message plane: flat, reusable outbox and inbox arenas.
+//! The zero-allocation message plane: a flat, reusable outbox and inbox arena.
 //!
 //! The engine used to materialise one `Vec<(VertexId, Msg)>` inbox per vertex
 //! per round and a fresh outbox `Vec` per vertex execution — two allocations
 //! per vertex per round on the hottest loop in the repository. This module
-//! replaces both with arenas that are allocated once and reused:
+//! replaces both with buffers that are allocated once and reused:
 //!
-//! * **Outbox plane** — each worker (or the single serial "worker") appends
-//!   every message its vertices send into one flat [`Outbox`] buffer, in
-//!   (source ascending, send order). The buffer is drained — not dropped —
-//!   when the round is merged, so its capacity survives across rounds.
-//! * **Inbox plane** — a [`ChunkArena`] holds the messages *delivered* to a
-//!   contiguous vertex range as one flat slot buffer plus an `starts` offset
-//!   table (CSR-style: vertex `v`'s inbox is `slots[starts[v]..starts[v+1]]`).
+//! * **Outbox plane** — every message sent in a round is appended to one flat
+//!   `Vec<OutMsg>`, in (source ascending, send order). It is drained — not
+//!   dropped — when the round is scattered, so its capacity survives.
+//! * **Inbox plane** — an [`InboxArena`] holds the messages *delivered* to
+//!   every vertex as one flat slot buffer plus a `starts` offset table
+//!   (CSR-style: vertex `v`'s inbox is `slots[starts[v]..starts[v+1]]`).
 //!   Refilling is a stable counting sort by destination: count, prefix-sum,
-//!   scatter. Stability is what makes the parallel engine deterministic —
-//!   walking the worker outboxes in worker order visits sources in ascending
-//!   order, so every vertex sees its inbox in exactly the serial engine's
-//!   (sender id, send sequence) delivery order, regardless of thread count.
+//!   scatter. Stability keeps every inbox in (sender id, send sequence)
+//!   order.
 //!
 //! Protocols read their messages through an [`Inbox`] view, which supports
 //! zero-clone consumption: [`Inbox::drain`] moves messages out of the arena
@@ -32,125 +29,68 @@ pub(crate) struct OutMsg<M> {
     pub(crate) msg: M,
 }
 
-/// A per-worker outbox arena. Messages appear in (source ascending, send
-/// order) because each worker executes its contiguous vertex chunk in order.
-#[derive(Debug)]
-pub(crate) struct Outbox<M> {
-    pub(crate) msgs: Vec<OutMsg<M>>,
-}
-
-impl<M> Default for Outbox<M> {
-    fn default() -> Self {
-        Outbox { msgs: Vec::new() }
-    }
-}
-
-impl<M> Outbox<M> {
-    pub(crate) fn new() -> Self {
-        Outbox::default()
-    }
-}
-
-/// The delivery-side arena for a contiguous vertex range `[lo, lo + len)`:
-/// one flat slot buffer plus CSR-style offsets, rebuilt (not reallocated)
-/// every round.
+/// The delivery-side arena for all `n` vertices: one flat slot buffer plus
+/// CSR-style offsets, rebuilt (not reallocated) every round.
 ///
 /// Slots hold `Option<M>` so an [`Inbox`] can hand messages out by move;
 /// whatever a protocol leaves behind is dropped at the next refill.
 #[derive(Debug)]
-pub(crate) struct ChunkArena<M> {
-    lo: usize,
-    /// `len + 1` offsets into `slots`; vertex `lo + i`'s inbox is
-    /// `slots[starts[i]..starts[i + 1]]`.
+pub(crate) struct InboxArena<M> {
+    /// `n + 1` offsets into `slots`; vertex `v`'s inbox is
+    /// `slots[starts[v]..starts[v + 1]]`.
     starts: Vec<usize>,
-    /// Scatter cursors, one per vertex in the range (scratch, reused).
+    /// Scatter cursors, one per vertex (scratch, reused).
     cursors: Vec<usize>,
     slots: Vec<(VertexId, Option<M>)>,
 }
 
-impl<M> ChunkArena<M> {
-    pub(crate) fn new(lo: usize, len: usize) -> Self {
-        ChunkArena {
-            lo,
-            starts: vec![0; len + 1],
-            cursors: vec![0; len],
+impl<M> InboxArena<M> {
+    pub(crate) fn new(n: usize) -> Self {
+        InboxArena {
+            starts: vec![0; n + 1],
+            cursors: vec![0; n],
             slots: Vec::new(),
         }
     }
 
-    /// Total messages currently delivered into this range.
+    /// Total messages currently delivered.
     pub(crate) fn total(&self) -> usize {
         *self.starts.last().expect("starts is never empty")
     }
 
-    /// Number of messages delivered to global vertex `v` this round.
+    /// Number of messages delivered to vertex `v` this round.
     pub(crate) fn inbox_len(&self, v: usize) -> usize {
-        let i = v - self.lo;
-        self.starts[i + 1] - self.starts[i]
+        self.starts[v + 1] - self.starts[v]
     }
 
-    /// The inbox view for global vertex `v`.
+    /// The inbox view for vertex `v`.
     pub(crate) fn inbox(&mut self, v: usize) -> Inbox<'_, M> {
-        let i = v - self.lo;
         Inbox {
-            slots: &mut self.slots[self.starts[i]..self.starts[i + 1]],
+            slots: &mut self.slots[self.starts[v]..self.starts[v + 1]],
         }
     }
 
-    fn begin_fill(&mut self) {
+    /// Refill the arena from `outbox` by a stable counting sort on the
+    /// destination, so each inbox keeps the outbox's (source, send) order.
+    /// The outbox is drained (capacity retained) for reuse next round.
+    pub(crate) fn fill(&mut self, outbox: &mut Vec<OutMsg<M>>) {
         self.starts.fill(0);
-    }
-
-    fn count(&mut self, to: VertexId) {
-        self.starts[to.index() - self.lo + 1] += 1;
-    }
-
-    fn finish_counts(&mut self) {
-        for i in 0..self.cursors.len() {
-            self.starts[i + 1] += self.starts[i];
+        for m in outbox.iter() {
+            self.starts[m.to.index() + 1] += 1;
         }
-        let len = self.cursors.len();
-        self.cursors.copy_from_slice(&self.starts[..len]);
-        let total = self.total();
+        let n = self.cursors.len();
+        for v in 0..n {
+            self.starts[v + 1] += self.starts[v];
+        }
+        self.cursors.copy_from_slice(&self.starts[..n]);
         // Drop last round's leftovers and rebuild in place; `resize_with`
         // reuses the buffer's capacity, so steady state allocates nothing.
         self.slots.clear();
-        self.slots.resize_with(total, || (VertexId(0), None));
-    }
-
-    fn place(&mut self, from: VertexId, to: VertexId, msg: M) {
-        let c = &mut self.cursors[to.index() - self.lo];
-        self.slots[*c] = (from, Some(msg));
-        *c += 1;
-    }
-}
-
-/// Refill the delivery arenas from the worker outboxes.
-///
-/// `arenas[w]` covers vertices `[w * chunk, ...)`; `chunk` is the uniform
-/// chunk size (the last arena may be shorter). Outboxes are visited in worker
-/// order, which is ascending source order, and the counting sort is stable —
-/// together these reproduce the serial engine's delivery order exactly.
-/// Outboxes are drained (capacity retained) for reuse next round.
-pub(crate) fn fill_arenas<M>(
-    arenas: &mut [&mut ChunkArena<M>],
-    outboxes: &mut [Outbox<M>],
-    chunk: usize,
-) {
-    for arena in arenas.iter_mut() {
-        arena.begin_fill();
-    }
-    for outbox in outboxes.iter() {
-        for m in &outbox.msgs {
-            arenas[m.to.index() / chunk].count(m.to);
-        }
-    }
-    for arena in arenas.iter_mut() {
-        arena.finish_counts();
-    }
-    for outbox in outboxes.iter_mut() {
-        for m in outbox.msgs.drain(..) {
-            arenas[m.to.index() / chunk].place(m.from, m.to, m.msg);
+        self.slots.resize_with(self.total(), || (VertexId(0), None));
+        for m in outbox.drain(..) {
+            let c = &mut self.cursors[m.to.index()];
+            self.slots[*c] = (m.from, Some(m.msg));
+            *c += 1;
         }
     }
 }
@@ -216,52 +156,37 @@ mod tests {
 
     #[test]
     fn fill_scatters_in_source_then_seq_order() {
-        // Vertices 0..4, two workers with chunk = 2.
-        let mut a0 = ChunkArena::new(0, 2);
-        let mut a1 = ChunkArena::new(2, 2);
-        // Worker 0 hosts sources 0..2, worker 1 hosts sources 2..4.
-        let mut outboxes = [
-            Outbox {
-                msgs: vec![msg(3, 0, 10), msg(3, 1, 11), msg(0, 1, 12)],
-            },
-            Outbox {
-                msgs: vec![msg(3, 2, 13), msg(0, 3, 14)],
-            },
+        let mut arena = InboxArena::new(4);
+        let mut outbox = vec![
+            msg(3, 0, 10),
+            msg(3, 1, 11),
+            msg(0, 1, 12),
+            msg(3, 2, 13),
+            msg(0, 3, 14),
         ];
-        {
-            let mut arenas = [&mut a0, &mut a1];
-            fill_arenas(&mut arenas, &mut outboxes, 2);
-        }
-        assert_eq!(a0.total(), 2);
-        assert_eq!(a1.total(), 3);
-        assert_eq!(a1.inbox_len(3), 3);
-        let got: Vec<(VertexId, u64)> = a1.inbox(3).drain().collect();
+        arena.fill(&mut outbox);
+        assert_eq!(arena.total(), 5);
+        assert_eq!(arena.inbox_len(3), 3);
+        assert_eq!(arena.inbox_len(1), 0);
+        let got: Vec<(VertexId, u64)> = arena.inbox(3).drain().collect();
         assert_eq!(
             got,
             vec![(VertexId(0), 10), (VertexId(1), 11), (VertexId(2), 13)]
         );
-        let got0: Vec<(VertexId, u64)> = a0.inbox(0).drain().collect();
+        let got0: Vec<(VertexId, u64)> = arena.inbox(0).drain().collect();
         assert_eq!(got0, vec![(VertexId(1), 12), (VertexId(3), 14)]);
-        // Outboxes were drained, not dropped.
-        assert!(outboxes.iter().all(|o| o.msgs.is_empty()));
+        // The outbox was drained, not dropped.
+        assert!(outbox.is_empty());
     }
 
     #[test]
     fn refill_clears_leftovers() {
-        let mut arena = ChunkArena::new(0, 1);
-        let mut outboxes = [Outbox {
-            msgs: vec![msg(0, 0, 7)],
-        }];
-        {
-            let mut arenas = [&mut arena];
-            fill_arenas(&mut arenas, &mut outboxes, 1);
-        }
+        let mut arena = InboxArena::new(1);
+        let mut outbox = vec![msg(0, 0, 7)];
+        arena.fill(&mut outbox);
         assert_eq!(arena.inbox_len(0), 1);
         // Leave the message undrained; the next (empty) fill drops it.
-        {
-            let mut arenas = [&mut arena];
-            fill_arenas(&mut arenas, &mut outboxes, 1);
-        }
+        arena.fill(&mut outbox);
         assert_eq!(arena.total(), 0);
         assert_eq!(arena.inbox_len(0), 0);
     }

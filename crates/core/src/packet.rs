@@ -271,23 +271,7 @@ pub fn send(
     src: VertexId,
     dst: VertexId,
 ) -> PacketReport {
-    send_inner(network, scheme, src, dst, false, 1).report
-}
-
-/// [`send`] on an engine with `threads` workers (`0` = available
-/// parallelism). The report is identical for every thread count.
-///
-/// # Panics
-///
-/// Panics if the scheme was built in prior-baseline mode.
-pub fn send_with(
-    network: &Network,
-    scheme: &RoutingScheme,
-    src: VertexId,
-    dst: VertexId,
-    threads: usize,
-) -> PacketReport {
-    send_inner(network, scheme, src, dst, false, threads).report
+    send_inner(network, scheme, src, dst, false).report
 }
 
 /// Like [`send`], but flight-recorded: the returned trace holds one hop
@@ -303,23 +287,7 @@ pub fn send_traced(
     src: VertexId,
     dst: VertexId,
 ) -> PacketFlight {
-    send_inner(network, scheme, src, dst, true, 1)
-}
-
-/// [`send_traced`] on an engine with `threads` workers (`0` = available
-/// parallelism). Report and trace are identical for every thread count.
-///
-/// # Panics
-///
-/// Panics if the scheme was built in prior-baseline mode.
-pub fn send_traced_with(
-    network: &Network,
-    scheme: &RoutingScheme,
-    src: VertexId,
-    dst: VertexId,
-    threads: usize,
-) -> PacketFlight {
-    send_inner(network, scheme, src, dst, true, threads)
+    send_inner(network, scheme, src, dst, true)
 }
 
 fn send_inner(
@@ -328,7 +296,6 @@ fn send_inner(
     src: VertexId,
     dst: VertexId,
     traced: bool,
-    threads: usize,
 ) -> PacketFlight {
     let Some(plan) = plan(scheme, src, dst) else {
         return PacketFlight {
@@ -365,7 +332,6 @@ fn send_inner(
         edge_words_per_round: packet_words,
         // One packet moves one hop per round, so the hop cap is a round cap.
         max_rounds: forward::hop_cap(network.len()) as u64,
-        threads,
         ..EngineConfig::default()
     });
     let (mut protos, stats) = engine.run(network, protos);
@@ -628,27 +594,11 @@ pub fn send_many(
     scheme: &RoutingScheme,
     pairs: &[(VertexId, VertexId)],
 ) -> LoadReport {
-    send_many_inner(network, scheme, pairs, false, 1, false).report
+    send_many_inner(network, scheme, pairs, false, false).report
 }
 
-/// [`send_many`] on an engine with `threads` workers (`0` = available
-/// parallelism). Outcomes and stats are identical for every thread count;
-/// only wall time changes.
-///
-/// # Panics
-///
-/// Panics if the scheme was built in prior-baseline mode.
-pub fn send_many_with(
-    network: &Network,
-    scheme: &RoutingScheme,
-    pairs: &[(VertexId, VertexId)],
-    threads: usize,
-) -> LoadReport {
-    send_many_inner(network, scheme, pairs, false, threads, false).report
-}
-
-/// [`send_many_with`], with the engine profiler on: the returned report's
-/// `stats.profile` carries the per-worker phase attribution. Outcomes and
+/// [`send_many`], with the engine profiler on: the returned report's
+/// `stats.profile` carries the per-phase attribution. Outcomes and
 /// simulated stats are identical to the unprofiled run.
 ///
 /// # Panics
@@ -658,9 +608,8 @@ pub fn send_many_profiled(
     network: &Network,
     scheme: &RoutingScheme,
     pairs: &[(VertexId, VertexId)],
-    threads: usize,
 ) -> LoadReport {
-    send_many_inner(network, scheme, pairs, false, threads, true).report
+    send_many_inner(network, scheme, pairs, false, true).report
 }
 
 /// Like [`send_many`], but flight-recorded: per-packet hop traces plus
@@ -675,23 +624,7 @@ pub fn send_many_traced(
     scheme: &RoutingScheme,
     pairs: &[(VertexId, VertexId)],
 ) -> LoadFlight {
-    send_many_inner(network, scheme, pairs, true, 1, false)
-}
-
-/// [`send_many_traced`] on an engine with `threads` workers (`0` = available
-/// parallelism). Report, traces, and heatmaps are identical for every
-/// thread count.
-///
-/// # Panics
-///
-/// Panics if the scheme was built in prior-baseline mode.
-pub fn send_many_traced_with(
-    network: &Network,
-    scheme: &RoutingScheme,
-    pairs: &[(VertexId, VertexId)],
-    threads: usize,
-) -> LoadFlight {
-    send_many_inner(network, scheme, pairs, true, threads, false)
+    send_many_inner(network, scheme, pairs, true, false)
 }
 
 fn send_many_inner(
@@ -699,7 +632,6 @@ fn send_many_inner(
     scheme: &RoutingScheme,
     pairs: &[(VertexId, VertexId)],
     traced: bool,
-    threads: usize,
     profile: bool,
 ) -> LoadFlight {
     // Source decisions, as in `send`.
@@ -766,7 +698,6 @@ fn send_many_inner(
         .collect();
     let engine = Engine::with_config(EngineConfig {
         edge_words_per_round,
-        threads,
         profile,
         ..EngineConfig::default()
     });

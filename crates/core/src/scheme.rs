@@ -63,11 +63,6 @@ pub struct BuildParams {
     pub beta_budget: usize,
     /// Hierarchy depth of the hopset (see [`HopsetParams`]).
     pub hopset_levels: usize,
-    /// Worker threads for the engine-backed phases (the BFS backbone and the
-    /// per-cluster tree constructions); `0` means all available cores.
-    /// Thread count never changes the build — the engine is deterministic —
-    /// only wall-clock time.
-    pub threads: usize,
 }
 
 impl BuildParams {
@@ -85,13 +80,11 @@ impl BuildParams {
             epsilon: (1.0 / (48.0 * kf.powi(4))).max(1e-6),
             beta_budget: 0,
             hopset_levels: 2,
-            threads: 1,
         }
     }
 
-    /// Override the engine worker-thread count (`0` = all available cores).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Accepted and ignored; the engine is serial.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -507,7 +500,7 @@ pub fn build_observed<R: Rng>(
     let backbone_span = rec.begin("scheme/backbone");
     let network = Network::new(g.clone());
     let d = if distributed {
-        let out = bfs::build_bfs_tree_with(&network, VertexId(0), params.threads);
+        let out = bfs::build_bfs_tree(&network, VertexId(0));
         ledger.charge_rounds_span(out.stats.rounds, rec);
         for v in g.vertices() {
             memory.add(v, 3);
@@ -724,7 +717,6 @@ pub fn build_observed<R: Rng>(
                     &tree_distributed::Config {
                         q: Some(q_tree),
                         backbone_depth: Some(d),
-                        threads: params.threads,
                     },
                     rng,
                 );

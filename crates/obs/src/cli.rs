@@ -5,13 +5,9 @@
 //! * `--report <path>` or `--report=<path>` — write a JSONL run report;
 //! * the `DRT_REPORT` environment variable as a fallback path;
 //! * `--json` (where meaningful) — print the primary output as JSON;
-//! * `--threads <t>` or `--threads=<t>` — engine worker threads (`0`, the
-//!   default, means all available cores; the `DRT_THREADS` environment
-//!   variable is the fallback). Thread count never changes simulated
-//!   results — the engine is deterministic — only wall-clock time;
-//! * `--profile` — profile the engine round loop (per-worker phase
-//!   attribution; the `DRT_PROFILE` environment variable, set non-empty,
-//!   is the fallback). Profiling never changes simulated results either.
+//! * `--profile` — profile the engine round loop (per-phase attribution;
+//!   the `DRT_PROFILE` environment variable, set non-empty, is the
+//!   fallback). Profiling never changes simulated results.
 //!
 //! [`ReportOptions::parse`] strips these from an argument list and hands the
 //! remaining arguments back, so binaries keep their existing positional
@@ -26,9 +22,6 @@ pub struct ReportOptions {
     pub report: Option<PathBuf>,
     /// Whether `--json` output was requested.
     pub json: bool,
-    /// Engine worker threads; `0` (the default) resolves to the machine's
-    /// available parallelism.
-    pub threads: usize,
     /// Whether `--profile` (or `DRT_PROFILE`) asked for engine round-loop
     /// profiling.
     pub profile: bool,
@@ -41,7 +34,6 @@ impl ReportOptions {
     pub fn parse(args: impl IntoIterator<Item = String>) -> (ReportOptions, Vec<String>) {
         let mut opts = ReportOptions::default();
         let mut rest = Vec::new();
-        let mut threads_flag: Option<String> = None;
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             if arg == "--report" {
@@ -52,10 +44,6 @@ impl ReportOptions {
                 opts.json = true;
             } else if arg == "--profile" {
                 opts.profile = true;
-            } else if arg == "--threads" {
-                threads_flag = args.next();
-            } else if let Some(t) = arg.strip_prefix("--threads=") {
-                threads_flag = Some(t.to_string());
             } else {
                 rest.push(arg);
             }
@@ -66,16 +54,6 @@ impl ReportOptions {
                     opts.report = Some(PathBuf::from(path));
                 }
             }
-        }
-        if threads_flag.is_none() {
-            if let Ok(t) = std::env::var("DRT_THREADS") {
-                if !t.is_empty() {
-                    threads_flag = Some(t);
-                }
-            }
-        }
-        if let Some(t) = threads_flag {
-            opts.threads = t.parse().unwrap_or(0);
         }
         if !opts.profile {
             if let Ok(p) = std::env::var("DRT_PROFILE") {
@@ -93,16 +71,6 @@ impl ReportOptions {
     /// Whether a report should be written.
     pub fn reporting(&self) -> bool {
         self.report.is_some()
-    }
-
-    /// The effective engine thread count: `--threads 0` (or no flag) means
-    /// every available core.
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.threads
-        }
     }
 }
 
@@ -140,20 +108,12 @@ mod tests {
     }
 
     #[test]
-    fn parses_threads_flag() {
-        // NB: assumes DRT_THREADS is unset in the test environment.
-        let (opts, rest) = ReportOptions::parse(strings(&["--threads", "4", "bench"]));
-        assert_eq!(opts.threads, 4);
-        assert_eq!(opts.resolved_threads(), 4);
-        assert_eq!(rest, strings(&["bench"]));
-
-        let (opts, _) = ReportOptions::parse(strings(&["--threads=2"]));
-        assert_eq!(opts.threads, 2);
-
-        // Default is auto: resolves to at least one worker.
-        let (opts, _) = ReportOptions::parse(strings(&[]));
-        assert_eq!(opts.threads, 0);
-        assert!(opts.resolved_threads() >= 1);
+    fn leaves_threads_flag_to_the_caller() {
+        // `--threads` sizes the serve pool only; `drt serve` parses it.
+        let args = strings(&["serve", "--threads", "4", "--threads=2"]);
+        let (opts, rest) = ReportOptions::parse(args.clone());
+        assert_eq!(opts, ReportOptions::default());
+        assert_eq!(rest, args);
     }
 
     #[test]

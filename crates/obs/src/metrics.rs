@@ -60,7 +60,7 @@ impl Stopwatch {
 /// A monotonic nanosecond clock. [`Stopwatch`] is the production clock; code
 /// that is generic over `Clock` lets a test substitute a deterministic one
 /// and assert on timing structure without reading real time.
-pub trait Clock: Copy + Send {
+pub trait Clock: Copy {
     /// Nanoseconds since this clock's origin; never decreases.
     fn elapsed_ns(&self) -> u64;
 }

@@ -13,7 +13,13 @@
 //! sampling is keyed on the global query index (a seeded hash against the
 //! configured rate), never on the wall clock, so `checks` and `mismatches`
 //! are sim columns too.
+//!
+//! A worker that panics replies with the panic message instead of its task,
+//! and [`ServePool::serve_batch`] re-raises it on the calling thread, so a
+//! bad query fails its batch instead of leaving the caller waiting forever.
 
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
@@ -111,11 +117,14 @@ impl BatchResult {
     }
 }
 
+/// A worker's answer to one task: the task back, or its panic message.
+type Reply = Result<Task, String>;
+
 /// A long-lived pool of serving workers over one shared snapshot.
 pub struct ServePool {
     snapshot: SharedSnapshot,
     task_txs: Vec<Sender<Task>>,
-    done_rx: Receiver<(usize, Task)>,
+    done_rx: Receiver<(usize, Reply)>,
     handles: Vec<JoinHandle<()>>,
     /// Recycled task buffers, one slot per worker.
     parked: Vec<Option<Task>>,
@@ -129,7 +138,7 @@ impl ServePool {
     /// Panics if `threads == 0` or a worker thread cannot be spawned.
     pub fn start(snapshot: SharedSnapshot, threads: usize) -> ServePool {
         assert!(threads > 0, "a serving pool needs at least one worker");
-        let (done_tx, done_rx) = channel::<(usize, Task)>();
+        let (done_tx, done_rx) = channel::<(usize, Reply)>();
         let mut task_txs = Vec::with_capacity(threads);
         let mut handles = Vec::with_capacity(threads);
         for worker in 0..threads {
@@ -170,7 +179,8 @@ impl ServePool {
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread has died (its channel disconnected).
+    /// Re-raises a worker's panic (naming the worker) on the calling thread;
+    /// the pool is unusable afterwards, but dropping it does not block.
     pub fn serve_batch(
         &mut self,
         queries: &[Query],
@@ -198,8 +208,11 @@ impl ServePool {
             sent += 1;
         }
         for _ in 0..sent {
-            let (worker, task) = self.done_rx.recv().expect("worker alive");
-            self.parked[worker] = Some(task);
+            // Every worker that was sent a task replies, even by panicking.
+            match self.done_rx.recv().expect("worker replies") {
+                (worker, Ok(task)) => self.parked[worker] = Some(task),
+                (worker, Err(msg)) => panic!("serve worker {worker} panicked: {msg}"),
+            }
         }
         // Merge in worker order: chunks were contiguous, so this is query
         // order no matter the completion order above.
@@ -247,37 +260,57 @@ fn worker_loop(
     worker: usize,
     snap: &SharedSnapshot,
     tasks: &Receiver<Task>,
-    done: &Sender<(usize, Task)>,
+    done: &Sender<(usize, Reply)>,
 ) {
     let oracle = DistanceOracle::new(&snap.scheme);
     while let Ok(mut task) = tasks.recv() {
-        task.answers.clear();
-        task.paths.clear();
-        task.latencies.clear();
-        task.checks = 0;
-        task.mismatches = 0;
-        for i in 0..task.queries.len() {
-            let q = task.queries[i];
-            let sw = Stopwatch::start();
-            let answer = answer_query(snap, &oracle, q, &mut task.paths);
-            task.latencies.push(sw.elapsed_ns());
-            task.answers.push(answer);
-            let index = task.base_index + i as u64;
-            // threshold == MAX means rate 1.0: check unconditionally so
-            // "check everything" is exact, not probabilistic.
-            if task.check_threshold == u64::MAX
-                || (task.check_threshold > 0
-                    && splitmix64(task.check_salt ^ index) < task.check_threshold)
-            {
-                task.checks += 1;
-                if !check_answer(snap, &oracle, q, answer, &task.paths) {
-                    task.mismatches += 1;
-                }
+        let reply = match catch_unwind(AssertUnwindSafe(|| serve_task(snap, &oracle, &mut task))) {
+            Ok(()) => Ok(task),
+            Err(payload) => Err(panic_message(payload.as_ref())),
+        };
+        let failed = reply.is_err();
+        if done.send((worker, reply)).is_err() || failed {
+            return; // pool dropped mid-flight, or this worker is poisoned
+        }
+    }
+}
+
+/// Answer (and sample-check) every query of `task` into its arenas.
+fn serve_task(snap: &SharedSnapshot, oracle: &DistanceOracle, task: &mut Task) {
+    task.answers.clear();
+    task.paths.clear();
+    task.latencies.clear();
+    task.checks = 0;
+    task.mismatches = 0;
+    for i in 0..task.queries.len() {
+        let q = task.queries[i];
+        let sw = Stopwatch::start();
+        let answer = answer_query(snap, oracle, q, &mut task.paths);
+        task.latencies.push(sw.elapsed_ns());
+        task.answers.push(answer);
+        let index = task.base_index + i as u64;
+        // threshold == MAX means rate 1.0: check unconditionally so
+        // "check everything" is exact, not probabilistic.
+        if task.check_threshold == u64::MAX
+            || (task.check_threshold > 0
+                && splitmix64(task.check_salt ^ index) < task.check_threshold)
+        {
+            task.checks += 1;
+            if !check_answer(snap, oracle, q, answer, &task.paths) {
+                task.mismatches += 1;
             }
         }
-        if done.send((worker, task)).is_err() {
-            return; // pool dropped mid-flight
-        }
+    }
+}
+
+/// The text of a panic payload (`panic!` with a literal or a format).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => (*s).to_string(),
+        None => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "non-string panic payload".to_string()),
     }
 }
 
@@ -355,6 +388,35 @@ mod tests {
             pool.serve_batch(&queries, round * 64, 0.0, 0, &mut out);
             assert_eq!(out.answers, first, "recycled buffers changed answers");
         }
+    }
+
+    #[test]
+    fn a_panicking_worker_fails_the_batch_instead_of_hanging() {
+        let s = snap(40, 0x902);
+        let mut queries = stream(40, 8);
+        // Out of range: panics inside worker 1, which serves queries 4..8.
+        queries[7] = Query {
+            kind: QueryKind::Route,
+            src: VertexId(0),
+            dst: VertexId(40),
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        // Detached on purpose: a hang must fail the timeout below, not
+        // block the test on a join.
+        std::thread::spawn(move || {
+            let mut pool = ServePool::start(s, 2);
+            let mut out = BatchResult::default();
+            let served = catch_unwind(AssertUnwindSafe(|| {
+                pool.serve_batch(&queries, 0, 0.0, 0, &mut out)
+            }));
+            drop(pool);
+            let _ = tx.send(served.map_err(|p| panic_message(p.as_ref())));
+        });
+        let served = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("serve_batch or the pool's drop hung on a panicked worker");
+        let msg = served.expect_err("a bad query must fail its batch");
+        assert!(msg.starts_with("serve worker 1 panicked: "), "{msg}");
     }
 
     #[test]

@@ -24,9 +24,8 @@
 //!   sweep rates to find the saturation knee (the largest rate meeting an
 //!   [`Slo`](scenario::Slo)).
 //!
-//! Everything is deterministic: repeated runs and different engine
-//! worker-thread counts produce byte-identical summaries, series, and edge
-//! loads.
+//! Everything is deterministic: repeated runs produce byte-identical
+//! summaries, series, and edge loads.
 
 pub mod scenario;
 pub mod sim;

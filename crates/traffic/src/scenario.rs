@@ -2,8 +2,8 @@
 //! saturation knee.
 //!
 //! A [`TrafficScenario`] fixes everything but the offered rate. [`run`]
-//! plans the full injection schedule coordinator-side (seeded, so the run is
-//! byte-identical at any thread count), drives [`crate::sim::simulate`], and
+//! plans the full injection schedule up front (seeded, so the run is
+//! byte-identical across repeats), drives [`crate::sim::simulate`], and
 //! assembles an [`obs::traffic::TrafficSummary`] plus the dense per-round
 //! conservation series. [`sweep`] runs a rate ladder against an [`Slo`] and
 //! reports the *knee*: the largest offered rate the network sustains with
@@ -41,8 +41,6 @@ pub struct ScenarioConfig {
     pub queue_cap: usize,
     /// Drop policy at a full queue.
     pub policy: DropPolicy,
-    /// Engine worker threads (`1` = serial).
-    pub threads: usize,
     /// Profile the engine round loop; phase attribution comes back in the
     /// result's `stats.profile`. Never changes simulated results.
     pub profile: bool,
@@ -58,7 +56,6 @@ impl Default for ScenarioConfig {
             max_rounds: 0,
             queue_cap: 8,
             policy: DropPolicy::TailDrop,
-            threads: 1,
             profile: false,
             seed: DEFAULT_SEED,
         }
@@ -214,7 +211,7 @@ impl TrafficScenario<'_> {
         let mut workload = Workload::prepare(self.workload, g, self.scheme, cfg.seed);
         let mut arrival = Arrival::new(cfg.arrival, rate);
 
-        // Plan the entire schedule coordinator-side: which flows are offered
+        // Plan the entire schedule up front: which flows are offered
         // each round, which of them can route at all, and the packet each
         // deliverable flow injects.
         let mut flows: Vec<FlowRecord> = Vec::new();
@@ -249,7 +246,7 @@ impl TrafficScenario<'_> {
                 queue_cap: cfg.queue_cap,
                 policy: cfg.policy,
                 max_rounds: cfg.effective_max_rounds(),
-                threads: cfg.threads,
+                threads: 1,
                 profile: cfg.profile,
             },
         );
@@ -416,8 +413,10 @@ mod tests {
 
     #[test]
     fn runs_are_thread_count_invariant() {
+        // The engine is serial, so thread-count invariance is run-to-run
+        // invariance.
         let (net, scheme) = scenario_parts(48, 31);
-        let mut base = TrafficScenario {
+        let base = TrafficScenario {
             network: &net,
             scheme: &scheme,
             workload: WorkloadKind::Hotspot,
@@ -427,16 +426,14 @@ mod tests {
                 ..ScenarioConfig::default()
             },
         };
-        let serial = base.run(2.5);
-        base.config.threads = 4;
-        let parallel = base.run(2.5);
-        assert_eq!(serial.summary, parallel.summary);
-        assert_eq!(serial.series, parallel.series);
-        assert_eq!(serial.flows, parallel.flows);
-        assert!(serial.stats.same_simulation(&parallel.stats));
+        let (first, again) = (base.run(2.5), base.run(2.5));
+        assert_eq!(first.summary, again.summary);
+        assert_eq!(first.series, again.series);
+        assert_eq!(first.flows, again.flows);
+        assert!(first.stats.same_simulation(&again.stats));
         assert_eq!(
-            serial.edge_load.to_value(&[]).to_string(),
-            parallel.edge_load.to_value(&[]).to_string()
+            first.edge_load.to_value(&[]).to_string(),
+            again.edge_load.to_value(&[]).to_string()
         );
     }
 

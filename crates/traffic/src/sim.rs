@@ -4,10 +4,10 @@
 //! Unlike the one-shot batches in `routing::packet` (everything injected at
 //! round 0, unbounded queues), this plane injects packets *every round* from
 //! a per-vertex schedule and bounds each outgoing queue at a configurable
-//! capacity with an explicit drop policy. The whole schedule is computed by
-//! the coordinator before the engine starts, so the simulation is
-//! byte-identical at any worker-thread count, and each vertex keeps a sparse
-//! per-round log whose coordinator-side merge yields the dense conservation
+//! capacity with an explicit drop policy. The whole schedule is computed
+//! before the engine starts, so the simulation is a pure function of its
+//! inputs, and each vertex keeps a sparse per-round log whose merge after
+//! the run yields the dense conservation
 //! series `injected = delivered + dropped + queued + on-wire` that
 //! [`crate::scenario`] re-checks every round.
 
@@ -144,7 +144,7 @@ pub struct SimConfig {
     pub policy: DropPolicy,
     /// Engine round cap (must be at least the last injection round).
     pub max_rounds: u64,
-    /// Engine worker threads (`1` = serial).
+    /// Accepted and ignored; the engine is serial.
     pub threads: usize,
     /// Profile the engine round loop; the phase attribution comes back in
     /// [`SimResult`]'s `stats.profile`. Never changes simulated results.
@@ -255,14 +255,12 @@ pub fn simulate(
     let engine = Engine::with_config(EngineConfig {
         edge_words_per_round,
         max_rounds: cfg.max_rounds,
-        threads: cfg.threads,
         profile: cfg.profile,
         ..EngineConfig::default()
     });
     let (protos, stats) = engine.run(network, protos);
 
-    // Merge the sparse per-vertex logs into a dense series, in vertex order
-    // — identical at any thread count.
+    // Merge the sparse per-vertex logs into a dense series, in vertex order.
     let mut series = vec![RoundTotals::default(); stats.rounds as usize + 1];
     for (r, t) in series.iter_mut().enumerate() {
         t.round = r as u64;

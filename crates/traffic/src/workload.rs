@@ -5,7 +5,7 @@
 //! network-wide) into a deterministic per-round injection count. Both draw
 //! exclusively from a caller-supplied [`ChaCha8Rng`], so a scenario's entire
 //! injection schedule is a pure function of `(graph, scheme, seed, rate)` —
-//! never of the wall clock or the thread count.
+//! never of the wall clock.
 
 use graphs::shortest_paths::dijkstra;
 use graphs::{Graph, VertexId, Weight};

@@ -41,7 +41,7 @@ pub fn log2_ceil(n: usize) -> usize {
 }
 
 /// Tuning knobs for the construction.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Config {
     /// Sampling probability for `U`; `None` selects the paper's `1/√n`.
     pub q: Option<f64>,
@@ -50,20 +50,6 @@ pub struct Config {
     /// words per vertex — callers constructing many trees (the general-graph
     /// scheme, [`crate::multi`]) build the backbone once and share it.
     pub backbone_depth: Option<usize>,
-    /// Worker threads for the engine-backed backbone BFS (`0` = all
-    /// available cores). Thread count never changes the construction — the
-    /// engine is deterministic — only wall-clock time.
-    pub threads: usize,
-}
-
-impl Default for Config {
-    fn default() -> Config {
-        Config {
-            q: None,
-            backbone_depth: None,
-            threads: 1,
-        }
-    }
 }
 
 /// Per-vertex protocol state. One instance per tree *member*, indexed by the
@@ -205,7 +191,7 @@ pub fn build_observed<R: Rng>(
         Some(depth) => depth as u64,
         None => {
             let span = rec.begin("tree/backbone");
-            let bfs_out = bfs::build_bfs_tree_with(network, tree.root(), config.threads);
+            let bfs_out = bfs::build_bfs_tree(network, tree.root());
             ledger.charge_rounds_span(bfs_out.stats.rounds, rec);
             ledger.charge_messages_span(bfs_out.stats.messages, rec);
             for r in 0..n {

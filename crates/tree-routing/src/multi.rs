@@ -78,7 +78,6 @@ pub fn build_many<R: Rng>(
     let config = Config {
         q: Some(q.clamp(0.0, 1.0)),
         backbone_depth: Some(bfs_out.depth),
-        ..Config::default()
     };
     let mut schemes = Vec::with_capacity(trees.len());
     let mut max_finish = 0u64;

@@ -18,9 +18,9 @@
 //! drt serve    <graph-file> [--scheme <f>] [--queries <q>] [--batch <b>] [--workload <w>]
 //!              [--seed <s>] [--check-rate <f>] [--open <qps,...>] [--threads <t>] [--json]
 //! drt report   <report-file> [--json]                   # validate a JSONL report
-//! drt bench    [--smoke|--quick|--full] [--label <l>] [--out <path>] [--repeats <r>] [--threads <t>]
+//! drt bench    [--smoke|--quick|--full] [--label <l>] [--out <path>] [--repeats <r>]
 //! drt compare  <old.json> <new.json> [--sim-tol <f>] [--wall-tol <f>] [--wall-gate]
-//! drt profile  [--n <n>] [--packets <p>] [--threads <t>] [--trace-out <path>] [--report <path>]
+//! drt profile  [--n <n>] [--packets <p>] [--trace-out <path>] [--report <path>]
 //! ```
 //!
 //! Graph files use the [`graphs::io`] edge-list format.
@@ -56,8 +56,8 @@
 //! every round into finite per-port queues, swept across offered rates
 //! (`--rate 0.5,1,2,4`) to locate the saturation knee — the largest rate
 //! meeting the SLO (bounded p99 queueing delay, negligible loss). The run
-//! is seed-deterministic at any `--threads` count; `--report` writes one
-//! `traffic_summary` plus one `edge_load` record per rate.
+//! is seed-deterministic; `--report` writes one `traffic_summary` plus one
+//! `edge_load` record per rate.
 //!
 //! `drt churn` runs the churn observatory (crate `churn`): a seeded failure
 //! process (`random`, `random-edges`, `targeted`, `regional`, optionally
@@ -86,19 +86,12 @@
 //! serving-side analog of `drt traffic`'s saturation search. Simulated
 //! columns (query mix, outcome split, aggregate weight/hops, checks,
 //! mismatches, answer checksum) are byte-identical at any `--threads`
-//! count and in both loop modes; QPS and latency are wall-clock and
+//! pool size (`0`, the default, means all cores) and in both loop modes;
+//! `--threads` is a serve-only flag. QPS and latency are wall-clock and
 //! advisory. `--report` writes one `serve_summary` record per run (one per
 //! rung under `--open`); the command exits nonzero on any cross-check
 //! mismatch or internal serving error. Without `--scheme` it builds a
 //! `k = 2` scheme on the fly, matching `drt build`'s fixed seed.
-//!
-//! `drt build` and `drt bench` accept `--threads <t>` (or `DRT_THREADS`;
-//! default: all available cores) to run the engine-backed phases on a worker
-//! pool. Thread count never changes simulated results — rounds, messages,
-//! words, and memory are byte-identical at any thread count — only
-//! wall-clock time; `drt bench` stamps the count into the BENCH document and,
-//! at `--threads ≥ 2`, additionally measures the per-group serial-vs-parallel
-//! wall speedup, which `drt compare` reports as advisory.
 //!
 //! `drt build` and `drt trace` additionally accept `--report <path>` (or the
 //! `DRT_REPORT` environment variable) to write a JSONL run report: phase
@@ -111,14 +104,11 @@
 //! `drt profile` turns on the engine profiler (`obs::profile`) over a
 //! self-contained store-and-forward workload: it generates a seeded graph,
 //! builds a `k = 2` scheme, and pushes a packet batch through the CONGEST
-//! engine three times — once unprofiled (the overhead baseline), once
-//! profiled on the serial engine, once profiled on the worker pool. It
-//! prints the per-phase wall breakdown (dispatch, compute, scatter, merge,
-//! idle), per-worker utilization and imbalance, and a serial-vs-parallel
-//! attribution diff that shows where the wall time moved — the tool for
-//! explaining a sub-1x parallel speedup. `--trace-out <path>` additionally
-//! writes the retained phase intervals as a Chrome trace-event JSON
-//! (loadable in Perfetto / `chrome://tracing`, one track per worker);
+//! engine twice — once unprofiled (the overhead baseline), once profiled. It
+//! prints the profiler's overhead and the per-phase wall breakdown (setup,
+//! compute, scatter, merge) with the vertices executed per round.
+//! `--trace-out <path>` additionally writes the retained phase intervals as
+//! a Chrome trace-event JSON (loadable in Perfetto / `chrome://tracing`);
 //! `--report <path>` writes a JSONL report carrying the `engine_profile`
 //! record. The engine-driven commands accept `--profile` (or
 //! `DRT_PROFILE=1`): `drt traffic --profile` attributes the sweep's rounds
@@ -160,7 +150,7 @@ fn main() -> ExitCode {
         Some("churn") => cmd_churn(&args[1..], &opts),
         Some("serve") => cmd_serve(&args[1..], &opts),
         Some("report") => cmd_report(&args[1..], &opts),
-        Some("bench") => cmd_bench(&args[1..], &opts),
+        Some("bench") => cmd_bench(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
         Some("profile") => cmd_profile(&args[1..], &opts),
         _ => {
@@ -258,8 +248,7 @@ fn cmd_build(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), Stri
             other => positional.push(other.to_string()),
         }
     }
-    let usage =
-        "build <graph-file> <k> [<out-file>|--out <file>] [--report <path>] [--threads <t>]";
+    let usage = "build <graph-file> <k> [<out-file>|--out <file>] [--report <path>]";
     let (graph_path, k, out_path) = match positional.as_slice() {
         [g, k, out] if out_flag.is_none() => (g.clone(), k.clone(), out.clone()),
         [g, k] => match out_flag {
@@ -283,8 +272,7 @@ fn cmd_build(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), Stri
     }
     let mut rng = ChaCha8Rng::seed_from_u64(0xD27);
     let span = rec.begin("drt/build");
-    let params = BuildParams::new(k).with_threads(opts.resolved_threads());
-    let built = build_observed(&g, &params, &mut rng, &mut rec);
+    let built = build_observed(&g, &BuildParams::new(k), &mut rng, &mut rec);
     rec.end_with_memory(span, built.report.memory.peaks());
     // The checksummed container (magic + version + length + CRC32 over the
     // payload), so downstream subcommands detect truncation and bit rot.
@@ -881,7 +869,7 @@ fn cmd_report(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), Str
     Ok(())
 }
 
-fn cmd_bench(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), String> {
+fn cmd_bench(args: &[String]) -> Result<(), String> {
     let mut tier = bench::suite::Tier::Quick;
     let mut label = String::from("dev");
     let mut out: Option<String> = None;
@@ -903,15 +891,13 @@ fn cmd_bench(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), Stri
             other => return Err(format!("unknown bench option '{other}'")),
         }
     }
-    let threads = opts.resolved_threads();
     let out = out.unwrap_or_else(|| format!("BENCH_{label}.json"));
     println!(
-        "running {} suite (label '{label}', {threads} engine thread{}) — simulated columns are \
-         seed-pinned, wall is this machine",
-        tier.name(),
-        if threads == 1 { "" } else { "s" }
+        "running {} suite (label '{label}') — simulated columns are seed-pinned, wall is this \
+         machine",
+        tier.name()
     );
-    let doc = bench::suite::run_suite(tier, &label, repeats, threads, |case| {
+    let doc = bench::suite::run_suite(tier, &label, repeats, |case| {
         println!("  done {case}");
     })?;
     for case in &doc.cases {
@@ -921,16 +907,6 @@ fn cmd_bench(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), Stri
             case.sim("rounds").unwrap_or(0),
             case.sim("words").unwrap_or(0),
             case.wall.p50_ns as f64 / 1e6
-        );
-    }
-    for s in &doc.speedup {
-        println!(
-            "speedup {:<28} {:.2}x at {} threads (serial p50 {:>8.2} ms, parallel p50 {:>8.2} ms)",
-            s.group,
-            s.speedup(),
-            s.threads,
-            s.serial_p50_ns as f64 / 1e6,
-            s.parallel_p50_ns as f64 / 1e6
         );
     }
     for check in &doc.checks {
@@ -988,14 +964,12 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Print one profile's phase-breakdown table, worker utilization, and
-/// coverage. `label` names the run (`serial` / `parallel`).
+/// Print one profile's phase-breakdown table and coverage. `label` names
+/// the run (`profiled` / `sweep`).
 fn print_profile(label: &str, s: &obs::profile::ProfileSummary) {
     let wall = s.engine_wall_ns.max(1) as f64;
     println!(
-        "{label} attribution ({} worker track{}, {} rounds, engine wall {:.2} ms):",
-        s.workers,
-        if s.workers == 1 { "" } else { "s" },
+        "{label} attribution ({} rounds, engine wall {:.2} ms):",
         s.rounds + 1,
         s.engine_wall_ns as f64 / 1e6
     );
@@ -1015,7 +989,7 @@ fn print_profile(label: &str, s: &obs::profile::ProfileSummary) {
         );
     }
     println!(
-        "  coverage {:.1}% (coordinator phase tiling over engine wall)",
+        "  coverage {:.1}% (phase tiling over engine wall)",
         s.coverage * 100.0
     );
     // `s.rounds` is the highest round index of any run folded in, so the
@@ -1029,23 +1003,6 @@ fn print_profile(label: &str, s: &obs::profile::ProfileSummary) {
     } else {
         println!("  executed {} vertices over {} runs", s.executions, s.runs);
     }
-    if s.worker_stats.len() > 1 {
-        for w in &s.worker_stats {
-            println!(
-                "  worker {:<3} busy {:>8.2} ms  utilization {:>5.1}%",
-                w.worker,
-                w.busy_ns as f64 / 1e6,
-                w.utilization * 100.0
-            );
-        }
-        let mean_util =
-            s.worker_stats.iter().map(|w| w.utilization).sum::<f64>() / s.worker_stats.len() as f64;
-        println!(
-            "  utilization mean {:.1}%, imbalance {:.2}x (max/mean busy)",
-            mean_util * 100.0,
-            s.imbalance
-        );
-    }
     if s.dropped_samples > 0 {
         println!(
             "  note: {} samples evicted from the quantile window (totals stay exact)",
@@ -1055,8 +1012,8 @@ fn print_profile(label: &str, s: &obs::profile::ProfileSummary) {
 }
 
 fn cmd_profile(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), String> {
-    let usage = "profile [--n <vertices>] [--packets <p>] [--seed <s>] [--threads <t>] \
-                 [--trace-out <path>] [--report <path>]";
+    let usage = "profile [--n <vertices>] [--packets <p>] [--seed <s>] [--trace-out <path>] \
+                 [--report <path>]";
     let mut n: usize = 256;
     let mut packets: usize = 2048;
     let mut seed: u64 = 42;
@@ -1088,7 +1045,6 @@ fn cmd_profile(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), St
     if packets == 0 {
         return Err("--packets needs at least 1 packet".into());
     }
-    let threads = opts.resolved_threads();
 
     // A self-contained engine-heavy workload: a seeded batch of packets
     // store-and-forwarded through a k = 2 scheme. The builds never enter
@@ -1109,32 +1065,19 @@ fn cmd_profile(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), St
             (VertexId(a), VertexId(b))
         })
         .collect();
-    println!(
-        "profiling a {packets}-packet batch on er n = {n} (k = 2 scheme, seed {seed}), \
-         {threads} engine thread{}",
-        if threads == 1 { "" } else { "s" }
-    );
+    println!("profiling a {packets}-packet batch on er n = {n} (k = 2 scheme, seed {seed})");
 
-    // Overhead baseline: the same parallel run with the profiler off.
-    let baseline = packet::send_many_with(&net, &built.scheme, &pairs, threads);
-    // The profiled parallel run, plus a profiled serial run to diff against.
-    let profiled = packet::send_many_profiled(&net, &built.scheme, &pairs, threads);
-    let serial = packet::send_many_profiled(&net, &built.scheme, &pairs, 1);
-    let par_profile = profiled
+    // Overhead baseline: the same run with the profiler off.
+    let baseline = packet::send_many(&net, &built.scheme, &pairs);
+    let profiled = packet::send_many_profiled(&net, &built.scheme, &pairs);
+    let profile = profiled
         .stats
         .profile
         .as_deref()
         .ok_or("profiled run returned no profile")?;
-    let ser_profile = serial
-        .stats
-        .profile
-        .as_deref()
-        .ok_or("profiled serial run returned no profile")?;
 
     // Profiling must never perturb the simulation itself.
-    if !profiled.stats.same_simulation(&baseline.stats)
-        || !serial.stats.same_simulation(&baseline.stats)
-    {
+    if !profiled.stats.same_simulation(&baseline.stats) {
         return Err("profiler changed simulated results — this is a bug".into());
     }
     let base_ns = baseline.stats.wall_ns.max(1);
@@ -1146,50 +1089,14 @@ fn cmd_profile(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), St
     );
     println!();
 
-    let par = par_profile.summary();
-    let ser = ser_profile.summary();
-    print_profile(if threads > 1 { "parallel" } else { "profiled" }, &par);
-    if threads > 1 {
-        println!();
-        print_profile("serial", &ser);
-        println!();
-        // Where did the wall go? Diff each phase's share of the engine wall
-        // between the two runs: compute shrinking while dispatch/merge/idle
-        // grow is the signature of coordination overhead eating the speedup.
-        println!("serial -> parallel attribution shift (coordinator % of engine wall):");
-        let share = |s: &obs::profile::ProfileSummary, ph: obs::profile::Phase| {
-            s.phases
-                .iter()
-                .find(|p| p.phase == ph)
-                .map_or(0.0, |p| p.coord_ns as f64 / s.engine_wall_ns.max(1) as f64)
-        };
-        for ph in obs::profile::Phase::ALL {
-            let (a, b) = (share(&ser, ph), share(&par, ph));
-            if a == 0.0 && b == 0.0 {
-                continue;
-            }
-            println!(
-                "  {:<10} {:>5.1}% -> {:>5.1}% ({:+.1} pts)",
-                ph.name(),
-                a * 100.0,
-                b * 100.0,
-                (b - a) * 100.0
-            );
-        }
-        println!(
-            "speedup: serial {:.2} ms / parallel {:.2} ms = {:.2}x",
-            serial.stats.wall_ns as f64 / 1e6,
-            profiled.stats.wall_ns as f64 / 1e6,
-            serial.stats.wall_ns as f64 / profiled.stats.wall_ns.max(1) as f64
-        );
-    }
+    print_profile("profiled", &profile.summary());
 
     if let Some(path) = &trace_out {
-        std::fs::write(path, par_profile.chrome_trace())
+        std::fs::write(path, profile.chrome_trace())
             .map_err(|e| format!("writing trace {path}: {e}"))?;
         println!(
             "chrome trace written to {path} ({} events) — load in Perfetto or chrome://tracing",
-            par_profile.sample_count()
+            profile.sample_count()
         );
     }
     if let Some(path) = &opts.report {
@@ -1203,15 +1110,11 @@ fn cmd_profile(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), St
             broadcasts: 0,
         });
         rec.end(span);
-        rec.absorb_profile(par_profile);
+        rec.absorb_profile(profile);
         rec.write_report(
             path,
             "drt-profile",
-            &[
-                ("n", Value::from(n)),
-                ("packets", Value::from(packets)),
-                ("threads", Value::from(threads)),
-            ],
+            &[("n", Value::from(n)), ("packets", Value::from(packets))],
         )
         .map_err(|e| format!("writing report {}: {e}", path.display()))?;
         println!("report written to {}", path.display());
@@ -1246,7 +1149,7 @@ fn cmd_traffic(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), St
     let usage = "traffic <graph-file> <scheme-file> [--workload <uniform|gravity|hotspot|worst>] \
                  [--rate <r[,r...]>] [--rounds <n>] [--queue-cap <c>] \
                  [--policy <tail-drop|oldest-drop>] [--arrival <fixed|bernoulli>] [--seed <s>] \
-                 [--report <path>] [--threads <t>]";
+                 [--report <path>]";
     let mut positional = Vec::new();
     let mut workload = traffic::WorkloadKind::Uniform;
     let mut rates: Vec<f64> = vec![0.5, 1.0, 2.0, 4.0];
@@ -1304,7 +1207,6 @@ fn cmd_traffic(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), St
     };
     let g = load_graph(graph_path)?;
     let scheme = load_scheme(scheme_path)?;
-    config.threads = opts.resolved_threads();
     config.profile = opts.profile;
     let net = congest::Network::new(g);
     let scenario = traffic::TrafficScenario {
@@ -1317,16 +1219,14 @@ fn cmd_traffic(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), St
     let cfg = &scenario.config;
     println!(
         "steady-state {} traffic on {graph_path} (n = {}): {} arrivals over {} rounds, \
-         queue cap {} ({}), seed {}, {} engine thread{}",
+         queue cap {} ({}), seed {}",
         workload.name(),
         net.graph().num_vertices(),
         cfg.arrival.name(),
         cfg.inject_rounds,
         cfg.queue_cap,
         cfg.policy.name(),
-        cfg.seed,
-        cfg.threads,
-        if cfg.threads == 1 { "" } else { "s" }
+        cfg.seed
     );
     println!(
         "SLO: p99 queue delay <= {} rounds, loss <= {:.1}%",
@@ -1433,8 +1333,7 @@ fn cmd_churn(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), Stri
                  [--process <random|random-edges|targeted|regional>] [--rate <f>] \
                  [--rounds <n>] [--revive <p>] [--workload <uniform|gravity|hotspot|worst>] \
                  [--traffic-rate <f>] [--burst-rounds <n>] [--queue-cap <c>] [--pairs <n>] \
-                 [--seed <s>] [--slo <floor>] [--slo-round <r>] [--report <path>] [--json] \
-                 [--threads <t>]";
+                 [--seed <s>] [--slo <floor>] [--slo-round <r>] [--report <path>] [--json]";
     let prob = |flag: &str, v: &str| -> Result<f64, String> {
         let p: f64 = v.parse().map_err(|_| format!("bad {flag} '{v}'"))?;
         if (0.0..=1.0).contains(&p) {
@@ -1513,7 +1412,6 @@ fn cmd_churn(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), Stri
     }
     let g = load_graph(graph_path)?;
     let scheme = load_scheme(scheme_path)?;
-    config.threads = opts.resolved_threads();
     let slo = slo_floor.map(|floor| churn::ChurnSlo {
         floor,
         through_round: slo_round.unwrap_or(config.rounds),
@@ -1531,7 +1429,7 @@ fn cmd_churn(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), Stri
     } else {
         println!(
             "{} churn on {graph_path} (n = {}, m = {}): rate {:.3}/round for {} rounds, \
-             revive {:.3}, {} workload at {:.2}/round, seed {}, {} engine thread{}",
+             revive {:.3}, {} workload at {:.2}/round, seed {}",
             config.process.name(),
             g.num_vertices(),
             g.num_edges(),
@@ -1540,9 +1438,7 @@ fn cmd_churn(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), Stri
             config.revive,
             config.workload.name(),
             config.traffic_rate,
-            config.seed,
-            config.threads,
-            if config.threads == 1 { "" } else { "s" }
+            config.seed
         );
         println!(
             "probe: {} fixed pairs, {} connected intact (reachability denominator)",
@@ -1648,6 +1544,7 @@ fn cmd_serve(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), Stri
     let mut scheme_flag: Option<String> = None;
     let mut cfg = serve::ServeConfig::default();
     let mut open_rates: Option<Vec<f64>> = None;
+    let mut threads = 0usize;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -1694,6 +1591,10 @@ fn cmd_serve(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), Stri
                     .collect();
                 open_rates = Some(rates?);
             }
+            "--threads" => {
+                let v = it.next().ok_or("--threads needs a count")?;
+                threads = v.parse().map_err(|_| format!("bad thread count '{v}'"))?;
+            }
             other => positional.push(other.to_string()),
         }
     }
@@ -1710,7 +1611,11 @@ fn cmd_serve(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), Stri
         return Err("serving needs a graph with at least 2 vertices".into());
     }
     let scheme = resolve_scheme(&g, scheme_flag.as_deref(), None)?;
-    cfg.threads = opts.resolved_threads();
+    // `0` (the default) sizes the pool to every available core.
+    cfg.threads = match threads {
+        0 => std::thread::available_parallelism().map_or(1, usize::from),
+        t => t,
+    };
     let scheme_name = scheme_flag.as_deref().unwrap_or("(built)").to_string();
     let snapshot = serve::Snapshot::share(g, scheme);
     let stream = serve::generate_stream(&snapshot, &cfg);

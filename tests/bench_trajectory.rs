@@ -8,6 +8,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use bench::suite::{compare, run_suite, BenchDoc, CompareConfig, Tier, SCHEMA};
+use obs::json::Value;
 use obs::scaling::fit_power_law;
 
 fn temp_path(name: &str) -> PathBuf {
@@ -18,8 +19,8 @@ fn temp_path(name: &str) -> PathBuf {
 
 #[test]
 fn smoke_suite_is_deterministic_and_round_trips() {
-    let a = run_suite(Tier::Smoke, "a", Some(1), 1, |_| {}).expect("suite runs");
-    let b = run_suite(Tier::Smoke, "a", Some(1), 1, |_| {}).expect("suite runs");
+    let a = run_suite(Tier::Smoke, "a", Some(1), |_| {}).expect("suite runs");
+    let b = run_suite(Tier::Smoke, "a", Some(1), |_| {}).expect("suite runs");
     // Simulated columns are byte-stable across whole suite re-runs; only
     // wall-clock may differ.
     assert_eq!(a.cases.len(), b.cases.len());
@@ -46,7 +47,7 @@ fn quick_tier_exponents_match_the_paper() {
     // each swept metric and assert the exponent lands in the range the
     // theorems predict. Simulated costs are deterministic, so this cannot
     // flake on machine speed.
-    let doc = run_suite(Tier::Quick, "test", Some(1), 1, |_| {}).expect("suite runs");
+    let doc = run_suite(Tier::Quick, "test", Some(1), |_| {}).expect("suite runs");
     assert!(!doc.checks.is_empty(), "quick tier must fit scaling laws");
     for check in &doc.checks {
         assert!(
@@ -109,7 +110,7 @@ fn fitter_recovers_known_exponents() {
 
 #[test]
 fn compare_gates_injected_regression_but_passes_within_threshold() {
-    let old = run_suite(Tier::Smoke, "old", Some(1), 1, |_| {}).expect("suite runs");
+    let old = run_suite(Tier::Smoke, "old", Some(1), |_| {}).expect("suite runs");
 
     // Injected 2x simulated regression: gated under exact comparison and
     // under any sane tolerance.
@@ -233,67 +234,40 @@ fn drt_bench_binary_emits_schema_valid_doc_and_compare_gates() {
 #[test]
 fn committed_bench_documents_round_trip_byte_for_byte() {
     // `load` then `to_value` must reproduce each committed trajectory point
-    // exactly: same keys, same order, same number formatting.
+    // exactly — same keys, same order, same number formatting — except for
+    // the three fields of the retired parallel engine, which are dropped and
+    // nothing else is.
     for name in ["BENCH_baseline.json", "BENCH_pr14.json", "BENCH_pr17.json"] {
         let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(name);
         let bytes = std::fs::read_to_string(&path).expect("committed document");
-        let doc = BenchDoc::load(&path).expect("committed document loads");
-        assert_eq!(format!("{}\n", doc.to_value()), bytes, "{name}");
-    }
-}
-
-#[test]
-fn drt_bench_thread_counts_diff_cleanly() {
-    // The CI recipe in miniature: run the suite serial and parallel, then
-    // `drt compare` the two documents under the default exact sim gate. The
-    // parallel engine is deterministic, so the only differences are
-    // wall-clock — advisory — and the speedup entries the parallel document
-    // carries.
-    let drt = env!("CARGO_BIN_EXE_drt");
-    let t1 = temp_path("BENCH_t1.json");
-    let t2 = temp_path("BENCH_t2.json");
-    for (threads, path) in [("1", &t1), ("2", &t2)] {
-        let run = Command::new(drt)
-            .args([
-                "bench",
-                "--smoke",
-                "--label",
-                &format!("threads{threads}"),
-                "--repeats",
-                "1",
-                "--threads",
-                threads,
-                "--out",
-            ])
-            .arg(path)
-            .output()
-            .expect("drt bench runs");
-        assert!(
-            run.status.success(),
-            "drt bench --threads {threads} failed: {}",
-            String::from_utf8_lossy(&run.stderr)
+        let mut want = obs::json::parse(bytes.trim()).expect("committed document is JSON");
+        assert_eq!(
+            format!("{want}\n"),
+            bytes,
+            "{name}: the printer reproduces the file"
         );
+        let Value::Object(fields) = &mut want else {
+            panic!("{name}: not an object");
+        };
+        for (key, within) in [
+            ("speedup", None),
+            ("efficiency", None),
+            ("threads", Some("env")),
+        ] {
+            let fields = match within {
+                None => &mut *fields,
+                Some(parent) => match fields.iter_mut().find(|(k, _)| k == parent) {
+                    Some((_, Value::Object(inner))) => inner,
+                    _ => panic!("{name}: no '{parent}' object"),
+                },
+            };
+            let before = fields.len();
+            fields.retain(|(k, _)| k != key);
+            assert_eq!(fields.len() + 1, before, "{name}: '{key}' present once");
+        }
+        let doc = BenchDoc::load(&path).expect("committed document loads");
+        assert_eq!(doc.to_value().to_string(), want.to_string(), "{name}");
     }
-    let d1 = BenchDoc::load(&t1).expect("serial doc");
-    let d2 = BenchDoc::load(&t2).expect("parallel doc");
-    assert_eq!(d1.env.threads, 1);
-    assert_eq!(d2.env.threads, 2);
-    assert!(d1.speedup.is_empty());
-    assert_eq!(d2.speedup.len(), 6, "one speedup entry per suite group");
-
-    let ok = Command::new(drt)
-        .arg("compare")
-        .arg(&t1)
-        .arg(&t2)
-        .output()
-        .expect("drt compare runs");
-    assert!(
-        ok.status.success(),
-        "thread count must not change simulated columns: {}",
-        String::from_utf8_lossy(&ok.stdout)
-    );
-    let table = String::from_utf8_lossy(&ok.stdout).to_string();
-    assert!(table.contains("parallel speedup"), "{table}");
 }
 
 #[test]
@@ -325,8 +299,7 @@ fn bench_report_carries_wall_clock() {
 /// values. Array elements contribute each distinct element shape once, so a
 /// heatmap's length (data) never enters the golden file but a hop with a
 /// missing field would.
-fn key_paths(prefix: &str, v: &obs::json::Value, out: &mut Vec<String>) {
-    use obs::json::Value;
+fn key_paths(prefix: &str, v: &Value, out: &mut Vec<String>) {
     match v {
         Value::Object(fields) => {
             for (k, child) in fields {

@@ -125,7 +125,6 @@ fn traffic_pin(
     injections: &[Injection],
     policy: DropPolicy,
     max_rounds: u64,
-    threads: usize,
 ) -> TrafficPin {
     let sim = simulate(
         net,
@@ -135,7 +134,7 @@ fn traffic_pin(
             queue_cap: 2,
             policy,
             max_rounds,
-            threads,
+            threads: 1,
             profile: false,
         },
     );
@@ -177,8 +176,8 @@ const CASES: [(DropPolicy, ArrivalKind); 4] = [
     (DropPolicy::OldestDrop, ArrivalKind::Bernoulli),
 ];
 
-/// Run the four policy × arrival cases of one workload at 1, 2 and 8 engine
-/// threads and compare each against its pin.
+/// Run the four policy × arrival cases of one workload and compare each
+/// against its pin.
 fn check(
     net: &Network,
     scheme: &RoutingScheme,
@@ -189,10 +188,8 @@ fn check(
 ) {
     for ((policy, arrival), want) in CASES.into_iter().zip(want) {
         let injections = schedule(net, scheme, workload, arrival, rate, rounds);
-        for threads in [1, 2, 8] {
-            let got = traffic_pin(net, scheme, &injections, policy, rounds + 4096, threads);
-            assert_eq!(got, want, "{policy:?} {arrival:?} at {threads} threads");
-        }
+        let got = traffic_pin(net, scheme, &injections, policy, rounds + 4096);
+        assert_eq!(got, want, "{policy:?} {arrival:?}");
     }
 }
 
@@ -305,23 +302,13 @@ fn preferential_attachment_256_k3_overloaded_hotspot_is_pinned() {
         4.0,
         48,
     );
-    for threads in [1, 2, 8] {
-        assert_eq!(
-            traffic_pin(
-                &net,
-                &scheme,
-                &injections,
-                DropPolicy::TailDrop,
-                48,
-                threads
-            ),
-            pin(
-                (48, 544, 2720, 5, false, 2549757025),
-                [990937360, 1454828925, 500837338, 0, 2879618359],
-            ),
-            "{threads} threads"
-        );
-    }
+    assert_eq!(
+        traffic_pin(&net, &scheme, &injections, DropPolicy::TailDrop, 48),
+        pin(
+            (48, 544, 2720, 5, false, 2549757025),
+            [990937360, 1454828925, 500837338, 0, 2879618359],
+        ),
+    );
 }
 
 #[test]
@@ -587,22 +574,19 @@ fn the_engine_never_runs_a_vertex_without_mail_or_a_due_wake() {
     let n = 1024;
     let net = Network::new(path(n));
     let shots: Vec<u64> = (1..=6).map(|i| 50 * i).collect();
-    let relays = |threads: usize| {
-        let protos = (0..n)
-            .map(|v| {
-                Counted::new(Relay {
-                    shots: if v == 0 {
-                        shots.iter().copied().collect()
-                    } else {
-                        Default::default()
-                    },
-                    passed: 0,
-                })
+    let protos = (0..n)
+        .map(|v| {
+            Counted::new(Relay {
+                shots: if v == 0 {
+                    shots.iter().copied().collect()
+                } else {
+                    Default::default()
+                },
+                passed: 0,
             })
-            .collect();
-        Engine::with_threads(threads).run(&net, protos)
-    };
-    let (protos, stats) = relays(1);
+        })
+        .collect();
+    let (protos, stats) = Engine::new().run(&net, protos);
     assert!(stats.completed);
     assert_eq!(stats.rounds, 300 + n as u64 - 1);
     assert_eq!(stats.messages, shots.len() as u64 * (n as u64 - 1));
@@ -612,14 +596,6 @@ fn the_engine_never_runs_a_vertex_without_mail_or_a_due_wake() {
     let calls: u64 = protos.iter().map(|p| p.calls).sum();
     assert_eq!(calls, shots.len() as u64 + stats.messages);
     assert_eq!(stats.executions, n as u64 + calls);
-    for threads in [2, 8] {
-        let (protos_p, stats_p) = relays(threads);
-        assert!(stats_p.same_simulation(&stats), "{threads} threads");
-        assert!(protos_p
-            .iter()
-            .zip(&protos)
-            .all(|(a, b)| a.calls == b.calls));
-    }
 
     // The default hint — every round until done, then only on mail — is
     // honoured the same way: once the BFS wave has passed a vertex, only

@@ -1,24 +1,25 @@
-//! End-to-end engine-profiler tests: the `engine_profile` record survives a
-//! written JSONL report, the Chrome trace export holds to the trace-event
-//! schema, the coordinator phase tiling covers the engine wall (on an
-//! injected clock — nothing here reads real time), and the typed
-//! `ParseError`s out of `obs` name the record and field that broke.
+//! End-to-end engine-profiler tests: profiling never changes the simulation,
+//! the `engine_profile` record survives a written JSONL report, the Chrome
+//! trace export holds to the trace-event schema, the phase tiling covers the
+//! engine wall (on an injected clock — nothing here reads real time), and
+//! the typed `ParseError`s out of `obs` name the record and field that broke.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use congest::bfs::BfsVertex;
 use congest::{Engine, EngineConfig};
-use graphs::VertexId;
+use graphs::{GraphBuilder, VertexId};
 use obs::json::Value;
 use obs::metrics::Clock;
 use obs::profile::{Phase, ProfileSummary};
+use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use routing::{build, packet, BuildParams};
 
 /// A profiled store-and-forward batch on a seeded graph: the canonical
 /// engine-driven workload.
-fn profiled_batch(threads: usize) -> (packet::LoadReport, congest::Network) {
+fn profiled_batch() -> (packet::LoadReport, congest::Network) {
     let mut rng = ChaCha8Rng::seed_from_u64(11);
     let g = graphs::generators::erdos_renyi_connected(72, 0.08, 1..=9, &mut rng);
     let built = build(&g, &BuildParams::new(2), &mut rng);
@@ -34,13 +35,82 @@ fn profiled_batch(threads: usize) -> (packet::LoadReport, congest::Network) {
             (VertexId(a), VertexId(b))
         })
         .collect();
-    let report = packet::send_many_profiled(&net, &built.scheme, &pairs, threads);
+    let report = packet::send_many_profiled(&net, &built.scheme, &pairs);
     (report, net)
+}
+
+/// A connected random weighted graph from a compact description: `n`,
+/// extra-edge pairs, and weights — all driven by proptest (same idiom as
+/// `tests/properties.rs`).
+fn arb_graph(max_n: usize) -> impl Strategy<Value = graphs::Graph> {
+    (3..max_n)
+        .prop_flat_map(|n| {
+            let tree_parents = proptest::collection::vec(0..u32::MAX, n - 1);
+            let tree_weights = proptest::collection::vec(1u64..50, n - 1);
+            let extras = proptest::collection::vec((0..u32::MAX, 0..u32::MAX, 1u64..50), 0..n);
+            (Just(n), tree_parents, tree_weights, extras)
+        })
+        .prop_map(|(n, parents, weights, extras)| {
+            let mut b = GraphBuilder::new(n);
+            for v in 1..n {
+                let p = (parents[v - 1] as usize) % v;
+                b.add_edge(VertexId(p as u32), VertexId(v as u32), weights[v - 1]);
+            }
+            for (x, y, w) in extras {
+                let u = (x as usize) % n;
+                let v = (y as usize) % n;
+                if u != v && !b.has_edge(VertexId(u as u32), VertexId(v as u32)) {
+                    b.add_edge(VertexId(u as u32), VertexId(v as u32), w);
+                }
+            }
+            b.build()
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn profiler_is_simulation_neutral(g in arb_graph(36), seed in 0..u64::MAX) {
+        // Profiling must never perturb the simulation: same outcomes, same
+        // stats (minus wall/profile) — the profiler only reads clocks, and
+        // `same_simulation` ignores real time.
+        let n = g.num_vertices();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let built = build(&g, &BuildParams::new(2), &mut rng);
+        let pairs: Vec<(VertexId, VertexId)> = (0..n)
+            .map(|i| (VertexId(i as u32), VertexId(((i * 5 + 1) % n) as u32)))
+            .collect();
+        let net = congest::Network::new(g);
+        let plain = packet::send_many(&net, &built.scheme, &pairs);
+        prop_assert!(plain.stats.profile.is_none());
+        let prof = packet::send_many_profiled(&net, &built.scheme, &pairs);
+        prop_assert!(
+            plain.stats.same_simulation(&prof.stats),
+            "profiling changed simulated stats:\n  off: {:?}\n  on: {:?}",
+            plain.stats,
+            prof.stats
+        );
+        prop_assert_eq!(&plain.outcomes, &prof.outcomes);
+        prop_assert_eq!(plain.undeliverable, prof.undeliverable);
+        prop_assert_eq!(plain.dropped, prof.dropped);
+        // And the profile itself must be present and self-consistent.
+        let p = prof.stats.profile.as_deref().expect("profiled run keeps its profile");
+        let s = p.summary();
+        prop_assert_eq!(s.runs, 1);
+        prop_assert!(s.engine_wall_ns > 0);
+        let coord_sum: u64 = s.phases.iter().map(|ph| ph.coord_ns).sum();
+        prop_assert!(
+            coord_sum <= s.engine_wall_ns,
+            "phase tiling ({coord_sum} ns) exceeds the engine wall ({} ns)",
+            s.engine_wall_ns
+        );
+    }
 }
 
 #[test]
 fn engine_profile_record_round_trips_through_a_written_report() {
-    let (report, _net) = profiled_batch(2);
+    let (report, _net) = profiled_batch();
     let profile = report.stats.profile.as_deref().expect("profile kept");
 
     // Accumulate onto a recorder and write the report the way the CLI does.
@@ -77,9 +147,9 @@ fn engine_profile_record_round_trips_through_a_written_report() {
     assert!((parsed.coverage - direct.coverage).abs() < 1e-9);
 }
 
-/// A clock that advances one tick per reading, shared by every thread that
-/// holds a copy: time is "how many times anyone has looked", so whatever the
-/// scheduler does, a reading is a deterministic function of read order.
+/// A clock that advances one tick per reading, shared by every copy: time is
+/// "how many times anyone has looked", so a reading is a deterministic
+/// function of read order.
 #[derive(Clone, Copy)]
 struct TickClock<'a>(&'a AtomicU64);
 
@@ -92,70 +162,63 @@ impl Clock for TickClock<'_> {
 #[test]
 fn phase_tiling_covers_the_engine_wall() {
     // What the profiler guarantees is structural, so it is tested on a
-    // clock that cannot flake: the coordinator's laps abut (each starts
-    // where the previous one ended), so between the first and the last lap
-    // no reading goes unattributed; their sum never exceeds the engine
-    // wall; and no track is busy for longer than the wall. How close the
-    // sum comes to a *real* wall (>= 95% on a release build) is shown by
-    // `drt profile`, not asserted against a scheduler.
+    // clock that cannot flake: the laps abut (each starts where the previous
+    // one ended), so between the first and the last lap no reading goes
+    // unattributed; their sum never exceeds the engine wall; and the track
+    // is busy for no longer than the wall. How close the sum comes to a
+    // *real* wall (>= 95% on a release build) is shown by `drt profile`, not
+    // asserted against a scheduler.
     let mut rng = ChaCha8Rng::seed_from_u64(11);
     let g = graphs::generators::erdos_renyi_connected(72, 0.08, 1..=9, &mut rng);
     let net = congest::Network::new(g);
-    for threads in [1usize, 4] {
-        let ticks = AtomicU64::new(0);
-        let engine = Engine::with_config(EngineConfig {
-            threads,
-            profile: true,
-            ..EngineConfig::default()
-        });
-        // A BFS wave: enough traffic to give every phase of every round
-        // something to time.
-        let protos = (0..net.len()).map(|v| BfsVertex::new(v == 0)).collect();
-        let (_, stats) = engine.run_clocked(
-            &net,
-            protos,
-            &mut obs::Recorder::disabled(),
-            TickClock(&ticks),
-        );
-        assert!(stats.completed);
-        let profile = stats.profile.as_deref().expect("profile requested");
-        assert_eq!(profile.dropped, 0, "every sample is still in the ring");
+    let ticks = AtomicU64::new(0);
+    let engine = Engine::with_config(EngineConfig {
+        profile: true,
+        ..EngineConfig::default()
+    });
+    // A BFS wave: enough traffic to give every phase of every round
+    // something to time.
+    let protos = (0..net.len()).map(|v| BfsVertex::new(v == 0)).collect();
+    let (_, stats) = engine.run_clocked(
+        &net,
+        protos,
+        &mut obs::Recorder::disabled(),
+        TickClock(&ticks),
+    );
+    assert!(stats.completed);
+    let profile = stats.profile.as_deref().expect("profile requested");
+    assert_eq!(profile.dropped, 0, "every sample is still in the ring");
 
-        let laps: Vec<_> = profile.samples().filter(|s| s.worker == 0).collect();
-        assert!(laps.len() as u64 > 3 * stats.rounds);
-        for pair in laps.windows(2) {
-            assert_eq!(
-                pair[1].start_ns,
-                pair[0].start_ns + pair[0].dur_ns,
-                "{threads} threads: a gap or overlap between {:?} and {:?}",
-                pair[0],
-                pair[1]
-            );
-        }
-        let s = profile.summary();
-        let coord_sum: u64 = s.phases.iter().map(|p| p.coord_ns).sum();
-        assert_eq!(coord_sum, laps.iter().map(|l| l.dur_ns).sum::<u64>());
-        assert_eq!(s.engine_wall_ns, stats.wall_ns);
-        assert!(coord_sum <= s.engine_wall_ns);
-        // Outside the laps lie only the two readings that bracket the run
-        // and, past the last lap, each pool worker's final idle mark.
-        assert!(
-            s.engine_wall_ns - coord_sum <= 2 + (threads as u64 - 1),
-            "{threads} threads: {} of {} ticks unattributed",
-            s.engine_wall_ns - coord_sum,
-            s.engine_wall_ns
+    let laps: Vec<_> = profile.samples().collect();
+    assert!(laps.len() as u64 > 3 * stats.rounds);
+    for pair in laps.windows(2) {
+        assert_eq!(
+            pair[1].start_ns,
+            pair[0].start_ns + pair[0].dur_ns,
+            "a gap or overlap between {:?} and {:?}",
+            pair[0],
+            pair[1]
         );
-        assert_eq!(s.worker_stats.len(), threads);
-        for w in &s.worker_stats {
-            assert!(w.busy_ns <= s.engine_wall_ns, "{w:?}");
-        }
-        assert!(s.imbalance >= 1.0);
     }
+    let s = profile.summary();
+    let coord_sum: u64 = s.phases.iter().map(|p| p.coord_ns).sum();
+    assert_eq!(coord_sum, laps.iter().map(|l| l.dur_ns).sum::<u64>());
+    assert_eq!(s.engine_wall_ns, stats.wall_ns);
+    assert!(coord_sum <= s.engine_wall_ns);
+    // Outside the laps lie only the two readings that bracket the run.
+    assert!(
+        s.engine_wall_ns - coord_sum <= 2,
+        "{} of {} ticks unattributed",
+        s.engine_wall_ns - coord_sum,
+        s.engine_wall_ns
+    );
+    assert_eq!(s.worker_stats.len(), 1);
+    assert!(s.worker_stats[0].busy_ns <= s.engine_wall_ns);
 }
 
 #[test]
 fn chrome_trace_export_holds_to_the_trace_event_schema() {
-    let (report, _net) = profiled_batch(3);
+    let (report, _net) = profiled_batch();
     let profile = report.stats.profile.as_deref().unwrap();
     let trace = profile.chrome_trace();
     let v = obs::json::parse(&trace).expect("trace is valid JSON");
@@ -228,7 +291,7 @@ fn profiling_is_off_by_default_everywhere() {
     let g = graphs::generators::erdos_renyi_connected(40, 0.1, 1..=9, &mut rng);
     let built = build(&g, &BuildParams::new(2), &mut rng);
     let net = congest::Network::new(g);
-    let report = packet::send_many_with(&net, &built.scheme, &[(VertexId(0), VertexId(1))], 2);
+    let report = packet::send_many(&net, &built.scheme, &[(VertexId(0), VertexId(1))]);
     assert!(report.stats.profile.is_none());
 
     let mut rec = obs::Recorder::new();

@@ -140,7 +140,7 @@ proptest! {
         let host = congest::Network::new(graphs::generators::star(SPARSE_HOST, 1..=1, &mut rng));
         let tight = congest::Network::new(graphs::generators::path(m, 1..=1, &mut rng));
         let q = [None, Some(0.0), Some(1.0), Some(0.3)][q_sel];
-        let config = distributed::Config { q, backbone_depth: Some(9), threads: 1 };
+        let config = distributed::Config { q, backbone_depth: Some(9) };
 
         let big = distributed::build(&host, &t, &config, &mut ChaCha8Rng::seed_from_u64(seed));
         let lil = distributed::build(&tight, &small, &config, &mut ChaCha8Rng::seed_from_u64(seed));

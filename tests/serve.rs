@@ -357,3 +357,37 @@ fn tampered_serve_summary_fails_revalidation() {
     overflow.checks = overflow.queries + 1; // more checks than queries
     assert!(ServeSummary::from_value(&overflow.to_value(&[])).is_err());
 }
+
+/// `drt serve --threads` sizes the pool: a count that is not an integer is
+/// an error with a nonzero exit, never a silent "all cores", while `0`
+/// still asks for every core.
+#[test]
+fn drt_serve_rejects_a_bad_thread_count() {
+    use std::process::Command;
+    let drt = env!("CARGO_BIN_EXE_drt");
+    let graph = temp_path("thread-count-graph.txt");
+    let generated = Command::new(drt)
+        .args(["generate", "er", "48", "3"])
+        .output()
+        .expect("drt generate runs");
+    assert!(generated.status.success());
+    std::fs::write(&graph, &generated.stdout).unwrap();
+    let serve = |threads: &str| {
+        Command::new(drt)
+            .arg("serve")
+            .arg(&graph)
+            .args(["--queries", "64", "--threads", threads])
+            .output()
+            .expect("drt serve runs")
+    };
+    let bad = serve("abc");
+    assert!(!bad.status.success(), "--threads abc must fail");
+    let stderr = String::from_utf8_lossy(&bad.stderr);
+    assert!(stderr.contains("bad thread count 'abc'"), "{stderr}");
+    let all = serve("0");
+    assert!(
+        all.status.success(),
+        "{}",
+        String::from_utf8_lossy(&all.stderr)
+    );
+}

@@ -1,11 +1,11 @@
 //! Determinism and conservation properties of the steady-state traffic
 //! engine, driven end to end through random graphs.
 //!
-//! The traffic plane's contract extends the engine's serial-equivalence
-//! guarantee to the statistics a rate sweep gates on: the `traffic_summary`
-//! (delivery/drop/queue counters, latency distributions), the per-round
-//! series, the per-flow outcomes, and the edge-load heatmap must be
-//! byte-identical at any worker-thread count. Separately, every run —
+//! The traffic plane's contract extends the engine's determinism to the
+//! statistics a rate sweep gates on: the `traffic_summary` (delivery/drop/
+//! queue counters, latency distributions), the per-round series, the
+//! per-flow outcomes, and the edge-load heatmap must be byte-identical
+//! across same-seed runs. Separately, every run —
 //! whatever the workload, rate, or queue capacity — must satisfy the
 //! packet-conservation identity at *every* round, not just in aggregate.
 
@@ -16,11 +16,8 @@ use rand_chacha::ChaCha8Rng;
 use routing::{build, BuildParams};
 use traffic::{ArrivalKind, DropPolicy, ScenarioConfig, TrafficScenario, WorkloadKind};
 
-/// Thread counts checked against the serial run.
-const THREADS: [usize; 2] = [2, 8];
-
 /// A connected random weighted graph from a compact description (same
-/// idiom as `tests/parallel_engine.rs`).
+/// idiom as `tests/profiler.rs`).
 fn arb_graph(max_n: usize) -> impl Strategy<Value = graphs::Graph> {
     (4..max_n)
         .prop_flat_map(|n| {
@@ -55,7 +52,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The full scenario — schedule planning, finite queues, drops,
-    /// drain — produces byte-identical statistics at 1, 2, and 8 threads.
+    /// drain — produces byte-identical statistics on every run. The engine
+    /// is serial, so thread-count invariance is run-to-run invariance.
     #[test]
     fn traffic_statistics_are_thread_count_invariant(
         g in arb_graph(32),
@@ -66,7 +64,7 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let built = build(&g, &BuildParams::new(2), &mut rng);
         let net = congest::Network::new(g);
-        let run_at = |threads: usize| {
+        let run = || {
             let scenario = TrafficScenario {
                 network: &net,
                 scheme: &built.scheme,
@@ -74,31 +72,27 @@ proptest! {
                 config: ScenarioConfig {
                     inject_rounds: 24,
                     queue_cap: 2,
-                    threads,
                     seed,
                     ..ScenarioConfig::default()
                 },
             };
             scenario.run(rate_centi as f64 / 100.0)
         };
-        let serial = run_at(1);
-        for threads in THREADS {
-            let par = run_at(threads);
-            prop_assert_eq!(&serial.summary, &par.summary);
-            prop_assert_eq!(&serial.series, &par.series);
-            prop_assert_eq!(&serial.flows, &par.flows);
-            prop_assert!(
-                serial.stats.same_simulation(&par.stats),
-                "engine stats diverged at {} threads:\n  serial: {:?}\n  parallel: {:?}",
-                threads, serial.stats, par.stats
-            );
-            // EdgeLoadMap carries no PartialEq; its canonical JSONL
-            // serialization (sorted edges) must match byte for byte.
-            prop_assert_eq!(
-                serial.edge_load.to_value(&[]).to_string(),
-                par.edge_load.to_value(&[]).to_string()
-            );
-        }
+        let (first, again) = (run(), run());
+        prop_assert_eq!(&first.summary, &again.summary);
+        prop_assert_eq!(&first.series, &again.series);
+        prop_assert_eq!(&first.flows, &again.flows);
+        prop_assert!(
+            first.stats.same_simulation(&again.stats),
+            "engine stats diverged between runs:\n  first: {:?}\n  again: {:?}",
+            first.stats, again.stats
+        );
+        // EdgeLoadMap carries no PartialEq; its canonical JSONL
+        // serialization (sorted edges) must match byte for byte.
+        prop_assert_eq!(
+            first.edge_load.to_value(&[]).to_string(),
+            again.edge_load.to_value(&[]).to_string()
+        );
     }
 
     /// Cumulative injected = delivered + dropped + queued + on-wire at
