@@ -1,12 +1,13 @@
-//! Criterion micro-benchmarks for the full general-graph scheme: the three
-//! construction modes and the routing-phase throughput.
+//! Criterion micro-benchmarks for the full general-graph scheme: the two
+//! construction modes beside the \[EN16b\]-style baseline, and the
+//! routing-phase throughput.
 
 use bench::Family;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphs::VertexId;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use routing::{build, router, BuildParams, Mode};
+use routing::{build, prior, router, BuildParams, Mode};
 
 fn bench_build_modes(c: &mut Criterion) {
     let n = 256;
@@ -17,13 +18,16 @@ fn bench_build_modes(c: &mut Criterion) {
     for (name, mode) in [
         ("centralized", Mode::Centralized),
         ("ours", Mode::DistributedLowMemory),
-        ("prior", Mode::DistributedPrior),
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &mode, |b, &mode| {
             let mut rng = ChaCha8Rng::seed_from_u64(5);
             b.iter(|| build(&g, &BuildParams::new(2).with_mode(mode), &mut rng));
         });
     }
+    group.bench_function(BenchmarkId::from_parameter("prior"), |b| {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        b.iter(|| prior::build(&g, 2, &mut rng));
+    });
     group.finish();
 }
 

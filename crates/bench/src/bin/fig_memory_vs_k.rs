@@ -11,7 +11,7 @@
 
 use bench::sweep::Sweep;
 use bench::{print_header, print_row, Family};
-use routing::{build_observed, BuildParams, Mode};
+use routing::{build_observed, prior, BuildParams};
 
 fn main() {
     let mut sweep = Sweep::from_env("fig_memory_vs_k");
@@ -30,12 +30,7 @@ fn main() {
             (ours, peaks)
         });
         let prior = sweep.observed(&format!("fig_memory_vs_k/k{k}/prior"), |rec| {
-            let prior = build_observed(
-                &g,
-                &BuildParams::new(k).with_mode(Mode::DistributedPrior),
-                &mut rng2,
-                rec,
-            );
+            let prior = prior::build_observed(&g, k, &mut rng2, rec);
             let peaks = prior.report.memory.peaks().to_vec();
             (prior, peaks)
         });

@@ -14,7 +14,7 @@ use bench::sweep::Sweep;
 use bench::{log_log_slope, print_header, print_row, Family};
 use congest::Network;
 use graphs::{tree, VertexId};
-use routing::{build, build_observed, BuildParams, Mode};
+use routing::{build_observed, prior, BuildParams};
 use tree_routing::{baseline, distributed};
 
 fn main() {
@@ -75,11 +75,7 @@ fn main() {
             let peaks = ours.report.memory.peaks().to_vec();
             (ours, peaks)
         });
-        let prior = build(
-            &g,
-            &BuildParams::new(2).with_mode(Mode::DistributedPrior),
-            &mut rng2,
-        );
+        let prior = prior::build(&g, 2, &mut rng2);
         let (a, b) = (
             ours.report.memory.max_peak(),
             prior.report.memory.max_peak(),

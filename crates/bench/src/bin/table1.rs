@@ -15,7 +15,7 @@ use graphs::{properties, VertexId};
 use obs::json::Value;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use routing::{build_observed, router, BuildParams, Mode};
+use routing::{build_observed, prior, router, BuildParams, Mode};
 
 fn main() {
     let (opts, _rest) = obs::cli::ReportOptions::from_env();
@@ -50,18 +50,12 @@ fn main() {
             // ball-growing construction (~n^{1+1/k} rounds, modelled).
             {
                 let cover = routing::covers::build_cover_scheme(&g, k);
-                let mut worst: f64 = 1.0;
-                for &s in &srcs {
-                    let exact = graphs::shortest_paths::dijkstra(&g, s);
-                    for t in g.vertices() {
-                        if t == s {
-                            continue;
-                        }
-                        let trace =
-                            routing::covers::route_cover(&g, &cover, s, t).expect("connected");
-                        worst = worst.max(trace.weight as f64 / exact[t.index()] as f64);
-                    }
-                }
+                let worst = router::measure_stretch_by(&g, &srcs, |s, t| {
+                    let trace = routing::covers::route_cover(&g, &cover, s, t)
+                        .ok_or(router::GraphRouteError::NoCommonTree)?;
+                    Ok((trace.weight, trace.path.len() - 1))
+                })
+                .max;
                 let rounds: usize = cover
                     .scales
                     .iter()
@@ -97,28 +91,35 @@ fn main() {
                     );
                 }
             }
+            // `None` is the [EN16b]-style baseline, built beside the modes.
             for (name, mode) in [
-                ("TZ01b", Mode::Centralized),
-                ("EN16b-style", Mode::DistributedPrior),
-                ("this paper", Mode::DistributedLowMemory),
+                ("TZ01b", Some(Mode::Centralized)),
+                ("EN16b-style", None),
+                ("this paper", Some(Mode::DistributedLowMemory)),
             ] {
                 let mut mode_rng = ChaCha8Rng::seed_from_u64(0xABCD + (n + k) as u64);
                 let span = rec.begin(&format!("table1/{}/n{n}/k{k}/{name}", family.name()));
-                let built = build_observed(
-                    &g,
-                    &BuildParams::new(k).with_mode(mode),
-                    &mut mode_rng,
-                    &mut rec,
-                );
-                rec.end_with_memory(span, built.report.memory.peaks());
-                let stats = router::measure_stretch(
-                    &g,
-                    &built.scheme,
-                    &srcs,
-                    router::Selection::SourceOptimal,
-                );
+                let (report, stats) = match mode {
+                    Some(mode) => {
+                        let params = BuildParams::new(k).with_mode(mode);
+                        let built = build_observed(&g, &params, &mut mode_rng, &mut rec);
+                        let stats = router::measure_stretch(
+                            &g,
+                            &built.scheme,
+                            &srcs,
+                            router::Selection::SourceOptimal,
+                        );
+                        (built.report, stats)
+                    }
+                    None => {
+                        let built = prior::build_observed(&g, k, &mut mode_rng, &mut rec);
+                        let stats = prior::measure_stretch(&g, &built.scheme, &srcs);
+                        (built.report, stats)
+                    }
+                };
+                rec.end_with_memory(span, report.memory.peaks());
+                let central = mode == Some(Mode::Centralized);
                 if opts.json {
-                    let central = mode == Mode::Centralized;
                     json_rows.push(Value::object(vec![
                         ("family", Value::from(family.name())),
                         ("scheme", Value::from(name)),
@@ -129,18 +130,18 @@ fn main() {
                             if central {
                                 Value::Null
                             } else {
-                                Value::from(built.report.rounds)
+                                Value::from(report.rounds)
                             },
                         ),
-                        ("table_words", Value::from(built.report.max_table_words)),
-                        ("label_words", Value::from(built.report.max_label_words)),
+                        ("table_words", Value::from(report.max_table_words)),
+                        ("label_words", Value::from(report.max_label_words)),
                         ("stretch", Value::from((stats.max * 100.0).round() / 100.0)),
                         (
                             "memory_words",
                             if central {
                                 Value::Null
                             } else {
-                                Value::from(built.report.memory.max_peak())
+                                Value::from(report.memory.max_peak())
                             },
                         ),
                         ("stretch_bound", Value::from(4 * k - 5)),
@@ -151,18 +152,18 @@ fn main() {
                             name.into(),
                             n.to_string(),
                             k.to_string(),
-                            if mode == Mode::Centralized {
+                            if central {
                                 "NA".into()
                             } else {
-                                built.report.rounds.to_string()
+                                report.rounds.to_string()
                             },
-                            built.report.max_table_words.to_string(),
-                            built.report.max_label_words.to_string(),
+                            report.max_table_words.to_string(),
+                            report.max_label_words.to_string(),
                             format!("{:.2}", stats.max),
-                            if mode == Mode::Centralized {
+                            if central {
                                 "NA".into()
                             } else {
-                                built.report.memory.max_peak().to_string()
+                                report.memory.max_peak().to_string()
                             },
                             (4 * k - 5).to_string(),
                         ],

@@ -32,8 +32,6 @@
 //! nothing depends on thread count or iteration order of hash maps (per-
 //! tree walks sort before checking).
 
-use std::collections::HashMap;
-
 use congest::WordSized;
 use graphs::{shortest_paths, Graph, Overlay, VertexId, Weight, INFINITY};
 use rand::seq::SliceRandom;
@@ -42,8 +40,8 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::oracle::DistanceOracle;
 use crate::router::{self, GraphRouteError, Selection};
-use crate::scheme::{Built, Mode, RoutingScheme, TreeTableKind};
-use crate::verify::{self, Violation};
+use crate::scheme::{Built, Mode, RoutingScheme};
+use crate::verify;
 
 /// The resident memory components the attribution splits a vertex into.
 ///
@@ -55,8 +53,7 @@ pub enum Component {
     /// Table-row overhead: `(root, level, dist)` per cluster containing the
     /// vertex — the cluster/cover membership words.
     ClusterMembership,
-    /// Tree-routing tables inside the table rows (`O(1)` words each for
-    /// ours, `O(log n)` for the prior baseline).
+    /// Tree-routing tables inside the table rows (`O(1)` words each).
     TreeTables,
     /// Label-row overhead: `(level, pivot, dist)` per pivot level — the TZ
     /// label words.
@@ -387,7 +384,6 @@ pub fn mode_name(mode: Mode) -> &'static str {
     match mode {
         Mode::Centralized => "centralized",
         Mode::DistributedLowMemory => "distributed-low-memory",
-        Mode::DistributedPrior => "distributed-prior",
     }
 }
 
@@ -434,15 +430,10 @@ fn audit_inner(
     let att = attribution(scheme);
     let mut invariants = Vec::new();
 
-    // 1. The packaged structural verifier. Prior-mode schemes legitimately
-    // reuse local DFS enter times across local trees, so that class is
-    // expected there (see `verify`'s own prior-mode test).
+    // 1. The packaged structural verifier.
     let mut structural = InvariantCheck::new("structural");
     structural.checked = n as u64;
     for v in verify::verify(g, scheme) {
-        if scheme.mode == Mode::DistributedPrior && matches!(v, Violation::DuplicateEnter { .. }) {
-            continue;
-        }
         structural.violations += 1;
         if structural.examples.len() < 3 {
             structural.examples.push(v.to_string());
@@ -482,46 +473,25 @@ fn audit_inner(
     }
     invariants.push(membership);
 
-    // 4. DFS nesting inside every cluster tree (our O(1) tables carry the
-    // intervals; prior-mode baseline tables are skipped). A child's
-    // interval must sit strictly inside its parent's, and the parent must
-    // be a member of the same tree.
+    // 4. DFS nesting inside every cluster tree. A child's interval must sit
+    // strictly inside its parent's, and the parent must hold a row for the
+    // same tree.
     let mut nesting = InvariantCheck::new("dfs_nesting");
-    {
-        // root -> member -> (enter, exit)
-        let mut trees: HashMap<VertexId, HashMap<VertexId, (u64, u64)>> = HashMap::new();
-        for v in g.vertices() {
-            for e in scheme.table(v).rows() {
-                if let TreeTableKind::Ours(t) = &e.table {
-                    trees
-                        .entry(e.root)
-                        .or_default()
-                        .insert(v, (t.enter, t.exit));
-                }
-            }
-        }
-        for v in g.vertices() {
-            for e in scheme.table(v).rows() {
-                let TreeTableKind::Ours(t) = &e.table else {
-                    continue;
-                };
-                let ok =
-                    t.enter <= t.exit
-                        && match t.parent {
-                            None => true,
-                            Some(p) => trees.get(&e.root).and_then(|m| m.get(&p)).is_some_and(
-                                |&(pe, px)| {
-                                    pe < t.enter && t.contains_enter(t.enter) && t.exit <= px
-                                },
-                            ),
-                        };
-                nesting.note(ok, || {
-                    format!(
-                        "{v} in tree {}: interval [{}, {}] not nested in parent",
-                        e.root, t.enter, t.exit
-                    )
+    for v in g.vertices() {
+        for e in scheme.table(v).rows() {
+            let t = &e.table;
+            let ok = t.enter <= t.exit
+                && t.parent.is_none_or(|p| {
+                    scheme.entry(p, e.root).is_some_and(|parent| {
+                        parent.table.enter < t.enter && t.exit <= parent.table.exit
+                    })
                 });
-            }
+            nesting.note(ok, || {
+                format!(
+                    "{v} in tree {}: interval [{}, {}] not nested in parent",
+                    e.root, t.enter, t.exit
+                )
+            });
         }
     }
     invariants.push(nesting);
@@ -865,13 +835,11 @@ pub fn blast_radius(g: &Graph, scheme: &RoutingScheme, overlay: &Overlay) -> u64
             }
             None => false,
         };
-        let tables = scheme.table(v).rows().iter().any(|e| {
-            dead(e.root)
-                || parent_broken(match &e.table {
-                    TreeTableKind::Ours(t) => t.parent,
-                    TreeTableKind::Prior(b) => b.local.parent,
-                })
-        });
+        let tables = scheme
+            .table(v)
+            .rows()
+            .iter()
+            .any(|e| dead(e.root) || parent_broken(e.table.parent));
         let labels = scheme.label(v).rows().iter().any(|e| dead(e.pivot));
         let pivots = scheme.pivots(v).iter().any(|&(p, _)| dead(p));
         if tables || labels || pivots {
@@ -967,12 +935,11 @@ mod tests {
         // Give some non-root vertex an interval outside its parent's.
         'outer: for v in g.vertices() {
             for e in b.scheme.table_mut(v).rows_mut() {
-                if let TreeTableKind::Ours(t) = &mut e.table {
-                    if t.parent.is_some() {
-                        t.enter = u64::MAX - 1;
-                        t.exit = u64::MAX;
-                        break 'outer;
-                    }
+                let t = &mut e.table;
+                if t.parent.is_some() {
+                    t.enter = u64::MAX - 1;
+                    t.exit = u64::MAX;
+                    break 'outer;
                 }
             }
         }
@@ -1084,11 +1051,7 @@ mod tests {
         // vertex even though every referenced vertex is still alive.
         'outer: for v in g.vertices() {
             for e in b.scheme.table(v).rows() {
-                let parent = match &e.table {
-                    TreeTableKind::Ours(t) => t.parent,
-                    TreeTableKind::Prior(bt) => bt.local.parent,
-                };
-                if let Some(p) = parent {
+                if let Some(p) = e.table.parent {
                     if let Some(a) = g.neighbors(v).iter().find(|a| a.to == p) {
                         let mut o = Overlay::new(&g);
                         o.kill_edge(a.edge);

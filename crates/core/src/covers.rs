@@ -25,6 +25,7 @@ use tree_routing::types::{TreeLabel, TreeTable};
 use tree_routing::tz;
 
 use crate::forward::{self, GraphRouteError};
+use crate::scheme::max_row_words;
 use crate::sparse::{MemberInfo, SparseTree};
 
 /// One scale's cover.
@@ -88,20 +89,12 @@ pub struct CoverScheme {
 impl CoverScheme {
     /// Largest table, in words.
     pub fn max_table_words(&self) -> usize {
-        self.tables
-            .iter()
-            .map(|t| t.iter().map(WordSized::words).sum())
-            .max()
-            .unwrap_or(0)
+        max_row_words(&self.tables)
     }
 
     /// Largest label, in words.
     pub fn max_label_words(&self) -> usize {
-        self.labels
-            .iter()
-            .map(|l| l.iter().map(WordSized::words).sum())
-            .max()
-            .unwrap_or(0)
+        max_row_words(&self.labels)
     }
 
     /// Max overlap over all scales (the cover "degree").

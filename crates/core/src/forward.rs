@@ -4,7 +4,7 @@
 //! label with its own table and commits to one tree ([`select`]); after
 //! that every vertex consults only its own row for that tree and the
 //! `O(1)`-word header ([`step`]). Every plane — the central router, the
-//! serve plane, the three packet protocols, the sparse-cover baseline —
+//! serve plane, the three packet protocols, the two comparison baselines —
 //! calls these functions and nothing else: this is the only file outside
 //! `tree-routing` that invokes the per-tree rules.
 //!
@@ -18,10 +18,10 @@ use std::fmt;
 use graphs::graph::Arc;
 use graphs::{Graph, VertexId, Weight};
 use obs::flight::HopKind;
-use tree_routing::baseline::{self, BaselineLabel};
+use tree_routing::baseline::{self, BaselineLabel, BaselineTable};
 use tree_routing::types::{route_decision, ForwardingDecision, RouteAction, TreeLabel, TreeTable};
 
-use crate::scheme::{LabelEntry, RoutingScheme, RoutingTable, TreeLabelKind, TreeTableKind};
+use crate::scheme::{LabelEntry, RoutingScheme, RoutingTable};
 
 /// How the source picks among valid label entries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -128,25 +128,6 @@ pub fn select(
     }
 }
 
-/// What a message carries to be routed inside one tree: the target's label
-/// there, in either tree-scheme family.
-#[derive(Clone, Copy, Debug)]
-pub enum TreeAddress<'a> {
-    /// A Theorem-2 label.
-    Ours(&'a TreeLabel),
-    /// A prior two-level label.
-    Prior(&'a BaselineLabel),
-}
-
-impl<'a> From<&'a TreeLabelKind> for TreeAddress<'a> {
-    fn from(label: &'a TreeLabelKind) -> Self {
-        match label {
-            TreeLabelKind::Ours(l) => TreeAddress::Ours(l),
-            TreeLabelKind::Prior(l) => TreeAddress::Prior(l),
-        }
-    }
-}
-
 /// One vertex's verdict on a message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Step {
@@ -156,8 +137,8 @@ pub enum Step {
     Forward {
         /// The chosen port.
         port: usize,
-        /// Which branch of the rule chose it; the prior two-level rule does
-        /// not say.
+        /// Which branch of the rule chose it; [`baseline_step`] does not
+        /// say.
         kind: Option<HopKind>,
     },
 }
@@ -198,33 +179,42 @@ pub fn tree_step(
     forward_to(me, next, Some(kind), ports)
 }
 
-/// The rule at `me`: look up its row for the tree rooted at `root` in its
-/// own `table` and apply that tree's rule to the carried `label`.
+/// The prior two-level rule (\[EN16b\]-style, [`crate::prior`]) at `me`,
+/// which holds `table` in the message's tree. The rule does not name its
+/// branch, so a forward carries no [`HopKind`].
 ///
 /// # Errors
 ///
-/// As [`tree_step`]; a missing row, or a row and label of different
-/// families, is [`GraphRouteError::Stuck`].
+/// As [`tree_step`].
+#[inline]
+pub fn baseline_step(
+    me: VertexId,
+    table: &BaselineTable,
+    label: &BaselineLabel,
+    ports: &[Arc],
+) -> Result<Step, GraphRouteError> {
+    match baseline::decide(me, table, label).ok_or(GraphRouteError::Stuck(me))? {
+        RouteAction::Deliver => Ok(Step::Deliver),
+        RouteAction::Forward(next) => forward_to(me, next, None, ports),
+    }
+}
+
+/// The rule at `me`: look up its row for the tree rooted at `root` in its
+/// own `table` and apply the tree rule to the carried `label`.
+///
+/// # Errors
+///
+/// As [`tree_step`]; a missing row is [`GraphRouteError::Stuck`].
 #[inline]
 pub fn step(
     table: &RoutingTable,
     me: VertexId,
     root: VertexId,
-    label: TreeAddress<'_>,
+    label: &TreeLabel,
     ports: &[Arc],
 ) -> Result<Step, GraphRouteError> {
-    let stuck = GraphRouteError::Stuck(me);
-    let row = table.entry(root).ok_or(stuck)?;
-    match (&row.table, label) {
-        (TreeTableKind::Ours(t), TreeAddress::Ours(l)) => tree_step(me, t, l, ports),
-        (TreeTableKind::Prior(t), TreeAddress::Prior(l)) => {
-            match baseline::decide(me, t, l).ok_or(stuck)? {
-                RouteAction::Deliver => Ok(Step::Deliver),
-                RouteAction::Forward(next) => forward_to(me, next, None, ports),
-            }
-        }
-        _ => Err(stuck), // mixed kinds cannot arise from one build
-    }
+    let row = table.entry(root).ok_or(GraphRouteError::Stuck(me))?;
+    tree_step(me, &row.table, label, ports)
 }
 
 /// Drive a message from `src` until `step_at` delivers it, feeding every
@@ -272,7 +262,7 @@ pub fn walk(
     header: &Header<'_>,
     visit: impl FnMut(VertexId),
 ) -> Result<(Weight, u32), GraphRouteError> {
-    let (root, label) = (header.entry.pivot, (&header.entry.tree_label).into());
+    let (root, label) = (header.entry.pivot, &header.entry.tree_label);
     drive(
         g,
         src,

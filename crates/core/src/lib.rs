@@ -24,11 +24,15 @@
 //!    for `i ≥ k/2` (approximate clusters, Claims 9–10) — all as genuine
 //!    trees of `G`.
 //! 4. [`scheme`] — per-tree exact routing (the Theorem-2 tree scheme from
-//!    the [`tree_routing`] crate, or the prior baseline for comparison),
-//!    assembled into per-vertex [`RoutingTable`]s and [`RoutingLabel`]s.
+//!    the [`tree_routing`] crate), assembled into per-vertex
+//!    [`RoutingTable`]s and [`RoutingLabel`]s.
 //! 5. [`forward`] — the routing phase's one rule: pick a tree from the
 //!    target's label, then step hop by hop; [`router`] runs it in a loop
 //!    and measures stretch.
+//!
+//! Table 1's comparison rows sit beside the pipeline, each with its own
+//! rows: [`covers`] (\[ABNLP90\]-style sparse covers) and [`prior`]
+//! (\[EN16b\]-style, the same stages with the prior two-level tree scheme).
 //!
 //! # Examples
 //!
@@ -54,6 +58,7 @@ pub mod oracle;
 pub mod packet;
 pub mod persist;
 pub mod pivots;
+pub mod prior;
 pub mod router;
 pub mod scheme;
 pub mod sparse;

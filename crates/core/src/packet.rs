@@ -18,9 +18,6 @@
 //! Trace state rides *out of band*: it is never counted by [`WordSized`],
 //! so congestion accounting, round counts, and memory meters are identical
 //! between a traced run and its untraced twin.
-//!
-//! Only the paper's tree-scheme family is supported (the prior baseline's
-//! packets would carry its `O(log² n)` labels).
 
 use std::collections::VecDeque;
 
@@ -30,8 +27,8 @@ use graphs::{VertexId, Weight};
 use obs::flight::{EdgeLoadMap, HopRecord, PacketTrace, VertexLoadMap};
 use tree_routing::types::TreeLabel;
 
-use crate::forward::{self, GraphRouteError, Selection, Step, TreeAddress};
-use crate::scheme::{RoutingScheme, RoutingTable, TreeLabelKind};
+use crate::forward::{self, GraphRouteError, Selection, Step};
+use crate::scheme::{RoutingScheme, RoutingTable};
 
 /// The source-side routing decision for one packet, fixed at injection
 /// time: the tree the source commits to and the destination's label in it.
@@ -65,18 +62,11 @@ impl PacketPlan {
 /// per-round injection.
 /// Returns `None` when no label entry of `dst` names a tree containing
 /// `src` (the pair is undeliverable).
-///
-/// # Panics
-///
-/// Panics if the scheme was built in prior-baseline mode.
 pub fn plan(scheme: &RoutingScheme, src: VertexId, dst: VertexId) -> Option<PacketPlan> {
     let header = forward::select(scheme, src, dst, Selection::SourceOptimal)?;
-    let TreeLabelKind::Ours(label) = &header.entry.tree_label else {
-        panic!("packet simulation supports the paper's tree scheme only");
-    };
     Some(PacketPlan {
         tree_root: header.entry.pivot,
-        label: label.clone(),
+        label: header.entry.tree_label.clone(),
         est_cost: header.cost,
     })
 }
@@ -197,8 +187,7 @@ struct PacketVertex<'s> {
 
 impl PacketVertex<'_> {
     fn handle(&mut self, ctx: &mut Ctx<'_, Packet>, mut packet: Packet) {
-        let me = ctx.me();
-        let label = TreeAddress::Ours(&packet.label);
+        let (me, label) = (ctx.me(), &packet.label);
         match forward::step(self.table, me, packet.tree_root, label, ctx.neighbors()) {
             Ok(Step::Deliver) => {
                 self.delivered = Some((ctx.round(), packet.weight));
@@ -261,10 +250,6 @@ impl VertexProtocol for PacketVertex<'_> {
 
 /// Send one packet from `src` to `dst` through the engine, using the
 /// source-optimal tree choice.
-///
-/// # Panics
-///
-/// Panics if the scheme was built in prior-baseline mode.
 pub fn send(
     network: &Network,
     scheme: &RoutingScheme,
@@ -277,10 +262,6 @@ pub fn send(
 /// Like [`send`], but flight-recorded: the returned trace holds one hop
 /// record per edge traversal. The report is identical to the untraced
 /// [`send`]'s — tracing never perturbs rounds, words, or memory.
-///
-/// # Panics
-///
-/// Panics if the scheme was built in prior-baseline mode.
 pub fn send_traced(
     network: &Network,
     scheme: &RoutingScheme,
@@ -414,8 +395,7 @@ impl LoadedVertex<'_> {
     }
 
     fn classify(&mut self, ctx: &Ctx<'_, LoadedPacket>, mut packet: LoadedPacket, round: u64) {
-        let me = ctx.me();
-        let label = TreeAddress::Ours(&packet.label);
+        let (me, label) = (ctx.me(), &packet.label);
         match forward::step(self.table, me, packet.tree_root, label, ctx.neighbors()) {
             Ok(Step::Deliver) => {
                 self.delivered.push((packet.id, round, packet.weight));
@@ -585,10 +565,6 @@ pub struct LoadFlight {
 /// edge per round, so the delivery time of a packet is its hop count plus
 /// the queueing delay its path suffered — the congestion behavior of
 /// compact routing under load.
-///
-/// # Panics
-///
-/// Panics if the scheme was built in prior-baseline mode.
 pub fn send_many(
     network: &Network,
     scheme: &RoutingScheme,
@@ -600,10 +576,6 @@ pub fn send_many(
 /// [`send_many`], with the engine profiler on: the returned report's
 /// `stats.profile` carries the per-phase attribution. Outcomes and
 /// simulated stats are identical to the unprofiled run.
-///
-/// # Panics
-///
-/// Panics if the scheme was built in prior-baseline mode.
 pub fn send_many_profiled(
     network: &Network,
     scheme: &RoutingScheme,
@@ -615,10 +587,6 @@ pub fn send_many_profiled(
 /// Like [`send_many`], but flight-recorded: per-packet hop traces plus
 /// edge/vertex load heatmaps. The report is identical to the untraced
 /// [`send_many`]'s — tracing never perturbs rounds, words, or memory.
-///
-/// # Panics
-///
-/// Panics if the scheme was built in prior-baseline mode.
 pub fn send_many_traced(
     network: &Network,
     scheme: &RoutingScheme,

@@ -3,19 +3,16 @@
 //! Preprocessing is the expensive phase; deployments compute the scheme once
 //! and ship each vertex its table and label. This module provides a compact,
 //! versioned wire format (varint-based, reusing
-//! [`tree_routing::encode`]'s primitives) for whole schemes built in the
-//! paper's modes ([`Mode::Centralized`] / [`Mode::DistributedLowMemory`]);
-//! the prior-baseline mode exists for comparison only and is not
-//! serialized.
+//! [`tree_routing::encode`]'s primitives) for whole schemes, in either
+//! [`Mode`]. Decoding validates as it reads: a payload that checksums but
+//! names a vertex outside the scheme, overflows a DFS interval, or breaks
+//! the row order lookups rely on is [`PersistError::Malformed`].
 
 use graphs::VertexId;
 use tree_routing::encode::{read_varint, write_varint};
 use tree_routing::types::{TreeLabel, TreeTable};
 
-use crate::scheme::{
-    LabelEntry, Mode, RoutingLabel, RoutingScheme, RoutingTable, TableEntry, TreeLabelKind,
-    TreeTableKind,
-};
+use crate::scheme::{LabelEntry, Mode, RoutingLabel, RoutingScheme, RoutingTable, TableEntry};
 
 const MAGIC: &[u8; 4] = b"DRS1";
 
@@ -29,10 +26,9 @@ const CONTAINER_VERSION: u64 = 1;
 pub enum PersistError {
     /// Missing or wrong magic/version header.
     BadHeader,
-    /// Truncated or malformed varint stream.
+    /// Truncated or malformed varint stream, or a payload that is not a
+    /// well-formed scheme.
     Malformed,
-    /// The scheme used the prior-baseline tree family.
-    UnsupportedMode,
     /// The container declares more payload bytes than the file holds.
     Truncated {
         /// Payload bytes the header promised.
@@ -56,9 +52,6 @@ impl std::fmt::Display for PersistError {
         match self {
             PersistError::BadHeader => write!(f, "bad magic or version header"),
             PersistError::Malformed => write!(f, "malformed scheme bytes"),
-            PersistError::UnsupportedMode => {
-                write!(f, "prior-baseline schemes are not serializable")
-            }
             PersistError::Truncated { expected, found } => write!(
                 f,
                 "truncated container: header promises {expected} payload bytes, found {found}"
@@ -111,9 +104,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 ///
 /// # Errors
 ///
-/// [`PersistError::UnsupportedMode`] for prior-baseline schemes.
+/// None today; the `Result` is kept for callers that already handle it.
 pub fn encode_container(s: &RoutingScheme) -> Result<Vec<u8>, PersistError> {
-    let payload = encode_scheme(s)?;
+    let payload = encode_scheme(s);
     let mut buf = Vec::with_capacity(payload.len() + 16);
     buf.extend_from_slice(CONTAINER_MAGIC);
     write_varint(&mut buf, CONTAINER_VERSION);
@@ -169,7 +162,6 @@ pub fn decode_container(buf: &[u8]) -> Result<RoutingScheme, PersistError> {
 ///
 /// # Errors
 ///
-/// [`PersistError::UnsupportedMode`] for prior-baseline schemes and
 /// [`PersistError::Io`] on filesystem failures.
 pub fn save_scheme_to(
     path: impl AsRef<std::path::Path>,
@@ -179,39 +171,52 @@ pub fn save_scheme_to(
     std::fs::write(path, bytes).map_err(|e| PersistError::Io(e.to_string()))
 }
 
-/// Read a scheme back from `path`.
-///
-/// Accepts both the checksummed container and legacy raw [`encode_scheme`]
-/// files (magic `DRS1`) written before the container existed.
+/// Read a scheme back from the checksummed container at `path`.
 ///
 /// # Errors
 ///
 /// [`PersistError::Io`] on filesystem failures, otherwise any
-/// [`decode_container`] / [`decode_scheme`] error.
+/// [`decode_container`] error.
 pub fn load_scheme_from(path: impl AsRef<std::path::Path>) -> Result<RoutingScheme, PersistError> {
     let bytes = std::fs::read(path).map_err(|e| PersistError::Io(e.to_string()))?;
-    if bytes.len() >= 4 && &bytes[..4] == CONTAINER_MAGIC {
-        decode_container(&bytes)
-    } else {
-        decode_scheme(&bytes)
-    }
+    decode_container(&bytes)
 }
 
 fn write_opt(buf: &mut Vec<u8>, v: Option<VertexId>) {
     write_varint(buf, v.map_or(0, |x| u64::from(x.0) + 1));
 }
 
-fn read_opt(buf: &[u8], pos: &mut usize) -> Result<Option<VertexId>, PersistError> {
-    let raw = read_varint(buf, pos).ok_or(PersistError::Malformed)?;
-    Ok(if raw == 0 {
-        None
-    } else {
-        Some(VertexId((raw - 1) as u32))
-    })
-}
-
 fn rv(buf: &[u8], pos: &mut usize) -> Result<u64, PersistError> {
     read_varint(buf, pos).ok_or(PersistError::Malformed)
+}
+
+/// A count of items that take at least a byte each, so never more than the
+/// payload holds.
+fn read_count(buf: &[u8], pos: &mut usize) -> Result<usize, PersistError> {
+    let count = rv(buf, pos)?;
+    usize::try_from(count)
+        .ok()
+        .filter(|&c| c <= buf.len())
+        .ok_or(PersistError::Malformed)
+}
+
+/// A vertex id `raw` of an `n`-vertex scheme.
+fn vertex(raw: u64, n: usize) -> Result<VertexId, PersistError> {
+    match u32::try_from(raw) {
+        Ok(id) if (id as usize) < n => Ok(VertexId(id)),
+        _ => Err(PersistError::Malformed),
+    }
+}
+
+fn read_vertex(buf: &[u8], pos: &mut usize, n: usize) -> Result<VertexId, PersistError> {
+    vertex(rv(buf, pos)?, n)
+}
+
+fn read_opt(buf: &[u8], pos: &mut usize, n: usize) -> Result<Option<VertexId>, PersistError> {
+    match rv(buf, pos)? {
+        0 => Ok(None),
+        raw => vertex(raw - 1, n).map(Some),
+    }
 }
 
 fn write_tree_table(buf: &mut Vec<u8>, t: &TreeTable) {
@@ -221,16 +226,16 @@ fn write_tree_table(buf: &mut Vec<u8>, t: &TreeTable) {
     write_opt(buf, t.heavy);
 }
 
-fn read_tree_table(buf: &[u8], pos: &mut usize) -> Result<TreeTable, PersistError> {
+fn read_tree_table(buf: &[u8], pos: &mut usize, n: usize) -> Result<TreeTable, PersistError> {
     let enter = rv(buf, pos)?;
-    let span = rv(buf, pos)?;
-    let parent = read_opt(buf, pos)?;
-    let heavy = read_opt(buf, pos)?;
+    let exit = enter
+        .checked_add(rv(buf, pos)?)
+        .ok_or(PersistError::Malformed)?;
     Ok(TreeTable {
         enter,
-        exit: enter + span,
-        parent,
-        heavy,
+        exit,
+        parent: read_opt(buf, pos, n)?,
+        heavy: read_opt(buf, pos, n)?,
     })
 }
 
@@ -243,30 +248,18 @@ fn write_tree_label(buf: &mut Vec<u8>, l: &TreeLabel) {
     }
 }
 
-fn read_tree_label(buf: &[u8], pos: &mut usize) -> Result<TreeLabel, PersistError> {
+fn read_tree_label(buf: &[u8], pos: &mut usize, n: usize) -> Result<TreeLabel, PersistError> {
     let enter = rv(buf, pos)?;
-    let count = rv(buf, pos)? as usize;
-    if count > buf.len() {
-        return Err(PersistError::Malformed);
-    }
+    let count = read_count(buf, pos)?;
     let mut light = Vec::with_capacity(count);
     for _ in 0..count {
-        let p = VertexId(rv(buf, pos)? as u32);
-        let c = VertexId(rv(buf, pos)? as u32);
-        light.push((p, c));
+        light.push((read_vertex(buf, pos, n)?, read_vertex(buf, pos, n)?));
     }
     Ok(TreeLabel { enter, light })
 }
 
 /// Serialize a scheme.
-///
-/// # Errors
-///
-/// [`PersistError::UnsupportedMode`] for prior-baseline schemes.
-pub fn encode_scheme(s: &RoutingScheme) -> Result<Vec<u8>, PersistError> {
-    if s.mode == Mode::DistributedPrior {
-        return Err(PersistError::UnsupportedMode);
-    }
+pub fn encode_scheme(s: &RoutingScheme) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.extend_from_slice(MAGIC);
     write_varint(&mut buf, s.k as u64);
@@ -275,7 +268,6 @@ pub fn encode_scheme(s: &RoutingScheme) -> Result<Vec<u8>, PersistError> {
         match s.mode {
             Mode::Centralized => 0,
             Mode::DistributedLowMemory => 1,
-            Mode::DistributedPrior => unreachable!("rejected above"),
         },
     );
     write_varint(&mut buf, s.num_vertices() as u64);
@@ -283,26 +275,20 @@ pub fn encode_scheme(s: &RoutingScheme) -> Result<Vec<u8>, PersistError> {
         let rows = s.table(v).rows();
         write_varint(&mut buf, rows.len() as u64);
         for e in rows {
-            let TreeTableKind::Ours(t) = &e.table else {
-                return Err(PersistError::UnsupportedMode);
-            };
             write_varint(&mut buf, u64::from(e.root.0));
             write_varint(&mut buf, e.level as u64);
             write_varint(&mut buf, e.dist);
-            write_tree_table(&mut buf, t);
+            write_tree_table(&mut buf, &e.table);
         }
     }
     for v in s.vertices() {
         let rows = s.label(v).rows();
         write_varint(&mut buf, rows.len() as u64);
         for e in rows {
-            let TreeLabelKind::Ours(l) = &e.tree_label else {
-                return Err(PersistError::UnsupportedMode);
-            };
             write_varint(&mut buf, e.level as u64);
             write_varint(&mut buf, u64::from(e.pivot.0));
             write_varint(&mut buf, e.dist);
-            write_tree_label(&mut buf, l);
+            write_tree_label(&mut buf, &e.tree_label);
         }
     }
     for v in s.vertices() {
@@ -313,14 +299,17 @@ pub fn encode_scheme(s: &RoutingScheme) -> Result<Vec<u8>, PersistError> {
             write_varint(&mut buf, d);
         }
     }
-    Ok(buf)
+    buf
 }
 
 /// Deserialize a scheme.
 ///
 /// # Errors
 ///
-/// [`PersistError`] on any malformed input.
+/// [`PersistError`] on any malformed input: besides a broken varint stream,
+/// a vertex id outside the scheme, a DFS interval whose end overflows, table
+/// roots that do not strictly ascend, or label levels that do not strictly
+/// ascend.
 pub fn decode_scheme(buf: &[u8]) -> Result<RoutingScheme, PersistError> {
     if buf.len() < 4 || &buf[..4] != MAGIC {
         return Err(PersistError::BadHeader);
@@ -332,63 +321,49 @@ pub fn decode_scheme(buf: &[u8]) -> Result<RoutingScheme, PersistError> {
         1 => Mode::DistributedLowMemory,
         _ => return Err(PersistError::BadHeader),
     };
-    let n = rv(buf, &mut pos)? as usize;
-    if n > buf.len() {
-        return Err(PersistError::Malformed);
-    }
+    let n = read_count(buf, &mut pos)?;
     let mut tables = Vec::with_capacity(n);
     for _ in 0..n {
-        let count = rv(buf, &mut pos)? as usize;
-        if count > buf.len() {
-            return Err(PersistError::Malformed);
-        }
-        let mut entries = Vec::with_capacity(count);
+        let count = read_count(buf, &mut pos)?;
+        let mut entries: Vec<TableEntry> = Vec::with_capacity(count);
         for _ in 0..count {
-            let root = VertexId(rv(buf, &mut pos)? as u32);
-            let level = rv(buf, &mut pos)? as usize;
-            let dist = rv(buf, &mut pos)?;
-            let t = read_tree_table(buf, &mut pos)?;
+            let root = read_vertex(buf, &mut pos, n)?;
+            if entries.last().is_some_and(|prev| prev.root >= root) {
+                return Err(PersistError::Malformed); // lookups binary-search roots
+            }
             entries.push(TableEntry {
                 root,
-                level,
-                dist,
-                table: TreeTableKind::Ours(t),
+                level: rv(buf, &mut pos)? as usize,
+                dist: rv(buf, &mut pos)?,
+                table: read_tree_table(buf, &mut pos, n)?,
             });
         }
         tables.push(RoutingTable::from_rows(entries));
     }
     let mut labels = Vec::with_capacity(n);
     for _ in 0..n {
-        let count = rv(buf, &mut pos)? as usize;
-        if count > buf.len() {
-            return Err(PersistError::Malformed);
-        }
-        let mut entries = Vec::with_capacity(count);
+        let count = read_count(buf, &mut pos)?;
+        let mut entries: Vec<LabelEntry> = Vec::with_capacity(count);
         for _ in 0..count {
             let level = rv(buf, &mut pos)? as usize;
-            let pivot = VertexId(rv(buf, &mut pos)? as u32);
-            let dist = rv(buf, &mut pos)?;
-            let l = read_tree_label(buf, &mut pos)?;
+            if entries.last().is_some_and(|prev| prev.level >= level) {
+                return Err(PersistError::Malformed);
+            }
             entries.push(LabelEntry {
                 level,
-                pivot,
-                dist,
-                tree_label: TreeLabelKind::Ours(l),
+                pivot: read_vertex(buf, &mut pos, n)?,
+                dist: rv(buf, &mut pos)?,
+                tree_label: read_tree_label(buf, &mut pos, n)?,
             });
         }
         labels.push(RoutingLabel::from_rows(entries));
     }
     let mut pivot_info = Vec::with_capacity(n);
     for _ in 0..n {
-        let count = rv(buf, &mut pos)? as usize;
-        if count > buf.len() {
-            return Err(PersistError::Malformed);
-        }
+        let count = read_count(buf, &mut pos)?;
         let mut pivots = Vec::with_capacity(count);
         for _ in 0..count {
-            let p = VertexId(rv(buf, &mut pos)? as u32);
-            let d = rv(buf, &mut pos)?;
-            pivots.push((p, d));
+            pivots.push((read_vertex(buf, &mut pos, n)?, rv(buf, &mut pos)?));
         }
         pivot_info.push(pivots);
     }
@@ -419,7 +394,7 @@ mod tests {
     #[test]
     fn round_trips_and_routes_identically() {
         let (g, s) = scheme(60, 1101);
-        let bytes = encode_scheme(&s).unwrap();
+        let bytes = encode_scheme(&s);
         let back = decode_scheme(&bytes).unwrap();
         assert_eq!(back.k, s.k);
         assert_eq!(back.mode, s.mode);
@@ -439,7 +414,7 @@ mod tests {
     #[test]
     fn rejects_bad_magic_and_truncation() {
         let (_, s) = scheme(30, 1102);
-        let mut bytes = encode_scheme(&s).unwrap();
+        let mut bytes = encode_scheme(&s);
         assert!(matches!(
             decode_scheme(b"nope"),
             Err(PersistError::BadHeader)
@@ -454,27 +429,12 @@ mod tests {
     #[test]
     fn rejects_trailing_bytes() {
         let (_, s) = scheme(30, 1103);
-        let mut bytes = encode_scheme(&s).unwrap();
+        let mut bytes = encode_scheme(&s);
         bytes.push(7);
         assert!(matches!(
             decode_scheme(&bytes),
             Err(PersistError::Malformed)
         ));
-    }
-
-    #[test]
-    fn prior_mode_is_rejected() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1104);
-        let g = generators::erdos_renyi_connected(40, 0.08, 1..=9, &mut rng);
-        let built = build(
-            &g,
-            &BuildParams::new(2).with_mode(crate::scheme::Mode::DistributedPrior),
-            &mut rng,
-        );
-        assert_eq!(
-            encode_scheme(&built.scheme),
-            Err(PersistError::UnsupportedMode)
-        );
     }
 
     #[test]
@@ -501,13 +461,120 @@ mod tests {
     }
 
     #[test]
-    fn load_accepts_legacy_raw_scheme_files() {
+    fn load_rejects_raw_scheme_files() {
         let (_, s) = scheme(30, 1107);
-        let path = std::env::temp_dir().join("drt-persist-legacy.bin");
-        std::fs::write(&path, encode_scheme(&s).unwrap()).unwrap();
-        let back = load_scheme_from(&path).unwrap();
+        let path = std::env::temp_dir().join("drt-persist-raw.bin");
+        std::fs::write(&path, encode_scheme(&s)).unwrap();
+        let loaded = load_scheme_from(&path);
         std::fs::remove_file(&path).ok();
-        assert_eq!(back.num_vertices(), s.num_vertices());
+        assert_eq!(loaded.err(), Some(PersistError::BadHeader));
+    }
+
+    /// A hand-written two-vertex payload (k = 2, low-memory mode). Vertex 1
+    /// is well formed; vertex 0 holds the given table, label and pivot
+    /// words, each led by its row count.
+    fn two_vertex_payload(table: &[u64], label: &[u64], pivots: &[u64]) -> Vec<u8> {
+        let mut words = vec![2, 1, 2];
+        words.extend(table);
+        words.extend([1, 1, 0, 0, 0, 0, 0, 0]); // its own tree, one vertex
+        words.extend(label);
+        words.extend([1, 0, 1, 0, 0, 0]); // level 0, pivot 1, no light edges
+        words.extend(pivots);
+        words.extend([1, 1, 0]);
+        let mut buf = MAGIC.to_vec();
+        for w in words {
+            write_varint(&mut buf, w);
+        }
+        buf
+    }
+
+    #[test]
+    fn payloads_that_checksum_but_are_not_schemes_are_malformed() {
+        // Vertex 0's well-formed words: row (root 0, level 0, dist 0, enter 0,
+        // span 0, no parent, no heavy child), label row (level 0, pivot 0,
+        // dist 0, enter 0, no light edges), pivot pair (0, 0).
+        let table = [1, 0, 0, 0, 0, 0, 0, 0];
+        let label = [1, 0, 0, 0, 0, 0];
+        let pivots = [1, 0, 0];
+        assert!(decode_scheme(&two_vertex_payload(&table, &label, &pivots)).is_ok());
+        let alias = (1u64 << 32) + 1; // vertex 1 once narrowed to 32 bits
+        let cases: [(&str, Vec<u8>); 9] = [
+            (
+                "table root id aliases a vertex",
+                two_vertex_payload(&[1, alias, 0, 0, 0, 0, 0, 0], &label, &pivots),
+            ),
+            (
+                "tree parent id >= n",
+                two_vertex_payload(&[1, 0, 0, 0, 0, 0, 9, 0], &label, &pivots),
+            ),
+            (
+                "enter + span overflows",
+                two_vertex_payload(&[1, 0, 0, 0, u64::MAX, 1, 0, 0], &label, &pivots),
+            ),
+            (
+                "table roots descend",
+                two_vertex_payload(
+                    &[2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                    &label,
+                    &pivots,
+                ),
+            ),
+            (
+                "table roots repeat",
+                two_vertex_payload(
+                    &[2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                    &label,
+                    &pivots,
+                ),
+            ),
+            (
+                "label pivot id >= n",
+                two_vertex_payload(&table, &[1, 0, 5, 0, 0, 0], &pivots),
+            ),
+            (
+                "light edge id >= n",
+                two_vertex_payload(&table, &[1, 0, 0, 0, 0, 1, 0, 7], &pivots),
+            ),
+            (
+                "label levels descend",
+                two_vertex_payload(&table, &[2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0], &pivots),
+            ),
+            (
+                "pivot id aliases a vertex",
+                two_vertex_payload(&table, &label, &[1, alias, 0]),
+            ),
+        ];
+        for (case, bytes) in cases {
+            assert_eq!(
+                decode_scheme(&bytes).err(),
+                Some(PersistError::Malformed),
+                "{case}"
+            );
+        }
+        // The same through a well-formed container: the CRC vouches only
+        // for the bytes, not for the scheme they spell.
+        let (g, s) = scheme(30, 1110);
+        let n = g.num_vertices();
+        let mut tables: Vec<RoutingTable> = s.vertices().map(|v| s.table(v).clone()).collect();
+        let mut rows = tables[0].rows().to_vec();
+        rows.push(TableEntry {
+            root: VertexId(n as u32 + 3),
+            ..rows[0].clone()
+        });
+        tables[0] = RoutingTable::from_rows(rows);
+        let forged = RoutingScheme::from_parts(
+            s.k,
+            s.mode,
+            tables,
+            s.vertices().map(|v| s.label(v).clone()).collect(),
+            s.vertices().map(|v| s.pivots(v).to_vec()).collect(),
+        );
+        let bytes = encode_container(&forged).unwrap();
+        assert_eq!(
+            decode_container(&bytes).err(),
+            Some(PersistError::Malformed),
+            "table root n + 3"
+        );
     }
 
     #[test]
@@ -556,7 +623,7 @@ mod tests {
     #[test]
     fn encoding_is_compact() {
         let (_, s) = scheme(100, 1105);
-        let bytes = encode_scheme(&s).unwrap();
+        let bytes = encode_scheme(&s);
         let words: usize = s.vertices().map(|v| s.resident_words(v)).sum();
         assert!(
             bytes.len() < 8 * words,

@@ -137,6 +137,22 @@ pub fn measure_stretch(
     srcs: &[VertexId],
     selection: Selection,
 ) -> StretchStats {
+    measure_stretch_by(g, srcs, |s, t| {
+        route_with(g, scheme, s, t, selection).map(|trace| (trace.weight, trace.hops()))
+    })
+}
+
+/// [`measure_stretch`] for any router: `route(s, t)` answers a pair with its
+/// routed `(weight, hops)`. Every comparison row measures through this loop.
+///
+/// # Panics
+///
+/// As [`measure_stretch`].
+pub fn measure_stretch_by(
+    g: &Graph,
+    srcs: &[VertexId],
+    mut route: impl FnMut(VertexId, VertexId) -> Result<(Weight, usize), GraphRouteError>,
+) -> StretchStats {
     let mut stats = StretchStats::default();
     let mut values = Vec::new();
     let mut hops = 0usize;
@@ -149,19 +165,19 @@ pub fn measure_stretch(
             if exact[t.index()] == INFINITY {
                 continue;
             }
-            let trace = route_with(g, scheme, s, t, selection)
-                .unwrap_or_else(|e| panic!("route {s} -> {t} failed: {e}"));
+            let (weight, routed_hops) =
+                route(s, t).unwrap_or_else(|e| panic!("route {s} -> {t} failed: {e}"));
             assert!(
-                trace.weight >= exact[t.index()],
+                weight >= exact[t.index()],
                 "routed weight {} undershoots distance {}",
-                trace.weight,
+                weight,
                 exact[t.index()]
             );
-            let stretch = trace.weight as f64 / exact[t.index()] as f64;
+            let stretch = weight as f64 / exact[t.index()] as f64;
             stats.pairs += 1;
             stats.max = stats.max.max(stretch);
             values.push(stretch);
-            hops += trace.hops();
+            hops += routed_hops;
         }
     }
     if stats.pairs > 0 {
@@ -248,17 +264,8 @@ mod tests {
     #[test]
     fn stretch_bound_holds_prior_mode() {
         let (g, mut rng) = er(60, 314);
-        let built = build(
-            &g,
-            &BuildParams::new(2).with_mode(Mode::DistributedPrior),
-            &mut rng,
-        );
-        let stats = measure_stretch(
-            &g,
-            &built.scheme,
-            &all_sources(&g),
-            Selection::SourceOptimal,
-        );
+        let built = crate::prior::build(&g, 2, &mut rng);
+        let stats = crate::prior::measure_stretch(&g, &built.scheme, &all_sources(&g));
         assert!(
             stats.max <= (4 * 2 - 3) as f64 + 0.5,
             "prior-mode stretch {} exceeds bound",

@@ -7,7 +7,7 @@
 //! `d̂(p̂_i(v), v)`, and `v`'s tree-routing label inside the pivot's cluster
 //! tree — `O(k)` entries of `O(log n)` words each.
 //!
-//! Three construction modes share the pipeline and differ in what the
+//! Two construction modes share the pipeline and differ in what the
 //! experiment measures:
 //!
 //! * [`Mode::Centralized`] — the Thorup–Zwick reference row: exact clusters
@@ -17,18 +17,16 @@
 //!   and approximate clusters above the virtual level, the Theorem-2 tree
 //!   routing per cluster tree (all trees in parallel at `q = 1/√(sn)`),
 //!   per-vertex memory `Õ(n^{1/k})`.
-//! * [`Mode::DistributedPrior`] — the \[EN16b\]-style row: same clusters, but
-//!   the virtual graph is materialized (`Ω̃(√n)` memory at virtual vertices)
-//!   and trees use the prior two-level scheme (`O(log n)` tables,
-//!   `O(log² n)` labels).
+//!
+//! The \[EN16b\]-style comparison row runs the same stages with its own tree
+//! scheme and keeps its own rows; it lives in [`crate::prior`].
 
 use congest::{bfs, CostLedger, MemoryMeter, Network, WordSized};
-use graphs::{tree::rank_in, Graph, VertexId, Weight, INFINITY};
+use graphs::{tree::rank_in, Graph, RootedTree, VertexId, Weight, INFINITY};
 use hopset::construction::{build_observed as build_hopset_observed, HopsetParams};
 use hopset::virtual_graph::default_b;
 use hopset::VirtualGraph;
 use rand::Rng;
-use tree_routing::baseline::{BaselineLabel, BaselineTable};
 use tree_routing::distributed as tree_distributed;
 use tree_routing::types::{TreeLabel, TreeTable};
 use tree_routing::tz;
@@ -45,8 +43,6 @@ pub enum Mode {
     Centralized,
     /// The paper's low-memory distributed construction.
     DistributedLowMemory,
-    /// The prior-work distributed construction (\[EN16b\]-style).
-    DistributedPrior,
 }
 
 /// Parameters of the construction.
@@ -102,45 +98,11 @@ impl BuildParams {
     }
 }
 
-/// Which tree-scheme family a table/label entry carries.
+/// One table row: a cluster tree this vertex belongs to. The tree-routing
+/// table `T` is the paper's Theorem-2 table; only the comparison row in
+/// [`crate::prior`] names another.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TreeTableKind {
-    /// Theorem-2 tables (`O(1)` words).
-    Ours(TreeTable),
-    /// Prior two-level tables (`O(log n)` words).
-    Prior(BaselineTable),
-}
-
-impl WordSized for TreeTableKind {
-    fn words(&self) -> usize {
-        match self {
-            TreeTableKind::Ours(t) => t.words(),
-            TreeTableKind::Prior(t) => t.words(),
-        }
-    }
-}
-
-/// Tree labels, same split.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TreeLabelKind {
-    /// Theorem-2 labels (`O(log n)` words).
-    Ours(TreeLabel),
-    /// Prior two-level labels (`O(log² n)` words).
-    Prior(BaselineLabel),
-}
-
-impl WordSized for TreeLabelKind {
-    fn words(&self) -> usize {
-        match self {
-            TreeLabelKind::Ours(l) => l.words(),
-            TreeLabelKind::Prior(l) => l.words(),
-        }
-    }
-}
-
-/// One table row: a cluster tree this vertex belongs to.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TableEntry {
+pub struct TableEntry<T = TreeTable> {
     /// The cluster center / tree root.
     pub root: VertexId,
     /// The root's hierarchy level.
@@ -148,10 +110,10 @@ pub struct TableEntry {
     /// The construction's distance estimate to the root (≥ true distance).
     pub dist: Weight,
     /// The tree-routing table inside this tree.
-    pub table: TreeTableKind,
+    pub table: T,
 }
 
-impl WordSized for TableEntry {
+impl<T: WordSized> WordSized for TableEntry<T> {
     fn words(&self) -> usize {
         3 + self.table.words()
     }
@@ -193,13 +155,14 @@ impl RoutingTable {
 
 impl WordSized for RoutingTable {
     fn words(&self) -> usize {
-        self.entries.iter().map(WordSized::words).sum()
+        row_words(&self.entries)
     }
 }
 
-/// One label row: a level whose pivot tree contains the labeled vertex.
+/// One label row: a level whose pivot tree contains the labeled vertex,
+/// with its tree-routing label `L` there (as [`TableEntry`]'s `T`).
 #[derive(Clone, Debug, PartialEq)]
-pub struct LabelEntry {
+pub struct LabelEntry<L = TreeLabel> {
     /// The hierarchy level `i`.
     pub level: usize,
     /// The (approximate) pivot `p̂_i(v)`.
@@ -207,10 +170,10 @@ pub struct LabelEntry {
     /// Estimated distance from the pivot's tree root to `v`.
     pub dist: Weight,
     /// `v`'s tree-routing label inside the pivot's cluster tree.
-    pub tree_label: TreeLabelKind,
+    pub tree_label: L,
 }
 
-impl WordSized for LabelEntry {
+impl<L: WordSized> WordSized for LabelEntry<L> {
     fn words(&self) -> usize {
         3 + self.tree_label.words()
     }
@@ -243,7 +206,7 @@ impl RoutingLabel {
 
 impl WordSized for RoutingLabel {
     fn words(&self) -> usize {
-        self.entries.iter().map(WordSized::words).sum()
+        row_words(&self.entries)
     }
 }
 
@@ -354,9 +317,11 @@ impl RoutingScheme {
     /// [`MemoryMeter`], so audits can reconcile component-level attribution
     /// against the metered totals word for word.
     pub fn resident_words(&self, v: VertexId) -> usize {
-        self.tables[v.index()].words()
-            + self.labels[v.index()].words()
-            + 2 * self.pivot_info[v.index()].len()
+        resident_words_of(
+            self.tables[v.index()].rows(),
+            self.labels[v.index()].rows(),
+            self.pivot_info[v.index()].len(),
+        )
     }
 }
 
@@ -426,11 +391,13 @@ impl std::fmt::Display for BuildReport {
     }
 }
 
-/// The built scheme plus its cluster trees (kept for verification/benches).
+/// A built scheme plus its cluster trees (kept for verification/benches):
+/// the paper's [`RoutingScheme`], or a comparison row's own rows
+/// ([`crate::prior::PriorScheme`]).
 #[derive(Clone, Debug)]
-pub struct Built {
+pub struct Built<S = RoutingScheme> {
     /// The routing scheme.
-    pub scheme: RoutingScheme,
+    pub scheme: S,
     /// All cluster trees, in construction order.
     pub trees: Vec<SparseTree>,
     /// The hopset, when the construction needed one (`None` in centralized
@@ -441,26 +408,45 @@ pub struct Built {
     pub report: BuildReport,
 }
 
-/// One cluster tree's finished tree-routing scheme in either family: the
-/// members ascending by id, with their tables and labels by rank.
-struct TreeRows {
-    members: Vec<VertexId>,
-    tables: Vec<TreeTableKind>,
-    labels: Vec<TreeLabelKind>,
+/// One cluster tree's finished tree-routing scheme: the members ascending
+/// by id, with their tables and labels by rank.
+pub(crate) type TreeParts<T, L> = (Vec<VertexId>, Vec<T>, Vec<L>);
+
+/// What one distributed tree run cost: its own ledger and its members'
+/// memory peaks (`None` for a centrally computed tree).
+pub(crate) type TreeCost = Option<(CostLedger, MemoryMeter)>;
+
+/// The shared pipeline's rows, per vertex: table rows ascending by root,
+/// label rows ascending by level, and `(p̂_i(v), d̂(v, A_i))` per level.
+pub(crate) type Rows<T, L> = (
+    Vec<Vec<TableEntry<T>>>,
+    Vec<Vec<LabelEntry<L>>>,
+    Vec<Vec<(VertexId, Weight)>>,
+);
+
+/// Words of a run of rows.
+fn row_words<E: WordSized>(rows: &[E]) -> usize {
+    rows.iter().map(WordSized::words).sum()
 }
 
-impl TreeRows {
-    fn new<T, L>(
-        (members, tables, labels): (Vec<VertexId>, Vec<T>, Vec<L>),
-        table_kind: fn(T) -> TreeTableKind,
-        label_kind: fn(L) -> TreeLabelKind,
-    ) -> Self {
-        TreeRows {
-            members,
-            tables: tables.into_iter().map(table_kind).collect(),
-            labels: labels.into_iter().map(label_kind).collect(),
-        }
-    }
+/// Words of routing state a vertex holds once construction scratch is gone:
+/// its table rows, its label rows, and `pivots` `(pivot, distance)` pairs of
+/// two words each.
+fn resident_words_of<T: WordSized, L: WordSized>(
+    table: &[TableEntry<T>],
+    label: &[LabelEntry<L>],
+    pivots: usize,
+) -> usize {
+    row_words(table) + row_words(label) + 2 * pivots
+}
+
+/// The largest per-vertex sum of row words.
+pub(crate) fn max_row_words<E: WordSized>(per_vertex: &[Vec<E>]) -> usize {
+    per_vertex
+        .iter()
+        .map(|rows| row_words(rows))
+        .max()
+        .unwrap_or(0)
 }
 
 /// Build a routing scheme for `g`.
@@ -489,6 +475,53 @@ pub fn build_observed<R: Rng>(
     rng: &mut R,
     rec: &mut obs::Recorder,
 ) -> Built {
+    build_staged(
+        g,
+        params,
+        false,
+        rng,
+        rec,
+        |net, tree, cfg, rng| match params.mode {
+            Mode::Centralized => (tz::build(tree).into_parts(), None),
+            Mode::DistributedLowMemory => {
+                let out = tree_distributed::build(net, tree, cfg, rng);
+                (out.scheme.into_parts(), Some((out.ledger, out.memory)))
+            }
+        },
+        |(tables, labels, pivot_info)| {
+            let tables = tables.into_iter().map(RoutingTable::from_rows).collect();
+            let labels = labels.into_iter().map(RoutingLabel::from_rows).collect();
+            RoutingScheme::from_parts(params.k, params.mode, tables, labels, pivot_info)
+        },
+    )
+}
+
+/// The pipeline both tree-scheme families share: backbone, hierarchy,
+/// hopset, pivots and clusters, then `tree_scheme` once per cluster tree (in
+/// construction order, with the shared sampling rate and backbone), then
+/// assembly into per-vertex rows, charged to the meter as what each vertex
+/// keeps, which `package` turns into the scheme. `materialize` adds the step
+/// the paper eliminates: every virtual vertex storing its `E'` edges. A
+/// distributed run is one whose `params.mode` is not [`Mode::Centralized`].
+pub(crate) fn build_staged<R, T, L, S>(
+    g: &Graph,
+    params: &BuildParams,
+    materialize: bool,
+    rng: &mut R,
+    rec: &mut obs::Recorder,
+    mut tree_scheme: impl FnMut(
+        &Network,
+        &RootedTree,
+        &tree_distributed::Config,
+        &mut R,
+    ) -> (TreeParts<T, L>, TreeCost),
+    package: impl FnOnce(Rows<T, L>) -> S,
+) -> Built<S>
+where
+    R: Rng,
+    T: WordSized,
+    L: WordSized + Clone,
+{
     let n = g.num_vertices();
     assert!(n > 0, "graph must be non-empty");
     let k = params.k;
@@ -547,10 +580,9 @@ pub fn build_observed<R: Rng>(
         hopset_arboricity = out.stats.arboricity;
         out.hopset
     });
-    if params.mode == Mode::DistributedPrior {
+    if materialize {
         if let Some(virt) = virt.as_ref() {
-            // The prior construction materializes the virtual graph: every
-            // virtual vertex stores its E' incident edges — the Ω̃(√n)
+            // Every virtual vertex stores its E' incident edges — the Ω̃(√n)
             // memory step the paper eliminates.
             let edges = virt.materialize(g);
             ledger.charge_broadcast_span(edges.len() as u64, d as u64, rec);
@@ -694,60 +726,20 @@ pub fn build_observed<R: Rng>(
     let q_tree = (1.0 / ((s * n) as f64).sqrt()).clamp(0.0, 1.0);
     let window = (((s * n) as f64).sqrt() as u64 + 1)
         * (tree_distributed::log2_ceil(n.max(2)) as u64).max(1);
-    let mut tree_rows: Vec<TreeRows> = Vec::with_capacity(trees.len());
+    let mut tree_rows: Vec<TreeParts<T, L>> = Vec::with_capacity(trees.len());
     let mut tree_stage_rounds = 0u64;
     let mut max_finish = 0u64;
+    let config = tree_distributed::Config {
+        q: Some(q_tree),
+        backbone_depth: Some(d),
+    };
     for t in &trees {
-        let rooted = t.to_rooted(n);
-        // Each distributed arm also returns what the tree's run cost.
-        let (rows, cost) = match params.mode {
-            Mode::Centralized => {
-                let scheme = tz::build(&rooted);
-                let rows = TreeRows::new(
-                    scheme.into_parts(),
-                    TreeTableKind::Ours,
-                    TreeLabelKind::Ours,
-                );
-                (rows, None)
-            }
-            Mode::DistributedLowMemory => {
-                let out = tree_distributed::build(
-                    &network,
-                    &rooted,
-                    &tree_distributed::Config {
-                        q: Some(q_tree),
-                        backbone_depth: Some(d),
-                    },
-                    rng,
-                );
-                let rows = TreeRows::new(
-                    out.scheme.into_parts(),
-                    TreeTableKind::Ours,
-                    TreeLabelKind::Ours,
-                );
-                (rows, Some((out.ledger, out.memory)))
-            }
-            Mode::DistributedPrior => {
-                let out = tree_routing::baseline::build_with_backbone(
-                    &network,
-                    &rooted,
-                    Some(q_tree),
-                    Some(d),
-                    rng,
-                );
-                let rows = TreeRows::new(
-                    out.scheme.into_parts(),
-                    TreeTableKind::Prior,
-                    TreeLabelKind::Prior,
-                );
-                (rows, Some((out.ledger, out.memory)))
-            }
-        };
+        let (rows, cost) = tree_scheme(&network, &t.to_rooted(n), &config, rng);
         if let Some((tree_ledger, tree_memory)) = cost {
             let offset = rng.gen_range(0..=window);
             max_finish = max_finish.max(offset + tree_ledger.rounds());
             ledger.charge_messages(tree_ledger.messages());
-            memory.merge_concurrent(&rows.members, &tree_memory);
+            memory.merge_concurrent(&rows.0, &tree_memory);
         }
         tree_rows.push(rows);
     }
@@ -761,18 +753,16 @@ pub fn build_observed<R: Rng>(
     // Assemble per-vertex tables: every tree hands each member its row.
     // Visiting the trees by ascending root leaves every table sorted.
     let assembly_span = rec.begin("scheme/assembly");
-    let mut tables: Vec<RoutingTable> = overlap
+    let mut tables: Vec<Vec<TableEntry<T>>> = overlap
         .iter()
-        .map(|&rows| RoutingTable {
-            entries: Vec::with_capacity(rows),
-        })
+        .map(|&rows| Vec::with_capacity(rows))
         .collect();
     let mut by_root: Vec<usize> = (0..trees.len()).collect();
     by_root.sort_by_key(|&idx| trees[idx].root);
     for idx in by_root {
-        let (t, rows) = (&trees[idx], &mut tree_rows[idx]);
-        for (u, table) in rows.members.iter().zip(std::mem::take(&mut rows.tables)) {
-            tables[u.index()].entries.push(TableEntry {
+        let (t, (members, tree_tables, _)) = (&trees[idx], &mut tree_rows[idx]);
+        for (u, table) in members.iter().zip(std::mem::take(tree_tables)) {
+            tables[u.index()].push(TableEntry {
                 root: t.root,
                 level: t.level,
                 dist: t.members[u].dist,
@@ -786,7 +776,7 @@ pub fn build_observed<R: Rng>(
     for (idx, t) in trees.iter().enumerate() {
         tree_of_root[t.root.index()] = idx;
     }
-    let mut labels: Vec<RoutingLabel> = (0..n).map(|_| RoutingLabel::default()).collect();
+    let mut labels: Vec<Vec<LabelEntry<L>>> = (0..n).map(|_| Vec::new()).collect();
     for v in g.vertices() {
         for (i, lvl) in pivot_levels.iter().enumerate().take(realized) {
             let (pivot, _pdist) = match (lvl.pivot[v.index()], lvl.dist[v.index()]) {
@@ -797,14 +787,15 @@ pub fn build_observed<R: Rng>(
             if idx == usize::MAX {
                 continue;
             }
-            let Some(rank) = rank_in(&tree_rows[idx].members, v) else {
+            let (members, _, tree_labels) = &tree_rows[idx];
+            let Some(rank) = rank_in(members, v) else {
                 continue; // v outside the pivot's tree: skip this level
             };
-            labels[v.index()].entries.push(LabelEntry {
+            labels[v.index()].push(LabelEntry {
                 level: i,
                 pivot,
                 dist: trees[idx].members[&v].dist,
-                tree_label: tree_rows[idx].labels[rank].clone(),
+                tree_label: tree_labels[rank].clone(),
             });
         }
     }
@@ -828,15 +819,18 @@ pub fn build_observed<R: Rng>(
         })
         .collect();
 
-    let scheme = RoutingScheme::from_parts(k, params.mode, tables, labels, pivot_info);
-    // Final outputs are part of the memory bound; charging through
-    // `resident_words` keeps the meter and the audit attribution on the
-    // same definition of "what a vertex holds".
+    // Final outputs are part of the memory bound; `RoutingScheme`'s
+    // `resident_words` counts the same words, so the meter and the audit
+    // attribution agree on "what a vertex holds".
     for v in g.vertices() {
-        memory.add(v, scheme.resident_words(v));
+        let i = v.index();
+        memory.add(
+            v,
+            resident_words_of(&tables[i], &labels[i], pivot_info[i].len()),
+        );
     }
-    let max_table_words = scheme.max_table_words();
-    let max_label_words = scheme.max_label_words();
+    let max_table_words = max_row_words(&tables);
+    let max_label_words = max_row_words(&labels);
     rec.end_with_memory(assembly_span, memory.peaks());
     rec.set_run_memory(memory.peaks());
     let report = BuildReport {
@@ -857,7 +851,7 @@ pub fn build_observed<R: Rng>(
         tree_stage_rounds,
     };
     Built {
-        scheme,
+        scheme: package((tables, labels, pivot_info)),
         trees,
         hopset: hs,
         report,
@@ -969,11 +963,7 @@ mod tests {
         let mut rng1 = ChaCha8Rng::seed_from_u64(7);
         let mut rng2 = ChaCha8Rng::seed_from_u64(7);
         let ours = build(&g, &BuildParams::new(2), &mut rng1);
-        let prior = build(
-            &g,
-            &BuildParams::new(2).with_mode(Mode::DistributedPrior),
-            &mut rng2,
-        );
+        let prior = crate::prior::build(&g, 2, &mut rng2);
         assert!(
             prior.report.memory.max_peak() > ours.report.memory.max_peak(),
             "prior {} should exceed ours {}",

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use graphs::{Graph, VertexId};
 
-use crate::scheme::{RoutingScheme, TreeTableKind};
+use crate::scheme::RoutingScheme;
 
 /// A violated invariant.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -96,10 +96,7 @@ pub fn verify(g: &Graph, scheme: &RoutingScheme) -> Vec<Violation> {
             if e.root == v {
                 has_self = true;
             }
-            let (parent, enter) = match &e.table {
-                TreeTableKind::Ours(t) => (t.parent, t.enter),
-                TreeTableKind::Prior(t) => (t.local.parent, t.local.enter),
-            };
+            let (parent, enter) = (e.table.parent, e.table.enter);
             if let Some(p) = parent {
                 if g.edge_weight(v, p).is_none() {
                     out.push(Violation::BadParent {
@@ -135,7 +132,7 @@ pub fn verify(g: &Graph, scheme: &RoutingScheme) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{build, BuildParams, Mode};
+    use crate::scheme::{build, BuildParams};
     use graphs::generators;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -151,27 +148,6 @@ mod tests {
     fn freshly_built_schemes_are_clean() {
         let (g, s) = built(100, 1201);
         assert!(verify(&g, &s).is_empty());
-    }
-
-    #[test]
-    fn prior_mode_schemes_are_clean_too() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1202);
-        let g = generators::erdos_renyi_connected(60, 0.08, 1..=9, &mut rng);
-        let b = build(
-            &g,
-            &BuildParams::new(2).with_mode(Mode::DistributedPrior),
-            &mut rng,
-        );
-        // Prior-mode local DFS times are per-local-tree, so the duplicate
-        // check applies per tree only for our kind; verify still runs.
-        let violations = verify(&g, &b.scheme);
-        // The two-level baseline legitimately reuses local enter times, so
-        // filter that class out and require the rest to be clean.
-        let rest: Vec<_> = violations
-            .iter()
-            .filter(|v| !matches!(v, Violation::DuplicateEnter { .. }))
-            .collect();
-        assert!(rest.is_empty(), "{rest:?}");
     }
 
     #[test]
@@ -239,14 +215,12 @@ mod tests {
                 continue;
             };
             for e in s.table_mut(v).rows_mut() {
-                if let TreeTableKind::Ours(t) = &mut e.table {
-                    if t.parent.is_some() {
-                        t.parent = Some(far);
-                        assert!(verify(&g, &s).iter().any(
-                            |x| matches!(x, Violation::BadParent { vertex, .. } if *vertex == v)
-                        ));
-                        break 'outer;
-                    }
+                if e.table.parent.is_some() {
+                    e.table.parent = Some(far);
+                    assert!(verify(&g, &s)
+                        .iter()
+                        .any(|x| matches!(x, Violation::BadParent { vertex, .. } if *vertex == v)));
+                    break 'outer;
                 }
             }
         }

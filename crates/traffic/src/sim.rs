@@ -17,7 +17,7 @@ use congest::engine::{Ctx, Engine, EngineConfig, Inbox, VertexProtocol, Wake};
 use congest::{Network, RunStats, WordSized};
 use graphs::{VertexId, Weight};
 use obs::flight::{EdgeLoadMap, Load};
-use routing::forward::{self, Step, TreeAddress};
+use routing::forward::{self, Step};
 use routing::packet::PacketPlan;
 use routing::{RoutingScheme, RoutingTable};
 use tree_routing::types::TreeLabel;
@@ -337,12 +337,11 @@ impl TrafficVertex<'_> {
     /// Classify one packet: deliver here, enqueue toward its next hop
     /// (applying the drop policy at a full queue), or drop it as stuck.
     fn classify(&mut self, ctx: &Ctx<'_, TrafficPacket>, mut packet: TrafficPacket, round: u64) {
-        let label = TreeAddress::Ours(&packet.label);
         match forward::step(
             self.table,
             ctx.me(),
             packet.tree_root,
-            label,
+            &packet.label,
             ctx.neighbors(),
         ) {
             Ok(Step::Deliver) => {

@@ -11,7 +11,7 @@
 use graphs::{generators, properties, VertexId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use routing::{build, router, BuildParams, Mode};
+use routing::{build, prior, router, BuildParams, BuildReport, Mode};
 
 fn main() {
     let n = 600;
@@ -31,25 +31,33 @@ fn main() {
     );
 
     let srcs: Vec<VertexId> = (0..n as u32).step_by(60).map(VertexId).collect();
-    for (name, mode) in [
-        ("Thorup-Zwick (centralized)", Mode::Centralized),
-        ("prior distributed [EN16b]", Mode::DistributedPrior),
-        ("this paper (low memory)", Mode::DistributedLowMemory),
-    ] {
-        let mut rng = ChaCha8Rng::seed_from_u64(7); // same hierarchy per mode
-        let built = build(&g, &BuildParams::new(k).with_mode(mode), &mut rng);
-        let stats =
-            router::measure_stretch(&g, &built.scheme, &srcs, router::Selection::SourceOptimal);
+    let row = |name: &str, report: &BuildReport, stretch: f64| {
         println!(
             "{:<28} {:>8} {:>8} {:>8} {:>9} {:>10.3}",
             name,
-            built.report.max_table_words,
-            built.report.max_label_words,
-            built.report.memory.max_peak(),
-            built.report.rounds,
-            stats.max,
+            report.max_table_words,
+            report.max_label_words,
+            report.memory.max_peak(),
+            report.rounds,
+            stretch,
         );
-    }
+    };
+    let seed = || ChaCha8Rng::seed_from_u64(7); // same hierarchy per scheme
+    let central = build(
+        &g,
+        &BuildParams::new(k).with_mode(Mode::Centralized),
+        &mut seed(),
+    );
+    let stretch =
+        router::measure_stretch(&g, &central.scheme, &srcs, router::Selection::SourceOptimal);
+    row("Thorup-Zwick (centralized)", &central.report, stretch.max);
+    let baseline = prior::build(&g, k, &mut seed());
+    let stretch = prior::measure_stretch(&g, &baseline.scheme, &srcs);
+    row("prior distributed [EN16b]", &baseline.report, stretch.max);
+    let ours = build(&g, &BuildParams::new(k), &mut seed());
+    let stretch =
+        router::measure_stretch(&g, &ours.scheme, &srcs, router::Selection::SourceOptimal);
+    row("this paper (low memory)", &ours.report, stretch.max);
     println!(
         "\n(table/label/memory in words; stretch is the max over {} routed pairs;",
         srcs.len() * (n - 1)

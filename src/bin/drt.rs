@@ -303,7 +303,6 @@ fn cmd_build(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), Stri
 }
 
 fn load_scheme(path: &str) -> Result<routing::RoutingScheme, String> {
-    // Accepts both the checksummed container and legacy raw scheme files.
     persist::load_scheme_from(path).map_err(|e| format!("loading {path}: {e}"))
 }
 

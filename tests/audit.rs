@@ -41,7 +41,7 @@ fn audit_is_deterministic_across_build_thread_counts() {
 #[test]
 fn auditing_twice_is_idempotent_and_mutation_free() {
     let (g, b) = seed_built(110, 412);
-    let before = persist::encode_scheme(&b.scheme).unwrap();
+    let before = persist::encode_scheme(&b.scheme);
     let cfg = AuditConfig::default();
     let first = audit::audit_built(&g, &b, &cfg);
     let second = audit::audit_built(&g, &b, &cfg);
@@ -56,7 +56,7 @@ fn auditing_twice_is_idempotent_and_mutation_free() {
     let p1 = audit::probe_perturbed(&g, &b.scheme, &cfg, &spec, first.probe.mean_stretch);
     let p2 = audit::probe_perturbed(&g, &b.scheme, &cfg, &spec, first.probe.mean_stretch);
     assert_eq!(p1, p2);
-    let after = persist::encode_scheme(&b.scheme).unwrap();
+    let after = persist::encode_scheme(&b.scheme);
     assert_eq!(before, after, "auditing changed the scheme's bytes");
 }
 
@@ -67,7 +67,7 @@ fn attribution_survives_persistence_round_trip() {
     let fresh = audit::audit_built(&g, &b, &cfg);
     assert!(fresh.ok());
 
-    let bytes = persist::encode_scheme(&b.scheme).unwrap();
+    let bytes = persist::encode_scheme(&b.scheme);
     let loaded = persist::decode_scheme(&bytes).unwrap();
     let reloaded = audit::audit(&g, &loaded, &cfg);
 

@@ -6,10 +6,12 @@
 //! before the tree stage moved into tree-local index space; a mismatch means
 //! a charge, a meter call, an RNG draw or an output entry changed.
 
+use std::fmt::Write;
+
 use graphs::{generators, Graph};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use routing::{build, persist, BuildParams, Mode};
+use routing::{build, persist, prior, BuildParams, BuildReport, Mode};
 
 /// What one build is pinned on.
 #[derive(Debug, PartialEq, Eq)]
@@ -20,48 +22,63 @@ struct Pin {
     max_peak: usize,
     /// CRC32 over the per-vertex peaks as little-endian `u64`s.
     peaks_crc: u32,
-    /// CRC32 of `encode_scheme`; the prior mode has no encoding, so there it
-    /// is the CRC32 of the `Debug` rendering of tables, labels and pivots.
+    /// CRC32 of `encode_scheme`. The \[EN16b\]-style baseline has no
+    /// encoding, so there it is the CRC32 of its rows, one per line, vertex
+    /// by vertex: `root level dist {table:?}` per table row, then
+    /// `level pivot dist {label:?}` per label row.
     scheme_crc: u32,
 }
 
-fn pin(g: &Graph, k: usize, mode: Mode) -> Pin {
-    let mut rng = ChaCha8Rng::seed_from_u64(2024);
-    let built = build(g, &BuildParams::new(k).with_mode(mode), &mut rng);
-    let peaks: Vec<u8> = built
-        .report
+fn pin_of(report: &BuildReport, scheme_bytes: &[u8]) -> Pin {
+    let peaks: Vec<u8> = report
         .memory
         .peaks()
         .iter()
         .flat_map(|&p| (p as u64).to_le_bytes())
         .collect();
-    let s = &built.scheme;
-    let scheme_bytes = persist::encode_scheme(s).unwrap_or_else(|_| {
-        let tables: Vec<_> = s.vertices().map(|v| s.table(v)).collect();
-        let labels: Vec<_> = s.vertices().map(|v| s.label(v)).collect();
-        let pivots: Vec<_> = s.vertices().map(|v| s.pivots(v)).collect();
-        format!("{tables:?}{labels:?}{pivots:?}").into_bytes()
-    });
     Pin {
-        rounds: built.report.rounds,
-        messages: built.report.messages,
-        tree_stage_rounds: built.report.tree_stage_rounds,
-        max_peak: built.report.memory.max_peak(),
+        rounds: report.rounds,
+        messages: report.messages,
+        tree_stage_rounds: report.tree_stage_rounds,
+        max_peak: report.memory.max_peak(),
         peaks_crc: persist::crc32(&peaks),
-        scheme_crc: persist::crc32(&scheme_bytes),
+        scheme_crc: persist::crc32(scheme_bytes),
     }
 }
 
-const MODES: [Mode; 3] = [
-    Mode::Centralized,
-    Mode::DistributedLowMemory,
-    Mode::DistributedPrior,
-];
+fn pin(g: &Graph, k: usize, mode: Mode) -> Pin {
+    let mut rng = ChaCha8Rng::seed_from_u64(2024);
+    let built = build(g, &BuildParams::new(k).with_mode(mode), &mut rng);
+    pin_of(&built.report, &persist::encode_scheme(&built.scheme))
+}
 
+fn pin_prior(g: &Graph, k: usize) -> Pin {
+    let mut rng = ChaCha8Rng::seed_from_u64(2024);
+    let built = prior::build(g, k, &mut rng);
+    let s = &built.scheme;
+    let mut rows = String::new();
+    for (table, label) in s.tables.iter().zip(&s.labels) {
+        for e in table {
+            let (root, table) = (e.root.0, &e.table);
+            writeln!(rows, "{root} {} {} {table:?}", e.level, e.dist).unwrap();
+        }
+        for e in label {
+            let (pivot, label) = (e.pivot.0, &e.tree_label);
+            writeln!(rows, "{} {pivot} {} {label:?}", e.level, e.dist).unwrap();
+        }
+    }
+    pin_of(&built.report, rows.as_bytes())
+}
+
+const MODES: [Mode; 2] = [Mode::Centralized, Mode::DistributedLowMemory];
+
+/// `want` holds the two modes' pins, then the baseline's.
 fn check(g: &Graph, k: usize, want: [Pin; 3]) {
-    for (mode, want) in MODES.into_iter().zip(want) {
+    let [centralized, ours, baseline] = want;
+    for (mode, want) in MODES.into_iter().zip([centralized, ours]) {
         assert_eq!(pin(g, k, mode), want, "{mode:?}");
     }
+    assert_eq!(pin_prior(g, k), baseline, "EN16b-style baseline");
 }
 
 #[test]
@@ -94,7 +111,7 @@ fn erdos_renyi_256_k2_is_pinned() {
                 tree_stage_rounds: 2821,
                 max_peak: 5288,
                 peaks_crc: 221054711,
-                scheme_crc: 2890614443,
+                scheme_crc: 2817017847,
             },
         ],
     );
@@ -130,7 +147,7 @@ fn torus_16x16_k3_is_pinned() {
                 tree_stage_rounds: 1781,
                 max_peak: 1947,
                 peaks_crc: 2486309895,
-                scheme_crc: 2191683600,
+                scheme_crc: 444046813,
             },
         ],
     );
@@ -166,7 +183,7 @@ fn preferential_attachment_256_k3_is_pinned() {
                 tree_stage_rounds: 1695,
                 max_peak: 1766,
                 peaks_crc: 2873869121,
-                scheme_crc: 2905613614,
+                scheme_crc: 456181782,
             },
         ],
     );
@@ -183,6 +200,13 @@ fn one_and_two_vertex_networks_build_in_every_mode() {
             assert!(routing::verify::verify(&g, &built.scheme).is_empty());
             for t in &built.trees {
                 assert_eq!(t.to_rooted(n).num_vertices(), t.len());
+            }
+        }
+        let built = prior::build(&g, 2, &mut rng);
+        assert_eq!(built.report.cluster_count, n, "baseline n={n}");
+        for s in g.vertices() {
+            for t in g.vertices() {
+                assert!(prior::route(&g, &built.scheme, s, t).is_ok(), "{s} -> {t}");
             }
         }
     }

@@ -86,11 +86,7 @@ fn memory_ordering_between_modes() {
     let mut rng1 = ChaCha8Rng::seed_from_u64(5);
     let mut rng2 = ChaCha8Rng::seed_from_u64(5);
     let ours = build(&g, &BuildParams::new(2), &mut rng1);
-    let prior = build(
-        &g,
-        &BuildParams::new(2).with_mode(Mode::DistributedPrior),
-        &mut rng2,
-    );
+    let prior = routing::prior::build(&g, 2, &mut rng2);
     assert!(ours.report.memory.max_peak() < prior.report.memory.max_peak());
     assert!(ours.report.max_table_words <= prior.report.max_table_words);
     assert!(ours.report.max_label_words <= prior.report.max_label_words);
@@ -220,7 +216,7 @@ fn oracle_and_persist_round_trip_through_full_pipeline() {
     let mut rng = ChaCha8Rng::seed_from_u64(1017);
     let g = generators::erdos_renyi_connected(100, 0.05, 1..=20, &mut rng);
     let built = build(&g, &BuildParams::new(3), &mut rng);
-    let bytes = routing::persist::encode_scheme(&built.scheme).unwrap();
+    let bytes = routing::persist::encode_scheme(&built.scheme);
     let reloaded = routing::persist::decode_scheme(&bytes).unwrap();
     let oracle = routing::oracle::DistanceOracle::new(&reloaded);
     for s in (0..100u32).step_by(13).map(VertexId) {

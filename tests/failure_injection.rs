@@ -4,8 +4,8 @@
 use graphs::{generators, tree, VertexId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use routing::forward::{self, GraphRouteError, Step, TreeAddress};
-use routing::scheme::{TableEntry, TreeTableKind};
+use routing::forward::{self, GraphRouteError, Step};
+use routing::scheme::TableEntry;
 use routing::{build, packet, router, BuildParams, RoutingTable};
 use tree_routing::types::{RouteAction, TreeLabel};
 use tree_routing::{router as tree_router, tz, RouteError};
@@ -126,10 +126,7 @@ fn forged_forwarding_cycle_is_reported_as_a_loop_on_every_plane() {
     // A route whose first two hops both climb the committed tree: point the
     // second vertex's parent back at the first, so the two tree neighbours
     // name each other as the way up and the message bounces between them.
-    let parent_in = |scheme: &routing::RoutingScheme, v, root| match &scheme.entry(v, root)?.table {
-        TreeTableKind::Ours(row) => row.parent,
-        TreeTableKind::Prior(_) => None,
-    };
+    let parent_in = |scheme: &routing::RoutingScheme, v, root| scheme.entry(v, root)?.table.parent;
     let (src, dst, trace) = g
         .vertices()
         .flat_map(|s| g.vertices().map(move |t| (s, t)))
@@ -142,8 +139,8 @@ fn forged_forwarding_cycle_is_reported_as_a_loop_on_every_plane() {
         })
         .expect("some route starts with two ascents");
     for e in scheme.table_mut(trace.path[1]).rows_mut() {
-        if let (true, TreeTableKind::Ours(row)) = (e.root == trace.tree_root, &mut e.table) {
-            row.parent = Some(src);
+        if e.root == trace.tree_root {
+            e.table.parent = Some(src);
         }
     }
 
@@ -240,13 +237,12 @@ fn route_step_never_panics_on_arbitrary_inputs() {
                     root: VertexId(4),
                     level: 0,
                     dist: 0,
-                    table: TreeTableKind::Ours(table),
+                    table,
                 };
                 let table = RoutingTable::from_rows(vec![row]);
                 let ports = g.neighbors(VertexId(0));
                 for root in [VertexId(4), VertexId(5)] {
-                    match forward::step(&table, VertexId(0), root, TreeAddress::Ours(&label), ports)
-                    {
+                    match forward::step(&table, VertexId(0), root, &label, ports) {
                         Ok(Step::Deliver) => assert_eq!(target, enter),
                         Ok(Step::Forward { port, .. }) => assert!(port < ports.len()),
                         Err(GraphRouteError::Stuck(v)) => assert_eq!(v, VertexId(0)),
