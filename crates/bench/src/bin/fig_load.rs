@@ -58,22 +58,23 @@ fn main() {
             })
             .collect();
         let report = sweep.observed(&format!("fig_load/p{load}"), |rec| {
-            // When reporting, run the flight-recorded twin: the report is
+            // When reporting, flight-record the send: the simulation is
             // identical to the untraced run's (pinned by core's tests), so
             // stdout stays byte-for-byte the same, and the heatmaps become
             // `edge_load`/`vertex_load` records in the JSONL report.
-            let report = if reporting {
-                let flight = packet::send_many_traced(&net, &built.scheme, &pairs);
+            let opts = packet::SendOptions {
+                trace: reporting,
+                profile: false,
+            };
+            let report = packet::send(&net, &built.scheme, &pairs, opts);
+            if reporting {
                 let extra = [
                     ("figure", obs::json::Value::from("fig_load")),
                     ("packets", obs::json::Value::from(load)),
                 ];
-                rec.add_record(flight.edge_load.to_value(&extra));
-                rec.add_record(flight.vertex_load.to_value(&extra));
-                flight.report
-            } else {
-                packet::send_many(&net, &built.scheme, &pairs)
-            };
+                rec.add_record(report.edge_load.to_value(&extra));
+                rec.add_record(report.vertex_load().to_value(&extra));
+            }
             rec.charge(&obs::Counters {
                 rounds: report.stats.rounds,
                 messages: report.stats.messages,
@@ -91,7 +92,7 @@ fn main() {
             &[
                 load.to_string(),
                 delivered.to_string(),
-                report.dropped.to_string(),
+                report.dropped().to_string(),
                 format!("{mean:.1}"),
                 max.to_string(),
                 report.stats.rounds.to_string(),

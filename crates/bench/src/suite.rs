@@ -566,8 +566,8 @@ fn batch_cases(
         let id = format!("route_batch/er/p{load}");
         let (sim, wall) = repeated(&id, repeats, || {
             let pairs = batch_pairs(load);
-            let report = packet::send_many(&net, &built.scheme, &pairs);
-            let delivered = report.deliveries().flatten().count();
+            let report = packet::send(&net, &built.scheme, &pairs, packet::SendOptions::default());
+            let delivered = report.delivered_count();
             let sim = vec![
                 ("rounds".to_string(), report.stats.rounds),
                 ("messages".to_string(), report.stats.messages),
@@ -577,7 +577,7 @@ fn batch_cases(
                     report.stats.memory.max_peak() as u64,
                 ),
                 ("delivered".to_string(), delivered as u64),
-                ("dropped".to_string(), u64::from(report.dropped)),
+                ("dropped".to_string(), report.dropped() as u64),
             ];
             // The engine samples its own wall clock; use it so the number
             // prices the routing rounds, not the pair generation.

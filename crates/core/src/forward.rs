@@ -4,7 +4,7 @@
 //! label with its own table and commits to one tree ([`select`]); after
 //! that every vertex consults only its own row for that tree and the
 //! `O(1)`-word header ([`step`]). Every plane — the central router, the
-//! serve plane, the three packet protocols, the two comparison baselines —
+//! serve plane, the packet protocol, the two comparison baselines —
 //! calls these functions and nothing else: this is the only file outside
 //! `tree-routing` that invokes the per-tree rules.
 //!

@@ -1,42 +1,56 @@
-//! The routing phase as a *real* CONGEST protocol.
+//! The routing phase as a *real* CONGEST protocol: one store-and-forward
+//! protocol at three settings.
 //!
 //! [`crate::router`] walks the forwarding rule centrally (fast, used for
 //! stretch measurement). This module runs the same rule — the same
 //! [`crate::forward`] kernel — as a genuine message-passing protocol on the
-//! [`congest::Engine`]: each vertex's state
-//! is exactly its routing table, and the packet on the wire carries exactly
-//! `Header(M) = (tree root, accumulated weight)` plus the target's tree
-//! label — `O(log n)` words, checked against the engine's congestion meter.
-//! Delivery takes one round per hop, by construction.
+//! [`congest::Engine`]: each vertex's state is its routing table plus one
+//! FIFO queue per port, and the packet on the wire carries exactly
+//! `Header(M) = (id, tree root, accumulated weight, hops)` plus the target's
+//! tree label — `O(log n)` words, checked against the engine's congestion
+//! meter. Each port sends at most one packet per round.
 //!
-//! Every simulation has a *traced* twin ([`send_traced`],
-//! [`send_many_traced`]) that additionally records one
-//! [`obs::flight::HopRecord`] per edge traversal — round, chosen port,
-//! forwarding-decision kind (ascent toward the committed pivot vs. descent
-//! in its tree), queueing delay, accumulated weight — and aggregates
-//! [`obs::flight::EdgeLoadMap`]/[`obs::flight::VertexLoadMap`] heatmaps.
-//! Trace state rides *out of band*: it is never counted by [`WordSized`],
-//! so congestion accounting, round counts, and memory meters are identical
-//! between a traced run and its untraced twin.
+//! The settings are what tell the planes apart:
+//!
+//! * a single packet is a [`send`] of one pair: it never queues, so delivery
+//!   takes one round per hop;
+//! * a batch is a [`send`] of many pairs: everything injected at round 0 into
+//!   unbounded queues, so a delivery round is the hop count plus the
+//!   queueing delay the path suffered;
+//! * the steady state is a [`run`] that `traffic::sim` configures: injections
+//!   on a schedule, finite queues with a [`DropPolicy`], and a round cap.
+//!
+//! On every setting a vertex about to forward a packet that has already
+//! taken [`forward::hop_cap`] hops drops it as [`GraphRouteError::Loop`] —
+//! the test [`forward::drive`] makes — so a forged forwarding cycle ends the
+//! run instead of circling until the round cap.
+//!
+//! A traced [`send`] additionally records one [`obs::flight::HopRecord`] per
+//! edge traversal — round, chosen port, forwarding-decision kind (ascent
+//! toward the committed pivot vs. descent in its tree), queueing delay,
+//! accumulated weight. Trace state rides *out of band*: it is never counted
+//! by [`WordSized`], so congestion accounting, round counts, and memory
+//! meters are identical between a traced run and its untraced twin.
 
 use std::collections::VecDeque;
 
-use congest::engine::{Ctx, Engine, EngineConfig, Inbox, VertexProtocol};
-use congest::{Network, RunStats, WordSized};
+use congest::engine::{Ctx, Engine, EngineConfig, Inbox, VertexProtocol, Wake};
+use congest::{MemoryMeter, Network, RunStats, WordSized};
 use graphs::{VertexId, Weight};
-use obs::flight::{EdgeLoadMap, HopRecord, PacketTrace, VertexLoadMap};
+use obs::flight::{EdgeLoadMap, HopRecord, Load, PacketTrace, VertexLoadMap};
 use tree_routing::types::TreeLabel;
 
 use crate::forward::{self, GraphRouteError, Selection, Step};
 use crate::scheme::{RoutingScheme, RoutingTable};
 
+/// Header words every packet carries: id, tree root, weight and hops.
+const HEADER_WORDS: usize = 4;
+
 /// The source-side routing decision for one packet, fixed at injection
 /// time: the tree the source commits to and the destination's label in it.
 ///
-/// This is the incremental injection API used by open-loop traffic
-/// generators (the `traffic` crate): plan once per flow, then stamp any
-/// number of packets from the plan round by round, without re-deriving the
-/// send variants' private decision rule.
+/// Open-loop traffic generators (the `traffic` crate) plan once per flow
+/// and stamp packets from the plan with [`Packet::from_plan`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PacketPlan {
     /// The pivot whose tree the source commits to.
@@ -50,16 +64,14 @@ pub struct PacketPlan {
 }
 
 impl PacketPlan {
-    /// Words a packet built from this plan occupies on the wire under the
-    /// batched header layout (`id`, `tree_root`, `weight` + label).
-    pub fn loaded_words(&self) -> usize {
-        3 + self.label.words()
+    /// Words a packet built from this plan occupies on the wire.
+    pub fn words(&self) -> usize {
+        HEADER_WORDS + self.label.words()
     }
 }
 
-/// Plan a packet from `src` to `dst`: the source-optimal tree choice every
-/// send variant makes through this function, exposed for incremental
-/// per-round injection.
+/// Plan a packet from `src` to `dst`: the source-optimal tree choice, the
+/// one source decision of the packet plane.
 /// Returns `None` when no label entry of `dst` names a tree containing
 /// `src` (the pair is undeliverable).
 pub fn plan(scheme: &RoutingScheme, src: VertexId, dst: VertexId) -> Option<PacketPlan> {
@@ -71,346 +83,368 @@ pub fn plan(scheme: &RoutingScheme, src: VertexId, dst: VertexId) -> Option<Pack
     })
 }
 
-/// An empty flight record for a packet about to be sent under `plan`.
-fn new_trace(src: VertexId, dst: VertexId, plan: &PacketPlan) -> Box<PacketTrace> {
-    Box::new(PacketTrace {
-        src: src.0,
-        dst: dst.0,
-        tree_root: plan.tree_root.0,
-        delivered_round: None,
-        hops: Vec::new(),
-    })
-}
-
-/// The packet on the wire: header + target tree label.
+/// The packet on the wire: four header words plus the target's tree label.
 ///
 /// The optional trace is out-of-band flight-recorder state and does not
 /// count toward the packet's wire size.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Packet {
-    /// Header: the tree the sender committed to.
-    pub tree_root: VertexId,
-    /// Header: weight accumulated so far (diagnostic, one word).
-    pub weight: Weight,
-    /// The target's label in that tree.
-    pub label: TreeLabel,
-    /// Flight-recorder journey, present only in traced sends.
-    trace: Option<Box<PacketTrace>>,
-}
-
-impl WordSized for Packet {
-    fn words(&self) -> usize {
-        2 + self.label.words()
-    }
-}
-
-/// The explicit outcome of a single-packet simulation.
-///
-/// Previously an undeliverable packet and a zero-hop self-delivery were both
-/// reported as `delivered: false/true` with `rounds: 0, weight: 0`; the enum
-/// keeps the cases apart for downstream statistics.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PacketOutcome {
-    /// The packet arrived: delivery round (= hop count) and routed weight.
-    /// A self-addressed packet legitimately reports `rounds: 0, weight: 0`.
-    Delivered {
-        /// Round of delivery = number of hops.
-        rounds: u64,
-        /// Weight the header accumulated (equals the routed path weight).
-        weight: Weight,
-    },
-    /// The walk failed exactly as the central router's would:
-    /// [`GraphRouteError::NoCommonTree`] means nothing was injected, the
-    /// other errors name a construction bug, not a traffic condition.
-    Failed(GraphRouteError),
-}
-
-impl PacketOutcome {
-    /// Whether the packet arrived.
-    pub fn is_delivered(&self) -> bool {
-        matches!(self, PacketOutcome::Delivered { .. })
-    }
-
-    /// Delivery round and weight, if the packet arrived.
-    pub fn delivery(&self) -> Option<(u64, Weight)> {
-        match self {
-            PacketOutcome::Delivered { rounds, weight } => Some((*rounds, *weight)),
-            _ => None,
-        }
-    }
-}
-
-/// Result of a packet simulation.
-#[derive(Clone, Debug)]
-pub struct PacketReport {
-    /// What happened to the packet.
-    pub outcome: PacketOutcome,
-    /// Size of the packet in words (header + label; 0 when never injected).
-    pub packet_words: usize,
-    /// Engine statistics (congestion, messages, memory).
-    pub stats: RunStats,
-}
-
-impl PacketReport {
-    /// Whether the packet arrived.
-    pub fn delivered(&self) -> bool {
-        self.outcome.is_delivered()
-    }
-}
-
-/// A single-packet simulation plus its flight recording.
-#[derive(Clone, Debug)]
-pub struct PacketFlight {
-    /// The simulation result, identical to the untraced [`send`]'s.
-    pub report: PacketReport,
-    /// The hop-by-hop journey. Present whenever the packet came to rest
-    /// (delivered *or* stuck); `None` when nothing was injected or the packet
-    /// was still circling at the hop cap.
-    pub trace: Option<PacketTrace>,
-}
-
-/// Per-vertex protocol state: the vertex's own routing table, nothing else.
-#[derive(Clone, Debug)]
-struct PacketVertex<'s> {
-    table: &'s RoutingTable,
-    /// `table.words()`, counted once: the engine meters every vertex every
-    /// round and the table never changes.
-    table_words: usize,
-    /// Set when this vertex delivered the packet (round number).
-    delivered: Option<(u64, Weight)>,
-    /// The packet to inject at init (source only).
-    inject: Option<Packet>,
-    failed: Option<GraphRouteError>,
-    /// The journey extracted at delivery or failure (traced runs only).
-    trace_out: Option<PacketTrace>,
-}
-
-impl PacketVertex<'_> {
-    fn handle(&mut self, ctx: &mut Ctx<'_, Packet>, mut packet: Packet) {
-        let (me, label) = (ctx.me(), &packet.label);
-        match forward::step(self.table, me, packet.tree_root, label, ctx.neighbors()) {
-            Ok(Step::Deliver) => {
-                self.delivered = Some((ctx.round(), packet.weight));
-                if let Some(mut trace) = packet.trace.take() {
-                    trace.delivered_round = Some(ctx.round());
-                    self.trace_out = Some(*trace);
-                }
-            }
-            Ok(Step::Forward { port, kind }) => {
-                let arc = ctx.neighbors()[port];
-                let header_words = packet.words();
-                packet.weight += arc.weight;
-                if let Some(trace) = packet.trace.as_mut() {
-                    trace.hops.push(HopRecord {
-                        round: ctx.round(),
-                        vertex: me.0,
-                        port,
-                        next: arc.to.0,
-                        kind: kind.expect("the paper's rule names its branch"),
-                        queue_delay: 0,
-                        weight: packet.weight,
-                        header_words,
-                    });
-                }
-                ctx.send(arc.to, packet);
-            }
-            Err(err) => {
-                self.failed = Some(err);
-                self.trace_out = packet.trace.take().map(|t| *t);
-            }
-        }
-    }
-}
-
-impl VertexProtocol for PacketVertex<'_> {
-    type Msg = Packet;
-
-    fn init(&mut self, ctx: &mut Ctx<'_, Packet>) {
-        if let Some(p) = self.inject.take() {
-            self.handle(ctx, p);
-        }
-    }
-
-    fn round(&mut self, ctx: &mut Ctx<'_, Packet>, inbox: &mut Inbox<'_, Packet>) {
-        // Drain moves each packet (heap label + trace included) out of the
-        // engine's arena — forwarding never clones.
-        for (_, p) in inbox.drain() {
-            self.handle(ctx, p);
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        true // stateless forwarding; the engine drains in-flight packets
-    }
-
-    fn memory_words(&self) -> usize {
-        self.table_words
-    }
-}
-
-/// Send one packet from `src` to `dst` through the engine, using the
-/// source-optimal tree choice.
-pub fn send(
-    network: &Network,
-    scheme: &RoutingScheme,
-    src: VertexId,
-    dst: VertexId,
-) -> PacketReport {
-    send_inner(network, scheme, src, dst, false).report
-}
-
-/// Like [`send`], but flight-recorded: the returned trace holds one hop
-/// record per edge traversal. The report is identical to the untraced
-/// [`send`]'s — tracing never perturbs rounds, words, or memory.
-pub fn send_traced(
-    network: &Network,
-    scheme: &RoutingScheme,
-    src: VertexId,
-    dst: VertexId,
-) -> PacketFlight {
-    send_inner(network, scheme, src, dst, true)
-}
-
-fn send_inner(
-    network: &Network,
-    scheme: &RoutingScheme,
-    src: VertexId,
-    dst: VertexId,
-    traced: bool,
-) -> PacketFlight {
-    let Some(plan) = plan(scheme, src, dst) else {
-        return PacketFlight {
-            report: PacketReport {
-                outcome: PacketOutcome::Failed(GraphRouteError::NoCommonTree),
-                packet_words: 0,
-                stats: RunStats::default(),
-            },
-            trace: None,
-        };
-    };
-    let packet = Packet {
-        tree_root: plan.tree_root,
-        weight: 0,
-        trace: traced.then(|| new_trace(src, dst, &plan)),
-        label: plan.label,
-    };
-    let packet_words = packet.words();
-
-    let protos: Vec<PacketVertex<'_>> = network
-        .graph()
-        .vertices()
-        .map(|v| PacketVertex {
-            table: scheme.table(v),
-            table_words: scheme.table(v).words(),
-            delivered: None,
-            inject: (v == src).then(|| packet.clone()),
-            failed: None,
-            trace_out: None,
-        })
-        .collect();
-    let engine = Engine::with_config(EngineConfig {
-        // The packet is the message; its size is the legal per-edge budget.
-        edge_words_per_round: packet_words,
-        // One packet moves one hop per round, so the hop cap is a round cap.
-        max_rounds: forward::hop_cap(network.len()) as u64,
-        ..EngineConfig::default()
-    });
-    let (mut protos, stats) = engine.run(network, protos);
-    let outcome = match protos.iter().find_map(|p| p.delivered) {
-        Some((rounds, weight)) => PacketOutcome::Delivered { rounds, weight },
-        // Neither delivered nor failed: still circling when the cap hit.
-        None => PacketOutcome::Failed(
-            protos
-                .iter()
-                .find_map(|p| p.failed)
-                .unwrap_or(GraphRouteError::Loop),
-        ),
-    };
-    let trace = protos.iter_mut().find_map(|p| p.trace_out.take());
-    PacketFlight {
-        report: PacketReport {
-            outcome,
-            packet_words,
-            stats,
-        },
-        trace,
-    }
-}
-
-/// A packet under load, with an id so deliveries can be matched up.
-///
-/// The optional trace is out-of-band flight-recorder state and does not
-/// count toward the packet's wire size.
-#[derive(Clone, Debug)]
-pub struct LoadedPacket {
-    /// Index into the submitted batch.
+    /// Index into the injection order (a [`send`]'s pair index).
     pub id: u32,
     /// The committed tree.
     pub tree_root: VertexId,
-    /// Accumulated weight.
+    /// Accumulated routed weight.
     pub weight: Weight,
+    /// Edges traversed so far; checked against [`forward::hop_cap`].
+    pub hops: u32,
     /// Target tree label.
     pub label: TreeLabel,
     /// Flight-recorder journey, present only in traced sends.
     trace: Option<Box<PacketTrace>>,
 }
 
-impl WordSized for LoadedPacket {
-    fn words(&self) -> usize {
-        3 + self.label.words()
+impl Packet {
+    /// The untraced packet `id` built from `plan`.
+    pub fn from_plan(id: u32, plan: PacketPlan) -> Packet {
+        Packet {
+            id,
+            tree_root: plan.tree_root,
+            weight: 0,
+            hops: 0,
+            label: plan.label,
+            trace: None,
+        }
     }
 }
 
-/// Per-vertex protocol for batched traffic: FIFO queues per outgoing edge,
-/// one packet per edge per round — real store-and-forward congestion.
-/// Queue entries remember their enqueue round, so a traced run prices each
-/// hop's queueing delay exactly.
-#[derive(Clone, Debug)]
-struct LoadedVertex<'s> {
-    table: &'s RoutingTable,
-    /// `table.words()`, counted once (as in [`PacketVertex`]).
-    table_words: usize,
-    /// One FIFO of `(packet, enqueue round)` per port (position in the
-    /// neighbor list), flushed in ascending port order.
-    queues: Vec<VecDeque<(LoadedPacket, u64)>>,
-    /// Packets and words across all queues, kept in step with every push
-    /// and pop.
-    queued_packets: usize,
-    queued_words: usize,
-    delivered: Vec<(u32, u64, Weight)>,
-    inject: Vec<LoadedPacket>,
-    /// Ids of packets dropped here by a stuck rule or missing entry.
-    dropped: Vec<u32>,
-    /// Completed journeys by packet id (delivered or dropped here; traced
-    /// runs only).
-    traces_out: Vec<(u32, PacketTrace)>,
+impl WordSized for Packet {
+    fn words(&self) -> usize {
+        HEADER_WORDS + self.label.words()
+    }
 }
 
-impl LoadedVertex<'_> {
-    fn drop_packet(&mut self, packet: &mut LoadedPacket) {
-        self.dropped.push(packet.id);
-        if let Some(trace) = packet.trace.take() {
-            self.traces_out.push((packet.id, *trace));
+/// What a vertex does with an arrival destined for a full queue.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DropPolicy {
+    /// Drop the incoming packet; the queue is untouched.
+    TailDrop,
+    /// Drop the queue's oldest packet and admit the newcomer.
+    OldestDrop,
+}
+
+impl DropPolicy {
+    /// The schema/CLI name of this policy.
+    pub fn name(self) -> &'static str {
+        match self {
+            DropPolicy::TailDrop => "tail-drop",
+            DropPolicy::OldestDrop => "oldest-drop",
         }
     }
 
-    fn classify(&mut self, ctx: &Ctx<'_, LoadedPacket>, mut packet: LoadedPacket, round: u64) {
-        let (me, label) = (ctx.me(), &packet.label);
-        match forward::step(self.table, me, packet.tree_root, label, ctx.neighbors()) {
+    /// Parse a CLI name back into a policy.
+    pub fn parse(name: &str) -> Option<DropPolicy> {
+        match name {
+            "tail-drop" => Some(DropPolicy::TailDrop),
+            "oldest-drop" => Some(DropPolicy::OldestDrop),
+            _ => None,
+        }
+    }
+}
+
+/// One scheduled injection: engine round, source vertex, packet.
+pub type Injection = (u64, VertexId, Packet);
+
+/// One delivered packet, as recorded by its destination.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Delivery {
+    /// The packet's injection-order id.
+    pub id: u32,
+    /// Engine round of arrival.
+    pub round: u64,
+    /// Routed path weight.
+    pub weight: Weight,
+    /// Edges traversed.
+    pub hops: u32,
+}
+
+/// One vertex's activity in one round; sparse (only logged when nonzero).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct RoundLog {
+    round: u64,
+    injected: u32,
+    delivered: u32,
+    dropped_capacity: u32,
+    dropped_stuck: u32,
+    sent: u32,
+    queued_packets: u32,
+    queued_words: u64,
+}
+
+/// Network-wide totals for one round, merged from the per-vertex logs.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RoundTotals {
+    /// The engine round (0 is the injection-only init round).
+    pub round: u64,
+    /// Packets injected this round.
+    pub injected: u64,
+    /// Packets delivered this round.
+    pub delivered: u64,
+    /// Packets dropped by a full queue this round.
+    pub dropped_capacity: u64,
+    /// Packets dropped by the rule (stuck, bad port, hop cap) this round.
+    pub dropped_stuck: u64,
+    /// Packets put on the wire this round (arrive next round).
+    pub sent: u64,
+    /// Packets queued network-wide at the end of this round.
+    pub queued_packets: u64,
+    /// Words those queued packets occupy.
+    pub queued_words: u64,
+}
+
+/// The protocol's settings: all that tells a batch from the steady state.
+#[derive(Clone, Copy, Debug)]
+pub struct Settings {
+    /// Per-port queue capacity in packets.
+    pub queue_cap: usize,
+    /// What to do with arrivals at a full queue.
+    pub policy: DropPolicy,
+    /// Engine round cap (must be at least the last injection round).
+    pub max_rounds: u64,
+    /// Profile the engine round loop; the phase attribution comes back in
+    /// the result's `stats.profile`. Never changes simulated results.
+    pub profile: bool,
+}
+
+/// Everything one engine run produced.
+#[derive(Clone, Debug)]
+pub struct SimResult {
+    /// Delivered packets, ordered by destination vertex then arrival.
+    pub deliveries: Vec<Delivery>,
+    /// Ids of packets dropped by a full queue.
+    pub dropped_capacity: Vec<u32>,
+    /// Ids of packets dropped by the rule: stuck, bad port or hop cap.
+    pub dropped_stuck: Vec<u32>,
+    /// Why each packet of `dropped_stuck` was dropped, in the same order.
+    pub stuck_errors: Vec<GraphRouteError>,
+    /// Dense per-round totals (index = round).
+    pub series: Vec<RoundTotals>,
+    /// Words actually transmitted per edge (capacity drops never transmit).
+    pub edge_load: EdgeLoadMap,
+    /// Journeys of the traced packets that were delivered or dropped by the
+    /// rule, with their ids.
+    pub traces: Vec<(u32, PacketTrace)>,
+    /// Engine statistics (the memory meter includes queue occupancy).
+    pub stats: RunStats,
+}
+
+impl SimResult {
+    /// Largest number of packets queued network-wide at any round end.
+    pub fn peak_queue_packets(&self) -> u64 {
+        self.series
+            .iter()
+            .map(|t| t.queued_packets)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Largest number of queued words network-wide at any round end.
+    pub fn peak_queue_words(&self) -> u64 {
+        self.series
+            .iter()
+            .map(|t| t.queued_words)
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+/// Run the protocol: inject `injections` (sorted by round) into per-port
+/// queues and forward by the Thorup–Zwick rule until the network drains or
+/// `settings.max_rounds` cuts the run off.
+///
+/// # Panics
+///
+/// Panics if `injections` is not sorted by round, or if a scheduled round
+/// exceeds `settings.max_rounds` (the packet could never inject, which would
+/// silently break conservation).
+pub fn run(
+    network: &Network,
+    scheme: &RoutingScheme,
+    injections: impl IntoIterator<Item = Injection>,
+    settings: &Settings,
+) -> SimResult {
+    let n = network.len();
+    let mut schedules: Vec<VecDeque<(u64, Packet)>> = vec![VecDeque::new(); n];
+    let (mut last, mut max_words) = (0, None);
+    for (round, src, packet) in injections {
+        assert!(round >= last, "injection schedule must be sorted by round");
+        assert!(
+            round <= settings.max_rounds,
+            "injection at round {round} lies beyond the {} round cap",
+            settings.max_rounds
+        );
+        last = round;
+        max_words = max_words.max(Some(packet.words()));
+        schedules[src.index()].push_back((round, packet));
+    }
+    let mut result = SimResult {
+        deliveries: Vec::new(),
+        dropped_capacity: Vec::new(),
+        dropped_stuck: Vec::new(),
+        stuck_errors: Vec::new(),
+        series: Vec::new(),
+        edge_load: EdgeLoadMap::new(),
+        traces: Vec::new(),
+        stats: RunStats {
+            completed: true,
+            memory: MemoryMeter::new(n),
+            ..RunStats::default()
+        },
+    };
+    // With nothing injected there is no traffic to simulate and no honest
+    // per-edge budget to configure: skip the engine.
+    let Some(edge_words_per_round) = max_words else {
+        return result;
+    };
+
+    let hop_cap = forward::hop_cap(n) as u32;
+    let protos: Vec<Vertex<'_>> = network
+        .graph()
+        .vertices()
+        .zip(schedules)
+        .map(|(v, schedule)| Vertex {
+            table: scheme.table(v),
+            table_words: scheme.table(v).words(),
+            ports: vec![Port::default(); network.graph().degree(v)],
+            queued_packets: 0,
+            queued_words: 0,
+            queue_cap: settings.queue_cap,
+            policy: settings.policy,
+            hop_cap,
+            schedule,
+            deliveries: Vec::new(),
+            dropped_capacity: Vec::new(),
+            dropped_stuck: Vec::new(),
+            traces: Vec::new(),
+            logs: Vec::new(),
+            scratch: RoundLog::default(),
+        })
+        .collect();
+    let engine = Engine::with_config(EngineConfig {
+        edge_words_per_round,
+        max_rounds: settings.max_rounds,
+        profile: settings.profile,
+        ..EngineConfig::default()
+    });
+    let (protos, stats) = engine.run(network, protos);
+
+    // Merge the sparse per-vertex logs into a dense series, in vertex order.
+    result.series = (0..=stats.rounds)
+        .map(|round| RoundTotals {
+            round,
+            ..RoundTotals::default()
+        })
+        .collect();
+    for (v, p) in network.graph().vertices().zip(protos) {
+        for log in &p.logs {
+            let t = &mut result.series[log.round as usize];
+            t.injected += u64::from(log.injected);
+            t.delivered += u64::from(log.delivered);
+            t.dropped_capacity += u64::from(log.dropped_capacity);
+            t.dropped_stuck += u64::from(log.dropped_stuck);
+            t.sent += u64::from(log.sent);
+            t.queued_packets += u64::from(log.queued_packets);
+            t.queued_words += log.queued_words;
+        }
+        result.deliveries.extend(p.deliveries);
+        result.dropped_capacity.extend(p.dropped_capacity);
+        for (id, err) in p.dropped_stuck {
+            result.dropped_stuck.push(id);
+            result.stuck_errors.push(err);
+        }
+        result.traces.extend(p.traces);
+        for (arc, port) in network.ports(v).iter().zip(&p.ports) {
+            if port.sent.packets > 0 {
+                result.edge_load.add(v.0, arc.to.0, port.sent);
+            }
+        }
+    }
+    // No occupancy carry-over is needed: a vertex with a non-empty queue
+    // always sends (flush pops every non-empty port), so every occupied
+    // round is logged by that vertex.
+    result.stats = stats;
+    result
+}
+
+/// One outgoing port: its FIFO and what it has transmitted so far.
+#[derive(Clone, Debug, Default)]
+struct Port {
+    queue: VecDeque<Packet>,
+    sent: Load,
+}
+
+/// Per-vertex protocol: the vertex's routing table, one FIFO queue per
+/// port flushed one packet per port per round, and its pending injections.
+#[derive(Clone, Debug)]
+struct Vertex<'s> {
+    table: &'s RoutingTable,
+    /// `table.words()`, counted once: the table never changes.
+    table_words: usize,
+    /// Indexed by port (position in the neighbor list).
+    ports: Vec<Port>,
+    /// Packets and words across all queues, kept in step with every push
+    /// and pop so no poll has to walk them.
+    queued_packets: u32,
+    queued_words: usize,
+    queue_cap: usize,
+    policy: DropPolicy,
+    hop_cap: u32,
+    /// This vertex's pending injections, sorted by round.
+    schedule: VecDeque<(u64, Packet)>,
+    deliveries: Vec<Delivery>,
+    dropped_capacity: Vec<u32>,
+    dropped_stuck: Vec<(u32, GraphRouteError)>,
+    /// Journeys of traced packets that came to rest here.
+    traces: Vec<(u32, PacketTrace)>,
+    logs: Vec<RoundLog>,
+    scratch: RoundLog,
+}
+
+impl Vertex<'_> {
+    /// Classify one packet: deliver here, enqueue toward its next hop
+    /// (applying the drop policy at a full queue), or drop it as stuck.
+    fn classify(&mut self, ctx: &Ctx<'_, Packet>, mut packet: Packet, round: u64) {
+        let me = ctx.me();
+        match forward::step(
+            self.table,
+            me,
+            packet.tree_root,
+            &packet.label,
+            ctx.neighbors(),
+        ) {
             Ok(Step::Deliver) => {
-                self.delivered.push((packet.id, round, packet.weight));
+                self.scratch.delivered += 1;
+                self.deliveries.push(Delivery {
+                    id: packet.id,
+                    round,
+                    weight: packet.weight,
+                    hops: packet.hops,
+                });
                 if let Some(mut trace) = packet.trace.take() {
                     trace.delivered_round = Some(round);
-                    self.traces_out.push((packet.id, *trace));
+                    self.traces.push((packet.id, *trace));
                 }
+            }
+            Ok(Step::Forward { .. }) if packet.hops == self.hop_cap => {
+                self.drop_stuck(packet, GraphRouteError::Loop);
             }
             Ok(Step::Forward { port, kind }) => {
                 let arc = ctx.neighbors()[port];
-                let header_words = packet.words();
+                let words = packet.words();
                 packet.weight += arc.weight;
+                packet.hops += 1;
                 if let Some(trace) = packet.trace.as_mut() {
-                    // Round and queue delay are finalized at flush, once
-                    // the send round is known.
+                    // `round` holds the enqueue round until flush prices
+                    // the wait.
                     trace.hops.push(HopRecord {
                         round,
                         vertex: me.0,
@@ -419,60 +453,129 @@ impl LoadedVertex<'_> {
                         kind: kind.expect("the paper's rule names its branch"),
                         queue_delay: 0,
                         weight: packet.weight,
-                        header_words,
+                        header_words: words,
                     });
                 }
-                self.queued_packets += 1;
-                self.queued_words += packet.words();
-                self.queues[port].push_back((packet, round));
+                let q = &mut self.ports[port].queue;
+                if q.len() >= self.queue_cap {
+                    let dropped = match self.policy {
+                        DropPolicy::TailDrop => packet.id,
+                        DropPolicy::OldestDrop => {
+                            let oldest = q.pop_front().expect("full queue is non-empty");
+                            self.queued_words = self.queued_words + words - oldest.words();
+                            q.push_back(packet);
+                            oldest.id
+                        }
+                    };
+                    self.scratch.dropped_capacity += 1;
+                    self.dropped_capacity.push(dropped);
+                } else {
+                    self.queued_packets += 1;
+                    self.queued_words += words;
+                    q.push_back(packet);
+                }
             }
-            Err(_) => self.drop_packet(&mut packet),
+            // Any walk error — stuck rule, missing row, missing port.
+            Err(err) => self.drop_stuck(packet, err),
         }
     }
 
-    fn flush(&mut self, ctx: &mut Ctx<'_, LoadedPacket>) {
+    fn drop_stuck(&mut self, mut packet: Packet, err: GraphRouteError) {
+        self.scratch.dropped_stuck += 1;
+        self.dropped_stuck.push((packet.id, err));
+        if let Some(trace) = packet.trace.take() {
+            self.traces.push((packet.id, *trace));
+        }
+    }
+
+    /// Inject every packet scheduled for `round`.
+    fn inject(&mut self, ctx: &Ctx<'_, Packet>, round: u64) {
+        while self.schedule.front().is_some_and(|(due, _)| *due == round) {
+            let (_, packet) = self.schedule.pop_front().expect("front was just seen");
+            self.scratch.injected += 1;
+            self.classify(ctx, packet, round);
+        }
+    }
+
+    /// Send the head of every non-empty queue: one packet per port per round.
+    fn flush(&mut self, ctx: &mut Ctx<'_, Packet>) {
         if self.queued_packets == 0 {
             return;
         }
         let now = ctx.round();
-        for (q, arc) in self.queues.iter_mut().zip(ctx.neighbors()) {
-            if let Some((mut p, enqueued)) = q.pop_front() {
+        for (port, arc) in self.ports.iter_mut().zip(ctx.neighbors()) {
+            if let Some(mut p) = port.queue.pop_front() {
+                let words = p.words();
                 self.queued_packets -= 1;
-                self.queued_words -= p.words();
+                self.queued_words -= words;
+                port.sent.packets += 1;
+                port.sent.words += words as u64;
+                self.scratch.sent += 1;
                 if let Some(trace) = p.trace.as_mut() {
                     let hop = trace.hops.last_mut().expect("hop queued with a record");
+                    hop.queue_delay = now - hop.round;
                     hop.round = now;
-                    hop.queue_delay = now - enqueued;
                 }
                 ctx.send(arc.to, p);
+                if self.queued_packets == 0 {
+                    break;
+                }
             }
         }
     }
+
+    /// Close the round: snapshot queue occupancy and flush the scratch log
+    /// if this round did anything.
+    fn close_round(&mut self, round: u64) {
+        self.scratch.round = round;
+        self.scratch.queued_packets = self.queued_packets;
+        self.scratch.queued_words = self.queued_words as u64;
+        let idle = RoundLog {
+            round,
+            ..RoundLog::default()
+        };
+        if self.scratch != idle {
+            self.logs.push(self.scratch);
+        }
+        self.scratch = RoundLog::default();
+    }
 }
 
-impl VertexProtocol for LoadedVertex<'_> {
-    type Msg = LoadedPacket;
+impl VertexProtocol for Vertex<'_> {
+    type Msg = Packet;
 
-    fn init(&mut self, ctx: &mut Ctx<'_, LoadedPacket>) {
-        let injected = std::mem::take(&mut self.inject);
-        for p in injected {
-            self.classify(ctx, p, 0);
-        }
+    fn init(&mut self, ctx: &mut Ctx<'_, Packet>) {
+        self.inject(ctx, 0);
         self.flush(ctx);
+        self.close_round(0);
     }
 
-    fn round(&mut self, ctx: &mut Ctx<'_, LoadedPacket>, inbox: &mut Inbox<'_, LoadedPacket>) {
+    fn round(&mut self, ctx: &mut Ctx<'_, Packet>, inbox: &mut Inbox<'_, Packet>) {
         let round = ctx.round();
-        // Drain moves each packet out of the engine's arena — no clones on
-        // the store-and-forward hot path.
+        self.inject(ctx, round);
+        // Drain moves each packet (heap label + trace included) out of the
+        // engine's arena — forwarding never clones.
         for (_, p) in inbox.drain() {
             self.classify(ctx, p, round);
         }
         self.flush(ctx);
+        self.close_round(round);
     }
 
     fn is_done(&self) -> bool {
-        self.queued_packets == 0
+        self.schedule.is_empty() && self.queued_packets == 0
+    }
+
+    fn wake(&self) -> Wake {
+        if self.queued_packets > 0 {
+            Wake::NextRound
+        } else {
+            // A scheduled injection must keep the clock ticking even when no
+            // messages are in flight.
+            self.schedule
+                .front()
+                .map_or(Wake::OnMessage, |&(due, _)| Wake::At(due))
+        }
     }
 
     fn memory_words(&self) -> usize {
@@ -484,218 +587,159 @@ impl VertexProtocol for LoadedVertex<'_> {
     }
 }
 
-/// Per-packet outcome in a batched simulation.
-///
-/// Splits the old `None` delivery into its two distinct causes: a source
-/// that never committed to a tree versus a packet lost mid-route.
+/// What happened to one packet of a [`send`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeliveryStatus {
-    /// Arrived: delivery round (hops + queueing) and routed weight.
+pub enum PacketOutcome {
+    /// Arrived: delivery round (hops plus queueing delay) and routed weight.
+    /// A self-addressed packet legitimately reports round 0, weight 0.
     Delivered {
         /// Round of delivery.
         round: u64,
-        /// Routed path weight.
+        /// Weight the header accumulated (equals the routed path weight).
         weight: Weight,
     },
-    /// The source had no common tree with the target; never injected.
-    Undeliverable,
-    /// Dropped mid-route by a stuck rule or missing port.
-    Dropped,
+    /// The walk failed exactly as the central router's would:
+    /// [`GraphRouteError::NoCommonTree`] means the pair is undeliverable
+    /// and nothing was injected; the other errors name a construction bug,
+    /// not a traffic condition.
+    Failed(GraphRouteError),
 }
 
-impl DeliveryStatus {
+impl PacketOutcome {
     /// Delivery round and weight, if the packet arrived.
     pub fn delivery(&self) -> Option<(u64, Weight)> {
         match self {
-            DeliveryStatus::Delivered { round, weight } => Some((*round, *weight)),
-            _ => None,
+            PacketOutcome::Delivered { round, weight } => Some((*round, *weight)),
+            PacketOutcome::Failed(_) => None,
         }
     }
 }
 
-/// Result of a batched simulation.
+/// How to run a [`send`]. Neither option changes a simulated result.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SendOptions {
+    /// Flight-record every packet ([`Sent::traces`]).
+    pub trace: bool,
+    /// Profile the engine round loop (`stats.profile`).
+    pub profile: bool,
+}
+
+/// The result of a [`send`].
 #[derive(Clone, Debug)]
-pub struct LoadReport {
-    /// Per packet (by submission index): what happened to it.
-    pub outcomes: Vec<DeliveryStatus>,
-    /// Packets whose source had no common tree (never injected).
-    pub undeliverable: u32,
-    /// Packets dropped mid-route by a stuck rule or missing entry —
-    /// distinct from `undeliverable`: these consumed network resources.
-    pub dropped: u32,
+pub struct Sent {
+    /// Per pair (by submission index): what happened to its packet.
+    pub outcomes: Vec<PacketOutcome>,
+    /// Per pair: its journey in a traced send. `None` for undeliverable
+    /// pairs and throughout an untraced send; a packet the rule dropped
+    /// keeps its partial journey.
+    pub traces: Vec<Option<PacketTrace>>,
+    /// Words and packets per edge; the words total equals the engine's.
+    pub edge_load: EdgeLoadMap,
     /// Engine statistics (the memory meter includes queue occupancy).
     pub stats: RunStats,
 }
 
-impl LoadReport {
+impl Sent {
     /// Delivery round and weight of packet `id`, if it arrived.
     pub fn delivery(&self, id: usize) -> Option<(u64, Weight)> {
         self.outcomes[id].delivery()
     }
 
-    /// Deliveries in submission order (`None` for undeliverable/dropped).
+    /// Deliveries in submission order (`None` for packets that failed).
     pub fn deliveries(&self) -> impl Iterator<Item = Option<(u64, Weight)>> + '_ {
-        self.outcomes.iter().map(DeliveryStatus::delivery)
+        self.outcomes.iter().map(PacketOutcome::delivery)
     }
 
     /// Number of packets that arrived.
     pub fn delivered_count(&self) -> usize {
         self.deliveries().flatten().count()
     }
+
+    /// Pairs that share no tree: never injected.
+    pub fn undeliverable(&self) -> usize {
+        let never_injected = PacketOutcome::Failed(GraphRouteError::NoCommonTree);
+        self.outcomes
+            .iter()
+            .filter(|&&o| o == never_injected)
+            .count()
+    }
+
+    /// Injected packets the rule dropped mid-route — distinct from
+    /// [`Sent::undeliverable`]: these consumed network resources.
+    pub fn dropped(&self) -> usize {
+        self.outcomes.len() - self.delivered_count() - self.undeliverable()
+    }
+
+    /// Words and packets forwarded per vertex, folded from the traces
+    /// (empty for an untraced send).
+    pub fn vertex_load(&self) -> VertexLoadMap {
+        let mut load = VertexLoadMap::new();
+        for trace in self.traces.iter().flatten() {
+            load.record_trace(trace);
+        }
+        load
+    }
 }
 
-/// A batched simulation plus its flight recording.
-#[derive(Clone, Debug)]
-pub struct LoadFlight {
-    /// The simulation result, identical to the untraced [`send_many`]'s.
-    pub report: LoadReport,
-    /// Per packet (by submission index): its journey. `None` only for
-    /// [`DeliveryStatus::Undeliverable`] packets; dropped packets keep
-    /// their partial journey.
-    pub traces: Vec<Option<PacketTrace>>,
-    /// Words and packets per edge, aggregated over every hop of every
-    /// trace. Word totals equal the engine's delivered-words total.
-    pub edge_load: EdgeLoadMap,
-    /// Words and packets forwarded per vertex.
-    pub vertex_load: VertexLoadMap,
-}
-
-/// Inject one packet per `(src, dst)` pair simultaneously and run the
-/// network until all traffic drains. Store-and-forward with one packet per
-/// edge per round, so the delivery time of a packet is its hop count plus
-/// the queueing delay its path suffered — the congestion behavior of
-/// compact routing under load.
-pub fn send_many(
+/// Send one packet per `(src, dst)` pair: plan each at its source, inject
+/// them all at round 0 into unbounded queues and run the protocol until the
+/// network drains. A single packet is a batch of one.
+pub fn send(
     network: &Network,
     scheme: &RoutingScheme,
     pairs: &[(VertexId, VertexId)],
-) -> LoadReport {
-    send_many_inner(network, scheme, pairs, false, false).report
-}
-
-/// [`send_many`], with the engine profiler on: the returned report's
-/// `stats.profile` carries the per-phase attribution. Outcomes and
-/// simulated stats are identical to the unprofiled run.
-pub fn send_many_profiled(
-    network: &Network,
-    scheme: &RoutingScheme,
-    pairs: &[(VertexId, VertexId)],
-) -> LoadReport {
-    send_many_inner(network, scheme, pairs, false, true).report
-}
-
-/// Like [`send_many`], but flight-recorded: per-packet hop traces plus
-/// edge/vertex load heatmaps. The report is identical to the untraced
-/// [`send_many`]'s — tracing never perturbs rounds, words, or memory.
-pub fn send_many_traced(
-    network: &Network,
-    scheme: &RoutingScheme,
-    pairs: &[(VertexId, VertexId)],
-) -> LoadFlight {
-    send_many_inner(network, scheme, pairs, true, false)
-}
-
-fn send_many_inner(
-    network: &Network,
-    scheme: &RoutingScheme,
-    pairs: &[(VertexId, VertexId)],
-    traced: bool,
-    profile: bool,
-) -> LoadFlight {
-    // Source decisions, as in `send`.
-    let mut inject: Vec<Vec<LoadedPacket>> = vec![Vec::new(); network.len()];
-    let mut outcomes = vec![DeliveryStatus::Undeliverable; pairs.len()];
-    let mut max_words: Option<usize> = None;
+    opts: SendOptions,
+) -> Sent {
+    let mut outcomes = vec![PacketOutcome::Failed(GraphRouteError::NoCommonTree); pairs.len()];
+    let mut injections = Vec::new();
     for (id, &(src, dst)) in pairs.iter().enumerate() {
         let Some(plan) = plan(scheme, src, dst) else {
-            continue; // stays Undeliverable
+            continue;
         };
-        // Injected packets default to Dropped until a delivery proves
-        // otherwise, keeping the two loss causes apart.
-        outcomes[id] = DeliveryStatus::Dropped;
-        let packet = LoadedPacket {
-            id: id as u32,
-            tree_root: plan.tree_root,
-            weight: 0,
-            trace: traced.then(|| new_trace(src, dst, &plan)),
-            label: plan.label,
-        };
-        max_words = Some(max_words.unwrap_or(0).max(packet.words()));
-        inject[src.index()].push(packet);
-    }
-    let undeliverable = outcomes
-        .iter()
-        .filter(|o| **o == DeliveryStatus::Undeliverable)
-        .count() as u32;
-
-    // With nothing injected there is no traffic to simulate and no honest
-    // per-edge budget to configure — skip the engine instead of inventing
-    // one (the old code silently fell back to 4 words).
-    let Some(edge_words_per_round) = max_words else {
-        return LoadFlight {
-            report: LoadReport {
-                outcomes,
-                undeliverable,
-                dropped: 0,
-                stats: RunStats {
-                    completed: true,
-                    memory: congest::MemoryMeter::new(network.len()),
-                    ..RunStats::default()
-                },
-            },
-            traces: vec![None; pairs.len()],
-            edge_load: EdgeLoadMap::new(),
-            vertex_load: VertexLoadMap::new(),
-        };
-    };
-
-    let protos: Vec<LoadedVertex<'_>> = network
-        .graph()
-        .vertices()
-        .map(|v| LoadedVertex {
-            table: scheme.table(v),
-            table_words: scheme.table(v).words(),
-            queues: vec![VecDeque::new(); network.graph().degree(v)],
-            queued_packets: 0,
-            queued_words: 0,
-            delivered: Vec::new(),
-            inject: std::mem::take(&mut inject[v.index()]),
-            dropped: Vec::new(),
-            traces_out: Vec::new(),
-        })
-        .collect();
-    let engine = Engine::with_config(EngineConfig {
-        edge_words_per_round,
-        profile,
-        ..EngineConfig::default()
-    });
-    let (protos, stats) = engine.run(network, protos);
-
-    let mut dropped = 0;
-    let mut traces: Vec<Option<PacketTrace>> = vec![None; pairs.len()];
-    let mut edge_load = EdgeLoadMap::new();
-    let mut vertex_load = VertexLoadMap::new();
-    for p in protos {
-        dropped += p.dropped.len() as u32;
-        for &(id, round, weight) in &p.delivered {
-            outcomes[id as usize] = DeliveryStatus::Delivered { round, weight };
+        // Until the run says otherwise: only a packet still moving at the
+        // engine's round cap keeps this.
+        outcomes[id] = PacketOutcome::Failed(GraphRouteError::Loop);
+        let mut packet = Packet::from_plan(id as u32, plan);
+        if opts.trace {
+            packet.trace = Some(Box::new(PacketTrace {
+                src: src.0,
+                dst: dst.0,
+                tree_root: packet.tree_root.0,
+                delivered_round: None,
+                hops: Vec::new(),
+            }));
         }
-        for (id, trace) in p.traces_out {
-            edge_load.record_trace(&trace);
-            vertex_load.record_trace(&trace);
-            traces[id as usize] = Some(trace);
-        }
+        injections.push((0, src, packet));
     }
-    LoadFlight {
-        report: LoadReport {
-            outcomes,
-            undeliverable,
-            dropped,
-            stats,
+    let sim = run(
+        network,
+        scheme,
+        injections,
+        &Settings {
+            queue_cap: usize::MAX,
+            policy: DropPolicy::TailDrop,
+            max_rounds: EngineConfig::default().max_rounds,
+            profile: opts.profile,
         },
+    );
+    for d in &sim.deliveries {
+        outcomes[d.id as usize] = PacketOutcome::Delivered {
+            round: d.round,
+            weight: d.weight,
+        };
+    }
+    for (&id, &err) in sim.dropped_stuck.iter().zip(&sim.stuck_errors) {
+        outcomes[id as usize] = PacketOutcome::Failed(err);
+    }
+    let mut traces = vec![None; pairs.len()];
+    for (id, trace) in sim.traces {
+        traces[id as usize] = Some(trace);
+    }
+    Sent {
+        outcomes,
         traces,
-        edge_load,
-        vertex_load,
+        edge_load: sim.edge_load,
+        stats: sim.stats,
     }
 }
 
@@ -708,9 +752,30 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
+    const TRACED: SendOptions = SendOptions {
+        trace: true,
+        profile: false,
+    };
+
     fn setup(n: usize, seed: u64) -> (Network, RoutingScheme) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let g = generators::erdos_renyi_connected(n, 3.0 / n as f64, 1..=9, &mut rng);
+        let built = build(&g, &BuildParams::new(2), &mut rng);
+        (Network::new(g), built.scheme)
+    }
+
+    /// A send of the single pair `s -> t`.
+    fn one(net: &Network, scheme: &RoutingScheme, s: u32, t: u32, opts: SendOptions) -> Sent {
+        send(net, scheme, &[(VertexId(s), VertexId(t))], opts)
+    }
+
+    /// Two components: `{0, 1}` and `{2, 3}`.
+    fn split_network(seed: u64) -> (Network, RoutingScheme) {
+        let mut b = graphs::GraphBuilder::new(4);
+        b.add_edge(VertexId(0), VertexId(1), 1);
+        b.add_edge(VertexId(2), VertexId(3), 1);
+        let g = b.build();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let built = build(&g, &BuildParams::new(2), &mut rng);
         (Network::new(g), built.scheme)
     }
@@ -719,8 +784,8 @@ mod tests {
     fn packet_matches_central_router() {
         let (net, scheme) = setup(60, 601);
         for (s, t) in [(0u32, 59u32), (5, 30), (42, 7)] {
-            let report = send(&net, &scheme, VertexId(s), VertexId(t));
-            let (rounds, weight) = report.outcome.delivery().expect("delivered");
+            let sent = one(&net, &scheme, s, t, SendOptions::default());
+            let (rounds, weight) = sent.delivery(0).expect("delivered");
             let central = router::route(net.graph(), &scheme, VertexId(s), VertexId(t)).unwrap();
             assert_eq!(weight, central.weight);
             assert_eq!(rounds as usize, central.hops());
@@ -732,107 +797,89 @@ mod tests {
         let (net, scheme) = setup(60, 615);
         for (s, t) in [(0u32, 59u32), (5, 30), (42, 7)] {
             let p = plan(&scheme, VertexId(s), VertexId(t)).expect("connected pair");
-            let flight = send_traced(&net, &scheme, VertexId(s), VertexId(t));
-            let trace = flight.trace.expect("delivered");
-            // The plan commits to exactly the tree the send variants choose.
+            let sent = one(&net, &scheme, s, t, TRACED);
+            let trace = sent.traces[0].as_ref().expect("delivered");
+            // The plan commits to exactly the tree the send chooses.
             assert_eq!(p.tree_root.0, trace.tree_root);
-            let (_, weight) = flight.report.outcome.delivery().expect("delivered");
+            let (_, weight) = sent.delivery(0).expect("delivered");
             // The estimate prices the committed route: an upper bound on the
             // routed weight.
             assert!(p.est_cost >= weight, "est {} < routed {weight}", p.est_cost);
-            assert_eq!(p.loaded_words(), 3 + p.label.words());
+            assert_eq!(p.words(), 4 + p.label.words());
+            assert!(trace.hops.iter().all(|h| h.header_words == p.words()));
         }
     }
 
     #[test]
     fn plan_is_none_for_disconnected_pairs() {
-        let mut b = graphs::GraphBuilder::new(4);
-        b.add_edge(VertexId(0), VertexId(1), 1);
-        b.add_edge(VertexId(2), VertexId(3), 1);
-        let g = b.build();
-        let mut rng = ChaCha8Rng::seed_from_u64(616);
-        let built = build(&g, &BuildParams::new(2), &mut rng);
-        assert!(plan(&built.scheme, VertexId(0), VertexId(3)).is_none());
+        let (_, scheme) = split_network(616);
+        assert!(plan(&scheme, VertexId(0), VertexId(3)).is_none());
     }
 
     #[test]
     fn packet_to_self_delivers_in_zero_rounds() {
         let (net, scheme) = setup(30, 602);
-        let report = send(&net, &scheme, VertexId(3), VertexId(3));
-        // A legitimate zero-hop self-delivery is Delivered{0, 0} — now
-        // distinguishable from an undeliverable packet's NoCommonTree.
+        let sent = one(&net, &scheme, 3, 3, SendOptions::default());
+        // A legitimate zero-hop self-delivery is Delivered{0, 0}, apart from
+        // an undeliverable packet's NoCommonTree.
         assert_eq!(
-            report.outcome,
-            PacketOutcome::Delivered {
-                rounds: 0,
+            sent.outcomes,
+            [PacketOutcome::Delivered {
+                round: 0,
                 weight: 0
-            }
+            }]
         );
     }
 
     #[test]
     fn packet_size_is_logarithmic() {
         let (net, scheme) = setup(100, 603);
-        let report = send(&net, &scheme, VertexId(0), VertexId(99));
-        assert!(report.delivered());
-        // Header (2) + label (1 + 2·light); light ≤ log2(n).
-        assert!(
-            report.packet_words <= 2 + 1 + 2 * 7,
-            "{}",
-            report.packet_words
-        );
-        assert_eq!(report.stats.congestion_violations, 0);
+        let sent = one(&net, &scheme, 0, 99, SendOptions::default());
+        assert!(sent.delivery(0).is_some());
+        // Header (4) + label (1 + 2·light); light ≤ log2(n).
+        let words = plan(&scheme, VertexId(0), VertexId(99)).unwrap().words();
+        assert!(words <= 4 + 1 + 2 * 7, "{words}");
+        assert_eq!(sent.stats.max_edge_words, words);
+        assert_eq!(sent.stats.congestion_violations, 0);
     }
 
     #[test]
     fn undeliverable_packet_reports_no_common_tree() {
-        let mut b = graphs::GraphBuilder::new(4);
-        b.add_edge(VertexId(0), VertexId(1), 1);
-        b.add_edge(VertexId(2), VertexId(3), 1);
-        let g = b.build();
-        let mut rng = ChaCha8Rng::seed_from_u64(604);
-        let built = build(&g, &BuildParams::new(2), &mut rng);
-        let net = Network::new(g);
-        let report = send(&net, &built.scheme, VertexId(0), VertexId(3));
+        let (net, scheme) = split_network(604);
+        let sent = one(&net, &scheme, 0, 3, TRACED);
         assert_eq!(
-            report.outcome,
-            PacketOutcome::Failed(GraphRouteError::NoCommonTree)
+            sent.outcomes,
+            [PacketOutcome::Failed(GraphRouteError::NoCommonTree)]
         );
-        assert_eq!(report.packet_words, 0);
-        let flight = send_traced(&net, &built.scheme, VertexId(0), VertexId(3));
-        assert!(flight.trace.is_none(), "nothing was injected");
+        assert_eq!((sent.undeliverable(), sent.dropped()), (1, 0));
+        assert_eq!(sent.stats.messages, 0, "nothing was injected");
+        assert!(sent.traces[0].is_none());
     }
 
     #[test]
     fn traced_send_matches_untraced_send() {
         let (net, scheme) = setup(60, 609);
         for (s, t) in [(0u32, 59u32), (7, 23), (14, 14)] {
-            let plain = send(&net, &scheme, VertexId(s), VertexId(t));
-            let flight = send_traced(&net, &scheme, VertexId(s), VertexId(t));
-            assert_eq!(plain.outcome, flight.report.outcome);
-            assert_eq!(plain.packet_words, flight.report.packet_words);
-            assert_eq!(plain.stats.rounds, flight.report.stats.rounds);
-            assert_eq!(plain.stats.messages, flight.report.stats.messages);
-            assert_eq!(plain.stats.words, flight.report.stats.words);
-            assert_eq!(
-                plain.stats.memory.max_peak(),
-                flight.report.stats.memory.max_peak()
-            );
+            let plain = one(&net, &scheme, s, t, SendOptions::default());
+            let traced = one(&net, &scheme, s, t, TRACED);
+            assert_eq!(plain.outcomes, traced.outcomes);
+            assert!(plain.stats.same_simulation(&traced.stats));
+            assert!(plain.traces.iter().all(Option::is_none));
         }
     }
 
     #[test]
     fn trace_reconstructs_the_journey() {
         let (net, scheme) = setup(60, 610);
-        let flight = send_traced(&net, &scheme, VertexId(2), VertexId(55));
-        let (rounds, weight) = flight.report.outcome.delivery().expect("delivered");
-        let trace = flight.trace.expect("traced");
+        let sent = one(&net, &scheme, 2, 55, TRACED);
+        let (rounds, weight) = sent.delivery(0).expect("delivered");
+        let trace = sent.traces[0].as_ref().expect("traced");
         assert_eq!(trace.src, 2);
         assert_eq!(trace.dst, 55);
         assert_eq!(trace.hop_count() as u64, rounds);
         assert_eq!(trace.total_weight(), weight);
         assert_eq!(trace.delivered_round, Some(rounds));
-        // Stateless single-packet forwarding never queues.
+        // A lone packet never queues.
         assert_eq!(trace.queueing_delay(), 0);
         // The decomposition partitions the routed weight.
         let d = trace.decomposition();
@@ -862,18 +909,17 @@ mod tests {
             .map(|i| (VertexId(i % 80), VertexId((i * 37 + 11) % 80)))
             .filter(|(a, b)| a != b)
             .collect();
-        let report = send_many(&net, &scheme, &pairs);
-        assert_eq!(report.dropped, 0);
-        assert_eq!(report.undeliverable, 0);
+        let sent = send(&net, &scheme, &pairs, SendOptions::default());
+        assert_eq!((sent.undeliverable(), sent.dropped()), (0, 0));
         for (id, &(s, t)) in pairs.iter().enumerate() {
-            let (round, weight) = report.delivery(id).expect("delivered");
+            let (round, weight) = sent.delivery(id).expect("delivered");
             let central = router::route(g, &scheme, s, t).unwrap();
             // Same path weight as the uncongested router; delivery no
             // earlier than the hop count (queueing only adds delay).
             assert_eq!(weight, central.weight, "packet {id}");
             assert!(round as usize >= central.hops(), "packet {id}");
         }
-        assert_eq!(report.stats.congestion_violations, 0);
+        assert_eq!(sent.stats.congestion_violations, 0);
     }
 
     #[test]
@@ -883,20 +929,15 @@ mod tests {
             .map(|i| (VertexId(i % 80), VertexId((i * 13 + 7) % 80)))
             .filter(|(a, b)| a != b)
             .collect();
-        let plain = send_many(&net, &scheme, &pairs);
-        let flight = send_many_traced(&net, &scheme, &pairs);
-        assert_eq!(plain.outcomes, flight.report.outcomes);
-        assert_eq!(plain.stats.rounds, flight.report.stats.rounds);
-        assert_eq!(plain.stats.messages, flight.report.stats.messages);
-        assert_eq!(plain.stats.words, flight.report.stats.words);
-        assert_eq!(
-            plain.stats.memory.max_peak(),
-            flight.report.stats.memory.max_peak()
-        );
+        let plain = send(&net, &scheme, &pairs, SendOptions::default());
+        let traced = send(&net, &scheme, &pairs, TRACED);
+        assert_eq!(plain.outcomes, traced.outcomes);
+        assert!(plain.stats.same_simulation(&traced.stats));
+        assert_eq!(plain.edge_load.stats(), traced.edge_load.stats());
         // Delivery time decomposes into hops + queueing, per packet.
-        for (id, trace) in flight.traces.iter().enumerate() {
+        for (id, trace) in traced.traces.iter().enumerate() {
             let trace = trace.as_ref().expect("all injected");
-            let (round, weight) = flight.report.delivery(id).expect("delivered");
+            let (round, weight) = traced.delivery(id).expect("delivered");
             assert_eq!(
                 round,
                 trace.hop_count() as u64 + trace.queueing_delay(),
@@ -904,17 +945,17 @@ mod tests {
             );
             assert_eq!(trace.total_weight(), weight, "packet {id}");
         }
-        // The edge heatmap's words are exactly the engine's delivered words.
-        assert_eq!(flight.edge_load.total_words(), flight.report.stats.words);
-        assert_eq!(flight.vertex_load.total_words(), flight.report.stats.words);
-        let hops: u64 = flight
+        // The heatmaps' words are exactly the engine's delivered words.
+        assert_eq!(traced.edge_load.total_words(), traced.stats.words);
+        assert_eq!(traced.vertex_load().total_words(), traced.stats.words);
+        let hops: u64 = traced
             .traces
             .iter()
             .flatten()
             .map(|t| t.hop_count() as u64)
             .sum();
-        assert_eq!(flight.edge_load.total_packets(), hops);
-        assert_eq!(flight.report.stats.messages, hops);
+        assert_eq!(traced.edge_load.total_packets(), hops);
+        assert_eq!(traced.stats.messages, hops);
     }
 
     #[test]
@@ -924,12 +965,12 @@ mod tests {
         let (net, scheme) = setup(50, 607);
         let sink = VertexId(0);
         let pairs: Vec<(VertexId, VertexId)> = (1..50u32).map(|i| (VertexId(i), sink)).collect();
-        let report = send_many(&net, &scheme, &pairs);
-        assert_eq!(report.dropped, 0);
-        assert_eq!(report.delivered_count(), 49);
+        let sent = send(&net, &scheme, &pairs, SendOptions::default());
+        assert_eq!(sent.dropped(), 0);
+        assert_eq!(sent.delivered_count(), 49);
         // The last arrival is later than the distance-only bound would be —
         // serialization at the sink's incident edges forces it.
-        let last = report.deliveries().flatten().map(|(r, _)| r).max().unwrap();
+        let last = sent.deliveries().flatten().map(|(r, _)| r).max().unwrap();
         let sink_degree = net.graph().degree(sink) as u64;
         assert!(
             last >= 49 / sink_degree.max(1),
@@ -942,98 +983,106 @@ mod tests {
         let (net, scheme) = setup(50, 612);
         let sink = VertexId(0);
         let pairs: Vec<(VertexId, VertexId)> = (1..50u32).map(|i| (VertexId(i), sink)).collect();
-        let flight = send_many_traced(&net, &scheme, &pairs);
+        let sent = send(&net, &scheme, &pairs, TRACED);
         // Queueing must have happened somewhere.
-        let queued: u64 = flight
+        let queued: u64 = sent
             .traces
             .iter()
             .flatten()
             .map(PacketTrace::queueing_delay)
             .sum();
         assert!(queued > 0, "49-to-1 traffic cannot avoid queueing");
-        // The sink's incident edges carry every packet's last hop: the
-        // hottest edge should touch the sink's neighborhood, and p99 ≥ p50.
-        let stats = flight.edge_load.stats();
+        let stats = sent.edge_load.stats();
         assert!(stats.max >= stats.p99);
         assert!(stats.p99 >= stats.p50);
-        assert_eq!(flight.edge_load.total_words(), flight.report.stats.words);
+        assert_eq!(sent.edge_load.total_words(), sent.stats.words);
     }
 
     #[test]
     fn empty_batch_skips_the_engine() {
         let (net, scheme) = setup(20, 608);
-        let report = send_many(&net, &scheme, &[]);
-        assert!(report.outcomes.is_empty());
-        assert_eq!(report.undeliverable, 0);
-        assert_eq!(report.dropped, 0);
-        assert_eq!(report.stats.rounds, 0);
-        assert_eq!(report.stats.messages, 0);
-        assert!(report.stats.completed);
+        let sent = send(&net, &scheme, &[], SendOptions::default());
+        assert!(sent.outcomes.is_empty());
+        assert_eq!(sent.stats.rounds, 0);
+        assert_eq!(sent.stats.messages, 0);
+        assert!(sent.stats.completed);
     }
 
     #[test]
     fn all_undeliverable_batch_reports_distinctly() {
-        // Two components: cross-component pairs are undeliverable at the
-        // source — reported as such, not as engine drops.
-        let mut b = graphs::GraphBuilder::new(6);
-        b.add_edge(VertexId(0), VertexId(1), 1);
-        b.add_edge(VertexId(1), VertexId(2), 1);
-        b.add_edge(VertexId(3), VertexId(4), 1);
-        b.add_edge(VertexId(4), VertexId(5), 1);
-        let g = b.build();
-        let mut rng = ChaCha8Rng::seed_from_u64(613);
-        let built = build(&g, &BuildParams::new(2), &mut rng);
-        let net = Network::new(g);
-        let pairs = [(VertexId(0), VertexId(4)), (VertexId(3), VertexId(2))];
-        let report = send_many(&net, &built.scheme, &pairs);
-        assert_eq!(report.undeliverable, 2);
-        assert_eq!(report.dropped, 0);
-        assert!(report
-            .outcomes
-            .iter()
-            .all(|o| *o == DeliveryStatus::Undeliverable));
+        // Cross-component pairs are undeliverable at the source — reported
+        // as such, not as drops.
+        let (net, scheme) = split_network(613);
+        let pairs = [(VertexId(0), VertexId(3)), (VertexId(2), VertexId(1))];
+        let sent = send(&net, &scheme, &pairs, TRACED);
+        assert_eq!((sent.undeliverable(), sent.dropped()), (2, 0));
         // No packets → no engine run → no invented congestion budget.
-        assert_eq!(report.stats.rounds, 0);
-        assert_eq!(report.stats.messages, 0);
-        let flight = send_many_traced(&net, &built.scheme, &pairs);
-        assert!(flight.traces.iter().all(Option::is_none));
-        assert!(flight.edge_load.is_empty());
+        assert_eq!(sent.stats.rounds, 0);
+        assert_eq!(sent.stats.messages, 0);
+        assert!(sent.traces.iter().all(Option::is_none));
+        assert!(sent.edge_load.is_empty());
     }
 
     #[test]
     fn mixed_batch_keeps_undeliverable_and_delivered_apart() {
-        let mut b = graphs::GraphBuilder::new(5);
-        b.add_edge(VertexId(0), VertexId(1), 2);
-        b.add_edge(VertexId(1), VertexId(2), 3);
-        // Vertices 3, 4 form a separate component.
-        b.add_edge(VertexId(3), VertexId(4), 1);
-        let g = b.build();
-        let mut rng = ChaCha8Rng::seed_from_u64(614);
-        let built = build(&g, &BuildParams::new(2), &mut rng);
-        let net = Network::new(g);
+        let (net, scheme) = split_network(614);
         let pairs = [
-            (VertexId(0), VertexId(2)), // routable
-            (VertexId(0), VertexId(4)), // cross-component
+            (VertexId(0), VertexId(1)), // routable
+            (VertexId(0), VertexId(3)), // cross-component
             (VertexId(2), VertexId(2)), // self: zero-hop delivery
         ];
-        let report = send_many(&net, &built.scheme, &pairs);
-        assert!(report.delivery(0).is_some());
-        assert_eq!(report.outcomes[1], DeliveryStatus::Undeliverable);
+        let sent = send(&net, &scheme, &pairs, SendOptions::default());
         assert_eq!(
-            report.outcomes[2],
-            DeliveryStatus::Delivered {
-                round: 0,
-                weight: 0
-            }
+            sent.outcomes,
+            [
+                PacketOutcome::Delivered {
+                    round: 1,
+                    weight: 1
+                },
+                PacketOutcome::Failed(GraphRouteError::NoCommonTree),
+                PacketOutcome::Delivered {
+                    round: 0,
+                    weight: 0
+                },
+            ]
         );
-        assert_eq!(report.undeliverable, 1);
-        assert_eq!(report.dropped, 0);
+        assert_eq!((sent.undeliverable(), sent.dropped()), (1, 0));
+    }
+
+    #[test]
+    fn a_full_queue_applies_the_drop_policy() {
+        // Three packets for one port in the same round, one slot: tail-drop
+        // keeps the first, oldest-drop the last.
+        let (net, scheme) = setup(40, 617);
+        let (src, dst) = (VertexId(0), VertexId(39));
+        let p = plan(&scheme, src, dst).unwrap();
+        let injections = || (0..3).map(|id| (0, src, Packet::from_plan(id, p.clone())));
+        for (policy, kept, dropped) in [
+            (DropPolicy::TailDrop, 0, [1, 2]),
+            (DropPolicy::OldestDrop, 2, [0, 1]),
+        ] {
+            let sim = run(
+                &net,
+                &scheme,
+                injections(),
+                &Settings {
+                    queue_cap: 1,
+                    policy,
+                    max_rounds: 1024,
+                    profile: false,
+                },
+            );
+            let ids: Vec<u32> = sim.deliveries.iter().map(|d| d.id).collect();
+            assert_eq!(ids, [kept], "{policy:?}");
+            assert_eq!(sim.dropped_capacity, dropped, "{policy:?}");
+            assert!(sim.stats.completed);
+        }
     }
 
     #[test]
     fn vertex_memory_equals_its_table() {
         let (net, scheme) = setup(50, 605);
-        let report = send(&net, &scheme, VertexId(1), VertexId(40));
-        assert_eq!(report.stats.memory.max_peak(), scheme.max_table_words());
+        let sent = one(&net, &scheme, 1, 40, SendOptions::default());
+        assert_eq!(sent.stats.memory.max_peak(), scheme.max_table_words());
     }
 }

@@ -45,7 +45,7 @@ record! {
         pub delivered: u64,
         /// Packets dropped by a full queue.
         pub dropped_capacity: u64,
-        /// Packets dropped by a stuck forwarding rule or missing port.
+        /// Packets dropped by the rule: stuck, missing port or hop cap.
         pub dropped_stuck: u64,
         /// Packets still queued or on the wire when the run was cut off
         /// (0 whenever the run drained).

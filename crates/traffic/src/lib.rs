@@ -12,13 +12,14 @@
 //!   gravity, single-sink hotspot, and adversarial worst-stretch pairs mined
 //!   from the distance oracle) plus deterministic arrival processes. A
 //!   schedule is a pure function of `(graph, scheme, seed, rate)`.
-//! * [`sim`] — the forwarding plane: per-port finite FIFO queues with
-//!   tail-drop or oldest-drop, one packet per edge per round, driven by the
-//!   CONGEST engine. A vertex tells the engine when it next has work (a
-//!   queued packet: next round; a scheduled injection: that round), so idle
-//!   vertices cost nothing and arrival gaps do not end the run. Per-round
-//!   logs support the packet-conservation identity `injected = delivered +
-//!   dropped + queued + on-wire` at every round.
+//! * [`sim`] — the forwarding plane: `routing::packet`'s one
+//!   store-and-forward protocol, configured with per-port finite FIFO
+//!   queues (tail-drop or oldest-drop), one packet per edge per round,
+//!   driven by the CONGEST engine. A vertex tells the engine when it next
+//!   has work (a queued packet: next round; a scheduled injection: that
+//!   round), so idle vertices cost nothing and arrival gaps do not end the
+//!   run. Per-round logs support the packet-conservation identity
+//!   `injected = delivered + dropped + queued + on-wire` at every round.
 //! * [`scenario`] — the runner: plan a schedule, simulate, summarize into an
 //!   `obs` [`traffic_summary`](obs::traffic::TrafficSummary) record, and
 //!   sweep rates to find the saturation knee (the largest rate meeting an

@@ -89,7 +89,7 @@ pub enum FlowOutcome {
     },
     /// Lost to a full queue.
     DroppedCapacity,
-    /// Lost to a stuck forwarding rule or missing port.
+    /// Lost to the rule: stuck, missing port or hop cap.
     DroppedStuck,
     /// Never injected: the pair has no common tree.
     Undeliverable,

@@ -77,14 +77,20 @@ fn main() {
     // One packet through the real CONGEST engine: one round per hop, and the
     // packet itself is O(log n) words.
     let net = congest::Network::new(g);
-    let report = packet::send(&net, &built.scheme, pairs[0].0, pairs[0].1);
-    let (rounds, _) = report.outcome.delivery().expect("expander is connected");
+    let report = packet::send(
+        &net,
+        &built.scheme,
+        &pairs[..1],
+        packet::SendOptions::default(),
+    );
+    let (rounds, _) = report.delivery(0).expect("expander is connected");
+    let words = packet::plan(&built.scheme, pairs[0].0, pairs[0].1).map_or(0, |p| p.words());
     println!(
         "\npacket simulation {} -> {}: delivered in {} rounds, packet = {} words, zero congestion violations: {}",
         pairs[0].0,
         pairs[0].1,
         rounds,
-        report.packet_words,
+        words,
         report.stats.congestion_violations == 0
     );
 }

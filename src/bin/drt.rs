@@ -379,9 +379,9 @@ fn cmd_route(args: &[String], oracle_only: bool) -> Result<(), String> {
     // different failures with three different remedies.
     let central = router::route(&g, &scheme, s, t);
     let net = congest::Network::new(g);
-    let report = packet::send_many(&net, &scheme, &[(s, t)]);
-    match report.outcomes[0] {
-        packet::DeliveryStatus::Delivered { round, .. } => {
+    let sent = packet::send(&net, &scheme, &[(s, t)], packet::SendOptions::default());
+    match sent.outcomes[0] {
+        packet::PacketOutcome::Delivered { round, .. } => {
             let trace = central.map_err(|e| e.to_string())?;
             println!(
                 "routed {s} -> {t}: weight {} over {} hops via tree of {} (exact {}, stretch {:.3})",
@@ -402,16 +402,13 @@ fn cmd_route(args: &[String], oracle_only: bool) -> Result<(), String> {
             );
             println!("status: delivered at engine round {round}");
         }
-        packet::DeliveryStatus::Undeliverable => {
+        packet::PacketOutcome::Failed(router::GraphRouteError::NoCommonTree) => {
             println!("status: undeliverable — {s} and {t} share no routing tree; never injected");
             return Err(format!("{s} -> {t}: undeliverable"));
         }
-        packet::DeliveryStatus::Dropped => {
-            println!(
-                "status: dropped mid-route — stuck forwarding rule or missing port \
-                 (scheme/graph mismatch?)"
-            );
-            return Err(format!("{s} -> {t}: dropped mid-route"));
+        packet::PacketOutcome::Failed(err) => {
+            println!("status: dropped mid-route — {err} (scheme/graph mismatch?)");
+            return Err(format!("{s} -> {t}: dropped mid-route ({err})"));
         }
     }
     if let Some(p) = load {
@@ -430,13 +427,13 @@ fn cmd_route(args: &[String], oracle_only: bool) -> Result<(), String> {
                 (VertexId(a), VertexId(b))
             })
             .collect();
-        let batch = packet::send_many(&net, &scheme, &pairs);
+        let batch = packet::send(&net, &scheme, &pairs, packet::SendOptions::default());
         println!(
             "load {p} (seed {seed}): {} delivered, {} dropped mid-route, {} undeliverable \
              over {} rounds",
             batch.delivered_count(),
-            batch.dropped,
-            batch.undeliverable,
+            batch.dropped(),
+            batch.undeliverable(),
             batch.stats.rounds
         );
     }
@@ -470,8 +467,12 @@ fn cmd_trace(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), Stri
     let t = parse_vertex(&g, dst)?;
     let central = router::route(&g, &scheme, s, t);
     let net = congest::Network::new(g);
-    let flight = packet::send_traced(&net, &scheme, s, t);
-    match flight.report.outcome {
+    let traced = packet::SendOptions {
+        trace: true,
+        profile: false,
+    };
+    let sent = packet::send(&net, &scheme, &[(s, t)], traced);
+    match sent.outcomes[0] {
         packet::PacketOutcome::Failed(router::GraphRouteError::NoCommonTree) => {
             return Err(format!(
                 "{s} -> {t}: no common tree (disconnected pair); nothing to trace"
@@ -484,10 +485,13 @@ fn cmd_trace(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), Stri
         }
         packet::PacketOutcome::Delivered { .. } => {}
     }
-    let trace = flight.trace.as_ref().expect("delivered packets are traced");
+    let trace = sent.traces[0]
+        .as_ref()
+        .expect("delivered packets are traced");
+    let words = packet::plan(&scheme, s, t).map_or(0, |plan| plan.words());
     println!(
-        "trace {s} -> {t} via tree of {} ({} words on the wire):",
-        trace.tree_root, flight.report.packet_words
+        "trace {s} -> {t} via tree of {} ({words} words on the wire):",
+        trace.tree_root
     );
     println!(
         "{:>4} {:>6} {:>7} {:>5} {:>7} {:<14} {:>6} {:>7}",
@@ -541,9 +545,9 @@ fn cmd_trace(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), Stri
         let mut rec = obs::Recorder::when(true);
         let span = rec.begin("drt/trace");
         rec.charge(&obs::Counters {
-            rounds: flight.report.stats.rounds,
-            messages: flight.report.stats.messages,
-            words: flight.report.stats.words,
+            rounds: sent.stats.rounds,
+            messages: sent.stats.messages,
+            words: sent.stats.words,
             broadcasts: 0,
         });
         rec.end(span);
@@ -1067,8 +1071,16 @@ fn cmd_profile(args: &[String], opts: &obs::cli::ReportOptions) -> Result<(), St
     println!("profiling a {packets}-packet batch on er n = {n} (k = 2 scheme, seed {seed})");
 
     // Overhead baseline: the same run with the profiler off.
-    let baseline = packet::send_many(&net, &built.scheme, &pairs);
-    let profiled = packet::send_many_profiled(&net, &built.scheme, &pairs);
+    let baseline = packet::send(&net, &built.scheme, &pairs, packet::SendOptions::default());
+    let profiled = packet::send(
+        &net,
+        &built.scheme,
+        &pairs,
+        packet::SendOptions {
+            trace: false,
+            profile: true,
+        },
+    );
     let profile = profiled
         .stats
         .profile

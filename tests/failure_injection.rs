@@ -7,6 +7,8 @@ use rand_chacha::ChaCha8Rng;
 use routing::forward::{self, GraphRouteError, Step};
 use routing::scheme::TableEntry;
 use routing::{build, packet, router, BuildParams, RoutingTable};
+use traffic::sim::{simulate, DropPolicy, SimConfig};
+use traffic::TrafficPacket;
 use tree_routing::types::{RouteAction, TreeLabel};
 use tree_routing::{router as tree_router, tz, RouteError};
 
@@ -159,23 +161,77 @@ fn forged_forwarding_cycle_is_reported_as_a_loop_on_every_plane() {
         assert!(paths.is_empty(), "the partial path is discarded");
     }
 
-    let net = congest::Network::new(g);
-    let cap = forward::hop_cap(net.len()) as u64;
-    for flight in [
-        packet::send_traced(&net, &scheme, src, dst),
-        packet::PacketFlight {
-            report: packet::send(&net, &scheme, src, dst),
-            trace: None,
-        },
-    ] {
+    // Every plane of the store-and-forward protocol drops the packet as a
+    // loop once it has taken `hop_cap` hops, which ends the run.
+    let net = congest::Network::new(g.clone());
+    let cap = forward::hop_cap(net.len());
+    for traced in [false, true] {
+        let opts = packet::SendOptions {
+            trace: traced,
+            profile: false,
+        };
+        let sent = packet::send(&net, &scheme, &[(src, dst)], opts);
         assert_eq!(
-            flight.report.outcome,
-            packet::PacketOutcome::Failed(GraphRouteError::Loop)
+            sent.outcomes,
+            [packet::PacketOutcome::Failed(GraphRouteError::Loop)]
         );
-        assert_eq!(flight.report.stats.rounds, cap, "stopped at the hop cap");
-        assert!(!flight.report.stats.completed);
-        assert!(flight.trace.is_none(), "the packet never came to rest");
+        assert_eq!(sent.stats.rounds, cap as u64, "dropped at the hop cap");
+        assert!(sent.stats.completed);
+        let partial = sent.traces[0]
+            .as_ref()
+            .map(|t| (t.hop_count(), t.delivered_round));
+        assert_eq!(
+            partial,
+            traced.then_some((cap, None)),
+            "the partial journey"
+        );
     }
+
+    // Beside a healthy packet that never meets the bouncing one.
+    let (looping, bounce) = (src, trace.path[1]);
+    let healthy = g
+        .vertices()
+        .flat_map(|s| g.vertices().map(move |t| (s, t)))
+        .find_map(|(s, t)| {
+            let route = router::route(&g, &scheme, s, t).ok()?;
+            let clear = !route.path.iter().any(|&v| v == looping || v == bounce);
+            (s != t && clear).then_some(((s, t), route.weight))
+        })
+        .expect("some route avoids the forged cycle");
+    let sent = packet::send(
+        &net,
+        &scheme,
+        &[(src, dst), healthy.0],
+        packet::SendOptions::default(),
+    );
+    assert_eq!(
+        sent.outcomes[0],
+        packet::PacketOutcome::Failed(GraphRouteError::Loop)
+    );
+    assert_eq!(sent.delivery(1).map(|(_, w)| w), Some(healthy.1));
+    assert_eq!(sent.stats.rounds, cap as u64, "dropped at the hop cap");
+    assert!(sent.stats.completed);
+
+    // And the steady-state plane: one injection, dropped as stuck.
+    let plan = packet::plan(&scheme, src, dst).expect("a tree was shared");
+    let sim = simulate(
+        &net,
+        &scheme,
+        &[(0, src, TrafficPacket::from_plan(0, plan))],
+        &SimConfig {
+            queue_cap: 1,
+            policy: DropPolicy::TailDrop,
+            max_rounds: 100 * cap as u64,
+            threads: 1,
+            profile: false,
+        },
+    );
+    assert!(sim.deliveries.is_empty());
+    assert_eq!(sim.dropped_stuck, [0]);
+    assert_eq!(sim.stuck_errors, [GraphRouteError::Loop]);
+    assert_eq!(sim.stats.rounds, cap as u64, "dropped at the hop cap");
+    assert!(sim.stats.completed);
+    assert_eq!(sim.series[cap].dropped_stuck, 1);
 }
 
 #[test]

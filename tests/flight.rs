@@ -16,7 +16,13 @@ use obs::json::Value;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use routing::{build, packet, router, BuildParams};
+use routing::packet::{self, SendOptions};
+use routing::{build, router, BuildParams};
+
+const TRACED: SendOptions = SendOptions {
+    trace: true,
+    profile: false,
+};
 
 fn setup(n: usize, seed: u64) -> (congest::Network, routing::RoutingScheme) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -29,17 +35,20 @@ fn setup(n: usize, seed: u64) -> (congest::Network, routing::RoutingScheme) {
 fn traced_send_agrees_with_untraced_and_central() {
     let (net, scheme) = setup(120, 41);
     for (s, t) in [(0u32, 119u32), (17, 64), (99, 3), (5, 5)] {
-        let plain = packet::send(&net, &scheme, VertexId(s), VertexId(t));
-        let flight = packet::send_traced(&net, &scheme, VertexId(s), VertexId(t));
-        assert_eq!(plain.outcome, flight.report.outcome);
-        assert_eq!(plain.stats.rounds, flight.report.stats.rounds);
-        assert_eq!(plain.stats.words, flight.report.stats.words);
+        let pair = [(VertexId(s), VertexId(t))];
+        let plain = packet::send(&net, &scheme, &pair, SendOptions::default());
+        let flight = packet::send(&net, &scheme, &pair, TRACED);
+        assert_eq!(plain.outcomes, flight.outcomes);
+        assert_eq!(plain.stats.rounds, flight.stats.rounds);
+        assert_eq!(plain.stats.words, flight.stats.words);
         assert_eq!(
             plain.stats.memory.max_peak(),
-            flight.report.stats.memory.max_peak()
+            flight.stats.memory.max_peak()
         );
-        let (rounds, weight) = plain.outcome.delivery().expect("connected");
-        let trace = flight.trace.expect("delivered packets are traced");
+        let (rounds, weight) = plain.delivery(0).expect("connected");
+        let trace = flight.traces[0]
+            .as_ref()
+            .expect("delivered packets are traced");
         assert_eq!(trace.hop_count() as u64, rounds);
         assert_eq!(trace.total_weight(), weight);
         let central = router::route(net.graph(), &scheme, VertexId(s), VertexId(t)).unwrap();
@@ -61,21 +70,18 @@ fn batch_heatmaps_account_for_every_engine_word() {
         .map(|i| (VertexId(i % 90), VertexId((i * 31 + 17) % 90)))
         .filter(|(a, b)| a != b)
         .collect();
-    let flight = packet::send_many_traced(&net, &scheme, &pairs);
-    assert_eq!(flight.report.dropped, 0);
-    assert_eq!(flight.report.undeliverable, 0);
+    let flight = packet::send(&net, &scheme, &pairs, TRACED);
+    assert_eq!(flight.dropped(), 0);
+    assert_eq!(flight.undeliverable(), 0);
     // Every word the engine's ledger saw is attributed to exactly one edge
     // and one forwarding vertex.
-    assert_eq!(flight.edge_load.total_words(), flight.report.stats.words);
-    assert_eq!(flight.vertex_load.total_words(), flight.report.stats.words);
-    assert_eq!(
-        flight.edge_load.total_packets(),
-        flight.report.stats.messages
-    );
+    assert_eq!(flight.edge_load.total_words(), flight.stats.words);
+    assert_eq!(flight.vertex_load().total_words(), flight.stats.words);
+    assert_eq!(flight.edge_load.total_packets(), flight.stats.messages);
     // And per packet, delivery time = hops + queueing.
     for (id, trace) in flight.traces.iter().enumerate() {
         let trace = trace.as_ref().expect("all pairs routable");
-        let (round, weight) = flight.report.delivery(id).expect("delivered");
+        let (round, weight) = flight.delivery(id).expect("delivered");
         assert_eq!(round, trace.hop_count() as u64 + trace.queueing_delay());
         let d = trace.decomposition();
         assert_eq!(d.ascent_weight + d.descent_weight, weight);
@@ -96,16 +102,16 @@ fn repeated_pairs_keep_their_own_traces() {
         (VertexId(61), VertexId(4)),
         hot,
     ];
-    let flight = packet::send_many_traced(&net, &scheme, &pairs);
+    let flight = packet::send(&net, &scheme, &pairs, TRACED);
     assert_eq!(
-        flight.report.outcomes,
-        packet::send_many(&net, &scheme, &pairs).outcomes
+        flight.outcomes,
+        packet::send(&net, &scheme, &pairs, SendOptions::default()).outcomes
     );
     let mut hot_rounds = Vec::new();
     for (id, &(src, dst)) in pairs.iter().enumerate() {
         let trace = flight.traces[id].as_ref().expect("injected");
         assert_eq!((trace.src, trace.dst), (src.0, dst.0), "packet {id}");
-        let (round, weight) = flight.report.delivery(id).expect("connected");
+        let (round, weight) = flight.delivery(id).expect("connected");
         assert_eq!(trace.delivered_round, Some(round), "packet {id}");
         assert_eq!(trace.total_weight(), weight, "packet {id}");
         assert_eq!(
@@ -125,19 +131,20 @@ fn repeated_pairs_keep_their_own_traces() {
 fn flight_records_survive_a_report_round_trip() {
     let (net, scheme) = setup(60, 43);
     let pairs: Vec<(VertexId, VertexId)> = (1..30u32).map(|i| (VertexId(i), VertexId(0))).collect();
-    let flight = packet::send_many_traced(&net, &scheme, &pairs);
+    let flight = packet::send(&net, &scheme, &pairs, TRACED);
+    let vertex_load = flight.vertex_load();
 
     let mut rec = obs::Recorder::new();
     let span = rec.begin("flight-test/batch");
     rec.charge(&obs::Counters {
-        rounds: flight.report.stats.rounds,
-        messages: flight.report.stats.messages,
-        words: flight.report.stats.words,
+        rounds: flight.stats.rounds,
+        messages: flight.stats.messages,
+        words: flight.stats.words,
         broadcasts: 0,
     });
     rec.end(span);
     rec.add_record(flight.edge_load.to_value(&[]));
-    rec.add_record(flight.vertex_load.to_value(&[]));
+    rec.add_record(vertex_load.to_value(&[]));
     for trace in flight.traces.iter().flatten().take(3) {
         rec.add_record(trace.to_value());
     }
@@ -161,7 +168,7 @@ fn flight_records_survive_a_report_round_trip() {
     let vertex_records = of_type("vertex_load");
     assert_eq!(vertex_records.len(), 1);
     let verts = VertexLoadMap::from_value(vertex_records[0]).expect("valid vertex_load");
-    assert_eq!(verts.total_words(), flight.vertex_load.total_words());
+    assert_eq!(verts.total_words(), vertex_load.total_words());
     for (i, r) in of_type("packet_trace").iter().enumerate() {
         let parsed = PacketTrace::from_value(r).expect("valid packet_trace");
         assert_eq!(&parsed, flight.traces[i].as_ref().unwrap());
@@ -219,36 +226,34 @@ proptest! {
         let built = build(&g, &BuildParams::new(2), &mut rng);
         let net = congest::Network::new(g);
 
-        let plain = packet::send_many(&net, &built.scheme, &pairs);
-        let flight = packet::send_many_traced(&net, &built.scheme, &pairs);
+        let plain = packet::send(&net, &built.scheme, &pairs, SendOptions::default());
+        let flight = packet::send(&net, &built.scheme, &pairs, TRACED);
 
         // Tracing is invisible to the simulation.
-        prop_assert_eq!(&plain.outcomes, &flight.report.outcomes);
-        prop_assert_eq!(plain.undeliverable, flight.report.undeliverable);
-        prop_assert_eq!(plain.dropped, flight.report.dropped);
-        prop_assert_eq!(plain.stats.rounds, flight.report.stats.rounds);
-        prop_assert_eq!(plain.stats.words, flight.report.stats.words);
+        prop_assert_eq!(&plain.outcomes, &flight.outcomes);
+        prop_assert_eq!(plain.stats.rounds, flight.stats.rounds);
+        prop_assert_eq!(plain.stats.words, flight.stats.words);
         prop_assert_eq!(
             plain.stats.memory.max_peak(),
-            flight.report.stats.memory.max_peak()
+            flight.stats.memory.max_peak()
         );
 
         // Heatmaps account for every delivered word, drops included.
-        prop_assert_eq!(flight.edge_load.total_words(), flight.report.stats.words);
-        prop_assert_eq!(flight.vertex_load.total_words(), flight.report.stats.words);
+        prop_assert_eq!(flight.edge_load.total_words(), flight.stats.words);
+        prop_assert_eq!(flight.vertex_load().total_words(), flight.stats.words);
 
         // Per packet: a trace exists iff the packet was injected, and a
         // delivered trace explains its delivery round and weight exactly.
-        for (id, outcome) in flight.report.outcomes.iter().enumerate() {
+        for (id, outcome) in flight.outcomes.iter().enumerate() {
             match outcome {
-                packet::DeliveryStatus::Undeliverable => {
+                packet::PacketOutcome::Failed(router::GraphRouteError::NoCommonTree) => {
                     prop_assert!(flight.traces[id].is_none());
                 }
-                packet::DeliveryStatus::Dropped => {
+                packet::PacketOutcome::Failed(_) => {
                     let trace = flight.traces[id].as_ref().expect("partial trace kept");
                     prop_assert!(trace.delivered_round.is_none());
                 }
-                packet::DeliveryStatus::Delivered { round, weight } => {
+                packet::PacketOutcome::Delivered { round, weight } => {
                     let trace = flight.traces[id].as_ref().expect("trace kept");
                     prop_assert_eq!(trace.delivered_round, Some(*round));
                     prop_assert_eq!(trace.total_weight(), *weight);

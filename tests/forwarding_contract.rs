@@ -1,6 +1,6 @@
 //! The forwarding planes' behavioural contract, pinned to the digit.
 //!
-//! The engine's round loop and the store-and-forward protocols may be
+//! The engine's round loop and the store-and-forward protocol may be
 //! reorganised freely as long as every simulated quantity stays put: the
 //! engine's counters, the per-vertex memory peaks, the per-round
 //! conservation series, every delivery and drop, and the per-edge load. The
@@ -312,12 +312,16 @@ fn preferential_attachment_256_k3_overloaded_hotspot_is_pinned() {
 }
 
 #[test]
-fn send_many_batch_and_bfs_are_pinned() {
+fn batch_send_and_bfs_are_pinned() {
+    // Rounds, messages and outcomes were recorded when a batch had its own
+    // protocol with a 3-word header; the one packet's 4-word header adds one
+    // word to each of the 3294 messages, to the per-edge peak, and to every
+    // queued packet's share of the memory peaks.
     let (net, scheme) = er256();
     let (report, outcomes_crc) = batch(&net, &scheme);
     assert_eq!(
         engine_pin(&report.stats),
-        engine((38, 3294, 23082, 12, true, 1409730390))
+        engine((38, 3294, 26376, 13, true, 435764564))
     );
     assert_eq!(outcomes_crc, 1883254606);
 
@@ -333,15 +337,15 @@ fn send_many_batch_and_bfs_are_pinned() {
     assert_eq!(crc_of(parents), 3024161684);
 }
 
-/// One 512-packet `send_many` batch and the CRC of its per-packet outcomes
+/// One 512-packet `send` batch and the CRC of its per-packet outcomes
 /// (`round + 1` and weight when delivered, zeros otherwise).
-fn batch(net: &Network, scheme: &RoutingScheme) -> (packet::LoadReport, u32) {
+fn batch(net: &Network, scheme: &RoutingScheme) -> (packet::Sent, u32) {
     let mut rng = ChaCha8Rng::seed_from_u64(512);
     let n = net.len() as u32;
     let pairs: Vec<(VertexId, VertexId)> = (0..512)
         .map(|_| (VertexId(rng.gen_range(0..n)), VertexId(rng.gen_range(0..n))))
         .collect();
-    let report = packet::send_many(net, scheme, &pairs);
+    let report = packet::send(net, scheme, &pairs, packet::SendOptions::default());
     let crc = crc_of(
         report
             .deliveries()
@@ -350,9 +354,9 @@ fn batch(net: &Network, scheme: &RoutingScheme) -> (packet::LoadReport, u32) {
     (report, crc)
 }
 
-/// What one single-packet `send` / `send_traced` is pinned on: delivery
-/// round, routed weight, wire size, the engine pin, and the CRC of the
-/// flight recording (zero for the untraced twin).
+/// What a one-pair `send`, traced or not, is pinned on: delivery round,
+/// routed weight, wire size, the engine pin, and the CRC of the flight
+/// recording (zero for the untraced twin).
 fn single_send_pin(
     net: &Network,
     scheme: &RoutingScheme,
@@ -361,66 +365,68 @@ fn single_send_pin(
     traced: bool,
 ) -> (u64, u64, usize, EnginePin, u32) {
     let (src, dst) = (VertexId(src), VertexId(dst));
-    let (report, trace_crc) = if traced {
-        let flight = packet::send_traced(net, scheme, src, dst);
-        let trace = flight.trace.expect("delivered packets are traced");
-        let head = [
-            u64::from(trace.src),
-            u64::from(trace.dst),
-            u64::from(trace.tree_root),
-            trace.delivered_round.map_or(0, |r| r + 1),
-        ];
-        let hops = trace.hops.iter().flat_map(|h| {
-            [
-                h.round,
-                u64::from(h.vertex),
-                h.port as u64,
-                u64::from(h.next),
-                h.kind as u64,
-                h.queue_delay,
-                h.weight,
-                h.header_words as u64,
-            ]
-        });
-        (flight.report, crc_of(head.into_iter().chain(hops)))
-    } else {
-        (packet::send(net, scheme, src, dst), 0)
+    let opts = packet::SendOptions {
+        trace: traced,
+        profile: false,
     };
-    let (rounds, weight) = report.outcome.delivery().expect("delivered");
-    (
-        rounds,
-        weight,
-        report.packet_words,
-        engine_pin(&report.stats),
-        trace_crc,
-    )
+    let sent = packet::send(net, scheme, &[(src, dst)], opts);
+    let trace_crc = match &sent.traces[0] {
+        Some(trace) => {
+            let head = [
+                u64::from(trace.src),
+                u64::from(trace.dst),
+                u64::from(trace.tree_root),
+                trace.delivered_round.map_or(0, |r| r + 1),
+            ];
+            let hops = trace.hops.iter().flat_map(|h| {
+                [
+                    h.round,
+                    u64::from(h.vertex),
+                    h.port as u64,
+                    u64::from(h.next),
+                    h.kind as u64,
+                    h.queue_delay,
+                    h.weight,
+                    h.header_words as u64,
+                ]
+            });
+            crc_of(head.into_iter().chain(hops))
+        }
+        None => 0,
+    };
+    let (rounds, weight) = sent.delivery(0).expect("delivered");
+    let words = packet::plan(scheme, src, dst).expect("delivered").words();
+    (rounds, weight, words, engine_pin(&sent.stats), trace_crc)
 }
 
 #[test]
 fn single_send_and_its_traced_twin_are_pinned() {
-    // Recorded on the commit before the planes shared one forwarding kernel.
+    // Recorded on the commit before the planes shared one forwarding kernel,
+    // when a lone packet had its own protocol with a 2-word header. The one
+    // packet's 4-word header adds two words per message, to the wire size
+    // and to every hop record's `header_words`; nothing else moved.
     let (net, scheme) = er256();
-    let want = engine((4, 4, 36, 9, true, 2811166352));
+    let want = engine((4, 4, 44, 11, true, 2811166352));
     assert_eq!(
         single_send_pin(&net, &scheme, 3, 200, false),
-        (4, 126, 9, want.clone(), 0)
+        (4, 126, 11, want.clone(), 0)
     );
     assert_eq!(
         single_send_pin(&net, &scheme, 3, 200, true),
-        (4, 126, 9, want, 2572313288)
+        (4, 126, 11, want, 1515736562)
     );
 
     // The farthest pair of a 16 x 16 torus: a long ascent and descent.
     let mut rng = ChaCha8Rng::seed_from_u64(7102);
     let (net, scheme) = network(generators::torus(16, 16, 1..=100, &mut rng), 3);
-    let want = engine((22, 22, 110, 5, true, 510063165));
+    let want = engine((22, 22, 154, 7, true, 510063165));
     assert_eq!(
         single_send_pin(&net, &scheme, 0, 136, false),
-        (22, 461, 5, want.clone(), 0)
+        (22, 461, 7, want.clone(), 0)
     );
     assert_eq!(
         single_send_pin(&net, &scheme, 0, 136, true),
-        (22, 461, 5, want, 278275867)
+        (22, 461, 7, want, 2457063695)
     );
 }
 

@@ -15,11 +15,17 @@ use obs::profile::{Phase, ProfileSummary};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use routing::{build, packet, BuildParams};
+use routing::packet::{self, SendOptions};
+use routing::{build, BuildParams};
+
+const PROFILED: SendOptions = SendOptions {
+    trace: false,
+    profile: true,
+};
 
 /// A profiled store-and-forward batch on a seeded graph: the canonical
 /// engine-driven workload.
-fn profiled_batch() -> (packet::LoadReport, congest::Network) {
+fn profiled_batch() -> (packet::Sent, congest::Network) {
     let mut rng = ChaCha8Rng::seed_from_u64(11);
     let g = graphs::generators::erdos_renyi_connected(72, 0.08, 1..=9, &mut rng);
     let built = build(&g, &BuildParams::new(2), &mut rng);
@@ -35,7 +41,7 @@ fn profiled_batch() -> (packet::LoadReport, congest::Network) {
             (VertexId(a), VertexId(b))
         })
         .collect();
-    let report = packet::send_many_profiled(&net, &built.scheme, &pairs);
+    let report = packet::send(&net, &built.scheme, &pairs, PROFILED);
     (report, net)
 }
 
@@ -82,9 +88,9 @@ proptest! {
             .map(|i| (VertexId(i as u32), VertexId(((i * 5 + 1) % n) as u32)))
             .collect();
         let net = congest::Network::new(g);
-        let plain = packet::send_many(&net, &built.scheme, &pairs);
+        let plain = packet::send(&net, &built.scheme, &pairs, SendOptions::default());
         prop_assert!(plain.stats.profile.is_none());
-        let prof = packet::send_many_profiled(&net, &built.scheme, &pairs);
+        let prof = packet::send(&net, &built.scheme, &pairs, PROFILED);
         prop_assert!(
             plain.stats.same_simulation(&prof.stats),
             "profiling changed simulated stats:\n  off: {:?}\n  on: {:?}",
@@ -92,8 +98,6 @@ proptest! {
             prof.stats
         );
         prop_assert_eq!(&plain.outcomes, &prof.outcomes);
-        prop_assert_eq!(plain.undeliverable, prof.undeliverable);
-        prop_assert_eq!(plain.dropped, prof.dropped);
         // And the profile itself must be present and self-consistent.
         let p = prof.stats.profile.as_deref().expect("profiled run keeps its profile");
         let s = p.summary();
@@ -291,7 +295,8 @@ fn profiling_is_off_by_default_everywhere() {
     let g = graphs::generators::erdos_renyi_connected(40, 0.1, 1..=9, &mut rng);
     let built = build(&g, &BuildParams::new(2), &mut rng);
     let net = congest::Network::new(g);
-    let report = packet::send_many(&net, &built.scheme, &[(VertexId(0), VertexId(1))]);
+    let pair = [(VertexId(0), VertexId(1))];
+    let report = packet::send(&net, &built.scheme, &pair, SendOptions::default());
     assert!(report.stats.profile.is_none());
 
     let mut rec = obs::Recorder::new();

@@ -142,11 +142,8 @@ fn four_planes_agree(
     prop_assert_eq!(&paths, &central.path);
 
     let net = congest::Network::new(g.clone());
-    let sent = packet::send(&net, scheme, src, dst);
-    prop_assert_eq!(
-        sent.outcome.delivery(),
-        Some((u64::from(hops), central.weight))
-    );
+    let sent = packet::send(&net, scheme, &[(src, dst)], Default::default());
+    prop_assert_eq!(sent.delivery(0), Some((u64::from(hops), central.weight)));
 
     let plan = packet::plan(scheme, src, dst).expect("connected graph");
     if src != dst {
