@@ -503,14 +503,10 @@ fn audit_inner(
     if let Some(built) = built {
         let mut cross = InvariantCheck::new("tree_cover");
         for t in &built.trees {
-            // Sort members for deterministic example selection.
-            let mut members: Vec<(VertexId, Weight)> =
-                t.members.iter().map(|(&u, info)| (u, info.dist)).collect();
-            members.sort_by_key(|&(u, _)| u);
-            for (u, dist) in members {
+            for (&u, info) in t.members().iter().zip(t.info()) {
                 let row = scheme.entry(u, t.root);
                 cross.note(
-                    row.is_some_and(|e| e.level == t.level && e.dist == dist),
+                    row.is_some_and(|e| e.level == t.level && e.dist == info.dist),
                     || {
                         format!(
                             "{u}: tree {} row missing or disagrees with the tree",

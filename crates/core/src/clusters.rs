@@ -16,7 +16,8 @@
 //!   exploration that lets every limit-passing host join. The result is a
 //!   genuine tree of `G` satisfying `C_{6ε}(v) ⊆ C̃(v) ⊆ C(v)`.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use congest::{CostLedger, MemoryMeter};
 use graphs::{dist_add, Graph, VertexId, Weight, INFINITY};
@@ -36,15 +37,107 @@ pub struct LevelStats {
     /// Max number of this level's clusters any single vertex belongs to —
     /// the congestion factor `C_i` that multiplies the exploration depth.
     pub max_overlap: usize,
-    /// Largest hop depth of any cluster tree.
-    pub max_tree_depth: usize,
     /// Largest `β` used by any approximate cluster (0 for exact levels).
     pub beta_used: usize,
+}
+
+/// One reusable dense scratch for growing clusters one root at a time:
+/// per-vertex tentative distance and tree parent, plus the touched list
+/// that resets both in `O(|C|)` between roots.
+pub(crate) struct Growth {
+    dist: Vec<Weight>,
+    parent: Vec<(VertexId, Weight)>,
+    touched: Vec<VertexId>,
+    heap: BinaryHeap<Reverse<(Weight, VertexId)>>,
+}
+
+impl Growth {
+    /// A scratch for a host of `n` vertices, all unreached.
+    pub(crate) fn new(n: usize) -> Self {
+        Growth {
+            dist: vec![INFINITY; n],
+            parent: vec![(VertexId(0), 0); n],
+            touched: Vec::new(),
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    /// Truncated Dijkstra from `root`: an offer `d` to `x` is recorded (and
+    /// relayed on) only if `admits(x, d)` and it beats what `x` holds;
+    /// `offered(x)` sees each recorded one. Ties pop by `(d, id)`.
+    pub(crate) fn grow(
+        &mut self,
+        g: &Graph,
+        root: VertexId,
+        admits: impl Fn(VertexId, Weight) -> bool,
+        mut offered: impl FnMut(VertexId),
+    ) {
+        self.dist[root.index()] = 0;
+        self.parent[root.index()] = (root, 0);
+        self.touched.push(root);
+        self.heap.push(Reverse((0, root)));
+        while let Some(Reverse((d, u))) = self.heap.pop() {
+            if self.dist[u.index()] != d {
+                continue;
+            }
+            for arc in g.neighbors(u) {
+                let nd = dist_add(d, arc.weight);
+                let old = self.dist[arc.to.index()];
+                if nd < old && admits(arc.to, nd) {
+                    offered(arc.to);
+                    if old == INFINITY {
+                        self.touched.push(arc.to);
+                    }
+                    self.dist[arc.to.index()] = nd;
+                    self.parent[arc.to.index()] = (u, arc.weight);
+                    self.heap.push(Reverse((nd, arc.to)));
+                }
+            }
+        }
+    }
+
+    /// The vertices the last growth reached, in no particular order.
+    pub(crate) fn reached(&self) -> &[VertexId] {
+        &self.touched
+    }
+
+    /// Forget the last growth.
+    pub(crate) fn reset(&mut self) {
+        for u in self.touched.drain(..) {
+            self.dist[u.index()] = INFINITY;
+        }
+    }
+
+    /// The last growth from `root` as a tree (members sorted by id), then
+    /// reset.
+    pub(crate) fn take_tree(&mut self, root: VertexId, level: usize) -> SparseTree {
+        self.touched.sort_unstable();
+        let info = self
+            .touched
+            .iter()
+            .map(|&u| {
+                let (parent, parent_weight) = self.parent[u.index()];
+                let dist = self.dist[u.index()];
+                MemberInfo {
+                    parent,
+                    parent_weight,
+                    dist,
+                }
+            })
+            .collect();
+        let tree = SparseTree::new(root, level, self.touched.clone(), info);
+        self.reset();
+        tree
+    }
 }
 
 /// Build the exact clusters of every root whose hierarchy level is exactly
 /// `level`. `next_dist[u]` must be the exact `d(u, A_{level+1})`
 /// ([`INFINITY`] when that set is empty).
+///
+/// Each cluster is the TZ pruned exploration: grow shortest paths from the
+/// root, but only record and expand vertices strictly inside the cluster
+/// (`d < next_dist`) — exact, as shortest paths to members stay inside.
 ///
 /// Rounds: `R · max(1, C)` where `R` is `depth` and `C` the measured
 /// congestion, matching the paper's `Õ(n^{1/2+1/k})` accounting.
@@ -61,86 +154,26 @@ pub fn exact_clusters(
     let mut trees = Vec::with_capacity(roots.len());
     let mut overlap = vec![0usize; n];
     let mut stats = LevelStats::default();
+    let mut growth = Growth::new(n);
     for &v in roots {
-        let tree = pruned_exploration(g, v, level, next_dist, memory);
-        for &u in tree.members.keys() {
+        growth.grow(
+            g,
+            v,
+            |x, d| d < next_dist[x.index()],
+            |x| memory.touch(x, 2),
+        );
+        let tree = growth.take_tree(v, level);
+        for &u in tree.members() {
             overlap[u.index()] += 1;
+            memory.add(u, 3);
         }
         stats.total_membership += tree.len();
-        stats.max_tree_depth = stats.max_tree_depth.max(tree_depth(&tree));
         trees.push(tree);
     }
     stats.clusters = trees.len();
     stats.max_overlap = overlap.iter().copied().max().unwrap_or(0);
     ledger.charge_rounds(depth as u64 * stats.max_overlap.max(1) as u64);
     (trees, stats)
-}
-
-/// TZ pruned exploration: grow shortest paths from `v`, but only expand
-/// through vertices strictly inside the cluster (`d < next_dist`). Exact
-/// because shortest paths to cluster members stay inside the cluster.
-fn pruned_exploration(
-    g: &Graph,
-    v: VertexId,
-    level: usize,
-    next_dist: &[Weight],
-    memory: &mut MemoryMeter,
-) -> SparseTree {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let mut dist: HashMap<VertexId, Weight> = HashMap::new();
-    let mut parent: HashMap<VertexId, (VertexId, Weight)> = HashMap::new();
-    let mut heap = BinaryHeap::new();
-    dist.insert(v, 0);
-    heap.push(Reverse((0u64, v)));
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if dist.get(&u).copied() != Some(d) {
-            continue;
-        }
-        // Only cluster members keep expanding (the root always does).
-        if u != v && d >= next_dist[u.index()] {
-            continue;
-        }
-        for arc in g.neighbors(u) {
-            let nd = dist_add(d, arc.weight);
-            // Prune waves that already left the cluster.
-            if nd >= next_dist[arc.to.index()] {
-                continue;
-            }
-            let better = match dist.get(&arc.to) {
-                Some(&old) => nd < old,
-                None => true,
-            };
-            if better {
-                memory.touch(arc.to, 2);
-                dist.insert(arc.to, nd);
-                parent.insert(arc.to, (u, arc.weight));
-                heap.push(Reverse((nd, arc.to)));
-            }
-        }
-    }
-    let mut members = HashMap::with_capacity(dist.len());
-    for (&u, &d) in &dist {
-        // Membership is the strict cluster condition (the root is always in).
-        if u != v && d >= next_dist[u.index()] {
-            continue;
-        }
-        let (p, w) = if u == v { (v, 0) } else { parent[&u] };
-        members.insert(
-            u,
-            MemberInfo {
-                parent: p,
-                parent_weight: w,
-                dist: d,
-            },
-        );
-        memory.add(u, 3);
-    }
-    SparseTree {
-        root: v,
-        level,
-        members,
-    }
 }
 
 /// Build the approximate clusters of every root at `level` (all roots are in
@@ -184,11 +217,10 @@ pub fn approx_clusters(
         );
         broadcast_msgs += scratch.messages();
         stats.beta_used = stats.beta_used.max(beta);
-        for &u in tree.members.keys() {
+        for &u in tree.members() {
             overlap[u.index()] += 1;
         }
         stats.total_membership += tree.len();
-        stats.max_tree_depth = stats.max_tree_depth.max(tree_depth(&tree));
         trees.push(tree);
     }
     stats.clusters = trees.len();
@@ -222,18 +254,13 @@ fn one_approx_cluster(
         let thr = next_hat[u.index()];
         thr == INFINITY || (est as f64) * factor < thr as f64
     };
-    let limit = {
-        let virt_flag: Vec<bool> = (0..n as u32)
-            .map(|u| virt.is_virtual(VertexId(u)))
-            .collect();
-        move |u: VertexId, est: Weight| {
-            let factor = if virt_flag[u.index()] {
-                (1.0 + eps) * (1.0 + eps)
-            } else {
-                1.0 + eps
-            };
-            passes(u, est, factor)
-        }
+    let limit = |u: VertexId, est: Weight| {
+        let factor = if virt.is_virtual(u) {
+            (1.0 + eps) * (1.0 + eps)
+        } else {
+            1.0 + eps
+        };
+        passes(u, est, factor)
     };
 
     let bf = LimitedBf { g, virt, hopset };
@@ -348,7 +375,7 @@ fn one_approx_cluster(
         }
     }
 
-    let mut members = HashMap::new();
+    let (mut members, mut info) = (Vec::new(), Vec::new());
     for u in g.vertices() {
         if !member[u.index()] {
             continue;
@@ -360,46 +387,19 @@ fn one_approx_cluster(
             let w = g.edge_weight(p, u).expect("tree edge is a graph edge");
             (p, w)
         };
-        members.insert(
-            u,
-            MemberInfo {
-                parent: p,
-                parent_weight: w,
-                dist: rec.dist[u.index()],
-            },
-        );
+        members.push(u);
+        info.push(MemberInfo {
+            parent: p,
+            parent_weight: w,
+            dist: rec.dist[u.index()],
+        });
         memory.add(u, 3);
     }
-    (
-        SparseTree {
-            root: v,
-            level,
-            members,
-        },
-        out.beta_used,
-    )
-}
-
-/// Hop depth of a sparse tree (0 for a singleton).
-pub fn tree_depth(tree: &SparseTree) -> usize {
-    let mut best = 0;
-    for &u in tree.members.keys() {
-        let mut cur = u;
-        let mut hops = 0;
-        while cur != tree.root {
-            cur = tree.members[&cur].parent;
-            hops += 1;
-            if hops > tree.members.len() {
-                break; // cycle guard; from_parents re-checks
-            }
-        }
-        best = best.max(hops);
-    }
-    best
+    (SparseTree::new(v, level, members, info), out.beta_used)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use graphs::{generators, shortest_paths};
     use hopset::construction::{build as build_hopset, HopsetParams};
@@ -436,11 +436,11 @@ mod tests {
         assert_eq!(stats.clusters, 20);
         for tree in &trees {
             let want = cluster_by_definition(&g, tree.root, &next_dist);
-            let got: std::collections::HashSet<VertexId> = tree.members.keys().copied().collect();
+            let got: std::collections::HashSet<VertexId> = tree.members().iter().copied().collect();
             assert_eq!(got, want, "cluster of {}", tree.root);
             // Distances are exact.
             let dv = shortest_paths::dijkstra(&g, tree.root);
-            for (&u, info) in &tree.members {
+            for (&u, info) in tree.members().iter().zip(tree.info()) {
                 assert_eq!(info.dist, dv[u.index()]);
             }
         }
@@ -459,7 +459,7 @@ mod tests {
         for tree in &trees {
             // to_rooted panics on inconsistent parents; also check weights.
             let rt = tree.to_rooted(80);
-            for (&u, info) in &tree.members {
+            for (&u, info) in tree.members().iter().zip(tree.info()) {
                 if u != tree.root {
                     assert_eq!(
                         g.edge_weight(info.parent, u),
@@ -469,6 +469,43 @@ mod tests {
                 }
             }
             assert_eq!(rt.num_vertices(), tree.len());
+        }
+    }
+
+    /// The member-sorted layout: members strictly ascending, and exactly
+    /// the members the rooted form lists.
+    pub(crate) fn assert_member_sorted(tree: &SparseTree, n: usize) {
+        assert!(
+            tree.members().windows(2).all(|w| w[0] < w[1]),
+            "members of {} not strictly ascending",
+            tree.root
+        );
+        assert_eq!(tree.to_rooted(n).members(), tree.members());
+    }
+
+    #[test]
+    fn exact_clusters_do_not_depend_on_root_order() {
+        // One scratch serves every root of a level; a stale entry left by
+        // one root would change a later root's tree.
+        let mut rng = ChaCha8Rng::seed_from_u64(228);
+        let g = generators::erdos_renyi_connected(100, 0.06, 1..=9, &mut rng);
+        let a1: Vec<VertexId> = (0..100u32).step_by(11).map(VertexId).collect();
+        let (next_dist, _) = shortest_paths::multi_source_dijkstra(&g, &a1);
+        let roots: Vec<VertexId> = g.vertices().filter(|v| !a1.contains(v)).collect();
+        let run = |roots: &[VertexId]| {
+            let mut led = CostLedger::new();
+            let mut mem = MemoryMeter::new(100);
+            exact_clusters(&g, roots, 0, &next_dist, 100, &mut led, &mut mem).0
+        };
+        let forward = run(&roots);
+        let reversed: Vec<VertexId> = roots.iter().rev().copied().collect();
+        let mut backward = run(&reversed);
+        backward.reverse();
+        let one_by_one: Vec<SparseTree> = roots.iter().flat_map(|&v| run(&[v])).collect();
+        assert_eq!(forward, backward);
+        assert_eq!(forward, one_by_one);
+        for tree in &forward {
+            assert_member_sorted(tree, 100);
         }
     }
 
@@ -536,7 +573,7 @@ mod tests {
         );
         for tree in &trees {
             let exact = cluster_by_definition(&f.g, tree.root, &f.next_hat);
-            for &u in tree.members.keys() {
+            for &u in tree.members() {
                 assert!(
                     exact.contains(&u),
                     "C̃({}) member {u} outside C({})",
@@ -602,9 +639,10 @@ mod tests {
             &mut mem,
         );
         for tree in &trees {
+            assert_member_sorted(tree, f.g.num_vertices());
             let dv = shortest_paths::dijkstra(&f.g, tree.root);
             let rt = tree.to_rooted(f.g.num_vertices());
-            for (&u, info) in &tree.members {
+            for (&u, info) in tree.members().iter().zip(tree.info()) {
                 assert!(info.dist >= dv[u.index()], "estimate undershot");
                 // Tree path realizes a distance no worse than the estimate.
                 let tree_dist = rt.root_distance(u).unwrap();

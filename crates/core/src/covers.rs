@@ -17,16 +17,15 @@
 //! and labels than the Thorup–Zwick-based scheme, and a `log Λ` scale
 //! factor on both: exactly the tradeoff Table 1's first row records.
 
-use std::collections::HashMap;
-
 use congest::WordSized;
 use graphs::{dist_add, Graph, VertexId, Weight, INFINITY};
 use tree_routing::types::{TreeLabel, TreeTable};
 use tree_routing::tz;
 
+use crate::clusters::Growth;
 use crate::forward::{self, GraphRouteError};
 use crate::scheme::max_row_words;
-use crate::sparse::{MemberInfo, SparseTree};
+use crate::sparse::SparseTree;
 
 /// One scale's cover.
 #[derive(Clone, Debug)]
@@ -103,29 +102,6 @@ impl CoverScheme {
     }
 }
 
-/// Truncated Dijkstra from `c`: all vertices within `reach`, with parents.
-fn ball(g: &Graph, c: VertexId, reach: Weight) -> HashMap<VertexId, (Weight, Option<VertexId>)> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let mut out: HashMap<VertexId, (Weight, Option<VertexId>)> = HashMap::new();
-    let mut heap = BinaryHeap::new();
-    out.insert(c, (0, None));
-    heap.push(Reverse((0u64, c)));
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if out.get(&u).map(|&(dd, _)| dd) != Some(d) {
-            continue;
-        }
-        for arc in g.neighbors(u) {
-            let nd = dist_add(d, arc.weight);
-            if nd <= reach && out.get(&arc.to).is_none_or(|&(old, _)| nd < old) {
-                out.insert(arc.to, (nd, Some(u)));
-                heap.push(Reverse((nd, arc.to)));
-            }
-        }
-    }
-    out
-}
-
 /// Build the sparse-cover scheme for `g` with overlap exponent `k`.
 ///
 /// # Panics
@@ -164,7 +140,7 @@ pub fn build_cover_scheme(g: &Graph, k: usize) -> CoverScheme {
         for (ci, cluster) in sc.clusters.iter().enumerate() {
             let dense = cluster.to_rooted(n);
             let scheme = tz::build(&dense);
-            for &u in cluster.members.keys() {
+            for &u in cluster.members() {
                 tables[u.index()].push(CoverTableEntry {
                     scale_idx: si,
                     root: cluster.root,
@@ -195,51 +171,40 @@ fn build_scale(g: &Graph, scale: Weight, growth: f64) -> ScaleCover {
     let mut clusters: Vec<SparseTree> = Vec::new();
     let mut home = vec![usize::MAX; n];
     let mut overlap = vec![0usize; n];
+    let mut scratch = Growth::new(n);
     for start in g.vertices() {
         if covered[start.index()] {
             continue;
         }
         // Grow: core radius r, cluster radius r + scale; keep growing while
-        // the cluster inflates by more than the growth factor.
+        // the cluster inflates by more than the growth factor. Each radius
+        // is a truncated Dijkstra from `start`.
         let mut r: Weight = 0;
-        loop {
-            let core = ball(g, start, r);
-            let cluster = ball(g, start, dist_add(r, scale));
-            if (cluster.len() as f64) > growth * (core.len() as f64) {
-                r = dist_add(r, scale);
-                continue;
+        let core = loop {
+            scratch.grow(g, start, |_, d| d <= r, |_| {});
+            let core = scratch.reached().to_vec();
+            scratch.reset();
+            let reach = dist_add(r, scale);
+            scratch.grow(g, start, |_, d| d <= reach, |_| {});
+            if (scratch.reached().len() as f64) <= growth * (core.len() as f64) {
+                break core;
             }
-            // Finalize this cluster.
-            let mut members = HashMap::with_capacity(cluster.len());
-            for (&u, &(d, p)) in &cluster {
-                let (parent, pw) = match p {
-                    Some(p) => (p, g.edge_weight(p, u).expect("ball parent edge")),
-                    None => (u, 0),
-                };
-                members.insert(
-                    u,
-                    MemberInfo {
-                        parent,
-                        parent_weight: pw,
-                        dist: d,
-                    },
-                );
-                overlap[u.index()] += 1;
-            }
-            let idx = clusters.len();
-            for &u in core.keys() {
-                if !covered[u.index()] {
-                    covered[u.index()] = true;
-                    home[u.index()] = idx;
-                }
-            }
-            clusters.push(SparseTree {
-                root: start,
-                level: 0,
-                members,
-            });
-            break;
+            scratch.reset();
+            r = reach;
+        };
+        // Finalize this cluster; its core is covered.
+        let idx = clusters.len();
+        let cluster = scratch.take_tree(start, 0);
+        for &u in cluster.members() {
+            overlap[u.index()] += 1;
         }
+        for u in core {
+            if !covered[u.index()] {
+                covered[u.index()] = true;
+                home[u.index()] = idx;
+            }
+        }
+        clusters.push(cluster);
     }
     ScaleCover {
         scale,
@@ -361,7 +326,7 @@ mod tests {
         let scheme = build_cover_scheme(&g, k);
         for sc in &scheme.scales {
             for cluster in &sc.clusters {
-                for info in cluster.members.values() {
+                for info in cluster.info() {
                     assert!(
                         info.dist <= (k as u64 + 1) * sc.scale,
                         "radius {} above (k+1)·{} at scale {}",
@@ -370,6 +335,16 @@ mod tests {
                         sc.scale
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn cover_clusters_are_member_sorted() {
+        let g = er(90, 1309);
+        for sc in &build_cover_scheme(&g, 2).scales {
+            for cluster in &sc.clusters {
+                crate::clusters::tests::assert_member_sorted(cluster, 90);
             }
         }
     }

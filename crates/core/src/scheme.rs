@@ -716,7 +716,7 @@ where
     // Overlap s: memberships per vertex.
     let mut overlap = vec![0usize; n];
     for t in &trees {
-        for &u in t.members.keys() {
+        for &u in t.members() {
             overlap[u.index()] += 1;
         }
     }
@@ -761,11 +761,17 @@ where
     by_root.sort_by_key(|&idx| trees[idx].root);
     for idx in by_root {
         let (t, (members, tree_tables, _)) = (&trees[idx], &mut tree_rows[idx]);
-        for (u, table) in members.iter().zip(std::mem::take(tree_tables)) {
+        // Both sides list the members ascending by id, so they zip by rank.
+        debug_assert_eq!(members.as_slice(), t.members());
+        for ((u, info), table) in members
+            .iter()
+            .zip(t.info())
+            .zip(std::mem::take(tree_tables))
+        {
             tables[u.index()].push(TableEntry {
                 root: t.root,
                 level: t.level,
-                dist: t.members[u].dist,
+                dist: info.dist,
                 table,
             });
         }
@@ -794,7 +800,7 @@ where
             labels[v.index()].push(LabelEntry {
                 level: i,
                 pivot,
-                dist: trees[idx].members[&v].dist,
+                dist: trees[idx].info()[rank].dist,
                 tree_label: tree_labels[rank].clone(),
             });
         }
@@ -936,9 +942,12 @@ mod tests {
         for (tc, td) in c.trees.iter().zip(&d.trees) {
             if tc.level == 0 {
                 assert_eq!(tc.root, td.root);
-                let mc: std::collections::BTreeSet<_> = tc.members.keys().collect();
-                let md: std::collections::BTreeSet<_> = td.members.keys().collect();
-                assert_eq!(mc, md, "level-0 cluster of {} differs", tc.root);
+                assert_eq!(
+                    tc.members(),
+                    td.members(),
+                    "level-0 cluster of {} differs",
+                    tc.root
+                );
             }
         }
     }

@@ -2,28 +2,26 @@
 //!
 //! The scheme builds one cluster tree per vertex — thousands of trees whose
 //! total membership is `Õ(n^{1+1/k})`, a few percent of `n · #trees`. Nothing
-//! about a tree is ever sized by the host network: a [`SparseTree`] is keyed
-//! by member vertex as the cluster growth produces it, and
-//! [`SparseTree::to_rooted`] turns it into a [`RootedTree`], which stores the
-//! members sorted by id and everything else by *rank* in that order. The
-//! tree-routing stage runs on ranks and returns member-sorted
-//! [`tree_routing::TreeScheme`]s, so the whole stage — and the assembly that
-//! reads its output by rank — costs `O(|T| log |T|)` per tree.
+//! about a tree is ever sized by the host network: a [`SparseTree`] is
+//! member-sorted — members ascending by id, everything else by *rank* in that
+//! order — the layout of [`RootedTree`] and [`tree_routing::TreeScheme`]. The
+//! tree-routing stage runs on ranks and returns member-sorted tree schemes,
+//! so the whole stage — and the assembly that zips its output with the
+//! cluster rows by rank — costs `O(|T| log |T|)` per tree.
 
-use std::collections::HashMap;
-
-use graphs::{RootedTree, VertexId, Weight};
+use graphs::{tree::rank_in, RootedTree, VertexId, Weight};
 
 /// A cluster tree of `G`: root, members, and per-member parent pointers.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SparseTree {
     /// The cluster center (tree root).
     pub root: VertexId,
     /// The hierarchy level of the root (`root ∈ A_level \ A_{level+1}`).
     pub level: usize,
-    /// Per member: `(parent, parent edge weight, distance estimate to root)`;
-    /// the root maps to `(root, 0, 0)`.
-    pub members: HashMap<VertexId, MemberInfo>,
+    /// The members, strictly ascending by id.
+    members: Vec<VertexId>,
+    /// Per-member rows, by rank; the root's row is `(root, 0, 0)`.
+    info: Vec<MemberInfo>,
 }
 
 /// Per-member tree data.
@@ -38,6 +36,26 @@ pub struct MemberInfo {
 }
 
 impl SparseTree {
+    /// A tree from its members, strictly ascending by id, and their rows.
+    pub fn new(
+        root: VertexId,
+        level: usize,
+        members: Vec<VertexId>,
+        info: Vec<MemberInfo>,
+    ) -> Self {
+        debug_assert_eq!(members.len(), info.len(), "one row per member");
+        debug_assert!(
+            members.windows(2).all(|w| w[0] < w[1]),
+            "members must be strictly ascending"
+        );
+        SparseTree {
+            root,
+            level,
+            members,
+            info,
+        }
+    }
+
     /// Number of members (including the root).
     pub fn len(&self) -> usize {
         self.members.len()
@@ -48,9 +66,24 @@ impl SparseTree {
         self.members.is_empty()
     }
 
+    /// The members, ascending by id.
+    pub fn members(&self) -> &[VertexId] {
+        &self.members
+    }
+
+    /// The members' rows, by rank.
+    pub fn info(&self) -> &[MemberInfo] {
+        &self.info
+    }
+
+    /// `v`'s row, if `v` is a member.
+    pub fn member(&self, v: VertexId) -> Option<&MemberInfo> {
+        rank_in(&self.members, v).map(|r| &self.info[r])
+    }
+
     /// Whether `v` belongs to this tree.
     pub fn contains(&self, v: VertexId) -> bool {
-        self.members.contains_key(&v)
+        rank_in(&self.members, v).is_some()
     }
 
     /// Convert to a [`RootedTree`] inside a host universe of `host_n`, in
@@ -64,7 +97,8 @@ impl SparseTree {
         let edges = self
             .members
             .iter()
-            .filter(|(&v, _)| v != self.root)
+            .zip(&self.info)
+            .filter(|&(&v, _)| v != self.root)
             .map(|(&v, info)| (v, info.parent, info.parent_weight));
         RootedTree::from_edges(host_n, self.root, edges)
     }
@@ -75,36 +109,17 @@ mod tests {
     use super::*;
 
     fn path_sparse() -> SparseTree {
-        let mut members = HashMap::new();
-        members.insert(
+        let row = |parent, parent_weight, dist| MemberInfo {
+            parent: VertexId(parent),
+            parent_weight,
+            dist,
+        };
+        SparseTree::new(
             VertexId(0),
-            MemberInfo {
-                parent: VertexId(0),
-                parent_weight: 0,
-                dist: 0,
-            },
-        );
-        members.insert(
-            VertexId(2),
-            MemberInfo {
-                parent: VertexId(0),
-                parent_weight: 5,
-                dist: 5,
-            },
-        );
-        members.insert(
-            VertexId(3),
-            MemberInfo {
-                parent: VertexId(2),
-                parent_weight: 1,
-                dist: 6,
-            },
-        );
-        SparseTree {
-            root: VertexId(0),
-            level: 1,
-            members,
-        }
+            1,
+            vec![VertexId(0), VertexId(2), VertexId(3)],
+            vec![row(0, 0, 0), row(0, 5, 5), row(2, 1, 6)],
+        )
     }
 
     #[test]
@@ -125,6 +140,25 @@ mod tests {
         assert!(st.contains(VertexId(2)));
         assert!(!st.contains(VertexId(4)));
         assert!(!st.is_empty());
+        assert_eq!(st.member(VertexId(3)).map(|m| m.dist), Some(6));
+        assert_eq!(st.member(VertexId(1)), None);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "strictly ascending")]
+    fn unsorted_members_are_rejected() {
+        let row = MemberInfo {
+            parent: VertexId(0),
+            parent_weight: 0,
+            dist: 0,
+        };
+        SparseTree::new(
+            VertexId(0),
+            0,
+            vec![VertexId(2), VertexId(0)],
+            vec![row, row],
+        );
     }
 
     #[test]

@@ -103,25 +103,32 @@ impl VirtualGraph {
         let mut dist = vec![INFINITY; n];
         let mut parent: Vec<Option<VertexId>> = vec![None; n];
         let mut origin: Vec<Option<VertexId>> = vec![None; n];
+        // `queued` flags exactly the vertices in `frontier`; each round
+        // clears its frontier's flags and reads its round-start values.
+        let mut queued = vec![false; n];
         let mut frontier: Vec<VertexId> = Vec::new();
         for &(s, val) in seeds {
             if val < dist[s.index()] {
                 dist[s.index()] = val;
                 origin[s.index()] = Some(s);
-                if !frontier.contains(&s) {
+                if !queued[s.index()] {
+                    queued[s.index()] = true;
                     frontier.push(s);
                 }
             }
         }
+        let mut next: Vec<VertexId> = Vec::new();
+        let mut snapshot: Vec<Weight> = Vec::new();
         for _ in 0..self.b_hops {
             if frontier.is_empty() {
                 break;
             }
-            let mut next: Vec<VertexId> = Vec::new();
-            let mut queued = vec![false; n];
-            let snapshot = dist.clone();
+            snapshot.clear();
             for &u in &frontier {
-                let du = snapshot[u.index()];
+                queued[u.index()] = false;
+                snapshot.push(dist[u.index()]);
+            }
+            for (&u, &du) in frontier.iter().zip(&snapshot) {
                 // Non-seed vertices only relay while under their limit.
                 let is_seed = origin[u.index()] == Some(u);
                 if !is_seed && !limit(u, du) {
@@ -141,7 +148,8 @@ impl VirtualGraph {
                     }
                 }
             }
-            frontier = next;
+            std::mem::swap(&mut frontier, &mut next);
+            next.clear();
         }
         ledger.charge_rounds(self.b_hops as u64);
         Exploration {

@@ -16,7 +16,11 @@ fn generated_report() -> (Vec<Value>, routing::Built) {
     let built = build_observed(&g, &BuildParams::new(2), &mut rng, &mut rec);
     rec.end_with_memory(span, built.report.memory.peaks());
 
-    let path = std::env::temp_dir().join(format!("drt-obs-test-{}.jsonl", std::process::id()));
+    // Tests run concurrently in one process: one file per call.
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path =
+        std::env::temp_dir().join(format!("drt-obs-test-{}-{call}.jsonl", std::process::id()));
     rec.write_report(&path, "observability-test", &[("n", Value::from(96usize))])
         .expect("report written");
     let records = obs::read_report(&path).expect("report parses as JSONL");
