@@ -17,9 +17,8 @@
 use bench::sweep::Sweep;
 use bench::{print_header, print_row, Family};
 use congest::Network;
-use graphs::VertexId;
-use rand::Rng;
 use routing::{build_observed, packet, BuildParams};
+use traffic::{Workload, WorkloadKind};
 
 fn main() {
     let mut sweep = Sweep::from_env("fig_load");
@@ -32,6 +31,7 @@ fn main() {
         let peaks = built.report.memory.peaks().to_vec();
         (built, peaks)
     });
+    let mut uniform = Workload::prepare(WorkloadKind::Uniform, &g, &built.scheme, 0);
     let net = Network::new(g);
     println!("== Fig S5: batched routing under load (n = {n}, k = 3) ==\n");
     let widths = [10, 10, 10, 12, 12, 10];
@@ -47,16 +47,7 @@ fn main() {
         &widths,
     );
     for load in [16usize, 64, 256, 1024, 4096] {
-        let pairs: Vec<(VertexId, VertexId)> = (0..load)
-            .map(|_| {
-                let a = rng.gen_range(0..n as u32);
-                let mut b = rng.gen_range(0..n as u32);
-                while b == a {
-                    b = rng.gen_range(0..n as u32);
-                }
-                (VertexId(a), VertexId(b))
-            })
-            .collect();
+        let pairs: Vec<_> = (0..load).map(|_| uniform.draw(&mut rng)).collect();
         let report = sweep.observed(&format!("fig_load/p{load}"), |rec| {
             // When reporting, flight-record the send: the simulation is
             // identical to the untraced run's (pinned by core's tests), so
@@ -75,12 +66,7 @@ fn main() {
                 rec.add_record(report.edge_load.to_value(&extra));
                 rec.add_record(report.vertex_load().to_value(&extra));
             }
-            rec.charge(&obs::Counters {
-                rounds: report.stats.rounds,
-                messages: report.stats.messages,
-                words: report.stats.words,
-                broadcasts: 0,
-            });
+            rec.charge(&report.stats.counters());
             let peaks = report.stats.memory.peaks().to_vec();
             (report, peaks)
         });

@@ -44,7 +44,7 @@ use obs::record::Field;
 use obs::scaling::{fit_power_law, ExponentRange, ScalingCheck};
 use routing::{build_observed, packet, BuildParams};
 use serve::{generate_stream, run_closed, ServeConfig, ServePool, ServeWorkload, Snapshot};
-use traffic::{ScenarioConfig, TrafficScenario, WorkloadKind};
+use traffic::{ScenarioConfig, TrafficScenario, Workload, WorkloadKind};
 use tree_routing::distributed;
 
 use crate::sweep::Sweep;
@@ -533,23 +533,6 @@ fn att_max(scheme: &routing::RoutingScheme, c: routing::audit::Component) -> u64
     att.component_max(c) as u64
 }
 
-/// The `route_batch` group's deterministic source/destination pairs for a
-/// given offered load.
-fn batch_pairs(load: usize) -> Vec<(VertexId, VertexId)> {
-    use rand::Rng as _;
-    let mut rng = Sweep::rng(BATCH_SEED, load as u64);
-    (0..load)
-        .map(|_| {
-            let a = rng.gen_range(0..BATCH_N as u32);
-            let mut b = rng.gen_range(0..BATCH_N as u32);
-            while b == a {
-                b = rng.gen_range(0..BATCH_N as u32);
-            }
-            (VertexId(a), VertexId(b))
-        })
-        .collect()
-}
-
 fn batch_cases(
     loads: &[usize],
     repeats: usize,
@@ -560,12 +543,15 @@ fn batch_cases(
     let mut rng = Sweep::rng(BATCH_SEED, 0);
     let g = Family::ErdosRenyi.generate(BATCH_N, &mut rng);
     let built = routing::build(&g, &BuildParams::new(BATCH_K), &mut rng);
+    let mut uniform = Workload::prepare(WorkloadKind::Uniform, &g, &built.scheme, 0);
     let net = Network::new(g);
     let mut cases = Vec::new();
     for &load in loads {
         let id = format!("route_batch/er/p{load}");
         let (sim, wall) = repeated(&id, repeats, || {
-            let pairs = batch_pairs(load);
+            // The pairs are deterministic per offered load.
+            let mut rng = Sweep::rng(BATCH_SEED, load as u64);
+            let pairs: Vec<_> = (0..load).map(|_| uniform.draw(&mut rng)).collect();
             let report = packet::send(&net, &built.scheme, &pairs, packet::SendOptions::default());
             let delivered = report.delivered_count();
             let sim = vec![
@@ -688,9 +674,9 @@ fn churn_cases(
             // column stays an exactly-gateable integer.
             let reach_ppm = (last.reachability(run.baseline_connected) * 1e6).round() as u64;
             let sim = vec![
-                ("rounds".to_string(), run.engine_rounds),
-                ("messages".to_string(), run.engine_messages),
-                ("words".to_string(), run.engine_words),
+                ("rounds".to_string(), run.engine.rounds),
+                ("messages".to_string(), run.engine.messages),
+                ("words".to_string(), run.engine.words),
                 ("dead_vertices".to_string(), last.dead_vertices),
                 ("dead_edges".to_string(), last.dead_edges),
                 ("blast_radius".to_string(), last.blast_radius),

@@ -6,7 +6,11 @@
 //! peak-memory snapshot, and finally write the JSONL report if one was
 //! requested. [`Sweep`] owns that skeleton so the binaries keep only their
 //! measurement logic; the recorder stays public for binaries that also
-//! attach flight records or charge engine costs directly.
+//! attach flight records or charge engine costs directly. The `drt` CLI's
+//! report-writing subcommands use the same type over the options its
+//! dispatcher already parsed ([`Sweep::new`], [`Sweep::write`]).
+
+use std::path::Path;
 
 use obs::json::Value;
 use rand::SeedableRng;
@@ -21,23 +25,33 @@ pub struct Sweep {
     pub rec: obs::Recorder,
     /// Positional arguments left after stripping the report options.
     pub rest: Vec<String>,
-    name: &'static str,
+    name: String,
 }
 
 impl Sweep {
-    /// Parse [`std::env::args`] and set up the recorder. `name` is the run
-    /// name the report is written under.
-    pub fn from_env(name: &'static str) -> Sweep {
+    /// Parse [`std::env::args`] and set up the recorder, profiling the
+    /// engine when `--profile` asked for it. `name` is the run name the
+    /// report is written under.
+    pub fn from_env(name: &str) -> Sweep {
         let (opts, rest) = obs::cli::ReportOptions::from_env();
-        let mut rec = obs::Recorder::when(opts.reporting());
-        if opts.profile {
-            rec.enable_profiling();
-        }
-        Sweep {
-            opts,
-            rec,
+        let mut sweep = Sweep {
             rest,
-            name,
+            ..Sweep::new(name, opts)
+        };
+        if sweep.opts.profile {
+            sweep.rec.enable_profiling();
+        }
+        sweep
+    }
+
+    /// A sweep over options already parsed, with a recorder enabled iff a
+    /// report was requested.
+    pub fn new(name: &str, opts: obs::cli::ReportOptions) -> Sweep {
+        Sweep {
+            rec: obs::Recorder::when(opts.reporting()),
+            opts,
+            rest: Vec::new(),
+            name: name.to_string(),
         }
     }
 
@@ -65,19 +79,42 @@ impl Sweep {
         out
     }
 
+    /// Charge `costs` (one entry per engine run) to one span named `span`.
+    pub fn charged(&mut self, span: &str, costs: impl IntoIterator<Item = obs::Counters>) {
+        let id = self.rec.begin(span);
+        for c in costs {
+            self.rec.charge(&c);
+        }
+        self.rec.end(id);
+    }
+
     /// Append a free-form record (flight heatmap, histogram, metrics) to the
     /// report.
     pub fn add_record(&mut self, record: Value) {
         self.rec.add_record(record);
     }
 
-    /// Write the report if one was requested (with `extra` summary fields),
-    /// reporting failures to stderr without aborting the sweep output.
+    /// Write the report if one was requested (with `extra` summary fields)
+    /// and return its path.
+    ///
+    /// # Errors
+    ///
+    /// Names the path and the I/O error when the report cannot be written.
+    pub fn write(&self, extra: &[(&str, Value)]) -> Result<Option<&Path>, String> {
+        let Some(path) = &self.opts.report else {
+            return Ok(None);
+        };
+        self.rec
+            .write_report(path, &self.name, extra)
+            .map_err(|e| format!("writing report {}: {e}", path.display()))?;
+        Ok(Some(path))
+    }
+
+    /// [`Sweep::write`], reporting a failure to stderr without aborting the
+    /// sweep output.
     pub fn finish_with(self, extra: &[(&str, Value)]) {
-        if let Some(path) = &self.opts.report {
-            self.rec
-                .write_report(path, self.name, extra)
-                .unwrap_or_else(|e| eprintln!("failed to write report {}: {e}", path.display()));
+        if let Err(e) = self.write(extra) {
+            eprintln!("failed {e}");
         }
     }
 
@@ -107,7 +144,7 @@ mod tests {
             opts: obs::cli::ReportOptions::default(),
             rec: obs::Recorder::new(),
             rest: Vec::new(),
-            name: "test",
+            name: "test".to_string(),
         };
         let out = sweep.observed("case/n8", |rec| {
             rec.charge_rounds(5);
@@ -119,5 +156,34 @@ mod tests {
         assert_eq!(spans[0].name, "case/n8");
         assert_eq!(spans[0].delta.rounds, 5);
         assert_eq!(spans[0].peak_memory_words, 9);
+    }
+
+    #[test]
+    fn charged_spans_sum_their_runs_and_write_returns_the_path() {
+        let opts = obs::cli::ReportOptions {
+            report: Some(
+                std::env::temp_dir().join(format!("sweep-charged-{}.jsonl", std::process::id())),
+            ),
+            ..obs::cli::ReportOptions::default()
+        };
+        let mut sweep = Sweep::new("test", opts);
+        let run = |rounds| obs::Counters {
+            rounds,
+            messages: 2,
+            words: 3,
+            broadcasts: 0,
+        };
+        sweep.charged("case/engine", [run(4), run(5)]);
+        let span = &sweep.rec.spans()[0];
+        assert_eq!((span.delta.rounds, span.delta.messages), (9, 4));
+        let path = sweep
+            .write(&[])
+            .expect("report written")
+            .expect("requested");
+        assert_eq!(obs::read_report(path).expect("parses").len(), 2);
+        std::fs::remove_file(path).ok();
+
+        let off = Sweep::new("test", obs::cli::ReportOptions::default());
+        assert_eq!(off.write(&[]), Ok(None));
     }
 }

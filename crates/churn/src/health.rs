@@ -119,12 +119,8 @@ pub struct ChurnRun {
     pub baseline_connected: u64,
     /// Round-0 mean delivered stretch.
     pub baseline_mean_stretch: f64,
-    /// Engine rounds summed over all bursts.
-    pub engine_rounds: u64,
-    /// Engine messages summed over all bursts.
-    pub engine_messages: u64,
-    /// Engine words summed over all bursts.
-    pub engine_words: u64,
+    /// Engine rounds, messages and words summed over all bursts.
+    pub engine: obs::Counters,
     /// Worst per-port queue depth (packets) seen in any burst.
     pub peak_queue_packets: u64,
     /// The config the run used.
@@ -325,9 +321,7 @@ impl ChurnScenario<'_> {
             probe_pairs: sample.len() as u64,
             baseline_connected,
             baseline_mean_stretch: 0.0,
-            engine_rounds: 0,
-            engine_messages: 0,
-            engine_words: 0,
+            engine: obs::Counters::ZERO,
             peak_queue_packets: 0,
             config: *cfg,
         };
@@ -456,9 +450,7 @@ impl ChurnScenario<'_> {
         let dropped_capacity = result.dropped_capacity.len() as u64;
         let dropped_stuck = result.dropped_stuck.len() as u64;
         let in_flight = injected - flow_delivered - dropped_capacity - dropped_stuck;
-        run.engine_rounds += result.stats.rounds;
-        run.engine_messages += result.stats.messages;
-        run.engine_words += result.stats.words;
+        run.engine.add(&result.stats.counters());
         run.peak_queue_packets = run
             .peak_queue_packets
             .max(result.peak_queue_packets() as u64);
@@ -641,6 +633,6 @@ mod tests {
         assert_eq!(r0.blast_radius, 0);
         assert_eq!(r0.endpoint_dead, 0);
         assert_eq!(r0.stretch_inflation, 1.0);
-        assert!(run.engine_rounds > 0, "bursts must exercise the engine");
+        assert!(run.engine.rounds > 0, "bursts must exercise the engine");
     }
 }

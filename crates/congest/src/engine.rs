@@ -224,6 +224,17 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// The run's simulated costs as span counters (no broadcasts: an
+    /// engine run sends point-to-point messages only).
+    pub fn counters(&self) -> obs::Counters {
+        obs::Counters {
+            rounds: self.rounds,
+            messages: self.messages,
+            words: self.words,
+            broadcasts: 0,
+        }
+    }
+
     /// Whether two runs agree on every *simulated* measurement — everything
     /// except [`RunStats::wall_ns`] and [`RunStats::profile`]. This is the
     /// equality a profiled run guarantees against a plain one.

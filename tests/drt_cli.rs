@@ -1,0 +1,141 @@
+//! The `drt` command line, end to end through the binary.
+//!
+//! Two contracts: the stdout of every deterministic subcommand on one small
+//! graph is pinned byte for byte in `tests/golden/drt_stdout.txt`, and every
+//! bad input — a scheme built for another graph, a degenerate generator or
+//! build input, an unknown flag, a missing or malformed value — exits 1 with
+//! a single `error:` line on stderr instead of panicking (exit 101) or
+//! running on regardless.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+const DRT: &str = env!("CARGO_BIN_EXE_drt");
+
+/// A fresh per-process scratch directory for one test.
+fn temp_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("drt-cli-{test}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    dir
+}
+
+fn drt(args: &[&str]) -> Output {
+    Command::new(DRT).args(args).output().expect("drt runs")
+}
+
+/// Run `drt args`, demand success, and return its stdout.
+fn ok(args: &[&str]) -> String {
+    let out = drt(args);
+    assert!(
+        out.status.success(),
+        "drt {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+/// Write `drt generate <family> <n> <seed>` to `dir/name`.
+fn generate(dir: &Path, name: &str, spec: &[&str]) -> String {
+    let path = dir.join(name);
+    let mut args = vec!["generate"];
+    args.extend(spec);
+    std::fs::write(&path, ok(&args)).expect("graph written");
+    path.to_str().unwrap().to_string()
+}
+
+#[test]
+fn drt_stdout_matches_the_golden_file() {
+    // The sizes are `bench_trajectory`'s report-skeleton run, so the whole
+    // sweep stays quick in a debug build.
+    let dir = temp_dir("golden");
+    let g = generate(&dir, "graph.txt", &["er", "64", "7"]);
+    let s = dir.join("scheme.bin").to_str().unwrap().to_string();
+    let (g, s) = (g.as_str(), s.as_str());
+    let commands: [Vec<&str>; 10] = [
+        vec!["generate", "er", "64", "7"],
+        vec!["info", g],
+        vec!["build", g, "2", s],
+        vec!["route", g, s, "1", "60", "--load", "64"],
+        vec!["query", g, s, "1", "60"],
+        vec!["trace", g, s, "1", "60"],
+        vec!["stretch", g, s],
+        vec!["audit", g, s, "--kill-edges", "0.15"],
+        vec!["traffic", g, s, "--rounds", "64"],
+        vec!["churn", g, s, "--rounds", "5"],
+    ];
+    let placeholder = dir.to_str().unwrap();
+    let mut actual = String::new();
+    for args in commands {
+        actual.push_str(&format!("# drt {}\n", args.join(" ")));
+        actual.push_str(&ok(&args));
+    }
+    let actual = actual.replace(placeholder, "<tmp>");
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/drt_stdout.txt");
+    let expected = std::fs::read_to_string(golden).expect("tests/golden/drt_stdout.txt");
+    let dump = dir.join("drt_stdout.actual.txt");
+    std::fs::write(&dump, &actual).expect("actual stdout written");
+    assert!(
+        actual == expected,
+        "drt stdout drifted; this run's is in {}",
+        dump.display()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn bad_inputs_exit_1_with_one_error_line() {
+    let dir = temp_dir("errors");
+    let g64 = generate(&dir, "g64.txt", &["er", "64", "7"]);
+    let g32 = generate(&dir, "g32.txt", &["er", "32", "7"]);
+    let s64 = dir.join("s64.bin").to_str().unwrap().to_string();
+    ok(&["build", &g64, "2", &s64]);
+    let empty = dir.join("empty.txt");
+    std::fs::write(&empty, "").unwrap();
+    let empty = empty.to_str().unwrap();
+    let (g64, g32, s64) = (g64.as_str(), g32.as_str(), s64.as_str());
+
+    let mismatch = "scheme covers 64 vertices but the graph has 32";
+    let cases: &[(&[&str], &str)] = &[
+        // A scheme built for another graph.
+        (&["route", g32, s64, "1", "2"], mismatch),
+        (&["stretch", g32, s64], mismatch),
+        (&["traffic", g32, s64, "--rounds", "8"], mismatch),
+        (&["churn", g32, s64, "--rounds", "2"], mismatch),
+        // Degenerate generator and build inputs.
+        (&["generate", "er", "0"], "at least 2 vertices"),
+        (&["generate", "er", "1"], "at least 2 vertices"),
+        (&["generate", "geometric", "1"], "at least 2 vertices"),
+        (&["build", empty, "2", "/dev/null"], "no vertices"),
+        // The flag table's own errors.
+        (&["route", g64, s64, "1", "2", "--bogus"], "--bogus"),
+        (
+            &["route", g64, s64, "1", "2", "--seed"],
+            "--seed needs a value",
+        ),
+        (
+            &["route", g64, s64, "1", "2", "--seed", "x"],
+            "bad seed 'x'",
+        ),
+        (
+            &["audit", g64, s64, "--kill-edges", "2"],
+            "--kill-edges must be in [0, 1], got 2",
+        ),
+    ];
+    for (args, needle) in cases {
+        let out = drt(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "drt {args:?}: {stderr}");
+        let lines: Vec<&str> = stderr.lines().collect();
+        assert_eq!(lines.len(), 1, "drt {args:?}: {stderr}");
+        assert!(lines[0].starts_with("error: "), "drt {args:?}: {stderr}");
+        assert!(lines[0].contains(needle), "drt {args:?}: {stderr}");
+    }
+    let unknown = drt(&["route", g64, s64, "1", "2", "--bogus"]);
+    assert!(String::from_utf8_lossy(&unknown.stderr).contains("route"));
+
+    // Small but valid inputs run: the edge probability is clamped at 1.
+    ok(&["generate", "er", "2"]);
+    ok(&["generate", "er", "3"]);
+    ok(&["profile", "--n", "3", "--packets", "8"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
