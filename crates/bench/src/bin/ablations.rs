@@ -18,6 +18,7 @@
 //! `ablations/<name>/n<n>` span per observed build (ablation 3 is pure
 //! arithmetic and records nothing).
 
+use bench::sweep::Sweep;
 use bench::{print_header, print_row, Family};
 use congest::{CostLedger, MemoryMeter, Network};
 use graphs::{tree, VertexId};
@@ -29,17 +30,13 @@ use rand_chacha::ChaCha8Rng;
 use tree_routing::distributed;
 
 fn main() {
-    let (opts, _rest) = obs::cli::ReportOptions::from_env();
-    let mut rec = obs::Recorder::when(opts.reporting());
-    ablation_pointer_jumping(&mut rec);
-    ablation_materialization(&mut rec);
+    let mut sweep = Sweep::from_env("ablations");
+    ablation_pointer_jumping(&mut sweep.rec);
+    ablation_materialization(&mut sweep.rec);
     ablation_range_partition();
-    ablation_hopset_bf(&mut rec);
-    ablation_hopset_families(&mut rec);
-    if let Some(path) = &opts.report {
-        rec.write_report(path, "ablations", &[])
-            .unwrap_or_else(|e| eprintln!("failed to write report {}: {e}", path.display()));
-    }
+    ablation_hopset_bf(&mut sweep.rec);
+    ablation_hopset_families(&mut sweep.rec);
+    sweep.finish();
 }
 
 fn ablation_pointer_jumping(rec: &mut obs::Recorder) {

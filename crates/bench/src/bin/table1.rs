@@ -10,25 +10,26 @@
 //! `table1/<family>/n<n>/k<k>/<scheme>` span per scheme build, the
 //! construction's phase spans nested beneath it.
 
+use bench::sweep::Sweep;
 use bench::{print_header, print_row, Family};
-use graphs::{properties, VertexId};
+use graphs::VertexId;
 use obs::json::Value;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use routing::{build_observed, prior, router, BuildParams, Mode};
 
 fn main() {
-    let (opts, _rest) = obs::cli::ReportOptions::from_env();
-    let mut rec = obs::Recorder::when(opts.reporting());
+    let mut sweep = Sweep::from_env("table1");
+    let json = sweep.opts.json;
     let mut json_rows: Vec<Value> = Vec::new();
 
     let configs: &[(usize, usize)] = &[(256, 2), (512, 2), (1024, 2), (256, 3), (512, 3), (512, 4)];
     let widths = [14, 6, 3, 9, 7, 7, 8, 9, 8];
-    if !opts.json {
+    if !json {
         println!("== Table 1: distributed compact routing for general graphs ==\n");
     }
     for family in [Family::ErdosRenyi, Family::Geometric] {
-        if !opts.json {
+        if !json {
             println!("--- family: {} ---", family.name());
             print_header(
                 &[
@@ -40,7 +41,6 @@ fn main() {
         for &(n, k) in configs {
             let mut rng = ChaCha8Rng::seed_from_u64(0xFEED + (n * 31 + k) as u64);
             let g = family.generate(n, &mut rng);
-            let _d = properties::hop_diameter(&g).expect("connected");
             let srcs: Vec<VertexId> = (0..n as u32)
                 .step_by((n / 8).max(1))
                 .map(VertexId)
@@ -61,7 +61,7 @@ fn main() {
                     .iter()
                     .map(|sc| sc.clusters.iter().map(|c| c.len()).sum::<usize>())
                     .sum();
-                if opts.json {
+                if json {
                     json_rows.push(Value::object(vec![
                         ("family", Value::from(family.name())),
                         ("scheme", Value::from("ABNLP90-style")),
@@ -98,11 +98,13 @@ fn main() {
                 ("this paper", Some(Mode::DistributedLowMemory)),
             ] {
                 let mut mode_rng = ChaCha8Rng::seed_from_u64(0xABCD + (n + k) as u64);
-                let span = rec.begin(&format!("table1/{}/n{n}/k{k}/{name}", family.name()));
+                let span = sweep
+                    .rec
+                    .begin(&format!("table1/{}/n{n}/k{k}/{name}", family.name()));
                 let (report, stats) = match mode {
                     Some(mode) => {
                         let params = BuildParams::new(k).with_mode(mode);
-                        let built = build_observed(&g, &params, &mut mode_rng, &mut rec);
+                        let built = build_observed(&g, &params, &mut mode_rng, &mut sweep.rec);
                         let stats = router::measure_stretch(
                             &g,
                             &built.scheme,
@@ -112,14 +114,14 @@ fn main() {
                         (built.report, stats)
                     }
                     None => {
-                        let built = prior::build_observed(&g, k, &mut mode_rng, &mut rec);
+                        let built = prior::build_observed(&g, k, &mut mode_rng, &mut sweep.rec);
                         let stats = prior::measure_stretch(&g, &built.scheme, &srcs);
                         (built.report, stats)
                     }
                 };
-                rec.end_with_memory(span, report.memory.peaks());
+                sweep.rec.end_with_memory(span, report.memory.peaks());
                 let central = mode == Some(Mode::Centralized);
-                if opts.json {
+                if json {
                     json_rows.push(Value::object(vec![
                         ("family", Value::from(family.name())),
                         ("scheme", Value::from(name)),
@@ -171,12 +173,12 @@ fn main() {
                     );
                 }
             }
-            if !opts.json {
+            if !json {
                 println!();
             }
         }
     }
-    if opts.json {
+    if json {
         println!("{}", Value::Array(json_rows));
     } else {
         println!("expected shape: this paper's table/label sizes match the centralized");
@@ -186,8 +188,5 @@ fn main() {
         println!("see EXPERIMENTS.md on the 4k-5 refinement); rounds for both distributed");
         println!("rows are ~n^(1/2+1/k)+D up to polylog factors.");
     }
-    if let Some(path) = &opts.report {
-        rec.write_report(path, "table1", &[])
-            .unwrap_or_else(|e| eprintln!("failed to write report {}: {e}", path.display()));
-    }
+    sweep.finish();
 }

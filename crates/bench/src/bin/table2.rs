@@ -15,6 +15,7 @@
 //! `table2/<family>/n<n>` span per our-scheme build, the construction's
 //! stage spans nested beneath it.
 
+use bench::sweep::Sweep;
 use bench::{print_header, print_row, Family};
 use congest::Network;
 use graphs::{properties, tree, VertexId};
@@ -24,17 +25,17 @@ use rand_chacha::ChaCha8Rng;
 use tree_routing::{baseline, distributed, tz};
 
 fn main() {
-    let (opts, _rest) = obs::cli::ReportOptions::from_env();
-    let mut rec = obs::Recorder::when(opts.reporting());
+    let mut sweep = Sweep::from_env("table2");
+    let json = sweep.opts.json;
     let mut json_rows: Vec<Value> = Vec::new();
 
     let sizes = [256usize, 512, 1024, 2048, 4096];
     let widths = [12, 6, 5, 9, 7, 7, 8];
-    if !opts.json {
+    if !json {
         println!("== Table 2: distributed exact tree routing (SPT of each network) ==\n");
     }
     for family in [Family::ErdosRenyi, Family::Geometric] {
-        if !opts.json {
+        if !json {
             println!("--- family: {} ---", family.name());
             print_header(
                 &["scheme", "n", "D", "rounds", "table", "label", "memory"],
@@ -52,7 +53,7 @@ fn main() {
                             table: usize,
                             label: usize,
                             memory: Option<usize>| {
-                if opts.json {
+                if json {
                     json_rows.push(Value::object(vec![
                         ("family", Value::from(family.name())),
                         ("scheme", Value::from(scheme)),
@@ -100,15 +101,15 @@ fn main() {
             );
 
             // This paper.
-            let span = rec.begin(&format!("table2/{}/n{n}", family.name()));
+            let span = sweep.rec.begin(&format!("table2/{}/n{n}", family.name()));
             let ours = distributed::build_observed(
                 &net,
                 &t,
                 &distributed::Config::default(),
                 &mut rng,
-                &mut rec,
+                &mut sweep.rec,
             );
-            rec.end_with_memory(span, ours.memory.peaks());
+            sweep.rec.end_with_memory(span, ours.memory.peaks());
             distributed::assert_matches_centralized(&t, &ours);
             emit(
                 "this paper",
@@ -117,20 +118,17 @@ fn main() {
                 ours.scheme.max_label_words(),
                 Some(ours.memory.max_peak()),
             );
-            if !opts.json {
+            if !json {
                 println!();
             }
         }
     }
-    if opts.json {
+    if json {
         println!("{}", Value::Array(json_rows));
     } else {
         println!("expected shape: our tables stay at 4 words (O(1)) and labels/memory");
         println!("grow ~log n, while the prior row's labels carry an extra log factor and");
         println!("its memory grows ~sqrt(n); rounds are ~sqrt(n)+D for both distributed rows.");
     }
-    if let Some(path) = &opts.report {
-        rec.write_report(path, "table2", &[])
-            .unwrap_or_else(|e| eprintln!("failed to write report {}: {e}", path.display()));
-    }
+    sweep.finish();
 }

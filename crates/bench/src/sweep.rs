@@ -23,25 +23,14 @@ pub struct Sweep {
     pub opts: obs::cli::ReportOptions,
     /// The run recorder (enabled iff a report was requested).
     pub rec: obs::Recorder,
-    /// Positional arguments left after stripping the report options.
-    pub rest: Vec<String>,
     name: String,
 }
 
 impl Sweep {
-    /// Parse [`std::env::args`] and set up the recorder, profiling the
-    /// engine when `--profile` asked for it. `name` is the run name the
-    /// report is written under.
+    /// Parse [`std::env::args`] and set up the recorder. `name` is the run
+    /// name the report is written under.
     pub fn from_env(name: &str) -> Sweep {
-        let (opts, rest) = obs::cli::ReportOptions::from_env();
-        let mut sweep = Sweep {
-            rest,
-            ..Sweep::new(name, opts)
-        };
-        if sweep.opts.profile {
-            sweep.rec.enable_profiling();
-        }
-        sweep
+        Sweep::new(name, obs::cli::ReportOptions::from_env().0)
     }
 
     /// A sweep over options already parsed, with a recorder enabled iff a
@@ -50,7 +39,6 @@ impl Sweep {
         Sweep {
             rec: obs::Recorder::when(opts.reporting()),
             opts,
-            rest: Vec::new(),
             name: name.to_string(),
         }
     }
@@ -143,7 +131,6 @@ mod tests {
         let mut sweep = Sweep {
             opts: obs::cli::ReportOptions::default(),
             rec: obs::Recorder::new(),
-            rest: Vec::new(),
             name: "test".to_string(),
         };
         let out = sweep.observed("case/n8", |rec| {

@@ -11,11 +11,11 @@
 //!
 //! A round executes only the vertices that can act in it: those with mail,
 //! and those whose last-reported [`Wake`] hint has come due. What a vertex
-//! reported after its last execution (`wake`, `is_done`, `queued_words`) is
-//! cached in flat arrays and stays exact until it executes again, because a
-//! vertex's state changes only inside `init` / `round`. The termination test
-//! and the queue-occupancy sample read running totals over those arrays, so
-//! nothing in the loop touches a protocol that is not executing.
+//! reported after its last execution (`wake`, `is_done`) is cached in flat
+//! arrays and stays exact until it executes again, because a vertex's state
+//! changes only inside `init` / `round`. The termination test reads running
+//! totals over those arrays, so nothing in the loop touches a protocol that
+//! is not executing.
 //!
 //! Vertices execute in ascending id order and the scatter is stable, so every
 //! inbox holds its messages in (sender id, send order). Every measurement is
@@ -61,13 +61,6 @@ pub trait VertexProtocol {
     /// Words of memory this vertex currently holds; polled after every round
     /// to maintain the per-vertex peak.
     fn memory_words(&self) -> usize;
-
-    /// Words currently parked in this vertex's outgoing forwarding queues.
-    /// Store-and-forward protocols override this so a traced run can record
-    /// queue occupancy per round; stateless protocols keep the default 0.
-    fn queued_words(&self) -> usize {
-        0
-    }
 
     /// When this vertex next needs to run without having received a message.
     /// Polled right after each execution; the answer holds until the vertex
@@ -176,10 +169,8 @@ pub struct EngineConfig {
     /// Panic on congestion violations instead of recording them.
     pub strict_congestion: bool,
     /// Profile the round loop: per-round phase timings
-    /// ([`obs::profile::EngineProfile`]) returned in
-    /// [`RunStats::profile`]. Profiling also turns on when the recorder
-    /// passed to [`Engine::run_traced`] has profiling enabled; either way
-    /// it never changes simulated results, only adds clock reads.
+    /// ([`obs::profile::EngineProfile`]) returned in [`RunStats::profile`].
+    /// Profiling never changes simulated results, only adds clock reads.
     pub profile: bool,
 }
 
@@ -274,10 +265,8 @@ struct Hints {
     /// Whether that round came from a [`Wake::At`].
     timed: Vec<bool>,
     done: Vec<bool>,
-    queued: Vec<usize>,
     not_done: usize,
     timed_count: usize,
-    queued_words: usize,
 }
 
 impl Hints {
@@ -286,15 +275,13 @@ impl Hints {
             wake: vec![u64::MAX; n],
             timed: vec![false; n],
             done: vec![true; n],
-            queued: vec![0; n],
             not_done: 0,
             timed_count: 0,
-            queued_words: 0,
         }
     }
 
     /// Re-poll vertex `v` after it executed in round `round` (0 for init).
-    fn refresh<P: VertexProtocol>(&mut self, v: usize, p: &P, round: u64, sample_queued: bool) {
+    fn refresh<P: VertexProtocol>(&mut self, v: usize, p: &P, round: u64) {
         let (wake, timed) = match p.wake() {
             Wake::OnMessage => (u64::MAX, false),
             Wake::At(at) if at > round => (at, true),
@@ -306,11 +293,6 @@ impl Hints {
         let done = p.is_done();
         self.not_done = self.not_done + usize::from(!done) - usize::from(!self.done[v]);
         self.done[v] = done;
-        if sample_queued {
-            let queued = p.queued_words();
-            self.queued_words = self.queued_words + queued - self.queued[v];
-            self.queued[v] = queued;
-        }
     }
 }
 
@@ -326,7 +308,7 @@ impl<C: Clock> Prof<C> {
     fn new(epoch: C) -> Prof<C> {
         let mark = epoch.elapsed_ns();
         Prof {
-            prof: EngineProfile::new(1),
+            prof: EngineProfile::default(),
             epoch,
             mark,
         }
@@ -337,7 +319,7 @@ impl<C: Clock> Prof<C> {
     fn lap(&mut self, round: u64, phase: Phase) {
         let now = self.epoch.elapsed_ns();
         self.prof
-            .record(round, 0, phase, self.mark, now.saturating_sub(self.mark));
+            .record(round, phase, self.mark, now.saturating_sub(self.mark));
         self.mark = now;
     }
 }
@@ -384,32 +366,10 @@ impl Engine {
         network: &Network,
         protocols: Vec<P>,
     ) -> (Vec<P>, RunStats) {
-        self.run_traced(network, protocols, &mut obs::Recorder::disabled())
+        self.run_clocked(network, protocols, Stopwatch::start())
     }
 
-    /// Like [`Engine::run`], but additionally appends one
-    /// [`obs::RoundSample`] per executed round (including the init sends as
-    /// round 0) to `recorder`'s time series. Recorder *totals* are untouched:
-    /// the engine's costs reach run totals through whatever ledger charges
-    /// the caller makes from the returned [`RunStats`], so the time series
-    /// never double-counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Engine::run`].
-    pub fn run_traced<P: VertexProtocol>(
-        &self,
-        network: &Network,
-        protocols: Vec<P>,
-        recorder: &mut obs::Recorder,
-    ) -> (Vec<P>, RunStats) {
-        // The recorder's start when it is accumulating a profile (one
-        // timeline across runs), else this run's own start.
-        let clock = recorder.profile_epoch().unwrap_or_else(Stopwatch::start);
-        self.run_clocked(network, protocols, recorder, clock)
-    }
-
-    /// [`Engine::run_traced`] on a caller-supplied clock: the run's wall time
+    /// [`Engine::run`] on a caller-supplied clock: the run's wall time
     /// and every profile sample are differences of `clock` readings, so a
     /// deterministic clock makes the profile a deterministic function of how
     /// often the engine reads it. The clock is read only to time the whole
@@ -422,19 +382,18 @@ impl Engine {
         &self,
         network: &Network,
         mut protocols: Vec<P>,
-        recorder: &mut obs::Recorder,
         clock: C,
     ) -> (Vec<P>, RunStats) {
         let n = network.len();
         assert_eq!(protocols.len(), n, "one protocol instance per vertex");
         let started = clock.elapsed_ns();
         // `None` keeps the loop free of clock reads.
-        let mut prof = (self.config.profile || recorder.profiling()).then(|| Prof::new(clock));
+        let mut prof = self.config.profile.then(|| Prof::new(clock));
         let mut stats = RunStats {
             memory: MemoryMeter::new(n),
             ..RunStats::default()
         };
-        let mut rounds = Rounds::new(n, recorder.is_enabled());
+        let mut rounds = Rounds::new(n);
         if let Some(p) = prof.as_mut() {
             p.lap(0, Phase::Setup);
         }
@@ -457,7 +416,7 @@ impl Engine {
             if let Some(p) = prof.as_mut() {
                 p.lap(r, Phase::Scatter);
             }
-            let more = self.finish_phase(round, &ps, &rounds, &mut stats, recorder);
+            let more = self.finish_phase(&ps, &rounds, &mut stats);
             if let Some(p) = prof.as_mut() {
                 p.lap(r, Phase::Merge);
             }
@@ -469,28 +428,16 @@ impl Engine {
         stats.wall_ns = clock.elapsed_ns().saturating_sub(started);
         if let Some(mut p) = prof {
             p.prof.record_run(stats.wall_ns, stats.executions);
-            recorder.absorb_profile(&p.prof);
-            // A recorder-driven profile stays with the recorder only.
-            if self.config.profile {
-                stats.profile = Some(Box::new(p.prof));
-            }
+            stats.profile = Some(Box::new(p.prof));
         }
         (protocols, stats)
     }
 
-    /// Fold one executed-and-scattered phase into the run — totals, strict
-    /// congestion enforcement, the traced round sample — and apply the
-    /// termination test. Returns whether another round runs (it is then
-    /// already counted in `stats.rounds`); otherwise `stats.completed` is
-    /// settled.
-    fn finish_phase<M>(
-        &self,
-        round: Option<u64>,
-        ps: &PhaseStats,
-        rounds: &Rounds<M>,
-        stats: &mut RunStats,
-        recorder: &mut obs::Recorder,
-    ) -> bool {
+    /// Fold one executed-and-scattered phase into the run — totals and
+    /// strict congestion enforcement — and apply the termination test.
+    /// Returns whether another round runs (it is then already counted in
+    /// `stats.rounds`); otherwise `stats.completed` is settled.
+    fn finish_phase<M>(&self, ps: &PhaseStats, rounds: &Rounds<M>, stats: &mut RunStats) -> bool {
         stats.messages += ps.messages;
         stats.words += ps.words;
         stats.max_edge_words = stats.max_edge_words.max(ps.max_edge_words);
@@ -502,18 +449,6 @@ impl Engine {
                 "congestion violation: {from} sent {w} words to {to} in one round"
             );
         }
-        // The init phase is sampled (as round 0) only if it sent anything.
-        if recorder.is_enabled() && (round.is_some() || ps.messages > 0) {
-            recorder.record_round(obs::RoundSample {
-                round: round.unwrap_or(0),
-                messages: ps.messages,
-                words: ps.words,
-                max_edge_words: stats.max_edge_words,
-                congestion_violations: ps.violations,
-                queued_words: rounds.hints.queued_words,
-            });
-        }
-
         let all_done = rounds.hints.not_done == 0;
         let in_flight = rounds.delivery.total() > 0;
         if all_done && !in_flight {
@@ -542,17 +477,15 @@ struct Rounds<M> {
     outbox: Vec<OutMsg<M>>,
     per_edge: Vec<(VertexId, usize)>,
     hints: Hints,
-    sample_queued: bool,
 }
 
 impl<M: WordSized> Rounds<M> {
-    fn new(n: usize, sample_queued: bool) -> Rounds<M> {
+    fn new(n: usize) -> Rounds<M> {
         Rounds {
             delivery: InboxArena::new(n),
             outbox: Vec::new(),
             per_edge: Vec::new(),
             hints: Hints::new(n),
-            sample_queued,
         }
     }
 
@@ -590,7 +523,7 @@ impl<M: WordSized> Rounds<M> {
             }
             ps.executions += 1;
             meter.set(vid, protocol.memory_words());
-            self.hints.refresh(v, protocol, r, self.sample_queued);
+            self.hints.refresh(v, protocol, r);
             account(&self.outbox[start..], vid, cap, &mut self.per_edge, &mut ps);
         }
         ps
@@ -710,6 +643,8 @@ mod tests {
         assert_eq!(stats.words, stats.messages); // 1-word messages
         assert_eq!(stats.max_edge_words, 1);
         assert_eq!(stats.congestion_violations, 0);
+        // Wall sampling: real elapsed time, present even at this tiny size.
+        assert!(stats.wall_ns > 0);
     }
 
     #[test]
@@ -963,36 +898,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_samples_every_round() {
-        let net = path_network(4);
-        let mut rec = obs::Recorder::new();
-        let (_, stats) = Engine::new().run_traced(&net, flood(4), &mut rec);
-        assert!(stats.completed);
-        // One sample for the init sends plus one per executed round.
-        let series = rec.series();
-        assert_eq!(series.len() as u64, stats.rounds + 1);
-        assert_eq!(series[0].round, 0);
-        assert_eq!(series.last().unwrap().round, stats.rounds);
-        let messages: u64 = series.iter().map(|s| s.messages).sum();
-        let words: u64 = series.iter().map(|s| s.words).sum();
-        assert_eq!(messages, stats.messages);
-        assert_eq!(words, stats.words);
-        // The hook records the series without touching recorder totals.
-        assert_eq!(rec.totals(), obs::Counters::ZERO);
-        // Wall sampling: real elapsed time, present even at this tiny size.
-        assert!(stats.wall_ns > 0);
-    }
-
-    #[test]
-    fn disabled_recorder_records_nothing() {
-        let net = path_network(4);
-        let mut rec = obs::Recorder::disabled();
-        let (_, stats) = Engine::new().run_traced(&net, flood(4), &mut rec);
-        assert!(stats.completed);
-        assert!(rec.series().is_empty());
-    }
-
-    #[test]
     fn profiled_serial_run_tiles_the_wall() {
         let net = path_network(8);
         let engine = Engine::with_config(EngineConfig {
@@ -1007,12 +912,11 @@ mod tests {
         );
         let p = stats.profile.as_deref().expect("profile requested");
         assert_eq!(p.runs, 1);
-        assert_eq!(p.workers, 1);
         assert_eq!(p.rounds, stats.rounds);
         let coord: u64 = p.coord_ns.iter().sum();
         assert!(coord > 0);
-        // The coordinator's phases tile the run: their sum cannot exceed
-        // the measured wall and must cover the bulk of it.
+        // The phases tile the run: their sum cannot exceed the measured wall
+        // and must cover the bulk of it.
         assert!(
             coord <= p.engine_wall_ns,
             "coord {coord} > wall {}",
@@ -1021,22 +925,5 @@ mod tests {
         let s = p.summary();
         assert!(s.coverage > 0.5, "coverage {}", s.coverage);
         assert!(plain.profile.is_none(), "no profile unless requested");
-    }
-
-    #[test]
-    fn recorder_driven_profiling_accumulates_on_the_recorder() {
-        let net = path_network(6);
-        let mut rec = obs::Recorder::new();
-        rec.enable_profiling();
-        let (_, stats) = Engine::new().run_traced(&net, flood(6), &mut rec);
-        // Config didn't ask for the profile, so the stats don't carry it...
-        assert!(stats.profile.is_none());
-        // ...but the recorder accumulated it.
-        let p = rec.profile().expect("recorder accumulates the profile");
-        assert_eq!(p.runs, 1);
-        assert!(p.engine_wall_ns > 0);
-        // A second run folds in.
-        let (_, _) = Engine::new().run_traced(&net, flood(6), &mut rec);
-        assert_eq!(rec.profile().unwrap().runs, 2);
     }
 }

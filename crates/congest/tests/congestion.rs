@@ -1,6 +1,6 @@
 //! Congestion accounting under the engine's CONGEST RAM cap: exact violation
-//! counts, per-edge word accumulation within a round, `max_edge_words`, the
-//! strict mode, and per-round attribution in the traced time series.
+//! counts, per-edge word accumulation within a round, `max_edge_words`, and
+//! the strict mode.
 
 use congest::engine::Ctx;
 use congest::{Engine, EngineConfig, Inbox, Network, VertexProtocol};
@@ -81,32 +81,6 @@ fn violation_counts_and_max_edge_words_are_exact() {
     assert_eq!(stats.messages, 5);
     assert_eq!(stats.words, 6 + 2 + 3 + 4 + 9);
     assert!(stats.completed);
-}
-
-#[test]
-fn traced_series_attributes_violations_to_their_rounds() {
-    let net = two_vertex_net();
-    let protocols = vec![Burst::sender(script()), Burst::receiver()];
-    let mut rec = obs::Recorder::new();
-    let (_, stats) = Engine::new().run_traced(&net, protocols, &mut rec);
-
-    // Init burst + rounds 1..=4 (the last round only drains in-flight mail).
-    let series = rec.series();
-    assert_eq!(series.len(), 5);
-    let violations: Vec<u64> = series.iter().map(|s| s.congestion_violations).collect();
-    assert_eq!(violations, vec![1, 1, 0, 1, 0]);
-    let words: Vec<u64> = series.iter().map(|s| s.words).collect();
-    assert_eq!(words, vec![6, 5, 4, 9, 0]);
-    // `max_edge_words` is the cumulative worst, so it is monotone across the
-    // series and ends at the run-level figure.
-    assert!(series
-        .windows(2)
-        .all(|w| w[0].max_edge_words <= w[1].max_edge_words));
-    assert_eq!(series.last().unwrap().max_edge_words, stats.max_edge_words);
-    assert_eq!(
-        series.iter().map(|s| s.congestion_violations).sum::<u64>(),
-        stats.congestion_violations
-    );
 }
 
 #[test]

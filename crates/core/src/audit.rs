@@ -770,8 +770,9 @@ pub fn probe_perturbed(
 
 /// The overlay form of [`probe_perturbed`]: probe stale tables against an
 /// arbitrary tombstone [`Overlay`] (the one-shot random kill above is the
-/// degenerate single-event case; the `churn` crate feeds evolving overlays
-/// through the same path round after round).
+/// degenerate single-event case). The `churn` crate does not come through
+/// here: its health sampler runs its own fixed-pair probe over each round's
+/// overlay, so the probe pairs stay the same from round to round.
 pub fn probe_overlay(
     g: &Graph,
     scheme: &RoutingScheme,

@@ -581,10 +581,6 @@ impl VertexProtocol for Vertex<'_> {
     fn memory_words(&self) -> usize {
         self.table_words + self.queued_words
     }
-
-    fn queued_words(&self) -> usize {
-        self.queued_words
-    }
 }
 
 /// What happened to one packet of a [`send`].

@@ -4,10 +4,7 @@
 //!
 //! * `--report <path>` or `--report=<path>` — write a JSONL run report;
 //! * the `DRT_REPORT` environment variable as a fallback path;
-//! * `--json` (where meaningful) — print the primary output as JSON;
-//! * `--profile` — profile the engine round loop (per-phase attribution;
-//!   the `DRT_PROFILE` environment variable, set non-empty, is the
-//!   fallback). Profiling never changes simulated results.
+//! * `--json` (where meaningful) — print the primary output as JSON.
 //!
 //! [`ReportOptions::parse`] strips these from an argument list and hands the
 //! remaining arguments back, so binaries keep their existing positional
@@ -22,9 +19,6 @@ pub struct ReportOptions {
     pub report: Option<PathBuf>,
     /// Whether `--json` output was requested.
     pub json: bool,
-    /// Whether `--profile` (or `DRT_PROFILE`) asked for engine round-loop
-    /// profiling.
-    pub profile: bool,
 }
 
 impl ReportOptions {
@@ -42,8 +36,6 @@ impl ReportOptions {
                 opts.report = Some(PathBuf::from(path));
             } else if arg == "--json" {
                 opts.json = true;
-            } else if arg == "--profile" {
-                opts.profile = true;
             } else {
                 rest.push(arg);
             }
@@ -53,11 +45,6 @@ impl ReportOptions {
                 if !path.is_empty() {
                     opts.report = Some(PathBuf::from(path));
                 }
-            }
-        }
-        if !opts.profile {
-            if let Ok(p) = std::env::var("DRT_PROFILE") {
-                opts.profile = !p.is_empty();
             }
         }
         (opts, rest)
@@ -118,13 +105,12 @@ mod tests {
 
     #[test]
     fn parses_profile_flag() {
-        // NB: assumes DRT_PROFILE is unset in the test environment.
-        let (opts, rest) = ReportOptions::parse(strings(&["--profile", "bench"]));
-        assert!(opts.profile);
-        assert_eq!(rest, strings(&["bench"]));
-
-        let (opts, _) = ReportOptions::parse(strings(&[]));
-        assert!(!opts.profile);
+        // `--profile` belongs to `drt traffic` alone: the shared options
+        // leave it, in place, for the subcommand to parse.
+        let args = strings(&["traffic", "--profile", "bench"]);
+        let (opts, rest) = ReportOptions::parse(args.clone());
+        assert_eq!(opts, ReportOptions::default());
+        assert_eq!(rest, args);
     }
 
     #[test]

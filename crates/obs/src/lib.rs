@@ -9,13 +9,10 @@
 //!   the *delta* of [`Counters`] (rounds, messages, words, broadcasts)
 //!   accrued while the span was open, plus a per-vertex peak-memory
 //!   distribution snapshot ([`MemoryDist`]) at the span boundary;
-//! * the engine's round loop feeds a per-round time series of
-//!   [`RoundSample`]s (messages, words, max-edge-words, congestion
-//!   violations) into the recorder;
 //! * [`Recorder::write_report`] serializes everything as JSONL — one record
-//!   per span, an optional `round_series` record, and a trailing
-//!   `run_summary` record — to a path chosen by `--report <path>` or the
-//!   `DRT_REPORT` environment variable (see [`cli`]);
+//!   per span, the records appended via [`Recorder::add_record`], and a
+//!   trailing `run_summary` record — to a path chosen by `--report <path>`
+//!   or the `DRT_REPORT` environment variable (see [`cli`]);
 //! * [`json`] is a dependency-free JSON writer *and* parser, so generated
 //!   reports can be read back and checked (span deltas must sum to the run
 //!   totals) and the bench binaries can emit their tables as JSON;
@@ -30,9 +27,9 @@
 //! * [`scaling`] fits log-log growth exponents and checks them against
 //!   paper-predicted ranges, turning "the shape matches the theorem" into an
 //!   executable assertion;
-//! * [`profile`] attributes engine wall time to round-loop phases per
-//!   worker (dispatch, compute, scatter, merge, idle), exported as an
-//!   `engine_profile` record and a Chrome trace-event file;
+//! * [`profile`] attributes engine wall time to round-loop phases (setup,
+//!   compute, scatter, merge), exported as an `engine_profile` record and a
+//!   Chrome trace-event file;
 //! * [`mod@record`] is the one record schema: every record type declares its
 //!   fields once through [`record!`], which generates the struct, the writer
 //!   and the parser, and [`REGISTRY`] lists every `type` tag with the parser
@@ -144,26 +141,6 @@ impl MemoryDist {
 }
 
 record! {
-    /// One sample of the engine's per-round time series.
-    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-    pub struct RoundSample {
-        /// The round number (1-based; `init` sends land in round 0).
-        pub round: u64,
-        /// Messages delivered this round.
-        pub messages: u64,
-        /// Words delivered this round.
-        pub words: u64,
-        /// Worst per-edge word count observed so far in the run.
-        pub max_edge_words: usize,
-        /// Congestion violations recorded this round.
-        pub congestion_violations: u64,
-        /// Words sitting in vertex-local forwarding queues at the end of the
-        /// round (store-and-forward protocols only; 0 elsewhere).
-        pub queued_words: usize,
-    }
-}
-
-record! {
     /// The `span` line of a report: one closed [`SpanRecord`].
     struct SpanLine: "span" {
         seq: usize,
@@ -174,13 +151,6 @@ record! {
         peak_memory_words: usize,
         wall_ns: u64,
         memory: Option<MemoryDist> => ?,
-    }
-}
-
-record! {
-    /// The `round_series` line of a report.
-    struct RoundSeries: "round_series" {
-        samples: Vec<RoundSample>,
     }
 }
 
@@ -213,7 +183,6 @@ macro_rules! registry {
 pub const REGISTRY: &[(&str, Validate)] = registry! {
     "span" => SpanLine,
     "run_summary" => RunSummary,
-    "round_series" => RoundSeries,
     "packet_trace" => flight::PacketTrace,
     "edge_load" => flight::EdgeLoadMap,
     "vertex_load" => flight::VertexLoadMap,
@@ -259,18 +228,16 @@ pub struct SpanRecord {
     closed: bool,
 }
 
-/// Collects spans, counters, and the per-round time series for one run.
+/// Collects spans, counters, and appended records for one run.
 #[derive(Clone, Debug, Default)]
 pub struct Recorder {
     enabled: bool,
     totals: Counters,
     spans: Vec<SpanRecord>,
     open: Vec<usize>,
-    series: Vec<RoundSample>,
     run_memory: Option<MemoryDist>,
     records: Vec<Value>,
     started: Option<metrics::Stopwatch>,
-    profile: Option<profile::EngineProfile>,
 }
 
 impl Recorder {
@@ -386,14 +353,6 @@ impl Recorder {
         }
     }
 
-    /// Append one engine round to the time series (totals are untouched —
-    /// engine costs reach the totals through ledger charges).
-    pub fn record_round(&mut self, sample: RoundSample) {
-        if self.enabled {
-            self.series.push(sample);
-        }
-    }
-
     /// Record the end-of-run peak-memory distribution.
     pub fn set_run_memory(&mut self, peaks: &[usize]) {
         if self.enabled {
@@ -403,7 +362,7 @@ impl Recorder {
 
     /// Append a free-form record (e.g. a [`flight::PacketTrace`] or
     /// [`flight::EdgeLoadMap`] serialization) to the report. Records are
-    /// written after the spans and round series, before the summary.
+    /// written after the spans, before the summary.
     pub fn add_record(&mut self, record: Value) {
         if self.enabled {
             self.records.push(record);
@@ -413,45 +372,6 @@ impl Recorder {
     /// Records appended via [`Recorder::add_record`], in order.
     pub fn records(&self) -> &[Value] {
         &self.records
-    }
-
-    /// Ask engine runs traced through this recorder to profile their
-    /// round loop (see [`profile::EngineProfile`]). No-op when the
-    /// recorder is disabled, so profiling inherits the no-cost-when-off
-    /// guarantee.
-    pub fn enable_profiling(&mut self) {
-        if self.enabled && self.profile.is_none() {
-            self.profile = Some(profile::EngineProfile::new(0));
-        }
-    }
-
-    /// Whether engine runs should profile their round loop.
-    pub fn profiling(&self) -> bool {
-        self.profile.is_some()
-    }
-
-    /// The shared timeline origin for profile samples: the recorder's
-    /// own start stopwatch, so samples from successive engine runs land
-    /// on one timeline. `None` unless profiling is enabled.
-    pub fn profile_epoch(&self) -> Option<metrics::Stopwatch> {
-        if self.profile.is_some() {
-            self.started
-        } else {
-            None
-        }
-    }
-
-    /// Fold one engine run's profile into the recorder's accumulator.
-    pub fn absorb_profile(&mut self, run: &profile::EngineProfile) {
-        if let Some(p) = self.profile.as_mut() {
-            p.absorb(run);
-        }
-    }
-
-    /// The accumulated engine profile, when profiling is enabled and at
-    /// least one run was absorbed.
-    pub fn profile(&self) -> Option<&profile::EngineProfile> {
-        self.profile.as_ref().filter(|p| p.runs > 0)
     }
 
     /// Cumulative counters charged so far.
@@ -464,16 +384,10 @@ impl Recorder {
         &self.spans
     }
 
-    /// The per-round time series.
-    pub fn series(&self) -> &[RoundSample] {
-        &self.series
-    }
-
     /// Serialize the run as JSONL: one `span` record per closed span (begin
-    /// order), one `round_series` record when the engine hook fired, any
-    /// records appended via [`Recorder::add_record`] (packet traces, load
-    /// heatmaps, histograms), and a trailing `run_summary` carrying the
-    /// totals plus `extra` fields.
+    /// order), the records appended via [`Recorder::add_record`] (packet
+    /// traces, load heatmaps, histograms, engine profiles), and a trailing
+    /// `run_summary` carrying the totals plus `extra` fields.
     ///
     /// # Errors
     ///
@@ -499,17 +413,8 @@ impl Recorder {
             };
             writeln!(out, "{}", line.to_value())?;
         }
-        if !self.series.is_empty() {
-            let series = RoundSeries {
-                samples: self.series.clone(),
-            };
-            writeln!(out, "{}", series.to_value())?;
-        }
         for record in &self.records {
             writeln!(out, "{record}")?;
-        }
-        if let Some(p) = self.profile() {
-            writeln!(out, "{}", p.summary().to_value())?;
         }
         let peak = self
             .run_memory
@@ -587,13 +492,11 @@ mod tests {
         let mut rec = Recorder::disabled();
         let id = rec.begin("phase");
         rec.charge_rounds(100);
-        rec.record_round(RoundSample::default());
         rec.add_record(Value::from("ignored"));
         rec.end(id);
         assert!(!rec.is_enabled());
         assert_eq!(rec.totals(), Counters::ZERO);
         assert!(rec.spans().is_empty());
-        assert!(rec.series().is_empty());
         assert!(rec.records().is_empty());
     }
 
@@ -633,14 +536,6 @@ mod tests {
         rec.charge_broadcast();
         rec.end_with_memory(inner, &[1, 2, 10]);
         rec.end(outer);
-        rec.record_round(RoundSample {
-            round: 1,
-            messages: 3,
-            words: 9,
-            max_edge_words: 2,
-            congestion_violations: 0,
-            queued_words: 4,
-        });
         rec.set_run_memory(&[4, 10, 6]);
         rec.add_record(Value::object(vec![("type", Value::from("note"))]));
         let path = std::env::temp_dir().join(format!("obs-pin-{}.jsonl", std::process::id()));
@@ -652,7 +547,6 @@ mod tests {
         let pinned = [
             r#"{"type":"span","seq":0,"name":"outer","depth":0,"parent":null,"rounds":5,"messages":3,"words":9,"broadcasts":1,"peak_memory_words":0,"wall_ns":0}"#,
             r#"{"type":"span","seq":1,"name":"outer/inner","depth":1,"parent":0,"rounds":0,"messages":3,"words":9,"broadcasts":1,"peak_memory_words":10,"wall_ns":0,"memory":{"min":1,"median":2,"p99":10,"max":10,"mean":4.333333333333333}}"#,
-            r#"{"type":"round_series","samples":[{"round":1,"messages":3,"words":9,"max_edge_words":2,"congestion_violations":0,"queued_words":4}]}"#,
             r#"{"type":"note"}"#,
             r#"{"type":"run_summary","name":"pin","rounds":5,"messages":3,"words":9,"broadcasts":1,"peak_memory_words":10,"spans":2,"records":1,"wall_ns":0,"memory":{"min":4,"median":6,"p99":10,"max":10,"mean":6.666666666666667},"k":2}"#,
         ];
@@ -680,11 +574,6 @@ mod tests {
         assert_eq!(err.field.as_deref(), Some("words"));
         assert_eq!(err.record_type.as_deref(), Some("span"));
 
-        let series = r#"{"type":"round_series","samples":[{"round":1,"messages":3,"words":9,"max_edge_words":2,"congestion_violations":0,"queued_words":4}]}"#;
-        assert_eq!(validate(series), Ok(()));
-        let err = validate(&series.replace(r#""queued_words":4"#, r#""queued_words":-4"#));
-        assert_eq!(err.unwrap_err().field.as_deref(), Some("queued_words"));
-
         let summary = r#"{"type":"run_summary","name":"pin","rounds":5,"messages":3,"words":9,"broadcasts":1,"peak_memory_words":10,"spans":2,"records":1,"wall_ns":0,"k":2}"#;
         assert_eq!(validate(summary), Ok(()));
         let err = validate(&summary.replace(r#""spans":2,"#, "")).unwrap_err();
@@ -700,14 +589,6 @@ mod tests {
             rec.charge_messages(rounds * 2, rounds * 6);
             rec.end_with_memory(id, &[rounds as usize, 2 * rounds as usize]);
         }
-        rec.record_round(RoundSample {
-            round: 1,
-            messages: 7,
-            words: 7,
-            max_edge_words: 2,
-            congestion_violations: 0,
-            queued_words: 3,
-        });
         rec.set_run_memory(&[4, 10, 6]);
         let mut edges = flight::EdgeLoadMap::new();
         edges.record(0, 1, 7);
@@ -720,7 +601,7 @@ mod tests {
             .unwrap();
 
         let records = read_report(&path).unwrap();
-        assert_eq!(records.len(), 6); // 3 spans + series + edge_load + summary
+        assert_eq!(records.len(), 5); // 3 spans + edge_load + summary
         let summary = records.last().unwrap();
         assert_eq!(summary.get("type").unwrap().as_str(), Some("run_summary"));
         assert_eq!(summary.get("k").unwrap().as_u64(), Some(2));
@@ -744,10 +625,5 @@ mod tests {
             .map(|s| s.get("rounds").unwrap().as_u64().unwrap())
             .sum();
         assert_eq!(sum, summary.get("rounds").unwrap().as_u64().unwrap());
-        let series = records
-            .iter()
-            .find(|r| r.get("type").and_then(Value::as_str) == Some("round_series"))
-            .unwrap();
-        assert_eq!(series.get("samples").unwrap().as_array().unwrap().len(), 1);
     }
 }

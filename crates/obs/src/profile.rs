@@ -1,20 +1,18 @@
-//! Engine profiler: per-round, per-worker phase attribution.
+//! Engine profiler: per-round phase attribution.
 //!
-//! The CONGEST engine's round loop tiles into phases — task dispatch,
-//! vertex compute, outbox scatter/sort, coordinator merge, and barrier
-//! idle — and [`EngineProfile`] accumulates how long each worker spends
-//! in each, using the monotonic [`Stopwatch`](crate::metrics::Stopwatch)
-//! an engine run already holds. Storage is a fixed-capacity ring of
-//! [`PhaseSample`]s plus flat per-phase counters, so steady-state
-//! profiling allocates nothing per round.
+//! The CONGEST engine's serial round loop tiles into phases — setup,
+//! vertex compute, outbox scatter and the fold into the run's totals — and
+//! [`EngineProfile`] accumulates how long each takes, using the clock an
+//! engine run already holds. Storage is a fixed-capacity ring of
+//! [`PhaseSample`]s plus flat per-phase counters, so steady-state profiling
+//! allocates nothing per round.
 //!
 //! Two export views:
 //!
-//! * [`EngineProfile::chrome_trace`] — a Chrome trace-event JSON array
-//!   (one track per worker) loadable in Perfetto / `chrome://tracing`.
+//! * [`EngineProfile::chrome_trace`] — a Chrome trace-event JSON array (one
+//!   track) loadable in Perfetto / `chrome://tracing`.
 //! * [`EngineProfile::summary`] → `ProfileSummary::to_value` — the
-//!   `engine_profile` JSONL record with per-phase wall totals, p50/p95,
-//!   per-worker utilization, and the imbalance ratio.
+//!   `engine_profile` JSONL record with per-phase wall totals and p50/p95.
 
 use crate::json::Value;
 use crate::metrics::quantile_ns;
@@ -22,23 +20,23 @@ use crate::record;
 
 /// One attributable slice of the round loop.
 ///
-/// `Setup` covers everything before the first round executes (task
-/// construction, worker spawn, initial-message injection) so the
-/// coordinator track tiles the whole engine wall and per-phase totals
-/// sum to the run's wall time.
+/// `Setup` covers everything before the first round executes, so the
+/// phases tile the whole engine wall and per-phase totals sum to the run's
+/// wall time. The loop laps `Setup`, `Compute`, `Scatter` and `Merge`;
+/// `Dispatch` and `Idle` are never recorded and read 0.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
-    /// Pre-round work: arenas, task construction, worker spawn, init.
+    /// Pre-round work: arenas and hint caches.
     Setup,
-    /// Coordinator fan-out: sending tasks to worker channels.
+    /// Never recorded (reads 0).
     Dispatch,
-    /// Vertex protocol execution over a chunk.
+    /// Vertex protocol execution.
     Compute,
-    /// Counting-sort scatter of outboxes into delivery arenas.
+    /// Counting-sort scatter of the outbox into the delivery arena.
     Scatter,
-    /// Coordinator fold of per-chunk stats and congestion accounting.
+    /// Fold of the phase's stats, congestion accounting and termination.
     Merge,
-    /// Barrier / channel wait with no work to do.
+    /// Never recorded (reads 0).
     Idle,
 }
 
@@ -86,16 +84,14 @@ impl Phase {
     }
 }
 
-/// One timed interval on one worker's track.
+/// One timed interval of the round loop.
 ///
-/// `start_ns` is relative to the profile's epoch (the recorder's or the
-/// run's start stopwatch), so samples from one run share a timeline.
+/// `start_ns` is relative to the run's clock, so samples from one run share
+/// a timeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PhaseSample {
     /// Round the interval belongs to (`0` = the init phase).
     pub round: u64,
-    /// Track: `0` is the coordinator, `1..` are pool workers.
-    pub worker: u32,
     /// What the time was spent on.
     pub phase: Phase,
     /// Interval start, nanoseconds since the profile epoch.
@@ -111,13 +107,11 @@ pub const RING_CAP: usize = 32_768;
 
 /// Accumulated phase timings for one or more engine runs.
 ///
-/// Flat totals (`totals_ns`, `coord_ns`, `counts`, `busy_ns`) are exact
-/// over every recorded sample; the ring keeps the most recent
-/// [`RING_CAP`] samples for quantiles and trace export.
+/// Flat totals (`coord_ns`, `counts`) are exact over every recorded sample;
+/// the ring keeps the most recent [`RING_CAP`] samples for quantiles and
+/// trace export.
 #[derive(Clone, Debug, Default)]
 pub struct EngineProfile {
-    /// Distinct worker tracks seen (coordinator included).
-    pub workers: usize,
     /// Highest round index recorded.
     pub rounds: u64,
     /// Engine runs folded into this profile.
@@ -127,15 +121,11 @@ pub struct EngineProfile {
     /// Vertex executions (`init` and `round` calls) across runs — what the
     /// compute phase's time was spent on. A simulated count, not a timing.
     pub executions: u64,
-    /// Exact per-phase wall totals over all workers, by `Phase::index`.
-    pub totals_ns: [u64; PHASES],
-    /// Exact per-phase totals on the coordinator track only. The
-    /// coordinator's phases tile the run, so these sum to ~wall time.
+    /// Exact per-phase wall totals, by `Phase::index`. The phases tile the
+    /// run, so these sum to ~wall time.
     pub coord_ns: [u64; PHASES],
     /// Exact per-phase sample counts, by `Phase::index`.
     pub counts: [u64; PHASES],
-    /// Per-worker non-idle time, index = worker track.
-    pub busy_ns: Vec<u64>,
     /// Most recent samples, oldest first once wrapped (see `head`).
     ring: Vec<PhaseSample>,
     /// Next overwrite position once the ring is full.
@@ -145,37 +135,15 @@ pub struct EngineProfile {
 }
 
 impl EngineProfile {
-    /// An empty profile expecting `workers` tracks (grown on demand).
-    pub fn new(workers: usize) -> EngineProfile {
-        EngineProfile {
-            workers,
-            busy_ns: vec![0; workers],
-            ring: Vec::new(),
-            ..EngineProfile::default()
-        }
-    }
-
     /// Record one interval. Zero-length intervals still count (they
     /// mark that the phase ran) but add nothing to the totals.
-    pub fn record(&mut self, round: u64, worker: u32, phase: Phase, start_ns: u64, dur_ns: u64) {
+    pub fn record(&mut self, round: u64, phase: Phase, start_ns: u64, dur_ns: u64) {
         let i = phase.index();
-        self.totals_ns[i] += dur_ns;
+        self.coord_ns[i] += dur_ns;
         self.counts[i] += 1;
-        if worker == 0 {
-            self.coord_ns[i] += dur_ns;
-        }
-        let w = worker as usize;
-        if w >= self.busy_ns.len() {
-            self.busy_ns.resize(w + 1, 0);
-        }
-        self.workers = self.workers.max(w + 1);
-        if phase != Phase::Idle {
-            self.busy_ns[w] += dur_ns;
-        }
         self.rounds = self.rounds.max(round);
         self.push_sample(PhaseSample {
             round,
-            worker,
             phase,
             start_ns,
             dur_ns,
@@ -202,21 +170,13 @@ impl EngineProfile {
 
     /// Fold another profile (e.g. from a later run) into this one.
     pub fn absorb(&mut self, other: &EngineProfile) {
-        self.workers = self.workers.max(other.workers);
         self.rounds = self.rounds.max(other.rounds);
         self.runs += other.runs;
         self.engine_wall_ns += other.engine_wall_ns;
         self.executions += other.executions;
         for i in 0..PHASES {
-            self.totals_ns[i] += other.totals_ns[i];
             self.coord_ns[i] += other.coord_ns[i];
             self.counts[i] += other.counts[i];
-        }
-        if self.busy_ns.len() < other.busy_ns.len() {
-            self.busy_ns.resize(other.busy_ns.len(), 0);
-        }
-        for (w, ns) in other.busy_ns.iter().enumerate() {
-            self.busy_ns[w] += ns;
         }
         self.dropped += other.dropped;
         for s in other.samples() {
@@ -235,49 +195,25 @@ impl EngineProfile {
         self.ring.len()
     }
 
-    /// Chrome trace-event JSON: an array of `ph:"M"` thread-name
-    /// metadata events (one per worker track) followed by `ph:"X"`
-    /// complete events with microsecond `ts`/`dur`, `pid` 0, and
-    /// `tid` = worker track. Loadable in Perfetto / `chrome://tracing`.
+    /// Chrome trace-event JSON: one `ph:"M"` thread-name metadata event
+    /// followed by `ph:"X"` complete events with microsecond `ts`/`dur`,
+    /// all on `pid` 0, `tid` 0. Loadable in Perfetto / `chrome://tracing`.
     pub fn chrome_trace(&self) -> String {
-        let mut out = String::from("[");
-        let mut first = true;
-        let mut push = |out: &mut String, event: &str| {
-            if !std::mem::take(&mut first) {
-                out.push(',');
-            }
-            out.push('\n');
-            out.push_str(event);
-        };
-        for w in 0..self.workers {
-            let name = if w == 0 {
-                "coordinator".to_string()
-            } else {
-                format!("worker {w}")
-            };
-            push(
-                &mut out,
-                &format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{w},\
-                     \"args\":{{\"name\":\"{name}\"}}}}"
-                ),
-            );
-        }
+        let mut out = String::from(
+            "[\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
+             \"args\":{\"name\":\"round loop\"}}",
+        );
         for s in self.samples() {
             let ts = s.start_ns as f64 / 1000.0;
             let dur = s.dur_ns as f64 / 1000.0;
-            push(
-                &mut out,
-                &format!(
-                    "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                     \"pid\":0,\"tid\":{},\"args\":{{\"round\":{}}}}}",
-                    s.phase.name(),
-                    Value::Num(ts),
-                    Value::Num(dur),
-                    s.worker,
-                    s.round
-                ),
-            );
+            out.push_str(&format!(
+                ",\n{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
+                 \"pid\":0,\"tid\":0,\"args\":{{\"round\":{}}}}}",
+                s.phase.name(),
+                Value::Num(ts),
+                Value::Num(dur),
+                s.round
+            ));
         }
         out.push_str("\n]\n");
         out
@@ -300,38 +236,12 @@ impl EngineProfile {
             );
             phases.push(PhaseStat {
                 phase,
-                total_ns: self.totals_ns[i],
                 coord_ns: self.coord_ns[i],
                 p50_ns: quantile_ns(&window, 0.50),
                 p95_ns: quantile_ns(&window, 0.95),
                 samples: self.counts[i],
             });
         }
-        let worker_stats: Vec<WorkerStat> = self
-            .busy_ns
-            .iter()
-            .enumerate()
-            .map(|(w, &busy)| WorkerStat {
-                worker: w,
-                busy_ns: busy,
-                utilization: if self.engine_wall_ns > 0 {
-                    busy as f64 / self.engine_wall_ns as f64
-                } else {
-                    0.0
-                },
-            })
-            .collect();
-        let max_busy = self.busy_ns.iter().copied().max().unwrap_or(0);
-        let mean_busy = if self.busy_ns.is_empty() {
-            0.0
-        } else {
-            self.busy_ns.iter().sum::<u64>() as f64 / self.busy_ns.len() as f64
-        };
-        let imbalance = if mean_busy > 0.0 {
-            max_busy as f64 / mean_busy
-        } else {
-            1.0
-        };
         let coord_total: u64 = self.coord_ns.iter().sum();
         let coverage = if self.engine_wall_ns > 0 {
             coord_total as f64 / self.engine_wall_ns as f64
@@ -339,14 +249,11 @@ impl EngineProfile {
             0.0
         };
         ProfileSummary {
-            workers: self.workers,
             runs: self.runs,
             rounds: self.rounds,
             engine_wall_ns: self.engine_wall_ns,
             executions: self.executions,
             phases,
-            worker_stats,
-            imbalance,
             coverage,
             dropped_samples: self.dropped,
         }
@@ -354,14 +261,12 @@ impl EngineProfile {
 }
 
 record! {
-    /// Aggregate stats for one phase across all workers.
+    /// Aggregate stats for one phase.
     #[derive(Clone, Debug, PartialEq)]
     pub struct PhaseStat {
         /// Which phase.
         pub phase: Phase,
-        /// Exact wall total over all workers, nanoseconds.
-        pub total_ns: u64,
-        /// Exact wall total on the coordinator track, nanoseconds.
+        /// Exact wall total, nanoseconds.
         pub coord_ns: u64,
         /// Median interval length over the retained sample window.
         pub p50_ns: u64,
@@ -373,24 +278,9 @@ record! {
 }
 
 record! {
-    /// One worker track's share of the run.
-    #[derive(Clone, Debug, PartialEq)]
-    pub struct WorkerStat {
-        /// Worker track (`0` = coordinator).
-        pub worker: usize,
-        /// Non-idle nanoseconds on this track.
-        pub busy_ns: u64,
-        /// `busy_ns / engine_wall_ns`.
-        pub utilization: f64,
-    }
-}
-
-record! {
     /// The `engine_profile` JSONL record.
     #[derive(Clone, Debug, PartialEq)]
     pub struct ProfileSummary: "engine_profile" {
-        /// Worker tracks (coordinator included).
-        pub workers: usize,
         /// Engine runs folded into the profile.
         pub runs: u64,
         /// Highest round index recorded.
@@ -400,17 +290,13 @@ record! {
         /// Vertex executions across runs (0 in records written before the
         /// field existed).
         pub executions: u64 = 0,
-        /// Max worker busy time over mean worker busy time (`1.0` = balanced).
-        pub imbalance: f64,
-        /// Coordinator phase totals over engine wall (how much of the run
-        /// the phase tiling explains; ~1.0 when attribution is complete).
+        /// Phase totals over engine wall (how much of the run the phase
+        /// tiling explains; ~1.0 when attribution is complete).
         pub coverage: f64,
         /// Samples evicted from the quantile window (totals stay exact).
         pub dropped_samples: u64,
         /// Per-phase aggregates, in [`Phase::ALL`] order (present phases only).
         pub phases: Vec<PhaseStat>,
-        /// Per-worker busy time and utilization.
-        pub worker_stats: Vec<WorkerStat>,
     }
 }
 
@@ -420,58 +306,47 @@ mod tests {
     use crate::json;
 
     fn sample_profile() -> EngineProfile {
-        let mut p = EngineProfile::new(2);
-        p.record(0, 0, Phase::Setup, 0, 500);
-        p.record(1, 0, Phase::Dispatch, 500, 100);
-        p.record(1, 0, Phase::Compute, 600, 1_000);
-        p.record(1, 1, Phase::Compute, 600, 1_400);
-        p.record(1, 0, Phase::Idle, 1_600, 400);
-        p.record(1, 1, Phase::Idle, 2_000, 50);
-        p.record(1, 0, Phase::Scatter, 2_000, 300);
-        p.record(1, 0, Phase::Merge, 2_300, 200);
-        p.record_run(2_500, 7);
+        let mut p = EngineProfile::default();
+        p.record(0, Phase::Setup, 0, 500);
+        p.record(1, Phase::Compute, 500, 1_000);
+        p.record(1, Phase::Scatter, 1_500, 300);
+        p.record(1, Phase::Merge, 1_800, 200);
+        p.record(2, Phase::Compute, 2_000, 1_400);
+        p.record(2, Phase::Scatter, 3_400, 100);
+        p.record(2, Phase::Merge, 3_500, 0);
+        p.record_run(3_500, 7);
         p
     }
 
     #[test]
-    fn totals_and_busy_accumulate_exactly() {
+    fn phase_totals_accumulate_exactly() {
         let p = sample_profile();
-        assert_eq!(p.totals_ns[Phase::Compute.index()], 2_400);
-        assert_eq!(p.coord_ns[Phase::Compute.index()], 1_000);
-        assert_eq!(p.busy_ns[0], 500 + 100 + 1_000 + 300 + 200);
-        assert_eq!(p.busy_ns[1], 1_400);
-        assert_eq!(p.rounds, 1);
-        assert_eq!(p.sample_count(), 8);
+        assert_eq!(p.coord_ns[Phase::Compute.index()], 2_400);
+        assert_eq!(p.counts[Phase::Merge.index()], 2);
+        assert_eq!(p.coord_ns[Phase::Merge.index()], 200);
+        assert_eq!(p.rounds, 2);
+        assert_eq!(p.sample_count(), 7);
     }
 
     #[test]
     fn coordinator_phases_tile_the_wall() {
         let p = sample_profile();
         let coord: u64 = p.coord_ns.iter().sum();
-        assert_eq!(coord, 2_500);
+        assert_eq!(coord, 3_500);
         let s = p.summary();
         assert!((s.coverage - 1.0).abs() < 1e-9, "coverage {}", s.coverage);
     }
 
     #[test]
-    fn imbalance_is_max_over_mean_busy() {
-        let p = sample_profile();
-        let s = p.summary();
-        let mean = (2_100.0 + 1_400.0) / 2.0;
-        assert!((s.imbalance - 2_100.0 / mean).abs() < 1e-9);
-        assert!((s.worker_stats[0].utilization - 2_100.0 / 2_500.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn ring_wraps_and_counts_drops_without_losing_totals() {
-        let mut p = EngineProfile::new(1);
+        let mut p = EngineProfile::default();
         let n = RING_CAP as u64 + 10;
         for i in 0..n {
-            p.record(i, 0, Phase::Compute, i * 10, 10);
+            p.record(i, Phase::Compute, i * 10, 10);
         }
         assert_eq!(p.sample_count(), RING_CAP);
         assert_eq!(p.dropped, 10);
-        assert_eq!(p.totals_ns[Phase::Compute.index()], n * 10);
+        assert_eq!(p.coord_ns[Phase::Compute.index()], n * 10);
         // Oldest-first iteration: the first retained sample is #10.
         assert_eq!(p.samples().next().unwrap().round, 10);
         let last = p.samples().last().unwrap();
@@ -484,16 +359,15 @@ mod tests {
         let b = sample_profile();
         a.absorb(&b);
         assert_eq!(a.runs, 2);
-        assert_eq!(a.engine_wall_ns, 5_000);
-        assert_eq!(a.totals_ns[Phase::Compute.index()], 4_800);
-        assert_eq!(a.busy_ns[1], 2_800);
+        assert_eq!(a.engine_wall_ns, 7_000);
+        assert_eq!(a.coord_ns[Phase::Compute.index()], 4_800);
         assert_eq!(a.executions, 14);
-        assert_eq!(a.sample_count(), 16);
+        assert_eq!(a.sample_count(), 14);
     }
 
     #[test]
     fn bytes_are_pinned() {
-        let pinned = r#"{"type":"engine_profile","workers":2,"runs":1,"rounds":1,"engine_wall_ns":2500,"executions":7,"imbalance":1.2,"coverage":1,"dropped_samples":0,"phases":[{"phase":"setup","total_ns":500,"coord_ns":500,"p50_ns":500,"p95_ns":500,"samples":1},{"phase":"dispatch","total_ns":100,"coord_ns":100,"p50_ns":100,"p95_ns":100,"samples":1},{"phase":"compute","total_ns":2400,"coord_ns":1000,"p50_ns":1400,"p95_ns":1400,"samples":2},{"phase":"scatter","total_ns":300,"coord_ns":300,"p50_ns":300,"p95_ns":300,"samples":1},{"phase":"merge","total_ns":200,"coord_ns":200,"p50_ns":200,"p95_ns":200,"samples":1},{"phase":"idle","total_ns":450,"coord_ns":400,"p50_ns":400,"p95_ns":400,"samples":2}],"worker_stats":[{"worker":0,"busy_ns":2100,"utilization":0.84},{"worker":1,"busy_ns":1400,"utilization":0.56}]}"#;
+        let pinned = r#"{"type":"engine_profile","runs":1,"rounds":2,"engine_wall_ns":3500,"executions":7,"coverage":1,"dropped_samples":0,"phases":[{"phase":"setup","coord_ns":500,"p50_ns":500,"p95_ns":500,"samples":1},{"phase":"compute","coord_ns":2400,"p50_ns":1400,"p95_ns":1400,"samples":2},{"phase":"scatter","coord_ns":400,"p50_ns":300,"p95_ns":300,"samples":2},{"phase":"merge","coord_ns":200,"p50_ns":200,"p95_ns":200,"samples":2}]}"#;
         let s = sample_profile().summary();
         assert_eq!(s.to_value().to_string(), pinned);
         let parsed = ProfileSummary::from_value(&json::parse(pinned).unwrap()).unwrap();
@@ -529,14 +403,13 @@ mod tests {
     }
 
     #[test]
-    fn from_value_names_a_worker_index_that_is_not_an_index() {
-        // `worker` / `workers` are `usize`: every `u64` fits on a 64-bit
-        // host, so what the shared range-checked impl can reject here is a
-        // fraction — named by its innermost field, tagged with the record.
+    fn from_value_names_a_count_that_is_not_an_integer() {
+        // A fraction inside a phase row is named by its innermost field and
+        // tagged with the record.
         let text = sample_profile().summary().to_value().to_string();
-        let bad = text.replacen(r#""worker":1"#, r#""worker":1.5"#, 1);
+        let bad = text.replacen(r#""samples":2"#, r#""samples":1.5"#, 1);
         let e = ProfileSummary::from_value(&json::parse(&bad).unwrap()).unwrap_err();
-        assert_eq!(e.field.as_deref(), Some("worker"));
+        assert_eq!(e.field.as_deref(), Some("samples"));
         assert_eq!(e.record_type.as_deref(), Some("engine_profile"));
     }
 
@@ -553,12 +426,12 @@ mod tests {
         let trace = p.chrome_trace();
         let v = json::parse(&trace).expect("trace must be valid JSON");
         let events = v.as_array().expect("trace is an array");
-        // 2 metadata events + 8 samples.
-        assert_eq!(events.len(), 10);
+        // 1 metadata event + 7 samples, all on one track.
+        assert_eq!(events.len(), 8);
         for e in events {
             let ph = e.get("ph").and_then(Value::as_str).expect("ph");
-            assert!(e.get("pid").and_then(Value::as_u64).is_some());
-            assert!(e.get("tid").and_then(Value::as_u64).is_some());
+            assert_eq!(e.get("pid").and_then(Value::as_u64), Some(0));
+            assert_eq!(e.get("tid").and_then(Value::as_u64), Some(0));
             if ph == "X" {
                 assert!(e.get("ts").and_then(Value::as_f64).is_some());
                 assert!(e.get("dur").and_then(Value::as_f64).is_some());

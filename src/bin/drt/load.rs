@@ -33,10 +33,10 @@
 //! `--trace-out <path>` additionally writes the retained phase intervals as
 //! a Chrome trace-event JSON (loadable in Perfetto / `chrome://tracing`);
 //! `--report <path>` writes a JSONL report carrying the `engine_profile`
-//! record. `drt traffic --profile` (or `DRT_PROFILE=1`) attributes the
-//! sweep's rounds and stamps the phase summary into its report. Profiling
-//! never changes simulated results — rounds, words, outcomes, and memory
-//! are byte-identical with the profiler on or off.
+//! record. `drt traffic --profile` attributes the sweep's rounds and
+//! appends the phase summary to its report. Profiling never changes
+//! simulated results — rounds, words, outcomes, and memory are
+//! byte-identical with the profiler on or off.
 
 use obs::json::Value;
 use rand::SeedableRng;
@@ -44,7 +44,7 @@ use rand_chacha::ChaCha8Rng;
 use routing::{packet, BuildParams};
 use traffic::{Workload, WorkloadKind};
 
-use crate::cli::{prob, val, Args};
+use crate::cli::{prob, switch, val, Args};
 
 pub fn traffic(a: &Args) -> Result<(), String> {
     let mut workload = WorkloadKind::Uniform;
@@ -58,10 +58,10 @@ pub fn traffic(a: &Args) -> Result<(), String> {
         val("--policy", "drop policy", &mut config.policy),
         val("--arrival", "arrival process", &mut config.arrival),
         val("--seed", "seed", &mut config.seed),
+        switch("--profile", &mut config.profile),
     ])?;
     let g = crate::load_graph(&graph_path)?;
     let (scheme, _) = crate::resolve_scheme(&g, Some(&scheme_path))?;
-    config.profile = a.opts.profile;
     let net = congest::Network::new(g);
     let scenario = traffic::TrafficScenario {
         network: &net,
@@ -116,19 +116,20 @@ pub fn traffic(a: &Args) -> Result<(), String> {
     }
     // With `--profile`, every rate's engine run carried the profiler; fold
     // the per-point profiles into one sweep-wide attribution.
-    let mut sweep = a.sweep();
     let mut profiles = report
         .points
         .iter()
         .filter_map(|p| p.stats.profile.as_deref());
-    if let Some(first) = profiles.next() {
+    let profile = profiles.next().map(|first| {
         let mut acc = first.clone();
         profiles.for_each(|p| acc.absorb(p));
+        acc.summary()
+    });
+    if let Some(summary) = &profile {
         println!();
-        print_profile("sweep", &acc.summary());
-        sweep.rec.enable_profiling();
-        sweep.rec.absorb_profile(&acc);
+        print_profile("sweep", summary);
     }
+    let mut sweep = a.sweep();
     sweep.charged(
         "drt/traffic",
         report.points.iter().map(|p| p.stats.counters()),
@@ -137,6 +138,9 @@ pub fn traffic(a: &Args) -> Result<(), String> {
         let rate = point.summary.rate;
         sweep.add_record(point.summary.to_value(&[("sweep_index", Value::from(i))]));
         sweep.add_record(point.edge_load.to_value(&[("rate", Value::from(rate))]));
+    }
+    if let Some(summary) = profile {
+        sweep.add_record(summary.to_value());
     }
     let extra = [
         ("graph", Value::from(graph_path.as_str())),
@@ -335,9 +339,8 @@ pub fn profile(a: &Args) -> Result<(), String> {
         );
     }
     let mut sweep = a.sweep();
-    sweep.rec.enable_profiling();
     sweep.charged("drt/profile", [profiled.stats.counters()]);
-    sweep.rec.absorb_profile(profile);
+    sweep.add_record(profile.summary().to_value());
     let extra = [("n", Value::from(n)), ("packets", Value::from(packets))];
     crate::write_report(&sweep, &extra, true)
 }
@@ -356,7 +359,7 @@ fn print_profile(label: &str, s: &obs::profile::ProfileSummary) {
         println!(
             "  {:<10} {:>10.3} {:>7.1}% {:>9.1} {:>9.1} {:>8}",
             p.phase.name(),
-            p.total_ns as f64 / 1e6,
+            p.coord_ns as f64 / 1e6,
             p.coord_ns as f64 / wall * 100.0,
             p.p50_ns as f64 / 1e3,
             p.p95_ns as f64 / 1e3,

@@ -16,9 +16,9 @@
 //! `DRT_REPORT` environment variable) to write a JSONL run report: phase
 //! spans for `build`, a `packet_trace` record for `trace`; `audit`,
 //! `traffic`, `churn`, `serve` and `profile` write their own records the
-//! same way (see each module). The report options (`--report`, `--json`,
-//! `--profile`) are stripped by [`obs::cli::ReportOptions`] before a
-//! subcommand parses the rest.
+//! same way (see each module). The report options (`--report`, `--json`)
+//! are stripped by [`obs::cli::ReportOptions`] before a subcommand parses
+//! the rest.
 //!
 //! The subcommand families, one module each:
 //!
@@ -60,7 +60,7 @@ drt audit <graph-file> [<scheme-file>|--scheme <file>] [--sample <pairs>] [--see
     [--kill-edges <p>] [--kill-vertices <p>] [--report <path>] [--json]
 drt traffic <graph-file> <scheme-file> [--workload <uniform|gravity|hotspot|worst>]
     [--rate <r[,r...]>] [--rounds <n>] [--queue-cap <c>] [--policy <tail-drop|oldest-drop>]
-    [--arrival <fixed|bernoulli>] [--seed <s>] [--report <path>]
+    [--arrival <fixed|bernoulli>] [--seed <s>] [--profile] [--report <path>]
 drt churn <graph-file> <scheme-file> [--process <random|random-edges|targeted|regional>]
     [--rate <f>] [--rounds <n>] [--revive <p>] [--workload <uniform|gravity|hotspot|worst>]
     [--traffic-rate <f>] [--burst-rounds <n>] [--queue-cap <c>] [--pairs <n>] [--seed <s>]

@@ -129,12 +129,16 @@ pub fn bench(a: &Args) -> Result<(), String> {
     let doc = bench::suite::run_suite(tier, &label, repeats, |case| {
         println!("  done {case}");
     })?;
+    // A case without a column (`serve_qps` counts no rounds) prints `-`.
+    let column = |case: &bench::suite::CaseResult, name: &str| {
+        case.sim(name).map_or("-".to_string(), |v| v.to_string())
+    };
     for case in &doc.cases {
         println!(
             "{:<28} rounds {:>9}  words {:>11}  wall p50 {:>9.2} ms",
             case.id,
-            case.sim("rounds").unwrap_or(0),
-            case.sim("words").unwrap_or(0),
+            column(case, "rounds"),
+            column(case, "words"),
             case.wall.p50_ns as f64 / 1e6
         );
     }

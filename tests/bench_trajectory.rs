@@ -349,7 +349,8 @@ fn drt_report_key_skeletons_match_the_golden_file() {
     // `type` tag and the ordered key paths of each line must equal the
     // recorded skeleton. Values — wall clocks above all — never enter the
     // golden file; an `Option` written as `null` and one written as a number
-    // have the same path.
+    // have the same path. Every `run_summary` counts the appended records:
+    // the lines that are neither spans nor the summary itself.
     let drt = env!("CARGO_BIN_EXE_drt");
     let graph = temp_path("skeleton-graph.txt");
     let scheme = temp_path("skeleton-scheme.bin");
@@ -364,7 +365,7 @@ fn drt_report_key_skeletons_match_the_golden_file() {
     };
     std::fs::write(&graph, run(&["generate", "er", "64", "7"])).expect("graph written");
     let (g, s) = (graph.to_str().unwrap(), scheme.to_str().unwrap());
-    let commands: [(&str, Vec<&str>); 7] = [
+    let commands: [(&str, Vec<&str>); 8] = [
         ("build", vec!["build", g, "2", s]),
         ("trace", vec!["trace", g, s, "1", "60"]),
         ("audit", vec!["audit", g, s, "--kill-edges", "0.15"]),
@@ -372,6 +373,10 @@ fn drt_report_key_skeletons_match_the_golden_file() {
         ("churn", vec!["churn", g, s, "--rounds", "5"]),
         ("serve", vec!["serve", g, "--scheme", s, "--queries", "512"]),
         ("profile", vec!["profile", "--n", "64", "--packets", "256"]),
+        (
+            "traffic --profile",
+            vec!["traffic", g, s, "--rounds", "64", "--profile"],
+        ),
     ];
     let mut skeleton = String::new();
     for (name, mut args) in commands {
@@ -387,7 +392,19 @@ fn drt_report_key_skeletons_match_the_golden_file() {
                 skeleton.push_str(&format!("{times}x {line}\n"));
             }
         };
-        for record in obs::read_report(&report).expect("report parses") {
+        let records = obs::read_report(&report).expect("report parses");
+        let appended = records
+            .iter()
+            .filter(|r| !matches!(obs::record::tag(r), Some("span" | "run_summary")))
+            .count();
+        let summary = records.last().expect("report has a summary");
+        assert_eq!(obs::record::tag(summary), Some("run_summary"), "drt {name}");
+        assert_eq!(
+            summary.get("records").and_then(|v| v.as_u64()),
+            Some(appended as u64),
+            "drt {name}: run_summary.records miscounts the appended lines"
+        );
+        for record in records {
             let mut paths = Vec::new();
             key_paths("", &record, &mut paths);
             let ty = record.get("type").and_then(|t| t.as_str()).expect("tagged");

@@ -120,6 +120,15 @@ fn bad_inputs_exit_1_with_one_error_line() {
             &["audit", g64, s64, "--kill-edges", "2"],
             "--kill-edges must be in [0, 1], got 2",
         ),
+        // `--profile` is `drt traffic`'s flag alone.
+        (
+            &["churn", g64, s64, "--rounds", "2", "--profile"],
+            "unknown flag '--profile' for drt churn",
+        ),
+        (
+            &["build", g64, "2", s64, "--profile"],
+            "unknown flag '--profile' for drt build",
+        ),
     ];
     for (args, needle) in cases {
         let out = drt(args);
