@@ -506,7 +506,7 @@ fn audit_inner(
             for (&u, info) in t.members().iter().zip(t.info()) {
                 let row = scheme.entry(u, t.root);
                 cross.note(
-                    row.is_some_and(|e| e.level == t.level && e.dist == info.dist),
+                    row.is_some_and(|e| e.level as usize == t.level && e.dist == info.dist),
                     || {
                         format!(
                             "{u}: tree {} row missing or disagrees with the tree",
@@ -906,12 +906,11 @@ mod tests {
             .vertices()
             .find(|&v| b.scheme.table(v).rows().iter().any(|e| e.dist > 1))
             .expect("some multi-hop membership");
-        for e in b.scheme.table_mut(v).rows_mut() {
-            if e.dist > 1 {
-                e.dist = 0;
-                break;
-            }
+        let mut rows = b.scheme.table(v).rows().to_vec();
+        if let Some(e) = rows.iter_mut().find(|e| e.dist > 1) {
+            e.dist = 0;
         }
+        b.scheme.replace_table(v, rows);
         let out = audit(&g, &b.scheme, &AuditConfig::default());
         // Either the soundness sweep sampled the corrupt tree's root, the
         // self-distance check caught it, or tree_cover would have (built
@@ -930,14 +929,17 @@ mod tests {
     fn audit_detects_broken_nesting() {
         let (g, mut b) = built(60, 7005);
         // Give some non-root vertex an interval outside its parent's.
-        'outer: for v in g.vertices() {
-            for e in b.scheme.table_mut(v).rows_mut() {
-                let t = &mut e.table;
-                if t.parent.is_some() {
-                    t.enter = u64::MAX - 1;
-                    t.exit = u64::MAX;
-                    break 'outer;
-                }
+        for v in g.vertices() {
+            let mut rows = b.scheme.table(v).rows().to_vec();
+            if let Some(t) = rows
+                .iter_mut()
+                .map(|e| &mut e.table)
+                .find(|t| t.parent.is_some())
+            {
+                t.enter = u64::MAX - 1;
+                t.exit = u64::MAX;
+                b.scheme.replace_table(v, rows);
+                break;
             }
         }
         let out = audit(&g, &b.scheme, &AuditConfig::default());

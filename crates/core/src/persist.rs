@@ -190,13 +190,33 @@ fn rv(buf: &[u8], pos: &mut usize) -> Result<u64, PersistError> {
     read_varint(buf, pos).ok_or(PersistError::Malformed)
 }
 
-/// A count of items that take at least a byte each, so never more than the
-/// payload holds.
-fn read_count(buf: &[u8], pos: &mut usize) -> Result<usize, PersistError> {
+// Fewest bytes one encoded item of each kind takes: a vertex's three row
+// counts, a table row's seven varints, a label row's five, and a light
+// pair's or pivot pair's two.
+const VERTEX_BYTES: usize = 3;
+const TABLE_ROW_BYTES: usize = 7;
+const LABEL_ROW_BYTES: usize = 5;
+const PAIR_BYTES: usize = 2;
+
+/// A count of items that take at least `min_bytes` each, so never more than
+/// the rest of the payload can hold. A larger count is `Malformed` before
+/// anything is reserved for it: a payload cannot make the decoder ask for
+/// more memory than its own bytes justify.
+fn read_count(buf: &[u8], pos: &mut usize, min_bytes: usize) -> Result<usize, PersistError> {
     let count = rv(buf, pos)?;
+    let room = (buf.len() - *pos) / min_bytes;
     usize::try_from(count)
         .ok()
-        .filter(|&c| c <= buf.len())
+        .filter(|&c| c <= room)
+        .ok_or(PersistError::Malformed)
+}
+
+/// A hierarchy level of a `k`-level scheme: below `k`, so it fits the `u32`
+/// a table row stores it in.
+fn read_level(buf: &[u8], pos: &mut usize, k: usize) -> Result<u32, PersistError> {
+    u32::try_from(rv(buf, pos)?)
+        .ok()
+        .filter(|&level| (level as usize) < k)
         .ok_or(PersistError::Malformed)
 }
 
@@ -250,7 +270,7 @@ fn write_tree_label(buf: &mut Vec<u8>, l: &TreeLabel) {
 
 fn read_tree_label(buf: &[u8], pos: &mut usize, n: usize) -> Result<TreeLabel, PersistError> {
     let enter = rv(buf, pos)?;
-    let count = read_count(buf, pos)?;
+    let count = read_count(buf, pos, PAIR_BYTES)?;
     let mut light = Vec::with_capacity(count);
     for _ in 0..count {
         light.push((read_vertex(buf, pos, n)?, read_vertex(buf, pos, n)?));
@@ -276,7 +296,7 @@ pub fn encode_scheme(s: &RoutingScheme) -> Vec<u8> {
         write_varint(&mut buf, rows.len() as u64);
         for e in rows {
             write_varint(&mut buf, u64::from(e.root.0));
-            write_varint(&mut buf, e.level as u64);
+            write_varint(&mut buf, u64::from(e.level));
             write_varint(&mut buf, e.dist);
             write_tree_table(&mut buf, &e.table);
         }
@@ -307,9 +327,10 @@ pub fn encode_scheme(s: &RoutingScheme) -> Vec<u8> {
 /// # Errors
 ///
 /// [`PersistError`] on any malformed input: besides a broken varint stream,
-/// a vertex id outside the scheme, a DFS interval whose end overflows, table
-/// roots that do not strictly ascend, or label levels that do not strictly
-/// ascend.
+/// a vertex id outside the scheme, a level not below `k`, a DFS interval
+/// whose end overflows, table roots that do not strictly ascend, label levels
+/// that do not strictly ascend, or a row count the remaining bytes cannot
+/// hold.
 pub fn decode_scheme(buf: &[u8]) -> Result<RoutingScheme, PersistError> {
     if buf.len() < 4 || &buf[..4] != MAGIC {
         return Err(PersistError::BadHeader);
@@ -321,10 +342,10 @@ pub fn decode_scheme(buf: &[u8]) -> Result<RoutingScheme, PersistError> {
         1 => Mode::DistributedLowMemory,
         _ => return Err(PersistError::BadHeader),
     };
-    let n = read_count(buf, &mut pos)?;
+    let n = read_count(buf, &mut pos, VERTEX_BYTES)?;
     let mut tables = Vec::with_capacity(n);
     for _ in 0..n {
-        let count = read_count(buf, &mut pos)?;
+        let count = read_count(buf, &mut pos, TABLE_ROW_BYTES)?;
         let mut entries: Vec<TableEntry> = Vec::with_capacity(count);
         for _ in 0..count {
             let root = read_vertex(buf, &mut pos, n)?;
@@ -333,7 +354,7 @@ pub fn decode_scheme(buf: &[u8]) -> Result<RoutingScheme, PersistError> {
             }
             entries.push(TableEntry {
                 root,
-                level: rv(buf, &mut pos)? as usize,
+                level: read_level(buf, &mut pos, k)?,
                 dist: rv(buf, &mut pos)?,
                 table: read_tree_table(buf, &mut pos, n)?,
             });
@@ -342,10 +363,10 @@ pub fn decode_scheme(buf: &[u8]) -> Result<RoutingScheme, PersistError> {
     }
     let mut labels = Vec::with_capacity(n);
     for _ in 0..n {
-        let count = read_count(buf, &mut pos)?;
+        let count = read_count(buf, &mut pos, LABEL_ROW_BYTES)?;
         let mut entries: Vec<LabelEntry> = Vec::with_capacity(count);
         for _ in 0..count {
-            let level = rv(buf, &mut pos)? as usize;
+            let level = read_level(buf, &mut pos, k)? as usize;
             if entries.last().is_some_and(|prev| prev.level >= level) {
                 return Err(PersistError::Malformed);
             }
@@ -360,7 +381,7 @@ pub fn decode_scheme(buf: &[u8]) -> Result<RoutingScheme, PersistError> {
     }
     let mut pivot_info = Vec::with_capacity(n);
     for _ in 0..n {
-        let count = read_count(buf, &mut pos)?;
+        let count = read_count(buf, &mut pos, PAIR_BYTES)?;
         let mut pivots = Vec::with_capacity(count);
         for _ in 0..count {
             pivots.push((read_vertex(buf, &mut pos, n)?, rv(buf, &mut pos)?));
@@ -498,7 +519,7 @@ mod tests {
         let pivots = [1, 0, 0];
         assert!(decode_scheme(&two_vertex_payload(&table, &label, &pivots)).is_ok());
         let alias = (1u64 << 32) + 1; // vertex 1 once narrowed to 32 bits
-        let cases: [(&str, Vec<u8>); 9] = [
+        let cases: [(&str, Vec<u8>); 12] = [
             (
                 "table root id aliases a vertex",
                 two_vertex_payload(&[1, alias, 0, 0, 0, 0, 0, 0], &label, &pivots),
@@ -542,6 +563,18 @@ mod tests {
             (
                 "pivot id aliases a vertex",
                 two_vertex_payload(&table, &label, &[1, alias, 0]),
+            ),
+            (
+                "table level = k",
+                two_vertex_payload(&[1, 0, 2, 0, 0, 0, 0, 0], &label, &pivots),
+            ),
+            (
+                "label level = k",
+                two_vertex_payload(&table, &[1, 2, 0, 0, 0, 0], &pivots),
+            ),
+            (
+                "table level = 2^32",
+                two_vertex_payload(&[1, 0, 1 << 32, 0, 0, 0, 0, 0], &label, &pivots),
             ),
         ];
         for (case, bytes) in cases {

@@ -100,13 +100,14 @@ impl BuildParams {
 
 /// One table row: a cluster tree this vertex belongs to. The tree-routing
 /// table `T` is the paper's Theorem-2 table; only the comparison row in
-/// [`crate::prior`] names another.
+/// [`crate::prior`] names another. `root` and `level` share one 8-byte slot,
+/// so a row holding a [`TreeTable`] is 48 B.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TableEntry<T = TreeTable> {
     /// The cluster center / tree root.
     pub root: VertexId,
-    /// The root's hierarchy level.
-    pub level: usize,
+    /// The root's hierarchy level (below `k`).
+    pub level: u32,
     /// The construction's distance estimate to the root (≥ true distance).
     pub dist: Weight,
     /// The tree-routing table inside this tree.
@@ -119,9 +120,15 @@ impl<T: WordSized> WordSized for TableEntry<T> {
     }
 }
 
-/// A vertex's routing table: entries sorted by root id.
+/// A vertex's routing table: entries sorted by root id, with the roots
+/// repeated in a key column of their own. A lookup binary-searches the
+/// 4-byte keys and touches exactly one row, instead of pulling a cache line
+/// of every row it compares. The key column duplicates `root`, so it is not
+/// state the vertex holds: [`WordSized`] counts the rows alone.
 #[derive(Clone, Debug, Default)]
 pub struct RoutingTable {
+    /// `entries[i].root`, for every `i`.
+    roots: Vec<VertexId>,
     /// Rows, sorted by `root`.
     entries: Vec<TableEntry>,
 }
@@ -129,7 +136,10 @@ pub struct RoutingTable {
 impl RoutingTable {
     /// A table holding `rows`, which lookups expect sorted by `root`.
     pub fn from_rows(rows: Vec<TableEntry>) -> Self {
-        RoutingTable { entries: rows }
+        RoutingTable {
+            roots: rows.iter().map(|e| e.root).collect(),
+            entries: rows,
+        }
     }
 
     /// Every row, ascending by root.
@@ -140,16 +150,10 @@ impl RoutingTable {
     /// The row for tree `root`, if this vertex is in that tree.
     #[inline]
     pub fn entry(&self, root: VertexId) -> Option<&TableEntry> {
-        self.entries
-            .binary_search_by_key(&root, |e| e.root)
+        self.roots
+            .binary_search(&root)
             .ok()
             .map(|i| &self.entries[i])
-    }
-
-    /// The rows, open to in-place corruption (fault injection only; to
-    /// drop rows, replace the table with [`Self::from_rows`]).
-    pub fn rows_mut(&mut self) -> &mut [TableEntry] {
-        &mut self.entries
     }
 }
 
@@ -195,12 +199,6 @@ impl RoutingLabel {
     /// Every row, ascending by level.
     pub fn rows(&self) -> &[LabelEntry] {
         &self.entries
-    }
-
-    /// The rows, open to in-place corruption (fault injection only; to
-    /// drop rows, replace the label with [`Self::from_rows`]).
-    pub fn rows_mut(&mut self) -> &mut [LabelEntry] {
-        &mut self.entries
     }
 }
 
@@ -291,14 +289,16 @@ impl RoutingScheme {
         &self.pivot_info[v.index()]
     }
 
-    /// The table of `v`, open to corruption (fault injection only).
-    pub fn table_mut(&mut self, v: VertexId) -> &mut RoutingTable {
-        &mut self.tables[v.index()]
+    /// Replace `v`'s table with `rows` (fault injection only). Callers copy
+    /// the rows with `to_vec()`, edit them and hand them back, so the key
+    /// column is always derived from the rows it indexes.
+    pub fn replace_table(&mut self, v: VertexId, rows: Vec<TableEntry>) {
+        self.tables[v.index()] = RoutingTable::from_rows(rows);
     }
 
-    /// The label of `v`, open to corruption (fault injection only).
-    pub fn label_mut(&mut self, v: VertexId) -> &mut RoutingLabel {
-        &mut self.labels[v.index()]
+    /// Replace `v`'s label with `rows` (fault injection only).
+    pub fn replace_label(&mut self, v: VertexId, rows: Vec<LabelEntry>) {
+        self.labels[v.index()] = RoutingLabel::from_rows(rows);
     }
 
     /// Largest table, in words.
@@ -770,7 +770,7 @@ where
         {
             tables[u.index()].push(TableEntry {
                 root: t.root,
-                level: t.level,
+                level: t.level as u32,
                 dist: info.dist,
                 table,
             });
@@ -1069,6 +1069,60 @@ mod tests {
             plain.report.max_table_words,
             observed.report.max_table_words
         );
+    }
+
+    #[test]
+    fn table_rows_are_48_bytes() {
+        // `root` and `level` share one 8-byte slot beside `dist` and the
+        // 32-byte tree table.
+        assert_eq!(std::mem::size_of::<TableEntry>(), 48);
+    }
+
+    #[test]
+    fn entry_agrees_with_a_row_scan() {
+        let mut rng = ChaCha8Rng::seed_from_u64(312);
+        let torus = generators::torus(8, 8, 1..=9, &mut rng);
+        for (g, k) in [
+            (er(90, 313).0, 2),
+            (er(90, 314).0, 3),
+            (torus.clone(), 2),
+            (torus, 3),
+        ] {
+            let s = build(&g, &BuildParams::new(k), &mut rng).scheme;
+            let back = crate::persist::decode_scheme(&crate::persist::encode_scheme(&s)).unwrap();
+            for scheme in [&s, &back] {
+                for v in g.vertices() {
+                    let rows = scheme.table(v).rows();
+                    for root in g.vertices() {
+                        assert_eq!(
+                            scheme.entry(v, root),
+                            rows.iter().find(|e| e.root == root),
+                            "k = {k}: {v}'s row for tree {root}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replace_table_rederives_the_key_column() {
+        let (g, mut rng) = er(60, 315);
+        let mut s = build(&g, &BuildParams::new(2), &mut rng).scheme;
+        let v = g
+            .vertices()
+            .find(|&v| s.table(v).rows().len() >= 2)
+            .expect("some vertex is in two trees");
+        let mut rows = s.table(v).rows().to_vec();
+        let dropped = rows.pop().unwrap().root;
+        s.replace_table(v, rows.clone());
+        assert_eq!(s.entry(v, dropped), None);
+        assert!(rows.iter().all(|e| s.entry(v, e.root) == Some(e)));
+        rows.reverse();
+        s.replace_table(v, rows);
+        assert!(crate::verify::verify(&g, &s)
+            .iter()
+            .any(|x| matches!(x, crate::verify::Violation::UnsortedTable(u) if *u == v)));
     }
 
     #[test]

@@ -154,7 +154,9 @@ mod tests {
     fn detects_unsorted_tables() {
         let (g, mut s) = built(60, 1203);
         let v = VertexId(5);
-        s.table_mut(v).rows_mut().reverse();
+        let mut rows = s.table(v).rows().to_vec();
+        rows.reverse();
+        s.replace_table(v, rows);
         if s.table(v).rows().len() >= 2 {
             assert!(verify(&g, &s)
                 .iter()
@@ -168,7 +170,7 @@ mod tests {
         let v = VertexId(9);
         let mut rows = s.table(v).rows().to_vec();
         rows.retain(|e| e.root != v);
-        *s.table_mut(v) = crate::RoutingTable::from_rows(rows);
+        s.replace_table(v, rows);
         assert!(verify(&g, &s)
             .iter()
             .any(|x| matches!(x, Violation::MissingOwnCluster(u) if *u == v)));
@@ -183,9 +185,11 @@ mod tests {
             .map(VertexId)
             .find(|&w| s.entry(v, w).is_none())
             .unwrap();
-        if let Some(e) = s.label_mut(v).rows_mut().first_mut() {
+        let mut rows = s.label(v).rows().to_vec();
+        if let Some(e) = rows.first_mut() {
             e.pivot = foreign;
         }
+        s.replace_label(v, rows);
         assert!(verify(&g, &s)
             .iter()
             .any(|x| matches!(x, Violation::DanglingLabel { vertex, .. } if *vertex == v)));
@@ -206,7 +210,7 @@ mod tests {
     fn detects_non_neighbor_parents() {
         let (g, mut s) = built(60, 1207);
         // Corrupt a parent pointer to a (very likely) non-neighbor.
-        'outer: for v in g.vertices() {
+        for v in g.vertices() {
             let candidates: Vec<VertexId> = g
                 .vertices()
                 .filter(|&u| u != v && g.edge_weight(u, v).is_none())
@@ -214,14 +218,14 @@ mod tests {
             let Some(&far) = candidates.first() else {
                 continue;
             };
-            for e in s.table_mut(v).rows_mut() {
-                if e.table.parent.is_some() {
-                    e.table.parent = Some(far);
-                    assert!(verify(&g, &s)
-                        .iter()
-                        .any(|x| matches!(x, Violation::BadParent { vertex, .. } if *vertex == v)));
-                    break 'outer;
-                }
+            let mut rows = s.table(v).rows().to_vec();
+            if let Some(e) = rows.iter_mut().find(|e| e.table.parent.is_some()) {
+                e.table.parent = Some(far);
+                s.replace_table(v, rows);
+                assert!(verify(&g, &s)
+                    .iter()
+                    .any(|x| matches!(x, Violation::BadParent { vertex, .. } if *vertex == v)));
+                break;
             }
         }
     }

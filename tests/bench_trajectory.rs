@@ -270,7 +270,7 @@ fn committed_bench_documents_round_trip_byte_for_byte() {
     }
     // Points written after the parallel engine's retirement round-trip as
     // they are.
-    for name in ["BENCH_pr29.json", "BENCH_pr30.json"] {
+    for name in ["BENCH_pr29.json", "BENCH_pr30.json", "BENCH_pr34.json"] {
         let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(name);
         let bytes = std::fs::read_to_string(&path).expect("committed document");
         let doc = BenchDoc::load(&path).expect("committed document loads");

@@ -89,7 +89,7 @@ fn graph_scheme_with_deleted_table_entry_gets_stuck_not_lost() {
         let mid = trace.path[1];
         let mut rows = scheme.table(mid).rows().to_vec();
         rows.retain(|e| e.root != trace.tree_root);
-        *scheme.table_mut(mid) = RoutingTable::from_rows(rows);
+        scheme.replace_table(mid, rows);
         match router::route_with(
             &g,
             &scheme,
@@ -112,7 +112,7 @@ fn graph_scheme_with_empty_label_reports_no_common_tree() {
     let g = generators::erdos_renyi_connected(40, 0.1, 1..=9, &mut rng);
     let built = build(&g, &BuildParams::new(2), &mut rng);
     let mut scheme = built.scheme.clone();
-    *scheme.label_mut(VertexId(25)) = routing::RoutingLabel::default();
+    scheme.replace_label(VertexId(25), Vec::new());
     match router::route(&g, &scheme, VertexId(0), VertexId(25)) {
         Err(router::GraphRouteError::NoCommonTree) => {}
         other => panic!("expected NoCommonTree, got {other:?}"),
@@ -140,11 +140,13 @@ fn forged_forwarding_cycle_is_reported_as_a_loop_on_every_plane() {
             (trace.hops() >= 2 && climbs(0) && climbs(1)).then_some((s, t, trace))
         })
         .expect("some route starts with two ascents");
-    for e in scheme.table_mut(trace.path[1]).rows_mut() {
+    let mut rows = scheme.table(trace.path[1]).rows().to_vec();
+    for e in &mut rows {
         if e.root == trace.tree_root {
             e.table.parent = Some(src);
         }
     }
+    scheme.replace_table(trace.path[1], rows);
 
     assert_eq!(
         router::route(&g, &scheme, src, dst).unwrap_err(),
