@@ -1,13 +1,13 @@
 //! Criterion micro-benchmarks for the full general-graph scheme: the two
-//! construction modes beside the \[EN16b\]-style baseline, and the
-//! routing-phase throughput.
+//! construction modes beside the \[EN16b\]-style baseline, the
+//! routing-phase throughput, and the persistence codec.
 
 use bench::Family;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphs::VertexId;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use routing::{build, prior, router, BuildParams, Mode};
+use routing::{build, persist, prior, router, BuildParams, Mode};
 
 fn bench_build_modes(c: &mut Criterion) {
     let n = 256;
@@ -64,10 +64,31 @@ fn bench_oracle_queries(c: &mut Criterion) {
     });
 }
 
+/// The two inner loops of saving and loading a scheme: the payload CRC, and
+/// the container encode / decode around it (decode = CRC + varint parse).
+fn bench_persist(c: &mut Criterion) {
+    let n = 1024;
+    let mut rng = ChaCha8Rng::seed_from_u64(31);
+    let g = Family::ErdosRenyi.generate(n, &mut rng);
+    let scheme = build(&g, &BuildParams::new(2), &mut rng).scheme;
+    let payload = persist::encode_scheme(&scheme);
+    let container = persist::encode_container(&scheme).unwrap();
+    let mut group = c.benchmark_group("persist_1024_k2");
+    group.bench_function("crc32", |b| b.iter(|| persist::crc32(&payload)));
+    group.bench_function("encode_container", |b| {
+        b.iter(|| persist::encode_container(&scheme).unwrap())
+    });
+    group.bench_function("decode_container", |b| {
+        b.iter(|| persist::decode_container(&container).unwrap())
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_build_modes,
     bench_route_throughput,
-    bench_oracle_queries
+    bench_oracle_queries,
+    bench_persist
 );
 criterion_main!(benches);

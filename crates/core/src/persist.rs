@@ -67,10 +67,13 @@ impl std::fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-/// CRC32 (IEEE 802.3 polynomial, reflected) lookup table, built at compile
-/// time so the container needs no external checksum crate.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC32 (IEEE 802.3 polynomial, reflected) slicing-by-16 tables, built at
+/// compile time so the container needs no external checksum crate.
+/// `CRC32_TABLES[0]` is the classic byte table; `CRC32_TABLES[s][b]` is the
+/// CRC of byte `b` followed by `s` zero bytes, so sixteen lookups advance the
+/// CRC over sixteen bytes at once.
+const CRC32_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -83,18 +86,54 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut s = 1;
+        while s < 16 {
+            let prev = tables[s - 1][i];
+            tables[s][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            s += 1;
+        }
+        i += 1;
+    }
+    tables
 };
 
 /// CRC32 (IEEE) of `bytes` — the checksum guarding container payloads.
+///
+/// Slicing-by-16: each step folds the running CRC into the first four bytes
+/// of a 16-byte chunk and looks all sixteen bytes up in their own table; the
+/// tail shorter than a chunk goes byte at a time. The value is the standard
+/// CRC-32 (`crc32(b"123456789") == 0xCBF4_3926`).
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(16);
+    for c in &mut chunks {
+        let a = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[15][(a & 0xFF) as usize]
+            ^ t[14][((a >> 8) & 0xFF) as usize]
+            ^ t[13][((a >> 16) & 0xFF) as usize]
+            ^ t[12][(a >> 24) as usize]
+            ^ t[11][c[4] as usize]
+            ^ t[10][c[5] as usize]
+            ^ t[9][c[6] as usize]
+            ^ t[8][c[7] as usize]
+            ^ t[7][c[8] as usize]
+            ^ t[6][c[9] as usize]
+            ^ t[5][c[10] as usize]
+            ^ t[4][c[11] as usize]
+            ^ t[3][c[12] as usize]
+            ^ t[2][c[13] as usize]
+            ^ t[1][c[14] as usize]
+            ^ t[0][c[15] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -327,16 +366,20 @@ pub fn encode_scheme(s: &RoutingScheme) -> Vec<u8> {
 /// # Errors
 ///
 /// [`PersistError`] on any malformed input: besides a broken varint stream,
-/// a vertex id outside the scheme, a level not below `k`, a DFS interval
-/// whose end overflows, table roots that do not strictly ascend, label levels
-/// that do not strictly ascend, or a row count the remaining bytes cannot
-/// hold.
+/// a `k` outside `2..=u32::MAX`, a vertex id outside the scheme, a level not
+/// below `k`, a DFS interval whose end overflows, table roots that do not
+/// strictly ascend, label levels that do not strictly ascend, or a row count
+/// the remaining bytes cannot hold.
 pub fn decode_scheme(buf: &[u8]) -> Result<RoutingScheme, PersistError> {
     if buf.len() < 4 || &buf[..4] != MAGIC {
         return Err(PersistError::BadHeader);
     }
     let mut pos = 4;
-    let k = rv(buf, &mut pos)? as usize;
+    // `BuildParams` wants k >= 2 and a table row stores its level as `u32`.
+    let k = u32::try_from(rv(buf, &mut pos)?)
+        .ok()
+        .filter(|&k| k >= 2)
+        .ok_or(PersistError::Malformed)? as usize;
     let mode = match rv(buf, &mut pos)? {
         0 => Mode::Centralized,
         1 => Mode::DistributedLowMemory,
@@ -402,6 +445,7 @@ mod tests {
     use crate::router;
     use crate::scheme::{build, BuildParams};
     use graphs::generators;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -465,6 +509,41 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The byte-at-a-time CRC the sliced loop must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_at_every_length_and_alignment() {
+        let buf: Vec<u8> = (0..80u32).map(|i| (i * 167 + 13) as u8).collect();
+        for start in 0..16 {
+            for len in 0..=64 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn crc32_matches_bytewise_on_random_buffers(
+            bytes in proptest::collection::vec(0u8..=255, 0..4096)
+        ) {
+            prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+        }
+    }
+
     #[test]
     fn container_round_trips_through_disk() {
         let (g, s) = scheme(50, 1106);
@@ -509,6 +588,17 @@ mod tests {
         buf
     }
 
+    /// An `n`-vertex payload with the given `k` and no rows at all, so the
+    /// header is the only thing that can be wrong with it.
+    fn rowless_payload(k: u64, n: u64) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        for w in [k, 1, n] {
+            write_varint(&mut buf, w);
+        }
+        buf.resize(buf.len() + 3 * n as usize, 0);
+        buf
+    }
+
     #[test]
     fn payloads_that_checksum_but_are_not_schemes_are_malformed() {
         // Vertex 0's well-formed words: row (root 0, level 0, dist 0, enter 0,
@@ -518,8 +608,9 @@ mod tests {
         let label = [1, 0, 0, 0, 0, 0];
         let pivots = [1, 0, 0];
         assert!(decode_scheme(&two_vertex_payload(&table, &label, &pivots)).is_ok());
+        assert!(decode_scheme(&rowless_payload(2, 2)).is_ok());
         let alias = (1u64 << 32) + 1; // vertex 1 once narrowed to 32 bits
-        let cases: [(&str, Vec<u8>); 12] = [
+        let cases: [(&str, Vec<u8>); 15] = [
             (
                 "table root id aliases a vertex",
                 two_vertex_payload(&[1, alias, 0, 0, 0, 0, 0, 0], &label, &pivots),
@@ -576,6 +667,9 @@ mod tests {
                 "table level = 2^32",
                 two_vertex_payload(&[1, 0, 1 << 32, 0, 0, 0, 0, 0], &label, &pivots),
             ),
+            ("k = 0", rowless_payload(0, 2)),
+            ("k = 1", rowless_payload(1, 2)),
+            ("k = 2^32", rowless_payload(1 << 32, 2)),
         ];
         for (case, bytes) in cases {
             assert_eq!(

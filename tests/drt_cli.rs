@@ -43,6 +43,23 @@ fn generate(dir: &Path, name: &str, spec: &[&str]) -> String {
     path.to_str().unwrap().to_string()
 }
 
+/// A scheme container (magic, version, length, CRC32, payload) whose
+/// payload declares `k` and `n` vertices with no table, label or pivot rows.
+fn rowless_container(k: u8, n: u8) -> Vec<u8> {
+    let mut payload = b"DRS1".to_vec();
+    payload.extend([k, 1, n]); // k, low-memory mode, n: one-byte varints
+    payload.resize(payload.len() + 3 * usize::from(n), 0);
+    assert!(
+        payload.len() < 0x80,
+        "the length must stay a one-byte varint"
+    );
+    let mut container = b"DRSC".to_vec();
+    container.extend([1, payload.len() as u8]); // version, payload length
+    container.extend(routing::persist::crc32(&payload).to_le_bytes());
+    container.extend(payload);
+    container
+}
+
 #[test]
 fn drt_stdout_matches_the_golden_file() {
     // The sizes are `bench_trajectory`'s report-skeleton run, so the whole
@@ -92,6 +109,11 @@ fn bad_inputs_exit_1_with_one_error_line() {
     let empty = dir.join("empty.txt");
     std::fs::write(&empty, "").unwrap();
     let empty = empty.to_str().unwrap();
+    // A CRC-valid container for 32 vertices, no rows, and k = 0: the
+    // checksum holds, the scheme does not.
+    let k0 = dir.join("k0.drsc");
+    std::fs::write(&k0, rowless_container(0, 32)).unwrap();
+    let k0 = k0.to_str().unwrap();
     let (g64, g32, s64) = (g64.as_str(), g32.as_str(), s64.as_str());
 
     let mismatch = "scheme covers 64 vertices but the graph has 32";
@@ -101,6 +123,8 @@ fn bad_inputs_exit_1_with_one_error_line() {
         (&["stretch", g32, s64], mismatch),
         (&["traffic", g32, s64, "--rounds", "8"], mismatch),
         (&["churn", g32, s64, "--rounds", "2"], mismatch),
+        // A scheme file whose payload checksums but is not a scheme.
+        (&["audit", g32, k0], "malformed scheme bytes"),
         // Degenerate generator and build inputs.
         (&["generate", "er", "0"], "at least 2 vertices"),
         (&["generate", "er", "1"], "at least 2 vertices"),
