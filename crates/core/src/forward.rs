@@ -16,7 +16,7 @@
 use std::fmt;
 
 use graphs::graph::Arc;
-use graphs::{Graph, VertexId, Weight};
+use graphs::{dist_add, Graph, VertexId, Weight};
 use obs::flight::HopKind;
 use tree_routing::baseline::{self, BaselineLabel, BaselineTable};
 use tree_routing::types::{route_decision, ForwardingDecision, RouteAction, TreeLabel, TreeTable};
@@ -241,7 +241,7 @@ pub fn drive(
                 if hops as usize == cap {
                     return Err(GraphRouteError::Loop);
                 }
-                weight += ports[port].weight;
+                weight = dist_add(weight, ports[port].weight);
                 hops += 1;
                 cur = ports[port].to;
                 visit(cur);

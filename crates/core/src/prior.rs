@@ -69,9 +69,11 @@ pub fn build_observed<R: Rng>(
         true,
         rng,
         rec,
-        |net, tree, cfg, rng| {
+        |net, tree, cfg, wanted, rng| {
             let out = baseline::build_with_backbone(net, tree, cfg.q, cfg.backbone_depth, rng);
-            (out.scheme.into_parts(), Some((out.ledger, out.memory)))
+            let (_, tables, labels) = out.scheme.into_parts();
+            let labels = scheme::pick(&labels, wanted);
+            ((tables, labels), Some((out.ledger, out.memory)))
         },
         |(tables, labels, _)| PriorScheme { tables, labels },
     )

@@ -102,7 +102,7 @@ impl BuildParams {
 /// table `T` is the paper's Theorem-2 table; only the comparison row in
 /// [`crate::prior`] names another. `root` and `level` share one 8-byte slot,
 /// so a row holding a [`TreeTable`] is 48 B.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TableEntry<T = TreeTable> {
     /// The cluster center / tree root.
     pub root: VertexId,
@@ -408,9 +408,9 @@ pub struct Built<S = RoutingScheme> {
     pub report: BuildReport,
 }
 
-/// One cluster tree's finished tree-routing scheme: the members ascending
-/// by id, with their tables and labels by rank.
-pub(crate) type TreeParts<T, L> = (Vec<VertexId>, Vec<T>, Vec<L>);
+/// One cluster tree's finished tree-routing rows: every member's table by
+/// rank, and the labels asked for, in the order asked.
+pub(crate) type TreeRows<T, L> = (Vec<T>, Vec<L>);
 
 /// What one distributed tree run cost: its own ledger and its members'
 /// memory peaks (`None` for a centrally computed tree).
@@ -475,17 +475,22 @@ pub fn build_observed<R: Rng>(
     rng: &mut R,
     rec: &mut obs::Recorder,
 ) -> Built {
+    let mut scratch = tree_distributed::Scratch::default();
     build_staged(
         g,
         params,
         false,
         rng,
         rec,
-        |net, tree, cfg, rng| match params.mode {
-            Mode::Centralized => (tz::build(tree).into_parts(), None),
+        |net, tree, cfg, wanted, rng| match params.mode {
+            Mode::Centralized => {
+                let (_, tables, labels) = tz::build(tree).into_parts();
+                ((tables, pick(&labels, wanted)), None)
+            }
             Mode::DistributedLowMemory => {
-                let out = tree_distributed::build(net, tree, cfg, rng);
-                (out.scheme.into_parts(), Some((out.ledger, out.memory)))
+                let disabled = &mut obs::Recorder::disabled();
+                let run = scratch.run(net, tree, cfg, wanted, rng, disabled);
+                ((run.tables, run.labels), Some((run.ledger, run.memory)))
             }
         },
         |(tables, labels, pivot_info)| {
@@ -496,11 +501,27 @@ pub fn build_observed<R: Rng>(
     )
 }
 
+/// A label row assembly keeps: `v`'s row at `level`, which lives in the
+/// tree of its pivot (`trees[tree]`, where `v` has rank `rank`).
+struct KeptLabel {
+    v: VertexId,
+    level: usize,
+    pivot: VertexId,
+    tree: usize,
+    rank: usize,
+}
+
+/// The labels at `ranks` of a tree whose every label was computed.
+pub(crate) fn pick<L: Clone>(labels: &[L], ranks: &[usize]) -> Vec<L> {
+    ranks.iter().map(|&r| labels[r].clone()).collect()
+}
+
 /// The pipeline both tree-scheme families share: backbone, hierarchy,
 /// hopset, pivots and clusters, then `tree_scheme` once per cluster tree (in
-/// construction order, with the shared sampling rate and backbone), then
-/// assembly into per-vertex rows, charged to the meter as what each vertex
-/// keeps, which `package` turns into the scheme. `materialize` adds the step
+/// construction order, with the shared sampling rate and backbone, asked
+/// for the ranks whose labels assembly keeps), then assembly into
+/// per-vertex rows, charged to the meter as what each vertex keeps, which
+/// `package` turns into the scheme. `materialize` adds the step
 /// the paper eliminates: every virtual vertex storing its `E'` edges. A
 /// distributed run is one whose `params.mode` is not [`Mode::Centralized`].
 pub(crate) fn build_staged<R, T, L, S>(
@@ -513,13 +534,14 @@ pub(crate) fn build_staged<R, T, L, S>(
         &Network,
         &RootedTree,
         &tree_distributed::Config,
+        &[usize],
         &mut R,
-    ) -> (TreeParts<T, L>, TreeCost),
+    ) -> (TreeRows<T, L>, TreeCost),
     package: impl FnOnce(Rows<T, L>) -> S,
 ) -> Built<S>
 where
     R: Rng,
-    T: WordSized,
+    T: WordSized + Clone + Default,
     L: WordSized + Clone,
 {
     let n = g.num_vertices();
@@ -713,35 +735,101 @@ where
     // (Theorem 2's second assertion): q = 1/√(sn), window = √(sn)·log n.
     let tree_span = rec.begin("scheme/tree-routing");
     let tree_entry = ledger.counters();
-    // Overlap s: memberships per vertex.
+    // Overlap s: memberships per vertex. Counted tree by tree in root order,
+    // they also give each member's row in a tree its place in the member's
+    // table, which lists the member's trees ascending by root:
+    // `row_at[tree_start[idx] + r]` for the member of rank `r` in tree `idx`.
+    let mut tree_start = vec![0usize; trees.len() + 1];
+    for (idx, t) in trees.iter().enumerate() {
+        tree_start[idx + 1] = tree_start[idx] + t.len();
+    }
+    let total_membership = tree_start[trees.len()];
+    let mut by_root: Vec<usize> = (0..trees.len()).collect();
+    by_root.sort_unstable_by_key(|&idx| trees[idx].root);
     let mut overlap = vec![0usize; n];
-    for t in &trees {
-        for &u in t.members() {
+    let mut row_at = vec![0u32; total_membership];
+    for idx in by_root {
+        for (r, u) in trees[idx].members().iter().enumerate() {
+            row_at[tree_start[idx] + r] = overlap[u.index()] as u32;
             overlap[u.index()] += 1;
         }
     }
     let max_membership = overlap.iter().copied().max().unwrap_or(0);
-    let total_membership: usize = trees.iter().map(SparseTree::len).sum();
     let s = max_membership.max(1);
     let q_tree = (1.0 / ((s * n) as f64).sqrt()).clamp(0.0, 1.0);
     let window = (((s * n) as f64).sqrt() as u64 + 1)
         * (tree_distributed::log2_ceil(n.max(2)) as u64).max(1);
-    let mut tree_rows: Vec<TreeParts<T, L>> = Vec::with_capacity(trees.len());
     let mut tree_stage_rounds = 0u64;
     let mut max_finish = 0u64;
     let config = tree_distributed::Config {
         q: Some(q_tree),
         backbone_depth: Some(d),
     };
-    for t in &trees {
-        let (rows, cost) = tree_scheme(&network, &t.to_rooted(n), &config, rng);
+    // The label rows assembly keeps: for each vertex v and level i, v's row
+    // in the tree of its pivot p_i(v), when v is a member of that tree.
+    let mut tree_of_root = vec![usize::MAX; n];
+    for (idx, t) in trees.iter().enumerate() {
+        tree_of_root[t.root.index()] = idx;
+    }
+    let mut kept: Vec<KeptLabel> = Vec::new();
+    for v in g.vertices() {
+        for (level, lvl) in pivot_levels.iter().enumerate().take(realized) {
+            let pivot = match (lvl.pivot[v.index()], lvl.dist[v.index()]) {
+                (Some(p), pd) if pd != INFINITY => p,
+                _ => continue,
+            };
+            let tree = tree_of_root[pivot.index()];
+            if tree == usize::MAX {
+                continue;
+            }
+            // v outside the pivot's tree: skip this level.
+            if let Some(rank) = rank_in(trees[tree].members(), v) {
+                kept.push(KeptLabel {
+                    v,
+                    level,
+                    pivot,
+                    tree,
+                    rank,
+                });
+            }
+        }
+    }
+    // The kept labels grouped by tree, in construction order.
+    let mut by_tree: Vec<usize> = (0..kept.len()).collect();
+    by_tree.sort_by_key(|&i| kept[i].tree);
+    let mut by_tree = by_tree.as_slice();
+    let mut tree_labels: Vec<Option<L>> = (0..kept.len()).map(|_| None).collect();
+    let mut ranks = Vec::new();
+    // Every tree writes each member's table row in place as it finishes.
+    let mut tables: Vec<Vec<TableEntry<T>>> = overlap
+        .iter()
+        .map(|&rows| vec![TableEntry::default(); rows])
+        .collect();
+    for (idx, t) in trees.iter().enumerate() {
+        let (asked, rest) = by_tree.split_at(by_tree.partition_point(|&i| kept[i].tree == idx));
+        by_tree = rest;
+        ranks.clear();
+        ranks.extend(asked.iter().map(|&i| kept[i].rank));
+        let ((tree_tables, labels), cost) =
+            tree_scheme(&network, &t.to_rooted(n), &config, &ranks, rng);
         if let Some((tree_ledger, tree_memory)) = cost {
             let offset = rng.gen_range(0..=window);
             max_finish = max_finish.max(offset + tree_ledger.rounds());
             ledger.charge_messages(tree_ledger.messages());
-            memory.merge_concurrent(&rows.0, &tree_memory);
+            memory.merge_concurrent(t.members(), &tree_memory);
         }
-        tree_rows.push(rows);
+        let rows = t.members().iter().zip(t.info()).zip(tree_tables);
+        for (((u, info), table), &at) in rows.zip(&row_at[tree_start[idx]..]) {
+            tables[u.index()][at as usize] = TableEntry {
+                root: t.root,
+                level: t.level as u32,
+                dist: info.dist,
+                table,
+            };
+        }
+        for (&i, label) in asked.iter().zip(labels) {
+            tree_labels[i] = Some(label);
+        }
     }
     if distributed {
         tree_stage_rounds = window + max_finish;
@@ -750,62 +838,17 @@ where
     rec.charge(&ledger.counters().delta_since(&tree_entry));
     rec.end_with_memory(tree_span, memory.peaks());
 
-    // Assemble per-vertex tables: every tree hands each member its row.
-    // Visiting the trees by ascending root leaves every table sorted.
+    // Assemble per-vertex labels, ascending by level.
     let assembly_span = rec.begin("scheme/assembly");
-    let mut tables: Vec<Vec<TableEntry<T>>> = overlap
-        .iter()
-        .map(|&rows| Vec::with_capacity(rows))
-        .collect();
-    let mut by_root: Vec<usize> = (0..trees.len()).collect();
-    by_root.sort_by_key(|&idx| trees[idx].root);
-    for idx in by_root {
-        let (t, (members, tree_tables, _)) = (&trees[idx], &mut tree_rows[idx]);
-        // Both sides list the members ascending by id, so they zip by rank.
-        debug_assert_eq!(members.as_slice(), t.members());
-        for ((u, info), table) in members
-            .iter()
-            .zip(t.info())
-            .zip(std::mem::take(tree_tables))
-        {
-            tables[u.index()].push(TableEntry {
-                root: t.root,
-                level: t.level as u32,
-                dist: info.dist,
-                table,
-            });
-        }
-    }
-
-    // Assemble per-vertex labels.
-    let mut tree_of_root = vec![usize::MAX; n];
-    for (idx, t) in trees.iter().enumerate() {
-        tree_of_root[t.root.index()] = idx;
-    }
     let mut labels: Vec<Vec<LabelEntry<L>>> = (0..n).map(|_| Vec::new()).collect();
-    for v in g.vertices() {
-        for (i, lvl) in pivot_levels.iter().enumerate().take(realized) {
-            let (pivot, _pdist) = match (lvl.pivot[v.index()], lvl.dist[v.index()]) {
-                (Some(p), pd) if pd != INFINITY => (p, pd),
-                _ => continue,
-            };
-            let idx = tree_of_root[pivot.index()];
-            if idx == usize::MAX {
-                continue;
-            }
-            let (members, _, tree_labels) = &tree_rows[idx];
-            let Some(rank) = rank_in(members, v) else {
-                continue; // v outside the pivot's tree: skip this level
-            };
-            labels[v.index()].push(LabelEntry {
-                level: i,
-                pivot,
-                dist: trees[idx].info()[rank].dist,
-                tree_label: tree_labels[rank].clone(),
-            });
-        }
+    for (keep, label) in kept.iter().zip(tree_labels) {
+        labels[keep.v.index()].push(LabelEntry {
+            level: keep.level,
+            pivot: keep.pivot,
+            dist: trees[keep.tree].info()[keep.rank].dist,
+            tree_label: label.expect("every kept label was asked for"),
+        });
     }
-    drop(tree_rows);
 
     // Pivot info retained per vertex (O(k) words; powers the oracle).
     let pivot_info: Vec<Vec<(VertexId, Weight)>> = g

@@ -11,6 +11,12 @@ pub type Weight = u64;
 /// distances so that `INFINITY` is absorbing.
 pub const INFINITY: Weight = u64::MAX;
 
+/// The largest total edge weight a graph may have, `Weight::MAX >> 8`. Every
+/// path weighs at most the total, so under this bound every distance, every
+/// oracle sum of two distances and every route of stretch at most 255 (which
+/// covers `4k − 3` for `k ≤ 64`) stays finite, well below [`INFINITY`].
+pub const MAX_TOTAL_WEIGHT: Weight = Weight::MAX >> 8;
+
 /// Identifier of a vertex: a dense index in `0..n`.
 ///
 /// # Examples
@@ -257,8 +263,16 @@ impl GraphBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the same unordered pair was added twice.
+    /// Panics if the same unordered pair was added twice, or if the edge
+    /// weights sum to more than [`MAX_TOTAL_WEIGHT`].
     pub fn build(&self) -> Graph {
+        let total = self.edges.iter().try_fold(0 as Weight, |sum, &(_, _, w)| {
+            sum.checked_add(w).filter(|&s| s <= MAX_TOTAL_WEIGHT)
+        });
+        assert!(
+            total.is_some(),
+            "total edge weight exceeds {MAX_TOTAL_WEIGHT}"
+        );
         let mut edges = self.edges.clone();
         edges.sort_unstable();
         for pair in edges.windows(2) {

@@ -14,7 +14,7 @@
 use std::fmt::Write as _;
 use std::str::FromStr;
 
-use crate::graph::{Graph, GraphBuilder, VertexId, Weight};
+use crate::graph::{Graph, GraphBuilder, VertexId, Weight, MAX_TOTAL_WEIGHT};
 
 /// A parse failure, with the offending 1-based line number.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,7 +38,8 @@ impl std::error::Error for ParseGraphError {}
 /// # Errors
 ///
 /// Returns [`ParseGraphError`] on malformed lines, out-of-range endpoints,
-/// self-loops, zero weights, or duplicate edges.
+/// self-loops, zero weights, duplicate edges, or a total edge weight above
+/// [`MAX_TOTAL_WEIGHT`] (named at the line where the sum crosses it).
 ///
 /// # Examples
 ///
@@ -52,6 +53,7 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, ParseGraphError> {
     let mut declared_n: Option<usize> = None;
     let mut edges: Vec<(u32, u32, Weight, usize)> = Vec::new();
     let mut max_id = 0u32;
+    let mut total: Weight = 0;
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
         let line = raw.trim();
@@ -92,6 +94,15 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, ParseGraphError> {
         if w == 0 {
             return Err(err(line_no, "zero weight".into()));
         }
+        total = total
+            .checked_add(w)
+            .filter(|&t| t <= MAX_TOTAL_WEIGHT)
+            .ok_or_else(|| {
+                err(
+                    line_no,
+                    format!("total edge weight exceeds {MAX_TOTAL_WEIGHT}"),
+                )
+            })?;
         max_id = max_id.max(u).max(v);
         edges.push((u, v, w, line_no));
     }

@@ -27,7 +27,7 @@ pub mod rounding;
 pub mod shortest_paths;
 pub mod tree;
 
-pub use graph::{EdgeId, Graph, GraphBuilder, VertexId, Weight, INFINITY};
+pub use graph::{EdgeId, Graph, GraphBuilder, VertexId, Weight, INFINITY, MAX_TOTAL_WEIGHT};
 pub use overlay::Overlay;
 pub use tree::RootedTree;
 

@@ -32,7 +32,8 @@ pub struct RoundedGraph {
 ///
 /// # Panics
 ///
-/// Panics if `eps <= 0`.
+/// Panics if `eps <= 0`, or if the rounded weights sum to more than
+/// [`crate::MAX_TOTAL_WEIGHT`] (as [`GraphBuilder::build`]).
 ///
 /// # Examples
 ///

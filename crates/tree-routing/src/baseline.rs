@@ -26,7 +26,7 @@ use crate::types::{route_step, RouteAction, TreeLabel, TreeTable};
 use crate::tz;
 
 /// Virtual-level information replicated to every vertex of a local tree.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct VirtualEntry {
     /// DFS interval of the local root `w` in the virtual tree `T'`.
     pub enter: u64,
@@ -48,7 +48,7 @@ impl WordSized for VirtualEntry {
 }
 
 /// The baseline routing table: `O(log n)` words.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BaselineTable {
     /// Table within the local tree; `parent` is the *global* tree parent, so
     /// ascending works across local-tree boundaries.

@@ -19,17 +19,20 @@
 //! anywhere: each virtual vertex keeps only its `log n` pointer-jumping
 //! ancestors and digests broadcast streams one message at a time.
 //!
-//! Every per-vertex quantity below lives in a struct-of-arrays `VertexState`
-//! holding *only* what the model lets that vertex hold; rounds are charged to
-//! a [`CostLedger`] per the schedule above, and memory is metered after every
-//! stage (plus transient touches) by a [`MemoryMeter`].
+//! Every per-vertex quantity below lives in a rank-indexed [`Scratch`]
+//! array holding *only* what the model lets that vertex hold; rounds are
+//! charged to a [`CostLedger`] per the schedule above, and memory is metered
+//! after every stage (plus transient touches) by a [`MemoryMeter`]. Light-edge
+//! lists are simulated by their lengths, which is all the ledger and the
+//! meter read; a label's list is written once, at the end, for the members a
+//! caller asks for.
 
 use congest::{bfs, CostLedger, MemoryMeter, Network};
 use graphs::{RootedTree, VertexId};
 use rand::Rng;
 
 use crate::types::{TreeLabel, TreeScheme, TreeTable};
-use crate::tz::{self, concat};
+use crate::tz;
 
 /// Ceiling of log₂, with `log2_ceil(0) = log2_ceil(1) = 0`.
 pub fn log2_ceil(n: usize) -> usize {
@@ -52,53 +55,6 @@ pub struct Config {
     pub backbone_depth: Option<usize>,
 }
 
-/// Per-vertex protocol state. One instance per tree *member*, indexed by the
-/// member's rank in [`RootedTree::members`]; vertex references inside are
-/// ranks too. Algorithms only ever read/write a vertex's own entry plus
-/// messages charged to the ledger.
-#[derive(Clone, Debug, Default)]
-struct VertexState {
-    sampled: bool,
-    /// Root of the local tree containing this vertex.
-    local_root: usize,
-    /// For sampled vertices: the parent in the virtual tree `T'`.
-    virt_parent: Option<usize>,
-    /// Depth within the local tree.
-    local_depth: usize,
-    /// Subtree size within the local tree (Stage 1a).
-    s_local: u64,
-    /// Subtree size within the global tree (Stage 1b/1c).
-    s_global: u64,
-    /// Heavy child in `T` (Stage 1d).
-    heavy: Option<usize>,
-    /// Pointer-jumping ancestors `a_i` (sampled vertices only) — `O(log n)`.
-    ancestors: Vec<Option<usize>>,
-    /// Accumulated subtree size `s_i` during Algorithm 1.
-    s_jump: u64,
-    /// Light edges from the local root (non-sampled) or from the virtual
-    /// parent (sampled) to this vertex — Algorithm 2's `L(u)`. Light edges
-    /// name vertices by host id: they go into the labels verbatim.
-    light_local: Vec<(VertexId, VertexId)>,
-    /// Global light list (from the root of `T`) after Stages 2b/2c.
-    light_global: Vec<(VertexId, VertexId)>,
-    /// Local DFS range (Stage 3a), 1-based within the local frame.
-    range: (u64, u64),
-    /// Range offset `q_x` this vertex's range had inside its parent's frame.
-    q_shift: u64,
-    /// Total shift after Algorithm 6.
-    shift: u64,
-}
-
-impl VertexState {
-    /// Words of persistent state currently held — the quantity Theorem 2
-    /// bounds by `O(log n)`.
-    fn words(&self) -> usize {
-        // Scalar fields: membership, roots, sizes, heavy child, range, shifts.
-        let scalars = 12;
-        scalars + self.ancestors.len() + 2 * self.light_local.len() + 2 * self.light_global.len()
-    }
-}
-
 /// The meter slot of the member with rank `r` (see [`DistributedOutput::memory`]).
 #[inline]
 pub(crate) fn slot(r: usize) -> VertexId {
@@ -113,6 +69,93 @@ pub(crate) fn wave_order(tree: &RootedTree) -> Vec<usize> {
     let mut order: Vec<usize> = (0..tree.num_vertices()).collect();
     order.sort_unstable_by_key(|&r| (depth[r], r));
     order
+}
+
+/// "No rank" in the scratch's rank-valued arrays.
+const NONE: u32 = u32::MAX;
+
+/// Words of persistent state a member holds — the quantity Theorem 2 bounds
+/// by `O(log n)`: twelve scalars (membership, roots, sizes, heavy child,
+/// range, shifts), its pointer-jumping ancestors, and two words per light
+/// edge in its local and global lists.
+fn words(ancestors: usize, local: u32, global: u32) -> usize {
+    12 + ancestors + 2 * local as usize + 2 * global as usize
+}
+
+/// The working state of one tree's simulation, one entry per member rank
+/// (vertex references inside are ranks too), reused across trees: each run
+/// clears every array and resizes it to `|T|`, so a caller simulating many
+/// trees allocates for the largest one only.
+#[derive(Clone, Debug, Default)]
+pub struct Scratch {
+    /// Ranks breadth-first from the root (every parent before its children).
+    order: Vec<u32>,
+    sampled: Vec<bool>,
+    /// Root of the local tree containing the member.
+    local_root: Vec<u32>,
+    /// Depth within the local tree.
+    local_depth: Vec<u32>,
+    /// For sampled members: the parent in the virtual tree `T'`.
+    virt_parent: Vec<u32>,
+    /// Subtree size within the local tree (Stage 1a).
+    s_local: Vec<u64>,
+    /// Subtree size within the global tree (Stages 1b/1c).
+    s_global: Vec<u64>,
+    /// Heavy child in `T` (Stage 1d).
+    heavy: Vec<u32>,
+    /// Top of the member's heavy path: the member itself unless it is its
+    /// parent's heavy child. Its parent edge is the nearest light edge above.
+    head: Vec<u32>,
+    /// Length of Algorithm 2's list `L(u)`: light edges from the local root
+    /// (non-sampled) or from the virtual parent (sampled) to the member.
+    local_len: Vec<u32>,
+    /// Length of the global list (from the root of `T`), Stages 2b/2c.
+    global_len: Vec<u32>,
+    /// Local DFS range (Stage 3a), 1-based within the local frame.
+    range: Vec<(u64, u64)>,
+    /// Range offset `q_x` a sampled member's range had in its parent's frame.
+    q_shift: Vec<u64>,
+    /// Total shift after Algorithm 6.
+    shift: Vec<u64>,
+    /// `U(T)` ascending, and each sampled member's position in it (what a
+    /// broadcast record is keyed by).
+    virtual_ranks: Vec<u32>,
+    virtual_pos: Vec<u32>,
+    /// Pointer-jumping ancestors `a_i(x)` as positions in `U(T)`, one row of
+    /// `|U(T)|` per iteration.
+    ancestors: Vec<u32>,
+    /// Per position in `U(T)`: the value Algorithms 1, 3 and 6 jump, and the
+    /// broadcast snapshot of it each iteration reads.
+    jump: Vec<u64>,
+    snapshot: Vec<u64>,
+}
+
+/// Clear `v` and refill it with `n` copies of `value`, keeping its capacity.
+fn reset<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
+    v.clear();
+    v.resize(n, value);
+}
+
+/// One tree's construction: every member's table, the labels a caller asked
+/// for, and what the run cost.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TreeRun {
+    /// One table per member, by rank.
+    pub tables: Vec<TreeTable>,
+    /// One label per rank asked for, in the order asked.
+    pub labels: Vec<TreeLabel>,
+    /// Round/message accounting for the whole construction.
+    pub ledger: CostLedger,
+    /// Per-member memory high-water marks, one slot per rank.
+    pub memory: MemoryMeter,
+    /// `|U(T)|` — number of sampled roots (including the tree root).
+    pub virtual_count: usize,
+    /// Depth of the (never materialized) virtual tree `T'`.
+    pub virtual_depth: usize,
+    /// Largest local-tree depth `b`.
+    pub max_local_depth: usize,
+    /// Hop depth of the BFS broadcast tree used (≤ D).
+    pub bfs_depth: usize,
 }
 
 /// Output of the distributed construction.
@@ -159,8 +202,7 @@ pub fn build<R: Rng>(
 /// when no shared BFS backbone is configured). Every ledger charge is
 /// mirrored into the recorder, so span deltas partition the ledger totals.
 ///
-/// All working state is indexed by member rank, so time and allocation are
-/// `O(|T| log |T|)` whatever the size of the host network.
+/// This is [`Scratch::run`] on a fresh scratch, asked for every label.
 ///
 /// # Panics
 ///
@@ -172,317 +214,413 @@ pub fn build_observed<R: Rng>(
     rng: &mut R,
     rec: &mut obs::Recorder,
 ) -> DistributedOutput {
-    assert_eq!(
-        tree.host_len(),
-        network.len(),
-        "tree host must match network"
-    );
-    let n = tree.num_vertices();
-    let members = tree.members();
-    let root = tree.root_rank();
-
-    let mut ledger = CostLedger::new();
-    let mut memory = MemoryMeter::new(n);
-
-    // The BFS broadcast backbone: built once by the real protocol (O(D)
-    // rounds); its depth prices every Lemma-1 broadcast below. Callers that
-    // already hold a backbone share it via the config.
-    let d = match config.backbone_depth {
-        Some(depth) => depth as u64,
-        None => {
-            let span = rec.begin("tree/backbone");
-            let bfs_out = bfs::build_bfs_tree(network, tree.root());
-            ledger.charge_rounds_span(bfs_out.stats.rounds, rec);
-            ledger.charge_messages_span(bfs_out.stats.messages, rec);
-            for r in 0..n {
-                memory.add(slot(r), 3); // BFS parent/depth/flag, kept for broadcasts
-            }
-            rec.end_with_memory(span, memory.peaks());
-            bfs_out.depth as u64
-        }
-    };
-
-    // Sample U. Every vertex flips its own coin — zero rounds.
-    let q = config.q.unwrap_or(1.0 / (n as f64).sqrt());
-    let mut st: Vec<VertexState> = vec![VertexState::default(); n];
-    for (r, s) in st.iter_mut().enumerate() {
-        s.sampled = r == root || rng.gen_bool(q.clamp(0.0, 1.0));
-    }
-
-    let by_depth = wave_order(tree);
-
-    // ---- Phase 0: partition into local trees -------------------------------
-    // Each w ∈ U(T) floods "I am your local root" down, stopping at sampled
-    // vertices; runs in max-local-depth rounds, all trees in parallel.
-    let partition_span = rec.begin("tree/partition");
-    for &v in &by_depth {
-        if st[v].sampled {
-            st[v].local_root = v;
-            st[v].local_depth = 0;
-            if let Some(p) = tree.parent_rank(v) {
-                st[v].virt_parent = Some(st[p].local_root);
-            }
-        } else {
-            let p = tree.parent_rank(v).expect("non-root member");
-            st[v].local_root = st[p].local_root;
-            st[v].local_depth = st[p].local_depth + 1;
-        }
-    }
-    let b = st.iter().map(|s| s.local_depth).max().unwrap_or(0) as u64;
-    ledger.charge_rounds_span(b + 1, rec);
-    // U(T) in ascending id order, and each sampled vertex's position in it
-    // (what a broadcast record is keyed by).
-    let sampled: Vec<usize> = (0..n).filter(|&r| st[r].sampled).collect();
-    let mut sampled_pos = vec![usize::MAX; n];
-    for (k, &x) in sampled.iter().enumerate() {
-        sampled_pos[x] = k;
-    }
-    let virtual_count = sampled.len();
-    // Virtual-tree depth (simulation statistic only — no vertex stores it).
-    let virtual_depth = {
-        let mut vd = vec![0usize; sampled.len()];
-        let mut deepest = 0;
-        for &v in &by_depth {
-            if let (true, Some(vp)) = (st[v].sampled, st[v].virt_parent) {
-                let depth = vd[sampled_pos[vp]] + 1;
-                vd[sampled_pos[v]] = depth;
-                deepest = deepest.max(depth);
-            }
-        }
-        deepest
-    };
-    let iters = log2_ceil(n.max(2));
-    rec.end_with_memory(partition_span, memory.peaks());
-
-    // ---- Stage 1a: local subtree sizes (convergecast, b rounds) ------------
-    let sizes_span = rec.begin("tree/subtree-sizes");
-    for &v in by_depth.iter().rev() {
-        let mut s = 1u64;
-        for &c in tree.child_ranks(v) {
-            if !st[c as usize].sampled {
-                s += st[c as usize].s_local;
-            }
-        }
-        st[v].s_local = s;
-    }
-    ledger.charge_rounds_span(b + 1, rec);
-
-    // ---- Stage 1b: Algorithm 1 (global subtree sizes by pointer jumping) ---
-    for &x in &sampled {
-        st[x].ancestors = vec![st[x].virt_parent];
-        st[x].s_jump = st[x].s_local;
-    }
-    for it in 0..iters {
-        // Broadcast (x, s_i(x), a_i(x)) for every sampled x: Lemma 1.
-        ledger.charge_broadcast_span(sampled.len() as u64, d, rec);
-        // Each x digests the stream message-by-message: O(1) transient words.
-        let snapshot_a: Vec<Option<usize>> = sampled.iter().map(|&x| st[x].ancestors[it]).collect();
-        let snapshot_s: Vec<u64> = sampled.iter().map(|&x| st[x].s_jump).collect();
-        for (k, &x) in sampled.iter().enumerate() {
-            memory.touch(slot(x), 3);
-            // a_{i+1}(x) = a_i(a_i(x)).
-            let next = snapshot_a[k].and_then(|a| snapshot_a[sampled_pos[a]]);
-            st[x].ancestors.push(next);
-        }
-        for (k, _) in sampled.iter().enumerate() {
-            if let Some(a) = snapshot_a[k] {
-                st[a].s_jump += snapshot_s[k];
-            }
-        }
-        for &x in &sampled {
-            memory.set(slot(x), st[x].words());
-        }
-    }
-    for &x in &sampled {
-        st[x].s_global = st[x].s_jump;
-    }
-
-    // ---- Stage 1c: redistribute global sizes into local trees --------------
-    // Leaves of each T_w re-converge sizes, with sampled children now
-    // contributing their exact global size.
-    for &v in by_depth.iter().rev() {
-        if st[v].sampled {
-            continue;
-        }
-        let mut s = 1u64;
-        for &c in tree.child_ranks(v) {
-            s += st[c as usize].s_global;
-        }
-        st[v].s_global = s;
-    }
-    ledger.charge_rounds_span(b + 1, rec);
-
-    // ---- Stage 1d: heavy children (children report sizes; streaming max) ---
-    for &v in &by_depth {
-        let mut best: Option<(u64, usize)> = None;
-        for &c in tree.child_ranks(v) {
-            let c = c as usize;
-            memory.touch(slot(v), 2);
-            let s = st[c].s_global;
-            // Larger subtree wins; ties go to the smaller id (= rank).
-            if best.is_none_or(|(bs, bc)| s > bs || (s == bs && c < bc)) {
-                best = Some((s, c));
-            }
-        }
-        st[v].heavy = best.map(|(_, c)| c);
-    }
-    ledger.charge_rounds_span(1, rec);
-    for (r, s) in st.iter().enumerate() {
-        memory.set(slot(r), s.words());
-    }
-    rec.end_with_memory(sizes_span, memory.peaks());
-
-    // ---- Stage 2a: Algorithm 2 (local light edges) --------------------------
-    let light_span = rec.begin("tree/light-edges");
-    // Top-down within each local tree; every vertex receives its parent's
-    // list and appends its own edge if it is not the heavy child. The lists
-    // are O(log n) words, so the pipelined wave costs b + O(log n) rounds.
-    for &v in &by_depth {
-        let Some(p) = tree.parent_rank(v) else {
-            continue;
-        };
-        let inherited: &[(VertexId, VertexId)] = if st[p].sampled {
-            &[]
-        } else {
-            &st[p].light_local
-        };
-        let own = (st[p].heavy != Some(v)).then_some((members[p], members[v]));
-        st[v].light_local = concat(inherited, own.as_slice());
-        memory.set(slot(v), st[v].words());
-    }
-    ledger.charge_rounds_span(b + iters as u64 + 1, rec);
-
-    // ---- Stage 2b: Algorithm 3 (global light edges by pointer jumping) -----
-    // L_0(x) is the just-computed local list (path from p'(x) to x); the root
-    // has the empty list. L_{i+1}(x) = L_i(a_i(x)) ++ L_i(x).
-    for &x in &sampled {
-        st[x].light_global = st[x].light_local.clone();
-        memory.set(slot(x), st[x].words());
-    }
-    for it in 0..iters {
-        let words: u64 = sampled
-            .iter()
-            .map(|&x| 1 + 2 * st[x].light_global.len() as u64)
-            .sum();
-        ledger.charge_broadcast_span(words, d, rec);
-        let snapshot: Vec<Vec<(VertexId, VertexId)>> = sampled
-            .iter()
-            .map(|&x| st[x].light_global.clone())
-            .collect();
-        for (k, &x) in sampled.iter().enumerate() {
-            if let Some(a) = st[x].ancestors[it] {
-                let merged = concat(&snapshot[sampled_pos[a]], &snapshot[k]);
-                memory.touch(slot(x), 2 * merged.len());
-                st[x].light_global = merged;
-            }
-            memory.set(slot(x), st[x].words());
-        }
-    }
-
-    // ---- Stage 2c: distribute full lists into local trees ------------------
-    // y's global list = (local root's global list) ++ (y's local list).
-    for &v in &by_depth {
-        if st[v].sampled {
-            continue;
-        }
-        st[v].light_global = concat(&st[st[v].local_root].light_global, &st[v].light_local);
-        memory.set(slot(v), st[v].words());
-    }
-    ledger.charge_rounds_span(b + iters as u64 + 1, rec);
-    rec.end_with_memory(light_span, memory.peaks());
-
-    // ---- Stage 3a: Algorithms 4 + 5 (local DFS with range partition) -------
-    // Algorithm 5 runs once, in parallel for every internal vertex: each
-    // child y_j learns the prefix sum S(y_j) of its elder siblings' global
-    // sizes in 2·log n rounds with O(1) memory per vertex. The DFS wave then
-    // needs only the parent's range start (1 word to all children).
-    let ranges_span = rec.begin("tree/dfs-ranges");
-    ledger.charge_rounds_span(2 * iters as u64, rec);
-    // prefix[c] = sum of s_global over elder siblings of c (exclusive).
-    let mut prefix = vec![0u64; n];
-    for &v in &by_depth {
-        let mut acc = 0u64;
-        for &c in tree.child_ranks(v) {
-            memory.touch(slot(c as usize), 2);
-            prefix[c as usize] = acc;
-            acc += st[c as usize].s_global;
-        }
-    }
-    // The DFS wave: local roots own [1, s_global]; children compute their
-    // range from the parent's start, their prefix sum, and their own size.
-    for &v in &by_depth {
-        if st[v].sampled {
-            st[v].range = (1, st[v].s_global);
-        }
-        let start = st[v].range.0;
-        for &c in tree.child_ranks(v) {
-            let c = c as usize;
-            let c_start = start + 1 + prefix[c];
-            if st[c].sampled {
-                // Virtual child: records its offset, does not forward.
-                st[c].q_shift = c_start - 1;
-            } else {
-                st[c].range = (c_start, c_start + st[c].s_global - 1);
-            }
-        }
-    }
-    ledger.charge_rounds_span(b + 1, rec);
-
-    // ---- Stage 3b: Algorithm 6 (global shifts by pointer jumping) ----------
-    for &x in &sampled {
-        st[x].shift = st[x].q_shift;
-    }
-    for it in 0..iters {
-        ledger.charge_broadcast_span(sampled.len() as u64, d, rec);
-        let snapshot: Vec<u64> = sampled.iter().map(|&x| st[x].shift).collect();
-        for (k, &x) in sampled.iter().enumerate() {
-            if let Some(a) = st[x].ancestors[it] {
-                memory.touch(slot(x), 1);
-                st[x].shift = snapshot[k] + snapshot[sampled_pos[a]];
-            }
-        }
-    }
-
-    // ---- Stage 3c: distribute shifts; finalize tables and labels -----------
-    for &v in &by_depth {
-        if !st[v].sampled {
-            st[v].shift = st[st[v].local_root].shift;
-        }
-        memory.set(slot(v), st[v].words());
-    }
-    ledger.charge_rounds_span(b + 1, rec);
-    rec.end_with_memory(ranges_span, memory.peaks());
-
-    let finalize_span = rec.begin("tree/finalize");
-    let (tables, labels) = st
-        .into_iter()
-        .enumerate()
-        .map(|(r, s)| {
-            let enter = s.range.0 + s.shift;
-            let table = TreeTable {
-                enter,
-                exit: s.range.1 + s.shift,
-                parent: tree.parent_rank(r).map(|p| members[p]),
-                heavy: s.heavy.map(|h| members[h]),
-            };
-            let label = TreeLabel {
-                enter,
-                light: s.light_global,
-            };
-            (table, label)
-        })
-        .unzip();
-    let scheme = TreeScheme::from_parts(members.to_vec(), tables, labels);
-    rec.end_with_memory(finalize_span, memory.peaks());
-
+    let every: Vec<usize> = (0..tree.num_vertices()).collect();
+    let run = Scratch::default().run(network, tree, config, &every, rng, rec);
     DistributedOutput {
-        scheme,
-        ledger,
-        memory,
-        virtual_count,
-        virtual_depth,
-        max_local_depth: b as usize,
-        bfs_depth: d as usize,
+        scheme: TreeScheme::from_parts(tree.members().to_vec(), run.tables, run.labels),
+        ledger: run.ledger,
+        memory: run.memory,
+        virtual_count: run.virtual_count,
+        virtual_depth: run.virtual_depth,
+        max_local_depth: run.max_local_depth,
+        bfs_depth: run.bfs_depth,
+    }
+}
+
+impl Scratch {
+    /// Run the paper's construction for `tree` inside `network`, writing the
+    /// label of every rank in `labels` (a rank may repeat). Spans, charges,
+    /// meter calls and RNG draws are those of [`build_observed`], whatever
+    /// `labels` holds and whichever trees this scratch simulated before.
+    ///
+    /// Time is `O(|T| log |T|)` whatever the size of the host network, and
+    /// nothing is allocated per member beyond the output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tree's host universe is not the network, or if a rank
+    /// in `labels` is not below `|T|`.
+    pub fn run<R: Rng>(
+        &mut self,
+        network: &Network,
+        tree: &RootedTree,
+        config: &Config,
+        labels: &[usize],
+        rng: &mut R,
+        rec: &mut obs::Recorder,
+    ) -> TreeRun {
+        assert_eq!(
+            tree.host_len(),
+            network.len(),
+            "tree host must match network"
+        );
+        let n = tree.num_vertices();
+        let members = tree.members();
+        let root = tree.root_rank();
+
+        let mut ledger = CostLedger::new();
+        let mut memory = MemoryMeter::new(n);
+
+        // The BFS broadcast backbone: built once by the real protocol (O(D)
+        // rounds); its depth prices every Lemma-1 broadcast below. Callers
+        // that already hold a backbone share it via the config.
+        let d = match config.backbone_depth {
+            Some(depth) => depth as u64,
+            None => {
+                let span = rec.begin("tree/backbone");
+                let bfs_out = bfs::build_bfs_tree(network, tree.root());
+                ledger.charge_rounds_span(bfs_out.stats.rounds, rec);
+                ledger.charge_messages_span(bfs_out.stats.messages, rec);
+                for r in 0..n {
+                    memory.add(slot(r), 3); // BFS parent/depth/flag, kept for broadcasts
+                }
+                rec.end_with_memory(span, memory.peaks());
+                bfs_out.depth as u64
+            }
+        };
+
+        // Sample U. Every vertex flips its own coin — zero rounds.
+        let q = config.q.unwrap_or(1.0 / (n as f64).sqrt());
+        self.sampled.clear();
+        self.sampled
+            .extend((0..n).map(|r| r == root || rng.gen_bool(q.clamp(0.0, 1.0))));
+        reset(&mut self.local_root, n, NONE);
+        reset(&mut self.local_depth, n, 0);
+        reset(&mut self.virt_parent, n, NONE);
+        reset(&mut self.s_local, n, 0);
+        reset(&mut self.s_global, n, 0);
+        reset(&mut self.heavy, n, NONE);
+        reset(&mut self.head, n, NONE);
+        reset(&mut self.local_len, n, 0);
+        reset(&mut self.global_len, n, 0);
+        reset(&mut self.range, n, (0, 0));
+        reset(&mut self.q_shift, n, 0);
+        reset(&mut self.shift, n, 0);
+        // Every pass below needs only parents before children (or, run
+        // backwards, children before parents), and no pass calls one meter
+        // slot from two members' steps in an order that matters, so a
+        // breadth-first order (no sort by depth) gives the same peaks.
+        self.order.clear();
+        self.order.push(root as u32);
+        let mut next = 0;
+        while next < self.order.len() {
+            let v = self.order[next] as usize;
+            self.order.extend_from_slice(tree.child_ranks(v));
+            next += 1;
+        }
+        let Scratch {
+            order,
+            sampled,
+            local_root,
+            local_depth,
+            virt_parent,
+            s_local,
+            s_global,
+            heavy,
+            head,
+            local_len,
+            global_len,
+            range,
+            q_shift,
+            shift,
+            virtual_ranks,
+            virtual_pos,
+            ancestors,
+            jump,
+            snapshot,
+        } = self;
+        let parent = |v: usize| tree.parent_rank(v);
+        let children = |v: usize| tree.child_ranks(v).iter().map(|&c| c as usize);
+
+        // ---- Phase 0: partition into local trees ---------------------------
+        // Each w ∈ U(T) floods "I am your local root" down, stopping at
+        // sampled vertices; runs in max-local-depth rounds, all trees in
+        // parallel.
+        let partition_span = rec.begin("tree/partition");
+        for &v in order.iter() {
+            let v = v as usize;
+            if sampled[v] {
+                local_root[v] = v as u32;
+                if let Some(p) = parent(v) {
+                    virt_parent[v] = local_root[p];
+                }
+            } else {
+                let p = parent(v).expect("non-root member");
+                local_root[v] = local_root[p];
+                local_depth[v] = local_depth[p] + 1;
+            }
+        }
+        let b = local_depth.iter().copied().max().unwrap_or(0) as u64;
+        ledger.charge_rounds_span(b + 1, rec);
+        virtual_ranks.clear();
+        virtual_ranks.extend((0..n as u32).filter(|&r| sampled[r as usize]));
+        reset(virtual_pos, n, NONE);
+        for (k, &x) in virtual_ranks.iter().enumerate() {
+            virtual_pos[x as usize] = k as u32;
+        }
+        let u = virtual_ranks.len();
+        // Virtual-tree depth (simulation statistic only — no vertex stores
+        // it), kept per position in `jump` for the moment.
+        reset(jump, u, 0);
+        let mut virtual_depth = 0;
+        for &v in order.iter() {
+            let v = v as usize;
+            if sampled[v] && virt_parent[v] != NONE {
+                let depth = jump[virtual_pos[virt_parent[v] as usize] as usize] + 1;
+                jump[virtual_pos[v] as usize] = depth;
+                virtual_depth = virtual_depth.max(depth as usize);
+            }
+        }
+        let iters = log2_ceil(n.max(2));
+        rec.end_with_memory(partition_span, memory.peaks());
+
+        // ---- Stage 1a: local subtree sizes (convergecast, b rounds) --------
+        let sizes_span = rec.begin("tree/subtree-sizes");
+        for &v in order.iter().rev() {
+            let v = v as usize;
+            s_local[v] = 1 + children(v)
+                .filter(|&c| !sampled[c])
+                .map(|c| s_local[c])
+                .sum::<u64>();
+        }
+        ledger.charge_rounds_span(b + 1, rec);
+
+        // ---- Stage 1b: Algorithm 1 (global subtree sizes by pointer jumping)
+        reset(ancestors, (iters + 1) * u, NONE);
+        for (k, &x) in virtual_ranks.iter().enumerate() {
+            let x = x as usize;
+            if virt_parent[x] != NONE {
+                ancestors[k] = virtual_pos[virt_parent[x] as usize];
+            }
+            jump[k] = s_local[x];
+        }
+        for it in 0..iters {
+            // Broadcast (x, s_i(x), a_i(x)) for every sampled x: Lemma 1.
+            ledger.charge_broadcast_span(u as u64, d, rec);
+            // Each x digests the stream message-by-message: O(1) transient
+            // words.
+            let (done, rest) = ancestors.split_at_mut((it + 1) * u);
+            let (a_i, a_next) = (&done[it * u..], &mut rest[..u]);
+            for (k, &x) in virtual_ranks.iter().enumerate() {
+                memory.touch(slot(x as usize), 3);
+                // a_{i+1}(x) = a_i(a_i(x)).
+                if a_i[k] != NONE {
+                    a_next[k] = a_i[a_i[k] as usize];
+                }
+            }
+            snapshot.clear();
+            snapshot.extend_from_slice(jump);
+            for (k, &a) in a_i.iter().enumerate() {
+                if a != NONE {
+                    jump[a as usize] += snapshot[k];
+                }
+            }
+            for &x in virtual_ranks.iter() {
+                memory.set(slot(x as usize), words(it + 2, 0, 0));
+            }
+        }
+        for (k, &x) in virtual_ranks.iter().enumerate() {
+            s_global[x as usize] = jump[k];
+        }
+        // What a member keeps of Algorithm 1: its `iters + 1` ancestors.
+        let held = |v: usize| if sampled[v] { iters + 1 } else { 0 };
+
+        // ---- Stage 1c: redistribute global sizes into local trees ----------
+        // Leaves of each T_w re-converge sizes, with sampled children now
+        // contributing their exact global size.
+        for &v in order.iter().rev() {
+            let v = v as usize;
+            if !sampled[v] {
+                s_global[v] = 1 + children(v).map(|c| s_global[c]).sum::<u64>();
+            }
+        }
+        ledger.charge_rounds_span(b + 1, rec);
+
+        // ---- Stage 1d: heavy children (children report sizes; streaming max)
+        for &v in order.iter() {
+            let v = v as usize;
+            let mut best: Option<(u64, usize)> = None;
+            for c in children(v) {
+                memory.touch(slot(v), 2);
+                let s = s_global[c];
+                // Larger subtree wins; ties go to the smaller id (= rank).
+                if best.is_none_or(|(bs, bc)| s > bs || (s == bs && c < bc)) {
+                    best = Some((s, c));
+                }
+            }
+            if let Some((_, c)) = best {
+                heavy[v] = c as u32;
+            }
+        }
+        ledger.charge_rounds_span(1, rec);
+        for r in 0..n {
+            memory.set(slot(r), words(held(r), 0, 0));
+        }
+        rec.end_with_memory(sizes_span, memory.peaks());
+
+        // ---- Stage 2a: Algorithm 2 (local light edges) ---------------------
+        let light_span = rec.begin("tree/light-edges");
+        // Top-down within each local tree; every vertex receives its
+        // parent's list and appends its own edge if it is not the heavy
+        // child. The lists are O(log n) words, so the pipelined wave costs
+        // b + O(log n) rounds.
+        head[root] = root as u32;
+        for &v in order.iter().skip(1) {
+            let v = v as usize;
+            let p = parent(v).expect("non-root member");
+            let inherited = if sampled[p] { 0 } else { local_len[p] };
+            let light = heavy[p] != v as u32;
+            local_len[v] = inherited + light as u32;
+            head[v] = if light { v as u32 } else { head[p] };
+            memory.set(slot(v), words(held(v), local_len[v], 0));
+        }
+        ledger.charge_rounds_span(b + iters as u64 + 1, rec);
+
+        // ---- Stage 2b: Algorithm 3 (global light edges by pointer jumping) -
+        // L_0(x) is the just-computed local list (path from p'(x) to x); the
+        // root has the empty list. L_{i+1}(x) = L_i(a_i(x)) ++ L_i(x), so
+        // |L_{i+1}(x)| = |L_i(a_i(x))| + |L_i(x)|.
+        for (k, &x) in virtual_ranks.iter().enumerate() {
+            let x = x as usize;
+            global_len[x] = local_len[x];
+            jump[k] = global_len[x] as u64;
+            memory.set(slot(x), words(held(x), local_len[x], global_len[x]));
+        }
+        for it in 0..iters {
+            let sent: u64 = jump.iter().map(|&len| 1 + 2 * len).sum();
+            ledger.charge_broadcast_span(sent, d, rec);
+            snapshot.clear();
+            snapshot.extend_from_slice(jump);
+            let a_i = &ancestors[it * u..(it + 1) * u];
+            for (k, &x) in virtual_ranks.iter().enumerate() {
+                let x = x as usize;
+                if a_i[k] != NONE {
+                    let merged = snapshot[a_i[k] as usize] + snapshot[k];
+                    memory.touch(slot(x), 2 * merged as usize);
+                    jump[k] = merged;
+                    global_len[x] = merged as u32;
+                }
+                memory.set(slot(x), words(held(x), local_len[x], global_len[x]));
+            }
+        }
+
+        // ---- Stage 2c: distribute full lists into local trees --------------
+        // y's global list = (local root's global list) ++ (y's local list).
+        for &v in order.iter() {
+            let v = v as usize;
+            if !sampled[v] {
+                global_len[v] = global_len[local_root[v] as usize] + local_len[v];
+                memory.set(slot(v), words(held(v), local_len[v], global_len[v]));
+            }
+        }
+        ledger.charge_rounds_span(b + iters as u64 + 1, rec);
+        rec.end_with_memory(light_span, memory.peaks());
+
+        // ---- Stage 3a: Algorithms 4 + 5 (local DFS with range partition) ---
+        // Algorithm 5 runs once, in parallel for every internal vertex: each
+        // child y_j learns the prefix sum S(y_j) of its elder siblings'
+        // global sizes in 2·log n rounds with O(1) memory per vertex. The DFS
+        // wave then needs only the parent's range start (1 word to all
+        // children): local roots own [1, s_global], and children compute
+        // their range from the parent's start, their prefix sum, and their
+        // own size.
+        let ranges_span = rec.begin("tree/dfs-ranges");
+        ledger.charge_rounds_span(2 * iters as u64, rec);
+        for &v in order.iter() {
+            let v = v as usize;
+            if sampled[v] {
+                range[v] = (1, s_global[v]);
+            }
+            let mut c_start = range[v].0 + 1;
+            for c in children(v) {
+                memory.touch(slot(c), 2);
+                if sampled[c] {
+                    // Virtual child: records its offset, does not forward.
+                    q_shift[c] = c_start - 1;
+                } else {
+                    range[c] = (c_start, c_start + s_global[c] - 1);
+                }
+                c_start += s_global[c];
+            }
+        }
+        ledger.charge_rounds_span(b + 1, rec);
+
+        // ---- Stage 3b: Algorithm 6 (global shifts by pointer jumping) ------
+        for (k, &x) in virtual_ranks.iter().enumerate() {
+            jump[k] = q_shift[x as usize];
+        }
+        for it in 0..iters {
+            ledger.charge_broadcast_span(u as u64, d, rec);
+            snapshot.clear();
+            snapshot.extend_from_slice(jump);
+            let a_i = &ancestors[it * u..(it + 1) * u];
+            for (k, &x) in virtual_ranks.iter().enumerate() {
+                if a_i[k] != NONE {
+                    memory.touch(slot(x as usize), 1);
+                    jump[k] = snapshot[k] + snapshot[a_i[k] as usize];
+                }
+            }
+        }
+        for (k, &x) in virtual_ranks.iter().enumerate() {
+            shift[x as usize] = jump[k];
+        }
+
+        // ---- Stage 3c: distribute shifts; finalize tables and labels -------
+        for &v in order.iter() {
+            let v = v as usize;
+            if !sampled[v] {
+                shift[v] = shift[local_root[v] as usize];
+            }
+            memory.set(slot(v), words(held(v), local_len[v], global_len[v]));
+        }
+        ledger.charge_rounds_span(b + 1, rec);
+        rec.end_with_memory(ranges_span, memory.peaks());
+
+        let finalize_span = rec.begin("tree/finalize");
+        let id = |r: u32| (r != NONE).then(|| members[r as usize]);
+        let tables = (0..n)
+            .map(|r| TreeTable {
+                enter: range[r].0 + shift[r],
+                exit: range[r].1 + shift[r],
+                parent: parent(r).map(|p| members[p]),
+                heavy: id(heavy[r]),
+            })
+            .collect();
+        // A label's light edges are the parent edges of the heavy-path tops
+        // on its root path, listed root-side first.
+        let labels = labels
+            .iter()
+            .map(|&r| {
+                let mut light = Vec::with_capacity(global_len[r] as usize);
+                let mut at = r;
+                while let Some(p) = parent(head[at] as usize) {
+                    light.push((members[p], members[head[at] as usize]));
+                    at = p;
+                }
+                light.reverse();
+                assert_eq!(
+                    light.len(),
+                    global_len[r] as usize,
+                    "Algorithm 3's list length"
+                );
+                TreeLabel {
+                    enter: range[r].0 + shift[r],
+                    light,
+                }
+            })
+            .collect();
+        rec.end_with_memory(finalize_span, memory.peaks());
+
+        TreeRun {
+            tables,
+            labels,
+            ledger,
+            memory,
+            virtual_count: u,
+            virtual_depth,
+            max_local_depth: b as usize,
+            bfs_depth: d as usize,
+        }
     }
 }
 
@@ -703,6 +841,48 @@ mod tests {
             rec.spans().last().unwrap().peak_memory_words,
             out.memory.max_peak()
         );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Big, then small, then big again: a reused scratch carries nothing
+        /// from one tree into the next.
+        #[test]
+        fn a_reused_scratch_matches_a_fresh_one(
+            sizes in (60usize..200, 1usize..12, 60usize..200),
+            seed in 0u64..1_000_000,
+            q in 0usize..3,
+            shared_backbone in 0usize..2,
+            asked in proptest::collection::vec(0usize..1000, 0..12),
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let host = 200;
+            let g = generators::erdos_renyi_connected(host, 0.03, 1..=20, &mut rng);
+            let net = Network::new(g);
+            let config = Config {
+                q: [None, Some(0.0), Some(1.0)][q],
+                backbone_depth: (shared_backbone == 1).then_some(4),
+            };
+            let mut reused = Scratch::default();
+            for size in [sizes.0, sizes.1, sizes.2] {
+                let mut ids: Vec<VertexId> = (0..host as u32).map(VertexId).collect();
+                ids.rotate_left(rng.gen_range(0..host));
+                let t = graphs::tree::random_recursive_tree(host, &ids[..size], 9, &mut rng);
+                let ranks: Vec<usize> = asked.iter().map(|&r| r % size).collect();
+                let mut fresh_rng = rng.clone();
+                let disabled = &mut obs::Recorder::disabled();
+                let got = reused.run(&net, &t, &config, &ranks, &mut rng, disabled);
+                let want =
+                    Scratch::default().run(&net, &t, &config, &ranks, &mut fresh_rng, disabled);
+                proptest::prop_assert_eq!(&got, &want);
+                proptest::prop_assert_eq!(rng.gen::<u64>(), fresh_rng.gen::<u64>());
+                let every = build(&net, &t, &config, &mut rng.clone());
+                for (&r, label) in ranks.iter().zip(&got.labels) {
+                    proptest::prop_assert_eq!(every.scheme.label(t.members()[r]), Some(label));
+                }
+            }
+        }
     }
 
     #[test]

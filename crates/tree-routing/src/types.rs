@@ -10,7 +10,7 @@ use graphs::{tree::rank_in, VertexId};
 /// The routing table a tree vertex stores — `O(1)` words.
 ///
 /// Per \[TZ01b\]: the vertex's DFS interval, its parent, and its heavy child.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TreeTable {
     /// DFS entry time; doubles as the vertex's identity inside the tree.
     pub enter: u64,

@@ -211,3 +211,101 @@ fn one_and_two_vertex_networks_build_in_every_mode() {
         }
     }
 }
+
+/// One standalone tree simulation (`distributed::build_observed` with its own
+/// BFS backbone, the path behind `table2` and the `fig_*_vs_n` binaries) on a
+/// shortest-path tree, rendered as one line: the ledger totals, every
+/// `tree/*` span's name and counter delta, the CRC32 of the per-member peaks
+/// (little-endian `u64`s) and the CRC32 of the tree scheme's rows (one line
+/// per member: `id {table:?} {label:?}`).
+fn standalone_pin(g: &Graph, q: Option<f64>) -> String {
+    use tree_routing::distributed;
+
+    let n = g.num_vertices();
+    let tree = graphs::tree::shortest_path_tree(g, graphs::VertexId((n / 2) as u32));
+    let network = congest::Network::new(g.clone());
+    let mut rng = ChaCha8Rng::seed_from_u64(2025);
+    let mut rec = obs::Recorder::new();
+    let config = distributed::Config {
+        q,
+        backbone_depth: None,
+    };
+    let out = distributed::build_observed(&network, &tree, &config, &mut rng, &mut rec);
+    let c = out.ledger.counters();
+    let mut line = format!(
+        "ledger {}/{}/{}/{}",
+        c.rounds, c.messages, c.words, c.broadcasts
+    );
+    for s in rec.spans() {
+        let d = &s.delta;
+        let (r, m, w, b) = (d.rounds, d.messages, d.words, d.broadcasts);
+        write!(line, " {}={r}/{m}/{w}/{b}", s.name).unwrap();
+    }
+    let peaks: Vec<u8> = out
+        .memory
+        .peaks()
+        .iter()
+        .flat_map(|&p| (p as u64).to_le_bytes())
+        .collect();
+    let mut rows = String::new();
+    for &v in out.scheme.members() {
+        let (table, label) = (out.scheme.table(v).unwrap(), out.scheme.label(v).unwrap());
+        writeln!(rows, "{} {table:?} {label:?}", v.0).unwrap();
+    }
+    write!(
+        line,
+        " peaks {} rows {}",
+        persist::crc32(&peaks),
+        persist::crc32(rows.as_bytes())
+    )
+    .unwrap();
+    line
+}
+
+/// The graphs the standalone pins run on: Erdős–Rényi at n ∈ {1, 2, 300}
+/// and tori of 3 × 3 and 15 × 20 (a torus needs both sides > 2).
+fn standalone_graphs() -> Vec<(&'static str, Graph)> {
+    let mut rng = ChaCha8Rng::seed_from_u64(7005);
+    let mut er = |n: usize| {
+        generators::erdos_renyi_connected(n, (4.0 / n as f64).min(1.0), 1..=100, &mut rng)
+    };
+    let (er1, er2, er300) = (er(1), er(2), er(300));
+    let mut rng = ChaCha8Rng::seed_from_u64(7006);
+    let torus9 = generators::torus(3, 3, 1..=100, &mut rng);
+    let torus300 = generators::torus(15, 20, 1..=100, &mut rng);
+    vec![
+        ("er1", er1),
+        ("er2", er2),
+        ("er300", er300),
+        ("torus9", torus9),
+        ("torus300", torus300),
+    ]
+}
+
+#[test]
+fn standalone_tree_simulation_is_pinned() {
+    let want = [
+        "er1 q=default: ledger 15/3/3/3 tree/backbone=0/0/0/0 tree/partition=1/0/0/0 tree/subtree-sizes=4/1/1/1 tree/light-edges=5/1/1/1 tree/dfs-ranges=5/1/1/1 tree/finalize=0/0/0/0 peaks 1890110811 rows 3544770294",
+        "er1 q=0: ledger 15/3/3/3 tree/backbone=0/0/0/0 tree/partition=1/0/0/0 tree/subtree-sizes=4/1/1/1 tree/light-edges=5/1/1/1 tree/dfs-ranges=5/1/1/1 tree/finalize=0/0/0/0 peaks 1890110811 rows 3544770294",
+        "er1 q=1: ledger 15/3/3/3 tree/backbone=0/0/0/0 tree/partition=1/0/0/0 tree/subtree-sizes=4/1/1/1 tree/light-edges=5/1/1/1 tree/dfs-ranges=5/1/1/1 tree/finalize=0/0/0/0 peaks 1890110811 rows 3544770294",
+        "er2 q=default: ledger 27/5/5/3 tree/backbone=2/2/2/0 tree/partition=2/0/0/0 tree/subtree-sizes=7/1/1/1 tree/light-edges=8/1/1/1 tree/dfs-ranges=8/1/1/1 tree/finalize=0/0/0/0 peaks 2961345749 rows 943783512",
+        "er2 q=0: ledger 27/5/5/3 tree/backbone=2/2/2/0 tree/partition=2/0/0/0 tree/subtree-sizes=7/1/1/1 tree/light-edges=8/1/1/1 tree/dfs-ranges=8/1/1/1 tree/finalize=0/0/0/0 peaks 2961345749 rows 943783512",
+        "er2 q=1: ledger 23/8/8/3 tree/backbone=2/2/2/0 tree/partition=1/0/0/0 tree/subtree-sizes=6/2/2/1 tree/light-edges=7/2/2/1 tree/dfs-ranges=7/2/2/1 tree/finalize=0/0/0/0 peaks 1982285024 rows 943783512",
+        "er300 q=default: ledger 1302/2877/2877/27 tree/backbone=6/1816/1816/0 tree/partition=9/0/0/0 tree/subtree-sizes=217/153/153/9 tree/light-edges=836/755/755/9 tree/dfs-ranges=234/153/153/9 tree/finalize=0/0/0/0 peaks 351633863 rows 554126323",
+        "er300 q=0: ledger 268/1843/1843/27 tree/backbone=6/1816/1816/0 tree/partition=9/0/0/0 tree/subtree-sizes=73/9/9/9 tree/light-edges=90/9/9/9 tree/dfs-ranges=90/9/9/9 tree/finalize=0/0/0/0 peaks 3825883646 rows 554126323",
+        "er300 q=1: ledger 16857/18488/18488/27 tree/backbone=6/1816/1816/0 tree/partition=1/0/0/0 tree/subtree-sizes=2748/2700/2700/9 tree/light-edges=11337/11272/11272/9 tree/dfs-ranges=2765/2700/2700/9 tree/finalize=0/0/0/0 peaks 2885351191 rows 554126323",
+        "torus9 q=default: ledger 102/80/80/12 tree/backbone=3/36/36/0 tree/partition=2/0/0/0 tree/subtree-sizes=25/12/12/4 tree/light-edges=40/20/20/4 tree/dfs-ranges=32/12/12/4 tree/finalize=0/0/0/0 peaks 2854491960 rows 518069818",
+        "torus9 q=0: ledger 84/48/48/12 tree/backbone=3/36/36/0 tree/partition=4/0/0/0 tree/subtree-sizes=21/4/4/4 tree/light-edges=28/4/4/4 tree/dfs-ranges=28/4/4/4 tree/finalize=0/0/0/0 peaks 585001427 rows 518069818",
+        "torus9 q=1: ledger 193/178/178/12 tree/backbone=3/36/36/0 tree/partition=1/0/0/0 tree/subtree-sizes=47/36/36/4 tree/light-edges=88/70/70/4 tree/dfs-ranges=54/36/36/4 tree/finalize=0/0/0/0 peaks 2627953591 rows 518069818",
+        "torus300 q=default: ledger 1627/2145/2145/27 tree/backbone=18/1200/1200/0 tree/partition=24/0/0/0 tree/subtree-sizes=355/153/153/9 tree/light-edges=858/639/639/9 tree/dfs-ranges=372/153/153/9 tree/finalize=0/0/0/0 peaks 827381574 rows 2318109054",
+        "torus300 q=0: ledger 709/1227/1227/27 tree/backbone=18/1200/1200/0 tree/partition=24/0/0/0 tree/subtree-sizes=211/9/9/9 tree/light-edges=228/9/9/9 tree/dfs-ranges=228/9/9/9 tree/finalize=0/0/0/0 peaks 824545881 rows 2318109054",
+        "torus300 q=1: ledger 15297/15976/15976/27 tree/backbone=18/1200/1200/0 tree/partition=1/0/0/0 tree/subtree-sizes=2856/2700/2700/9 tree/light-edges=9549/9376/9376/9 tree/dfs-ranges=2873/2700/2700/9 tree/finalize=0/0/0/0 peaks 4200792772 rows 2318109054",
+    ];
+    let mut got = Vec::new();
+    for (name, g) in standalone_graphs() {
+        for (qname, q) in [("default", None), ("0", Some(0.0)), ("1", Some(1.0))] {
+            got.push(format!("{name} q={qname}: {}", standalone_pin(&g, q)));
+        }
+    }
+    assert_eq!(got, want);
+}

@@ -114,6 +114,11 @@ fn bad_inputs_exit_1_with_one_error_line() {
     let k0 = dir.join("k0.drsc");
     std::fs::write(&k0, rowless_container(0, 32)).unwrap();
     let k0 = k0.to_str().unwrap();
+    // Two edges whose weights sum past the graph door's bound.
+    let heavy = dir.join("heavy.txt");
+    let max = graphs::MAX_TOTAL_WEIGHT;
+    std::fs::write(&heavy, format!("p 3\n0 1 {max}\n1 2 1\n")).unwrap();
+    let heavy = heavy.to_str().unwrap();
     let (g64, g32, s64) = (g64.as_str(), g32.as_str(), s64.as_str());
 
     let mismatch = "scheme covers 64 vertices but the graph has 32";
@@ -130,6 +135,10 @@ fn bad_inputs_exit_1_with_one_error_line() {
         (&["generate", "er", "1"], "at least 2 vertices"),
         (&["generate", "geometric", "1"], "at least 2 vertices"),
         (&["build", empty, "2", "/dev/null"], "no vertices"),
+        (
+            &["build", heavy, "2", "/dev/null"],
+            "line 3: total edge weight exceeds",
+        ),
         // The flag table's own errors.
         (&["route", g64, s64, "1", "2", "--bogus"], "--bogus"),
         (
