@@ -2,13 +2,14 @@
 //! (wall-clock of the simulator, complementing the simulated-round tables).
 
 use bench::Family;
-use congest::{bfs, Network};
+use congest::{bfs, CostLedger, MemoryMeter, Network};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphs::{tree, VertexId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use routing::{BuildParams, Mode};
-use tree_routing::{baseline, distributed, router, tz};
+use tree_routing::distributed::{self, Config};
+use tree_routing::{baseline, multi, router, tz};
 
 fn setup(n: usize) -> (Network, graphs::RootedTree) {
     let mut rng = ChaCha8Rng::seed_from_u64(42);
@@ -26,39 +27,38 @@ fn bench_constructions(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("distributed_ours", n), &n, |b, _| {
             let mut rng = ChaCha8Rng::seed_from_u64(1);
-            b.iter(|| distributed::build_default(&net, &t, &mut rng));
+            let disabled = &mut obs::Recorder::disabled();
+            b.iter(|| distributed::build(&net, &t, &Config::default(), &mut rng, disabled));
         });
         group.bench_with_input(BenchmarkId::new("distributed_prior", n), &n, |b, _| {
             let mut rng = ChaCha8Rng::seed_from_u64(1);
-            b.iter(|| baseline::build(&net, &t, None, &mut rng));
+            b.iter(|| baseline::build(&net, &t, &Config::default(), &mut rng));
         });
     }
     // The general-graph scheme's tree stage without the rest of the build:
-    // every cluster tree of one ER n = 4096, k = 2 scheme, with the stage's
-    // shared backbone and sampling rate q = 1/√(s·n) for overlap s.
+    // every cluster tree of one ER n = 4096, k = 2 scheme on the stage's
+    // schedule for overlap s (shared backbone, q = 1/√(s·n), offsets).
     let n = 4096;
     let mut rng = ChaCha8Rng::seed_from_u64(43);
     let g = Family::ErdosRenyi.generate(n, &mut rng);
     let params = BuildParams::new(2).with_mode(Mode::DistributedLowMemory);
     let built = routing::build(&g, &params, &mut rng);
     let net = Network::new(g);
-    let s = built.report.max_membership.max(1);
-    let config = distributed::Config {
-        q: Some((1.0 / ((s * n) as f64).sqrt()).clamp(0.0, 1.0)),
-        backbone_depth: Some(bfs::build_bfs_tree(&net, VertexId(0)).depth),
-    };
+    let s = built.report.max_membership;
+    let depth = bfs::build_bfs_tree(&net, VertexId(0)).depth;
     let trees: Vec<graphs::RootedTree> = built.trees.iter().map(|t| t.to_rooted(n)).collect();
     group.bench_function("cluster_trees_er4096_k2", |b| {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let disabled = &mut obs::Recorder::disabled();
         b.iter(|| {
-            trees
-                .iter()
-                .map(|t| {
-                    distributed::build(&net, t, &config, &mut rng)
-                        .ledger
-                        .rounds()
-                })
-                .max()
+            let mut schedule = multi::Schedule::new(n, s, depth);
+            let (mut ledger, mut memory) = (CostLedger::new(), MemoryMeter::new(n));
+            for t in &trees {
+                let run = distributed::build(&net, t, schedule.config(), &mut rng, disabled);
+                let (l, m) = (&run.ledger, &run.memory);
+                schedule.charge_tree(&mut rng, t.members(), l, m, &mut ledger, &mut memory);
+            }
+            schedule.close(&mut ledger)
         });
     });
     group.finish();
@@ -67,7 +67,8 @@ fn bench_constructions(c: &mut Criterion) {
 fn bench_routing_phase(c: &mut Criterion) {
     let (net, t) = setup(1024);
     let mut rng = ChaCha8Rng::seed_from_u64(2);
-    let scheme = distributed::build_default(&net, &t, &mut rng).scheme;
+    let disabled = &mut obs::Recorder::disabled();
+    let scheme = distributed::build(&net, &t, &Config::default(), &mut rng, disabled).scheme(&t);
     c.bench_function("tree_route_1024", |b| {
         let mut i = 0u32;
         b.iter(|| {

@@ -53,8 +53,7 @@ fn ablation_pointer_jumping(rec: &mut obs::Recorder) {
         let t = tree::shortest_path_tree(&g, VertexId(0));
         let net = Network::new(g);
         let span = rec.begin(&format!("ablations/pointer-jumping/n{n}"));
-        let out =
-            distributed::build_observed(&net, &t, &distributed::Config::default(), &mut rng, rec);
+        let out = distributed::build(&net, &t, &distributed::Config::default(), &mut rng, rec);
         rec.end_with_memory(span, out.memory.peaks());
         let d = out.bfs_depth as u64;
         let iters = (n as f64).log2().ceil() as u64;

@@ -31,17 +31,11 @@ fn main() {
         let t = tree::shortest_path_tree(&g, VertexId(0));
         let net = Network::new(g);
         let ours = sweep.observed(&format!("fig_memory_vs_n/tree/n{n}"), |rec| {
-            let ours = distributed::build_observed(
-                &net,
-                &t,
-                &distributed::Config::default(),
-                &mut rng,
-                rec,
-            );
+            let ours = distributed::build(&net, &t, &distributed::Config::default(), &mut rng, rec);
             let peaks = ours.memory.peaks().to_vec();
             (ours, peaks)
         });
-        let prior = baseline::build(&net, &t, None, &mut rng);
+        let prior = baseline::build(&net, &t, &distributed::Config::default(), &mut rng);
         let (a, b) = (ours.memory.max_peak(), prior.memory.max_peak());
         print_row(
             &[

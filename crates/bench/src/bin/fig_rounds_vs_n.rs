@@ -32,13 +32,7 @@ fn main() {
         let t = tree::shortest_path_tree(&g, VertexId(0));
         let net = Network::new(g);
         let out = sweep.observed(&format!("fig_rounds_vs_n/tree/n{n}"), |rec| {
-            let out = distributed::build_observed(
-                &net,
-                &t,
-                &distributed::Config::default(),
-                &mut rng,
-                rec,
-            );
+            let out = distributed::build(&net, &t, &distributed::Config::default(), &mut rng, rec);
             let peaks = out.memory.peaks().to_vec();
             (out, peaks)
         });

@@ -91,7 +91,7 @@ fn main() {
             );
 
             // Prior distributed ([LP15]/[EN16b]-style).
-            let prior = baseline::build(&net, &t, None, &mut rng);
+            let prior = baseline::build(&net, &t, &distributed::Config::default(), &mut rng);
             emit(
                 "LP15/EN16b",
                 Some(prior.ledger.rounds()),
@@ -102,7 +102,7 @@ fn main() {
 
             // This paper.
             let span = sweep.rec.begin(&format!("table2/{}/n{n}", family.name()));
-            let ours = distributed::build_observed(
+            let ours = distributed::build(
                 &net,
                 &t,
                 &distributed::Config::default(),
@@ -111,11 +111,12 @@ fn main() {
             );
             sweep.rec.end_with_memory(span, ours.memory.peaks());
             distributed::assert_matches_centralized(&t, &ours);
+            let scheme = ours.scheme(&t);
             emit(
                 "this paper",
                 Some(ours.ledger.rounds()),
-                ours.scheme.max_table_words(),
-                ours.scheme.max_label_words(),
+                scheme.max_table_words(),
+                scheme.max_label_words(),
                 Some(ours.memory.max_peak()),
             );
             if !json {

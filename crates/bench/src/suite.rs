@@ -429,7 +429,7 @@ fn tree_case(n: usize, repeats: usize) -> Result<CaseResult, String> {
         let t = tree::shortest_path_tree(&g, VertexId(0));
         let net = Network::new(g);
         let sw = Stopwatch::start();
-        let out = distributed::build_observed(
+        let out = distributed::build(
             &net,
             &t,
             &distributed::Config::default(),
@@ -437,6 +437,7 @@ fn tree_case(n: usize, repeats: usize) -> Result<CaseResult, String> {
             &mut obs::Recorder::disabled(),
         );
         let wall_ns = sw.elapsed_ns();
+        let scheme = out.scheme(&t);
         let sim = vec![
             ("rounds".to_string(), out.ledger.rounds()),
             ("messages".to_string(), out.ledger.messages()),
@@ -445,14 +446,8 @@ fn tree_case(n: usize, repeats: usize) -> Result<CaseResult, String> {
                 "peak_memory_words".to_string(),
                 out.memory.max_peak() as u64,
             ),
-            (
-                "table_words".to_string(),
-                out.scheme.max_table_words() as u64,
-            ),
-            (
-                "label_words".to_string(),
-                out.scheme.max_label_words() as u64,
-            ),
+            ("table_words".to_string(), scheme.max_table_words() as u64),
+            ("label_words".to_string(), scheme.max_label_words() as u64),
         ];
         (sim, wall_ns)
     })?;

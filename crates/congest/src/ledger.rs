@@ -117,23 +117,6 @@ impl CostLedger {
             broadcasts: self.broadcasts,
         }
     }
-
-    /// Absorb another ledger that ran *after* this one.
-    pub fn merge_sequential(&mut self, other: &CostLedger) {
-        self.rounds += other.rounds;
-        self.messages += other.messages;
-        self.words += other.words;
-        self.broadcasts += other.broadcasts;
-    }
-
-    /// Absorb another ledger that ran *concurrently* (rounds take the max,
-    /// messages add). Used when independent trees are processed in parallel.
-    pub fn merge_concurrent(&mut self, other: &CostLedger) {
-        self.rounds = self.rounds.max(other.rounds);
-        self.messages += other.messages;
-        self.words += other.words;
-        self.broadcasts += other.broadcasts;
-    }
 }
 
 #[cfg(test)]
@@ -149,29 +132,6 @@ mod tests {
         assert_eq!(c.rounds(), 17);
         assert_eq!(c.messages(), 13);
         assert_eq!(c.broadcasts(), 1);
-    }
-
-    #[test]
-    fn sequential_merge_adds_rounds() {
-        let mut a = CostLedger::new();
-        a.charge_rounds(5);
-        let mut b = CostLedger::new();
-        b.charge_rounds(7);
-        a.merge_sequential(&b);
-        assert_eq!(a.rounds(), 12);
-    }
-
-    #[test]
-    fn concurrent_merge_takes_max_rounds() {
-        let mut a = CostLedger::new();
-        a.charge_rounds(5);
-        a.charge_messages(2);
-        let mut b = CostLedger::new();
-        b.charge_rounds(7);
-        b.charge_messages(4);
-        a.merge_concurrent(&b);
-        assert_eq!(a.rounds(), 7);
-        assert_eq!(a.messages(), 6);
     }
 
     #[test]

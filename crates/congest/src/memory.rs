@@ -140,20 +140,6 @@ impl MemoryMeter {
             .map(|i| VertexId(i as u32))
     }
 
-    /// Fold another meter's peaks into this one, vertex-wise, as if the two
-    /// phases ran one after the other with state released in between.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the meters track different vertex counts.
-    pub fn merge_sequential(&mut self, other: &MemoryMeter) {
-        assert_eq!(self.len(), other.len(), "meter size mismatch");
-        for i in 0..self.peak.len() {
-            self.peak[i] = self.peak[i].max(other.peak[i]);
-            self.current[i] = other.current[i];
-        }
-    }
-
     /// Fold a construction confined to `members` into this meter as if the
     /// two ran *concurrently*: currents and peaks add. Slot `r` of `other`
     /// holds the usage of `members[r]`; vertices outside `members` took no
@@ -227,19 +213,6 @@ mod tests {
         assert_eq!(m.max_peak(), 0);
         assert_eq!(m.argmax_peak(), None);
         assert!(m.is_empty());
-    }
-
-    #[test]
-    fn merge_sequential_takes_max() {
-        let mut a = MemoryMeter::new(2);
-        a.add(VertexId(0), 5);
-        let mut b = MemoryMeter::new(2);
-        b.add(VertexId(0), 3);
-        b.add(VertexId(1), 8);
-        a.merge_sequential(&b);
-        assert_eq!(a.peak(VertexId(0)), 5);
-        assert_eq!(a.peak(VertexId(1)), 8);
-        assert_eq!(a.current(VertexId(0)), 3);
     }
 
     #[test]

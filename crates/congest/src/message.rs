@@ -6,7 +6,7 @@
 //! report the word count through [`WordSized`]; the engine enforces the
 //! per-edge-per-round word cap with it.
 
-use graphs::{VertexId, Weight};
+use graphs::VertexId;
 
 /// Types whose CONGEST word footprint is known.
 ///
@@ -89,11 +89,6 @@ impl<T: WordSized> WordSized for [T] {
     fn words(&self) -> usize {
         self.iter().map(WordSized::words).sum()
     }
-}
-
-/// A convenience word count for a distance estimate paired with its source.
-pub fn distance_message_words(_src: VertexId, _d: Weight) -> usize {
-    2
 }
 
 #[cfg(test)]

@@ -70,7 +70,7 @@ pub fn build_observed<R: Rng>(
         rng,
         rec,
         |net, tree, cfg, wanted, rng| {
-            let out = baseline::build_with_backbone(net, tree, cfg.q, cfg.backbone_depth, rng);
+            let out = baseline::build(net, tree, cfg, rng);
             let (_, tables, labels) = out.scheme.into_parts();
             let labels = scheme::pick(&labels, wanted);
             ((tables, labels), Some((out.ledger, out.memory)))

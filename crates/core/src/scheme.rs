@@ -28,6 +28,7 @@ use hopset::virtual_graph::default_b;
 use hopset::VirtualGraph;
 use rand::Rng;
 use tree_routing::distributed as tree_distributed;
+use tree_routing::multi::Schedule;
 use tree_routing::types::{TreeLabel, TreeTable};
 use tree_routing::tz;
 
@@ -518,8 +519,8 @@ pub(crate) fn pick<L: Clone>(labels: &[L], ranks: &[usize]) -> Vec<L> {
 
 /// The pipeline both tree-scheme families share: backbone, hierarchy,
 /// hopset, pivots and clusters, then `tree_scheme` once per cluster tree (in
-/// construction order, with the shared sampling rate and backbone, asked
-/// for the ranks whose labels assembly keeps), then assembly into
+/// construction order, with the [`Schedule`]'s sampling rate and backbone,
+/// asked for the ranks whose labels assembly keeps), then assembly into
 /// per-vertex rows, charged to the meter as what each vertex keeps, which
 /// `package` turns into the scheme. `materialize` adds the step
 /// the paper eliminates: every virtual vertex storing its `E'` edges. A
@@ -731,8 +732,8 @@ where
     rec.end_with_memory(clusters_span, memory.peaks());
 
     // Tree-routing stage: one exact tree scheme per cluster tree. In the
-    // distributed modes all trees run in parallel with random start offsets
-    // (Theorem 2's second assertion): q = 1/√(sn), window = √(sn)·log n.
+    // distributed modes all trees run concurrently on the Theorem-2 schedule
+    // for overlap s (`multi::Schedule`: its q, window and start offsets).
     let tree_span = rec.begin("scheme/tree-routing");
     let tree_entry = ledger.counters();
     // Overlap s: memberships per vertex. Counted tree by tree in root order,
@@ -755,16 +756,7 @@ where
         }
     }
     let max_membership = overlap.iter().copied().max().unwrap_or(0);
-    let s = max_membership.max(1);
-    let q_tree = (1.0 / ((s * n) as f64).sqrt()).clamp(0.0, 1.0);
-    let window = (((s * n) as f64).sqrt() as u64 + 1)
-        * (tree_distributed::log2_ceil(n.max(2)) as u64).max(1);
-    let mut tree_stage_rounds = 0u64;
-    let mut max_finish = 0u64;
-    let config = tree_distributed::Config {
-        q: Some(q_tree),
-        backbone_depth: Some(d),
-    };
+    let mut schedule = Schedule::new(n, max_membership, d);
     // The label rows assembly keeps: for each vertex v and level i, v's row
     // in the tree of its pivot p_i(v), when v is a member of that tree.
     let mut tree_of_root = vec![usize::MAX; n];
@@ -811,12 +803,9 @@ where
         ranks.clear();
         ranks.extend(asked.iter().map(|&i| kept[i].rank));
         let ((tree_tables, labels), cost) =
-            tree_scheme(&network, &t.to_rooted(n), &config, &ranks, rng);
-        if let Some((tree_ledger, tree_memory)) = cost {
-            let offset = rng.gen_range(0..=window);
-            max_finish = max_finish.max(offset + tree_ledger.rounds());
-            ledger.charge_messages(tree_ledger.messages());
-            memory.merge_concurrent(t.members(), &tree_memory);
+            tree_scheme(&network, &t.to_rooted(n), schedule.config(), &ranks, rng);
+        if let Some((l, m)) = cost {
+            schedule.charge_tree(rng, t.members(), &l, &m, &mut ledger, &mut memory);
         }
         let rows = t.members().iter().zip(t.info()).zip(tree_tables);
         for (((u, info), table), &at) in rows.zip(&row_at[tree_start[idx]..]) {
@@ -831,10 +820,11 @@ where
             tree_labels[i] = Some(label);
         }
     }
-    if distributed {
-        tree_stage_rounds = window + max_finish;
-        ledger.charge_rounds(tree_stage_rounds);
-    }
+    let tree_stage_rounds = if distributed {
+        schedule.close(&mut ledger)
+    } else {
+        0
+    };
     rec.charge(&ledger.counters().delta_since(&tree_entry));
     rec.end_with_memory(tree_span, memory.peaks());
 

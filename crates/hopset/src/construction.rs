@@ -260,7 +260,7 @@ mod tests {
         (g, virt, rng)
     }
 
-    fn build_default(
+    fn default_build(
         g: &Graph,
         virt: &VirtualGraph,
         rng: &mut ChaCha8Rng,
@@ -281,7 +281,7 @@ mod tests {
     #[test]
     fn hierarchy_is_nested_and_shrinking() {
         let (g, virt, mut rng) = setup(300, 0.3, 61);
-        let (out, _, _) = build_default(&g, &virt, &mut rng);
+        let (out, _, _) = default_build(&g, &virt, &mut rng);
         let sizes = &out.stats.level_sizes;
         assert_eq!(sizes[0], virt.virtual_vertices().len());
         for w in sizes.windows(2) {
@@ -293,7 +293,7 @@ mod tests {
     #[test]
     fn edges_start_and_end_at_virtual_vertices() {
         let (g, virt, mut rng) = setup(200, 0.25, 62);
-        let (out, _, _) = build_default(&g, &virt, &mut rng);
+        let (out, _, _) = default_build(&g, &virt, &mut rng);
         for (u, v, w) in out.hopset.edges() {
             assert!(virt.is_virtual(u), "{u} not virtual");
             assert!(virt.is_virtual(v), "{v} not virtual");
@@ -304,7 +304,7 @@ mod tests {
     #[test]
     fn edge_weights_are_exact_distances_with_valid_paths() {
         let (g, virt, mut rng) = setup(120, 0.3, 63);
-        let (out, _, _) = build_default(&g, &virt, &mut rng);
+        let (out, _, _) = default_build(&g, &virt, &mut rng);
         for u in g.vertices() {
             let dist_u = if out.hopset.out_edges(u).is_empty() {
                 continue;
@@ -327,7 +327,7 @@ mod tests {
     #[test]
     fn arboricity_is_far_below_virtual_count() {
         let (g, virt, mut rng) = setup(600, 0.4, 64);
-        let (out, _, _) = build_default(&g, &virt, &mut rng);
+        let (out, _, _) = default_build(&g, &virt, &mut rng);
         let m = virt.virtual_vertices().len();
         assert!(
             out.stats.arboricity < m / 2,
@@ -370,7 +370,7 @@ mod tests {
     #[test]
     fn memory_metered_matches_out_edges() {
         let (g, virt, mut rng) = setup(150, 0.3, 66);
-        let (out, _, mem) = build_default(&g, &virt, &mut rng);
+        let (out, _, mem) = default_build(&g, &virt, &mut rng);
         for &u in virt.virtual_vertices() {
             assert!(mem.peak(u) >= out.hopset.memory_words(u));
         }
@@ -379,7 +379,7 @@ mod tests {
     #[test]
     fn ledger_accounts_rounds_and_broadcasts() {
         let (g, virt, mut rng) = setup(150, 0.3, 67);
-        let (_, led, _) = build_default(&g, &virt, &mut rng);
+        let (_, led, _) = default_build(&g, &virt, &mut rng);
         assert!(led.rounds() > 0);
         assert!(led.broadcasts() > 0);
     }

@@ -22,8 +22,7 @@
 //!   into the same JSONL reports via [`Recorder::add_record`];
 //! * [`metrics`] adds the wall-clock axis: monotonic [`metrics::Stopwatch`]
 //!   timers (every span carries a `wall_ns` next to its simulated deltas)
-//!   and [`metrics::MetricSet`] counter/gauge bags serialized as `metrics`
-//!   records;
+//!   and the quantiles the bench suite summarizes repeats with;
 //! * [`scaling`] fits log-log growth exponents and checks them against
 //!   paper-predicted ranges, turning "the shape matches the theorem" into an
 //!   executable assertion;
@@ -187,7 +186,6 @@ pub const REGISTRY: &[(&str, Validate)] = registry! {
     "edge_load" => flight::EdgeLoadMap,
     "vertex_load" => flight::VertexLoadMap,
     "stretch_histogram" => flight::Histogram,
-    "metrics" => metrics::MetricSet,
     "scaling_check" => scaling::ScalingCheck,
     "traffic_summary" => traffic::TrafficSummary,
     "engine_profile" => profile::ProfileSummary,

@@ -20,7 +20,7 @@ use congest::{bfs, CostLedger, MemoryMeter, Network, WordSized};
 use graphs::{tree::rank_in, RootedTree, VertexId, Weight};
 use rand::Rng;
 
-use crate::distributed::{log2_ceil, slot, wave_order};
+use crate::distributed::{log2_ceil, slot, wave_order, Config};
 use crate::router::RouteError;
 use crate::types::{route_step, RouteAction, TreeLabel, TreeTable};
 use crate::tz;
@@ -152,7 +152,7 @@ pub struct BaselineOutput {
     pub ledger: CostLedger,
     /// Per-member memory peaks — Ω̃(√n) at virtual vertices by design. One
     /// slot per tree member in ascending id order, as in
-    /// [`crate::distributed::DistributedOutput::memory`].
+    /// [`crate::distributed::TreeRun::memory`].
     pub memory: MemoryMeter,
     /// `|U(T)|`.
     pub virtual_count: usize,
@@ -160,8 +160,10 @@ pub struct BaselineOutput {
     pub max_local_depth: usize,
 }
 
-/// Build the baseline scheme for `tree` inside `network` with sampling
-/// probability `q` (`None` → `1/√n`).
+/// Build the baseline scheme for `tree` inside `network` with `config`'s
+/// sampling probability (`None` → `1/√n`) and optional pre-built BFS
+/// backbone depth (which skips the BFS protocol run and its metering), as in
+/// [`crate::distributed::build`].
 ///
 /// # Panics
 ///
@@ -169,24 +171,7 @@ pub struct BaselineOutput {
 pub fn build<R: Rng>(
     network: &Network,
     tree: &RootedTree,
-    q: Option<f64>,
-    rng: &mut R,
-) -> BaselineOutput {
-    build_with_backbone(network, tree, q, None, rng)
-}
-
-/// [`build`] with an optional pre-built BFS backbone depth (skips the BFS
-/// protocol run and its metering, as in
-/// [`crate::distributed::Config::backbone_depth`]).
-///
-/// # Panics
-///
-/// Panics if the tree is empty or host sizes disagree.
-pub fn build_with_backbone<R: Rng>(
-    network: &Network,
-    tree: &RootedTree,
-    q: Option<f64>,
-    backbone_depth: Option<usize>,
+    config: &Config,
     rng: &mut R,
 ) -> BaselineOutput {
     assert_eq!(
@@ -198,13 +183,13 @@ pub fn build_with_backbone<R: Rng>(
     let n = tree.num_vertices();
     let members = tree.members();
     let root = tree.root_rank();
-    let q = q.unwrap_or(1.0 / (n as f64).sqrt()).clamp(0.0, 1.0);
+    let q = config.q.unwrap_or(1.0 / (n as f64).sqrt()).clamp(0.0, 1.0);
 
     let mut ledger = CostLedger::new();
     let mut memory = MemoryMeter::new(n);
 
     // BFS backbone for broadcasts (shared if the caller already has one).
-    let d = match backbone_depth {
+    let d = match config.backbone_depth {
         Some(depth) => depth as u64,
         None => {
             let bfs_out = bfs::build_bfs_tree(network, tree.root());
@@ -469,6 +454,16 @@ mod tests {
         (Network::new(g), t, rng)
     }
 
+    /// The baseline at sampling probability `q` (`None` → `1/√n`), with its
+    /// own backbone.
+    fn at_q(net: &Network, t: &RootedTree, q: Option<f64>, rng: &mut ChaCha8Rng) -> BaselineOutput {
+        let config = Config {
+            q,
+            ..Config::default()
+        };
+        build(net, t, &config, rng)
+    }
+
     fn verify_exact(tree: &RootedTree, scheme: &BaselineScheme) {
         let verts: Vec<VertexId> = tree.vertices().collect();
         for &u in &verts {
@@ -488,7 +483,7 @@ mod tests {
     fn baseline_routes_exactly() {
         for seed in 0..4 {
             let (net, t, mut rng) = setup(70, seed);
-            let out = build(&net, &t, None, &mut rng);
+            let out = at_q(&net, &t, None, &mut rng);
             verify_exact(&t, &out.scheme);
         }
     }
@@ -496,14 +491,14 @@ mod tests {
     #[test]
     fn baseline_routes_exactly_with_aggressive_sampling() {
         let (net, t, mut rng) = setup(60, 91);
-        let out = build(&net, &t, Some(0.5), &mut rng);
+        let out = at_q(&net, &t, Some(0.5), &mut rng);
         verify_exact(&t, &out.scheme);
     }
 
     #[test]
     fn baseline_single_local_tree() {
         let (net, t, mut rng) = setup(40, 92);
-        let out = build(&net, &t, Some(0.0), &mut rng);
+        let out = at_q(&net, &t, Some(0.0), &mut rng);
         assert_eq!(out.virtual_count, 1);
         verify_exact(&t, &out.scheme);
     }
@@ -511,7 +506,7 @@ mod tests {
     #[test]
     fn baseline_all_virtual() {
         let (net, t, mut rng) = setup(40, 93);
-        let out = build(&net, &t, Some(1.0), &mut rng);
+        let out = at_q(&net, &t, Some(1.0), &mut rng);
         assert_eq!(out.virtual_count, 40);
         verify_exact(&t, &out.scheme);
     }
@@ -519,7 +514,7 @@ mod tests {
     #[test]
     fn baseline_memory_scales_with_virtual_count() {
         let (net, t, mut rng) = setup(500, 94);
-        let out = build(&net, &t, None, &mut rng);
+        let out = at_q(&net, &t, None, &mut rng);
         // Virtual vertices hold a full copy of T': ≥ 3·|U| words.
         assert!(
             out.memory.max_peak() >= 3 * out.virtual_count,
@@ -532,10 +527,12 @@ mod tests {
     #[test]
     fn baseline_sizes_are_larger_than_ours() {
         let (net, t, mut rng) = setup(300, 95);
-        let base = build(&net, &t, None, &mut rng);
-        let ours = crate::distributed::build_default(&net, &t, &mut rng);
-        assert!(base.scheme.max_table_words() > ours.scheme.max_table_words());
-        assert!(base.scheme.max_label_words() >= ours.scheme.max_label_words());
+        let base = at_q(&net, &t, None, &mut rng);
+        let disabled = &mut obs::Recorder::disabled();
+        let ours = crate::distributed::build(&net, &t, &Config::default(), &mut rng, disabled);
+        let ours = ours.scheme(&t);
+        assert!(base.scheme.max_table_words() > ours.max_table_words());
+        assert!(base.scheme.max_label_words() >= ours.max_label_words());
     }
 
     #[test]
@@ -549,7 +546,7 @@ mod tests {
             vec![0, 1, 0, 0, 0],
         );
         let net = Network::new(g);
-        let out = build(&net, &t, None, &mut rng);
+        let out = at_q(&net, &t, None, &mut rng);
         assert_eq!(
             route(&t, &out.scheme, VertexId(3), VertexId(0)),
             Err(RouteError::SourceNotInTree(VertexId(3)))

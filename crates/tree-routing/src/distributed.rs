@@ -43,7 +43,8 @@ pub fn log2_ceil(n: usize) -> usize {
     }
 }
 
-/// Tuning knobs for the construction.
+/// Tuning knobs for a tree construction — this one's and
+/// [`crate::baseline`]'s.
 #[derive(Clone, Debug, Default)]
 pub struct Config {
     /// Sampling probability for `U`; `None` selects the paper's `1/√n`.
@@ -51,11 +52,12 @@ pub struct Config {
     /// Depth of an already-built BFS broadcast backbone. When set, the
     /// construction neither re-runs the BFS protocol nor re-meters its 3
     /// words per vertex — callers constructing many trees (the general-graph
-    /// scheme, [`crate::multi`]) build the backbone once and share it.
+    /// scheme, through a [`crate::multi::Schedule`]) build the backbone once
+    /// and share it.
     pub backbone_depth: Option<usize>,
 }
 
-/// The meter slot of the member with rank `r` (see [`DistributedOutput::memory`]).
+/// The meter slot of the member with rank `r` (see [`TreeRun::memory`]).
 #[inline]
 pub(crate) fn slot(r: usize) -> VertexId {
     VertexId(r as u32)
@@ -140,36 +142,17 @@ fn reset<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
 /// for, and what the run cost.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TreeRun {
-    /// One table per member, by rank.
+    /// One table per member, by rank — identical to [`crate::tz::build`]'s
+    /// on the same tree (same tie-breaking), as the tests assert.
     pub tables: Vec<TreeTable>,
     /// One label per rank asked for, in the order asked.
     pub labels: Vec<TreeLabel>,
     /// Round/message accounting for the whole construction.
     pub ledger: CostLedger,
-    /// Per-member memory high-water marks, one slot per rank.
-    pub memory: MemoryMeter,
-    /// `|U(T)|` — number of sampled roots (including the tree root).
-    pub virtual_count: usize,
-    /// Depth of the (never materialized) virtual tree `T'`.
-    pub virtual_depth: usize,
-    /// Largest local-tree depth `b`.
-    pub max_local_depth: usize,
-    /// Hop depth of the BFS broadcast tree used (≤ D).
-    pub bfs_depth: usize,
-}
-
-/// Output of the distributed construction.
-#[derive(Clone, Debug)]
-pub struct DistributedOutput {
-    /// The routing scheme — identical to [`crate::tz::build`] on the same
-    /// tree (same tie-breaking), as the tests assert.
-    pub scheme: TreeScheme,
-    /// Round/message accounting for the whole construction.
-    pub ledger: CostLedger,
-    /// Per-member memory high-water marks, one slot per tree member in
-    /// ascending id order (slot `r` belongs to `scheme.members()[r]`; for a
-    /// spanning tree slots are vertex ids). Vertices outside the tree hold
-    /// no construction state and are not metered.
+    /// Per-member memory high-water marks, one slot per rank (slot `r`
+    /// belongs to `tree.members()[r]`; for a spanning tree slots are vertex
+    /// ids). Vertices outside the tree hold no construction state and are
+    /// not metered.
     pub memory: MemoryMeter,
     /// `|U(T)|` — number of sampled roots (including the tree root).
     pub virtual_count: usize,
@@ -182,7 +165,31 @@ pub struct DistributedOutput {
     pub bfs_depth: usize,
 }
 
-/// Run the paper's construction for `tree` inside `network`.
+impl TreeRun {
+    /// The scheme of a run asked for every label in rank order (as [`build`]
+    /// asks), over `tree`'s members.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run does not hold exactly one label per member.
+    pub fn scheme(&self, tree: &RootedTree) -> TreeScheme {
+        TreeScheme::from_parts(
+            tree.members().to_vec(),
+            self.tables.clone(),
+            self.labels.clone(),
+        )
+    }
+}
+
+/// Run the paper's construction for `tree` inside `network`, writing every
+/// member's label, with per-stage span attribution on `rec`:
+/// `tree/partition`, `tree/subtree-sizes` (§3 Stage 1), `tree/light-edges`
+/// (Stage 2), `tree/dfs-ranges` (Stage 3), and `tree/finalize` (plus
+/// `tree/backbone` when no shared BFS backbone is configured). Every ledger
+/// charge is mirrored into the recorder, so span deltas partition the
+/// ledger totals.
+///
+/// This is [`Scratch::run`] on a fresh scratch, asked for every label.
 ///
 /// # Panics
 ///
@@ -192,45 +199,16 @@ pub fn build<R: Rng>(
     tree: &RootedTree,
     config: &Config,
     rng: &mut R,
-) -> DistributedOutput {
-    build_observed(network, tree, config, rng, &mut obs::Recorder::disabled())
-}
-
-/// [`build`], with per-stage span attribution on `rec`: `tree/partition`,
-/// `tree/subtree-sizes` (§3 Stage 1), `tree/light-edges` (Stage 2),
-/// `tree/dfs-ranges` (Stage 3), and `tree/finalize` (plus `tree/backbone`
-/// when no shared BFS backbone is configured). Every ledger charge is
-/// mirrored into the recorder, so span deltas partition the ledger totals.
-///
-/// This is [`Scratch::run`] on a fresh scratch, asked for every label.
-///
-/// # Panics
-///
-/// Panics if the tree's host universe is not the network.
-pub fn build_observed<R: Rng>(
-    network: &Network,
-    tree: &RootedTree,
-    config: &Config,
-    rng: &mut R,
     rec: &mut obs::Recorder,
-) -> DistributedOutput {
+) -> TreeRun {
     let every: Vec<usize> = (0..tree.num_vertices()).collect();
-    let run = Scratch::default().run(network, tree, config, &every, rng, rec);
-    DistributedOutput {
-        scheme: TreeScheme::from_parts(tree.members().to_vec(), run.tables, run.labels),
-        ledger: run.ledger,
-        memory: run.memory,
-        virtual_count: run.virtual_count,
-        virtual_depth: run.virtual_depth,
-        max_local_depth: run.max_local_depth,
-        bfs_depth: run.bfs_depth,
-    }
+    Scratch::default().run(network, tree, config, &every, rng, rec)
 }
 
 impl Scratch {
     /// Run the paper's construction for `tree` inside `network`, writing the
     /// label of every rank in `labels` (a rank may repeat). Spans, charges,
-    /// meter calls and RNG draws are those of [`build_observed`], whatever
+    /// meter calls and RNG draws are those of [`build`], whatever
     /// `labels` holds and whichever trees this scratch simulated before.
     ///
     /// Time is `O(|T| log |T|)` whatever the size of the host network, and
@@ -624,26 +602,19 @@ impl Scratch {
     }
 }
 
-/// Convenience: build with the default `q = 1/√n` and compare-ready output.
-pub fn build_default<R: Rng>(
-    network: &Network,
-    tree: &RootedTree,
-    rng: &mut R,
-) -> DistributedOutput {
-    build(network, tree, &Config::default(), rng)
-}
-
-/// Sanity helper used by tests and benches: assert the distributed scheme is
-/// *identical* to the centralized Thorup–Zwick scheme for the same tree.
+/// Sanity helper used by tests and benches: assert that `run`, asked for
+/// every label in rank order, is *identical* to the centralized
+/// Thorup–Zwick scheme for the same tree.
 ///
 /// # Panics
 ///
 /// Panics with a description of the first mismatch.
-pub fn assert_matches_centralized(tree: &RootedTree, out: &DistributedOutput) {
-    let want = tz::build(tree);
-    for v in tree.vertices() {
-        assert_eq!(out.scheme.table(v), want.table(v), "table mismatch at {v}");
-        assert_eq!(out.scheme.label(v), want.label(v), "label mismatch at {v}");
+pub fn assert_matches_centralized(tree: &RootedTree, run: &TreeRun) {
+    let (_, tables, labels) = tz::build(tree).into_parts();
+    assert_eq!(run.labels.len(), labels.len(), "one label per member");
+    for (r, v) in tree.members().iter().enumerate() {
+        assert_eq!(run.tables[r], tables[r], "table mismatch at {v}");
+        assert_eq!(run.labels[r], labels[r], "label mismatch at {v}");
     }
 }
 
@@ -662,6 +633,21 @@ mod tests {
         (Network::new(g), t, rng)
     }
 
+    /// [`build`] at the paper's `q = 1/√n` with its own backbone, unobserved.
+    fn plain(net: &Network, t: &RootedTree, rng: &mut ChaCha8Rng) -> TreeRun {
+        let disabled = &mut obs::Recorder::disabled();
+        build(net, t, &Config::default(), rng, disabled)
+    }
+
+    /// [`build`] at sampling probability `q`, unobserved.
+    fn at_q(net: &Network, t: &RootedTree, q: f64, rng: &mut ChaCha8Rng) -> TreeRun {
+        let config = Config {
+            q: Some(q),
+            ..Config::default()
+        };
+        build(net, t, &config, rng, &mut obs::Recorder::disabled())
+    }
+
     #[test]
     fn log2_ceil_values() {
         assert_eq!(log2_ceil(0), 0);
@@ -678,7 +664,7 @@ mod tests {
     fn matches_centralized_on_random_networks() {
         for seed in 0..5 {
             let (net, t, mut rng) = setup(120, seed);
-            let out = build_default(&net, &t, &mut rng);
+            let out = plain(&net, &t, &mut rng);
             assert_matches_centralized(&t, &out);
         }
     }
@@ -689,42 +675,26 @@ mod tests {
         let g = generators::random_geometric_connected(150, 0.1, 1..=9, &mut rng);
         let t = shortest_path_tree(&g, VertexId(3));
         let net = Network::new(g);
-        let out = build_default(&net, &t, &mut rng);
+        let out = plain(&net, &t, &mut rng);
         assert_matches_centralized(&t, &out);
     }
 
     #[test]
     fn routes_exactly() {
         let (net, t, mut rng) = setup(60, 9);
-        let out = build_default(&net, &t, &mut rng);
-        router::verify_exactness(&t, &out.scheme);
+        let out = plain(&net, &t, &mut rng);
+        router::verify_exactness(&t, &out.scheme(&t));
     }
 
     #[test]
     fn q_extremes_still_correct() {
         let (net, t, mut rng) = setup(60, 10);
         // q = 0: only the root is virtual (single local tree).
-        let out0 = build(
-            &net,
-            &t,
-            &Config {
-                q: Some(0.0),
-                ..Config::default()
-            },
-            &mut rng,
-        );
+        let out0 = at_q(&net, &t, 0.0, &mut rng);
         assert_matches_centralized(&t, &out0);
         assert_eq!(out0.virtual_count, 1);
         // q = 1: every vertex is virtual (local trees are single vertices).
-        let out1 = build(
-            &net,
-            &t,
-            &Config {
-                q: Some(1.0),
-                ..Config::default()
-            },
-            &mut rng,
-        );
+        let out1 = at_q(&net, &t, 1.0, &mut rng);
         assert_matches_centralized(&t, &out1);
         assert_eq!(out1.virtual_count, t.num_vertices());
         assert_eq!(out1.max_local_depth, 0);
@@ -733,7 +703,7 @@ mod tests {
     #[test]
     fn memory_is_logarithmic_not_sqrt() {
         let (net, t, mut rng) = setup(400, 11);
-        let out = build_default(&net, &t, &mut rng);
+        let out = plain(&net, &t, &mut rng);
         let n = t.num_vertices();
         let bound = 15 + 7 * log2_ceil(n);
         assert!(
@@ -750,9 +720,9 @@ mod tests {
         let g = generators::star(1, 1..=1, &mut rng);
         let t = shortest_path_tree(&g, VertexId(0));
         let net = Network::new(g);
-        let out = build_default(&net, &t, &mut rng);
+        let out = plain(&net, &t, &mut rng);
         assert_matches_centralized(&t, &out);
-        let table = out.scheme.table(VertexId(0)).unwrap();
+        let table = &out.tables[0];
         assert_eq!((table.enter, table.exit), (1, 1));
     }
 
@@ -762,7 +732,7 @@ mod tests {
         let g = generators::path(80, 1..=7, &mut rng);
         let t = shortest_path_tree(&g, VertexId(0));
         let net = Network::new(g);
-        let out = build_default(&net, &t, &mut rng);
+        let out = plain(&net, &t, &mut rng);
         assert_matches_centralized(&t, &out);
     }
 
@@ -772,7 +742,7 @@ mod tests {
         let g = generators::star(50, 1..=7, &mut rng);
         let t = shortest_path_tree(&g, VertexId(0));
         let net = Network::new(g);
-        let out = build_default(&net, &t, &mut rng);
+        let out = plain(&net, &t, &mut rng);
         assert_matches_centralized(&t, &out);
     }
 
@@ -781,7 +751,7 @@ mod tests {
         // Crude shape check: rounds on n=900 should be far below n, and
         // roughly c·(√n·log n + D).
         let (net, t, mut rng) = setup(900, 15);
-        let out = build_default(&net, &t, &mut rng);
+        let out = plain(&net, &t, &mut rng);
         let n = t.num_vertices() as f64;
         let d = out.bfs_depth as f64;
         let budget = 60.0 * (n.sqrt() * n.log2() + d);
@@ -796,15 +766,7 @@ mod tests {
     #[test]
     fn virtual_count_tracks_q() {
         let (net, t, mut rng) = setup(500, 16);
-        let out = build(
-            &net,
-            &t,
-            &Config {
-                q: Some(0.1),
-                ..Config::default()
-            },
-            &mut rng,
-        );
+        let out = at_q(&net, &t, 0.1, &mut rng);
         let expected = 0.1 * 500.0;
         assert!(
             (out.virtual_count as f64) > expected / 3.0
@@ -819,7 +781,7 @@ mod tests {
     fn observed_build_spans_partition_ledger() {
         let (net, t, mut rng) = setup(150, 18);
         let mut rec = obs::Recorder::new();
-        let out = build_observed(&net, &t, &Config::default(), &mut rng, &mut rec);
+        let out = build(&net, &t, &Config::default(), &mut rng, &mut rec);
         assert_matches_centralized(&t, &out);
         // Every charge happened inside a top-level stage span.
         assert_eq!(rec.totals(), out.ledger.counters());
@@ -877,9 +839,9 @@ mod tests {
                     Scratch::default().run(&net, &t, &config, &ranks, &mut fresh_rng, disabled);
                 proptest::prop_assert_eq!(&got, &want);
                 proptest::prop_assert_eq!(rng.gen::<u64>(), fresh_rng.gen::<u64>());
-                let every = build(&net, &t, &config, &mut rng.clone());
+                let every = build(&net, &t, &config, &mut rng.clone(), disabled);
                 for (&r, label) in ranks.iter().zip(&got.labels) {
-                    proptest::prop_assert_eq!(every.scheme.label(t.members()[r]), Some(label));
+                    proptest::prop_assert_eq!(&every.labels[r], label);
                 }
             }
         }
@@ -888,8 +850,9 @@ mod tests {
     #[test]
     fn table_and_label_sizes_match_theorem() {
         let (net, t, mut rng) = setup(300, 17);
-        let out = build_default(&net, &t, &mut rng);
-        assert_eq!(out.scheme.max_table_words(), 4);
-        assert!(out.scheme.max_label_words() <= 1 + 2 * log2_ceil(t.num_vertices()));
+        let out = plain(&net, &t, &mut rng);
+        let scheme = out.scheme(&t);
+        assert_eq!(scheme.max_table_words(), 4);
+        assert!(scheme.max_label_words() <= 1 + 2 * log2_ceil(t.num_vertices()));
     }
 }

@@ -18,9 +18,10 @@
 //!   producing `O(log n)` tables / `O(log² n)` labels.
 //! * [`router`] — the routing phase: hop-by-hop forwarding driven purely by
 //!   `(table, label)`, used to verify exactness.
-//! * [`multi`] — Theorem 2's second assertion: constructing schemes for many
-//!   trees in parallel with `O(s log n)` memory when every vertex lies in at
-//!   most `s` trees.
+//! * [`multi`] — Theorem 2's second assertion: the one [`multi::Schedule`]
+//!   that runs many trees concurrently (`q = 1/√(sn)`, random start offsets
+//!   in a `√(sn)·log n` window) with `O(s log n)` memory when every vertex
+//!   lies in at most `s` trees.
 //!
 //! # Examples
 //!

@@ -1,4 +1,4 @@
-//! Parallel construction for many trees (Theorem 2, second assertion).
+//! Constructing many trees at once (Theorem 2, second assertion).
 //!
 //! Given a collection of trees in which every vertex appears at most `s`
 //! times — exactly the situation the general-graph scheme creates, where
@@ -8,103 +8,90 @@
 //! `Õ(√(sn) + D)` rather than the naive `Õ(s·√n + D)`, and each vertex's
 //! memory is the sum over the (at most `s`) trees containing it —
 //! `O(s log n)` words.
+//!
+//! [`Schedule`] is that rule, written once: it owns `q`, the window and the
+//! shared construction config, and charges each finished tree to the
+//! caller's ledger and meter. The general-graph scheme (both its Theorem-2
+//! row and the \[EN16b\]-style row) drives one over its cluster trees.
 
-use congest::{CostLedger, MemoryMeter, Network};
-use graphs::RootedTree;
+use congest::{CostLedger, MemoryMeter};
+use graphs::VertexId;
 use rand::Rng;
 
-use crate::distributed::{self, Config};
-use crate::types::TreeScheme;
+use crate::distributed::{log2_ceil, Config};
 
-/// Output of the multi-tree construction.
+/// The concurrent schedule of a set of tree constructions.
 #[derive(Clone, Debug)]
-pub struct MultiOutput {
-    /// One scheme per input tree, in order.
-    pub schemes: Vec<TreeScheme>,
-    /// Combined accounting: `rounds = max_t (offset_t + rounds_t)`.
-    pub ledger: CostLedger,
-    /// Per-vertex memory: concurrent (additive) merge across trees.
-    pub memory: MemoryMeter,
-    /// The random-start window size used.
-    pub window: u64,
-    /// The observed maximum tree overlap at any vertex.
-    pub observed_overlap: usize,
+pub struct Schedule {
+    config: Config,
+    window: u64,
+    max_finish: u64,
 }
 
-/// Build routing schemes for all `trees` in parallel.
-///
-/// `s` is the promised bound on how many trees any vertex belongs to (the
-/// actual overlap is measured and returned). Sampling probability is
-/// `q = 1/√(s·n)` with `n` the network size, per Theorem 2.
-///
-/// # Panics
-///
-/// Panics if `trees` is empty, `s == 0`, or any tree's host universe differs
-/// from the network.
-pub fn build_many<R: Rng>(
-    network: &Network,
-    trees: &[RootedTree],
-    s: usize,
-    rng: &mut R,
-) -> MultiOutput {
-    assert!(!trees.is_empty(), "need at least one tree");
-    assert!(s > 0, "overlap bound must be positive");
-    let n = network.len();
-    for t in trees {
-        assert_eq!(t.host_len(), n, "tree host must match network");
-    }
-
-    // Observed overlap (to validate the caller's promise in tests/benches).
-    let mut count = vec![0usize; n];
-    for t in trees {
-        for v in t.vertices() {
-            count[v.index()] += 1;
+impl Schedule {
+    /// The schedule for trees inside an `n`-vertex network in which every
+    /// vertex lies in at most `s` trees (`s = 0` counts as 1), all sharing
+    /// one BFS backbone of depth `backbone_depth`: `q = 1/√(sn)` and a
+    /// window of `(⌊√(sn)⌋ + 1)·⌈log₂ n⌉` rounds.
+    pub fn new(n: usize, s: usize, backbone_depth: usize) -> Schedule {
+        let root_sn = ((s.max(1) * n) as f64).sqrt();
+        let log_n = log2_ceil(n.max(2)) as u64;
+        Schedule {
+            config: Config {
+                q: Some((1.0 / root_sn).clamp(0.0, 1.0)),
+                backbone_depth: Some(backbone_depth),
+            },
+            window: (root_sn as u64 + 1) * log_n.max(1),
+            max_finish: 0,
         }
     }
-    let observed_overlap = count.iter().copied().max().unwrap_or(0);
 
-    let q = 1.0 / ((s as f64) * (n as f64)).sqrt();
-    let log_n = distributed::log2_ceil(n.max(2)) as u64;
-    let window = (((s * n) as f64).sqrt() as u64 + 1) * log_n.max(1);
-
-    // One shared BFS backbone for every tree's broadcasts.
-    let bfs_out = congest::bfs::build_bfs_tree(network, trees[0].root());
-    let mut memory = MemoryMeter::new(n);
-    let mut ledger = CostLedger::new();
-    ledger.charge_rounds(bfs_out.stats.rounds);
-    for v in network.graph().vertices() {
-        memory.add(v, 3);
+    /// The config every tree is constructed with: the schedule's `q` and
+    /// the shared backbone.
+    pub fn config(&self) -> &Config {
+        &self.config
     }
-    let config = Config {
-        q: Some(q.clamp(0.0, 1.0)),
-        backbone_depth: Some(bfs_out.depth),
-    };
-    let mut schemes = Vec::with_capacity(trees.len());
-    let mut max_finish = 0u64;
-    for t in trees {
-        let offset = rng.gen_range(0..=window);
-        let out = distributed::build(network, t, &config, rng);
-        max_finish = max_finish.max(offset + out.ledger.rounds());
-        ledger.charge_messages(out.ledger.messages());
-        memory.merge_concurrent(out.scheme.members(), &out.memory);
-        schemes.push(out.scheme);
-    }
-    ledger.charge_rounds(max_finish);
 
-    MultiOutput {
-        schemes,
-        ledger,
-        memory,
-        window,
-        observed_overlap,
+    /// The window start offsets are drawn from (`0..=window`).
+    pub fn window(&self) -> u64 {
+        self.window
+    }
+
+    /// Account one finished tree, whose members are `members` and whose run
+    /// cost `tree_ledger` and `tree_memory` (one slot per member): draw its
+    /// start offset, charge its messages to `ledger`, and fold its meter
+    /// into `memory` as running concurrently with every other tree.
+    pub fn charge_tree<R: Rng>(
+        &mut self,
+        rng: &mut R,
+        members: &[VertexId],
+        tree_ledger: &CostLedger,
+        tree_memory: &MemoryMeter,
+        ledger: &mut CostLedger,
+        memory: &mut MemoryMeter,
+    ) {
+        let offset = rng.gen_range(0..=self.window);
+        self.max_finish = self.max_finish.max(offset + tree_ledger.rounds());
+        ledger.charge_messages(tree_ledger.messages());
+        memory.merge_concurrent(members, tree_memory);
+    }
+
+    /// Charge the stage's rounds to `ledger` and return them:
+    /// `window + max_t (offset_t + rounds_t)`.
+    pub fn close(self, ledger: &mut CostLedger) -> u64 {
+        let rounds = self.window + self.max_finish;
+        ledger.charge_rounds(rounds);
+        rounds
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributed::{self, Scratch, TreeRun};
     use crate::{router, tz};
-    use graphs::{generators, tree::shortest_path_tree, VertexId};
+    use congest::Network;
+    use graphs::{generators, tree::shortest_path_tree, RootedTree};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -116,19 +103,49 @@ mod tests {
             .collect()
     }
 
+    /// Every tree on one shared backbone under one schedule with overlap
+    /// bound `s`: the runs (every label asked for) and the network's ledger
+    /// and meter.
+    fn run_all(
+        net: &Network,
+        trees: &[RootedTree],
+        s: usize,
+        rng: &mut ChaCha8Rng,
+    ) -> (Vec<TreeRun>, CostLedger, MemoryMeter) {
+        let backbone = congest::bfs::build_bfs_tree(net, trees[0].root());
+        let mut ledger = CostLedger::new();
+        let mut memory = MemoryMeter::new(net.len());
+        ledger.charge_rounds(backbone.stats.rounds);
+        for v in net.graph().vertices() {
+            memory.add(v, 3);
+        }
+        let mut schedule = Schedule::new(net.len(), s, backbone.depth);
+        let mut scratch = Scratch::default();
+        let disabled = &mut obs::Recorder::disabled();
+        let mut runs = Vec::new();
+        for t in trees {
+            let every: Vec<usize> = (0..t.num_vertices()).collect();
+            let run = scratch.run(net, t, schedule.config(), &every, rng, disabled);
+            let (l, m) = (&run.ledger, &run.memory);
+            schedule.charge_tree(rng, t.members(), l, m, &mut ledger, &mut memory);
+            runs.push(run);
+        }
+        schedule.close(&mut ledger);
+        (runs, ledger, memory)
+    }
+
     #[test]
     fn all_schemes_match_centralized() {
         let mut rng = ChaCha8Rng::seed_from_u64(101);
         let g = generators::erdos_renyi_connected(90, 0.05, 1..=9, &mut rng);
         let net = Network::new(g);
         let trees = spts(&net, &[0, 17, 44]);
-        let out = build_many(&net, &trees, 3, &mut rng);
-        assert_eq!(out.observed_overlap, 3);
-        for (t, s) in trees.iter().zip(&out.schemes) {
-            let want = tz::build(t);
+        let (runs, _, _) = run_all(&net, &trees, 3, &mut rng);
+        for (t, run) in trees.iter().zip(&runs) {
+            let (scheme, want) = (run.scheme(t), tz::build(t));
             for v in t.vertices() {
-                assert_eq!(s.table(v), want.table(v));
-                assert_eq!(s.label(v), want.label(v));
+                assert_eq!(scheme.table(v), want.table(v));
+                assert_eq!(scheme.label(v), want.label(v));
             }
         }
     }
@@ -139,9 +156,9 @@ mod tests {
         let g = generators::erdos_renyi_connected(50, 0.08, 1..=9, &mut rng);
         let net = Network::new(g);
         let trees = spts(&net, &[0, 25]);
-        let out = build_many(&net, &trees, 2, &mut rng);
-        for (t, s) in trees.iter().zip(&out.schemes) {
-            router::verify_exactness(t, s);
+        let (runs, _, _) = run_all(&net, &trees, 2, &mut rng);
+        for (t, run) in trees.iter().zip(&runs) {
+            router::verify_exactness(t, &run.scheme(t));
         }
     }
 
@@ -152,13 +169,13 @@ mod tests {
         let net = Network::new(g);
         let s = 4;
         let trees = spts(&net, &[0, 50, 100, 150]);
-        let out = build_many(&net, &trees, s, &mut rng);
-        let log_n = distributed::log2_ceil(200);
+        let (_, _, memory) = run_all(&net, &trees, s, &mut rng);
+        let log_n = log2_ceil(200);
         let bound = s * (18 + 7 * log_n);
         assert!(
-            out.memory.max_peak() <= bound,
+            memory.max_peak() <= bound,
             "memory {} exceeds O(s log n) bound {}",
-            out.memory.max_peak(),
+            memory.max_peak(),
             bound
         );
     }
@@ -170,27 +187,63 @@ mod tests {
         let net = Network::new(g);
         let roots: Vec<u32> = (0..8).map(|i| i * 37).collect();
         let trees = spts(&net, &roots);
-        let par = build_many(&net, &trees, 8, &mut rng);
+        let (_, par, _) = run_all(&net, &trees, 8, &mut rng);
         // Sequential: sum of independent single-tree constructions at q=1/√n.
         let mut seq = 0u64;
         for t in &trees {
-            let out = distributed::build_default(&net, t, &mut rng);
+            let disabled = &mut obs::Recorder::disabled();
+            let out = distributed::build(&net, t, &Config::default(), &mut rng, disabled);
             seq += out.ledger.rounds();
         }
         assert!(
-            par.ledger.rounds() < seq,
+            par.rounds() < seq,
             "parallel {} should beat sequential {}",
-            par.ledger.rounds(),
+            par.rounds(),
             seq
         );
     }
 
-    #[test]
-    #[should_panic(expected = "need at least one tree")]
-    fn rejects_empty_tree_list() {
-        let mut rng = ChaCha8Rng::seed_from_u64(105);
-        let g = generators::path(4, 1..=1, &mut rng);
-        let net = Network::new(g);
-        build_many(&net, &[], 1, &mut rng);
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// Whatever the trees, the stage is charged `window + max_t (offset_t
+        /// + rounds_t)` with each offset drawn right after its tree's run,
+        /// which is at most one window more than the slowest tree could need
+        /// from its offset.
+        #[test]
+        fn charged_rounds_are_window_plus_latest_finish(
+            sizes in proptest::collection::vec(1usize..80, 1..6),
+            s in 0usize..8,
+            depth in 0usize..12,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let host = 80;
+            let net = Network::new(generators::star(host, 1..=1, &mut rng));
+            let mut schedule = Schedule::new(host, s, depth);
+            let window = schedule.window();
+            let mut ledger = CostLedger::new();
+            let mut memory = MemoryMeter::new(host);
+            let (mut latest, mut slowest, mut messages) = (0, 0, 0);
+            let mut scratch = Scratch::default();
+            for size in sizes {
+                let mut ids: Vec<VertexId> = (0..host as u32).map(VertexId).collect();
+                ids.rotate_left(rng.gen_range(0..host));
+                let t = graphs::tree::random_recursive_tree(host, &ids[..size], 9, &mut rng);
+                let disabled = &mut obs::Recorder::disabled();
+                let run = scratch.run(&net, &t, schedule.config(), &[], &mut rng, disabled);
+                let offset = rng.clone().gen_range(0..=window);
+                let (l, m) = (&run.ledger, &run.memory);
+                schedule.charge_tree(&mut rng, t.members(), l, m, &mut ledger, &mut memory);
+                latest = latest.max(offset + run.ledger.rounds());
+                slowest = slowest.max(run.ledger.rounds());
+                messages += run.ledger.messages();
+            }
+            let rounds = schedule.close(&mut ledger);
+            proptest::prop_assert_eq!(rounds, window + latest);
+            proptest::prop_assert!(rounds <= 2 * window + slowest);
+            proptest::prop_assert_eq!(ledger.rounds(), rounds);
+            proptest::prop_assert_eq!(ledger.messages(), messages);
+        }
     }
 }

@@ -30,15 +30,6 @@ impl TreeTable {
     pub fn subtree_contains(&self, label: &TreeLabel) -> bool {
         self.enter <= label.enter && label.enter <= self.exit
     }
-
-    /// Whether `enter` falls inside this vertex's DFS interval — the raw
-    /// form of [`TreeTable::subtree_contains`] for audits that check DFS
-    /// nesting (a child's interval must lie inside its parent's) without
-    /// materializing a label.
-    #[inline]
-    pub fn contains_enter(&self, enter: u64) -> bool {
-        self.enter <= enter && enter <= self.exit
-    }
 }
 
 impl WordSized for TreeTable {

@@ -9,11 +9,12 @@
 //!
 //! Run with: `cargo run --release --example datacenter_fabric`
 
-use congest::Network;
+use congest::{bfs, CostLedger, MemoryMeter, Network};
 use graphs::{generators, tree, RootedTree, VertexId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use tree_routing::{distributed, multi, router, tz};
+use tree_routing::distributed::{self, Config, Scratch};
+use tree_routing::{multi::Schedule, router, tz};
 
 fn main() {
     let (rows, cols) = (24, 24);
@@ -31,31 +32,51 @@ fn main() {
     let s = trees.len();
     println!("torus fabric {rows}x{cols} (n = {n}), {s} services, every switch in all {s} trees");
 
-    // Parallel construction (Theorem 2, second assertion).
-    let par = multi::build_many(&net, &trees, s, &mut rng);
+    // Parallel construction (Theorem 2, second assertion): one shared BFS
+    // backbone (3 words per switch), then every tree on one schedule.
+    let backbone = bfs::build_bfs_tree(&net, trees[0].root());
+    let mut ledger = CostLedger::new();
+    let mut memory = MemoryMeter::new(n);
+    ledger.charge_rounds(backbone.stats.rounds);
+    for v in g.vertices() {
+        memory.add(v, 3);
+    }
+    let mut schedule = Schedule::new(n, s, backbone.depth);
+    let window = schedule.window();
+    let mut scratch = Scratch::default();
+    let disabled = &mut obs::Recorder::disabled();
+    let mut schemes = Vec::new();
+    for t in &trees {
+        let every: Vec<usize> = (0..t.num_vertices()).collect();
+        let run = scratch.run(&net, t, schedule.config(), &every, &mut rng, disabled);
+        let (l, m) = (&run.ledger, &run.memory);
+        schedule.charge_tree(&mut rng, t.members(), l, m, &mut ledger, &mut memory);
+        schemes.push(run.scheme(t));
+    }
+    schedule.close(&mut ledger);
     println!("\nparallel construction (q = 1/sqrt(s*n), random offsets):");
-    println!("  rounds            : {}", par.ledger.rounds());
+    println!("  rounds            : {}", ledger.rounds());
+    println!("  offset window     : {window}");
     println!(
         "  memory per switch : {} words (O(s log n))",
-        par.memory.max_peak()
+        memory.max_peak()
     );
-    println!("  observed overlap  : {}", par.observed_overlap);
 
     // Naive alternative: build each tree independently, one after another.
     let mut seq_rounds = 0;
     for t in &trees {
-        let out = distributed::build_default(&net, t, &mut rng);
+        let out = distributed::build(&net, t, &Config::default(), &mut rng, disabled);
         seq_rounds += out.ledger.rounds();
     }
     println!("\nsequential alternative: {seq_rounds} rounds");
     println!(
         "parallel speedup: {:.1}x",
-        seq_rounds as f64 / par.ledger.rounds() as f64
+        seq_rounds as f64 / ledger.rounds() as f64
     );
 
     // Every service's scheme is exact; verify against the centralized build
     // and route a flow on each tree.
-    for (t, scheme) in trees.iter().zip(&par.schemes) {
+    for (t, scheme) in trees.iter().zip(&schemes) {
         let want = tz::build(t);
         for v in t.vertices() {
             assert_eq!(scheme.table(v), want.table(v));

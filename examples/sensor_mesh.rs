@@ -12,7 +12,8 @@ use congest::Network;
 use graphs::{generators, properties, tree, VertexId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use tree_routing::{baseline, distributed, router};
+use tree_routing::distributed::{self, Config};
+use tree_routing::{baseline, router};
 
 fn main() {
     let n = 900;
@@ -31,8 +32,10 @@ fn main() {
     let net = Network::new(g.clone());
 
     // The paper's low-memory construction (Theorem 2).
-    let ours = distributed::build_default(&net, &t, &mut rng);
+    let disabled = &mut obs::Recorder::disabled();
+    let ours = distributed::build(&net, &t, &Config::default(), &mut rng, disabled);
     distributed::assert_matches_centralized(&t, &ours);
+    let scheme = ours.scheme(&t);
     println!("\nthis paper (Theorem 2):");
     println!("  rounds           : {}", ours.ledger.rounds());
     println!(
@@ -41,8 +44,8 @@ fn main() {
     );
     println!(
         "  table / label    : {} / {} words",
-        ours.scheme.max_table_words(),
-        ours.scheme.max_label_words()
+        scheme.max_table_words(),
+        scheme.max_label_words()
     );
     println!(
         "  sampled |U(T)|   : {}, local depth b = {}",
@@ -50,7 +53,7 @@ fn main() {
     );
 
     // The prior construction ([LP15]/[EN16b]-style).
-    let prior = baseline::build(&net, &t, None, &mut rng);
+    let prior = baseline::build(&net, &t, &Config::default(), &mut rng);
     println!("\nprior approach:");
     println!("  rounds           : {}", prior.ledger.rounds());
     println!(
@@ -67,7 +70,7 @@ fn main() {
     println!("\nrouting checks (exact by construction):");
     for &m in &[n as u32 - 1, 450, 123] {
         let mote = VertexId(m);
-        let up = router::route(&t, &ours.scheme, mote, sink).expect("in tree");
+        let up = router::route(&t, &scheme, mote, sink).expect("in tree");
         let down = baseline::route(&t, &prior.scheme, sink, mote).expect("in tree");
         let want = t.tree_distance(mote, sink).unwrap();
         assert_eq!(up.weight, want);

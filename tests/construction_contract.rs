@@ -212,7 +212,7 @@ fn one_and_two_vertex_networks_build_in_every_mode() {
     }
 }
 
-/// One standalone tree simulation (`distributed::build_observed` with its own
+/// One standalone tree simulation (`distributed::build` with its own
 /// BFS backbone, the path behind `table2` and the `fig_*_vs_n` binaries) on a
 /// shortest-path tree, rendered as one line: the ledger totals, every
 /// `tree/*` span's name and counter delta, the CRC32 of the per-member peaks
@@ -230,7 +230,7 @@ fn standalone_pin(g: &Graph, q: Option<f64>) -> String {
         q,
         backbone_depth: None,
     };
-    let out = distributed::build_observed(&network, &tree, &config, &mut rng, &mut rec);
+    let out = distributed::build(&network, &tree, &config, &mut rng, &mut rec);
     let c = out.ledger.counters();
     let mut line = format!(
         "ledger {}/{}/{}/{}",
@@ -248,8 +248,7 @@ fn standalone_pin(g: &Graph, q: Option<f64>) -> String {
         .flat_map(|&p| (p as u64).to_le_bytes())
         .collect();
     let mut rows = String::new();
-    for &v in out.scheme.members() {
-        let (table, label) = (out.scheme.table(v).unwrap(), out.scheme.label(v).unwrap());
+    for ((v, table), label) in tree.members().iter().zip(&out.tables).zip(&out.labels) {
         writeln!(rows, "{} {table:?} {label:?}", v.0).unwrap();
     }
     write!(

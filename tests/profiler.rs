@@ -251,19 +251,24 @@ fn report_parse_errors_name_the_record_and_field() {
         std::env::temp_dir().join(format!("drt-parse-err-test-{}.jsonl", std::process::id()));
     std::fs::write(
         &path,
-        "{\"type\":\"run_summary\",\"name\":\"x\",\"wall_ns\":1}\n{\"type\":\"metrics\",\"name\":\"m\",\"counters\":{\"c\":-4},\"gauges\":{}}\n",
+        concat!(
+            "{\"type\":\"run_summary\",\"name\":\"x\",\"wall_ns\":1}\n",
+            "{\"type\":\"scaling_check\",\"metric\":\"m\",\"exponent\":0.5,",
+            "\"intercept_ln\":0.0,\"r2\":1.0,\"points\":-4,\"predicted_lo\":0.4,",
+            "\"predicted_hi\":0.6,\"claim\":\"c\",\"ok\":true}\n",
+        ),
     )
     .unwrap();
     let records = obs::read_report(&path).expect("well-formed JSON lines still parse");
     std::fs::remove_file(&path).ok();
-    let err = obs::metrics::MetricSet::from_value(&records[1])
+    let err = obs::scaling::ScalingCheck::from_value(&records[1])
         .map(|_| ())
         .unwrap_err()
         .in_record(1);
     let msg = err.to_string();
     assert!(msg.contains("record 1"), "{msg}");
-    assert!(msg.contains("metrics"), "{msg}");
-    assert!(msg.contains('c'), "{msg}");
+    assert!(msg.contains("scaling_check"), "{msg}");
+    assert!(msg.contains("'points'"), "{msg}");
 
     // Malformed JSON fails at read_report with the line tagged.
     std::fs::write(&path, "{\"type\":\"span\"}\nnot json\n").unwrap();

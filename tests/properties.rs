@@ -40,6 +40,17 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = graphs::Graph> {
         })
 }
 
+/// The paper's tree construction at `q = 1/√n` with its own backbone,
+/// unobserved.
+fn default_tree_build(
+    net: &congest::Network,
+    t: &graphs::RootedTree,
+    rng: &mut ChaCha8Rng,
+) -> tree_routing::distributed::TreeRun {
+    let config = tree_routing::distributed::Config::default();
+    tree_routing::distributed::build(net, t, &config, rng, &mut obs::Recorder::disabled())
+}
+
 /// A random recursive tree on a sparse member subset of a host of
 /// `SPARSE_HOST` vertices: distinct member ids in attachment order (the
 /// first is the root) with their parent edges `(child, parent, weight)`.
@@ -83,7 +94,7 @@ proptest! {
         let t = tree::shortest_path_tree(&g, root);
         let net = congest::Network::new(g);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let out = tree_routing::distributed::build_default(&net, &t, &mut rng);
+        let out = default_tree_build(&net, &t, &mut rng);
         tree_routing::distributed::assert_matches_centralized(&t, &out);
     }
 
@@ -95,8 +106,8 @@ proptest! {
         let t = tree::shortest_path_tree(&g, VertexId(0));
         let net = congest::Network::new(g);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let out = tree_routing::distributed::build_default(&net, &t, &mut rng);
-        tree_routing::router::verify_exactness(&t, &out.scheme);
+        let out = default_tree_build(&net, &t, &mut rng);
+        tree_routing::router::verify_exactness(&t, &out.scheme(&t));
     }
 
     #[test]
@@ -107,7 +118,8 @@ proptest! {
         let t = tree::shortest_path_tree(&g, VertexId(0));
         let net = congest::Network::new(g);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let out = tree_routing::baseline::build(&net, &t, None, &mut rng);
+        let config = tree_routing::distributed::Config::default();
+        let out = tree_routing::baseline::build(&net, &t, &config, &mut rng);
         let verts: Vec<VertexId> = t.vertices().collect();
         for &u in &verts {
             for &v in &verts {
@@ -142,31 +154,32 @@ proptest! {
         let q = [None, Some(0.0), Some(1.0), Some(0.3)][q_sel];
         let config = distributed::Config { q, backbone_depth: Some(9) };
 
-        let big = distributed::build(&host, &t, &config, &mut ChaCha8Rng::seed_from_u64(seed));
-        let lil = distributed::build(&tight, &small, &config, &mut ChaCha8Rng::seed_from_u64(seed));
+        let disabled = &mut obs::Recorder::disabled();
+        let big = distributed::build(&host, &t, &config, &mut ChaCha8Rng::seed_from_u64(seed), disabled);
+        let lil =
+            distributed::build(&tight, &small, &config, &mut ChaCha8Rng::seed_from_u64(seed), disabled);
         distributed::assert_matches_centralized(&t, &big);
-        router::verify_exactness(&t, &big.scheme);
+        router::verify_exactness(&t, &big.scheme(&t));
         prop_assert_eq!(big.ledger.counters(), lil.ledger.counters());
         // One meter slot per member — nothing outside the tree is metered —
         // and slot for slot the same peaks as on the tight host.
         prop_assert_eq!(big.memory.len(), m);
         prop_assert_eq!(big.memory.peaks(), lil.memory.peaks());
-        prop_assert_eq!(big.scheme.members(), t.members());
+        let (big_scheme, lil_scheme) = (big.scheme(&t), lil.scheme(&small));
+        prop_assert_eq!(big_scheme.members(), t.members());
         for v in t.vertices() {
-            let (a, b) = (big.scheme.table(v).unwrap(), lil.scheme.table(rank(v)).unwrap());
+            let (a, b) = (big_scheme.table(v).unwrap(), lil_scheme.table(rank(v)).unwrap());
             prop_assert_eq!((a.enter, a.exit), (b.enter, b.exit));
             prop_assert_eq!(a.parent.map(rank), b.parent);
             prop_assert_eq!(a.heavy.map(rank), b.heavy);
-            let (a, b) = (big.scheme.label(v).unwrap(), lil.scheme.label(rank(v)).unwrap());
+            let (a, b) = (big_scheme.label(v).unwrap(), lil_scheme.label(rank(v)).unwrap());
             let relabelled: Vec<_> = a.light.iter().map(|&(x, y)| (rank(x), rank(y))).collect();
             prop_assert_eq!(&relabelled, &b.light);
         }
 
         // The prior two-level scheme obeys the same contract.
-        let big = baseline::build_with_backbone(
-            &host, &t, q, Some(9), &mut ChaCha8Rng::seed_from_u64(seed));
-        let lil = baseline::build_with_backbone(
-            &tight, &small, q, Some(9), &mut ChaCha8Rng::seed_from_u64(seed));
+        let big = baseline::build(&host, &t, &config, &mut ChaCha8Rng::seed_from_u64(seed));
+        let lil = baseline::build(&tight, &small, &config, &mut ChaCha8Rng::seed_from_u64(seed));
         prop_assert_eq!(big.ledger.counters(), lil.ledger.counters());
         prop_assert_eq!(big.memory.peaks(), lil.memory.peaks());
         prop_assert_eq!(big.virtual_count, lil.virtual_count);
@@ -177,11 +190,19 @@ proptest! {
             }
         }
 
-        // Merged into a host-wide meter, a non-member holds the shared
-        // backbone's 3 words and nothing of the tree's.
-        let merged = multi::build_many(&host, std::slice::from_ref(&t), 1, &mut rng);
+        // Charged by the schedule to a host-wide meter, a non-member holds
+        // the shared backbone's 3 words and nothing of the tree's.
+        let mut ledger = congest::CostLedger::new();
+        let mut memory = congest::MemoryMeter::new(SPARSE_HOST);
         for v in host.graph().vertices() {
-            prop_assert_eq!(merged.memory.peak(v) > 3, t.contains(v));
+            memory.add(v, 3);
+        }
+        let mut schedule = multi::Schedule::new(SPARSE_HOST, 1, 9);
+        let run = distributed::build(&host, &t, schedule.config(), &mut rng, disabled);
+        let (l, m) = (&run.ledger, &run.memory);
+        schedule.charge_tree(&mut rng, t.members(), l, m, &mut ledger, &mut memory);
+        for v in host.graph().vertices() {
+            prop_assert_eq!(memory.peak(v) > 3, t.contains(v));
         }
     }
 

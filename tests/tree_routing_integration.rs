@@ -2,34 +2,42 @@
 //! distributed ≡ centralized on trees embedded in every topology family,
 //! exactness of both our scheme and the baseline, and the Table-2 orderings.
 
-use congest::Network;
-use graphs::{generators, tree, Graph, VertexId};
+use congest::{bfs, CostLedger, MemoryMeter, Network};
+use graphs::{generators, tree, Graph, RootedTree, VertexId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use tree_routing::{baseline, distributed, multi, router, tz};
+use tree_routing::distributed::{self, Config, TreeRun};
+use tree_routing::{baseline, multi, router, tz};
+
+/// The paper's construction at `q = 1/√n` with its own backbone, unobserved.
+fn ours(net: &Network, t: &RootedTree, rng: &mut ChaCha8Rng) -> TreeRun {
+    let disabled = &mut obs::Recorder::disabled();
+    distributed::build(net, t, &Config::default(), rng, disabled)
+}
 
 fn check_tree(g: Graph, root: u32, seed: u64) {
     let t = tree::shortest_path_tree(&g, VertexId(root));
     let net = Network::new(g);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let ours = distributed::build_default(&net, &t, &mut rng);
-    distributed::assert_matches_centralized(&t, &ours);
-    let prior = baseline::build(&net, &t, None, &mut rng);
+    let run = ours(&net, &t, &mut rng);
+    distributed::assert_matches_centralized(&t, &run);
+    let scheme = run.scheme(&t);
+    let prior = baseline::build(&net, &t, &Config::default(), &mut rng);
     // Exactness of both on sampled pairs.
     let verts: Vec<VertexId> = t.vertices().collect();
     for (i, &u) in verts.iter().enumerate().step_by(5) {
         for &v in verts.iter().skip(i % 3).step_by(7) {
             let want = t.tree_distance(u, v).unwrap();
-            let a = router::route(&t, &ours.scheme, u, v).unwrap();
+            let a = router::route(&t, &scheme, u, v).unwrap();
             let b = baseline::route(&t, &prior.scheme, u, v).unwrap();
             assert_eq!(a.weight, want, "ours {u}->{v}");
             assert_eq!(b.weight, want, "prior {u}->{v}");
         }
     }
     // Table-2 orderings.
-    assert_eq!(ours.scheme.max_table_words(), 4, "tables are O(1)");
-    assert!(ours.scheme.max_label_words() <= prior.scheme.max_label_words().max(4));
-    assert!(ours.memory.max_peak() <= prior.memory.max_peak());
+    assert_eq!(scheme.max_table_words(), 4, "tables are O(1)");
+    assert!(scheme.max_label_words() <= prior.scheme.max_label_words().max(4));
+    assert!(run.memory.max_peak() <= prior.memory.max_peak());
 }
 
 #[test]
@@ -103,9 +111,9 @@ fn partial_tree_inside_network() {
     let t = graphs::RootedTree::from_parents(VertexId(0), parent, weight);
     let net = Network::new(g);
     let mut rng2 = ChaCha8Rng::seed_from_u64(8);
-    let ours = distributed::build_default(&net, &t, &mut rng2);
-    distributed::assert_matches_centralized(&t, &ours);
-    router::verify_exactness(&t, &ours.scheme);
+    let run = ours(&net, &t, &mut rng2);
+    distributed::assert_matches_centralized(&t, &run);
+    router::verify_exactness(&t, &run.scheme(&t));
 }
 
 #[test]
@@ -118,22 +126,42 @@ fn multi_tree_memory_and_rounds_beat_sequential() {
         .iter()
         .map(|&r| tree::shortest_path_tree(net.graph(), VertexId(r)))
         .collect();
-    let par = multi::build_many(&net, &trees, roots.len(), &mut rng);
-    assert_eq!(par.observed_overlap, roots.len());
-    // Every scheme matches the centralized construction.
-    for (t, s) in trees.iter().zip(&par.schemes) {
+    // Every tree on one schedule over one shared backbone, asked for no
+    // labels (a table is all this test reads).
+    let backbone = bfs::build_bfs_tree(&net, trees[0].root());
+    let mut ledger = CostLedger::new();
+    let mut memory = MemoryMeter::new(net.len());
+    ledger.charge_rounds(backbone.stats.rounds);
+    for v in net.graph().vertices() {
+        memory.add(v, 3);
+    }
+    let mut schedule = multi::Schedule::new(net.len(), roots.len(), backbone.depth);
+    let mut scratch = distributed::Scratch::default();
+    let disabled = &mut obs::Recorder::disabled();
+    for t in &trees {
+        let run = scratch.run(&net, t, schedule.config(), &[], &mut rng, disabled);
+        let (l, m) = (&run.ledger, &run.memory);
+        schedule.charge_tree(&mut rng, t.members(), l, m, &mut ledger, &mut memory);
+        // Every tree's tables match the centralized construction.
         let want = tz::build(t);
-        for v in t.vertices().step_by(3) {
-            assert_eq!(s.table(v), want.table(v));
+        for (r, v) in t.members().iter().enumerate().step_by(3) {
+            assert_eq!(Some(&run.tables[r]), want.table(*v));
         }
     }
+    let window = schedule.window();
+    assert!(schedule.close(&mut ledger) >= window);
+    // Every switch is in every tree: the overlap the schedule was built for.
+    let bound = roots.len() * (18 + 7 * distributed::log2_ceil(net.len()));
+    assert!(
+        memory.max_peak() <= bound,
+        "{} > {bound}",
+        memory.max_peak()
+    );
     let mut seq = 0u64;
     for t in &trees {
-        seq += distributed::build_default(&net, t, &mut rng)
-            .ledger
-            .rounds();
+        seq += ours(&net, t, &mut rng).ledger.rounds();
     }
-    assert!(par.ledger.rounds() < seq);
+    assert!(ledger.rounds() < seq);
 }
 
 #[test]
@@ -144,9 +172,9 @@ fn weighted_trees_route_by_weight_not_hops() {
     let g = generators::small_hop_diameter_large_spd(100, 25, &mut rng);
     let t = tree::shortest_path_tree(&g, VertexId(0));
     let net = Network::new(g);
-    let ours = distributed::build_default(&net, &t, &mut rng);
+    let scheme = ours(&net, &t, &mut rng).scheme(&t);
     for v in [VertexId(50), VertexId(99), VertexId(25)] {
-        let trace = router::route(&t, &ours.scheme, v, VertexId(0)).unwrap();
+        let trace = router::route(&t, &scheme, v, VertexId(0)).unwrap();
         assert_eq!(Some(trace.weight), t.tree_distance(v, VertexId(0)));
         // Every hop is a tree edge.
         for pair in trace.path.windows(2) {
@@ -185,16 +213,17 @@ fn degenerate_trees_route_exactly_at_both_sampling_extremes() {
             assert_eq!(want.members(), t.members());
             router::verify_exactness(t, &want);
             for q in [0.0, 1.0] {
-                let config = distributed::Config {
+                let config = Config {
                     q: Some(q),
-                    ..distributed::Config::default()
+                    ..Config::default()
                 };
-                let ours = distributed::build(&net, t, &config, &mut rng);
-                assert_eq!(ours.scheme, want);
+                let disabled = &mut obs::Recorder::disabled();
+                let run = distributed::build(&net, t, &config, &mut rng, disabled);
+                assert_eq!(run.scheme(t), want);
                 let sampled = if q == 0.0 { 1 } else { t.num_vertices() };
-                assert_eq!(ours.virtual_count, sampled);
-                assert_eq!(ours.memory.len(), t.num_vertices());
-                let prior = baseline::build(&net, t, Some(q), &mut rng);
+                assert_eq!(run.virtual_count, sampled);
+                assert_eq!(run.memory.len(), t.num_vertices());
+                let prior = baseline::build(&net, t, &config, &mut rng);
                 assert_eq!(prior.virtual_count, sampled);
                 for u in t.vertices() {
                     for v in t.vertices() {
