@@ -37,24 +37,40 @@ fn bench_constructions(c: &mut Criterion) {
     }
     // The general-graph scheme's tree stage without the rest of the build:
     // every cluster tree of one ER n = 4096, k = 2 scheme on the stage's
-    // schedule for overlap s (shared backbone, q = 1/√(s·n), offsets).
+    // schedule for overlap s (shared backbone, q = 1/√(s·n), offsets), on
+    // one reused scratch asked only for the labels the scheme keeps.
     let n = 4096;
     let mut rng = ChaCha8Rng::seed_from_u64(43);
     let g = Family::ErdosRenyi.generate(n, &mut rng);
     let params = BuildParams::new(2).with_mode(Mode::DistributedLowMemory);
     let built = routing::build(&g, &params, &mut rng);
-    let net = Network::new(g);
     let s = built.report.max_membership;
+    // A kept label row of `v` lives in the tree rooted at the row's pivot,
+    // at `v`'s rank among that tree's (sorted) members.
+    let mut tree_of_root = vec![usize::MAX; n];
+    for (idx, t) in built.trees.iter().enumerate() {
+        tree_of_root[t.root.index()] = idx;
+    }
+    let mut ranks = vec![Vec::new(); built.trees.len()];
+    for v in g.vertices() {
+        for row in built.scheme.label(v).rows() {
+            let idx = tree_of_root[row.pivot.index()];
+            let rank = built.trees[idx].members().binary_search(&v);
+            ranks[idx].push(rank.expect("a labeled vertex is a member of its pivot's tree"));
+        }
+    }
+    let net = Network::new(g);
     let depth = bfs::build_bfs_tree(&net, VertexId(0)).depth;
     let trees: Vec<graphs::RootedTree> = built.trees.iter().map(|t| t.to_rooted(n)).collect();
     group.bench_function("cluster_trees_er4096_k2", |b| {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let disabled = &mut obs::Recorder::disabled();
         b.iter(|| {
+            let mut scratch = distributed::Scratch::default();
             let mut schedule = multi::Schedule::new(n, s, depth);
             let (mut ledger, mut memory) = (CostLedger::new(), MemoryMeter::new(n));
-            for t in &trees {
-                let run = distributed::build(&net, t, schedule.config(), &mut rng, disabled);
+            for (t, ranks) in trees.iter().zip(&ranks) {
+                let run = scratch.run(&net, t, schedule.config(), ranks, &mut rng, disabled);
                 let (l, m) = (&run.ledger, &run.memory);
                 schedule.charge_tree(&mut rng, t.members(), l, m, &mut ledger, &mut memory);
             }

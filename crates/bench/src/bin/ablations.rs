@@ -29,14 +29,14 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tree_routing::distributed;
 
-fn main() {
+fn main() -> Result<(), String> {
     let mut sweep = Sweep::from_env("ablations");
     ablation_pointer_jumping(&mut sweep.rec);
     ablation_materialization(&mut sweep.rec);
     ablation_range_partition();
     ablation_hopset_bf(&mut sweep.rec);
     ablation_hopset_families(&mut sweep.rec);
-    sweep.finish();
+    sweep.finish()
 }
 
 fn ablation_pointer_jumping(rec: &mut obs::Recorder) {

@@ -25,7 +25,7 @@ use graphs::{generators, tree, VertexId};
 use tree_routing::encode::{encode_label, encode_table};
 use tree_routing::tz;
 
-fn main() {
+fn main() -> Result<(), String> {
     let mut sweep = Sweep::from_env("fig_bits");
     println!("== Fig S4a: tree label/table sizes — words vs encoded bits ==");
     let widths = [8, 12, 12, 12, 12];
@@ -112,5 +112,5 @@ fn main() {
     }
     println!("(our overhead column stays at 1.0 — one O(log n)-bit message per rounded");
     println!(" weight — while the prior column grows with log Λ)");
-    sweep.finish();
+    sweep.finish()
 }

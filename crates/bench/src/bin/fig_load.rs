@@ -20,7 +20,7 @@ use congest::Network;
 use routing::{build_observed, packet, BuildParams};
 use traffic::{Workload, WorkloadKind};
 
-fn main() {
+fn main() -> Result<(), String> {
     let mut sweep = Sweep::from_env("fig_load");
     let reporting = sweep.reporting();
     let n = 400;
@@ -88,5 +88,5 @@ fn main() {
     }
     println!("\n(delays are rounds from injection to delivery; all packets drain because");
     println!(" per-tree forwarding is loop-free — growth in max delay is pure queueing)");
-    sweep.finish();
+    sweep.finish()
 }

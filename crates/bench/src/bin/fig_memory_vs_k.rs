@@ -13,7 +13,7 @@ use bench::sweep::Sweep;
 use bench::{print_header, print_row, Family};
 use routing::{build_observed, prior, BuildParams};
 
-fn main() {
+fn main() -> Result<(), String> {
     let mut sweep = Sweep::from_env("fig_memory_vs_k");
     let n = 1024;
     let widths = [4, 12, 12, 12, 10];
@@ -50,5 +50,5 @@ fn main() {
     println!("materialized-E'/T' terms). The asymptotic √n floor of the prior scheme");
     println!("binds only once n^(1/k)·polylog < √n, beyond laptop-scale n for small k —");
     println!("a finite-size effect EXPERIMENTS.md discusses.");
-    sweep.finish();
+    sweep.finish()
 }

@@ -17,7 +17,7 @@ use graphs::{tree, VertexId};
 use routing::{build_observed, prior, BuildParams};
 use tree_routing::{baseline, distributed};
 
-fn main() {
+fn main() -> Result<(), String> {
     let mut sweep = Sweep::from_env("fig_memory_vs_n");
     let widths = [8, 12, 12, 8];
 
@@ -93,5 +93,5 @@ fn main() {
     );
     println!("note: at k=2 both exponents are ≈ 0.5 — the separation at fixed k=2 is the");
     println!("constant-factor E'/T' materialization; the asymptotic gap opens with k (see fig_memory_vs_k).");
-    sweep.finish();
+    sweep.finish()
 }

@@ -19,7 +19,7 @@ use graphs::{tree, VertexId};
 use routing::{build_observed, BuildParams};
 use tree_routing::distributed;
 
-fn main() {
+fn main() -> Result<(), String> {
     let mut sweep = Sweep::from_env("fig_rounds_vs_n");
     let widths = [8, 10, 12];
 
@@ -76,5 +76,5 @@ fn main() {
         "empirical exponent: {:.3}  ((n^(1/2+1/k)+D)·polylog predicts ≈ 1.0 for k=2 plus log slack)",
         log_log_slope(&pts)
     );
-    sweep.finish();
+    sweep.finish()
 }

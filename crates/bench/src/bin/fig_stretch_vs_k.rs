@@ -17,7 +17,7 @@ use bench::{print_header, print_row, Family};
 use graphs::VertexId;
 use routing::{build_observed, router, BuildParams};
 
-fn main() {
+fn main() -> Result<(), String> {
     let mut sweep = Sweep::from_env("fig_stretch_vs_k");
     let n = 512;
     let widths = [4, 10, 10, 8, 8, 9, 11, 10, 10];
@@ -81,5 +81,5 @@ fn main() {
     println!("expected shape: max stretch stays below the implemented guarantee 4k-3");
     println!("everywhere (and below 4k-5 for k >= 3), mean stretch far below; table");
     println!("size falls with k while labels grow mildly (O(k log n)).");
-    sweep.finish();
+    sweep.finish()
 }

@@ -18,7 +18,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use routing::{build_observed, prior, router, BuildParams, Mode};
 
-fn main() {
+fn main() -> Result<(), String> {
     let mut sweep = Sweep::from_env("table1");
     let json = sweep.opts.json;
     let mut json_rows: Vec<Value> = Vec::new();
@@ -188,5 +188,5 @@ fn main() {
         println!("see EXPERIMENTS.md on the 4k-5 refinement); rounds for both distributed");
         println!("rows are ~n^(1/2+1/k)+D up to polylog factors.");
     }
-    sweep.finish();
+    sweep.finish()
 }

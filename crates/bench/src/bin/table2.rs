@@ -24,7 +24,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tree_routing::{baseline, distributed, tz};
 
-fn main() {
+fn main() -> Result<(), String> {
     let mut sweep = Sweep::from_env("table2");
     let json = sweep.opts.json;
     let mut json_rows: Vec<Value> = Vec::new();
@@ -131,5 +131,5 @@ fn main() {
         println!("grow ~log n, while the prior row's labels carry an extra log factor and");
         println!("its memory grows ~sqrt(n); rounds are ~sqrt(n)+D for both distributed rows.");
     }
-    sweep.finish();
+    sweep.finish()
 }

@@ -6,8 +6,10 @@
 //! scaling exponent is the claim — a log-log slope estimate. The shared
 //! skeleton (option parsing, recorder setup, per-case seeding, span
 //! bookkeeping) lives in [`sweep`]; the standardized benchmark suite behind
-//! `drt bench` / `drt compare` lives in [`suite`].
+//! `drt bench` lives in [`suite`], and `drt compare`'s diff of two suite
+//! documents in [`compare`].
 
+pub mod compare;
 pub mod suite;
 pub mod sweep;
 

@@ -1,8 +1,8 @@
-//! The standardized benchmark suite behind `drt bench` / `drt compare`:
-//! fixed-seed sweeps, a schema'd `BENCH_*.json` trajectory document, an
-//! automated scaling-law checker, and threshold-based regression diffing.
+//! The standardized benchmark suite behind `drt bench`: fixed-seed sweeps, a
+//! schema'd `BENCH_*.json` trajectory document, and an automated
+//! scaling-law checker. [`crate::compare`] diffs two such documents.
 //!
-//! The suite sweeps six groups:
+//! The suite sweeps the six groups of `GROUPS`, in order:
 //!
 //! * `tree_build` — the Theorem-2 distributed tree-routing construction on
 //!   Erdős–Rényi shortest-path trees, across `n`;
@@ -21,6 +21,11 @@
 //!   gate for `drt serve`'s answer checksum, with achieved QPS carried in
 //!   the advisory wall column.
 //!
+//! Each group is one row of `GROUPS`: its sweep per tier, the exponents
+//! the paper predicts over it, and a fixture that builds the group's fixed
+//! inputs once and returns the measurement of one case. [`run_suite`] is the
+//! one case loop every group goes through.
+//!
 //! Every case records two kinds of numbers with different trust levels. The
 //! **simulated** columns (rounds, messages, words, peak memory, table/label
 //! words) are model costs: at a fixed seed they are byte-stable across
@@ -37,11 +42,13 @@
 use churn::{ChurnConfig, ChurnScenario, ProcessKind};
 use congest::Network;
 use graphs::{tree, VertexId};
+use obs::churn::HealthRow;
 use obs::json::Value;
 use obs::metrics::{quantile_ns, Stopwatch};
 use obs::record;
 use obs::record::Field;
 use obs::scaling::{fit_power_law, ExponentRange, ScalingCheck};
+use routing::audit::Component;
 use routing::{build_observed, packet, BuildParams};
 use serve::{generate_stream, run_closed, ServeConfig, ServePool, ServeWorkload, Snapshot};
 use traffic::{ScenarioConfig, TrafficScenario, Workload, WorkloadKind};
@@ -90,7 +97,8 @@ const SERVE_CHECK_RATE: f64 = 0.05;
 
 /// Suite size tiers. `Quick` cases are a strict subset of `Full` cases with
 /// identical ids, seeds, and therefore identical simulated columns, so a
-/// quick run diffs cleanly against a full baseline.
+/// quick run diffs cleanly against a full baseline. A tier indexes each
+/// group's `Group::sweep` (`tier as usize`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Tier {
     /// Tiny sizes for tests: runs in well under a second, too few points
@@ -129,58 +137,6 @@ impl Tier {
             Tier::Smoke => 2,
             Tier::Quick => 3,
             Tier::Full => 5,
-        }
-    }
-
-    fn tree_sizes(self) -> &'static [usize] {
-        match self {
-            Tier::Smoke => &[64, 128],
-            Tier::Quick => &[256, 512, 1024, 2048],
-            Tier::Full => &[256, 512, 1024, 2048, 4096, 8192],
-        }
-    }
-
-    fn scheme_sizes(self) -> &'static [usize] {
-        match self {
-            Tier::Smoke => &[48, 96],
-            Tier::Quick => &[128, 256, 512],
-            Tier::Full => &[128, 256, 512, 1024],
-        }
-    }
-
-    fn batch_loads(self) -> &'static [usize] {
-        match self {
-            Tier::Smoke => &[8, 16],
-            Tier::Quick => &[16, 64, 256],
-            Tier::Full => &[16, 64, 256, 1024, 4096],
-        }
-    }
-
-    /// Offered rates (packets per round, network-wide) for the
-    /// `traffic_steady` sweep.
-    fn traffic_rates(self) -> &'static [f64] {
-        match self {
-            Tier::Smoke => &[0.5, 2.0],
-            Tier::Quick => &[0.5, 1.0, 2.0],
-            Tier::Full => &[0.5, 1.0, 2.0, 4.0, 8.0],
-        }
-    }
-
-    /// Churn-round horizons for the `churn_degrade` sweep.
-    fn churn_rounds(self) -> &'static [u64] {
-        match self {
-            Tier::Smoke => &[2, 4],
-            Tier::Quick => &[4, 8, 16],
-            Tier::Full => &[4, 8, 16, 32],
-        }
-    }
-
-    /// Query-stream lengths for the `serve_qps` sweep.
-    fn serve_queries(self) -> &'static [usize] {
-        match self {
-            Tier::Smoke => &[64, 128],
-            Tier::Quick => &[256, 1024, 4096],
-            Tier::Full => &[256, 1024, 4096, 16384],
         }
     }
 }
@@ -357,6 +313,347 @@ impl BenchDoc {
     }
 }
 
+/// A case's measurement: its simulated columns in schema order and one
+/// wall-clock sample in nanoseconds.
+type Measure = Box<dyn FnMut(u64) -> (Vec<(&'static str, u64)>, u64)>;
+
+/// One swept group of the suite.
+struct Group {
+    /// The group name every case and scaling check carries.
+    name: &'static str,
+    /// Case-id prefix; the case's `x` completes it.
+    id: &'static str,
+    /// The sweep coordinates `x` per tier, indexed by `tier as usize`.
+    sweep: [&'static [u64]; 3],
+    /// The paper-predicted exponent ranges fitted over the sweep: column,
+    /// range, and the claim it operationalizes.
+    predicted: &'static [(&'static str, f64, f64, &'static str)],
+    /// Builds the group's fixed inputs once and returns the measurement of
+    /// the case at `x`, which must give the same simulated columns on every
+    /// call with the same `x`.
+    fixture: fn() -> Measure,
+}
+
+/// Every group, in suite order. Log-like growth is asserted as a small
+/// positive exponent band (see [`obs::scaling`]); polylog slack widens every
+/// band beyond the bare exponent.
+const GROUPS: &[Group] = &[
+    Group {
+        name: "tree_build",
+        id: "tree_build/er/n",
+        sweep: [
+            &[64, 128],
+            &[256, 512, 1024, 2048],
+            &[256, 512, 1024, 2048, 4096, 8192],
+        ],
+        predicted: &[
+            (
+                "rounds",
+                0.35,
+                0.95,
+                "Õ(√n + D) construction rounds (Theorem 2)",
+            ),
+            (
+                "peak_memory_words",
+                -0.05,
+                0.30,
+                "O(log n) memory per vertex (Theorem 2); prior work's √n would fit ≈ 0.4+",
+            ),
+            (
+                "table_words",
+                -0.05,
+                0.05,
+                "O(1) routing tables (Theorem 2)",
+            ),
+            ("label_words", 0.0, 0.30, "O(log n) labels (Theorem 2)"),
+        ],
+        fixture: || {
+            Box::new(|n| {
+                let mut rng = Sweep::rng(TREE_SEED, n);
+                let g = Family::ErdosRenyi.generate(n as usize, &mut rng);
+                let t = tree::shortest_path_tree(&g, VertexId(0));
+                let net = Network::new(g);
+                let config = distributed::Config::default();
+                let rec = &mut obs::Recorder::disabled();
+                let sw = Stopwatch::start();
+                let out = distributed::build(&net, &t, &config, &mut rng, rec);
+                let wall_ns = sw.elapsed_ns();
+                let scheme = out.scheme(&t);
+                let sim = vec![
+                    ("rounds", out.ledger.rounds()),
+                    ("messages", out.ledger.messages()),
+                    ("words", out.ledger.words()),
+                    ("peak_memory_words", out.memory.max_peak() as u64),
+                    ("table_words", scheme.max_table_words() as u64),
+                    ("label_words", scheme.max_label_words() as u64),
+                ];
+                (sim, wall_ns)
+            })
+        },
+    },
+    Group {
+        name: "scheme_build",
+        id: "scheme_build/er/k2/n",
+        sweep: [&[48, 96], &[128, 256, 512], &[128, 256, 512, 1024]],
+        predicted: &[
+            (
+                "rounds",
+                0.80,
+                1.80,
+                "(n^{1/2+1/k} + D)·polylog construction rounds at k = 2 (Theorem 3)",
+            ),
+            (
+                "peak_memory_words",
+                0.25,
+                0.80,
+                "Õ(n^{1/k}) memory per vertex at k = 2 (Theorem 3)",
+            ),
+            (
+                "aud_membership_words",
+                0.20,
+                0.85,
+                "Õ(n^{1/k}) cluster memberships per vertex at k = 2 (Claim 6)",
+            ),
+            (
+                "aud_tree_table_words",
+                0.20,
+                0.85,
+                "O(1)-word tree tables × Õ(n^{1/k}) memberships at k = 2 (Theorems 2–3)",
+            ),
+            (
+                "aud_tree_label_words",
+                0.0,
+                0.40,
+                "O(log n) tree-label words per vertex (Theorem 2)",
+            ),
+            (
+                "aud_pivot_words",
+                -0.05,
+                0.20,
+                "O(k) pivot words per vertex — constant at fixed k = 2",
+            ),
+        ],
+        fixture: || {
+            Box::new(|n| {
+                let mut rng = Sweep::rng(SCHEME_SEED, n);
+                let g = Family::ErdosRenyi.generate(n as usize, &mut rng);
+                // An enabled recorder because `BuildReport` has no words
+                // column; the recorder totals mirror the ledger exactly.
+                let mut rec = obs::Recorder::new();
+                let sw = Stopwatch::start();
+                let built = build_observed(&g, &BuildParams::new(BATCH_K), &mut rng, &mut rec);
+                let wall_ns = sw.elapsed_ns();
+                // Per-component attribution maxima from the scheme
+                // observatory (`routing::audit`): a pure post-build read that
+                // consumes no RNG. Its reconciliation identity is asserted
+                // on every benchmarked scheme, not just in the audit's tests.
+                let att = routing::audit::attribution(&built.scheme);
+                assert!(att.exact, "component attribution must reconcile exactly");
+                let max = |c| att.component_max(c) as u64;
+                let report = &built.report;
+                let sim = vec![
+                    ("rounds", report.rounds),
+                    ("messages", report.messages),
+                    ("words", rec.totals().words),
+                    ("peak_memory_words", report.memory.max_peak() as u64),
+                    ("table_words", report.max_table_words as u64),
+                    ("label_words", report.max_label_words as u64),
+                    ("aud_membership_words", max(Component::ClusterMembership)),
+                    ("aud_tree_table_words", max(Component::TreeTables)),
+                    ("aud_tree_label_words", max(Component::TreeLabels)),
+                    ("aud_pivot_words", max(Component::PivotSets)),
+                ];
+                (sim, wall_ns)
+            })
+        },
+    },
+    Group {
+        name: "route_batch",
+        id: "route_batch/er/p",
+        sweep: [&[8, 16], &[16, 64, 256], &[16, 64, 256, 1024, 4096]],
+        predicted: &[(
+            "words",
+            0.70,
+            1.30,
+            "Θ(P) total words for a P-packet batch (loop-free per-tree forwarding)",
+        )],
+        // One fixed graph and scheme for the whole group: the sweep varies
+        // the offered load, not the network.
+        fixture: || {
+            let mut rng = Sweep::rng(BATCH_SEED, 0);
+            let g = Family::ErdosRenyi.generate(BATCH_N, &mut rng);
+            let built = routing::build(&g, &BuildParams::new(BATCH_K), &mut rng);
+            let mut uniform = Workload::prepare(WorkloadKind::Uniform, &g, &built.scheme, 0);
+            let net = Network::new(g);
+            Box::new(move |load| {
+                // The pairs are deterministic per offered load.
+                let mut rng = Sweep::rng(BATCH_SEED, load);
+                let pairs: Vec<_> = (0..load).map(|_| uniform.draw(&mut rng)).collect();
+                let options = packet::SendOptions::default();
+                let report = packet::send(&net, &built.scheme, &pairs, options);
+                let sim = vec![
+                    ("rounds", report.stats.rounds),
+                    ("messages", report.stats.messages),
+                    ("words", report.stats.words),
+                    ("peak_memory_words", report.stats.memory.max_peak() as u64),
+                    ("delivered", report.delivered_count() as u64),
+                    ("dropped", report.dropped() as u64),
+                ];
+                // The engine samples its own wall clock; use it so the
+                // number prices the routing rounds, not the pair generation.
+                (sim, report.stats.wall_ns)
+            })
+        },
+    },
+    Group {
+        name: "traffic_steady",
+        id: "traffic_steady/er/uniform/r",
+        // Offered rates (packets per round, network-wide) in hundredths, so
+        // `x` stays integral (a power-law fit is scale-invariant in x) and
+        // `x / 100` gives back 0.5, 1, 2, 4 and 8 exactly.
+        sweep: [&[50, 200], &[50, 100, 200], &[50, 100, 200, 400, 800]],
+        predicted: &[(
+            "delivered",
+            0.70,
+            1.30,
+            "delivered throughput tracks the offered rate below saturation",
+        )],
+        // One fixed graph and scheme for the whole group: the sweep varies
+        // the offered rate, not the network.
+        fixture: || {
+            let mut rng = Sweep::rng(TRAFFIC_SEED, 0);
+            let g = Family::ErdosRenyi.generate(TRAFFIC_N, &mut rng);
+            let built = routing::build(&g, &BuildParams::new(BATCH_K), &mut rng);
+            let net = Network::new(g);
+            Box::new(move |centi| {
+                let scenario = TrafficScenario {
+                    network: &net,
+                    scheme: &built.scheme,
+                    workload: WorkloadKind::Uniform,
+                    config: ScenarioConfig {
+                        inject_rounds: TRAFFIC_INJECT_ROUNDS,
+                        queue_cap: TRAFFIC_QUEUE_CAP,
+                        seed: TRAFFIC_SEED,
+                        ..ScenarioConfig::default()
+                    },
+                };
+                let run = scenario.run(centi as f64 / 100.0);
+                let s = &run.summary;
+                let sim = vec![
+                    ("rounds", run.stats.rounds),
+                    ("messages", run.stats.messages),
+                    ("words", run.stats.words),
+                    ("peak_memory_words", run.stats.memory.max_peak() as u64),
+                    ("injected", s.injected),
+                    ("delivered", s.delivered),
+                    ("dropped", s.dropped()),
+                    ("peak_queue_packets", s.peak_queue_packets),
+                ];
+                // The engine samples its own wall clock; use it so the
+                // number prices the forwarding rounds, not the schedule
+                // planning.
+                (sim, run.stats.wall_ns)
+            })
+        },
+    },
+    Group {
+        name: "churn_degrade",
+        id: "churn_degrade/sf/targeted/r",
+        sweep: [&[2, 4], &[4, 8, 16], &[4, 8, 16, 32]],
+        predicted: &[],
+        // One fixed scale-free graph and scheme for the whole group: the
+        // sweep varies how long the targeted-removal process runs, not the
+        // network.
+        fixture: || {
+            let mut rng = Sweep::rng(CHURN_SEED, 0);
+            let g = Family::ScaleFree.generate(CHURN_N, &mut rng);
+            let built = routing::build(&g, &BuildParams::new(BATCH_K), &mut rng);
+            Box::new(move |rounds| {
+                let scenario = ChurnScenario {
+                    graph: &g,
+                    scheme: &built.scheme,
+                    config: ChurnConfig {
+                        process: ProcessKind::Targeted,
+                        rate: CHURN_RATE,
+                        rounds,
+                        seed: CHURN_SEED,
+                        ..ChurnConfig::default()
+                    },
+                };
+                let sw = Stopwatch::start();
+                let run = scenario.run();
+                let wall_ns = sw.elapsed_ns();
+                let last = run.rows.last().expect("timeline has a baseline row");
+                // Reachability is a ratio; sweep it in parts-per-million so
+                // the column stays an exactly-gateable integer.
+                let reach_ppm = (last.reachability(run.baseline_connected) * 1e6).round() as u64;
+                let total = |f: fn(&HealthRow) -> u64| run.rows.iter().map(f).sum();
+                let sim = vec![
+                    ("rounds", run.engine.rounds),
+                    ("messages", run.engine.messages),
+                    ("words", run.engine.words),
+                    ("dead_vertices", last.dead_vertices),
+                    ("dead_edges", last.dead_edges),
+                    ("blast_radius", last.blast_radius),
+                    ("final_reach_ppm", reach_ppm),
+                    ("delivered", total(|r| r.flow_delivered)),
+                    ("dropped_stuck", total(|r| r.dropped_stuck)),
+                    ("undeliverable", total(|r| r.undeliverable)),
+                    ("peak_queue_packets", run.peak_queue_packets),
+                ];
+                (sim, wall_ns)
+            })
+        },
+    },
+    Group {
+        name: "serve_qps",
+        id: "serve_qps/er/uniform/q",
+        sweep: [&[64, 128], &[256, 1024, 4096], &[256, 1024, 4096, 16384]],
+        predicted: &[(
+            "answered",
+            0.85,
+            1.15,
+            "answered queries scale linearly with the stream — O(1) table/label reads per \
+             query at a fixed scheme",
+        )],
+        // One fixed graph, scheme, and shared snapshot for the whole group:
+        // the sweep varies the stream length, not the network.
+        fixture: || {
+            let mut rng = Sweep::rng(SERVE_SEED, 0);
+            let g = Family::ErdosRenyi.generate(SERVE_N, &mut rng);
+            let built = routing::build(&g, &BuildParams::new(BATCH_K), &mut rng);
+            let snap = Snapshot::share(g, built.scheme);
+            Box::new(move |queries| {
+                let config = ServeConfig {
+                    workload: ServeWorkload::Uniform,
+                    queries: queries as usize,
+                    batch: SERVE_BATCH,
+                    threads: 1,
+                    seed: SERVE_SEED,
+                    check_rate: SERVE_CHECK_RATE,
+                };
+                let stream = generate_stream(&snap, &config);
+                let mut pool = ServePool::start(snap.clone(), 1);
+                let summary = run_closed(&mut pool, &stream, &config);
+                let sim = vec![
+                    ("answered", summary.answered),
+                    ("unreachable", summary.unreachable),
+                    ("errors", summary.errors),
+                    ("checks", summary.checks),
+                    ("mismatches", summary.mismatches),
+                    ("total_weight", summary.total_weight),
+                    ("total_hops", summary.total_hops),
+                    ("answer_checksum", summary.answer_checksum),
+                ];
+                // The run times its own serving loop; use it so the number
+                // prices the answered batches, not the stream generation or
+                // pool spin-up, and QPS can be read straight off the case.
+                (sim, summary.wall_ns)
+            })
+        },
+    },
+];
+
 /// Run the standardized suite at `tier`, labeling the document `label`.
 /// `repeats` overrides the tier's wall-clock repeat count; `progress` is
 /// called with each finished case id.
@@ -373,18 +670,32 @@ pub fn run_suite(
 ) -> Result<BenchDoc, String> {
     let repeats = repeats.unwrap_or_else(|| tier.repeats()).max(1);
     let mut cases = Vec::new();
-    for &n in tier.tree_sizes() {
-        cases.push(tree_case(n, repeats)?);
-        progress(&cases.last().unwrap().id);
+    for group in GROUPS {
+        let mut measure = (group.fixture)();
+        for &x in group.sweep[tier as usize] {
+            let id = format!("{}{x}", group.id);
+            let (sim, wall_ns) = measure(x);
+            let mut walls = vec![wall_ns];
+            while walls.len() < repeats {
+                let (again, wall_ns) = measure(x);
+                if again != sim {
+                    return Err(format!(
+                        "case {id}: simulated columns changed across repeats at a fixed seed \
+                         ({sim:?} vs {again:?}) — the pipeline is nondeterministic"
+                    ));
+                }
+                walls.push(wall_ns);
+            }
+            progress(&id);
+            cases.push(CaseResult {
+                id,
+                group: group.name.to_string(),
+                x,
+                sim: sim.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
+                wall: WallStats::from_samples(&walls),
+            });
+        }
     }
-    for &n in tier.scheme_sizes() {
-        cases.push(scheme_case(n, repeats)?);
-        progress(&cases.last().unwrap().id);
-    }
-    cases.extend(batch_cases(tier.batch_loads(), repeats, &mut progress)?);
-    cases.extend(traffic_cases(tier.traffic_rates(), repeats, &mut progress)?);
-    cases.extend(churn_cases(tier.churn_rounds(), repeats, &mut progress)?);
-    cases.extend(serve_cases(tier.serve_queries(), repeats, &mut progress)?);
     let checks = scaling_checks(&cases);
     Ok(BenchDoc {
         label: label.to_string(),
@@ -395,731 +706,37 @@ pub fn run_suite(
     })
 }
 
-/// Run repeated measurements of `f`, checking the simulated columns agree
-/// across repeats, and summarize the wall samples.
-fn repeated(
-    id: &str,
-    repeats: usize,
-    mut f: impl FnMut() -> (Vec<(String, u64)>, u64),
-) -> Result<(Vec<(String, u64)>, WallStats), String> {
-    let mut sim: Option<Vec<(String, u64)>> = None;
-    let mut walls = Vec::with_capacity(repeats);
-    for _ in 0..repeats {
-        let (s, wall_ns) = f();
-        walls.push(wall_ns);
-        match &sim {
-            None => sim = Some(s),
-            Some(prev) if *prev == s => {}
-            Some(prev) => {
-                return Err(format!(
-                    "case {id}: simulated columns changed across repeats at a fixed seed \
-                     ({prev:?} vs {s:?}) — the pipeline is nondeterministic"
-                ));
-            }
-        }
-    }
-    Ok((sim.unwrap_or_default(), WallStats::from_samples(&walls)))
-}
-
-fn tree_case(n: usize, repeats: usize) -> Result<CaseResult, String> {
-    let id = format!("tree_build/er/n{n}");
-    let (sim, wall) = repeated(&id, repeats, || {
-        let mut rng = Sweep::rng(TREE_SEED, n as u64);
-        let g = Family::ErdosRenyi.generate(n, &mut rng);
-        let t = tree::shortest_path_tree(&g, VertexId(0));
-        let net = Network::new(g);
-        let sw = Stopwatch::start();
-        let out = distributed::build(
-            &net,
-            &t,
-            &distributed::Config::default(),
-            &mut rng,
-            &mut obs::Recorder::disabled(),
-        );
-        let wall_ns = sw.elapsed_ns();
-        let scheme = out.scheme(&t);
-        let sim = vec![
-            ("rounds".to_string(), out.ledger.rounds()),
-            ("messages".to_string(), out.ledger.messages()),
-            ("words".to_string(), out.ledger.words()),
-            (
-                "peak_memory_words".to_string(),
-                out.memory.max_peak() as u64,
-            ),
-            ("table_words".to_string(), scheme.max_table_words() as u64),
-            ("label_words".to_string(), scheme.max_label_words() as u64),
-        ];
-        (sim, wall_ns)
-    })?;
-    Ok(CaseResult {
-        id,
-        group: "tree_build".to_string(),
-        x: n as u64,
-        sim,
-        wall,
-    })
-}
-
-fn scheme_case(n: usize, repeats: usize) -> Result<CaseResult, String> {
-    let id = format!("scheme_build/er/k{BATCH_K}/n{n}");
-    let (sim, wall) = repeated(&id, repeats, || {
-        let mut rng = Sweep::rng(SCHEME_SEED, n as u64);
-        let g = Family::ErdosRenyi.generate(n, &mut rng);
-        // An enabled recorder because `BuildReport` has no words column; the
-        // recorder totals mirror the construction's ledger exactly.
-        let mut rec = obs::Recorder::new();
-        let sw = Stopwatch::start();
-        let built = build_observed(&g, &BuildParams::new(BATCH_K), &mut rng, &mut rec);
-        let wall_ns = sw.elapsed_ns();
-        let sim = vec![
-            ("rounds".to_string(), built.report.rounds),
-            ("messages".to_string(), built.report.messages),
-            ("words".to_string(), rec.totals().words),
-            (
-                "peak_memory_words".to_string(),
-                built.report.memory.max_peak() as u64,
-            ),
-            (
-                "table_words".to_string(),
-                built.report.max_table_words as u64,
-            ),
-            (
-                "label_words".to_string(),
-                built.report.max_label_words as u64,
-            ),
-            // Per-component attribution maxima from the scheme observatory
-            // (`routing::audit`): pure post-build reads that consume no RNG,
-            // so every pre-existing column stays byte-identical.
-            (
-                "aud_membership_words".to_string(),
-                att_max(&built.scheme, routing::audit::Component::ClusterMembership),
-            ),
-            (
-                "aud_tree_table_words".to_string(),
-                att_max(&built.scheme, routing::audit::Component::TreeTables),
-            ),
-            (
-                "aud_tree_label_words".to_string(),
-                att_max(&built.scheme, routing::audit::Component::TreeLabels),
-            ),
-            (
-                "aud_pivot_words".to_string(),
-                att_max(&built.scheme, routing::audit::Component::PivotSets),
-            ),
-        ];
-        (sim, wall_ns)
-    })?;
-    Ok(CaseResult {
-        id,
-        group: "scheme_build".to_string(),
-        x: n as u64,
-        sim,
-        wall,
-    })
-}
-
-/// Largest per-vertex word count of one attribution component, with the
-/// attribution-reconciliation identity asserted along the way (the audit's
-/// exact-sum guarantee holds on every benchmarked scheme, not just in its
-/// own tests).
-fn att_max(scheme: &routing::RoutingScheme, c: routing::audit::Component) -> u64 {
-    let att = routing::audit::attribution(scheme);
-    assert!(att.exact, "component attribution must reconcile exactly");
-    att.component_max(c) as u64
-}
-
-fn batch_cases(
-    loads: &[usize],
-    repeats: usize,
-    progress: &mut impl FnMut(&str),
-) -> Result<Vec<CaseResult>, String> {
-    // One fixed graph and scheme for the whole group: the sweep varies the
-    // offered load, not the network.
-    let mut rng = Sweep::rng(BATCH_SEED, 0);
-    let g = Family::ErdosRenyi.generate(BATCH_N, &mut rng);
-    let built = routing::build(&g, &BuildParams::new(BATCH_K), &mut rng);
-    let mut uniform = Workload::prepare(WorkloadKind::Uniform, &g, &built.scheme, 0);
-    let net = Network::new(g);
-    let mut cases = Vec::new();
-    for &load in loads {
-        let id = format!("route_batch/er/p{load}");
-        let (sim, wall) = repeated(&id, repeats, || {
-            // The pairs are deterministic per offered load.
-            let mut rng = Sweep::rng(BATCH_SEED, load as u64);
-            let pairs: Vec<_> = (0..load).map(|_| uniform.draw(&mut rng)).collect();
-            let report = packet::send(&net, &built.scheme, &pairs, packet::SendOptions::default());
-            let delivered = report.delivered_count();
-            let sim = vec![
-                ("rounds".to_string(), report.stats.rounds),
-                ("messages".to_string(), report.stats.messages),
-                ("words".to_string(), report.stats.words),
-                (
-                    "peak_memory_words".to_string(),
-                    report.stats.memory.max_peak() as u64,
-                ),
-                ("delivered".to_string(), delivered as u64),
-                ("dropped".to_string(), report.dropped() as u64),
-            ];
-            // The engine samples its own wall clock; use it so the number
-            // prices the routing rounds, not the pair generation.
-            (sim, report.stats.wall_ns)
-        })?;
-        cases.push(CaseResult {
-            id,
-            group: "route_batch".to_string(),
-            x: load as u64,
-            sim,
-            wall,
-        });
-        progress(&cases.last().unwrap().id);
-    }
-    Ok(cases)
-}
-
-fn traffic_cases(
-    rates: &[f64],
-    repeats: usize,
-    progress: &mut impl FnMut(&str),
-) -> Result<Vec<CaseResult>, String> {
-    // One fixed graph and scheme for the whole group: the sweep varies the
-    // offered rate, not the network.
-    let mut rng = Sweep::rng(TRAFFIC_SEED, 0);
-    let g = Family::ErdosRenyi.generate(TRAFFIC_N, &mut rng);
-    let built = routing::build(&g, &BuildParams::new(BATCH_K), &mut rng);
-    let net = Network::new(g);
-    let mut cases = Vec::new();
-    for &rate in rates {
-        // Rates are swept in hundredths so the x coordinate stays integral
-        // (a power-law fit is scale-invariant in x).
-        let centi = (rate * 100.0).round() as u64;
-        let id = format!("traffic_steady/er/uniform/r{centi}");
-        let (sim, wall) = repeated(&id, repeats, || {
-            let scenario = TrafficScenario {
-                network: &net,
-                scheme: &built.scheme,
-                workload: WorkloadKind::Uniform,
-                config: ScenarioConfig {
-                    inject_rounds: TRAFFIC_INJECT_ROUNDS,
-                    queue_cap: TRAFFIC_QUEUE_CAP,
-                    seed: TRAFFIC_SEED,
-                    ..ScenarioConfig::default()
-                },
-            };
-            let run = scenario.run(rate);
-            let s = &run.summary;
-            let sim = vec![
-                ("rounds".to_string(), run.stats.rounds),
-                ("messages".to_string(), run.stats.messages),
-                ("words".to_string(), run.stats.words),
-                (
-                    "peak_memory_words".to_string(),
-                    run.stats.memory.max_peak() as u64,
-                ),
-                ("injected".to_string(), s.injected),
-                ("delivered".to_string(), s.delivered),
-                ("dropped".to_string(), s.dropped()),
-                ("peak_queue_packets".to_string(), s.peak_queue_packets),
-            ];
-            // The engine samples its own wall clock; use it so the number
-            // prices the forwarding rounds, not the schedule planning.
-            (sim, run.stats.wall_ns)
-        })?;
-        cases.push(CaseResult {
-            id,
-            group: "traffic_steady".to_string(),
-            x: centi,
-            sim,
-            wall,
-        });
-        progress(&cases.last().unwrap().id);
-    }
-    Ok(cases)
-}
-
-fn churn_cases(
-    rounds_sweep: &[u64],
-    repeats: usize,
-    progress: &mut impl FnMut(&str),
-) -> Result<Vec<CaseResult>, String> {
-    // One fixed scale-free graph and scheme for the whole group: the sweep
-    // varies how long the targeted-removal process runs, not the network.
-    let mut rng = Sweep::rng(CHURN_SEED, 0);
-    let g = Family::ScaleFree.generate(CHURN_N, &mut rng);
-    let built = routing::build(&g, &BuildParams::new(BATCH_K), &mut rng);
-    let mut cases = Vec::new();
-    for &rounds in rounds_sweep {
-        let id = format!("churn_degrade/sf/targeted/r{rounds}");
-        let (sim, wall) = repeated(&id, repeats, || {
-            let scenario = ChurnScenario {
-                graph: &g,
-                scheme: &built.scheme,
-                config: ChurnConfig {
-                    process: ProcessKind::Targeted,
-                    rate: CHURN_RATE,
-                    rounds,
-                    seed: CHURN_SEED,
-                    ..ChurnConfig::default()
-                },
-            };
-            let sw = Stopwatch::start();
-            let run = scenario.run();
-            let wall_ns = sw.elapsed_ns();
-            let last = run.rows.last().expect("timeline has a baseline row");
-            // Reachability is a ratio; sweep it in parts-per-million so the
-            // column stays an exactly-gateable integer.
-            let reach_ppm = (last.reachability(run.baseline_connected) * 1e6).round() as u64;
-            let sim = vec![
-                ("rounds".to_string(), run.engine.rounds),
-                ("messages".to_string(), run.engine.messages),
-                ("words".to_string(), run.engine.words),
-                ("dead_vertices".to_string(), last.dead_vertices),
-                ("dead_edges".to_string(), last.dead_edges),
-                ("blast_radius".to_string(), last.blast_radius),
-                ("final_reach_ppm".to_string(), reach_ppm),
-                (
-                    "delivered".to_string(),
-                    run.rows.iter().map(|r| r.flow_delivered).sum(),
-                ),
-                (
-                    "dropped_stuck".to_string(),
-                    run.rows.iter().map(|r| r.dropped_stuck).sum(),
-                ),
-                (
-                    "undeliverable".to_string(),
-                    run.rows.iter().map(|r| r.undeliverable).sum(),
-                ),
-                ("peak_queue_packets".to_string(), run.peak_queue_packets),
-            ];
-            (sim, wall_ns)
-        })?;
-        cases.push(CaseResult {
-            id,
-            group: "churn_degrade".to_string(),
-            x: rounds,
-            sim,
-            wall,
-        });
-        progress(&cases.last().unwrap().id);
-    }
-    Ok(cases)
-}
-
-fn serve_cases(
-    query_counts: &[usize],
-    repeats: usize,
-    progress: &mut impl FnMut(&str),
-) -> Result<Vec<CaseResult>, String> {
-    // One fixed graph, scheme, and shared snapshot for the whole group: the
-    // sweep varies the stream length, not the network.
-    let mut rng = Sweep::rng(SERVE_SEED, 0);
-    let g = Family::ErdosRenyi.generate(SERVE_N, &mut rng);
-    let built = routing::build(&g, &BuildParams::new(BATCH_K), &mut rng);
-    let snap = Snapshot::share(g, built.scheme);
-    let mut cases = Vec::new();
-    for &queries in query_counts {
-        let id = format!("serve_qps/er/uniform/q{queries}");
-        let (sim, wall) = repeated(&id, repeats, || {
-            let config = ServeConfig {
-                workload: ServeWorkload::Uniform,
-                queries,
-                batch: SERVE_BATCH,
-                threads: 1,
-                seed: SERVE_SEED,
-                check_rate: SERVE_CHECK_RATE,
-            };
-            let stream = generate_stream(&snap, &config);
-            let mut pool = ServePool::start(snap.clone(), 1);
-            let summary = run_closed(&mut pool, &stream, &config);
-            let sim = vec![
-                ("answered".to_string(), summary.answered),
-                ("unreachable".to_string(), summary.unreachable),
-                ("errors".to_string(), summary.errors),
-                ("checks".to_string(), summary.checks),
-                ("mismatches".to_string(), summary.mismatches),
-                ("total_weight".to_string(), summary.total_weight),
-                ("total_hops".to_string(), summary.total_hops),
-                ("answer_checksum".to_string(), summary.answer_checksum),
-            ];
-            // The run times its own serving loop; use it so the number
-            // prices the answered batches, not the stream generation or
-            // pool spin-up, and QPS can be read straight off the case.
-            (sim, summary.wall_ns)
-        })?;
-        cases.push(CaseResult {
-            id,
-            group: "serve_qps".to_string(),
-            x: queries as u64,
-            sim,
-            wall,
-        });
-        progress(&cases.last().unwrap().id);
-    }
-    Ok(cases)
-}
-
-/// The paper-predicted exponent ranges the checker asserts: metric, range,
-/// and the claim it operationalizes. Log-like growth is asserted as a small
-/// positive exponent band (see [`obs::scaling`]); polylog slack widens every
-/// band beyond the bare exponent.
-const PREDICTIONS: &[(&str, &str, f64, f64, &str)] = &[
-    (
-        "tree_build",
-        "rounds",
-        0.35,
-        0.95,
-        "Õ(√n + D) construction rounds (Theorem 2)",
-    ),
-    (
-        "tree_build",
-        "peak_memory_words",
-        -0.05,
-        0.30,
-        "O(log n) memory per vertex (Theorem 2); prior work's √n would fit ≈ 0.4+",
-    ),
-    (
-        "tree_build",
-        "table_words",
-        -0.05,
-        0.05,
-        "O(1) routing tables (Theorem 2)",
-    ),
-    (
-        "tree_build",
-        "label_words",
-        0.0,
-        0.30,
-        "O(log n) labels (Theorem 2)",
-    ),
-    (
-        "scheme_build",
-        "rounds",
-        0.80,
-        1.80,
-        "(n^{1/2+1/k} + D)·polylog construction rounds at k = 2 (Theorem 3)",
-    ),
-    (
-        "scheme_build",
-        "peak_memory_words",
-        0.25,
-        0.80,
-        "Õ(n^{1/k}) memory per vertex at k = 2 (Theorem 3)",
-    ),
-    (
-        "scheme_build",
-        "aud_membership_words",
-        0.20,
-        0.85,
-        "Õ(n^{1/k}) cluster memberships per vertex at k = 2 (Claim 6)",
-    ),
-    (
-        "scheme_build",
-        "aud_tree_table_words",
-        0.20,
-        0.85,
-        "O(1)-word tree tables × Õ(n^{1/k}) memberships at k = 2 (Theorems 2–3)",
-    ),
-    (
-        "scheme_build",
-        "aud_tree_label_words",
-        0.0,
-        0.40,
-        "O(log n) tree-label words per vertex (Theorem 2)",
-    ),
-    (
-        "scheme_build",
-        "aud_pivot_words",
-        -0.05,
-        0.20,
-        "O(k) pivot words per vertex — constant at fixed k = 2",
-    ),
-    (
-        "route_batch",
-        "words",
-        0.70,
-        1.30,
-        "Θ(P) total words for a P-packet batch (loop-free per-tree forwarding)",
-    ),
-    (
-        "traffic_steady",
-        "delivered",
-        0.70,
-        1.30,
-        "delivered throughput tracks the offered rate below saturation",
-    ),
-    (
-        "serve_qps",
-        "answered",
-        0.85,
-        1.15,
-        "answered queries scale linearly with the stream — O(1) table/label reads per query at a fixed scheme",
-    ),
-];
-
-/// Fit each predicted metric over its group's sweep. Groups with fewer than
+/// Fit each predicted column over its group's sweep. Groups with fewer than
 /// three points are skipped (a two-point "fit" is just a ratio).
 pub fn scaling_checks(cases: &[CaseResult]) -> Vec<ScalingCheck> {
     let mut checks = Vec::new();
-    for &(group, metric, lo, hi, claim) in PREDICTIONS {
-        let points: Vec<(f64, f64)> = cases
-            .iter()
-            .filter(|c| c.group == group)
-            .filter_map(|c| c.sim(metric).map(|y| (c.x as f64, y.max(1) as f64)))
-            .collect();
-        if points.len() < 3 {
-            continue;
-        }
-        if let Some(fit) = fit_power_law(&points) {
-            checks.push(ScalingCheck {
-                metric: format!("{group}/{metric}"),
-                fit,
-                predicted: ExponentRange::new(lo, hi),
-                claim: claim.to_string(),
-            });
+    for group in GROUPS {
+        for &(column, lo, hi, claim) in group.predicted {
+            let points: Vec<(f64, f64)> = cases
+                .iter()
+                .filter(|c| c.group == group.name)
+                .filter_map(|c| c.sim(column).map(|y| (c.x as f64, y.max(1) as f64)))
+                .collect();
+            if points.len() < 3 {
+                continue;
+            }
+            if let Some(fit) = fit_power_law(&points) {
+                checks.push(ScalingCheck {
+                    metric: format!("{}/{column}", group.name),
+                    fit,
+                    predicted: ExponentRange::new(lo, hi),
+                    claim: claim.to_string(),
+                });
+            }
         }
     }
     checks
 }
 
-/// Thresholds for [`compare`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CompareConfig {
-    /// Fractional tolerance on simulated columns. `0.0` (the default) gates
-    /// on *exact equality* — simulated costs are deterministic, so any drift
-    /// is a real behavior change. A positive value gates only increases
-    /// beyond `old · (1 + sim_tol)`.
-    pub sim_tol: f64,
-    /// Fractional tolerance on wall-clock p50 before a case counts as a
-    /// wall regression.
-    pub wall_tol: f64,
-    /// Whether wall regressions fail the comparison (default: advisory
-    /// only — wall clocks are machine- and load-dependent).
-    pub wall_gate: bool,
-}
-
-impl Default for CompareConfig {
-    fn default() -> CompareConfig {
-        CompareConfig {
-            sim_tol: 0.0,
-            wall_tol: 0.5,
-            wall_gate: false,
-        }
-    }
-}
-
-/// One compared metric.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DiffRow {
-    /// Case id.
-    pub case: String,
-    /// Metric name (`sim/<column>` or `wall_ns/p50`).
-    pub metric: String,
-    /// Old value.
-    pub old: u64,
-    /// New value.
-    pub new: u64,
-    /// Signed relative change in percent (`new` vs `old`; 0 when both 0).
-    pub delta_pct: f64,
-    /// `ok`, `changed`, `regressed`, `improved`, `wall-regressed`, or
-    /// `wall-improved`.
-    pub status: &'static str,
-}
-
-/// The outcome of diffing two BENCH documents.
-#[derive(Clone, Debug, Default)]
-pub struct Comparison {
-    /// Every compared metric, in document order.
-    pub rows: Vec<DiffRow>,
-    /// Gated failures (nonzero exit).
-    pub regressions: Vec<String>,
-    /// Non-gated findings: wall advisories and unmatched cases.
-    pub advisories: Vec<String>,
-    /// Number of case ids present in both documents.
-    pub matched: usize,
-}
-
-impl Comparison {
-    /// Whether the new document passes the gates.
-    pub fn passed(&self) -> bool {
-        self.regressions.is_empty()
-    }
-
-    /// A markdown summary: a table of every non-`ok` metric plus each
-    /// case's wall p50, then the verdict lines.
-    pub fn markdown(&self, old_label: &str, new_label: &str) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "## drt compare: {old_label} → {new_label}\n");
-        let _ = writeln!(out, "| case | metric | old | new | Δ% | status |");
-        let _ = writeln!(out, "|---|---|---:|---:|---:|---|");
-        for row in &self.rows {
-            if row.status == "ok" && !row.metric.starts_with("wall_ns/") {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "| {} | {} | {} | {} | {:+.1} | {} |",
-                row.case, row.metric, row.old, row.new, row.delta_pct, row.status
-            );
-        }
-        let _ = writeln!(
-            out,
-            "\n{} cases matched, {} regression(s), {} advisory note(s).",
-            self.matched,
-            self.regressions.len(),
-            self.advisories.len()
-        );
-        for r in &self.regressions {
-            let _ = writeln!(out, "- REGRESSION: {r}");
-        }
-        for a in &self.advisories {
-            let _ = writeln!(out, "- advisory: {a}");
-        }
-        out
-    }
-}
-
-fn pct(old: u64, new: u64) -> f64 {
-    if old == 0 && new == 0 {
-        0.0
-    } else if old == 0 {
-        f64::INFINITY
-    } else {
-        (new as f64 - old as f64) / old as f64 * 100.0
-    }
-}
-
-/// Diff `new` against `old` under `cfg`'s thresholds.
-pub fn compare(old: &BenchDoc, new: &BenchDoc, cfg: &CompareConfig) -> Comparison {
-    let mut cmp = Comparison::default();
-    for old_case in &old.cases {
-        let Some(new_case) = new.case(&old_case.id) else {
-            cmp.advisories
-                .push(format!("case {} missing from new run", old_case.id));
-            continue;
-        };
-        cmp.matched += 1;
-        for (key, old_v) in &old_case.sim {
-            let Some(new_v) = new_case.sim(key) else {
-                cmp.advisories
-                    .push(format!("case {}: sim column '{key}' missing", old_case.id));
-                continue;
-            };
-            let delta_pct = pct(*old_v, new_v);
-            let status = if new_v == *old_v {
-                "ok"
-            } else if cfg.sim_tol == 0.0 {
-                // Exact gate: simulated costs are deterministic, so any
-                // difference — in either direction — is a behavior change.
-                cmp.regressions.push(format!(
-                    "{}/{key}: {old_v} → {new_v} ({delta_pct:+.1}%) with exact gating",
-                    old_case.id
-                ));
-                "changed"
-            } else if (new_v as f64) > *old_v as f64 * (1.0 + cfg.sim_tol) {
-                cmp.regressions.push(format!(
-                    "{}/{key}: {old_v} → {new_v} ({delta_pct:+.1}%) exceeds +{:.0}%",
-                    old_case.id,
-                    cfg.sim_tol * 100.0
-                ));
-                "regressed"
-            } else if (new_v as f64) < *old_v as f64 * (1.0 - cfg.sim_tol) {
-                "improved"
-            } else {
-                "ok"
-            };
-            cmp.rows.push(DiffRow {
-                case: old_case.id.clone(),
-                metric: format!("sim/{key}"),
-                old: *old_v,
-                new: new_v,
-                delta_pct,
-                status,
-            });
-        }
-        let (old_w, new_w) = (old_case.wall.p50_ns, new_case.wall.p50_ns);
-        let delta_pct = pct(old_w, new_w);
-        let status = if (new_w as f64) > old_w as f64 * (1.0 + cfg.wall_tol) {
-            let msg = format!(
-                "{}: wall p50 {:.2}ms → {:.2}ms ({delta_pct:+.1}%) exceeds +{:.0}%",
-                old_case.id,
-                old_w as f64 / 1e6,
-                new_w as f64 / 1e6,
-                cfg.wall_tol * 100.0
-            );
-            if cfg.wall_gate {
-                cmp.regressions.push(msg);
-            } else {
-                cmp.advisories.push(msg);
-            }
-            "wall-regressed"
-        } else if (new_w as f64) < old_w as f64 * (1.0 - cfg.wall_tol) {
-            "wall-improved"
-        } else {
-            "ok"
-        };
-        cmp.rows.push(DiffRow {
-            case: old_case.id.clone(),
-            metric: "wall_ns/p50".to_string(),
-            old: old_w,
-            new: new_w,
-            delta_pct,
-            status,
-        });
-    }
-    for new_case in &new.cases {
-        if old.case(&new_case.id).is_none() {
-            cmp.advisories
-                .push(format!("case {} is new (no old value)", new_case.id));
-        }
-    }
-    // Scaling-law verdicts: a check that held in the old document and fails
-    // in the new one is a gated regression — the asymptotic claim itself
-    // broke, which exact per-case gating can miss when both documents were
-    // run at different tiers. New checks and newly-passing checks are
-    // advisory.
-    for check in &new.checks {
-        let old_check = old.checks.iter().find(|o| o.metric == check.metric);
-        match old_check {
-            Some(o) if o.ok() && !check.ok() => {
-                cmp.regressions.push(format!(
-                    "scaling {}: exponent {:.3} left predicted [{:.2}, {:.2}] (was {:.3}) — {}",
-                    check.metric,
-                    check.fit.exponent,
-                    check.predicted.lo,
-                    check.predicted.hi,
-                    o.fit.exponent,
-                    check.claim
-                ));
-            }
-            Some(o) if !o.ok() && check.ok() => {
-                cmp.advisories.push(format!(
-                    "scaling {}: now fits predicted [{:.2}, {:.2}] (exponent {:.3}, was {:.3})",
-                    check.metric,
-                    check.predicted.lo,
-                    check.predicted.hi,
-                    check.fit.exponent,
-                    o.fit.exponent
-                ));
-            }
-            None => {
-                cmp.advisories.push(format!(
-                    "scaling {} is new: exponent {:.3}, predicted [{:.2}, {:.2}], {}",
-                    check.metric,
-                    check.fit.exponent,
-                    check.predicted.lo,
-                    check.predicted.hi,
-                    if check.ok() { "fits" } else { "DOES NOT fit" }
-                ));
-            }
-            _ => {}
-        }
-    }
-    cmp
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compare::{compare, CompareConfig};
 
     fn tiny_doc(scale: u64) -> BenchDoc {
         let case = |id: &str, group: &str, x: u64, rounds: u64| CaseResult {
@@ -1290,12 +907,10 @@ mod tests {
         assert_eq!(doc.tier, "smoke");
         assert_eq!(
             doc.cases.len(),
-            Tier::Smoke.tree_sizes().len()
-                + Tier::Smoke.scheme_sizes().len()
-                + Tier::Smoke.batch_loads().len()
-                + Tier::Smoke.traffic_rates().len()
-                + Tier::Smoke.churn_rounds().len()
-                + Tier::Smoke.serve_queries().len()
+            GROUPS
+                .iter()
+                .map(|g| g.sweep[Tier::Smoke as usize].len())
+                .sum::<usize>()
         );
         // Two points per group: no scaling fits at smoke size.
         assert!(doc.checks.is_empty());

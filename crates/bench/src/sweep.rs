@@ -98,17 +98,14 @@ impl Sweep {
         Ok(Some(path))
     }
 
-    /// [`Sweep::write`], reporting a failure to stderr without aborting the
-    /// sweep output.
-    pub fn finish_with(self, extra: &[(&str, Value)]) {
-        if let Err(e) = self.write(extra) {
-            eprintln!("failed {e}");
-        }
-    }
-
-    /// [`Sweep::finish_with`] without extra summary fields.
-    pub fn finish(self) {
-        self.finish_with(&[]);
+    /// Write the report if one was requested, without extra summary fields:
+    /// the last step of a binary's `main`, whose exit status it becomes.
+    ///
+    /// # Errors
+    ///
+    /// As [`Sweep::write`].
+    pub fn finish(self) -> Result<(), String> {
+        self.write(&[]).map(|_| ())
     }
 }
 
@@ -172,5 +169,17 @@ mod tests {
 
         let off = Sweep::new("test", obs::cli::ReportOptions::default());
         assert_eq!(off.write(&[]), Ok(None));
+
+        // A report under a missing directory cannot be written: `finish`
+        // says so instead of swallowing it.
+        let missing = std::env::temp_dir()
+            .join(format!("sweep-missing-{}", std::process::id()))
+            .join("report.jsonl");
+        let opts = obs::cli::ReportOptions {
+            report: Some(missing),
+            ..obs::cli::ReportOptions::default()
+        };
+        let err = Sweep::new("test", opts).finish().unwrap_err();
+        assert!(err.starts_with("writing report "), "{err}");
     }
 }

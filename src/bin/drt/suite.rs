@@ -16,7 +16,8 @@
 //! wall-clock is advisory within `--wall-tol` — and prints a markdown
 //! summary, exiting nonzero on any gated regression.
 
-use bench::suite::{BenchDoc, CompareConfig, Tier};
+use bench::compare::CompareConfig;
+use bench::suite::{BenchDoc, Tier};
 use obs::json::Value;
 
 use crate::cli::{switch, val, Args};
@@ -171,7 +172,7 @@ pub fn compare(a: &Args) -> Result<(), String> {
     ])?;
     let old = BenchDoc::load(&old_path)?;
     let new = BenchDoc::load(&new_path)?;
-    let cmp = bench::suite::compare(&old, &new, &cfg);
+    let cmp = bench::compare::compare(&old, &new, &cfg);
     print!("{}", cmp.markdown(&old.label, &new.label));
     if !cmp.passed() {
         return Err(format!("{} regression(s) detected", cmp.regressions.len()));

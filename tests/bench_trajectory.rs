@@ -7,7 +7,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use bench::suite::{compare, run_suite, BenchDoc, CompareConfig, Tier, SCHEMA};
+use bench::compare::{compare, CompareConfig};
+use bench::suite::{run_suite, BenchDoc, Tier, SCHEMA};
 use obs::json::Value;
 use obs::scaling::fit_power_law;
 
@@ -49,6 +50,26 @@ fn quick_tier_exponents_match_the_paper() {
     // flake on machine speed.
     let doc = run_suite(Tier::Quick, "test", Some(1), |_| {}).expect("suite runs");
     assert!(!doc.checks.is_empty(), "quick tier must fit scaling laws");
+    // One check per predicted exponent: four for `tree_build`, six for
+    // `scheme_build`, one each for `route_batch`, `traffic_steady` and
+    // `serve_qps`. Each is named `<group>/<column>` of a column every case
+    // of its group carries. A prediction whose column no case carries yields
+    // no check, so a renamed column would otherwise drop its check silently.
+    let metrics: Vec<&str> = doc.checks.iter().map(|c| c.metric.as_str()).collect();
+    assert_eq!(metrics.len(), 13, "one check per prediction: {metrics:?}");
+    for (i, metric) in metrics.iter().enumerate() {
+        assert!(!metrics[..i].contains(metric), "{metric} checked twice");
+        let (group, column) = metric.split_once('/').expect("<group>/<column>");
+        let cases: Vec<_> = doc.cases.iter().filter(|c| c.group == group).collect();
+        assert!(cases.len() >= 3, "{metric}: too few {group} cases to fit");
+        for case in cases {
+            assert!(
+                case.sim(column).is_some(),
+                "{}: no '{column}' column",
+                case.id
+            );
+        }
+    }
     for check in &doc.checks {
         assert!(
             check.ok(),
