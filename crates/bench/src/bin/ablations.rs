@@ -18,7 +18,9 @@
 //! `ablations/<name>/n<n>` span per observed build (ablation 3 is pure
 //! arithmetic and records nothing).
 
-use bench::sweep::Sweep;
+use std::process::ExitCode;
+
+use bench::sweep::{exit_code, Sweep};
 use bench::{print_header, print_row, Family};
 use congest::{CostLedger, MemoryMeter, Network};
 use graphs::{tree, VertexId};
@@ -29,14 +31,14 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tree_routing::distributed;
 
-fn main() -> Result<(), String> {
+fn main() -> ExitCode {
     let mut sweep = Sweep::from_env("ablations");
     ablation_pointer_jumping(&mut sweep.rec);
     ablation_materialization(&mut sweep.rec);
     ablation_range_partition();
     ablation_hopset_bf(&mut sweep.rec);
     ablation_hopset_families(&mut sweep.rec);
-    sweep.finish()
+    exit_code(sweep.finish())
 }
 
 fn ablation_pointer_jumping(rec: &mut obs::Recorder) {

@@ -4,7 +4,8 @@
 //!
 //! 1. **Labels in bits** — a tree label of `O(log n)` words serializes to
 //!    few bytes under the canonical varint encoding (the quantity a packet
-//!    header actually pays).
+//!    header actually pays). The bytes are the ones a scheme file holds for
+//!    the row, written by `routing::persist`'s row codec.
 //! 2. **Weight rounding** — rounding weights to powers of `1+ε` makes one
 //!    weight cost `O(log log Λ + log 1/ε)` bits, so the standard-CONGEST
 //!    overhead is doubly logarithmic in the aspect ratio Λ, versus the
@@ -17,15 +18,17 @@
 //! (no simulated rounds), so the spans carry the per-vertex encoded-table
 //! word distribution in their `memory` field and zero cost deltas.
 
-use bench::sweep::Sweep;
+use std::process::ExitCode;
+
+use bench::sweep::{exit_code, Sweep};
 use bench::{print_header, print_row, Family};
 use congest::WordSized;
 use graphs::rounding::{congest_overhead, prior_overhead, round_weights};
 use graphs::{generators, tree, VertexId};
-use tree_routing::encode::{encode_label, encode_table};
+use routing::persist::{write_tree_label, write_tree_table};
 use tree_routing::tz;
 
-fn main() -> Result<(), String> {
+fn main() -> ExitCode {
     let mut sweep = Sweep::from_env("fig_bits");
     println!("== Fig S4a: tree label/table sizes — words vs encoded bits ==");
     let widths = [8, 12, 12, 12, 12];
@@ -50,13 +53,18 @@ fn main() -> Result<(), String> {
             let mut max_table_words = 0;
             let mut max_table_bits = 0;
             let mut per_vertex_words = Vec::with_capacity(n);
+            let mut bytes = Vec::new();
             for v in t.vertices() {
                 let l = scheme.label(v).unwrap();
                 let tb = scheme.table(v).unwrap();
                 max_label_words = max_label_words.max(l.words());
-                max_label_bits = max_label_bits.max(8 * encode_label(l).len());
+                bytes.clear();
+                write_tree_label(&mut bytes, l);
+                max_label_bits = max_label_bits.max(8 * bytes.len());
                 max_table_words = max_table_words.max(tb.words());
-                max_table_bits = max_table_bits.max(8 * encode_table(tb).len());
+                bytes.clear();
+                write_tree_table(&mut bytes, tb);
+                max_table_bits = max_table_bits.max(8 * bytes.len());
                 per_vertex_words.push(l.words() + tb.words());
             }
             (
@@ -112,5 +120,5 @@ fn main() -> Result<(), String> {
     }
     println!("(our overhead column stays at 1.0 — one O(log n)-bit message per rounded");
     println!(" weight — while the prior column grows with log Λ)");
-    sweep.finish()
+    exit_code(sweep.finish())
 }

@@ -14,13 +14,15 @@
 //! `fig_load/p<packets>` span per load level, charged with the routing
 //! phase's engine-measured rounds/messages/words.
 
-use bench::sweep::Sweep;
+use std::process::ExitCode;
+
+use bench::sweep::{exit_code, Sweep};
 use bench::{print_header, print_row, Family};
 use congest::Network;
 use routing::{build_observed, packet, BuildParams};
 use traffic::{Workload, WorkloadKind};
 
-fn main() -> Result<(), String> {
+fn main() -> ExitCode {
     let mut sweep = Sweep::from_env("fig_load");
     let reporting = sweep.reporting();
     let n = 400;
@@ -88,5 +90,5 @@ fn main() -> Result<(), String> {
     }
     println!("\n(delays are rounds from injection to delivery; all packets drain because");
     println!(" per-tree forwarding is loop-free — growth in max delay is pure queueing)");
-    sweep.finish()
+    exit_code(sweep.finish())
 }

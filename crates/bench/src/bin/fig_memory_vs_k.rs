@@ -9,11 +9,13 @@
 //! `--report <path>` (or `DRT_REPORT`) writes a JSONL run report with
 //! `fig_memory_vs_k/k<k>/{ours,prior}` spans per build.
 
-use bench::sweep::Sweep;
+use std::process::ExitCode;
+
+use bench::sweep::{exit_code, Sweep};
 use bench::{print_header, print_row, Family};
 use routing::{build_observed, prior, BuildParams};
 
-fn main() -> Result<(), String> {
+fn main() -> ExitCode {
     let mut sweep = Sweep::from_env("fig_memory_vs_k");
     let n = 1024;
     let widths = [4, 12, 12, 12, 10];
@@ -50,5 +52,5 @@ fn main() -> Result<(), String> {
     println!("materialized-E'/T' terms). The asymptotic √n floor of the prior scheme");
     println!("binds only once n^(1/k)·polylog < √n, beyond laptop-scale n for small k —");
     println!("a finite-size effect EXPERIMENTS.md discusses.");
-    sweep.finish()
+    exit_code(sweep.finish())
 }

@@ -10,14 +10,16 @@
 //! `fig_memory_vs_n/scheme/n<n>`); each span's `memory` field carries the
 //! per-vertex peak distribution the figure summarizes.
 
-use bench::sweep::Sweep;
+use std::process::ExitCode;
+
+use bench::sweep::{exit_code, Sweep};
 use bench::{log_log_slope, print_header, print_row, Family};
 use congest::Network;
 use graphs::{tree, VertexId};
 use routing::{build_observed, prior, BuildParams};
 use tree_routing::{baseline, distributed};
 
-fn main() -> Result<(), String> {
+fn main() -> ExitCode {
     let mut sweep = Sweep::from_env("fig_memory_vs_n");
     let widths = [8, 12, 12, 8];
 
@@ -93,5 +95,5 @@ fn main() -> Result<(), String> {
     );
     println!("note: at k=2 both exponents are ≈ 0.5 — the separation at fixed k=2 is the");
     println!("constant-factor E'/T' materialization; the asymptotic gap opens with k (see fig_memory_vs_k).");
-    sweep.finish()
+    exit_code(sweep.finish())
 }

@@ -12,14 +12,16 @@
 //! span per build (`fig_rounds_vs_n/tree/n<n>`, `fig_rounds_vs_n/scheme/n<n>`),
 //! the construction's stage spans nested beneath each.
 
-use bench::sweep::Sweep;
+use std::process::ExitCode;
+
+use bench::sweep::{exit_code, Sweep};
 use bench::{log_log_slope, print_header, print_row, Family};
 use congest::Network;
 use graphs::{tree, VertexId};
 use routing::{build_observed, BuildParams};
 use tree_routing::distributed;
 
-fn main() -> Result<(), String> {
+fn main() -> ExitCode {
     let mut sweep = Sweep::from_env("fig_rounds_vs_n");
     let widths = [8, 10, 12];
 
@@ -76,5 +78,5 @@ fn main() -> Result<(), String> {
         "empirical exponent: {:.3}  ((n^(1/2+1/k)+D)·polylog predicts ≈ 1.0 for k=2 plus log slack)",
         log_log_slope(&pts)
     );
-    sweep.finish()
+    exit_code(sweep.finish())
 }

@@ -10,7 +10,9 @@
 //! `table1/<family>/n<n>/k<k>/<scheme>` span per scheme build, the
 //! construction's phase spans nested beneath it.
 
-use bench::sweep::Sweep;
+use std::process::ExitCode;
+
+use bench::sweep::{exit_code, Sweep};
 use bench::{print_header, print_row, Family};
 use graphs::VertexId;
 use obs::json::Value;
@@ -18,7 +20,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use routing::{build_observed, prior, router, BuildParams, Mode};
 
-fn main() -> Result<(), String> {
+fn main() -> ExitCode {
     let mut sweep = Sweep::from_env("table1");
     let json = sweep.opts.json;
     let mut json_rows: Vec<Value> = Vec::new();
@@ -188,5 +190,5 @@ fn main() -> Result<(), String> {
         println!("see EXPERIMENTS.md on the 4k-5 refinement); rounds for both distributed");
         println!("rows are ~n^(1/2+1/k)+D up to polylog factors.");
     }
-    sweep.finish()
+    exit_code(sweep.finish())
 }

@@ -15,7 +15,9 @@
 //! `table2/<family>/n<n>` span per our-scheme build, the construction's
 //! stage spans nested beneath it.
 
-use bench::sweep::Sweep;
+use std::process::ExitCode;
+
+use bench::sweep::{exit_code, Sweep};
 use bench::{print_header, print_row, Family};
 use congest::Network;
 use graphs::{properties, tree, VertexId};
@@ -24,7 +26,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tree_routing::{baseline, distributed, tz};
 
-fn main() -> Result<(), String> {
+fn main() -> ExitCode {
     let mut sweep = Sweep::from_env("table2");
     let json = sweep.opts.json;
     let mut json_rows: Vec<Value> = Vec::new();
@@ -131,5 +133,5 @@ fn main() -> Result<(), String> {
         println!("grow ~log n, while the prior row's labels carry an extra log factor and");
         println!("its memory grows ~sqrt(n); rounds are ~sqrt(n)+D for both distributed rows.");
     }
-    sweep.finish()
+    exit_code(sweep.finish())
 }

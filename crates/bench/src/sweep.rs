@@ -11,6 +11,7 @@
 //! dispatcher already parsed ([`Sweep::new`], [`Sweep::write`]).
 
 use std::path::Path;
+use std::process::ExitCode;
 
 use obs::json::Value;
 use rand::SeedableRng;
@@ -99,13 +100,27 @@ impl Sweep {
     }
 
     /// Write the report if one was requested, without extra summary fields:
-    /// the last step of a binary's `main`, whose exit status it becomes.
+    /// the last step of a binary's `main`, whose exit status it becomes
+    /// through [`exit_code`].
     ///
     /// # Errors
     ///
     /// As [`Sweep::write`].
     pub fn finish(self) -> Result<(), String> {
         self.write(&[]).map(|_| ())
+    }
+}
+
+/// The exit status of a binary whose work ended in `result`: success, or
+/// the error printed to stderr as one `error: …` line and a failure status.
+/// Every table/figure binary and the `drt` CLI end through it.
+pub fn exit_code(result: Result<(), String>) -> ExitCode {
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
+        }
     }
 }
 

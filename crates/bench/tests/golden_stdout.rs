@@ -46,3 +46,23 @@ golden!(
     fig_rounds_vs_n,
     ablations,
 );
+
+/// A binary that cannot write its report fails the way `drt` does: exit
+/// status 1 and exactly one `error: …` line on stderr.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "slow unoptimised; run with --release")]
+fn report_write_failure_is_one_error_line() {
+    let missing = std::env::temp_dir()
+        .join(format!("golden-missing-{}", std::process::id()))
+        .join("x.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_fig_memory_vs_k"))
+        .arg("--report")
+        .arg(&missing)
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    let lines: Vec<&str> = err.lines().collect();
+    assert_eq!(lines.len(), 1, "{err}");
+    assert!(lines[0].starts_with("error: writing report "), "{err}");
+}

@@ -38,19 +38,12 @@ impl CostLedger {
         self.rounds += r;
     }
 
-    /// Charge `m` point-to-point messages (does not advance rounds; round
-    /// cost is charged separately by the caller based on the schedule). Each
-    /// message carries one word unless extra payload is charged via
-    /// [`CostLedger::charge_words`].
+    /// Charge `m` point-to-point messages of one word each (does not
+    /// advance rounds; round cost is charged separately by the caller based
+    /// on the schedule).
     pub fn charge_messages(&mut self, m: u64) {
         self.messages += m;
         self.words += m;
-    }
-
-    /// Charge `w` additional payload words beyond the one-word-per-message
-    /// default (for the rare multi-word messages the model still permits).
-    pub fn charge_words(&mut self, w: u64) {
-        self.words += w;
     }
 
     /// Charge a Lemma-1 broadcast/convergecast of `m` messages over a BFS
@@ -146,11 +139,11 @@ mod tests {
     #[test]
     fn words_track_messages_plus_payload() {
         let mut c = CostLedger::new();
+        // One word per message, point-to-point or broadcast.
         c.charge_messages(4);
-        c.charge_words(6);
         c.charge_broadcast(10, 1);
-        assert_eq!(c.words(), 20);
-        assert_eq!(c.counters().words, 20);
+        assert_eq!(c.words(), 14);
+        assert_eq!(c.counters().words, 14);
         assert_eq!(c.counters().rounds, c.rounds());
     }
 

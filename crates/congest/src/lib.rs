@@ -46,7 +46,6 @@
 
 pub mod bfs;
 pub mod broadcast;
-pub mod convergecast;
 pub mod engine;
 pub mod ledger;
 pub mod memory;

@@ -104,20 +104,6 @@ impl MemoryMeter {
         &self.peak
     }
 
-    /// The vertex attaining [`MemoryMeter::max_peak`], if any vertex exists.
-    pub fn argmax_peak(&self) -> Option<VertexId> {
-        self.peak
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, p)| *p)
-            .map(|(i, _)| VertexId(i as u32))
-    }
-
-    /// Sum of peaks — an upper bound on total memory across the network.
-    pub fn total_peak(&self) -> usize {
-        self.peak.iter().sum()
-    }
-
     /// Cross-check a claimed per-vertex *resident* word count against the
     /// metered peaks: every word a vertex holds at the end of a run must
     /// have been charged, so `resident[v] > peak(v)` means the attribution
@@ -203,15 +189,12 @@ mod tests {
         m.add(VertexId(1), 7);
         m.add(VertexId(2), 3);
         assert_eq!(m.max_peak(), 7);
-        assert_eq!(m.argmax_peak(), Some(VertexId(1)));
-        assert_eq!(m.total_peak(), 11);
     }
 
     #[test]
     fn empty_meter() {
         let m = MemoryMeter::new(0);
         assert_eq!(m.max_peak(), 0);
-        assert_eq!(m.argmax_peak(), None);
         assert!(m.is_empty());
     }
 

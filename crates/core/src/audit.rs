@@ -34,6 +34,7 @@
 
 use congest::WordSized;
 use graphs::{shortest_paths, Graph, Overlay, VertexId, Weight, INFINITY};
+use obs::audit::ProbeStat;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -187,60 +188,14 @@ impl InvariantCheck {
     }
 }
 
-/// Sampled routing-consistency counts. Outcome counts partition `connected`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ProbeStats {
-    /// Pairs examined (both endpoints alive).
-    pub pairs: u64,
-    /// Pairs connected in the probed graph.
-    pub connected: u64,
-    /// Delivered routes.
-    pub delivered: u64,
-    /// `NoCommonTree` failures.
-    pub no_common_tree: u64,
-    /// `Stuck` failures.
-    pub stuck: u64,
-    /// `BadForward` failures (the signature of forwarding over a killed
-    /// edge with stale tables).
-    pub bad_forward: u64,
-    /// `Loop` failures.
-    pub looped: u64,
-    /// Delivered routes cheaper than the exact distance (always a bug).
-    pub undershoots: u64,
-    /// Delivered routes above the `4k − 3 (+slack)` stretch bound.
-    pub over_bound: u64,
-    /// Oracle estimates below the exact distance.
-    pub oracle_undershoots: u64,
-    /// Oracle estimates above the `2k − 1 (+slack)` bound.
-    pub oracle_over_bound: u64,
-    /// Mean stretch over delivered pairs.
-    pub mean_stretch: f64,
-    /// Worst stretch over delivered pairs.
-    pub max_stretch: f64,
-    /// Whether all pairs were swept rather than sampled.
-    pub full_sweep: bool,
-}
-
-impl ProbeStats {
-    /// Delivered fraction of connected pairs (1.0 when none connected).
-    pub fn reachability(&self) -> f64 {
-        if self.connected == 0 {
-            1.0
-        } else {
-            self.delivered as f64 / self.connected as f64
-        }
-    }
-
-    /// Violations this probe contributes on an *intact* graph, where every
-    /// connected pair must deliver within bounds and the oracle must be
-    /// sound.
-    pub fn intact_violations(&self) -> u64 {
-        (self.connected - self.delivered)
-            + self.undershoots
-            + self.over_bound
-            + self.oracle_undershoots
-            + self.oracle_over_bound
-    }
+/// Violations a probe contributes on an *intact* graph, where every
+/// connected pair must deliver within bounds and the oracle must be sound.
+fn intact_violations(p: &ProbeStat) -> u64 {
+    (p.connected - p.delivered)
+        + p.undershoots
+        + p.over_bound
+        + p.oracle_undershoots
+        + p.oracle_over_bound
 }
 
 /// Tuning for the sampled audits. The defaults keep a full audit well under
@@ -307,7 +262,7 @@ pub struct AuditOutcome {
     /// Structural invariant verdicts.
     pub invariants: Vec<InvariantCheck>,
     /// The intact-graph routing probe.
-    pub probe: ProbeStats,
+    pub probe: ProbeStat,
 }
 
 impl AuditOutcome {
@@ -316,7 +271,7 @@ impl AuditOutcome {
     pub fn total_violations(&self) -> u64 {
         let invariant: u64 = self.invariants.iter().map(|c| c.violations).sum();
         invariant
-            + self.probe.intact_violations()
+            + intact_violations(&self.probe)
             + u64::from(!self.attribution.exact)
             + u64::from(self.meter_undershoot.is_some())
     }
@@ -365,13 +320,13 @@ impl AuditOutcome {
                     violations: c.violations,
                 })
                 .collect(),
-            probe: probe_record(&self.probe),
+            probe: self.probe.clone(),
             perturbed: perturbed.map(|p| obs::audit::PerturbedStat {
                 kill_edges: p.spec.kill_edges,
                 kill_vertices: p.spec.kill_vertices,
                 killed_edges: p.killed_edges as u64,
                 killed_vertices: p.killed_vertices as u64,
-                probe: probe_record(&p.probe),
+                probe: p.probe.clone(),
                 stretch_inflation: p.stretch_inflation,
             }),
             violations: self.total_violations(),
@@ -384,25 +339,6 @@ pub fn mode_name(mode: Mode) -> &'static str {
     match mode {
         Mode::Centralized => "centralized",
         Mode::DistributedLowMemory => "distributed-low-memory",
-    }
-}
-
-fn probe_record(p: &ProbeStats) -> obs::audit::ProbeStat {
-    obs::audit::ProbeStat {
-        pairs: p.pairs,
-        connected: p.connected,
-        delivered: p.delivered,
-        no_common_tree: p.no_common_tree,
-        stuck: p.stuck,
-        bad_forward: p.bad_forward,
-        looped: p.looped,
-        undershoots: p.undershoots,
-        over_bound: p.over_bound,
-        oracle_undershoots: p.oracle_undershoots,
-        oracle_over_bound: p.oracle_over_bound,
-        mean_stretch: p.mean_stretch,
-        max_stretch: p.max_stretch,
-        full_sweep: p.full_sweep,
     }
 }
 
@@ -634,7 +570,7 @@ pub fn routing_probe(
     cfg: &AuditConfig,
     alive: Option<&[bool]>,
     mut on_source: impl FnMut(VertexId, &[Weight]),
-) -> ProbeStats {
+) -> ProbeStat {
     let is_alive = |v: VertexId| alive.is_none_or(|a| a[v.index()]);
     let candidates: Vec<VertexId> = g.vertices().filter(|&v| is_alive(v)).collect();
     let full_sweep = g.num_vertices() <= cfg.full_sweep_max_n;
@@ -651,7 +587,7 @@ pub fn routing_probe(
     let k = scheme.k;
     let route_bound = (4 * k - 3) as f64 + cfg.stretch_slack;
     let oracle_bound = (2 * k - 1) as f64 + cfg.stretch_slack;
-    let mut stats = ProbeStats {
+    let mut stats = ProbeStat {
         pairs: 0,
         connected: 0,
         delivered: 0,
@@ -742,7 +678,7 @@ pub struct PerturbedProbe {
     /// Edges surviving in the perturbed graph.
     pub surviving_edges: usize,
     /// The stale-table probe against the perturbed graph.
-    pub probe: ProbeStats,
+    pub probe: ProbeStat,
     /// Perturbed mean stretch / intact mean stretch (1.0 when either side
     /// delivered nothing). Stretch is measured against the *perturbed*
     /// graph's exact distances, so inflation isolates detour cost.

@@ -4,9 +4,13 @@
 //! and ship each vertex its table and label. This module provides a compact,
 //! versioned wire format (varint-based, reusing
 //! [`tree_routing::encode`]'s primitives) for whole schemes, in either
-//! [`Mode`]. Decoding validates as it reads: a payload that checksums but
-//! names a vertex outside the scheme, overflows a DFS interval, or breaks
-//! the row order lookups rely on is [`PersistError::Malformed`].
+//! [`Mode`]. It holds the one codec for tree-routing rows:
+//! [`write_tree_table`] / [`write_tree_label`] write the bytes a scheme file
+//! holds for a [`TreeTable`] / [`TreeLabel`] (the bit-complexity figure
+//! measures exactly these), and their private readers check each row as
+//! they read it. Decoding validates as it reads: a payload that checksums
+//! but names a vertex outside the scheme, overflows a DFS interval, or
+//! breaks the row order lookups rely on is [`PersistError::Malformed`].
 
 use graphs::VertexId;
 use tree_routing::encode::{read_varint, write_varint};
@@ -278,13 +282,18 @@ fn read_opt(buf: &[u8], pos: &mut usize, n: usize) -> Result<Option<VertexId>, P
     }
 }
 
-fn write_tree_table(buf: &mut Vec<u8>, t: &TreeTable) {
+/// Append a tree-routing table row: the DFS entry time, the interval's span
+/// `exit − enter`, then the parent and the heavy child, each as `id + 1`
+/// (0 for none). These are the bytes a scheme file holds for the row.
+pub fn write_tree_table(buf: &mut Vec<u8>, t: &TreeTable) {
     write_varint(buf, t.enter);
     write_varint(buf, t.exit - t.enter);
     write_opt(buf, t.parent);
     write_opt(buf, t.heavy);
 }
 
+/// Read a [`write_tree_table`] row of an `n`-vertex scheme at `*pos`:
+/// `Malformed` when `enter + span` overflows or an id is not below `n`.
 fn read_tree_table(buf: &[u8], pos: &mut usize, n: usize) -> Result<TreeTable, PersistError> {
     let enter = rv(buf, pos)?;
     let exit = enter
@@ -298,7 +307,10 @@ fn read_tree_table(buf: &[u8], pos: &mut usize, n: usize) -> Result<TreeTable, P
     })
 }
 
-fn write_tree_label(buf: &mut Vec<u8>, l: &TreeLabel) {
+/// Append a tree-routing label row: the DFS entry time, the light-edge
+/// count, then each light edge as its parent and child ids. These are the
+/// bytes a scheme file holds for the row.
+pub fn write_tree_label(buf: &mut Vec<u8>, l: &TreeLabel) {
     write_varint(buf, l.enter);
     write_varint(buf, l.light.len() as u64);
     for &(p, c) in &l.light {
@@ -307,6 +319,9 @@ fn write_tree_label(buf: &mut Vec<u8>, l: &TreeLabel) {
     }
 }
 
+/// Read a [`write_tree_label`] row of an `n`-vertex scheme at `*pos`:
+/// `Malformed` when an id is not below `n` (ids of 2³² and up included) or
+/// the light-edge count is more than the remaining bytes can hold.
 fn read_tree_label(buf: &[u8], pos: &mut usize, n: usize) -> Result<TreeLabel, PersistError> {
     let enter = rv(buf, pos)?;
     let count = read_count(buf, pos, PAIR_BYTES)?;
@@ -445,9 +460,11 @@ mod tests {
     use crate::router;
     use crate::scheme::{build, BuildParams};
     use graphs::generators;
+    use graphs::tree::{random_recursive_tree, shortest_path_tree};
     use proptest::prelude::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+    use tree_routing::tz;
 
     fn scheme(n: usize, seed: u64) -> (graphs::Graph, RoutingScheme) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -500,6 +517,147 @@ mod tests {
             decode_scheme(&bytes),
             Err(PersistError::Malformed)
         ));
+    }
+
+    fn table_bytes(t: &TreeTable) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_tree_table(&mut buf, t);
+        buf
+    }
+
+    fn label_bytes(l: &TreeLabel) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_tree_label(&mut buf, l);
+        buf
+    }
+
+    /// Read one row from the start of `buf` with `read`, and where it ended.
+    fn read_row<T>(
+        buf: &[u8],
+        read: fn(&[u8], &mut usize, usize) -> Result<T, PersistError>,
+        n: usize,
+    ) -> (Result<T, PersistError>, usize) {
+        let mut pos = 0;
+        let row = read(buf, &mut pos, n);
+        (row, pos)
+    }
+
+    #[test]
+    fn tables_and_labels_round_trip() {
+        let mut rng = ChaCha8Rng::seed_from_u64(801);
+        let ids: Vec<VertexId> = (0..100).map(VertexId).collect();
+        let t = random_recursive_tree(100, &ids, 9, &mut rng);
+        let scheme = tz::build(&t);
+        for v in t.vertices() {
+            let table = scheme.table(v).unwrap();
+            let bytes = table_bytes(table);
+            let (back, end) = read_row(&bytes, read_tree_table, 100);
+            assert_eq!(back.as_ref(), Ok(table));
+            assert_eq!(end, bytes.len());
+            let label = scheme.label(v).unwrap();
+            let bytes = label_bytes(label);
+            let (back, end) = read_row(&bytes, read_tree_label, 100);
+            assert_eq!(back.as_ref(), Ok(label));
+            assert_eq!(end, bytes.len());
+        }
+    }
+
+    #[test]
+    fn decode_rejects_trailing_garbage() {
+        let t = TreeTable {
+            enter: 3,
+            exit: 9,
+            parent: Some(VertexId(1)),
+            heavy: None,
+        };
+        let mut buf = table_bytes(&t);
+        buf.push(0);
+        // The row reader stops at the row's end and leaves the extra byte
+        // unread; `decode_scheme` rejects whatever is left over at the end
+        // of the payload (`rejects_trailing_bytes`).
+        let (back, end) = read_row(&buf, read_tree_table, 2);
+        assert_eq!(back, Ok(t));
+        assert_eq!(end, buf.len() - 1);
+    }
+
+    #[test]
+    fn encoded_label_is_compact() {
+        // A label with 8 light edges on small ids fits well under the naive
+        // 8-byte-per-word budget.
+        let label = TreeLabel {
+            enter: 500,
+            light: (0..8)
+                .map(|i| (VertexId(i * 2), VertexId(i * 2 + 1)))
+                .collect(),
+        };
+        let bytes = label_bytes(&label);
+        let naive = 8 * (1 + 2 * 8);
+        assert!(bytes.len() * 4 < naive, "{} vs naive {naive}", bytes.len());
+        assert_eq!(read_row(&bytes, read_tree_label, 16).0, Ok(label));
+    }
+
+    #[test]
+    fn empty_label_is_two_bytes() {
+        let label = TreeLabel {
+            enter: 1,
+            light: vec![],
+        };
+        assert_eq!(label_bytes(&label).len(), 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn label_encoding_round_trips(
+            n in 3usize..50,
+            seed in 0..u64::MAX,
+            root_sel in 0..u32::MAX,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let g = generators::erdos_renyi_connected(n, 2.0 / n as f64, 1..=49, &mut rng);
+            let root = VertexId(root_sel % n as u32);
+            let t = shortest_path_tree(&g, root);
+            let s = tz::build(&t);
+            for v in t.vertices() {
+                let label = s.label(v).unwrap();
+                let (decoded, _) = read_row(&label_bytes(label), read_tree_label, n);
+                prop_assert_eq!(decoded.as_ref(), Ok(label));
+                let table = s.table(v).unwrap();
+                let (decoded, _) = read_row(&table_bytes(table), read_tree_table, n);
+                prop_assert_eq!(decoded.as_ref(), Ok(table));
+            }
+        }
+    }
+
+    #[test]
+    fn decode_rejects_random_bytes() {
+        let mut rng = ChaCha8Rng::seed_from_u64(3004);
+        let mut rejected = 0;
+        for _ in 0..100 {
+            let len = rng.gen_range(0..20);
+            let bytes: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            // Must never panic; often rejects.
+            if read_row(&bytes, read_tree_table, 64).0.is_err() {
+                rejected += 1;
+            }
+            let _ = read_row(&bytes, read_tree_label, 64);
+        }
+        assert!(rejected > 0);
+        // An interval end past u64::MAX, and a light-edge id that a narrowing
+        // cast would alias to vertex 1: both rejected, even for the largest n.
+        let mut overflow = Vec::new();
+        for w in [u64::MAX, 1, 0, 0] {
+            write_varint(&mut overflow, w);
+        }
+        let (row, _) = read_row(&overflow, read_tree_table, usize::MAX);
+        assert_eq!(row, Err(PersistError::Malformed));
+        let mut wide = Vec::new();
+        for w in [0, 1, 0, (1 << 32) + 1] {
+            write_varint(&mut wide, w);
+        }
+        let (row, _) = read_row(&wide, read_tree_label, usize::MAX);
+        assert_eq!(row, Err(PersistError::Malformed));
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! the first-valid rule, under the same `4k − 3` guarantee.
 
 use graphs::{Graph, VertexId, Weight, INFINITY};
+use obs::metrics::nearest_rank;
 
 use crate::forward::{self, Header};
 pub use crate::forward::{GraphRouteError, Selection};
@@ -116,14 +117,6 @@ pub struct StretchStats {
     pub values: Vec<f64>,
 }
 
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// Route `srcs × all-other-vertices` (or all pairs if `srcs` is `None`) and
 /// compare against exact Dijkstra distances.
 ///
@@ -184,9 +177,9 @@ pub fn measure_stretch_by(
         stats.mean = values.iter().sum::<f64>() / stats.pairs as f64;
         stats.mean_hops = hops as f64 / stats.pairs as f64;
         values.sort_by(|a, b| a.partial_cmp(b).expect("stretch is finite"));
-        stats.p50 = percentile(&values, 0.50);
-        stats.p95 = percentile(&values, 0.95);
-        stats.p99 = percentile(&values, 0.99);
+        stats.p50 = nearest_rank(&values, 0.50);
+        stats.p95 = nearest_rank(&values, 0.95);
+        stats.p99 = nearest_rank(&values, 0.99);
     }
     stats.values = values;
     stats

@@ -53,13 +53,6 @@ pub struct BuildParams {
     pub k: usize,
     /// Which construction to run.
     pub mode: Mode,
-    /// The paper's `ε` (defaults to `max(1/(48k⁴), 10⁻⁶)`).
-    pub epsilon: f64,
-    /// Hop-budget for hopset Bellman–Ford; `0` → auto (`2·|V'| + 16`,
-    /// enough for guaranteed convergence; the *used* β is reported).
-    pub beta_budget: usize,
-    /// Hierarchy depth of the hopset (see [`HopsetParams`]).
-    pub hopset_levels: usize,
 }
 
 impl BuildParams {
@@ -70,13 +63,9 @@ impl BuildParams {
     /// Panics if `k < 2`.
     pub fn new(k: usize) -> Self {
         assert!(k >= 2, "the scheme needs k >= 2");
-        let kf = k as f64;
         BuildParams {
             k,
             mode: Mode::DistributedLowMemory,
-            epsilon: (1.0 / (48.0 * kf.powi(4))).max(1e-6),
-            beta_budget: 0,
-            hopset_levels: 2,
         }
     }
 
@@ -88,13 +77,6 @@ impl BuildParams {
     /// Same parameters, different mode.
     pub fn with_mode(mut self, mode: Mode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Override `ε`.
-    pub fn with_epsilon(mut self, eps: f64) -> Self {
-        assert!(eps > 0.0 && eps < 0.2, "paper requires 0 < ε < 1/5");
-        self.epsilon = eps;
         self
     }
 }
@@ -548,6 +530,8 @@ where
     let n = g.num_vertices();
     assert!(n > 0, "graph must be non-empty");
     let k = params.k;
+    // The paper's ε: 1/(48k⁴), floored at 10⁻⁶.
+    let epsilon = (1.0 / (48.0 * (k as f64).powi(4))).max(1e-6);
     let mut ledger = CostLedger::new();
     let mut memory = MemoryMeter::new(n);
     let distributed = params.mode != Mode::Centralized;
@@ -590,9 +574,7 @@ where
         let out = build_hopset_observed(
             g,
             virt,
-            HopsetParams {
-                levels: params.hopset_levels,
-            },
+            HopsetParams::default(),
             d as u64,
             &mut ledger,
             &mut memory,
@@ -616,11 +598,9 @@ where
         }
     }
     rec.end_with_memory(hopset_span, memory.peaks());
-    let beta_budget = if params.beta_budget > 0 {
-        params.beta_budget
-    } else {
-        2 * virt.as_ref().map_or(0, |v| v.virtual_vertices().len()) + 16
-    };
+    // Hop budget for hopset Bellman–Ford: `2·|V'| + 16`, enough for
+    // guaranteed convergence (the *used* β is reported).
+    let beta_budget = 2 * virt.as_ref().map_or(0, |v| v.virtual_vertices().len()) + 16;
 
     // Pivots per level 1..=realized (level 0 is trivially "self"; level
     // `realized` and beyond is unreachable = A_k). The pivot routines charge
@@ -701,7 +681,7 @@ where
                 &roots,
                 i,
                 &next.dist,
-                params.epsilon,
+                epsilon,
                 beta_budget,
                 d as u64,
                 &mut ledger,

@@ -17,37 +17,6 @@ fn random_weight<R: Rng>(range: &RangeInclusive<Weight>, rng: &mut R) -> Weight 
     rng.gen_range(range.clone())
 }
 
-/// Erdős–Rényi G(n, p) with weights drawn uniformly from `weights`.
-///
-/// May be disconnected; see [`erdos_renyi_connected`] for the variant
-/// experiments use.
-///
-/// # Panics
-///
-/// Panics if `p` is not in `[0, 1]` or the weight range is empty/contains 0.
-pub fn erdos_renyi<R: Rng>(
-    n: usize,
-    p: f64,
-    weights: RangeInclusive<Weight>,
-    rng: &mut R,
-) -> Graph {
-    assert!((0.0..=1.0).contains(&p), "p must be a probability");
-    assert!(*weights.start() > 0, "weights must be positive");
-    let mut b = GraphBuilder::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            if rng.gen_bool(p) {
-                b.add_edge(
-                    VertexId(u as u32),
-                    VertexId(v as u32),
-                    random_weight(&weights, rng),
-                );
-            }
-        }
-    }
-    b.build()
-}
-
 /// G(n, p) made connected by first laying down a random recursive spanning
 /// tree, then adding each remaining pair independently with probability `p`.
 pub fn erdos_renyi_connected<R: Rng>(
@@ -435,41 +404,6 @@ pub fn barbell<R: Rng>(
     b.build()
 }
 
-/// A caterpillar: a spine path of `spine` vertices, each carrying `legs`
-/// pendant leaves. Trees with many leaves stress the heavy-path machinery.
-///
-/// # Panics
-///
-/// Panics if `spine == 0`.
-pub fn caterpillar<R: Rng>(
-    spine: usize,
-    legs: usize,
-    weights: RangeInclusive<Weight>,
-    rng: &mut R,
-) -> Graph {
-    assert!(spine > 0, "need a spine");
-    assert!(*weights.start() > 0, "weights must be positive");
-    let n = spine * (1 + legs);
-    let mut b = GraphBuilder::new(n);
-    for s in 1..spine {
-        b.add_edge(
-            VertexId((s - 1) as u32),
-            VertexId(s as u32),
-            random_weight(&weights, rng),
-        );
-    }
-    for s in 0..spine {
-        for l in 0..legs {
-            b.add_edge(
-                VertexId(s as u32),
-                VertexId((spine + s * legs + l) as u32),
-                random_weight(&weights, rng),
-            );
-        }
-    }
-    b.build()
-}
-
 /// A weighted graph whose *hop* diameter is tiny but whose *shortest-path*
 /// diameter is large: a cycle of `n` unit edges plus random long-range
 /// "highways" of very large weight. Shortest paths avoid highways, so they
@@ -523,7 +457,8 @@ mod tests {
 
     #[test]
     fn er_density_tracks_p() {
-        let g = erdos_renyi(200, 0.5, 1..=1, &mut rng(0));
+        // n − 1 tree edges plus each other pair with probability p.
+        let g = erdos_renyi_connected(200, 0.5, 1..=1, &mut rng(0));
         let max_edges = 200 * 199 / 2;
         let density = g.num_edges() as f64 / max_edges as f64;
         assert!((density - 0.5).abs() < 0.05, "density {density}");
@@ -531,9 +466,9 @@ mod tests {
 
     #[test]
     fn er_p_zero_and_one() {
-        let g0 = erdos_renyi(10, 0.0, 1..=1, &mut rng(0));
-        assert_eq!(g0.num_edges(), 0);
-        let g1 = erdos_renyi(10, 1.0, 1..=1, &mut rng(0));
+        let g0 = erdos_renyi_connected(10, 0.0, 1..=1, &mut rng(0));
+        assert_eq!(g0.num_edges(), 9, "p = 0 leaves the spanning tree");
+        let g1 = erdos_renyi_connected(10, 1.0, 1..=1, &mut rng(0));
         assert_eq!(g1.num_edges(), 45);
     }
 
@@ -627,16 +562,6 @@ mod tests {
         assert_eq!(g.degree(VertexId(1)), 5);
         // Bridge interior vertices have degree 2.
         assert_eq!(g.degree(VertexId(7)), 2);
-    }
-
-    #[test]
-    fn caterpillar_shape() {
-        let g = caterpillar(5, 3, 1..=2, &mut rng(13));
-        assert_eq!(g.num_vertices(), 20);
-        assert_eq!(g.num_edges(), 4 + 15);
-        assert!(properties::is_connected(&g));
-        // Legs are leaves.
-        assert_eq!(g.degree(VertexId(19)), 1);
     }
 
     #[test]

@@ -133,24 +133,6 @@ pub fn to_edge_list(g: &Graph) -> String {
     out
 }
 
-/// Export to Graphviz DOT (undirected), with edge weights as labels.
-/// Optional `highlight` vertices are drawn filled — handy for visualizing
-/// sampled sets, cluster centers, or a routed path.
-pub fn to_dot(g: &Graph, highlight: &[VertexId]) -> String {
-    let mut out = String::from("graph G {\n  node [shape=circle];\n");
-    let marked: std::collections::HashSet<VertexId> = highlight.iter().copied().collect();
-    for v in g.vertices() {
-        if marked.contains(&v) {
-            let _ = writeln!(out, "  {} [style=filled, fillcolor=lightblue];", v.0);
-        }
-    }
-    for (u, v, w) in g.edges() {
-        let _ = writeln!(out, "  {} -- {} [label=\"{}\"];", u.0, v.0, w);
-    }
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,17 +169,6 @@ mod tests {
         let text = to_edge_list(&g);
         let back = parse_edge_list(&text).unwrap();
         assert_eq!(g, back);
-    }
-
-    #[test]
-    fn dot_export_mentions_all_edges_and_highlights() {
-        let g = parse_edge_list("p 3\n0 1 5\n1 2 7\n").unwrap();
-        let dot = to_dot(&g, &[VertexId(1)]);
-        assert!(dot.starts_with("graph G {"));
-        assert!(dot.contains("0 -- 1 [label=\"5\"]"));
-        assert!(dot.contains("1 -- 2 [label=\"7\"]"));
-        assert!(dot.contains("1 [style=filled"));
-        assert!(!dot.contains("0 [style=filled"));
     }
 
     #[test]

@@ -38,13 +38,6 @@ impl Overlay {
         self.alive_vertex[v.index()]
     }
 
-    /// Whether edge `e` carries its own tombstone (independent of endpoint
-    /// liveness — see [`Overlay::edge_usable`] for the effective state).
-    #[inline]
-    pub fn edge_alive(&self, e: EdgeId) -> bool {
-        self.alive_edge[e.index()]
-    }
-
     /// Whether edge `e` of `g` can carry traffic: not tombstoned and both
     /// endpoints alive.
     #[inline]
@@ -66,11 +59,6 @@ impl Overlay {
     /// Tombstone edge `e`. Returns `true` if it was alive.
     pub fn kill_edge(&mut self, e: EdgeId) -> bool {
         std::mem::replace(&mut self.alive_edge[e.index()], false)
-    }
-
-    /// Clear the tombstone on edge `e`. Returns `true` if it was dead.
-    pub fn revive_edge(&mut self, e: EdgeId) -> bool {
-        !std::mem::replace(&mut self.alive_edge[e.index()], true)
     }
 
     /// The per-vertex alive mask, indexed by `VertexId`.
@@ -166,10 +154,6 @@ mod tests {
         let mut o = Overlay::new(&g);
         assert!(o.kill_vertex(VertexId(1)));
         assert!(!o.kill_vertex(VertexId(1)), "second kill is a no-op");
-        assert!(
-            o.edge_alive(EdgeId(0)),
-            "edge keeps its own tombstone clear"
-        );
         assert!(!o.edge_usable(&g, EdgeId(0)));
         assert!(!o.edge_usable(&g, EdgeId(1)));
         assert!(o.edge_usable(&g, EdgeId(2)));
@@ -195,8 +179,6 @@ mod tests {
         o.revive_vertex(VertexId(2));
         assert!(!o.edge_usable(&g, EdgeId(1)));
         assert_eq!(o.surviving_edges(&g), 2);
-        assert!(o.revive_edge(EdgeId(1)));
-        assert_eq!(o.surviving_edges(&g), 3);
     }
 
     #[test]

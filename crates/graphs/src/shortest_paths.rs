@@ -154,23 +154,6 @@ pub fn bfs_hops(g: &Graph, src: VertexId) -> Vec<Weight> {
     hops
 }
 
-/// Number of edges on *the* shortest path found by Dijkstra from `u` to `v`
-/// (ties broken by the heap order), or `None` if unreachable. This is the
-/// paper's `h(u, v)` up to tie-breaking.
-pub fn shortest_path_hops(g: &Graph, u: VertexId, v: VertexId) -> Option<usize> {
-    let (dist, parent) = dijkstra_with_parents(g, u);
-    if dist[v.index()] == INFINITY {
-        return None;
-    }
-    let mut hops = 0;
-    let mut cur = v;
-    while cur != u {
-        cur = parent[cur.index()].expect("reachable vertex must have a parent");
-        hops += 1;
-    }
-    Some(hops)
-}
-
 /// All-pairs shortest path distances; `result[u][v]` is `d(u, v)`.
 ///
 /// Quadratic memory — intended for the modest `n` used in tests and benches.
@@ -271,13 +254,6 @@ mod tests {
         let g = diamond();
         let h = bfs_hops(&g, VertexId(0));
         assert_eq!(h, vec![0, 1, 1, 1]);
-    }
-
-    #[test]
-    fn shortest_path_hops_counts_edges() {
-        let g = diamond();
-        assert_eq!(shortest_path_hops(&g, VertexId(0), VertexId(2)), Some(2));
-        assert_eq!(shortest_path_hops(&g, VertexId(0), VertexId(0)), Some(0));
     }
 
     #[test]

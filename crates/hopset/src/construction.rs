@@ -40,24 +40,6 @@ impl Default for HopsetParams {
     }
 }
 
-impl HopsetParams {
-    /// Derive levels from the paper's knobs: size exponent `κ` and memory
-    /// exponent `ρ` (arboricity `Õ(m^ρ)` wants `ℓ + 1 ≈ 1/ρ`; size
-    /// `O(m^{1+1/κ})` wants `ℓ + 1 ≈ κ`). Takes the stricter (larger).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kappa < 2` or `rho` is not in `(0, 1]`.
-    pub fn for_kappa_rho(kappa: usize, rho: f64) -> Self {
-        assert!(kappa >= 2, "kappa must be at least 2");
-        assert!(rho > 0.0 && rho <= 1.0, "rho must be in (0, 1]");
-        let by_rho = (1.0 / rho).ceil() as usize;
-        HopsetParams {
-            levels: kappa.max(by_rho).saturating_sub(1).max(1),
-        }
-    }
-}
-
 /// Everything the construction measured about itself.
 #[derive(Clone, Debug)]
 pub struct BuildStats {
@@ -269,13 +251,6 @@ mod tests {
         let mut mem = MemoryMeter::new(g.num_vertices());
         let out = build(g, virt, HopsetParams::default(), 8, &mut led, &mut mem, rng);
         (out, led, mem)
-    }
-
-    #[test]
-    fn params_from_kappa_rho() {
-        assert_eq!(HopsetParams::for_kappa_rho(4, 0.5).levels, 3);
-        assert_eq!(HopsetParams::for_kappa_rho(2, 0.25).levels, 3);
-        assert_eq!(HopsetParams::for_kappa_rho(2, 1.0).levels, 1);
     }
 
     #[test]

@@ -263,11 +263,6 @@ impl Recorder {
         }
     }
 
-    /// Whether this recorder is collecting anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Open a named span nested under the currently open span (if any).
     pub fn begin(&mut self, name: &str) -> SpanId {
         if !self.enabled {
@@ -492,7 +487,6 @@ mod tests {
         rec.charge_rounds(100);
         rec.add_record(Value::from("ignored"));
         rec.end(id);
-        assert!(!rec.is_enabled());
         assert_eq!(rec.totals(), Counters::ZERO);
         assert!(rec.spans().is_empty());
         assert!(rec.records().is_empty());

@@ -40,15 +40,6 @@ impl Stopwatch {
     pub fn elapsed_ns(&self) -> u64 {
         u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
-
-    /// Elapsed nanoseconds, restarting the timer — successive laps tile the
-    /// total elapsed time.
-    pub fn lap_ns(&mut self) -> u64 {
-        let now = std::time::Instant::now();
-        let ns = u64::try_from((now - self.start).as_nanos()).unwrap_or(u64::MAX);
-        self.start = now;
-        ns
-    }
 }
 
 /// A monotonic nanosecond clock. [`Stopwatch`] is the production clock; code
@@ -65,17 +56,23 @@ impl Clock for Stopwatch {
     }
 }
 
-/// The `q`-quantile (0.0 ≤ q ≤ 1.0) of a sample of durations, by the
-/// nearest-rank method. Returns 0 for an empty sample. The input need not be
+/// The `q`-quantile (0.0 ≤ q ≤ 1.0) of a sample of durations, by
+/// [`nearest_rank`]. Returns 0 for an empty sample. The input need not be
 /// sorted.
 pub fn quantile_ns(samples: &[u64], q: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
     let mut sorted = samples.to_vec();
     sorted.sort_unstable();
-    let rank = (q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
+    nearest_rank(&sorted, q)
+}
+
+/// The `q`-quantile of an ascending slice by the nearest-rank rule: the
+/// element at rank `round(q · (len − 1))`, with `q` clamped to `[0, 1]`.
+/// `T::default()` for an empty slice.
+pub fn nearest_rank<T: Copy + Default>(sorted: &[T], q: f64) -> T {
+    match sorted.len().checked_sub(1) {
+        None => T::default(),
+        Some(last) => sorted[((q.clamp(0.0, 1.0) * last as f64).round() as usize).min(last)],
+    }
 }
 
 #[cfg(test)]
@@ -84,14 +81,10 @@ mod tests {
 
     #[test]
     fn stopwatch_is_monotonic() {
-        let mut sw = Stopwatch::start();
+        let sw = Stopwatch::start();
         let a = sw.elapsed_ns();
         let b = sw.elapsed_ns();
         assert!(b >= a);
-        let lap = sw.lap_ns();
-        assert!(lap >= b);
-        // After a lap the clock restarts near zero.
-        assert!(sw.elapsed_ns() < lap.max(1_000_000_000));
     }
 
     #[test]
@@ -103,5 +96,7 @@ mod tests {
         assert_eq!(quantile_ns(&samples, 1.0), 100);
         assert_eq!(quantile_ns(&[], 0.5), 0);
         assert_eq!(quantile_ns(&[7], 0.95), 7);
+        assert_eq!(nearest_rank(&[0.5, 1.0, 2.0, 4.0], 0.5), 2.0);
+        assert_eq!(nearest_rank::<f64>(&[], 0.99), 0.0);
     }
 }

@@ -1,15 +1,13 @@
-//! Bit-level encoding of tables and labels.
+//! The LEB128 varint codec.
 //!
 //! The paper counts sizes in machine words; actual deployments ship labels
-//! inside packet headers, where *bits* matter. This module provides a
-//! canonical varint (LEB128) wire format for [`TreeTable`] and
-//! [`TreeLabel`], used by the bit-complexity figure to show that a label of
-//! `O(log n)` words is `O(log² n)` bits — and typically far less, because
-//! DFS times and vertex ids are small integers.
-
-use graphs::VertexId;
-
-use crate::types::{TreeLabel, TreeTable};
+//! inside packet headers, where *bits* matter. Scheme files
+//! (`routing::persist`) write every id, level, distance and DFS time as one
+//! varint, so small integers — nearly all of them — take one or two bytes.
+//! The rows of a [`TreeTable`](crate::types::TreeTable) and a
+//! [`TreeLabel`](crate::types::TreeLabel) are written by `persist`'s row
+//! codec on top of this one, and the bit-complexity figure measures those
+//! exact bytes.
 
 /// Append `value` as LEB128.
 pub fn write_varint(buf: &mut Vec<u8>, mut value: u64) {
@@ -67,82 +65,10 @@ fn read_varint_long(buf: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
-fn write_opt_vertex(buf: &mut Vec<u8>, v: Option<VertexId>) {
-    // 0 = None; ids shifted by one.
-    write_varint(buf, v.map_or(0, |x| u64::from(x.0) + 1));
-}
-
-fn read_opt_vertex(buf: &[u8], pos: &mut usize) -> Option<Option<VertexId>> {
-    let raw = read_varint(buf, pos)?;
-    Some(if raw == 0 {
-        None
-    } else {
-        Some(VertexId((raw - 1) as u32))
-    })
-}
-
-/// Serialize a table (4 varints).
-pub fn encode_table(t: &TreeTable) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(12);
-    write_varint(&mut buf, t.enter);
-    write_varint(&mut buf, t.exit - t.enter); // delta: subtree size − 1
-    write_opt_vertex(&mut buf, t.parent);
-    write_opt_vertex(&mut buf, t.heavy);
-    buf
-}
-
-/// Deserialize a table. `None` on malformed input.
-pub fn decode_table(buf: &[u8]) -> Option<TreeTable> {
-    let mut pos = 0;
-    let enter = read_varint(buf, &mut pos)?;
-    let span = read_varint(buf, &mut pos)?;
-    let parent = read_opt_vertex(buf, &mut pos)?;
-    let heavy = read_opt_vertex(buf, &mut pos)?;
-    (pos == buf.len()).then_some(TreeTable {
-        enter,
-        exit: enter + span,
-        parent,
-        heavy,
-    })
-}
-
-/// Serialize a label: entry time, light-edge count, then the edges.
-pub fn encode_label(l: &TreeLabel) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(4 + 4 * l.light.len());
-    write_varint(&mut buf, l.enter);
-    write_varint(&mut buf, l.light.len() as u64);
-    for &(p, c) in &l.light {
-        write_varint(&mut buf, u64::from(p.0));
-        write_varint(&mut buf, u64::from(c.0));
-    }
-    buf
-}
-
-/// Deserialize a label. `None` on malformed input.
-pub fn decode_label(buf: &[u8]) -> Option<TreeLabel> {
-    let mut pos = 0;
-    let enter = read_varint(buf, &mut pos)?;
-    let count = read_varint(buf, &mut pos)? as usize;
-    if count > buf.len() {
-        return None; // cheap sanity bound before allocating
-    }
-    let mut light = Vec::with_capacity(count);
-    for _ in 0..count {
-        let p = VertexId(read_varint(buf, &mut pos)? as u32);
-        let c = VertexId(read_varint(buf, &mut pos)? as u32);
-        light.push((p, c));
-    }
-    (pos == buf.len()).then_some(TreeLabel { enter, light })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tz;
-    use graphs::tree::random_recursive_tree;
     use proptest::prelude::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     /// The plain LEB128 loop the fast path must agree with.
     fn read_varint_reference(buf: &[u8], pos: &mut usize) -> Option<u64> {
@@ -239,57 +165,5 @@ mod tests {
             );
             prop_assert_eq!(pos, ref_pos);
         }
-    }
-
-    #[test]
-    fn tables_and_labels_round_trip() {
-        let mut rng = ChaCha8Rng::seed_from_u64(801);
-        let ids: Vec<VertexId> = (0..100).map(VertexId).collect();
-        let t = random_recursive_tree(100, &ids, 9, &mut rng);
-        let scheme = tz::build(&t);
-        for v in t.vertices() {
-            let table = scheme.table(v).unwrap();
-            assert_eq!(decode_table(&encode_table(table)).as_ref(), Some(table));
-            let label = scheme.label(v).unwrap();
-            assert_eq!(decode_label(&encode_label(label)).as_ref(), Some(label));
-        }
-    }
-
-    #[test]
-    fn decode_rejects_trailing_garbage() {
-        let t = TreeTable {
-            enter: 3,
-            exit: 9,
-            parent: Some(VertexId(1)),
-            heavy: None,
-        };
-        let mut buf = encode_table(&t);
-        buf.push(0);
-        assert_eq!(decode_table(&buf), None);
-    }
-
-    #[test]
-    fn encoded_label_is_compact() {
-        // A label with 8 light edges on small ids fits well under the naive
-        // 8-byte-per-word budget.
-        let label = TreeLabel {
-            enter: 500,
-            light: (0..8)
-                .map(|i| (VertexId(i * 2), VertexId(i * 2 + 1)))
-                .collect(),
-        };
-        let bytes = encode_label(&label);
-        let naive = 8 * (1 + 2 * 8);
-        assert!(bytes.len() * 4 < naive, "{} vs naive {naive}", bytes.len());
-        assert_eq!(decode_label(&bytes), Some(label));
-    }
-
-    #[test]
-    fn empty_label_is_two_bytes() {
-        let label = TreeLabel {
-            enter: 1,
-            light: vec![],
-        };
-        assert_eq!(encode_label(&label).len(), 2);
     }
 }

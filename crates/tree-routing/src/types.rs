@@ -96,16 +96,6 @@ impl ForwardingDecision {
             | ForwardingDecision::DescendHeavy(next) => RouteAction::Forward(next),
         }
     }
-
-    /// The chosen next hop (`None` on delivery).
-    pub fn next_hop(self) -> Option<VertexId> {
-        match self {
-            ForwardingDecision::Deliver => None,
-            ForwardingDecision::Ascend(next)
-            | ForwardingDecision::DescendLight(next)
-            | ForwardingDecision::DescendHeavy(next) => Some(next),
-        }
-    }
 }
 
 /// The Thorup–Zwick forwarding rule with the decision kind exposed: decide
@@ -368,7 +358,6 @@ mod tests {
         };
         let d = route_decision(VertexId(3), &t, &own).unwrap();
         assert_eq!(d, ForwardingDecision::Deliver);
-        assert_eq!(d.next_hop(), None);
         assert_eq!(d.action(), RouteAction::Deliver);
     }
 

@@ -108,13 +108,7 @@ fn main() -> ExitCode {
         argv: &argv[1..],
         opts: &opts,
     };
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    bench::sweep::exit_code(run(&args))
 }
 
 fn load_graph(path: &str) -> Result<Graph, String> {

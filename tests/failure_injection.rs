@@ -253,23 +253,6 @@ fn forged_forwarding_to_non_neighbor_is_caught() {
 }
 
 #[test]
-fn decode_rejects_random_bytes() {
-    let mut rng = ChaCha8Rng::seed_from_u64(3004);
-    use rand::Rng;
-    let mut rejected = 0;
-    for _ in 0..100 {
-        let len = rng.gen_range(0..20);
-        let bytes: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-        // Must never panic; often rejects.
-        if tree_routing::encode::decode_table(&bytes).is_none() {
-            rejected += 1;
-        }
-        let _ = tree_routing::encode::decode_label(&bytes);
-    }
-    assert!(rejected > 0);
-}
-
-#[test]
 fn route_step_never_panics_on_arbitrary_inputs() {
     // Exhaustive small-space sweep of the forwarding rule. Vertex 0 of a
     // path has exactly one port, to vertex 1.

@@ -304,27 +304,6 @@ proptest! {
     }
 
     #[test]
-    fn label_encoding_round_trips(
-        g in arb_graph(50),
-        root_sel in 0..u32::MAX,
-    ) {
-        let n = g.num_vertices();
-        let root = VertexId(root_sel % n as u32);
-        let t = tree::shortest_path_tree(&g, root);
-        let s = tree_routing::tz::build(&t);
-        for v in t.vertices() {
-            let label = s.label(v).unwrap();
-            let bytes = tree_routing::encode::encode_label(label);
-            let decoded = tree_routing::encode::decode_label(&bytes);
-            prop_assert_eq!(decoded.as_ref(), Some(label));
-            let table = s.table(v).unwrap();
-            let bytes = tree_routing::encode::encode_table(table);
-            let decoded = tree_routing::encode::decode_table(&bytes);
-            prop_assert_eq!(decoded.as_ref(), Some(table));
-        }
-    }
-
-    #[test]
     fn oracle_never_undershoots(
         g in arb_graph(36),
         seed in 0..u64::MAX,
