@@ -12,7 +12,7 @@ use rand_chacha::ChaCha8Rng;
 
 fn bench_construction(c: &mut Criterion) {
     let mut group = c.benchmark_group("hopset_construction");
-    for n in [256usize, 1024] {
+    for n in [256usize, 1024, 4096] {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let g = Family::ErdosRenyi.generate(n, &mut rng);
         let virt = VirtualGraph::sample(&g, 1.5 / (n as f64).sqrt(), &mut rng);

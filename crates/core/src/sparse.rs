@@ -133,6 +133,45 @@ mod tests {
         assert_eq!(t.root_distance(VertexId(3)), Some(6));
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// A member-sorted tree converts without a sort into the tree its
+        /// rows give in any order.
+        #[test]
+        fn to_rooted_matches_shuffled_rows(
+            size in 1usize..150,
+            host in 150usize..500,
+            seed in 0u64..1_000_000,
+        ) {
+            use rand::seq::SliceRandom;
+            use rand::SeedableRng;
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut verts: Vec<VertexId> = (0..host as u32).map(VertexId).collect();
+            verts.shuffle(&mut rng);
+            let t = graphs::tree::random_recursive_tree(host, &verts[..size], 9, &mut rng);
+            let info = t
+                .vertices()
+                .map(|v| MemberInfo {
+                    parent: t.parent(v).unwrap_or(v),
+                    parent_weight: t.parent_weight(v),
+                    dist: t.root_distance(v).expect("member"),
+                })
+                .collect();
+            let st = SparseTree::new(t.root(), 0, t.members().to_vec(), info);
+            let mut rows: Vec<_> = st
+                .members()
+                .iter()
+                .zip(st.info())
+                .filter(|&(&v, _)| v != st.root)
+                .map(|(&v, m)| (v, m.parent, m.parent_weight))
+                .collect();
+            rows.shuffle(&mut rng);
+            let shuffled = RootedTree::from_edges(host, st.root, rows);
+            proptest::prop_assert_eq!(&st.to_rooted(host), &shuffled);
+        }
+    }
+
     #[test]
     fn membership_queries() {
         let st = path_sparse();

@@ -98,7 +98,8 @@ impl RootedTree {
 
     /// Build a tree inside a host of `host_len` vertices from its parent
     /// edges `(child, parent, weight)`, one per non-root member in any order.
-    /// Cost is `O(|T| log |T|)`, independent of `host_len`.
+    /// Cost is `O(|T| log |T|)`, independent of `host_len`; edges that arrive
+    /// strictly ascending by child skip the sort.
     ///
     /// # Panics
     ///
@@ -111,8 +112,13 @@ impl RootedTree {
         edges: impl IntoIterator<Item = (VertexId, VertexId, Weight)>,
     ) -> Self {
         let mut rows: Vec<(VertexId, VertexId, Weight)> = edges.into_iter().collect();
-        rows.push((root, root, 0));
-        rows.sort_unstable_by_key(|&(v, _, _)| v);
+        if rows.windows(2).all(|w| w[0].0 < w[1].0) {
+            let at = rows.partition_point(|&(v, _, _)| v < root);
+            rows.insert(at, (root, root, 0));
+        } else {
+            rows.push((root, root, 0));
+            rows.sort_unstable_by_key(|&(v, _, _)| v);
+        }
         let m = rows.len();
         assert!(
             rows[m - 1].0.index() < host_len,
@@ -583,6 +589,27 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rejects_member_beyond_the_host() {
         RootedTree::from_edges(3, VertexId(0), [(VertexId(3), VertexId(0), 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "root must have no parent")]
+    fn rejects_a_parent_for_the_root_in_sorted_rows() {
+        let edges = [(VertexId(0), VertexId(3), 1), (VertexId(3), VertexId(0), 1)];
+        RootedTree::from_edges(9, VertexId(0), edges);
+    }
+
+    #[test]
+    #[should_panic(expected = "cycle in parent pointers")]
+    fn rejects_a_cycle_in_unsorted_rows() {
+        let edges = [(VertexId(2), VertexId(1), 1), (VertexId(1), VertexId(2), 1)];
+        RootedTree::from_edges(9, VertexId(0), edges);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not reach the root")]
+    fn rejects_parent_outside_the_tree_in_unsorted_rows() {
+        let edges = [(VertexId(4), VertexId(0), 1), (VertexId(3), VertexId(5), 1)];
+        RootedTree::from_edges(9, VertexId(0), edges);
     }
 
     #[test]

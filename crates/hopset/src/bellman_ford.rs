@@ -91,103 +91,100 @@ impl<'a> LimitedBf<'a> {
     /// # Panics
     ///
     /// Panics if `max_iters == 0`.
-    pub fn run(
+    pub fn run<L>(
         &self,
         roots: &[(VertexId, Weight)],
-        limit: &dyn Fn(VertexId, Weight) -> bool,
+        limit: &L,
         max_iters: usize,
         d: u64,
         ledger: &mut CostLedger,
         memory: &mut MemoryMeter,
-    ) -> BfOutput {
+    ) -> BfOutput
+    where
+        L: Fn(VertexId, Weight) -> bool + ?Sized,
+    {
         assert!(max_iters > 0, "need at least one iteration");
         let n = self.g.num_vertices();
         let mut est = vec![INFINITY; n];
         let mut via = vec![Via::Seed; n];
         let mut origin: Vec<Option<VertexId>> = vec![None; n];
+        let mut is_root = vec![false; n];
+        // The vertices holding a finite estimate: the only possible seeds.
+        let mut finite: Vec<VertexId> = Vec::new();
         for &(r, v0) in roots {
+            is_root[r.index()] = true;
             if v0 < est[r.index()] {
+                if est[r.index()] == INFINITY {
+                    finite.push(r);
+                }
                 est[r.index()] = v0;
                 origin[r.index()] = Some(r);
             }
         }
 
+        // Each half reads only round-start values: it lists its offers
+        // first and folds them in, in order, after.
+        let mut offers: Vec<Offer> = Vec::new();
+        let mut seeds: Vec<(VertexId, Weight)> = Vec::new();
         let mut beta_used = 0;
-        let mut last_exploration = Exploration {
-            dist: vec![INFINITY; n],
-            parent: vec![None; n],
-            origin: vec![None; n],
-        };
+        let mut last_exploration = None;
         for _ in 0..max_iters {
             beta_used += 1;
-            let mut changed = false;
 
             // ---- E'-step: one B-bounded exploration seeded by all finite,
-            // unclipped estimates (roots always speak).
-            let is_root = |v: VertexId| roots.iter().any(|&(r, _)| r == v);
-            let seeds: Vec<(VertexId, Weight)> = self
-                .g
-                .vertices()
-                .filter(|&v| est[v.index()] != INFINITY)
-                .filter(|&v| is_root(v) || limit(v, est[v.index()]))
-                .map(|v| (v, est[v.index()]))
-                .collect();
+            // unclipped estimates (roots always speak), in id order.
+            finite.sort_unstable();
+            seeds.clear();
+            seeds.extend(
+                finite
+                    .iter()
+                    .filter(|&&v| is_root[v.index()] || limit(v, est[v.index()]))
+                    .map(|&v| (v, est[v.index()])),
+            );
             let explo = self
                 .virt
                 .bounded_exploration(self.g, &seeds, limit, ledger, memory);
-            let origin_snapshot = origin.clone();
             for &x in self.virt.virtual_vertices() {
                 let heard = explo.dist[x.index()];
                 if heard < est[x.index()] {
-                    est[x.index()] = heard;
-                    via[x.index()] = Via::Bounded;
-                    origin[x.index()] =
-                        explo.origin[x.index()].and_then(|seed| origin_snapshot[seed.index()]);
-                    changed = true;
+                    let from = explo.origin[x.index()].and_then(|seed| origin[seed.index()]);
+                    offers.push((x, heard, Via::Bounded, from));
                 }
             }
-            last_exploration = explo;
+            let mut changed = fold(&mut offers, &mut est, &mut via, &mut origin, &mut finite);
+            last_exploration = Some(explo);
 
             // ---- H-step: broadcast estimates + out-records; relax both ways.
             let mut msgs = 0u64;
-            let snapshot = est.clone();
-            let origin_snapshot = origin.clone();
             for &u in self.virt.virtual_vertices() {
-                if snapshot[u.index()] == INFINITY || !limit(u, snapshot[u.index()]) {
+                let eu = est[u.index()];
+                if eu == INFINITY || !limit(u, eu) {
                     continue;
                 }
                 msgs += 1 + self.hopset.out_edges(u).len() as u64;
                 for (j, e) in self.hopset.out_edges(u).iter().enumerate() {
                     memory.touch(e.to, 2);
                     // Forward: u's estimate reaches e.to.
-                    let fwd = dist_add(snapshot[u.index()], e.weight);
-                    if fwd < est[e.to.index()] {
-                        est[e.to.index()] = fwd;
-                        via[e.to.index()] = Via::Hopset {
-                            owner: u,
-                            index: j,
-                            reversed: false,
-                        };
-                        origin[e.to.index()] = origin_snapshot[u.index()];
-                        changed = true;
-                    }
+                    let fwd = Via::Hopset {
+                        owner: u,
+                        index: j,
+                        reversed: false,
+                    };
+                    offers.push((e.to, dist_add(eu, e.weight), fwd, origin[u.index()]));
                     // Reverse: e.to's estimate reaches u, provided e.to may
                     // speak (it hears its own edge in u's announcement).
-                    if snapshot[e.to.index()] != INFINITY && limit(e.to, snapshot[e.to.index()]) {
-                        let rev = dist_add(snapshot[e.to.index()], e.weight);
-                        if rev < est[u.index()] {
-                            est[u.index()] = rev;
-                            via[u.index()] = Via::Hopset {
-                                owner: u,
-                                index: j,
-                                reversed: true,
-                            };
-                            origin[u.index()] = origin_snapshot[e.to.index()];
-                            changed = true;
-                        }
+                    let et = est[e.to.index()];
+                    if et != INFINITY && limit(e.to, et) {
+                        let rev = Via::Hopset {
+                            owner: u,
+                            index: j,
+                            reversed: true,
+                        };
+                        offers.push((u, dist_add(et, e.weight), rev, origin[e.to.index()]));
                     }
                 }
             }
+            changed |= fold(&mut offers, &mut est, &mut via, &mut origin, &mut finite);
             ledger.charge_broadcast(msgs, d);
 
             if !changed {
@@ -200,9 +197,37 @@ impl<'a> LimitedBf<'a> {
             via,
             origin,
             beta_used,
-            last_exploration,
+            last_exploration: last_exploration.expect("at least one iteration"),
         }
     }
+}
+
+/// A relaxation to apply: target, value, provenance and origin.
+type Offer = (VertexId, Weight, Via, Option<VertexId>);
+
+/// Fold `offers` into the estimates in order, each taken only if it beats
+/// what its vertex holds by then; drains `offers` and says whether any was
+/// taken. A vertex's first finite estimate lists it in `finite`.
+fn fold(
+    offers: &mut Vec<Offer>,
+    est: &mut [Weight],
+    via: &mut [Via],
+    origin: &mut [Option<VertexId>],
+    finite: &mut Vec<VertexId>,
+) -> bool {
+    let mut changed = false;
+    for (x, value, how, from) in offers.drain(..) {
+        if value < est[x.index()] {
+            if est[x.index()] == INFINITY {
+                finite.push(x);
+            }
+            est[x.index()] = value;
+            via[x.index()] = how;
+            origin[x.index()] = from;
+            changed = true;
+        }
+    }
+    changed
 }
 
 #[cfg(test)]
@@ -238,6 +263,68 @@ mod tests {
             g,
             virt,
             hopset: out.hopset,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The driver matches its pre-offer-list form: estimates, provenance,
+        /// origins, β, the last exploration, the ledger and every meter
+        /// peak, from one root or a whole set, with and without clipping.
+        #[test]
+        fn run_matches_reference(
+            n in 4usize..140,
+            wide in 0u8..2,
+            many in 0u8..2,
+            clip in 0u8..2,
+            max_iters in 1usize..6,
+            seed in 0u64..1_000_000,
+        ) {
+            use rand::Rng;
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let weights = if wide == 1 { 1..=100 } else { 1..=3 };
+            let p = (3.0 / n as f64).min(1.0);
+            let g = generators::erdos_renyi_connected(n, p, weights, &mut rng);
+            let virt = VirtualGraph::from_set(
+                &g,
+                g.vertices().filter(|_| rng.gen_range(0..4) == 0).collect(),
+                rng.gen_range(1..12),
+            );
+            let hopset = if virt.virtual_vertices().is_empty() {
+                Hopset::new(n)
+            } else {
+                let (mut led, mut mem) = (CostLedger::new(), MemoryMeter::new(n));
+                let params = HopsetParams::default();
+                build(&g, &virt, params, 8, &mut led, &mut mem, &mut rng).hopset
+            };
+            let bf = LimitedBf { g: &g, virt: &virt, hopset: &hopset };
+            let roots: Vec<(VertexId, Weight)> = if many == 1 {
+                g.vertices().filter(|_| rng.gen_range(0..5) == 0).map(|v| (v, 0)).collect()
+            } else {
+                vec![(VertexId(rng.gen_range(0..n as u32)), 0)]
+            };
+            let threshold: Vec<Weight> = (0..n).map(|_| rng.gen_range(1..80)).collect();
+            let limit = |v: VertexId, est: Weight| clip == 0 || est < threshold[v.index()];
+            let mut start = MemoryMeter::new(n);
+            for v in g.vertices() {
+                start.set(v, rng.gen_range(0..4));
+            }
+            let (mut led, mut mem) = (CostLedger::new(), start.clone());
+            let got = bf.run(&roots, &limit, max_iters, 3, &mut led, &mut mem);
+            let (mut ref_led, mut ref_mem) = (CostLedger::new(), start);
+            let want =
+                crate::reference::run(&bf, &roots, &limit, max_iters, 3, &mut ref_led, &mut ref_mem);
+            proptest::prop_assert_eq!(&got.est, &want.est);
+            proptest::prop_assert_eq!(&got.via, &want.via);
+            proptest::prop_assert_eq!(&got.origin, &want.origin);
+            proptest::prop_assert_eq!(got.beta_used, want.beta_used);
+            let (x, y) = (&got.last_exploration, &want.last_exploration);
+            proptest::prop_assert_eq!(&x.dist, &y.dist);
+            proptest::prop_assert_eq!(&x.parent, &y.parent);
+            proptest::prop_assert_eq!(&x.origin, &y.origin);
+            proptest::prop_assert_eq!(&led, &ref_led);
+            proptest::prop_assert_eq!(&mem, &ref_mem);
         }
     }
 

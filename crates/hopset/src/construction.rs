@@ -19,8 +19,11 @@
 //! `B`-bounded exploration plus a Lemma-1 broadcast of the level's sets and
 //! new edges (see `DESIGN.md` on accounting).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use congest::{CostLedger, MemoryMeter};
-use graphs::{shortest_paths, Graph, VertexId, INFINITY};
+use graphs::{dist_add, shortest_paths, Graph, VertexId, Weight, INFINITY};
 use rand::Rng;
 
 use crate::hopset::Hopset;
@@ -140,27 +143,19 @@ pub fn build_observed<R: Rng>(
 
     let mut hopset = Hopset::new(g.num_vertices());
 
-    // Per-level membership flags for bunch tests.
-    let mut member: Vec<Vec<bool>> = Vec::with_capacity(levels + 1);
+    // Per level, each member's position in the level's list (`NOT_MEMBER`
+    // elsewhere): the survival test, and the order bunch edges are added in.
+    let mut position: Vec<Vec<u32>> = Vec::with_capacity(levels + 1);
     for a in &hierarchy {
-        let mut f = vec![false; g.num_vertices()];
-        for &v in a {
-            f[v.index()] = true;
+        let mut pos = vec![NOT_MEMBER; g.num_vertices()];
+        for (j, &v) in a.iter().enumerate() {
+            pos[v.index()] = j as u32;
         }
-        member.push(f);
+        position.push(pos);
     }
 
-    let path_from = |parents: &[Option<VertexId>], src: VertexId, dst: VertexId| {
-        let mut path = vec![dst];
-        let mut cur = dst;
-        while cur != src {
-            cur = parents[cur.index()].expect("reachable");
-            path.push(cur);
-        }
-        path.reverse();
-        path
-    };
-
+    let mut ball = Ball::new(g.num_vertices());
+    let mut bunch: Vec<(u32, VertexId)> = Vec::new();
     for i in 0..levels {
         // Pivot distances d(·, A_{i+1}) via a multi-source exploration.
         let super_span = rec.begin(&format!("hopset/L{i}/superclustering"));
@@ -172,27 +167,32 @@ pub fn build_observed<R: Rng>(
         let inter_span = rec.begin(&format!("hopset/L{i}/interconnection"));
         let mut level_edges = 0u64;
         for &u in &hierarchy[i] {
-            if member[i + 1][u.index()] {
+            if position[i + 1][u.index()] != NOT_MEMBER {
                 continue; // u survives to the next level
             }
-            let (dist_u, parents_u) = shortest_paths::dijkstra_with_parents(g, u);
+            // The ball of u: every vertex within d(u, A_{i+1}) settles.
             let du_next = piv_dist[u.index()];
-            // Bunch edges: strictly closer members of A_i than A_{i+1}.
-            for &v in &hierarchy[i] {
-                if v != u && dist_u[v.index()] < du_next {
-                    let path = path_from(&parents_u, u, v);
-                    hopset.add_edge(u, v, dist_u[v.index()], path);
-                    level_edges += 1;
-                }
+            ball.grow(g, u, |_, dv| dv > du_next);
+            // Bunch edges: strictly closer members of A_i than A_{i+1}, in
+            // the level's order.
+            bunch.clear();
+            bunch.extend(ball.reached().iter().filter_map(|&v| {
+                let at = position[i][v.index()];
+                (at != NOT_MEMBER && v != u && ball.dist(v) < du_next).then_some((at, v))
+            }));
+            bunch.sort_unstable();
+            for &(_, v) in &bunch {
+                hopset.add_edge(u, v, ball.dist(v), ball.path_to(u, v));
+                level_edges += 1;
             }
             // Pivot edge.
             if du_next != INFINITY {
                 let pivot = piv_owner[u.index()].expect("finite pivot distance");
-                debug_assert_eq!(dist_u[pivot.index()], du_next);
-                let path = path_from(&parents_u, u, pivot);
-                hopset.add_edge(u, pivot, du_next, path);
+                debug_assert_eq!(ball.dist(pivot), du_next);
+                hopset.add_edge(u, pivot, du_next, ball.path_to(u, pivot));
                 level_edges += 1;
             }
+            ball.reset();
             memory.set(u, hopset.memory_words(u) + 2 * (levels + 1));
         }
         ledger.charge_broadcast_span(level_edges, d, rec);
@@ -202,17 +202,26 @@ pub fn build_observed<R: Rng>(
     // Top level: intraconnect (oriented small-id → large-id).
     let intra_span = rec.begin("hopset/intraconnect");
     let top = &hierarchy[levels];
+    let top_position = &position[levels];
     let mut top_edges = 0u64;
     for (j, &u) in top.iter().enumerate() {
         if top.len() > 1 {
-            let (dist_u, parents_u) = shortest_paths::dijkstra_with_parents(g, u);
+            // Grow until every later top vertex has settled.
+            let mut later = top.len() - j - 1;
+            ball.grow(g, u, |v, _| {
+                let at = top_position[v.index()];
+                if at != NOT_MEMBER && at as usize > j {
+                    later -= 1;
+                }
+                later == 0
+            });
             for &v in &top[j + 1..] {
-                if dist_u[v.index()] != INFINITY {
-                    let path = path_from(&parents_u, u, v);
-                    hopset.add_edge(u, v, dist_u[v.index()], path);
+                if ball.dist(v) != INFINITY {
+                    hopset.add_edge(u, v, ball.dist(v), ball.path_to(u, v));
                     top_edges += 1;
                 }
             }
+            ball.reset();
         }
         memory.set(u, hopset.memory_words(u) + 2 * (levels + 1));
     }
@@ -226,6 +235,89 @@ pub fn build_observed<R: Rng>(
         arboricity: hopset.max_out_degree(),
     };
     HopsetOutput { hopset, stats }
+}
+
+/// Marks a vertex outside a hierarchy level in its position array.
+const NOT_MEMBER: u32 = u32::MAX;
+
+/// One reused Dijkstra scratch for the hopset's balls: tentative distance
+/// and parent per host vertex, plus the vertices the last growth reached,
+/// which resets it in `O(|ball|)`.
+struct Ball {
+    dist: Vec<Weight>,
+    parent: Vec<VertexId>,
+    touched: Vec<VertexId>,
+    heap: BinaryHeap<Reverse<(Weight, VertexId)>>,
+}
+
+impl Ball {
+    fn new(n: usize) -> Self {
+        Ball {
+            dist: vec![INFINITY; n],
+            parent: vec![VertexId(0); n],
+            touched: Vec::new(),
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    /// Dijkstra from `src`, settling by `(d, id)`; `stop(v, d)` sees each
+    /// vertex as it settles, and returning `true` ends the growth before `v`
+    /// relays. Weights are positive, so every vertex at distance ≤ `d` then
+    /// holds the distance and parent a full Dijkstra gives it.
+    fn grow(&mut self, g: &Graph, src: VertexId, mut stop: impl FnMut(VertexId, Weight) -> bool) {
+        self.dist[src.index()] = 0;
+        self.touched.push(src);
+        self.heap.push(Reverse((0, src)));
+        while let Some(Reverse((d, u))) = self.heap.pop() {
+            if d > self.dist[u.index()] {
+                continue;
+            }
+            if stop(u, d) {
+                break;
+            }
+            for arc in g.neighbors(u) {
+                let nd = dist_add(d, arc.weight);
+                let old = self.dist[arc.to.index()];
+                if nd < old {
+                    if old == INFINITY {
+                        self.touched.push(arc.to);
+                    }
+                    self.dist[arc.to.index()] = nd;
+                    self.parent[arc.to.index()] = u;
+                    self.heap.push(Reverse((nd, arc.to)));
+                }
+            }
+        }
+    }
+
+    fn dist(&self, v: VertexId) -> Weight {
+        self.dist[v.index()]
+    }
+
+    /// The vertices the last growth reached, in no particular order.
+    fn reached(&self) -> &[VertexId] {
+        &self.touched
+    }
+
+    /// The tree path `src → … → dst` of the last growth from `src`.
+    fn path_to(&self, src: VertexId, dst: VertexId) -> Vec<VertexId> {
+        let mut path = vec![dst];
+        let mut cur = dst;
+        while cur != src {
+            cur = self.parent[cur.index()];
+            path.push(cur);
+        }
+        path.reverse();
+        path
+    }
+
+    /// Forget the last growth.
+    fn reset(&mut self) {
+        for v in self.touched.drain(..) {
+            self.dist[v.index()] = INFINITY;
+        }
+        self.heap.clear();
+    }
 }
 
 #[cfg(test)]
@@ -398,6 +490,70 @@ mod tests {
             rec.spans().last().unwrap().peak_memory_words,
             mem.max_peak()
         );
+    }
+
+    /// Every out-record with its realizing path, vertex by vertex.
+    fn records(h: &Hopset) -> Vec<Vec<(VertexId, Weight, Vec<VertexId>)>> {
+        (0..h.len() as u32)
+            .map(VertexId)
+            .map(|u| {
+                let out = h.out_edges(u).iter().enumerate();
+                out.map(|(j, e)| (e.to, e.weight, h.path(u, j).to_vec()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Balls settle exactly what the full Dijkstras settled: the same
+        /// records in the same order, the same paths, ledger, spans and
+        /// meter, on tie-heavy and on wide weights, with the virtual set in
+        /// id order or shuffled.
+        #[test]
+        fn balls_match_full_dijkstras(
+            n in 2usize..160,
+            wide in 0u8..2,
+            virt_pct in 5u32..100,
+            levels in 1usize..5,
+            shuffled in 0u8..2,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let weights = if wide == 1 { 1..=100 } else { 1..=3 };
+            let g = generators::erdos_renyi_connected(n, (4.0 / n as f64).min(1.0), weights, &mut rng);
+            let mut verts: Vec<VertexId> =
+                g.vertices().filter(|_| rng.gen_range(0..100u32) < virt_pct).collect();
+            if verts.is_empty() {
+                verts.push(VertexId(0));
+            }
+            if shuffled == 1 {
+                use rand::seq::SliceRandom;
+                verts.shuffle(&mut rng);
+            }
+            let virt = VirtualGraph::from_set(&g, verts, 8);
+            let params = HopsetParams { levels };
+            let run = |reference: bool| {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+                let (mut led, mut mem) = (CostLedger::new(), MemoryMeter::new(n));
+                let mut rec = obs::Recorder::new();
+                let built = if reference { crate::reference::build_observed } else { build_observed };
+                let out = built(&g, &virt, params, 5, &mut led, &mut mem, &mut rng, &mut rec);
+                let spans: Vec<_> = rec
+                    .spans()
+                    .iter()
+                    .map(|s| (s.name.clone(), s.delta, s.peak_memory_words))
+                    .collect();
+                (records(&out.hopset), out.stats.level_sizes, led, mem, spans)
+            };
+            let (got, want) = (run(false), run(true));
+            proptest::prop_assert_eq!(&got.0, &want.0);
+            proptest::prop_assert_eq!(&got.1, &want.1);
+            proptest::prop_assert_eq!(&got.2, &want.2);
+            proptest::prop_assert_eq!(&got.3, &want.3);
+            proptest::prop_assert_eq!(&got.4, &want.4);
+        }
     }
 
     #[test]

@@ -42,6 +42,8 @@ pub mod bellman_ford;
 pub mod construction;
 pub mod hopset;
 pub mod path_recovery;
+#[cfg(test)]
+mod reference;
 pub mod superclustering;
 pub mod virtual_graph;
 

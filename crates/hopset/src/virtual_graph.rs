@@ -90,15 +90,18 @@ impl VirtualGraph {
     /// even when the limit stops it from forwarding.
     ///
     /// Charges `B` rounds to `ledger` and touches O(1) transient words per
-    /// reached vertex on `memory`.
-    pub fn bounded_exploration(
+    /// vertex that heard a neighbor on `memory`.
+    pub fn bounded_exploration<L>(
         &self,
         g: &Graph,
         seeds: &[(VertexId, Weight)],
-        limit: &dyn Fn(VertexId, Weight) -> bool,
+        limit: &L,
         ledger: &mut CostLedger,
         memory: &mut MemoryMeter,
-    ) -> Exploration {
+    ) -> Exploration
+    where
+        L: Fn(VertexId, Weight) -> bool + ?Sized,
+    {
         let n = g.num_vertices();
         let mut dist = vec![INFINITY; n];
         let mut parent: Vec<Option<VertexId>> = vec![None; n];
@@ -130,17 +133,16 @@ impl VirtualGraph {
             }
             for (&u, &du) in frontier.iter().zip(&snapshot) {
                 // Non-seed vertices only relay while under their limit.
-                let is_seed = origin[u.index()] == Some(u);
-                if !is_seed && !limit(u, du) {
+                let from = origin[u.index()];
+                if from != Some(u) && !limit(u, du) {
                     continue;
                 }
                 for arc in g.neighbors(u) {
                     let nd = dist_add(du, arc.weight);
                     if nd < dist[arc.to.index()] {
-                        memory.touch(arc.to, 2);
                         dist[arc.to.index()] = nd;
                         parent[arc.to.index()] = Some(u);
-                        origin[arc.to.index()] = origin[u.index()];
+                        origin[arc.to.index()] = from;
                         if !queued[arc.to.index()] {
                             queued[arc.to.index()] = true;
                             next.push(arc.to);
@@ -150,6 +152,14 @@ impl VirtualGraph {
             }
             std::mem::swap(&mut frontier, &mut next);
             next.clear();
+        }
+        // Folding a message in is transient (`touch` leaves `current` alone),
+        // so one touch per vertex that heard a neighbor sets the same peak as
+        // one per improvement.
+        for (v, p) in parent.iter().enumerate() {
+            if p.is_some() {
+                memory.touch(VertexId(v as u32), 2);
+            }
         }
         ledger.charge_rounds(self.b_hops as u64);
         Exploration {
@@ -308,6 +318,50 @@ mod tests {
         let virt = VirtualGraph::sample(&g, 0.25, &mut rng);
         let m = virt.virtual_vertices().len() as f64;
         assert!(m > 100.0 * 0.5 && m < 100.0 * 2.0, "|V'| = {m}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// The exploration matches its pre-scratch form: values, parents,
+        /// origins, the ledger and every meter peak, with one seed or many,
+        /// with and without a clipping limit, on tie-heavy and wide weights.
+        #[test]
+        fn exploration_matches_reference(
+            n in 2usize..120,
+            wide in 0u8..2,
+            many in 0u8..2,
+            clip in 0u8..2,
+            b_hops in 1usize..40,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let weights = if wide == 1 { 1..=100 } else { 1..=3 };
+            let p = (3.0 / n as f64).min(1.0);
+            let g = generators::erdos_renyi_connected(n, p, weights, &mut rng);
+            let virt = VirtualGraph::from_set(&g, vec![VertexId(0)], b_hops);
+            let count = if many == 1 { rng.gen_range(2..=n.min(12)) } else { 1 };
+            let seeds: Vec<(VertexId, Weight)> = (0..count)
+                .map(|_| (VertexId(rng.gen_range(0..n as u32)), rng.gen_range(0..20)))
+                .collect();
+            let threshold: Vec<Weight> = (0..n).map(|_| rng.gen_range(1..60)).collect();
+            let limit = |v: VertexId, est: Weight| clip == 0 || est < threshold[v.index()];
+            let mut start = MemoryMeter::new(n);
+            for v in g.vertices() {
+                start.set(v, rng.gen_range(0..4));
+            }
+            let (mut led, mut mem) = (CostLedger::new(), start.clone());
+            let got = virt.bounded_exploration(&g, &seeds, &limit, &mut led, &mut mem);
+            let (mut ref_led, mut ref_mem) = (CostLedger::new(), start);
+            let want = crate::reference::bounded_exploration(
+                &virt, &g, &seeds, &limit, &mut ref_led, &mut ref_mem,
+            );
+            proptest::prop_assert_eq!(&got.dist, &want.dist);
+            proptest::prop_assert_eq!(&got.parent, &want.parent);
+            proptest::prop_assert_eq!(&got.origin, &want.origin);
+            proptest::prop_assert_eq!(&led, &ref_led);
+            proptest::prop_assert_eq!(&mem, &ref_mem);
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! [`record!`](crate::record!) — like the other report records.
 
 use crate::error::ParseError;
+use crate::metrics::nearest_rank;
 use crate::record;
 
 record! {
@@ -43,14 +44,6 @@ record! {
     }
 }
 
-fn quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).floor() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 impl ComponentStat {
     /// Summarize one per-vertex word series.
     pub fn from_words(name: &str, resident: bool, words: &[u64]) -> ComponentStat {
@@ -67,9 +60,9 @@ impl ComponentStat {
             } else {
                 total as f64 / sorted.len() as f64
             },
-            p50: quantile(&sorted, 0.50),
-            p95: quantile(&sorted, 0.95),
-            p99: quantile(&sorted, 0.99),
+            p50: nearest_rank(&sorted, 0.50),
+            p95: nearest_rank(&sorted, 0.95),
+            p99: nearest_rank(&sorted, 0.99),
         }
     }
 }
@@ -288,7 +281,8 @@ mod tests {
         let s = ComponentStat::from_words("x", true, &words);
         assert_eq!(s.total, 5050);
         assert_eq!(s.max, 100);
-        assert_eq!(s.p50, 50);
+        // Nearest rank: round(0.5 · 99) = 50 is the 51st value.
+        assert_eq!(s.p50, 51);
         assert_eq!(s.p95, 95);
         assert_eq!(s.p99, 99);
         assert!((s.mean - 50.5).abs() < 1e-9);
@@ -296,7 +290,7 @@ mod tests {
 
     #[test]
     fn bytes_are_pinned() {
-        let pinned = r#"{"type":"scheme_audit","n":64,"k":2,"mode":"distributed-low-memory","components":[{"name":"cluster_membership","resident":true,"total":57,"max":30,"mean":14.25,"p50":9,"p95":12,"p99":12},{"name":"hopset_edges","resident":false,"total":6,"max":4,"mean":1.5,"p50":0,"p95":2,"p99":2}],"attribution_exact":true,"resident_total":4096,"resident_max":120,"meter_checked":true,"meter_ok":true,"invariants":[{"name":"dfs_nesting","checked":500,"violations":0}],"probe":{"pairs":120,"connected":100,"delivered":97,"no_common_tree":1,"stuck":1,"bad_forward":1,"looped":0,"undershoots":0,"over_bound":0,"oracle_undershoots":0,"oracle_over_bound":0,"mean_stretch":1.21,"max_stretch":3,"full_sweep":false,"reachability":0.97},"perturbed":{"kill_edges":0.1,"kill_vertices":0,"killed_edges":13,"killed_vertices":0,"probe":{"pairs":120,"connected":100,"delivered":97,"no_common_tree":1,"stuck":1,"bad_forward":1,"looped":0,"undershoots":0,"over_bound":0,"oracle_undershoots":0,"oracle_over_bound":0,"mean_stretch":1.21,"max_stretch":3,"full_sweep":false,"reachability":0.97},"stretch_inflation":1.08},"violations":3}"#;
+        let pinned = r#"{"type":"scheme_audit","n":64,"k":2,"mode":"distributed-low-memory","components":[{"name":"cluster_membership","resident":true,"total":57,"max":30,"mean":14.25,"p50":12,"p95":30,"p99":30},{"name":"hopset_edges","resident":false,"total":6,"max":4,"mean":1.5,"p50":2,"p95":4,"p99":4}],"attribution_exact":true,"resident_total":4096,"resident_max":120,"meter_checked":true,"meter_ok":true,"invariants":[{"name":"dfs_nesting","checked":500,"violations":0}],"probe":{"pairs":120,"connected":100,"delivered":97,"no_common_tree":1,"stuck":1,"bad_forward":1,"looped":0,"undershoots":0,"over_bound":0,"oracle_undershoots":0,"oracle_over_bound":0,"mean_stretch":1.21,"max_stretch":3,"full_sweep":false,"reachability":0.97},"perturbed":{"kill_edges":0.1,"kill_vertices":0,"killed_edges":13,"killed_vertices":0,"probe":{"pairs":120,"connected":100,"delivered":97,"no_common_tree":1,"stuck":1,"bad_forward":1,"looped":0,"undershoots":0,"over_bound":0,"oracle_undershoots":0,"oracle_over_bound":0,"mean_stretch":1.21,"max_stretch":3,"full_sweep":false,"reachability":0.97},"stretch_inflation":1.08},"violations":3}"#;
         assert_eq!(sample_audit().to_value().to_string(), pinned);
         let parsed = SchemeAudit::from_value(&crate::json::parse(pinned).unwrap()).unwrap();
         assert_eq!(parsed, sample_audit());
