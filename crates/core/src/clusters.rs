@@ -16,10 +16,8 @@
 //!   exploration that lets every limit-passing host join. The result is a
 //!   genuine tree of `G` satisfying `C_{6ε}(v) ⊆ C̃(v) ⊆ C(v)`.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use congest::{CostLedger, MemoryMeter};
+use graphs::shortest_paths::Ball;
 use graphs::{dist_add, Graph, VertexId, Weight, INFINITY};
 use hopset::bellman_ford::{LimitedBf, Via};
 use hopset::path_recovery::{recover_edge, Recovered};
@@ -41,94 +39,24 @@ pub struct LevelStats {
     pub beta_used: usize,
 }
 
-/// One reusable dense scratch for growing clusters one root at a time:
-/// per-vertex tentative distance and tree parent, plus the touched list
-/// that resets both in `O(|C|)` between roots.
-pub(crate) struct Growth {
-    dist: Vec<Weight>,
-    parent: Vec<(VertexId, Weight)>,
-    touched: Vec<VertexId>,
-    heap: BinaryHeap<Reverse<(Weight, VertexId)>>,
-}
-
-impl Growth {
-    /// A scratch for a host of `n` vertices, all unreached.
-    pub(crate) fn new(n: usize) -> Self {
-        Growth {
-            dist: vec![INFINITY; n],
-            parent: vec![(VertexId(0), 0); n],
-            touched: Vec::new(),
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Truncated Dijkstra from `root`: an offer `d` to `x` is recorded (and
-    /// relayed on) only if `admits(x, d)` and it beats what `x` holds;
-    /// `offered(x)` sees each recorded one. Ties pop by `(d, id)`.
-    pub(crate) fn grow(
-        &mut self,
-        g: &Graph,
-        root: VertexId,
-        admits: impl Fn(VertexId, Weight) -> bool,
-        mut offered: impl FnMut(VertexId),
-    ) {
-        self.dist[root.index()] = 0;
-        self.parent[root.index()] = (root, 0);
-        self.touched.push(root);
-        self.heap.push(Reverse((0, root)));
-        while let Some(Reverse((d, u))) = self.heap.pop() {
-            if self.dist[u.index()] != d {
-                continue;
+/// The last growth of `ball` from `root` as a tree (members sorted by id),
+/// then reset `ball`.
+pub(crate) fn take_tree(ball: &mut Ball, root: VertexId, level: usize) -> SparseTree {
+    let mut members = ball.reached().to_vec();
+    members.sort_unstable();
+    let info = members
+        .iter()
+        .map(|&u| {
+            let (parent, parent_weight) = ball.parent(u);
+            MemberInfo {
+                parent,
+                parent_weight,
+                dist: ball.dist(u),
             }
-            for arc in g.neighbors(u) {
-                let nd = dist_add(d, arc.weight);
-                let old = self.dist[arc.to.index()];
-                if nd < old && admits(arc.to, nd) {
-                    offered(arc.to);
-                    if old == INFINITY {
-                        self.touched.push(arc.to);
-                    }
-                    self.dist[arc.to.index()] = nd;
-                    self.parent[arc.to.index()] = (u, arc.weight);
-                    self.heap.push(Reverse((nd, arc.to)));
-                }
-            }
-        }
-    }
-
-    /// The vertices the last growth reached, in no particular order.
-    pub(crate) fn reached(&self) -> &[VertexId] {
-        &self.touched
-    }
-
-    /// Forget the last growth.
-    pub(crate) fn reset(&mut self) {
-        for u in self.touched.drain(..) {
-            self.dist[u.index()] = INFINITY;
-        }
-    }
-
-    /// The last growth from `root` as a tree (members sorted by id), then
-    /// reset.
-    pub(crate) fn take_tree(&mut self, root: VertexId, level: usize) -> SparseTree {
-        self.touched.sort_unstable();
-        let info = self
-            .touched
-            .iter()
-            .map(|&u| {
-                let (parent, parent_weight) = self.parent[u.index()];
-                let dist = self.dist[u.index()];
-                MemberInfo {
-                    parent,
-                    parent_weight,
-                    dist,
-                }
-            })
-            .collect();
-        let tree = SparseTree::new(root, level, self.touched.clone(), info);
-        self.reset();
-        tree
-    }
+        })
+        .collect();
+    ball.reset();
+    SparseTree::new(root, level, members, info)
 }
 
 /// Build the exact clusters of every root whose hierarchy level is exactly
@@ -154,15 +82,19 @@ pub fn exact_clusters(
     let mut trees = Vec::with_capacity(roots.len());
     let mut overlap = vec![0usize; n];
     let mut stats = LevelStats::default();
-    let mut growth = Growth::new(n);
+    let mut ball = Ball::new(n);
     for &v in roots {
-        growth.grow(
-            g,
-            v,
-            |x, d| d < next_dist[x.index()],
-            |x| memory.touch(x, 2),
-        );
-        let tree = growth.take_tree(v, level);
+        // Only vertices strictly inside the cluster record (and pay for) an
+        // offer.
+        let admit = |x: VertexId, d| {
+            let inside = d < next_dist[x.index()];
+            if inside {
+                memory.touch(x, 2);
+            }
+            inside
+        };
+        ball.grow(g, v, admit, |_, _| false);
+        let tree = take_tree(&mut ball, v, level);
         for &u in tree.members() {
             overlap[u.index()] += 1;
             memory.add(u, 3);

@@ -18,11 +18,12 @@
 //! factor on both: exactly the tradeoff Table 1's first row records.
 
 use congest::WordSized;
+use graphs::shortest_paths::Ball;
 use graphs::{dist_add, Graph, VertexId, Weight, INFINITY};
 use tree_routing::types::{TreeLabel, TreeTable};
 use tree_routing::tz;
 
-use crate::clusters::Growth;
+use crate::clusters::take_tree;
 use crate::forward::{self, GraphRouteError};
 use crate::scheme::max_row_words;
 use crate::sparse::SparseTree;
@@ -171,7 +172,7 @@ fn build_scale(g: &Graph, scale: Weight, growth: f64) -> ScaleCover {
     let mut clusters: Vec<SparseTree> = Vec::new();
     let mut home = vec![usize::MAX; n];
     let mut overlap = vec![0usize; n];
-    let mut scratch = Growth::new(n);
+    let mut ball = Ball::new(n);
     for start in g.vertices() {
         if covered[start.index()] {
             continue;
@@ -181,20 +182,20 @@ fn build_scale(g: &Graph, scale: Weight, growth: f64) -> ScaleCover {
         // is a truncated Dijkstra from `start`.
         let mut r: Weight = 0;
         let core = loop {
-            scratch.grow(g, start, |_, d| d <= r, |_| {});
-            let core = scratch.reached().to_vec();
-            scratch.reset();
+            ball.grow(g, start, |_, d| d <= r, |_, _| false);
+            let core = ball.reached().to_vec();
+            ball.reset();
             let reach = dist_add(r, scale);
-            scratch.grow(g, start, |_, d| d <= reach, |_| {});
-            if (scratch.reached().len() as f64) <= growth * (core.len() as f64) {
+            ball.grow(g, start, |_, d| d <= reach, |_, _| false);
+            if (ball.reached().len() as f64) <= growth * (core.len() as f64) {
                 break core;
             }
-            scratch.reset();
+            ball.reset();
             r = reach;
         };
         // Finalize this cluster; its core is covered.
         let idx = clusters.len();
-        let cluster = scratch.take_tree(start, 0);
+        let cluster = take_tree(&mut ball, start, 0);
         for &u in cluster.members() {
             overlap[u.index()] += 1;
         }

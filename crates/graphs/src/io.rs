@@ -33,13 +33,18 @@ impl std::fmt::Display for ParseGraphError {
 
 impl std::error::Error for ParseGraphError {}
 
+/// The most vertices a graph file may declare or imply: ids are `u32`.
+const MAX_VERTICES: usize = u32::MAX as usize;
+
 /// Parse an edge list.
 ///
 /// # Errors
 ///
 /// Returns [`ParseGraphError`] on malformed lines, out-of-range endpoints,
-/// self-loops, zero weights, duplicate edges, or a total edge weight above
-/// [`MAX_TOTAL_WEIGHT`] (named at the line where the sum crosses it).
+/// self-loops, zero weights, duplicate edges, a declared or implied vertex
+/// count above `u32::MAX` (checked before anything is allocated), or a total
+/// edge weight above [`MAX_TOTAL_WEIGHT`] (named at the line where the sum
+/// crosses it).
 ///
 /// # Examples
 ///
@@ -66,9 +71,15 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, ParseGraphError> {
             let n = parts
                 .next()
                 .ok_or_else(|| err(line_no, "header missing vertex count".into()))?;
-            declared_n = Some(
-                usize::from_str(n).map_err(|_| err(line_no, format!("bad vertex count '{n}'")))?,
-            );
+            let n =
+                usize::from_str(n).map_err(|_| err(line_no, format!("bad vertex count '{n}'")))?;
+            if n > MAX_VERTICES {
+                return Err(err(
+                    line_no,
+                    format!("vertex count {n} exceeds {MAX_VERTICES}"),
+                ));
+            }
+            declared_n = Some(n);
             if parts.next().is_some() {
                 return Err(err(line_no, "trailing tokens after header".into()));
             }
@@ -87,6 +98,13 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, ParseGraphError> {
         };
         if parts.next().is_some() {
             return Err(err(line_no, "trailing tokens after edge".into()));
+        }
+        let id = u.max(v);
+        if id as usize >= MAX_VERTICES {
+            return Err(err(
+                line_no,
+                format!("vertex {id} implies more than {MAX_VERTICES} vertices"),
+            ));
         }
         if u == v {
             return Err(err(line_no, format!("self-loop at {u}")));
@@ -176,6 +194,22 @@ mod tests {
         let e = parse_edge_list("p 3\n0 1 2\nbogus 2 1\n").unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.message.contains("bogus"));
+    }
+
+    #[test]
+    fn rejects_vertex_counts_beyond_u32_ids() {
+        for (text, line, what) in [
+            ("p 4294967296\n", 1, "vertex count 4294967296"),
+            ("# big\np 18446744073709551615\n0 1\n", 2, "vertex count"),
+            ("0 4294967295 1\n", 1, "vertex 4294967295"),
+        ] {
+            let e = parse_edge_list(text).unwrap_err();
+            assert_eq!(e.line, line, "{text:?}");
+            assert!(e.message.contains(what), "{text:?}: {}", e.message);
+        }
+        // The largest id a u32 graph can hold meets only the range check.
+        let e = parse_edge_list("p 2\n0 4294967294 1\n").unwrap_err();
+        assert!(e.message.contains("out of range"), "{}", e.message);
     }
 
     #[test]

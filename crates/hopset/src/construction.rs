@@ -19,11 +19,9 @@
 //! `B`-bounded exploration plus a Lemma-1 broadcast of the level's sets and
 //! new edges (see `DESIGN.md` on accounting).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use congest::{CostLedger, MemoryMeter};
-use graphs::{dist_add, shortest_paths, Graph, VertexId, Weight, INFINITY};
+use graphs::shortest_paths::{self, Ball};
+use graphs::{Graph, VertexId, INFINITY};
 use rand::Rng;
 
 use crate::hopset::Hopset;
@@ -172,7 +170,7 @@ pub fn build_observed<R: Rng>(
             }
             // The ball of u: every vertex within d(u, A_{i+1}) settles.
             let du_next = piv_dist[u.index()];
-            ball.grow(g, u, |_, dv| dv > du_next);
+            ball.grow(g, u, |_, _| true, |_, dv| dv > du_next);
             // Bunch edges: strictly closer members of A_i than A_{i+1}, in
             // the level's order.
             bunch.clear();
@@ -182,14 +180,14 @@ pub fn build_observed<R: Rng>(
             }));
             bunch.sort_unstable();
             for &(_, v) in &bunch {
-                hopset.add_edge(u, v, ball.dist(v), ball.path_to(u, v));
+                hopset.add_edge(u, v, ball.dist(v), ball.path_to(v));
                 level_edges += 1;
             }
             // Pivot edge.
             if du_next != INFINITY {
                 let pivot = piv_owner[u.index()].expect("finite pivot distance");
                 debug_assert_eq!(ball.dist(pivot), du_next);
-                hopset.add_edge(u, pivot, du_next, ball.path_to(u, pivot));
+                hopset.add_edge(u, pivot, du_next, ball.path_to(pivot));
                 level_edges += 1;
             }
             ball.reset();
@@ -208,16 +206,21 @@ pub fn build_observed<R: Rng>(
         if top.len() > 1 {
             // Grow until every later top vertex has settled.
             let mut later = top.len() - j - 1;
-            ball.grow(g, u, |v, _| {
-                let at = top_position[v.index()];
-                if at != NOT_MEMBER && at as usize > j {
-                    later -= 1;
-                }
-                later == 0
-            });
+            ball.grow(
+                g,
+                u,
+                |_, _| true,
+                |v, _| {
+                    let at = top_position[v.index()];
+                    if at != NOT_MEMBER && at as usize > j {
+                        later -= 1;
+                    }
+                    later == 0
+                },
+            );
             for &v in &top[j + 1..] {
                 if ball.dist(v) != INFINITY {
-                    hopset.add_edge(u, v, ball.dist(v), ball.path_to(u, v));
+                    hopset.add_edge(u, v, ball.dist(v), ball.path_to(v));
                     top_edges += 1;
                 }
             }
@@ -240,90 +243,10 @@ pub fn build_observed<R: Rng>(
 /// Marks a vertex outside a hierarchy level in its position array.
 const NOT_MEMBER: u32 = u32::MAX;
 
-/// One reused Dijkstra scratch for the hopset's balls: tentative distance
-/// and parent per host vertex, plus the vertices the last growth reached,
-/// which resets it in `O(|ball|)`.
-struct Ball {
-    dist: Vec<Weight>,
-    parent: Vec<VertexId>,
-    touched: Vec<VertexId>,
-    heap: BinaryHeap<Reverse<(Weight, VertexId)>>,
-}
-
-impl Ball {
-    fn new(n: usize) -> Self {
-        Ball {
-            dist: vec![INFINITY; n],
-            parent: vec![VertexId(0); n],
-            touched: Vec::new(),
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Dijkstra from `src`, settling by `(d, id)`; `stop(v, d)` sees each
-    /// vertex as it settles, and returning `true` ends the growth before `v`
-    /// relays. Weights are positive, so every vertex at distance ≤ `d` then
-    /// holds the distance and parent a full Dijkstra gives it.
-    fn grow(&mut self, g: &Graph, src: VertexId, mut stop: impl FnMut(VertexId, Weight) -> bool) {
-        self.dist[src.index()] = 0;
-        self.touched.push(src);
-        self.heap.push(Reverse((0, src)));
-        while let Some(Reverse((d, u))) = self.heap.pop() {
-            if d > self.dist[u.index()] {
-                continue;
-            }
-            if stop(u, d) {
-                break;
-            }
-            for arc in g.neighbors(u) {
-                let nd = dist_add(d, arc.weight);
-                let old = self.dist[arc.to.index()];
-                if nd < old {
-                    if old == INFINITY {
-                        self.touched.push(arc.to);
-                    }
-                    self.dist[arc.to.index()] = nd;
-                    self.parent[arc.to.index()] = u;
-                    self.heap.push(Reverse((nd, arc.to)));
-                }
-            }
-        }
-    }
-
-    fn dist(&self, v: VertexId) -> Weight {
-        self.dist[v.index()]
-    }
-
-    /// The vertices the last growth reached, in no particular order.
-    fn reached(&self) -> &[VertexId] {
-        &self.touched
-    }
-
-    /// The tree path `src → … → dst` of the last growth from `src`.
-    fn path_to(&self, src: VertexId, dst: VertexId) -> Vec<VertexId> {
-        let mut path = vec![dst];
-        let mut cur = dst;
-        while cur != src {
-            cur = self.parent[cur.index()];
-            path.push(cur);
-        }
-        path.reverse();
-        path
-    }
-
-    /// Forget the last growth.
-    fn reset(&mut self) {
-        for v in self.touched.drain(..) {
-            self.dist[v.index()] = INFINITY;
-        }
-        self.heap.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphs::generators;
+    use graphs::{generators, Weight};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

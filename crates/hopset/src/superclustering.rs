@@ -21,10 +21,9 @@
 //! the implementation auditable. Both constructions plug into the same
 //! [`crate::bellman_ford::LimitedBf`] and path-recovery machinery.
 
-use std::collections::BinaryHeap;
-
 use congest::{CostLedger, MemoryMeter};
-use graphs::{shortest_paths, Graph, VertexId, Weight, INFINITY};
+use graphs::shortest_paths::{self, Ball};
+use graphs::{Graph, VertexId, Weight, INFINITY};
 use rand::Rng;
 
 use crate::construction::{BuildStats, HopsetOutput, HopsetParams};
@@ -60,10 +59,7 @@ pub fn build_sc<R: Rng>(
         .clamp(0.0, 1.0);
 
     let mut hopset = Hopset::new(n);
-    let mut is_virtual_center = vec![false; n];
-    for &v in verts {
-        is_virtual_center[v.index()] = true;
-    }
+    let mut ball = Ball::new(n);
 
     // Distance scales: powers of two up to the weighted diameter of the
     // virtual set (measured from an arbitrary virtual vertex, doubled).
@@ -85,8 +81,8 @@ pub fn build_sc<R: Rng>(
             scale,
             levels,
             p,
-            eps,
             &mut hopset,
+            &mut ball,
             ledger,
             memory,
             d,
@@ -119,13 +115,14 @@ fn run_scale<R: Rng>(
     scale: Weight,
     levels: usize,
     p: f64,
-    eps: f64,
     hopset: &mut Hopset,
+    ball: &mut Ball,
     ledger: &mut CostLedger,
     memory: &mut MemoryMeter,
     d: u64,
     rng: &mut R,
 ) {
+    let n = g.num_vertices();
     // Active cluster centers (clusters are identified by their centers).
     let mut centers: Vec<VertexId> = verts.to_vec();
     // Merge/interconnect reach doubles per level up to the scale itself:
@@ -134,7 +131,6 @@ fn run_scale<R: Rng>(
     // full-scale interconnect sees few survivors — that is what keeps the
     // edge count and out-degree small. The ε slack enters through the
     // caller's Bellman–Ford limits, not the radii.
-    let _ = eps;
     for i in 0..=levels {
         if centers.len() <= 1 {
             break;
@@ -153,7 +149,7 @@ fn run_scale<R: Rng>(
                 .collect()
         };
         ledger.charge_broadcast(centers.len() as u64, d);
-        ledger.charge_rounds(r_i.min(g.num_vertices() as u64));
+        ledger.charge_rounds(r_i.min(n as u64));
 
         let mut next_centers: Vec<VertexId> = sampled.clone();
         if sampled.is_empty() && !last {
@@ -162,93 +158,59 @@ fn run_scale<R: Rng>(
         }
         // Nearest sampled center for merging.
         let (near_dist, near_owner) = if sampled.is_empty() {
-            (
-                vec![INFINITY; g.num_vertices()],
-                vec![None; g.num_vertices()],
-            )
+            (vec![INFINITY; n], vec![None; n])
         } else {
             shortest_paths::multi_source_dijkstra(g, &sampled)
         };
 
-        let active: Vec<bool> = {
-            let mut f = vec![false; g.num_vertices()];
-            for &c in &centers {
-                f[c.index()] = true;
-            }
-            f
-        };
-        let reach = if last { scale } else { r_i };
+        let (mut active, mut is_sampled) = (vec![false; n], vec![false; n]);
         for &c in &centers {
-            if sampled.contains(&c) {
+            active[c.index()] = true;
+        }
+        for &c in &sampled {
+            is_sampled[c.index()] = true;
+        }
+        let reach = if last { scale } else { r_i };
+        let mut found = Vec::new();
+        for &c in &centers {
+            if is_sampled[c.index()] {
                 continue;
             }
+            // The ball of c within reach, with the active centers it holds
+            // in settling order.
+            found.clear();
+            ball.grow(
+                g,
+                c,
+                |_, dd| dd <= reach,
+                |u, _| {
+                    if u != c && active[u.index()] {
+                        found.push(u);
+                    }
+                    false
+                },
+            );
             if !last && near_dist[c.index()] <= reach {
                 // Supercluster: merge into the nearest sampled center.
                 let owner = near_owner[c.index()].expect("finite distance");
-                let (dist_c, parents_c) = shortest_paths::dijkstra_with_parents(g, c);
-                let path = unwind(&parents_c, c, owner);
                 memory.touch(c, 2);
-                hopset.add_edge(c, owner, dist_c[owner.index()], path);
+                hopset.add_edge(c, owner, ball.dist(owner), ball.path_to(owner));
             } else {
                 // Interconnect with every active center within reach.
-                let found = truncated_centers(g, c, reach, &active);
-                let (dist_c, parents_c) = if found.is_empty() {
-                    (Vec::new(), Vec::new())
-                } else {
-                    shortest_paths::dijkstra_with_parents(g, c)
-                };
-                for other in found {
+                for &other in &found {
                     if other <= c {
                         continue; // orient small→large, once
                     }
-                    let path = unwind(&parents_c, c, other);
                     memory.touch(c, 2);
-                    hopset.add_edge(c, other, dist_c[other.index()], path);
+                    hopset.add_edge(c, other, ball.dist(other), ball.path_to(other));
                 }
                 next_centers.push(c);
             }
+            ball.reset();
         }
         ledger.charge_broadcast(next_centers.len() as u64, d);
         centers = next_centers;
     }
-}
-
-/// Active centers within `reach` of `c` (truncated Dijkstra).
-fn truncated_centers(g: &Graph, c: VertexId, reach: Weight, active: &[bool]) -> Vec<VertexId> {
-    use std::cmp::Reverse;
-    let mut dist = std::collections::HashMap::new();
-    let mut heap = BinaryHeap::new();
-    dist.insert(c, 0u64);
-    heap.push(Reverse((0u64, c)));
-    let mut found = Vec::new();
-    while let Some(Reverse((dd, u))) = heap.pop() {
-        if dist.get(&u).copied() != Some(dd) || dd > reach {
-            continue;
-        }
-        if u != c && active[u.index()] {
-            found.push(u);
-        }
-        for arc in g.neighbors(u) {
-            let nd = dd.saturating_add(arc.weight);
-            if nd <= reach && dist.get(&arc.to).is_none_or(|&old| nd < old) {
-                dist.insert(arc.to, nd);
-                heap.push(Reverse((nd, arc.to)));
-            }
-        }
-    }
-    found
-}
-
-/// Path from `src` to `dst` along Dijkstra parents rooted at `src`.
-fn unwind(parents: &[Option<VertexId>], src: VertexId, dst: VertexId) -> Vec<VertexId> {
-    let mut path = vec![dst];
-    let mut cur = dst;
-    while cur != src {
-        cur = parents[cur.index()].expect("reachable");
-        path.push(cur);
-    }
-    path.reverse();
-    path
 }
 
 #[cfg(test)]

@@ -308,3 +308,93 @@ fn standalone_tree_simulation_is_pinned() {
     }
     assert_eq!(got, want);
 }
+
+/// One superclustering hopset (`hopset::superclustering::build_sc`, the
+/// alternative construction behind Ablation 5) rendered as one line: the
+/// ledger totals, the edge count, the CRC32 of the per-vertex peaks
+/// (little-endian `u64`s) and the CRC32 of its records, one line per record
+/// in out-edge order: `owner to weight path`.
+fn superclustering_pin(g: &Graph, virt_p: f64, levels: usize, seed: u64) -> String {
+    use hopset::{superclustering, HopsetParams, VirtualGraph};
+
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let virt = VirtualGraph::sample(g, virt_p, &mut rng);
+    if virt.virtual_vertices().is_empty() {
+        return "no virtual vertices".to_string();
+    }
+    let mut ledger = congest::CostLedger::new();
+    let mut memory = congest::MemoryMeter::new(g.num_vertices());
+    let params = HopsetParams { levels };
+    let out = superclustering::build_sc(
+        g,
+        &virt,
+        params,
+        0.25,
+        8,
+        &mut ledger,
+        &mut memory,
+        &mut rng,
+    );
+    let h = &out.hopset;
+    let mut rows = String::new();
+    for u in g.vertices() {
+        for (j, e) in h.out_edges(u).iter().enumerate() {
+            let path: Vec<u32> = h.path(u, j).iter().map(|v| v.0).collect();
+            writeln!(rows, "{} {} {} {path:?}", u.0, e.to.0, e.weight).unwrap();
+        }
+    }
+    let peaks: Vec<u8> = memory
+        .peaks()
+        .iter()
+        .flat_map(|&p| (p as u64).to_le_bytes())
+        .collect();
+    let c = ledger.counters();
+    format!(
+        "ledger {}/{}/{}/{} edges {} peaks {} records {}",
+        c.rounds,
+        c.messages,
+        c.words,
+        c.broadcasts,
+        h.num_edges(),
+        persist::crc32(&peaks),
+        persist::crc32(rows.as_bytes())
+    )
+}
+
+#[test]
+fn superclustering_hopset_is_pinned() {
+    let want = [
+        "tied seed=8001 levels=1: ledger 897/746/746/16 edges 588 peaks 3282256871 records 2805210503",
+        "tied seed=8001 levels=2: ledger 1270/1050/1050/24 edges 388 peaks 369441570 records 3642798793",
+        "wide seed=8001 levels=1: ledger 2868/1869/1869/36 edges 981 peaks 582902640 records 4173708629",
+        "wide seed=8001 levels=2: ledger 4006/2734/2734/54 edges 563 peaks 1200619241 records 4143181395",
+        "path seed=8001 levels=1: ledger 2486/1205/1205/40 edges 819 peaks 3455949136 records 867363565",
+        "path seed=8001 levels=2: ledger 3287/1589/1589/60 edges 434 peaks 2086278019 records 4109953250",
+        "tied seed=8002 levels=1: ledger 809/658/658/16 edges 508 peaks 1477464650 records 1769193845",
+        "tied seed=8002 levels=2: ledger 1214/994/994/24 edges 456 peaks 1905801518 records 4123979276",
+        "wide seed=8002 levels=1: ledger 2607/1608/1608/36 edges 989 peaks 1156833818 records 3132788166",
+        "wide seed=8002 levels=2: ledger 3610/2338/2338/54 edges 410 peaks 2415463576 records 1773518923",
+        "path seed=8002 levels=1: ledger 2409/1128/1128/40 edges 553 peaks 334502157 records 3663481546",
+        "path seed=8002 levels=2: ledger 3187/1489/1489/60 edges 432 peaks 3681883987 records 1787039214",
+        "tied seed=8003 levels=1: ledger 1016/809/809/20 edges 687 peaks 3581532655 records 1710464310",
+        "tied seed=8003 levels=2: ledger 1470/1174/1174/30 edges 508 peaks 980245075 records 2881488696",
+        "wide seed=8003 levels=1: ledger 2718/1719/1719/36 edges 541 peaks 84947656 records 2119666779",
+        "wide seed=8003 levels=2: ledger 3837/2565/2565/54 edges 569 peaks 2701307868 records 1489450732",
+        "path seed=8003 levels=1: ledger 2422/1141/1141/40 edges 610 peaks 3545541780 records 1708774123",
+        "path seed=8003 levels=2: ledger 3314/1616/1616/60 edges 474 peaks 2882794771 records 1169488471",
+    ];
+    let mut got = Vec::new();
+    for seed in [8001u64, 8002, 8003] {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let tied = generators::erdos_renyi_connected(200, 0.02, 1..=3, &mut rng);
+        let wide = generators::erdos_renyi_connected(200, 0.02, 1..=100, &mut rng);
+        let path = generators::path(150, 1..=3, &mut rng);
+        for (name, g) in [("tied", &tied), ("wide", &wide), ("path", &path)] {
+            for levels in [1, 2] {
+                let line = superclustering_pin(g, 0.3, levels, seed);
+                got.push(format!("{name} seed={seed} levels={levels}: {line}"));
+            }
+        }
+    }
+    assert_eq!(got, want);
+}

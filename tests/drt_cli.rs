@@ -119,6 +119,10 @@ fn bad_inputs_exit_1_with_one_error_line() {
     let max = graphs::MAX_TOTAL_WEIGHT;
     std::fs::write(&heavy, format!("p 3\n0 1 {max}\n1 2 1\n")).unwrap();
     let heavy = heavy.to_str().unwrap();
+    // A header declaring more vertices than `u32` ids can name.
+    let huge = dir.join("huge.txt");
+    std::fs::write(&huge, "p 18446744073709551615\n").unwrap();
+    let huge = huge.to_str().unwrap();
     let (g64, g32, s64) = (g64.as_str(), g32.as_str(), s64.as_str());
 
     let mismatch = "scheme covers 64 vertices but the graph has 32";
@@ -138,6 +142,10 @@ fn bad_inputs_exit_1_with_one_error_line() {
         (
             &["build", heavy, "2", "/dev/null"],
             "line 3: total edge weight exceeds",
+        ),
+        (
+            &["info", huge],
+            "line 1: vertex count 18446744073709551615 exceeds",
         ),
         // The flag table's own errors.
         (&["route", g64, s64, "1", "2", "--bogus"], "--bogus"),
