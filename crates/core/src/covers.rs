@@ -173,33 +173,36 @@ fn build_scale(g: &Graph, scale: Weight, growth: f64) -> ScaleCover {
     let mut home = vec![usize::MAX; n];
     let mut overlap = vec![0usize; n];
     let mut ball = Ball::new(n);
+    let mut core: Vec<VertexId> = Vec::new();
     for start in g.vertices() {
         if covered[start.index()] {
             continue;
         }
         // Grow: core radius r, cluster radius r + scale; keep growing while
         // the cluster inflates by more than the growth factor. Each radius
-        // is a truncated Dijkstra from `start`.
-        let mut r: Weight = 0;
-        let core = loop {
-            ball.grow(g, start, |_, d| d <= r, |_, _| false);
-            let core = ball.reached().to_vec();
-            ball.reset();
-            let reach = dist_add(r, scale);
+        // is one truncated Dijkstra from `start`: a cluster ball that keeps
+        // inflating is the next round's core. Weights are positive, so the
+        // radius-0 core is `start` alone.
+        core.clear();
+        core.push(start);
+        let mut reach = scale;
+        loop {
             ball.grow(g, start, |_, d| d <= reach, |_, _| false);
             if (ball.reached().len() as f64) <= growth * (core.len() as f64) {
-                break core;
+                break;
             }
+            core.clear();
+            core.extend_from_slice(ball.reached());
             ball.reset();
-            r = reach;
-        };
+            reach = dist_add(reach, scale);
+        }
         // Finalize this cluster; its core is covered.
         let idx = clusters.len();
         let cluster = take_tree(&mut ball, start, 0);
         for &u in cluster.members() {
             overlap[u.index()] += 1;
         }
-        for u in core {
+        for &u in &core {
             if !covered[u.index()] {
                 covered[u.index()] = true;
                 home[u.index()] = idx;
@@ -284,6 +287,76 @@ mod tests {
     fn er(n: usize, seed: u64) -> Graph {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         generators::erdos_renyi_connected(n, 3.0 / n as f64, 1..=9, &mut rng)
+    }
+
+    /// The cover loop before each outer ball was kept as the next core:
+    /// it regrew the core at radius `r` every round.
+    fn build_scale_regrowing_cores(g: &Graph, scale: Weight, growth: f64) -> ScaleCover {
+        let n = g.num_vertices();
+        let mut covered = vec![false; n];
+        let mut clusters: Vec<SparseTree> = Vec::new();
+        let mut home = vec![usize::MAX; n];
+        let mut overlap = vec![0usize; n];
+        let mut ball = Ball::new(n);
+        for start in g.vertices() {
+            if covered[start.index()] {
+                continue;
+            }
+            let mut r: Weight = 0;
+            let core = loop {
+                ball.grow(g, start, |_, d| d <= r, |_, _| false);
+                let core = ball.reached().to_vec();
+                ball.reset();
+                let reach = dist_add(r, scale);
+                ball.grow(g, start, |_, d| d <= reach, |_, _| false);
+                if (ball.reached().len() as f64) <= growth * (core.len() as f64) {
+                    break core;
+                }
+                ball.reset();
+                r = reach;
+            };
+            let idx = clusters.len();
+            let cluster = take_tree(&mut ball, start, 0);
+            for &u in cluster.members() {
+                overlap[u.index()] += 1;
+            }
+            for u in core {
+                if !covered[u.index()] {
+                    covered[u.index()] = true;
+                    home[u.index()] = idx;
+                }
+            }
+            clusters.push(cluster);
+        }
+        ScaleCover {
+            scale,
+            clusters,
+            home,
+            max_overlap: overlap.iter().copied().max().unwrap_or(0),
+        }
+    }
+
+    #[test]
+    fn kept_cores_match_regrown_cores() {
+        let mut rng = ChaCha8Rng::seed_from_u64(1310);
+        let graphs = [
+            er(90, 1310),
+            generators::erdos_renyi_connected(120, 0.03, 1..=3, &mut rng),
+            generators::erdos_renyi_connected(80, 0.05, 1..=100, &mut rng),
+            generators::path(60, 1..=4, &mut rng),
+        ];
+        for g in &graphs {
+            for k in [1usize, 2, 3, 5] {
+                let growth = (g.num_vertices() as f64).powf(1.0 / k as f64);
+                for scale in [1, 2, 4, 16, 64, 1024] {
+                    let got = build_scale(g, scale, growth);
+                    let want = build_scale_regrowing_cores(g, scale, growth);
+                    assert_eq!(got.clusters, want.clusters, "k {k} scale {scale}");
+                    assert_eq!(got.home, want.home, "k {k} scale {scale}");
+                    assert_eq!(got.max_overlap, want.max_overlap, "k {k} scale {scale}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -44,7 +44,10 @@ impl Default for HopsetParams {
 /// Everything the construction measured about itself.
 #[derive(Clone, Debug)]
 pub struct BuildStats {
-    /// Sizes of the hierarchy sets `|A_0|, …, |A_ℓ|`.
+    /// Sizes of the hierarchy sets `|A_0|, …, |A_ℓ|`. The
+    /// superclustering construction ([`crate::superclustering::build_sc`])
+    /// samples afresh at every level of every scale and keeps no such
+    /// hierarchy, so it reports `[|A_0|]`, the virtual vertex count, alone.
     pub level_sizes: Vec<usize>,
     /// Directed hopset records created.
     pub edges: usize,

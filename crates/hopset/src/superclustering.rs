@@ -71,7 +71,6 @@ pub fn build_sc<R: Rng>(
         .max()
         .unwrap_or(1);
     let max_scale = 2 * reach.max(1);
-    let mut level_sizes = vec![m];
 
     let mut scale: Weight = 1;
     while scale <= max_scale {
@@ -88,7 +87,6 @@ pub fn build_sc<R: Rng>(
             d,
             rng,
         );
-        level_sizes.push(hopset.num_edges());
         scale = scale.saturating_mul(2);
         if scale == 0 {
             break;
@@ -99,7 +97,7 @@ pub fn build_sc<R: Rng>(
         memory.set(v, hopset.memory_words(v) + 2 * (levels + 1));
     }
     let stats = BuildStats {
-        level_sizes,
+        level_sizes: vec![m],
         edges: hopset.num_edges(),
         arboricity: hopset.max_out_degree(),
     };
@@ -349,6 +347,32 @@ mod tests {
         );
         assert!(sc.stats.edges > 0 && bunch.stats.edges > 0);
         assert!(sc.stats.arboricity >= 1 && bunch.stats.arboricity >= 1);
+    }
+
+    #[test]
+    fn level_sizes_start_with_the_virtual_vertex_count() {
+        for seed in [905u64, 906, 907] {
+            let (g, virt, mut rng) = fixture(150, seed);
+            let m = virt.virtual_vertices().len();
+            let sc = build(&g, &virt, &mut rng);
+            assert_eq!(
+                sc.stats.level_sizes,
+                vec![m],
+                "superclustering, seed {seed}"
+            );
+            let mut led = CostLedger::new();
+            let mut mem = MemoryMeter::new(g.num_vertices());
+            let bunch = build_bunch(
+                &g,
+                &virt,
+                HopsetParams::default(),
+                8,
+                &mut led,
+                &mut mem,
+                &mut rng,
+            );
+            assert_eq!(bunch.stats.level_sizes[0], m, "bunches, seed {seed}");
+        }
     }
 
     #[test]

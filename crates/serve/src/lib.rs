@@ -5,11 +5,12 @@
 //! simulates the forwarding fabric round by round. This crate measures the
 //! *serving lifetime*: a [`Snapshot`] — graph plus routing scheme, loaded
 //! from the checksummed [`routing::persist`] container — is shared immutably
-//! (`Arc`) with a long-lived pool of worker threads ([`pool::ServePool`])
-//! that answer **route**, **distance-estimate**, and **trace** queries
-//! ([`query::Query`]) from preallocated per-worker response arenas: after
-//! the first few batches warm the buffers, the steady state allocates
-//! nothing, the same discipline as `congest::plane`.
+//! (`Arc`) with a long-lived pool of workers ([`pool::ServePool`]: the
+//! calling thread serves the first chunk of every batch, `threads − 1`
+//! helper threads the rest) that answer **route**, **distance-estimate**,
+//! and **trace** queries ([`query::Query`]) from preallocated per-worker
+//! response arenas: after the first few batches warm the buffers, the
+//! steady state allocates nothing, the same discipline as `congest::plane`.
 //!
 //! Determinism splits the way the bench suite splits it. The *simulated*
 //! side — query stream, query-kind mix, answered/unreachable partition,

@@ -1,22 +1,27 @@
 //! The long-lived worker pool and its zero-steady-state-allocation batches.
 //!
-//! One pool is started per serving process. Each worker owns a recycled
-//! [`Task`] — input queries plus a response arena (answers, trace paths,
-//! per-query latencies) — that shuttles between coordinator and worker over
-//! ownership-passing channels, the same discipline as `congest::plane`:
-//! after the first few batches size the buffers, a batch allocates nothing.
+//! One pool is started per serving process. The calling thread is worker
+//! 0: it answers the first chunk of every batch itself, straight into the
+//! caller's [`BatchResult`], while `threads − 1` helper threads answer the
+//! rest. Each helper owns a recycled [`Task`] — input queries plus a
+//! response arena (answers, trace paths, per-query latencies) — that
+//! shuttles between caller and helper over ownership-passing channels, the
+//! same discipline as `congest::plane`: after the first few batches size
+//! the buffers, a batch allocates nothing. A one-thread pool spawns no
+//! thread, so its batches cross no thread boundary at all.
 //!
-//! Determinism: the coordinator splits every batch into *contiguous*
-//! per-worker chunks and merges the returned arenas back *in worker order*,
+//! Determinism: every batch is split into *contiguous* per-worker chunks
+//! and the helpers' arenas are merged after the caller's *in worker order*,
 //! so the merged answer sequence is exactly the query sequence regardless
 //! of which worker finishes first or how many workers exist. Cross-check
 //! sampling is keyed on the global query index (a seeded hash against the
 //! configured rate), never on the wall clock, so `checks` and `mismatches`
 //! are sim columns too.
 //!
-//! A worker that panics replies with the panic message instead of its task,
+//! A helper that panics replies with the panic message instead of its task,
 //! and [`ServePool::serve_batch`] re-raises it on the calling thread, so a
-//! bad query fails its batch instead of leaving the caller waiting forever.
+//! bad query fails its batch instead of leaving the caller waiting forever;
+//! a panic in the caller's own chunk is caught and re-raised the same way.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -30,8 +35,9 @@ use routing::oracle::DistanceOracle;
 use crate::query::{answer_query, check_answer, Answer, Query};
 use crate::snapshot::SharedSnapshot;
 
-/// A worker's unit of work: owned input plus the response arena, recycled
+/// A helper's unit of work: owned input plus the response arena, recycled
 /// batch after batch.
+#[derive(Default)]
 struct Task {
     /// Queries to answer, copied from the caller's batch slice.
     queries: Vec<Query>,
@@ -40,35 +46,11 @@ struct Task {
     base_index: u64,
     /// Sampling threshold: check query `i` iff `splitmix64(salt ^ i) <
     /// threshold`.
-    check_threshold: u64,
+    threshold: u64,
     /// Seed salt for the sampling hash.
-    check_salt: u64,
-    /// One answer per query, in query order.
-    answers: Vec<Answer>,
-    /// Trace-path arena; `Answer::Trace` offsets index into it.
-    paths: Vec<VertexId>,
-    /// Per-query latency in nanoseconds, in query order.
-    latencies: Vec<u64>,
-    /// Answers cross-checked in this chunk.
-    checks: u64,
-    /// Cross-checks that disagreed with the central answer.
-    mismatches: u64,
-}
-
-impl Task {
-    fn empty() -> Task {
-        Task {
-            queries: Vec::new(),
-            base_index: 0,
-            check_threshold: 0,
-            check_salt: 0,
-            answers: Vec::new(),
-            paths: Vec::new(),
-            latencies: Vec::new(),
-            checks: 0,
-            mismatches: 0,
-        }
-    }
+    salt: u64,
+    /// The answers to `queries`.
+    arena: BatchResult,
 }
 
 /// SplitMix64 — the check-sampling hash (stateless, index-keyed).
@@ -117,38 +99,42 @@ impl BatchResult {
     }
 }
 
-/// A worker's answer to one task: the task back, or its panic message.
+/// A helper's answer to one task: the task back, or its panic message.
 type Reply = Result<Task, String>;
 
-/// A long-lived pool of serving workers over one shared snapshot.
+/// A long-lived pool of serving workers over one shared snapshot: the
+/// calling thread plus `threads − 1` helpers.
 pub struct ServePool {
     snapshot: SharedSnapshot,
+    /// One task channel per helper; helper `h` is worker `h + 1`.
     task_txs: Vec<Sender<Task>>,
     done_rx: Receiver<(usize, Reply)>,
     handles: Vec<JoinHandle<()>>,
-    /// Recycled task buffers, one slot per worker.
+    /// Recycled task buffers, one slot per helper.
     parked: Vec<Option<Task>>,
 }
 
 impl ServePool {
-    /// Spawn `threads` workers over `snapshot` (at least one).
+    /// A pool of `threads` serving threads over `snapshot` (at least one):
+    /// the caller of [`ServePool::serve_batch`] and `threads − 1` spawned
+    /// helpers.
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0` or a worker thread cannot be spawned.
+    /// Panics if `threads == 0` or a helper thread cannot be spawned.
     pub fn start(snapshot: SharedSnapshot, threads: usize) -> ServePool {
         assert!(threads > 0, "a serving pool needs at least one worker");
         let (done_tx, done_rx) = channel::<(usize, Reply)>();
-        let mut task_txs = Vec::with_capacity(threads);
-        let mut handles = Vec::with_capacity(threads);
-        for worker in 0..threads {
+        let mut task_txs = Vec::with_capacity(threads - 1);
+        let mut handles = Vec::with_capacity(threads - 1);
+        for worker in 1..threads {
             let (task_tx, task_rx) = channel::<Task>();
             task_txs.push(task_tx);
             let done = done_tx.clone();
             let snap = snapshot.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("serve-worker-{worker}"))
-                .spawn(move || worker_loop(worker, &snap, &task_rx, &done))
+                .spawn(move || helper_loop(worker, &snap, &task_rx, &done))
                 .expect("spawn serving worker");
             handles.push(handle);
         }
@@ -157,13 +143,13 @@ impl ServePool {
             task_txs,
             done_rx,
             handles,
-            parked: (0..threads).map(|_| Some(Task::empty())).collect(),
+            parked: (1..threads).map(|_| Some(Task::default())).collect(),
         }
     }
 
-    /// Worker count.
+    /// Serving thread count, the caller included.
     pub fn threads(&self) -> usize {
-        self.task_txs.len()
+        self.task_txs.len() + 1
     }
 
     /// The snapshot every worker serves from.
@@ -172,15 +158,17 @@ impl ServePool {
     }
 
     /// Serve one batch: split `queries` into contiguous per-worker chunks,
-    /// dispatch, and merge the arenas back into `out` in worker order (=
-    /// query order). `base_index` is the global stream index of
+    /// hand chunks `1..` to the helpers, answer chunk 0 on the calling
+    /// thread straight into `out`, and append the helpers' arenas in worker
+    /// order (= query order). `base_index` is the global stream index of
     /// `queries[0]`; `check_rate` is the sampled cross-check fraction and
     /// `check_salt` its hash seed.
     ///
     /// # Panics
     ///
-    /// Re-raises a worker's panic (naming the worker) on the calling thread;
-    /// the pool is unusable afterwards, but dropping it does not block.
+    /// Re-raises a worker's panic (naming the worker; the caller's own
+    /// chunk is worker 0) on the calling thread; the pool is unusable
+    /// afterwards, but dropping it does not block.
     pub fn serve_batch(
         &mut self,
         queries: &[Query],
@@ -193,33 +181,45 @@ impl ServePool {
         if queries.is_empty() {
             return;
         }
-        let threads = self.task_txs.len();
-        let chunk = queries.len().div_ceil(threads);
+        let chunk = queries.len().div_ceil(self.threads());
         let threshold = check_threshold(check_rate);
+        let mut parts = queries.chunks(chunk);
+        let own = parts.next().expect("a non-empty batch has a first chunk");
         let mut sent = 0usize;
-        for (worker, part) in queries.chunks(chunk).enumerate() {
-            let mut task = self.parked[worker].take().expect("parked task present");
+        for (helper, part) in parts.enumerate() {
+            let mut task = self.parked[helper].take().expect("parked task present");
             task.queries.clear();
             task.queries.extend_from_slice(part);
-            task.base_index = base_index + (worker * chunk) as u64;
-            task.check_threshold = threshold;
-            task.check_salt = check_salt;
-            self.task_txs[worker].send(task).expect("worker alive");
+            task.base_index = base_index + ((helper + 1) * chunk) as u64;
+            task.threshold = threshold;
+            task.salt = check_salt;
+            self.task_txs[helper].send(task).expect("helper alive");
             sent += 1;
         }
+        let snap = &self.snapshot;
+        let oracle = DistanceOracle::new(&snap.scheme);
+        let served = catch_unwind(AssertUnwindSafe(|| {
+            serve_into(snap, &oracle, own, base_index, threshold, check_salt, out)
+        }));
+        if let Err(payload) = served {
+            panic!(
+                "serve worker 0 panicked: {}",
+                panic_message(payload.as_ref())
+            );
+        }
         for _ in 0..sent {
-            // Every worker that was sent a task replies, even by panicking.
-            match self.done_rx.recv().expect("worker replies") {
-                (worker, Ok(task)) => self.parked[worker] = Some(task),
+            // Every helper that was sent a task replies, even by panicking.
+            match self.done_rx.recv().expect("helper replies") {
+                (worker, Ok(task)) => self.parked[worker - 1] = Some(task),
                 (worker, Err(msg)) => panic!("serve worker {worker} panicked: {msg}"),
             }
         }
         // Merge in worker order: chunks were contiguous, so this is query
         // order no matter the completion order above.
-        for slot in self.parked.iter_mut().take(sent) {
-            let task = slot.as_mut().expect("task returned");
+        for slot in self.parked.iter().take(sent) {
+            let arena = &slot.as_ref().expect("task returned").arena;
             let path_base = out.paths.len() as u32;
-            for &a in &task.answers {
+            for &a in &arena.answers {
                 out.answers.push(match a {
                     Answer::Trace {
                         weight,
@@ -239,24 +239,24 @@ impl ServePool {
                     other => other,
                 });
             }
-            out.paths.extend_from_slice(&task.paths);
-            out.latencies.extend_from_slice(&task.latencies);
-            out.checks += task.checks;
-            out.mismatches += task.mismatches;
+            out.paths.extend_from_slice(&arena.paths);
+            out.latencies.extend_from_slice(&arena.latencies);
+            out.checks += arena.checks;
+            out.mismatches += arena.mismatches;
         }
     }
 }
 
 impl Drop for ServePool {
     fn drop(&mut self) {
-        self.task_txs.clear(); // disconnect: workers exit their recv loop
+        self.task_txs.clear(); // disconnect: helpers exit their recv loop
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-fn worker_loop(
+fn helper_loop(
     worker: usize,
     snap: &SharedSnapshot,
     tasks: &Receiver<Task>,
@@ -264,40 +264,61 @@ fn worker_loop(
 ) {
     let oracle = DistanceOracle::new(&snap.scheme);
     while let Ok(mut task) = tasks.recv() {
-        let reply = match catch_unwind(AssertUnwindSafe(|| serve_task(snap, &oracle, &mut task))) {
+        let Task {
+            queries,
+            base_index,
+            threshold,
+            salt,
+            arena,
+        } = &mut task;
+        let served = catch_unwind(AssertUnwindSafe(|| {
+            serve_into(
+                snap,
+                &oracle,
+                queries,
+                *base_index,
+                *threshold,
+                *salt,
+                arena,
+            )
+        }));
+        let reply = match served {
             Ok(()) => Ok(task),
             Err(payload) => Err(panic_message(payload.as_ref())),
         };
         let failed = reply.is_err();
         if done.send((worker, reply)).is_err() || failed {
-            return; // pool dropped mid-flight, or this worker is poisoned
+            return; // pool dropped mid-flight, or this helper is poisoned
         }
     }
 }
 
-/// Answer (and sample-check) every query of `task` into its arenas.
-fn serve_task(snap: &SharedSnapshot, oracle: &DistanceOracle, task: &mut Task) {
-    task.answers.clear();
-    task.paths.clear();
-    task.latencies.clear();
-    task.checks = 0;
-    task.mismatches = 0;
-    for i in 0..task.queries.len() {
-        let q = task.queries[i];
+/// The one serving loop: answer (and sample-check) every query into `out`,
+/// which is cleared first. `base_index` is the stream index of
+/// `queries[0]`; query `i` is checked iff `threshold == u64::MAX` or
+/// `splitmix64(salt ^ i) < threshold`.
+fn serve_into(
+    snap: &SharedSnapshot,
+    oracle: &DistanceOracle,
+    queries: &[Query],
+    base_index: u64,
+    threshold: u64,
+    salt: u64,
+    out: &mut BatchResult,
+) {
+    out.clear();
+    for (i, &q) in queries.iter().enumerate() {
         let sw = Stopwatch::start();
-        let answer = answer_query(snap, oracle, q, &mut task.paths);
-        task.latencies.push(sw.elapsed_ns());
-        task.answers.push(answer);
-        let index = task.base_index + i as u64;
+        let answer = answer_query(snap, oracle, q, &mut out.paths);
+        out.latencies.push(sw.elapsed_ns());
+        out.answers.push(answer);
+        let index = base_index + i as u64;
         // threshold == MAX means rate 1.0: check unconditionally so
         // "check everything" is exact, not probabilistic.
-        if task.check_threshold == u64::MAX
-            || (task.check_threshold > 0
-                && splitmix64(task.check_salt ^ index) < task.check_threshold)
-        {
-            task.checks += 1;
-            if !check_answer(snap, oracle, q, answer, &task.paths) {
-                task.mismatches += 1;
+        if threshold == u64::MAX || (threshold > 0 && splitmix64(salt ^ index) < threshold) {
+            out.checks += 1;
+            if !check_answer(snap, oracle, q, answer, &out.paths) {
+                out.mismatches += 1;
             }
         }
     }
@@ -348,32 +369,67 @@ mod tests {
             .collect()
     }
 
+    /// Everything a batch reports but its walls.
+    fn sim(out: &BatchResult) -> (Vec<Answer>, Vec<VertexId>, usize, u64, u64) {
+        (
+            out.answers.clone(),
+            out.paths.clone(),
+            out.latencies.len(),
+            out.checks,
+            out.mismatches,
+        )
+    }
+
     #[test]
     fn merge_preserves_query_order_at_any_thread_count() {
         let s = snap(50, 0x900);
-        let queries = stream(50, 200);
-        let mut reference: Option<Vec<Answer>> = None;
-        for threads in [1usize, 2, 8] {
-            let mut pool = ServePool::start(s.clone(), threads);
-            let mut out = BatchResult::default();
-            pool.serve_batch(&queries, 0, 1.0, 0xABC, &mut out);
-            assert_eq!(out.answers.len(), queries.len());
-            assert_eq!(out.checks, queries.len() as u64, "rate 1.0 checks all");
-            assert_eq!(out.mismatches, 0);
-            // Rebased trace paths must still verify against the central
-            // router after the merge.
-            let oracle = DistanceOracle::new(&s.scheme);
-            for (q, &a) in queries.iter().zip(&out.answers) {
-                assert!(check_answer(&s, &oracle, *q, a, &out.paths));
-            }
-            match &reference {
-                None => reference = Some(out.answers.clone()),
-                Some(r) => assert_eq!(
-                    r, &out.answers,
-                    "{threads} threads changed the merged answers"
-                ),
+        let oracle = DistanceOracle::new(&s.scheme);
+        // Batches of 1 and 5 queries leave some workers without a chunk;
+        // a 1-query batch is the caller's alone.
+        for len in [1usize, 5, 200] {
+            let queries = stream(50, len);
+            for rate in [0.5, 1.0] {
+                let mut reference = None;
+                for threads in [1usize, 2, 3, 8] {
+                    let mut pool = ServePool::start(s.clone(), threads);
+                    let mut out = BatchResult::default();
+                    pool.serve_batch(&queries, 7, rate, 0xABC, &mut out);
+                    assert_eq!(out.answers.len(), len);
+                    assert_eq!(out.latencies.len(), len);
+                    assert_eq!(out.mismatches, 0);
+                    if rate == 1.0 {
+                        assert_eq!(out.checks, len as u64, "rate 1.0 checks all");
+                    }
+                    // Rebased trace paths must still verify against the
+                    // graph and the tables after the merge.
+                    for (q, &a) in queries.iter().zip(&out.answers) {
+                        assert!(check_answer(&s, &oracle, *q, a, &out.paths));
+                    }
+                    let got = sim(&out);
+                    match &reference {
+                        None => reference = Some(got),
+                        Some(r) => assert_eq!(
+                            r, &got,
+                            "{threads} threads changed a {len}-query batch at rate {rate}"
+                        ),
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    fn a_one_thread_pool_spawns_no_helper() {
+        let s = snap(40, 0x903);
+        let queries = stream(40, 30);
+        let mut pool = ServePool::start(s.clone(), 1);
+        assert!(pool.handles.is_empty(), "the caller is the only worker");
+        assert_eq!(pool.threads(), 1);
+        let mut out = BatchResult::default();
+        pool.serve_batch(&queries, 0, 1.0, 0, &mut out);
+        assert_eq!(out.checks, 30);
+        assert_eq!(out.mismatches, 0);
+        assert_eq!(ServePool::start(s, 3).handles.len(), 2);
     }
 
     #[test]
@@ -390,12 +446,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_panicking_worker_fails_the_batch_instead_of_hanging() {
+    /// Serve an 8-query batch on two threads with query `bad` out of range,
+    /// then drop the pool; returns the batch's panic message. Fails if the
+    /// batch or the drop hangs.
+    fn fail_batch_at(bad: usize) -> String {
         let s = snap(40, 0x902);
         let mut queries = stream(40, 8);
-        // Out of range: panics inside worker 1, which serves queries 4..8.
-        queries[7] = Query {
+        queries[bad] = Query {
             kind: QueryKind::Route,
             src: VertexId(0),
             dst: VertexId(40),
@@ -415,8 +472,21 @@ mod tests {
         let served = rx
             .recv_timeout(std::time::Duration::from_secs(30))
             .expect("serve_batch or the pool's drop hung on a panicked worker");
-        let msg = served.expect_err("a bad query must fail its batch");
+        served.expect_err("a bad query must fail its batch")
+    }
+
+    #[test]
+    fn a_panicking_worker_fails_the_batch_instead_of_hanging() {
+        // Worker 1 serves queries 4..8.
+        let msg = fail_batch_at(7);
         assert!(msg.starts_with("serve worker 1 panicked: "), "{msg}");
+    }
+
+    #[test]
+    fn a_panic_in_the_callers_chunk_fails_the_batch_instead_of_hanging() {
+        // The caller serves queries 0..4 while the helper holds 4..8.
+        let msg = fail_batch_at(0);
+        assert!(msg.starts_with("serve worker 0 panicked: "), "{msg}");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   traffic plane's saturation-rate search.
 
 use graphs::INFINITY;
-use obs::metrics::{quantile_ns, Stopwatch};
+use obs::metrics::{nearest_rank, Stopwatch};
 use obs::serve::ServeSummary;
 use rand::Rng;
 use rand::SeedableRng;
@@ -287,13 +287,15 @@ impl Tally {
     }
 
     fn into_summary(
-        self,
+        mut self,
         config: &ServeConfig,
         mode: &str,
         offered_qps: f64,
         wall_ns: u64,
     ) -> ServeSummary {
         let queries = self.latencies.len() as u64;
+        // One in-place sort serves all three quantiles.
+        self.latencies.sort_unstable();
         let qps = if wall_ns == 0 {
             0.0
         } else {
@@ -324,9 +326,9 @@ impl Tally {
             offered_qps,
             wall_ns,
             qps,
-            p50_ns: quantile_ns(&self.latencies, 0.50),
-            p95_ns: quantile_ns(&self.latencies, 0.95),
-            p99_ns: quantile_ns(&self.latencies, 0.99),
+            p50_ns: nearest_rank(&self.latencies, 0.50),
+            p95_ns: nearest_rank(&self.latencies, 0.95),
+            p99_ns: nearest_rank(&self.latencies, 0.99),
         }
     }
 }
@@ -423,6 +425,22 @@ mod tests {
         let g = generators::erdos_renyi_connected(n, 3.0 / n as f64, 1..=9, &mut rng);
         let built = build(&g, &BuildParams::new(2), &mut rng);
         Snapshot::share(g, built.scheme)
+    }
+
+    #[test]
+    fn summary_quantiles_match_quantile_ns() {
+        use obs::metrics::quantile_ns;
+        let mut rng = ChaCha8Rng::seed_from_u64(0xA06);
+        for len in [0usize, 1, 2, 7, 100, 1001] {
+            let sample: Vec<u64> = (0..len).map(|_| rng.gen_range(0..5_000u64)).collect();
+            let mut tally = Tally::new(len);
+            tally.latencies.extend_from_slice(&sample);
+            let s = tally.into_summary(&ServeConfig::default(), "closed", 0.0, 1);
+            assert_eq!(s.queries, len as u64);
+            assert_eq!(s.p50_ns, quantile_ns(&sample, 0.50), "p50 of {len}");
+            assert_eq!(s.p95_ns, quantile_ns(&sample, 0.95), "p95 of {len}");
+            assert_eq!(s.p99_ns, quantile_ns(&sample, 0.99), "p99 of {len}");
+        }
     }
 
     #[test]
