@@ -5,22 +5,24 @@
 //! simulates the forwarding fabric round by round. This crate measures the
 //! *serving lifetime*: a [`Snapshot`] — graph plus routing scheme, loaded
 //! from the checksummed [`routing::persist`] container — is shared immutably
-//! (`Arc`) with a long-lived pool of workers ([`pool::ServePool`]: the
-//! calling thread serves the first chunk of every batch, `threads − 1`
-//! helper threads the rest) that answer **route**, **distance-estimate**,
-//! and **trace** queries ([`query::Query`]) from preallocated per-worker
-//! response arenas: after the first few batches warm the buffers, the
-//! steady state allocates nothing, the same discipline as `congest::plane`.
+//! (`Arc`) by the threads of a [`pool::ServePool`], which answer **route**,
+//! **distance-estimate**, and **trace** queries ([`query::Query`]). A run
+//! cuts its stream into one contiguous share per thread, once: the calling
+//! thread serves share 0 batch by batch into one reused response arena
+//! (after the first batches size it, the steady state allocates nothing),
+//! while `threads − 1` scoped helper threads each serve one of the other
+//! shares, and an open loop paces every share at `offered / threads`. The
+//! threads share nothing but the snapshot.
 //!
 //! Determinism splits the way the bench suite splits it. The *simulated*
 //! side — query stream, query-kind mix, answered/unreachable partition,
 //! aggregate weight and hops, cross-check sampling, and an order-sensitive
 //! FNV answer checksum — is a pure function of `(snapshot, seed, config)`
-//! and is byte-identical at any thread count: batches are split into
-//! contiguous per-worker chunks and merged back in worker order, so global
-//! query order never depends on scheduling. The *wall* side — QPS,
-//! nearest-rank p50/p95/p99 per-query latency via [`obs::metrics`] — is
-//! machine truth, reported but never gated.
+//! and is byte-identical at any thread count: the shares are contiguous and
+//! absorbed in share order, so global query order never depends on
+//! scheduling. The *wall* side — QPS, nearest-rank p50/p95/p99 per-query
+//! latency via [`obs::metrics`] — is machine truth, reported but never
+//! gated.
 //!
 //! Correctness is not assumed: a rate-configurable sample of served answers
 //! is held to the ground truth ([`query::check_answer`]) — routes and traces

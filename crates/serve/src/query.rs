@@ -116,7 +116,7 @@ fn routed(
 }
 
 /// Answer one query against the snapshot. Trace paths are appended to
-/// `paths` (the per-worker arena); all other answers touch no memory
+/// `paths` (the serving thread's arena); all other answers touch no memory
 /// beyond the tables themselves.
 pub fn answer_query(
     snap: &Snapshot,

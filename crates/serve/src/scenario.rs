@@ -5,15 +5,22 @@
 //! models (uniform / hotspot / adversarial worst-pairs), the query-kind mix
 //! from an independent seeded stream. Both loop disciplines serve the *same*
 //! stream, so their simulated columns are identical — only the pacing (and
-//! therefore the wall columns) differs:
+//! therefore the wall columns) differs. Either way the stream is cut once
+//! per run into one contiguous share per pool thread: the caller serves
+//! share 0, scoped helper threads the others, and the shares are absorbed
+//! in share order.
 //!
-//! * **closed loop** ([`run_closed`]) dispatches batches back to back; its
-//!   achieved QPS is the pool's saturation throughput;
-//! * **open loop** ([`run_open`]) dispatches batches on a timed schedule at
-//!   an offered QPS; [`sweep_open`] walks a rate ladder and reports the
-//!   *knee* — the largest offered rate the pool still absorbs (achieved ≥
-//!   95% of offered, p99 under the SLO), the serving-side analog of the
+//! * **closed loop** ([`run_closed`]) dispatches every share's batches back
+//!   to back; its achieved QPS is the pool's saturation throughput;
+//! * **open loop** ([`run_open`]) dispatches batches on a timed schedule,
+//!   pacing each share at `offered / threads` so the pool as a whole is
+//!   offered the given QPS; [`sweep_open`] walks a rate ladder and reports
+//!   the *knee* — the largest offered rate the pool still absorbs (achieved
+//!   ≥ 95% of offered, p99 under the SLO), the serving-side analog of the
 //!   traffic plane's saturation-rate search.
+
+use std::any::Any;
+use std::time::Duration;
 
 use graphs::INFINITY;
 use obs::metrics::{nearest_rank, Stopwatch};
@@ -21,9 +28,10 @@ use obs::serve::ServeSummary;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use routing::oracle::DistanceOracle;
 use traffic::workload::{Workload, WorkloadKind};
 
-use crate::pool::{BatchResult, ServePool};
+use crate::pool::{check_threshold, serve_into, BatchResult, ServePool};
 use crate::query::{Answer, Query, QueryKind};
 use crate::snapshot::Snapshot;
 
@@ -333,36 +341,90 @@ impl Tally {
     }
 }
 
-/// The shared serving loop. `pace` is `None` for closed loop, `Some(qps)`
-/// for an open loop dispatching batch `i` no earlier than `i·batch/qps`.
+/// The shared serving run. `pace` is `None` for closed loop, `Some(qps)`
+/// for an open loop offering `qps` queries/s in total.
+///
+/// The stream is cut into `pool.threads()` contiguous shares. The calling
+/// thread serves share 0 batch by batch into one reused [`BatchResult`],
+/// absorbing each batch as it goes; every other share is served on a scoped
+/// helper thread into a [`BatchResult`] of its own, returned through
+/// `join` and absorbed after share 0 in share order, so the tally folds
+/// answers in query order at any thread count. Under a pace, each share is
+/// paced at `qps / threads`: share `j`'s batch `i` is due `i·batch·threads /
+/// qps` after the run's one start instant.
+///
+/// # Panics
+///
+/// A helper's panic re-raises here as `serve worker j panicked: …`; a panic
+/// in the caller's share propagates once the helpers have been joined.
 fn run(
     pool: &mut ServePool,
     stream: &[Query],
     config: &ServeConfig,
     pace: Option<f64>,
 ) -> ServeSummary {
-    let mut tally = Tally::new(stream.len());
-    let mut out = BatchResult::default();
+    let threads = pool.threads();
+    let snap: &Snapshot = pool.snapshot();
+    let oracle = DistanceOracle::new(&snap.scheme);
+    let threshold = check_threshold(config.check_rate);
     let salt = config.seed ^ CHECK_SALT;
     let batch = config.batch.max(1);
+    let share_pace = pace.map(|qps| qps / threads as f64);
+    let mut tally = Tally::new(stream.len());
     let sw = Stopwatch::start();
-    for (bi, chunk) in stream.chunks(batch).enumerate() {
-        if let Some(qps) = pace {
-            let target_ns = (bi * batch) as f64 * 1e9 / qps;
-            let now = sw.elapsed_ns() as f64;
-            if now < target_ns {
-                std::thread::sleep(std::time::Duration::from_nanos((target_ns - now) as u64));
+    // Serve `share` (stream indices from `base`) into `out`: batch by batch
+    // into a cleared `out` when there is a tally to absorb into, else all
+    // of it appended into `out`.
+    let serve_share =
+        |share: &[Query], base: usize, out: &mut BatchResult, mut tally: Option<&mut Tally>| {
+            for (bi, chunk) in share.chunks(batch).enumerate() {
+                if let Some(qps) = share_pace {
+                    let target_ns = (bi * batch) as f64 * 1e9 / qps;
+                    let now = sw.elapsed_ns() as f64;
+                    if now < target_ns {
+                        std::thread::sleep(Duration::from_nanos((target_ns - now) as u64));
+                    }
+                }
+                let index = (base + bi * batch) as u64;
+                serve_into(snap, &oracle, chunk, index, threshold, salt, out);
+                if let Some(tally) = tally.as_deref_mut() {
+                    tally.absorb(chunk, out);
+                    out.clear();
+                }
+            }
+        };
+    let serve_share = &serve_share;
+    // At least 1: an empty stream still has to be cut, and `chunks(0)`
+    // panics.
+    let share_len = stream.len().div_ceil(threads).max(1);
+    let mut shares = stream.chunks(share_len);
+    let own = shares.next().unwrap_or_default();
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = shares
+            .enumerate()
+            .map(|(h, share)| {
+                let base = (h + 1) * share_len;
+                let helper = scope.spawn(move || {
+                    let mut out = BatchResult::default();
+                    serve_share(share, base, &mut out, None);
+                    out
+                });
+                (share, helper)
+            })
+            .collect();
+        let mut out = BatchResult::default();
+        serve_share(own, 0, &mut out, Some(&mut tally));
+        for (h, (share, helper)) in helpers.into_iter().enumerate() {
+            match helper.join() {
+                Ok(out) => tally.absorb(share, &out),
+                Err(payload) => panic!(
+                    "serve worker {} panicked: {}",
+                    h + 1,
+                    panic_message(payload.as_ref())
+                ),
             }
         }
-        pool.serve_batch(
-            chunk,
-            (bi * batch) as u64,
-            config.check_rate,
-            salt,
-            &mut out,
-        );
-        tally.absorb(chunk, &out);
-    }
+    });
     let wall_ns = sw.elapsed_ns();
     let (mode, offered) = match pace {
         None => ("closed", 0.0),
@@ -371,13 +433,24 @@ fn run(
     tally.into_summary(config, mode, offered, wall_ns)
 }
 
+/// The text of a panic payload (`panic!` with a format or a literal).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    match payload.downcast_ref::<String>() {
+        Some(s) => s,
+        None => payload
+            .downcast_ref::<&str>()
+            .map_or("non-string panic payload", |s| s),
+    }
+}
+
 /// Closed loop: batches back to back; achieved QPS is the saturation
 /// throughput of the pool.
 pub fn run_closed(pool: &mut ServePool, stream: &[Query], config: &ServeConfig) -> ServeSummary {
     run(pool, stream, config, None)
 }
 
-/// Open loop: batches on a timed schedule at `offered_qps` queries/s.
+/// Open loop: batches on a timed schedule offering `offered_qps` queries/s
+/// in total, each of the pool's shares paced at `offered_qps / threads`.
 pub fn run_open(
     pool: &mut ServePool,
     stream: &[Query],

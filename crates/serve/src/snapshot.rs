@@ -1,9 +1,9 @@
 //! The immutable serving snapshot: one graph, one scheme, shared by `Arc`.
 //!
 //! A serving process loads the persisted scheme once and never mutates it;
-//! workers hold `Arc` clones, so there is no locking on the query path and
-//! a snapshot swap (e.g. after a rebuild) is a single pointer exchange in
-//! the owner.
+//! a pool holds an `Arc` clone that its serving threads borrow, so there is
+//! no locking on the query path and a snapshot swap (e.g. after a rebuild)
+//! is a single pointer exchange in the owner.
 
 use std::sync::Arc;
 

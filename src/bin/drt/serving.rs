@@ -1,17 +1,19 @@
 //! `drt serve`: the query-serving plane (crate `serve`).
 //!
-//! The persisted scheme is loaded into an immutable shared snapshot and a
-//! long-lived worker pool answers a seeded stream of route /
-//! distance-estimate / trace queries, each answer sampled (`--check-rate`)
-//! for a byte-identical cross-check against the central router and distance
-//! oracle. The default closed loop dispatches batches back to back and
-//! reports the saturation QPS with nearest-rank p50/p95/p99 per-query
-//! latency; `--open <qps,...>` instead walks an offered-rate ladder on a
-//! timed schedule and reports the knee — the largest rate still absorbed
-//! within the SLO — the serving-side analog of `drt traffic`'s saturation
-//! search. Simulated columns (query mix, outcome split, aggregate
+//! The persisted scheme is loaded into an immutable shared snapshot and
+//! `--threads` threads answer a seeded stream of route / distance-estimate /
+//! trace queries, each answer sampled (`--check-rate`) for a byte-identical
+//! cross-check against the central router and distance oracle. Each run
+//! cuts the stream once into one contiguous share per thread; the calling
+//! thread serves the first share, helper threads the others. The default
+//! closed loop dispatches batches back to back and reports the saturation
+//! QPS with nearest-rank p50/p95/p99 per-query latency; `--open <qps,...>`
+//! instead walks an offered-rate ladder on a timed schedule, pacing each
+//! share at `offered / threads`, and reports the knee — the largest rate
+//! still absorbed within the SLO — the serving-side analog of `drt
+//! traffic`'s saturation search. Simulated columns (query mix, outcome split, aggregate
 //! weight/hops, checks, mismatches, answer checksum) are byte-identical at
-//! any `--threads` pool size (`0`, the default, means all cores) and in both
+//! any `--threads` count (`0`, the default, means all cores) and in both
 //! loop modes; `--threads` is a serve-only flag. QPS and latency are
 //! wall-clock and advisory. `--report` writes one `serve_summary` record per
 //! run (one per rung under `--open`); the command exits nonzero on any
