@@ -6,8 +6,9 @@
 //! The engine owns one protocol instance per vertex and drives them through
 //! synchronous rounds over the zero-allocation message plane in
 //! [`crate::plane`]: vertices append sends to one flat outbox, and a stable
-//! counting sort scatters it into one flat inbox arena for the next round.
-//! No per-vertex `Vec`s are allocated on the hot path.
+//! counting sort over the vertices with mail scatters it into one flat inbox
+//! arena for the next round. No per-vertex `Vec`s are allocated on the hot
+//! path.
 //!
 //! A round executes only the vertices that can act in it: those with mail,
 //! and those whose last-reported [`Wake`] hint has come due. What a vertex
@@ -17,11 +18,22 @@
 //! totals over those arrays, so nothing in the loop touches a protocol that
 //! is not executing.
 //!
+//! Nor does the loop touch all `n` vertices' entries each round. The arena
+//! keeps a mail bitset, and the hints a due bitset: a vertex that answers
+//! [`Wake::NextRound`] sets its bit for the next round, and one that answers
+//! a later [`Wake::At`] goes on an ordered min-queue of timers, which
+//! releases it into the due bitset when its round comes — unless it has
+//! re-polled another round since, which makes the timer stale. A round walks
+//! `mail | due` one 64-bit word at a time, so it costs its executions, its
+//! messages, `n / 64` words and `log` of the queue per released timer.
+//!
 //! Vertices execute in ascending id order and the scatter is stable, so every
 //! inbox holds its messages in (sender id, send order). Every measurement is
 //! a deterministic function of the network and the protocols; only
 //! [`RunStats::wall_ns`] and [`RunStats::profile`] — real time, not
 //! simulated costs — differ between runs.
+
+use std::collections::BTreeSet;
 
 use graphs::graph::Arc;
 use graphs::VertexId;
@@ -31,7 +43,7 @@ use obs::profile::{EngineProfile, Phase};
 use crate::memory::MemoryMeter;
 use crate::message::WordSized;
 use crate::network::Network;
-use crate::plane::{InboxArena, OutMsg};
+use crate::plane::{set_bit, InboxArena, OutMsg};
 
 pub use crate::plane::Inbox;
 
@@ -95,10 +107,10 @@ pub enum Wake {
 
 /// The view a protocol instance has of its environment during a round.
 pub struct Ctx<'a, M> {
-    me: VertexId,
-    arcs: &'a [Arc],
-    round: u64,
-    outbox: &'a mut Vec<OutMsg<M>>,
+    pub(crate) me: VertexId,
+    pub(crate) arcs: &'a [Arc],
+    pub(crate) round: u64,
+    pub(crate) outbox: &'a mut Vec<OutMsg<M>>,
 }
 
 impl<'a, M: Clone> Ctx<'a, M> {
@@ -243,15 +255,15 @@ impl RunStats {
 
 /// Measurements of one phase (init or a round), folded into [`RunStats`].
 #[derive(Clone, Debug, Default)]
-struct PhaseStats {
-    messages: u64,
-    words: u64,
-    max_edge_words: usize,
-    violations: u64,
+pub(crate) struct PhaseStats {
+    pub(crate) messages: u64,
+    pub(crate) words: u64,
+    pub(crate) max_edge_words: usize,
+    pub(crate) violations: u64,
     /// First violation in (source, send) order.
-    first_violation: Option<(VertexId, VertexId, usize)>,
+    pub(crate) first_violation: Option<(VertexId, VertexId, usize)>,
     /// Vertices executed this phase.
-    executions: u64,
+    pub(crate) executions: u64,
 }
 
 /// What each vertex reported right after it last executed, in flat arrays
@@ -267,16 +279,27 @@ struct Hints {
     done: Vec<bool>,
     not_done: usize,
     timed_count: usize,
+    /// One bit per vertex whose wake round is the next round to execute.
+    due: Vec<u64>,
+    /// `(wake round, vertex)` for wakes further ahead, earliest first: a
+    /// min-queue of timers. An entry whose vertex has since re-polled a
+    /// different round is stale and is dropped when it comes up.
+    timers: BTreeSet<(u64, usize)>,
 }
 
 impl Hints {
     fn new(n: usize) -> Hints {
+        // Everyone is due for init.
+        let mut due = vec![0; n.div_ceil(64)];
+        (0..n).for_each(|v| set_bit(&mut due, v));
         Hints {
             wake: vec![u64::MAX; n],
             timed: vec![false; n],
             done: vec![true; n],
             not_done: 0,
             timed_count: 0,
+            due,
+            timers: BTreeSet::new(),
         }
     }
 
@@ -287,12 +310,30 @@ impl Hints {
             Wake::At(at) if at > round => (at, true),
             Wake::NextRound | Wake::At(_) => (round + 1, false),
         };
+        if wake == round + 1 {
+            set_bit(&mut self.due, v);
+        } else if wake != self.wake[v] && wake != u64::MAX {
+            self.timers.insert((wake, v));
+        }
         self.wake[v] = wake;
         self.timed_count = self.timed_count + usize::from(timed) - usize::from(self.timed[v]);
         self.timed[v] = timed;
         let done = p.is_done();
         self.not_done = self.not_done + usize::from(!done) - usize::from(!self.done[v]);
         self.done[v] = done;
+    }
+
+    /// Mark due every vertex whose timed wake is round `r`.
+    fn release(&mut self, r: u64) {
+        while let Some(&(at, v)) = self.timers.first() {
+            if at > r {
+                break;
+            }
+            self.timers.pop_first();
+            if self.wake[v] == at {
+                set_bit(&mut self.due, v);
+            }
+        }
     }
 }
 
@@ -412,7 +453,7 @@ impl Engine {
             if let Some(p) = prof.as_mut() {
                 p.lap(r, Phase::Compute);
             }
-            rounds.delivery.fill(&mut rounds.outbox);
+            rounds.delivery.deliver(&mut rounds.outbox);
             if let Some(p) = prof.as_mut() {
                 p.lap(r, Phase::Scatter);
             }
@@ -491,8 +532,10 @@ impl<M: WordSized> Rounds<M> {
 
     /// Execute one phase (init, or round `r` for `round = Some(r)`): run each
     /// protocol that can act, meter its memory, re-poll its hints, and
-    /// account its sends. The one skip rule: a vertex sits a round out iff
-    /// its inbox is empty and its cached wake round has not come.
+    /// account its sends. The one run rule: a vertex runs iff it has mail or
+    /// its cached wake round has come. The runners are found word by word in
+    /// the mail and due bitsets, in ascending id; every vertex starts out
+    /// due, so init runs them all.
     fn execute<P: VertexProtocol<Msg = M>>(
         &mut self,
         protocols: &mut [P],
@@ -501,37 +544,41 @@ impl<M: WordSized> Rounds<M> {
         meter: &mut MemoryMeter,
         cap: usize,
     ) -> PhaseStats {
-        let init = round.is_none();
         let r = round.unwrap_or(0);
+        self.hints.release(r);
         let mut ps = PhaseStats::default();
-        for (v, protocol) in protocols.iter_mut().enumerate() {
-            if !init && self.delivery.inbox_len(v) == 0 && self.hints.wake[v] > r {
-                continue;
+        for i in 0..self.hints.due.len() {
+            // A refresh sets only its own vertex's bit, for the next round,
+            // in a word that was taken here before any of its vertices ran.
+            let mut bits = self.delivery.mail()[i] | std::mem::take(&mut self.hints.due[i]);
+            while bits != 0 {
+                let v = i * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let protocol = &mut protocols[v];
+                let vid = VertexId(v as u32);
+                let start = self.outbox.len();
+                let mut ctx = Ctx {
+                    me: vid,
+                    arcs: network.ports(vid),
+                    round: r,
+                    outbox: &mut self.outbox,
+                };
+                match round {
+                    None => protocol.init(&mut ctx),
+                    Some(_) => protocol.round(&mut ctx, &mut self.delivery.inbox(v)),
+                }
+                ps.executions += 1;
+                meter.set(vid, protocol.memory_words());
+                self.hints.refresh(v, protocol, r);
+                account(&self.outbox[start..], vid, cap, &mut self.per_edge, &mut ps);
             }
-            let vid = VertexId(v as u32);
-            let start = self.outbox.len();
-            let mut ctx = Ctx {
-                me: vid,
-                arcs: network.ports(vid),
-                round: r,
-                outbox: &mut self.outbox,
-            };
-            if init {
-                protocol.init(&mut ctx);
-            } else {
-                protocol.round(&mut ctx, &mut self.delivery.inbox(v));
-            }
-            ps.executions += 1;
-            meter.set(vid, protocol.memory_words());
-            self.hints.refresh(v, protocol, r);
-            account(&self.outbox[start..], vid, cap, &mut self.per_edge, &mut ps);
         }
         ps
     }
 }
 
 /// Congestion/volume accounting for one vertex's sends this round.
-fn account<M: WordSized>(
+pub(crate) fn account<M: WordSized>(
     sent: &[OutMsg<M>],
     from: VertexId,
     cap: usize,
@@ -833,6 +880,210 @@ mod tests {
         assert!(next.completed);
         assert_eq!(next.messages, 2 * (1 + 2 + 3) + 4);
         assert!(run(Wake::At(0)).same_simulation(&next));
+    }
+
+    /// Logs the rounds it runs in and answers its `i`-th re-poll (init is
+    /// the 0th) with `hints[i]`, the last one from then on; sends a token
+    /// to every neighbor in each round of `send_in`. Done once it answers
+    /// `OnMessage`.
+    struct Scripted {
+        hints: Vec<Wake>,
+        send_in: Vec<u64>,
+        ran_in: Vec<u64>,
+    }
+
+    impl VertexProtocol for Scripted {
+        type Msg = u64;
+        fn init(&mut self, _: &mut Ctx<'_, u64>) {}
+        fn round(&mut self, ctx: &mut Ctx<'_, u64>, _: &mut Inbox<'_, u64>) {
+            self.ran_in.push(ctx.round());
+            if self.send_in.contains(&ctx.round()) {
+                ctx.send_all(1);
+            }
+        }
+        fn is_done(&self) -> bool {
+            self.wake() == Wake::OnMessage
+        }
+        fn memory_words(&self) -> usize {
+            1
+        }
+        fn wake(&self) -> Wake {
+            self.hints[self.ran_in.len().min(self.hints.len() - 1)]
+        }
+    }
+
+    /// Run `scripts` (`(hints, send_in)` per vertex) on a path, on this
+    /// engine and on the dense reference loop; both must agree on every
+    /// simulated measurement and on who ran when.
+    fn scripted(scripts: &[(&[Wake], &[u64])], max_rounds: u64) -> (Vec<Vec<u64>>, RunStats) {
+        let net = path_network(scripts.len());
+        let protos = || {
+            scripts
+                .iter()
+                .map(|&(hints, send_in)| Scripted {
+                    hints: hints.to_vec(),
+                    send_in: send_in.to_vec(),
+                    ran_in: Vec::new(),
+                })
+                .collect::<Vec<_>>()
+        };
+        let engine = Engine::with_config(EngineConfig {
+            max_rounds,
+            ..EngineConfig::default()
+        });
+        let (got, stats) = engine.run(&net, protos());
+        let (want, want_stats) = crate::reference::run(&engine, &net, protos());
+        assert!(stats.same_simulation(&want_stats));
+        let ran: Vec<Vec<u64>> = got.into_iter().map(|p| p.ran_in).collect();
+        assert_eq!(ran, want.into_iter().map(|p| p.ran_in).collect::<Vec<_>>());
+        (ran, stats)
+    }
+
+    #[test]
+    fn a_superseded_timer_never_runs_its_vertex() {
+        // Vertex 0 holds `At(10)`; vertex 1's token reaches it in round 5,
+        // after which it answers `At(20)`. Its old timer comes up in round 10
+        // and must be dropped, not run.
+        let (ran, stats) = scripted(
+            &[
+                (&[Wake::At(10), Wake::At(20), Wake::OnMessage], &[]),
+                (&[Wake::At(4), Wake::OnMessage], &[4]),
+            ],
+            1000,
+        );
+        assert_eq!(ran, [vec![5, 20], vec![4]]);
+        assert!(stats.completed);
+        assert_eq!(stats.rounds, 20);
+        assert_eq!(stats.executions, 2 + 3);
+    }
+
+    #[test]
+    fn a_timer_polled_twice_runs_once() {
+        // `At(10)` at init, then (after the token in round 5) `NextRound`,
+        // then `At(10)` again: two timers for round 10, one execution.
+        // Vertex 2 answers `At(10)` at init and again in round 5, when it
+        // also gets vertex 1's token.
+        let (ran, stats) = scripted(
+            &[
+                (
+                    &[Wake::At(10), Wake::NextRound, Wake::At(10), Wake::OnMessage],
+                    &[],
+                ),
+                (&[Wake::At(4), Wake::OnMessage], &[4]),
+                (&[Wake::At(10), Wake::At(10), Wake::OnMessage], &[]),
+            ],
+            1000,
+        );
+        assert_eq!(ran, [vec![5, 6, 10], vec![4], vec![5, 10]]);
+        assert!(stats.completed);
+        assert_eq!(stats.executions, 3 + 6);
+    }
+
+    #[test]
+    fn a_timer_past_the_cap_stops_at_the_cap() {
+        for at in [100, u64::MAX] {
+            let (ran, stats) = scripted(&[(&[Wake::At(at)], &[]), (&[Wake::OnMessage], &[])], 50);
+            assert_eq!(ran, [vec![], vec![]], "At({at})");
+            assert!(!stats.completed, "At({at})");
+            assert_eq!(stats.rounds, 50, "At({at})");
+            assert_eq!(stats.executions, 2, "At({at}): init only");
+        }
+    }
+
+    /// Does what its own random stream says for `active` executions —
+    /// sends to random neighbors, answers a random hint (`OnMessage`,
+    /// `NextRound`, a past, the next or a far `At`) and a random `is_done`
+    /// — then falls quiet. Logs every execution's round and inbox.
+    #[derive(Clone)]
+    struct Dice {
+        rng: rand_chacha::ChaCha8Rng,
+        active: u32,
+        hint: Wake,
+        done: bool,
+        log: Vec<(u64, Vec<(VertexId, u64)>)>,
+    }
+
+    impl Dice {
+        fn act(&mut self, ctx: &mut Ctx<'_, u64>) {
+            use rand::Rng;
+            if self.active == 0 {
+                (self.hint, self.done) = (Wake::OnMessage, true);
+                return;
+            }
+            self.active -= 1;
+            let arcs = ctx.neighbors();
+            for _ in 0..self.rng.gen_range(0..4) {
+                let to = arcs[self.rng.gen_range(0..arcs.len())].to;
+                ctx.send(to, self.rng.gen());
+            }
+            let r = ctx.round();
+            self.hint = match self.rng.gen_range(0..5) {
+                0 => Wake::OnMessage,
+                1 => Wake::NextRound,
+                2 => Wake::At(self.rng.gen_range(0..=r)),
+                3 => Wake::At(r + 1),
+                _ => Wake::At(r + self.rng.gen_range(2..40u64)),
+            };
+            self.done = self.rng.gen_bool(0.5);
+        }
+    }
+
+    impl VertexProtocol for Dice {
+        type Msg = u64;
+        fn init(&mut self, ctx: &mut Ctx<'_, u64>) {
+            self.log.push((0, Vec::new()));
+            self.act(ctx);
+        }
+        fn round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &mut Inbox<'_, u64>) {
+            self.log.push((ctx.round(), inbox.drain().collect()));
+            self.act(ctx);
+        }
+        fn is_done(&self) -> bool {
+            self.done
+        }
+        fn memory_words(&self) -> usize {
+            self.log.len() % 7 + self.active as usize
+        }
+        fn wake(&self) -> Wake {
+            self.hint
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn the_sparse_loop_runs_what_the_dense_loop_ran(
+            n in 2usize..=200,
+            degree in 1u32..6,
+            seed in 0u64..1 << 32,
+            max_rounds in 1u64..300,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let g = graphs::generators::erdos_renyi_connected(n, (f64::from(degree) / n as f64).min(1.0), 1..=9, &mut rng);
+            let net = Network::new(g);
+            let dice: Vec<Dice> = (0..n)
+                .map(|_| Dice {
+                    rng: rand_chacha::ChaCha8Rng::seed_from_u64(rng.gen()),
+                    active: rng.gen_range(0..12),
+                    hint: Wake::NextRound,
+                    done: false,
+                    log: Vec::new(),
+                })
+                .collect();
+            let engine = Engine::with_config(EngineConfig {
+                max_rounds,
+                ..EngineConfig::default()
+            });
+            let (got, stats) = engine.run(&net, dice.clone());
+            let (want, want_stats) = crate::reference::run(&engine, &net, dice);
+            for (v, (g, w)) in got.iter().zip(&want).enumerate() {
+                proptest::prop_assert!(g.log == w.log, "vertex {}: {:?} vs {:?}", v, g.log, w.log);
+            }
+            proptest::prop_assert!(stats.same_simulation(&want_stats), "{:?} vs {:?}", stats, want_stats);
+            proptest::prop_assert_eq!(&stats.memory, &want_stats.memory);
+        }
     }
 
     #[test]

@@ -52,6 +52,8 @@ pub mod memory;
 pub mod message;
 pub mod network;
 mod plane;
+#[cfg(test)]
+mod reference;
 
 pub use engine::{Engine, EngineConfig, Inbox, RunStats, VertexProtocol};
 pub use ledger::CostLedger;

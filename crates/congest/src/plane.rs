@@ -9,11 +9,15 @@
 //!   `Vec<OutMsg>`, in (source ascending, send order). It is drained — not
 //!   dropped — when the round is scattered, so its capacity survives.
 //! * **Inbox plane** — an [`InboxArena`] holds the messages *delivered* to
-//!   every vertex as one flat slot buffer plus a `starts` offset table
-//!   (CSR-style: vertex `v`'s inbox is `slots[starts[v]..starts[v+1]]`).
-//!   Refilling is a stable counting sort by destination: count, prefix-sum,
-//!   scatter. Stability keeps every inbox in (sender id, send sequence)
-//!   order.
+//!   every vertex as one flat slot buffer, a per-vertex `start` and `len`, and
+//!   a **mail bitset** with one bit per vertex that has mail this round.
+//!   Delivering costs the messages and the previous and next rounds' mail
+//!   vertices plus `n / 64` bitset words, never `n`: reset the old mail
+//!   vertices' lengths, count each message and set its destination's bit,
+//!   hand out offsets by walking the set bits in ascending id, and scatter.
+//!   The scatter is stable, so every inbox stays in (sender id, send
+//!   sequence) order. A vertex without mail keeps a stale `start`, which is
+//!   never read: its `len` of 0 gives it an empty inbox.
 //!
 //! Protocols read their messages through an [`Inbox`] view, which supports
 //! zero-clone consumption: [`Inbox::drain`] moves messages out of the arena
@@ -29,68 +33,97 @@ pub(crate) struct OutMsg<M> {
     pub(crate) msg: M,
 }
 
-/// The delivery-side arena for all `n` vertices: one flat slot buffer plus
-/// CSR-style offsets, rebuilt (not reallocated) every round.
+/// Set bit `v` of a bitset of one bit per vertex.
+pub(crate) fn set_bit(words: &mut [u64], v: usize) {
+    words[v / 64] |= 1 << (v % 64);
+}
+
+/// The delivery-side arena for all `n` vertices: one flat slot buffer,
+/// per-vertex offsets and lengths, and the bitset of vertices with mail,
+/// rebuilt (not reallocated) every round.
 ///
 /// Slots hold `Option<M>` so an [`Inbox`] can hand messages out by move;
 /// whatever a protocol leaves behind is dropped at the next refill.
 #[derive(Debug)]
 pub(crate) struct InboxArena<M> {
-    /// `n + 1` offsets into `slots`; vertex `v`'s inbox is
-    /// `slots[starts[v]..starts[v + 1]]`.
-    starts: Vec<usize>,
-    /// Scatter cursors, one per vertex (scratch, reused).
-    cursors: Vec<usize>,
+    /// Vertex `v`'s inbox is `slots[start[v]..start[v] + len[v]]` while it
+    /// has mail; otherwise `start[v]` is stale and never read.
+    start: Vec<usize>,
+    len: Vec<usize>,
+    /// Bit `v` is set iff `len[v] > 0`.
+    mail: Vec<u64>,
     slots: Vec<(VertexId, Option<M>)>,
 }
 
 impl<M> InboxArena<M> {
     pub(crate) fn new(n: usize) -> Self {
         InboxArena {
-            starts: vec![0; n + 1],
-            cursors: vec![0; n],
+            start: vec![0; n],
+            len: vec![0; n],
+            mail: vec![0; n.div_ceil(64)],
             slots: Vec::new(),
         }
     }
 
     /// Total messages currently delivered.
     pub(crate) fn total(&self) -> usize {
-        *self.starts.last().expect("starts is never empty")
+        self.slots.len()
     }
 
-    /// Number of messages delivered to vertex `v` this round.
-    pub(crate) fn inbox_len(&self, v: usize) -> usize {
-        self.starts[v + 1] - self.starts[v]
+    /// One bit per vertex, set iff the vertex has mail this round.
+    pub(crate) fn mail(&self) -> &[u64] {
+        &self.mail
     }
 
     /// The inbox view for vertex `v`.
     pub(crate) fn inbox(&mut self, v: usize) -> Inbox<'_, M> {
+        let len = self.len[v];
+        if len == 0 {
+            return Inbox { slots: &mut [] };
+        }
+        let start = self.start[v];
         Inbox {
-            slots: &mut self.slots[self.starts[v]..self.starts[v + 1]],
+            slots: &mut self.slots[start..start + len],
         }
     }
 
-    /// Refill the arena from `outbox` by a stable counting sort on the
-    /// destination, so each inbox keeps the outbox's (source, send) order.
-    /// The outbox is drained (capacity retained) for reuse next round.
-    pub(crate) fn fill(&mut self, outbox: &mut Vec<OutMsg<M>>) {
-        self.starts.fill(0);
+    /// Deliver `outbox` into the arena by a stable counting sort on the
+    /// destination over the vertices with mail only, so each inbox keeps
+    /// the outbox's (source, send) order. The outbox is drained (capacity
+    /// retained) for reuse next round.
+    pub(crate) fn deliver(&mut self, outbox: &mut Vec<OutMsg<M>>) {
+        for (i, word) in self.mail.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                self.len[i * 64 + bits.trailing_zeros() as usize] = 0;
+                bits &= bits - 1;
+            }
+        }
         for m in outbox.iter() {
-            self.starts[m.to.index() + 1] += 1;
+            let v = m.to.index();
+            self.len[v] += 1;
+            set_bit(&mut self.mail, v);
         }
-        let n = self.cursors.len();
-        for v in 0..n {
-            self.starts[v + 1] += self.starts[v];
+        // Each mail vertex's `start` is first its inbox's end; the reverse
+        // scatter below walks it back to the beginning.
+        let mut end = 0;
+        for (i, &word) in self.mail.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let v = i * 64 + bits.trailing_zeros() as usize;
+                end += self.len[v];
+                self.start[v] = end;
+                bits &= bits - 1;
+            }
         }
-        self.cursors.copy_from_slice(&self.starts[..n]);
         // Drop last round's leftovers and rebuild in place; `resize_with`
         // reuses the buffer's capacity, so steady state allocates nothing.
         self.slots.clear();
-        self.slots.resize_with(self.total(), || (VertexId(0), None));
-        for m in outbox.drain(..) {
-            let c = &mut self.cursors[m.to.index()];
-            self.slots[*c] = (m.from, Some(m.msg));
-            *c += 1;
+        self.slots.resize_with(outbox.len(), || (VertexId(0), None));
+        for m in outbox.drain(..).rev() {
+            let s = &mut self.start[m.to.index()];
+            *s -= 1;
+            self.slots[*s] = (m.from, Some(m.msg));
         }
     }
 }
@@ -164,10 +197,10 @@ mod tests {
             msg(3, 2, 13),
             msg(0, 3, 14),
         ];
-        arena.fill(&mut outbox);
+        arena.deliver(&mut outbox);
         assert_eq!(arena.total(), 5);
-        assert_eq!(arena.inbox_len(3), 3);
-        assert_eq!(arena.inbox_len(1), 0);
+        assert_eq!(arena.inbox(3).len(), 3);
+        assert_eq!(arena.inbox(1).len(), 0);
         let got: Vec<(VertexId, u64)> = arena.inbox(3).drain().collect();
         assert_eq!(
             got,
@@ -183,12 +216,38 @@ mod tests {
     fn refill_clears_leftovers() {
         let mut arena = InboxArena::new(1);
         let mut outbox = vec![msg(0, 0, 7)];
-        arena.fill(&mut outbox);
-        assert_eq!(arena.inbox_len(0), 1);
-        // Leave the message undrained; the next (empty) fill drops it.
-        arena.fill(&mut outbox);
+        arena.deliver(&mut outbox);
+        assert_eq!(arena.inbox(0).len(), 1);
+        // Leave the message undrained; the next (empty) delivery drops it.
+        arena.deliver(&mut outbox);
         assert_eq!(arena.total(), 0);
-        assert_eq!(arena.inbox_len(0), 0);
+        assert_eq!(arena.inbox(0).len(), 0);
+    }
+
+    #[test]
+    fn a_mailless_vertex_with_a_stale_start_gets_an_empty_inbox() {
+        // Round one puts vertex 2's inbox at offsets 3..5; round two
+        // delivers a single message, so that stale start lies past the slots.
+        let mut arena = InboxArena::new(3);
+        let mut outbox = vec![
+            msg(0, 1, 1),
+            msg(1, 0, 2),
+            msg(1, 2, 3),
+            msg(2, 0, 4),
+            msg(2, 1, 5),
+        ];
+        arena.deliver(&mut outbox);
+        assert_eq!(arena.inbox(2).len(), 2);
+        outbox.push(msg(0, 1, 6));
+        arena.deliver(&mut outbox);
+        assert_eq!(arena.total(), 1);
+        for v in [1, 2] {
+            assert!(arena.inbox(v).is_empty(), "vertex {v}");
+            assert_eq!(arena.inbox(v).drain().count(), 0, "vertex {v}");
+        }
+        assert_eq!(arena.mail(), [0b001]);
+        let got: Vec<(VertexId, u64)> = arena.inbox(0).drain().collect();
+        assert_eq!(got, vec![(VertexId(1), 6)]);
     }
 
     #[test]

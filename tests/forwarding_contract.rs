@@ -7,7 +7,10 @@
 //! pins below were recorded on the commit before the round loop learned to
 //! skip vertices that cannot act; a mismatch means a vertex executed (or
 //! failed to execute) in a round where it used to do the opposite and it
-//! mattered, a send changed order, or a meter read changed.
+//! mattered, a send changed order, or a meter read changed. `executions`
+//! joined the engine pin later, recorded on the commit before the round loop
+//! found its vertices in bitsets and a timer heap instead of a scan of all
+//! `n`: it pins the executed set itself, whether or not a run mattered.
 
 use congest::bfs::BfsVertex;
 use congest::engine::{Ctx, Wake};
@@ -30,6 +33,8 @@ struct EnginePin {
     completed: bool,
     /// CRC32 over the per-vertex memory peaks.
     peaks_crc: u32,
+    /// Vertex executions: which vertices the round loop ran, counted.
+    executions: u64,
 }
 
 /// CRC32 over a stream of numbers, each as a little-endian `u64`.
@@ -46,6 +51,7 @@ fn engine_pin(stats: &RunStats) -> EnginePin {
         max_edge_words: stats.max_edge_words,
         completed: stats.completed,
         peaks_crc: crc_of(stats.memory.peaks().iter().map(|&p| p as u64)),
+        executions: stats.executions,
     }
 }
 
@@ -61,8 +67,9 @@ struct TrafficPin {
     edge_load_crc: u32,
 }
 
-/// `(rounds, messages, words, max_edge_words, completed, peaks_crc)`.
-fn engine(p: (u64, u64, u64, usize, bool, u32)) -> EnginePin {
+/// `(rounds, messages, words, max_edge_words, completed, peaks_crc,
+/// executions)`.
+fn engine(p: (u64, u64, u64, usize, bool, u32, u64)) -> EnginePin {
     EnginePin {
         rounds: p.0,
         messages: p.1,
@@ -70,12 +77,13 @@ fn engine(p: (u64, u64, u64, usize, bool, u32)) -> EnginePin {
         max_edge_words: p.3,
         completed: p.4,
         peaks_crc: p.5,
+        executions: p.6,
     }
 }
 
 /// An engine pin plus the CRCs of `[series, deliveries, dropped_capacity,
 /// dropped_stuck, edge_load]`.
-fn pin(e: (u64, u64, u64, usize, bool, u32), crc: [u32; 5]) -> TrafficPin {
+fn pin(e: (u64, u64, u64, usize, bool, u32, u64), crc: [u32; 5]) -> TrafficPin {
     TrafficPin {
         engine: engine(e),
         series_crc: crc[0],
@@ -215,11 +223,11 @@ fn erdos_renyi_256_k2_sparse_uniform_is_pinned() {
     // arrivals, so this is the case that leans on timed wake-ups.
     let (net, scheme) = er256();
     let fixed = pin(
-        (102, 125, 941, 9, true, 2811166352),
+        (102, 125, 941, 9, true, 2811166352, 400),
         [136794743, 1188060468, 0, 0, 4282770582],
     );
     let bernoulli = pin(
-        (93, 152, 1156, 9, true, 2811166352),
+        (93, 152, 1156, 9, true, 2811166352, 429),
         [2284147729, 3013948639, 0, 0, 2825235607],
     );
     // Nothing is dropped at this rate, so the drop policy cannot matter.
@@ -245,19 +253,19 @@ fn torus_16x16_k3_uniform_is_pinned() {
         48,
         [
             pin(
-                (73, 6082, 49176, 13, true, 754043300),
+                (73, 6082, 49176, 13, true, 754043300, 5469),
                 [3359168468, 3550498916, 1186060969, 0, 1316519862],
             ),
             pin(
-                (71, 6029, 48767, 13, true, 875891055),
+                (71, 6029, 48767, 13, true, 875891055, 5396),
                 [1656925634, 322920184, 3922314468, 0, 4265932993],
             ),
             pin(
-                (73, 6124, 49318, 13, true, 3295645004),
+                (73, 6124, 49318, 13, true, 3295645004, 5493),
                 [373175829, 105074342, 1268408341, 0, 1462629074],
             ),
             pin(
-                (71, 5949, 48055, 13, true, 1403824494),
+                (71, 5949, 48055, 13, true, 1403824494, 5343),
                 [2826297450, 1414757168, 2357389476, 0, 1725972404],
             ),
         ],
@@ -275,19 +283,19 @@ fn preferential_attachment_256_k3_overloaded_hotspot_is_pinned() {
         48,
         [
             pin(
-                (50, 546, 2730, 5, true, 2549757025),
+                (50, 546, 2730, 5, true, 2549757025, 848),
                 [3203197091, 3161170784, 500837338, 0, 3921861972],
             ),
             pin(
-                (51, 538, 2690, 5, true, 2085885338),
+                (51, 538, 2690, 5, true, 2085885338, 841),
                 [1616386957, 3512217768, 3872482040, 0, 2369874294],
             ),
             pin(
-                (50, 546, 2730, 5, true, 2549757025),
+                (50, 546, 2730, 5, true, 2549757025, 848),
                 [3203197091, 2086661892, 2790539563, 0, 3921861972],
             ),
             pin(
-                (51, 538, 2690, 5, true, 2085885338),
+                (51, 538, 2690, 5, true, 2085885338, 841),
                 [1616386957, 616316718, 952826912, 0, 2369874294],
             ),
         ],
@@ -305,8 +313,36 @@ fn preferential_attachment_256_k3_overloaded_hotspot_is_pinned() {
     assert_eq!(
         traffic_pin(&net, &scheme, &injections, DropPolicy::TailDrop, 48),
         pin(
-            (48, 544, 2720, 5, false, 2549757025),
+            (48, 544, 2720, 5, false, 2549757025, 844),
             [990937360, 1454828925, 500837338, 0, 2879618359],
+        ),
+    );
+}
+
+#[test]
+fn preferential_attachment_256_k3_long_idle_gaps_are_pinned() {
+    // Four hotspot packets at each of rounds 0, 500 and 5,000: between the
+    // bursts the network is silent for hundreds, then thousands of rounds,
+    // and only the sources' pending timed wakes keep the run going.
+    let (net, scheme) = pa256();
+    let seed = 99;
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut workload = Workload::prepare(WorkloadKind::Hotspot, net.graph(), &scheme, seed);
+    let mut injections = Vec::new();
+    for round in [0, 500, 5_000] {
+        for _ in 0..4 {
+            let (src, dst) = workload.draw(&mut rng);
+            if let Some(plan) = packet::plan(&scheme, src, dst) {
+                let id = injections.len() as u32;
+                injections.push((round, src, TrafficPacket::from_plan(id, plan)));
+            }
+        }
+    }
+    assert_eq!(
+        traffic_pin(&net, &scheme, &injections, DropPolicy::TailDrop, 8192),
+        pin(
+            (5004, 35, 175, 5, true, 1692049195, 298),
+            [2248206770, 2065423078, 0, 0, 532010636],
         ),
     );
 }
@@ -321,14 +357,14 @@ fn batch_send_and_bfs_are_pinned() {
     let (report, outcomes_crc) = batch(&net, &scheme);
     assert_eq!(
         engine_pin(&report.stats),
-        engine((38, 3294, 26376, 13, true, 435764564))
+        engine((38, 3294, 26376, 13, true, 435764564, 2577))
     );
     assert_eq!(outcomes_crc, 1883254606);
 
     let out = congest::bfs::build_bfs_tree(&net, VertexId(17));
     assert_eq!(
         engine_pin(&out.stats),
-        engine((6, 1538, 1538, 1, true, 3107504065))
+        engine((6, 1538, 1538, 1, true, 3107504065, 1457))
     );
     let parents = net
         .graph()
@@ -406,7 +442,7 @@ fn single_send_and_its_traced_twin_are_pinned() {
     // packet's 4-word header adds two words per message, to the wire size
     // and to every hop record's `header_words`; nothing else moved.
     let (net, scheme) = er256();
-    let want = engine((4, 4, 44, 11, true, 2811166352));
+    let want = engine((4, 4, 44, 11, true, 2811166352, 260));
     assert_eq!(
         single_send_pin(&net, &scheme, 3, 200, false),
         (4, 126, 11, want.clone(), 0)
@@ -419,7 +455,7 @@ fn single_send_and_its_traced_twin_are_pinned() {
     // The farthest pair of a 16 x 16 torus: a long ascent and descent.
     let mut rng = ChaCha8Rng::seed_from_u64(7102);
     let (net, scheme) = network(generators::torus(16, 16, 1..=100, &mut rng), 3);
-    let want = engine((22, 22, 154, 7, true, 510063165));
+    let want = engine((22, 22, 154, 7, true, 510063165, 278));
     assert_eq!(
         single_send_pin(&net, &scheme, 0, 136, false),
         (22, 461, 7, want.clone(), 0)
