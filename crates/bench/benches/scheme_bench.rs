@@ -64,8 +64,9 @@ fn bench_oracle_queries(c: &mut Criterion) {
     });
 }
 
-/// The two inner loops of saving and loading a scheme: the payload CRC, and
-/// the container encode / decode around it (decode = CRC + varint parse).
+/// Saving and loading a scheme: the payload CRC, the container encode /
+/// decode around it (decode = CRC + varint parse), and the whole save to a
+/// file (encode + CRC + write).
 fn bench_persist(c: &mut Criterion) {
     let n = 1024;
     let mut rng = ChaCha8Rng::seed_from_u64(31);
@@ -81,6 +82,11 @@ fn bench_persist(c: &mut Criterion) {
     group.bench_function("decode_container", |b| {
         b.iter(|| persist::decode_container(&container).unwrap())
     });
+    let path = std::env::temp_dir().join(format!("scheme-bench-{}.drsc", std::process::id()));
+    group.bench_function("save_scheme_to", |b| {
+        b.iter(|| persist::save_scheme_to(&path, &scheme).unwrap())
+    });
+    std::fs::remove_file(&path).ok();
     group.finish();
 }
 

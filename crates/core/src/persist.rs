@@ -13,7 +13,7 @@
 //! breaks the row order lookups rely on is [`PersistError::Malformed`].
 
 use graphs::VertexId;
-use tree_routing::encode::{read_varint, write_varint};
+use tree_routing::encode::{read_varint, write_varint, write_varints};
 use tree_routing::types::{TreeLabel, TreeTable};
 
 use crate::scheme::{LabelEntry, Mode, RoutingLabel, RoutingScheme, RoutingTable, TableEntry};
@@ -142,21 +142,40 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// Bytes the container header leaves for the payload length while the
+/// payload is written: a four-byte length varint (payloads of 2²¹ up to
+/// 2²⁸ bytes) fills them exactly.
+const LEN_ROOM: usize = 4;
+
 /// Wrap a scheme in the checksummed file container: magic, version, payload
 /// length, CRC32 over the payload, then the [`encode_scheme`] payload itself.
+///
+/// The payload is written once, straight into the container buffer, after
+/// room for its length and CRC; a length of another width than
+/// [`LEN_ROOM`] bytes moves it once.
 ///
 /// # Errors
 ///
 /// None today; the `Result` is kept for callers that already handle it.
 pub fn encode_container(s: &RoutingScheme) -> Result<Vec<u8>, PersistError> {
-    let payload = encode_scheme(s);
-    let mut buf = Vec::with_capacity(payload.len() + 16);
-    buf.extend_from_slice(CONTAINER_MAGIC);
+    let mut buf = CONTAINER_MAGIC.to_vec();
     write_varint(&mut buf, CONTAINER_VERSION);
-    write_varint(&mut buf, payload.len() as u64);
-    buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-    buf.extend_from_slice(&payload);
+    let head = buf.len();
+    buf.resize(head + LEN_ROOM + 4, 0);
+    write_scheme(&mut buf, s);
+    seal(&mut buf, head);
     Ok(buf)
+}
+
+/// Fill the `LEN_ROOM + 4` bytes at `head` with the length and CRC32 of the
+/// payload behind them, moving the payload once when its length varint is
+/// not [`LEN_ROOM`] bytes wide.
+fn seal(buf: &mut Vec<u8>, head: usize) {
+    let start = head + LEN_ROOM + 4;
+    let mut fields = Vec::with_capacity(LEN_ROOM + 4);
+    write_varint(&mut fields, (buf.len() - start) as u64);
+    fields.extend_from_slice(&crc32(&buf[start..]).to_le_bytes());
+    buf.splice(head..start, fields);
 }
 
 /// Unwrap and verify a checksummed container produced by
@@ -201,7 +220,8 @@ pub fn decode_container(buf: &[u8]) -> Result<RoutingScheme, PersistError> {
     decode_scheme(payload)
 }
 
-/// Write `scheme` to `path` inside the checksummed container.
+/// Write `scheme` to `path` inside the checksummed container (the
+/// [`encode_container`] bytes) and return how many bytes that is.
 ///
 /// # Errors
 ///
@@ -209,9 +229,10 @@ pub fn decode_container(buf: &[u8]) -> Result<RoutingScheme, PersistError> {
 pub fn save_scheme_to(
     path: impl AsRef<std::path::Path>,
     scheme: &RoutingScheme,
-) -> Result<(), PersistError> {
+) -> Result<usize, PersistError> {
     let bytes = encode_container(scheme)?;
-    std::fs::write(path, bytes).map_err(|e| PersistError::Io(e.to_string()))
+    std::fs::write(path, &bytes).map_err(|e| PersistError::Io(e.to_string()))?;
+    Ok(bytes.len())
 }
 
 /// Read a scheme back from the checksummed container at `path`.
@@ -225,8 +246,9 @@ pub fn load_scheme_from(path: impl AsRef<std::path::Path>) -> Result<RoutingSche
     decode_container(&bytes)
 }
 
-fn write_opt(buf: &mut Vec<u8>, v: Option<VertexId>) {
-    write_varint(buf, v.map_or(0, |x| u64::from(x.0) + 1));
+/// An optional vertex as written: `id + 1`, or 0 for none.
+fn opt(v: Option<VertexId>) -> u64 {
+    v.map_or(0, |x| u64::from(x.0) + 1)
 }
 
 fn rv(buf: &[u8], pos: &mut usize) -> Result<u64, PersistError> {
@@ -286,10 +308,10 @@ fn read_opt(buf: &[u8], pos: &mut usize, n: usize) -> Result<Option<VertexId>, P
 /// `exit − enter`, then the parent and the heavy child, each as `id + 1`
 /// (0 for none). These are the bytes a scheme file holds for the row.
 pub fn write_tree_table(buf: &mut Vec<u8>, t: &TreeTable) {
-    write_varint(buf, t.enter);
-    write_varint(buf, t.exit - t.enter);
-    write_opt(buf, t.parent);
-    write_opt(buf, t.heavy);
+    write_varints(
+        buf,
+        &[t.enter, t.exit - t.enter, opt(t.parent), opt(t.heavy)],
+    );
 }
 
 /// Read a [`write_tree_table`] row of an `n`-vertex scheme at `*pos`:
@@ -311,11 +333,9 @@ fn read_tree_table(buf: &[u8], pos: &mut usize, n: usize) -> Result<TreeTable, P
 /// count, then each light edge as its parent and child ids. These are the
 /// bytes a scheme file holds for the row.
 pub fn write_tree_label(buf: &mut Vec<u8>, l: &TreeLabel) {
-    write_varint(buf, l.enter);
-    write_varint(buf, l.light.len() as u64);
+    write_varints(buf, &[l.enter, l.light.len() as u64]);
     for &(p, c) in &l.light {
-        write_varint(buf, u64::from(p.0));
-        write_varint(buf, u64::from(c.0));
+        write_varints(buf, &[u64::from(p.0), u64::from(c.0)]);
     }
 }
 
@@ -335,45 +355,41 @@ fn read_tree_label(buf: &[u8], pos: &mut usize, n: usize) -> Result<TreeLabel, P
 /// Serialize a scheme.
 pub fn encode_scheme(s: &RoutingScheme) -> Vec<u8> {
     let mut buf = Vec::new();
+    write_scheme(&mut buf, s);
+    buf
+}
+
+/// Append the [`encode_scheme`] bytes of `s` to `buf`, a row at a time.
+fn write_scheme(buf: &mut Vec<u8>, s: &RoutingScheme) {
     buf.extend_from_slice(MAGIC);
-    write_varint(&mut buf, s.k as u64);
-    write_varint(
-        &mut buf,
-        match s.mode {
-            Mode::Centralized => 0,
-            Mode::DistributedLowMemory => 1,
-        },
-    );
-    write_varint(&mut buf, s.num_vertices() as u64);
+    let mode = match s.mode {
+        Mode::Centralized => 0,
+        Mode::DistributedLowMemory => 1,
+    };
+    write_varints(buf, &[s.k as u64, mode, s.num_vertices() as u64]);
     for v in s.vertices() {
         let rows = s.table(v).rows();
-        write_varint(&mut buf, rows.len() as u64);
+        write_varint(buf, rows.len() as u64);
         for e in rows {
-            write_varint(&mut buf, u64::from(e.root.0));
-            write_varint(&mut buf, u64::from(e.level));
-            write_varint(&mut buf, e.dist);
-            write_tree_table(&mut buf, &e.table);
+            write_varints(buf, &[u64::from(e.root.0), u64::from(e.level), e.dist]);
+            write_tree_table(buf, &e.table);
         }
     }
     for v in s.vertices() {
         let rows = s.label(v).rows();
-        write_varint(&mut buf, rows.len() as u64);
+        write_varint(buf, rows.len() as u64);
         for e in rows {
-            write_varint(&mut buf, e.level as u64);
-            write_varint(&mut buf, u64::from(e.pivot.0));
-            write_varint(&mut buf, e.dist);
-            write_tree_label(&mut buf, &e.tree_label);
+            write_varints(buf, &[e.level as u64, u64::from(e.pivot.0), e.dist]);
+            write_tree_label(buf, &e.tree_label);
         }
     }
     for v in s.vertices() {
         let pivots = s.pivots(v);
-        write_varint(&mut buf, pivots.len() as u64);
+        write_varint(buf, pivots.len() as u64);
         for &(p, d) in pivots {
-            write_varint(&mut buf, u64::from(p.0));
-            write_varint(&mut buf, d);
+            write_varints(buf, &[u64::from(p.0), d]);
         }
     }
-    buf
 }
 
 /// Deserialize a scheme.
@@ -465,6 +481,104 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
     use tree_routing::tz;
+
+    /// Verbatim copies of the writer as it was before it went a row at a
+    /// time, kept to pin the current one byte for byte: one `Vec::push` per
+    /// byte, one varint per call, and a container that copies the finished
+    /// payload in behind its header.
+    mod reference {
+        use graphs::VertexId;
+        use tree_routing::types::{TreeLabel, TreeTable};
+
+        use super::super::{crc32, CONTAINER_MAGIC, CONTAINER_VERSION, MAGIC};
+        use crate::scheme::{Mode, RoutingScheme};
+
+        fn write_varint(buf: &mut Vec<u8>, mut value: u64) {
+            loop {
+                let byte = (value & 0x7f) as u8;
+                value >>= 7;
+                if value == 0 {
+                    buf.push(byte);
+                    return;
+                }
+                buf.push(byte | 0x80);
+            }
+        }
+
+        fn write_opt(buf: &mut Vec<u8>, v: Option<VertexId>) {
+            write_varint(buf, v.map_or(0, |x| u64::from(x.0) + 1));
+        }
+
+        fn write_tree_table(buf: &mut Vec<u8>, t: &TreeTable) {
+            write_varint(buf, t.enter);
+            write_varint(buf, t.exit - t.enter);
+            write_opt(buf, t.parent);
+            write_opt(buf, t.heavy);
+        }
+
+        fn write_tree_label(buf: &mut Vec<u8>, l: &TreeLabel) {
+            write_varint(buf, l.enter);
+            write_varint(buf, l.light.len() as u64);
+            for &(p, c) in &l.light {
+                write_varint(buf, u64::from(p.0));
+                write_varint(buf, u64::from(c.0));
+            }
+        }
+
+        pub fn encode_scheme(s: &RoutingScheme) -> Vec<u8> {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(MAGIC);
+            write_varint(&mut buf, s.k as u64);
+            write_varint(
+                &mut buf,
+                match s.mode {
+                    Mode::Centralized => 0,
+                    Mode::DistributedLowMemory => 1,
+                },
+            );
+            write_varint(&mut buf, s.num_vertices() as u64);
+            for v in s.vertices() {
+                let rows = s.table(v).rows();
+                write_varint(&mut buf, rows.len() as u64);
+                for e in rows {
+                    write_varint(&mut buf, u64::from(e.root.0));
+                    write_varint(&mut buf, u64::from(e.level));
+                    write_varint(&mut buf, e.dist);
+                    write_tree_table(&mut buf, &e.table);
+                }
+            }
+            for v in s.vertices() {
+                let rows = s.label(v).rows();
+                write_varint(&mut buf, rows.len() as u64);
+                for e in rows {
+                    write_varint(&mut buf, e.level as u64);
+                    write_varint(&mut buf, u64::from(e.pivot.0));
+                    write_varint(&mut buf, e.dist);
+                    write_tree_label(&mut buf, &e.tree_label);
+                }
+            }
+            for v in s.vertices() {
+                let pivots = s.pivots(v);
+                write_varint(&mut buf, pivots.len() as u64);
+                for &(p, d) in pivots {
+                    write_varint(&mut buf, u64::from(p.0));
+                    write_varint(&mut buf, d);
+                }
+            }
+            buf
+        }
+
+        pub fn encode_container(s: &RoutingScheme) -> Vec<u8> {
+            let payload = encode_scheme(s);
+            let mut buf = Vec::with_capacity(payload.len() + 16);
+            buf.extend_from_slice(CONTAINER_MAGIC);
+            write_varint(&mut buf, CONTAINER_VERSION);
+            write_varint(&mut buf, payload.len() as u64);
+            buf.extend_from_slice(&crc32(&payload).to_le_bytes());
+            buf.extend_from_slice(&payload);
+            buf
+        }
+    }
 
     fn scheme(n: usize, seed: u64) -> (graphs::Graph, RoutingScheme) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -706,9 +820,12 @@ mod tests {
     fn container_round_trips_through_disk() {
         let (g, s) = scheme(50, 1106);
         let path = std::env::temp_dir().join("drt-persist-roundtrip.drsc");
-        save_scheme_to(&path, &s).unwrap();
+        let saved = save_scheme_to(&path, &s).unwrap();
+        let file = std::fs::read(&path).unwrap();
         let back = load_scheme_from(&path).unwrap();
         std::fs::remove_file(&path).ok();
+        assert_eq!(file, encode_container(&s).unwrap());
+        assert_eq!(saved, file.len());
         assert_eq!(back.k, s.k);
         assert_eq!(back.mode, s.mode);
         for v in g.vertices() {
@@ -916,5 +1033,75 @@ mod tests {
             bytes.len(),
             8 * words
         );
+    }
+
+    /// `g` with every edge reweighted from `1..=cap`, where `cap` is
+    /// [`MAX_TOTAL_WEIGHT`](graphs::MAX_TOTAL_WEIGHT) shared over the edges
+    /// and shifted right by `shift`: from tie-heavy weights to the largest
+    /// a graph may hold, so distances cross every varint width.
+    fn reweighted(g: &graphs::Graph, shift: u32, rng: &mut ChaCha8Rng) -> graphs::Graph {
+        let share = graphs::MAX_TOTAL_WEIGHT / g.num_edges().max(1) as u64;
+        let cap = (share >> shift).max(1);
+        let mut b = graphs::GraphBuilder::new(g.num_vertices());
+        for (u, v, _) in g.edges() {
+            b.add_edge(u, v, rng.gen_range(1..=cap));
+        }
+        b.build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn writer_matches_the_byte_loop_on_built_schemes(
+            n in 1usize..=200,
+            k in 2usize..=4,
+            mode in 0usize..2,
+            shift in 0u32..=56,
+            seed in 0..u64::MAX,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let p = (4.0 / n as f64).min(1.0);
+            let g = generators::erdos_renyi_connected(n, p, 1..=1, &mut rng);
+            let g = reweighted(&g, shift, &mut rng);
+            let mode = [Mode::Centralized, Mode::DistributedLowMemory][mode];
+            let s = build(&g, &BuildParams::new(k).with_mode(mode), &mut rng).scheme;
+            prop_assert_eq!(encode_scheme(&s), reference::encode_scheme(&s));
+            prop_assert_eq!(
+                encode_container(&s).unwrap(),
+                reference::encode_container(&s)
+            );
+        }
+    }
+
+    #[test]
+    fn seal_fits_the_header_to_every_length_width() {
+        // Payload lengths at each width boundary of the length varint: one
+        // to three bytes move the payload left, four fill the room exactly.
+        let lens = [
+            0,
+            1,
+            127,
+            128,
+            (1 << 14) - 1,
+            1 << 14,
+            (1 << 21) - 1,
+            1 << 21,
+        ];
+        for len in lens {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 167 + 13) as u8).collect();
+            let mut buf = CONTAINER_MAGIC.to_vec();
+            buf.push(1);
+            let head = buf.len();
+            buf.resize(head + LEN_ROOM + 4, 0xAA);
+            buf.extend_from_slice(&payload);
+            seal(&mut buf, head);
+            let mut want = CONTAINER_MAGIC.to_vec();
+            write_varint(&mut want, CONTAINER_VERSION);
+            write_varint(&mut want, len as u64);
+            want.extend_from_slice(&crc32(&payload).to_le_bytes());
+            want.extend_from_slice(&payload);
+            assert!(buf == want, "payload of {len} bytes");
+        }
     }
 }

@@ -9,8 +9,50 @@
 //! codec on top of this one, and the bit-complexity figure measures those
 //! exact bytes.
 
+/// Values [`write_varints`] packs into one 16-byte row: at most two bytes
+/// each when all are below 2¹⁴.
+const ROW_VALUES: usize = 8;
+
 /// Append `value` as LEB128.
-pub fn write_varint(buf: &mut Vec<u8>, mut value: u64) {
+pub fn write_varint(buf: &mut Vec<u8>, value: u64) {
+    write_varints(buf, &[value]);
+}
+
+/// Append each of `values` as LEB128: the bytes of one [`write_varint`] per
+/// value, in order.
+///
+/// Values go a row of up to eight at a time. When every value of a row is
+/// below 2¹⁴ — one or two bytes, nearly every id, level, DFS time and
+/// distance in a scheme — the row's bytes are packed branch-free into one
+/// 16-byte word, appended whole with one copy and cut back to their length,
+/// so `buf` may briefly hold up to 16 bytes past the row. Any other row goes
+/// through the general LEB128 loop, value by value.
+#[inline]
+pub fn write_varints(buf: &mut Vec<u8>, values: &[u64]) {
+    for row in values.chunks(ROW_VALUES) {
+        if row.iter().all(|&v| v < 1 << 14) {
+            let mut packed = 0u128;
+            let mut len = 0;
+            for &v in row {
+                let two = u64::from(v >= 0x80);
+                let bytes = v & 0x7f | two << 7 | (v >> 7) << 8;
+                packed |= u128::from(bytes) << (8 * len);
+                len += 1 + two as usize;
+            }
+            let end = buf.len() + len;
+            buf.extend_from_slice(&packed.to_le_bytes());
+            buf.truncate(end);
+        } else {
+            for &v in row {
+                write_varint_long(buf, v);
+            }
+        }
+    }
+}
+
+/// The general LEB128 loop behind [`write_varints`].
+#[inline(never)]
+fn write_varint_long(buf: &mut Vec<u8>, mut value: u64) {
     loop {
         let byte = (value & 0x7f) as u8;
         value >>= 7;
@@ -69,6 +111,19 @@ fn read_varint_long(buf: &[u8], pos: &mut usize) -> Option<u64> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The byte-at-a-time LEB128 writer the row writer must agree with.
+    fn write_varint_reference(buf: &mut Vec<u8>, mut value: u64) {
+        loop {
+            let byte = (value & 0x7f) as u8;
+            value >>= 7;
+            if value == 0 {
+                buf.push(byte);
+                return;
+            }
+            buf.push(byte | 0x80);
+        }
+    }
 
     /// The plain LEB128 loop the fast path must agree with.
     fn read_varint_reference(buf: &[u8], pos: &mut usize) -> Option<u64> {
@@ -150,8 +205,61 @@ mod tests {
         assert_eq!(pos, 11);
     }
 
+    /// Width boundaries of the writer's fast path and of LEB128.
+    const WRITER_EDGES: [u64; 8] = [
+        0,
+        (1 << 7) - 1,
+        1 << 7,
+        (1 << 14) - 1,
+        1 << 14,
+        1 << 21,
+        1 << 32,
+        u64::MAX,
+    ];
+
+    /// Half the time a [`WRITER_EDGES`] value, else a random `u64` shifted
+    /// right by a random amount, so every width turns up.
+    fn any_value() -> impl Strategy<Value = u64> {
+        (0usize..16, 0u32..64, 0u64..=u64::MAX)
+            .prop_map(|(pick, shift, raw)| WRITER_EDGES.get(pick).copied().unwrap_or(raw >> shift))
+    }
+
+    /// Up to 20 values: half the time of any width, else all two-byte, so
+    /// that packed rows fill all 16 bytes.
+    fn any_row() -> impl Strategy<Value = Vec<u64>> {
+        let pairs = proptest::collection::vec((any_value(), 0x80u64..1 << 14), 0..20);
+        (pairs, 0u8..2).prop_map(|(pairs, dense)| {
+            let pick = |(any, two): (u64, u64)| if dense == 1 { two } else { any };
+            pairs.into_iter().map(pick).collect()
+        })
+    }
+
+    #[test]
+    fn write_varint_matches_the_byte_loop_at_every_edge() {
+        for v in EDGES.into_iter().chain(WRITER_EDGES) {
+            let (mut buf, mut want) = (vec![0x05], vec![0x05]);
+            write_varint(&mut buf, v);
+            write_varint_reference(&mut want, v);
+            assert_eq!(buf, want, "{v}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn write_varints_matches_the_byte_loop(
+            prefix in proptest::collection::vec(0u8..=255, 0..20),
+            values in any_row(),
+        ) {
+            let mut buf = prefix.clone();
+            write_varints(&mut buf, &values);
+            let mut want = prefix;
+            for &v in &values {
+                write_varint_reference(&mut want, v);
+            }
+            prop_assert_eq!(buf, want);
+        }
 
         #[test]
         fn read_varint_agrees_with_the_reference_loop(

@@ -78,8 +78,10 @@ pub fn build(a: &Args) -> Result<(), String> {
     sweep.rec.end_with_memory(span, built.report.memory.peaks());
     // The checksummed container (magic + version + length + CRC32 over the
     // payload), so downstream subcommands detect truncation and bit rot.
-    let bytes = persist::encode_container(&built.scheme).map_err(|e| e.to_string())?;
-    std::fs::write(&out_path, &bytes).map_err(|e| format!("writing {out_path}: {e}"))?;
+    let saved = persist::save_scheme_to(&out_path, &built.scheme).map_err(|e| match e {
+        persist::PersistError::Io(msg) => format!("writing {out_path}: {msg}"),
+        e => e.to_string(),
+    })?;
     let r = &built.report;
     println!("built k = {k} scheme for n = {}:", g.num_vertices());
     println!("  simulated rounds  : {}", r.rounds);
@@ -88,7 +90,7 @@ pub fn build(a: &Args) -> Result<(), String> {
         "  max table / label : {} / {} words",
         r.max_table_words, r.max_label_words
     );
-    println!("  saved             : {} bytes -> {out_path}", bytes.len());
+    println!("  saved             : {saved} bytes -> {out_path}");
     let extra = [
         ("n", Value::from(g.num_vertices())),
         ("k", Value::from(k)),

@@ -27,9 +27,12 @@ struct Pin {
     /// by vertex: `root level dist {table:?}` per table row, then
     /// `level pivot dist {label:?}` per label row.
     scheme_crc: u32,
+    /// CRC32 of the whole file `save_scheme_to` writes, the
+    /// `encode_container` bytes. The baseline has no file: `None`.
+    file_crc: Option<u32>,
 }
 
-fn pin_of(report: &BuildReport, scheme_bytes: &[u8]) -> Pin {
+fn pin_of(report: &BuildReport, scheme_bytes: &[u8], file: Option<&[u8]>) -> Pin {
     let peaks: Vec<u8> = report
         .memory
         .peaks()
@@ -43,13 +46,19 @@ fn pin_of(report: &BuildReport, scheme_bytes: &[u8]) -> Pin {
         max_peak: report.memory.max_peak(),
         peaks_crc: persist::crc32(&peaks),
         scheme_crc: persist::crc32(scheme_bytes),
+        file_crc: file.map(persist::crc32),
     }
 }
 
 fn pin(g: &Graph, k: usize, mode: Mode) -> Pin {
     let mut rng = ChaCha8Rng::seed_from_u64(2024);
     let built = build(g, &BuildParams::new(k).with_mode(mode), &mut rng);
-    pin_of(&built.report, &persist::encode_scheme(&built.scheme))
+    let file = persist::encode_container(&built.scheme).unwrap();
+    pin_of(
+        &built.report,
+        &persist::encode_scheme(&built.scheme),
+        Some(&file),
+    )
 }
 
 fn pin_prior(g: &Graph, k: usize) -> Pin {
@@ -67,7 +76,7 @@ fn pin_prior(g: &Graph, k: usize) -> Pin {
             writeln!(rows, "{} {pivot} {} {label:?}", e.level, e.dist).unwrap();
         }
     }
-    pin_of(&built.report, rows.as_bytes())
+    pin_of(&built.report, rows.as_bytes(), None)
 }
 
 const MODES: [Mode; 2] = [Mode::Centralized, Mode::DistributedLowMemory];
@@ -96,6 +105,7 @@ fn erdos_renyi_256_k2_is_pinned() {
                 max_peak: 1130,
                 peaks_crc: 1434617419,
                 scheme_crc: 3681962766,
+                file_crc: Some(1498944229),
             },
             Pin {
                 rounds: 36666,
@@ -104,6 +114,7 @@ fn erdos_renyi_256_k2_is_pinned() {
                 max_peak: 2930,
                 peaks_crc: 225215104,
                 scheme_crc: 4242500722,
+                file_crc: Some(757117835),
             },
             Pin {
                 rounds: 36535,
@@ -112,6 +123,7 @@ fn erdos_renyi_256_k2_is_pinned() {
                 max_peak: 5288,
                 peaks_crc: 221054711,
                 scheme_crc: 2817017847,
+                file_crc: None,
             },
         ],
     );
@@ -132,6 +144,7 @@ fn torus_16x16_k3_is_pinned() {
                 max_peak: 441,
                 peaks_crc: 3157779328,
                 scheme_crc: 3938959766,
+                file_crc: Some(631208404),
             },
             Pin {
                 rounds: 15951,
@@ -140,6 +153,7 @@ fn torus_16x16_k3_is_pinned() {
                 max_peak: 1083,
                 peaks_crc: 299447093,
                 scheme_crc: 4198435056,
+                file_crc: Some(2077773708),
             },
             Pin {
                 rounds: 15629,
@@ -148,6 +162,7 @@ fn torus_16x16_k3_is_pinned() {
                 max_peak: 1947,
                 peaks_crc: 2486309895,
                 scheme_crc: 444046813,
+                file_crc: None,
             },
         ],
     );
@@ -168,6 +183,7 @@ fn preferential_attachment_256_k3_is_pinned() {
                 max_peak: 395,
                 peaks_crc: 182359566,
                 scheme_crc: 1995897703,
+                file_crc: Some(3398307265),
             },
             Pin {
                 rounds: 14074,
@@ -176,6 +192,7 @@ fn preferential_attachment_256_k3_is_pinned() {
                 max_peak: 997,
                 peaks_crc: 4145112779,
                 scheme_crc: 1681073834,
+                file_crc: Some(858289140),
             },
             Pin {
                 rounds: 13887,
@@ -184,6 +201,7 @@ fn preferential_attachment_256_k3_is_pinned() {
                 max_peak: 1766,
                 peaks_crc: 2873869121,
                 scheme_crc: 456181782,
+                file_crc: None,
             },
         ],
     );
