@@ -2,7 +2,7 @@
 //! Bellman–Ford.
 
 use bench::Family;
-use congest::{CostLedger, MemoryMeter};
+use congest::MemoryMeter;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hopset::bellman_ford::LimitedBf;
 use hopset::construction::{build as build_hopset, HopsetParams};
@@ -19,14 +19,14 @@ fn bench_construction(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             let mut rng = ChaCha8Rng::seed_from_u64(9);
             b.iter(|| {
-                let mut led = CostLedger::new();
+                let mut rec = obs::Recorder::disabled();
                 let mut mem = MemoryMeter::new(n);
                 build_hopset(
                     &g,
                     &virt,
                     HopsetParams::default(),
                     8,
-                    &mut led,
+                    &mut rec,
                     &mut mem,
                     &mut rng,
                 )
@@ -41,14 +41,14 @@ fn bench_bellman_ford(c: &mut Criterion) {
     let mut rng = ChaCha8Rng::seed_from_u64(11);
     let g = Family::Geometric.generate(n, &mut rng);
     let virt = VirtualGraph::sample(&g, 1.5 / (n as f64).sqrt(), &mut rng);
-    let mut led = CostLedger::new();
+    let mut rec = obs::Recorder::disabled();
     let mut mem = MemoryMeter::new(n);
     let hs = build_hopset(
         &g,
         &virt,
         HopsetParams::default(),
         8,
-        &mut led,
+        &mut rec,
         &mut mem,
         &mut rng,
     );
@@ -57,26 +57,26 @@ fn bench_bellman_ford(c: &mut Criterion) {
     let mut group = c.benchmark_group("bellman_ford_1024");
     group.bench_function("with_hopset", |b| {
         b.iter(|| {
-            let mut led = CostLedger::new();
+            let mut rec = obs::Recorder::disabled();
             let mut mem = MemoryMeter::new(n);
             LimitedBf {
                 g: &g,
                 virt: &virt,
                 hopset: &hs.hopset,
             }
-            .run(&[(root, 0)], &|_, _| true, 4 * n, 8, &mut led, &mut mem)
+            .run(&[(root, 0)], &|_, _| true, 4 * n, 8, &mut rec, &mut mem)
         });
     });
     group.bench_function("plain_explorations", |b| {
         b.iter(|| {
-            let mut led = CostLedger::new();
+            let mut rec = obs::Recorder::disabled();
             let mut mem = MemoryMeter::new(n);
             LimitedBf {
                 g: &g,
                 virt: &virt,
                 hopset: &empty,
             }
-            .run(&[(root, 0)], &|_, _| true, 4 * n, 8, &mut led, &mut mem)
+            .run(&[(root, 0)], &|_, _| true, 4 * n, 8, &mut rec, &mut mem)
         });
     });
     group.finish();

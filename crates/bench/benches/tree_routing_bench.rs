@@ -2,7 +2,7 @@
 //! (wall-clock of the simulator, complementing the simulated-round tables).
 
 use bench::Family;
-use congest::{bfs, CostLedger, MemoryMeter, Network};
+use congest::{bfs, MemoryMeter, Network};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphs::{tree, VertexId};
 use rand::SeedableRng;
@@ -68,13 +68,13 @@ fn bench_constructions(c: &mut Criterion) {
         b.iter(|| {
             let mut scratch = distributed::Scratch::default();
             let mut schedule = multi::Schedule::new(n, s, depth);
-            let (mut ledger, mut memory) = (CostLedger::new(), MemoryMeter::new(n));
+            let (mut account, mut memory) = (obs::Recorder::disabled(), MemoryMeter::new(n));
             for (t, ranks) in trees.iter().zip(&ranks) {
                 let run = scratch.run(&net, t, schedule.config(), ranks, &mut rng, disabled);
-                let (l, m) = (&run.ledger, &run.memory);
-                schedule.charge_tree(&mut rng, t.members(), l, m, &mut ledger, &mut memory);
+                let (c, m) = (&run.cost, &run.memory);
+                schedule.charge_tree(&mut rng, t.members(), c, m, &mut account, &mut memory);
             }
-            schedule.close(&mut ledger)
+            schedule.close(&mut account)
         });
     });
     group.finish();

@@ -22,10 +22,10 @@ use std::process::ExitCode;
 
 use bench::sweep::{exit_code, Sweep};
 use bench::{print_header, print_row, Family};
-use congest::{CostLedger, MemoryMeter, Network};
+use congest::{MemoryMeter, Network};
 use graphs::{tree, VertexId};
 use hopset::bellman_ford::LimitedBf;
-use hopset::construction::{build_observed as build_hopset_observed, HopsetParams};
+use hopset::construction::{build as build_hopset, HopsetParams};
 use hopset::{Hopset, VirtualGraph};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -103,18 +103,16 @@ fn ablation_materialization(rec: &mut obs::Recorder) {
         let materialized = deg.iter().copied().max().unwrap_or(0);
         // What our pipeline's virtual vertices actually hold: hopset
         // out-edges plus O(levels) scratch.
-        let mut led = CostLedger::new();
         let mut mem = MemoryMeter::new(n);
         let span = rec.begin(&format!("ablations/materialization/n{n}"));
-        let _ = build_hopset_observed(
+        let _ = build_hopset(
             &g,
             &virt,
             HopsetParams::default(),
             8,
-            &mut led,
+            rec,
             &mut mem,
             &mut rng,
-            rec,
         );
         rec.end_with_memory(span, mem.peaks());
         print_row(
@@ -177,31 +175,29 @@ fn ablation_hopset_bf(rec: &mut obs::Recorder) {
             .collect();
         let b = 2 * (n as f64).sqrt() as usize;
         let virt = VirtualGraph::from_set(&g, verts, b);
-        let mut led = CostLedger::new();
         let mut mem = MemoryMeter::new(n);
         let span = rec.begin(&format!("ablations/hopset-bf/n{n}"));
-        let hs = build_hopset_observed(
+        let hs = build_hopset(
             &g,
             &virt,
             HopsetParams::default(),
             8,
-            &mut led,
+            rec,
             &mut mem,
             &mut rng,
-            rec,
         );
         rec.end_with_memory(span, mem.peaks());
         let empty = Hopset::new(n);
         let root = virt.virtual_vertices()[0];
         let run = |h: &Hopset| {
-            let mut led = CostLedger::new();
+            let unpriced = &mut obs::Recorder::disabled();
             let mut mem = MemoryMeter::new(n);
             LimitedBf {
                 g: &g,
                 virt: &virt,
                 hopset: h,
             }
-            .run(&[(root, 0)], &|_, _| true, 4 * n, 8, &mut led, &mut mem)
+            .run(&[(root, 0)], &|_, _| true, 4 * n, 8, unpriced, &mut mem)
             .beta_used
         };
         print_row(
@@ -234,44 +230,40 @@ fn ablation_hopset_families(rec: &mut obs::Recorder) {
         if virt.virtual_vertices().len() < 3 {
             continue;
         }
-        let mut led = CostLedger::new();
         let mut mem = MemoryMeter::new(n);
         let span = rec.begin(&format!("ablations/hopset-families/n{n}/bunch"));
-        let bunch = build_hopset_observed(
+        let bunch = build_hopset(
             &g,
             &virt,
             HopsetParams::default(),
             8,
-            &mut led,
+            rec,
             &mut mem,
             &mut rng,
-            rec,
         );
         rec.end_with_memory(span, mem.peaks());
         let span = rec.begin(&format!("ablations/hopset-families/n{n}/sc"));
-        let sc_entry = led.counters();
         let sc = hopset::superclustering::build_sc(
             &g,
             &virt,
             HopsetParams::default(),
             0.25,
             8,
-            &mut led,
+            rec,
             &mut mem,
             &mut rng,
         );
-        rec.charge(&led.counters().delta_since(&sc_entry));
         rec.end_with_memory(span, mem.peaks());
         let root = virt.virtual_vertices()[0];
         let beta = |h: &Hopset| {
-            let mut led = CostLedger::new();
+            let unpriced = &mut obs::Recorder::disabled();
             let mut mem = MemoryMeter::new(n);
             LimitedBf {
                 g: &g,
                 virt: &virt,
                 hopset: h,
             }
-            .run(&[(root, 0)], &|_, _| true, 4 * n, 8, &mut led, &mut mem)
+            .run(&[(root, 0)], &|_, _| true, 4 * n, 8, unpriced, &mut mem)
             .beta_used
         };
         print_row(

@@ -42,11 +42,11 @@ fn main() -> ExitCode {
             &[
                 n.to_string(),
                 out.bfs_depth.to_string(),
-                out.ledger.rounds().to_string(),
+                out.cost.rounds.to_string(),
             ],
             &widths,
         );
-        pts.push((n as f64, out.ledger.rounds() as f64));
+        pts.push((n as f64, out.cost.rounds as f64));
     }
     println!(
         "empirical exponent: {:.3}  (Õ(√n + D) predicts ≈ 0.5 + o(1) from log factors)\n",

@@ -96,7 +96,7 @@ fn main() -> ExitCode {
             let prior = baseline::build(&net, &t, &distributed::Config::default(), &mut rng);
             emit(
                 "LP15/EN16b",
-                Some(prior.ledger.rounds()),
+                Some(prior.cost.rounds),
                 prior.scheme.max_table_words(),
                 prior.scheme.max_label_words(),
                 Some(prior.memory.max_peak()),
@@ -116,7 +116,7 @@ fn main() -> ExitCode {
             let scheme = ours.scheme(&t);
             emit(
                 "this paper",
-                Some(ours.ledger.rounds()),
+                Some(ours.cost.rounds),
                 scheme.max_table_words(),
                 scheme.max_label_words(),
                 Some(ours.memory.max_peak()),

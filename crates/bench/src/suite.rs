@@ -380,9 +380,9 @@ const GROUPS: &[Group] = &[
                 let wall_ns = sw.elapsed_ns();
                 let scheme = out.scheme(&t);
                 let sim = vec![
-                    ("rounds", out.ledger.rounds()),
-                    ("messages", out.ledger.messages()),
-                    ("words", out.ledger.words()),
+                    ("rounds", out.cost.rounds),
+                    ("messages", out.cost.messages),
+                    ("words", out.cost.words),
                     ("peak_memory_words", out.memory.max_peak() as u64),
                     ("table_words", scheme.max_table_words() as u64),
                     ("label_words", scheme.max_label_words() as u64),
@@ -437,9 +437,9 @@ const GROUPS: &[Group] = &[
             Box::new(|n| {
                 let mut rng = Sweep::rng(SCHEME_SEED, n);
                 let g = Family::ErdosRenyi.generate(n as usize, &mut rng);
-                // An enabled recorder because `BuildReport` has no words
-                // column; the recorder totals mirror the ledger exactly.
-                let mut rec = obs::Recorder::new();
+                // The recorder's totals, because `BuildReport` has no words
+                // column.
+                let mut rec = obs::Recorder::disabled();
                 let sw = Stopwatch::start();
                 let built = build_observed(&g, &BuildParams::new(BATCH_K), &mut rng, &mut rec);
                 let wall_ns = sw.elapsed_ns();

@@ -3,8 +3,8 @@
 //! Lemma 1 (paper §2): if the vertices collectively hold `M` constant-size
 //! messages, all vertices can receive all of them within `O(M + D)` rounds.
 //! This module implements the pipelined flooding protocol realizing that
-//! bound and tests it; ledger-style algorithms then *charge* broadcasts at
-//! `M + D` rounds via [`crate::CostLedger::charge_broadcast`] instead of
+//! bound and tests it; charged-style algorithms then *charge* broadcasts at
+//! `M + D` rounds via [`obs::Recorder::charge_broadcast`] instead of
 //! re-running the flood.
 
 use std::collections::{HashSet, VecDeque};

@@ -17,11 +17,12 @@
 //!   ([`engine::VertexProtocol`]) driven round-by-round by
 //!   [`engine::Engine`]; rounds, messages, per-edge congestion and per-vertex
 //!   memory are measured by running them.
-//! * **Ledger style** ([`ledger`]): orchestrated implementations of protocols
-//!   whose round structure is known (level-by-level tree waves, Lemma-1
-//!   broadcasts) keep genuine per-vertex state but charge rounds to a
-//!   [`ledger::CostLedger`] using the model's cost rules. Memory is still
-//!   metered exactly via [`memory::MemoryMeter`].
+//! * **Charged style**: orchestrated implementations of protocols whose
+//!   round structure is known (level-by-level tree waves, Lemma-1
+//!   broadcasts) keep genuine per-vertex state but price their rounds and
+//!   messages by the model's cost rules, charging them to the run's one cost
+//!   account, an [`obs::Recorder`]. Memory is still metered exactly via
+//!   [`memory::MemoryMeter`].
 //!
 //! [`bfs`] builds distributed BFS trees (the backbone used for broadcast) and
 //! [`broadcast`] implements and validates Lemma 1 (M messages broadcast in
@@ -47,7 +48,6 @@
 pub mod bfs;
 pub mod broadcast;
 pub mod engine;
-pub mod ledger;
 pub mod memory;
 pub mod message;
 pub mod network;
@@ -56,7 +56,6 @@ mod plane;
 mod reference;
 
 pub use engine::{Engine, EngineConfig, Inbox, RunStats, VertexProtocol};
-pub use ledger::CostLedger;
 pub use memory::MemoryMeter;
 pub use message::WordSized;
 pub use network::Network;

@@ -16,7 +16,7 @@
 //!   exploration that lets every limit-passing host join. The result is a
 //!   genuine tree of `G` satisfying `C_{6ε}(v) ⊆ C̃(v) ⊆ C(v)`.
 
-use congest::{CostLedger, MemoryMeter};
+use congest::MemoryMeter;
 use graphs::shortest_paths::Ball;
 use graphs::{dist_add, Graph, VertexId, Weight, INFINITY};
 use hopset::bellman_ford::{LimitedBf, Via};
@@ -75,7 +75,7 @@ pub fn exact_clusters(
     level: usize,
     next_dist: &[Weight],
     depth: usize,
-    ledger: &mut CostLedger,
+    rec: &mut obs::Recorder,
     memory: &mut MemoryMeter,
 ) -> (Vec<SparseTree>, LevelStats) {
     let n = g.num_vertices();
@@ -104,7 +104,7 @@ pub fn exact_clusters(
     }
     stats.clusters = trees.len();
     stats.max_overlap = overlap.iter().copied().max().unwrap_or(0);
-    ledger.charge_rounds(depth as u64 * stats.max_overlap.max(1) as u64);
+    rec.charge_rounds(depth as u64 * stats.max_overlap.max(1) as u64);
     (trees, stats)
 }
 
@@ -124,7 +124,7 @@ pub fn approx_clusters(
     eps: f64,
     beta_budget: usize,
     d: u64,
-    ledger: &mut CostLedger,
+    rec: &mut obs::Recorder,
     memory: &mut MemoryMeter,
 ) -> (Vec<SparseTree>, LevelStats) {
     let n = g.num_vertices();
@@ -133,7 +133,7 @@ pub fn approx_clusters(
     let mut stats = LevelStats::default();
     let mut broadcast_msgs = 0u64;
     for &v in roots {
-        let mut scratch = CostLedger::new();
+        let mut scratch = obs::Recorder::disabled();
         let (tree, beta) = one_approx_cluster(
             g,
             virt,
@@ -147,7 +147,7 @@ pub fn approx_clusters(
             &mut scratch,
             memory,
         );
-        broadcast_msgs += scratch.messages();
+        broadcast_msgs += scratch.totals().messages;
         stats.beta_used = stats.beta_used.max(beta);
         for &u in tree.members() {
             overlap[u.index()] += 1;
@@ -160,8 +160,8 @@ pub fn approx_clusters(
     // All clusters run in parallel: the E'-steps pay the congestion factor,
     // hopset broadcasts share the backbone (Lemma 1 on the summed load).
     let beta = stats.beta_used.max(1) as u64;
-    ledger.charge_rounds(beta * (virt.b_hops() as u64 * stats.max_overlap.max(1) as u64 + d));
-    ledger.charge_broadcast(broadcast_msgs, d);
+    rec.charge_rounds(beta * (virt.b_hops() as u64 * stats.max_overlap.max(1) as u64 + d));
+    rec.charge_broadcast(broadcast_msgs, d);
     (trees, stats)
 }
 
@@ -176,7 +176,7 @@ fn one_approx_cluster(
     eps: f64,
     beta_budget: usize,
     d: u64,
-    ledger: &mut CostLedger,
+    scratch: &mut obs::Recorder,
     memory: &mut MemoryMeter,
 ) -> (SparseTree, usize) {
     let n = g.num_vertices();
@@ -196,7 +196,7 @@ fn one_approx_cluster(
     };
 
     let bf = LimitedBf { g, virt, hopset };
-    let out = bf.run(&[(v, 0)], &limit, beta_budget, d, ledger, memory);
+    let out = bf.run(&[(v, 0)], &limit, beta_budget, d, scratch, memory);
 
     // Accumulate the tree: the final exploration covers all E'-paths...
     let mut rec = Recovered::new(n);
@@ -239,7 +239,7 @@ fn one_approx_cluster(
                 out.est[tail.index()],
                 g,
                 &mut rec,
-                ledger,
+                scratch,
                 memory,
             );
             let path = hopset.path(owner, index);
@@ -362,9 +362,9 @@ pub(crate) mod tests {
             .filter(|v| !a1.contains(v))
             .take(20)
             .collect();
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(90);
-        let (trees, stats) = exact_clusters(&g, &roots, 0, &next_dist, 90, &mut led, &mut mem);
+        let (trees, stats) = exact_clusters(&g, &roots, 0, &next_dist, 90, &mut rec, &mut mem);
         assert_eq!(stats.clusters, 20);
         for tree in &trees {
             let want = cluster_by_definition(&g, tree.root, &next_dist);
@@ -385,9 +385,9 @@ pub(crate) mod tests {
         let a1: Vec<VertexId> = (0..80u32).step_by(9).map(VertexId).collect();
         let (next_dist, _) = shortest_paths::multi_source_dijkstra(&g, &a1);
         let roots: Vec<VertexId> = vec![VertexId(1), VertexId(2), VertexId(3)];
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(80);
-        let (trees, _) = exact_clusters(&g, &roots, 0, &next_dist, 80, &mut led, &mut mem);
+        let (trees, _) = exact_clusters(&g, &roots, 0, &next_dist, 80, &mut rec, &mut mem);
         for tree in &trees {
             // to_rooted panics on inconsistent parents; also check weights.
             let rt = tree.to_rooted(80);
@@ -425,9 +425,9 @@ pub(crate) mod tests {
         let (next_dist, _) = shortest_paths::multi_source_dijkstra(&g, &a1);
         let roots: Vec<VertexId> = g.vertices().filter(|v| !a1.contains(v)).collect();
         let run = |roots: &[VertexId]| {
-            let mut led = CostLedger::new();
+            let mut rec = obs::Recorder::disabled();
             let mut mem = MemoryMeter::new(100);
-            exact_clusters(&g, roots, 0, &next_dist, 100, &mut led, &mut mem).0
+            exact_clusters(&g, roots, 0, &next_dist, 100, &mut rec, &mut mem).0
         };
         let forward = run(&roots);
         let reversed: Vec<VertexId> = roots.iter().rev().copied().collect();
@@ -453,14 +453,14 @@ pub(crate) mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let g = generators::erdos_renyi_connected(120, 0.06, 1..=9, &mut rng);
         let virt = VirtualGraph::sample(&g, 0.3, &mut rng);
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(120);
         let hs = build_hopset(
             &g,
             &virt,
             HopsetParams::default(),
             8,
-            &mut led,
+            &mut rec,
             &mut mem,
             &mut rng,
         );
@@ -487,7 +487,7 @@ pub(crate) mod tests {
     fn approx_clusters_contained_in_exact_clusters() {
         // Claim 9: C̃(v) ⊆ C(v) when thresholds are the exact distances.
         let f = approx_fixture(223);
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(f.g.num_vertices());
         let eps = 0.01;
         let (trees, _) = approx_clusters(
@@ -500,7 +500,7 @@ pub(crate) mod tests {
             eps,
             300,
             8,
-            &mut led,
+            &mut rec,
             &mut mem,
         );
         for tree in &trees {
@@ -520,7 +520,7 @@ pub(crate) mod tests {
     fn approx_clusters_contain_inner_clusters() {
         // Claim 10: C_{6ε}(v) ⊆ C̃(v).
         let f = approx_fixture(224);
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(f.g.num_vertices());
         let eps = 0.02;
         let (trees, _) = approx_clusters(
@@ -533,7 +533,7 @@ pub(crate) mod tests {
             eps,
             300,
             8,
-            &mut led,
+            &mut rec,
             &mut mem,
         );
         for tree in &trees {
@@ -555,7 +555,7 @@ pub(crate) mod tests {
     #[test]
     fn approx_cluster_estimates_dominate_distance() {
         let f = approx_fixture(225);
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(f.g.num_vertices());
         let (trees, _) = approx_clusters(
             &f.g,
@@ -567,7 +567,7 @@ pub(crate) mod tests {
             0.05,
             300,
             8,
-            &mut led,
+            &mut rec,
             &mut mem,
         );
         for tree in &trees {
@@ -590,7 +590,7 @@ pub(crate) mod tests {
         // connected component.
         let f = approx_fixture(226);
         let inf = vec![INFINITY; f.g.num_vertices()];
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(f.g.num_vertices());
         let (trees, _) = approx_clusters(
             &f.g,
@@ -602,7 +602,7 @@ pub(crate) mod tests {
             0.05,
             300,
             8,
-            &mut led,
+            &mut rec,
             &mut mem,
         );
         assert_eq!(trees[0].len(), f.g.num_vertices());
@@ -611,7 +611,7 @@ pub(crate) mod tests {
     #[test]
     fn stats_report_overlap_and_depth() {
         let f = approx_fixture(227);
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(f.g.num_vertices());
         let (trees, stats) = approx_clusters(
             &f.g,
@@ -623,7 +623,7 @@ pub(crate) mod tests {
             0.05,
             300,
             8,
-            &mut led,
+            &mut rec,
             &mut mem,
         );
         assert_eq!(stats.clusters, trees.len());
@@ -632,6 +632,6 @@ pub(crate) mod tests {
             trees.iter().map(SparseTree::len).sum::<usize>()
         );
         assert!(stats.max_overlap >= 1);
-        assert!(led.rounds() > 0);
+        assert!(rec.totals().rounds > 0);
     }
 }

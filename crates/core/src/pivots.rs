@@ -11,7 +11,7 @@
 //! every `u ∈ V` obtains `d̂(u, A_i) ≤ (1+ε)·d(u, A_i)` — Eq. (5) — plus an
 //! approximate pivot identity.
 
-use congest::{CostLedger, MemoryMeter};
+use congest::MemoryMeter;
 use graphs::{Graph, VertexId, Weight, INFINITY};
 use hopset::bellman_ford::LimitedBf;
 use hopset::{Hopset, VirtualGraph};
@@ -57,7 +57,7 @@ pub fn exact_pivots(
     g: &Graph,
     set: &[VertexId],
     depth: usize,
-    ledger: &mut CostLedger,
+    rec: &mut obs::Recorder,
     memory: &mut MemoryMeter,
 ) -> LevelPivots {
     let n = g.num_vertices();
@@ -66,7 +66,7 @@ pub fn exact_pivots(
     }
     let probe = VirtualGraph::from_set(g, set.to_vec(), depth);
     let seeds: Vec<(VertexId, Weight)> = set.iter().map(|&v| (v, 0)).collect();
-    let explo = probe.bounded_exploration(g, &seeds, &|_, _| true, ledger, memory);
+    let explo = probe.bounded_exploration(g, &seeds, &|_, _| true, rec, memory);
     for v in g.vertices() {
         memory.touch(v, 2);
     }
@@ -88,7 +88,7 @@ pub fn approx_pivots(
     set: &[VertexId],
     beta_budget: usize,
     d: u64,
-    ledger: &mut CostLedger,
+    rec: &mut obs::Recorder,
     memory: &mut MemoryMeter,
 ) -> LevelPivots {
     let n = g.num_vertices();
@@ -97,7 +97,7 @@ pub fn approx_pivots(
     }
     let bf = LimitedBf { g, virt, hopset };
     let roots: Vec<(VertexId, Weight)> = set.iter().map(|&v| (v, 0)).collect();
-    let out = bf.run(&roots, &|_, _| true, beta_budget, d, ledger, memory);
+    let out = bf.run(&roots, &|_, _| true, beta_budget, d, rec, memory);
     // Host-level values come from the final exploration; roots keep 0.
     let mut dist = out.last_exploration.dist.clone();
     let mut pivot: Vec<Option<VertexId>> = (0..n as u32)
@@ -161,9 +161,9 @@ mod tests {
         } else {
             set
         };
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(80);
-        let got = exact_pivots(&g, &set, 80, &mut led, &mut mem);
+        let got = exact_pivots(&g, &set, 80, &mut rec, &mut mem);
         let (want, _) = shortest_paths::multi_source_dijkstra(&g, &set);
         assert_eq!(got.dist, want);
         assert!(got.exact);
@@ -179,9 +179,9 @@ mod tests {
     fn empty_set_is_unreachable() {
         let mut rng = ChaCha8Rng::seed_from_u64(212);
         let g = generators::path(5, 1..=1, &mut rng);
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(5);
-        let got = exact_pivots(&g, &[], 5, &mut led, &mut mem);
+        let got = exact_pivots(&g, &[], 5, &mut rec, &mut mem);
         assert!(got.dist.iter().all(|&d| d == INFINITY));
         assert!(got.pivot.iter().all(Option::is_none));
     }
@@ -191,14 +191,14 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(213);
         let g = generators::erdos_renyi_connected(150, 0.05, 1..=9, &mut rng);
         let virt = VirtualGraph::sample(&g, 0.25, &mut rng);
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(150);
         let hs = build_hopset(
             &g,
             &virt,
             HopsetParams::default(),
             8,
-            &mut led,
+            &mut rec,
             &mut mem,
             &mut rng,
         );
@@ -214,7 +214,7 @@ mod tests {
         } else {
             set
         };
-        let got = approx_pivots(&g, &virt, &hs.hopset, &set, 200, 8, &mut led, &mut mem);
+        let got = approx_pivots(&g, &virt, &hs.hopset, &set, 200, 8, &mut rec, &mut mem);
         let (want, _) = shortest_paths::multi_source_dijkstra(&g, &set);
         for v in g.vertices() {
             assert!(
@@ -246,19 +246,19 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(214);
         let g = generators::erdos_renyi_connected(100, 0.06, 1..=5, &mut rng);
         let virt = VirtualGraph::sample(&g, 0.3, &mut rng);
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(100);
         let hs = build_hopset(
             &g,
             &virt,
             HopsetParams::default(),
             6,
-            &mut led,
+            &mut rec,
             &mut mem,
             &mut rng,
         );
         let set = vec![virt.virtual_vertices()[0], virt.virtual_vertices()[1]];
-        let got = approx_pivots(&g, &virt, &hs.hopset, &set, 200, 6, &mut led, &mut mem);
+        let got = approx_pivots(&g, &virt, &hs.hopset, &set, 200, 6, &mut rec, &mut mem);
         for v in g.vertices() {
             if let Some(p) = got.pivot[v.index()] {
                 assert!(set.contains(&p), "pivot {p} of {v} not in the target set");

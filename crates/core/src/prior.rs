@@ -73,7 +73,7 @@ pub fn build_observed<R: Rng>(
             let out = baseline::build(net, tree, cfg, rng);
             let (_, tables, labels) = out.scheme.into_parts();
             let labels = scheme::pick(&labels, wanted);
-            ((tables, labels), Some((out.ledger, out.memory)))
+            ((tables, labels), Some((out.cost, out.memory)))
         },
         |(tables, labels, _)| PriorScheme { tables, labels },
     )

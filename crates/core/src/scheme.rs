@@ -21,9 +21,9 @@
 //! The \[EN16b\]-style comparison row runs the same stages with its own tree
 //! scheme and keeps its own rows; it lives in [`crate::prior`].
 
-use congest::{bfs, CostLedger, MemoryMeter, Network, WordSized};
+use congest::{bfs, MemoryMeter, Network, WordSized};
 use graphs::{tree::rank_in, Graph, RootedTree, VertexId, Weight, INFINITY};
-use hopset::construction::{build_observed as build_hopset_observed, HopsetParams};
+use hopset::construction::{build as build_hopset, HopsetParams};
 use hopset::virtual_graph::default_b;
 use hopset::VirtualGraph;
 use rand::Rng;
@@ -395,9 +395,9 @@ pub struct Built<S = RoutingScheme> {
 /// rank, and the labels asked for, in the order asked.
 pub(crate) type TreeRows<T, L> = (Vec<T>, Vec<L>);
 
-/// What one distributed tree run cost: its own ledger and its members'
+/// What one distributed tree run cost: what it charged and its members'
 /// memory peaks (`None` for a centrally computed tree).
-pub(crate) type TreeCost = Option<(CostLedger, MemoryMeter)>;
+pub(crate) type TreeCost = Option<(obs::Counters, MemoryMeter)>;
 
 /// The shared pipeline's rows, per vertex: table rows ascending by root,
 /// label rows ascending by level, and `(p̂_i(v), d̂(v, A_i))` per level.
@@ -445,9 +445,10 @@ pub fn build<R: Rng>(g: &Graph, params: &BuildParams, rng: &mut R) -> Built {
 /// [`build`], attributing each pipeline phase to a span on `rec`:
 /// `scheme/backbone`, `scheme/hierarchy`, `scheme/hopset` (with the hopset's
 /// own per-level spans nested beneath it), `scheme/pivots`,
-/// `scheme/clusters`, `scheme/tree-routing`, and `scheme/assembly`. Span
-/// counter deltas partition the ledger totals exactly, and each span closes
-/// with a per-vertex peak-memory distribution snapshot.
+/// `scheme/clusters`, `scheme/tree-routing`, and `scheme/assembly`. Every
+/// charge of the build falls inside one of them, so their counter deltas
+/// partition the build's cost, and each span closes with a per-vertex
+/// peak-memory distribution snapshot.
 ///
 /// # Panics
 ///
@@ -473,7 +474,7 @@ pub fn build_observed<R: Rng>(
             Mode::DistributedLowMemory => {
                 let disabled = &mut obs::Recorder::disabled();
                 let run = scratch.run(net, tree, cfg, wanted, rng, disabled);
-                ((run.tables, run.labels), Some((run.ledger, run.memory)))
+                ((run.tables, run.labels), Some((run.cost, run.memory)))
             }
         },
         |(tables, labels, pivot_info)| {
@@ -506,7 +507,9 @@ pub(crate) fn pick<L: Clone>(labels: &[L], ranks: &[usize]) -> Vec<L> {
 /// per-vertex rows, charged to the meter as what each vertex keeps, which
 /// `package` turns into the scheme. `materialize` adds the step
 /// the paper eliminates: every virtual vertex storing its `E'` edges. A
-/// distributed run is one whose `params.mode` is not [`Mode::Centralized`].
+/// distributed run is one whose `params.mode` is not [`Mode::Centralized`];
+/// a centralized one charges `rec` nothing. The report's rounds and messages
+/// are what the build charged to `rec`.
 pub(crate) fn build_staged<R, T, L, S>(
     g: &Graph,
     params: &BuildParams,
@@ -532,7 +535,7 @@ where
     let k = params.k;
     // The paper's ε: 1/(48k⁴), floored at 10⁻⁶.
     let epsilon = (1.0 / (48.0 * (k as f64).powi(4))).max(1e-6);
-    let mut ledger = CostLedger::new();
+    let entry = rec.totals();
     let mut memory = MemoryMeter::new(n);
     let distributed = params.mode != Mode::Centralized;
 
@@ -541,7 +544,7 @@ where
     let network = Network::new(g.clone());
     let d = if distributed {
         let out = bfs::build_bfs_tree(&network, VertexId(0));
-        ledger.charge_rounds_span(out.stats.rounds, rec);
+        rec.charge_rounds(out.stats.rounds);
         for v in g.vertices() {
             memory.add(v, 3);
         }
@@ -571,15 +574,14 @@ where
     let mut beta_used = 0;
     let hopset_span = rec.begin("scheme/hopset");
     let hs = virt.as_ref().map(|virt| {
-        let out = build_hopset_observed(
+        let out = build_hopset(
             g,
             virt,
             HopsetParams::default(),
             d as u64,
-            &mut ledger,
+            rec,
             &mut memory,
             rng,
-            rec,
         );
         hopset_edges = out.stats.edges;
         hopset_arboricity = out.stats.arboricity;
@@ -590,7 +592,7 @@ where
             // Every virtual vertex stores its E' incident edges — the Ω̃(√n)
             // memory step the paper eliminates.
             let edges = virt.materialize(g);
-            ledger.charge_broadcast_span(edges.len() as u64, d as u64, rec);
+            rec.charge_broadcast(edges.len() as u64, d as u64);
             for &(u, v, _) in &edges {
                 memory.add(u, 2);
                 memory.add(v, 2);
@@ -603,10 +605,8 @@ where
     let beta_budget = 2 * virt.as_ref().map_or(0, |v| v.virtual_vertices().len()) + 16;
 
     // Pivots per level 1..=realized (level 0 is trivially "self"; level
-    // `realized` and beyond is unreachable = A_k). The pivot routines charge
-    // the ledger directly, so the phase span syncs the counter delta.
+    // `realized` and beyond is unreachable = A_k).
     let pivots_span = rec.begin("scheme/pivots");
-    let pivots_entry = ledger.counters();
     let mut pivot_levels: Vec<LevelPivots> = Vec::with_capacity(realized + 1);
     pivot_levels.push(LevelPivots {
         dist: vec![0; n],
@@ -620,29 +620,21 @@ where
             LevelPivots::unreachable(n)
         } else if !distributed {
             // Centralized: exact, zero rounds.
-            let mut scratch = CostLedger::new();
-            pivots::exact_pivots(g, &set, n, &mut scratch, &mut memory)
+            let unpriced = &mut obs::Recorder::disabled();
+            pivots::exact_pivots(g, &set, n, unpriced, &mut memory)
         } else if j <= split {
             pivots::exact_pivots(
                 g,
                 &set,
                 pivots::exploration_depth(n, j, k),
-                &mut ledger,
+                rec,
                 &mut memory,
             )
         } else {
             let virt = virt.as_ref().expect("approx levels imply virtual set");
             let hs = hs.as_ref().expect("approx levels imply hopset");
-            let lp = pivots::approx_pivots(
-                g,
-                virt,
-                hs,
-                &set,
-                beta_budget,
-                d as u64,
-                &mut ledger,
-                &mut memory,
-            );
+            let lp =
+                pivots::approx_pivots(g, virt, hs, &set, beta_budget, d as u64, rec, &mut memory);
             beta_used = beta_used.max(lp.beta_used);
             lp
         };
@@ -654,12 +646,10 @@ where
     while pivot_levels.len() <= realized + 1 {
         pivot_levels.push(LevelPivots::unreachable(n));
     }
-    rec.charge(&ledger.counters().delta_since(&pivots_entry));
     rec.end_with_memory(pivots_span, memory.peaks());
 
     // Clusters per level.
     let clusters_span = rec.begin("scheme/clusters");
-    let clusters_entry = ledger.counters();
     let mut trees: Vec<SparseTree> = Vec::new();
     let mut level_stats: Vec<LevelStats> = Vec::new();
     for i in 0..realized {
@@ -684,23 +674,19 @@ where
                 epsilon,
                 beta_budget,
                 d as u64,
-                &mut ledger,
+                rec,
                 &mut memory,
             )
         } else {
-            let mut scratch = CostLedger::new();
-            let led = if distributed {
-                &mut ledger
-            } else {
-                &mut scratch
-            };
+            // Centralized mode prices nothing.
+            let unpriced = &mut obs::Recorder::disabled();
             clusters::exact_clusters(
                 g,
                 &roots,
                 i,
                 &next.dist,
                 pivots::exploration_depth(n, i + 1, k),
-                led,
+                if distributed { &mut *rec } else { unpriced },
                 &mut memory,
             )
         };
@@ -708,14 +694,12 @@ where
         level_stats.push(stats);
         trees.append(&mut lvl_trees);
     }
-    rec.charge(&ledger.counters().delta_since(&clusters_entry));
     rec.end_with_memory(clusters_span, memory.peaks());
 
     // Tree-routing stage: one exact tree scheme per cluster tree. In the
     // distributed modes all trees run concurrently on the Theorem-2 schedule
     // for overlap s (`multi::Schedule`: its q, window and start offsets).
     let tree_span = rec.begin("scheme/tree-routing");
-    let tree_entry = ledger.counters();
     // Overlap s: memberships per vertex. Counted tree by tree in root order,
     // they also give each member's row in a tree its place in the member's
     // table, which lists the member's trees ascending by root:
@@ -784,8 +768,8 @@ where
         ranks.extend(asked.iter().map(|&i| kept[i].rank));
         let ((tree_tables, labels), cost) =
             tree_scheme(&network, &t.to_rooted(n), schedule.config(), &ranks, rng);
-        if let Some((l, m)) = cost {
-            schedule.charge_tree(rng, t.members(), &l, &m, &mut ledger, &mut memory);
+        if let Some((c, m)) = cost {
+            schedule.charge_tree(rng, t.members(), &c, &m, rec, &mut memory);
         }
         let rows = t.members().iter().zip(t.info()).zip(tree_tables);
         for (((u, info), table), &at) in rows.zip(&row_at[tree_start[idx]..]) {
@@ -800,12 +784,7 @@ where
             tree_labels[i] = Some(label);
         }
     }
-    let tree_stage_rounds = if distributed {
-        schedule.close(&mut ledger)
-    } else {
-        0
-    };
-    rec.charge(&ledger.counters().delta_since(&tree_entry));
+    let tree_stage_rounds = if distributed { schedule.close(rec) } else { 0 };
     rec.end_with_memory(tree_span, memory.peaks());
 
     // Assemble per-vertex labels, ascending by level.
@@ -852,9 +831,10 @@ where
     let max_label_words = max_row_words(&labels);
     rec.end_with_memory(assembly_span, memory.peaks());
     rec.set_run_memory(memory.peaks());
+    let cost = rec.charged_since(&entry);
     let report = BuildReport {
-        rounds: if distributed { ledger.rounds() } else { 0 },
-        messages: ledger.messages(),
+        rounds: cost.rounds,
+        messages: cost.messages,
         memory,
         bfs_depth: d,
         virtual_count: virt.as_ref().map_or(0, |v| v.virtual_vertices().len()),
@@ -1016,7 +996,7 @@ mod tests {
         let (g, mut rng) = er(120, 310);
         let mut rec = obs::Recorder::new();
         let built = build_observed(&g, &BuildParams::new(3), &mut rng, &mut rec);
-        // Every ledger charge is attributed to exactly one top-level phase.
+        // Every charge is attributed to exactly one top-level phase.
         assert_eq!(rec.totals().rounds, built.report.rounds);
         assert_eq!(rec.totals().messages, built.report.messages);
         let top: Vec<&str> = rec

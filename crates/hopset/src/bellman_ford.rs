@@ -19,7 +19,7 @@
 //! propagates while its current estimate is below its clip threshold, which
 //! is what keeps per-vertex congestion at `Õ(n^{1/k})` across all clusters.
 
-use congest::{CostLedger, MemoryMeter};
+use congest::MemoryMeter;
 use graphs::{dist_add, Graph, VertexId, Weight, INFINITY};
 
 use crate::hopset::Hopset;
@@ -97,7 +97,7 @@ impl<'a> LimitedBf<'a> {
         limit: &L,
         max_iters: usize,
         d: u64,
-        ledger: &mut CostLedger,
+        rec: &mut obs::Recorder,
         memory: &mut MemoryMeter,
     ) -> BfOutput
     where
@@ -143,7 +143,7 @@ impl<'a> LimitedBf<'a> {
             );
             let explo = self
                 .virt
-                .bounded_exploration(self.g, &seeds, limit, ledger, memory);
+                .bounded_exploration(self.g, &seeds, limit, rec, memory);
             for &x in self.virt.virtual_vertices() {
                 let heard = explo.dist[x.index()];
                 if heard < est[x.index()] {
@@ -185,7 +185,7 @@ impl<'a> LimitedBf<'a> {
                 }
             }
             changed |= fold(&mut offers, &mut est, &mut via, &mut origin, &mut finite);
-            ledger.charge_broadcast(msgs, d);
+            rec.charge_broadcast(msgs, d);
 
             if !changed {
                 break;
@@ -248,14 +248,14 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let g = generators::erdos_renyi_connected(n, 3.0 / n as f64, 1..=9, &mut rng);
         let virt = VirtualGraph::sample(&g, p, &mut rng);
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(n);
         let out = build(
             &g,
             &virt,
             HopsetParams::default(),
             8,
-            &mut led,
+            &mut rec,
             &mut mem,
             &mut rng,
         );
@@ -270,7 +270,7 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
         /// The driver matches its pre-offer-list form: estimates, provenance,
-        /// origins, β, the last exploration, the ledger and every meter
+        /// origins, β, the last exploration, the cost totals and every meter
         /// peak, from one root or a whole set, with and without clipping.
         #[test]
         fn run_matches_reference(
@@ -294,9 +294,9 @@ mod tests {
             let hopset = if virt.virtual_vertices().is_empty() {
                 Hopset::new(n)
             } else {
-                let (mut led, mut mem) = (CostLedger::new(), MemoryMeter::new(n));
+                let (mut rec, mut mem) = (obs::Recorder::disabled(), MemoryMeter::new(n));
                 let params = HopsetParams::default();
-                build(&g, &virt, params, 8, &mut led, &mut mem, &mut rng).hopset
+                build(&g, &virt, params, 8, &mut rec, &mut mem, &mut rng).hopset
             };
             let bf = LimitedBf { g: &g, virt: &virt, hopset: &hopset };
             let roots: Vec<(VertexId, Weight)> = if many == 1 {
@@ -310,11 +310,11 @@ mod tests {
             for v in g.vertices() {
                 start.set(v, rng.gen_range(0..4));
             }
-            let (mut led, mut mem) = (CostLedger::new(), start.clone());
-            let got = bf.run(&roots, &limit, max_iters, 3, &mut led, &mut mem);
-            let (mut ref_led, mut ref_mem) = (CostLedger::new(), start);
+            let (mut rec, mut mem) = (obs::Recorder::disabled(), start.clone());
+            let got = bf.run(&roots, &limit, max_iters, 3, &mut rec, &mut mem);
+            let (mut ref_rec, mut ref_mem) = (obs::Recorder::disabled(), start);
             let want =
-                crate::reference::run(&bf, &roots, &limit, max_iters, 3, &mut ref_led, &mut ref_mem);
+                crate::reference::run(&bf, &roots, &limit, max_iters, 3, &mut ref_rec, &mut ref_mem);
             proptest::prop_assert_eq!(&got.est, &want.est);
             proptest::prop_assert_eq!(&got.via, &want.via);
             proptest::prop_assert_eq!(&got.origin, &want.origin);
@@ -323,7 +323,7 @@ mod tests {
             proptest::prop_assert_eq!(&x.dist, &y.dist);
             proptest::prop_assert_eq!(&x.parent, &y.parent);
             proptest::prop_assert_eq!(&x.origin, &y.origin);
-            proptest::prop_assert_eq!(&led, &ref_led);
+            proptest::prop_assert_eq!(rec.totals(), ref_rec.totals());
             proptest::prop_assert_eq!(&mem, &ref_mem);
         }
     }
@@ -337,9 +337,9 @@ mod tests {
             hopset: &f.hopset,
         };
         let root = f.virt.virtual_vertices()[0];
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(f.g.num_vertices());
-        let out = bf.run(&[(root, 0)], &|_, _| true, 200, 8, &mut led, &mut mem);
+        let out = bf.run(&[(root, 0)], &|_, _| true, 200, 8, &mut rec, &mut mem);
         let exact = shortest_paths::dijkstra(&f.g, root);
         for &x in f.virt.virtual_vertices() {
             // Estimates never undershoot, and with full convergence and a
@@ -357,14 +357,14 @@ mod tests {
         let g = generators::path(400, 1..=1, &mut rng);
         let verts: Vec<VertexId> = (0..400).step_by(10).map(|i| VertexId(i as u32)).collect();
         let virt = VirtualGraph::from_set(&g, verts, 15);
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(400);
         let built = build(
             &g,
             &virt,
             HopsetParams { levels: 2 },
             5,
-            &mut led,
+            &mut rec,
             &mut mem,
             &mut rng,
         );
@@ -375,13 +375,13 @@ mod tests {
             virt: &virt,
             hopset: &built.hopset,
         }
-        .run(&[(root, 0)], &|_, _| true, 500, 5, &mut led, &mut mem);
+        .run(&[(root, 0)], &|_, _| true, 500, 5, &mut rec, &mut mem);
         let without = LimitedBf {
             g: &g,
             virt: &virt,
             hopset: &empty,
         }
-        .run(&[(root, 0)], &|_, _| true, 500, 5, &mut led, &mut mem);
+        .run(&[(root, 0)], &|_, _| true, 500, 5, &mut rec, &mut mem);
         assert!(
             with.beta_used < without.beta_used,
             "hopset β {} should beat plain β {}",
@@ -401,11 +401,11 @@ mod tests {
             hopset: &f.hopset,
         };
         let root = f.virt.virtual_vertices()[1];
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(f.g.num_vertices());
         // A tight limit clips propagation — estimates stay safe (≥ d).
         let exact = shortest_paths::dijkstra(&f.g, root);
-        let out = bf.run(&[(root, 0)], &|_, est| est < 30, 50, 8, &mut led, &mut mem);
+        let out = bf.run(&[(root, 0)], &|_, est| est < 30, 50, 8, &mut rec, &mut mem);
         for v in f.g.vertices() {
             assert!(out.est[v.index()] >= exact[v.index()]);
         }
@@ -423,14 +423,14 @@ mod tests {
             virt: &virt,
             hopset: &hopset,
         };
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(50);
         let out = bf.run(
             &[(VertexId(0), 0)],
             &|_, est| est < 10,
             100,
             5,
-            &mut led,
+            &mut rec,
             &mut mem,
         );
         // Vertices at distance ≤ 10 hear the wave; vertex 10 records its
@@ -449,9 +449,9 @@ mod tests {
             hopset: &f.hopset,
         };
         let root = f.virt.virtual_vertices()[0];
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(f.g.num_vertices());
-        let out = bf.run(&[(root, 0)], &|_, _| true, 200, 8, &mut led, &mut mem);
+        let out = bf.run(&[(root, 0)], &|_, _| true, 200, 8, &mut rec, &mut mem);
         assert_eq!(out.via[root.index()], Via::Seed);
         for &x in f.virt.virtual_vertices() {
             if x == root || out.est[x.index()] == INFINITY {
@@ -486,9 +486,9 @@ mod tests {
             hopset: &f.hopset,
         };
         let root = f.virt.virtual_vertices()[0];
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(f.g.num_vertices());
-        let out = bf.run(&[(root, 0)], &|_, _| true, 3, 8, &mut led, &mut mem);
+        let out = bf.run(&[(root, 0)], &|_, _| true, 3, 8, &mut rec, &mut mem);
         assert!(out.beta_used <= 3);
     }
 
@@ -503,9 +503,9 @@ mod tests {
             virt: &virt,
             hopset: &hopset,
         };
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(20);
-        let out = bf.run(&[(VertexId(0), 0)], &|_, _| true, 10, 5, &mut led, &mut mem);
+        let out = bf.run(&[(VertexId(0), 0)], &|_, _| true, 10, 5, &mut rec, &mut mem);
         assert_eq!(out.est[10], 10);
     }
 }

@@ -19,7 +19,7 @@
 //! `B`-bounded exploration plus a Lemma-1 broadcast of the level's sets and
 //! new edges (see `DESIGN.md` on accounting).
 
-use congest::{CostLedger, MemoryMeter};
+use congest::MemoryMeter;
 use graphs::shortest_paths::{self, Ball};
 use graphs::{Graph, VertexId, INFINITY};
 use rand::Rng;
@@ -67,7 +67,11 @@ pub struct HopsetOutput {
 /// Build a hopset for the virtual graph `virt` over host graph `g`.
 ///
 /// `d` is the broadcast-tree depth used to price Lemma-1 phases. Rounds go to
-/// `ledger`, per-vertex memory to `memory`.
+/// `rec`, per-vertex memory to `memory`. Each level opens
+/// `hopset/L{i}/superclustering` (pivot exploration + hierarchy broadcast)
+/// and `hopset/L{i}/interconnection` (bunch + pivot edges) spans on `rec`,
+/// and the top-level clique opens `hopset/intraconnect`; every charge falls
+/// inside one of them.
 ///
 /// # Panics
 ///
@@ -77,42 +81,9 @@ pub fn build<R: Rng>(
     virt: &VirtualGraph,
     params: HopsetParams,
     d: u64,
-    ledger: &mut CostLedger,
-    memory: &mut MemoryMeter,
-    rng: &mut R,
-) -> HopsetOutput {
-    build_observed(
-        g,
-        virt,
-        params,
-        d,
-        ledger,
-        memory,
-        rng,
-        &mut obs::Recorder::disabled(),
-    )
-}
-
-/// [`build`], with phase attribution: each level opens
-/// `hopset/L{i}/superclustering` (pivot exploration + hierarchy broadcast)
-/// and `hopset/L{i}/interconnection` (bunch + pivot edges) spans on `rec`,
-/// and the top-level clique opens `hopset/intraconnect`. Every ledger charge
-/// inside those regions is mirrored into the recorder, so span deltas match
-/// the ledger exactly.
-///
-/// # Panics
-///
-/// Panics if `virt` has no virtual vertices.
-#[allow(clippy::too_many_arguments)]
-pub fn build_observed<R: Rng>(
-    g: &Graph,
-    virt: &VirtualGraph,
-    params: HopsetParams,
-    d: u64,
-    ledger: &mut CostLedger,
-    memory: &mut MemoryMeter,
-    rng: &mut R,
     rec: &mut obs::Recorder,
+    memory: &mut MemoryMeter,
+    rng: &mut R,
 ) -> HopsetOutput {
     let verts = virt.virtual_vertices();
     assert!(!verts.is_empty(), "virtual graph has no vertices");
@@ -161,8 +132,8 @@ pub fn build_observed<R: Rng>(
         // Pivot distances d(·, A_{i+1}) via a multi-source exploration.
         let super_span = rec.begin(&format!("hopset/L{i}/superclustering"));
         let (piv_dist, piv_owner) = shortest_paths::multi_source_dijkstra(g, &hierarchy[i + 1]);
-        ledger.charge_rounds_span(virt.b_hops() as u64, rec);
-        ledger.charge_broadcast_span(hierarchy[i].len() as u64, d, rec);
+        rec.charge_rounds(virt.b_hops() as u64);
+        rec.charge_broadcast(hierarchy[i].len() as u64, d);
         rec.end_with_memory(super_span, memory.peaks());
 
         let inter_span = rec.begin(&format!("hopset/L{i}/interconnection"));
@@ -196,7 +167,7 @@ pub fn build_observed<R: Rng>(
             ball.reset();
             memory.set(u, hopset.memory_words(u) + 2 * (levels + 1));
         }
-        ledger.charge_broadcast_span(level_edges, d, rec);
+        rec.charge_broadcast(level_edges, d);
         rec.end_with_memory(inter_span, memory.peaks());
     }
 
@@ -231,8 +202,8 @@ pub fn build_observed<R: Rng>(
         }
         memory.set(u, hopset.memory_words(u) + 2 * (levels + 1));
     }
-    ledger.charge_rounds_span(virt.b_hops() as u64, rec);
-    ledger.charge_broadcast_span(top_edges, d, rec);
+    rec.charge_rounds(virt.b_hops() as u64);
+    rec.charge_broadcast(top_edges, d);
     rec.end_with_memory(intra_span, memory.peaks());
 
     let stats = BuildStats {
@@ -264,11 +235,11 @@ mod tests {
         g: &Graph,
         virt: &VirtualGraph,
         rng: &mut ChaCha8Rng,
-    ) -> (HopsetOutput, CostLedger, MemoryMeter) {
-        let mut led = CostLedger::new();
+    ) -> (HopsetOutput, obs::Recorder, MemoryMeter) {
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(g.num_vertices());
-        let out = build(g, virt, HopsetParams::default(), 8, &mut led, &mut mem, rng);
-        (out, led, mem)
+        let out = build(g, virt, HopsetParams::default(), 8, &mut rec, &mut mem, rng);
+        (out, rec, mem)
     }
 
     #[test]
@@ -332,14 +303,14 @@ mod tests {
     #[test]
     fn more_levels_means_sparser() {
         let (g, virt, mut rng) = setup(500, 0.4, 65);
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(g.num_vertices());
         let dense = build(
             &g,
             &virt,
             HopsetParams { levels: 1 },
             8,
-            &mut led,
+            &mut rec,
             &mut mem,
             &mut rng,
         );
@@ -348,7 +319,7 @@ mod tests {
             &virt,
             HopsetParams { levels: 4 },
             8,
-            &mut led,
+            &mut rec,
             &mut mem,
             &mut rng,
         );
@@ -372,29 +343,25 @@ mod tests {
     #[test]
     fn ledger_accounts_rounds_and_broadcasts() {
         let (g, virt, mut rng) = setup(150, 0.3, 67);
-        let (_, led, _) = default_build(&g, &virt, &mut rng);
-        assert!(led.rounds() > 0);
-        assert!(led.broadcasts() > 0);
+        let (_, rec, _) = default_build(&g, &virt, &mut rng);
+        assert!(rec.totals().rounds > 0);
+        assert!(rec.totals().broadcasts > 0);
     }
 
     #[test]
-    fn observed_build_attributes_every_charge_to_spans() {
+    fn build_attributes_every_charge_to_a_span() {
         let (g, virt, mut rng) = setup(150, 0.3, 69);
-        let mut led = CostLedger::new();
         let mut mem = MemoryMeter::new(g.num_vertices());
         let mut rec = obs::Recorder::new();
-        let out = build_observed(
+        let out = build(
             &g,
             &virt,
             HopsetParams::default(),
             8,
-            &mut led,
+            &mut rec,
             &mut mem,
             &mut rng,
-            &mut rec,
         );
-        // Every ledger charge happened inside a span; totals must agree.
-        assert_eq!(rec.totals(), led.counters());
         // Spans: superclustering + interconnection per level, + intraconnect.
         let levels = out.stats.level_sizes.len() - 1;
         assert_eq!(rec.spans().len(), 2 * levels + 1);
@@ -410,7 +377,7 @@ mod tests {
             .filter(|s| s.depth == 0)
             .map(|s| s.delta.rounds)
             .sum();
-        assert_eq!(sum, led.rounds());
+        assert_eq!(sum, rec.totals().rounds);
         // Memory snapshots are monotone toward the final max peak.
         assert_eq!(
             rec.spans().last().unwrap().peak_memory_words,
@@ -434,7 +401,7 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
         /// Balls settle exactly what the full Dijkstras settled: the same
-        /// records in the same order, the same paths, ledger, spans and
+        /// records in the same order, the same paths, totals, spans and
         /// meter, on tie-heavy and on wide weights, with the virtual set in
         /// id order or shuffled.
         #[test]
@@ -462,16 +429,15 @@ mod tests {
             let params = HopsetParams { levels };
             let run = |reference: bool| {
                 let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
-                let (mut led, mut mem) = (CostLedger::new(), MemoryMeter::new(n));
-                let mut rec = obs::Recorder::new();
-                let built = if reference { crate::reference::build_observed } else { build_observed };
-                let out = built(&g, &virt, params, 5, &mut led, &mut mem, &mut rng, &mut rec);
+                let (mut rec, mut mem) = (obs::Recorder::new(), MemoryMeter::new(n));
+                let built = if reference { crate::reference::build } else { build };
+                let out = built(&g, &virt, params, 5, &mut rec, &mut mem, &mut rng);
                 let spans: Vec<_> = rec
                     .spans()
                     .iter()
                     .map(|s| (s.name.clone(), s.delta, s.peak_memory_words))
                     .collect();
-                (records(&out.hopset), out.stats.level_sizes, led, mem, spans)
+                (records(&out.hopset), out.stats.level_sizes, rec.totals(), mem, spans)
             };
             let (got, want) = (run(false), run(true));
             proptest::prop_assert_eq!(&got.0, &want.0);
@@ -487,14 +453,14 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(68);
         let g = generators::path(10, 1..=1, &mut rng);
         let virt = VirtualGraph::from_set(&g, vec![VertexId(3)], 10);
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(10);
         let out = build(
             &g,
             &virt,
             HopsetParams::default(),
             3,
-            &mut led,
+            &mut rec,
             &mut mem,
             &mut rng,
         );

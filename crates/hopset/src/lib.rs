@@ -47,8 +47,6 @@ mod reference;
 pub mod superclustering;
 pub mod virtual_graph;
 
-pub use construction::{
-    build as build_hopset, build_observed as build_hopset_observed, HopsetParams,
-};
+pub use construction::{build as build_hopset, HopsetParams};
 pub use hopset::{Hopset, HopsetEdge};
 pub use virtual_graph::VirtualGraph;

@@ -8,7 +8,7 @@
 //! `Õ(|H|·C + D)·β` rounds, where `C` bounds how many roots any vertex
 //! serves; memory per path vertex grows by O(1) words per root.
 
-use congest::{CostLedger, MemoryMeter};
+use congest::MemoryMeter;
 use graphs::{dist_add, VertexId, Weight, INFINITY};
 
 use crate::hopset::Hopset;
@@ -72,7 +72,7 @@ pub fn recover_edge(
     tail_dist: Weight,
     g: &graphs::Graph,
     out: &mut Recovered,
-    ledger: &mut CostLedger,
+    rec: &mut obs::Recorder,
     memory: &mut MemoryMeter,
 ) -> usize {
     let stored = hopset.path(owner, index);
@@ -94,7 +94,7 @@ pub fn recover_edge(
             improved += 1;
         }
     }
-    ledger.charge_rounds(path.len().saturating_sub(1) as u64);
+    rec.charge_rounds(path.len().saturating_sub(1) as u64);
     improved
 }
 
@@ -127,7 +127,7 @@ mod tests {
         let (g, h) = line_hopset();
         let mut out = Recovered::new(4);
         out.seed(VertexId(0), 0);
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(4);
         let improved = recover_edge(
             &h,
@@ -137,14 +137,14 @@ mod tests {
             0,
             &g,
             &mut out,
-            &mut led,
+            &mut rec,
             &mut mem,
         );
         assert_eq!(improved, 3);
         assert_eq!(out.dist, vec![0, 2, 5, 9]);
         assert_eq!(out.parent[3], Some(VertexId(2)));
         assert_eq!(out.parent[1], Some(VertexId(0)));
-        assert_eq!(led.rounds(), 3);
+        assert_eq!(rec.totals().rounds, 3);
     }
 
     #[test]
@@ -152,7 +152,7 @@ mod tests {
         let (g, h) = line_hopset();
         let mut out = Recovered::new(4);
         out.seed(VertexId(3), 10);
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(4);
         recover_edge(
             &h,
@@ -162,7 +162,7 @@ mod tests {
             10,
             &g,
             &mut out,
-            &mut led,
+            &mut rec,
             &mut mem,
         );
         assert_eq!(out.dist, vec![19, 17, 14, 10]);
@@ -175,7 +175,7 @@ mod tests {
         let mut out = Recovered::new(4);
         out.seed(VertexId(0), 0);
         out.offer(VertexId(2), 1, Some(VertexId(3))); // artificially good
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(4);
         let improved = recover_edge(
             &h,
@@ -185,7 +185,7 @@ mod tests {
             0,
             &g,
             &mut out,
-            &mut led,
+            &mut rec,
             &mut mem,
         );
         assert_eq!(improved, 2); // vertex 2 kept its better value
@@ -215,7 +215,7 @@ mod tests {
         h.add_edge(VertexId(0), far, dist[far.index()], path);
         let mut out = Recovered::new(60);
         out.seed(VertexId(0), 0);
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(60);
         recover_edge(
             &h,
@@ -225,7 +225,7 @@ mod tests {
             0,
             &g,
             &mut out,
-            &mut led,
+            &mut rec,
             &mut mem,
         );
         // Walk back from far: parents chain to the seed with consistent dist.

@@ -4,7 +4,7 @@
 //! vertex, the exploration that touches the meter on every improvement, and
 //! the Bellman–Ford driver that clones its estimates every half-step.
 
-use congest::{CostLedger, MemoryMeter};
+use congest::MemoryMeter;
 use graphs::{dist_add, shortest_paths, Graph, VertexId, Weight, INFINITY};
 use rand::Rng;
 
@@ -14,16 +14,14 @@ use crate::hopset::Hopset;
 use crate::virtual_graph::{Exploration, VirtualGraph};
 
 /// The hopset construction before balls.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_observed<R: Rng>(
+pub(crate) fn build<R: Rng>(
     g: &Graph,
     virt: &VirtualGraph,
     params: HopsetParams,
     d: u64,
-    ledger: &mut CostLedger,
+    rec: &mut obs::Recorder,
     memory: &mut MemoryMeter,
     rng: &mut R,
-    rec: &mut obs::Recorder,
 ) -> HopsetOutput {
     let verts = virt.virtual_vertices();
     assert!(!verts.is_empty(), "virtual graph has no vertices");
@@ -80,8 +78,8 @@ pub(crate) fn build_observed<R: Rng>(
         // Pivot distances d(·, A_{i+1}) via a multi-source exploration.
         let super_span = rec.begin(&format!("hopset/L{i}/superclustering"));
         let (piv_dist, piv_owner) = shortest_paths::multi_source_dijkstra(g, &hierarchy[i + 1]);
-        ledger.charge_rounds_span(virt.b_hops() as u64, rec);
-        ledger.charge_broadcast_span(hierarchy[i].len() as u64, d, rec);
+        rec.charge_rounds(virt.b_hops() as u64);
+        rec.charge_broadcast(hierarchy[i].len() as u64, d);
         rec.end_with_memory(super_span, memory.peaks());
 
         let inter_span = rec.begin(&format!("hopset/L{i}/interconnection"));
@@ -110,7 +108,7 @@ pub(crate) fn build_observed<R: Rng>(
             }
             memory.set(u, hopset.memory_words(u) + 2 * (levels + 1));
         }
-        ledger.charge_broadcast_span(level_edges, d, rec);
+        rec.charge_broadcast(level_edges, d);
         rec.end_with_memory(inter_span, memory.peaks());
     }
 
@@ -131,8 +129,8 @@ pub(crate) fn build_observed<R: Rng>(
         }
         memory.set(u, hopset.memory_words(u) + 2 * (levels + 1));
     }
-    ledger.charge_rounds_span(virt.b_hops() as u64, rec);
-    ledger.charge_broadcast_span(top_edges, d, rec);
+    rec.charge_rounds(virt.b_hops() as u64);
+    rec.charge_broadcast(top_edges, d);
     rec.end_with_memory(intra_span, memory.peaks());
 
     let stats = BuildStats {
@@ -149,7 +147,7 @@ pub(crate) fn bounded_exploration(
     g: &Graph,
     seeds: &[(VertexId, Weight)],
     limit: &dyn Fn(VertexId, Weight) -> bool,
-    ledger: &mut CostLedger,
+    rec: &mut obs::Recorder,
     memory: &mut MemoryMeter,
 ) -> Exploration {
     let n = g.num_vertices();
@@ -204,7 +202,7 @@ pub(crate) fn bounded_exploration(
         std::mem::swap(&mut frontier, &mut next);
         next.clear();
     }
-    ledger.charge_rounds(virt.b_hops() as u64);
+    rec.charge_rounds(virt.b_hops() as u64);
     Exploration {
         dist,
         parent,
@@ -219,7 +217,7 @@ pub(crate) fn run(
     limit: &dyn Fn(VertexId, Weight) -> bool,
     max_iters: usize,
     d: u64,
-    ledger: &mut CostLedger,
+    rec: &mut obs::Recorder,
     memory: &mut MemoryMeter,
 ) -> BfOutput {
     assert!(max_iters > 0, "need at least one iteration");
@@ -253,7 +251,7 @@ pub(crate) fn run(
                 .filter(|&v| is_root(v) || limit(v, est[v.index()]))
                 .map(|v| (v, est[v.index()]))
                 .collect();
-        let explo = bounded_exploration(bf.virt, bf.g, &seeds, limit, ledger, memory);
+        let explo = bounded_exploration(bf.virt, bf.g, &seeds, limit, rec, memory);
         let origin_snapshot = origin.clone();
         for &x in bf.virt.virtual_vertices() {
             let heard = explo.dist[x.index()];
@@ -307,7 +305,7 @@ pub(crate) fn run(
                 }
             }
         }
-        ledger.charge_broadcast(msgs, d);
+        rec.charge_broadcast(msgs, d);
 
         if !changed {
             break;

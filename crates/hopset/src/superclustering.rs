@@ -21,7 +21,7 @@
 //! the implementation auditable. Both constructions plug into the same
 //! [`crate::bellman_ford::LimitedBf`] and path-recovery machinery.
 
-use congest::{CostLedger, MemoryMeter};
+use congest::MemoryMeter;
 use graphs::shortest_paths::{self, Ball};
 use graphs::{Graph, VertexId, Weight, INFINITY};
 use rand::Rng;
@@ -44,7 +44,7 @@ pub fn build_sc<R: Rng>(
     params: HopsetParams,
     eps: f64,
     d: u64,
-    ledger: &mut CostLedger,
+    rec: &mut obs::Recorder,
     memory: &mut MemoryMeter,
     rng: &mut R,
 ) -> HopsetOutput {
@@ -82,7 +82,7 @@ pub fn build_sc<R: Rng>(
             p,
             &mut hopset,
             &mut ball,
-            ledger,
+            rec,
             memory,
             d,
             rng,
@@ -115,7 +115,7 @@ fn run_scale<R: Rng>(
     p: f64,
     hopset: &mut Hopset,
     ball: &mut Ball,
-    ledger: &mut CostLedger,
+    rec: &mut obs::Recorder,
     memory: &mut MemoryMeter,
     d: u64,
     rng: &mut R,
@@ -146,8 +146,8 @@ fn run_scale<R: Rng>(
                 .filter(|_| rng.gen_bool(p))
                 .collect()
         };
-        ledger.charge_broadcast(centers.len() as u64, d);
-        ledger.charge_rounds(r_i.min(n as u64));
+        rec.charge_broadcast(centers.len() as u64, d);
+        rec.charge_rounds(r_i.min(n as u64));
 
         let mut next_centers: Vec<VertexId> = sampled.clone();
         if sampled.is_empty() && !last {
@@ -206,7 +206,7 @@ fn run_scale<R: Rng>(
             }
             ball.reset();
         }
-        ledger.charge_broadcast(next_centers.len() as u64, d);
+        rec.charge_broadcast(next_centers.len() as u64, d);
         centers = next_centers;
     }
 }
@@ -228,7 +228,7 @@ mod tests {
     }
 
     fn build(g: &Graph, virt: &VirtualGraph, rng: &mut ChaCha8Rng) -> HopsetOutput {
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(g.num_vertices());
         build_sc(
             g,
@@ -236,7 +236,7 @@ mod tests {
             HopsetParams::default(),
             0.25,
             8,
-            &mut led,
+            &mut rec,
             &mut mem,
             rng,
         )
@@ -283,9 +283,9 @@ mod tests {
             virt: &virt,
             hopset: &out.hopset,
         };
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(g.num_vertices());
-        let res = bf.run(&[(root, 0)], &|_, _| true, 400, 8, &mut led, &mut mem);
+        let res = bf.run(&[(root, 0)], &|_, _| true, 400, 8, &mut rec, &mut mem);
         let exact = shortest_paths::dijkstra(&g, root);
         for &x in virt.virtual_vertices() {
             assert_eq!(res.est[x.index()], exact[x.index()]);
@@ -298,7 +298,7 @@ mod tests {
         let g = generators::path(500, 1..=3, &mut rng);
         let verts: Vec<VertexId> = (0..500).step_by(11).map(|i| VertexId(i as u32)).collect();
         let virt = VirtualGraph::from_set(&g, verts, 40);
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(500);
         let sc = build_sc(
             &g,
@@ -306,21 +306,21 @@ mod tests {
             HopsetParams { levels: 2 },
             0.25,
             5,
-            &mut led,
+            &mut rec,
             &mut mem,
             &mut rng,
         );
         let empty = Hopset::new(500);
         let root = VertexId(0);
         let run = |h: &Hopset| {
-            let mut led = CostLedger::new();
+            let mut rec = obs::Recorder::disabled();
             let mut mem = MemoryMeter::new(500);
             LimitedBf {
                 g: &g,
                 virt: &virt,
                 hopset: h,
             }
-            .run(&[(root, 0)], &|_, _| true, 2000, 5, &mut led, &mut mem)
+            .run(&[(root, 0)], &|_, _| true, 2000, 5, &mut rec, &mut mem)
             .beta_used
         };
         assert!(
@@ -334,14 +334,14 @@ mod tests {
         // The two families are comparable through the same stats type.
         let (g, virt, mut rng) = fixture(200, 905);
         let sc = build(&g, &virt, &mut rng);
-        let mut led = CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = MemoryMeter::new(g.num_vertices());
         let bunch = build_bunch(
             &g,
             &virt,
             HopsetParams::default(),
             8,
-            &mut led,
+            &mut rec,
             &mut mem,
             &mut rng,
         );
@@ -360,14 +360,14 @@ mod tests {
                 vec![m],
                 "superclustering, seed {seed}"
             );
-            let mut led = CostLedger::new();
+            let mut rec = obs::Recorder::disabled();
             let mut mem = MemoryMeter::new(g.num_vertices());
             let bunch = build_bunch(
                 &g,
                 &virt,
                 HopsetParams::default(),
                 8,
-                &mut led,
+                &mut rec,
                 &mut mem,
                 &mut rng,
             );

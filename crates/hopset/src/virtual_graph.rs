@@ -7,7 +7,7 @@
 //! iteration over `E'` is implemented by seeding every virtual vertex's
 //! current estimate into `G` and running `B` rounds of bounded exploration.
 
-use congest::{CostLedger, MemoryMeter};
+use congest::MemoryMeter;
 use graphs::{dist_add, Graph, VertexId, Weight, INFINITY};
 use rand::Rng;
 
@@ -89,14 +89,14 @@ impl VirtualGraph {
     /// explorations); seeds always speak, and values are recorded at a vertex
     /// even when the limit stops it from forwarding.
     ///
-    /// Charges `B` rounds to `ledger` and touches O(1) transient words per
+    /// Charges `B` rounds to `rec` and touches O(1) transient words per
     /// vertex that heard a neighbor on `memory`.
     pub fn bounded_exploration<L>(
         &self,
         g: &Graph,
         seeds: &[(VertexId, Weight)],
         limit: &L,
-        ledger: &mut CostLedger,
+        rec: &mut obs::Recorder,
         memory: &mut MemoryMeter,
     ) -> Exploration
     where
@@ -161,7 +161,7 @@ impl VirtualGraph {
                 memory.touch(VertexId(v as u32), 2);
             }
         }
-        ledger.charge_rounds(self.b_hops as u64);
+        rec.charge_rounds(self.b_hops as u64);
         Exploration {
             dist,
             parent,
@@ -203,8 +203,8 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn ledger_and_meter(n: usize) -> (CostLedger, MemoryMeter) {
-        (CostLedger::new(), MemoryMeter::new(n))
+    fn recorder_and_meter(n: usize) -> (obs::Recorder, MemoryMeter) {
+        (obs::Recorder::disabled(), MemoryMeter::new(n))
     }
 
     #[test]
@@ -219,12 +219,12 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(51);
         let g = generators::erdos_renyi_connected(60, 0.08, 1..=9, &mut rng);
         let virt = VirtualGraph::from_set(&g, vec![VertexId(0)], 5);
-        let (mut led, mut mem) = ledger_and_meter(60);
+        let (mut rec, mut mem) = recorder_and_meter(60);
         let out =
-            virt.bounded_exploration(&g, &[(VertexId(0), 0)], &|_, _| true, &mut led, &mut mem);
+            virt.bounded_exploration(&g, &[(VertexId(0), 0)], &|_, _| true, &mut rec, &mut mem);
         let want = shortest_paths::hop_bounded_distances(&g, VertexId(0), 5);
         assert_eq!(out.dist, want);
-        assert_eq!(led.rounds(), 5);
+        assert_eq!(rec.totals().rounds, 5);
     }
 
     #[test]
@@ -232,12 +232,12 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(52);
         let g = generators::path(10, 1..=1, &mut rng);
         let virt = VirtualGraph::from_set(&g, vec![VertexId(0), VertexId(9)], 10);
-        let (mut led, mut mem) = ledger_and_meter(10);
+        let (mut rec, mut mem) = recorder_and_meter(10);
         let out = virt.bounded_exploration(
             &g,
             &[(VertexId(0), 0), (VertexId(9), 0)],
             &|_, _| true,
-            &mut led,
+            &mut rec,
             &mut mem,
         );
         for v in 0..10u32 {
@@ -253,13 +253,13 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(53);
         let g = generators::path(5, 1..=1, &mut rng);
         let virt = VirtualGraph::from_set(&g, vec![VertexId(0), VertexId(4)], 5);
-        let (mut led, mut mem) = ledger_and_meter(5);
+        let (mut rec, mut mem) = recorder_and_meter(5);
         // Seed 0 starts at 100, seed 4 at 0: everything should hear seed 4.
         let out = virt.bounded_exploration(
             &g,
             &[(VertexId(0), 100), (VertexId(4), 0)],
             &|_, _| true,
-            &mut led,
+            &mut rec,
             &mut mem,
         );
         assert_eq!(out.dist, vec![4, 3, 2, 1, 0]);
@@ -270,14 +270,14 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(54);
         let g = generators::path(5, 1..=1, &mut rng);
         let virt = VirtualGraph::from_set(&g, vec![VertexId(0)], 5);
-        let (mut led, mut mem) = ledger_and_meter(5);
+        let (mut rec, mut mem) = recorder_and_meter(5);
         // Vertex 2 refuses to forward: the wave stops there, but 2 itself
         // still records its distance.
         let out = virt.bounded_exploration(
             &g,
             &[(VertexId(0), 0)],
             &|v, _| v != VertexId(2),
-            &mut led,
+            &mut rec,
             &mut mem,
         );
         assert_eq!(out.dist[2], 2);
@@ -289,9 +289,9 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(55);
         let g = generators::path(10, 1..=1, &mut rng);
         let virt = VirtualGraph::from_set(&g, vec![VertexId(0)], 3);
-        let (mut led, mut mem) = ledger_and_meter(10);
+        let (mut rec, mut mem) = recorder_and_meter(10);
         let out =
-            virt.bounded_exploration(&g, &[(VertexId(0), 0)], &|_, _| true, &mut led, &mut mem);
+            virt.bounded_exploration(&g, &[(VertexId(0), 0)], &|_, _| true, &mut rec, &mut mem);
         assert_eq!(out.dist[3], 3);
         assert_eq!(out.dist[4], INFINITY);
     }
@@ -324,7 +324,7 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(96))]
 
         /// The exploration matches its pre-scratch form: values, parents,
-        /// origins, the ledger and every meter peak, with one seed or many,
+        /// origins, the cost totals and every meter peak, with one seed or many,
         /// with and without a clipping limit, on tie-heavy and wide weights.
         #[test]
         fn exploration_matches_reference(
@@ -350,16 +350,16 @@ mod tests {
             for v in g.vertices() {
                 start.set(v, rng.gen_range(0..4));
             }
-            let (mut led, mut mem) = (CostLedger::new(), start.clone());
-            let got = virt.bounded_exploration(&g, &seeds, &limit, &mut led, &mut mem);
-            let (mut ref_led, mut ref_mem) = (CostLedger::new(), start);
+            let (mut rec, mut mem) = (obs::Recorder::disabled(), start.clone());
+            let got = virt.bounded_exploration(&g, &seeds, &limit, &mut rec, &mut mem);
+            let (mut ref_rec, mut ref_mem) = (obs::Recorder::disabled(), start);
             let want = crate::reference::bounded_exploration(
-                &virt, &g, &seeds, &limit, &mut ref_led, &mut ref_mem,
+                &virt, &g, &seeds, &limit, &mut ref_rec, &mut ref_mem,
             );
             proptest::prop_assert_eq!(&got.dist, &want.dist);
             proptest::prop_assert_eq!(&got.parent, &want.parent);
             proptest::prop_assert_eq!(&got.origin, &want.origin);
-            proptest::prop_assert_eq!(&led, &ref_led);
+            proptest::prop_assert_eq!(rec.totals(), ref_rec.totals());
             proptest::prop_assert_eq!(&mem, &ref_mem);
         }
     }
@@ -369,9 +369,9 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(58);
         let g = generators::erdos_renyi_connected(50, 0.1, 1..=9, &mut rng);
         let virt = VirtualGraph::from_set(&g, vec![VertexId(7)], 50);
-        let (mut led, mut mem) = ledger_and_meter(50);
+        let (mut rec, mut mem) = recorder_and_meter(50);
         let out =
-            virt.bounded_exploration(&g, &[(VertexId(7), 0)], &|_, _| true, &mut led, &mut mem);
+            virt.bounded_exploration(&g, &[(VertexId(7), 0)], &|_, _| true, &mut rec, &mut mem);
         for v in g.vertices() {
             if out.dist[v.index()] == INFINITY || v == VertexId(7) {
                 continue;

@@ -36,9 +36,14 @@
 //! * [`error::ParseError`] gives every report parser typed failures
 //!   carrying the record index and field name.
 //!
-//! A disabled recorder ([`Recorder::disabled`]) makes every operation an
-//! early-returning no-op, so instrumented code paths cost nothing when
-//! reporting is off.
+//! The recorder is also the run's one cost account: stage-structured
+//! protocols priced by the model's rules (a Lemma-1 broadcast of `M`
+//! messages over a depth-`D` tree costs `M + D` rounds) charge it directly
+//! through [`Recorder::charge_rounds`], [`Recorder::charge_messages`] and
+//! [`Recorder::charge_broadcast`], so span deltas partition the totals by
+//! construction. A disabled recorder ([`Recorder::disabled`]) still counts
+//! every charge, but keeps no span, clock, memory snapshot or record, so
+//! instrumented code paths pay one addition per charge when reporting is off.
 
 use std::io::{self, Write as _};
 use std::path::Path;
@@ -249,7 +254,8 @@ impl Recorder {
         }
     }
 
-    /// A recorder whose every operation is a no-op.
+    /// A recorder that counts charges and keeps nothing else: no span,
+    /// clock, memory snapshot or record.
     pub fn disabled() -> Recorder {
         Recorder::default()
     }
@@ -319,31 +325,40 @@ impl Recorder {
 
     /// Attribute `delta` to the currently open span(s) and the run totals.
     pub fn charge(&mut self, delta: &Counters) {
-        if self.enabled {
-            self.totals.add(delta);
-        }
+        self.totals.add(delta);
     }
 
-    /// Attribute `r` rounds.
+    /// Charge `r` synchronous rounds.
     pub fn charge_rounds(&mut self, r: u64) {
-        if self.enabled {
-            self.totals.rounds += r;
-        }
+        self.totals.rounds += r;
     }
 
-    /// Attribute `m` messages carrying `w` words.
-    pub fn charge_messages(&mut self, m: u64, w: u64) {
-        if self.enabled {
-            self.totals.messages += m;
-            self.totals.words += w;
-        }
+    /// Charge `m` point-to-point messages of one word each (their rounds are
+    /// charged separately, per the caller's schedule).
+    pub fn charge_messages(&mut self, m: u64) {
+        self.totals.messages += m;
+        self.totals.words += m;
     }
 
-    /// Attribute one broadcast phase.
-    pub fn charge_broadcast(&mut self) {
-        if self.enabled {
-            self.totals.broadcasts += 1;
-        }
+    /// Charge a Lemma-1 broadcast/convergecast of `m` one-word messages over
+    /// a BFS tree of depth ≤ `d`: `m + d` rounds (the pipelined bound,
+    /// constants elided exactly as the paper's Õ does) and one broadcast.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// let mut rec = obs::Recorder::disabled();
+    /// rec.charge_rounds(10);
+    /// rec.charge_broadcast(100, 8); // Lemma 1: M + D rounds
+    /// assert_eq!(rec.totals().rounds, 118);
+    /// ```
+    pub fn charge_broadcast(&mut self, m: u64, d: u64) {
+        self.charge(&Counters {
+            rounds: m + d,
+            messages: m,
+            words: m,
+            broadcasts: 1,
+        });
     }
 
     /// Record the end-of-run peak-memory distribution.
@@ -370,6 +385,11 @@ impl Recorder {
     /// Cumulative counters charged so far.
     pub fn totals(&self) -> Counters {
         self.totals
+    }
+
+    /// What was charged since `entry`, an earlier [`Recorder::totals`].
+    pub fn charged_since(&self, entry: &Counters) -> Counters {
+        self.totals.delta_since(entry)
     }
 
     /// All spans in begin order (open spans have zero deltas until closed).
@@ -457,7 +477,11 @@ mod tests {
         let outer = rec.begin("outer");
         rec.charge_rounds(5);
         let inner = rec.begin("inner");
-        rec.charge_messages(3, 9);
+        rec.charge(&Counters {
+            messages: 3,
+            words: 9,
+            ..Counters::ZERO
+        });
         rec.end_with_memory(inner, &[1, 2, 10]);
         rec.charge_rounds(2);
         rec.end(outer);
@@ -482,14 +506,56 @@ mod tests {
 
     #[test]
     fn disabled_recorder_is_inert() {
+        // A disabled recorder is still the run's cost account: it counts
+        // every charge, and keeps no span, record, memory snapshot or clock.
         let mut rec = Recorder::disabled();
         let id = rec.begin("phase");
         rec.charge_rounds(100);
+        rec.charge_messages(3);
+        rec.charge_broadcast(10, 2);
         rec.add_record(Value::from("ignored"));
-        rec.end(id);
-        assert_eq!(rec.totals(), Counters::ZERO);
+        rec.set_run_memory(&[1, 2]);
+        rec.end_with_memory(id, &[5]);
+        let counted = Counters {
+            rounds: 112,
+            messages: 13,
+            words: 13,
+            broadcasts: 1,
+        };
+        assert_eq!(rec.totals(), counted);
         assert!(rec.spans().is_empty());
         assert!(rec.records().is_empty());
+        assert!(rec.run_memory.is_none());
+        assert!(rec.started.is_none());
+    }
+
+    #[test]
+    fn charges_accumulate() {
+        let mut rec = Recorder::new();
+        rec.charge_rounds(5);
+        rec.charge_messages(3);
+        rec.charge_broadcast(10, 2);
+        let c = rec.totals();
+        assert_eq!((c.rounds, c.messages, c.broadcasts), (17, 13, 1));
+    }
+
+    #[test]
+    fn default_is_zero() {
+        for rec in [Recorder::new(), Recorder::disabled(), Recorder::default()] {
+            assert_eq!(rec.totals(), Counters::ZERO);
+        }
+    }
+
+    #[test]
+    fn words_track_messages_plus_payload() {
+        // One word per message, point-to-point or broadcast.
+        let mut rec = Recorder::disabled();
+        rec.charge_messages(4);
+        let entry = rec.totals();
+        rec.charge_broadcast(10, 1);
+        assert_eq!(rec.totals().words, 14);
+        assert_eq!(rec.charged_since(&entry).words, 10);
+        assert_eq!(rec.charged_since(&entry).rounds, 11);
     }
 
     #[test]
@@ -524,8 +590,12 @@ mod tests {
         let outer = rec.begin("outer");
         rec.charge_rounds(5);
         let inner = rec.begin("outer/inner");
-        rec.charge_messages(3, 9);
-        rec.charge_broadcast();
+        rec.charge(&Counters {
+            rounds: 0,
+            messages: 3,
+            words: 9,
+            broadcasts: 1,
+        });
         rec.end_with_memory(inner, &[1, 2, 10]);
         rec.end(outer);
         rec.set_run_memory(&[4, 10, 6]);
@@ -578,7 +648,11 @@ mod tests {
         for (name, rounds) in [("a", 3u64), ("b", 4), ("c", 5)] {
             let id = rec.begin(name);
             rec.charge_rounds(rounds);
-            rec.charge_messages(rounds * 2, rounds * 6);
+            rec.charge(&Counters {
+                messages: rounds * 2,
+                words: rounds * 6,
+                ..Counters::ZERO
+            });
             rec.end_with_memory(id, &[rounds as usize, 2 * rounds as usize]);
         }
         rec.set_run_memory(&[4, 10, 6]);

@@ -16,12 +16,12 @@
 //! descend (locally route to the *gate* `p(c)` of the chosen virtual child
 //! `c`, then cross).
 
-use congest::{bfs, CostLedger, MemoryMeter, Network, WordSized};
-use graphs::{tree::rank_in, RootedTree, VertexId, Weight};
+use congest::{bfs, MemoryMeter, Network, WordSized};
+use graphs::{tree::rank_in, RootedTree, VertexId};
 use rand::Rng;
 
 use crate::distributed::{log2_ceil, slot, wave_order, Config};
-use crate::router::RouteError;
+use crate::router::{walk, RouteError, RouteTrace};
 use crate::types::{route_step, RouteAction, TreeLabel, TreeTable};
 use crate::tz;
 
@@ -148,8 +148,8 @@ impl BaselineScheme {
 pub struct BaselineOutput {
     /// The two-level scheme.
     pub scheme: BaselineScheme,
-    /// Round accounting.
-    pub ledger: CostLedger,
+    /// What the construction charged.
+    pub cost: obs::Counters,
     /// Per-member memory peaks — Ω̃(√n) at virtual vertices by design. One
     /// slot per tree member in ascending id order, as in
     /// [`crate::distributed::TreeRun::memory`].
@@ -185,7 +185,7 @@ pub fn build<R: Rng>(
     let root = tree.root_rank();
     let q = config.q.unwrap_or(1.0 / (n as f64).sqrt()).clamp(0.0, 1.0);
 
-    let mut ledger = CostLedger::new();
+    let mut rec = obs::Recorder::disabled();
     let mut memory = MemoryMeter::new(n);
 
     // BFS backbone for broadcasts (shared if the caller already has one).
@@ -193,7 +193,7 @@ pub fn build<R: Rng>(
         Some(depth) => depth as u64,
         None => {
             let bfs_out = bfs::build_bfs_tree(network, tree.root());
-            ledger.charge_rounds(bfs_out.stats.rounds);
+            rec.charge_rounds(bfs_out.stats.rounds);
             for r in 0..n {
                 memory.add(slot(r), 3);
             }
@@ -216,7 +216,7 @@ pub fn build<R: Rng>(
         }
     }
     let b = local_depth.iter().copied().max().unwrap_or(0) as u64;
-    ledger.charge_rounds(b + 1);
+    rec.charge_rounds(b + 1);
     let sampled: Vec<usize> = (0..n).filter(|&r| sampled_flag[r]).collect();
     let iters = log2_ceil(n.max(2)) as u64;
 
@@ -244,7 +244,7 @@ pub fn build<R: Rng>(
     }
     let local_table: Vec<TreeTable> = local_table.into_iter().flatten().collect();
     let local_label: Vec<TreeLabel> = local_label.into_iter().flatten().collect();
-    ledger.charge_rounds(3 * (b + iters + 1));
+    rec.charge_rounds(3 * (b + iters + 1));
     for (r, l) in local_label.iter().enumerate() {
         memory.add(slot(r), 8 + l.words() + 4);
     }
@@ -252,7 +252,7 @@ pub fn build<R: Rng>(
     // ---- Materialize the virtual tree at every virtual vertex --------------
     // Convergecast + broadcast of |U| records of O(1) words; every virtual
     // vertex stores the whole of T' — the Ω̃(√n) memory step.
-    ledger.charge_broadcast(sampled.len() as u64, d);
+    rec.charge_broadcast(sampled.len() as u64, d);
     for &x in &sampled {
         memory.add(slot(x), 3 * sampled.len());
     }
@@ -287,7 +287,7 @@ pub fn build<R: Rng>(
         .iter()
         .map(|&y| gate_of(members[y]).words() as u64)
         .sum();
-    ledger.charge_broadcast(gate_words, d);
+    rec.charge_broadcast(gate_words, d);
 
     // ---- Assemble per-vertex tables and labels -----------------------------
     let mut tables: Vec<Option<BaselineTable>> = vec![None; n];
@@ -331,14 +331,14 @@ pub fn build<R: Rng>(
         tables: tables.into_iter().flatten().collect(),
         labels: labels.into_iter().flatten().collect(),
     };
-    ledger.charge_rounds(b + (iters * iters).max(1));
+    rec.charge_rounds(b + (iters * iters).max(1));
     for (r, (t, l)) in scheme.tables.iter().zip(&scheme.labels).enumerate() {
         memory.add(slot(r), t.words() + l.words());
     }
 
     BaselineOutput {
         scheme,
-        ledger,
+        cost: rec.totals(),
         memory,
         virtual_count: sampled.len(),
         max_local_depth: b as usize,
@@ -356,41 +356,9 @@ pub fn route(
     scheme: &BaselineScheme,
     src: VertexId,
     dst: VertexId,
-) -> Result<crate::router::RouteTrace, RouteError> {
-    if scheme.table(src).is_none() {
-        return Err(RouteError::SourceNotInTree(src));
-    }
-    let label = scheme.label(dst).ok_or(RouteError::TargetNotInTree(dst))?;
-    let mut path = vec![src];
-    let mut weight: Weight = 0;
-    let mut cur = src;
-    let cap = 2 * tree.host_len() + 2;
-    loop {
-        if path.len() > cap {
-            return Err(RouteError::Loop);
-        }
-        let table = scheme.table(cur).expect("has table");
-        let action = decide(cur, table, label).ok_or(RouteError::Stuck(cur))?;
-        match action {
-            RouteAction::Deliver => return Ok(crate::router::RouteTrace { path, weight }),
-            RouteAction::Forward(next) => {
-                let is_edge = tree.parent(cur) == Some(next) || tree.parent(next) == Some(cur);
-                if !is_edge || scheme.table(next).is_none() {
-                    return Err(RouteError::BadForward {
-                        from: cur,
-                        to: next,
-                    });
-                }
-                weight += if tree.parent(cur) == Some(next) {
-                    tree.parent_weight(cur)
-                } else {
-                    tree.parent_weight(next)
-                };
-                path.push(next);
-                cur = next;
-            }
-        }
-    }
+) -> Result<RouteTrace, RouteError> {
+    let table = |v| scheme.table(v);
+    walk(tree, (src, dst), table, scheme.label(dst), decide)
 }
 
 /// The two-level forwarding rule at vertex `me`: local TZ when the local

@@ -21,13 +21,13 @@
 //!
 //! Every per-vertex quantity below lives in a rank-indexed [`Scratch`]
 //! array holding *only* what the model lets that vertex hold; rounds are
-//! charged to a [`CostLedger`] per the schedule above, and memory is metered
-//! after every stage (plus transient touches) by a [`MemoryMeter`]. Light-edge
-//! lists are simulated by their lengths, which is all the ledger and the
-//! meter read; a label's list is written once, at the end, for the members a
+//! charged to the caller's [`obs::Recorder`] per the schedule above, and
+//! memory is metered after every stage (plus transient touches) by a
+//! [`MemoryMeter`]. Light-edge lists are simulated by their lengths, which is
+//! all the charges and the meter read; a label's list is written once, at the end, for the members a
 //! caller asks for.
 
-use congest::{bfs, CostLedger, MemoryMeter, Network};
+use congest::{bfs, MemoryMeter, Network};
 use graphs::{RootedTree, VertexId};
 use rand::Rng;
 
@@ -147,8 +147,8 @@ pub struct TreeRun {
     pub tables: Vec<TreeTable>,
     /// One label per rank asked for, in the order asked.
     pub labels: Vec<TreeLabel>,
-    /// Round/message accounting for the whole construction.
-    pub ledger: CostLedger,
+    /// What the whole construction charged to its recorder.
+    pub cost: obs::Counters,
     /// Per-member memory high-water marks, one slot per rank (slot `r`
     /// belongs to `tree.members()[r]`; for a spanning tree slots are vertex
     /// ids). Vertices outside the tree hold no construction state and are
@@ -185,9 +185,8 @@ impl TreeRun {
 /// member's label, with per-stage span attribution on `rec`:
 /// `tree/partition`, `tree/subtree-sizes` (§3 Stage 1), `tree/light-edges`
 /// (Stage 2), `tree/dfs-ranges` (Stage 3), and `tree/finalize` (plus
-/// `tree/backbone` when no shared BFS backbone is configured). Every ledger
-/// charge is mirrored into the recorder, so span deltas partition the
-/// ledger totals.
+/// `tree/backbone` when no shared BFS backbone is configured). Every charge
+/// falls inside one of them, so span deltas partition [`TreeRun::cost`].
 ///
 /// This is [`Scratch::run`] on a fresh scratch, asked for every label.
 ///
@@ -236,7 +235,7 @@ impl Scratch {
         let members = tree.members();
         let root = tree.root_rank();
 
-        let mut ledger = CostLedger::new();
+        let entry = rec.totals();
         let mut memory = MemoryMeter::new(n);
 
         // The BFS broadcast backbone: built once by the real protocol (O(D)
@@ -247,8 +246,8 @@ impl Scratch {
             None => {
                 let span = rec.begin("tree/backbone");
                 let bfs_out = bfs::build_bfs_tree(network, tree.root());
-                ledger.charge_rounds_span(bfs_out.stats.rounds, rec);
-                ledger.charge_messages_span(bfs_out.stats.messages, rec);
+                rec.charge_rounds(bfs_out.stats.rounds);
+                rec.charge_messages(bfs_out.stats.messages);
                 for r in 0..n {
                     memory.add(slot(r), 3); // BFS parent/depth/flag, kept for broadcasts
                 }
@@ -329,7 +328,7 @@ impl Scratch {
             }
         }
         let b = local_depth.iter().copied().max().unwrap_or(0) as u64;
-        ledger.charge_rounds_span(b + 1, rec);
+        rec.charge_rounds(b + 1);
         virtual_ranks.clear();
         virtual_ranks.extend((0..n as u32).filter(|&r| sampled[r as usize]));
         reset(virtual_pos, n, NONE);
@@ -361,7 +360,7 @@ impl Scratch {
                 .map(|c| s_local[c])
                 .sum::<u64>();
         }
-        ledger.charge_rounds_span(b + 1, rec);
+        rec.charge_rounds(b + 1);
 
         // ---- Stage 1b: Algorithm 1 (global subtree sizes by pointer jumping)
         reset(ancestors, (iters + 1) * u, NONE);
@@ -374,7 +373,7 @@ impl Scratch {
         }
         for it in 0..iters {
             // Broadcast (x, s_i(x), a_i(x)) for every sampled x: Lemma 1.
-            ledger.charge_broadcast_span(u as u64, d, rec);
+            rec.charge_broadcast(u as u64, d);
             // Each x digests the stream message-by-message: O(1) transient
             // words.
             let (done, rest) = ancestors.split_at_mut((it + 1) * u);
@@ -412,7 +411,7 @@ impl Scratch {
                 s_global[v] = 1 + children(v).map(|c| s_global[c]).sum::<u64>();
             }
         }
-        ledger.charge_rounds_span(b + 1, rec);
+        rec.charge_rounds(b + 1);
 
         // ---- Stage 1d: heavy children (children report sizes; streaming max)
         for &v in order.iter() {
@@ -430,7 +429,7 @@ impl Scratch {
                 heavy[v] = c as u32;
             }
         }
-        ledger.charge_rounds_span(1, rec);
+        rec.charge_rounds(1);
         for r in 0..n {
             memory.set(slot(r), words(held(r), 0, 0));
         }
@@ -452,7 +451,7 @@ impl Scratch {
             head[v] = if light { v as u32 } else { head[p] };
             memory.set(slot(v), words(held(v), local_len[v], 0));
         }
-        ledger.charge_rounds_span(b + iters as u64 + 1, rec);
+        rec.charge_rounds(b + iters as u64 + 1);
 
         // ---- Stage 2b: Algorithm 3 (global light edges by pointer jumping) -
         // L_0(x) is the just-computed local list (path from p'(x) to x); the
@@ -466,7 +465,7 @@ impl Scratch {
         }
         for it in 0..iters {
             let sent: u64 = jump.iter().map(|&len| 1 + 2 * len).sum();
-            ledger.charge_broadcast_span(sent, d, rec);
+            rec.charge_broadcast(sent, d);
             snapshot.clear();
             snapshot.extend_from_slice(jump);
             let a_i = &ancestors[it * u..(it + 1) * u];
@@ -491,7 +490,7 @@ impl Scratch {
                 memory.set(slot(v), words(held(v), local_len[v], global_len[v]));
             }
         }
-        ledger.charge_rounds_span(b + iters as u64 + 1, rec);
+        rec.charge_rounds(b + iters as u64 + 1);
         rec.end_with_memory(light_span, memory.peaks());
 
         // ---- Stage 3a: Algorithms 4 + 5 (local DFS with range partition) ---
@@ -503,7 +502,7 @@ impl Scratch {
         // their range from the parent's start, their prefix sum, and their
         // own size.
         let ranges_span = rec.begin("tree/dfs-ranges");
-        ledger.charge_rounds_span(2 * iters as u64, rec);
+        rec.charge_rounds(2 * iters as u64);
         for &v in order.iter() {
             let v = v as usize;
             if sampled[v] {
@@ -521,14 +520,14 @@ impl Scratch {
                 c_start += s_global[c];
             }
         }
-        ledger.charge_rounds_span(b + 1, rec);
+        rec.charge_rounds(b + 1);
 
         // ---- Stage 3b: Algorithm 6 (global shifts by pointer jumping) ------
         for (k, &x) in virtual_ranks.iter().enumerate() {
             jump[k] = q_shift[x as usize];
         }
         for it in 0..iters {
-            ledger.charge_broadcast_span(u as u64, d, rec);
+            rec.charge_broadcast(u as u64, d);
             snapshot.clear();
             snapshot.extend_from_slice(jump);
             let a_i = &ancestors[it * u..(it + 1) * u];
@@ -551,7 +550,7 @@ impl Scratch {
             }
             memory.set(slot(v), words(held(v), local_len[v], global_len[v]));
         }
-        ledger.charge_rounds_span(b + 1, rec);
+        rec.charge_rounds(b + 1);
         rec.end_with_memory(ranges_span, memory.peaks());
 
         let finalize_span = rec.begin("tree/finalize");
@@ -592,7 +591,7 @@ impl Scratch {
         TreeRun {
             tables,
             labels,
-            ledger,
+            cost: rec.charged_since(&entry),
             memory,
             virtual_count: u,
             virtual_depth,
@@ -756,9 +755,9 @@ mod tests {
         let d = out.bfs_depth as f64;
         let budget = 60.0 * (n.sqrt() * n.log2() + d);
         assert!(
-            (out.ledger.rounds() as f64) < budget,
+            (out.cost.rounds as f64) < budget,
             "rounds {} exceed Õ(√n + D) budget {}",
-            out.ledger.rounds(),
+            out.cost.rounds,
             budget
         );
     }
@@ -784,7 +783,7 @@ mod tests {
         let out = build(&net, &t, &Config::default(), &mut rng, &mut rec);
         assert_matches_centralized(&t, &out);
         // Every charge happened inside a top-level stage span.
-        assert_eq!(rec.totals(), out.ledger.counters());
+        assert_eq!(rec.totals(), out.cost);
         let names: Vec<&str> = rec.spans().iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
             names,
@@ -798,7 +797,7 @@ mod tests {
             ]
         );
         let sum: u64 = rec.spans().iter().map(|s| s.delta.rounds).sum();
-        assert_eq!(sum, out.ledger.rounds());
+        assert_eq!(sum, out.cost.rounds);
         assert_eq!(
             rec.spans().last().unwrap().peak_memory_words,
             out.memory.max_peak()

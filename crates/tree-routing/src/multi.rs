@@ -11,10 +11,10 @@
 //!
 //! [`Schedule`] is that rule, written once: it owns `q`, the window and the
 //! shared construction config, and charges each finished tree to the
-//! caller's ledger and meter. The general-graph scheme (both its Theorem-2
+//! caller's recorder and meter. The general-graph scheme (both its Theorem-2
 //! row and the \[EN16b\]-style row) drives one over its cluster trees.
 
-use congest::{CostLedger, MemoryMeter};
+use congest::MemoryMeter;
 use graphs::VertexId;
 use rand::Rng;
 
@@ -58,29 +58,29 @@ impl Schedule {
     }
 
     /// Account one finished tree, whose members are `members` and whose run
-    /// cost `tree_ledger` and `tree_memory` (one slot per member): draw its
-    /// start offset, charge its messages to `ledger`, and fold its meter
-    /// into `memory` as running concurrently with every other tree.
+    /// charged `tree_cost` and metered `tree_memory` (one slot per member):
+    /// draw its start offset, charge its messages to `rec`, and fold its
+    /// meter into `memory` as running concurrently with every other tree.
     pub fn charge_tree<R: Rng>(
         &mut self,
         rng: &mut R,
         members: &[VertexId],
-        tree_ledger: &CostLedger,
+        tree_cost: &obs::Counters,
         tree_memory: &MemoryMeter,
-        ledger: &mut CostLedger,
+        rec: &mut obs::Recorder,
         memory: &mut MemoryMeter,
     ) {
         let offset = rng.gen_range(0..=self.window);
-        self.max_finish = self.max_finish.max(offset + tree_ledger.rounds());
-        ledger.charge_messages(tree_ledger.messages());
+        self.max_finish = self.max_finish.max(offset + tree_cost.rounds);
+        rec.charge_messages(tree_cost.messages);
         memory.merge_concurrent(members, tree_memory);
     }
 
-    /// Charge the stage's rounds to `ledger` and return them:
+    /// Charge the stage's rounds to `rec` and return them:
     /// `window + max_t (offset_t + rounds_t)`.
-    pub fn close(self, ledger: &mut CostLedger) -> u64 {
+    pub fn close(self, rec: &mut obs::Recorder) -> u64 {
         let rounds = self.window + self.max_finish;
-        ledger.charge_rounds(rounds);
+        rec.charge_rounds(rounds);
         rounds
     }
 }
@@ -104,18 +104,18 @@ mod tests {
     }
 
     /// Every tree on one shared backbone under one schedule with overlap
-    /// bound `s`: the runs (every label asked for) and the network's ledger
-    /// and meter.
+    /// bound `s`: the runs (every label asked for) and the network's
+    /// recorder and meter.
     fn run_all(
         net: &Network,
         trees: &[RootedTree],
         s: usize,
         rng: &mut ChaCha8Rng,
-    ) -> (Vec<TreeRun>, CostLedger, MemoryMeter) {
+    ) -> (Vec<TreeRun>, obs::Recorder, MemoryMeter) {
         let backbone = congest::bfs::build_bfs_tree(net, trees[0].root());
-        let mut ledger = CostLedger::new();
+        let mut account = obs::Recorder::disabled();
         let mut memory = MemoryMeter::new(net.len());
-        ledger.charge_rounds(backbone.stats.rounds);
+        account.charge_rounds(backbone.stats.rounds);
         for v in net.graph().vertices() {
             memory.add(v, 3);
         }
@@ -126,12 +126,12 @@ mod tests {
         for t in trees {
             let every: Vec<usize> = (0..t.num_vertices()).collect();
             let run = scratch.run(net, t, schedule.config(), &every, rng, disabled);
-            let (l, m) = (&run.ledger, &run.memory);
-            schedule.charge_tree(rng, t.members(), l, m, &mut ledger, &mut memory);
+            let (c, m) = (&run.cost, &run.memory);
+            schedule.charge_tree(rng, t.members(), c, m, &mut account, &mut memory);
             runs.push(run);
         }
-        schedule.close(&mut ledger);
-        (runs, ledger, memory)
+        schedule.close(&mut account);
+        (runs, account, memory)
     }
 
     #[test]
@@ -193,12 +193,12 @@ mod tests {
         for t in &trees {
             let disabled = &mut obs::Recorder::disabled();
             let out = distributed::build(&net, t, &Config::default(), &mut rng, disabled);
-            seq += out.ledger.rounds();
+            seq += out.cost.rounds;
         }
         assert!(
-            par.rounds() < seq,
+            par.totals().rounds < seq,
             "parallel {} should beat sequential {}",
-            par.rounds(),
+            par.totals().rounds,
             seq
         );
     }
@@ -222,7 +222,7 @@ mod tests {
             let net = Network::new(generators::star(host, 1..=1, &mut rng));
             let mut schedule = Schedule::new(host, s, depth);
             let window = schedule.window();
-            let mut ledger = CostLedger::new();
+            let mut account = obs::Recorder::disabled();
             let mut memory = MemoryMeter::new(host);
             let (mut latest, mut slowest, mut messages) = (0, 0, 0);
             let mut scratch = Scratch::default();
@@ -233,17 +233,17 @@ mod tests {
                 let disabled = &mut obs::Recorder::disabled();
                 let run = scratch.run(&net, &t, schedule.config(), &[], &mut rng, disabled);
                 let offset = rng.clone().gen_range(0..=window);
-                let (l, m) = (&run.ledger, &run.memory);
-                schedule.charge_tree(&mut rng, t.members(), l, m, &mut ledger, &mut memory);
-                latest = latest.max(offset + run.ledger.rounds());
-                slowest = slowest.max(run.ledger.rounds());
-                messages += run.ledger.messages();
+                let (c, m) = (&run.cost, &run.memory);
+                schedule.charge_tree(&mut rng, t.members(), c, m, &mut account, &mut memory);
+                latest = latest.max(offset + run.cost.rounds);
+                slowest = slowest.max(run.cost.rounds);
+                messages += run.cost.messages;
             }
-            let rounds = schedule.close(&mut ledger);
+            let rounds = schedule.close(&mut account);
             proptest::prop_assert_eq!(rounds, window + latest);
             proptest::prop_assert!(rounds <= 2 * window + slowest);
-            proptest::prop_assert_eq!(ledger.rounds(), rounds);
-            proptest::prop_assert_eq!(ledger.messages(), messages);
+            proptest::prop_assert_eq!(account.totals().rounds, rounds);
+            proptest::prop_assert_eq!(account.totals().messages, messages);
         }
     }
 }

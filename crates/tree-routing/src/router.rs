@@ -37,7 +37,8 @@ pub enum RouteError {
     Stuck(VertexId),
     /// A vertex forwarded to a non-neighbor or a vertex with no table.
     BadForward { from: VertexId, to: VertexId },
-    /// Exceeded `2n` hops — a forwarding loop.
+    /// Took `2·h + 2` hops without delivering, where `h` is the tree's
+    /// [`RootedTree::host_len`] — a forwarding loop.
     Loop,
 }
 
@@ -86,10 +87,24 @@ pub fn route(
     src: VertexId,
     dst: VertexId,
 ) -> Result<RouteTrace, RouteError> {
-    if scheme.table(src).is_none() {
-        return Err(RouteError::SourceNotInTree(src));
-    }
-    let label = scheme.label(dst).ok_or(RouteError::TargetNotInTree(dst))?;
+    let table = |v| scheme.table(v);
+    walk(tree, (src, dst), table, scheme.label(dst), route_step)
+}
+
+/// The one single-tree walk every tree scheme routes with, from `src` toward
+/// `dst`, whose label is `label`: `table(v)` is `v`'s table (`None` outside
+/// the scheme) and `step` the scheme's forwarding rule. Every hop must be a
+/// tree edge to a vertex with a table, and is priced by the tree edge's
+/// weight.
+pub(crate) fn walk<'s, T: 's, L>(
+    tree: &RootedTree,
+    (src, dst): (VertexId, VertexId),
+    table: impl Fn(VertexId) -> Option<&'s T>,
+    label: Option<&L>,
+    step: impl Fn(VertexId, &T, &L) -> Option<RouteAction>,
+) -> Result<RouteTrace, RouteError> {
+    let mut at = table(src).ok_or(RouteError::SourceNotInTree(src))?;
+    let label = label.ok_or(RouteError::TargetNotInTree(dst))?;
     let mut path = vec![src];
     let mut weight = 0;
     let mut cur = src;
@@ -98,29 +113,19 @@ pub fn route(
         if path.len() > cap {
             return Err(RouteError::Loop);
         }
-        let table = scheme
-            .table(cur)
-            .expect("current vertex always has a table");
-        match route_step(cur, table, label) {
-            None => return Err(RouteError::Stuck(cur)),
-            Some(RouteAction::Deliver) => {
-                return Ok(RouteTrace { path, weight });
-            }
-            Some(RouteAction::Forward(next)) => {
+        match step(cur, at, label).ok_or(RouteError::Stuck(cur))? {
+            RouteAction::Deliver => return Ok(RouteTrace { path, weight }),
+            RouteAction::Forward(next) => {
                 // Validate the hop is a genuine tree edge.
-                let is_edge = tree.parent(cur) == Some(next) || tree.parent(next) == Some(cur);
-                if !is_edge || scheme.table(next).is_none() {
-                    return Err(RouteError::BadForward {
+                let up = tree.parent(cur) == Some(next);
+                let is_edge = up || tree.parent(next) == Some(cur);
+                at = table(next)
+                    .filter(|_| is_edge)
+                    .ok_or(RouteError::BadForward {
                         from: cur,
                         to: next,
-                    });
-                }
-                let w = if tree.parent(cur) == Some(next) {
-                    tree.parent_weight(cur)
-                } else {
-                    tree.parent_weight(next)
-                };
-                weight += w;
+                    })?;
+                weight += tree.parent_weight(if up { cur } else { next });
                 path.push(next);
                 cur = next;
             }

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example datacenter_fabric`
 
-use congest::{bfs, CostLedger, MemoryMeter, Network};
+use congest::{bfs, MemoryMeter, Network};
 use graphs::{generators, tree, RootedTree, VertexId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -35,9 +35,9 @@ fn main() {
     // Parallel construction (Theorem 2, second assertion): one shared BFS
     // backbone (3 words per switch), then every tree on one schedule.
     let backbone = bfs::build_bfs_tree(&net, trees[0].root());
-    let mut ledger = CostLedger::new();
+    let mut account = obs::Recorder::disabled();
     let mut memory = MemoryMeter::new(n);
-    ledger.charge_rounds(backbone.stats.rounds);
+    account.charge_rounds(backbone.stats.rounds);
     for v in g.vertices() {
         memory.add(v, 3);
     }
@@ -49,13 +49,13 @@ fn main() {
     for t in &trees {
         let every: Vec<usize> = (0..t.num_vertices()).collect();
         let run = scratch.run(&net, t, schedule.config(), &every, &mut rng, disabled);
-        let (l, m) = (&run.ledger, &run.memory);
-        schedule.charge_tree(&mut rng, t.members(), l, m, &mut ledger, &mut memory);
+        let (c, m) = (&run.cost, &run.memory);
+        schedule.charge_tree(&mut rng, t.members(), c, m, &mut account, &mut memory);
         schemes.push(run.scheme(t));
     }
-    schedule.close(&mut ledger);
+    schedule.close(&mut account);
     println!("\nparallel construction (q = 1/sqrt(s*n), random offsets):");
-    println!("  rounds            : {}", ledger.rounds());
+    println!("  rounds            : {}", account.totals().rounds);
     println!("  offset window     : {window}");
     println!(
         "  memory per switch : {} words (O(s log n))",
@@ -66,12 +66,12 @@ fn main() {
     let mut seq_rounds = 0;
     for t in &trees {
         let out = distributed::build(&net, t, &Config::default(), &mut rng, disabled);
-        seq_rounds += out.ledger.rounds();
+        seq_rounds += out.cost.rounds;
     }
     println!("\nsequential alternative: {seq_rounds} rounds");
     println!(
         "parallel speedup: {:.1}x",
-        seq_rounds as f64 / ledger.rounds() as f64
+        seq_rounds as f64 / account.totals().rounds as f64
     );
 
     // Every service's scheme is exact; verify against the centralized build

@@ -37,7 +37,7 @@ fn main() {
     distributed::assert_matches_centralized(&t, &ours);
     let scheme = ours.scheme(&t);
     println!("\nthis paper (Theorem 2):");
-    println!("  rounds           : {}", ours.ledger.rounds());
+    println!("  rounds           : {}", ours.cost.rounds);
     println!(
         "  memory per vertex: {} words (O(log n))",
         ours.memory.max_peak()
@@ -55,7 +55,7 @@ fn main() {
     // The prior construction ([LP15]/[EN16b]-style).
     let prior = baseline::build(&net, &t, &Config::default(), &mut rng);
     println!("\nprior approach:");
-    println!("  rounds           : {}", prior.ledger.rounds());
+    println!("  rounds           : {}", prior.cost.rounds);
     println!(
         "  memory per vertex: {} words (Ω(√n) at virtual vertices)",
         prior.memory.max_peak()

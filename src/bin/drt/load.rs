@@ -288,7 +288,7 @@ pub fn profile(a: &Args) -> Result<(), String> {
 
     // A self-contained engine-heavy workload: a seeded batch of packets
     // store-and-forwarded through a k = 2 scheme. The builds never enter
-    // the engine round loop (they charge the cost ledger directly), so a
+    // the engine round loop (their stages are charged by formula), so a
     // batch send is the representative thing to attribute.
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let g = crate::er_graph(n, &mut rng);

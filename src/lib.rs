@@ -37,7 +37,7 @@ pub use tree_routing;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use congest::{CostLedger, MemoryMeter, Network, WordSized};
+    pub use congest::{MemoryMeter, Network, WordSized};
     pub use graphs::{Graph, GraphBuilder, RootedTree, VertexId, Weight, INFINITY};
     pub use routing::{BuildParams, Mode, RoutingScheme};
     pub use tree_routing::{TreeLabel, TreeScheme, TreeTable};

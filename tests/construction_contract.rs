@@ -1,17 +1,19 @@
 //! The construction's behavioural contract, pinned to the digit.
 //!
 //! The tree stage may be reorganised freely as long as every simulated
-//! quantity stays put: ledger totals, the per-vertex memory peaks, and the
-//! bytes of the encoded scheme. The pins below were recorded on the commit
-//! before the tree stage moved into tree-local index space; a mismatch means
-//! a charge, a meter call, an RNG draw or an output entry changed.
+//! quantity stays put: cost totals, their attribution to spans, the
+//! per-vertex memory peaks, and the bytes of the encoded scheme. The pins
+//! below were recorded on the commit before the tree stage moved into
+//! tree-local index space (`spans_crc` on the commit before the cost account
+//! moved onto the recorder); a mismatch means a charge, a span, a meter call,
+//! an RNG draw or an output entry changed.
 
 use std::fmt::Write;
 
 use graphs::{generators, Graph};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use routing::{build, persist, prior, BuildParams, BuildReport, Mode};
+use routing::{build, build_observed, persist, prior, BuildParams, BuildReport, Mode};
 
 /// What one build is pinned on.
 #[derive(Debug, PartialEq, Eq)]
@@ -30,9 +32,35 @@ struct Pin {
     /// CRC32 of the whole file `save_scheme_to` writes, the
     /// `encode_container` bytes. The baseline has no file: `None`.
     file_crc: Option<u32>,
+    /// CRC32 over the spans of the same build made on a live recorder, one
+    /// line per span in begin order: `name depth parent rounds messages words
+    /// broadcasts peak_memory_words` (no wall clock).
+    spans_crc: u32,
 }
 
-fn pin_of(report: &BuildReport, scheme_bytes: &[u8], file: Option<&[u8]>) -> Pin {
+fn pin_of(
+    report: &BuildReport,
+    scheme_bytes: &[u8],
+    file: Option<&[u8]>,
+    rec: &obs::Recorder,
+) -> Pin {
+    let mut spans = String::new();
+    for s in rec.spans() {
+        let d = &s.delta;
+        writeln!(
+            spans,
+            "{} {} {:?} {} {} {} {} {}",
+            s.name,
+            s.depth,
+            s.parent,
+            d.rounds,
+            d.messages,
+            d.words,
+            d.broadcasts,
+            s.peak_memory_words
+        )
+        .unwrap();
+    }
     let peaks: Vec<u8> = report
         .memory
         .peaks()
@@ -47,17 +75,27 @@ fn pin_of(report: &BuildReport, scheme_bytes: &[u8], file: Option<&[u8]>) -> Pin
         peaks_crc: persist::crc32(&peaks),
         scheme_crc: persist::crc32(scheme_bytes),
         file_crc: file.map(persist::crc32),
+        spans_crc: persist::crc32(spans.as_bytes()),
     }
 }
 
+/// The recorder of `build` run again on a live recorder from the same seed.
+fn spans_of<T>(build: impl FnOnce(&mut ChaCha8Rng, &mut obs::Recorder) -> T) -> obs::Recorder {
+    let mut rec = obs::Recorder::new();
+    build(&mut ChaCha8Rng::seed_from_u64(2024), &mut rec);
+    rec
+}
+
 fn pin(g: &Graph, k: usize, mode: Mode) -> Pin {
-    let mut rng = ChaCha8Rng::seed_from_u64(2024);
-    let built = build(g, &BuildParams::new(k).with_mode(mode), &mut rng);
+    let params = BuildParams::new(k).with_mode(mode);
+    let built = build(g, &params, &mut ChaCha8Rng::seed_from_u64(2024));
     let file = persist::encode_container(&built.scheme).unwrap();
+    let rec = spans_of(|rng, rec| build_observed(g, &params, rng, rec));
     pin_of(
         &built.report,
         &persist::encode_scheme(&built.scheme),
         Some(&file),
+        &rec,
     )
 }
 
@@ -76,7 +114,8 @@ fn pin_prior(g: &Graph, k: usize) -> Pin {
             writeln!(rows, "{} {pivot} {} {label:?}", e.level, e.dist).unwrap();
         }
     }
-    pin_of(&built.report, rows.as_bytes(), None)
+    let rec = spans_of(|rng, rec| prior::build_observed(g, k, rng, rec));
+    pin_of(&built.report, rows.as_bytes(), None, &rec)
 }
 
 const MODES: [Mode; 2] = [Mode::Centralized, Mode::DistributedLowMemory];
@@ -106,6 +145,7 @@ fn erdos_renyi_256_k2_is_pinned() {
                 peaks_crc: 1434617419,
                 scheme_crc: 3681962766,
                 file_crc: Some(1498944229),
+                spans_crc: 2978566645,
             },
             Pin {
                 rounds: 36666,
@@ -115,6 +155,7 @@ fn erdos_renyi_256_k2_is_pinned() {
                 peaks_crc: 225215104,
                 scheme_crc: 4242500722,
                 file_crc: Some(757117835),
+                spans_crc: 3943825737,
             },
             Pin {
                 rounds: 36535,
@@ -124,6 +165,7 @@ fn erdos_renyi_256_k2_is_pinned() {
                 peaks_crc: 221054711,
                 scheme_crc: 2817017847,
                 file_crc: None,
+                spans_crc: 1555685789,
             },
         ],
     );
@@ -145,6 +187,7 @@ fn torus_16x16_k3_is_pinned() {
                 peaks_crc: 3157779328,
                 scheme_crc: 3938959766,
                 file_crc: Some(631208404),
+                spans_crc: 580371442,
             },
             Pin {
                 rounds: 15951,
@@ -154,6 +197,7 @@ fn torus_16x16_k3_is_pinned() {
                 peaks_crc: 299447093,
                 scheme_crc: 4198435056,
                 file_crc: Some(2077773708),
+                spans_crc: 4192289088,
             },
             Pin {
                 rounds: 15629,
@@ -163,6 +207,7 @@ fn torus_16x16_k3_is_pinned() {
                 peaks_crc: 2486309895,
                 scheme_crc: 444046813,
                 file_crc: None,
+                spans_crc: 1200677716,
             },
         ],
     );
@@ -184,6 +229,7 @@ fn preferential_attachment_256_k3_is_pinned() {
                 peaks_crc: 182359566,
                 scheme_crc: 1995897703,
                 file_crc: Some(3398307265),
+                spans_crc: 2135152201,
             },
             Pin {
                 rounds: 14074,
@@ -193,6 +239,7 @@ fn preferential_attachment_256_k3_is_pinned() {
                 peaks_crc: 4145112779,
                 scheme_crc: 1681073834,
                 file_crc: Some(858289140),
+                spans_crc: 2810214340,
             },
             Pin {
                 rounds: 13887,
@@ -202,6 +249,7 @@ fn preferential_attachment_256_k3_is_pinned() {
                 peaks_crc: 2873869121,
                 scheme_crc: 456181782,
                 file_crc: None,
+                spans_crc: 2703401747,
             },
         ],
     );
@@ -232,7 +280,7 @@ fn one_and_two_vertex_networks_build_in_every_mode() {
 
 /// One standalone tree simulation (`distributed::build` with its own
 /// BFS backbone, the path behind `table2` and the `fig_*_vs_n` binaries) on a
-/// shortest-path tree, rendered as one line: the ledger totals, every
+/// shortest-path tree, rendered as one line: the run's cost totals, every
 /// `tree/*` span's name and counter delta, the CRC32 of the per-member peaks
 /// (little-endian `u64`s) and the CRC32 of the tree scheme's rows (one line
 /// per member: `id {table:?} {label:?}`).
@@ -249,7 +297,7 @@ fn standalone_pin(g: &Graph, q: Option<f64>) -> String {
         backbone_depth: None,
     };
     let out = distributed::build(&network, &tree, &config, &mut rng, &mut rec);
-    let c = out.ledger.counters();
+    let c = out.cost;
     let mut line = format!(
         "ledger {}/{}/{}/{}",
         c.rounds, c.messages, c.words, c.broadcasts
@@ -329,7 +377,7 @@ fn standalone_tree_simulation_is_pinned() {
 
 /// One superclustering hopset (`hopset::superclustering::build_sc`, the
 /// alternative construction behind Ablation 5) rendered as one line: the
-/// ledger totals, the edge count, the CRC32 of the per-vertex peaks
+/// cost totals, the edge count, the CRC32 of the per-vertex peaks
 /// (little-endian `u64`s) and the CRC32 of its records, one line per record
 /// in out-edge order: `owner to weight path`.
 fn superclustering_pin(g: &Graph, virt_p: f64, levels: usize, seed: u64) -> String {
@@ -340,19 +388,10 @@ fn superclustering_pin(g: &Graph, virt_p: f64, levels: usize, seed: u64) -> Stri
     if virt.virtual_vertices().is_empty() {
         return "no virtual vertices".to_string();
     }
-    let mut ledger = congest::CostLedger::new();
+    let mut rec = obs::Recorder::disabled();
     let mut memory = congest::MemoryMeter::new(g.num_vertices());
     let params = HopsetParams { levels };
-    let out = superclustering::build_sc(
-        g,
-        &virt,
-        params,
-        0.25,
-        8,
-        &mut ledger,
-        &mut memory,
-        &mut rng,
-    );
+    let out = superclustering::build_sc(g, &virt, params, 0.25, 8, &mut rec, &mut memory, &mut rng);
     let h = &out.hopset;
     let mut rows = String::new();
     for u in g.vertices() {
@@ -366,7 +405,7 @@ fn superclustering_pin(g: &Graph, virt_p: f64, levels: usize, seed: u64) -> Stri
         .iter()
         .flat_map(|&p| (p as u64).to_le_bytes())
         .collect();
-    let c = ledger.counters();
+    let c = rec.totals();
     format!(
         "ledger {}/{}/{}/{} edges {} peaks {} records {}",
         c.rounds,

@@ -1,12 +1,15 @@
 //! End-to-end observability: build a scheme under a live recorder, write the
 //! JSONL run report, parse it back, and check the accounting invariants the
 //! report format promises — every record well-formed, depth-0 span deltas
-//! partitioning the run totals, and the summary matching the build's ledger.
+//! partitioning the run totals, and the summary matching the build's report —
+//! and check that a build charges the same whatever recorder it runs on.
 
+use graphs::Graph;
 use obs::json::Value;
+use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use routing::{build, build_observed, BuildParams};
+use routing::{build, build_observed, prior, BuildParams, Mode};
 
 fn generated_report() -> (Vec<Value>, routing::Built) {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
@@ -50,8 +53,8 @@ fn report_spans_partition_run_totals() {
     );
     assert_eq!(get_u64(summary, "n"), 96, "extra fields pass through");
 
-    // The summary's totals are the ledger's: the observed build mirrors every
-    // charge into the recorder exactly once.
+    // The summary's totals are the build's: it charges the recorder once per
+    // charge.
     assert_eq!(get_u64(summary, "rounds"), built.report.rounds);
     assert_eq!(
         get_u64(summary, "peak_memory_words") as usize,
@@ -150,4 +153,75 @@ fn design_inventory_lists_exactly_the_registered_record_types() {
     documented.sort_unstable();
     registered.sort_unstable();
     assert_eq!(documented, registered);
+}
+
+/// One build of `g` from a fixed seed on `rec`: the scheme in `mode`, or the
+/// \[EN16b\]-style baseline when `mode` is `None`. Returns the report's
+/// rounds and messages.
+fn build_on(g: &Graph, k: usize, mode: Option<Mode>, rec: &mut obs::Recorder) -> (u64, u64) {
+    let rng = &mut ChaCha8Rng::seed_from_u64(5);
+    let report = match mode {
+        Some(mode) => build_observed(g, &BuildParams::new(k).with_mode(mode), rng, rec).report,
+        None => prior::build_observed(g, k, rng, rec).report,
+    };
+    (report.rounds, report.messages)
+}
+
+/// `rec`'s spans from the `from`-th on: name, depth below `depth`, counter
+/// delta and peak memory.
+fn spans_from(
+    rec: &obs::Recorder,
+    from: usize,
+    depth: usize,
+) -> Vec<(String, usize, obs::Counters, usize)> {
+    rec.spans()[from..]
+        .iter()
+        .map(|s| {
+            (
+                s.name.clone(),
+                s.depth - depth,
+                s.delta,
+                s.peak_memory_words,
+            )
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The recorder is the build's one cost account: a build reports the
+    /// same rounds and messages, and attributes the same deltas to the same
+    /// spans, on a disabled recorder, on a fresh one, and on one that already
+    /// holds an earlier build's charges inside an open span.
+    #[test]
+    fn a_build_charges_the_same_on_any_recorder(
+        n in 2usize..=200,
+        k in 2usize..=3,
+        kind in 0usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let p = (4.0 / n as f64).min(1.0);
+        let g = graphs::generators::erdos_renyi_connected(n, p, 1..=100, &mut rng);
+        let mode = [Some(Mode::Centralized), Some(Mode::DistributedLowMemory), None][kind];
+
+        let mut disabled = obs::Recorder::disabled();
+        let plain = build_on(&g, k, mode, &mut disabled);
+        let mut fresh = obs::Recorder::new();
+        let observed = build_on(&g, k, mode, &mut fresh);
+        let mut busy = obs::Recorder::new();
+        let outer = busy.begin("earlier");
+        build_on(&g, 2, Some(Mode::DistributedLowMemory), &mut busy);
+        let first = busy.spans().len();
+        let nested = build_on(&g, k, mode, &mut busy);
+        busy.end(outer);
+
+        prop_assert_eq!(plain, observed);
+        prop_assert_eq!(plain, nested);
+        prop_assert_eq!(disabled.totals(), fresh.totals());
+        prop_assert_eq!((fresh.totals().rounds, fresh.totals().messages), observed);
+        prop_assert!(disabled.spans().is_empty());
+        prop_assert_eq!(spans_from(&fresh, 0, 0), spans_from(&busy, first, 1));
+    }
 }

@@ -160,7 +160,7 @@ proptest! {
             distributed::build(&tight, &small, &config, &mut ChaCha8Rng::seed_from_u64(seed), disabled);
         distributed::assert_matches_centralized(&t, &big);
         router::verify_exactness(&t, &big.scheme(&t));
-        prop_assert_eq!(big.ledger.counters(), lil.ledger.counters());
+        prop_assert_eq!(big.cost, lil.cost);
         // One meter slot per member — nothing outside the tree is metered —
         // and slot for slot the same peaks as on the tight host.
         prop_assert_eq!(big.memory.len(), m);
@@ -180,7 +180,7 @@ proptest! {
         // The prior two-level scheme obeys the same contract.
         let big = baseline::build(&host, &t, &config, &mut ChaCha8Rng::seed_from_u64(seed));
         let lil = baseline::build(&tight, &small, &config, &mut ChaCha8Rng::seed_from_u64(seed));
-        prop_assert_eq!(big.ledger.counters(), lil.ledger.counters());
+        prop_assert_eq!(big.cost, lil.cost);
         prop_assert_eq!(big.memory.peaks(), lil.memory.peaks());
         prop_assert_eq!(big.virtual_count, lil.virtual_count);
         for &u in t.members() {
@@ -192,15 +192,15 @@ proptest! {
 
         // Charged by the schedule to a host-wide meter, a non-member holds
         // the shared backbone's 3 words and nothing of the tree's.
-        let mut ledger = congest::CostLedger::new();
+        let mut account = obs::Recorder::disabled();
         let mut memory = congest::MemoryMeter::new(SPARSE_HOST);
         for v in host.graph().vertices() {
             memory.add(v, 3);
         }
         let mut schedule = multi::Schedule::new(SPARSE_HOST, 1, 9);
         let run = distributed::build(&host, &t, schedule.config(), &mut rng, disabled);
-        let (l, m) = (&run.ledger, &run.memory);
-        schedule.charge_tree(&mut rng, t.members(), l, m, &mut ledger, &mut memory);
+        let (c, m) = (&run.cost, &run.memory);
+        schedule.charge_tree(&mut rng, t.members(), c, m, &mut account, &mut memory);
         for v in host.graph().vertices() {
             prop_assert_eq!(memory.peak(v) > 3, t.contains(v));
         }
@@ -215,14 +215,14 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let virt = hopset::VirtualGraph::sample(&g, 0.4, &mut rng);
         prop_assume!(!virt.virtual_vertices().is_empty());
-        let mut led = congest::CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = congest::MemoryMeter::new(n);
         let hs = hopset::construction::build(
-            &g, &virt, hopset::HopsetParams::default(), 4, &mut led, &mut mem, &mut rng,
+            &g, &virt, hopset::HopsetParams::default(), 4, &mut rec, &mut mem, &mut rng,
         );
         let root = virt.virtual_vertices()[0];
         let bf = hopset::bellman_ford::LimitedBf { g: &g, virt: &virt, hopset: &hs.hopset };
-        let out = bf.run(&[(root, 0)], &|_, _| true, 2 * n + 4, 4, &mut led, &mut mem);
+        let out = bf.run(&[(root, 0)], &|_, _| true, 2 * n + 4, 4, &mut rec, &mut mem);
         let exact = shortest_paths::dijkstra(&g, root);
         for &x in virt.virtual_vertices() {
             // Lower bound always; equality once converged (B covers G here).
@@ -248,9 +248,9 @@ proptest! {
             .map(VertexId)
             .filter(|v| !a1.contains(v))
             .collect();
-        let mut led = congest::CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = congest::MemoryMeter::new(n);
-        let (trees, _) = routing::clusters::exact_clusters(&g, &roots, 0, &next, n, &mut led, &mut mem);
+        let (trees, _) = routing::clusters::exact_clusters(&g, &roots, 0, &next, n, &mut rec, &mut mem);
         for t in &trees {
             let dv = shortest_paths::dijkstra(&g, t.root);
             for u in g.vertices() {
@@ -283,9 +283,9 @@ proptest! {
         let n = g.num_vertices();
         let src = VertexId(src_sel % n as u32);
         let virt = hopset::VirtualGraph::from_set(&g, vec![src], hops);
-        let mut led = congest::CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = congest::MemoryMeter::new(n);
-        let out = virt.bounded_exploration(&g, &[(src, 0)], &|_, _| true, &mut led, &mut mem);
+        let out = virt.bounded_exploration(&g, &[(src, 0)], &|_, _| true, &mut rec, &mut mem);
         let want = shortest_paths::hop_bounded_distances(&g, src, hops);
         prop_assert_eq!(out.dist, want);
     }
@@ -363,10 +363,10 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let virt = hopset::VirtualGraph::sample(&g, 0.35, &mut rng);
         prop_assume!(virt.virtual_vertices().len() >= 2);
-        let mut led = congest::CostLedger::new();
+        let mut rec = obs::Recorder::disabled();
         let mut mem = congest::MemoryMeter::new(g.num_vertices());
         let out = hopset::superclustering::build_sc(
-            &g, &virt, hopset::HopsetParams::default(), 0.25, 4, &mut led, &mut mem, &mut rng,
+            &g, &virt, hopset::HopsetParams::default(), 0.25, 4, &mut rec, &mut mem, &mut rng,
         );
         for u in g.vertices() {
             if out.hopset.out_edges(u).is_empty() {

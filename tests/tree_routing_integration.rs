@@ -2,7 +2,7 @@
 //! distributed ≡ centralized on trees embedded in every topology family,
 //! exactness of both our scheme and the baseline, and the Table-2 orderings.
 
-use congest::{bfs, CostLedger, MemoryMeter, Network};
+use congest::{bfs, MemoryMeter, Network};
 use graphs::{generators, tree, Graph, RootedTree, VertexId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -129,9 +129,9 @@ fn multi_tree_memory_and_rounds_beat_sequential() {
     // Every tree on one schedule over one shared backbone, asked for no
     // labels (a table is all this test reads).
     let backbone = bfs::build_bfs_tree(&net, trees[0].root());
-    let mut ledger = CostLedger::new();
+    let mut account = obs::Recorder::disabled();
     let mut memory = MemoryMeter::new(net.len());
-    ledger.charge_rounds(backbone.stats.rounds);
+    account.charge_rounds(backbone.stats.rounds);
     for v in net.graph().vertices() {
         memory.add(v, 3);
     }
@@ -140,8 +140,8 @@ fn multi_tree_memory_and_rounds_beat_sequential() {
     let disabled = &mut obs::Recorder::disabled();
     for t in &trees {
         let run = scratch.run(&net, t, schedule.config(), &[], &mut rng, disabled);
-        let (l, m) = (&run.ledger, &run.memory);
-        schedule.charge_tree(&mut rng, t.members(), l, m, &mut ledger, &mut memory);
+        let (c, m) = (&run.cost, &run.memory);
+        schedule.charge_tree(&mut rng, t.members(), c, m, &mut account, &mut memory);
         // Every tree's tables match the centralized construction.
         let want = tz::build(t);
         for (r, v) in t.members().iter().enumerate().step_by(3) {
@@ -149,7 +149,7 @@ fn multi_tree_memory_and_rounds_beat_sequential() {
         }
     }
     let window = schedule.window();
-    assert!(schedule.close(&mut ledger) >= window);
+    assert!(schedule.close(&mut account) >= window);
     // Every switch is in every tree: the overlap the schedule was built for.
     let bound = roots.len() * (18 + 7 * distributed::log2_ceil(net.len()));
     assert!(
@@ -159,9 +159,9 @@ fn multi_tree_memory_and_rounds_beat_sequential() {
     );
     let mut seq = 0u64;
     for t in &trees {
-        seq += ours(&net, t, &mut rng).ledger.rounds();
+        seq += ours(&net, t, &mut rng).cost.rounds;
     }
-    assert!(ledger.rounds() < seq);
+    assert!(account.totals().rounds < seq);
 }
 
 #[test]
