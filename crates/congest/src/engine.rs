@@ -178,8 +178,6 @@ pub struct EngineConfig {
     /// Maximum words a vertex may send over one edge in one round (the
     /// CONGEST RAM cap; messages above it are recorded as violations).
     pub edge_words_per_round: usize,
-    /// Panic on congestion violations instead of recording them.
-    pub strict_congestion: bool,
     /// Profile the round loop: per-round phase timings
     /// ([`obs::profile::EngineProfile`]) returned in [`RunStats::profile`].
     /// Profiling never changes simulated results, only adds clock reads.
@@ -191,7 +189,6 @@ impl Default for EngineConfig {
         EngineConfig {
             max_rounds: 1_000_000,
             edge_words_per_round: 4,
-            strict_congestion: false,
             profile: false,
         }
     }
@@ -260,8 +257,6 @@ pub(crate) struct PhaseStats {
     pub(crate) words: u64,
     pub(crate) max_edge_words: usize,
     pub(crate) violations: u64,
-    /// First violation in (source, send) order.
-    pub(crate) first_violation: Option<(VertexId, VertexId, usize)>,
     /// Vertices executed this phase.
     pub(crate) executions: u64,
 }
@@ -400,8 +395,7 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if `protocols.len()` differs from the network size, or on a
-    /// congestion violation when `strict_congestion` is set.
+    /// Panics if `protocols.len()` differs from the network size.
     pub fn run<P: VertexProtocol>(
         &self,
         network: &Network,
@@ -474,8 +468,8 @@ impl Engine {
         (protocols, stats)
     }
 
-    /// Fold one executed-and-scattered phase into the run — totals and
-    /// strict congestion enforcement — and apply the termination test.
+    /// Fold one executed-and-scattered phase into the run's totals and
+    /// congestion count, and apply the termination test.
     /// Returns whether another round runs (it is then already counted in
     /// `stats.rounds`); otherwise `stats.completed` is settled.
     fn finish_phase<M>(&self, ps: &PhaseStats, rounds: &Rounds<M>, stats: &mut RunStats) -> bool {
@@ -484,12 +478,6 @@ impl Engine {
         stats.max_edge_words = stats.max_edge_words.max(ps.max_edge_words);
         stats.congestion_violations += ps.violations;
         stats.executions += ps.executions;
-        if let Some((from, to, w)) = ps.first_violation {
-            assert!(
-                !self.config.strict_congestion,
-                "congestion violation: {from} sent {w} words to {to} in one round"
-            );
-        }
         let all_done = rounds.hints.not_done == 0;
         let in_flight = rounds.delivery.total() > 0;
         if all_done && !in_flight {
@@ -570,7 +558,7 @@ impl<M: WordSized> Rounds<M> {
                 ps.executions += 1;
                 meter.set(vid, protocol.memory_words());
                 self.hints.refresh(v, protocol, r);
-                account(&self.outbox[start..], vid, cap, &mut self.per_edge, &mut ps);
+                account(&self.outbox[start..], cap, &mut self.per_edge, &mut ps);
             }
         }
         ps
@@ -580,7 +568,6 @@ impl<M: WordSized> Rounds<M> {
 /// Congestion/volume accounting for one vertex's sends this round.
 pub(crate) fn account<M: WordSized>(
     sent: &[OutMsg<M>],
-    from: VertexId,
     cap: usize,
     per_edge: &mut Vec<(VertexId, usize)>,
     ps: &mut PhaseStats,
@@ -598,13 +585,10 @@ pub(crate) fn account<M: WordSized>(
             None => per_edge.push((m.to, w)),
         }
     }
-    for &(to, w) in per_edge.iter() {
+    for &(_, w) in per_edge.iter() {
         ps.max_edge_words = ps.max_edge_words.max(w);
         if w > cap {
             ps.violations += 1;
-            if ps.first_violation.is_none() {
-                ps.first_violation = Some((from, to, w));
-            }
         }
     }
 }
@@ -1112,33 +1096,6 @@ mod tests {
         let (_, stats) = Engine::new().run(&net, vec![Fat { sent: false }, Fat { sent: false }]);
         assert_eq!(stats.congestion_violations, 1);
         assert_eq!(stats.max_edge_words, 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "congestion violation")]
-    fn strict_congestion_panics() {
-        struct Fat;
-        impl VertexProtocol for Fat {
-            type Msg = Vec<u64>;
-            fn init(&mut self, ctx: &mut Ctx<'_, Vec<u64>>) {
-                if ctx.me() == VertexId(0) {
-                    ctx.send(VertexId(1), vec![0; 100]);
-                }
-            }
-            fn round(&mut self, _: &mut Ctx<'_, Vec<u64>>, _: &mut Inbox<'_, Vec<u64>>) {}
-            fn is_done(&self) -> bool {
-                true
-            }
-            fn memory_words(&self) -> usize {
-                0
-            }
-        }
-        let net = path_network(2);
-        let engine = Engine::with_config(EngineConfig {
-            strict_congestion: true,
-            ..EngineConfig::default()
-        });
-        engine.run(&net, vec![Fat, Fat]);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Congestion accounting under the engine's CONGEST RAM cap: exact violation
-//! counts, per-edge word accumulation within a round, `max_edge_words`, and
-//! the strict mode.
+//! counts, per-edge word accumulation within a round and `max_edge_words`.
 
 use congest::engine::Ctx;
 use congest::{Engine, EngineConfig, Inbox, Network, VertexProtocol};
@@ -103,16 +102,4 @@ fn congestion_accounting_is_thread_count_independent() {
     let net = two_vertex_net();
     let run = || Engine::new().run(&net, vec![Burst::sender(script()), Burst::receiver()]);
     assert!(run().1.same_simulation(&run().1));
-}
-
-#[test]
-#[should_panic(expected = "congestion violation")]
-fn strict_congestion_panics_on_first_violation() {
-    let net = two_vertex_net();
-    let protocols = vec![Burst::sender(vec![vec![6]]), Burst::receiver()];
-    let engine = Engine::with_config(EngineConfig {
-        strict_congestion: true,
-        ..EngineConfig::default()
-    });
-    let _ = engine.run(&net, protocols);
 }

@@ -198,23 +198,28 @@ fn intact_violations(p: &ProbeStat) -> u64 {
         + p.oracle_over_bound
 }
 
-/// Tuning for the sampled audits. The defaults keep a full audit well under
-/// a second at `n` in the thousands.
+/// At `n` up to this, the routing probe covers every pair instead of
+/// sampling.
+const FULL_SWEEP_MAX_N: usize = 72;
+
+/// Hopset records spot-checked against their realizing paths.
+const HOPSET_SAMPLES: usize = 128;
+
+/// Additive slack on the stretch bounds (`4k − 3` routing, `2k − 1` oracle)
+/// absorbing the construction's `(1 + ε)` distance estimates.
+const STRETCH_SLACK: f64 = 0.5;
+
+/// Sampling for the audits. The defaults keep a full audit well under a
+/// second at `n` in the thousands.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AuditConfig {
-    /// Seed for all sampling (sources, targets, hopset records).
+    /// Seed for all sampling (sources, targets, hopset records) and for
+    /// the kill draws of [`probe_perturbed`].
     pub seed: u64,
     /// Sources sampled for the routing probe and distance-soundness sweep.
     pub sources: usize,
     /// Targets sampled per source.
     pub targets_per_source: usize,
-    /// At `n` up to this, probe every pair instead of sampling.
-    pub full_sweep_max_n: usize,
-    /// Hopset records spot-checked against their realizing paths.
-    pub hopset_samples: usize,
-    /// Additive slack on the stretch bounds (`4k − 3` routing, `2k − 1`
-    /// oracle) absorbing the construction's `(1 + ε)` distance estimates.
-    pub stretch_slack: f64,
 }
 
 impl Default for AuditConfig {
@@ -223,9 +228,6 @@ impl Default for AuditConfig {
             seed: 0xA0D17,
             sources: 12,
             targets_per_source: 24,
-            full_sweep_max_n: 72,
-            hopset_samples: 128,
-            stretch_slack: 0.5,
         }
     }
 }
@@ -467,7 +469,7 @@ fn audit_inner(
             }
             let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x4095);
             edges.shuffle(&mut rng);
-            edges.truncate(cfg.hopset_samples);
+            edges.truncate(HOPSET_SAMPLES);
             for (v, j) in edges {
                 let e = hs.out_edges(v)[j];
                 let path = hs.path(v, j);
@@ -573,7 +575,7 @@ pub fn routing_probe(
 ) -> ProbeStat {
     let is_alive = |v: VertexId| alive.is_none_or(|a| a[v.index()]);
     let candidates: Vec<VertexId> = g.vertices().filter(|&v| is_alive(v)).collect();
-    let full_sweep = g.num_vertices() <= cfg.full_sweep_max_n;
+    let full_sweep = g.num_vertices() <= FULL_SWEEP_MAX_N;
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let sources: Vec<VertexId> = if full_sweep {
         candidates.clone()
@@ -585,8 +587,8 @@ pub fn routing_probe(
     };
     let oracle = DistanceOracle::new(scheme);
     let k = scheme.k;
-    let route_bound = (4 * k - 3) as f64 + cfg.stretch_slack;
-    let oracle_bound = (2 * k - 1) as f64 + cfg.stretch_slack;
+    let route_bound = (4 * k - 3) as f64 + STRETCH_SLACK;
+    let oracle_bound = (2 * k - 1) as f64 + STRETCH_SLACK;
     let mut stats = ProbeStat {
         pairs: 0,
         connected: 0,
@@ -662,8 +664,6 @@ pub struct PerturbSpec {
     /// Probability each vertex is killed (all its edges removed; killed
     /// vertices are excluded from the probe's pair sample).
     pub kill_vertices: f64,
-    /// Seed for the kill draws.
-    pub seed: u64,
 }
 
 /// A perturbed-graph probe result.
@@ -685,9 +685,12 @@ pub struct PerturbedProbe {
     pub stretch_inflation: f64,
 }
 
-/// Re-run the consistency probe with *stale* tables against a seeded
-/// perturbation of the graph: the measured form of "what does this scheme
-/// do when the network drifts out from under it".
+/// Re-run the consistency probe with *stale* tables against a
+/// perturbation of the graph drawn from `cfg.seed`: the measured form of
+/// "what does this scheme do when the network drifts out from under it".
+/// The `churn` crate does not come through here: its health sampler runs
+/// its own fixed-pair probe over each round's overlay, so the probe pairs
+/// stay the same from round to round.
 ///
 /// `baseline_mean_stretch` is the intact probe's mean stretch (from
 /// [`AuditOutcome::probe`]), the denominator of the inflation figure.
@@ -698,25 +701,9 @@ pub fn probe_perturbed(
     spec: &PerturbSpec,
     baseline_mean_stretch: f64,
 ) -> PerturbedProbe {
-    let mut rng = ChaCha8Rng::seed_from_u64(spec.seed);
+    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let mut overlay = Overlay::new(g);
     overlay.kill_random(g, spec.kill_vertices, spec.kill_edges, &mut rng);
-    probe_overlay(g, scheme, cfg, &overlay, spec, baseline_mean_stretch)
-}
-
-/// The overlay form of [`probe_perturbed`]: probe stale tables against an
-/// arbitrary tombstone [`Overlay`] (the one-shot random kill above is the
-/// degenerate single-event case). The `churn` crate does not come through
-/// here: its health sampler runs its own fixed-pair probe over each round's
-/// overlay, so the probe pairs stay the same from round to round.
-pub fn probe_overlay(
-    g: &Graph,
-    scheme: &RoutingScheme,
-    cfg: &AuditConfig,
-    overlay: &Overlay,
-    spec: &PerturbSpec,
-    baseline_mean_stretch: f64,
-) -> PerturbedProbe {
     let killed_vertices = overlay.killed_vertices();
     let surviving_edges = overlay.surviving_edges(g);
     let killed_edges = g.num_edges() - surviving_edges;
@@ -895,7 +882,6 @@ mod tests {
         let spec = PerturbSpec {
             kill_edges: 0.4,
             kill_vertices: 0.0,
-            seed: 99,
         };
         let p = probe_perturbed(&g, &b.scheme, &cfg, &spec, intact.probe.mean_stretch);
         assert!(p.killed_edges > 0);
@@ -921,7 +907,6 @@ mod tests {
         let spec = PerturbSpec {
             kill_edges: 0.0,
             kill_vertices: 0.3,
-            seed: 5,
         };
         let p = probe_perturbed(&g, &b.scheme, &cfg, &spec, 1.0);
         assert!(p.killed_vertices > 0);
@@ -938,7 +923,6 @@ mod tests {
         let spec = PerturbSpec {
             kill_edges: 0.2,
             kill_vertices: 0.1,
-            seed: 3,
         };
         let p = probe_perturbed(&g, &b.scheme, &cfg, &spec, out.probe.mean_stretch);
         let record = out.to_record(Some(&p));
@@ -1002,19 +986,26 @@ mod tests {
     fn overlay_probe_matches_one_shot_perturbation() {
         // probe_perturbed is the degenerate single-event case of the overlay
         // machinery: replaying the same seeded kill through an explicit
-        // overlay must reproduce it exactly.
+        // overlay and probing its graph must reproduce it exactly.
         let (g, b) = built(64, 7010);
         let cfg = AuditConfig::default();
         let spec = PerturbSpec {
             kill_edges: 0.2,
             kill_vertices: 0.15,
-            seed: 42,
         };
         let p = probe_perturbed(&g, &b.scheme, &cfg, &spec, 1.0);
-        let mut rng = ChaCha8Rng::seed_from_u64(spec.seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
         let mut o = Overlay::new(&g);
         o.kill_random(&g, spec.kill_vertices, spec.kill_edges, &mut rng);
-        let q = probe_overlay(&g, &b.scheme, &cfg, &o, &spec, 1.0);
-        assert_eq!(p, q);
+        let q = routing_probe(
+            &o.build_graph(&g),
+            &b.scheme,
+            &cfg,
+            Some(o.alive_vertices()),
+            |_, _| {},
+        );
+        assert_eq!(p.probe, q);
+        assert_eq!(p.killed_vertices, o.killed_vertices());
+        assert_eq!(p.surviving_edges, o.surviving_edges(&g));
     }
 }

@@ -70,11 +70,6 @@ impl Hierarchy {
         self.level_of[v.index()]
     }
 
-    /// Whether `v ∈ A_i`.
-    pub fn in_level(&self, v: VertexId, i: usize) -> bool {
-        self.level_of[v.index()] >= i
-    }
-
     /// Vertices whose level is exactly `i` (they root level-`i` clusters).
     pub fn exactly(&self, i: usize) -> impl Iterator<Item = VertexId> + '_ {
         (0..self.level_of.len() as u32)
@@ -122,13 +117,16 @@ mod tests {
         for i in 0..h.realized_levels() {
             for &v in h.set(i) {
                 assert!(h.level_of(v) >= i);
-                assert!(h.in_level(v, i));
             }
         }
         for v in 0..300u32 {
             let l = h.level_of(VertexId(v));
             assert!(h.set(l).contains(&VertexId(v)));
             assert!(!h.set(l + 1).contains(&VertexId(v)));
+            // `v ∈ A_i` exactly for the levels `i ≤ level_of(v)`.
+            for i in 0..=h.k() {
+                assert_eq!(h.set(i).contains(&VertexId(v)), i <= l);
+            }
         }
     }
 

@@ -70,12 +70,6 @@ impl<'a> DistanceOracle<'a> {
             }
         }
     }
-
-    /// Words of oracle-specific state at `v` beyond the routing table
-    /// (the pivot list).
-    pub fn extra_words(&self, v: VertexId) -> usize {
-        2 * self.scheme.pivots(v).len()
-    }
 }
 
 #[cfg(test)]
@@ -174,9 +168,10 @@ mod tests {
     fn oracle_extra_state_is_o_k_words() {
         let (g, mut rng) = er(80, 550);
         let built = build(&g, &BuildParams::new(4), &mut rng);
-        let oracle = DistanceOracle::new(&built.scheme);
+        // The oracle's state beyond the routing table is the pivot list,
+        // two words per pivot.
         for v in g.vertices() {
-            assert!(oracle.extra_words(v) <= 2 * 4);
+            assert!(2 * built.scheme.pivots(v).len() <= 2 * 4);
         }
     }
 }

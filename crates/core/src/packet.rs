@@ -333,7 +333,6 @@ pub fn run(
         edge_words_per_round,
         max_rounds: settings.max_rounds,
         profile: settings.profile,
-        ..EngineConfig::default()
     });
     let (protos, stats) = engine.run(network, protos);
 

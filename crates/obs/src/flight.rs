@@ -335,13 +335,6 @@ impl EdgeLoadMap {
         entries
     }
 
-    /// Fold every cell of `other` into this map.
-    pub fn merge(&mut self, other: &EdgeLoadMap) {
-        for (&(u, v), &load) in &other.loads {
-            self.add(u, v, load);
-        }
-    }
-
     /// Serialize as an `edge_load` JSONL record; `extra` fields (e.g. the
     /// offered load level) are appended to the top-level object. Entries are
     /// sorted by endpoint ids so records are deterministic and diffable.
@@ -568,7 +561,7 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics when `buckets` is zero or `width` is not positive.
-    pub fn uniform(lo: f64, width: f64, buckets: usize) -> Histogram {
+    fn uniform(lo: f64, width: f64, buckets: usize) -> Histogram {
         assert!(buckets > 0, "histogram needs at least one bucket");
         assert!(width > 0.0, "bucket width must be positive");
         Histogram {
@@ -874,19 +867,6 @@ mod tests {
         assert_eq!(top[1].0, (4, 5));
         assert_eq!(top[2].0, (0, 1));
         assert!(map.hottest(10).len() == 4);
-    }
-
-    #[test]
-    fn merge_folds_cells() {
-        let mut a = EdgeLoadMap::new();
-        a.record(0, 1, 5);
-        let mut b = EdgeLoadMap::new();
-        b.record(1, 0, 3);
-        b.record(2, 3, 2);
-        a.merge(&b);
-        assert_eq!(a.load(0, 1).unwrap().words, 8);
-        assert_eq!(a.load(0, 1).unwrap().packets, 2);
-        assert_eq!(a.total_words(), 10);
     }
 
     #[test]

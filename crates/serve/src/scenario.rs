@@ -134,6 +134,25 @@ impl Default for ServeSlo {
     }
 }
 
+impl ServeSlo {
+    /// Achieved over `offered` queries per second; 1 when nothing was
+    /// offered.
+    pub fn delivered(offered: f64, summary: &ServeSummary) -> f64 {
+        if offered > 0.0 {
+            summary.qps / offered
+        } else {
+            1.0
+        }
+    }
+
+    /// Whether a run offered `offered` queries per second meets the SLO:
+    /// achieved ≥ `min_delivered` × offered and p99 ≤ `max_p99_ns`.
+    pub fn met(&self, offered: f64, summary: &ServeSummary) -> bool {
+        ServeSlo::delivered(offered, summary) >= self.min_delivered
+            && summary.p99_ns <= self.max_p99_ns
+    }
+}
+
 /// One rung of an open-loop rate ladder.
 #[derive(Clone, Debug)]
 pub struct KneePoint {
@@ -461,8 +480,7 @@ pub fn run_open(
 }
 
 /// Walk an offered-rate ladder open-loop and find the knee: the index of
-/// the largest rate still meeting `slo` (achieved ≥ `min_delivered` ×
-/// offered and p99 ≤ `max_p99_ns`).
+/// the largest rate still meeting `slo` ([`ServeSlo::met`]).
 pub fn sweep_open(
     pool: &mut ServePool,
     stream: &[Query],
@@ -474,8 +492,7 @@ pub fn sweep_open(
     let mut knee = None;
     for (i, &rate) in rates.iter().enumerate() {
         let summary = run_open(pool, stream, config, rate);
-        let delivered = if rate > 0.0 { summary.qps / rate } else { 1.0 };
-        if delivered >= slo.min_delivered && summary.p99_ns <= slo.max_p99_ns {
+        if slo.met(rate, &summary) {
             knee = Some(i);
         }
         points.push(KneePoint {
@@ -639,5 +656,27 @@ mod tests {
         assert_eq!(points.len(), 2);
         assert_eq!(knee, Some(1));
         assert!(points.iter().all(|p| p.summary.mismatches == 0));
+    }
+
+    #[test]
+    fn slo_bounds_are_inclusive() {
+        let slo = ServeSlo {
+            min_delivered: 0.5,
+            max_p99_ns: 1000,
+        };
+        let run = |qps: f64, p99_ns: u64| ServeSummary {
+            qps,
+            p99_ns,
+            ..ServeSummary::default()
+        };
+        // Exactly at both bounds.
+        assert!(slo.met(200.0, &run(100.0, 1000)));
+        // Just over either bound.
+        assert!(!slo.met(200.0, &run(99.9, 1000)));
+        assert!(!slo.met(200.0, &run(100.0, 1001)));
+        // Nothing offered counts as fully delivered; the p99 bound still holds.
+        assert_eq!(ServeSlo::delivered(0.0, &run(0.0, 0)), 1.0);
+        assert!(slo.met(0.0, &run(0.0, 1000)));
+        assert!(!slo.met(0.0, &run(0.0, 1001)));
     }
 }

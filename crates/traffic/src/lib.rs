@@ -22,8 +22,10 @@
 //!   `injected = delivered + dropped + queued + on-wire` at every round.
 //! * [`scenario`] — the runner: plan a schedule, simulate, summarize into an
 //!   `obs` [`traffic_summary`](obs::traffic::TrafficSummary) record, and
-//!   sweep rates to find the saturation knee (the largest rate meeting an
-//!   [`Slo`](scenario::Slo)).
+//!   sweep rates to find the saturation knee (the largest rate whose p99
+//!   queueing delay and loss stay within
+//!   [`MAX_P99_QUEUE_DELAY`](scenario::MAX_P99_QUEUE_DELAY) and
+//!   [`MAX_DROP_FRACTION`](scenario::MAX_DROP_FRACTION)).
 //!
 //! Everything is deterministic: repeated runs produce byte-identical
 //! summaries, series, and edge loads.
@@ -33,7 +35,8 @@ pub mod sim;
 pub mod workload;
 
 pub use scenario::{
-    FlowOutcome, FlowRecord, KneeReport, ScenarioConfig, Slo, TrafficRun, TrafficScenario,
+    FlowOutcome, FlowRecord, KneeReport, ScenarioConfig, TrafficRun, TrafficScenario,
+    MAX_DROP_FRACTION, MAX_P99_QUEUE_DELAY,
 };
 pub use sim::{DropPolicy, RoundTotals, TrafficPacket};
 pub use workload::{Arrival, ArrivalKind, Workload, WorkloadKind};

@@ -5,9 +5,10 @@
 //! plans the full injection schedule up front (seeded, so the run is
 //! byte-identical across repeats), drives [`crate::sim::simulate`], and
 //! assembles an [`obs::traffic::TrafficSummary`] plus the dense per-round
-//! conservation series. [`sweep`] runs a rate ladder against an [`Slo`] and
-//! reports the *knee*: the largest offered rate the network sustains with
-//! bounded p99 queueing delay and negligible loss.
+//! conservation series. [`sweep`] runs a rate ladder and reports the *knee*:
+//! the largest offered rate the network sustains with a p99 queueing delay
+//! of at most [`MAX_P99_QUEUE_DELAY`] rounds and a loss of at most
+//! [`MAX_DROP_FRACTION`].
 //!
 //! [`run`]: TrafficScenario::run
 //! [`sweep`]: TrafficScenario::sweep
@@ -27,6 +28,13 @@ use crate::workload::{Arrival, ArrivalKind, Workload, WorkloadKind};
 /// Default seed for scenario schedules.
 pub const DEFAULT_SEED: u64 = 0x007A_FF1C;
 
+/// Largest p99 per-packet queueing delay, in rounds, a sustainable rate
+/// may show.
+pub const MAX_P99_QUEUE_DELAY: u64 = 8;
+
+/// Largest `dropped / injected` fraction a sustainable rate may show.
+pub const MAX_DROP_FRACTION: f64 = 0.01;
+
 /// Everything about a scenario except the workload and the rate.
 #[derive(Clone, Copy, Debug)]
 pub struct ScenarioConfig {
@@ -34,9 +42,6 @@ pub struct ScenarioConfig {
     pub arrival: ArrivalKind,
     /// Rounds during which sources inject.
     pub inject_rounds: u64,
-    /// Engine round cap; `0` picks a drain budget generous enough that a
-    /// stable network always finishes (the engine stops early on drain).
-    pub max_rounds: u64,
     /// Per-port queue capacity in packets.
     pub queue_cap: usize,
     /// Drop policy at a full queue.
@@ -53,24 +58,10 @@ impl Default for ScenarioConfig {
         ScenarioConfig {
             arrival: ArrivalKind::Fixed,
             inject_rounds: 128,
-            max_rounds: 0,
             queue_cap: 8,
             policy: DropPolicy::TailDrop,
             profile: false,
             seed: DEFAULT_SEED,
-        }
-    }
-}
-
-impl ScenarioConfig {
-    /// The effective engine round cap: the configured cap (floored at the
-    /// injection horizon, so every scheduled packet injects) or an automatic
-    /// drain budget.
-    pub fn effective_max_rounds(&self) -> u64 {
-        if self.max_rounds == 0 {
-            self.inject_rounds + self.inject_rounds.saturating_mul(16).max(4096)
-        } else {
-            self.max_rounds.max(self.inject_rounds)
         }
     }
 }
@@ -150,30 +141,13 @@ impl TrafficRun {
         Ok(())
     }
 
-    /// Whether this run meets `slo`: it drained, its p99 queueing delay is
-    /// bounded, and its loss fraction is negligible.
-    pub fn sustainable(&self, slo: &Slo) -> bool {
+    /// Whether this run is sustainable: it drained, its p99 queueing delay
+    /// is at most [`MAX_P99_QUEUE_DELAY`], and its loss fraction at most
+    /// [`MAX_DROP_FRACTION`].
+    pub fn sustainable(&self) -> bool {
         self.summary.drained
-            && self.summary.queue_delay.p99 <= slo.max_p99_queue_delay
-            && self.summary.dropped() as f64 <= slo.max_drop_fraction * self.summary.injected as f64
-    }
-}
-
-/// The service-level objective a sustainable rate must meet.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Slo {
-    /// Largest tolerated p99 per-packet queueing delay, in rounds.
-    pub max_p99_queue_delay: u64,
-    /// Largest tolerated `dropped / injected` fraction.
-    pub max_drop_fraction: f64,
-}
-
-impl Default for Slo {
-    fn default() -> Slo {
-        Slo {
-            max_p99_queue_delay: 8,
-            max_drop_fraction: 0.01,
-        }
+            && self.summary.queue_delay.p99 <= MAX_P99_QUEUE_DELAY
+            && self.summary.dropped() as f64 <= MAX_DROP_FRACTION * self.summary.injected as f64
     }
 }
 
@@ -184,7 +158,7 @@ pub struct KneeReport {
     pub rates: Vec<f64>,
     /// One run per rate.
     pub points: Vec<TrafficRun>,
-    /// The largest swept rate that met the SLO (`None` if none did).
+    /// The largest swept rate that was sustainable (`None` if none was).
     pub knee: Option<f64>,
 }
 
@@ -245,7 +219,9 @@ impl TrafficScenario<'_> {
             &SimConfig {
                 queue_cap: cfg.queue_cap,
                 policy: cfg.policy,
-                max_rounds: cfg.effective_max_rounds(),
+                // A drain budget generous enough that a stable network
+                // always finishes (the engine stops early on drain).
+                max_rounds: cfg.inject_rounds + cfg.inject_rounds.saturating_mul(16).max(4096),
                 threads: 1,
                 profile: cfg.profile,
             },
@@ -323,13 +299,13 @@ impl TrafficScenario<'_> {
         run
     }
 
-    /// Run every rate in `rates` and locate the saturation knee under `slo`.
-    pub fn sweep(&self, rates: &[f64], slo: &Slo) -> KneeReport {
+    /// Run every rate in `rates` and locate the saturation knee.
+    pub fn sweep(&self, rates: &[f64]) -> KneeReport {
         let points: Vec<TrafficRun> = rates.iter().map(|&r| self.run(r)).collect();
         let knee = rates
             .iter()
             .zip(&points)
-            .filter(|(_, p)| p.sustainable(slo))
+            .filter(|(_, p)| p.sustainable())
             .map(|(&r, _)| r)
             .fold(None, |best: Option<f64>, r| {
                 Some(best.map_or(r, |b| b.max(r)))
@@ -494,10 +470,10 @@ mod tests {
         };
         // A hotspot sink with per-port queues of 2 cannot absorb 32
         // packets per round; 0.25 per round it absorbs trivially.
-        let report = scenario.sweep(&[0.25, 32.0], &Slo::default());
+        let report = scenario.sweep(&[0.25, 32.0]);
         assert_eq!(report.points.len(), 2);
-        assert!(report.points[0].sustainable(&Slo::default()));
-        assert!(!report.points[1].sustainable(&Slo::default()));
+        assert!(report.points[0].sustainable());
+        assert!(!report.points[1].sustainable());
         assert_eq!(report.knee, Some(0.25));
     }
 

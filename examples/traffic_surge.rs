@@ -9,7 +9,9 @@ use graphs::{generators, properties};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use routing::{build, BuildParams};
-use traffic::{ScenarioConfig, Slo, TrafficScenario, WorkloadKind};
+use traffic::{
+    ScenarioConfig, TrafficScenario, WorkloadKind, MAX_DROP_FRACTION, MAX_P99_QUEUE_DELAY,
+};
 
 fn main() {
     let n = 400;
@@ -36,21 +38,20 @@ fn main() {
         },
     };
     let rates = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0];
-    let slo = Slo::default();
     println!(
         "\nhotspot surge, {} inject rounds, queue cap {} ({}), SLO: p99 queue delay <= {} \
          rounds, loss <= {:.1}%",
         scenario.config.inject_rounds,
         scenario.config.queue_cap,
         scenario.config.policy.name(),
-        slo.max_p99_queue_delay,
-        slo.max_drop_fraction * 100.0
+        MAX_P99_QUEUE_DELAY,
+        MAX_DROP_FRACTION * 100.0
     );
     println!(
         "\n{:>6} {:>9} {:>9} {:>8} {:>10} {:>11} {:>10}",
         "rate", "injected", "delivered", "dropped", "p99 delay", "peak queue", "meets SLO"
     );
-    let report = scenario.sweep(&rates, &slo);
+    let report = scenario.sweep(&rates);
     for (rate, point) in rates.iter().zip(&report.points) {
         let s = &point.summary;
         println!(
@@ -61,7 +62,7 @@ fn main() {
             s.dropped(),
             s.queue_delay.p99,
             s.peak_queue_packets,
-            if point.sustainable(&slo) { "yes" } else { "no" }
+            if point.sustainable() { "yes" } else { "no" }
         );
     }
     match report.knee {

@@ -47,7 +47,6 @@ pub fn audit(a: &Args) -> Result<(), String> {
         let spec = PerturbSpec {
             kill_edges,
             kill_vertices,
-            seed: cfg.seed,
         };
         audit::probe_perturbed(&g, &scheme, &cfg, &spec, out.probe.mean_stretch)
     });

@@ -61,6 +61,7 @@ pub fn traffic(a: &Args) -> Result<(), String> {
         switch("--profile", &mut config.profile),
     ])?;
     let g = crate::load_graph(&graph_path)?;
+    crate::need_pairs(&g, "traffic")?;
     let (scheme, _) = crate::resolve_scheme(&g, Some(&scheme_path))?;
     let net = congest::Network::new(g);
     let scenario = traffic::TrafficScenario {
@@ -69,7 +70,6 @@ pub fn traffic(a: &Args) -> Result<(), String> {
         workload,
         config,
     };
-    let slo = traffic::Slo::default();
     let cfg = &scenario.config;
     println!(
         "steady-state {} traffic on {graph_path} (n = {}): {} arrivals over {} rounds, \
@@ -84,10 +84,10 @@ pub fn traffic(a: &Args) -> Result<(), String> {
     );
     println!(
         "SLO: p99 queue delay <= {} rounds, loss <= {:.1}%",
-        slo.max_p99_queue_delay,
-        slo.max_drop_fraction * 100.0
+        traffic::MAX_P99_QUEUE_DELAY,
+        traffic::MAX_DROP_FRACTION * 100.0
     );
-    let report = scenario.sweep(&rates, &slo);
+    let report = scenario.sweep(&rates);
     println!("    rate  injected delivered  dropped   undlv  p99 delay  peak queue  drained   SLO");
     for point in &report.points {
         let s = &point.summary;
@@ -101,11 +101,7 @@ pub fn traffic(a: &Args) -> Result<(), String> {
             s.queue_delay.p99,
             s.peak_queue_packets,
             if s.drained { "yes" } else { "no" },
-            if point.sustainable(&slo) {
-                "ok"
-            } else {
-                "MISS"
-            }
+            if point.sustainable() { "ok" } else { "MISS" }
         );
     }
     match report.knee {
@@ -172,6 +168,7 @@ pub fn churn(a: &Args) -> Result<(), String> {
         return Err("--rounds must be at least 1".into());
     }
     let g = crate::load_graph(&graph_path)?;
+    crate::need_pairs(&g, "churn")?;
     let (scheme, _) = crate::resolve_scheme(&g, Some(&scheme_path))?;
     let slo = slo_floor.map(|floor| churn::ChurnSlo {
         floor,

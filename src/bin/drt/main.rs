@@ -116,6 +116,15 @@ fn load_graph(path: &str) -> Result<Graph, String> {
     io::parse_edge_list(&text).map_err(|e| format!("parsing {path}: {e}"))
 }
 
+/// Refuse a graph with fewer than two vertices: `what` draws
+/// source–destination pairs, and such a graph has none.
+fn need_pairs(g: &Graph, what: &str) -> Result<(), String> {
+    if g.num_vertices() < 2 {
+        return Err(format!("{what} needs a graph with at least 2 vertices"));
+    }
+    Ok(())
+}
+
 /// A connected Erdős–Rényi graph of mean degree about 4 (every pair when
 /// `n ≤ 4`).
 fn er_graph(n: usize, rng: &mut ChaCha8Rng) -> Graph {

@@ -62,6 +62,9 @@ pub fn route(a: &Args) -> Result<(), String> {
         println!("oracle estimate {s} -> {t}: {est} (exact {exact})");
         return Ok(());
     }
+    if load.is_some() {
+        crate::need_pairs(&g, "--load")?;
+    }
     // Walk the rule centrally for the path, then push the same packet
     // through the store-and-forward engine so the user sees its delivery
     // status — delivered, dropped mid-route, and undeliverable are three
@@ -94,9 +97,6 @@ pub fn route(a: &Args) -> Result<(), String> {
         }
     }
     if let Some(p) = load {
-        if net.graph().num_vertices() < 2 {
-            return Err("--load needs a graph with at least 2 vertices".into());
-        }
         let mut uniform = Workload::prepare(WorkloadKind::Uniform, net.graph(), &scheme, seed);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let pairs: Vec<_> = (0..p).map(|_| uniform.draw(&mut rng)).collect();

@@ -42,9 +42,7 @@ pub fn serve(a: &Args) -> Result<(), String> {
         return Err("--batch must be at least 1".into());
     }
     let g = crate::load_graph(&graph_path)?;
-    if g.num_vertices() < 2 {
-        return Err("serving needs a graph with at least 2 vertices".into());
-    }
+    crate::need_pairs(&g, "serving")?;
     let (scheme, scheme_name) = crate::resolve_scheme(&g, scheme_flag.as_deref())?;
     // `0` (the default) sizes the pool to every available core.
     cfg.threads = match threads {
@@ -160,21 +158,19 @@ fn print_serve_sweep(points: &[serve::KneePoint], knee: Option<usize>, slo: &ser
     println!("     offered     achieved      del%    p50 ns    p99 ns    misses  verdict");
     for p in points {
         let s = &p.summary;
-        let delivered = if p.offered > 0.0 {
-            s.qps / p.offered
-        } else {
-            1.0
-        };
-        let ok = delivered >= slo.min_delivered && s.p99_ns <= slo.max_p99_ns;
         println!(
             "{:>12.0} {:>12.0} {:>8.1}% {:>9} {:>9} {:>9}  {}",
             p.offered,
             s.qps,
-            delivered * 100.0,
+            serve::ServeSlo::delivered(p.offered, s) * 100.0,
             s.p50_ns,
             s.p99_ns,
             s.mismatches,
-            if ok { "ok" } else { "over the knee" }
+            if slo.met(p.offered, s) {
+                "ok"
+            } else {
+                "over the knee"
+            }
         );
     }
     match knee {

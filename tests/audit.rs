@@ -51,7 +51,6 @@ fn auditing_twice_is_idempotent_and_mutation_free() {
     let spec = PerturbSpec {
         kill_edges: 0.3,
         kill_vertices: 0.1,
-        seed: 17,
     };
     let p1 = audit::probe_perturbed(&g, &b.scheme, &cfg, &spec, first.probe.mean_stretch);
     let p2 = audit::probe_perturbed(&g, &b.scheme, &cfg, &spec, first.probe.mean_stretch);
@@ -116,7 +115,6 @@ fn perturbed_probe_counts_are_consistent() {
         let spec = PerturbSpec {
             kill_edges: ke,
             kill_vertices: kv,
-            seed: 31,
         };
         let p = audit::probe_perturbed(&g, &b.scheme, &cfg, &spec, intact.probe.mean_stretch);
         assert_eq!(p.killed_edges + p.surviving_edges, g.num_edges());

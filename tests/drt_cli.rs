@@ -123,6 +123,13 @@ fn bad_inputs_exit_1_with_one_error_line() {
     let huge = dir.join("huge.txt");
     std::fs::write(&huge, "p 18446744073709551615\n").unwrap();
     let huge = huge.to_str().unwrap();
+    // One vertex and its scheme: a graph with no pair to draw.
+    let g1 = dir.join("g1.txt");
+    std::fs::write(&g1, "p 1\n").unwrap();
+    let g1 = g1.to_str().unwrap();
+    let s1 = dir.join("s1.bin").to_str().unwrap().to_string();
+    ok(&["build", g1, "2", &s1]);
+    let s1 = s1.as_str();
     let (g64, g32, s64) = (g64.as_str(), g32.as_str(), s64.as_str());
 
     let mismatch = "scheme covers 64 vertices but the graph has 32";
@@ -139,6 +146,20 @@ fn bad_inputs_exit_1_with_one_error_line() {
         (&["generate", "er", "1"], "at least 2 vertices"),
         (&["generate", "geometric", "1"], "at least 2 vertices"),
         (&["build", empty, "2", "/dev/null"], "no vertices"),
+        // Pair-drawing planes on a graph with no pair.
+        (
+            &["traffic", g1, s1],
+            "traffic needs a graph with at least 2",
+        ),
+        (&["churn", g1, s1], "churn needs a graph with at least 2"),
+        (
+            &["serve", g1, "--scheme", s1],
+            "serving needs a graph with at least 2",
+        ),
+        (
+            &["route", g1, s1, "0", "0", "--load", "4"],
+            "--load needs a graph with at least 2",
+        ),
         (
             &["build", heavy, "2", "/dev/null"],
             "line 3: total edge weight exceeds",
