@@ -32,6 +32,7 @@
 //! by [`WordSized`], so congestion accounting, round counts, and memory
 //! meters are identical between a traced run and its untraced twin.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use congest::engine::{Ctx, Engine, EngineConfig, Inbox, VertexProtocol, Wake};
@@ -167,20 +168,18 @@ pub struct Delivery {
     pub hops: u32,
 }
 
-/// One vertex's activity in one round; sparse (only logged when nonzero).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// One vertex's activity in one round, added into the run's series when the
+/// round closes.
+#[derive(Clone, Copy, Debug, Default)]
 struct RoundLog {
-    round: u64,
     injected: u32,
     delivered: u32,
     dropped_capacity: u32,
     dropped_stuck: u32,
     sent: u32,
-    queued_packets: u32,
-    queued_words: u64,
 }
 
-/// Network-wide totals for one round, merged from the per-vertex logs.
+/// Network-wide totals for one round, summed over the vertices that closed it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoundTotals {
     /// The engine round (0 is the injection-only init round).
@@ -306,7 +305,12 @@ pub fn run(
         return result;
     };
 
-    let hop_cap = forward::hop_cap(n) as u32;
+    let plane = Plane {
+        queue_cap: settings.queue_cap,
+        policy: settings.policy,
+        hop_cap: forward::hop_cap(n) as u32,
+        ledger: RefCell::default(),
+    };
     let protos: Vec<Vertex<'_>> = network
         .graph()
         .vertices()
@@ -317,16 +321,9 @@ pub fn run(
             ports: vec![Port::default(); network.graph().degree(v)],
             queued_packets: 0,
             queued_words: 0,
-            queue_cap: settings.queue_cap,
-            policy: settings.policy,
-            hop_cap,
             schedule,
-            deliveries: Vec::new(),
-            dropped_capacity: Vec::new(),
-            dropped_stuck: Vec::new(),
-            traces: Vec::new(),
-            logs: Vec::new(),
-            scratch: RoundLog::default(),
+            log: RoundLog::default(),
+            plane: &plane,
         })
         .collect();
     let engine = Engine::with_config(EngineConfig {
@@ -335,57 +332,129 @@ pub fn run(
         profile: settings.profile,
     });
     let (protos, stats) = engine.run(network, protos);
-
-    // Merge the sparse per-vertex logs into a dense series, in vertex order.
-    result.series = (0..=stats.rounds)
-        .map(|round| RoundTotals {
-            round,
-            ..RoundTotals::default()
-        })
-        .collect();
     for (v, p) in network.graph().vertices().zip(protos) {
-        for log in &p.logs {
-            let t = &mut result.series[log.round as usize];
-            t.injected += u64::from(log.injected);
-            t.delivered += u64::from(log.delivered);
-            t.dropped_capacity += u64::from(log.dropped_capacity);
-            t.dropped_stuck += u64::from(log.dropped_stuck);
-            t.sent += u64::from(log.sent);
-            t.queued_packets += u64::from(log.queued_packets);
-            t.queued_words += log.queued_words;
-        }
-        result.deliveries.extend(p.deliveries);
-        result.dropped_capacity.extend(p.dropped_capacity);
-        for (id, err) in p.dropped_stuck {
-            result.dropped_stuck.push(id);
-            result.stuck_errors.push(err);
-        }
-        result.traces.extend(p.traces);
         for (arc, port) in network.ports(v).iter().zip(&p.ports) {
             if port.sent.packets > 0 {
                 result.edge_load.add(v.0, arc.to.0, port.sent);
             }
         }
     }
-    // No occupancy carry-over is needed: a vertex with a non-empty queue
-    // always sends (flush pops every non-empty port), so every occupied
-    // round is logged by that vertex.
+
+    // No occupancy carry-over is needed: a vertex that ends a round with a
+    // packet queued wakes the next round, so it closes (and adds its
+    // occupancy to) every round it holds packets in. Rounds no vertex closed
+    // stay zero.
+    let mut ledger = plane.ledger.take();
+    debug_assert!(ledger.series.len() as u64 <= stats.rounds + 1);
+    ledger
+        .series
+        .resize(stats.rounds as usize + 1, RoundTotals::default());
+    for (round, t) in (0..).zip(&mut ledger.series) {
+        t.round = round;
+    }
+    result.series = ledger.series;
+    result.deliveries = by_vertex(ledger.deliveries).collect();
+    result.dropped_capacity = by_vertex(ledger.dropped_capacity).collect();
+    (result.dropped_stuck, result.stuck_errors) = by_vertex(ledger.dropped_stuck).unzip();
+    result.traces = by_vertex(ledger.traces).collect();
     result.stats = stats;
     result
 }
 
-/// One outgoing port: its FIFO and what it has transmitted so far.
+/// The ledger's `entries` in the order the result promises — by the vertex
+/// that recorded them, then as recorded (the sort is stable) — without the
+/// vertex.
+fn by_vertex<T>(mut entries: Vec<(u32, T)>) -> impl Iterator<Item = T> {
+    entries.sort_by_key(|&(v, _)| v);
+    entries.into_iter().map(|(_, entry)| entry)
+}
+
+/// What every vertex of one run shares: the settings it forwards by and the
+/// run's ledger.
+#[derive(Debug)]
+struct Plane {
+    queue_cap: usize,
+    policy: DropPolicy,
+    hop_cap: u32,
+    ledger: RefCell<Ledger>,
+}
+
+/// The run's output, appended to by whichever vertex acts: per-round totals,
+/// and every delivery, drop and finished journey tagged with the vertex that
+/// recorded it. No vertex reads it back during the run, so like a packet's
+/// trace it is output, not protocol state; the engine runs one vertex at a
+/// time, so one `RefCell` serves them all.
+#[derive(Debug, Default)]
+struct Ledger {
+    /// Totals per round, grown as rounds close.
+    series: Vec<RoundTotals>,
+    /// Each entry behind the id of the vertex that recorded it.
+    deliveries: Vec<(u32, Delivery)>,
+    dropped_capacity: Vec<(u32, u32)>,
+    dropped_stuck: Vec<(u32, (u32, GraphRouteError))>,
+    traces: Vec<(u32, (u32, PacketTrace))>,
+}
+
+impl Ledger {
+    /// Add one vertex's round to `series[round]`: its activity and the
+    /// packets and words it still holds.
+    fn close_round(&mut self, round: u64, log: RoundLog, queued_packets: u32, queued_words: usize) {
+        let round = round as usize;
+        if self.series.len() <= round {
+            self.series.resize(round + 1, RoundTotals::default());
+        }
+        let t = &mut self.series[round];
+        t.injected += u64::from(log.injected);
+        t.delivered += u64::from(log.delivered);
+        t.dropped_capacity += u64::from(log.dropped_capacity);
+        t.dropped_stuck += u64::from(log.dropped_stuck);
+        t.sent += u64::from(log.sent);
+        t.queued_packets += u64::from(queued_packets);
+        t.queued_words += queued_words as u64;
+    }
+}
+
+/// One outgoing port: its FIFO and what it has transmitted so far. The
+/// FIFO's oldest packet sits inline in `head`, so a packet that reaches an
+/// empty port and leaves in the same round's flush moves in and out of one
+/// slot and never through the backlog.
 #[derive(Clone, Debug, Default)]
 struct Port {
-    queue: VecDeque<Packet>,
+    /// The oldest queued packet; `None` only when the queue is empty.
+    head: Option<Packet>,
+    /// The packets behind `head`, oldest first.
+    backlog: VecDeque<Packet>,
     sent: Load,
 }
 
-/// Per-vertex protocol: the vertex's routing table, one FIFO queue per
-/// port flushed one packet per port per round, and its pending injections.
+impl Port {
+    /// Packets queued.
+    fn len(&self) -> usize {
+        self.backlog.len() + usize::from(self.head.is_some())
+    }
+
+    fn push(&mut self, packet: Packet) {
+        if self.head.is_none() {
+            self.head = Some(packet);
+        } else {
+            self.backlog.push_back(packet);
+        }
+    }
+
+    /// Take the oldest packet.
+    fn pop(&mut self) -> Option<Packet> {
+        let oldest = self.head.take()?;
+        self.head = self.backlog.pop_front();
+        Some(oldest)
+    }
+}
+
+/// Per-vertex protocol: what the vertex forwards with — its routing table,
+/// one FIFO queue per port flushed one packet per port per round, its queue
+/// counters and its pending injections.
 #[derive(Clone, Debug)]
-struct Vertex<'s> {
-    table: &'s RoutingTable,
+struct Vertex<'r> {
+    table: &'r RoutingTable,
     /// `table.words()`, counted once: the table never changes.
     table_words: usize,
     /// Indexed by port (position in the neighbor list).
@@ -394,18 +463,11 @@ struct Vertex<'s> {
     /// and pop so no poll has to walk them.
     queued_packets: u32,
     queued_words: usize,
-    queue_cap: usize,
-    policy: DropPolicy,
-    hop_cap: u32,
     /// This vertex's pending injections, sorted by round.
     schedule: VecDeque<(u64, Packet)>,
-    deliveries: Vec<Delivery>,
-    dropped_capacity: Vec<u32>,
-    dropped_stuck: Vec<(u32, GraphRouteError)>,
-    /// Journeys of traced packets that came to rest here.
-    traces: Vec<(u32, PacketTrace)>,
-    logs: Vec<RoundLog>,
-    scratch: RoundLog,
+    /// This round's activity so far.
+    log: RoundLog,
+    plane: &'r Plane,
 }
 
 impl Vertex<'_> {
@@ -421,20 +483,24 @@ impl Vertex<'_> {
             ctx.neighbors(),
         ) {
             Ok(Step::Deliver) => {
-                self.scratch.delivered += 1;
-                self.deliveries.push(Delivery {
-                    id: packet.id,
-                    round,
-                    weight: packet.weight,
-                    hops: packet.hops,
-                });
+                self.log.delivered += 1;
+                let mut ledger = self.plane.ledger.borrow_mut();
+                ledger.deliveries.push((
+                    me.0,
+                    Delivery {
+                        id: packet.id,
+                        round,
+                        weight: packet.weight,
+                        hops: packet.hops,
+                    },
+                ));
                 if let Some(mut trace) = packet.trace.take() {
                     trace.delivered_round = Some(round);
-                    self.traces.push((packet.id, *trace));
+                    ledger.traces.push((me.0, (packet.id, *trace)));
                 }
             }
-            Ok(Step::Forward { .. }) if packet.hops == self.hop_cap => {
-                self.drop_stuck(packet, GraphRouteError::Loop);
+            Ok(Step::Forward { .. }) if packet.hops == self.plane.hop_cap => {
+                self.drop_stuck(me, packet, GraphRouteError::Loop);
             }
             Ok(Step::Forward { port, kind }) => {
                 let arc = ctx.neighbors()[port];
@@ -455,35 +521,37 @@ impl Vertex<'_> {
                         header_words: words,
                     });
                 }
-                let q = &mut self.ports[port].queue;
-                if q.len() >= self.queue_cap {
-                    let dropped = match self.policy {
+                let q = &mut self.ports[port];
+                if q.len() >= self.plane.queue_cap {
+                    let dropped = match self.plane.policy {
                         DropPolicy::TailDrop => packet.id,
                         DropPolicy::OldestDrop => {
-                            let oldest = q.pop_front().expect("full queue is non-empty");
+                            let oldest = q.pop().expect("full queue is non-empty");
                             self.queued_words = self.queued_words + words - oldest.words();
-                            q.push_back(packet);
+                            q.push(packet);
                             oldest.id
                         }
                     };
-                    self.scratch.dropped_capacity += 1;
-                    self.dropped_capacity.push(dropped);
+                    self.log.dropped_capacity += 1;
+                    let mut ledger = self.plane.ledger.borrow_mut();
+                    ledger.dropped_capacity.push((me.0, dropped));
                 } else {
                     self.queued_packets += 1;
                     self.queued_words += words;
-                    q.push_back(packet);
+                    q.push(packet);
                 }
             }
             // Any walk error — stuck rule, missing row, missing port.
-            Err(err) => self.drop_stuck(packet, err),
+            Err(err) => self.drop_stuck(me, packet, err),
         }
     }
 
-    fn drop_stuck(&mut self, mut packet: Packet, err: GraphRouteError) {
-        self.scratch.dropped_stuck += 1;
-        self.dropped_stuck.push((packet.id, err));
+    fn drop_stuck(&mut self, me: VertexId, mut packet: Packet, err: GraphRouteError) {
+        self.log.dropped_stuck += 1;
+        let mut ledger = self.plane.ledger.borrow_mut();
+        ledger.dropped_stuck.push((me.0, (packet.id, err)));
         if let Some(trace) = packet.trace.take() {
-            self.traces.push((packet.id, *trace));
+            ledger.traces.push((me.0, (packet.id, *trace)));
         }
     }
 
@@ -491,7 +559,7 @@ impl Vertex<'_> {
     fn inject(&mut self, ctx: &Ctx<'_, Packet>, round: u64) {
         while self.schedule.front().is_some_and(|(due, _)| *due == round) {
             let (_, packet) = self.schedule.pop_front().expect("front was just seen");
-            self.scratch.injected += 1;
+            self.log.injected += 1;
             self.classify(ctx, packet, round);
         }
     }
@@ -503,13 +571,13 @@ impl Vertex<'_> {
         }
         let now = ctx.round();
         for (port, arc) in self.ports.iter_mut().zip(ctx.neighbors()) {
-            if let Some(mut p) = port.queue.pop_front() {
+            if let Some(mut p) = port.pop() {
                 let words = p.words();
                 self.queued_packets -= 1;
                 self.queued_words -= words;
                 port.sent.packets += 1;
                 port.sent.words += words as u64;
-                self.scratch.sent += 1;
+                self.log.sent += 1;
                 if let Some(trace) = p.trace.as_mut() {
                     let hop = trace.hops.last_mut().expect("hop queued with a record");
                     hop.queue_delay = now - hop.round;
@@ -523,20 +591,16 @@ impl Vertex<'_> {
         }
     }
 
-    /// Close the round: snapshot queue occupancy and flush the scratch log
-    /// if this round did anything.
+    /// Close the round: add this round's activity and the queue occupancy
+    /// left at its end to the ledger's series.
     fn close_round(&mut self, round: u64) {
-        self.scratch.round = round;
-        self.scratch.queued_packets = self.queued_packets;
-        self.scratch.queued_words = self.queued_words as u64;
-        let idle = RoundLog {
+        let log = std::mem::take(&mut self.log);
+        self.plane.ledger.borrow_mut().close_round(
             round,
-            ..RoundLog::default()
-        };
-        if self.scratch != idle {
-            self.logs.push(self.scratch);
-        }
-        self.scratch = RoundLog::default();
+            log,
+            self.queued_packets,
+            self.queued_words,
+        );
     }
 }
 
@@ -735,6 +799,354 @@ pub fn send(
         traces,
         edge_load: sim.edge_load,
         stats: sim.stats,
+    }
+}
+
+/// The protocol as it stood before the run ledger and the per-port head
+/// slot, kept verbatim for the differential proptest in `tests`: every
+/// vertex logs its rounds and its outcomes in its own vectors, `run` merges
+/// them after the engine stops, and every packet passes through its port's
+/// `VecDeque`.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// One vertex's activity in one round; sparse (only logged when nonzero).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    struct RoundLog {
+        round: u64,
+        injected: u32,
+        delivered: u32,
+        dropped_capacity: u32,
+        dropped_stuck: u32,
+        sent: u32,
+        queued_packets: u32,
+        queued_words: u64,
+    }
+
+    /// Run the protocol: inject `injections` (sorted by round) into per-port
+    /// queues and forward by the Thorup–Zwick rule until the network drains or
+    /// `settings.max_rounds` cuts the run off.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `injections` is not sorted by round, or if a scheduled round
+    /// exceeds `settings.max_rounds` (the packet could never inject, which would
+    /// silently break conservation).
+    pub fn run(
+        network: &Network,
+        scheme: &RoutingScheme,
+        injections: impl IntoIterator<Item = Injection>,
+        settings: &Settings,
+    ) -> SimResult {
+        let n = network.len();
+        let mut schedules: Vec<VecDeque<(u64, Packet)>> = vec![VecDeque::new(); n];
+        let (mut last, mut max_words) = (0, None);
+        for (round, src, packet) in injections {
+            assert!(round >= last, "injection schedule must be sorted by round");
+            assert!(
+                round <= settings.max_rounds,
+                "injection at round {round} lies beyond the {} round cap",
+                settings.max_rounds
+            );
+            last = round;
+            max_words = max_words.max(Some(packet.words()));
+            schedules[src.index()].push_back((round, packet));
+        }
+        let mut result = SimResult {
+            deliveries: Vec::new(),
+            dropped_capacity: Vec::new(),
+            dropped_stuck: Vec::new(),
+            stuck_errors: Vec::new(),
+            series: Vec::new(),
+            edge_load: EdgeLoadMap::new(),
+            traces: Vec::new(),
+            stats: RunStats {
+                completed: true,
+                memory: MemoryMeter::new(n),
+                ..RunStats::default()
+            },
+        };
+        // With nothing injected there is no traffic to simulate and no honest
+        // per-edge budget to configure: skip the engine.
+        let Some(edge_words_per_round) = max_words else {
+            return result;
+        };
+
+        let hop_cap = forward::hop_cap(n) as u32;
+        let protos: Vec<Vertex<'_>> = network
+            .graph()
+            .vertices()
+            .zip(schedules)
+            .map(|(v, schedule)| Vertex {
+                table: scheme.table(v),
+                table_words: scheme.table(v).words(),
+                ports: vec![Port::default(); network.graph().degree(v)],
+                queued_packets: 0,
+                queued_words: 0,
+                queue_cap: settings.queue_cap,
+                policy: settings.policy,
+                hop_cap,
+                schedule,
+                deliveries: Vec::new(),
+                dropped_capacity: Vec::new(),
+                dropped_stuck: Vec::new(),
+                traces: Vec::new(),
+                logs: Vec::new(),
+                scratch: RoundLog::default(),
+            })
+            .collect();
+        let engine = Engine::with_config(EngineConfig {
+            edge_words_per_round,
+            max_rounds: settings.max_rounds,
+            profile: settings.profile,
+        });
+        let (protos, stats) = engine.run(network, protos);
+
+        // Merge the sparse per-vertex logs into a dense series, in vertex order.
+        result.series = (0..=stats.rounds)
+            .map(|round| RoundTotals {
+                round,
+                ..RoundTotals::default()
+            })
+            .collect();
+        for (v, p) in network.graph().vertices().zip(protos) {
+            for log in &p.logs {
+                let t = &mut result.series[log.round as usize];
+                t.injected += u64::from(log.injected);
+                t.delivered += u64::from(log.delivered);
+                t.dropped_capacity += u64::from(log.dropped_capacity);
+                t.dropped_stuck += u64::from(log.dropped_stuck);
+                t.sent += u64::from(log.sent);
+                t.queued_packets += u64::from(log.queued_packets);
+                t.queued_words += log.queued_words;
+            }
+            result.deliveries.extend(p.deliveries);
+            result.dropped_capacity.extend(p.dropped_capacity);
+            for (id, err) in p.dropped_stuck {
+                result.dropped_stuck.push(id);
+                result.stuck_errors.push(err);
+            }
+            result.traces.extend(p.traces);
+            for (arc, port) in network.ports(v).iter().zip(&p.ports) {
+                if port.sent.packets > 0 {
+                    result.edge_load.add(v.0, arc.to.0, port.sent);
+                }
+            }
+        }
+        // No occupancy carry-over is needed: a vertex with a non-empty queue
+        // always sends (flush pops every non-empty port), so every occupied
+        // round is logged by that vertex.
+        result.stats = stats;
+        result
+    }
+
+    /// One outgoing port: its FIFO and what it has transmitted so far.
+    #[derive(Clone, Debug, Default)]
+    struct Port {
+        queue: VecDeque<Packet>,
+        sent: Load,
+    }
+
+    /// Per-vertex protocol: the vertex's routing table, one FIFO queue per
+    /// port flushed one packet per port per round, and its pending injections.
+    #[derive(Clone, Debug)]
+    struct Vertex<'s> {
+        table: &'s RoutingTable,
+        /// `table.words()`, counted once: the table never changes.
+        table_words: usize,
+        /// Indexed by port (position in the neighbor list).
+        ports: Vec<Port>,
+        /// Packets and words across all queues, kept in step with every push
+        /// and pop so no poll has to walk them.
+        queued_packets: u32,
+        queued_words: usize,
+        queue_cap: usize,
+        policy: DropPolicy,
+        hop_cap: u32,
+        /// This vertex's pending injections, sorted by round.
+        schedule: VecDeque<(u64, Packet)>,
+        deliveries: Vec<Delivery>,
+        dropped_capacity: Vec<u32>,
+        dropped_stuck: Vec<(u32, GraphRouteError)>,
+        /// Journeys of traced packets that came to rest here.
+        traces: Vec<(u32, PacketTrace)>,
+        logs: Vec<RoundLog>,
+        scratch: RoundLog,
+    }
+
+    impl Vertex<'_> {
+        /// Classify one packet: deliver here, enqueue toward its next hop
+        /// (applying the drop policy at a full queue), or drop it as stuck.
+        fn classify(&mut self, ctx: &Ctx<'_, Packet>, mut packet: Packet, round: u64) {
+            let me = ctx.me();
+            match forward::step(
+                self.table,
+                me,
+                packet.tree_root,
+                &packet.label,
+                ctx.neighbors(),
+            ) {
+                Ok(Step::Deliver) => {
+                    self.scratch.delivered += 1;
+                    self.deliveries.push(Delivery {
+                        id: packet.id,
+                        round,
+                        weight: packet.weight,
+                        hops: packet.hops,
+                    });
+                    if let Some(mut trace) = packet.trace.take() {
+                        trace.delivered_round = Some(round);
+                        self.traces.push((packet.id, *trace));
+                    }
+                }
+                Ok(Step::Forward { .. }) if packet.hops == self.hop_cap => {
+                    self.drop_stuck(packet, GraphRouteError::Loop);
+                }
+                Ok(Step::Forward { port, kind }) => {
+                    let arc = ctx.neighbors()[port];
+                    let words = packet.words();
+                    packet.weight += arc.weight;
+                    packet.hops += 1;
+                    if let Some(trace) = packet.trace.as_mut() {
+                        // `round` holds the enqueue round until flush prices
+                        // the wait.
+                        trace.hops.push(HopRecord {
+                            round,
+                            vertex: me.0,
+                            port,
+                            next: arc.to.0,
+                            kind: kind.expect("the paper's rule names its branch"),
+                            queue_delay: 0,
+                            weight: packet.weight,
+                            header_words: words,
+                        });
+                    }
+                    let q = &mut self.ports[port].queue;
+                    if q.len() >= self.queue_cap {
+                        let dropped = match self.policy {
+                            DropPolicy::TailDrop => packet.id,
+                            DropPolicy::OldestDrop => {
+                                let oldest = q.pop_front().expect("full queue is non-empty");
+                                self.queued_words = self.queued_words + words - oldest.words();
+                                q.push_back(packet);
+                                oldest.id
+                            }
+                        };
+                        self.scratch.dropped_capacity += 1;
+                        self.dropped_capacity.push(dropped);
+                    } else {
+                        self.queued_packets += 1;
+                        self.queued_words += words;
+                        q.push_back(packet);
+                    }
+                }
+                // Any walk error — stuck rule, missing row, missing port.
+                Err(err) => self.drop_stuck(packet, err),
+            }
+        }
+
+        fn drop_stuck(&mut self, mut packet: Packet, err: GraphRouteError) {
+            self.scratch.dropped_stuck += 1;
+            self.dropped_stuck.push((packet.id, err));
+            if let Some(trace) = packet.trace.take() {
+                self.traces.push((packet.id, *trace));
+            }
+        }
+
+        /// Inject every packet scheduled for `round`.
+        fn inject(&mut self, ctx: &Ctx<'_, Packet>, round: u64) {
+            while self.schedule.front().is_some_and(|(due, _)| *due == round) {
+                let (_, packet) = self.schedule.pop_front().expect("front was just seen");
+                self.scratch.injected += 1;
+                self.classify(ctx, packet, round);
+            }
+        }
+
+        /// Send the head of every non-empty queue: one packet per port per round.
+        fn flush(&mut self, ctx: &mut Ctx<'_, Packet>) {
+            if self.queued_packets == 0 {
+                return;
+            }
+            let now = ctx.round();
+            for (port, arc) in self.ports.iter_mut().zip(ctx.neighbors()) {
+                if let Some(mut p) = port.queue.pop_front() {
+                    let words = p.words();
+                    self.queued_packets -= 1;
+                    self.queued_words -= words;
+                    port.sent.packets += 1;
+                    port.sent.words += words as u64;
+                    self.scratch.sent += 1;
+                    if let Some(trace) = p.trace.as_mut() {
+                        let hop = trace.hops.last_mut().expect("hop queued with a record");
+                        hop.queue_delay = now - hop.round;
+                        hop.round = now;
+                    }
+                    ctx.send(arc.to, p);
+                    if self.queued_packets == 0 {
+                        break;
+                    }
+                }
+            }
+        }
+
+        /// Close the round: snapshot queue occupancy and flush the scratch log
+        /// if this round did anything.
+        fn close_round(&mut self, round: u64) {
+            self.scratch.round = round;
+            self.scratch.queued_packets = self.queued_packets;
+            self.scratch.queued_words = self.queued_words as u64;
+            let idle = RoundLog {
+                round,
+                ..RoundLog::default()
+            };
+            if self.scratch != idle {
+                self.logs.push(self.scratch);
+            }
+            self.scratch = RoundLog::default();
+        }
+    }
+
+    impl VertexProtocol for Vertex<'_> {
+        type Msg = Packet;
+
+        fn init(&mut self, ctx: &mut Ctx<'_, Packet>) {
+            self.inject(ctx, 0);
+            self.flush(ctx);
+            self.close_round(0);
+        }
+
+        fn round(&mut self, ctx: &mut Ctx<'_, Packet>, inbox: &mut Inbox<'_, Packet>) {
+            let round = ctx.round();
+            self.inject(ctx, round);
+            // Drain moves each packet (heap label + trace included) out of the
+            // engine's arena — forwarding never clones.
+            for (_, p) in inbox.drain() {
+                self.classify(ctx, p, round);
+            }
+            self.flush(ctx);
+            self.close_round(round);
+        }
+
+        fn is_done(&self) -> bool {
+            self.schedule.is_empty() && self.queued_packets == 0
+        }
+
+        fn wake(&self) -> Wake {
+            if self.queued_packets > 0 {
+                Wake::NextRound
+            } else {
+                // A scheduled injection must keep the clock ticking even when no
+                // messages are in flight.
+                self.schedule
+                    .front()
+                    .map_or(Wake::OnMessage, |&(due, _)| Wake::At(due))
+            }
+        }
+
+        fn memory_words(&self) -> usize {
+            self.table_words + self.queued_words
+        }
     }
 }
 
@@ -1079,5 +1491,219 @@ mod tests {
         let (net, scheme) = setup(50, 605);
         let sent = one(&net, &scheme, 1, 40, SendOptions::default());
         assert_eq!(sent.stats.memory.max_peak(), scheme.max_table_words());
+    }
+
+    /// A graph of `shape` 0..4 — Erdős–Rényi, preferential attachment,
+    /// torus, or two Erdős–Rényi components side by side — of about `size`
+    /// vertices.
+    fn shaped(shape: u8, size: usize, rng: &mut ChaCha8Rng) -> graphs::Graph {
+        let er = |n: usize, rng: &mut ChaCha8Rng| {
+            generators::erdos_renyi_connected(n, (2.5 / n as f64).min(1.0), 1..=9, rng)
+        };
+        match shape {
+            0 => er(size, rng),
+            1 => generators::preferential_attachment(size.max(3), 2, 1..=9, rng),
+            2 => generators::torus(3 + size % 5, 3 + size / 12, 1..=9, rng),
+            _ => {
+                let (a, b) = (er(size.div_ceil(2), rng), er(size / 2, rng));
+                let off = a.num_vertices() as u32;
+                let mut g = graphs::GraphBuilder::new(a.num_vertices() + b.num_vertices());
+                for (u, v, w) in a.edges() {
+                    g.add_edge(u, v, w);
+                }
+                for (u, v, w) in b.edges() {
+                    g.add_edge(VertexId(u.0 + off), VertexId(v.0 + off), w);
+                }
+                g.build()
+            }
+        }
+    }
+
+    /// Break `scheme` so the rule drops packets: every `v ≡ 1 (mod 6)`
+    /// forgets its rows (`Stuck`), every `v ≡ 4 (mod 6)` names vertex
+    /// `v + n/2` as each tree parent (`BadForward`, or a detour and perhaps a
+    /// `Loop` where that is a neighbour).
+    fn forge(scheme: &mut RoutingScheme, n: usize) {
+        for v in (0..n as u32).map(VertexId) {
+            let mut rows = scheme.table(v).rows().to_vec();
+            match v.0 % 6 {
+                1 => rows.clear(),
+                4 => {
+                    for e in rows.iter_mut().filter(|e| e.table.parent.is_some()) {
+                        e.table.parent = Some(VertexId((v.0 + n as u32 / 2) % n as u32));
+                    }
+                }
+                _ => continue,
+            }
+            scheme.replace_table(v, rows);
+        }
+    }
+
+    /// Up to `rate` random pairs in each of rounds `0..horizon`, plus a burst
+    /// of `burst` packets of one pair in one round, which overfills the port
+    /// they leave by. Traced packets carry a trace as in a traced [`send`].
+    fn schedule(
+        scheme: &RoutingScheme,
+        traced: bool,
+        horizon: u64,
+        rate: usize,
+        burst: usize,
+        rng: &mut ChaCha8Rng,
+    ) -> Vec<Injection> {
+        use rand::Rng;
+        let n = scheme.num_vertices() as u32;
+        let mut injections = Vec::new();
+        let burst_round = rng.gen_range(0..horizon);
+        for round in 0..horizon {
+            let bursting = round == burst_round;
+            let pairs = rng.gen_range(0..=rate) + usize::from(bursting);
+            for i in 0..pairs {
+                let (src, dst) = (VertexId(rng.gen_range(0..n)), VertexId(rng.gen_range(0..n)));
+                let Some(p) = plan(scheme, src, dst) else {
+                    continue;
+                };
+                let copies = if bursting && i == 0 { burst } else { 1 };
+                for _ in 0..copies {
+                    let mut packet = Packet::from_plan(injections.len() as u32, p.clone());
+                    if traced {
+                        packet.trace = Some(Box::new(PacketTrace {
+                            src: src.0,
+                            dst: dst.0,
+                            tree_root: packet.tree_root.0,
+                            delivered_round: None,
+                            hops: Vec::new(),
+                        }));
+                    }
+                    injections.push((round, src, packet));
+                }
+            }
+        }
+        injections
+    }
+
+    /// Run `injections` on the protocol and on [`reference`] and name the
+    /// first result that differs, with both values.
+    fn mismatch(
+        net: &Network,
+        scheme: &RoutingScheme,
+        injections: Vec<Injection>,
+        settings: &Settings,
+    ) -> Option<String> {
+        let got = run(net, scheme, injections.clone(), settings);
+        let want = reference::run(net, scheme, injections, settings);
+        let edges = |sim: &SimResult| {
+            let mut e = sim.edge_load.hottest(usize::MAX);
+            e.sort_by_key(|&(ends, _)| ends);
+            e
+        };
+        let fields = [
+            (
+                "deliveries",
+                format!("{:?}", got.deliveries),
+                format!("{:?}", want.deliveries),
+            ),
+            (
+                "dropped_capacity",
+                format!("{:?}", got.dropped_capacity),
+                format!("{:?}", want.dropped_capacity),
+            ),
+            (
+                "dropped_stuck",
+                format!("{:?}", got.dropped_stuck),
+                format!("{:?}", want.dropped_stuck),
+            ),
+            (
+                "stuck_errors",
+                format!("{:?}", got.stuck_errors),
+                format!("{:?}", want.stuck_errors),
+            ),
+            (
+                "traces",
+                format!("{:?}", got.traces),
+                format!("{:?}", want.traces),
+            ),
+            (
+                "series",
+                format!("{:?}", got.series),
+                format!("{:?}", want.series),
+            ),
+            (
+                "edge_load",
+                format!("{:?}", edges(&got)),
+                format!("{:?}", edges(&want)),
+            ),
+        ];
+        if let Some((name, a, b)) = fields.into_iter().find(|(_, a, b)| a != b) {
+            return Some(format!("{name}: {a} vs {b}"));
+        }
+        (!got.stats.same_simulation(&want.stats))
+            .then(|| format!("stats: {:?} vs {:?}", got.stats, want.stats))
+    }
+
+    #[test]
+    fn degenerate_networks_match_the_reference_protocol() {
+        // Two vertices, and two components with a cross-component pair that
+        // never injects; a burst over the one edge at every capacity.
+        let mut rng = ChaCha8Rng::seed_from_u64(618);
+        let g = generators::path(2, 1..=9, &mut rng);
+        let pair = Network::new(g.clone());
+        let pair_scheme = build(&g, &BuildParams::new(2), &mut rng).scheme;
+        let (split, split_scheme) = split_network(619);
+        for (net, scheme) in [(&pair, &pair_scheme), (&split, &split_scheme)] {
+            for (cap, policy, traced) in [
+                (1, DropPolicy::TailDrop, false),
+                (1, DropPolicy::OldestDrop, true),
+                (2, DropPolicy::OldestDrop, false),
+                (usize::MAX, DropPolicy::TailDrop, true),
+            ] {
+                let injections = schedule(scheme, traced, 6, 3, 5, &mut rng);
+                let settings = Settings {
+                    queue_cap: cap,
+                    policy,
+                    max_rounds: 1024,
+                    profile: false,
+                };
+                let mismatch = mismatch(net, scheme, injections, &settings);
+                assert!(mismatch.is_none(), "{mismatch:?}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn the_ledger_plane_matches_the_reference_protocol(
+            shape in 0u8..4,
+            size in 2usize..=48,
+            k in 2usize..=3,
+            seed in 0u64..1 << 32,
+            forged in 0u8..2,
+            cap in 0usize..4,
+            oldest in 0usize..2,
+            traced in 0u8..2,
+            horizon in 1u64..24,
+            rate in 0usize..6,
+            burst in 0usize..10,
+            slack in 0usize..3,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let g = shaped(shape, size, &mut rng);
+            let n = g.num_vertices();
+            let mut scheme = build(&g, &BuildParams::new(k), &mut rng).scheme;
+            if forged == 1 {
+                forge(&mut scheme, n);
+            }
+            let net = Network::new(g);
+            let injections = schedule(&scheme, traced == 1, horizon, rate, burst, &mut rng);
+            let settings = Settings {
+                queue_cap: [1, 2, 8, usize::MAX][cap],
+                policy: [DropPolicy::TailDrop, DropPolicy::OldestDrop][oldest],
+                max_rounds: horizon + [0, 3, 4096][slack],
+                profile: false,
+            };
+            let mismatch = mismatch(&net, &scheme, injections, &settings);
+            proptest::prop_assert!(mismatch.is_none(), "{:?}", mismatch);
+        }
     }
 }

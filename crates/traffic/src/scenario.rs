@@ -196,7 +196,8 @@ impl TrafficScenario<'_> {
                 let (src, dst) = workload.draw(&mut rng);
                 let outcome = match packet::plan(self.scheme, src, dst) {
                     Some(plan) => {
-                        let id = injections.len() as u32;
+                        let id = u32::try_from(injections.len())
+                            .expect("packet ids are u32: a sweep offers at most u32::MAX packets");
                         injections.push((round, src, TrafficPacket::from_plan(id, plan)));
                         flow_of_packet.push(flows.len());
                         FlowOutcome::InFlight

@@ -6,7 +6,7 @@
 //! per-vertex schedule and bounds each outgoing queue at a configurable
 //! capacity with an explicit drop policy. The whole schedule is computed
 //! before the engine starts, so the simulation is a pure function of its
-//! inputs, and the protocol's per-round logs merge into the dense
+//! inputs, and every vertex adds each round it closes into the run's dense
 //! conservation series `injected = delivered + dropped + queued + on-wire`
 //! that [`crate::scenario`] re-checks every round. The protocol, its packet
 //! and its result live in `routing::packet`; this module maps a

@@ -60,6 +60,23 @@ pub fn traffic(a: &Args) -> Result<(), String> {
         val("--seed", "seed", &mut config.seed),
         switch("--profile", &mut config.profile),
     ])?;
+    // Refuse what the sweep would not run as given, before planning a
+    // packet: the arrival process reads a negative or non-finite rate as 0,
+    // the plane a zero cap as 1, and packet ids are `u32`.
+    if let Some(r) = rates.iter().find(|r| !(r.is_finite() && **r >= 0.0)) {
+        return Err(format!("--rate must be finite and at least 0, got {r}"));
+    }
+    if config.queue_cap == 0 {
+        return Err("--queue-cap must be at least 1".into());
+    }
+    let peak = rates.iter().fold(0.0, |a: f64, &r| a.max(r.ceil()));
+    if peak * config.inject_rounds as f64 > f64::from(u32::MAX) {
+        return Err(format!(
+            "--rate {peak} over --rounds {} offers more than {} packets",
+            config.inject_rounds,
+            u32::MAX
+        ));
+    }
     let g = crate::load_graph(&graph_path)?;
     crate::need_pairs(&g, "traffic")?;
     let (scheme, _) = crate::resolve_scheme(&g, Some(&scheme_path))?;

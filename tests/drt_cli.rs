@@ -182,6 +182,27 @@ fn bad_inputs_exit_1_with_one_error_line() {
             &["audit", g64, s64, "--kill-edges", "2"],
             "--kill-edges must be in [0, 1], got 2",
         ),
+        // Traffic settings the sweep would not run as given.
+        (
+            &["traffic", g64, s64, "--rate", "-1"],
+            "--rate must be finite and at least 0, got -1",
+        ),
+        (
+            &["traffic", g64, s64, "--rate", "nan"],
+            "--rate must be finite and at least 0, got NaN",
+        ),
+        (
+            &["traffic", g64, s64, "--rate", "0.5,inf"],
+            "--rate must be finite and at least 0, got inf",
+        ),
+        (
+            &["traffic", g64, s64, "--queue-cap", "0"],
+            "--queue-cap must be at least 1",
+        ),
+        (
+            &["traffic", g64, s64, "--rate", "1e9", "--rounds", "5"],
+            "--rate 1000000000 over --rounds 5 offers more than 4294967295 packets",
+        ),
         // `--profile` is `drt traffic`'s flag alone.
         (
             &["churn", g64, s64, "--rounds", "2", "--profile"],

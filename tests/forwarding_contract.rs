@@ -10,7 +10,10 @@
 //! mattered, a send changed order, or a meter read changed. `executions`
 //! joined the engine pin later, recorded on the commit before the round loop
 //! found its vertices in bitsets and a timer heap instead of a scan of all
-//! `n`: it pins the executed set itself, whether or not a run mattered.
+//! `n`: it pins the executed set itself, whether or not a run mattered. The
+//! rule's drops with their errors, and a traced many-pair `send`'s journeys,
+//! joined on the commit before the packet plane wrote its outputs to one run
+//! ledger instead of per-vertex vectors.
 
 use congest::bfs::BfsVertex;
 use congest::engine::{Ctx, Wake};
@@ -18,6 +21,7 @@ use congest::{Engine, Inbox, Network, RunStats, VertexProtocol};
 use graphs::{generators, Graph, VertexId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use routing::forward::GraphRouteError;
 use routing::persist::crc32;
 use routing::{build, packet, BuildParams, RoutingScheme};
 use traffic::sim::{simulate, DropPolicy, Injection, SimConfig};
@@ -464,6 +468,167 @@ fn single_send_and_its_traced_twin_are_pinned() {
         single_send_pin(&net, &scheme, 0, 136, true),
         (22, 461, 7, want, 2457063695)
     );
+}
+
+/// `er256`'s scheme with forged rows, so the rule drops packets three ways:
+/// every vertex `v ≡ 5 (mod 32)` forgets its rows (a packet reaching it is
+/// `Stuck` there), every `v ≡ 21 (mod 32)` names a non-neighbour as each
+/// tree parent (`BadForward`), and every `v ≡ 13 (mod 32)` becomes its tree
+/// parents' parent, so an ascent through it bounces until the hop cap
+/// (`Loop`).
+fn forged_er256() -> (Network, RoutingScheme) {
+    let (net, mut scheme) = er256();
+    let n = net.len() as u32;
+    for v in net.graph().vertices() {
+        let mut rows = scheme.table(v).rows().to_vec();
+        match v.0 % 32 {
+            5 => rows.clear(),
+            21 => {
+                for e in &mut rows {
+                    if e.table.parent.is_some() {
+                        e.table.parent = Some(VertexId((v.0 + n / 2) % n));
+                    }
+                }
+            }
+            13 => {
+                for e in rows.iter().filter(|e| e.table.parent.is_some()) {
+                    let up = e.table.parent.expect("filtered on a parent");
+                    let mut above = scheme.table(up).rows().to_vec();
+                    for a in above.iter_mut().filter(|a| a.root == e.root) {
+                        a.table.parent = Some(v);
+                    }
+                    scheme.replace_table(up, above);
+                }
+                continue;
+            }
+            _ => continue,
+        }
+        scheme.replace_table(v, rows);
+    }
+    (net, scheme)
+}
+
+/// `GraphRouteError` as three numbers: kind tag and the vertices it names.
+fn error_words(err: GraphRouteError) -> [u64; 3] {
+    match err {
+        GraphRouteError::NoCommonTree => [0, 0, 0],
+        GraphRouteError::Stuck(v) => [1, u64::from(v.0), 0],
+        GraphRouteError::BadForward { from, to } => [2, u64::from(from.0), u64::from(to.0)],
+        GraphRouteError::Loop => [3, 0, 0],
+    }
+}
+
+#[test]
+fn rule_drops_and_their_errors_are_pinned() {
+    // Recorded on the commit before the packet plane kept one run ledger in
+    // place of per-vertex outputs: the ids the rule dropped were pinned, but
+    // not why, and no pinned run dropped any.
+    let (net, scheme) = forged_er256();
+    let want = [
+        (
+            pin(
+                (543, 8721, 64005, 11, true, 3609239655, 7540),
+                [2904601571, 1555448979, 2416261710, 1046319981, 85595001],
+            ),
+            3885730464,
+        ),
+        (
+            pin(
+                (533, 8561, 63535, 11, true, 1378337678, 7497),
+                [3937864092, 3525390062, 3897658864, 1556485701, 2884623241],
+            ),
+            1400774514,
+        ),
+    ];
+    for (policy, want) in [DropPolicy::TailDrop, DropPolicy::OldestDrop]
+        .into_iter()
+        .zip(want)
+    {
+        let injections = schedule(
+            &net,
+            &scheme,
+            WorkloadKind::Uniform,
+            ArrivalKind::Bernoulli,
+            3.0,
+            48,
+        );
+        let sim = simulate(
+            &net,
+            &scheme,
+            &injections,
+            &SimConfig {
+                queue_cap: 2,
+                policy,
+                max_rounds: 48 + 4096,
+                threads: 1,
+                profile: false,
+            },
+        );
+        // Every way the rule can drop a packet happened.
+        for kind in 1..=3 {
+            assert!(
+                sim.stuck_errors.iter().any(|&e| error_words(e)[0] == kind),
+                "{policy:?}: no error of kind {kind}"
+            );
+        }
+        let errors_crc = crc_of(sim.stuck_errors.iter().flat_map(|&e| error_words(e)));
+        let got = traffic_pin(&net, &scheme, &injections, policy, 48 + 4096);
+        assert_eq!((got, errors_crc), want, "{policy:?}");
+    }
+}
+
+#[test]
+fn traced_batch_journeys_are_pinned() {
+    // Recorded on the commit before the packet plane kept one run ledger in
+    // place of per-vertex outputs. A traced many-pair `send` over the forged
+    // scheme: every journey, whole or cut short by the rule, and every
+    // outcome with its error.
+    let (net, scheme) = forged_er256();
+    let mut rng = ChaCha8Rng::seed_from_u64(513);
+    let n = net.len() as u32;
+    let pairs: Vec<(VertexId, VertexId)> = (0..256)
+        .map(|_| (VertexId(rng.gen_range(0..n)), VertexId(rng.gen_range(0..n))))
+        .collect();
+    let opts = packet::SendOptions {
+        trace: true,
+        profile: false,
+    };
+    let sent = packet::send(&net, &scheme, &pairs, opts);
+    let outcomes_crc = crc_of(sent.outcomes.iter().flat_map(|o| match *o {
+        packet::PacketOutcome::Delivered { round, weight } => [4, round, weight],
+        packet::PacketOutcome::Failed(err) => error_words(err),
+    }));
+    let traces_crc = crc_of(sent.traces.iter().flat_map(|t| {
+        let Some(trace) = t else {
+            return vec![0];
+        };
+        let head = [
+            1,
+            u64::from(trace.src),
+            u64::from(trace.dst),
+            u64::from(trace.tree_root),
+            trace.delivered_round.map_or(0, |r| r + 1),
+        ];
+        let hops = trace.hops.iter().flat_map(|h| {
+            [
+                h.round,
+                u64::from(h.vertex),
+                h.port as u64,
+                u64::from(h.next),
+                h.kind as u64,
+                h.queue_delay,
+                h.weight,
+                h.header_words as u64,
+            ]
+        });
+        head.into_iter().chain(hops).collect()
+    }));
+    assert!(sent.dropped() > 0 && sent.delivered_count() > 0);
+    assert_eq!(
+        engine_pin(&sent.stats),
+        engine((2029, 21753, 163651, 11, true, 1821098201, 18000))
+    );
+    assert_eq!((outcomes_crc, traces_crc), (3888986175, 3192304089));
 }
 
 /// A path of `n` vertices with unit-ish weights.
