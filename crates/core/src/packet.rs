@@ -32,7 +32,7 @@
 //! by [`WordSized`], so congestion accounting, round counts, and memory
 //! meters are identical between a traced run and its untraced twin.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 
 use congest::engine::{Ctx, Engine, EngineConfig, Inbox, VertexProtocol, Wake};
@@ -262,9 +262,10 @@ impl SimResult {
 ///
 /// # Panics
 ///
-/// Panics if `injections` is not sorted by round, or if a scheduled round
+/// Panics if `injections` is not sorted by round, if a scheduled round
 /// exceeds `settings.max_rounds` (the packet could never inject, which would
-/// silently break conservation).
+/// silently break conservation), or if there are more than `u32::MAX`
+/// injections (packet ids are `u32`).
 pub fn run(
     network: &Network,
     scheme: &RoutingScheme,
@@ -272,7 +273,10 @@ pub fn run(
     settings: &Settings,
 ) -> SimResult {
     let n = network.len();
-    let mut schedules: Vec<VecDeque<(u64, Packet)>> = vec![VecDeque::new(); n];
+    // `starts[v]..starts[v + 1]` will be v's stretch of the schedule.
+    let mut starts = vec![0u32; n + 1];
+    let mut packets = Vec::new();
+    let mut sources = Vec::new();
     let (mut last, mut max_words) = (0, None);
     for (round, src, packet) in injections {
         assert!(round >= last, "injection schedule must be sorted by round");
@@ -283,8 +287,14 @@ pub fn run(
         );
         last = round;
         max_words = max_words.max(Some(packet.words()));
-        schedules[src.index()].push_back((round, packet));
+        starts[src.index() + 1] += 1;
+        sources.push((round, src));
+        packets.push(Cell::new(Some(packet)));
     }
+    assert!(
+        u32::try_from(packets.len()).is_ok(),
+        "packet ids are u32: a run injects at most u32::MAX packets"
+    );
     let mut result = SimResult {
         deliveries: Vec::new(),
         dropped_capacity: Vec::new(),
@@ -305,25 +315,47 @@ pub fn run(
         return result;
     };
 
+    // Bucket the schedule by source, stably: each source's injections stay
+    // in round order.
+    for v in 0..n {
+        starts[v + 1] += starts[v];
+    }
+    let mut schedule = vec![(0, 0); sources.len()];
+    let mut fill = starts.clone();
+    for (id, (round, src)) in (0..).zip(sources) {
+        let slot = &mut fill[src.index()];
+        schedule[*slot as usize] = (round, id);
+        *slot += 1;
+    }
+    let g = network.graph();
     let plane = Plane {
         queue_cap: settings.queue_cap,
         policy: settings.policy,
         hop_cap: forward::hop_cap(n) as u32,
+        packets,
+        schedule,
+        queues: RefCell::default(),
         ledger: RefCell::default(),
+        loads: vec![Cell::default(); 2 * g.num_edges()],
     };
-    let protos: Vec<Vertex<'_>> = network
-        .graph()
+    let mut first_arc = 0;
+    let protos: Vec<Vertex<'_>> = g
         .vertices()
-        .zip(schedules)
-        .map(|(v, schedule)| Vertex {
-            table: scheme.table(v),
-            table_words: scheme.table(v).words(),
-            ports: vec![Port::default(); network.graph().degree(v)],
-            queued_packets: 0,
-            queued_words: 0,
-            schedule,
-            log: RoundLog::default(),
-            plane: &plane,
+        .map(|v| {
+            let vertex = Vertex {
+                table: scheme.table(v),
+                table_words: scheme.table(v).words(),
+                busy: NIL,
+                first_arc,
+                queued_packets: 0,
+                queued_words: 0,
+                next: starts[v.index()],
+                end: starts[v.index() + 1],
+                log: RoundLog::default(),
+                plane: &plane,
+            };
+            first_arc += g.degree(v) as u32;
+            vertex
         })
         .collect();
     let engine = Engine::with_config(EngineConfig {
@@ -331,20 +363,16 @@ pub fn run(
         max_rounds: settings.max_rounds,
         profile: settings.profile,
     });
-    let (protos, stats) = engine.run(network, protos);
-    for (v, p) in network.graph().vertices().zip(protos) {
-        for (arc, port) in network.ports(v).iter().zip(&p.ports) {
-            if port.sent.packets > 0 {
-                result.edge_load.add(v.0, arc.to.0, port.sent);
-            }
-        }
-    }
+    let (_, stats) = engine.run(network, protos);
 
+    let mut ledger = plane.ledger.take();
+    for &(v, to, arc) in &ledger.busy_arcs {
+        result.edge_load.add(v, to, plane.loads[arc as usize].get());
+    }
     // No occupancy carry-over is needed: a vertex that ends a round with a
     // packet queued wakes the next round, so it closes (and adds its
     // occupancy to) every round it holds packets in. Rounds no vertex closed
     // stay zero.
-    let mut ledger = plane.ledger.take();
     debug_assert!(ledger.series.len() as u64 <= stats.rounds + 1);
     ledger
         .series
@@ -369,14 +397,25 @@ fn by_vertex<T>(mut entries: Vec<(u32, T)>) -> impl Iterator<Item = T> {
     entries.into_iter().map(|(_, entry)| entry)
 }
 
-/// What every vertex of one run shares: the settings it forwards by and the
-/// run's ledger.
-#[derive(Debug)]
+/// What every vertex of one run shares: the settings it forwards by, the
+/// injections, the pool its busy queues live in, and the run's outputs —
+/// the ledger and the per-arc loads.
 struct Plane {
     queue_cap: usize,
     policy: DropPolicy,
     hop_cap: u32,
+    /// Every injected packet, in the order given; each is taken once, by
+    /// its source.
+    packets: Vec<Cell<Option<Packet>>>,
+    /// `(round, index into packets)` of every injection, bucketed by source
+    /// and in round order within a source.
+    schedule: Vec<(u64, u32)>,
+    queues: RefCell<Queues>,
     ledger: RefCell<Ledger>,
+    /// What each arc transmitted, indexed by its CSR position (the sending
+    /// vertex's first arc plus the port). Output like the ledger: a counter
+    /// is read only to add to it, never to decide how to forward.
+    loads: Vec<Cell<Load>>,
 }
 
 /// The run's output, appended to by whichever vertex acts: per-round totals,
@@ -393,6 +432,9 @@ struct Ledger {
     dropped_capacity: Vec<(u32, u32)>,
     dropped_stuck: Vec<(u32, (u32, GraphRouteError))>,
     traces: Vec<(u32, (u32, PacketTrace))>,
+    /// `(vertex, neighbor, arc)` of every arc that has transmitted, in the
+    /// order each first did: the loads the fold visits.
+    busy_arcs: Vec<(u32, u32, u32)>,
 }
 
 impl Ledger {
@@ -414,17 +456,15 @@ impl Ledger {
     }
 }
 
-/// One outgoing port: its FIFO and what it has transmitted so far. The
-/// FIFO's oldest packet sits inline in `head`, so a packet that reaches an
-/// empty port and leaves in the same round's flush moves in and out of one
-/// slot and never through the backlog.
-#[derive(Clone, Debug, Default)]
+/// One port's FIFO. The oldest packet sits inline in `head`, so a packet
+/// that reaches an idle port and leaves in the same round's flush moves in
+/// and out of one slot and never through the backlog.
+#[derive(Default)]
 struct Port {
     /// The oldest queued packet; `None` only when the queue is empty.
     head: Option<Packet>,
     /// The packets behind `head`, oldest first.
     backlog: VecDeque<Packet>,
-    sent: Load,
 }
 
 impl Port {
@@ -449,22 +489,79 @@ impl Port {
     }
 }
 
+/// The end of a list in [`Queues`].
+const NIL: u32 = u32::MAX;
+
+/// A busy port's queue in the pool, linked to its vertex's next busy port.
+struct Slot {
+    port: u32,
+    next: u32,
+    queue: Port,
+}
+
+/// Every busy port's queue, pooled for the run. A vertex's busy ports form
+/// one list through `next`, ascending by port; a port that empties hands
+/// its slot, backlog buffer included, back to `free`. So an idle port costs
+/// nothing, and the pool holds no more queues than were ever busy at once.
+#[derive(Default)]
+struct Queues {
+    slots: Vec<Slot>,
+    /// Slots no list holds.
+    free: Vec<u32>,
+}
+
+impl Queues {
+    /// The slot of `port` in the list at `head`, linked in at its place
+    /// (empty) if the port was idle.
+    fn slot(&mut self, head: &mut u32, port: u32) -> usize {
+        let (mut prev, mut at) = (NIL, *head);
+        while at != NIL && self.slots[at as usize].port < port {
+            (prev, at) = (at, self.slots[at as usize].next);
+        }
+        if at != NIL && self.slots[at as usize].port == port {
+            return at as usize;
+        }
+        let new = match self.free.pop() {
+            Some(new) => {
+                let slot = &mut self.slots[new as usize];
+                (slot.port, slot.next) = (port, at);
+                new
+            }
+            None => {
+                self.slots.push(Slot {
+                    port,
+                    next: at,
+                    queue: Port::default(),
+                });
+                self.slots.len() as u32 - 1
+            }
+        };
+        match prev {
+            NIL => *head = new,
+            prev => self.slots[prev as usize].next = new,
+        }
+        new as usize
+    }
+}
+
 /// Per-vertex protocol: what the vertex forwards with — its routing table,
-/// one FIFO queue per port flushed one packet per port per round, its queue
-/// counters and its pending injections.
-#[derive(Clone, Debug)]
+/// a FIFO queue for each port that holds packets, flushed one packet per
+/// port per round, its queue counters and its cursor into the schedule.
 struct Vertex<'r> {
     table: &'r RoutingTable,
     /// `table.words()`, counted once: the table never changes.
     table_words: usize,
-    /// Indexed by port (position in the neighbor list).
-    ports: Vec<Port>,
+    /// First slot of this vertex's busy-port list in `plane.queues`.
+    busy: u32,
+    /// CSR position of this vertex's port 0 in `plane.loads`.
+    first_arc: u32,
     /// Packets and words across all queues, kept in step with every push
     /// and pop so no poll has to walk them.
     queued_packets: u32,
     queued_words: usize,
-    /// This vertex's pending injections, sorted by round.
-    schedule: VecDeque<(u64, Packet)>,
+    /// This vertex's pending injections: `plane.schedule[next..end]`.
+    next: u32,
+    end: u32,
     /// This round's activity so far.
     log: RoundLog,
     plane: &'r Plane,
@@ -521,7 +618,9 @@ impl Vertex<'_> {
                         header_words: words,
                     });
                 }
-                let q = &mut self.ports[port];
+                let mut queues = self.plane.queues.borrow_mut();
+                let at = queues.slot(&mut self.busy, port as u32);
+                let q = &mut queues.slots[at].queue;
                 if q.len() >= self.plane.queue_cap {
                     let dropped = match self.plane.policy {
                         DropPolicy::TailDrop => packet.id,
@@ -555,39 +654,75 @@ impl Vertex<'_> {
         }
     }
 
+    /// The next pending injection: its round and its packet's index.
+    fn next_injection(&self) -> Option<(u64, u32)> {
+        (self.next < self.end).then(|| self.plane.schedule[self.next as usize])
+    }
+
     /// Inject every packet scheduled for `round`.
     fn inject(&mut self, ctx: &Ctx<'_, Packet>, round: u64) {
-        while self.schedule.front().is_some_and(|(due, _)| *due == round) {
-            let (_, packet) = self.schedule.pop_front().expect("front was just seen");
+        while let Some((due, id)) = self.next_injection() {
+            if due != round {
+                break;
+            }
+            self.next += 1;
             self.log.injected += 1;
-            self.classify(ctx, packet, round);
+            let packet = self.plane.packets[id as usize].take();
+            self.classify(ctx, packet.expect("each injection is taken once"), round);
         }
     }
 
-    /// Send the head of every non-empty queue: one packet per port per round.
+    /// Send the head of every busy queue, in port order: one packet per port
+    /// per round. A queue that empties leaves the list.
     fn flush(&mut self, ctx: &mut Ctx<'_, Packet>) {
         if self.queued_packets == 0 {
             return;
         }
-        let now = ctx.round();
-        for (port, arc) in self.ports.iter_mut().zip(ctx.neighbors()) {
-            if let Some(mut p) = port.pop() {
-                let words = p.words();
-                self.queued_packets -= 1;
-                self.queued_words -= words;
-                port.sent.packets += 1;
-                port.sent.words += words as u64;
-                self.log.sent += 1;
-                if let Some(trace) = p.trace.as_mut() {
-                    let hop = trace.hops.last_mut().expect("hop queued with a record");
-                    hop.queue_delay = now - hop.round;
-                    hop.round = now;
+        let (me, now) = (ctx.me(), ctx.round());
+        let neighbors = ctx.neighbors();
+        let plane = self.plane;
+        let mut queues = plane.queues.borrow_mut();
+        let (mut prev, mut at) = (NIL, self.busy);
+        let mut last = None;
+        while at != NIL {
+            let slot = &mut queues.slots[at as usize];
+            let (port, next) = (slot.port, slot.next);
+            debug_assert!(last < Some(port), "busy ports out of port order");
+            last = Some(port);
+            let head = slot.queue.pop();
+            if slot.queue.head.is_some() {
+                prev = at;
+            } else {
+                match prev {
+                    NIL => self.busy = next,
+                    prev => queues.slots[prev as usize].next = next,
                 }
-                ctx.send(arc.to, p);
-                if self.queued_packets == 0 {
-                    break;
-                }
+                queues.free.push(at);
             }
+            at = next;
+            let Some(mut p) = head else {
+                continue;
+            };
+            let words = p.words();
+            self.queued_packets -= 1;
+            self.queued_words -= words;
+            self.log.sent += 1;
+            let arc = self.first_arc + port;
+            let to = neighbors[port as usize].to;
+            let counter = &plane.loads[arc as usize];
+            let mut load = counter.get();
+            if load.packets == 0 {
+                plane.ledger.borrow_mut().busy_arcs.push((me.0, to.0, arc));
+            }
+            load.packets += 1;
+            load.words += words as u64;
+            counter.set(load);
+            if let Some(trace) = p.trace.as_mut() {
+                let hop = trace.hops.last_mut().expect("hop queued with a record");
+                hop.queue_delay = now - hop.round;
+                hop.round = now;
+            }
+            ctx.send(to, p);
         }
     }
 
@@ -626,7 +761,7 @@ impl VertexProtocol for Vertex<'_> {
     }
 
     fn is_done(&self) -> bool {
-        self.schedule.is_empty() && self.queued_packets == 0
+        self.next == self.end && self.queued_packets == 0
     }
 
     fn wake(&self) -> Wake {
@@ -635,9 +770,8 @@ impl VertexProtocol for Vertex<'_> {
         } else {
             // A scheduled injection must keep the clock ticking even when no
             // messages are in flight.
-            self.schedule
-                .front()
-                .map_or(Wake::OnMessage, |&(due, _)| Wake::At(due))
+            self.next_injection()
+                .map_or(Wake::OnMessage, |(due, _)| Wake::At(due))
         }
     }
 
@@ -802,11 +936,12 @@ pub fn send(
     }
 }
 
-/// The protocol as it stood before the run ledger and the per-port head
-/// slot, kept verbatim for the differential proptest in `tests`: every
-/// vertex logs its rounds and its outcomes in its own vectors, `run` merges
-/// them after the engine stops, and every packet passes through its port's
-/// `VecDeque`.
+/// The protocol as it stood before the run ledger, the per-port head slot,
+/// the pooled busy queues and the flat schedule, kept verbatim for the
+/// differential proptest in `tests`: every vertex holds a queue for each of
+/// its ports and a schedule of its own, logs its rounds and its outcomes in
+/// its own vectors, and `run` merges them after the engine stops; every
+/// packet passes through its port's `VecDeque`.
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -1539,15 +1674,35 @@ mod tests {
         }
     }
 
-    /// Up to `rate` random pairs in each of rounds `0..horizon`, plus a burst
-    /// of `burst` packets of one pair in one round, which overfills the port
-    /// they leave by. Traced packets carry a trace as in a traced [`send`].
+    /// Where a schedule's pairs lead.
+    #[derive(Clone, Copy, Debug)]
+    enum Focus {
+        /// Random pairs.
+        Anywhere,
+        /// Every pair ends at this vertex: its neighbours' ports toward it
+        /// back up.
+        Into(VertexId),
+        /// Every pair starts at this vertex: many of its ports back up at
+        /// once.
+        OutOf(VertexId),
+    }
+
+    /// The highest-degree vertex of `g` (the lowest id among ties).
+    fn hub(g: &graphs::Graph) -> VertexId {
+        g.vertices()
+            .max_by_key(|&v| (g.degree(v), std::cmp::Reverse(v.0)))
+            .expect("non-empty")
+    }
+
+    /// Up to `rate` pairs led by `focus` in each of rounds `0..horizon`,
+    /// plus a burst of `burst` packets of one pair in one round, which
+    /// overfills the port they leave by. Traced packets carry a trace as in
+    /// a traced [`send`].
     fn schedule(
         scheme: &RoutingScheme,
         traced: bool,
-        horizon: u64,
-        rate: usize,
-        burst: usize,
+        (horizon, rate, burst): (u64, usize, usize),
+        focus: Focus,
         rng: &mut ChaCha8Rng,
     ) -> Vec<Injection> {
         use rand::Rng;
@@ -1559,6 +1714,11 @@ mod tests {
             let pairs = rng.gen_range(0..=rate) + usize::from(bursting);
             for i in 0..pairs {
                 let (src, dst) = (VertexId(rng.gen_range(0..n)), VertexId(rng.gen_range(0..n)));
+                let (src, dst) = match focus {
+                    Focus::Anywhere => (src, dst),
+                    Focus::Into(hub) => (src, hub),
+                    Focus::OutOf(hub) => (hub, dst),
+                };
                 let Some(p) = plan(scheme, src, dst) else {
                     continue;
                 };
@@ -1656,7 +1816,7 @@ mod tests {
                 (2, DropPolicy::OldestDrop, false),
                 (usize::MAX, DropPolicy::TailDrop, true),
             ] {
-                let injections = schedule(scheme, traced, 6, 3, 5, &mut rng);
+                let injections = schedule(scheme, traced, (6, 3, 5), Focus::Anywhere, &mut rng);
                 let settings = Settings {
                     queue_cap: cap,
                     policy,
@@ -1670,7 +1830,7 @@ mod tests {
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
 
         #[test]
         fn the_ledger_plane_matches_the_reference_protocol(
@@ -1686,6 +1846,7 @@ mod tests {
             rate in 0usize..6,
             burst in 0usize..10,
             slack in 0usize..3,
+            focus in 0u8..3,
         ) {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let g = shaped(shape, size, &mut rng);
@@ -1694,8 +1855,12 @@ mod tests {
             if forged == 1 {
                 forge(&mut scheme, n);
             }
+            let center = hub(&g);
+            let focus =
+                [Focus::Anywhere, Focus::Into(center), Focus::OutOf(center)][focus as usize];
             let net = Network::new(g);
-            let injections = schedule(&scheme, traced == 1, horizon, rate, burst, &mut rng);
+            let load = (horizon, rate, burst);
+            let injections = schedule(&scheme, traced == 1, load, focus, &mut rng);
             let settings = Settings {
                 queue_cap: [1, 2, 8, usize::MAX][cap],
                 policy: [DropPolicy::TailDrop, DropPolicy::OldestDrop][oldest],

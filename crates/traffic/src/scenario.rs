@@ -35,6 +35,17 @@ pub const MAX_P99_QUEUE_DELAY: u64 = 8;
 /// Largest `dropped / injected` fraction a sustainable rate may show.
 pub const MAX_DROP_FRACTION: f64 = 0.01;
 
+/// The most packets one run may offer: what keeps a run's plan and
+/// simulation within 4 GiB of heap. [`TrafficScenario::run`] holds per
+/// offered packet a flow record, the packet, its label and its flow index,
+/// and the simulation a copy of each injected packet, its schedule entry
+/// and its outcome. Measured from 32,768 to 1,048,576 offered packets on
+/// 1,024- and 4,096-vertex graphs, a run's peak heap is 228–302 bytes per
+/// offered packet; labels lengthen with `log n`, so the budget is 512 bytes
+/// a packet, or 2^23 packets. `drt traffic` refuses a sweep whose peak rate
+/// offers more.
+pub const MAX_OFFERED_PACKETS: u64 = (4 << 30) / 512;
+
 /// Everything about a scenario except the workload and the rate.
 #[derive(Clone, Copy, Debug)]
 pub struct ScenarioConfig {

@@ -2,15 +2,18 @@
 //! protocol at its steady-state setting.
 //!
 //! Unlike a `routing::packet::send` batch (everything injected at round 0,
-//! unbounded queues), this plane injects packets *every round* from a
-//! per-vertex schedule and bounds each outgoing queue at a configurable
-//! capacity with an explicit drop policy. The whole schedule is computed
-//! before the engine starts, so the simulation is a pure function of its
-//! inputs, and every vertex adds each round it closes into the run's dense
-//! conservation series `injected = delivered + dropped + queued + on-wire`
-//! that [`crate::scenario`] re-checks every round. The protocol, its packet
-//! and its result live in `routing::packet`; this module maps a
-//! [`SimConfig`] onto the protocol's settings.
+//! unbounded queues), this plane injects packets *every round* and bounds
+//! each outgoing queue at a configurable capacity with an explicit drop
+//! policy. The whole schedule is computed before the engine starts, so the
+//! simulation is a pure function of its inputs; the protocol keeps it as
+//! one flat array bucketed by source (each source's injections in round
+//! order, each vertex a cursor into its bucket) and gives a port a queue
+//! only while it holds packets, so a run costs what its traffic touches,
+//! not the size of the network. Every vertex adds each round it closes into
+//! the run's dense conservation series `injected = delivered + dropped +
+//! queued + on-wire` that [`crate::scenario`] re-checks every round. The
+//! protocol, its packet and its result live in `routing::packet`; this
+//! module maps a [`SimConfig`] onto the protocol's settings.
 
 use congest::Network;
 use routing::packet::{self, Settings};

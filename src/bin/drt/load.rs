@@ -62,7 +62,8 @@ pub fn traffic(a: &Args) -> Result<(), String> {
     ])?;
     // Refuse what the sweep would not run as given, before planning a
     // packet: the arrival process reads a negative or non-finite rate as 0,
-    // the plane a zero cap as 1, and packet ids are `u32`.
+    // the plane a zero cap as 1, packet ids are `u32`, and a run's plan must
+    // fit in memory.
     if let Some(r) = rates.iter().find(|r| !(r.is_finite() && **r >= 0.0)) {
         return Err(format!("--rate must be finite and at least 0, got {r}"));
     }
@@ -70,11 +71,20 @@ pub fn traffic(a: &Args) -> Result<(), String> {
         return Err("--queue-cap must be at least 1".into());
     }
     let peak = rates.iter().fold(0.0, |a: f64, &r| a.max(r.ceil()));
-    if peak * config.inject_rounds as f64 > f64::from(u32::MAX) {
+    let offered = peak * config.inject_rounds as f64;
+    if offered > f64::from(u32::MAX) {
         return Err(format!(
             "--rate {peak} over --rounds {} offers more than {} packets",
             config.inject_rounds,
             u32::MAX
+        ));
+    }
+    if offered > traffic::MAX_OFFERED_PACKETS as f64 {
+        return Err(format!(
+            "--rate {peak} over --rounds {} offers more than {} packets, \
+             the most one run plans in 4 GiB",
+            config.inject_rounds,
+            traffic::MAX_OFFERED_PACKETS
         ));
     }
     let g = crate::load_graph(&graph_path)?;

@@ -203,6 +203,11 @@ fn bad_inputs_exit_1_with_one_error_line() {
             &["traffic", g64, s64, "--rate", "1e9", "--rounds", "5"],
             "--rate 1000000000 over --rounds 5 offers more than 4294967295 packets",
         ),
+        (
+            &["traffic", g64, s64, "--rate", "1e9", "--rounds", "2"],
+            "--rate 1000000000 over --rounds 2 offers more than 8388608 packets, \
+             the most one run plans in 4 GiB",
+        ),
         // `--profile` is `drt traffic`'s flag alone.
         (
             &["churn", g64, s64, "--rounds", "2", "--profile"],

@@ -13,7 +13,11 @@
 //! `n`: it pins the executed set itself, whether or not a run mattered. The
 //! rule's drops with their errors, and a traced many-pair `send`'s journeys,
 //! joined on the commit before the packet plane wrote its outputs to one run
-//! ledger instead of per-vertex vectors.
+//! ledger instead of per-vertex vectors. Hub-sink traffic — every packet
+//! bound for a scale-free graph's highest-degree vertex, at two queue
+//! capacities and both drop policies, plus a traced batch into the hub —
+//! joined on the commit before a vertex kept only its busy ports' queues
+//! and a cursor into one flat injection schedule.
 
 use congest::bfs::BfsVertex;
 use congest::engine::{Ctx, Wake};
@@ -24,7 +28,7 @@ use rand_chacha::ChaCha8Rng;
 use routing::forward::GraphRouteError;
 use routing::persist::crc32;
 use routing::{build, packet, BuildParams, RoutingScheme};
-use traffic::sim::{simulate, DropPolicy, Injection, SimConfig};
+use traffic::sim::{simulate, DropPolicy, Injection, SimConfig, SimResult};
 use traffic::{Arrival, ArrivalKind, TrafficPacket, Workload, WorkloadKind};
 
 /// The engine counters every plane is pinned on.
@@ -150,6 +154,11 @@ fn traffic_pin(
             profile: false,
         },
     );
+    sim_pin(&sim)
+}
+
+/// What a steady-state result is pinned on.
+fn sim_pin(sim: &SimResult) -> TrafficPin {
     let mut edges = sim.edge_load.hottest(usize::MAX);
     edges.sort_by_key(|&(e, _)| e);
     TrafficPin {
@@ -629,6 +638,140 @@ fn traced_batch_journeys_are_pinned() {
         engine((2029, 21753, 163651, 11, true, 1821098201, 18000))
     );
     assert_eq!((outcomes_crc, traces_crc), (3888986175, 3192304089));
+}
+
+/// A 384-vertex preferential-attachment graph and its highest-degree
+/// vertex (the lowest id among ties), the hub.
+fn pa384_hub() -> (Network, RoutingScheme, VertexId) {
+    let mut rng = ChaCha8Rng::seed_from_u64(7105);
+    let (net, scheme) = network(
+        generators::preferential_attachment(384, 2, 1..=100, &mut rng),
+        3,
+    );
+    let g = net.graph();
+    let hub = g
+        .vertices()
+        .max_by_key(|&v| (g.degree(v), std::cmp::Reverse(v.0)))
+        .expect("non-empty");
+    (net, scheme, hub)
+}
+
+#[test]
+fn hub_sink_traffic_is_pinned() {
+    // Recorded on the commit before a packet-plane vertex kept only its busy
+    // ports and a cursor into one flat injection schedule. Eight uniform
+    // sources a round send to the hub for 64 rounds: its neighbours' ports
+    // toward it back up, overflow at either capacity, and drain in port
+    // order.
+    let (net, scheme, hub) = pa384_hub();
+    let n = net.len() as u32;
+    let mut rng = ChaCha8Rng::seed_from_u64(7106);
+    let mut injections: Vec<Injection> = Vec::new();
+    for round in 0..64 {
+        for _ in 0..8 {
+            let src = VertexId(rng.gen_range(0..n));
+            if let Some(plan) = packet::plan(&scheme, src, hub) {
+                let id = injections.len() as u32;
+                injections.push((round, src, TrafficPacket::from_plan(id, plan)));
+            }
+        }
+    }
+    let want = [
+        (
+            2,
+            DropPolicy::TailDrop,
+            pin(
+                (70, 1642, 9410, 7, true, 3964750440, 2064),
+                [80690315, 2396826388, 1271400772, 0, 3522479023],
+            ),
+        ),
+        (
+            2,
+            DropPolicy::OldestDrop,
+            pin(
+                (70, 1642, 9404, 7, true, 3964750440, 2064),
+                [1950480256, 3553320196, 913295595, 0, 3512375551],
+            ),
+        ),
+        (
+            8,
+            DropPolicy::TailDrop,
+            pin(
+                (79, 1723, 9839, 7, true, 1956813067, 2150),
+                [2875816983, 2040239340, 90906657, 0, 90470718],
+            ),
+        ),
+        (
+            8,
+            DropPolicy::OldestDrop,
+            pin(
+                (79, 1723, 9839, 7, true, 1956813067, 2150),
+                [2875816983, 1898637831, 3754016949, 0, 90470718],
+            ),
+        ),
+    ];
+    for (queue_cap, policy, want) in want {
+        let sim = simulate(
+            &net,
+            &scheme,
+            &injections,
+            &SimConfig {
+                queue_cap,
+                policy,
+                max_rounds: 64 + 4096,
+                threads: 1,
+                profile: false,
+            },
+        );
+        assert!(!sim.dropped_capacity.is_empty(), "{queue_cap} {policy:?}");
+        assert_eq!(sim_pin(&sim), want, "{queue_cap} {policy:?}");
+    }
+
+    // Every other vertex sends the hub one traced packet at round 0, into
+    // unbounded queues.
+    let pairs: Vec<(VertexId, VertexId)> = net
+        .graph()
+        .vertices()
+        .filter(|&v| v != hub)
+        .map(|v| (v, hub))
+        .collect();
+    let opts = packet::SendOptions {
+        trace: true,
+        profile: false,
+    };
+    let sent = packet::send(&net, &scheme, &pairs, opts);
+    assert_eq!(sent.delivered_count(), pairs.len());
+    let outcomes_crc = crc_of(sent.deliveries().flat_map(|d| {
+        let (round, weight) = d.expect("delivered");
+        [round, weight]
+    }));
+    let traces_crc = crc_of(sent.traces.iter().flatten().flat_map(|trace| {
+        trace.hops.iter().flat_map(|h| {
+            [
+                h.round,
+                u64::from(h.vertex),
+                h.port as u64,
+                u64::from(h.next),
+                h.queue_delay,
+                h.weight,
+            ]
+        })
+    }));
+    let mut edges = sent.edge_load.hottest(usize::MAX);
+    edges.sort_by_key(|&(e, _)| e);
+    let edge_load_crc = crc_of(
+        edges
+            .iter()
+            .flat_map(|&((u, v), l)| [u64::from(u), u64::from(v), l.packets, l.words]),
+    );
+    assert_eq!(
+        engine_pin(&sent.stats),
+        engine((113, 1438, 8282, 7, true, 1462085047, 1529))
+    );
+    assert_eq!(
+        (outcomes_crc, traces_crc, edge_load_crc),
+        (4088131904, 3071313918, 4160824927)
+    );
 }
 
 /// A path of `n` vertices with unit-ish weights.
