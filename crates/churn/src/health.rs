@@ -252,6 +252,8 @@ impl PairSample {
 /// One round's probe tallies before they are merged with the traffic burst.
 #[derive(Default)]
 struct ProbeTally {
+    /// Pairs with both endpoints alive and a path between them.
+    connected: u64,
     delivered: u64,
     endpoint_dead: u64,
     no_common_tree: u64,
@@ -294,17 +296,6 @@ impl ChurnScenario<'_> {
 
         let mut pair_rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ PAIR_SALT);
         let sample = PairSample::draw(g, cfg.probe_pairs.max(1), &mut pair_rng);
-        let baseline_connected: u64 = sample
-            .by_source
-            .iter()
-            .map(|&(s, ref targets)| {
-                let dist = shortest_paths::dijkstra(g, s);
-                targets
-                    .iter()
-                    .filter(|t| dist[t.index()] < INFINITY)
-                    .count() as u64
-            })
-            .sum();
 
         // Traffic planning state persists across rounds: the workload is
         // prepared on the intact graph and the arrival/draw stream never
@@ -319,14 +310,16 @@ impl ChurnScenario<'_> {
             rows: Vec::with_capacity(cfg.rounds as usize + 1),
             schedule: schedule.clone(),
             probe_pairs: sample.len() as u64,
-            baseline_connected,
+            baseline_connected: 0,
             baseline_mean_stretch: 0.0,
             engine: obs::Counters::ZERO,
             peak_queue_packets: 0,
             config: *cfg,
         };
 
-        self.sample_round(
+        // Round 0 probes the intact graph: its connected pairs are the
+        // fixed reachability denominator.
+        run.baseline_connected = self.sample_round(
             g,
             &overlay,
             0,
@@ -358,6 +351,8 @@ impl ChurnScenario<'_> {
         run
     }
 
+    /// Sample one round into `run.rows`; returns how many probe pairs with
+    /// both endpoints alive are connected in the perturbed graph.
     #[allow(clippy::too_many_arguments)]
     fn sample_round(
         &self,
@@ -370,7 +365,7 @@ impl ChurnScenario<'_> {
         traffic_rng: &mut ChaCha8Rng,
         arrival: &mut Arrival,
         run: &mut ChurnRun,
-    ) {
+    ) -> u64 {
         let cfg = &self.config;
         let perturbed = overlay.build_graph(g);
         let alive = overlay.alive_vertices();
@@ -388,6 +383,9 @@ impl ChurnScenario<'_> {
                 if src_dead || !alive[t.index()] {
                     tally.endpoint_dead += 1;
                     continue;
+                }
+                if dist[t.index()] < INFINITY {
+                    tally.connected += 1;
                 }
                 match router::route_with(&perturbed, self.scheme, s, t, Selection::SourceOptimal) {
                     Ok(trace) => {
@@ -477,6 +475,7 @@ impl ChurnScenario<'_> {
             dropped_stuck,
             in_flight,
         });
+        tally.connected
     }
 }
 

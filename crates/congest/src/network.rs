@@ -22,7 +22,7 @@ use graphs::{Graph, VertexId};
 /// b.add_edge(VertexId(0), VertexId(1), 3);
 /// let net = Network::new(b.build());
 /// assert_eq!(net.len(), 2);
-/// assert_eq!(net.port_of(VertexId(0), VertexId(1)), Some(0));
+/// assert_eq!(net.neighbor_at(VertexId(0), 0), VertexId(1));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Network {
@@ -60,11 +60,6 @@ impl Network {
         self.graph.neighbors(v)
     }
 
-    /// The port of `v` that leads to `u`, if `{v, u}` is an edge.
-    pub fn port_of(&self, v: VertexId, u: VertexId) -> Option<usize> {
-        self.ports(v).iter().position(|a| a.to == u)
-    }
-
     /// The neighbor reached from `v` through `port`.
     ///
     /// # Panics
@@ -99,15 +94,8 @@ mod tests {
         for v in n.graph().vertices() {
             for (p, arc) in n.ports(v).iter().enumerate() {
                 assert_eq!(n.neighbor_at(v, p), arc.to);
-                assert_eq!(n.port_of(v, arc.to), Some(p));
             }
         }
-    }
-
-    #[test]
-    fn missing_port_is_none() {
-        let n = net();
-        assert_eq!(n.port_of(VertexId(1), VertexId(2)), None);
     }
 
     #[test]

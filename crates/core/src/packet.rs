@@ -38,7 +38,7 @@ use std::collections::VecDeque;
 use congest::engine::{Ctx, Engine, EngineConfig, Inbox, VertexProtocol, Wake};
 use congest::{MemoryMeter, Network, RunStats, WordSized};
 use graphs::{VertexId, Weight};
-use obs::flight::{EdgeLoadMap, HopRecord, Load, PacketTrace, VertexLoadMap};
+use obs::flight::{self, EdgeLoadMap, HopRecord, Load, PacketTrace, VertexLoadMap};
 use tree_routing::types::TreeLabel;
 
 use crate::forward::{self, GraphRouteError, Selection, Step};
@@ -227,8 +227,9 @@ pub struct SimResult {
     pub stuck_errors: Vec<GraphRouteError>,
     /// Dense per-round totals (index = round).
     pub series: Vec<RoundTotals>,
-    /// Words actually transmitted per edge (capacity drops never transmit).
-    pub edge_load: EdgeLoadMap,
+    /// `(vertex, neighbor, load)` of every arc that transmitted: what
+    /// [`SimResult::edge_load`] folds when asked.
+    busy_arcs: Vec<(u32, u32, Load)>,
     /// Journeys of the traced packets that were delivered or dropped by the
     /// rule, with their ids.
     pub traces: Vec<(u32, PacketTrace)>,
@@ -237,6 +238,13 @@ pub struct SimResult {
 }
 
 impl SimResult {
+    /// Words actually transmitted per edge (capacity drops never
+    /// transmit), built from the run's per-arc counters on each call.
+    pub fn edge_load(&self) -> EdgeLoadMap {
+        let cell = |&(v, to, load): &(u32, u32, Load)| (flight::edge(v, to), load);
+        self.busy_arcs.iter().map(cell).collect()
+    }
+
     /// Largest number of packets queued network-wide at any round end.
     pub fn peak_queue_packets(&self) -> u64 {
         self.series
@@ -301,7 +309,7 @@ pub fn run(
         dropped_stuck: Vec::new(),
         stuck_errors: Vec::new(),
         series: Vec::new(),
-        edge_load: EdgeLoadMap::new(),
+        busy_arcs: Vec::new(),
         traces: Vec::new(),
         stats: RunStats {
             completed: true,
@@ -366,9 +374,8 @@ pub fn run(
     let (_, stats) = engine.run(network, protos);
 
     let mut ledger = plane.ledger.take();
-    for &(v, to, arc) in &ledger.busy_arcs {
-        result.edge_load.add(v, to, plane.loads[arc as usize].get());
-    }
+    let load = |&(v, to, arc): &(u32, u32, u32)| (v, to, plane.loads[arc as usize].get());
+    result.busy_arcs = ledger.busy_arcs.iter().map(load).collect();
     // No occupancy carry-over is needed: a vertex that ends a round with a
     // packet queued wakes the next round, so it closes (and adds its
     // occupancy to) every round it holds packets in. Rounds no vertex closed
@@ -433,7 +440,7 @@ struct Ledger {
     dropped_stuck: Vec<(u32, (u32, GraphRouteError))>,
     traces: Vec<(u32, (u32, PacketTrace))>,
     /// `(vertex, neighbor, arc)` of every arc that has transmitted, in the
-    /// order each first did: the loads the fold visits.
+    /// order each first did: the counters the result reads.
     busy_arcs: Vec<(u32, u32, u32)>,
 }
 
@@ -866,11 +873,9 @@ impl Sent {
     /// Words and packets forwarded per vertex, folded from the traces
     /// (empty for an untraced send).
     pub fn vertex_load(&self) -> VertexLoadMap {
-        let mut load = VertexLoadMap::new();
-        for trace in self.traces.iter().flatten() {
-            load.record_trace(trace);
-        }
-        load
+        let hops = self.traces.iter().flatten().flat_map(|t| &t.hops);
+        let cell = |h: &HopRecord| (h.vertex, Load::packet(h.header_words as u64));
+        hops.map(cell).collect()
     }
 }
 
@@ -924,6 +929,7 @@ pub fn send(
     for (&id, &err) in sim.dropped_stuck.iter().zip(&sim.stuck_errors) {
         outcomes[id as usize] = PacketOutcome::Failed(err);
     }
+    let edge_load = sim.edge_load();
     let mut traces = vec![None; pairs.len()];
     for (id, trace) in sim.traces {
         traces[id as usize] = Some(trace);
@@ -931,7 +937,7 @@ pub fn send(
     Sent {
         outcomes,
         traces,
-        edge_load: sim.edge_load,
+        edge_load,
         stats: sim.stats,
     }
 }
@@ -994,7 +1000,7 @@ mod reference {
             dropped_stuck: Vec::new(),
             stuck_errors: Vec::new(),
             series: Vec::new(),
-            edge_load: EdgeLoadMap::new(),
+            busy_arcs: Vec::new(),
             traces: Vec::new(),
             stats: RunStats {
                 completed: true,
@@ -1065,7 +1071,7 @@ mod reference {
             result.traces.extend(p.traces);
             for (arc, port) in network.ports(v).iter().zip(&p.ports) {
                 if port.sent.packets > 0 {
-                    result.edge_load.add(v.0, arc.to.0, port.sent);
+                    result.busy_arcs.push((v.0, arc.to.0, port.sent));
                 }
             }
         }
@@ -1751,11 +1757,6 @@ mod tests {
     ) -> Option<String> {
         let got = run(net, scheme, injections.clone(), settings);
         let want = reference::run(net, scheme, injections, settings);
-        let edges = |sim: &SimResult| {
-            let mut e = sim.edge_load.hottest(usize::MAX);
-            e.sort_by_key(|&(ends, _)| ends);
-            e
-        };
         let fields = [
             (
                 "deliveries",
@@ -1789,8 +1790,8 @@ mod tests {
             ),
             (
                 "edge_load",
-                format!("{:?}", edges(&got)),
-                format!("{:?}", edges(&want)),
+                format!("{:?}", got.edge_load()),
+                format!("{:?}", want.edge_load()),
             ),
         ];
         if let Some((name, a, b)) = fields.into_iter().find(|(_, a, b)| a != b) {

@@ -258,10 +258,12 @@ mod tests {
     fn edges_start_and_end_at_virtual_vertices() {
         let (g, virt, mut rng) = setup(200, 0.25, 62);
         let (out, _, _) = default_build(&g, &virt, &mut rng);
-        for (u, v, w) in out.hopset.edges() {
-            assert!(virt.is_virtual(u), "{u} not virtual");
-            assert!(virt.is_virtual(v), "{v} not virtual");
-            assert!(w > 0 || u == v);
+        for u in g.vertices() {
+            for e in out.hopset.out_edges(u) {
+                assert!(virt.is_virtual(u), "{u} not virtual");
+                assert!(virt.is_virtual(e.to), "{} not virtual", e.to);
+                assert!(e.weight > 0 || u == e.to);
+            }
         }
     }
 

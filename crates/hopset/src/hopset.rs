@@ -77,32 +77,10 @@ impl Hopset {
 
     /// Maximum out-degree — the arboricity bound `α`: the out-edge lists are
     /// an orientation with out-degree ≤ α, so the edges decompose into α
-    /// pseudoforests (see [`Hopset::forest_decomposition`]).
+    /// pseudoforests (the `f`-th out-edge of every vertex forms forest `f`;
+    /// see [`Hopset::out_edges`]).
     pub fn max_out_degree(&self) -> usize {
         self.out.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
-    /// Decompose the edge set into `max_out_degree()` pseudoforests: forest
-    /// `f` contains the `f`-th out-edge of every vertex, so each vertex has
-    /// at most one parent per forest — the "parents in the trees of the
-    /// arboricity decomposition" the paper has vertices store.
-    pub fn forest_decomposition(&self) -> Vec<Vec<(VertexId, VertexId, Weight)>> {
-        let alpha = self.max_out_degree();
-        let mut forests = vec![Vec::new(); alpha];
-        for v in 0..self.out.len() {
-            for (j, e) in self.out[v].iter().enumerate() {
-                forests[j].push((VertexId(v as u32), e.to, e.weight));
-            }
-        }
-        forests
-    }
-
-    /// Iterate over all directed records as `(from, to, weight)`.
-    pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId, Weight)> + '_ {
-        self.out.iter().enumerate().flat_map(|(v, list)| {
-            list.iter()
-                .map(move |e| (VertexId(v as u32), e.to, e.weight))
-        })
     }
 
     /// Words of memory vertex `v` devotes to its hopset edges (2 per record).
@@ -149,38 +127,9 @@ mod tests {
     }
 
     #[test]
-    fn forest_decomposition_has_unit_out_degree() {
-        let h = sample();
-        let forests = h.forest_decomposition();
-        assert_eq!(forests.len(), 2);
-        for forest in &forests {
-            let mut sources: Vec<VertexId> = forest.iter().map(|&(s, _, _)| s).collect();
-            sources.sort();
-            let before = sources.len();
-            sources.dedup();
-            assert_eq!(
-                before,
-                sources.len(),
-                "a vertex has two edges in one forest"
-            );
-        }
-        let total: usize = forests.iter().map(Vec::len).sum();
-        assert_eq!(total, h.num_edges());
-    }
-
-    #[test]
     #[should_panic(expected = "path must start at source")]
     fn rejects_misaligned_path() {
         let mut h = Hopset::new(3);
         h.add_edge(VertexId(0), VertexId(2), 1, vec![VertexId(1), VertexId(2)]);
-    }
-
-    #[test]
-    fn edges_iterator_matches_storage() {
-        let h = sample();
-        let all: Vec<_> = h.edges().collect();
-        assert_eq!(all.len(), 3);
-        assert!(all.contains(&(VertexId(0), VertexId(2), 7)));
-        assert!(all.contains(&(VertexId(2), VertexId(4), 2)));
     }
 }

@@ -268,8 +268,10 @@ mod tests {
     fn endpoints_are_virtual() {
         let (g, virt, mut rng) = fixture(100, 902);
         let out = build(&g, &virt, &mut rng);
-        for (u, v, _) in out.hopset.edges() {
-            assert!(virt.is_virtual(u) && virt.is_virtual(v));
+        for u in g.vertices() {
+            for e in out.hopset.out_edges(u) {
+                assert!(virt.is_virtual(u) && virt.is_virtual(e.to));
+            }
         }
     }
 

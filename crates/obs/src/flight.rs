@@ -13,17 +13,15 @@
 //! came from) and hop rounds vs. queueing rounds (where the delivery time
 //! went).
 //!
-//! [`EdgeLoadMap`] and [`VertexLoadMap`] aggregate many traces into heatmaps
-//! whose word totals are checkable against the engine's congestion ledger,
-//! and [`Histogram`] buckets per-pair stretch for the figure reports.
+//! [`LoadMap`]s, per edge or per vertex, are heatmaps whose word totals are
+//! checkable against the engine's congestion ledger, and [`Histogram`]
+//! buckets per-pair stretch for the figure reports.
 //!
 //! Everything serializes to (and parses back from) the crate's JSONL record
 //! schema, each shape declared once through [`record!`](crate::record!): `packet_trace`, `edge_load`, `vertex_load`, and
 //! `stretch_histogram` records ride in the same run reports as the
 //! construction spans. Vertices are named by raw `u32` ids so this crate
 //! stays dependency-free.
-
-use std::collections::HashMap;
 
 use crate::error::ParseError;
 use crate::json::Value;
@@ -217,6 +215,100 @@ pub struct Load {
     pub words: u64,
 }
 
+impl Load {
+    /// One packet of `words` words.
+    pub fn packet(words: u64) -> Load {
+        Load { packets: 1, words }
+    }
+}
+
+/// A load heatmap: the cells that saw traffic, each with its [`Load`],
+/// sorted by key with equal keys merged.
+///
+/// A map is built once, from `(key, load)` pairs in any order
+/// ([`FromIterator`]), when a report or a test reads it: a run keeps
+/// per-arc counters, not a map. [`EdgeLoadMap`] and [`VertexLoadMap`] are
+/// its two shapes, each with its own JSONL record.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct LoadMap<K> {
+    cells: Vec<(K, Load)>,
+}
+
+/// Per-edge traffic heatmap. Edges are undirected: key both orientations
+/// by [`edge`], so `a — b` and `b — a` share one cell. The words total
+/// equals the engine ledger's delivered-words total when every message of
+/// the run was a packet — the invariant the flight recorder's accounting
+/// tests check.
+pub type EdgeLoadMap = LoadMap<(u32, u32)>;
+
+/// Per-vertex forwarding heatmap: traffic each vertex pushed downstream.
+pub type VertexLoadMap = LoadMap<u32>;
+
+/// The [`EdgeLoadMap`] key of the undirected edge `a — b`: its endpoints,
+/// smaller first.
+pub fn edge(a: u32, b: u32) -> (u32, u32) {
+    (a.min(b), a.max(b))
+}
+
+impl<K: Ord> FromIterator<(K, Load)> for LoadMap<K> {
+    fn from_iter<I: IntoIterator<Item = (K, Load)>>(iter: I) -> LoadMap<K> {
+        let mut cells: Vec<(K, Load)> = iter.into_iter().collect();
+        cells.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        cells.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1.packets += next.1.packets;
+                kept.1.words += next.1.words;
+            }
+            same
+        });
+        LoadMap { cells }
+    }
+}
+
+impl<K: Ord + Copy> LoadMap<K> {
+    /// Number of cells that saw traffic.
+    pub fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Whether no traffic was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    /// Total words over all cells.
+    pub fn total_words(&self) -> u64 {
+        self.cells.iter().map(|(_, l)| l.words).sum()
+    }
+
+    /// Total packets over all cells.
+    pub fn total_packets(&self) -> u64 {
+        self.cells.iter().map(|(_, l)| l.packets).sum()
+    }
+
+    /// The load on `key`, if any.
+    pub fn load(&self, key: K) -> Option<Load> {
+        let at = self.cells.binary_search_by(|(k, _)| k.cmp(&key)).ok()?;
+        Some(self.cells[at].1)
+    }
+
+    /// Distribution of per-cell word loads.
+    pub fn stats(&self) -> LoadStats {
+        let loads: Vec<u64> = self.cells.iter().map(|(_, l)| l.words).collect();
+        LoadStats::from_loads(&loads)
+    }
+
+    /// The `k` hottest cells by word load, descending; ties break toward
+    /// the smaller key (a stable sort of key-sorted cells).
+    pub fn hottest(&self, k: usize) -> Vec<(K, Load)> {
+        let mut top = self.cells.clone();
+        top.sort_by_key(|(_, l)| std::cmp::Reverse(l.words));
+        top.truncate(k);
+        top
+    }
+}
+
 record! {
     /// One `edge_load` heatmap cell.
     struct EdgeCell {
@@ -258,104 +350,23 @@ fn heatmap_total(ty: &str, total: u64, sum: u64) -> Result<(), ParseError> {
     ))
 }
 
-/// Per-edge traffic heatmap aggregated from hop records.
-///
-/// Edges are undirected: `(u, v)` and `(v, u)` accumulate into one cell.
-/// The words total equals the engine ledger's delivered-words total when
-/// every message of the run was a traced packet — the invariant the flight
-/// recorder's accounting tests check.
-#[derive(Clone, Debug, Default)]
-pub struct EdgeLoadMap {
-    loads: HashMap<(u32, u32), Load>,
-}
-
 impl EdgeLoadMap {
-    /// An empty map.
-    pub fn new() -> EdgeLoadMap {
-        EdgeLoadMap::default()
-    }
-
-    /// Record one packet of `words` words crossing `a — b`.
-    pub fn record(&mut self, a: u32, b: u32, words: u64) {
-        self.add(a, b, Load { packets: 1, words });
-    }
-
-    /// Add an already-aggregated `load` to the cell of `a — b`.
-    pub fn add(&mut self, a: u32, b: u32, load: Load) {
-        let cell = self.loads.entry((a.min(b), a.max(b))).or_default();
-        cell.packets += load.packets;
-        cell.words += load.words;
-    }
-
-    /// Fold every hop of `trace` into the map.
-    pub fn record_trace(&mut self, trace: &PacketTrace) {
-        for hop in &trace.hops {
-            self.record(hop.vertex, hop.next, hop.header_words as u64);
-        }
-    }
-
-    /// Number of distinct edges that saw traffic.
-    pub fn len(&self) -> usize {
-        self.loads.len()
-    }
-
-    /// Whether no traffic was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.loads.is_empty()
-    }
-
-    /// Total words over all edges.
-    pub fn total_words(&self) -> u64 {
-        self.loads.values().map(|l| l.words).sum()
-    }
-
-    /// Total packet traversals over all edges.
-    pub fn total_packets(&self) -> u64 {
-        self.loads.values().map(|l| l.packets).sum()
-    }
-
-    /// The load on `a — b`, if any.
-    pub fn load(&self, a: u32, b: u32) -> Option<Load> {
-        self.loads.get(&(a.min(b), a.max(b))).copied()
-    }
-
-    /// Distribution of per-edge word loads.
-    pub fn stats(&self) -> LoadStats {
-        let loads: Vec<u64> = self.loads.values().map(|l| l.words).collect();
-        LoadStats::from_loads(&loads)
-    }
-
-    /// The `k` hottest edges by word load, descending; ties break toward
-    /// the smaller endpoint pair so the ranking is deterministic.
-    pub fn hottest(&self, k: usize) -> Vec<((u32, u32), Load)> {
-        let mut entries: Vec<((u32, u32), Load)> =
-            self.loads.iter().map(|(&e, &l)| (e, l)).collect();
-        entries.sort_by(|(ea, la), (eb, lb)| lb.words.cmp(&la.words).then(ea.cmp(eb)));
-        entries.truncate(k);
-        entries
-    }
-
     /// Serialize as an `edge_load` JSONL record; `extra` fields (e.g. the
-    /// offered load level) are appended to the top-level object. Entries are
-    /// sorted by endpoint ids so records are deterministic and diffable.
+    /// offered load level) are appended to the top-level object. Cells are
+    /// written in key order, so records are deterministic and diffable.
     pub fn to_value(&self, extra: &[(&str, Value)]) -> Value {
-        let mut heatmap: Vec<EdgeCell> = self
-            .loads
-            .iter()
-            .map(|(&(u, v), load)| EdgeCell {
-                u,
-                v,
-                packets: load.packets,
-                words: load.words,
-            })
-            .collect();
-        heatmap.sort_by_key(|c| (c.u, c.v));
+        let heatmap = self.cells.iter().map(|&((u, v), load)| EdgeCell {
+            u,
+            v,
+            packets: load.packets,
+            words: load.words,
+        });
         let record = EdgeLoadRecord {
             edges: self.len(),
             total_packets: self.total_packets(),
             total_words: self.total_words(),
             load: self.stats(),
-            heatmap,
+            heatmap: heatmap.collect(),
         };
         record.to_value(extra)
     }
@@ -368,15 +379,11 @@ impl EdgeLoadMap {
     /// out-of-range field, or a mismatch between the heatmap entries and
     /// the recorded totals.
     pub fn from_value(v: &Value) -> Result<EdgeLoadMap, ParseError> {
-        let mut map = EdgeLoadMap::new();
-        for c in EdgeLoadRecord::from_value(v)?.heatmap {
-            let load = Load {
-                packets: c.packets,
-                words: c.words,
-            };
-            map.add(c.u, c.v, load);
-        }
-        Ok(map)
+        let cells = EdgeLoadRecord::from_value(v)?.heatmap.into_iter();
+        let load = |packets, words| Load { packets, words };
+        Ok(cells
+            .map(|c| (edge(c.u, c.v), load(c.packets, c.words)))
+            .collect())
     }
 }
 
@@ -408,75 +415,19 @@ impl VertexLoadRecord {
     }
 }
 
-/// Per-vertex forwarding heatmap: traffic each vertex pushed downstream.
-#[derive(Clone, Debug, Default)]
-pub struct VertexLoadMap {
-    loads: HashMap<u32, Load>,
-}
-
 impl VertexLoadMap {
-    /// An empty map.
-    pub fn new() -> VertexLoadMap {
-        VertexLoadMap::default()
-    }
-
-    /// Record one packet of `words` words forwarded by `v`.
-    pub fn record(&mut self, v: u32, words: u64) {
-        let load = self.loads.entry(v).or_default();
-        load.packets += 1;
-        load.words += words;
-    }
-
-    /// Fold every hop of `trace` into the map (charged to the forwarder).
-    pub fn record_trace(&mut self, trace: &PacketTrace) {
-        for hop in &trace.hops {
-            self.record(hop.vertex, hop.header_words as u64);
-        }
-    }
-
-    /// Number of vertices that forwarded traffic.
-    pub fn len(&self) -> usize {
-        self.loads.len()
-    }
-
-    /// Whether no traffic was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.loads.is_empty()
-    }
-
-    /// Total words forwarded.
-    pub fn total_words(&self) -> u64 {
-        self.loads.values().map(|l| l.words).sum()
-    }
-
-    /// The load forwarded by `v`, if any.
-    pub fn load(&self, v: u32) -> Option<Load> {
-        self.loads.get(&v).copied()
-    }
-
-    /// Distribution of per-vertex word loads.
-    pub fn stats(&self) -> LoadStats {
-        let loads: Vec<u64> = self.loads.values().map(|l| l.words).collect();
-        LoadStats::from_loads(&loads)
-    }
-
-    /// Serialize as a `vertex_load` JSONL record (entries sorted by id).
+    /// Serialize as a `vertex_load` JSONL record (cells in id order).
     pub fn to_value(&self, extra: &[(&str, Value)]) -> Value {
-        let mut heatmap: Vec<VertexCell> = self
-            .loads
-            .iter()
-            .map(|(&v, load)| VertexCell {
-                v,
-                packets: load.packets,
-                words: load.words,
-            })
-            .collect();
-        heatmap.sort_by_key(|c| c.v);
+        let heatmap = self.cells.iter().map(|&(v, load)| VertexCell {
+            v,
+            packets: load.packets,
+            words: load.words,
+        });
         let record = VertexLoadRecord {
             vertices: self.len(),
             total_words: self.total_words(),
             load: self.stats(),
-            heatmap,
+            heatmap: heatmap.collect(),
         };
         record.to_value(extra)
     }
@@ -489,13 +440,9 @@ impl VertexLoadMap {
     /// out-of-range field, or a mismatch between the heatmap entries and
     /// the recorded totals.
     pub fn from_value(v: &Value) -> Result<VertexLoadMap, ParseError> {
-        let mut map = VertexLoadMap::new();
-        for c in VertexLoadRecord::from_value(v)?.heatmap {
-            let load = map.loads.entry(c.v).or_default();
-            load.packets += c.packets;
-            load.words += c.words;
-        }
-        Ok(map)
+        let cells = VertexLoadRecord::from_value(v)?.heatmap.into_iter();
+        let load = |packets, words| Load { packets, words };
+        Ok(cells.map(|c| (c.v, load(c.packets, c.words))).collect())
     }
 }
 
@@ -715,25 +662,44 @@ mod tests {
         assert_eq!(parsed, sample_trace());
     }
 
+    /// One packet of `words` words per `(a, b, words)` crossing.
+    fn edges_of(crossings: &[(u32, u32, u64)]) -> EdgeLoadMap {
+        let cells = crossings
+            .iter()
+            .map(|&(a, b, words)| (edge(a, b), Load::packet(words)));
+        cells.collect()
+    }
+
+    /// Every hop of `trace` as an `(a, b, words)` crossing.
+    fn crossings(trace: &PacketTrace) -> Vec<(u32, u32, u64)> {
+        let hops = trace.hops.iter();
+        hops.map(|h| (h.vertex, h.next, h.header_words as u64))
+            .collect()
+    }
+
+    /// Every hop of `trace`, charged to its forwarder.
+    fn forwarders(trace: &PacketTrace) -> VertexLoadMap {
+        let hops = trace.hops.iter();
+        hops.map(|h| (h.vertex, Load::packet(h.header_words as u64)))
+            .collect()
+    }
+
     #[test]
     fn load_map_bytes_are_pinned() {
-        // The maps carry no `PartialEq` (hash maps inside): a parse is
-        // checked by writing it again.
         let extra = [("rate", Value::from(0.5))];
-        let mut edges = EdgeLoadMap::new();
-        edges.record_trace(&sample_trace());
-        edges.record(9, 1, 3);
+        let mut hops = crossings(&sample_trace());
+        hops.push((9, 1, 3));
+        let edges = edges_of(&hops);
         let pinned = r#"{"type":"edge_load","edges":3,"total_packets":4,"total_words":18,"load":{"min":5,"p50":5,"p95":8,"p99":8,"max":8,"mean":6},"heatmap":[{"u":1,"v":7,"packets":1,"words":5},{"u":1,"v":9,"packets":2,"words":8},{"u":8,"v":9,"packets":1,"words":5}],"rate":0.5}"#;
         assert_eq!(edges.to_value(&extra).to_string(), pinned);
         let parsed = EdgeLoadMap::from_value(&json::parse(pinned).unwrap()).unwrap();
-        assert_eq!(parsed.to_value(&extra).to_string(), pinned);
+        assert_eq!(parsed, edges);
 
-        let mut vertices = VertexLoadMap::new();
-        vertices.record_trace(&sample_trace());
+        let vertices = forwarders(&sample_trace());
         let pinned = r#"{"type":"vertex_load","vertices":3,"total_words":15,"load":{"min":5,"p50":5,"p95":5,"p99":5,"max":5,"mean":5},"heatmap":[{"v":1,"packets":1,"words":5},{"v":7,"packets":1,"words":5},{"v":9,"packets":1,"words":5}],"rate":0.5}"#;
         assert_eq!(vertices.to_value(&extra).to_string(), pinned);
         let parsed = VertexLoadMap::from_value(&json::parse(pinned).unwrap()).unwrap();
-        assert_eq!(parsed.to_value(&extra).to_string(), pinned);
+        assert_eq!(parsed, vertices);
     }
 
     #[test]
@@ -775,15 +741,13 @@ mod tests {
 
     #[test]
     fn load_maps_reject_heatmap_keys_that_do_not_fit() {
-        let mut edges = EdgeLoadMap::new();
-        edges.record(1, 7, 5);
+        let edges = edges_of(&[(1, 7, 5)]);
         let bad = tampered(&edges.to_value(&[]), r#""v":7"#, r#""v":4294967303"#);
         let err = EdgeLoadMap::from_value(&bad).unwrap_err();
         assert_eq!(err.field.as_deref(), Some("v"));
         assert_eq!(err.record_type.as_deref(), Some("edge_load"));
 
-        let mut vertices = VertexLoadMap::new();
-        vertices.record(7, 5);
+        let vertices: VertexLoadMap = [(7, Load::packet(5))].into_iter().collect();
         let bad = tampered(&vertices.to_value(&[]), r#""v":7"#, r#""v":4294967303"#);
         let err = VertexLoadMap::from_value(&bad).unwrap_err();
         assert_eq!(err.field.as_deref(), Some("v"));
@@ -826,13 +790,10 @@ mod tests {
 
     #[test]
     fn edge_load_map_normalizes_direction_and_sums() {
-        let mut map = EdgeLoadMap::new();
-        map.record(3, 1, 10);
-        map.record(1, 3, 5);
-        map.record(0, 1, 7);
+        let map = edges_of(&[(3, 1, 10), (1, 3, 5), (0, 1, 7)]);
         assert_eq!(map.len(), 2);
-        assert_eq!(map.load(1, 3).unwrap().packets, 2);
-        assert_eq!(map.load(1, 3).unwrap().words, 15);
+        assert_eq!(map.load(edge(3, 1)).unwrap().packets, 2);
+        assert_eq!(map.load((1, 3)).unwrap().words, 15);
         assert_eq!(map.total_words(), 22);
         assert_eq!(map.total_packets(), 3);
         let stats = map.stats();
@@ -842,25 +803,18 @@ mod tests {
 
     #[test]
     fn edge_load_round_trips_through_json() {
-        let mut map = EdgeLoadMap::new();
-        map.record(0, 1, 4);
-        map.record(1, 2, 9);
-        map.record(2, 1, 9);
+        let map = edges_of(&[(0, 1, 4), (1, 2, 9), (2, 1, 9)]);
         let text = map.to_value(&[("packets", Value::from(3u64))]).to_string();
         let v = json::parse(&text).unwrap();
         assert_eq!(v.get("packets").unwrap().as_u64(), Some(3));
         let back = EdgeLoadMap::from_value(&v).unwrap();
-        assert_eq!(back.total_words(), map.total_words());
-        assert_eq!(back.load(1, 2), map.load(1, 2));
+        assert_eq!(back, map);
+        assert_eq!(back.load((1, 2)).unwrap().words, 18);
     }
 
     #[test]
     fn hottest_ranks_by_words_with_deterministic_ties() {
-        let mut map = EdgeLoadMap::new();
-        map.record(0, 1, 5);
-        map.record(2, 3, 9);
-        map.record(4, 5, 9);
-        map.record(6, 7, 1);
+        let map = edges_of(&[(0, 1, 5), (5, 4, 9), (2, 3, 9), (6, 7, 1)]);
         let top = map.hottest(3);
         assert_eq!(top.len(), 3);
         assert_eq!(top[0].0, (2, 3)); // ties break toward smaller endpoints
@@ -871,9 +825,7 @@ mod tests {
 
     #[test]
     fn edge_load_rejects_total_mismatch() {
-        let mut map = EdgeLoadMap::new();
-        map.record(0, 1, 4);
-        let mut v = map.to_value(&[]);
+        let mut v = edges_of(&[(0, 1, 4)]).to_value(&[]);
         if let Value::Object(fields) = &mut v {
             for (k, val) in fields.iter_mut() {
                 if k == "total_words" {
@@ -896,8 +848,7 @@ mod tests {
                 hop(1, 1, 2, HopKind::DescentHeavy, 0, 2),
             ],
         };
-        let mut map = VertexLoadMap::new();
-        map.record_trace(&trace);
+        let map = forwarders(&trace);
         assert_eq!(map.len(), 2);
         assert_eq!(map.load(0).unwrap().words, 5);
         assert_eq!(map.total_words(), 10);

@@ -17,9 +17,9 @@
 //!   reports can be read back and checked (span deltas must sum to the run
 //!   totals) and the bench binaries can emit their tables as JSON;
 //! * [`flight`] is the forwarding-plane flight recorder: hop-by-hop
-//!   [`flight::PacketTrace`]s, [`flight::EdgeLoadMap`]/
-//!   [`flight::VertexLoadMap`] heatmaps, and stretch histograms, emitted
-//!   into the same JSONL reports via [`Recorder::add_record`];
+//!   [`flight::PacketTrace`]s, [`flight::LoadMap`] heatmaps, and stretch
+//!   histograms, emitted into the same JSONL reports via
+//!   [`Recorder::add_record`];
 //! * [`metrics`] adds the wall-clock axis: monotonic [`metrics::Stopwatch`]
 //!   timers (every span carries a `wall_ns` next to its simulated deltas)
 //!   and the quantiles the bench suite summarizes repeats with;
@@ -656,8 +656,7 @@ mod tests {
             rec.end_with_memory(id, &[rounds as usize, 2 * rounds as usize]);
         }
         rec.set_run_memory(&[4, 10, 6]);
-        let mut edges = flight::EdgeLoadMap::new();
-        edges.record(0, 1, 7);
+        let edges: flight::EdgeLoadMap = [((0, 1), flight::Load::packet(7))].into_iter().collect();
         rec.add_record(edges.to_value(&[]));
 
         let dir = std::env::temp_dir().join("obs-unit-test");

@@ -58,12 +58,12 @@ pub fn audit(a: &Args) -> Result<(), String> {
     let mut sweep = a.sweep();
     sweep.add_record(record.to_value());
     for &c in &Component::ALL {
-        let mut heat = obs::flight::VertexLoadMap::new();
-        for (v, words) in out.attribution.component_words(c).iter().enumerate() {
-            if *words > 0 {
-                heat.record(v as u32, *words);
-            }
-        }
+        let words = out.attribution.component_words(c).into_iter();
+        let heat: obs::flight::VertexLoadMap = (0..)
+            .zip(words)
+            .filter(|&(_, w)| w > 0)
+            .map(|(v, w)| (v, obs::flight::Load::packet(w)))
+            .collect();
         sweep.add_record(heat.to_value(&[("component", Value::from(c.name()))]));
     }
     let extra = [

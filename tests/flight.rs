@@ -7,11 +7,14 @@
 //!   the delivery round (minus queueing), accumulated weight equals the
 //!   central router's answer, and the ascent/descent decomposition
 //!   partitions both;
-//! * the edge/vertex heatmaps account for every word the engine delivered;
+//! * the edge/vertex heatmaps account for every word the engine delivered,
+//!   and a heatmap is the `BTreeMap` fold of the cells it was built from;
 //! * the whole record set survives a JSONL write → read → parse round trip.
 
+use std::collections::BTreeMap;
+
 use graphs::{GraphBuilder, VertexId};
-use obs::flight::{EdgeLoadMap, PacketTrace, VertexLoadMap};
+use obs::flight::{edge, EdgeLoadMap, Load, PacketTrace, VertexLoadMap};
 use obs::json::Value;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -267,5 +270,60 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A heatmap collected from any cell list — keys repeated and out of
+    /// order, an edge in both orientations — is the `BTreeMap` fold of that
+    /// list, and `hottest` ranks by words, ties going to the smaller key.
+    #[test]
+    fn load_maps_are_the_fold_of_their_cells(
+        cells in proptest::collection::vec((0u32..6, 0u32..6, 0u64..4, 0u64..40), 0..40),
+    ) {
+        let load = |packets, words| Load { packets, words };
+        let edges: EdgeLoadMap =
+            cells.iter().map(|&(a, b, p, w)| (edge(a, b), load(p, w))).collect();
+        let vertices: VertexLoadMap = cells.iter().map(|&(a, _, p, w)| (a, load(p, w))).collect();
+        let mut edge_fold = BTreeMap::<(u32, u32), Load>::new();
+        let mut vertex_fold = BTreeMap::<u32, Load>::new();
+        for &(a, b, p, w) in &cells {
+            for cell in [
+                edge_fold.entry((a.min(b), a.max(b))).or_default(),
+                vertex_fold.entry(a).or_default(),
+            ] {
+                cell.packets += p;
+                cell.words += w;
+            }
+        }
+
+        let folded: EdgeLoadMap = edge_fold.iter().map(|(&k, &l)| (k, l)).collect();
+        prop_assert_eq!(&edges, &folded);
+        prop_assert_eq!(edges.len(), edge_fold.len());
+        prop_assert_eq!(edges.total_words(), edge_fold.values().map(|l| l.words).sum::<u64>());
+        prop_assert_eq!(edges.total_packets(), edge_fold.values().map(|l| l.packets).sum::<u64>());
+        for (&(a, b), &l) in &edge_fold {
+            prop_assert_eq!(edges.load(edge(b, a)), Some(l));
+        }
+        let mut cells_by_key = edges.hottest(usize::MAX);
+        cells_by_key.sort_by_key(|&(k, _)| k);
+        prop_assert_eq!(cells_by_key, edge_fold.into_iter().collect::<Vec<_>>());
+        prop_assert_eq!(&EdgeLoadMap::from_value(&edges.to_value(&[])).unwrap(), &edges);
+
+        let folded: VertexLoadMap = vertex_fold.iter().map(|(&k, &l)| (k, l)).collect();
+        prop_assert_eq!(&vertices, &folded);
+        for (&v, &l) in &vertex_fold {
+            prop_assert_eq!(vertices.load(v), Some(l));
+        }
+        prop_assert_eq!(&VertexLoadMap::from_value(&vertices.to_value(&[])).unwrap(), &vertices);
+
+        let ranked = edges.hottest(usize::MAX);
+        for pair in ranked.windows(2) {
+            let ((ka, la), (kb, lb)) = (pair[0], pair[1]);
+            prop_assert!(la.words > lb.words || (la.words == lb.words && ka < kb), "{:?}", ranked);
+        }
+        prop_assert_eq!(edges.hottest(3), ranked.iter().copied().take(3).collect::<Vec<_>>());
     }
 }

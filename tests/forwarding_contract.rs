@@ -159,7 +159,7 @@ fn traffic_pin(
 
 /// What a steady-state result is pinned on.
 fn sim_pin(sim: &SimResult) -> TrafficPin {
-    let mut edges = sim.edge_load.hottest(usize::MAX);
+    let mut edges = sim.edge_load().hottest(usize::MAX);
     edges.sort_by_key(|&(e, _)| e);
     TrafficPin {
         engine: engine_pin(&sim.stats),
