@@ -65,7 +65,7 @@ fn main() -> ExitCode {
                     ("figure", obs::json::Value::from("fig_load")),
                     ("packets", obs::json::Value::from(load)),
                 ];
-                rec.add_record(report.edge_load.to_value(&extra));
+                rec.add_record(report.edge_load().to_value(&extra));
                 rec.add_record(report.vertex_load().to_value(&extra));
             }
             rec.charge(&report.stats.counters());

@@ -583,11 +583,12 @@ const GROUPS: &[Group] = &[
                 let sw = Stopwatch::start();
                 let run = scenario.run();
                 let wall_ns = sw.elapsed_ns();
-                let last = run.rows.last().expect("timeline has a baseline row");
+                let t = &run.timeline;
+                let last = t.rounds.last().expect("timeline has a baseline row");
                 // Reachability is a ratio; sweep it in parts-per-million so
                 // the column stays an exactly-gateable integer.
-                let reach_ppm = (last.reachability(run.baseline_connected) * 1e6).round() as u64;
-                let total = |f: fn(&HealthRow) -> u64| run.rows.iter().map(f).sum();
+                let reach_ppm = (last.reachability(t.baseline_connected) * 1e6).round() as u64;
+                let total = |f: fn(&HealthRow) -> u64| t.rounds.iter().map(f).sum();
                 let sim = vec![
                     ("rounds", run.engine.rounds),
                     ("messages", run.engine.messages),

@@ -17,11 +17,14 @@
 //!
 //! Everything random is drawn from seeds derived from the master seed, and
 //! the engine is deterministic, so the full series is a pure function of the
-//! graph, the scheme and the config.
+//! graph, the scheme and the config. The run writes it straight into its
+//! `churn_timeline` record ([`ChurnRun::timeline`]), which also holds the
+//! one reading of it: the reachability series, its knee/half-life fold and
+//! the SLO verdict.
 
 use congest::Network;
 use graphs::{shortest_paths, Graph, Overlay, VertexId, INFINITY};
-use obs::churn::{ChurnTimeline, DegradationStat, HealthRow, SloStat};
+use obs::churn::{ChurnTimeline, DegradationStat, HealthRow};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use routing::audit::blast_radius;
@@ -30,7 +33,7 @@ use routing::{packet, RoutingScheme};
 use traffic::sim::{self, DropPolicy, Injection, SimConfig};
 use traffic::{Arrival, ArrivalKind, TrafficPacket, Workload, WorkloadKind};
 
-use crate::process::{plan_schedule, ProcessKind, RoundEvents, ScheduleParams};
+use crate::process::{plan_schedule, ProcessKind, ScheduleParams};
 
 /// Salt for the probe pair sample stream.
 const PAIR_SALT: u64 = 0x000C_4112_B417;
@@ -39,6 +42,15 @@ const TRAFFIC_SALT: u64 = 0x000C_4112_F10C;
 
 /// Default master seed for churn runs.
 pub const DEFAULT_SEED: u64 = 0x000C_42AB;
+
+/// The most churn rounds one run may take: what keeps its per-round state
+/// within 1 GiB of heap. A run plans every round's events up front (a
+/// 32-byte `RoundEvents` plus 8 bytes an event), keeps a 160-byte
+/// [`HealthRow`] per round, and `drt churn` renders each row as a JSON value
+/// for its report. Measured at n = 64 with revival on (so events never run
+/// out), a run's peak heap grows by under 3 KB a round; the budget is 4 KiB
+/// a round, or 2^18 rounds. `drt churn` refuses more.
+pub const MAX_ROUNDS: u64 = (1 << 30) / 4096;
 
 /// Everything a churn run needs besides the graph and scheme.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -84,16 +96,6 @@ impl Default for ChurnConfig {
     }
 }
 
-/// An operator-declared SLO: reachability must stay at or above `floor`
-/// through round `through_round`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ChurnSlo {
-    /// The reachability floor.
-    pub floor: f64,
-    /// The last round the floor must hold through.
-    pub through_round: u64,
-}
-
 /// A churn scenario: graph + stale scheme + configuration.
 #[derive(Clone, Copy)]
 pub struct ChurnScenario<'a> {
@@ -105,100 +107,18 @@ pub struct ChurnScenario<'a> {
     pub config: ChurnConfig,
 }
 
-/// Everything one churn run produced.
+/// Everything one churn run produced: its `churn_timeline` record (no SLO
+/// verdict; [`ChurnTimeline::slo_verdict`] judges one) and what its bursts
+/// cost the engine.
 #[derive(Clone, Debug)]
 pub struct ChurnRun {
-    /// Per-round health samples, round 0 first.
-    pub rows: Vec<HealthRow>,
-    /// The event schedule that produced them.
-    pub schedule: Vec<RoundEvents>,
-    /// Realized probe sample size (sources × targets).
-    pub probe_pairs: u64,
-    /// Sample pairs connected on the intact graph — the fixed reachability
-    /// denominator.
-    pub baseline_connected: u64,
-    /// Round-0 mean delivered stretch.
-    pub baseline_mean_stretch: f64,
+    /// The config echo, the per-round health samples (round 0 first) and
+    /// their degradation summary.
+    pub timeline: ChurnTimeline,
     /// Engine rounds, messages and words summed over all bursts.
     pub engine: obs::Counters,
     /// Worst per-port queue depth (packets) seen in any burst.
     pub peak_queue_packets: u64,
-    /// The config the run used.
-    pub config: ChurnConfig,
-}
-
-impl ChurnRun {
-    /// Reachability per round over the fixed baseline denominator.
-    pub fn reachability_series(&self) -> Vec<f64> {
-        self.rows
-            .iter()
-            .map(|r| r.reachability(self.baseline_connected))
-            .collect()
-    }
-
-    /// Knee/half-life summary of the reachability series.
-    pub fn degradation(&self) -> DegradationStat {
-        let series = self.reachability_series();
-        let initial = series.first().copied().unwrap_or(1.0);
-        let fin = series.last().copied().unwrap_or(1.0);
-        let mut knee_round = None;
-        let mut knee_drop = 0.0f64;
-        for (i, w) in series.windows(2).enumerate() {
-            let drop = w[0] - w[1];
-            if drop > knee_drop {
-                knee_drop = drop;
-                knee_round = Some((i + 1) as u64);
-            }
-        }
-        let half_life_round = series
-            .iter()
-            .position(|&r| r <= initial / 2.0)
-            .map(|i| i as u64);
-        DegradationStat {
-            initial_reachability: initial,
-            final_reachability: fin,
-            knee_round,
-            knee_drop,
-            half_life_round,
-        }
-    }
-
-    /// Verdict for an operator-declared SLO.
-    pub fn slo_verdict(&self, slo: &ChurnSlo) -> SloStat {
-        let series = self.reachability_series();
-        let breach_round = series
-            .iter()
-            .enumerate()
-            .take(slo.through_round as usize + 1)
-            .find(|&(_, &r)| r < slo.floor)
-            .map(|(i, _)| i as u64);
-        SloStat {
-            floor: slo.floor,
-            through_round: slo.through_round,
-            breach_round,
-        }
-    }
-
-    /// Serialize as a validated `churn_timeline` record.
-    pub fn to_record(&self, g: &Graph, k: usize, slo: Option<&ChurnSlo>) -> ChurnTimeline {
-        ChurnTimeline {
-            n: g.num_vertices() as u64,
-            m: g.num_edges() as u64,
-            k: k as u64,
-            process: self.config.process.name().to_string(),
-            rate: self.config.rate,
-            revive: self.config.revive,
-            seed: self.config.seed,
-            workload: self.config.workload.name().to_string(),
-            traffic_rate: self.config.traffic_rate,
-            probe_pairs: self.probe_pairs,
-            baseline_connected: self.baseline_connected,
-            baseline_mean_stretch: self.baseline_mean_stretch,
-            rounds: self.rows.clone(),
-            degradation: self.degradation(),
-            slo: slo.map(|s| self.slo_verdict(s)),
-        }
-    }
 }
 
 /// The fixed probe sample: sources with their target lists.
@@ -307,19 +227,31 @@ impl ChurnScenario<'_> {
 
         let mut overlay = Overlay::new(g);
         let mut run = ChurnRun {
-            rows: Vec::with_capacity(cfg.rounds as usize + 1),
-            schedule: schedule.clone(),
-            probe_pairs: sample.len() as u64,
-            baseline_connected: 0,
-            baseline_mean_stretch: 0.0,
+            timeline: ChurnTimeline {
+                n: g.num_vertices() as u64,
+                m: g.num_edges() as u64,
+                k: self.scheme.k as u64,
+                process: cfg.process.name().to_string(),
+                rate: cfg.rate,
+                revive: cfg.revive,
+                seed: cfg.seed,
+                workload: cfg.workload.name().to_string(),
+                traffic_rate: cfg.traffic_rate,
+                probe_pairs: sample.len() as u64,
+                baseline_connected: 0,
+                baseline_mean_stretch: 0.0,
+                rounds: Vec::with_capacity(cfg.rounds as usize + 1),
+                // Folded once the series is complete.
+                degradation: DegradationStat::default(),
+                slo: None,
+            },
             engine: obs::Counters::ZERO,
             peak_queue_packets: 0,
-            config: *cfg,
         };
 
         // Round 0 probes the intact graph: its connected pairs are the
         // fixed reachability denominator.
-        run.baseline_connected = self.sample_round(
+        run.timeline.baseline_connected = self.sample_round(
             g,
             &overlay,
             0,
@@ -330,9 +262,10 @@ impl ChurnScenario<'_> {
             &mut arrival,
             &mut run,
         );
-        run.baseline_mean_stretch = run.rows[0].mean_stretch;
+        let baseline = &mut run.timeline.rounds[0];
         // Round 0's inflation is 1.0 by definition.
-        run.rows[0].stretch_inflation = 1.0;
+        baseline.stretch_inflation = 1.0;
+        run.timeline.baseline_mean_stretch = baseline.mean_stretch;
 
         for round_events in &schedule {
             crate::process::apply(&mut overlay, &round_events.events);
@@ -348,11 +281,12 @@ impl ChurnScenario<'_> {
                 &mut run,
             );
         }
+        run.timeline.degradation = run.timeline.fold_degradation();
         run
     }
 
-    /// Sample one round into `run.rows`; returns how many probe pairs with
-    /// both endpoints alive are connected in the perturbed graph.
+    /// Sample one round into `run.timeline.rounds`; returns how many probe
+    /// pairs with both endpoints alive are connected in the perturbed graph.
     #[allow(clippy::too_many_arguments)]
     fn sample_round(
         &self,
@@ -404,8 +338,9 @@ impl ChurnScenario<'_> {
             }
         }
         let mean_stretch = tally.mean_stretch();
-        let stretch_inflation = if tally.delivered > 0 && run.baseline_mean_stretch > 0.0 {
-            mean_stretch / run.baseline_mean_stretch
+        let baseline_mean_stretch = run.timeline.baseline_mean_stretch;
+        let stretch_inflation = if tally.delivered > 0 && baseline_mean_stretch > 0.0 {
+            mean_stretch / baseline_mean_stretch
         } else {
             1.0
         };
@@ -427,7 +362,8 @@ impl ChurnScenario<'_> {
                 }
                 match packet::plan(self.scheme, src, dst) {
                     Some(plan) => {
-                        let id = injections.len() as u32;
+                        let id = u32::try_from(injections.len())
+                            .expect("packet ids are u32: a burst offers at most u32::MAX packets");
                         injections.push((burst_round, src, TrafficPacket::from_plan(id, plan)));
                     }
                     None => undeliverable += 1,
@@ -453,7 +389,7 @@ impl ChurnScenario<'_> {
             .peak_queue_packets
             .max(result.peak_queue_packets() as u64);
 
-        run.rows.push(HealthRow {
+        run.timeline.rounds.push(HealthRow {
             round,
             events,
             dead_vertices: overlay.killed_vertices() as u64,
@@ -516,11 +452,8 @@ mod tests {
             config: scenario_config(ProcessKind::Targeted, 8),
         }
         .run();
-        let slo = ChurnSlo {
-            floor: 0.99,
-            through_round: 8,
-        };
-        let record = run.to_record(&g, 2, Some(&slo));
+        let mut record = run.timeline;
+        record.slo = Some(record.slo_verdict(0.99, 8));
         // from_value re-checks partition, conservation, and monotonicity.
         let parsed = obs::churn::ChurnTimeline::from_value(
             &obs::json::parse(&record.to_value().to_string()).unwrap(),
@@ -547,7 +480,7 @@ mod tests {
                 config,
             }
             .run();
-            run.to_record(&g, 2, None).to_value().to_string()
+            run.timeline.to_value().to_string()
         };
         assert_eq!(run(), run());
     }
@@ -565,8 +498,8 @@ mod tests {
             },
         }
         .run();
-        let series = run.reachability_series();
-        let d = run.degradation();
+        let series = run.timeline.reachability_series();
+        let d = &run.timeline.degradation;
         assert_eq!(d.initial_reachability, series[0]);
         assert_eq!(d.final_reachability, *series.last().unwrap());
         if let Some(k) = d.knee_round {
@@ -594,11 +527,8 @@ mod tests {
             },
         }
         .run();
-        let series = run.reachability_series();
-        let verdict = run.slo_verdict(&ChurnSlo {
-            floor: 0.9,
-            through_round: 8,
-        });
+        let series = run.timeline.reachability_series();
+        let verdict = run.timeline.slo_verdict(0.9, 8);
         match verdict.breach_round {
             Some(r) => {
                 assert!(series[r as usize] < 0.9);
@@ -608,12 +538,7 @@ mod tests {
             None => assert!(series.iter().all(|&x| x >= 0.9)),
         }
         // A floor of 0 through round 0 can never breach (reachability ≥ 0).
-        assert!(run
-            .slo_verdict(&ChurnSlo {
-                floor: 0.0,
-                through_round: 0,
-            })
-            .ok());
+        assert!(run.timeline.slo_verdict(0.0, 0).ok());
     }
 
     #[test]
@@ -626,7 +551,7 @@ mod tests {
             config: scenario_config(ProcessKind::Regional, 3),
         }
         .run();
-        let r0 = &run.rows[0];
+        let r0 = &run.timeline.rounds[0];
         assert_eq!(r0.dead_vertices, 0);
         assert_eq!(r0.dead_edges, 0);
         assert_eq!(r0.blast_radius, 0);

@@ -6,9 +6,10 @@
 //! failure (and optional revival) schedule over the base graph, and
 //! [`health`] walks that schedule, sampling a fixed routing probe, a traffic
 //! burst, and the blast radius of the accumulated failures after every
-//! round. The result round-trips as the `churn_timeline` record
-//! (`obs::churn`) and is surfaced by `drt churn` and the `churn_degrade`
-//! bench group.
+//! round. A run returns the `churn_timeline` record itself
+//! (`obs::churn::ChurnTimeline`, in [`ChurnRun::timeline`]) beside its engine
+//! totals, the shape of a traffic run, and is surfaced by `drt churn` and
+//! the `churn_degrade` bench group.
 //!
 //! The one-shot perturbation probe in `routing::audit` is the degenerate
 //! single-event case of the same machinery: both run stale tables against a
@@ -34,13 +35,13 @@
 //!     },
 //! };
 //! let run = scenario.run();
-//! assert_eq!(run.rows.len(), 5); // intact baseline + 4 churn rounds
-//! let reach = run.reachability_series();
+//! assert_eq!(run.timeline.rounds.len(), 5); // intact baseline + 4 churn rounds
+//! let reach = run.timeline.reachability_series();
 //! assert!(reach.windows(2).all(|w| w[1] <= w[0]), "monotone without revival");
 //! ```
 
 pub mod health;
 pub mod process;
 
-pub use health::{ChurnConfig, ChurnRun, ChurnScenario, ChurnSlo, DEFAULT_SEED};
+pub use health::{ChurnConfig, ChurnRun, ChurnScenario, DEFAULT_SEED, MAX_ROUNDS};
 pub use process::{apply, plan_schedule, ChurnEvent, ProcessKind, RoundEvents, ScheduleParams};

@@ -229,7 +229,7 @@ pub struct SimResult {
     pub series: Vec<RoundTotals>,
     /// `(vertex, neighbor, load)` of every arc that transmitted: what
     /// [`SimResult::edge_load`] folds when asked.
-    busy_arcs: Vec<(u32, u32, Load)>,
+    busy_arcs: Vec<BusyArc>,
     /// Journeys of the traced packets that were delivered or dropped by the
     /// rule, with their ids.
     pub traces: Vec<(u32, PacketTrace)>,
@@ -241,8 +241,7 @@ impl SimResult {
     /// Words actually transmitted per edge (capacity drops never
     /// transmit), built from the run's per-arc counters on each call.
     pub fn edge_load(&self) -> EdgeLoadMap {
-        let cell = |&(v, to, load): &(u32, u32, Load)| (flight::edge(v, to), load);
-        self.busy_arcs.iter().map(cell).collect()
+        edge_load(&self.busy_arcs)
     }
 
     /// Largest number of packets queued network-wide at any round end.
@@ -262,6 +261,15 @@ impl SimResult {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// `(vertex, neighbor, load)` of one arc that transmitted in a run.
+type BusyArc = (u32, u32, Load);
+
+/// The link-load heatmap of a run's busy arcs.
+fn edge_load(busy_arcs: &[BusyArc]) -> EdgeLoadMap {
+    let cell = |&(v, to, load): &BusyArc| (flight::edge(v, to), load);
+    busy_arcs.iter().map(cell).collect()
 }
 
 /// Run the protocol: inject `injections` (sorted by round) into per-port
@@ -833,8 +841,9 @@ pub struct Sent {
     /// pairs and throughout an untraced send; a packet the rule dropped
     /// keeps its partial journey.
     pub traces: Vec<Option<PacketTrace>>,
-    /// Words and packets per edge; the words total equals the engine's.
-    pub edge_load: EdgeLoadMap,
+    /// `(vertex, neighbor, load)` of every arc that transmitted: what
+    /// [`Sent::edge_load`] folds when asked.
+    busy_arcs: Vec<BusyArc>,
     /// Engine statistics (the memory meter includes queue occupancy).
     pub stats: RunStats,
 }
@@ -868,6 +877,12 @@ impl Sent {
     /// [`Sent::undeliverable`]: these consumed network resources.
     pub fn dropped(&self) -> usize {
         self.outcomes.len() - self.delivered_count() - self.undeliverable()
+    }
+
+    /// Words and packets per edge, built from the run's per-arc counters on
+    /// each call; the words total equals the engine's.
+    pub fn edge_load(&self) -> EdgeLoadMap {
+        edge_load(&self.busy_arcs)
     }
 
     /// Words and packets forwarded per vertex, folded from the traces
@@ -929,7 +944,6 @@ pub fn send(
     for (&id, &err) in sim.dropped_stuck.iter().zip(&sim.stuck_errors) {
         outcomes[id as usize] = PacketOutcome::Failed(err);
     }
-    let edge_load = sim.edge_load();
     let mut traces = vec![None; pairs.len()];
     for (id, trace) in sim.traces {
         traces[id as usize] = Some(trace);
@@ -937,7 +951,7 @@ pub fn send(
     Sent {
         outcomes,
         traces,
-        edge_load,
+        busy_arcs: sim.busy_arcs,
         stats: sim.stats,
     }
 }
@@ -1481,7 +1495,7 @@ mod tests {
         let traced = send(&net, &scheme, &pairs, TRACED);
         assert_eq!(plain.outcomes, traced.outcomes);
         assert!(plain.stats.same_simulation(&traced.stats));
-        assert_eq!(plain.edge_load.stats(), traced.edge_load.stats());
+        assert_eq!(plain.edge_load().stats(), traced.edge_load().stats());
         // Delivery time decomposes into hops + queueing, per packet.
         for (id, trace) in traced.traces.iter().enumerate() {
             let trace = trace.as_ref().expect("all injected");
@@ -1494,7 +1508,7 @@ mod tests {
             assert_eq!(trace.total_weight(), weight, "packet {id}");
         }
         // The heatmaps' words are exactly the engine's delivered words.
-        assert_eq!(traced.edge_load.total_words(), traced.stats.words);
+        assert_eq!(traced.edge_load().total_words(), traced.stats.words);
         assert_eq!(traced.vertex_load().total_words(), traced.stats.words);
         let hops: u64 = traced
             .traces
@@ -1502,7 +1516,7 @@ mod tests {
             .flatten()
             .map(|t| t.hop_count() as u64)
             .sum();
-        assert_eq!(traced.edge_load.total_packets(), hops);
+        assert_eq!(traced.edge_load().total_packets(), hops);
         assert_eq!(traced.stats.messages, hops);
     }
 
@@ -1540,10 +1554,10 @@ mod tests {
             .map(PacketTrace::queueing_delay)
             .sum();
         assert!(queued > 0, "49-to-1 traffic cannot avoid queueing");
-        let stats = sent.edge_load.stats();
+        let stats = sent.edge_load().stats();
         assert!(stats.max >= stats.p99);
         assert!(stats.p99 >= stats.p50);
-        assert_eq!(sent.edge_load.total_words(), sent.stats.words);
+        assert_eq!(sent.edge_load().total_words(), sent.stats.words);
     }
 
     #[test]
@@ -1568,7 +1582,7 @@ mod tests {
         assert_eq!(sent.stats.rounds, 0);
         assert_eq!(sent.stats.messages, 0);
         assert!(sent.traces.iter().all(Option::is_none));
-        assert!(sent.edge_load.is_empty());
+        assert!(sent.edge_load().is_empty());
     }
 
     #[test]

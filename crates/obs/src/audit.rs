@@ -11,9 +11,11 @@
 //! sampled-routing audits ride along so one JSONL line answers both "where
 //! do the words live" and "does the scheme actually hold together".
 //!
-//! The producing walker lives in the `routing` crate (`routing::audit`);
-//! this module owns the serialized shape — declared once per record through
-//! [`record!`](crate::record!) — like the other report records.
+//! The producing walker lives in the `routing` crate (`routing::audit`) and
+//! returns this record itself, counting each invariant straight into its
+//! [`InvariantStat`]; this module owns the serialized shape — declared once
+//! per record through [`record!`](crate::record!) — like the other report
+//! records.
 
 use crate::error::ParseError;
 use crate::metrics::nearest_rank;
@@ -77,6 +79,23 @@ record! {
         pub checked: u64,
         /// How many failed.
         pub violations: u64,
+    }
+}
+
+impl InvariantStat {
+    /// A verdict that has examined nothing yet.
+    pub fn new(name: &str) -> InvariantStat {
+        InvariantStat {
+            name: name.to_string(),
+            checked: 0,
+            violations: 0,
+        }
+    }
+
+    /// Count one examined fact, a violation unless `ok`.
+    pub fn note(&mut self, ok: bool) {
+        self.checked += 1;
+        self.violations += u64::from(!ok);
     }
 }
 

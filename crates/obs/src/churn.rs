@@ -10,9 +10,11 @@
 //! and an optional `SloStat` records the operator-declared floor and where
 //! it was first breached.
 //!
-//! The producing machinery lives in the `churn` crate; this module owns the
-//! serialized shape, declared once per record through
-//! [`record!`](crate::record!). As with the other records, the counting
+//! The producing machinery lives in the `churn` crate, whose run returns
+//! this record; this module owns the serialized shape, declared once per
+//! record through [`record!`](crate::record!), and the one reading of its
+//! series: [`ChurnTimeline::reachability_series`], the knee/half-life fold
+//! and the SLO verdict. As with the other records, the counting
 //! identities are *re-checked on parse* (each record's `validate`): probe outcomes must partition the fixed pair sample, traffic
 //! counts must conserve, and — when the process has no revival — the
 //! delivered series must be monotonically non-increasing, because a fixed
@@ -111,8 +113,9 @@ impl HealthRow {
 }
 
 record! {
-    /// Knee/half-life summary of the reachability series.
-    #[derive(Clone, Debug, PartialEq)]
+    /// Knee/half-life summary of the reachability series
+    /// ([`ChurnTimeline::fold_degradation`]).
+    #[derive(Clone, Debug, Default, PartialEq)]
     pub struct DegradationStat {
         /// Reachability at round 0 (intact graph, stale-table routing losses
         /// only).
@@ -131,7 +134,7 @@ record! {
 
 record! {
     /// An operator-declared SLO ("reachability ≥ floor through round R") and
-    /// its verdict.
+    /// its verdict ([`ChurnTimeline::slo_verdict`]).
     #[derive(Clone, Debug, PartialEq)]
     pub struct SloStat {
         /// The reachability floor.
@@ -210,6 +213,47 @@ impl ChurnTimeline {
             .iter()
             .map(|r| r.reachability(self.baseline_connected))
             .collect()
+    }
+
+    /// Knee/half-life summary of the reachability series: what the churn
+    /// run writes into `degradation`.
+    pub fn fold_degradation(&self) -> DegradationStat {
+        let series = self.reachability_series();
+        let initial = series.first().copied().unwrap_or(1.0);
+        let mut knee_round = None;
+        let mut knee_drop = 0.0f64;
+        for (i, w) in series.windows(2).enumerate() {
+            let drop = w[0] - w[1];
+            if drop > knee_drop {
+                knee_drop = drop;
+                knee_round = Some((i + 1) as u64);
+            }
+        }
+        DegradationStat {
+            initial_reachability: initial,
+            final_reachability: series.last().copied().unwrap_or(1.0),
+            knee_round,
+            knee_drop,
+            half_life_round: series
+                .iter()
+                .position(|&r| r <= initial / 2.0)
+                .map(|i| i as u64),
+        }
+    }
+
+    /// The verdict for the SLO "reachability ≥ `floor` through round
+    /// `through_round`": the first round up to it below the floor, if any.
+    pub fn slo_verdict(&self, floor: f64, through_round: u64) -> SloStat {
+        let breach_round = (0..)
+            .zip(self.reachability_series())
+            .take_while(|&(i, _)| i <= through_round)
+            .find(|&(_, r)| r < floor)
+            .map(|(i, _)| i);
+        SloStat {
+            floor,
+            through_round,
+            breach_round,
+        }
     }
 
     fn validate(&self) -> Result<(), ParseError> {
@@ -353,6 +397,17 @@ mod tests {
         let series = parsed.reachability_series();
         assert_eq!(series.len(), 3);
         assert!((series[0] - 90.0 / 95.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn folds_and_verdicts_read_the_series() {
+        let t = sample();
+        assert_eq!(t.fold_degradation(), t.degradation);
+        // Series 90/95, 80/95, 40/95: round 1 is the first below 0.9.
+        assert_eq!(t.slo_verdict(0.9, 2), t.slo.clone().unwrap());
+        assert_eq!(t.slo_verdict(0.9, 0).breach_round, None);
+        // A deadline past the last round reads every round.
+        assert_eq!(t.slo_verdict(0.9, u64::MAX).breach_round, Some(1));
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod workload;
 
 pub use scenario::{
     FlowOutcome, FlowRecord, KneeReport, ScenarioConfig, TrafficRun, TrafficScenario,
-    MAX_DROP_FRACTION, MAX_OFFERED_PACKETS, MAX_P99_QUEUE_DELAY,
+    MAX_DROP_FRACTION, MAX_INJECT_ROUNDS, MAX_OFFERED_PACKETS, MAX_P99_QUEUE_DELAY,
 };
 pub use sim::{DropPolicy, RoundTotals, TrafficPacket};
 pub use workload::{Arrival, ArrivalKind, Workload, WorkloadKind};

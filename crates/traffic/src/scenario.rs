@@ -46,6 +46,17 @@ pub const MAX_DROP_FRACTION: f64 = 0.01;
 /// offers more.
 pub const MAX_OFFERED_PACKETS: u64 = (4 << 30) / 512;
 
+/// The most injection rounds one run may take: what keeps its dense
+/// per-round series within 4 GiB of heap. [`TrafficScenario::run`] lets the
+/// engine run `inject_rounds + max(16 · inject_rounds, 4096)` rounds before
+/// it cuts a run off, 17 per injection round from 256 on, and the series
+/// holds one 64-byte [`RoundTotals`] per simulated round, so the budget is
+/// 17 · 64 bytes an injection round. The planning loop, which turns once
+/// per injection round even when nothing is offered, ends with it. `drt
+/// traffic` refuses more `--rounds`, and `drt churn` more `--burst-rounds`
+/// (a burst runs at most `burst_rounds + 4096` rounds).
+pub const MAX_INJECT_ROUNDS: u64 = (4 << 30) / (17 * 64);
+
 /// Everything about a scenario except the workload and the rate.
 #[derive(Clone, Copy, Debug)]
 pub struct ScenarioConfig {

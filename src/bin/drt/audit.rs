@@ -42,23 +42,25 @@ pub fn audit(a: &Args) -> Result<(), String> {
     let g = crate::load_graph(graph_path)?;
     let (scheme, scheme_name) = crate::resolve_scheme(&g, scheme_path)?;
 
-    let out = audit::audit(&g, &scheme, &cfg);
-    let perturbed = (kill_edges > 0.0 || kill_vertices > 0.0).then(|| {
+    let mut record = audit::audit(&g, &scheme, &cfg);
+    if kill_edges > 0.0 || kill_vertices > 0.0 {
         let spec = PerturbSpec {
             kill_edges,
             kill_vertices,
         };
-        audit::probe_perturbed(&g, &scheme, &cfg, &spec, out.probe.mean_stretch)
-    });
-    let record = out.to_record(perturbed.as_ref());
+        let baseline = record.probe.mean_stretch;
+        record.perturbed = Some(audit::probe_perturbed(&g, &scheme, &cfg, &spec, baseline));
+    }
 
     // One scheme_audit record plus a vertex_load heatmap per memory
     // component, so the same tooling that maps traffic hot spots maps
-    // memory hot spots.
+    // memory hot spots. The record keeps each component's distribution;
+    // the heatmaps need its per-vertex words.
     let mut sweep = a.sweep();
     sweep.add_record(record.to_value());
+    let attribution = audit::attribution(&scheme);
     for &c in &Component::ALL {
-        let words = out.attribution.component_words(c).into_iter();
+        let words = attribution.component_words(c).into_iter();
         let heat: obs::flight::VertexLoadMap = (0..)
             .zip(words)
             .filter(|&(_, w)| w > 0)

@@ -60,33 +60,11 @@ pub fn traffic(a: &Args) -> Result<(), String> {
         val("--seed", "seed", &mut config.seed),
         switch("--profile", &mut config.profile),
     ])?;
-    // Refuse what the sweep would not run as given, before planning a
-    // packet: the arrival process reads a negative or non-finite rate as 0,
-    // the plane a zero cap as 1, packet ids are `u32`, and a run's plan must
-    // fit in memory.
-    if let Some(r) = rates.iter().find(|r| !(r.is_finite() && **r >= 0.0)) {
-        return Err(format!("--rate must be finite and at least 0, got {r}"));
-    }
-    if config.queue_cap == 0 {
-        return Err("--queue-cap must be at least 1".into());
-    }
-    let peak = rates.iter().fold(0.0, |a: f64, &r| a.max(r.ceil()));
-    let offered = peak * config.inject_rounds as f64;
-    if offered > f64::from(u32::MAX) {
-        return Err(format!(
-            "--rate {peak} over --rounds {} offers more than {} packets",
-            config.inject_rounds,
-            u32::MAX
-        ));
-    }
-    if offered > traffic::MAX_OFFERED_PACKETS as f64 {
-        return Err(format!(
-            "--rate {peak} over --rounds {} offers more than {} packets, \
-             the most one run plans in 4 GiB",
-            config.inject_rounds,
-            traffic::MAX_OFFERED_PACKETS
-        ));
-    }
+    check_traffic(
+        ("--rate", &rates),
+        ("--rounds", config.inject_rounds),
+        config.queue_cap,
+    )?;
     let g = crate::load_graph(&graph_path)?;
     crate::need_pairs(&g, "traffic")?;
     let (scheme, _) = crate::resolve_scheme(&g, Some(&scheme_path))?;
@@ -194,20 +172,30 @@ pub fn churn(a: &Args) -> Result<(), String> {
     if config.rounds == 0 {
         return Err("--rounds must be at least 1".into());
     }
+    if config.rounds > churn::MAX_ROUNDS {
+        return Err(format!(
+            "--rounds must be at most {}, got {}",
+            churn::MAX_ROUNDS,
+            config.rounds
+        ));
+    }
+    check_traffic(
+        ("--traffic-rate", &[config.traffic_rate]),
+        ("--burst-rounds", config.burst_rounds),
+        config.queue_cap,
+    )?;
     let g = crate::load_graph(&graph_path)?;
     crate::need_pairs(&g, "churn")?;
     let (scheme, _) = crate::resolve_scheme(&g, Some(&scheme_path))?;
-    let slo = slo_floor.map(|floor| churn::ChurnSlo {
-        floor,
-        through_round: slo_round.unwrap_or(config.rounds),
-    });
     let scenario = churn::ChurnScenario {
         graph: &g,
         scheme: &scheme,
         config,
     };
     let run = scenario.run();
-    let record = run.to_record(&g, scheme.k, slo.as_ref());
+    let mut record = run.timeline;
+    let slo_round = slo_round.unwrap_or(config.rounds);
+    record.slo = slo_floor.map(|floor| record.slo_verdict(floor, slo_round));
 
     if a.opts.json {
         println!("{}", record.to_value());
@@ -227,12 +215,12 @@ pub fn churn(a: &Args) -> Result<(), String> {
         );
         println!(
             "probe: {} fixed pairs, {} connected intact (reachability denominator)",
-            run.probe_pairs, run.baseline_connected
+            record.probe_pairs, record.baseline_connected
         );
         println!(
             "round events  deadV  deadE  blast  reach%  stretch   burst  delivrd   stuck  undlv"
         );
-        for row in &run.rows {
+        for row in &record.rounds {
             println!(
                 "{:>5} {:>6} {:>6} {:>6} {:>6} {:>6.1}% {:>7.3}x {:>7} {:>8} {:>7} {:>6}",
                 row.round,
@@ -240,7 +228,7 @@ pub fn churn(a: &Args) -> Result<(), String> {
                 row.dead_vertices,
                 row.dead_edges,
                 row.blast_radius,
-                row.reachability(run.baseline_connected) * 100.0,
+                row.reachability(record.baseline_connected) * 100.0,
                 row.stretch_inflation,
                 row.offered,
                 row.flow_delivered,
@@ -367,6 +355,49 @@ pub fn profile(a: &Args) -> Result<(), String> {
     sweep.add_record(profile.summary().to_value());
     let extra = [("n", Value::from(n)), ("packets", Value::from(packets))];
     crate::write_report(&sweep, &extra, true)
+}
+
+/// Refuse traffic settings a run would not honour as given, before a
+/// packet is planned: the arrival process reads a negative or non-finite
+/// rate as 0, the plane a zero cap as 1, a run's round loop and series must
+/// end within their budget, packet ids are `u32`, and a run's plan must fit
+/// in memory. `rates` and `rounds` carry the flags they came from: `drt
+/// traffic` checks its sweep, `drt churn` its per-round burst.
+fn check_traffic(
+    (rate_flag, rates): (&str, &[f64]),
+    (rounds_flag, rounds): (&str, u64),
+    queue_cap: usize,
+) -> Result<(), String> {
+    if let Some(r) = rates.iter().find(|r| !(r.is_finite() && **r >= 0.0)) {
+        return Err(format!(
+            "{rate_flag} must be finite and at least 0, got {r}"
+        ));
+    }
+    if queue_cap == 0 {
+        return Err("--queue-cap must be at least 1".into());
+    }
+    if rounds > traffic::MAX_INJECT_ROUNDS {
+        return Err(format!(
+            "{rounds_flag} must be at most {}, got {rounds}",
+            traffic::MAX_INJECT_ROUNDS
+        ));
+    }
+    let peak = rates.iter().fold(0.0, |a: f64, &r| a.max(r.ceil()));
+    let offered = peak * rounds as f64;
+    if offered > f64::from(u32::MAX) {
+        return Err(format!(
+            "{rate_flag} {peak} over {rounds_flag} {rounds} offers more than {} packets",
+            u32::MAX
+        ));
+    }
+    if offered > traffic::MAX_OFFERED_PACKETS as f64 {
+        return Err(format!(
+            "{rate_flag} {peak} over {rounds_flag} {rounds} offers more than {} packets, \
+             the most one run plans in 4 GiB",
+            traffic::MAX_OFFERED_PACKETS
+        ));
+    }
+    Ok(())
 }
 
 /// Print one profile's phase-breakdown table and coverage. `label` names

@@ -5,7 +5,7 @@
 //! monotonically non-increasing reachability, and the `drt churn` SLO gate
 //! exits nonzero on breach.
 
-use churn::{ChurnConfig, ChurnScenario, ChurnSlo, ProcessKind};
+use churn::{ChurnConfig, ChurnScenario, ProcessKind};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -19,8 +19,7 @@ fn record_bytes(g: &graphs::Graph, scheme: &routing::RoutingScheme, config: Chur
         scheme,
         config,
     };
-    let run = scenario.run();
-    run.to_record(g, scheme.k, None).to_value().to_string()
+    scenario.run().timeline.to_value().to_string()
 }
 
 proptest! {
@@ -70,15 +69,8 @@ fn targeted_acceptance_scenario_validates_and_decays_monotonically() {
             ..ChurnConfig::default()
         },
     };
-    let run = scenario.run();
-    let record = run.to_record(
-        &g,
-        built.scheme.k,
-        Some(&ChurnSlo {
-            floor: 0.99,
-            through_round: 20,
-        }),
-    );
+    let mut record = scenario.run().timeline;
+    record.slo = Some(record.slo_verdict(0.99, 20));
 
     // The serialized record validates: parse re-checks the probe partition,
     // traffic conservation, round indexing, and no-revival monotonicity.
@@ -88,7 +80,7 @@ fn targeted_acceptance_scenario_validates_and_decays_monotonically() {
 
     // Reachability is monotone non-increasing, starts intact, and targeted
     // hub removal at 2%/round collapses a scale-free graph hard.
-    let reach = run.reachability_series();
+    let reach = record.reachability_series();
     assert!(reach.windows(2).all(|w| w[1] <= w[0]), "{reach:?}");
     assert_eq!(reach[0], 1.0);
     assert!(

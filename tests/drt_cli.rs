@@ -208,6 +208,83 @@ fn bad_inputs_exit_1_with_one_error_line() {
             "--rate 1000000000 over --rounds 2 offers more than 8388608 packets, \
              the most one run plans in 4 GiB",
         ),
+        (
+            &[
+                "traffic",
+                g64,
+                s64,
+                "--rate",
+                "0",
+                "--rounds",
+                "18446744073709551615",
+            ],
+            "--rounds must be at most 3947580, got 18446744073709551615",
+        ),
+        // Churn bursts go through the same check, and a churn run's round
+        // count has its own bound.
+        (
+            &["churn", g64, s64, "--rounds", "1", "--traffic-rate", "-1"],
+            "--traffic-rate must be finite and at least 0, got -1",
+        ),
+        (
+            &["churn", g64, s64, "--rounds", "1", "--traffic-rate", "nan"],
+            "--traffic-rate must be finite and at least 0, got NaN",
+        ),
+        (
+            &["churn", g64, s64, "--rounds", "1", "--queue-cap", "0"],
+            "--queue-cap must be at least 1",
+        ),
+        (
+            &[
+                "churn",
+                g64,
+                s64,
+                "--rounds",
+                "1",
+                "--traffic-rate",
+                "0",
+                "--burst-rounds",
+                "18446744073709551615",
+            ],
+            "--burst-rounds must be at most 3947580, got 18446744073709551615",
+        ),
+        (
+            &[
+                "churn",
+                g64,
+                s64,
+                "--rounds",
+                "1",
+                "--traffic-rate",
+                "1e9",
+                "--burst-rounds",
+                "5",
+            ],
+            "--traffic-rate 1000000000 over --burst-rounds 5 offers more than 4294967295 packets",
+        ),
+        (
+            &[
+                "churn",
+                g64,
+                s64,
+                "--rounds",
+                "1",
+                "--traffic-rate",
+                "1e9",
+                "--burst-rounds",
+                "2",
+            ],
+            "--traffic-rate 1000000000 over --burst-rounds 2 offers more than 8388608 packets, \
+             the most one run plans in 4 GiB",
+        ),
+        (
+            &["churn", g64, s64, "--rounds", "100000000000"],
+            "--rounds must be at most 262144, got 100000000000",
+        ),
+        (
+            &["churn", g64, s64, "--rounds", "18446744073709551615"],
+            "--rounds must be at most 262144, got 18446744073709551615",
+        ),
         // `--profile` is `drt traffic`'s flag alone.
         (
             &["churn", g64, s64, "--rounds", "2", "--profile"],

@@ -78,9 +78,9 @@ fn batch_heatmaps_account_for_every_engine_word() {
     assert_eq!(flight.undeliverable(), 0);
     // Every word the engine's ledger saw is attributed to exactly one edge
     // and one forwarding vertex.
-    assert_eq!(flight.edge_load.total_words(), flight.stats.words);
+    assert_eq!(flight.edge_load().total_words(), flight.stats.words);
     assert_eq!(flight.vertex_load().total_words(), flight.stats.words);
-    assert_eq!(flight.edge_load.total_packets(), flight.stats.messages);
+    assert_eq!(flight.edge_load().total_packets(), flight.stats.messages);
     // And per packet, delivery time = hops + queueing.
     for (id, trace) in flight.traces.iter().enumerate() {
         let trace = trace.as_ref().expect("all pairs routable");
@@ -146,7 +146,7 @@ fn flight_records_survive_a_report_round_trip() {
         broadcasts: 0,
     });
     rec.end(span);
-    rec.add_record(flight.edge_load.to_value(&[]));
+    rec.add_record(flight.edge_load().to_value(&[]));
     rec.add_record(vertex_load.to_value(&[]));
     for trace in flight.traces.iter().flatten().take(3) {
         rec.add_record(trace.to_value());
@@ -167,7 +167,7 @@ fn flight_records_survive_a_report_round_trip() {
     let edge_records = of_type("edge_load");
     assert_eq!(edge_records.len(), 1);
     let edges = EdgeLoadMap::from_value(edge_records[0]).expect("valid edge_load");
-    assert_eq!(edges.total_words(), flight.edge_load.total_words());
+    assert_eq!(edges.total_words(), flight.edge_load().total_words());
     let vertex_records = of_type("vertex_load");
     assert_eq!(vertex_records.len(), 1);
     let verts = VertexLoadMap::from_value(vertex_records[0]).expect("valid vertex_load");
@@ -242,7 +242,7 @@ proptest! {
         );
 
         // Heatmaps account for every delivered word, drops included.
-        prop_assert_eq!(flight.edge_load.total_words(), flight.stats.words);
+        prop_assert_eq!(flight.edge_load().total_words(), flight.stats.words);
         prop_assert_eq!(flight.vertex_load().total_words(), flight.stats.words);
 
         // Per packet: a trace exists iff the packet was injected, and a

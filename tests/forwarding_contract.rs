@@ -757,7 +757,7 @@ fn hub_sink_traffic_is_pinned() {
             ]
         })
     }));
-    let mut edges = sent.edge_load.hottest(usize::MAX);
+    let mut edges = sent.edge_load().hottest(usize::MAX);
     edges.sort_by_key(|&(e, _)| e);
     let edge_load_crc = crc_of(
         edges
