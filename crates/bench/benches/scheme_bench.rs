@@ -65,8 +65,9 @@ fn bench_oracle_queries(c: &mut Criterion) {
 }
 
 /// Saving and loading a scheme: the payload CRC, the container encode /
-/// decode around it (decode = CRC + varint parse), and the whole save to a
-/// file (encode + CRC + write).
+/// decode around it (decode = CRC + varint parse), the whole save to a
+/// file (encode + CRC + write) and the whole load from it (read + CRC +
+/// decode), as a serving process starts.
 fn bench_persist(c: &mut Criterion) {
     let n = 1024;
     let mut rng = ChaCha8Rng::seed_from_u64(31);
@@ -85,6 +86,9 @@ fn bench_persist(c: &mut Criterion) {
     let path = std::env::temp_dir().join(format!("scheme-bench-{}.drsc", std::process::id()));
     group.bench_function("save_scheme_to", |b| {
         b.iter(|| persist::save_scheme_to(&path, &scheme).unwrap())
+    });
+    group.bench_function("load_scheme_from", |b| {
+        b.iter(|| persist::load_scheme_from(&path).unwrap())
     });
     std::fs::remove_file(&path).ok();
     group.finish();

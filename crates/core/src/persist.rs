@@ -12,8 +12,13 @@
 //! but names a vertex outside the scheme, overflows a DFS interval, or
 //! breaks the row order lookups rely on is [`PersistError::Malformed`].
 
+use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::sync::OnceLock;
+use std::{panic, thread};
+
 use graphs::VertexId;
-use tree_routing::encode::{read_varint, write_varint, write_varints};
+use tree_routing::encode::{read_varint, skip_varints, write_varint, write_varints};
 use tree_routing::types::{TreeLabel, TreeTable};
 
 use crate::scheme::{LabelEntry, Mode, RoutingLabel, RoutingScheme, RoutingTable, TableEntry};
@@ -71,6 +76,9 @@ impl std::fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
+/// The CRC32 (IEEE 802.3) polynomial, reflected.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
 /// CRC32 (IEEE 802.3 polynomial, reflected) slicing-by-16 tables, built at
 /// compile time so the container needs no external checksum crate.
 /// `CRC32_TABLES[0]` is the classic byte table; `CRC32_TABLES[s][b]` is the
@@ -84,7 +92,7 @@ const CRC32_TABLES: [[u32; 256]; 16] = {
         let mut bit = 0;
         while bit < 8 {
             crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
+                (crc >> 1) ^ CRC32_POLY
             } else {
                 crc >> 1
             };
@@ -142,6 +150,57 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// `a · b` modulo the CRC32 polynomial, both reflected (bit 31 is x⁰).
+/// `a` must not be zero.
+const fn multiply_mod_poly(a: u32, mut b: u32) -> u32 {
+    let mut m = 1u32 << 31;
+    let mut product = 0;
+    loop {
+        if a & m != 0 {
+            product ^= b;
+            if a & (m - 1) == 0 {
+                return product;
+            }
+        }
+        m >>= 1;
+        b = if b & 1 != 0 {
+            (b >> 1) ^ CRC32_POLY
+        } else {
+            b >> 1
+        };
+    }
+}
+
+/// `X_POW_2_POW[i]` is x^(2^i) modulo the CRC32 polynomial, reflected.
+const X_POW_2_POW: [u32; 32] = {
+    let mut table = [0u32; 32];
+    let mut p = 1u32 << 30; // x¹
+    let mut i = 0;
+    while i < 32 {
+        table[i] = p;
+        p = multiply_mod_poly(p, p);
+        i += 1;
+    }
+    table
+};
+
+/// The CRC32 of `a ‖ b` from `crc32(a)`, `crc32(b)` and `b`'s length:
+/// `crc_a` shifted past `len_b` zero bytes, that is times x^(8·len_b), plus
+/// `crc_b`. With `crc_a = 0`, the CRC of no bytes, it is `crc_b`.
+fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    let mut shift = 1u32 << 31; // x⁰
+    let mut bits = len_b as u64 * 8;
+    let mut i = 0;
+    while bits != 0 {
+        if bits & 1 != 0 {
+            shift = multiply_mod_poly(X_POW_2_POW[i % 32], shift);
+        }
+        bits >>= 1;
+        i += 1;
+    }
+    multiply_mod_poly(shift, crc_a) ^ crc_b
+}
+
 /// Bytes the container header leaves for the payload length while the
 /// payload is written: a four-byte length varint (payloads of 2²¹ up to
 /// 2²⁸ bytes) fills them exactly.
@@ -150,36 +209,45 @@ const LEN_ROOM: usize = 4;
 /// Wrap a scheme in the checksummed file container: magic, version, payload
 /// length, CRC32 over the payload, then the [`encode_scheme`] payload itself.
 ///
-/// The payload is written once, straight into the container buffer, after
-/// room for its length and CRC; a length of another width than
+/// The payload is written in parts (see [`write_in_parts`]), the first
+/// behind room for its length and CRC; a length of another width than
 /// [`LEN_ROOM`] bytes moves it once.
 ///
 /// # Errors
 ///
 /// None today; the `Result` is kept for callers that already handle it.
 pub fn encode_container(s: &RoutingScheme) -> Result<Vec<u8>, PersistError> {
-    let mut buf = CONTAINER_MAGIC.to_vec();
-    write_varint(&mut buf, CONTAINER_VERSION);
-    let head = buf.len();
-    buf.resize(head + LEN_ROOM + 4, 0);
-    write_scheme(&mut buf, s);
-    seal(&mut buf, head);
-    Ok(buf)
+    Ok(encode_container_in(s, part_count))
 }
 
-/// Fill the `LEN_ROOM + 4` bytes at `head` with the length and CRC32 of the
-/// payload behind them, moving the payload once when its length varint is
-/// not [`LEN_ROOM`] bytes wide.
-fn seal(buf: &mut Vec<u8>, head: usize) {
+/// [`encode_container`] in the number of parts `parts` picks for a payload
+/// of at least the given bytes.
+fn encode_container_in(s: &RoutingScheme, parts: impl FnOnce(usize) -> usize) -> Vec<u8> {
+    let mut lead = CONTAINER_MAGIC.to_vec();
+    write_varint(&mut lead, CONTAINER_VERSION);
+    let head = lead.len();
+    lead.resize(head + LEN_ROOM + 4, 0);
+    let (mut buf, crc) = write_in_parts(s, &lead, parts);
+    seal(&mut buf, head, crc);
+    buf
+}
+
+/// Fill the `LEN_ROOM + 4` bytes at `head` with the length of the payload
+/// behind them and its CRC32 `crc`, moving the payload once when its length
+/// varint is not [`LEN_ROOM`] bytes wide.
+fn seal(buf: &mut Vec<u8>, head: usize, crc: u32) {
     let start = head + LEN_ROOM + 4;
     let mut fields = Vec::with_capacity(LEN_ROOM + 4);
     write_varint(&mut fields, (buf.len() - start) as u64);
-    fields.extend_from_slice(&crc32(&buf[start..]).to_le_bytes());
+    fields.extend_from_slice(&crc.to_le_bytes());
     buf.splice(head..start, fields);
 }
 
 /// Unwrap and verify a checksummed container produced by
 /// [`encode_container`].
+///
+/// The payload is checked and decoded in parts (see [`decode_in_parts`]);
+/// the errors and their order are those of one pass over it.
 ///
 /// # Errors
 ///
@@ -189,6 +257,11 @@ fn seal(buf: &mut Vec<u8>, head: usize) {
 /// [`decode_scheme`] error for a corrupt payload that still checksums (only
 /// possible if the header itself was damaged consistently).
 pub fn decode_container(buf: &[u8]) -> Result<RoutingScheme, PersistError> {
+    decode_container_in(buf, part_count(buf.len()))
+}
+
+/// [`decode_container`] in at most `parts` parts.
+fn decode_container_in(buf: &[u8], parts: usize) -> Result<RoutingScheme, PersistError> {
     if buf.len() < 4 || &buf[..4] != CONTAINER_MAGIC {
         return Err(PersistError::BadHeader);
     }
@@ -212,12 +285,7 @@ pub fn decode_container(buf: &[u8]) -> Result<RoutingScheme, PersistError> {
     if found > len {
         return Err(PersistError::Malformed);
     }
-    let payload = &buf[pos..];
-    let computed = crc32(payload);
-    if computed != stored {
-        return Err(PersistError::ChecksumMismatch { stored, computed });
-    }
-    decode_scheme(payload)
+    decode_in_parts(&buf[pos..], Some(stored), parts)
 }
 
 /// Write `scheme` to `path` inside the checksummed container (the
@@ -352,28 +420,35 @@ fn read_tree_label(buf: &[u8], pos: &mut usize, n: usize) -> Result<TreeLabel, P
     Ok(TreeLabel { enter, light })
 }
 
-/// Serialize a scheme.
+/// Serialize a scheme, in parts as [`encode_container`] writes its payload.
 pub fn encode_scheme(s: &RoutingScheme) -> Vec<u8> {
-    let mut buf = Vec::new();
-    write_scheme(&mut buf, s);
-    buf
+    write_in_parts(s, &[], part_count).0
 }
 
-/// Append the [`encode_scheme`] bytes of `s` to `buf`, a row at a time.
-fn write_scheme(buf: &mut Vec<u8>, s: &RoutingScheme) {
-    buf.extend_from_slice(MAGIC);
-    let mode = match s.mode {
-        Mode::Centralized => 0,
-        Mode::DistributedLowMemory => 1,
-    };
-    write_varints(buf, &[s.k as u64, mode, s.num_vertices() as u64]);
-    for v in s.vertices() {
+/// Append the [`encode_scheme`] bytes of `vertices`' tables to `buf`, a row
+/// at a time: the payload header first when the run starts at vertex 0, and
+/// every label and pivot list last when it ends at the last vertex.
+fn write_part(buf: &mut Vec<u8>, s: &RoutingScheme, vertices: Range<usize>) {
+    let n = s.num_vertices();
+    if vertices.start == 0 {
+        buf.extend_from_slice(MAGIC);
+        let mode = match s.mode {
+            Mode::Centralized => 0,
+            Mode::DistributedLowMemory => 1,
+        };
+        write_varints(buf, &[s.k as u64, mode, n as u64]);
+    }
+    let tail = vertices.end == n;
+    for v in vertices.map(|v| VertexId(v as u32)) {
         let rows = s.table(v).rows();
         write_varint(buf, rows.len() as u64);
         for e in rows {
             write_varints(buf, &[u64::from(e.root.0), u64::from(e.level), e.dist]);
             write_tree_table(buf, &e.table);
         }
+    }
+    if !tail {
+        return;
     }
     for v in s.vertices() {
         let rows = s.label(v).rows();
@@ -392,7 +467,83 @@ fn write_scheme(buf: &mut Vec<u8>, s: &RoutingScheme) {
     }
 }
 
-/// Deserialize a scheme.
+/// Write `s`'s payload behind `lead` in the number of parts `parts` picks
+/// for its fewest bytes, and return the bytes with the payload's CRC32.
+///
+/// [`split_vertices`] cuts the tables at vertex boundaries; each part
+/// writes its run with [`write_part`] into its own buffer (the first behind
+/// `lead`) and CRCs what it wrote. The buffers are appended in order and
+/// their CRCs combined, so the bytes and the CRC are those of one pass.
+/// Each buffer is reserved up front, the first for the whole payload, so
+/// no part's writing reallocates while another part writes.
+fn write_in_parts(
+    s: &RoutingScheme,
+    lead: &[u8],
+    parts: impl FnOnce(usize) -> usize,
+) -> (Vec<u8>, u32) {
+    let (plan, total) = split_vertices(s, parts);
+    let mut written = on_parts(&plan, |(vertices, fewest)| {
+        let mut out = Vec::new();
+        if vertices.start == 0 {
+            out.reserve_exact(lead.len() + total * RESERVE_PER_BYTE);
+            out.extend_from_slice(lead);
+        } else {
+            out.reserve_exact(fewest * RESERVE_PER_BYTE);
+        }
+        let from = out.len();
+        write_part(&mut out, s, vertices.clone());
+        let crc = crc32(&out[from..]);
+        (out, crc)
+    })
+    .into_iter();
+    let (mut buf, mut crc) = written.next().expect("a scheme is one part at least");
+    for (out, part_crc) in written {
+        crc = crc32_combine(crc, part_crc, out.len());
+        buf.extend_from_slice(&out);
+    }
+    (buf, crc)
+}
+
+/// Bytes reserved for a part per fewest byte its rows can take: built
+/// schemes' rows take about 1.5 times their fewest bytes.
+const RESERVE_PER_BYTE: usize = 2;
+
+/// Cut `s`'s vertices into the runs [`write_in_parts`] writes, each with
+/// the fewest bytes it can take, and return them with the payload's fewest
+/// bytes: as many runs as `parts` picks for those, each ending where its
+/// share of them does. The last run also carries every label and pivot
+/// list, so it ends earlier. Never an empty run, bar the one run of a
+/// vertexless scheme.
+fn split_vertices(
+    s: &RoutingScheme,
+    parts: impl FnOnce(usize) -> usize,
+) -> (Vec<(Range<usize>, usize)>, usize) {
+    let n = s.num_vertices();
+    let table = |v: VertexId| VERTEX_BYTES + s.table(v).rows().len() * TABLE_ROW_BYTES;
+    let tail =
+        |v: VertexId| s.label(v).rows().len() * LABEL_ROW_BYTES + s.pivots(v).len() * PAIR_BYTES;
+    let tails: usize = s.vertices().map(tail).sum();
+    let total = tails + s.vertices().map(table).sum::<usize>();
+    let parts = parts(total).max(1);
+    let mut plan = Vec::with_capacity(parts);
+    let (mut start, mut sum, mut cut) = (0, 0, 0);
+    for v in s.vertices() {
+        if plan.len() + 1 == parts {
+            break;
+        }
+        sum += table(v);
+        let end = v.index() + 1;
+        if sum - cut >= total / parts && end < n {
+            plan.push((start..end, sum - cut));
+            (start, cut) = (end, sum);
+        }
+    }
+    plan.push((start..n, total - cut));
+    (plan, total)
+}
+
+/// Deserialize a scheme, in parts as [`decode_container`] reads its
+/// payload.
 ///
 /// # Errors
 ///
@@ -402,6 +553,19 @@ fn write_scheme(buf: &mut Vec<u8>, s: &RoutingScheme) {
 /// strictly ascend, label levels that do not strictly ascend, or a row count
 /// the remaining bytes cannot hold.
 pub fn decode_scheme(buf: &[u8]) -> Result<RoutingScheme, PersistError> {
+    decode_in_parts(buf, None, part_count(buf.len()))
+}
+
+/// What a payload's header says, and where its tables start.
+struct Header {
+    k: usize,
+    mode: Mode,
+    n: usize,
+    tables_at: usize,
+}
+
+/// Read the payload header: magic, `k`, mode and vertex count.
+fn read_header(buf: &[u8]) -> Result<Header, PersistError> {
     if buf.len() < 4 || &buf[..4] != MAGIC {
         return Err(PersistError::BadHeader);
     }
@@ -417,8 +581,140 @@ pub fn decode_scheme(buf: &[u8]) -> Result<RoutingScheme, PersistError> {
         _ => return Err(PersistError::BadHeader),
     };
     let n = read_count(buf, &mut pos, VERTEX_BYTES)?;
-    let mut tables = Vec::with_capacity(n);
-    for _ in 0..n {
+    Ok(Header {
+        k,
+        mode,
+        n,
+        tables_at: pos,
+    })
+}
+
+/// One part of a payload: a run of vertices of its tables section and the
+/// bytes that hold them. The first part's bytes start with the header; the
+/// last part's run ends at the last vertex, and its bytes hold every label
+/// and pivot list after it.
+struct Part {
+    vertices: Range<usize>,
+    bytes: Range<usize>,
+}
+
+/// A part's share of a decoded scheme: its run's tables and, in the last
+/// part, every label and pivot list.
+type Rows = (
+    Vec<RoutingTable>,
+    Vec<RoutingLabel>,
+    Vec<Vec<(VertexId, u64)>>,
+);
+
+/// Decode `payload` in at most `parts` parts, checking it against the
+/// container's `stored` CRC32 when there is one.
+///
+/// [`split_payload`] cuts the tables at vertex boundaries. Each part CRCs
+/// its own bytes and decodes its own run with the one-pass checks, at the
+/// same absolute positions and with [`read_count`]'s room bound over the
+/// whole payload, and must end exactly where the next part starts. The
+/// part CRCs combine to the payload's, so the result and the error —
+/// header, then [`PersistError::ChecksumMismatch`] with the whole payload's
+/// CRC, then [`PersistError::Malformed`] — are those of one pass.
+fn decode_in_parts(
+    payload: &[u8],
+    stored: Option<u32>,
+    parts: usize,
+) -> Result<RoutingScheme, PersistError> {
+    let head = read_header(payload);
+    let plan = match &head {
+        Ok(head) => split_payload(payload, head, parts),
+        Err(_) => vec![Part {
+            vertices: 0..0,
+            bytes: 0..payload.len(),
+        }],
+    };
+    let decoded = on_parts(&plan, |part| {
+        let crc = stored.map(|_| crc32(&payload[part.bytes.clone()]));
+        let rows = head
+            .as_ref()
+            .map_err(Clone::clone)
+            .and_then(|head| decode_part(payload, head, part));
+        (crc, rows)
+    });
+    if let Some(stored) = stored {
+        let computed = plan
+            .iter()
+            .zip(&decoded)
+            .fold(0, |crc, (part, (part_crc, _))| {
+                crc32_combine(crc, part_crc.unwrap_or_default(), part.bytes.len())
+            });
+        if computed != stored {
+            return Err(PersistError::ChecksumMismatch { stored, computed });
+        }
+    }
+    let head = head?;
+    let mut decoded = decoded.into_iter().map(|(_, rows)| rows);
+    let (mut tables, mut labels, mut pivots) = decoded.next().expect("one part at least")?;
+    tables.reserve_exact(head.n - tables.len());
+    for rows in decoded {
+        let (run, l, p) = rows?;
+        tables.extend(run);
+        (labels, pivots) = (l, p);
+    }
+    Ok(RoutingScheme::from_parts(
+        head.k, head.mode, tables, labels, pivots,
+    ))
+}
+
+/// Varints in one encoded table row: root, level, distance and the four of
+/// its tree row.
+const TABLE_ROW_VARINTS: usize = 7;
+
+/// Cut `payload`'s tables section into at most `parts` runs of vertices
+/// whose bytes end near equal shares of the payload, found by skipping
+/// tables without decoding them (a row count, then [`skip_varints`]). The
+/// skip does not validate, so on a malformed payload the cuts may fall
+/// anywhere; a skip that fails stops the cutting, and the last part takes
+/// the rest. Never an empty run, bar the one run of a vertexless payload.
+fn split_payload(payload: &[u8], head: &Header, parts: usize) -> Vec<Part> {
+    let skip_table = |mut at: usize| {
+        let rows = usize::try_from(read_varint(payload, &mut at)?).ok()?;
+        skip_varints(payload, at, rows.checked_mul(TABLE_ROW_VARINTS)?)
+    };
+    let mut plan = Vec::with_capacity(parts);
+    let (mut v, mut at) = (0, head.tables_at);
+    let (mut first, mut start) = (0, 0);
+    for cut in 1..parts {
+        let target = payload.len() / parts * cut;
+        while at < target && v < head.n {
+            match skip_table(at) {
+                Some(end) => (v, at) = (v + 1, end),
+                None => break,
+            }
+        }
+        if at < target || v == head.n {
+            break;
+        }
+        if v > first {
+            plan.push(Part {
+                vertices: first..v,
+                bytes: start..at,
+            });
+            (first, start) = (v, at);
+        }
+    }
+    plan.push(Part {
+        vertices: first..head.n,
+        bytes: start..payload.len(),
+    });
+    plan
+}
+
+/// Decode `part`'s run of tables and, if it is the last part, every label
+/// and pivot list, with the checks of one pass: `Malformed` on any bad row,
+/// and unless the part ends exactly at its last byte.
+fn decode_part(buf: &[u8], head: &Header, part: &Part) -> Result<Rows, PersistError> {
+    let Header { k, n, .. } = *head;
+    // The first part's bytes start with the header, read already.
+    let mut pos = part.bytes.start.max(head.tables_at);
+    let mut tables = Vec::with_capacity(part.vertices.len());
+    for _ in part.vertices.clone() {
         let count = read_count(buf, &mut pos, TABLE_ROW_BYTES)?;
         let mut entries: Vec<TableEntry> = Vec::with_capacity(count);
         for _ in 0..count {
@@ -435,39 +731,90 @@ pub fn decode_scheme(buf: &[u8]) -> Result<RoutingScheme, PersistError> {
         }
         tables.push(RoutingTable::from_rows(entries));
     }
-    let mut labels = Vec::with_capacity(n);
-    for _ in 0..n {
-        let count = read_count(buf, &mut pos, LABEL_ROW_BYTES)?;
-        let mut entries: Vec<LabelEntry> = Vec::with_capacity(count);
-        for _ in 0..count {
-            let level = read_level(buf, &mut pos, k)? as usize;
-            if entries.last().is_some_and(|prev| prev.level >= level) {
-                return Err(PersistError::Malformed);
+    let (mut labels, mut pivot_info) = (Vec::new(), Vec::new());
+    if part.vertices.end == n {
+        labels.reserve_exact(n);
+        for _ in 0..n {
+            let count = read_count(buf, &mut pos, LABEL_ROW_BYTES)?;
+            let mut entries: Vec<LabelEntry> = Vec::with_capacity(count);
+            for _ in 0..count {
+                let level = read_level(buf, &mut pos, k)? as usize;
+                if entries.last().is_some_and(|prev| prev.level >= level) {
+                    return Err(PersistError::Malformed);
+                }
+                entries.push(LabelEntry {
+                    level,
+                    pivot: read_vertex(buf, &mut pos, n)?,
+                    dist: rv(buf, &mut pos)?,
+                    tree_label: read_tree_label(buf, &mut pos, n)?,
+                });
             }
-            entries.push(LabelEntry {
-                level,
-                pivot: read_vertex(buf, &mut pos, n)?,
-                dist: rv(buf, &mut pos)?,
-                tree_label: read_tree_label(buf, &mut pos, n)?,
-            });
+            labels.push(RoutingLabel::from_rows(entries));
         }
-        labels.push(RoutingLabel::from_rows(entries));
-    }
-    let mut pivot_info = Vec::with_capacity(n);
-    for _ in 0..n {
-        let count = read_count(buf, &mut pos, PAIR_BYTES)?;
-        let mut pivots = Vec::with_capacity(count);
-        for _ in 0..count {
-            pivots.push((read_vertex(buf, &mut pos, n)?, rv(buf, &mut pos)?));
+        pivot_info.reserve_exact(n);
+        for _ in 0..n {
+            let count = read_count(buf, &mut pos, PAIR_BYTES)?;
+            let mut pivots = Vec::with_capacity(count);
+            for _ in 0..count {
+                pivots.push((read_vertex(buf, &mut pos, n)?, rv(buf, &mut pos)?));
+            }
+            pivot_info.push(pivots);
         }
-        pivot_info.push(pivots);
     }
-    if pos != buf.len() {
+    if pos != part.bytes.end {
         return Err(PersistError::Malformed);
     }
-    Ok(RoutingScheme::from_parts(
-        k, mode, tables, labels, pivot_info,
-    ))
+    Ok((tables, labels, pivot_info))
+}
+
+/// The most parts a payload is cut into, whatever the host's parallelism.
+const MAX_PARTS: usize = 4;
+
+/// The fewest payload bytes worth a part of their own: a thread's spawn and
+/// join cost about what decoding this many bytes does.
+const MIN_PART_BYTES: usize = 64 << 10;
+
+/// How many parts a payload of `bytes` is saved or loaded in: the host's
+/// parallelism, capped by [`MAX_PARTS`] and by one part per
+/// [`MIN_PART_BYTES`]. A payload too small for two parts asks the host
+/// nothing.
+fn part_count(bytes: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let by_size = bytes / MIN_PART_BYTES;
+    if by_size < 2 {
+        return 1;
+    }
+    let cores = *CORES.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get));
+    by_size.min(cores).min(MAX_PARTS)
+}
+
+/// Run `work` on every part and return the results in part order: the
+/// first part on the calling thread, every other on a scoped thread of its
+/// own. A part whose thread cannot be spawned runs on the calling thread
+/// after the first, so a failed spawn means fewer threads, never a panic;
+/// one part spawns nothing.
+fn on_parts<P: Sync, R: Send>(parts: &[P], work: impl Fn(&P) -> R + Sync) -> Vec<R> {
+    let work = &work;
+    thread::scope(|scope| {
+        let helpers: Vec<_> = parts
+            .iter()
+            .skip(1)
+            .map(|part| {
+                thread::Builder::new()
+                    .spawn_scoped(scope, move || work(part))
+                    .map_err(|_| part)
+            })
+            .collect();
+        let mut results = Vec::with_capacity(parts.len());
+        results.extend(parts.first().map(work));
+        for helper in helpers {
+            results.push(match helper {
+                Ok(handle) => handle.join().unwrap_or_else(|e| panic::resume_unwind(e)),
+                Err(part) => work(part),
+            });
+        }
+        results
+    })
 }
 
 #[cfg(test)]
@@ -485,13 +832,21 @@ mod tests {
     /// Verbatim copies of the writer as it was before it went a row at a
     /// time, kept to pin the current one byte for byte: one `Vec::push` per
     /// byte, one varint per call, and a container that copies the finished
-    /// payload in behind its header.
+    /// payload in behind its header. Below them, verbatim copies of the
+    /// one-pass decoder as it was before it went in parts, kept to pin the
+    /// split one to the same schemes and the same errors.
     mod reference {
         use graphs::VertexId;
         use tree_routing::types::{TreeLabel, TreeTable};
 
-        use super::super::{crc32, CONTAINER_MAGIC, CONTAINER_VERSION, MAGIC};
-        use crate::scheme::{Mode, RoutingScheme};
+        use super::super::{
+            crc32, read_count, read_level, read_tree_label, read_tree_table, read_vertex, rv,
+            PersistError, CONTAINER_MAGIC, CONTAINER_VERSION, LABEL_ROW_BYTES, MAGIC, PAIR_BYTES,
+            TABLE_ROW_BYTES, VERTEX_BYTES,
+        };
+        use crate::scheme::{
+            LabelEntry, Mode, RoutingLabel, RoutingScheme, RoutingTable, TableEntry,
+        };
 
         fn write_varint(buf: &mut Vec<u8>, mut value: u64) {
             loop {
@@ -577,6 +932,107 @@ mod tests {
             buf.extend_from_slice(&crc32(&payload).to_le_bytes());
             buf.extend_from_slice(&payload);
             buf
+        }
+
+        pub fn decode_container(buf: &[u8]) -> Result<RoutingScheme, PersistError> {
+            if buf.len() < 4 || &buf[..4] != CONTAINER_MAGIC {
+                return Err(PersistError::BadHeader);
+            }
+            let mut pos = 4;
+            if rv(buf, &mut pos)? != CONTAINER_VERSION {
+                return Err(PersistError::BadHeader);
+            }
+            let len = rv(buf, &mut pos)? as usize;
+            if buf.len() < pos + 4 {
+                return Err(PersistError::Malformed);
+            }
+            let stored = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes checked"));
+            pos += 4;
+            let found = buf.len() - pos;
+            if found < len {
+                return Err(PersistError::Truncated {
+                    expected: len,
+                    found,
+                });
+            }
+            if found > len {
+                return Err(PersistError::Malformed);
+            }
+            let payload = &buf[pos..];
+            let computed = crc32(payload);
+            if computed != stored {
+                return Err(PersistError::ChecksumMismatch { stored, computed });
+            }
+            decode_scheme(payload)
+        }
+
+        pub fn decode_scheme(buf: &[u8]) -> Result<RoutingScheme, PersistError> {
+            if buf.len() < 4 || &buf[..4] != MAGIC {
+                return Err(PersistError::BadHeader);
+            }
+            let mut pos = 4;
+            // `BuildParams` wants k >= 2 and a table row stores its level as `u32`.
+            let k = u32::try_from(rv(buf, &mut pos)?)
+                .ok()
+                .filter(|&k| k >= 2)
+                .ok_or(PersistError::Malformed)? as usize;
+            let mode = match rv(buf, &mut pos)? {
+                0 => Mode::Centralized,
+                1 => Mode::DistributedLowMemory,
+                _ => return Err(PersistError::BadHeader),
+            };
+            let n = read_count(buf, &mut pos, VERTEX_BYTES)?;
+            let mut tables = Vec::with_capacity(n);
+            for _ in 0..n {
+                let count = read_count(buf, &mut pos, TABLE_ROW_BYTES)?;
+                let mut entries: Vec<TableEntry> = Vec::with_capacity(count);
+                for _ in 0..count {
+                    let root = read_vertex(buf, &mut pos, n)?;
+                    if entries.last().is_some_and(|prev| prev.root >= root) {
+                        return Err(PersistError::Malformed); // lookups binary-search roots
+                    }
+                    entries.push(TableEntry {
+                        root,
+                        level: read_level(buf, &mut pos, k)?,
+                        dist: rv(buf, &mut pos)?,
+                        table: read_tree_table(buf, &mut pos, n)?,
+                    });
+                }
+                tables.push(RoutingTable::from_rows(entries));
+            }
+            let mut labels = Vec::with_capacity(n);
+            for _ in 0..n {
+                let count = read_count(buf, &mut pos, LABEL_ROW_BYTES)?;
+                let mut entries: Vec<LabelEntry> = Vec::with_capacity(count);
+                for _ in 0..count {
+                    let level = read_level(buf, &mut pos, k)? as usize;
+                    if entries.last().is_some_and(|prev| prev.level >= level) {
+                        return Err(PersistError::Malformed);
+                    }
+                    entries.push(LabelEntry {
+                        level,
+                        pivot: read_vertex(buf, &mut pos, n)?,
+                        dist: rv(buf, &mut pos)?,
+                        tree_label: read_tree_label(buf, &mut pos, n)?,
+                    });
+                }
+                labels.push(RoutingLabel::from_rows(entries));
+            }
+            let mut pivot_info = Vec::with_capacity(n);
+            for _ in 0..n {
+                let count = read_count(buf, &mut pos, PAIR_BYTES)?;
+                let mut pivots = Vec::with_capacity(count);
+                for _ in 0..count {
+                    pivots.push((read_vertex(buf, &mut pos, n)?, rv(buf, &mut pos)?));
+                }
+                pivot_info.push(pivots);
+            }
+            if pos != buf.len() {
+                return Err(PersistError::Malformed);
+            }
+            Ok(RoutingScheme::from_parts(
+                k, mode, tables, labels, pivot_info,
+            ))
         }
     }
 
@@ -952,6 +1408,9 @@ mod tests {
                 Some(PersistError::Malformed),
                 "{case}"
             );
+            for parts in 1..=4 {
+                assert!(splits_agree(&bytes, &wrap(&bytes), parts), "{case}");
+            }
         }
         // The same through a well-formed container: the CRC vouches only
         // for the bytes, not for the scheme they spell.
@@ -1066,11 +1525,145 @@ mod tests {
             let g = reweighted(&g, shift, &mut rng);
             let mode = [Mode::Centralized, Mode::DistributedLowMemory][mode];
             let s = build(&g, &BuildParams::new(k).with_mode(mode), &mut rng).scheme;
-            prop_assert_eq!(encode_scheme(&s), reference::encode_scheme(&s));
-            prop_assert_eq!(
-                encode_container(&s).unwrap(),
-                reference::encode_container(&s)
-            );
+            let payload = reference::encode_scheme(&s);
+            let container = reference::encode_container(&s);
+            prop_assert_eq!(&encode_scheme(&s), &payload);
+            prop_assert_eq!(&encode_container(&s).unwrap(), &container);
+            for parts in 1..=4 {
+                let (bytes, crc) = write_in_parts(&s, &[], |_| parts);
+                prop_assert_eq!(&bytes, &payload);
+                prop_assert_eq!(crc, crc32(&payload));
+                prop_assert_eq!(&encode_container_in(&s, |_| parts), &container);
+            }
+        }
+
+        #[test]
+        fn split_decode_matches_the_one_pass_decoder(
+            n in 1usize..=200,
+            k in 2usize..=4,
+            mode in 0usize..2,
+            shift in 0u32..=56,
+            seed in 0..u64::MAX,
+            cuts in proptest::collection::vec(0u64..1 << 16, 8),
+            flips in proptest::collection::vec((0u64..1 << 16, 0u8..8), 8),
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let p = (4.0 / n as f64).min(1.0);
+            let g = generators::erdos_renyi_connected(n, p, 1..=1, &mut rng);
+            let g = reweighted(&g, shift, &mut rng);
+            let mode = [Mode::Centralized, Mode::DistributedLowMemory][mode];
+            let s = build(&g, &BuildParams::new(k).with_mode(mode), &mut rng).scheme;
+            let payload = reference::encode_scheme(&s);
+            let container = reference::encode_container(&s);
+            // A point `f / 2^16` of the way into `len` bytes.
+            let at = |f: u64, len: usize| ((f * len as u64) >> 16) as usize;
+            let mut inputs = vec![(payload.clone(), container.clone())];
+            for &f in &cuts {
+                inputs.push((
+                    payload[..at(f, payload.len())].to_vec(),
+                    container[..at(f, container.len())].to_vec(),
+                ));
+            }
+            for &(f, bit) in &flips {
+                let (mut p, mut c) = (payload.clone(), container.clone());
+                let i = at(f, p.len() - 1);
+                p[i] ^= 1 << bit;
+                let j = at(f, c.len() - 1);
+                c[j] ^= 1 << bit;
+                inputs.push((p.clone(), c));
+                // The same flip under a repaired CRC: the checks behind it.
+                inputs.push((p.clone(), wrap(&p)));
+            }
+            for (payload, container) in &inputs {
+                for parts in 1..=4 {
+                    prop_assert!(
+                        splits_agree(payload, container, parts),
+                        "{} parts, {} payload bytes", parts, payload.len()
+                    );
+                }
+            }
+        }
+    }
+
+    /// `payload` in a container with its length and a correct CRC.
+    fn wrap(payload: &[u8]) -> Vec<u8> {
+        let mut buf = CONTAINER_MAGIC.to_vec();
+        write_varint(&mut buf, CONTAINER_VERSION);
+        write_varint(&mut buf, payload.len() as u64);
+        buf.extend_from_slice(&crc32(payload).to_le_bytes());
+        buf.extend_from_slice(payload);
+        buf
+    }
+
+    /// A decoded scheme as its bytes, so that two outcomes compare.
+    fn outcome(r: Result<RoutingScheme, PersistError>) -> Result<Vec<u8>, PersistError> {
+        r.map(|s| reference::encode_scheme(&s))
+    }
+
+    /// Whether the split decoder in `parts` parts gives what the one-pass
+    /// decoder gives on `payload` and on `container`: the same scheme, or
+    /// the same error with the same fields.
+    fn splits_agree(payload: &[u8], container: &[u8], parts: usize) -> bool {
+        outcome(decode_in_parts(payload, None, parts)) == outcome(reference::decode_scheme(payload))
+            && outcome(decode_container_in(container, parts))
+                == outcome(reference::decode_container(container))
+    }
+
+    #[test]
+    fn split_decode_matches_at_every_truncation() {
+        let (_, s) = scheme(40, 1111);
+        let payload = encode_scheme(&s);
+        let container = encode_container(&s).unwrap();
+        for cut in 0..=container.len() {
+            let p = &payload[..cut.min(payload.len())];
+            for parts in 1..=4 {
+                assert!(
+                    splits_agree(p, &container[..cut], parts),
+                    "cut {cut}, {parts} parts"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn payloads_split_at_vertex_boundaries_into_the_parts_asked_for() {
+        let (_, s) = scheme(200, 1112);
+        let payload = encode_scheme(&s);
+        let head = read_header(&payload).unwrap();
+        for parts in 1..=4 {
+            let plan = split_payload(&payload, &head, parts);
+            assert_eq!(plan.len(), parts);
+            assert_eq!(plan[0].bytes.start, 0);
+            assert_eq!(plan[0].vertices.start, 0);
+            for pair in plan.windows(2) {
+                assert_eq!(pair[0].bytes.end, pair[1].bytes.start);
+                assert_eq!(pair[0].vertices.end, pair[1].vertices.start);
+            }
+            let last = plan.last().unwrap();
+            assert_eq!((last.vertices.end, last.bytes.end), (200, payload.len()));
+            for part in &plan {
+                let (tables, ..) = decode_part(&payload, &head, part).unwrap();
+                assert_eq!(tables.len(), part.vertices.len());
+            }
+            let (runs, total) = split_vertices(&s, |_| parts);
+            assert_eq!(runs.len(), parts);
+            assert!(runs.iter().all(|(run, _)| !run.is_empty()));
+            assert_eq!(runs.iter().map(|&(_, fewest)| fewest).sum::<usize>(), total);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn crc32_combine_matches_the_crc_of_the_whole(
+            bytes in proptest::collection::vec(0u8..=255, 0..300)
+        ) {
+            let whole = crc32(&bytes);
+            for cut in 0..=bytes.len() {
+                let (a, b) = bytes.split_at(cut);
+                prop_assert_eq!(crc32_combine(crc32(a), crc32(b), b.len()), whole);
+            }
         }
     }
 
@@ -1095,7 +1688,7 @@ mod tests {
             let head = buf.len();
             buf.resize(head + LEN_ROOM + 4, 0xAA);
             buf.extend_from_slice(&payload);
-            seal(&mut buf, head);
+            seal(&mut buf, head, crc32(&payload));
             let mut want = CONTAINER_MAGIC.to_vec();
             write_varint(&mut want, CONTAINER_VERSION);
             write_varint(&mut want, len as u64);

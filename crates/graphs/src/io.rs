@@ -155,6 +155,7 @@ pub fn to_edge_list(g: &Graph) -> String {
 mod tests {
     use super::*;
     use crate::generators;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -210,6 +211,99 @@ mod tests {
         // The largest id a u32 graph can hold meets only the range check.
         let e = parse_edge_list("p 2\n0 4294967294 1\n").unwrap_err();
         assert!(e.message.contains("out of range"), "{}", e.message);
+    }
+
+    /// Vertex tokens any soup may hold: small ids, and ids that are refused
+    /// before a vertex count is inferred from them (`u32::MAX`, too wide
+    /// for `u32`, negative, not a number).
+    const IDS: [&str; 10] = [
+        "0",
+        "1",
+        "2",
+        "3",
+        "17",
+        "4294967295",
+        "4294967296",
+        "18446744073709551615",
+        "-1",
+        "x",
+    ];
+
+    /// Ids near `u32::MAX` that a graph could hold. Without a header they
+    /// would imply billions of vertices, so only a soup that declares a
+    /// small vertex count holds them.
+    const WIDE_IDS: [&str; 3] = ["4294967294", "4294967293", "4000000000"];
+
+    /// Weight tokens: small, zero, negative, not a number, and sums that
+    /// land on either side of `MAX_TOTAL_WEIGHT` and of `u64::MAX`.
+    fn weights() -> Vec<String> {
+        let max = MAX_TOTAL_WEIGHT;
+        [1, 2, 100, max, max - 1, max / 2, max / 2 + 1, u64::MAX]
+            .iter()
+            .map(u64::to_string)
+            .chain(["0", "-3", "w", "18446744073709551616"].map(String::from))
+            .collect()
+    }
+
+    /// One line of token soup from a line kind and three picks.
+    fn soup_line(kind: u8, a: usize, b: usize, c: usize, ids: &[&str]) -> String {
+        let weights = weights();
+        let (u, v, w) = (
+            ids[a % ids.len()],
+            ids[b % ids.len()],
+            &weights[c % weights.len()],
+        );
+        match kind {
+            0 | 1 => format!("{u} {v}"),
+            2..=4 => format!("{u} {v} {w}"),
+            5 => format!("{v} {u} {w}"),
+            6 => format!("{u} {v} {w} {u}"),
+            7 => u.to_string(),
+            8 => format!("p {}", a % 40),
+            9 => ["p", "p -1", "p 4294967296", "p 3 junk", "p x"][a % 5].to_string(),
+            10 => format!("# {u} {v}"),
+            11 => format!("  {u}\t{v}  "),
+            _ => " ".repeat(a % 3),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn token_soup_parses_or_names_a_line_inside_the_input(
+            lines in proptest::collection::vec((0u8..13, 0usize..64, 0usize..64, 0usize..64), 0..24),
+            header in 0usize..26,
+            n in 0usize..40,
+        ) {
+            // A header at `header` (none past the end) declares a small
+            // count, which admits the wide ids; every other header a soup
+            // holds is small or refused, so no parse allocates for more
+            // than 40 vertices.
+            let headed = header < lines.len() + 1;
+            let wide: Vec<&str> = IDS.iter().chain(&WIDE_IDS).copied().collect();
+            let ids = if headed { &wide[..] } else { &IDS[..] };
+            let mut text: Vec<String> = lines
+                .iter()
+                .map(|&(kind, a, b, c)| soup_line(kind, a, b, c, ids))
+                .collect();
+            if headed {
+                text.insert(header, format!("p {n}"));
+            }
+            let text = text.join("\n");
+            match parse_edge_list(&text) {
+                Ok(g) => {
+                    let back = parse_edge_list(&to_edge_list(&g));
+                    prop_assert_eq!(back, Ok(g));
+                }
+                Err(e) => {
+                    prop_assert!(
+                        (1..=text.lines().count()).contains(&e.line),
+                        "line {} of {:?}: {}", e.line, text, e.message
+                    );
+                }
+            }
+        }
     }
 
     #[test]

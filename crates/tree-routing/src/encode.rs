@@ -107,6 +107,61 @@ fn read_varint_long(buf: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
+/// Continuation bytes at which [`read_varint`] gives up: a value is at most
+/// ten bytes, nine continuations and a terminator.
+const OVERLONG: usize = 10;
+
+/// The position after `count` LEB128 values that start at `pos`, found
+/// without decoding them: where `count` calls of [`read_varint`] from `pos`
+/// would end, and `None` exactly where one of them would fail (too few
+/// bytes, or a value longer than ten).
+///
+/// Eight bytes go at a time: a value ends at each byte whose top bit is
+/// clear, so a word's terminators are the sum of its bytes' flags (one
+/// multiply gathers it into the top byte), and the run of continuation
+/// bytes since the last one is carried across words to catch an overlong
+/// value. The word holding the last terminator goes byte by byte.
+#[must_use]
+pub fn skip_varints(buf: &[u8], mut pos: usize, mut count: usize) -> Option<usize> {
+    const TOPS: u64 = 0x8080_8080_8080_8080;
+    const BYTES: u64 = 0x0101_0101_0101_0101;
+    let mut run = 0; // continuation bytes since the last terminator
+    for word in buf.get(pos..).unwrap_or_default().chunks_exact(8) {
+        let ends = !u64::from_le_bytes(word.try_into().expect("eight bytes")) & TOPS;
+        let found = ((ends >> 7).wrapping_mul(BYTES) >> 56) as usize;
+        if found >= count {
+            break;
+        }
+        if ends == 0 {
+            run += 8;
+        } else {
+            if run + ends.trailing_zeros() as usize / 8 >= OVERLONG {
+                return None;
+            }
+            run = ends.leading_zeros() as usize / 8;
+        }
+        if run >= OVERLONG {
+            return None;
+        }
+        count -= found;
+        pos += 8;
+    }
+    while count > 0 {
+        let &byte = buf.get(pos)?;
+        pos += 1;
+        if byte & 0x80 == 0 {
+            count -= 1;
+            run = 0;
+        } else {
+            run += 1;
+            if run >= OVERLONG {
+                return None;
+            }
+        }
+    }
+    Some(pos)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,6 +327,44 @@ mod tests {
                 read_varint_reference(&bytes, &mut ref_pos)
             );
             prop_assert_eq!(pos, ref_pos);
+        }
+
+        #[test]
+        fn skip_varints_ends_where_the_read_loop_ends(
+            bytes in proptest::collection::vec(any_byte(), 0..64),
+            at in 0usize..66,
+            count in 0usize..24,
+        ) {
+            let mut pos = at;
+            let want = (0..count)
+                .try_for_each(|_| read_varint(&bytes, &mut pos).map(drop))
+                .map(|()| pos);
+            prop_assert_eq!(skip_varints(&bytes, at, count), want);
+        }
+    }
+
+    /// Mostly continuation bytes, so that runs of ten and more, overlong
+    /// values, straddle the eight-byte words `skip_varints` counts in.
+    fn any_byte() -> impl Strategy<Value = u8> {
+        (0u8..4, 0u8..=255).prop_map(|(pick, b)| if pick == 0 { b & 0x7f } else { b | 0x80 })
+    }
+
+    #[test]
+    fn skip_varints_finds_runs_across_words() {
+        // An overlong value starting at every offset of a word, then a
+        // ten-byte value (nine continuations) that is not overlong.
+        for lead in 0..8 {
+            let mut buf = vec![0u8; lead];
+            buf.extend([0x80; OVERLONG]);
+            buf.extend([0x00; 9]);
+            assert_eq!(skip_varints(&buf, 0, lead + 1), None, "lead {lead}");
+            assert_eq!(skip_varints(&buf, 0, lead), Some(lead), "lead {lead}");
+            buf[lead] = 0x00;
+            assert_eq!(
+                skip_varints(&buf, 0, lead + 2),
+                Some(lead + OVERLONG + 1),
+                "lead {lead}"
+            );
         }
     }
 }

@@ -63,6 +63,7 @@ pub fn traffic(a: &Args) -> Result<(), String> {
     check_traffic(
         ("--rate", &rates),
         ("--rounds", config.inject_rounds),
+        None,
         config.queue_cap,
     )?;
     let g = crate::load_graph(&graph_path)?;
@@ -182,6 +183,7 @@ pub fn churn(a: &Args) -> Result<(), String> {
     check_traffic(
         ("--traffic-rate", &[config.traffic_rate]),
         ("--burst-rounds", config.burst_rounds),
+        Some(("--rounds", config.rounds)),
         config.queue_cap,
     )?;
     let g = crate::load_graph(&graph_path)?;
@@ -362,10 +364,15 @@ pub fn profile(a: &Args) -> Result<(), String> {
 /// rate as 0, the plane a zero cap as 1, a run's round loop and series must
 /// end within their budget, packet ids are `u32`, and a run's plan must fit
 /// in memory. `rates` and `rounds` carry the flags they came from: `drt
-/// traffic` checks its sweep, `drt churn` its per-round burst.
+/// traffic` checks its sweep, `drt churn` its per-round burst. A burst
+/// planned once per churn round is `repeats`, with its flag: all of them
+/// together must stay within the injection rounds and the offered packets
+/// one run may take, so that the bursts' planning loops end in the time
+/// one run's would.
 fn check_traffic(
     (rate_flag, rates): (&str, &[f64]),
     (rounds_flag, rounds): (&str, u64),
+    repeats: Option<(&str, u64)>,
     queue_cap: usize,
 ) -> Result<(), String> {
     if let Some(r) = rates.iter().find(|r| !(r.is_finite() && **r >= 0.0)) {
@@ -394,6 +401,23 @@ fn check_traffic(
         return Err(format!(
             "{rate_flag} {peak} over {rounds_flag} {rounds} offers more than {} packets, \
              the most one run plans in 4 GiB",
+            traffic::MAX_OFFERED_PACKETS
+        ));
+    }
+    let Some((repeat_flag, repeats)) = repeats else {
+        return Ok(());
+    };
+    if u128::from(repeats) * u128::from(rounds) > u128::from(traffic::MAX_INJECT_ROUNDS) {
+        return Err(format!(
+            "{repeat_flag} {repeats} bursts of {rounds_flag} {rounds} run more than {} \
+             injection rounds in all",
+            traffic::MAX_INJECT_ROUNDS
+        ));
+    }
+    if offered * repeats as f64 > traffic::MAX_OFFERED_PACKETS as f64 {
+        return Err(format!(
+            "{repeat_flag} {repeats} bursts of {rate_flag} {peak} over {rounds_flag} {rounds} \
+             offer more than {} packets in all",
             traffic::MAX_OFFERED_PACKETS
         ));
     }

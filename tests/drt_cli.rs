@@ -277,6 +277,38 @@ fn bad_inputs_exit_1_with_one_error_line() {
             "--traffic-rate 1000000000 over --burst-rounds 2 offers more than 8388608 packets, \
              the most one run plans in 4 GiB",
         ),
+        // Every churn round plans a whole burst, so the bursts together
+        // are held to one run's budgets.
+        (
+            &[
+                "churn",
+                g64,
+                s64,
+                "--rounds",
+                "2",
+                "--traffic-rate",
+                "0",
+                "--burst-rounds",
+                "3947580",
+            ],
+            "--rounds 2 bursts of --burst-rounds 3947580 run more than 3947580 \
+             injection rounds in all",
+        ),
+        (
+            &[
+                "churn",
+                g64,
+                s64,
+                "--rounds",
+                "2",
+                "--traffic-rate",
+                "5",
+                "--burst-rounds",
+                "1000000",
+            ],
+            "--rounds 2 bursts of --traffic-rate 5 over --burst-rounds 1000000 \
+             offer more than 8388608 packets in all",
+        ),
         (
             &["churn", g64, s64, "--rounds", "100000000000"],
             "--rounds must be at most 262144, got 100000000000",
