@@ -1,13 +1,15 @@
 //! Criterion micro-benchmarks for the full general-graph scheme: the two
 //! construction modes beside the \[EN16b\]-style baseline, the
-//! routing-phase throughput, and the persistence codec.
+//! routing-phase throughput split into entry selection and hop walk, and
+//! the persistence codec.
 
 use bench::Family;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use graphs::VertexId;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use routing::{build, persist, prior, router, BuildParams, Mode};
+use routing::forward::{self, Selection};
+use routing::{build, persist, prior, router, BuildParams, Mode, RoutingScheme};
 
 fn bench_build_modes(c: &mut Criterion) {
     let n = 256;
@@ -45,6 +47,53 @@ fn bench_route_throughput(c: &mut Criterion) {
             router::route(&g, &built.scheme, src, dst).unwrap()
         });
     });
+}
+
+/// A served route's two layers on the lifecycle runner's torus (64 × 64,
+/// weights 1..=100, k = 3), over one fixed list of 1,024 pairs: the entry
+/// selection alone, then selection and hop walk on a fresh clone, whose
+/// walks learn every row link as they go (`route_cold`), and on a scheme
+/// whose links the previous passes learned (`route_warm`). Each sample is
+/// one pass over the list; the walk is a route less its selection.
+fn bench_serve_walk(c: &mut Criterion) {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x70_4096);
+    let g = graphs::generators::torus(64, 64, 1..=100, &mut rng);
+    let scheme = build(&g, &BuildParams::new(3), &mut rng).scheme;
+    let n = g.num_vertices() as u32;
+    let pairs: Vec<(VertexId, VertexId)> = (0..1024)
+        .map(|_| (VertexId(rng.gen_range(0..n)), VertexId(rng.gen_range(0..n))))
+        .collect();
+    let route_all = |scheme: &RoutingScheme| -> u64 {
+        let mut weight = 0;
+        for &(src, dst) in &pairs {
+            let header = forward::select(scheme, src, dst, Selection::SourceOptimal)
+                .expect("the torus is connected");
+            weight += forward::walk(&g, scheme, src, &header, |_| {}).unwrap().0;
+        }
+        weight
+    };
+    let mut group = c.benchmark_group("serve_walk_torus4096_k3");
+    group.bench_function("select", |b| {
+        b.iter(|| {
+            let mut cost = 0;
+            for &(src, dst) in &pairs {
+                cost += forward::select(&scheme, src, dst, Selection::SourceOptimal)
+                    .expect("the torus is connected")
+                    .cost;
+            }
+            cost
+        })
+    });
+    group.bench_function("route_cold", |b| {
+        b.iter_batched(
+            || scheme.clone(),
+            // The clone is returned, so it is dropped off the clock.
+            |fresh| (route_all(&fresh), fresh),
+            BatchSize::LargeInput,
+        )
+    });
+    group.bench_function("route_warm", |b| b.iter(|| route_all(&scheme)));
+    group.finish();
 }
 
 fn bench_oracle_queries(c: &mut Criterion) {
@@ -98,6 +147,7 @@ criterion_group!(
     benches,
     bench_build_modes,
     bench_route_throughput,
+    bench_serve_walk,
     bench_oracle_queries,
     bench_persist
 );

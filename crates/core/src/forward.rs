@@ -12,6 +12,13 @@
 //! visits a vertex twice repeats forever, and one that delivers visits each
 //! vertex at most once: at most `n − 1` hops. [`hop_cap`] is that bound, the
 //! one place it is written down.
+//!
+//! [`walk`], which sees the whole scheme, also follows the scheme's row
+//! links: a hop up to the tree parent or down the heavy edge reads the next
+//! vertex's row at the index a previous walk found there, once its root
+//! checks out, instead of searching that vertex's table. [`step`] is what a
+//! single vertex can do with its own table, so the packet plane never reads
+//! a link.
 
 use std::fmt;
 
@@ -21,7 +28,7 @@ use obs::flight::HopKind;
 use tree_routing::baseline::{self, BaselineLabel, BaselineTable};
 use tree_routing::types::{route_decision, ForwardingDecision, RouteAction, TreeLabel, TreeTable};
 
-use crate::scheme::{LabelEntry, RoutingScheme, RoutingTable};
+use crate::scheme::{LabelEntry, Link, RoutingScheme, RoutingTable};
 
 /// How the source picks among valid label entries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,6 +97,8 @@ pub struct Header<'s> {
     pub entry: &'s LabelEntry,
     /// The sender's estimate for the committed route, `d̂(u, w) + d̂(w, v)`.
     pub cost: Weight,
+    /// The index of the sender's row for the committed tree in its table.
+    pub row: usize,
 }
 
 /// Every commitment open to `src`: the entries of `dst`'s label whose tree
@@ -101,10 +110,11 @@ pub fn candidates(
 ) -> impl Iterator<Item = Header<'_>> {
     let table = scheme.table(src);
     scheme.label(dst).rows().iter().filter_map(move |entry| {
-        let row = table.entry(entry.pivot)?;
+        let row = table.position(entry.pivot)?;
         Some(Header {
             entry,
-            cost: row.dist.saturating_add(entry.dist),
+            cost: table.rows()[row].dist.saturating_add(entry.dist),
+            row,
         })
     })
 }
@@ -252,6 +262,13 @@ pub fn drive(
 
 /// Walk the committed route hop by hop over `scheme`'s tables.
 ///
+/// Each hop applies [`step`]'s rule to the visited vertex's row for the
+/// committed tree. The row is found from a hint: the header's row at the
+/// source, the link learned from the previous row after a hop up or down
+/// the heavy edge. A hint whose row is for another tree, or no hint, costs
+/// the one search of the table, which then teaches the previous row its
+/// link. The answer and the error are [`step`]'s, hop for hop.
+///
 /// # Errors
 ///
 /// See [`GraphRouteError`].
@@ -263,10 +280,265 @@ pub fn walk(
     visit: impl FnMut(VertexId),
 ) -> Result<(Weight, u32), GraphRouteError> {
     let (root, label) = (header.entry.pivot, &header.entry.tree_label);
-    drive(
-        g,
-        src,
-        |at, ports| step(scheme.table(at), at, root, label, ports),
-        visit,
-    )
+    // The row hint for the vertex being stepped, and the row the walk left
+    // to reach it, which learns the index a search finds.
+    let (mut hint, mut learner) = (Some(header.row), None);
+    let step_at = |at: VertexId, ports: &[Arc]| {
+        let table = scheme.table(at);
+        let rows = table.rows();
+        let row = match hint.filter(|&i| rows.get(i).is_some_and(|e| e.root == root)) {
+            Some(i) => i,
+            None => {
+                let i = table.position(root).ok_or(GraphRouteError::Stuck(at))?;
+                if let Some((from, from_row, dir)) = learner {
+                    scheme.learn_link(from, from_row, dir, i);
+                }
+                i
+            }
+        };
+        let step = tree_step(at, &rows[row].table, label, ports)?;
+        let dir = match step {
+            Step::Forward { kind, .. } => kind.and_then(link_of),
+            Step::Deliver => None,
+        };
+        hint = dir.and_then(|dir| scheme.learned_link(at, row, dir));
+        learner = dir.map(|dir| (at, row, dir));
+        Ok(step)
+    };
+    drive(g, src, step_at, visit)
+}
+
+/// The link a hop of `kind` follows: a light edge has none, since which
+/// light child a message takes depends on its target.
+#[inline]
+fn link_of(kind: HopKind) -> Option<Link> {
+    match kind {
+        HopKind::Ascent => Some(Link::Up),
+        HopKind::DescentHeavy => Some(Link::Down),
+        HopKind::DescentLight => None,
+    }
+}
+
+/// The walk as it was before row links, verbatim: every hop searches the
+/// visited vertex's table through [`step`]. The differential tests below
+/// hold [`walk`] to it.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// Walk the committed route hop by hop over `scheme`'s tables.
+    ///
+    /// # Errors
+    ///
+    /// See [`GraphRouteError`].
+    pub fn walk(
+        g: &Graph,
+        scheme: &RoutingScheme,
+        src: VertexId,
+        header: &Header<'_>,
+        visit: impl FnMut(VertexId),
+    ) -> Result<(Weight, u32), GraphRouteError> {
+        let (root, label) = (header.entry.pivot, &header.entry.tree_label);
+        drive(
+            g,
+            src,
+            |at, ports| step(scheme.table(at), at, root, label, ports),
+            visit,
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scheme::{build, BuildParams, Mode};
+    use graphs::generators;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    use std::sync::Barrier;
+
+    /// What a walk returns, with the vertices it visited.
+    type Walked = (Result<(Weight, u32), GraphRouteError>, Vec<VertexId>);
+
+    fn linked(g: &Graph, scheme: &RoutingScheme, src: VertexId, header: &Header<'_>) -> Walked {
+        let mut path = Vec::new();
+        (walk(g, scheme, src, header, |v| path.push(v)), path)
+    }
+
+    fn searched(g: &Graph, scheme: &RoutingScheme, src: VertexId, header: &Header<'_>) -> Walked {
+        let mut path = Vec::new();
+        (
+            reference::walk(g, scheme, src, header, |v| path.push(v)),
+            path,
+        )
+    }
+
+    /// Walk every commitment open to each pair on `scheme` and name the
+    /// first one whose walk differs from the reference's, in the `pass`
+    /// named.
+    fn mismatch(
+        pass: &str,
+        g: &Graph,
+        scheme: &RoutingScheme,
+        pairs: &[(VertexId, VertexId)],
+    ) -> Option<String> {
+        for &(src, dst) in pairs {
+            for header in candidates(scheme, src, dst) {
+                let (got, want) = (
+                    linked(g, scheme, src, &header),
+                    searched(g, scheme, src, &header),
+                );
+                if got != want {
+                    let tree = header.entry.pivot;
+                    return Some(format!(
+                        "{pass}: {src} → {dst} in tree {tree}: {got:?} vs {want:?}"
+                    ));
+                }
+            }
+        }
+        None
+    }
+
+    fn shaped(shape: u8, size: usize, rng: &mut ChaCha8Rng) -> Graph {
+        match shape {
+            0 => generators::erdos_renyi_connected(size, (3.0 / size as f64).min(1.0), 1..=9, rng),
+            1 => generators::preferential_attachment(size.max(3), 2, 1..=9, rng),
+            _ => generators::torus(3 + size % 11, 3 + size / 16, 1..=9, rng),
+        }
+    }
+
+    fn pairs(n: usize, count: usize, rng: &mut ChaCha8Rng) -> Vec<(VertexId, VertexId)> {
+        let mut at = || VertexId(rng.gen_range(0..n as u32));
+        (0..count).map(|_| (at(), at())).collect()
+    }
+
+    /// Break some of `scheme`'s tables, keeping each sorted by root: a
+    /// vertex forgets a row, names a random vertex as a row's parent or
+    /// heavy child, or moves a row's interval.
+    fn forge(scheme: &mut RoutingScheme, rng: &mut ChaCha8Rng) {
+        let n = scheme.num_vertices() as u32;
+        for v in (0..n).map(VertexId) {
+            let mut rows = scheme.table(v).rows().to_vec();
+            if rows.is_empty() || rng.gen_range(0..4) != 0 {
+                continue;
+            }
+            let i = rng.gen_range(0..rows.len());
+            let other = Some(VertexId(rng.gen_range(0..n)));
+            match rng.gen_range(0..4) {
+                0 => drop(rows.remove(i)),
+                1 => rows[i].table.parent = other,
+                2 => rows[i].table.heavy = other,
+                _ => rows[i].table.exit = rows[i].table.enter + rng.gen_range(0..4u64),
+            }
+            scheme.replace_table(v, rows);
+        }
+    }
+
+    /// Plant links that lead nowhere useful: past the end of the next
+    /// table, or to a row of another tree.
+    fn mislead(scheme: &RoutingScheme, rng: &mut ChaCha8Rng) {
+        for v in scheme.vertices() {
+            let rows = scheme.table(v).rows().len();
+            for row in 0..rows {
+                for dir in [Link::Up, Link::Down] {
+                    if rng.gen_range(0..3) == 0 {
+                        scheme.learn_link(v, row, dir, rng.gen_range(0..rows + 4));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn walks_learn_links_that_name_the_same_tree() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5401);
+        let g = generators::torus(8, 9, 1..=9, &mut rng);
+        let scheme = build(&g, &BuildParams::new(3), &mut rng).scheme;
+        let every: Vec<_> = g
+            .vertices()
+            .flat_map(|s| g.vertices().map(move |t| (s, t)))
+            .collect();
+        assert_eq!(mismatch("all pairs", &g, &scheme, &every), None);
+        let mut learned = 0;
+        for v in g.vertices() {
+            for (row, e) in scheme.table(v).rows().iter().enumerate() {
+                for (dir, next) in [(Link::Up, e.table.parent), (Link::Down, e.table.heavy)] {
+                    if let Some(to) = scheme.learned_link(v, row, dir) {
+                        let next = next.expect("a link leads to a tree neighbour");
+                        assert_eq!(scheme.table(next).rows()[to].root, e.root);
+                        learned += 1;
+                    }
+                }
+            }
+        }
+        assert!(learned > 0, "no walk learned a link");
+        // A clone and a replaced table start over.
+        let (v, row, dir) = g
+            .vertices()
+            .flat_map(|v| (0..scheme.table(v).rows().len()).map(move |r| (v, r)))
+            .flat_map(|(v, r)| [(v, r, Link::Up), (v, r, Link::Down)])
+            .find(|&(v, r, d)| scheme.learned_link(v, r, d).is_some())
+            .expect("some link was learned");
+        let mut copy = scheme.clone();
+        assert_eq!(copy.learned_link(v, row, dir), None);
+        copy.learn_link(v, row, dir, 0);
+        assert_eq!(copy.learned_link(v, row, dir), Some(0));
+        copy.replace_table(v, copy.table(v).rows().to_vec());
+        assert_eq!(copy.learned_link(v, row, dir), None);
+        // Rows past a slot's range are never linked to.
+        copy.learn_link(v, row, dir, usize::from(u16::MAX));
+        assert_eq!(copy.learned_link(v, row, dir), None);
+    }
+
+    #[test]
+    fn racing_walks_on_one_cold_scheme_match_the_reference() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5402);
+        let g = generators::erdos_renyi_connected(120, 0.03, 1..=9, &mut rng);
+        let scheme = build(&g, &BuildParams::new(2), &mut rng).scheme;
+        let pairs = pairs(g.num_vertices(), 300, &mut rng);
+        let start = Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (g, scheme, start) = (&g, &scheme, &start);
+                let mut mine = pairs.clone();
+                mine.rotate_left(t * pairs.len() / 4);
+                s.spawn(move || {
+                    start.wait();
+                    assert_eq!(mismatch(&format!("thread {t}"), g, scheme, &mine), None);
+                });
+            }
+        });
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn the_linked_walk_matches_the_reference_walk(
+            shape in 0u8..3,
+            size in 2usize..=200,
+            k in 2usize..=4,
+            centralized in 0u8..2,
+            forged in 0u8..2,
+            seed in 0u64..1 << 32,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let g = shaped(shape, size, &mut rng);
+            let mode = if centralized == 1 { Mode::Centralized } else { Mode::DistributedLowMemory };
+            let mut scheme = build(&g, &BuildParams::new(k).with_mode(mode), &mut rng).scheme;
+            if forged == 1 {
+                forge(&mut scheme, &mut rng);
+            }
+            let pairs = pairs(g.num_vertices(), 60, &mut rng);
+            // Cold, warm, on a clone that starts without links, and with
+            // wrong links planted.
+            proptest::prop_assert_eq!(mismatch("cold", &g, &scheme, &pairs), None);
+            proptest::prop_assert_eq!(mismatch("warm", &g, &scheme, &pairs), None);
+            let copy = scheme.clone();
+            proptest::prop_assert_eq!(mismatch("clone", &g, &copy, &pairs), None);
+            mislead(&scheme, &mut rng);
+            proptest::prop_assert_eq!(mismatch("misled", &g, &scheme, &pairs), None);
+            proptest::prop_assert_eq!(mismatch("relearned", &g, &scheme, &pairs), None);
+        }
+    }
 }

@@ -21,6 +21,9 @@
 //! The \[EN16b\]-style comparison row runs the same stages with its own tree
 //! scheme and keeps its own rows; it lives in [`crate::prior`].
 
+use std::sync::atomic::{AtomicU16, Ordering};
+use std::sync::OnceLock;
+
 use congest::{bfs, MemoryMeter, Network, WordSized};
 use graphs::{tree::rank_in, Graph, RootedTree, VertexId, Weight, INFINITY};
 use hopset::construction::{build as build_hopset, HopsetParams};
@@ -130,13 +133,17 @@ impl RoutingTable {
         &self.entries
     }
 
+    /// The index in [`Self::rows`] of the row for tree `root`, if this
+    /// vertex is in that tree: the one search of the key column.
+    #[inline]
+    pub fn position(&self, root: VertexId) -> Option<usize> {
+        self.roots.binary_search(&root).ok()
+    }
+
     /// The row for tree `root`, if this vertex is in that tree.
     #[inline]
     pub fn entry(&self, root: VertexId) -> Option<&TableEntry> {
-        self.roots
-            .binary_search(&root)
-            .ok()
-            .map(|i| &self.entries[i])
+        self.position(root).map(|i| &self.entries[i])
     }
 }
 
@@ -191,6 +198,78 @@ impl WordSized for RoutingLabel {
     }
 }
 
+/// Which neighbour a row link leads to: the row's tree parent or its heavy
+/// child, the two hops a walk takes without consulting the target's label.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Link {
+    /// The tree parent ([`TreeTable::parent`]).
+    Up,
+    /// The heavy child ([`TreeTable::heavy`]).
+    Down,
+}
+
+/// Row links a walk has learned: for a row of `v`'s table, the index of the
+/// same tree's row in the table of the row's parent and of its heavy child
+/// (DESIGN.md §4g, "Row links"). They are hints about a neighbour's table,
+/// never routing state: a walk checks the root of the row a link names
+/// before it follows it, so a missing or stale link costs one search and
+/// changes no answer. Nothing is allocated until a walk learns its first
+/// link; a clone starts empty, and so does a scheme whose table was
+/// replaced.
+#[derive(Default)]
+struct RowLinks(OnceLock<LinkArrays>);
+
+/// Per vertex, the first of its rows' slots; per row, the learned link up
+/// and down, each the target row's index plus one (0: not learned).
+struct LinkArrays {
+    offsets: Box<[usize]>,
+    up: Box<[AtomicU16]>,
+    down: Box<[AtomicU16]>,
+}
+
+impl LinkArrays {
+    /// Empty links for `tables`.
+    fn new(tables: &[RoutingTable]) -> Self {
+        let mut offsets = Vec::with_capacity(tables.len() + 1);
+        let mut total = 0;
+        offsets.push(0);
+        for t in tables {
+            total += t.entries.len();
+            offsets.push(total);
+        }
+        let empty = || (0..total).map(|_| AtomicU16::new(0)).collect();
+        LinkArrays {
+            offsets: offsets.into(),
+            up: empty(),
+            down: empty(),
+        }
+    }
+
+    /// The slot of row `row` of `v`'s table toward `dir`.
+    #[inline]
+    fn slot(&self, v: VertexId, row: usize, dir: Link) -> &AtomicU16 {
+        let slots = match dir {
+            Link::Up => &self.up,
+            Link::Down => &self.down,
+        };
+        &slots[self.offsets[v.index()] + row]
+    }
+}
+
+impl Clone for RowLinks {
+    /// Links are learned per scheme value: a clone learns its own.
+    fn clone(&self) -> Self {
+        RowLinks::default()
+    }
+}
+
+impl std::fmt::Debug for RowLinks {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let slots = self.0.get().map_or(0, |l| l.up.len());
+        write!(f, "RowLinks({slots} rows)")
+    }
+}
+
 /// The assembled scheme.
 ///
 /// How tables, labels and pivots are laid out in memory is this module's
@@ -211,6 +290,9 @@ pub struct RoutingScheme {
     /// estimate `d̂(v, A_i)` — `O(k)` words each, the extra state the
     /// Thorup–Zwick *distance oracle* ([`crate::oracle`]) queries against.
     pivot_info: Vec<Vec<(VertexId, Weight)>>,
+    /// What walks have learned about where each tree continues; not part
+    /// of the scheme's state, its words or its file.
+    links: RowLinks,
 }
 
 impl RoutingScheme {
@@ -234,6 +316,7 @@ impl RoutingScheme {
             tables,
             labels,
             pivot_info,
+            links: RowLinks::default(),
         }
     }
 
@@ -277,11 +360,38 @@ impl RoutingScheme {
     /// column is always derived from the rows it indexes.
     pub fn replace_table(&mut self, v: VertexId, rows: Vec<TableEntry>) {
         self.tables[v.index()] = RoutingTable::from_rows(rows);
+        self.links = RowLinks::default();
     }
 
     /// Replace `v`'s label with `rows` (fault injection only).
     pub fn replace_label(&mut self, v: VertexId, rows: Vec<LabelEntry>) {
         self.labels[v.index()] = RoutingLabel::from_rows(rows);
+    }
+
+    /// The learned index of `dir`'s row for the same tree as row `row` of
+    /// `v`'s table, if a walk recorded one. A hint: the caller checks the
+    /// row's root before following it.
+    #[inline]
+    pub(crate) fn learned_link(&self, v: VertexId, row: usize, dir: Link) -> Option<usize> {
+        // A link is checked before use and publishes nothing else.
+        let to = self
+            .links
+            .0
+            .get()?
+            .slot(v, row, dir)
+            .load(Ordering::Relaxed);
+        (to != 0).then(|| usize::from(to) - 1)
+    }
+
+    /// Record that row `row` of `v`'s table continues in row `to` of the
+    /// table of its `dir` neighbour; a row at or past index `u16::MAX` is
+    /// never linked to. The first link learned allocates the links.
+    pub(crate) fn learn_link(&self, v: VertexId, row: usize, dir: Link, to: usize) {
+        let Ok(stored) = u16::try_from(to + 1) else {
+            return;
+        };
+        let links = self.links.0.get_or_init(|| LinkArrays::new(&self.tables));
+        links.slot(v, row, dir).store(stored, Ordering::Relaxed);
     }
 
     /// Largest table, in words.

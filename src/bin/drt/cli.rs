@@ -284,4 +284,93 @@ mod tests {
         assert!(audit.ends_with("[--report <path>] [--json]"), "{audit}");
         assert!(!audit.contains("  "), "{audit}");
     }
+
+    /// Tokens the soup is made of: the bound flags, unknown and malformed
+    /// flags, a lone `--`, and values at every edge a slot parses.
+    const SOUP: &[&str] = &[
+        "--seed",
+        "--p",
+        "--rate",
+        "--workload",
+        "--gate",
+        "--bogus",
+        "--seed=7",
+        "--",
+        "-",
+        "---p",
+        "--Seed",
+        "--p\u{e9}",
+        "7",
+        "0",
+        "-0",
+        "-1",
+        "0.5",
+        "1",
+        "1.5",
+        "NaN",
+        "nan",
+        "inf",
+        "-inf",
+        "1e400",
+        "-1e400",
+        "18446744073709551615",
+        "18446744073709551616",
+        "0.5,2",
+        "0.5,,2",
+        ",",
+        "hotspot",
+        "Hotspot",
+        "worst",
+        "",
+        " ",
+        "\u{e9}t\u{e9}",
+        "\u{1F600}",
+        "g.txt",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        /// Token soup never panics the parser, and every refusal is one of
+        /// the four documented message forms, naming what it was given.
+        #[test]
+        fn token_soup_parses_or_fails_in_a_documented_form(
+            picks in proptest::collection::vec(0..SOUP.len(), 0..12),
+        ) {
+            let opts = ReportOptions::default();
+            let argv: Vec<String> = picks.iter().map(|&i| SOUP[i].to_string()).collect();
+            let (mut seed, mut p, mut rates) = (0u64, 0.0, Vec::<f64>::new());
+            let (mut workload, mut gate) = (traffic::WorkloadKind::Uniform, false);
+            let parsed = args("soup", &argv, &opts).parse(&mut [
+                val("--seed", "seed", &mut seed),
+                prob("--p", "probability", &mut p),
+                val("--rate", "rate", &mut rates),
+                val("--workload", "workload", &mut workload),
+                switch("--gate", &mut gate),
+            ]);
+            let given = |t: &str| argv.iter().any(|a| a == t);
+            let flags = ["--seed", "--p", "--rate", "--workload"];
+            let Err(e) = parsed else {
+                return Ok(());
+            };
+            let documented = if let Some(flag) = e.strip_prefix("unknown flag '") {
+                flag.strip_suffix("' for drt soup").is_some_and(|f| given(f) && f.starts_with("--"))
+            } else if let Some(flag) = e.strip_suffix(" needs a value") {
+                flags.contains(&flag) && argv.last().is_some_and(|a| a == flag)
+            } else if let Some(rest) = e.strip_prefix("bad ") {
+                let nouns = ["seed", "probability", "rate", "workload"];
+                nouns.iter().any(|noun| {
+                    rest.strip_prefix(noun)
+                        .and_then(|r| r.strip_prefix(" '"))
+                        .and_then(|r| r.strip_suffix('\''))
+                        .is_some_and(given)
+                })
+            } else if let Some(got) = e.strip_prefix("--p must be in [0, 1], got ") {
+                got.parse::<f64>().is_ok_and(|x| !(0.0..=1.0).contains(&x))
+            } else {
+                false
+            };
+            proptest::prop_assert!(documented, "undocumented error {:?} for {:?}", e, argv);
+        }
+    }
 }

@@ -345,3 +345,22 @@ fn bad_inputs_exit_1_with_one_error_line() {
     ok(&["profile", "--n", "3", "--packets", "8"]);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn serve_on_two_components_answers_the_cross_pairs_unreachable() {
+    let dir = temp_dir("split");
+    let g = dir.join("split.txt");
+    std::fs::write(&g, "p 6\n0 1 2\n1 2 3\n3 4 1\n4 5 7\n").unwrap();
+    let out = ok(&["serve", g.to_str().unwrap(), "--queries", "256"]);
+    let outcomes = out
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("outcomes     : "))
+        .unwrap_or_else(|| panic!("no outcomes line in:\n{out}"));
+    let unreachable: u64 = outcomes
+        .split(", ")
+        .find_map(|part| part.strip_suffix(" unreachable"))
+        .and_then(|count| count.parse().ok())
+        .unwrap_or_else(|| panic!("no unreachable count in '{outcomes}'"));
+    assert!(unreachable > 0, "{out}");
+    std::fs::remove_dir_all(&dir).ok();
+}

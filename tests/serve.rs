@@ -20,14 +20,14 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use routing::oracle::DistanceOracle;
-use routing::{build, packet, persist, router, BuildParams};
+use routing::{build, packet, persist, router, BuildParams, Mode};
 use serve::query::answer_query;
 use serve::{
     generate_stream, run_closed, run_open, Answer, Query, QueryKind, ServeConfig, ServePool,
     ServeWorkload, Snapshot,
 };
 use traffic::sim::{simulate, DropPolicy, SimConfig};
-use traffic::TrafficPacket;
+use traffic::{TrafficPacket, Workload, WorkloadKind};
 
 /// Thread counts checked against the serial run.
 const THREADS: [usize; 2] = [2, 8];
@@ -280,6 +280,164 @@ fn persisted_snapshot_serves_identical_answers() {
     assert_eq!(sim_columns(&fresh), sim_columns(&rehydrated));
     assert_eq!(rehydrated.mismatches, 0);
     assert_eq!(rehydrated.errors, 0);
+}
+
+/// The pairs the distance oracle estimates worst, at every `k`, in both
+/// modes, on three graph families: each is served as a route and as a trace
+/// three times — on a scheme no walk has touched, again once its walks have
+/// learned their row links, and on a clone, which learns its own — and must
+/// answer the same each time, with a traced path that is a walk in `G` of
+/// the served weight, within `4k − 3` of the Dijkstra distance.
+#[test]
+fn mined_worst_pairs_route_within_the_stretch_bound_cold_warm_and_cloned() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5E12_0054);
+    let graphs = [
+        generators::erdos_renyi_connected(300, 3.0 / 300.0, 1..=100, &mut rng),
+        generators::torus(15, 20, 1..=100, &mut rng),
+        generators::preferential_attachment(300, 2, 1..=100, &mut rng),
+    ];
+    for g in &graphs {
+        for k in 2..=4usize {
+            for mode in [Mode::Centralized, Mode::DistributedLowMemory] {
+                let params = BuildParams::new(k).with_mode(mode);
+                let scheme = build(g, &params, &mut rng).scheme;
+                let seed = 0x5E12 + k as u64;
+                let pairs = Workload::prepare(WorkloadKind::WorstPairs, g, &scheme, seed)
+                    .pool()
+                    .to_vec();
+                assert!(!pairs.is_empty());
+                let snap = Snapshot::share(g.clone(), scheme);
+                let serve_all = |snap: &Snapshot| {
+                    let oracle = DistanceOracle::new(&snap.scheme);
+                    let mut paths = Vec::new();
+                    let answers: Vec<_> = pairs
+                        .iter()
+                        .flat_map(|&(src, dst)| {
+                            [QueryKind::Route, QueryKind::Trace].map(|kind| Query {
+                                kind,
+                                src,
+                                dst,
+                            })
+                        })
+                        .map(|q| answer_query(snap, &oracle, q, &mut paths))
+                        .collect();
+                    (answers, paths)
+                };
+                let cold = serve_all(&snap);
+                assert_eq!(serve_all(&snap), cold, "warm, k = {k}, {mode:?}");
+                let clone = Snapshot::share(snap.graph.clone(), snap.scheme.clone());
+                assert_eq!(serve_all(&clone), cold, "clone, k = {k}, {mode:?}");
+                let (answers, paths) = cold;
+                for (&(src, dst), answer) in pairs.iter().zip(answers.chunks(2)) {
+                    let Answer::Route { weight, hops, .. } = answer[0] else {
+                        panic!("{src} → {dst}: {:?}", answer[0]);
+                    };
+                    let Answer::Trace {
+                        weight: traced,
+                        path_start,
+                        path_len,
+                        ..
+                    } = answer[1]
+                    else {
+                        panic!("{src} → {dst}: {:?}", answer[1]);
+                    };
+                    assert_eq!((traced, path_len), (weight, hops + 1));
+                    let path = &paths[path_start as usize..(path_start + path_len) as usize];
+                    assert_eq!((path[0], path[path.len() - 1]), (src, dst));
+                    let walked: Option<u64> =
+                        path.windows(2).map(|e| g.edge_weight(e[0], e[1])).sum();
+                    assert_eq!(walked, Some(weight), "{src} → {dst} is not a walk in G");
+                    let exact = graphs::shortest_paths::dijkstra(g, src)[dst.index()];
+                    let bound = (4 * k as u64 - 3) * exact;
+                    assert!(
+                        exact <= weight && weight <= bound,
+                        "k = {k}, {mode:?}: {src} → {dst} routed {weight}, distance {exact}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Degenerate networks past one vertex — two components, one edge, a
+/// path, a star whose hub is every query's target — served in every query
+/// kind with every answer cross-checked: no mismatch, `Unreachable`
+/// exactly for the pairs in different components, and the same simulated
+/// columns on one thread and on three.
+#[test]
+fn degenerate_networks_serve_every_query_kind() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5E12_DE6E);
+    let mut two = GraphBuilder::new(7);
+    for (u, v, w) in [
+        (0, 1, 3),
+        (1, 2, 1),
+        (2, 0, 5),
+        (3, 4, 2),
+        (4, 5, 2),
+        (5, 6, 9),
+    ] {
+        two.add_edge(VertexId(u), VertexId(v), w);
+    }
+    let component = |v: VertexId| v.0 < 3;
+    let star = generators::star(9, 1..=9, &mut rng);
+    let cases = [
+        (two.build(), false),
+        (generators::path(2, 1..=9, &mut rng), false),
+        (generators::path(9, 1..=9, &mut rng), false),
+        (star, true),
+    ];
+    for (g, into_hub) in cases {
+        let n = g.num_vertices() as u32;
+        let scheme = build(&g, &BuildParams::new(2), &mut rng).scheme;
+        let snap = Snapshot::share(g, scheme);
+        let split = n == 7;
+        let stream: Vec<Query> = (0..n)
+            .flat_map(|s| (0..n).map(move |t| (VertexId(s), VertexId(t))))
+            .filter(|&(_, dst)| !into_hub || dst == VertexId(0))
+            .flat_map(|(src, dst)| {
+                [QueryKind::Route, QueryKind::Distance, QueryKind::Trace].map(|kind| Query {
+                    kind,
+                    src,
+                    dst,
+                })
+            })
+            .collect();
+        let oracle = DistanceOracle::new(&snap.scheme);
+        let mut paths = Vec::new();
+        for &q in &stream {
+            let answer = answer_query(&snap, &oracle, q, &mut paths);
+            let apart = split && component(q.src) != component(q.dst);
+            assert_eq!(
+                answer == Answer::Unreachable,
+                apart,
+                "n = {n}: {q:?} → {answer:?}"
+            );
+        }
+        let config = ServeConfig {
+            queries: stream.len(),
+            batch: 5,
+            check_rate: 1.0,
+            ..ServeConfig::default()
+        };
+        let summaries: Vec<ServeSummary> = [1, 3]
+            .map(|threads| {
+                let cfg = ServeConfig { threads, ..config };
+                run_closed(&mut ServePool::start(snap.clone(), threads), &stream, &cfg)
+            })
+            .into();
+        for s in &summaries {
+            assert_eq!(
+                (s.checks, s.mismatches, s.errors),
+                (stream.len() as u64, 0, 0),
+                "n = {n}"
+            );
+        }
+        assert_eq!(
+            sim_columns(&summaries[0]),
+            sim_columns(&summaries[1]),
+            "n = {n}"
+        );
+    }
 }
 
 /// A `serve_summary` record written through a [`obs::Recorder`] report
